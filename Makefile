@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-noasm test-noavx2 test-faults test-serve test-resultcache test-persist bench bench-serve bench-json benchdiff lint lint-docs fmt
+.PHONY: build test test-noasm test-noavx2 test-faults test-serve test-resultcache test-persist test-bench bench bench-serve bench-json benchdiff lint lint-docs fmt
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,14 @@ test-persist:
 	$(GO) test -race ./internal/relation/store
 	$(GO) test -race -run 'Persist|ReshardSweeps|ReplaceSweeps|StatsTurn' \
 		./internal/relation ./internal/engine ./internal/psql ./internal/server
+
+# The served-statement benchmark harness is its own module (bench/go.mod,
+# `replace repro => ../`), so `go build ./...` and `go test ./...` never
+# see it: vet and smoke-test it explicitly (toy sizes, ~2 s), so a change
+# to an internal API it imports fails here instead of at the next
+# benchmark run.
+test-bench:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration per benchmark — the CI smoke job. Use BENCHTIME=2s (or any
 # go -benchtime value) for real measurements.

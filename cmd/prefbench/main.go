@@ -281,14 +281,13 @@ func streamDemo(clause, where string, rows, dims int, dist string, first, shards
 		candidates = len(idx)
 		fmt.Printf("hard selection %s: %d of %d rows (cache-served index list)\n", where, len(idx), rel.Len())
 	}
-	var st *engine.Stream
+	ctx := context.Background()
 	if timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
-		st = engine.EvalStreamCtx(ctx, p, rel, engine.Auto, idx)
-	} else {
-		st = engine.EvalStreamOn(p, rel, engine.Auto, idx)
 	}
+	st := engine.EvalStreamCtx(ctx, p, rel, engine.Auto, idx)
 	fmt.Printf("workload: %s (%d rows), %s, progressive=%v\n", rel.Name(), rel.Len(), c, st.Progressive())
 	emitted := 0
 	st.Each(func(row int) bool {
@@ -382,15 +381,14 @@ func streamShardedDemo(c skyline.Clause, rel *relation.Relation, where string, f
 		// the batch fan-out exercises the injected fault.
 		return faultDemo(p, s, sets, faults, timeout)
 	}
-	var st *engine.ShardedStream
+	ctx, rb := context.Background(), engine.Robust{}
 	if timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
-		rb := engine.Robust{Policy: engine.PolicyPartial, ShardTimeout: timeout}
-		st = engine.EvalStreamShardedCtx(ctx, p, s, engine.Auto, sets, rb)
-	} else {
-		st = engine.EvalStreamShardedOn(p, s, engine.Auto, sets)
+		rb = engine.Robust{Policy: engine.PolicyPartial, ShardTimeout: timeout}
 	}
+	st := engine.EvalStreamShardedCtx(ctx, p, s, engine.Auto, sets, rb)
 	fmt.Printf("workload: %s (%d rows, %d shards by %s), %s, progressive=%v\n",
 		rel.Name(), s.Len(), s.NumShards(), s.Part(), c, st.Progressive())
 	emitted := 0

@@ -33,9 +33,10 @@
 // rank.TopKSharded / ThresholdTopKSharded evaluate shard-local off each
 // shard's independently cached bound forms and merge candidate maxima
 // cross-shard (chain filter over raw compiled coordinates, BNL
-// otherwise), engine.PlanSharded costs the fan-out against the flat
-// path, and psql routes sharded catalog tables through all of it with
-// EXPLAIN reporting shards=N and the merge mode per phase.
+// otherwise) along one fault-contained fan-out whatever the caller's
+// context, engine.PlanSharded describes that route, and psql routes
+// sharded catalog tables through all of it with EXPLAIN reporting
+// shards=N and the merge mode per phase.
 //
 // Start with ARCHITECTURE.md (the end-to-end dataflow tour with file
 // pointers), internal/core (the façade API) and README.md (package tour,

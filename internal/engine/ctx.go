@@ -22,9 +22,9 @@ import (
 // worker goroutines re-panic on the spawning side (partitionMaxima) so
 // the unwind always reaches runCancellable on the calling goroutine.
 //
-// Legacy entry points pass a nil canceller, so the pre-existing paths
-// run the exact code they always did with one predictable branch per
-// candidate.
+// An uncancellable context (the context.Background() wrappers) lowers
+// to a nil canceller, so those calls run the same loops with one
+// predictable branch per candidate.
 
 // cancelStride is the number of tick() calls between context polls —
 // coarse enough that the poll (one channel select) vanishes against
@@ -36,7 +36,7 @@ const cancelStride = 1024
 type cancelPanic struct{ err error }
 
 // canceller is the per-evaluation cancellation state. A nil *canceller
-// is the "not cancellable" instance every legacy entry point uses; all
+// is the "not cancellable" instance an uncancellable context gets; all
 // methods are nil-safe. A canceller is single-goroutine state (the
 // counter is unsynchronized); concurrent workers each get their own
 // via child().
@@ -149,26 +149,14 @@ func runCancellable(ctx context.Context, f func(cc *canceller) []int) (out []int
 	return f(newCanceller(ctx)), nil
 }
 
-// EvalCtx is BMO under a context: the evaluation observes ctx
-// cancellation and deadlines cooperatively (every long loop polls at a
-// coarse stride) and returns the context's error instead of a result.
-// A result is always complete — cancellation never yields a torn BMO
-// set. EvalCtx serves the result cache: a repeat query over an
-// unchanged generation returns the memoized maxima without evaluating
-// (see resultserve.go); EvalIndicesCtx below never does, so agreement
-// baselines and benchmarks keep measuring real work.
-func EvalCtx(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm) (*relation.Relation, error) {
-	idx, err := EvalIndicesCtxKeyed(ctx, p, r, alg, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return r.Pick(idx), nil
-}
-
-// EvalIndicesCtx is the ctx-aware twin of BMOIndicesOn: the preference
-// query over the candidate row positions of R (idx == nil means every
-// row), cancellable through ctx. BMOIndices/BMOIndicesOn are now thin
-// wrappers passing an uncancellable context.
+// EvalIndicesCtx is BMOIndicesOn under a context: the preference query
+// over the candidate row positions of R (idx == nil means every row).
+// The evaluation observes ctx cancellation and deadlines cooperatively
+// (every long loop polls at a coarse stride) and returns the context's
+// error instead of a result; a result is always complete — cancellation
+// never yields a torn BMO set. It never serves the result cache
+// (EvalIndicesCtxKeyed in resultserve.go does), so agreement baselines
+// and benchmarks keep measuring real work.
 func EvalIndicesCtx(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) ([]int, error) {
 	if idx == nil {
 		idx = allIndices(r.Len())

@@ -170,6 +170,38 @@ func TestHangShardUnblockedByQueryDeadline(t *testing.T) {
 	}
 }
 
+// TestGroupedShardedFaults: the grouped step runs on the same fan-out
+// as every other sharded step — a panicking (group, shard) job is
+// contained into a strict *ShardError naming the job's shard, and a hung
+// one is unstuck by the query deadline — but never degrades: groups span
+// shards, so there is no partial result to report.
+func TestGroupedShardedFaults(t *testing.T) {
+	_, s := faultFixture(t, 300, 4)
+	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
+	attrs := []string{"C"}
+
+	faultinject.Install(s, 2, faultinject.Fault{Mode: faultinject.Panic})
+	sets, err := GroupByShardedOn(context.Background(), p, attrs, s, Auto, nil)
+	var se *relation.ShardError
+	var pe *relation.PanicError
+	if sets != nil || !errors.As(err, &se) || se.Shard != 2 || !errors.As(err, &pe) {
+		t.Fatalf("panicking job: sets=%v err=%v, want *ShardError for shard 2 wrapping the contained panic", sets, err)
+	}
+
+	faultinject.RemoveAll(s)
+	faultinject.Install(s, 1, faultinject.Fault{Mode: faultinject.Hang})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	sets, err = GroupByShardedOn(ctx, p, attrs, s, Auto, nil)
+	if sets != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("hung job: sets=%v err=%v, want deadline exceeded", sets, err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("hung job stalled the grouped step: %v", elapsed)
+	}
+}
+
 // TestStreamCancellationTerminatesWorkers: cancelling a sharded ctx
 // stream mid-flight — with one shard hanging, so the batch fan-out is
 // genuinely stuck — must terminate every worker goroutine and surface

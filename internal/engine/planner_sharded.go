@@ -11,15 +11,14 @@ import (
 
 // ShardPlan is the explainable physical plan of one BMO query over a
 // sharded table: the representative per-shard plan, the shard fan-out,
-// the cross-shard merge mode, and the sharded-vs-flat decision with the
-// cost estimates that led to it. The sharded cost model is
+// the cross-shard merge mode, and the cost estimate
 //
 //	waves(shards/fanout) × per-shard cost + merge(shards × per-shard
 //	result) + dispatch overhead
 //
-// against the flat alternative of materializing the candidate union as
-// one ephemeral relation and evaluating it in a single pass (which pays
-// a per-query flatten and an uncached bind, but no merge).
+// A sharded table always evaluates shard-at-a-time — fault isolation,
+// result caching and the cached per-shard bound forms all live along
+// shard boundaries — so the plan describes that one route.
 type ShardPlan struct {
 	Shards int
 	Input  int // total candidate count across shards
@@ -28,12 +27,8 @@ type ShardPlan struct {
 	// PerShard is the plan of the representative (largest-candidate-set)
 	// shard; every shard follows the same decision procedure at its own
 	// cardinality.
-	PerShard *Plan
-	// UseSharded reports the sharded-vs-flat decision: per-shard
-	// evaluation plus cross-shard merge, or one flattened pass.
-	UseSharded  bool
+	PerShard    *Plan
 	ShardedCost float64
-	FlatCost    float64
 	Reasons     []string
 }
 
@@ -44,8 +39,7 @@ func PlanSharded(p pref.Preference, s *relation.Sharded, env Env) *ShardPlan {
 }
 
 // PlanShardedOn plans evaluation over per-shard candidate subsets (nil
-// means every row); BMOShardedOn consults it under Auto, and the psql
-// EXPLAIN front-end inlines its rendering.
+// means every row); the psql EXPLAIN front-end inlines its rendering.
 func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env Env) *ShardPlan {
 	if sets == nil {
 		sets = AllShardSets(s)
@@ -53,7 +47,7 @@ func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env E
 	n := sets.Total(s)
 	rep, repN := 0, -1
 	for i := 0; i < s.NumShards(); i++ {
-		ni := len(shardCand(s, sets, i))
+		ni := len(sets.Resolve(s, i))
 		if ni > repN {
 			rep, repN = i, ni
 		}
@@ -84,22 +78,10 @@ func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env E
 	}
 	sp.ShardedCost = float64(waves)*perShardCost + mergeCost(sp.Merge, merged) + dispatch
 
-	// Flat alternative: flatten the union (one row append per candidate)
-	// and bind the term against the ephemeral result (uncacheable, so the
-	// bind repeats per query) before a single evaluation pass.
-	flatPl := planCore(p, nil, n, env)
-	sp.FlatCost = chosenCost(flatPl) + 2*float64(n)
-	sp.UseSharded = s.NumShards() == 1 || sp.ShardedCost <= sp.FlatCost
-
-	route := "flat"
-	if sp.UseSharded {
-		route = "sharded"
-	}
 	sp.Reasons = append(sp.Reasons,
 		fmt.Sprintf("%d shards × ≈%d candidates, fan-out %d, merge %s over ≈%d local maxima",
 			s.NumShards(), repN, fanout, sp.Merge, merged),
-		fmt.Sprintf("sharded cost ≈%.3g vs flat (flatten + uncached bind) ≈%.3g → %s",
-			sp.ShardedCost, sp.FlatCost, route))
+		fmt.Sprintf("estimated cost ≈%.3g (%d wave(s) × per-shard + merge + dispatch)", sp.ShardedCost, waves))
 	return sp
 }
 
@@ -129,17 +111,12 @@ func mergeCost(mode string, m int) float64 {
 	return fm * fm / 2
 }
 
-// Explain renders the sharded plan decision: the shard fan-out line, the
-// representative per-shard plan indented underneath, and the
-// sharded-vs-flat reasoning.
+// Explain renders the sharded plan: the shard fan-out line, the
+// representative per-shard plan indented underneath, and the reasoning.
 func (sp *ShardPlan) Explain() string {
 	var b strings.Builder
-	route := "flat"
-	if sp.UseSharded {
-		route = "sharded"
-	}
-	fmt.Fprintf(&b, "sharded plan: shards=%d n=%d fanout=%d merge=%s → %s\n",
-		sp.Shards, sp.Input, sp.Fanout, sp.Merge, route)
+	fmt.Fprintf(&b, "sharded plan: shards=%d n=%d fanout=%d merge=%s\n",
+		sp.Shards, sp.Input, sp.Fanout, sp.Merge)
 	for _, line := range strings.Split(strings.TrimRight(sp.PerShard.Explain(), "\n"), "\n") {
 		fmt.Fprintf(&b, "  per-shard %s\n", line)
 	}

@@ -17,9 +17,11 @@ import (
 // through the live relation land on one key), the generation version,
 // the preference's canonical term key and the candidate-set key ("*" for
 // every row, "w:"+filter.PredKey for a WHERE-scoped set). Only the keyed
-// entry points below serve it — the legacy paths (BMOIndices, bmoOn,
-// EvalIndicesCtx, BMOShardedOnCtx) always evaluate, so benchmarks and
-// agreement baselines keep measuring real work.
+// entry points (EvalIndicesCtxKeyed below, BMOShardedOnCtxKeyed and
+// BMOShardedOnFilteredCtxKeyed) serve it — everything else (BMOIndices,
+// bmoOn, EvalIndicesCtx, BMOShardedOn, BMOShardedOnCtx) always
+// evaluates, so benchmarks and agreement baselines keep measuring real
+// work.
 
 // resultKey derives the result-cache addressing of σ[P](where(R)):
 // the identity the entry files under, the generation version to read,

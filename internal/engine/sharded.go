@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"slices"
 	"strings"
 
 	"repro/internal/boundcache"
+	"repro/internal/faultinject"
 	"repro/internal/pref"
 	"repro/internal/relation"
 )
@@ -90,11 +92,6 @@ func (ss ShardSets) Resolve(table *relation.Sharded, i int) []int {
 	return ss[i]
 }
 
-// shardCand resolves one shard's candidate set (nil = every row).
-func shardCand(s *relation.Sharded, sets ShardSets, i int) []int {
-	return sets.Resolve(s, i)
-}
-
 // BMOSharded evaluates σ[P](S) over a sharded table and returns the
 // qualifying rows as a new flat relation in shard-major order.
 func BMOSharded(p pref.Preference, s *relation.Sharded, alg Algorithm) *relation.Relation {
@@ -108,33 +105,17 @@ func BMOShardedIndices(p pref.Preference, s *relation.Sharded, alg Algorithm) Sh
 
 // BMOShardedOn evaluates the preference query over per-shard candidate
 // subsets (sets == nil, or a nil element, means every row) and returns
-// the qualifying positions per shard in ascending order. Each shard
-// evaluates locally through the ordinary flat entry points — compiled
-// forms bind per shard through the compile cache, so repeated queries
-// are bind-free on every shard independently — and the shard-local
-// maxima merge cross-shard (see mergeShardMaxima). With Auto, the
-// sharded planner first decides sharded-vs-flat (see PlanShardedOn).
+// the qualifying positions per shard in ascending order: bmoSharded
+// under an uncancellable context and the strict policy, never through
+// the result cache. The only error that combination can produce is a
+// contained shard-worker failure (a panic, or an injected fault); it
+// re-panics on the calling goroutine.
 func BMOShardedOn(p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets) ShardSets {
-	if sets == nil {
-		sets = AllShardSets(s)
+	out, _, err := bmoSharded(context.Background(), p, s, alg, sets, nil, false, nil, Robust{})
+	if err != nil {
+		panic(err)
 	}
-	if s.NumShards() == 1 {
-		return ensureNonNil(ShardSets{bmoOn(p, s.Shard(0), alg, EvalAuto, shardCand(s, sets, 0))})
-	}
-	if alg == Auto {
-		if sp := PlanShardedOn(p, s, sets, Env{}); !sp.UseSharded {
-			return flatEvalSharded(p, s, alg, sets)
-		}
-	}
-	locals := make(ShardSets, s.NumShards())
-	relation.FanShards(s.NumShards(), func(i int) {
-		cand := shardCand(s, sets, i)
-		if len(cand) == 0 {
-			return
-		}
-		locals[i] = bmoOn(p, s.Shard(i), alg, EvalAuto, cand)
-	})
-	return mergeShardMaxima(p, s, locals)
+	return out
 }
 
 // ShardFilter is a per-shard acceptance filter over local row positions:
@@ -144,52 +125,6 @@ func BMOShardedOn(p pref.Preference, s *relation.Sharded, alg Algorithm, sets Sh
 // must be safe for concurrent calls on distinct shards — the fan-out
 // evaluates shards in parallel.
 type ShardFilter func(shard int, maxima []int) []int
-
-// BMOShardedOnFiltered is BMOShardedOn with a fused post-BMO acceptance
-// filter. The filter runs inside the per-shard fan-out, right after each
-// shard's local BMO pass — while the shard's columns are cache-hot and in
-// parallel across shards — instead of as a separate serial scan over the
-// finished result. Its SEMANTICS stay filter-after-merge: a maximum the
-// filter rejects still enters the cross-shard merge (it dominates other
-// shards' candidates exactly like any maximum, per the §6.1 pipeline
-// where BUT ONLY prunes the BMO result rather than the candidate set);
-// only the merge survivors are intersected with the accepted subsets.
-func BMOShardedOnFiltered(p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, keep ShardFilter) ShardSets {
-	if keep == nil {
-		return BMOShardedOn(p, s, alg, sets)
-	}
-	if sets == nil {
-		sets = AllShardSets(s)
-	}
-	if s.NumShards() == 1 {
-		local := bmoOn(p, s.Shard(0), alg, EvalAuto, shardCand(s, sets, 0))
-		return ensureNonNil(ShardSets{keep(0, local)})
-	}
-	if alg == Auto {
-		if sp := PlanShardedOn(p, s, sets, Env{}); !sp.UseSharded {
-			out := flatEvalSharded(p, s, alg, sets)
-			for i := range out {
-				out[i] = keep(i, out[i])
-			}
-			return ensureNonNil(out)
-		}
-	}
-	locals := make(ShardSets, s.NumShards())
-	accepted := make(ShardSets, s.NumShards())
-	relation.FanShards(s.NumShards(), func(i int) {
-		cand := shardCand(s, sets, i)
-		if len(cand) == 0 {
-			return
-		}
-		locals[i] = bmoOn(p, s.Shard(i), alg, EvalAuto, cand)
-		accepted[i] = keep(i, locals[i])
-	})
-	out := mergeShardMaxima(p, s, locals)
-	for i := range out {
-		out[i] = intersectSorted(out[i], accepted[i])
-	}
-	return ensureNonNil(out)
-}
 
 // intersectSorted intersects two ascending position lists.
 func intersectSorted(a, b []int) []int {
@@ -207,27 +142,6 @@ func intersectSorted(a, b []int) []int {
 		}
 	}
 	return out
-}
-
-// flatEvalSharded is the planner's flat path: materialize the candidate
-// rows as one ephemeral relation, evaluate once, and map the winners
-// back to per-shard positions. It pays a per-query flatten and an
-// uncached bind — exactly the costs the sharded path avoids — but skips
-// the cross-shard merge, which wins when the merge would redo most of
-// the work (huge result fractions over few rows).
-func flatEvalSharded(p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets) ShardSets {
-	gids := sets.GlobalIDs(s)
-	flat := s.Pick(gids)
-	win := BMOIndices(p, flat, alg)
-	out := make(ShardSets, s.NumShards())
-	for _, k := range win {
-		shard, local := relation.SplitGlobalID(gids[k])
-		out[shard] = append(out[shard], local)
-	}
-	for i := range out {
-		slices.Sort(out[i])
-	}
-	return ensureNonNil(out)
 }
 
 // mergeShardMaxima reduces per-shard local maxima to the global maxima:
@@ -388,20 +302,20 @@ func ShardMergeMode(p pref.Preference) string {
 	return "bnl"
 }
 
-// GroupBySharded evaluates σ[P groupby A](S) over a sharded table and
-// returns the qualifying rows as a new flat relation.
-func GroupBySharded(p pref.Preference, groupAttrs []string, s *relation.Sharded, alg Algorithm) *relation.Relation {
-	return s.Pick(GroupByShardedOn(p, groupAttrs, s, alg, nil).GlobalIDs(s))
-}
-
 // GroupByShardedOn is the sharded counterpart of GroupByIndicesOn: each
 // shard partitions its candidate set by its own cached equality codes,
 // the per-shard groups unify cross-shard through a shard-merge
 // dictionary over canonical value keys (NaN groups stay singletons, per
 // the EqualValues NaN policy — a NaN never equals another, so NaN
 // groups never unify), and every global group evaluates shard-local
-// then merges, like an independent sharded BMO query.
-func GroupByShardedOn(p pref.Preference, groupAttrs []string, s *relation.Sharded, alg Algorithm, sets ShardSets) ShardSets {
+// then merges, like an independent sharded BMO query. The (group, shard)
+// jobs run on the same hardened fan-out as every other sharded step —
+// cooperative cancellation inside each job, contained worker panics, the
+// fault-injection hook at job entry — but always strictly: groups span
+// shards through the merge dictionary, so there is no per-shard boundary
+// to degrade along, and any job failure fails the step with a
+// *relation.ShardError naming the job's shard.
+func GroupByShardedOn(ctx context.Context, p pref.Preference, groupAttrs []string, s *relation.Sharded, alg Algorithm, sets ShardSets) (ShardSets, error) {
 	type group struct {
 		perShard ShardSets
 	}
@@ -409,7 +323,7 @@ func GroupByShardedOn(p pref.Preference, groupAttrs []string, s *relation.Sharde
 	dict := make(map[string]int)
 	for i := 0; i < s.NumShards(); i++ {
 		sh := s.Shard(i)
-		cand := shardCand(s, sets, i)
+		cand := sets.Resolve(s, i)
 		if len(cand) == 0 {
 			continue
 		}
@@ -446,10 +360,22 @@ func GroupByShardedOn(p pref.Preference, groupAttrs []string, s *relation.Sharde
 			}
 		}
 	}
-	relation.FanShards(len(jobs), func(j int) {
+	errs := relation.FanShardsCtx(ctx, len(jobs), 0, func(ictx context.Context, j int) error {
 		g, i := jobs[j].group, jobs[j].shard
-		locals[g][i] = bmoOn(p, s.Shard(i), alg, EvalAuto, groups[g].perShard[i])
+		if err := faultinject.Invoke(ictx, s, i); err != nil {
+			return err
+		}
+		out, err := runCancellable(ictx, func(cc *canceller) []int {
+			return bmoOnCC(p, s.Shard(i), alg, EvalAuto, groups[g].perShard[i], cc)
+		})
+		locals[g][i] = out
+		return err
 	})
+	for j, err := range errs {
+		if err != nil {
+			return nil, &relation.ShardError{Shard: jobs[j].shard, Err: err}
+		}
+	}
 	out := make(ShardSets, s.NumShards())
 	for g := range groups {
 		for i, win := range mergeShardMaxima(p, s, locals[g]) {
@@ -459,7 +385,7 @@ func GroupByShardedOn(p pref.Preference, groupAttrs []string, s *relation.Sharde
 	for i := range out {
 		slices.Sort(out[i])
 	}
-	return ensureNonNil(out)
+	return ensureNonNil(out), nil
 }
 
 // shardGroupKey renders a group's projection onto the grouping

@@ -9,17 +9,21 @@ import (
 	"repro/internal/relation"
 )
 
-// Ctx-aware sharded evaluation: the fault-tolerance layer over
-// BMOShardedOn. Shards evaluate under relation.FanShardsCtx — panic
-// containment, per-shard deadlines, early abandon on a dead query
-// context — and per-shard failures resolve under a relation.Robust
-// policy: strict (fail the query, the default) or partial (merge the
-// responsive shards and report the missing set). The partial merge is
-// exact over what it covers: the partition/merge identity
+// The sharded BMO soft step. Every sharded evaluation — the
+// context.Background() wrappers in sharded.go, the ctx entry points
+// below, the stream batch fallbacks, psql's pipeline — runs bmoSharded:
+// shards evaluate under relation.FanShardsCtx (panic containment,
+// per-shard deadlines, early abandon on a dead query context) and
+// per-shard failures resolve under a relation.Robust policy: strict
+// (fail the query, the default) or partial (merge the responsive shards
+// and report the missing set). The partial merge is exact over what it
+// covers: the partition/merge identity
 // max(P over A ∪ B) = max(P over max(P,A) ∪ max(P,B)) applies to any
 // subset of the partitions, so the partial maxima are precisely the
 // maxima of the union of responsive shards' rows — absent rows, never
-// wrong ones.
+// wrong ones. An uncancellable context costs nothing extra: its
+// canceller is nil (tick-free loops) and the fan-out degrades to a plain
+// loop below two workers.
 
 // Policy re-exports the partial-result policy at the engine layer.
 type Policy = relation.Policy
@@ -36,32 +40,18 @@ type Robust = relation.Robust
 // Partial re-exports the missing-shard report of a partial result.
 type Partial = relation.Partial
 
-// BMOShardedCtx evaluates σ[P](S) under a context and a fault-tolerance
-// policy, returning the qualifying rows as a flat relation in
-// shard-major order. A non-nil Partial reports shards missing from the
-// merge under PolicyPartial.
-func BMOShardedCtx(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, rb Robust) (*relation.Relation, *Partial, error) {
-	sets, part, err := BMOShardedOnCtx(ctx, p, s, alg, nil, rb)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.Pick(sets.GlobalIDs(s)), part, nil
-}
-
-// BMOShardedOnCtx is the ctx-aware twin of BMOShardedOn: per-shard
-// candidate subsets in, per-shard qualifying positions out, with
-// cooperative cancellation inside every shard's evaluation and
-// per-shard fault handling under rb. Unlike BMOShardedOn it always
-// evaluates shard-at-a-time (never the planner's flattened path):
-// per-shard fault isolation — deadlines, panic containment, partial
-// merges — only exists along shard boundaries.
+// BMOShardedOnCtx evaluates the preference query over per-shard
+// candidate subsets (sets == nil, or a nil element, means every row)
+// under a context and a fault-tolerance policy, returning the qualifying
+// positions per shard in ascending order. It never touches the result
+// cache, so benchmarks and agreement baselines keep measuring real work.
 //
 // On success the Partial is nil (complete result) or lists the shards
 // missing from the merge (PolicyPartial). On error the ShardSets are
 // nil: a cancelled or strictly-failed query never returns a torn
 // result.
 func BMOShardedOnCtx(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, rb Robust) (ShardSets, *Partial, error) {
-	return bmoShardedOnCtx(ctx, p, s, alg, sets, rb, nil, false)
+	return bmoSharded(ctx, p, s, alg, sets, nil, false, nil, rb)
 }
 
 // BMOShardedOnCtxKeyed is BMOShardedOnCtx through the result cache:
@@ -74,43 +64,75 @@ func BMOShardedOnCtx(ctx context.Context, p pref.Preference, s *relation.Sharded
 // where bypass the cache (a nil slot always means every row and serves
 // under the "*" candidate key).
 func BMOShardedOnCtxKeyed(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, where filter.Pred, rb Robust) (ShardSets, *Partial, error) {
-	return bmoShardedOnCtx(ctx, p, s, alg, sets, rb, where, true)
+	return bmoSharded(ctx, p, s, alg, sets, where, true, nil, rb)
 }
 
-func bmoShardedOnCtx(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, rb Robust, where filter.Pred, serve bool) (ShardSets, *Partial, error) {
+// BMOShardedOnFilteredCtxKeyed is the general form of the sharded soft
+// step, the one psql's pipeline calls: keyed selects result-cache
+// serving under the BMOShardedOnCtxKeyed contract (false never touches
+// the cache, and where is then ignored), and a non-nil keep fuses a
+// post-BMO acceptance filter into the fan-out. The filter runs right
+// after each shard's local BMO pass — while the shard's columns are
+// cache-hot and in parallel across shards — on every call (it is query
+// state, not a function of the generation), but its SEMANTICS stay
+// filter-after-merge: a maximum the filter rejects still enters the
+// cross-shard merge (it dominates other shards' candidates exactly like
+// any maximum, per the §6.1 pipeline where BUT ONLY prunes the BMO
+// result rather than the candidate set); only the merge survivors are
+// intersected with the accepted subsets. A shard missing under
+// PolicyPartial contributes neither maxima nor acceptances.
+func BMOShardedOnFilteredCtxKeyed(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, where filter.Pred, keyed bool, keep ShardFilter, rb Robust) (ShardSets, *Partial, error) {
+	return bmoSharded(ctx, p, s, alg, sets, where, keyed, keep, rb)
+}
+
+// bmoSharded is the one sharded BMO evaluator: fan out, evaluate (or
+// cache-serve, when keyed) each shard's local maxima, optionally run the
+// acceptance filter, collect under the policy, merge cross-shard, and
+// intersect the survivors with the accepted subsets.
+func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, where filter.Pred, keyed bool, keep ShardFilter, rb Robust) (ShardSets, *Partial, error) {
 	if sets == nil {
 		sets = AllShardSets(s)
 	}
 	locals := make(ShardSets, s.NumShards())
+	var accepted ShardSets
+	if keep != nil {
+		accepted = make(ShardSets, s.NumShards())
+	}
 	errs := relation.FanShardsCtx(ctx, s.NumShards(), rb.ShardTimeout, func(ictx context.Context, i int) error {
+		cand := sets.Resolve(s, i)
+		if len(cand) == 0 {
+			return nil // nothing to evaluate: the shard is not visited, so it cannot fail
+		}
 		if err := faultinject.Invoke(ictx, s, i); err != nil {
 			return err
 		}
-		cand := shardCand(s, sets, i)
-		if len(cand) == 0 {
-			locals[i] = []int{}
-			return nil
-		}
 		shard := s.Shard(i)
-		canServe := serve && (where != nil || sets[i] == nil)
-		var key shardResultKey
+		canServe := keyed && (where != nil || sets[i] == nil)
+		var (
+			key shardResultKey
+			out []int
+			hit bool
+		)
 		if canServe {
 			key = captureShardKey(p, shard, where)
-			if out, hit := key.serve(ictx); hit {
-				locals[i] = out
-				return nil
+			out, hit = key.serve(ictx)
+		}
+		if !hit {
+			var err error
+			out, err = runCancellable(ictx, func(cc *canceller) []int {
+				return bmoOnCC(p, shard, alg, EvalAuto, cand, cc)
+			})
+			if err != nil {
+				return err
+			}
+			if canServe {
+				key.store(p, shard, where, out)
 			}
 		}
-		out, err := runCancellable(ictx, func(cc *canceller) []int {
-			return bmoOnCC(p, shard, alg, EvalAuto, cand, cc)
-		})
-		if err != nil {
-			return err
-		}
-		if canServe {
-			key.store(p, shard, where, out)
-		}
 		locals[i] = out
+		if keep != nil {
+			accepted[i] = keep(i, out)
+		}
 		return nil
 	})
 	part, err := relation.CollectPartial(rb.Policy, errs)
@@ -126,8 +148,6 @@ func bmoShardedOnCtx(ctx context.Context, p pref.Preference, s *relation.Sharded
 	for i := range locals {
 		if errs[i] == nil {
 			responsive[i] = locals[i]
-		} else {
-			responsive[i] = []int{}
 		}
 	}
 	// The merge runs over already-reduced local maxima — cheap relative
@@ -135,89 +155,12 @@ func bmoShardedOnCtx(ctx context.Context, p pref.Preference, s *relation.Sharded
 	// context: under PolicyPartial the context may already be dead (that
 	// is *why* shards are missing), yet the responsive shards' merge
 	// must still complete to produce the partial result.
-	return mergeShardMaxima(p, s, responsive), part, nil
-}
-
-// BMOShardedOnFilteredCtx is the ctx-aware twin of BMOShardedOnFiltered:
-// the fused post-BMO acceptance filter runs inside the hardened fan-out,
-// with the same filter-after-merge semantics (a rejected maximum still
-// enters the cross-shard merge; only merge survivors intersect with the
-// accepted subsets). A shard missing under PolicyPartial contributes
-// neither maxima nor acceptances — its slot merges empty, like
-// BMOShardedOnCtx.
-func BMOShardedOnFilteredCtx(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, keep ShardFilter, rb Robust) (ShardSets, *Partial, error) {
-	return bmoShardedOnFilteredCtx(ctx, p, s, alg, sets, keep, rb, nil, false)
-}
-
-// BMOShardedOnFilteredCtxKeyed is BMOShardedOnFilteredCtx through the
-// result cache: the per-shard BMO halves serve and store local maxima
-// exactly like BMOShardedOnCtxKeyed (same caller contract for the
-// sets/where pair), while the fused acceptance filter runs on every
-// call — it is query state, not a function of the generation.
-func BMOShardedOnFilteredCtxKeyed(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, where filter.Pred, keep ShardFilter, rb Robust) (ShardSets, *Partial, error) {
-	return bmoShardedOnFilteredCtx(ctx, p, s, alg, sets, keep, rb, where, true)
-}
-
-func bmoShardedOnFilteredCtx(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, keep ShardFilter, rb Robust, where filter.Pred, serve bool) (ShardSets, *Partial, error) {
-	if keep == nil {
-		return bmoShardedOnCtx(ctx, p, s, alg, sets, rb, where, serve)
-	}
-	if sets == nil {
-		sets = AllShardSets(s)
-	}
-	locals := make(ShardSets, s.NumShards())
-	accepted := make(ShardSets, s.NumShards())
-	errs := relation.FanShardsCtx(ctx, s.NumShards(), rb.ShardTimeout, func(ictx context.Context, i int) error {
-		if err := faultinject.Invoke(ictx, s, i); err != nil {
-			return err
-		}
-		cand := shardCand(s, sets, i)
-		if len(cand) == 0 {
-			locals[i], accepted[i] = []int{}, []int{}
-			return nil
-		}
-		shard := s.Shard(i)
-		canServe := serve && (where != nil || sets[i] == nil)
-		var key shardResultKey
-		var out []int
-		if canServe {
-			key = captureShardKey(p, shard, where)
-			out, _ = key.serve(ictx)
-		}
-		if out == nil {
-			var err error
-			out, err = runCancellable(ictx, func(cc *canceller) []int {
-				return bmoOnCC(p, shard, alg, EvalAuto, cand, cc)
-			})
-			if err != nil {
-				return err
-			}
-			if canServe {
-				key.store(p, shard, where, out)
-			}
-		}
-		locals[i] = out
-		accepted[i] = keep(i, out)
-		return nil
-	})
-	part, err := relation.CollectPartial(rb.Policy, errs)
-	if err != nil {
-		return nil, nil, err
-	}
-	responsive := make(ShardSets, len(locals))
-	for i := range locals {
-		if errs[i] == nil {
-			responsive[i] = locals[i]
-		} else {
-			responsive[i] = []int{}
-		}
-	}
 	out := mergeShardMaxima(p, s, responsive)
-	for i := range out {
-		if errs[i] == nil {
-			out[i] = intersectSorted(out[i], accepted[i])
-		} else {
-			out[i] = []int{}
+	if keep != nil {
+		for i := range out {
+			if errs[i] == nil {
+				out[i] = intersectSorted(out[i], accepted[i])
+			}
 		}
 	}
 	return ensureNonNil(out), part, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"slices"
 
 	"repro/internal/boundcache"
@@ -49,8 +50,8 @@ type ShardedStream struct {
 	batch    func() ([]int, error)
 	consumed int
 
-	// Cancellation and partial-result state of ctx streams (see
-	// EvalStreamShardedCtx); all nil/zero on the legacy entry points.
+	// Cancellation and partial-result state (see EvalStreamShardedCtx);
+	// cc and cancel stay nil under an uncancellable context.
 	cc      *canceller
 	cancel  func()
 	closed  bool
@@ -128,25 +129,20 @@ func EvalStreamSharded(p pref.Preference, s *relation.Sharded, alg Algorithm) *S
 	return EvalStreamShardedOn(p, s, alg, nil)
 }
 
-// EvalStreamShardedOn starts progressive evaluation over per-shard
-// candidate subsets (sets == nil, or a nil element, means every row of
-// that shard); emitted values are global row ids. alg selects the batch
-// algorithm the stream falls back to for non-chain terms. The stream
-// borrows the sets without modifying them.
+// EvalStreamShardedOn is EvalStreamShardedCtx under an uncancellable
+// context and the strict policy.
 func EvalStreamShardedOn(p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets) *ShardedStream {
-	st := &ShardedStream{
-		table:      s,
-		candidates: sets.Total(s),
-		batch: func() ([]int, error) {
-			return BMOShardedOn(p, s, alg, sets).GlobalIDs(s), nil
-		},
-	}
-	if sets == nil {
-		st.candidates = s.Len()
-	}
+	return EvalStreamShardedCtx(context.Background(), p, s, alg, sets, Robust{})
+}
+
+// bindChain sets up the progressive k-way merge when the term is a
+// compilable chain product on every shard; otherwise the stream stays in
+// batch-fallback mode.
+func (st *ShardedStream) bindChain(p pref.Preference, sets ShardSets) {
+	s := st.table
 	vecs, ok := shardChainVecs(p, s)
 	if !ok {
-		return st
+		return
 	}
 	st.progressive = true
 	st.vecs = vecs
@@ -178,7 +174,6 @@ func EvalStreamShardedOn(p pref.Preference, s *relation.Sharded, alg Algorithm, 
 	for i := len(st.heads)/2 - 1; i >= 0; i-- {
 		st.siftDown(i)
 	}
-	return st
 }
 
 // Progressive reports whether the stream confirms maxima incrementally

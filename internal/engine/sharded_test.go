@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -197,7 +198,11 @@ func TestShardedGroupByAgreesWithFlat(t *testing.T) {
 		}
 		idx, sets := candSubset(flat, s, cutoff)
 		want := oidSetFlat(flat, GroupByIndicesOn(p, attrs, flat, Auto, idx))
-		got := oidSetSharded(s, GroupByShardedOn(p, attrs, s, Auto, sets))
+		grouped, err := GroupByShardedOn(context.Background(), p, attrs, s, Auto, sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := oidSetSharded(s, grouped)
 		if !sameInts(got, want) {
 			t.Fatalf("trial %d: groupby %v over %d shards (cutoff %d): got %v want %v",
 				trial, attrs, shards, cutoff, got, want)
@@ -401,10 +406,8 @@ func TestEvictSharded(t *testing.T) {
 }
 
 // TestPlanSharded: the sharded planner must report the fan-out facts
-// EXPLAIN surfaces and pick the sharded route for a large chain-product
-// workload; the degenerate everything-is-maximal shape (huge merge, no
-// per-shard reduction) may fall back to flat, but the decision must
-// follow the costs either way.
+// EXPLAIN surfaces — shard count, merge mode, the per-shard plan — and
+// no route: a sharded table always evaluates shard-at-a-time.
 func TestPlanSharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	flat := shardedTestRelation(rng, 4000, 200)
@@ -420,10 +423,13 @@ func TestPlanSharded(t *testing.T) {
 	if sp.Merge != "chain-filter" {
 		t.Fatalf("chain product must merge with the chain filter, got %s", sp.Merge)
 	}
-	if !sp.UseSharded {
-		t.Fatalf("large chain workload must evaluate sharded:\n%s", sp.Explain())
+	if sp.PerShard == nil || sp.PerShard.Algorithm == Auto {
+		t.Fatalf("plan must resolve the per-shard algorithm, got %+v", sp.PerShard)
 	}
 	text := sp.Explain()
+	if strings.Contains(text, "→ sharded") || strings.Contains(text, "→ flat") || strings.Contains(text, "flatten") {
+		t.Fatalf("ShardPlan.Explain must not carry a sharded-vs-flat route:\n%s", text)
+	}
 	for _, want := range []string{"shards=4", "merge=chain-filter", "per-shard plan:"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("ShardPlan.Explain missing %q:\n%s", want, text)
@@ -431,9 +437,5 @@ func TestPlanSharded(t *testing.T) {
 	}
 	if got := ShardMergeMode(pref.Dual(p)); got != "bnl" {
 		t.Fatalf("non-chain term must merge with bnl, got %s", got)
-	}
-	// Decision sanity: whichever route the costs favor is the one taken.
-	if (sp.ShardedCost <= sp.FlatCost) != sp.UseSharded {
-		t.Fatalf("UseSharded=%v contradicts costs %g vs %g", sp.UseSharded, sp.ShardedCost, sp.FlatCost)
 	}
 }

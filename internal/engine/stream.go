@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"slices"
 
 	"repro/internal/pref"
@@ -49,8 +50,8 @@ type Stream struct {
 	batch       func(cand []int) ([]int, error) // fallback evaluator over row positions
 	consumed    int
 
-	// Cancellation state of ctx streams (see EvalStreamCtx); all nil/zero
-	// on the legacy entry points.
+	// Cancellation state (see EvalStreamCtx); cc and cancel stay nil
+	// under an uncancellable context.
 	cc     *canceller
 	cancel func()
 	closed bool
@@ -71,39 +72,10 @@ func EvalStream(p pref.Preference, r *relation.Relation) *Stream {
 	return EvalStreamOn(p, r, Auto, nil)
 }
 
-// EvalStreamOn starts progressive evaluation of the preference query over
-// the subset of R at the given candidate row positions (idx == nil means
-// every row); emitted values are row indices in R. Compiled forms bind to
-// R's full column arrays through the compile cache, so an index-chained
-// streaming pipeline — WHERE bitmap feeding a progressive PREFERRING scan
-// — reuses the base relation's cached bound form across queries without
-// materializing a single tuple. alg selects the batch algorithm the
-// stream falls back to when the preference has no compatible sort key.
-// The stream borrows idx (without modifying it); callers must not mutate
-// the slice while the stream is live. idx must not contain duplicates.
+// EvalStreamOn is EvalStreamCtx under an uncancellable context: the
+// stream runs tick-free and only ends by exhaustion or Close.
 func EvalStreamOn(p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) *Stream {
-	n := r.Len()
-	if idx != nil {
-		n = len(idx)
-	}
-	s := &Stream{
-		n:    n,
-		cand: idx,
-		batch: func(cand []int) ([]int, error) {
-			if cand == nil {
-				cand = allIndices(r.Len())
-			}
-			return bmoOn(p, r, alg, EvalAuto, cand), nil
-		},
-	}
-	if pref.Compilable(p) {
-		if c := compileFor(p, r, EvalAuto); c != nil {
-			s.bindCompiled(c)
-			return s
-		}
-	}
-	s.bindInterpreted(p, relationSource{r})
-	return s
+	return EvalStreamCtx(context.Background(), p, r, alg, idx)
 }
 
 // EvalStreamTuples starts progressive evaluation over a plain tuple slice

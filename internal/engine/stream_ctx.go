@@ -16,29 +16,57 @@ import (
 // context, which also unblocks any shard workers a sharded batch
 // fallback still has in flight: stopping to pull IS stopping the work.
 
-// EvalStreamCtx starts progressive evaluation of σ[P](R) under a
-// context over the candidate row positions idx (nil means every row);
-// emitted values are row indices in R. See EvalStreamOn for the
-// evaluation machinery; the ctx additions are cooperative cancellation
-// on every pull and the Close/Err lifecycle.
+// EvalStreamCtx starts progressive evaluation of the preference query
+// under a context over the subset of R at the given candidate row
+// positions (idx == nil means every row); emitted values are row indices
+// in R. Compiled forms bind to R's full column arrays through the
+// compile cache, so an index-chained streaming pipeline — WHERE bitmap
+// feeding a progressive PREFERRING scan — reuses the base relation's
+// cached bound form across queries without materializing a single
+// tuple. alg selects the batch algorithm the stream falls back to when
+// the preference has no compatible sort key. The stream borrows idx
+// (without modifying it); callers must not mutate the slice while the
+// stream is live. idx must not contain duplicates.
 func EvalStreamCtx(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) *Stream {
-	sctx, cancel := context.WithCancel(ctx)
-	s := EvalStreamOn(p, r, alg, idx)
-	s.cc = newCanceller(sctx)
-	s.cancel = cancel
+	n := r.Len()
+	if idx != nil {
+		n = len(idx)
+	}
+	s := &Stream{n: n, cand: idx}
+	ctx, s.cc, s.cancel = streamContext(ctx)
 	s.batch = func(cand []int) ([]int, error) {
 		if cand == nil {
 			cand = allIndices(r.Len())
 		}
-		return runCancellable(sctx, func(cc *canceller) []int {
+		return runCancellable(ctx, func(cc *canceller) []int {
 			return bmoOnCC(p, r, alg, EvalAuto, cand, cc)
 		})
 	}
 	if err := ctx.Err(); err != nil {
 		// A context dead on arrival yields zero rows, not a stride's worth.
 		s.fail(err)
+		return s
 	}
+	if pref.Compilable(p) {
+		if c := compileFor(p, r, EvalAuto); c != nil {
+			s.bindCompiled(c)
+			return s
+		}
+	}
+	s.bindInterpreted(p, relationSource{r})
 	return s
+}
+
+// streamContext derives a stream's own cancellable context, so Close
+// can wind down in-flight work. An uncancellable parent needs none of
+// it: the stream keeps the parent, a nil canceller (tick-free pulls) and
+// no cancel function.
+func streamContext(ctx context.Context) (context.Context, *canceller, context.CancelFunc) {
+	if ctx.Done() == nil {
+		return ctx, nil, nil
+	}
+	sctx, cancel := context.WithCancel(ctx)
+	return sctx, newCanceller(sctx), cancel
 }
 
 // fail records the terminal error and closes the stream.
@@ -71,23 +99,27 @@ func (s *Stream) Close() {
 	s.order, s.buffered, s.confirm, s.keys, s.chain, s.batch = nil, nil, nil, nil, nil, nil
 }
 
-// EvalStreamShardedCtx starts progressive evaluation over a sharded
-// table under a context and a fault-tolerance policy; emitted values
-// are global row ids. Chain products stream through the k-way merge
-// with a strided context poll per pull. Other shapes fall back to one
-// ctx-aware batch sharded evaluation (BMOShardedOnCtx) under rb —
+// EvalStreamShardedCtx starts progressive evaluation over per-shard
+// candidate subsets of a sharded table (sets == nil, or a nil element,
+// means every row of that shard) under a context and a fault-tolerance
+// policy; emitted values are global row ids. The stream borrows the
+// sets without modifying them. Chain products stream through the k-way
+// merge with a strided context poll per pull. Other shapes fall back to
+// one batch sharded evaluation (BMOShardedOnCtx, under alg and rb) —
 // after it, Partial reports any shards missing from the enumeration
-// under PolicyPartial. The progressive path itself always covers every
-// shard: its per-shard state is built synchronously at start, so there
-// is no shard to lose mid-stream — cancellation just stops the
-// enumeration (Err reports the cause).
+// under PolicyPartial, and a strict shard failure ends the stream with
+// Err set. The progressive path itself always covers every shard: its
+// per-shard state is built synchronously at start, so there is no shard
+// to lose mid-stream — cancellation just stops the enumeration (Err
+// reports the cause).
 func EvalStreamShardedCtx(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, rb Robust) *ShardedStream {
-	sctx, cancel := context.WithCancel(ctx)
-	st := EvalStreamShardedOn(p, s, alg, sets)
-	st.cc = newCanceller(sctx)
-	st.cancel = cancel
+	st := &ShardedStream{table: s, candidates: sets.Total(s)}
+	if sets == nil {
+		st.candidates = s.Len()
+	}
+	ctx, st.cc, st.cancel = streamContext(ctx)
 	st.batch = func() ([]int, error) {
-		out, part, err := BMOShardedOnCtx(sctx, p, s, alg, sets, rb)
+		out, part, err := BMOShardedOnCtx(ctx, p, s, alg, sets, rb)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +129,9 @@ func EvalStreamShardedCtx(ctx context.Context, p pref.Preference, s *relation.Sh
 	if err := ctx.Err(); err != nil {
 		// A context dead on arrival yields zero rows, not a stride's worth.
 		st.fail(err)
+		return st
 	}
+	st.bindChain(p, sets)
 	return st
 }
 

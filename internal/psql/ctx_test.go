@@ -8,7 +8,10 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/engine/resultcache"
 	"repro/internal/faultinject"
+	"repro/internal/filter"
+	"repro/internal/rank"
 	"repro/internal/relation"
 )
 
@@ -49,9 +52,6 @@ func TestExecCtxPartialResult(t *testing.T) {
 		t.Fatal("partial result dropped every row")
 	}
 	// The same query under the strict default fails with the shard error.
-	// (A cancellable context engages the hardened path; with
-	// context.Background() and all-default options the legacy evaluators
-	// run and test hooks never fire.)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, err = RunCtx(ctx, ctxQuery, cat, Options{})
@@ -165,5 +165,128 @@ func TestExplainFaultPolicy(t *testing.T) {
 	}
 	if strings.Contains(text, "fault policy") {
 		t.Fatalf("default EXPLAIN leaked a fault policy line:\n%s", text)
+	}
+}
+
+// cacheCounters snapshots the counters of the three caches a sharded
+// statement touches: compile lookups, selection (hits, misses) and
+// result (hits, misses, carries). Compile hits and misses are summed:
+// the grouped step runs several jobs per shard concurrently, and two of
+// them can both miss on the shard's first bind — how many do is
+// scheduling, not path.
+func cacheCounters() [6]uint64 {
+	var c [6]uint64
+	ch, cm := engine.CompileCacheStats()
+	c[0] = ch + cm
+	c[1], c[2] = filter.CacheStats()
+	c[3], c[4], c[5] = resultcache.Stats()
+	return c
+}
+
+// TestShardedSamePathAnyContext: whether the caller's context can be
+// cancelled must not select code. Each statement shape of the sharded
+// pipeline runs cold then warm through Exec (context.Background()) and
+// through ExecCtx under a cancellable context, over identical fresh
+// tables and empty caches; the row sets and every cache-counter delta
+// must coincide — a path that skipped the result cache, re-bound per
+// query or flattened the shards would show up in the counters.
+func TestShardedSamePathAnyContext(t *testing.T) {
+	const shards = 4
+	queries := []string{
+		"SELECT oid FROM car WHERE price <= 60000 PREFERRING LOWEST(price) AND HIGHEST(horsepower)",
+		"SELECT oid FROM car PREFERRING price AROUND 30000 CASCADE HIGHEST(horsepower) BUT ONLY DISTANCE(price) <= 1000",
+		"SELECT oid FROM car WHERE horsepower >= 80 PREFERRING LOWEST(price) GROUPING BY make, color",
+		"SELECT oid FROM car PREFERRING RANK(LOWEST(price), HIGHEST(horsepower)) TOP 7",
+	}
+	resetCaches := func() {
+		engine.ResetCompileCache()
+		filter.ResetCache()
+		resultcache.Reset()
+		rank.ResetScoreCache()
+	}
+	defer resetCaches()
+	type run struct {
+		rows   []int64
+		deltas [6]uint64
+	}
+	// exec runs the statement cold then warm over a fresh table and
+	// returns both runs' rows and counter deltas.
+	exec := func(query string, cancellable bool) [2]run {
+		resetCaches()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		_, cat := shardedCatalog(t, 600, shards, 23)
+		q, err := Parse(query)
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		var out [2]run
+		for k := range out {
+			before := cacheCounters()
+			var rel *relation.Relation
+			if !cancellable {
+				rel, err = Exec(q, cat, Options{})
+			} else {
+				var res *Result
+				if res, err = ExecCtx(ctx, q, cat, Options{}); err == nil {
+					rel = res.Rel
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", query, err)
+			}
+			after := cacheCounters()
+			out[k].rows = sortedOIDs(t, rel)
+			for i := range after {
+				out[k].deltas[i] = after[i] - before[i]
+			}
+		}
+		return out
+	}
+	for _, query := range queries {
+		background, cancellable := exec(query, false), exec(query, true)
+		for k, temp := range []string{"cold", "warm"} {
+			if !sameOIDs(background[k].rows, cancellable[k].rows) {
+				t.Fatalf("%s (%s): Exec and ExecCtx row sets differ: %v vs %v", query, temp, background[k].rows, cancellable[k].rows)
+			}
+			if background[k].deltas != cancellable[k].deltas {
+				t.Fatalf("%s (%s): cache-counter deltas differ (compile lookups, selection h/m, result h/m/carry):\n  Exec    %v\n  ExecCtx %v",
+					query, temp, background[k].deltas, cancellable[k].deltas)
+			}
+		}
+		if len(background[0].rows) == 0 {
+			t.Fatalf("%s: empty result — the comparison would be vacuous", query)
+		}
+	}
+	// Non-vacuous: the first shape's warm run is result-cache served on
+	// every shard, from either entry point.
+	if warm := exec(queries[0], false)[1].deltas; warm[3] < shards || warm[4] != 0 {
+		t.Fatalf("warm Exec must hit the result cache on all %d shards: hits %d misses %d", shards, warm[3], warm[4])
+	}
+}
+
+// TestExecStreamCtxCancelled: every stream route — flat progressive,
+// sharded progressive, sharded batch pass, pipeline fallback — refuses a
+// dead context with its error and zero rows.
+func TestExecStreamCtxCancelled(t *testing.T) {
+	flatCat, shardCat := shardedCatalog(t, 400, 3, 17)
+	queries := []string{
+		"SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(horsepower)",   // progressive
+		"SELECT oid FROM car PREFERRING color IN ('red') PRIOR TO LOWEST(price)", // sharded: batch pass
+		"SELECT oid FROM car PREFERRING LOWEST(price) GROUPING BY color",         // pipeline fallback
+	}
+	for _, cat := range []Catalog{flatCat, shardCat} {
+		for _, query := range queries {
+			q, err := Parse(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dead, cancel := context.WithCancel(context.Background())
+			cancel()
+			n, _, err := ExecStreamCtx(dead, q, cat, Options{}, func(relation.Row) bool { return true })
+			if n != 0 || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: dead context streamed %d rows, err = %v", query, n, err)
+			}
+		}
 	}
 }

@@ -59,14 +59,16 @@ func evictTable(tbl relation.Table) {
 type Options struct {
 	// Algorithm selects the BMO evaluation strategy (engine.Auto default).
 	Algorithm engine.Algorithm
-	// Timeout, when positive, bounds the whole execution with a deadline
-	// derived from the caller's context (ExecCtx/RunCtx; the legacy
-	// entry points imply context.Background()).
+	// Timeout, when positive, bounds a batch execution with a deadline
+	// derived from the caller's context (ExecCtx/RunCtx; Run and Exec
+	// pass context.Background()). Streams apply it to their batch
+	// fallback only — bound a stream through ExecStreamCtx's context.
 	Timeout time.Duration
-	// Robust configures the fault tolerance of sharded evaluation: the
-	// partial-result policy plus an optional per-shard deadline. The
-	// zero value is strict and deadline-free. Fault isolation exists
-	// along shard boundaries, so Robust has no effect on flat tables.
+	// Robust configures the fault tolerance of sharded evaluation, batch
+	// or streamed: the partial-result policy plus an optional per-shard
+	// deadline. The zero value is strict and deadline-free. Fault
+	// isolation exists along shard boundaries, so Robust has no effect
+	// on flat tables (nor on the grouped step, which is always strict).
 	Robust engine.Robust
 	// Admission, when non-nil, gates execution behind a bounded
 	// in-flight semaphore: the query acquires a slot before evaluating
@@ -137,10 +139,10 @@ func execPipeline(ctx context.Context, q *Query, cat Catalog, opts Options) (*Re
 }
 
 // execFlat runs the §5/§6.1 pipeline over a flat relation. Soft steps
-// evaluate through the ctx-aware engine twins (cooperative cancellation
-// at the engine's stride; with an uncancellable context they reduce to
-// the legacy evaluators); the grouped step and the BUT ONLY scan are
-// stage-level cancellable — the context is checked at their boundaries.
+// evaluate through the engine's ctx entry points (cooperative
+// cancellation at the engine's stride, free under an uncancellable
+// context); the grouped step and the BUT ONLY scan are stage-level
+// cancellable — the context is checked at their boundaries.
 func execFlat(ctx context.Context, q *Query, base *relation.Relation, opts Options) (*Result, error) {
 	// idx == nil means "every row" throughout the soft-step chain (the
 	// engine and rank entry points all take it that way): deferring the
@@ -288,61 +290,27 @@ func finishRows(q *Query, out *relation.Relation) (*relation.Relation, error) {
 // pipeline index-chained per shard. The WHERE clause binds per shard
 // through the selection cache (each shard keeps its own bitmap), every
 // soft step evaluates shard-local through the shards' cached bound forms
-// and merges cross-shard (engine.BMOShardedOn / GroupByShardedOn,
-// rank.TopKShardedOn for the ranked model), the BUT ONLY quality filter
-// threshold-scans each shard's cached measure vectors, and rows
-// materialize only at the tail — in shard-major global id order, the
-// sharded image of base relation order.
+// and merges cross-shard (engine.BMOShardedOnFilteredCtxKeyed /
+// GroupByShardedOn, rank.TopKShardedCtx for the ranked model), the BUT
+// ONLY quality filter threshold-scans each shard's cached measure
+// vectors, and rows materialize only at the tail — in shard-major global
+// id order, the sharded image of base relation order.
 //
-// With a cancellable context, a timeout, or a non-default Robust, the
-// soft steps run on the hardened ctx twins (engine.BMOShardedOnCtx &co):
-// per-shard panic containment and deadlines, cooperative cancellation,
+// Every caller runs the same steps whatever its context: per-shard panic
+// containment and deadlines, cooperative cancellation (free under an
+// uncancellable context), result-cache serving of the first soft step,
 // and PolicyPartial degradation — each stage's missing shards accumulate
-// into Result.Partial. Otherwise the legacy evaluators run, keeping the
-// uninstrumented path (including the planner's flattened-merge choice)
-// byte-identical. The grouped step is stage-level cancellable: groups
+// into Result.Partial. The grouped step is the strict exception: groups
 // span shards through the merge dictionary, so there is no per-shard
-// boundary to degrade along — the context is checked at its edges.
+// boundary to degrade along and any shard failure fails it.
 func execSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Options) (*Result, error) {
-	hardened := ctx.Done() != nil || opts.Robust != (engine.Robust{})
 	var part *engine.Partial
-	// keyed marks the first soft step, whose per-shard candidate sets are
-	// exactly the WHERE-selected positions — the shape the result cache
-	// keys; later steps run over reduced sets and always evaluate.
-	bmo := func(p pref.Preference, sets engine.ShardSets, keyed bool) (engine.ShardSets, error) {
-		if !hardened {
-			return engine.BMOShardedOn(p, s, opts.Algorithm, sets), nil
-		}
-		var (
-			out engine.ShardSets
-			pt  *engine.Partial
-			err error
-		)
-		if keyed {
-			out, pt, err = engine.BMOShardedOnCtxKeyed(ctx, p, s, opts.Algorithm, sets, q.Where, opts.Robust)
-		} else {
-			out, pt, err = engine.BMOShardedOnCtx(ctx, p, s, opts.Algorithm, sets, opts.Robust)
-		}
-		if err != nil {
-			return nil, err
-		}
-		part = mergePartials(part, pt)
-		return out, nil
-	}
-	bmoFiltered := func(p pref.Preference, sets engine.ShardSets, keep engine.ShardFilter, keyed bool) (engine.ShardSets, error) {
-		if !hardened {
-			return engine.BMOShardedOnFiltered(p, s, opts.Algorithm, sets, keep), nil
-		}
-		var (
-			out engine.ShardSets
-			pt  *engine.Partial
-			err error
-		)
-		if keyed {
-			out, pt, err = engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, opts.Algorithm, sets, q.Where, keep, opts.Robust)
-		} else {
-			out, pt, err = engine.BMOShardedOnFilteredCtx(ctx, p, s, opts.Algorithm, sets, keep, opts.Robust)
-		}
+	// bmo is one sharded soft step. keyed marks the first one, whose
+	// per-shard candidate sets are exactly the WHERE-selected positions —
+	// the shape the result cache keys; later steps run over reduced sets
+	// and always evaluate. A non-nil keep fuses the BUT ONLY threshold in.
+	bmo := func(p pref.Preference, sets engine.ShardSets, keep engine.ShardFilter, keyed bool) (engine.ShardSets, error) {
+		out, pt, err := engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, opts.Algorithm, sets, q.Where, keyed, keep, opts.Robust)
 		if err != nil {
 			return nil, err
 		}
@@ -361,9 +329,9 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Option
 	// The BUT ONLY threshold fuses into the last soft pass before it —
 	// the final CASCADE, else a non-grouped PREFERRING — so its scan runs
 	// inside the per-shard fan-out on hot columns instead of as a
-	// separate serial step (engine.BMOShardedOnFiltered keeps the
-	// filter-after-merge semantics). Grouped PREFERRING without cascades,
-	// and the error cases, keep the separate step below.
+	// separate serial step (the engine keeps the filter-after-merge
+	// semantics). Grouped PREFERRING without cascades, and the error
+	// cases, keep the separate step below.
 	fuseButCascade := q.ButOnly != nil && len(q.Cascades) > 0
 	fuseButPreferring := q.ButOnly != nil && len(q.Cascades) == 0 &&
 		q.Preferring != nil && len(q.GroupingBy) == 0
@@ -379,15 +347,9 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Option
 		if sc, ok := built.(pref.Scorer); ok && q.Top > 0 {
 			// Ranked query model: per-shard k-best off the cached score
 			// vectors, heap-merged to the global k.
-			var results []rank.Result
-			if hardened {
-				var pt *engine.Partial
-				if results, pt, err = rank.TopKShardedCtx(ctx, sc, s, q.Top, sets, opts.Robust); err != nil {
-					return nil, err
-				}
-				part = mergePartials(part, pt)
-			} else {
-				results = rank.TopKShardedOn(sc, s, q.Top, sets)
+			results, pt, err := rank.TopKShardedCtx(ctx, sc, s, q.Top, sets, opts.Robust)
+			if err != nil {
+				return nil, err
 			}
 			gids := make([]int, len(results))
 			for i, r := range results {
@@ -397,21 +359,19 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Option
 			if err != nil {
 				return nil, err
 			}
-			res.Partial = part
+			res.Partial = pt
 			return res, nil
 		}
 		if len(q.GroupingBy) > 0 {
-			if err := ctx.Err(); err != nil {
+			if sets, err = engine.GroupByShardedOn(ctx, p, q.GroupingBy, s, opts.Algorithm, sets); err != nil {
 				return nil, err
 			}
-			sets = engine.GroupByShardedOn(p, q.GroupingBy, s, opts.Algorithm, sets)
-		} else if fuseButPreferring {
-			if sets, err = bmoFiltered(p, sets, butShardFilter(q, s), true); err != nil {
-				return nil, err
-			}
-			butFused = true
 		} else {
-			if sets, err = bmo(p, sets, true); err != nil {
+			var keep engine.ShardFilter
+			if fuseButPreferring {
+				keep, butFused = butShardFilter(q, s), true
+			}
+			if sets, err = bmo(p, sets, keep, true); err != nil {
 				return nil, err
 			}
 		}
@@ -424,16 +384,12 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Option
 		if builtPref == nil {
 			builtPref = built
 		}
-		p := algebra.Simplify(built)
+		var keep engine.ShardFilter
 		if fuseButCascade && ci == len(q.Cascades)-1 {
-			if sets, err = bmoFiltered(p, sets, butShardFilter(q, s), false); err != nil {
-				return nil, err
-			}
-			butFused = true
-		} else {
-			if sets, err = bmo(p, sets, false); err != nil {
-				return nil, err
-			}
+			keep, butFused = butShardFilter(q, s), true
+		}
+		if sets, err = bmo(algebra.Simplify(built), sets, keep, false); err != nil {
+			return nil, err
 		}
 	}
 	if q.ButOnly != nil && !butFused {
@@ -453,7 +409,7 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Option
 		if err != nil {
 			return nil, err
 		}
-		if sets, err = bmo(p, sets, false); err != nil {
+		if sets, err = bmo(p, sets, nil, false); err != nil {
 			return nil, err
 		}
 	}

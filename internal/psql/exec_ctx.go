@@ -8,15 +8,15 @@ import (
 	"repro/internal/relation"
 )
 
-// Ctx-aware execution: the serving-layer face of the engine's
+// Execution under a context: the serving-layer face of the engine's
 // fault-tolerance stack. ExecCtx/RunCtx thread the caller's context
 // through the whole pipeline (cooperative cancellation at the engine's
 // stride), apply the Options.Timeout deadline and the Admission
-// limiter, and surface PolicyPartial degradation in the Result — the
-// legacy Run/Exec entry points are thin wrappers over
-// context.Background() with the default strict policy.
+// limiter, and surface PolicyPartial degradation in the Result —
+// Run/Exec are their context.Background() wrappers over the same
+// pipeline (as RunStream/ExecStream are of ExecStreamCtx, stream.go).
 
-// Result is a ctx-aware execution's outcome: the rows plus the
+// Result is an execution's outcome: the rows plus the
 // partial-result report when shards were missing under PolicyPartial.
 type Result struct {
 	// Rel holds the query result rows.
@@ -38,14 +38,15 @@ func RunCtx(ctx context.Context, query string, cat Catalog, opts Options) (*Resu
 	return ExecCtx(ctx, q, cat, opts)
 }
 
-// ExecCtx executes a parsed query under a context: the ctx-aware twin of
-// Exec. Admission (when configured) gates entry — overload sheds with a
-// typed *engine.OverloadError before any evaluation work starts — then
-// Options.Timeout bounds the run with a deadline derived from ctx, and
-// the pipeline evaluates with cooperative cancellation (ctx.Err() comes
-// back as the error; the result is never torn). Over sharded tables
-// Options.Robust selects the per-shard fault policy; under PolicyPartial
-// a degraded result reports its missing shards in Result.Partial.
+// ExecCtx executes a parsed query under a context (Exec is its
+// context.Background() wrapper). Admission (when configured) gates entry
+// — overload sheds with a typed *engine.OverloadError before any
+// evaluation work starts — then Options.Timeout bounds the run with a
+// deadline derived from ctx, and the pipeline evaluates with cooperative
+// cancellation (ctx.Err() comes back as the error; the result is never
+// torn). Over sharded tables Options.Robust selects the per-shard fault
+// policy; under PolicyPartial a degraded result reports its missing
+// shards in Result.Partial.
 func ExecCtx(ctx context.Context, q *Query, cat Catalog, opts Options) (*Result, error) {
 	release, err := opts.Admission.Acquire(ctx)
 	if err != nil {
@@ -65,8 +66,8 @@ func ExecCtx(ctx context.Context, q *Query, cat Catalog, opts Options) (*Result,
 
 // mergePartials folds the partial reports of consecutive pipeline stages
 // into one: the union of missing shards, ascending, keeping the first
-// stage's cause per shard (later stages see the shard's already-empty
-// candidate set, so their repeat failure is downstream of the first).
+// stage's cause per shard (a later stage sees the shard's already-empty
+// candidate set and does not visit it again).
 func mergePartials(a, b *engine.Partial) *engine.Partial {
 	if a == nil {
 		return b

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/engine/resultcache"
 	"repro/internal/filter"
 	"repro/internal/relation"
 )
@@ -279,5 +280,51 @@ func TestExplainPlansAtFilteredCardinality(t *testing.T) {
 	}
 	if !strings.Contains(plan, "plan: n=10 ") {
 		t.Fatalf("inlined plan must use the filtered cardinality (n=10):\n%s", plan)
+	}
+}
+
+// TestExplainShardedDescribesWhatRuns: over a sharded table EXPLAIN must
+// describe the one pipeline every caller runs. The inlined sharded plan
+// carries no sharded-vs-flat route, and after a plain Run — no context,
+// default options — the compile-cache and result-cache lines report the
+// state that execution left behind.
+func TestExplainShardedDescribesWhatRuns(t *testing.T) {
+	engine.ResetCompileCache()
+	filter.ResetCache()
+	resultcache.Reset()
+	defer engine.ResetCompileCache()
+	defer filter.ResetCache()
+	defer resultcache.Reset()
+	_, shardCat := shardedCatalog(t, 2500, 4, 41)
+	query := "SELECT oid FROM car WHERE price <= 60000 PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
+	if _, err := Run(query, shardCat, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	text, err := ExplainQuery(query, shardCat, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"compile cache: hit on all shards",
+		"result cache: hit on all shards",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("EXPLAIN after a plain Run missing %q:\n%s", want, text)
+		}
+	}
+	planLine := ""
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, "sharded plan:") {
+			planLine = line
+		}
+	}
+	if !strings.Contains(planLine, "shards=4") || !strings.Contains(planLine, "merge=chain-filter") {
+		t.Fatalf("EXPLAIN missing the sharded plan line:\n%s", text)
+	}
+	if strings.Contains(planLine, "→") {
+		t.Errorf("sharded plan line still carries a route: %q", planLine)
+	}
+	if strings.Contains(text, "flatten") || strings.Contains(text, "vs flat") {
+		t.Errorf("EXPLAIN still weighs a flat route:\n%s", text)
 	}
 }

@@ -89,8 +89,8 @@ func TestResultCacheChurnAgreement(t *testing.T) {
 				cat.Replace("car", sh)
 			}
 			install(car)
-			// A cancellable context keeps the sharded pipeline on the
-			// hardened (ctx-aware, cache-served) entry points.
+			// Any context runs the same cache-served pipeline; a
+			// cancellable one also exercises the stride polling.
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			for step := 0; step < 10; step++ {

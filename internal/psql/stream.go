@@ -1,6 +1,7 @@
 package psql
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/algebra"
@@ -36,36 +37,54 @@ func RunStream(query string, cat Catalog, opts Options, yield func(relation.Row)
 	return ExecStream(q, cat, opts, yield)
 }
 
-// ExecStream is RunStream over a parsed query. Streamable queries run
-// index-chained over the base catalog relation: the WHERE clause resolves
-// to the cached selection index list, the preference binds through the
-// shared compile cache (position-addressed, so the candidate subset is
-// irrelevant to the bound form), and not a single tuple materializes
-// before the first yield — rows are projected straight off the base
-// relation as they are confirmed. Sharded tables stream through
-// engine.EvalStreamShardedOn: per-shard WHERE index lists, per-shard
-// cached bound forms, and cross-shard progressive confirmation for chain
-// products (batch fallback otherwise, like the flat stream).
+// ExecStream is RunStream over a parsed query: ExecStreamCtx under
+// context.Background(), without the partial-result report.
 func ExecStream(q *Query, cat Catalog, opts Options, yield func(relation.Row) bool) (int, error) {
+	emitted, _, err := ExecStreamCtx(context.Background(), q, cat, opts, yield)
+	return emitted, err
+}
+
+// ExecStreamCtx streams a parsed query under a context. Streamable
+// queries run index-chained over the base catalog relation:
+// the WHERE clause resolves to the cached selection index list, the
+// preference binds through the shared compile cache (position-addressed,
+// so the candidate subset is irrelevant to the bound form), and not a
+// single tuple materializes before the first yield — rows are projected
+// straight off the base relation as they are confirmed. Sharded tables
+// stream through engine.EvalStreamShardedCtx: per-shard WHERE index
+// lists, per-shard cached bound forms, and cross-shard progressive
+// confirmation for chain products (one batch sharded evaluation under
+// opts.Robust otherwise, like the flat stream's keyless fallback).
+//
+// Every route observes ctx: a progressive scan polls it at the engine's
+// stride, a batch fallback evaluates under it. When it dies the
+// enumeration stops and its error is returned — rows already yielded are
+// confirmed maxima, never wrong ones. The Partial is non-nil when a
+// sharded batch route ran under PolicyPartial and shards were missing.
+// Options.Timeout and Options.Admission gate the ExecCtx fallback only:
+// a stream lives as long as its consumer pulls, so bound it through ctx.
+func ExecStreamCtx(ctx context.Context, q *Query, cat Catalog, opts Options, yield func(relation.Row) bool) (int, *engine.Partial, error) {
 	if sh, sharded := cat[q.From].(*relation.Sharded); sharded {
-		if emitted, streamed, err := execStreamSharded(q, sh, opts, yield); streamed || err != nil {
-			return emitted, err
+		emitted, part, streamed, err := execStreamSharded(ctx, q, sh, opts, yield)
+		if streamed || err != nil {
+			return emitted, part, err
 		}
-		return replayExec(q, cat, opts, yield)
+		return replayExec(ctx, q, cat, opts, yield)
 	}
 	p, base, idx, ok, err := streamablePlan(q, cat)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if !ok {
-		return replayExec(q, cat, opts, yield)
+		return replayExec(ctx, q, cat, opts, yield)
 	}
 
 	project, err := rowProjector(q, base)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	st := engine.EvalStreamOn(p, base, opts.Algorithm, idx)
+	st := engine.EvalStreamCtx(ctx, p, base, opts.Algorithm, idx)
+	defer st.Close()
 	emitted := 0
 	st.Each(func(row int) bool {
 		emitted++
@@ -74,39 +93,39 @@ func ExecStream(q *Query, cat Catalog, opts Options, yield func(relation.Row) bo
 		}
 		return q.Top <= 0 || emitted < q.Top
 	})
-	return emitted, nil
+	return emitted, nil, st.Err()
 }
 
 // replayExec is the batch fallback: execute fully and replay the result
 // rows through yield.
-func replayExec(q *Query, cat Catalog, opts Options, yield func(relation.Row) bool) (int, error) {
-	out, err := Exec(q, cat, opts)
+func replayExec(ctx context.Context, q *Query, cat Catalog, opts Options, yield func(relation.Row) bool) (int, *engine.Partial, error) {
+	res, err := ExecCtx(ctx, q, cat, opts)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	emitted := 0
-	for i := 0; i < out.Len(); i++ {
+	for i := 0; i < res.Rel.Len(); i++ {
 		emitted++
-		if !yield(out.Row(i)) {
+		if !yield(res.Rel.Row(i)) {
 			break
 		}
 	}
-	return emitted, nil
+	return emitted, res.Partial, nil
 }
 
 // execStreamSharded serves a streamable query over a sharded table;
 // streamed=false (with no rows emitted) sends the caller to the batch
 // fallback.
-func execStreamSharded(q *Query, s *relation.Sharded, opts Options, yield func(relation.Row) bool) (emitted int, streamed bool, err error) {
+func execStreamSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Options, yield func(relation.Row) bool) (emitted int, part *engine.Partial, streamed bool, err error) {
 	if err := checkAttrs(q, s); err != nil {
-		return 0, false, err
+		return 0, nil, false, err
 	}
 	if q.ExplainPlan || !streamShape(q) {
-		return 0, false, nil
+		return 0, nil, false, nil
 	}
 	p, ranked, err := streamPref(q)
 	if err != nil || ranked {
-		return 0, false, err
+		return 0, nil, false, err
 	}
 	var sets engine.ShardSets
 	if q.Where != nil {
@@ -119,9 +138,10 @@ func execStreamSharded(q *Query, s *relation.Sharded, opts Options, yield func(r
 	}
 	project, err := rowProjector(q, s)
 	if err != nil {
-		return 0, false, err
+		return 0, nil, false, err
 	}
-	st := engine.EvalStreamShardedOn(p, s, opts.Algorithm, sets)
+	st := engine.EvalStreamShardedCtx(ctx, p, s, opts.Algorithm, sets, opts.Robust)
+	defer st.Close()
 	st.Each(func(gid int) bool {
 		emitted++
 		if !yield(project(s.Row(gid))) {
@@ -129,7 +149,7 @@ func execStreamSharded(q *Query, s *relation.Sharded, opts Options, yield func(r
 		}
 		return q.Top <= 0 || emitted < q.Top
 	})
-	return emitted, true, nil
+	return emitted, st.Partial(), true, st.Err()
 }
 
 // streamPref builds and simplifies the single soft-clause preference of

@@ -21,14 +21,15 @@ import (
 // cancelStride matches the engine's poll stride (power of two).
 const cancelStride = 1024
 
-// TopKCtx is TopK under a context: the scan observes cancellation and
-// deadlines cooperatively and returns the context's error instead of a
-// result.
-func TopKCtx(ctx context.Context, p pref.Scorer, r *relation.Relation, k int) ([]Result, error) {
-	return TopKOnCtx(ctx, p, r, k, nil)
-}
-
-// TopKOnCtx is TopKOn under a context (idx == nil means every row).
+// TopKOnCtx returns the k best of the candidate row positions of R
+// (idx == nil means every row) under a context; returned Row values are
+// positions in R. An index-chained ranked query — WHERE bitmap feeding
+// the k-best model — therefore scores candidates straight off the base
+// relation without materializing a subset. Scoring runs over the
+// compiled combined-score vector when the term compiles (flat column
+// reads, ordinal-coded discrete dimensions); tuple-at-a-time ScoreOf
+// otherwise. The scan observes cancellation and deadlines cooperatively
+// and returns the context's error instead of a result.
 func TopKOnCtx(ctx context.Context, p pref.Scorer, r *relation.Relation, k int, idx []int) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -73,25 +74,33 @@ func TopKOnCtx(ctx context.Context, p pref.Scorer, r *relation.Relation, k int, 
 	return out, nil
 }
 
-// TopKShardedCtx is TopKSharded under a context and a fault-tolerance
-// policy; Result.Row values are global row ids. Shards scan under
-// relation.FanShardsCtx — panic containment, per-shard deadlines under
-// rb.ShardTimeout — and per-shard failures resolve under rb.Policy: a
-// strict failure returns a *relation.ShardError, a partial result
-// merges the responsive shards' local top-k and reports the missing
-// shard set.
+// TopKShardedCtx returns the k best rows over per-shard candidate
+// subsets of a sharded table (sets == nil, or a nil element, means every
+// row of that shard) under a context and a fault-tolerance policy;
+// Result.Row values are global row ids. Every shard scans concurrently —
+// scoring off its own cached compiled score vector — into a local
+// k-heap; the merge pass heap-selects the global k from the ≤ k·shards
+// local winners. Ties break by ascending global id, the sharded image of
+// TopK's ascending-row rule. Shards scan under relation.FanShardsCtx —
+// panic containment, per-shard deadlines under rb.ShardTimeout — and
+// per-shard failures resolve under rb.Policy: a strict failure returns a
+// *relation.ShardError, a partial result merges the responsive shards'
+// local top-k and reports the missing shard set.
 func TopKShardedCtx(ctx context.Context, p pref.Scorer, s *relation.Sharded, k int, sets [][]int, rb relation.Robust) ([]Result, *relation.Partial, error) {
 	if k <= 0 {
 		return nil, nil, ctx.Err()
 	}
 	locals := make([][]Result, s.NumShards())
 	errs := relation.FanShardsCtx(ctx, s.NumShards(), rb.ShardTimeout, func(ictx context.Context, i int) error {
-		if err := faultinject.Invoke(ictx, s, i); err != nil {
-			return err
-		}
 		var idx []int
 		if sets != nil {
 			idx = sets[i] // a nil element means every row of the shard
+		}
+		if idx != nil && len(idx) == 0 {
+			return nil // nothing to scan: the shard is not visited, so it cannot fail
+		}
+		if err := faultinject.Invoke(ictx, s, i); err != nil {
+			return err
 		}
 		local, err := TopKOnCtx(ictx, p, s.Shard(i), k, idx)
 		if err != nil {

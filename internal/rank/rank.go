@@ -10,6 +10,7 @@ package rank
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -35,42 +36,10 @@ func TopK(p pref.Scorer, r *relation.Relation, k int) []Result {
 }
 
 // TopKOn is TopK over the candidate row positions of R (idx == nil means
-// every row); returned Row values are positions in R. An index-chained
-// ranked query — WHERE bitmap feeding the k-best model — therefore scores
-// candidates straight off the base relation without materializing a
-// subset. Scoring runs over the compiled combined-score vector when the
-// term compiles (flat column reads, ordinal-coded discrete dimensions);
-// tuple-at-a-time ScoreOf otherwise.
+// every row): TopKOnCtx under an uncancellable context, which cannot
+// fail.
 func TopKOn(p pref.Scorer, r *relation.Relation, k int, idx []int) []Result {
-	if k <= 0 {
-		return nil
-	}
-	score := scoreFn(p, r, idx)
-	n := r.Len()
-	if idx != nil {
-		n = len(idx)
-	}
-	h := &resultHeap{}
-	heap.Init(h)
-	for pos := 0; pos < n; pos++ {
-		i := pos
-		if idx != nil {
-			i = idx[pos]
-		}
-		s := score(i)
-		if h.Len() < k {
-			heap.Push(h, Result{i, s})
-			continue
-		}
-		if worse(h.items[0], Result{i, s}) {
-			h.items[0] = Result{i, s}
-			heap.Fix(h, 0)
-		}
-	}
-	out := make([]Result, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Result)
-	}
+	out, _ := TopKOnCtx(context.Background(), p, r, k, idx)
 	return out
 }
 

@@ -2,6 +2,7 @@ package rank
 
 import (
 	"container/heap"
+	"context"
 	"math"
 
 	"repro/internal/pref"
@@ -24,43 +25,15 @@ func TopKSharded(p pref.Scorer, s *relation.Sharded, k int) []Result {
 	return TopKShardedOn(p, s, k, nil)
 }
 
-// TopKShardedOn is TopKSharded over per-shard candidate subsets (sets ==
-// nil, or a nil element, means every row of that shard). Every shard
-// scans concurrently — scoring off its own cached compiled score vector
-// — into a local k-heap; the merge pass heap-selects the global k from
-// the ≤ k·shards local winners. Ties break by ascending global id, the
-// sharded image of TopK's ascending-row rule.
+// TopKShardedOn is TopKSharded over per-shard candidate subsets:
+// TopKShardedCtx under an uncancellable context and the strict policy.
+// The only error that combination can produce is a contained
+// shard-worker failure (a panic, or an injected fault); it re-panics on
+// the calling goroutine.
 func TopKShardedOn(p pref.Scorer, s *relation.Sharded, k int, sets [][]int) []Result {
-	if k <= 0 {
-		return nil
-	}
-	locals := make([][]Result, s.NumShards())
-	relation.FanShards(s.NumShards(), func(i int) {
-		var idx []int
-		if sets != nil {
-			idx = sets[i] // a nil element means every row of the shard
-		}
-		local := TopKOn(p, s.Shard(i), k, idx)
-		for j := range local {
-			local[j].Row = relation.GlobalID(i, local[j].Row)
-		}
-		locals[i] = local
-	})
-	h := &resultHeap{}
-	heap.Init(h)
-	for _, local := range locals {
-		for _, res := range local {
-			if h.Len() < k {
-				heap.Push(h, res)
-			} else if worse(h.items[0], res) {
-				h.items[0] = res
-				heap.Fix(h, 0)
-			}
-		}
-	}
-	out := make([]Result, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Result)
+	out, _, err := TopKShardedCtx(context.Background(), p, s, k, sets, relation.Robust{})
+	if err != nil {
+		panic(err)
 	}
 	return out
 }
@@ -85,7 +58,7 @@ func ThresholdTopKSharded(p *pref.RankPref, s *relation.Sharded, k int) ([]Resul
 	nShards := s.NumShards()
 	scores := make([][][]float64, nShards) // [shard][feature][local]
 	lists := make([][][]int, nShards)      // [shard][feature] sorted perm
-	relation.FanShards(nShards, func(i int) {
+	errs := relation.FanShardsCtx(context.Background(), nShards, 0, func(_ context.Context, i int) error {
 		sh := s.Shard(i)
 		n := sh.Len()
 		scores[i] = make([][]float64, m)
@@ -101,7 +74,13 @@ func ThresholdTopKSharded(p *pref.RankPref, s *relation.Sharded, k int) ([]Resul
 			}
 			lists[i][f] = cachedSortedPerm(parts[f], sh, scores[i][f])
 		}
+		return nil
 	})
+	for _, err := range errs {
+		if err != nil {
+			panic(err) // a contained warm-up worker panic; nothing else can fail here
+		}
+	}
 	depth := make([]int, nShards) // per-shard consumption depth
 	seen := make(map[int]struct{}, 2*k)
 	h := &resultHeap{}

@@ -8,15 +8,14 @@ import (
 	"time"
 )
 
-// Fault-tolerant shard fan-out. FanShards (sharded.go) is the raw
-// bounded sweep every shard-parallel evaluation layer shares; this file
-// adds the hardened twin the ctx-aware query paths run on: per-shard
-// panic containment (a crashed worker becomes a per-shard error instead
-// of a process abort), per-shard deadlines, and early return when the
-// query context dies while a shard hangs. The vocabulary for what
-// happens next — fail the query or merge the responsive shards — lives
-// here too, shared by engine and rank so the policy types need no
-// cross-package duplication.
+// Fault-tolerant shard fan-out. FanShardsCtx is the bounded sweep every
+// shard-parallel evaluation layer shares (engine BMO/groupby fan-out,
+// rank's per-shard scans): per-shard panic containment (a crashed worker
+// becomes a per-shard error instead of a process abort), per-shard
+// deadlines, and early return when the query context dies while a shard
+// hangs. The vocabulary for what happens next — fail the query or merge
+// the responsive shards — lives here too, shared by engine and rank so
+// the policy types need no cross-package duplication.
 
 // Policy decides how a sharded evaluation treats per-shard failures
 // (worker panic, per-shard deadline, query cancellation mid-fan-out).
@@ -42,8 +41,8 @@ func (p Policy) String() string {
 
 // Robust configures the fault tolerance of one sharded evaluation: the
 // partial-result policy plus an optional per-shard deadline. The zero
-// value is the strict, deadline-free default every legacy entry point
-// implies.
+// value is the strict, deadline-free default the context.Background()
+// wrappers pass.
 type Robust struct {
 	// Policy selects strict (default) or partial-result semantics.
 	Policy Policy
@@ -112,8 +111,8 @@ func (e *ShardError) Error() string {
 func (e *ShardError) Unwrap() error { return e.Err }
 
 // FanShardsCtx runs f(ctx, 0..n-1) concurrently — at most NumCPU at a
-// time, like FanShards — and returns one error slot per item (nil =
-// success). It is the hardened fan-out of the ctx-aware sharded paths:
+// time; below two workers the sweep degrades to a plain loop — and
+// returns one error slot per item (nil = success):
 //
 //   - A panicking worker is recovered into a *PanicError for its slot;
 //     the other workers and the process are untouched.
@@ -127,7 +126,8 @@ func (e *ShardError) Unwrap() error { return e.Err }
 //     so callers must only read per-item outputs whose error slot is
 //     nil — that read is ordered after the worker's completion send.
 //
-// f must treat distinct items as independent, exactly like FanShards.
+// Work items must be independent: f runs on distinct goroutines with no
+// ordering beyond the final collect.
 func FanShardsCtx(ctx context.Context, n int, itemTimeout time.Duration, f func(ctx context.Context, i int) error) []error {
 	errs := make([]error, n)
 	if n == 0 {

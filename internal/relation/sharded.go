@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -476,38 +475,4 @@ func (s *Sharded) Reshard(nShards int, part Partitioner) ([]*Relation, error) {
 // String renders the table as an aligned text table (shard-major order).
 func (s *Sharded) String() string {
 	return s.Flatten().String()
-}
-
-// FanShards runs f(0..n-1) concurrently, at most NumCPU at a time — the
-// bounded fan-out every shard-parallel evaluation layer shares (engine
-// BMO/groupby fan-out, rank's per-shard scans). Work items must be
-// independent: f runs on distinct goroutines with no ordering beyond the
-// final wait, and below two workers the sweep degrades to a plain loop.
-func FanShards(n int, f func(i int)) {
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	if workers < 2 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

@@ -146,6 +146,130 @@ func TestSessionTimeoutOnWire(t *testing.T) {
 	}
 }
 
+// Statements whose sharded STREAM turn has no progressive route: the
+// keyed (non-chain) term evaluates as one batch sharded pass replayed
+// through the stream, the grouped one falls back to the batch pipeline.
+const (
+	nonChainQuery = "SELECT oid FROM car PREFERRING color IN ('red') PRIOR TO LOWEST(price)"
+	groupedQuery  = "SELECT oid FROM car PREFERRING LOWEST(price) GROUPING BY color"
+)
+
+// TestStreamTimeoutOnWire: a STREAM turn evaluates under the session's
+// deadline before its first row too — a hung shard answers a typed
+// TIMEOUT, whichever batch route the stream took, and the connection
+// serves the next statement.
+func TestStreamTimeoutOnWire(t *testing.T) {
+	sh, snap := shardedCar(t, 200)
+	faultinject.Install(snap, 1, faultinject.Fault{Mode: faultinject.Hang})
+	defer faultinject.RemoveAll(snap)
+	_, addr := startServer(t, psql.Catalog{"car": relation.Table(sh)}, Config{})
+	c := dialT(t, addr)
+	if err := c.Set("timeout", "100ms"); err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{nonChainQuery, groupedQuery} {
+		start := time.Now()
+		_, n, err := c.Stream(query, func(relation.Row) bool { return true })
+		if se := wireErrOf(t, err); se.Code != wire.CodeTimeout {
+			t.Fatalf("%s: hung stream: %v, want TIMEOUT", query, err)
+		}
+		if n != 0 {
+			t.Fatalf("%s: timed-out stream yielded %d rows", query, n)
+		}
+		if took := time.Since(start); took > 3*time.Second {
+			t.Fatalf("%s: timeout took %v", query, took)
+		}
+	}
+	faultinject.RemoveAll(snap)
+	if _, _, err := c.Stream(nonChainQuery, func(relation.Row) bool { return true }); err != nil {
+		t.Fatalf("session unusable after stream timeout: %v", err)
+	}
+}
+
+// TestShardPanicContainedOnWire: a panicking shard worker — in the
+// grouped step of a batch turn, in a stream's batch pass — answers a
+// typed error frame naming the shard; the process and the session keep
+// serving.
+func TestShardPanicContainedOnWire(t *testing.T) {
+	sh, snap := shardedCar(t, 200)
+	faultinject.Install(snap, 2, faultinject.Fault{Mode: faultinject.Panic})
+	defer faultinject.RemoveAll(snap)
+	_, addr := startServer(t, psql.Catalog{"car": relation.Table(sh)}, Config{})
+	c := dialT(t, addr)
+
+	_, err := c.Query(groupedQuery)
+	if se := wireErrOf(t, err); se.Code != wire.CodeExec || !strings.Contains(se.Msg, "shard 2") {
+		t.Fatalf("grouped query over a panicking shard: %v, want EXEC error naming shard 2", err)
+	}
+	for _, query := range []string{nonChainQuery, groupedQuery} {
+		_, _, err := c.Stream(query, func(relation.Row) bool { return true })
+		if se := wireErrOf(t, err); se.Code != wire.CodeExec || !strings.Contains(se.Msg, "shard 2") {
+			t.Fatalf("%s: stream over a panicking shard: %v, want EXEC error naming shard 2", query, err)
+		}
+	}
+	faultinject.RemoveAll(snap)
+	if _, err := c.Query(groupedQuery); err != nil {
+		t.Fatalf("server must keep serving after a contained panic: %v", err)
+	}
+}
+
+// TestStreamPartialOnWire: under SET policy partial a sharded stream's
+// batch pass degrades like the batch turn — rows of the responsive
+// shards, the missing shard reported in the ready frame.
+func TestStreamPartialOnWire(t *testing.T) {
+	sh, snap := shardedCar(t, 200)
+	faultinject.Install(snap, 0, faultinject.Fault{Mode: faultinject.Panic})
+	defer faultinject.RemoveAll(snap)
+	_, addr := startServer(t, psql.Catalog{"car": relation.Table(sh)}, Config{})
+	c := dialT(t, addr)
+	if err := c.Set("policy", "partial"); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := c.Query(nonChainQuery)
+	if err != nil {
+		t.Fatalf("partial batch turn: %v", err)
+	}
+	// Client.Stream drops the ready payload, so drive the turn raw.
+	if err := c.RawFrame(wire.FrameStream, []byte(nonChainQuery)); err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for {
+		typ, payload, err := c.ReadRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch typ {
+		case wire.FrameHeader:
+		case wire.FrameRow:
+			rows++
+		case wire.FrameRowBatch:
+			batch, err := wire.DecodeRowBatch(payload, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += len(batch)
+		case wire.FrameReady:
+			ready, err := wire.DecodeReady(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ready.Partial == "" || ready.Partial != rs.Partial {
+				t.Fatalf("stream ready frame partial = %q, want the batch turn's %q", ready.Partial, rs.Partial)
+			}
+			if !strings.Contains(ready.Partial, "[0]") {
+				t.Fatalf("partial report %q does not name shard 0", ready.Partial)
+			}
+			if rows == 0 || rows != int(rs.Header.NRows) {
+				t.Fatalf("partial stream yielded %d rows, batch turn %d", rows, rs.Header.NRows)
+			}
+			return
+		default:
+			t.Fatalf("unexpected frame %q (%s) in partial stream", typ, payload)
+		}
+	}
+}
+
 // TestDisconnectCancelsInflight: a client that vanishes mid-query must
 // not strand the admission slot — the reader pump's death cancels the
 // in-flight context.

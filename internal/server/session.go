@@ -420,9 +420,10 @@ const streamBatchRows = 64
 // serveStream runs one progressive query turn: header (row count
 // unknown), the first confirmed row as a row frame, subsequent rows as
 // row-batch frames, ready. The session holds its own admission slot for
-// the duration — the progressive evaluator has no context plumbing, so
-// cancellation (client cancel frame, disconnect, timeout) is enforced at
-// row granularity through the yield.
+// the duration. The evaluation runs under the turn's context — a client
+// cancel frame, a disconnect or the timeout stops it mid-scan, before
+// the first row included — and the yield's own check stops the write
+// side between rows.
 func (ss *session) serveStream(q *psql.Query) {
 	snap, version, snapLen, err := ss.srv.snapshotTable(q.From)
 	if err != nil {
@@ -475,7 +476,7 @@ func (ss *session) serveStream(q *psql.Query) {
 		return ss.wc.Flush()
 	}
 	first := true
-	_, err = psql.ExecStream(q, psql.Catalog{q.From: snap}, opts, func(row relation.Row) bool {
+	_, part, err := psql.ExecStreamCtx(ctx, q, psql.Catalog{q.From: snap}, opts, func(row relation.Row) bool {
 		if ctx.Err() != nil {
 			return false
 		}
@@ -521,7 +522,11 @@ func (ss *session) serveStream(q *psql.Query) {
 		if err := flushBatch(); err != nil {
 			return
 		}
-		ss.sendReady(wire.Ready{})
+		var ready wire.Ready
+		if part != nil {
+			ready.Partial = part.Error()
+		}
+		ss.sendReady(ready)
 	}
 }
 
