@@ -79,9 +79,12 @@ bench:
 # Machine-readable benchmark capture: runs the suite and writes the JSON
 # baseline tracked in-tree (ns/op, B/op, allocs/op per benchmark). Pass
 # BENCHJSON_TIME=1x for a smoke run; the committed baseline uses a real
-# benchtime so the numbers are comparable across PRs.
+# benchtime so the numbers are comparable across PRs, and is captured
+# under GOMAXPROCS=1 (`GOMAXPROCS=1 make bench-json`): cmd/benchjson keeps
+# go test's `-N` procs suffix in the benchmark names benchdiff tracks, so
+# a capture on N>1 Ps shares no name with a one-P baseline.
 BENCHJSON_TIME ?= 0.5s
-BENCHJSON_OUT ?= BENCH_PR10.json
+BENCHJSON_OUT ?= BENCH_PR14.json
 bench-json:
 	# Two steps, not a pipe: a pipe would discard go test's exit status
 	# and mask failing/panicking benchmarks from CI.
@@ -107,7 +110,7 @@ bench-serve:
 # with GC debt from neighboring benchmarks, so a ratio on them is noise.
 # Flagged benchmarks get a confirmation re-run in isolation and only
 # fail the gate if the isolated timing still exceeds the threshold.
-BENCHDIFF_BASE ?= BENCH_PR10.json
+BENCHDIFF_BASE ?= BENCH_PR14.json
 BENCHDIFF_CUR ?= bench-gate.json
 BENCHDIFF_THRESHOLD ?= 1.5
 BENCHDIFF_MIN_NS ?= 1000000

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
@@ -733,6 +734,101 @@ func BenchmarkShardedThresholdTopK(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rank.ThresholdTopKSharded(p, s, 10)
 			}
+		})
+	}
+}
+
+// BenchmarkColdSelectiveBMO is the first-seen selective statement: every
+// iteration runs a statement no cache has met (seed-drawn anchors and
+// WHERE cuts at ≈3 % selectivity) over anti-correlated d=4 n=20000, flat
+// and in 2 range shards, in the three shapes of the served cold_skyline
+// workload. The bind is candidate-proportional — a gathered copy of the
+// ≈300 candidates per shard, never the 10 000-row shard — and so is the
+// cross-shard merge; bytes/op is the per-statement garbage.
+func BenchmarkColdSelectiveBMO(b *testing.B) {
+	flat := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
+	flat.Columnarize()
+	sharded, err := relation.ShardRelation(flat, 2, relation.ByRange("d1", relation.RangeBounds(flat, "d1", 2)...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	anchor := func(rng *rand.Rand) float64 { return 0.2 + 0.6*rng.Float64() }
+	cut := func(rng *rand.Rand) float64 { return 0.02 + 0.04*rng.Float64() }
+	shapes := []struct {
+		name string
+		stmt func(rng *rand.Rand) string
+	}{
+		{"pareto3", func(rng *rand.Rand) string {
+			return fmt.Sprintf("SELECT * FROM pts WHERE d4 <= %.6f PREFERRING d1 AROUND %.6f AND d2 AROUND %.6f AND LOWEST(d3)", cut(rng), anchor(rng), anchor(rng))
+		}},
+		{"pareto-prior-chain", func(rng *rand.Rand) string {
+			return fmt.Sprintf("SELECT * FROM pts WHERE d4 <= %.6f PREFERRING (d1 AROUND %.6f AND LOWEST(d2)) PRIOR TO LOWEST(d3)", cut(rng), anchor(rng))
+		}},
+		{"chain-prior-pareto", func(rng *rand.Rand) string {
+			return fmt.Sprintf("SELECT * FROM pts WHERE d4 <= %.6f PREFERRING LOWEST(d3) PRIOR TO (d1 AROUND %.6f AND LOWEST(d2))", cut(rng), anchor(rng))
+		}},
+	}
+	for _, layout := range []struct {
+		name string
+		tbl  relation.Table
+	}{{"flat", flat}, {"shards-2", sharded}} {
+		cat := psql.Catalog{"pts": layout.tbl}
+		for _, shape := range shapes {
+			b.Run(layout.name+"/"+shape.name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(14))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := psql.Run(shape.stmt(rng), cat, psql.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkShardMergeCompiled isolates the cross-shard merge: every
+// shard's local maxima are served from the result cache (warm), so an
+// iteration is the per-shard lookups plus max(P, ∪ maxᵢ) over the gathered
+// local maxima on the compiled evaluator — one bind over a few hundred
+// rows and a slot-space pass. The chain row is the shape the former
+// coordinate-only merge served; the around row is a shape that used to
+// merge interpreted.
+func BenchmarkShardMergeCompiled(b *testing.B) {
+	flat := workload.Numeric(20000, 3, workload.AntiCorrelated, 29)
+	flat.Columnarize()
+	s, err := relation.ShardRelation(flat, 4, relation.ByHash("d1"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		p    pref.Preference
+	}{
+		{"chain", pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))},
+		{"around", pref.ParetoAll(pref.AROUND("d1", 0.4), pref.AROUND("d2", 0.6), pref.LOWEST("d3"))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := context.Background()
+			run := func() engine.ShardSets {
+				out, _, err := engine.BMOShardedOnCtxKeyed(ctx, c.p, s, engine.Auto, nil, nil, engine.Robust{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return out
+			}
+			locals := 0 // what the merge is handed
+			for _, sh := range s.Shards() {
+				locals += len(engine.BMOIndices(c.p, sh, engine.Auto))
+			}
+			merged := run().Total(s) // fills the result cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(locals), "local-maxima")
+			b.ReportMetric(float64(merged), "maxima")
 		})
 	}
 }

@@ -142,9 +142,15 @@ func rerun(name, benchtime, pkg string) (float64, bool) {
 		return 0, false
 	}
 	for _, r := range parsed.Results {
-		if r.Name == name {
+		// The capture may stem from one P (no suffix) while this re-run
+		// sees several: go test then appends "-N" to the name.
+		if r.Name == name || procsSuffix.ReplaceAllString(r.Name, "") == name {
 			return r.NsPerOp, true
 		}
 	}
 	return 0, false
 }
+
+// procsSuffix matches the "-GOMAXPROCS" suffix go test appends to
+// benchmark names when it runs on more than one P.
+var procsSuffix = regexp.MustCompile(`-\d+$`)

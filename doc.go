@@ -31,10 +31,12 @@
 // table into N shards (hash or range over an attribute, stable global
 // row ids), engine.BMOSharded / GroupByShardedOn / EvalStreamSharded and
 // rank.TopKSharded / ThresholdTopKSharded evaluate shard-local off each
-// shard's independently cached bound forms and merge candidate maxima
-// cross-shard (chain filter over raw compiled coordinates, BNL
-// otherwise) along one fault-contained fan-out whatever the caller's
-// context, engine.PlanSharded describes that route, and psql routes
+// shard's independently cached bound forms — or, for a first-seen
+// selective statement, off a bind over just the shard's gathered
+// candidates — and merge candidate maxima cross-shard (the compiled
+// evaluator over the gathered local maxima, interpreted BNL for terms
+// outside the compilable fragment) along one fault-contained fan-out
+// whatever the caller's context, engine.PlanSharded describes that route, and psql routes
 // sharded catalog tables through all of it with EXPLAIN reporting
 // shards=N and the merge mode per phase.
 //

@@ -3,8 +3,8 @@
 // layer's selection cache both map (source identity, source mutation
 // version, canonical term key) to an immutable bound form. The policy —
 // what is safe to key and what to store — stays with the callers; this
-// package owns the mechanics: bounded size, stale-version-first eviction,
-// hit/miss accounting, thread safety.
+// package owns the mechanics: bounded size, stale-version-first then
+// never-reused-first eviction, hit/miss accounting, thread safety.
 package boundcache
 
 import (
@@ -32,9 +32,17 @@ type Cache[V any] struct {
 	cap int
 
 	mu sync.Mutex
-	m  map[Key]V
+	m  map[Key]slot[V]
 
 	hits, misses atomic.Uint64
+}
+
+// slot is one cached bound form plus whether any Get has served it: what
+// a workload reuses is what is worth keeping, and an entry no lookup ever
+// returned to is the first to go (see Put).
+type slot[V any] struct {
+	v      V
+	reused bool
 }
 
 // evictor is the type-erased view of a Cache the package-level eviction
@@ -55,7 +63,7 @@ var (
 // New returns an empty cache bounded to capacity entries and registers it
 // for package-level eviction sweeps (see EvictSource).
 func New[V any](capacity int) *Cache[V] {
-	c := &Cache[V]{cap: capacity, m: make(map[Key]V)}
+	c := &Cache[V]{cap: capacity, m: make(map[Key]slot[V])}
 	registryMu.Lock()
 	registry = append(registry, c)
 	registryMu.Unlock()
@@ -95,48 +103,62 @@ func EvictSource(src any) int {
 }
 
 // Get returns the cached bound form for the key and counts a hit or miss.
+// A hit marks the entry reused, which shields it from the one-shot
+// entries a stream of never-repeated statements leaves behind.
 func (c *Cache[V]) Get(k Key) (V, bool) {
 	c.mu.Lock()
-	v, ok := c.m[k]
+	s, ok := c.m[k]
+	if ok && !s.reused {
+		s.reused = true
+		c.m[k] = s
+	}
 	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	return v, ok
+	return s.v, ok
 }
 
 // Peek returns the cached bound form without touching the hit/miss
-// counters; EXPLAIN-style status probes use it.
+// counters or the entry's reuse mark; EXPLAIN-style status probes use it.
 func (c *Cache[V]) Peek(k Key) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.m[k]
-	return v, ok
+	s, ok := c.m[k]
+	return s.v, ok
 }
 
 // Put stores a bound form. At capacity it evicts entries of the same
 // source with an outdated version first (they can never be read again),
-// then arbitrary entries until there is room. Overwriting an existing key
-// never evicts: it cannot grow the map (duplicate Puts are the normal
-// outcome of two goroutines racing the same miss).
+// then — one at a time until there is room — an entry no Get ever served
+// before any that one did: a flood of distinct one-shot statements evicts
+// its own leftovers, not the bound forms and results the workload keeps
+// coming back to. Overwriting an existing key never evicts: it cannot
+// grow the map (duplicate Puts are the normal outcome of two goroutines
+// racing the same miss).
 func (c *Cache[V]) Put(k Key, v V) {
 	c.mu.Lock()
-	if _, exists := c.m[k]; !exists && len(c.m) >= c.cap {
+	old, exists := c.m[k]
+	if !exists && len(c.m) >= c.cap {
 		for o := range c.m {
 			if o.Src == k.Src && o.Version != k.Version {
 				delete(c.m, o)
 			}
 		}
-		for o := range c.m {
-			if len(c.m) < c.cap {
-				break
+		for len(c.m) >= c.cap {
+			var victim Key
+			for o, s := range c.m {
+				victim = o
+				if !s.reused {
+					break
+				}
 			}
-			delete(c.m, o)
+			delete(c.m, victim)
 		}
 	}
-	c.m[k] = v
+	c.m[k] = slot[V]{v: v, reused: old.reused}
 	c.mu.Unlock()
 }
 
@@ -150,12 +172,12 @@ func (c *Cache[V]) AtVersion(src any, version uint64) map[string]V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out map[string]V
-	for k, v := range c.m {
+	for k, s := range c.m {
 		if k.Src == src && k.Version == version {
 			if out == nil {
 				out = make(map[string]V)
 			}
-			out[k.Term] = v
+			out[k.Term] = s.v
 		}
 	}
 	return out
@@ -176,7 +198,7 @@ func (c *Cache[V]) Stats() (hits, misses uint64) {
 // Reset empties the cache and zeroes the counters.
 func (c *Cache[V]) Reset() {
 	c.mu.Lock()
-	c.m = make(map[Key]V)
+	c.m = make(map[Key]slot[V])
 	c.mu.Unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)

@@ -1,6 +1,9 @@
 package boundcache
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 type src struct{ name string }
 
@@ -40,5 +43,38 @@ func TestEvictSourceSweepsEveryRegisteredCache(t *testing.T) {
 	}
 	if c2.Len() != 1 {
 		t.Fatalf("c2 must keep the other source's entry, has %d", c2.Len())
+	}
+}
+
+// TestReusedEntrySurvivesOneShotFlood: an entry some Get has served must
+// outlive any number of never-read entries pushed through a full cache —
+// one-shot statements evict each other's leftovers, not the hot form.
+func TestReusedEntrySurvivesOneShotFlood(t *testing.T) {
+	c := New[int](8)
+	owner := &src{"flood"}
+	hot := Key{Src: owner, Version: 1, Term: "hot"}
+	c.Put(hot, 42)
+	if _, ok := c.Get(hot); !ok {
+		t.Fatal("hot entry missing right after Put")
+	}
+	for i := 0; i < 1000; i++ {
+		c.Put(Key{Src: owner, Version: 1, Term: "one-shot#" + strconv.Itoa(i)}, i)
+		if c.Len() > 8 {
+			t.Fatalf("cache grew to %d entries past its cap", c.Len())
+		}
+	}
+	if v, ok := c.Peek(hot); !ok || v != 42 {
+		t.Fatal("a reused entry was evicted by never-read ones")
+	}
+	// With every entry reused the cache still makes room.
+	small := New[int](2)
+	for i := 0; i < 2; i++ {
+		k := Key{Src: owner, Version: 1, Term: strconv.Itoa(i)}
+		small.Put(k, i)
+		small.Get(k)
+	}
+	small.Put(Key{Src: owner, Version: 1, Term: "new"}, 9)
+	if _, ok := small.Peek(Key{Src: owner, Version: 1, Term: "new"}); !ok || small.Len() != 2 {
+		t.Fatalf("full cache of reused entries must still admit a newcomer (len %d)", small.Len())
 	}
 }

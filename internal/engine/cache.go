@@ -36,32 +36,42 @@ type compileEntry struct {
 
 var compileCache = boundcache.New[compileEntry](compileCacheCap)
 
-// cachedCompile returns the bound form of p over r through the compile
-// cache, or nil when binding fails. Callers have already checked
-// pref.Compilable. Two classes of input bypass the cache and bind fresh:
-// terms without a faithful cache key (pref.CacheKey reports ok=false),
-// and ephemeral relations (query intermediates built by Pick/Select —
-// their identity is new per query, so an entry could never hit again and
-// would only pin the materialized rows until eviction).
-func cachedCompile(p pref.Preference, r *relation.Relation) *pref.Compiled {
-	term, keyed := pref.CacheKey(p)
-	if !keyed || r.Ephemeral() {
-		c, ok := pref.Compile(p, r)
-		if !ok {
-			return nil
-		}
-		return c
+// compileKey returns the compile-cache key of p over r's current version.
+// Two classes of input have none and always bind fresh: terms without a
+// faithful cache key (pref.CacheKey reports ok=false), and ephemeral
+// relations (query intermediates built by Pick/Select — their identity is
+// new per query, so an entry could never hit again and would only pin the
+// materialized rows until eviction).
+func compileKey(p pref.Preference, r *relation.Relation) (boundcache.Key, bool) {
+	if r == nil || r.Ephemeral() {
+		return boundcache.Key{}, false
 	}
-	key := boundcache.Key{Src: r, Version: r.Version(), Term: term}
-	if e, hit := compileCache.Get(key); hit {
-		return e.c
+	term, keyed := pref.CacheKey(p)
+	if !keyed {
+		return boundcache.Key{}, false
+	}
+	return boundcache.Key{Src: r, Version: r.Version(), Term: term}, true
+}
+
+// cachedCompile returns the whole-relation bound form of p over r through
+// the compile cache (nil when binding fails) and whether the cache served
+// it. Callers have already checked pref.Compilable. Gathered binds never
+// come through here: they bypass the cache by construction (bind.go).
+func cachedCompile(p pref.Preference, r *relation.Relation) (c *pref.Compiled, hit bool) {
+	key, keyed := compileKey(p, r)
+	if keyed {
+		if e, hit := compileCache.Get(key); hit {
+			return e.c, true
+		}
 	}
 	c, ok := pref.Compile(p, r)
 	if !ok {
 		c = nil
 	}
-	compileCache.Put(key, compileEntry{c: c})
-	return c
+	if keyed {
+		compileCache.Put(key, compileEntry{c: c})
+	}
+	return c, false
 }
 
 // CompileCached reports whether a bound form of p over r's current version
@@ -69,14 +79,10 @@ func cachedCompile(p pref.Preference, r *relation.Relation) *pref.Compiled {
 // report compile-cache status. Cached negative outcomes (terms that failed
 // to bind) do not count: no bound form exists to reuse.
 func CompileCached(p pref.Preference, r *relation.Relation) bool {
-	if r == nil || r.Ephemeral() {
-		return false
-	}
-	term, keyed := pref.CacheKey(p)
+	key, keyed := compileKey(p, r)
 	if !keyed {
 		return false
 	}
-	key := boundcache.Key{Src: r, Version: r.Version(), Term: term}
 	e, hit := compileCache.Peek(key)
 	return hit && e.c != nil
 }
@@ -106,13 +112,15 @@ func EvictRelation(r *relation.Relation) int {
 }
 
 // CompileCacheStats returns the cumulative compile-cache hit and miss
-// counts.
+// counts. Gathered binds are neither — see GatheredBinds.
 func CompileCacheStats() (hits, misses uint64) {
 	return compileCache.Stats()
 }
 
-// ResetCompileCache empties the compile cache and zeroes its counters;
-// tests and benchmarks use it to measure cold binds.
+// ResetCompileCache empties the compile cache and zeroes its counters
+// (the gathered-bind count included); tests and benchmarks use it to
+// measure cold binds.
 func ResetCompileCache() {
 	compileCache.Reset()
+	gatheredBinds.Store(0)
 }

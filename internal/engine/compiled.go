@@ -47,15 +47,19 @@ func (m EvalMode) String() string {
 	return fmt.Sprintf("EvalMode(%d)", int(m))
 }
 
-// compileFor binds p to the relation's columns through the compile cache,
-// or returns nil when the mode forbids it or the term is outside the
-// compilable fragment. Repeated calls with the same term over an unchanged
-// relation reuse one bound form (see cache.go).
+// compileFor binds p to the relation's whole column arrays through the
+// compile cache, or returns nil when the mode forbids it or the term is
+// outside the compilable fragment. Repeated calls with the same term over
+// an unchanged relation reuse one bound form (see cache.go). Callers that
+// share one form across many candidate subsets (groups, partitions,
+// streams) bind here; a single evaluation over one subset goes through
+// evalOn, which may gather instead.
 func compileFor(p pref.Preference, r *relation.Relation, mode EvalMode) *pref.Compiled {
 	if mode == EvalInterpreted || r == nil || !pref.Compilable(p) {
 		return nil
 	}
-	return cachedCompile(p, r)
+	c, _ := cachedCompile(p, r)
+	return c
 }
 
 // naiveCompiled is the exhaustive pairwise reference over compiled columns.

@@ -128,13 +128,13 @@ func (c *canceller) err() error {
 
 // runCancellable runs one evaluation under a context: f receives the
 // canceller to thread into the algorithm layer, and a cancelPanic
-// unwinding out of f converts back into the context's error. Any other
-// panic propagates unchanged. It is the single recovery point of the
-// cancellation protocol.
-func runCancellable(ctx context.Context, f func(cc *canceller) []int) (out []int, err error) {
+// unwinding out of f converts back into the context's error (with a zero
+// result). Any other panic propagates unchanged. It is the single
+// recovery point of the cancellation protocol.
+func runCancellable[T any](ctx context.Context, f func(cc *canceller) T) (out T, err error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return out, err
 		}
 	}
 	defer func() {
@@ -143,7 +143,8 @@ func runCancellable(ctx context.Context, f func(cc *canceller) []int) (out []int
 			if !ok {
 				panic(v)
 			}
-			out, err = nil, cp.err
+			var zero T
+			out, err = zero, cp.err
 		}
 	}()
 	return f(newCanceller(ctx)), nil
@@ -158,10 +159,17 @@ func runCancellable(ctx context.Context, f func(cc *canceller) []int) (out []int
 // (EvalIndicesCtxKeyed in resultserve.go does), so agreement baselines
 // and benchmarks keep measuring real work.
 func EvalIndicesCtx(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) ([]int, error) {
+	ev, err := evalIndicesCtx(ctx, p, r, alg, idx)
+	return ev.maxima, err
+}
+
+// evalIndicesCtx is EvalIndicesCtx keeping the evaluation's bound form
+// alongside the maxima, for the keyed entry point's result-cache store.
+func evalIndicesCtx(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) (evaluated, error) {
 	if idx == nil {
 		idx = allIndices(r.Len())
 	}
-	return runCancellable(ctx, func(cc *canceller) []int {
-		return bmoOnCC(p, r, alg, EvalAuto, idx, cc)
+	return runCancellable(ctx, func(cc *canceller) evaluated {
+		return evalOn(p, r, alg, EvalAuto, idx, cc)
 	})
 }

@@ -257,7 +257,7 @@ func GroupByIndicesOn(p pref.Preference, groupAttrs []string, r *relation.Relati
 			if len(idx) >= smallInput && stats == nil {
 				stats = cachedStats(r, Env{}.sampleLimit())
 			}
-			pl := planCore(p, r, len(idx), Env{Stats: stats})
+			pl := planCore(p, r, len(idx), Env{Stats: stats}, BindCached) // one bound form serves every group
 			return execute(pl.Algorithm, pl.Workers, p, r, c, idx, nil)
 		}
 		if c != nil {

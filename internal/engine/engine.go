@@ -102,11 +102,12 @@ func BMOIndicesMode(p pref.Preference, r *relation.Relation, alg Algorithm, mode
 
 // BMOIndicesOn evaluates the preference query over the subset of R at the
 // given candidate row positions and returns the qualifying positions in
-// ascending order. Compiled forms bind to R's full column arrays
-// (position-addressed), so an index-chained pipeline — hard selection,
-// PREFERRING, CASCADE steps all over one base relation — shares cached
-// bound forms across queries no matter how the candidate set changes.
-// idx must not contain duplicates.
+// ascending order. A cached bound form of the term is position-addressed
+// over R's full column arrays, so an index-chained pipeline — hard
+// selection, PREFERRING, CASCADE steps all over one base relation —
+// reuses it no matter how the candidate set changes; without one, a
+// candidate set that is a small fraction of R binds over a gathered copy
+// of just those rows (see BindScope). idx must not contain duplicates.
 func BMOIndicesOn(p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) []int {
 	return bmoOn(p, r, alg, EvalAuto, idx)
 }
@@ -117,22 +118,11 @@ func bmoOn(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMode
 	return bmoOnCC(p, r, alg, mode, idx, nil)
 }
 
-// bmoOnCC is the shared evaluation core with a canceller threaded into the
-// algorithm layer; the ctx entry points (ctx.go) reach it through
-// runCancellable.
+// bmoOnCC is bmoOn with a canceller threaded into the algorithm layer; the
+// ctx entry points (ctx.go) reach it through runCancellable. evalOn
+// (bind.go) is the core: it picks the bind scope, plans and runs.
 func bmoOnCC(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMode, idx []int, cc *canceller) []int {
-	if alg == Decomposition {
-		// The decomposition evaluator compiles per sub-term inside the
-		// recursion (see decompose.go); binding the root term up front
-		// would be pure overhead.
-		return decomposedModeCC(p, r, idx, mode, cc)
-	}
-	c := compileFor(p, r, mode)
-	if alg == Auto {
-		pl := planCore(p, r, len(idx), Env{Mode: mode})
-		return execute(pl.Algorithm, pl.Workers, p, r, c, idx, cc)
-	}
-	return execute(alg, 0, p, r, c, idx, cc)
+	return evalOn(p, r, alg, mode, idx, cc).maxima
 }
 
 // GroupBy evaluates σ[P groupby A](R) = σ[A↔ & P](R) per Definition 16:
@@ -237,5 +227,5 @@ func allIndices(n int) []int {
 // only). Query explanation (EXPLAIN in Preference SQL) surfaces this
 // choice; PlanWith gives the fully statistics-informed decision.
 func ResolveAuto(p pref.Preference, n int) Algorithm {
-	return planCore(p, nil, n, Env{}).Algorithm
+	return planCore(p, nil, n, Env{}, BindCached).Algorithm
 }

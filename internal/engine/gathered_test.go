@@ -1,0 +1,443 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/engine/resultcache"
+	"repro/internal/filter"
+	"repro/internal/pref"
+	"repro/internal/relation"
+)
+
+// The gathered bind and the gathered cross-shard merge against the
+// interpreted reference: whatever the layout, the term and the
+// selectivity, the candidate-proportional path must return exactly what
+// BMOIndicesMode(…, BNL, EvalInterpreted) returns on the flattened table.
+
+// gatheredTestRelation builds rows whose columns carry everything that
+// can go wrong between a column image and a predicate: NULLs, NaN, ±Inf
+// domain values (which tie NULL rows at an infinite score), small
+// domains (many equal values), a discrete column, and a uniform selector
+// column w for drawing candidate sets of a chosen selectivity.
+func gatheredTestRelation(rng *rand.Rand, n int) *relation.Relation {
+	r := relation.New("R", relation.MustSchema(
+		relation.Column{Name: "oid", Type: relation.Int},
+		relation.Column{Name: "x", Type: relation.Float},
+		relation.Column{Name: "y", Type: relation.Int},
+		relation.Column{Name: "z", Type: relation.Float},
+		relation.Column{Name: "color", Type: relation.String},
+		relation.Column{Name: "w", Type: relation.Int},
+	))
+	colors := []string{"red", "blue", "green", "gray"}
+	for i := 0; i < n; i++ {
+		var x, y, c pref.Value
+		switch u := rng.Intn(30); {
+		case u == 0:
+			x = math.NaN()
+		case u == 1:
+			x = math.Inf(1)
+		case u == 2:
+			x = math.Inf(-1)
+		case u <= 4:
+			// NULL
+		default:
+			x = float64(rng.Intn(12))
+		}
+		if rng.Intn(15) > 0 {
+			y = int64(rng.Intn(12))
+		}
+		if rng.Intn(8) > 0 {
+			c = colors[rng.Intn(len(colors))]
+		}
+		r.MustInsert(relation.Row{int64(i), x, y, rng.Float64(), c, int64(rng.Intn(1000))})
+	}
+	return r
+}
+
+// gatheredLeaf draws one base preference over the test columns.
+func gatheredLeaf(rng *rand.Rand) pref.Preference {
+	switch rng.Intn(8) {
+	case 0:
+		return pref.AROUND("x", float64(rng.Intn(12)))
+	case 1:
+		return pref.AROUND("y", float64(rng.Intn(12)))
+	case 2:
+		return pref.LOWEST("x")
+	case 3:
+		return pref.HIGHEST("y")
+	case 4:
+		return pref.LOWEST("z")
+	case 5:
+		return pref.POS("color", "red", "green")
+	case 6:
+		return pref.NEG("color", "blue")
+	}
+	p, err := pref.EXPLICIT("color", []pref.Edge{
+		{Worse: "blue", Better: "red"},
+		{Worse: "gray", Better: "blue"},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// gatheredTerm draws a Pareto / PRIOR TO / nested accumulation.
+func gatheredTerm(rng *rand.Rand) pref.Preference {
+	a, b, c := gatheredLeaf(rng), gatheredLeaf(rng), gatheredLeaf(rng)
+	switch rng.Intn(6) {
+	case 0:
+		return pref.Pareto(a, b)
+	case 1:
+		return pref.Prioritized(a, b)
+	case 2:
+		return pref.Pareto(pref.Prioritized(a, b), c)
+	case 3:
+		return pref.Prioritized(pref.Pareto(a, b), c)
+	case 4:
+		return pref.Prioritized(a, pref.Pareto(b, c))
+	}
+	return pref.Pareto(pref.Pareto(a, b), c)
+}
+
+// gatheredCuts are the candidate selectors of the agreement test, by the
+// share of rows `w < cut` keeps: none, (about) one row, 1 %, 50 %, all.
+var gatheredCuts = []int{-1, 0, 10, 500, 1000}
+
+// selectOn returns the per-shard candidate positions of `w < cut`; the
+// one-row case keeps a single candidate in total.
+func selectOn(s *relation.Sharded, cut int) ShardSets {
+	pred := &filter.Cmp{Attr: "w", Op: "<", Value: float64(cut)}
+	if cut < 0 {
+		pred = &filter.Cmp{Attr: "w", Op: "<", Value: -5.0}
+	}
+	sets := make(ShardSets, s.NumShards())
+	kept := false
+	for i, sh := range s.Shards() {
+		sets[i] = slices.Clone(filter.CompileCached(pred, sh).Indices())
+		if cut == 0 {
+			// w < 0 selects nothing: keep exactly one row of the table.
+			if !kept && sh.Len() > 0 {
+				sets[i], kept = []int{sh.Len() / 2}, true
+			}
+		}
+	}
+	return sets
+}
+
+// oidsOf maps result positions to the rows' oids, sorted.
+func oidsOf(rows func(i int) relation.Row, idx []int) []int {
+	out := make([]int, len(idx))
+	for k, i := range idx {
+		out[k] = int(rows(i)[0].(int64))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// referenceOIDs is the oracle: interpreted BNL over the flattened
+// candidate rows.
+func referenceOIDs(p pref.Preference, s *relation.Sharded, sets ShardSets) []int {
+	cand := s.Pick(sets.GlobalIDs(s))
+	return oidsOf(cand.Row, BMOIndicesMode(p, cand, BNL, EvalInterpreted))
+}
+
+func gatheredLayouts(t *testing.T, rng *rand.Rand, flat *relation.Relation) map[string]*relation.Sharded {
+	t.Helper()
+	out := map[string]*relation.Sharded{}
+	add := func(name string, n int, part relation.Partitioner) {
+		s, err := relation.ShardRelation(flat, n, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = s
+	}
+	add("flat-as-1-shard", 1, relation.ByHash("oid"))
+	add(fmt.Sprintf("hash-%d", 2+rng.Intn(3)), 2+rng.Intn(3), relation.ByHash("oid"))
+	add("hash-8", 8, relation.ByHash("y"))
+	k := 2 + rng.Intn(4)
+	add(fmt.Sprintf("range-%d", k), k, relation.ByRange("z", relation.RangeBounds(flat, "z", k)...))
+	// The paged store: column images come mmap'd from segment files, row
+	// reads go through a buffer pool far smaller than the table.
+	st, err := relation.OpenStore(t.TempDir(), relation.StoreOptions{PageBytes: 1 << 10, PoolBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	mem, err := relation.ShardRelation(flat, 2, relation.ByHash("oid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := st.ImportTable(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["paged-2"] = tbl.(*relation.Sharded)
+	return out
+}
+
+func TestGatheredBindAgreement(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	trials := 10
+	if testing.Short() {
+		trials = 3
+	}
+	algs := []Algorithm{Auto, BNL, SFS, DNC}
+	for trial := 0; trial < trials; trial++ {
+		flat := gatheredTestRelation(rng, 300+rng.Intn(500))
+		for name, s := range gatheredLayouts(t, rng, flat) {
+			for round := 0; round < 3; round++ {
+				p := gatheredTerm(rng)
+				for _, cut := range gatheredCuts {
+					sets := selectOn(s, cut)
+					want := referenceOIDs(p, s, sets)
+					alg := algs[rng.Intn(len(algs))]
+					ResetCompileCache()
+					got := BMOShardedOn(p, s, alg, sets)
+					if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
+						t.Fatalf("trial %d %s cut %d alg %s term %s:\n got %v\nwant %v", trial, name, cut, alg, p, oids, want)
+					}
+					// Both sides of the subset rule ran: a small candidate set
+					// binds gathered (nothing cached), a large one binds the
+					// whole shard through the cache.
+					for i, sh := range s.Shards() {
+						if len(sets[i]) == 0 {
+							continue
+						}
+						small := relation.GatherWorthwhile(len(sets[i]), sh.Len())
+						if cached := CompileCached(p, sh); cached == small {
+							t.Fatalf("trial %d %s cut %d: shard %d candidates %d of %d: cached=%v, want %v",
+								trial, name, cut, i, len(sets[i]), sh.Len(), cached, !small)
+						}
+					}
+					// The flat entry point over one shard's candidates takes
+					// the same two routes.
+					sh := s.Shard(0)
+					if len(sets[0]) > 0 {
+						cand := sh.Pick(sets[0])
+						wantFlat := oidsOf(cand.Row, BMOIndicesMode(p, cand, BNL, EvalInterpreted))
+						if gotFlat := oidsOf(sh.Row, BMOIndicesOn(p, sh, alg, sets[0])); !sameInts(gotFlat, wantFlat) {
+							t.Fatalf("trial %d %s cut %d alg %s term %s (flat):\n got %v\nwant %v", trial, name, cut, alg, p, gotFlat, wantFlat)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGatheredMergeInfTies pins the cross-shard ±Inf hazard on a fixed
+// instance: one shard's NULLs and another's +Inf domain values tie at a
+// −Inf LOWEST score without being equal, so coordinate dominance would
+// let a NULL row kill a +Inf row the Pareto predicate leaves unranked.
+// Each shard alone is exact; only the merged bind sees both classes.
+func TestGatheredMergeInfTies(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "oid", Type: relation.Int},
+		relation.Column{Name: "x", Type: relation.Float},
+		relation.Column{Name: "z", Type: relation.Float},
+	)
+	s, err := relation.NewSharded("R", schema, 2, relation.ByRange("oid", 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.MustInsert(
+		relation.Row{int64(1), nil, 1.0}, // shard 0: NULL x
+		relation.Row{int64(2), nil, 3.0},
+		relation.Row{int64(3), 5.0, 9.0},
+		relation.Row{int64(101), math.Inf(1), 2.0}, // shard 1: +Inf x
+		relation.Row{int64(102), math.Inf(1), 4.0},
+		relation.Row{int64(103), 5.0, 8.0},
+	)
+	p := pref.Pareto(pref.LOWEST("x"), pref.LOWEST("z"))
+	all := make(ShardSets, 2)
+	for i := range all {
+		all[i] = allIndices(s.Shard(i).Len())
+	}
+	want := referenceOIDs(p, s, all)
+	for _, alg := range []Algorithm{Auto, SFS, DNC, BNL} {
+		got := BMOShardedOn(p, s, alg, nil)
+		if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
+			t.Fatalf("alg %s: got %v want %v", alg, oids, want)
+		}
+	}
+}
+
+// TestGatheredBindNeverCaches: a gathered bind is its own outcome —
+// neither a compile-cache hit nor a miss — and leaves nothing behind; a
+// cached whole-relation form is used at any selectivity.
+func TestGatheredBindNeverCaches(t *testing.T) {
+	ResetCompileCache()
+	defer ResetCompileCache()
+	rng := rand.New(rand.NewSource(5))
+	r := gatheredTestRelation(rng, 2000)
+	p := pref.Pareto(pref.AROUND("x", 4), pref.LOWEST("z"))
+	idx := filter.CompileCached(&filter.Cmp{Attr: "w", Op: "<", Value: 30.0}, r).Indices()
+	if !relation.GatherWorthwhile(len(idx), r.Len()) {
+		t.Fatalf("test premise: %d of %d candidates must be a small subset", len(idx), r.Len())
+	}
+	if got := BindScopeOf(p, r, len(idx)); got != BindGathered {
+		t.Fatalf("scope before any bind = %s, want gathered", got)
+	}
+	want := BMOIndicesOn(p, r, Auto, idx)
+	if h, m := CompileCacheStats(); h != 0 || m != 0 || GatheredBinds() != 1 || CompileCached(p, r) {
+		t.Fatalf("gathered bind: hits=%d misses=%d gathered=%d cached=%v, want 0/0/1/false", h, m, GatheredBinds(), CompileCached(p, r))
+	}
+	// A whole-relation evaluation binds and caches the full form …
+	BMOIndices(p, r, Auto)
+	if got := BindScopeOf(p, r, len(idx)); got != BindCached {
+		t.Fatalf("scope with a cached form = %s, want cached", got)
+	}
+	// … which the selective statement then reuses instead of gathering.
+	got := BMOIndicesOn(p, r, Auto, idx)
+	if h, _ := CompileCacheStats(); h != 1 || GatheredBinds() != 1 {
+		t.Fatalf("cached form not reused: hits=%d gathered=%d", h, GatheredBinds())
+	}
+	if !sameInts(got, want) {
+		t.Fatalf("cached and gathered evaluations disagree: %v vs %v", got, want)
+	}
+	// Candidates in arbitrary order still come back ascending.
+	shuffled := slices.Clone(idx)
+	rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+	ResetCompileCache()
+	if got := BMOIndicesOn(p, r, SFS, shuffled); !sameInts(got, want) {
+		t.Fatalf("shuffled candidates: got %v want %v", got, want)
+	}
+}
+
+// TestCacheHygieneOneShotStatements: a hot statement's whole-shard bound
+// forms and its result-cache entries must survive a thousand distinct
+// selective statements over the same table. Before the gathered bind, 128
+// unique statements evicted every hot bound form.
+func TestCacheHygieneOneShotStatements(t *testing.T) {
+	ResetCompileCache()
+	resultcache.Reset()
+	filter.ResetCache()
+	defer ResetCompileCache()
+	defer resultcache.Reset()
+	defer filter.ResetCache()
+	rng := rand.New(rand.NewSource(9))
+	flat := gatheredTestRelation(rng, 1500)
+	s, err := relation.ShardRelation(flat, 2, relation.ByHash("oid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	hot := pref.Pareto(pref.AROUND("x", 6), pref.HIGHEST("y"))
+	runHot := func() ShardSets {
+		out, _, err := BMOShardedOnCtxKeyed(ctx, hot, s, Auto, nil, nil, Robust{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := runHot() // binds and stores
+	runHot()         // served: the entries are now known to be reused
+	if !CompileCachedAllShards(hot, s) {
+		t.Fatal("test premise: the hot term must hold a cached form per shard")
+	}
+	for i := 0; i < 1000; i++ {
+		where := &filter.Cmp{Attr: "w", Op: "<", Value: float64(20 + i%60)}
+		sets := make(ShardSets, s.NumShards())
+		for k, sh := range s.Shards() {
+			sets[k] = filter.CompileCached(where, sh).Indices()
+		}
+		p := pref.Pareto(pref.AROUND("x", float64(i)/100), pref.LOWEST("z"))
+		if _, _, err := BMOShardedOnCtxKeyed(ctx, p, s, Auto, sets, where, Robust{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g := GatheredBinds(); g < 1000 {
+		t.Fatalf("the selective statements must bind gathered: %d gathered binds", g)
+	}
+	if !CompileCachedAllShards(hot, s) {
+		t.Fatal("one-shot statements evicted the hot term's bound forms")
+	}
+	if n, ok := ResultCachedShards(hot, s, nil); !ok || n != s.NumShards() {
+		t.Fatalf("one-shot statements evicted the hot term's result entries: %d/%d shards cached", n, s.NumShards())
+	}
+	_, m0 := CompileCacheStats()
+	got := runHot()
+	if _, m1 := CompileCacheStats(); m1 != m0 {
+		t.Fatalf("hot statement re-bound after the flood: misses %d→%d", m0, m1)
+	}
+	if !sameInts(got.GlobalIDs(s), want.GlobalIDs(s)) {
+		t.Fatal("hot statement's result changed")
+	}
+}
+
+// TestGatheredCancelDeadContext: a context that dies right after the
+// entry check must abort at the gather boundary — before any bind — with
+// the context's error and no result.
+func TestGatheredCancelDeadContext(t *testing.T) {
+	ResetCompileCache()
+	defer ResetCompileCache()
+	rng := rand.New(rand.NewSource(3))
+	r := gatheredTestRelation(rng, 4000)
+	p := pref.Pareto(pref.AROUND("x", 4), pref.LOWEST("z"))
+	idx := filter.CompileCached(&filter.Cmp{Attr: "w", Op: "<", Value: 200.0}, r).Indices()
+	ctx := &dyingContext{Context: context.Background(), done: make(chan struct{})}
+	close(ctx.done)
+	got, err := EvalIndicesCtx(ctx, p, r, Auto, idx)
+	if !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("dead context: got %v, err %v; want nil, context.Canceled", got, err)
+	}
+	if g := GatheredBinds(); g != 0 {
+		t.Fatalf("a dead context must abort before the bind, saw %d gathered binds", g)
+	}
+}
+
+// dyingContext passes one liveness check (the entry check of
+// runCancellable) and is cancelled from then on.
+type dyingContext struct {
+	context.Context
+	done  chan struct{}
+	polls int
+}
+
+func (c *dyingContext) Done() <-chan struct{} { return c.done }
+func (c *dyingContext) Err() error {
+	if c.polls++; c.polls == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestGatheredCancelAgreement: cancelled at a random moment inside the
+// gather, the bind, the key sort or the filter pass of a large subset,
+// the evaluation yields the context's error or the complete result.
+func TestGatheredCancelAgreement(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	r := gatheredTestRelation(rng, 16000)
+	idx := filter.CompileCached(&filter.Cmp{Attr: "w", Op: "<", Value: 240.0}, r).Indices()
+	if !relation.GatherWorthwhile(len(idx), r.Len()) {
+		t.Fatal("test premise: the subset must bind gathered")
+	}
+	for trial := 0; trial < 24; trial++ {
+		p := gatheredTerm(rng)
+		alg := []Algorithm{Auto, SFS, BNL}[rng.Intn(3)]
+		ResetCompileCache()
+		want := BMOIndicesOn(p, r, alg, idx)
+		ResetCompileCache()
+		ctx, cancel := ctxCancelledWithin(rng, 2*time.Millisecond)
+		got, err := EvalIndicesCtx(ctx, p, r, alg, idx)
+		cancel()
+		if err != nil {
+			if !errors.Is(err, context.Canceled) || got != nil {
+				t.Fatalf("trial %d: got %v err %v, want nil + context.Canceled", trial, got, err)
+			}
+			continue
+		}
+		if !sameInts(got, want) {
+			t.Fatalf("trial %d: torn result under cancellation", trial)
+		}
+	}
+	ResetCompileCache()
+}

@@ -124,7 +124,11 @@ type Plan struct {
 	// CacheHit reports whether a bound form of the term over the
 	// relation's current version was already in the compile cache at plan
 	// time — execution will reuse it instead of binding afresh.
-	CacheHit   bool
+	CacheHit bool
+	// Bind is the bind scope the plan was costed for (meaningful when
+	// Compiled): the cached whole-relation form, a cold whole-relation
+	// bind, or a gathered bind over the Input candidates only.
+	Bind       BindScope
 	Input      int // candidate-set cardinality the plan was costed for
 	EstResult  int // estimated BMO result size
 	Candidates []Candidate
@@ -153,15 +157,13 @@ func PlanWith(p pref.Preference, r *relation.Relation, env Env) *Plan {
 // still sample R itself; Indices()/Run() evaluate over the whole
 // relation, as in PlanWith.
 func PlanWithInput(p pref.Preference, r *relation.Relation, n int, env Env) *Plan {
-	pl := planCore(p, r, n, env)
+	// The bind-scope probe runs only on these EXPLAIN-facing entry points:
+	// execution plans with the scope it actually bound under (evalOn), so
+	// it neither pays a second key render + lock nor misreads its own
+	// just-populated entry as a pre-existing hit.
+	pl := planCore(p, r, n, env, BindScopeOf(p, r, n))
 	pl.p, pl.r, pl.mode = p, r, env.Mode
-	// The cache probe runs only on these EXPLAIN-facing entry points: the
-	// per-query planCore inside bmoOn would pay a key render + lock for a
-	// field execution discards (and would misread its own just-populated
-	// entry as a pre-existing hit).
-	if pl.Compiled {
-		pl.CacheHit = CompileCached(p, r)
-	}
+	pl.CacheHit = pl.Compiled && pl.Bind == BindCached
 	return pl
 }
 
@@ -182,8 +184,11 @@ func (pl *Plan) Explain() string {
 	eval := "interpreted"
 	if pl.Compiled {
 		eval = "compiled cache=cold"
-		if pl.CacheHit {
+		switch pl.Bind {
+		case BindCached:
 			eval = "compiled cache=hit"
+		case BindGathered:
+			eval = "compiled bind=gathered"
 		}
 	}
 	fmt.Fprintf(&b, "plan: n=%d shape=%s eval=%s est.result≈%d → %s", pl.Input, pl.Shape, eval, pl.EstResult, pl.Algorithm)
@@ -227,11 +232,12 @@ func (pl *Plan) Explain() string {
 // in groupby queries cheap.
 const smallInput = 256
 
-// planCore plans evaluation of p over n candidate rows of r. It is the
-// single decision point behind Auto, PlanFor and the EXPLAIN front-ends.
-func planCore(p pref.Preference, r *relation.Relation, n int, env Env) *Plan {
+// planCore plans evaluation of p over n candidate rows of r, bound under
+// the given scope. It is the single decision point behind Auto, PlanFor
+// and the EXPLAIN front-ends.
+func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope BindScope) *Plan {
 	shape := shapeOf(p)
-	pl := &Plan{Shape: shape, Input: n, Workers: 1,
+	pl := &Plan{Shape: shape, Input: n, Workers: 1, Bind: scope,
 		Compiled: env.Mode != EvalInterpreted && pref.Compilable(p)}
 	if n < smallInput {
 		switch shape {
@@ -275,6 +281,25 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env) *Plan {
 		cmpScale = 1.0 / compiledSpeedup
 	}
 
+	// SFS sorts by dense-rank keys, and deriving them sorts every score
+	// leaf over the rows the bound form spans — not over the candidates:
+	// a cold whole-relation bind ranks |R| rows per leaf however few of
+	// them are candidates, a gathered (or interpreted) evaluation ranks
+	// the n candidates, and a cached form's keys are already there.
+	keyRows := fn
+	if pl.Compiled {
+		switch scope {
+		case BindCached:
+			keyRows = 0
+		case BindFull:
+			if r != nil {
+				keyRows = math.Max(fn, float64(r.Len()))
+			}
+		}
+	}
+	leaves := float64(keyLeaves(p))
+	keyCost := leaves * keyRows * math.Log2(math.Max(keyRows, 2))
+
 	seqCost := func(alg Algorithm, n float64) (float64, bool, string) {
 		switch alg {
 		case Naive:
@@ -302,9 +327,16 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env) *Plan {
 	}
 
 	var cands []Candidate
+	// The keys are derived once per evaluation, whatever the partitioning.
+	keysOf := func(alg Algorithm, ok bool) float64 {
+		if alg == SFS && ok {
+			return keyCost
+		}
+		return 0
+	}
 	addSeq := func(alg Algorithm) {
 		c, ok, note := seqCost(alg, fn)
-		cands = append(cands, Candidate{Algorithm: alg, Workers: 1, Cost: c * cmpScale, Applicable: ok, Note: note})
+		cands = append(cands, Candidate{Algorithm: alg, Workers: 1, Cost: (c + keysOf(alg, ok)) * cmpScale, Applicable: ok, Note: note})
 	}
 	addPar := func(par, seq Algorithm) {
 		if workers < 2 {
@@ -315,7 +347,7 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env) *Plan {
 			return
 		}
 		merge, _, _ := seqCost(seq, float64(workers)*fs)
-		cost := (local+merge)*cmpScale + 1500*float64(workers)
+		cost := (local+merge+keysOf(seq, true))*cmpScale + 1500*float64(workers)
 		cands = append(cands, Candidate{
 			Algorithm: par, Workers: workers, Cost: cost, Applicable: true,
 			Note: fmt.Sprintf("%d partitions of ≈%d rows, merge over ≈%d local maxima", workers, n/workers, workers*s),
@@ -345,6 +377,9 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env) *Plan {
 	pl.Reasons = append(pl.Reasons, fmt.Sprintf("shape %s over %d attrs, estimated result ≈ %d of %d rows", shape, len(p.Attrs()), s, n))
 	if pl.Compiled {
 		pl.Reasons = append(pl.Reasons, fmt.Sprintf("compiled columnar evaluation: comparisons costed ≈%d× cheaper than the interface path", compiledSpeedup))
+		if shape != ShapeGeneral {
+			pl.Reasons = append(pl.Reasons, sfsKeyReason(scope, int(leaves), int(keyRows), keyCost*cmpScale))
+		}
 	} else {
 		pl.Reasons = append(pl.Reasons, "term outside the compilable fragment: interpreted interface evaluation")
 	}
@@ -362,6 +397,39 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env) *Plan {
 		pl.Reasons = append(pl.Reasons, fmt.Sprintf("input too small to amortize parallelism at grain %d", parallelGrain))
 	}
 	return pl
+}
+
+// keyLeaves counts the score leaves whose dense-rank transforms make up
+// the term's SFS sort key (one sort per leaf).
+func keyLeaves(p pref.Preference) int {
+	var parts []pref.Preference
+	switch q := p.(type) {
+	case *pref.PrioritizedPref:
+		parts = []pref.Preference{q.Left(), q.Right()}
+	case *pref.ParetoPref:
+		parts = []pref.Preference{q.Left(), q.Right()}
+	case *pref.ProductPref:
+		parts = q.Parts()
+	default:
+		return 1
+	}
+	n := 0
+	for _, part := range parts {
+		n += keyLeaves(part)
+	}
+	return n
+}
+
+// sfsKeyReason words the SFS presort's key price for the plan's reason
+// lines: what the bind scope makes the dense-rank keys cost.
+func sfsKeyReason(scope BindScope, leaves, rows int, cost float64) string {
+	switch scope {
+	case BindCached:
+		return "SFS keys: cached with the bound form — presort pays only the candidate sort"
+	case BindGathered:
+		return fmt.Sprintf("SFS keys: gathered bind ranks %d leaf vector(s) over the %d candidates only (m·log m, cost≈%.3g)", leaves, rows, cost)
+	}
+	return fmt.Sprintf("SFS keys: cold whole-relation bind ranks %d leaf vector(s) over all %d rows (|R|·log|R| per leaf, cost≈%.3g)", leaves, rows, cost)
 }
 
 // presortedFor reports whether the relation is already physically ordered
@@ -500,6 +568,6 @@ func execute(alg Algorithm, workers int, p pref.Preference, r *relation.Relation
 	case ParallelDNC:
 		return dncParallelWorkers(p, r, c, idx, workers, cc)
 	}
-	pl := planCore(p, r, len(idx), Env{})
+	pl := planCore(p, r, len(idx), Env{}, BindCached)
 	return execute(pl.Algorithm, pl.Workers, p, r, c, idx, cc)
 }

@@ -65,7 +65,7 @@ func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env E
 		Fanout: fanout,
 		Merge:  ShardMergeMode(p),
 	}
-	sp.PerShard = planCore(p, s.Shard(rep), repN, env)
+	sp.PerShard = planCore(p, s.Shard(rep), repN, env, BindScopeOf(p, s.Shard(rep), repN))
 	perShardCost := chosenCost(sp.PerShard)
 	waves := (s.NumShards() + fanout - 1) / fanout
 	merged := s.NumShards() * sp.PerShard.EstResult
@@ -79,7 +79,7 @@ func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env E
 	sp.ShardedCost = float64(waves)*perShardCost + mergeCost(sp.Merge, merged) + dispatch
 
 	sp.Reasons = append(sp.Reasons,
-		fmt.Sprintf("%d shards × ≈%d candidates, fan-out %d, merge %s over ≈%d local maxima",
+		fmt.Sprintf("%d shards × ≈%d candidates, fan-out %d, merge: %s over ≈%d local maxima",
 			s.NumShards(), repN, fanout, sp.Merge, merged),
 		fmt.Sprintf("estimated cost ≈%.3g (%d wave(s) × per-shard + merge + dispatch)", sp.ShardedCost, waves))
 	return sp
@@ -97,16 +97,18 @@ func chosenCost(pl *Plan) float64 {
 	return float64(pl.Input)
 }
 
-// mergeCost estimates the cross-shard merge over m local maxima: the
-// divide & conquer coordinate filter for chain products, a quadratic
+// mergeCost estimates the cross-shard merge over m local maxima: one
+// gathered bind plus a compiled sort-filter pass for compilable terms
+// (about half of the already-reduced input survives, so the filter pass
+// compares each row against a quarter of it on average), a quadratic
 // interpreted BNL window pass otherwise.
 func mergeCost(mode string, m int) float64 {
 	fm := float64(m)
 	if m < 2 {
 		return fm
 	}
-	if mode == "chain-filter" {
-		return fm * math.Log2(fm) / compiledSpeedup
+	if mode == "compiled" {
+		return (fm*math.Log2(fm) + fm*fm/8) / compiledSpeedup
 	}
 	return fm * fm / 2
 }

@@ -47,34 +47,39 @@ func resultKey(p pref.Preference, r *relation.Relation, where filter.Pred) (src 
 	return r.Origin(), r.Version(), resultcache.TermKey(prefTerm, candTerm), true
 }
 
-// buildResultEntry packages a finished maxima set for the cache,
+// buildResultEntry packages a finished evaluation for the cache,
 // attaching the chain-product coordinate fast path when the preference
 // flattens to chain dimensions and no maximum scores ±Inf on any of them
 // (±Inf coordinates can collapse distinct value classes — the
 // pref.InfCollapse hazard — so maintenance falls back to interpreted
-// dominance for them).
-func buildResultEntry(p pref.Preference, where filter.Pred, r *relation.Relation, maxima []int) *resultcache.Entry {
-	e := &resultcache.Entry{Pref: p, Where: where, Maxima: slices.Clone(maxima)}
-	if dims, ok := chainDims(p); ok {
-		coords := make([][]float64, len(maxima))
-		clean := true
-	gather:
-		for k, i := range maxima {
+// dominance for them). The coordinates come out of the score vectors of
+// the bound form that just evaluated; only an interpreted evaluation
+// re-derives them through ScoreOf.
+func buildResultEntry(p pref.Preference, where filter.Pred, r *relation.Relation, ev evaluated) *resultcache.Entry {
+	e := &resultcache.Entry{Pref: p, Where: where, Maxima: slices.Clone(ev.maxima)}
+	dims, ok := chainDims(p)
+	if !ok {
+		return e
+	}
+	coords, bound := ev.chainCoords()
+	if !bound {
+		coords = make([][]float64, len(ev.maxima))
+		for k, i := range ev.maxima {
 			t := r.Tuple(i)
-			c := make([]float64, len(dims))
+			coords[k] = make([]float64, len(dims))
 			for d, s := range dims {
-				c[d] = s.ScoreOf(t)
-				if math.IsInf(c[d], 0) {
-					clean = false
-					break gather
-				}
+				coords[k][d] = s.ScoreOf(t)
 			}
-			coords[k] = c
-		}
-		if clean {
-			e.Dims, e.Coords = dims, coords
 		}
 	}
+	for _, c := range coords {
+		for _, v := range c {
+			if math.IsInf(v, 0) {
+				return e
+			}
+		}
+	}
+	e.Dims, e.Coords = dims, coords
 	return e
 }
 
@@ -100,14 +105,14 @@ func EvalIndicesCtxKeyed(ctx context.Context, p pref.Preference, r *relation.Rel
 		}
 		return slices.Clone(e.Maxima), nil
 	}
-	out, err := EvalIndicesCtx(ctx, p, r, alg, idx)
+	ev, err := evalIndicesCtx(ctx, p, r, alg, idx)
 	if err != nil {
 		return nil, err
 	}
 	if r.Version() == ver {
-		resultcache.Put(src, ver, term, buildResultEntry(p, where, r, out))
+		resultcache.Put(src, ver, term, buildResultEntry(p, where, r, ev))
 	}
-	return out, nil
+	return ev.maxima, nil
 }
 
 // ResultCacheState reports the serving status EXPLAIN prints for a
@@ -185,9 +190,9 @@ func (k shardResultKey) serve(ctx context.Context) ([]int, bool) {
 
 // store files freshly computed local maxima under the captured key,
 // unless the shard moved past the keyed generation during evaluation.
-func (k shardResultKey) store(p pref.Preference, shard *relation.Relation, where filter.Pred, out []int) {
+func (k shardResultKey) store(p pref.Preference, shard *relation.Relation, where filter.Pred, ev evaluated) {
 	if !k.ok || shard.Version() != k.ver {
 		return
 	}
-	resultcache.Put(k.src, k.ver, k.term, buildResultEntry(p, where, shard, out))
+	resultcache.Put(k.src, k.ver, k.term, buildResultEntry(p, where, shard, ev))
 }

@@ -18,10 +18,9 @@ import (
 // partitions are storage shards: every query evaluates shard-local first
 // (each shard is a normal *Relation, so the compile caches serve its
 // bound forms independently) and the shard-local maxima merge with the
-// same machinery the single-process parallel variants use. Chain products
-// merge over raw compiled score coordinates (cross-shard comparable — the
-// score vectors are images of ScoreOf, not per-relation ranks); every
-// other shape merges with a block-nested-loops pass over tuple views.
+// compiled evaluator: every compilable term binds once more over the
+// gathered union of the local maxima (mergeShardMaxima); terms outside the
+// fragment merge with a block-nested-loops pass over tuple views.
 
 // ShardSets is a per-shard list of candidate row positions, aligned with
 // the sharded table's shard indices: the sharded counterpart of the flat
@@ -145,12 +144,12 @@ func intersectSorted(a, b []int) []int {
 }
 
 // mergeShardMaxima reduces per-shard local maxima to the global maxima:
-// the cross-shard half of the partition/merge identity. Chain products
-// merge over raw compiled score coordinates with the [KLP75] divide &
-// conquer (the same dominance filter the chain filter and dncCompiled
-// use); other shapes run one interpreted block-nested-loops pass over
-// the merged candidates' tuple views. Input and output sets are
-// per-shard ascending.
+// the cross-shard half of the partition/merge identity, literally
+// max(P, ∪ maxᵢ). Every compilable term gathers the local maxima of all
+// shards into one small columnar source and runs the ordinary compiled
+// evaluator over it; only terms outside the compilable fragment merge
+// with an interpreted block-nested-loops pass over tuple views. Input and
+// output sets are per-shard ascending.
 func mergeShardMaxima(p pref.Preference, s *relation.Sharded, locals ShardSets) ShardSets {
 	nonEmpty := 0
 	for i := range locals {
@@ -161,107 +160,65 @@ func mergeShardMaxima(p pref.Preference, s *relation.Sharded, locals ShardSets) 
 	if nonEmpty <= 1 {
 		return ensureNonNil(locals)
 	}
-	if out, ok := chainMergeSharded(p, s, locals); ok {
-		return out
+	if pref.Compilable(p) {
+		if out, ok := compiledMergeSharded(p, s, locals); ok {
+			return out
+		}
 	}
 	return bnlMergeSharded(p, s, locals)
 }
 
-// shardChainVecs resolves the raw per-dimension score vectors of every
-// shard's cached compiled form, ok=false when the term is not a chain
-// product or any shard failed to compile. Dimension order is structural
-// (chainDims flattens deterministically), so dimension d lines up across
-// shards; the vectors hold raw ScoreOf images — not per-relation rank
-// transforms — so coordinates compare across shards.
-func shardChainVecs(p pref.Preference, s *relation.Sharded) ([][][]float64, bool) {
-	if _, ok := chainDims(p); !ok {
-		return nil, false
-	}
-	vecs := make([][][]float64, s.NumShards())
-	// Cross-shard coordinate comparison needs more than per-shard
-	// exactness: a ±Inf score tie across two shards must also come from
-	// ONE value class globally (shard A's NULLs vs shard B's infinite
-	// domain values would tie coordinates the predicate leaves
-	// incomparable). Fold every shard's pref.InfCollapse per dimension
-	// and require the merged record to stay exact.
-	var collapse []pref.InfCollapse
-	for i := 0; i < s.NumShards(); i++ {
-		c := compileFor(p, s.Shard(i), EvalAuto)
-		if c == nil {
-			return nil, false
-		}
-		dims, ok := chainDims(c.Pref())
-		if !ok {
-			return nil, false
-		}
-		if collapse == nil {
-			collapse = make([]pref.InfCollapse, len(dims))
-			for d := range collapse {
-				collapse[d] = pref.InfCollapse{Exact: true}
-			}
-		}
-		vecs[i] = make([][]float64, len(dims))
-		for d, dim := range dims {
-			if vecs[i][d] = c.ScoreVec(dim); vecs[i][d] == nil {
-				return nil, false
-			}
-			collapse[d] = pref.MergeInfCollapse(collapse[d], c.ScoreVecInf(dim))
-			if !collapse[d].Exact {
-				return nil, false
-			}
-		}
-	}
-	return vecs, true
-}
-
-// chainMergeSharded merges chain-product shard maxima over raw compiled
-// coordinates.
-func chainMergeSharded(p pref.Preference, s *relation.Sharded, locals ShardSets) (ShardSets, bool) {
-	vecs, ok := shardChainVecs(p, s)
+// compiledMergeSharded merges shard maxima on the compiled evaluator:
+// one bind over the gathered union of the local maxima, then one
+// sort-filter pass in slot space. Nothing shard-local crosses the merge —
+// the gathered source derives scores from the rows' column values and
+// equality codes from the raw values themselves (per-shard code
+// dictionaries are unrelated), and the bind computes the ±Inf collapse
+// record over exactly the merged rows, so the coordinate kernels gate on
+// cross-shard exactness by construction. The algorithm is fixed rather
+// than planned: the input is already reduced to maxima, so a large share
+// of it survives — the regime where the planner's independent-data
+// estimate is furthest off, window passes go quadratic, and SFS (confirmed
+// maxima are final; chain products filter through the blocked kernel)
+// does least work. Terms without a sort key fall back to the compiled
+// window pass inside sfsCompiled. ok=false when the term fails to bind.
+func compiledMergeSharded(p pref.Preference, s *relation.Sharded, locals ShardSets) (ShardSets, bool) {
+	c, ok := pref.Compile(p, s.Gather(locals))
 	if !ok {
 		return nil, false
 	}
-	d := len(vecs[0])
-	total := 0
-	for i := range locals {
-		total += len(locals[i])
-	}
-	pts := make([]dncPoint, 0, total)
-	backing := make([]float64, 0, total*d)
-	for i := range locals {
-		for _, local := range locals[i] {
-			coord := backing[len(backing) : len(backing)+d : len(backing)+d]
-			backing = backing[:len(backing)+d]
-			for k := 0; k < d; k++ {
-				coord[k] = vecs[i][k][local]
-			}
-			pts = append(pts, dncPoint{relation.GlobalID(i, local), coord})
-		}
-	}
+	slots := sfsCompiled(c, allIndices(c.Len()), nil)
+	// Slots number the gathered rows shard-major in list order, and come
+	// back ascending: walk the shards alongside.
 	out := make(ShardSets, s.NumShards())
-	for _, pt := range dncMaxima(pts, nil) {
-		shard, local := relation.SplitGlobalID(pt.row)
-		out[shard] = append(out[shard], local)
-	}
-	for i := range out {
-		slices.Sort(out[i])
+	shard, off := 0, 0
+	for _, slot := range slots {
+		for slot >= off+len(locals[shard]) {
+			off += len(locals[shard])
+			shard++
+		}
+		out[shard] = append(out[shard], locals[shard][slot-off])
 	}
 	return ensureNonNil(out), true
 }
 
 // bnlMergeSharded merges shard maxima with one block-nested-loops pass
 // over tuple views — exact for every strict partial order, and cheap
-// because the input is already reduced to per-shard maxima.
+// because the input is already reduced to per-shard maxima. It is the
+// merge of the terms outside the compilable fragment. The term's
+// attribute positions resolve once for the whole pass, not once per Get
+// of every comparison.
 func bnlMergeSharded(p pref.Preference, s *relation.Sharded, locals ShardSets) ShardSets {
 	type item struct {
 		shard, local int
 		t            pref.Tuple
 	}
 	var all []item
+	views := s.Schema().TupleViews(p.Attrs())
 	for i := range locals {
 		sh := s.Shard(i)
 		for _, local := range locals[i] {
-			all = append(all, item{i, local, sh.Tuple(local)})
+			all = append(all, item{i, local, views.Of(sh.Row(local))})
 		}
 	}
 	window := make([]int, 0, 16)
@@ -293,11 +250,12 @@ func bnlMergeSharded(p pref.Preference, s *relation.Sharded, locals ShardSets) S
 }
 
 // ShardMergeMode names the cross-shard merge a term will use: the
-// coordinate chain filter for compilable chain products, an interpreted
-// BNL pass otherwise. Query explanation reports it per phase.
+// compiled evaluator over the gathered local maxima for every compilable
+// term, an interpreted BNL pass otherwise. Query explanation reports it
+// per phase.
 func ShardMergeMode(p pref.Preference) string {
-	if _, ok := chainDims(p); ok && pref.Compilable(p) {
-		return "chain-filter"
+	if pref.Compilable(p) {
+		return "compiled"
 	}
 	return "bnl"
 }
@@ -366,7 +324,15 @@ func GroupByShardedOn(ctx context.Context, p pref.Preference, groupAttrs []strin
 			return err
 		}
 		out, err := runCancellable(ictx, func(cc *canceller) []int {
-			return bmoOnCC(p, s.Shard(i), alg, EvalAuto, groups[g].perShard[i], cc)
+			// One whole-shard bound form serves every group of the shard
+			// (and, cached, every repeat) — like GroupByIndicesOn; a
+			// per-group gathered bind would re-bind on every execution.
+			shard := s.Shard(i)
+			var c *pref.Compiled
+			if alg != Decomposition {
+				c = compileFor(p, shard, EvalAuto)
+			}
+			return planAndExecute(alg, p, shard, c, groups[g].perShard[i], BindCached, EvalAuto, cc)
 		})
 		locals[g][i] = out
 		return err

@@ -118,16 +118,16 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 			out, hit = key.serve(ictx)
 		}
 		if !hit {
-			var err error
-			out, err = runCancellable(ictx, func(cc *canceller) []int {
-				return bmoOnCC(p, shard, alg, EvalAuto, cand, cc)
+			ev, err := runCancellable(ictx, func(cc *canceller) evaluated {
+				return evalOn(p, shard, alg, EvalAuto, cand, cc)
 			})
 			if err != nil {
 				return err
 			}
 			if canServe {
-				key.store(p, shard, where, out)
+				key.store(p, shard, where, ev)
 			}
+			out = ev.maxima
 		}
 		locals[i] = out
 		if keep != nil {

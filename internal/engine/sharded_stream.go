@@ -123,6 +123,53 @@ func shardStreamOrder(p pref.Preference, sh *relation.Relation, vecs [][]float64
 	return ord
 }
 
+// shardChainVecs resolves the raw per-dimension score vectors of every
+// shard's cached compiled form, ok=false when the term is not a chain
+// product or any shard failed to compile. Dimension order is structural
+// (chainDims flattens deterministically), so dimension d lines up across
+// shards; the vectors hold raw ScoreOf images — not per-relation rank
+// transforms — so coordinates compare across shards.
+func shardChainVecs(p pref.Preference, s *relation.Sharded) ([][][]float64, bool) {
+	if _, ok := chainDims(p); !ok {
+		return nil, false
+	}
+	vecs := make([][][]float64, s.NumShards())
+	// Cross-shard coordinate comparison needs more than per-shard
+	// exactness: a ±Inf score tie across two shards must also come from
+	// ONE value class globally (shard A's NULLs vs shard B's infinite
+	// domain values would tie coordinates the predicate leaves
+	// incomparable). Fold every shard's pref.InfCollapse per dimension
+	// and require the merged record to stay exact.
+	var collapse []pref.InfCollapse
+	for i := 0; i < s.NumShards(); i++ {
+		c := compileFor(p, s.Shard(i), EvalAuto)
+		if c == nil {
+			return nil, false
+		}
+		dims, ok := chainDims(c.Pref())
+		if !ok {
+			return nil, false
+		}
+		if collapse == nil {
+			collapse = make([]pref.InfCollapse, len(dims))
+			for d := range collapse {
+				collapse[d] = pref.InfCollapse{Exact: true}
+			}
+		}
+		vecs[i] = make([][]float64, len(dims))
+		for d, dim := range dims {
+			if vecs[i][d] = c.ScoreVec(dim); vecs[i][d] == nil {
+				return nil, false
+			}
+			collapse[d] = pref.MergeInfCollapse(collapse[d], c.ScoreVecInf(dim))
+			if !collapse[d].Exact {
+				return nil, false
+			}
+		}
+	}
+	return vecs, true
+}
+
 // EvalStreamSharded starts progressive evaluation of σ[P](S) over every
 // row of the sharded table.
 func EvalStreamSharded(p pref.Preference, s *relation.Sharded, alg Algorithm) *ShardedStream {
@@ -174,6 +221,16 @@ func (st *ShardedStream) bindChain(p pref.Preference, sets ShardSets) {
 	for i := len(st.heads)/2 - 1; i >= 0; i-- {
 		st.siftDown(i)
 	}
+}
+
+// StreamShardedKeyed reports whether the sharded stream can confirm the
+// term's maxima progressively: the compilable chain products, whose raw
+// score coordinates order identically on every shard (bindChain still
+// falls back to batch when a shard fails to bind or an infinity collapsed
+// two value classes). Query explanation surfaces the distinction.
+func StreamShardedKeyed(p pref.Preference) bool {
+	_, ok := chainDims(p)
+	return ok && pref.Compilable(p)
 }
 
 // Progressive reports whether the stream confirms maxima incrementally

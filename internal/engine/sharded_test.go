@@ -420,8 +420,8 @@ func TestPlanSharded(t *testing.T) {
 	if sp.Shards != 4 || sp.Input != flat.Len() {
 		t.Fatalf("plan shards=%d input=%d", sp.Shards, sp.Input)
 	}
-	if sp.Merge != "chain-filter" {
-		t.Fatalf("chain product must merge with the chain filter, got %s", sp.Merge)
+	if sp.Merge != "compiled" {
+		t.Fatalf("a compilable term must merge on the compiled evaluator, got %s", sp.Merge)
 	}
 	if sp.PerShard == nil || sp.PerShard.Algorithm == Auto {
 		t.Fatalf("plan must resolve the per-shard algorithm, got %+v", sp.PerShard)
@@ -430,12 +430,15 @@ func TestPlanSharded(t *testing.T) {
 	if strings.Contains(text, "→ sharded") || strings.Contains(text, "→ flat") || strings.Contains(text, "flatten") {
 		t.Fatalf("ShardPlan.Explain must not carry a sharded-vs-flat route:\n%s", text)
 	}
-	for _, want := range []string{"shards=4", "merge=chain-filter", "per-shard plan:"} {
+	for _, want := range []string{"shards=4", "merge=compiled", "merge: compiled over ≈", "per-shard plan:"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("ShardPlan.Explain missing %q:\n%s", want, text)
 		}
 	}
-	if got := ShardMergeMode(pref.Dual(p)); got != "bnl" {
-		t.Fatalf("non-chain term must merge with bnl, got %s", got)
+	if got := ShardMergeMode(pref.Dual(p)); got != "compiled" {
+		t.Fatalf("every compilable term merges compiled, got %s", got)
+	}
+	if got := ShardMergeMode(foreignEnginePref{}); got != "bnl" {
+		t.Fatalf("a term outside the compilable fragment must merge with bnl, got %s", got)
 	}
 }

@@ -218,30 +218,7 @@ func execFlat(ctx context.Context, q *Query, base *relation.Relation, opts Optio
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		byAttr := collectBasePrefs(q)
-		kept := idx[:0]
-		compiled := false
-		if butVectorWorthwhile(len(idx), base.Len()) || butBound(q.ButOnly, byAttr, base) {
-			if keep, ok := compileBut(q.ButOnly, byAttr, base); ok {
-				// Compiled quality cascade: every LEVEL/DISTANCE measure is
-				// a cached vector over the base relation and the filter is a
-				// threshold scan over the surviving positions.
-				compiled = true
-				for _, i := range idx {
-					if keep(i) {
-						kept = append(kept, i)
-					}
-				}
-			}
-		}
-		if !compiled {
-			for _, i := range idx {
-				if q.ButOnly.Eval(byAttr, base.Tuple(i)) {
-					kept = append(kept, i)
-				}
-			}
-		}
-		idx = kept
+		idx = butFilter(q.ButOnly, collectBasePrefs(q), base, idx, idx[:0])
 	}
 	if q.Skyline != nil {
 		p, err := q.Skyline.Preference()
@@ -475,46 +452,56 @@ func checkAttrs(q *Query, rel relation.Table) error {
 	return nil
 }
 
-// butVectorWorthwhile reports whether a cold compiled quality cascade
-// pays for itself: binding a measure vector costs one pass over the
-// WHOLE base relation (amortized by the cache across repeated queries),
-// so a very small surviving candidate set is cheaper to filter with
-// per-tuple Eval. rank.CompiledBindAdvantage is the shared ≈12×
-// estimate of compiled-vs-interpreted per-row cost. Already-cached
-// vectors bypass this gate (butBound): using them is free at any
-// selectivity.
-func butVectorWorthwhile(nIdx, total int) bool {
-	return nIdx*rank.CompiledBindAdvantage >= total
+// butKeep lowers the BUT ONLY tree to a compiled predicate over the
+// candidates idx of r, addressed by the candidate's ordinal in idx. The
+// measure vectors bind under the subset rule every bind layer shares:
+// vectors already cached over r serve at any selectivity; a cold bind
+// over a small candidate set (relation.GatherWorthwhile) gathers just
+// those rows — binding a measure vector otherwise costs one pass over
+// the WHOLE relation — and anything larger binds r itself through the
+// measure cache, where repeated queries reuse it. ok=false for trees
+// containing foreign ButExpr implementations, which keep per-tuple Eval.
+func butKeep(e ButExpr, byAttr map[string]pref.Preference, r *relation.Relation, idx []int) (func(ord int) bool, bool) {
+	if !butBound(e, byAttr, r) && relation.GatherWorthwhile(len(idx), r.Len()) {
+		return compileBut(e, byAttr, r.Gather(idx))
+	}
+	byRow, ok := compileBut(e, byAttr, r)
+	if !ok {
+		return nil, false
+	}
+	return func(ord int) bool { return byRow(idx[ord]) }, true
+}
+
+// butFilter appends to dst the candidates idx of r the BUT ONLY tree
+// accepts: a threshold scan through the compiled predicate (butKeep),
+// per-tuple interpreted Eval for foreign trees.
+func butFilter(e ButExpr, byAttr map[string]pref.Preference, r *relation.Relation, idx, dst []int) []int {
+	if keep, ok := butKeep(e, byAttr, r, idx); ok {
+		for ord, i := range idx {
+			if keep(ord) {
+				dst = append(dst, i)
+			}
+		}
+		return dst
+	}
+	for _, i := range idx {
+		if e.Eval(byAttr, r.Tuple(i)) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 // butShardFilter lowers the query's BUT ONLY tree to the per-shard
-// acceptance filter the sharded BMO pass fuses in: each shard threshold-
-// scans its maxima through the compiled predicate when the vector bind
-// pays off (or is already cached), through interpreted Eval otherwise.
+// acceptance filter the sharded BMO pass fuses in (butFilter per shard,
+// into a fresh slice: the maxima it is handed still enter the merge).
 // The base-preference index is resolved once; per-shard binds go through
 // the mutex-guarded bound-form caches, so concurrent shard calls from
 // the fan-out are safe.
 func butShardFilter(q *Query, s *relation.Sharded) engine.ShardFilter {
 	byAttr := collectBasePrefs(q)
 	return func(i int, idx []int) []int {
-		sh := s.Shard(i)
-		kept := idx[:0:0]
-		if butVectorWorthwhile(len(idx), sh.Len()) || butBound(q.ButOnly, byAttr, sh) {
-			if keep, ok := compileBut(q.ButOnly, byAttr, sh); ok {
-				for _, j := range idx {
-					if keep(j) {
-						kept = append(kept, j)
-					}
-				}
-				return kept
-			}
-		}
-		for _, j := range idx {
-			if q.ButOnly.Eval(byAttr, sh.Tuple(j)) {
-				kept = append(kept, j)
-			}
-		}
-		return kept
+		return butFilter(q.ButOnly, byAttr, s.Shard(i), idx, idx[:0:0])
 	}
 }
 
@@ -533,12 +520,13 @@ func butBound(e ButExpr, byAttr map[string]pref.Preference, r *relation.Relation
 	return false
 }
 
-// compileBut lowers a BUT ONLY condition tree to a compiled per-row
-// predicate over the base relation: each LEVEL/DISTANCE leaf binds its
-// quality vector through the bound-form cache (quality.Condition.Bind)
+// compileBut lowers a BUT ONLY condition tree to a compiled predicate
+// over the rows of a source — the base relation, or a gathered candidate
+// subset: each LEVEL/DISTANCE leaf binds its quality vector (through the
+// bound-form cache when the source is cacheable, quality.Condition.Bind)
 // and the connectives combine closures. ok=false for trees containing
 // foreign ButExpr implementations, which keep the interpreted Eval path.
-func compileBut(e ButExpr, byAttr map[string]pref.Preference, r *relation.Relation) (func(int) bool, bool) {
+func compileBut(e ButExpr, byAttr map[string]pref.Preference, r pref.Source) (func(int) bool, bool) {
 	switch n := e.(type) {
 	case *ButAnd:
 		l, ok1 := compileBut(n.L, byAttr, r)

@@ -28,10 +28,13 @@ import (
 //     repeat reports "hit";
 //   - BMO steps show "compiled evaluation" when the (simplified) term is
 //     inside the compilable constructor fragment, "interpreted" when it
-//     will take the tuple-at-a-time interface path, and a
-//     "compile cache: hit|cold" line. Preference terms do not bind at
-//     explain time, so the compile cache reports "cold" until the query
-//     first executes and "hit — bound form reused" afterwards;
+//     will take the tuple-at-a-time interface path, and a compile line
+//     naming the bind scope execution will pick (engine.BindScopeOf):
+//     "bind: cached" (compile cache hit), "bind: full (cold)" (binds the
+//     whole relation at first execution, then cached) or "bind: gathered
+//     m of n rows" (a one-shot bind over the candidates only, which
+//     bypasses the cache — a repeat reports the same). Preference terms
+//     do not bind at explain time;
 //   - with engine.Auto, the cost-based plan is inlined underneath
 //     (engine.Plan.Explain), carrying the same facts as
 //     "eval=compiled|interpreted" and "cache=hit|cold".
@@ -113,11 +116,12 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			// step — filtered or not. EXPLAIN does not bind preference
 			// terms itself (unlike the WHERE clause, a bind is not free),
 			// so a cold cache stays cold until the first execution.
-			status := "cold — binds at first execution"
-			if engine.CompileCached(simplified, rel) {
-				status = "hit — bound form reused"
+			m := n
+			if len(q.GroupingBy) > 0 {
+				// One whole-relation form serves every group.
+				m = rel.Len()
 			}
-			fmt.Fprintf(&b, "    (compile cache: %s)\n", status)
+			fmt.Fprintf(&b, "    (compile cache: %s)\n", bindStatus(simplified, rel, m))
 		}
 		if len(q.GroupingBy) == 0 {
 			// The first soft step is the one shape the result cache serves
@@ -265,18 +269,46 @@ func explainSharded(q *Query, s *relation.Sharded, opts Options) (string, error)
 	shardFacts := func(p pref.Preference) string {
 		return fmt.Sprintf("shards=%d, merge=%s", nShards, engine.ShardMergeMode(p))
 	}
-	cacheLine := func(p pref.Preference) {
-		cached := 0
-		for _, sh := range s.Shards() {
-			if engine.CompileCached(p, sh) {
+	// cacheLine reports the per-shard bind scopes of a step over the
+	// WHERE-selected candidates (grouped steps share one whole-shard form
+	// across their groups, so they never gather).
+	cacheLine := func(p pref.Preference, grouped bool) {
+		var cached, gathered, full, gm, gn int
+		for i, sh := range s.Shards() {
+			m := sh.Len()
+			if sets != nil && !grouped {
+				m = len(sets[i])
+			}
+			switch engine.BindScopeOf(p, sh, m) {
+			case engine.BindCached:
 				cached++
+			case engine.BindGathered:
+				gathered++
+				gm += m
+				gn += sh.Len()
+			default:
+				full++
 			}
 		}
-		status := fmt.Sprintf("cold on %d/%d shards — binds at first execution", nShards-cached, nShards)
 		if cached == nShards {
-			status = "hit on all shards — bound forms reused"
+			fmt.Fprintf(&b, "    (compile cache: hit on all shards — bound forms reused; bind: cached)\n")
+			return
 		}
-		fmt.Fprintf(&b, "    (compile cache: %s)\n", status)
+		status := fmt.Sprintf("cold on %d/%d shards — binds at first execution", full, nShards)
+		if full == 0 {
+			status = fmt.Sprintf("bypass on %d/%d shards — one-shot binds, nothing cached", gathered, nShards)
+		}
+		var binds []string
+		if gathered > 0 {
+			binds = append(binds, fmt.Sprintf("gathered %d of %d rows on %d/%d shards", gm, gn, gathered, nShards))
+		}
+		if full > 0 {
+			binds = append(binds, fmt.Sprintf("full (cold) on %d/%d shards", full, nShards))
+		}
+		if cached > 0 {
+			binds = append(binds, fmt.Sprintf("cached on %d/%d shards", cached, nShards))
+		}
+		fmt.Fprintf(&b, "    (compile cache: %s; bind: %s)\n", status, strings.Join(binds, ", "))
 	}
 	inlinePlan := func(p pref.Preference) {
 		sp := engine.PlanShardedOn(p, s, sets, engine.Env{})
@@ -316,7 +348,7 @@ func explainSharded(q *Query, s *relation.Sharded, opts Options) (string, error)
 			fmt.Fprintf(&b, "    (simplified from %s by the preference algebra)\n", p)
 		}
 		if evalModeOf(simplified, resolved) == "compiled" {
-			cacheLine(simplified)
+			cacheLine(simplified, len(q.GroupingBy) > 0)
 		}
 		if len(q.GroupingBy) == 0 {
 			// Per-shard local maxima are what the sharded pipeline caches;
@@ -412,13 +444,26 @@ func explainSharded(q *Query, s *relation.Sharded, opts Options) (string, error)
 // use: cross-shard progressive confirmation in raw coordinate order for
 // compilable chain products, batch fallback otherwise.
 func shardedStreamModeOf(p pref.Preference, hasWhere bool) string {
-	if engine.ShardMergeMode(p) != "chain-filter" {
+	if !engine.StreamShardedKeyed(p) {
 		return "batch fallback — term outside the cross-shard chain fragment"
 	}
 	if hasWhere {
 		return "progressive — cross-shard raw coordinate order over the per-shard WHERE index lists"
 	}
 	return "progressive — cross-shard raw coordinate order"
+}
+
+// bindStatus words the compile line of a flat BMO step over m candidate
+// rows: the compile-cache status and the bind scope execution will pick.
+func bindStatus(p pref.Preference, rel *relation.Relation, m int) string {
+	switch scope := engine.BindScopeOf(p, rel, m); scope {
+	case engine.BindCached:
+		return fmt.Sprintf("hit — bound form reused; bind: %s", scope)
+	case engine.BindGathered:
+		return fmt.Sprintf("bypass — one-shot bind, nothing cached; bind: %s %d of %d rows", scope, m, rel.Len())
+	default:
+		return fmt.Sprintf("cold — binds at first execution; bind: %s over %d rows", scope, rel.Len())
+	}
 }
 
 // evalModeOf names the evaluation path the engine will take for the term

@@ -184,7 +184,7 @@ func TestExplainReportsCacheStatus(t *testing.T) {
 	}
 	for _, want := range []string{
 		"hard selection: price <= 45000 [vectorized, 4 of 5 rows; selection cache miss — now bound and cached]",
-		"(compile cache: cold — binds at first execution)",
+		"(compile cache: cold — binds at first execution; bind: full (cold) over 5 rows)",
 	} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("cold EXPLAIN missing %q:\n%s", want, plan)
@@ -200,7 +200,7 @@ func TestExplainReportsCacheStatus(t *testing.T) {
 	}
 	for _, want := range []string{
 		"selection cache hit",
-		"(compile cache: hit — bound form reused)",
+		"(compile cache: hit — bound form reused; bind: cached)",
 	} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("repeated-query EXPLAIN missing %q:\n%s", want, plan)
@@ -318,7 +318,7 @@ func TestExplainShardedDescribesWhatRuns(t *testing.T) {
 			planLine = line
 		}
 	}
-	if !strings.Contains(planLine, "shards=4") || !strings.Contains(planLine, "merge=chain-filter") {
+	if !strings.Contains(planLine, "shards=4") || !strings.Contains(planLine, "merge=compiled") {
 		t.Fatalf("EXPLAIN missing the sharded plan line:\n%s", text)
 	}
 	if strings.Contains(planLine, "→") {
@@ -326,5 +326,86 @@ func TestExplainShardedDescribesWhatRuns(t *testing.T) {
 	}
 	if strings.Contains(text, "flatten") || strings.Contains(text, "vs flat") {
 		t.Errorf("EXPLAIN still weighs a flat route:\n%s", text)
+	}
+}
+
+// TestExplainBindScopeAgreesWithWhatRan: the compile line must name the
+// bind scope execution picks, before and after a plain Run, on both
+// layouts. A selective first-seen statement binds over its gathered
+// candidates — nothing enters the compile cache, so the repeat reports
+// the same scope while the result cache turns to hit — and an unfiltered
+// statement binds the whole relation cold, then reports the cached form.
+func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
+	engine.ResetCompileCache()
+	filter.ResetCache()
+	resultcache.Reset()
+	defer engine.ResetCompileCache()
+	defer filter.ResetCache()
+	defer resultcache.Reset()
+	flatCat, shardCat := shardedCatalog(t, 12000, 2, 43)
+	selective := "SELECT oid FROM car WHERE price <= 9000 PREFERRING mileage AROUND 60000 AND HIGHEST(horsepower)"
+	unfiltered := "SELECT oid FROM car PREFERRING mileage AROUND 70000 AND HIGHEST(horsepower)"
+	for _, c := range []struct {
+		name   string
+		cat    Catalog
+		shards uint64
+		// what EXPLAIN must say for the selective statement (cold and
+		// after the run alike), and for the unfiltered one cold / warm
+		gathered, cold, warm string
+	}{
+		{"flat", flatCat, 1,
+			"compile cache: bypass — one-shot bind, nothing cached; bind: gathered ",
+			"compile cache: cold — binds at first execution; bind: full (cold) over 12000 rows",
+			"compile cache: hit — bound form reused; bind: cached"},
+		{"sharded", shardCat, 2,
+			"compile cache: bypass on 2/2 shards — one-shot binds, nothing cached; bind: gathered ",
+			"compile cache: cold on 2/2 shards — binds at first execution; bind: full (cold) on 2/2 shards",
+			"compile cache: hit on all shards — bound forms reused; bind: cached"},
+	} {
+		explain := func(query string) string {
+			text, err := ExplainQuery(query, c.cat, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return text
+		}
+		mustContain := func(when, text string, wants ...string) {
+			t.Helper()
+			for _, want := range wants {
+				if !strings.Contains(text, want) {
+					t.Errorf("%s: %s EXPLAIN missing %q:\n%s", c.name, when, want, text)
+				}
+			}
+		}
+		mustContain("cold selective", explain(selective), c.gathered, "eval=compiled bind=gathered",
+			"SFS keys: gathered bind ranks 2 leaf vector(s) over the ", "result cache: cold")
+		hits0, misses0 := engine.CompileCacheStats()
+		g0 := engine.GatheredBinds()
+		if _, err := Run(selective, c.cat, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		hits1, misses1 := engine.CompileCacheStats()
+		if hits1 != hits0 || misses1 != misses0 || engine.GatheredBinds() != g0+c.shards {
+			t.Errorf("%s: selective run: compile hits %d→%d misses %d→%d gathered %d→%d, want one gathered bind per shard and no cache traffic",
+				c.name, hits0, hits1, misses0, misses1, g0, engine.GatheredBinds())
+		}
+		mustContain("selective after run", explain(selective), c.gathered, "result cache: hit")
+
+		mustContain("cold unfiltered", explain(unfiltered), c.cold, "eval=compiled cache=cold",
+			"SFS keys: cold whole-relation bind ranks 2 leaf vector(s) over all ")
+		if _, err := Run(unfiltered, c.cat, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if engine.GatheredBinds() != g0+c.shards {
+			t.Errorf("%s: an unfiltered statement must not bind gathered", c.name)
+		}
+		mustContain("unfiltered after run", explain(unfiltered), c.warm, "eval=compiled cache=hit", "SFS keys: cached with the bound form")
+		// A selective statement sharing a term that is already bound uses
+		// the cached form at any selectivity.
+		shared := "SELECT oid FROM car WHERE price <= 9000 PREFERRING mileage AROUND 70000 AND HIGHEST(horsepower)"
+		mustContain("selective over a cached term", explain(shared), c.warm)
+		if c.shards > 1 {
+			mustContain("sharded merge", explain(selective), "merge=compiled", "merge: compiled over ≈")
+		}
 	}
 }

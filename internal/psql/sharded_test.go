@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/engine/resultcache"
 	"repro/internal/filter"
 	"repro/internal/pref"
 	"repro/internal/rank"
@@ -157,33 +158,41 @@ func TestExecStreamShardedTopStopsEarly(t *testing.T) {
 
 // TestExecShardedCacheReuse is the acceptance criterion at the psql
 // layer: a repeated sharded statement must be fully cache-served — the
-// per-shard selection bitmaps and compiled preference forms all hit, no
-// shard re-binds.
+// per-shard selection bitmaps hit, every shard's local maxima come out of
+// the result cache, and no shard binds again (neither a compile-cache
+// miss nor a gathered bind; the cross-shard merge binds only the
+// gathered maxima and never touches the compile cache).
 func TestExecShardedCacheReuse(t *testing.T) {
 	engine.ResetCompileCache()
 	filter.ResetCache()
+	resultcache.Reset()
 	defer engine.ResetCompileCache()
 	defer filter.ResetCache()
+	defer resultcache.Reset()
 	_, shardCat := shardedCatalog(t, 600, 4, 23)
 	query := "SELECT oid FROM car WHERE price <= 60000 PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
 	first, err := Run(query, shardCat, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch0, cm0 := engine.CompileCacheStats()
+	_, cm0 := engine.CompileCacheStats()
+	g0 := engine.GatheredBinds()
 	fh0, fm0 := filter.CacheStats()
+	rh0, _, _ := resultcache.Stats()
 	repeat, err := Run(query, shardCat, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch1, cm1 := engine.CompileCacheStats()
+	_, cm1 := engine.CompileCacheStats()
 	fh1, fm1 := filter.CacheStats()
+	rh1, _, _ := resultcache.Stats()
 	s := shardCat["car"].(*relation.Sharded)
-	if cm1 != cm0 || fm1 != fm0 {
-		t.Fatalf("repeat sharded query re-bound: compile misses %d→%d, selection misses %d→%d", cm0, cm1, fm0, fm1)
+	if cm1 != cm0 || fm1 != fm0 || engine.GatheredBinds() != g0 {
+		t.Fatalf("repeat sharded query re-bound: compile misses %d→%d, selection misses %d→%d, gathered binds %d→%d",
+			cm0, cm1, fm0, fm1, g0, engine.GatheredBinds())
 	}
-	if ch1 < ch0+uint64(s.NumShards()) {
-		t.Fatalf("repeat must hit the compile cache per shard: hits %d→%d", ch0, ch1)
+	if rh1 < rh0+uint64(s.NumShards()) {
+		t.Fatalf("repeat must serve every shard's local maxima from the result cache: hits %d→%d", rh0, rh1)
 	}
 	if fh1 < fh0+uint64(s.NumShards()) {
 		t.Fatalf("repeat must hit the selection cache per shard: hits %d→%d", fh0, fh1)
@@ -248,9 +257,10 @@ func TestExplainSharded(t *testing.T) {
 	}
 	for _, want := range []string{
 		"sharded: 4 shards by hash(oid)",
-		"shards=4, merge=chain-filter",
+		"shards=4, merge=compiled",
+		"merge: compiled over ≈",
 		"shards=4, selection cache",
-		"compile cache: cold on 4/4 shards",
+		"compile cache: cold on 4/4 shards — binds at first execution; bind: full (cold) on 4/4 shards",
 		"sharded plan: shards=4",
 	} {
 		if !strings.Contains(text, want) {
@@ -267,7 +277,7 @@ func TestExplainSharded(t *testing.T) {
 	}
 	for _, want := range []string{
 		"selection cache hit on all shards",
-		"compile cache: hit on all shards",
+		"compile cache: hit on all shards — bound forms reused; bind: cached",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("warm EXPLAIN missing %q:\n%s", want, text)

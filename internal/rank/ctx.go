@@ -57,7 +57,7 @@ func TopKOnCtx(ctx context.Context, p pref.Scorer, r *relation.Relation, k int, 
 		if idx != nil {
 			i = idx[pos]
 		}
-		s := score(i)
+		s := score(pos, i)
 		if h.Len() < k {
 			heap.Push(h, Result{i, s})
 			continue

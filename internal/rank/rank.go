@@ -87,15 +87,16 @@ func scoreVecKey(p pref.Scorer, r *relation.Relation) (boundcache.Key, bool) {
 	return rankKey(p, r, "rank")
 }
 
-// compiledScoreVec materializes the term's score vector over the whole
-// relation, or nil when the term is outside the compilable fragment.
-// Registered handles compile their wrapped term.
-func compiledScoreVec(p pref.Scorer, r *relation.Relation) []float64 {
+// compiledScoreVec materializes the term's score vector over a source —
+// the whole relation, or a gathered candidate subset — or nil when the
+// term is outside the compilable fragment. Registered handles compile
+// their wrapped term.
+func compiledScoreVec(p pref.Scorer, src pref.Source) []float64 {
 	p = unwrap(p)
 	if !pref.Compilable(p) {
 		return nil
 	}
-	c, ok := pref.Compile(p, r)
+	c, ok := pref.Compile(p, src)
 	if !ok {
 		return nil
 	}
@@ -117,36 +118,31 @@ func cachedScoreVec(p pref.Scorer, r *relation.Relation) []float64 {
 	return vec
 }
 
-// scoreFn returns a row-position scorer over R: the compiled score vector
-// of the term when one is cached or worth binding, per-row ScoreOf
-// through the tuple view otherwise. Binding costs a pass over the WHOLE
-// relation, so a cold bind only pays off when the candidate subset is a
-// meaningful fraction of it — a highly selective WHERE keeps the
-// subset-proportional interpreted path; an already-cached vector is free
-// to use at any selectivity.
-func scoreFn(p pref.Scorer, r *relation.Relation, idx []int) func(int) float64 {
+// scoreFn returns the scorer of a k-best scan over the candidates idx of
+// R (nil means every row), called with the candidate's ordinal in idx
+// and its row position. Compilable terms score off a compiled vector at
+// any selectivity, under the one subset rule every bind layer shares: a
+// cached whole-relation vector is free and always used; a cold bind over
+// a small candidate set (relation.GatherWorthwhile) gathers just those
+// rows — an ordinal-addressed vector, dropped with the query — and
+// anything larger binds the whole relation through the score cache.
+// Only terms outside the compilable fragment score per row through
+// ScoreOf.
+func scoreFn(p pref.Scorer, r *relation.Relation, idx []int) func(ord, row int) float64 {
 	if key, ok := scoreVecKey(p, r); ok {
 		if vec, hit := scoreCache.Peek(key); hit && vec != nil {
-			return func(i int) float64 { return vec[i] }
+			return func(_, row int) float64 { return vec[row] }
 		}
 	}
-	// Compiled binding is ~CompiledBindAdvantage× cheaper per row than
-	// interpreted scoring; below that fraction of the relation, scoring
-	// just the subset wins.
-	if idx == nil || len(idx)*CompiledBindAdvantage >= r.Len() {
-		if vec := cachedScoreVec(p, r); vec != nil {
-			return func(i int) float64 { return vec[i] }
+	if idx != nil && relation.GatherWorthwhile(len(idx), r.Len()) {
+		if vec := compiledScoreVec(p, r.Gather(idx)); vec != nil {
+			return func(ord, _ int) float64 { return vec[ord] }
 		}
+	} else if vec := cachedScoreVec(p, r); vec != nil {
+		return func(_, row int) float64 { return vec[row] }
 	}
-	return func(i int) float64 { return p.ScoreOf(r.Tuple(i)) }
+	return func(_, row int) float64 { return p.ScoreOf(r.Tuple(row)) }
 }
-
-// CompiledBindAdvantage estimates how much cheaper one compiled-bind row
-// is than one interpreted ScoreOf call (vector copy vs schema lookup +
-// boxing + type switch), mirroring the engine cost model's
-// compiledSpeedup. The psql BUT ONLY dispatch shares it, so the two
-// compiled-vs-interpreted gates stay in sync.
-const CompiledBindAdvantage = 12
 
 // ScoreCacheStats returns the cumulative score-vector cache hit and miss
 // counts.

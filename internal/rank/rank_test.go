@@ -150,9 +150,10 @@ func TestTopKOnSubset(t *testing.T) {
 			t.Fatalf("rank %d: got %v, want row %d score %v", i, got[i], idx[want[i].Row], want[i].Score)
 		}
 	}
-	// A highly selective subset takes the subset-proportional interpreted
-	// scorer instead of a whole-relation bind; results must agree with the
-	// compiled whole-relation ranking restricted to the same rows.
+	// A highly selective subset scores off a compiled vector bound over
+	// its gathered rows instead of a whole-relation bind; results must
+	// agree with the compiled whole-relation ranking restricted to the
+	// same rows.
 	tiny := idx[:4]
 	got = TopKOn(p, r, 2, tiny)
 	wantTiny := TopK(p, r.Pick(tiny), 2)
@@ -160,6 +161,23 @@ func TestTopKOnSubset(t *testing.T) {
 		if got[i].Row != tiny[wantTiny[i].Row] || got[i].Score != wantTiny[i].Score {
 			t.Fatalf("tiny subset rank %d: got %v, want row %d score %v",
 				i, got[i], tiny[wantTiny[i].Row], wantTiny[i].Score)
+		}
+	}
+	// The gathered bind is dropped with the query: a keyed term leaves the
+	// score cache untouched, and once a whole-relation vector is cached it
+	// serves the tiny subset too.
+	ResetScoreCache()
+	defer ResetScoreCache()
+	keyed := pref.HIGHEST("a")
+	first := TopKOn(keyed, r, 2, tiny)
+	if h, m := ScoreCacheStats(); h != 0 || m != 0 {
+		t.Fatalf("gathered scoring touched the score cache: hits %d misses %d", h, m)
+	}
+	TopK(keyed, r, 2) // binds and caches the whole-relation vector
+	again := TopKOn(keyed, r, 2, tiny)
+	for i := range first {
+		if first[i] != again[i] {
+			t.Fatalf("gathered and cached scoring disagree at rank %d: %v vs %v", i, first[i], again[i])
 		}
 	}
 }
