@@ -11,9 +11,10 @@ build:
 test:
 	$(GO) test -race ./...
 
-# The CI matrix legs that prove the portable dominance-kernel fallbacks:
-# a build without the assembly at all, and the assembly build with the
-# kernel force-disabled at process start (see internal/engine/kernel.go).
+# The CI matrix legs without the AVX2 chain kernel — a build without the
+# assembly at all, and the assembly build with the kernel force-disabled
+# at process start (see internal/engine/kernel.go): chain products then
+# compare on the flat record kernel like the rest of the flat fragment.
 test-noasm:
 	$(GO) test -race -tags noasm ./...
 
@@ -77,14 +78,15 @@ bench:
 	$(GO) test -run 'xxx' -bench . -benchtime $(BENCHTIME) -benchmem ./...
 
 # Machine-readable benchmark capture: runs the suite and writes the JSON
-# baseline tracked in-tree (ns/op, B/op, allocs/op per benchmark). Pass
-# BENCHJSON_TIME=1x for a smoke run; the committed baseline uses a real
-# benchtime so the numbers are comparable across PRs, and is captured
+# baseline tracked in-tree (ns/op, B/op, allocs/op per benchmark) — ONE
+# file, BENCH_BASELINE.json, re-captured when a PR moves it on purpose
+# (earlier per-PR files live in git history). Pass BENCHJSON_TIME=1x for a
+# smoke run; the committed baseline uses a real benchtime and is captured
 # under GOMAXPROCS=1 (`GOMAXPROCS=1 make bench-json`): cmd/benchjson keeps
 # go test's `-N` procs suffix in the benchmark names benchdiff tracks, so
 # a capture on N>1 Ps shares no name with a one-P baseline.
 BENCHJSON_TIME ?= 0.5s
-BENCHJSON_OUT ?= BENCH_PR14.json
+BENCHJSON_OUT ?= BENCH_BASELINE.json
 bench-json:
 	# Two steps, not a pipe: a pipe would discard go test's exit status
 	# and mask failing/panicking benchmarks from CI.
@@ -100,17 +102,21 @@ PREFLOAD_FLAGS ?=
 bench-serve:
 	$(GO) run ./cmd/prefload -sessions 1,8,32 -duration 2s $(PREFLOAD_FLAGS)
 
-# Regression gate: compare a fresh capture against the committed
-# baseline, failing on >BENCHDIFF_THRESHOLD slowdowns in tracked
-# benchmarks (see cmd/benchdiff for the tracked/min-ns rules). The
+# Trend report: compare a fresh capture against the committed baseline,
+# flagging >BENCHDIFF_THRESHOLD slowdowns in tracked benchmarks (see
+# cmd/benchdiff for the tracked/min-ns rules). It exits non-zero on a
+# confirmed flag, but CI runs it `continue-on-error` with the table in the
+# job summary: on the shared reference box the 1.5× threshold flags a
+# different unchanged benchmark each run (PR 14), so it informs review
+# and carries no claim — the served benchmark (bench/) does that. The
 # capture must use a real benchtime (BENCHJSON_TIME=0.3s or more, not
 # the 1x smoke): single-iteration timings are cold-start numbers and
 # compare 2-5x high against a warm baseline. Sub-millisecond benchmarks
 # are excluded — inside a full-suite run their timings swing several-fold
 # with GC debt from neighboring benchmarks, so a ratio on them is noise.
 # Flagged benchmarks get a confirmation re-run in isolation and only
-# fail the gate if the isolated timing still exceeds the threshold.
-BENCHDIFF_BASE ?= BENCH_PR14.json
+# stay flagged if the isolated timing still exceeds the threshold.
+BENCHDIFF_BASE ?= BENCH_BASELINE.json
 BENCHDIFF_CUR ?= bench-gate.json
 BENCHDIFF_THRESHOLD ?= 1.5
 BENCHDIFF_MIN_NS ?= 1000000

@@ -1,8 +1,8 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
-// benchmark baseline on stdout, the format committed as BENCH_PR<n>.json
+// benchmark baseline on stdout, the format committed as BENCH_BASELINE.json
 // so the perf trajectory of the repository is tracked in-tree:
 //
-//	go test -run xxx -bench . -benchmem ./... | go run ./cmd/benchjson > BENCH_PR2.json
+//	go test -run xxx -bench . -benchmem ./... | go run ./cmd/benchjson > BENCH_BASELINE.json
 //
 // (wired up as `make bench-json`).
 package main

@@ -3,7 +3,7 @@
 // progressive streams — from N client sessions while a writer session
 // appends rows, and reports per-query latency percentiles per session
 // count. It is the serving layer's load generator: the numbers committed
-// as the Prefload/* entries of BENCH_PR<n>.json come from it.
+// as the Prefload/* entries of BENCH_BASELINE.json come from it.
 //
 // Usage:
 //

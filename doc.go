@@ -46,6 +46,6 @@
 // directory holds one benchmark per reproduced experiment plus the
 // evaluation-layer benches (parallel variants, planner, streaming,
 // compiled vs interpreted, selection and compile-cache studies, sharded
-// evaluation at n=100k over 1/2/4/8 shards); BENCH_PR5.json is the
-// committed baseline.
+// evaluation at n=100k over 1/2/4/8 shards); BENCH_BASELINE.json is the
+// one committed micro baseline.
 package repro

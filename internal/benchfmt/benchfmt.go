@@ -1,7 +1,7 @@
 // Package benchfmt holds the machine-readable benchmark baseline format
 // shared by cmd/benchjson (which writes it from `go test -bench` output)
 // and cmd/benchdiff (which compares a fresh capture against the
-// committed BENCH_PR<n>.json baseline in CI).
+// committed BENCH_BASELINE.json in CI).
 package benchfmt
 
 import (

@@ -38,10 +38,15 @@ func chainProduct3() pref.Preference {
 	return pref.ParetoAll(pref.LOWEST("d1"), pref.HIGHEST("d2"), pref.LOWEST("d3"))
 }
 
-// TestBlockedChainFilterAgreesWithGeneric pins the blocked filter against
-// the generic compiled filter pass on NaN/NULL/tie-heavy data: the two
-// must confirm exactly the same maxima from the same visit order.
+// TestBlockedChainFilterAgreesWithGeneric pins the chain-product filter
+// passes against the predicate-tree filter pass on NaN/NULL/tie-heavy
+// data: the flat record kernel, the portable masked model of the blocked
+// store and (where the machine has it and the ±Inf collapse is exact) the
+// AVX2 chain filter must confirm exactly the same maxima from the same
+// visit order.
 func TestBlockedChainFilterAgreesWithGeneric(t *testing.T) {
+	prev := AVX2Enabled()
+	defer SetAVX2Enabled(prev)
 	rng := rand.New(rand.NewSource(11))
 	p := chainProduct3()
 	for trial := 0; trial < 40; trial++ {
@@ -56,17 +61,28 @@ func TestBlockedChainFilterAgreesWithGeneric(t *testing.T) {
 		}
 		order := allIndices(rel.Len())
 		slices.SortFunc(order, func(a, b int) int { return cmpKeyColumns(keys, a, b) })
-		generic := sfsFilterGeneric(c, order, nil)
-		cf := newChainFilter(c)
-		if cf == nil {
-			t.Fatal("chain product must build a chain filter")
+		generic := sfsFilterTree(c, order, nil)
+		if c.Flat() == nil {
+			t.Fatal("chain product must carry a flat shape")
 		}
-		scalar := sfsFilterChain(cf, order, nil)
-		if !sameIndices(generic, scalar) {
-			t.Fatalf("trial %d: chain filter %v, generic %v", trial, scalar, generic)
+		if flat := sfsFilterFlat(c.Flat(), order, nil); !sameIndices(generic, flat) {
+			t.Fatalf("trial %d: flat kernel %v, generic %v", trial, flat, generic)
 		}
-		// The masked blocked variant must agree as well.
-		mf := newChainFilter(c)
+		SetAVX2Enabled(false)
+		if newChainFilter(c) != nil {
+			t.Fatal("no chain filter without the AVX2 kernel")
+		}
+		dims, _ := chainDims(c.Pref())
+		vecs := make([][]float64, len(dims))
+		exact := true
+		for d, s := range dims {
+			vecs[d] = c.ScoreVec(s)
+			exact = exact && c.ScoreVecExact(s)
+		}
+		if !exact {
+			continue // coordinate dominance is not the predicate here
+		}
+		mf := buildFilter(vecs, nil)
 		var masked []int
 		for _, i := range order {
 			if !mf.dominatedMasked(i) {
@@ -77,6 +93,15 @@ func TestBlockedChainFilterAgreesWithGeneric(t *testing.T) {
 		slices.Sort(masked)
 		if !sameIndices(generic, masked) {
 			t.Fatalf("trial %d: masked filter %v, generic %v", trial, masked, generic)
+		}
+		if SetAVX2Enabled(true); AVX2Enabled() {
+			cf := newChainFilter(c)
+			if cf == nil {
+				t.Fatal("exact chain product must build a chain filter")
+			}
+			if asm := sfsFilterChain(cf, order, nil); !sameIndices(generic, asm) {
+				t.Fatalf("trial %d: avx2 chain filter %v, generic %v", trial, asm, generic)
+			}
 		}
 	}
 }
@@ -122,11 +147,12 @@ func chainProductMin3() pref.Preference {
 	return pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))
 }
 
-// BenchmarkSFSChainFilter is the before/after of the chain filter on both
-// workload shapes (anti = large maxima set, corr = tiny): "generic" calls
-// the compiled predicate tree per (candidate, maximum) pair — the PR 3
-// filter — "masked" is the 8-wide blocked pass, "scalar" the shipped
-// early-exit flat-column pass.
+// BenchmarkSFSChainFilter prices the filter pass of a chain product on
+// both workload shapes (anti = large maxima set, corr = tiny) through
+// each comparator: "tree" calls the compiled predicate tree per
+// (candidate, maximum) pair, "flat" is the record kernel — what every
+// build without the AVX2 kernel runs — and "avx2" the blocked assembly
+// filter.
 func BenchmarkSFSChainFilter(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	rel := antiFloat3(rng, 20000)
@@ -142,31 +168,16 @@ func BenchmarkSFSChainFilter(b *testing.B) {
 		keys, _ := c.SortKeys()
 		order := allIndices(rel.Len())
 		slices.SortFunc(order, func(x, y int) int { return cmpKeyColumns(keys, x, y) })
-		b.Run(shape.name+"/generic", func(b *testing.B) {
+		b.Run(shape.name+"/tree", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sfsFilterGeneric(c, order, nil)
+				sfsFilterTree(c, order, nil)
 			}
 		})
-		b.Run(shape.name+"/masked", func(b *testing.B) {
+		b.Run(shape.name+"/flat", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				mf := newChainFilter(c)
-				var result []int
-				for _, x := range order {
-					if !mf.dominatedMasked(x) {
-						mf.add(x)
-						result = append(result, x)
-					}
-				}
-			}
-		})
-		b.Run(shape.name+"/scalar", func(b *testing.B) {
-			prev := SetAVX2Enabled(false)
-			defer SetAVX2Enabled(prev)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sfsFilterChain(newChainFilter(c), order, nil)
+				sfsFilterFlat(c.Flat(), order, nil)
 			}
 		})
 		b.Run(shape.name+"/avx2", func(b *testing.B) {

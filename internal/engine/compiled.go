@@ -62,9 +62,23 @@ func compileFor(p pref.Preference, r *relation.Relation, mode EvalMode) *pref.Co
 	return c
 }
 
-// naiveCompiled is the exhaustive pairwise reference over compiled columns.
+// naiveCompiled is the exhaustive pairwise reference over compiled
+// columns, through the flat kernel when the form has a flat shape.
 func naiveCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
 	var out []int
+	if fs := c.Flat(); fs != nil {
+		dominanceRuns[DominanceFlat].Add(1)
+		k := gatherFlat(fs, idx, cc)
+		defer k.release()
+		for _, i := range idx {
+			cc.check() // one candidate scans every record: poll per candidate
+			if !k.beaten(i) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	dominanceRuns[DominanceTree].Add(1)
 	for _, i := range idx {
 		maximal := true
 		for _, j := range idx {
@@ -82,9 +96,20 @@ func naiveCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
 }
 
 // bnlCompiled is block-nested-loops over compiled columns: the window
-// invariant of bnl with flat-vector comparisons and zero allocation per
-// candidate.
+// invariant of bnl with zero allocation per candidate. A form with a flat
+// shape keeps the window as row-major records and settles each
+// (candidate, window member) pair with one three-way compare; any other
+// form asks the predicate tree in both directions.
 func bnlCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
+	if fs := c.Flat(); fs != nil {
+		return bnlFlat(fs, idx, cc)
+	}
+	return bnlTree(c, idx, cc)
+}
+
+// bnlTree is the window pass through the compiled predicate tree.
+func bnlTree(c *pref.Compiled, idx []int, cc *canceller) []int {
+	dominanceRuns[DominanceTree].Add(1)
 	window := make([]int, 0, 16)
 	for _, i := range idx {
 		cc.tick()
@@ -108,13 +133,50 @@ func bnlCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
 	return window
 }
 
+// bnlFlat is the window pass over records: the store holds exactly the
+// window, compacted in place as members are evicted, with the candidate's
+// record pushed behind it — so every pass scans one contiguous block and
+// the store never outgrows the window.
+func bnlFlat(fs *pref.FlatShape, idx []int, cc *canceller) []int {
+	dominanceRuns[DominanceFlat].Add(1)
+	k := newFlatKernel(fs, 16)
+	defer k.release()
+	window := make([]int, 0, 16) // window[m] is the row whose record sits in slot m
+candidates:
+	for _, i := range idx {
+		cc.tick()
+		k.stage(i)
+		keep := 0
+		for m := 0; m < k.n; m++ {
+			switch k.compare(m) {
+			case ordLess:
+				// Beaten: by transitivity the candidate evicted nobody
+				// before this member, so the window is untouched.
+				continue candidates
+			case ordGreater:
+			default:
+				if keep != m {
+					k.move(m, keep)
+					window[keep] = window[m]
+				}
+				keep++
+			}
+		}
+		k.truncate(keep)
+		k.commit()
+		window = append(window[:keep], i)
+	}
+	slices.Sort(window)
+	return window
+}
+
 // sfsCompiled is sort-filter-skyline over compiled columns: the sort keys
 // are the precomputed per-dimension key vectors of the compiled form —
 // no key materialization, no per-candidate allocation — and the filter
-// pass compares flat vectors. Chain-product terms run the blocked
-// candidate-vs-maxima filter (see chainFilter); everything else compares
-// through the compiled predicate tree. Falls back to bnlCompiled when the
-// term has no compatible key.
+// pass runs on the cheapest comparator the form allows: the blocked AVX2
+// chain filter for exact chain products, the flat record kernel for the
+// flat fragment, the predicate tree for the rest. Falls back to
+// bnlCompiled when the term has no compatible key.
 func sfsCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
 	keys, ok := c.SortKeys()
 	if !ok {
@@ -126,12 +188,35 @@ func sfsCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
 	if cf := newChainFilter(c); cf != nil {
 		return sfsFilterChain(cf, order, cc)
 	}
-	return sfsFilterGeneric(c, order, cc)
+	if fs := c.Flat(); fs != nil {
+		return sfsFilterFlat(fs, order, cc)
+	}
+	return sfsFilterTree(c, order, cc)
 }
 
-// sfsFilterGeneric is the filter pass of sfsCompiled through the compiled
+// sfsFilterFlat is the filter pass of sfsCompiled over records: confirmed
+// maxima occupy slots 0..m-1 in confirmation order and each candidate
+// tests against that contiguous block.
+func sfsFilterFlat(fs *pref.FlatShape, order []int, cc *canceller) []int {
+	dominanceRuns[DominanceFlat].Add(1)
+	k := newFlatKernel(fs, 16)
+	defer k.release()
+	var result []int
+	for _, i := range order {
+		cc.tick()
+		if !k.beaten(i) {
+			k.commit()
+			result = append(result, i)
+		}
+	}
+	slices.Sort(result)
+	return result
+}
+
+// sfsFilterTree is the filter pass of sfsCompiled through the compiled
 // predicate tree: one c.Less call per (candidate, confirmed maximum) pair.
-func sfsFilterGeneric(c *pref.Compiled, order []int, cc *canceller) []int {
+func sfsFilterTree(c *pref.Compiled, order []int, cc *canceller) []int {
+	dominanceRuns[DominanceTree].Add(1)
 	var result []int
 	for _, i := range order {
 		cc.tick()
@@ -151,9 +236,10 @@ func sfsFilterGeneric(c *pref.Compiled, order []int, cc *canceller) []int {
 }
 
 // sfsFilterChain is the blocked filter pass for chain products: each
-// candidate tests against up to filterBlock confirmed maxima per inner
-// iteration over flat coordinate columns.
+// candidate tests against filterBlock confirmed maxima per AVX2 iteration
+// over flat coordinate columns.
 func sfsFilterChain(cf *chainFilter, order []int, cc *canceller) []int {
+	dominanceRuns[DominanceChainAVX2].Add(1)
 	var result []int
 	for _, i := range order {
 		cc.tick()
@@ -166,57 +252,49 @@ func sfsFilterChain(cf *chainFilter, order []int, cc *canceller) []int {
 	return result
 }
 
-// filterBlock is the number of confirmed maxima one masked filter
-// iteration compares a candidate against; see dominatedMasked.
+// filterBlock is the number of confirmed maxima one kernel iteration
+// compares a candidate against.
 const filterBlock = 8
 
-// chainFilter is the flat-column candidate-vs-maxima domination filter
-// for chain-product preferences: confirmed maxima coordinates are stored
-// in blocked column-major form, so the filter scans contiguous float64
-// arrays instead of walking the compiled predicate tree per pair. On the
-// chain fragment (distinct LOWEST/HIGHEST attributes) coordinate-wise
-// score dominance coincides with the compiled Pareto predicate — the same
-// equivalence dncCompiled relies on, valid only while each dimension's
-// ±Inf scores absorbed at most one value class (newChainFilter gates on
-// pref.InfCollapse) — with NaN on either side blocking dominance, exactly
-// like dominates.
+// chainFilter is the AVX2 candidate-vs-maxima domination filter for
+// chain-product preferences: confirmed maxima coordinates are stored in
+// blocked column-major form and the assembly kernel (kernel_amd64.s)
+// tests a candidate against eight of them per iteration — VCMPPD ≥/>
+// masks with per-block early exit. On the chain fragment (distinct
+// LOWEST/HIGHEST attributes) coordinate-wise score dominance coincides
+// with the compiled Pareto predicate — the same equivalence dncCompiled
+// relies on, valid only while each dimension's ±Inf scores absorbed at
+// most one value class (newChainFilter gates on pref.InfCollapse) — with
+// NaN on either side blocking dominance, exactly like dominates.
 //
 // Layout: maxima are grouped into blocks of filterBlock(=8); block b
 // stores dimension k of its lane j at blocks[(b*d+k)*filterBlock + j],
 // tail lanes of the last block padded with NaN (a NaN pad can never
 // satisfy ≥, so padded lanes drop out on the first dimension — no tail
-// special-casing anywhere). Three passes share the layout:
-//
-//   - dominatedScalar: one maximum at a time with early exit on the
-//     first failing dimension — the portable pass that wins without
-//     SIMD, because non-dominating maxima typically die on their first
-//     coordinate.
-//   - dominatedMasked: the 8-wide blocked pass with ≥/> bitmask
-//     accumulation. gc does not vectorize it, so it does ~2× the
-//     comparisons the early exit skips and loses to the scalar loop in
-//     pure Go (BenchmarkSFSChainFilter) — but it is the exact portable
-//     model of the assembly kernel, and the property tests run it as a
-//     third oracle.
-//   - dominatedBlocksAVX2 (kernel_amd64.s): the masked pass as
-//     hand-written AVX2 — VCMPPD ≥/> masks over 8 lanes per iteration
-//     with per-block early exit — selected per filter at construction
-//     when the build, the CPU and the runtime flag allow it (kernel.go).
+// special-casing anywhere). The portable model of the kernel, the masked
+// pass the property tests hold the assembly to, lives in kernel_test.go.
+// Without the kernel — a noasm build, a CPU without AVX2, the runtime
+// flag off — there is no chain filter: chain products are in the flat
+// fragment and filter through the record kernel.
 type chainFilter struct {
 	d      int
 	vecs   [][]float64 // per-dimension score vectors, position-addressed
 	blocks []float64   // maxima coords, blocked column-major, NaN-padded
 	n      int         // confirmed maxima count
 	cand   []float64   // candidate coordinate scratch, len d
-	avx2   bool        // captured from AVX2Enabled at construction
 }
 
 // newChainFilter returns a filter reading its coordinates from the
-// compiled form's chain-dimension score vectors, or nil when the term is
-// not a chain product — or when a dimension's ±Inf scores absorbed more
-// than one value class (pref.InfCollapse), where coordinate dominance
-// would over-kill rows the Pareto predicate leaves incomparable; callers
-// fall back to the predicate-tree filter.
+// compiled form's chain-dimension score vectors, or nil when the AVX2
+// kernel is off (kernel.go), the term is not a chain product — or a
+// dimension's ±Inf scores absorbed more than one value class
+// (pref.InfCollapse), where coordinate dominance would over-kill rows the
+// Pareto predicate leaves incomparable. Callers fall back to the flat
+// record kernel, which is exact on all of those.
 func newChainFilter(c *pref.Compiled) *chainFilter {
+	if !AVX2Enabled() {
+		return nil
+	}
 	dims, ok := chainDims(c.Pref())
 	if !ok {
 		return nil
@@ -227,89 +305,21 @@ func newChainFilter(c *pref.Compiled) *chainFilter {
 			return nil
 		}
 	}
-	return &chainFilter{
-		d:    len(dims),
-		vecs: vecs,
-		cand: make([]float64, len(dims)),
-		avx2: AVX2Enabled(),
-	}
+	return &chainFilter{d: len(dims), vecs: vecs, cand: make([]float64, len(dims))}
 }
 
 // dominated reports whether any confirmed maximum dominates row i:
 // coordinate-wise ≥ on every dimension with > somewhere, NaN blocking
-// (mv >= cv is false when either side is NaN). Dispatches the AVX2
-// kernel when the filter captured it enabled, the scalar early-exit pass
-// otherwise.
+// (mv >= cv is false when either side is NaN).
 func (f *chainFilter) dominated(i int) bool {
 	if f.n == 0 {
 		return false
 	}
-	if f.avx2 {
-		for k := 0; k < f.d; k++ {
-			f.cand[k] = f.vecs[k][i]
-		}
-		nblocks := (f.n + filterBlock - 1) / filterBlock
-		return dominatedBlocksAVX2(&f.cand[0], f.d, &f.blocks[0], nblocks) != 0
+	for k := 0; k < f.d; k++ {
+		f.cand[k] = f.vecs[k][i]
 	}
-	return f.dominatedScalar(i)
-}
-
-// dominatedScalar is the portable early-exit pass over the blocked
-// store; see the chainFilter comment.
-func (f *chainFilter) dominatedScalar(i int) bool {
-outer:
-	for w := 0; w < f.n; w++ {
-		base := (w/filterBlock)*f.d*filterBlock + w%filterBlock
-		strict := false
-		for k := 0; k < f.d; k++ {
-			cv := f.vecs[k][i]
-			mv := f.blocks[base+k*filterBlock]
-			if !(mv >= cv) {
-				continue outer
-			}
-			if mv > cv {
-				strict = true
-			}
-		}
-		if strict {
-			return true
-		}
-	}
-	return false
-}
-
-// dominatedMasked is the blocked bitmask pass over the store: filterBlock
-// maxima test per iteration, one dimension at a time across the block,
-// with ≥ and > mask accumulation — the exact portable model of the
-// assembly kernel (NaN pad lanes die on their first dimension, so full
-// blocks need no tail handling). Kept as the third oracle and the
-// measured pure-Go baseline; BenchmarkSFSChainFilter runs all passes.
-func (f *chainFilter) dominatedMasked(i int) bool {
 	nblocks := (f.n + filterBlock - 1) / filterBlock
-	for b := 0; b < nblocks; b++ {
-		base := b * f.d * filterBlock
-		alive := uint32(1)<<filterBlock - 1
-		var strict uint32
-		for k := 0; k < f.d && alive != 0; k++ {
-			cv := f.vecs[k][i]
-			col := f.blocks[base+k*filterBlock : base+(k+1)*filterBlock]
-			var ge, gt uint32
-			for lane, mv := range col {
-				if mv >= cv {
-					ge |= 1 << lane
-				}
-				if mv > cv {
-					gt |= 1 << lane
-				}
-			}
-			alive &= ge
-			strict |= gt
-		}
-		if alive&strict != 0 {
-			return true
-		}
-	}
-	return false
+	return dominatedBlocksAVX2(&f.cand[0], f.d, &f.blocks[0], nblocks) != 0
 }
 
 // add confirms row i as a maximum, writing its coordinates into the
@@ -365,6 +375,7 @@ func dncCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
 			return bnlCompiled(c, idx, cc)
 		}
 	}
+	dominanceRuns[DominanceCoords].Add(1)
 	pts := make([]dncPoint, len(idx))
 	backing := make([]float64, len(idx)*len(dims))
 	for k, i := range idx {

@@ -1,0 +1,341 @@
+package engine
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/pref"
+)
+
+// The flat dominance kernel. The better-than test of Pareto (Definition
+// 8) and prioritized (Definition 9) accumulation is where a BMO
+// evaluation spends its time, and through the compiled predicate tree it
+// costs an interface dispatch per node, both children of every ⊗ node,
+// equality columns scattered over column-major vectors — twice per pair
+// where the window pass needs both directions. For the terms of the flat
+// fragment (pref.FlatShaped: prioritized chains of Pareto groups over
+// scalar leaves) one evaluation instead copies exactly the rows it
+// compares into row-major records and answers both directions in one
+// pass over two records.
+//
+// Why it is exact where raw coordinates are not: the chain kernels
+// compare scores alone, so a score tie reads as "equal here" — wrong when
+// ±Inf absorbed two value classes (NULL next to an infinite value), which
+// is what the pref.InfCollapse gate rules out, and meaningless for AROUND,
+// where 4 and 6 tie around 5. The records carry the attribute's equality
+// code next to each score and a tie consults it: equal codes fall
+// through, unequal codes make the pair incomparable in that group. NaN
+// scores (never <, never >) take the same branch, and every NaN value is
+// its own code. No witness, no gate.
+//
+// Records are per-evaluation state: built from the bound form's vectors
+// for the rows one algorithm run visits, dropped with it, never cached —
+// a cached pref.Compiled grows by nothing.
+
+// order is the outcome of one dominance test between two records.
+type order uint8
+
+const (
+	// ordEqual: no group ranks the pair and every equality the definitions
+	// consult holds (the single leaf of a final group ties on score; its
+	// projection equality is never consulted — see pref.FlatDim).
+	ordEqual order = iota
+	// ordLess: the first record's row is worse (i <P j).
+	ordLess
+	// ordGreater: the first record's row is better (j <P i).
+	ordGreater
+	// ordIncomparable: the deciding group ranks neither above the other
+	// and does not find them equal.
+	ordIncomparable
+)
+
+// flatKernel holds the row-major records of one evaluation: slot s keeps
+// its w scores at scores[s*w:] and its w equality codes at codes[s*w:].
+// Slots 0..n-1 are committed — the window of a block-nested-loops pass,
+// the confirmed maxima of a sort-filter pass; every test is between the
+// one staged candidate, whose scores are assembled in the free slot
+// behind them, and a committed slot. The candidate's scores are copied
+// lazily, one group at a time as a test first reaches that group, and its
+// codes are read from their columns on the ties that ask for them: a
+// candidate the leading group already decides against (the common fate
+// under PRIOR TO) costs one column read per leading dimension, and only
+// a candidate that is kept gets a whole record. The final single-leaf
+// group's absent code column (pref.FlatDim) reads as the constant 0, so
+// its ties fall through.
+type flatKernel struct {
+	dims   []pref.FlatDim
+	ends   []int
+	w      int
+	n      int // committed slots
+	scores []float64
+	codes  []uint32
+	row    int // the staged candidate's row in the bound form
+	filled int // leading scores of the candidate copied so far
+}
+
+// flatPool recycles record stores: an evaluation borrows one for its
+// run and releases it, so a statement's shard passes and its merge reuse
+// the same few kilobytes instead of leaving them to the collector. Only
+// the backing arrays survive a release — never records anyone reads.
+var flatPool = sync.Pool{New: func() any { return new(flatKernel) }}
+
+// newFlatKernel returns an empty record store for the shape with room
+// for at least capacity slots; release returns it to the pool.
+func newFlatKernel(fs *pref.FlatShape, capacity int) *flatKernel {
+	k := flatPool.Get().(*flatKernel)
+	k.dims, k.ends, k.w, k.n = fs.Dims, fs.Ends, len(fs.Dims), 0
+	if need := capacity * k.w; len(k.scores) < need {
+		k.scores, k.codes = make([]float64, need), make([]uint32, need)
+	}
+	return k
+}
+
+// release hands the store back for reuse; the caller must not touch it
+// again. The shape's vectors are dropped so a pooled store pins no bound
+// form.
+func (k *flatKernel) release() {
+	k.dims, k.ends = nil, nil
+	flatPool.Put(k)
+}
+
+// gatherFlat commits the records of the given rows (positions or slots of
+// the bound form), slot k holding rows[k], ticking the canceller per row:
+// O(len(rows)·w). The exhaustive reference pass, which tests every row
+// against every other, gathers up front.
+func gatherFlat(fs *pref.FlatShape, rows []int, cc *canceller) *flatKernel {
+	k := newFlatKernel(fs, len(rows)+1)
+	for _, i := range rows {
+		cc.tick()
+		k.stage(i)
+		k.commit()
+	}
+	return k
+}
+
+// stage makes bound-form row i the candidate; nothing is copied yet.
+func (k *flatKernel) stage(i int) {
+	if used := k.n * k.w; used+k.w > len(k.scores) {
+		scores, codes := make([]float64, 2*used+k.w), make([]uint32, 2*used+k.w)
+		copy(scores, k.scores[:used])
+		copy(codes, k.codes[:used])
+		k.scores, k.codes = scores, codes
+	}
+	k.row, k.filled = i, 0
+}
+
+// fill copies the candidate's scores up to dimension end into slot n.
+func (k *flatKernel) fill(end int) {
+	at, i := k.n*k.w, k.row
+	for d := k.filled; d < end; d++ {
+		k.scores[at+d] = k.dims[d].Score[i]
+	}
+	k.filled = end
+}
+
+// code returns the candidate's equality code on dimension d.
+func (k *flatKernel) code(d int) uint32 {
+	if c := k.dims[d].Code; c != nil {
+		return c[k.row]
+	}
+	return 0
+}
+
+// truncate drops the committed slots from keep on (a window pass calls
+// it after compacting the survivors of an eviction to the front); the
+// candidate's record will be assembled afresh behind them.
+func (k *flatKernel) truncate(keep int) {
+	if keep != k.n {
+		k.n, k.filled = keep, 0
+	}
+}
+
+// commit keeps the candidate: its whole record becomes slot n.
+func (k *flatKernel) commit() {
+	k.fill(k.w)
+	at := k.n * k.w
+	for d := range k.dims {
+		k.codes[at+d] = k.code(d)
+	}
+	k.n++
+}
+
+// move copies the record in committed slot from over slot to.
+func (k *flatKernel) move(from, to int) {
+	w := k.w
+	from, to = from*w, to*w
+	for d := 0; d < w; d++ {
+		k.scores[to+d] = k.scores[from+d]
+		k.codes[to+d] = k.codes[from+d]
+	}
+}
+
+// compare is the three-way dominance test of the candidate against
+// committed slot m: group by group in priority order, a strictly smaller
+// score marks the candidate "worse", a strictly greater one "better",
+// anything else (a tie, or a NaN on either side) must be backed by equal
+// codes or the pair is incomparable; a group that marked one direction
+// decides, one that marked both is incomparable, one that marked neither
+// is equal and defers to the next.
+func (k *flatKernel) compare(m int) order {
+	w := k.w
+	a, b := k.n*w, m*w
+	d := 0
+	for _, end := range k.ends {
+		if k.filled < end {
+			if end == d+1 {
+				// A single-leaf group usually decides on sight: read the
+				// candidate's score from its column before copying it.
+				if x, y := k.dims[d].Score[k.row], k.scores[b+d]; x < y {
+					return ordLess
+				} else if x > y {
+					return ordGreater
+				}
+			}
+			k.fill(end)
+		}
+		lt, gt := false, false
+		for ; d < end; d++ {
+			x, y := k.scores[a+d], k.scores[b+d]
+			switch {
+			case x < y:
+				if gt {
+					return ordIncomparable
+				}
+				lt = true
+			case x > y:
+				if lt {
+					return ordIncomparable
+				}
+				gt = true
+			case k.code(d) != k.codes[b+d]:
+				return ordIncomparable
+			}
+		}
+		if lt {
+			return ordLess
+		}
+		if gt {
+			return ordGreater
+		}
+	}
+	return ordEqual
+}
+
+// beaten stages row i and reports whether any committed slot beats it —
+// compare(m) == ordLess for some m, asked by the passes that only need
+// one direction (a sorted visit order, or the exhaustive reference): each
+// pair is left at the first dimension where the candidate is better.
+func (k *flatKernel) beaten(i int) bool {
+	k.stage(i)
+	w := k.w
+	a := k.n * w
+members:
+	for b := 0; b < a; b += w {
+		d := 0
+		for _, end := range k.ends {
+			if k.filled < end {
+				if end == d+1 {
+					// As in compare: a single-leaf group from its column.
+					if x, y := k.dims[d].Score[k.row], k.scores[b+d]; x < y {
+						return true
+					} else if x > y {
+						continue members
+					}
+				}
+				k.fill(end)
+			}
+			lt := false
+			for ; d < end; d++ {
+				x, y := k.scores[a+d], k.scores[b+d]
+				switch {
+				case x < y:
+					lt = true
+				case x > y:
+					continue members
+				case k.code(d) != k.codes[b+d]:
+					continue members
+				}
+			}
+			if lt {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Dominance names the pairwise comparator a compiled BMO step runs.
+type Dominance int
+
+// Dominance comparators.
+const (
+	// DominanceTree walks the compiled predicate tree (pref.Compiled.Less):
+	// every term outside the flat fragment.
+	DominanceTree Dominance = iota
+	// DominanceFlat is the row-major three-way record kernel (flat.go):
+	// the flat fragment.
+	DominanceFlat
+	// DominanceChainAVX2 is the blocked AVX2 candidate-vs-maxima filter
+	// over chain-product coordinates (kernel_amd64.s): sort-filter passes
+	// over exact LOWEST/HIGHEST chain products when the kernel is enabled.
+	DominanceChainAVX2
+	// DominanceCoords is the [KLP75] divide & conquer's own coordinate
+	// test over chain products.
+	DominanceCoords
+)
+
+// String renders the comparator the way EXPLAIN prints it.
+func (d Dominance) String() string {
+	switch d {
+	case DominanceFlat:
+		return "flat"
+	case DominanceChainAVX2:
+		return "chain-avx2"
+	case DominanceCoords:
+		return "coords"
+	}
+	return "tree"
+}
+
+// dominanceOf is the one structural rule for which comparator a compiled
+// run of alg over term p uses: the planner prices it, EXPLAIN reports it,
+// and execution applies the same predicates in the same order (the AVX2
+// flag and chainDims inside newChainFilter, pref.FlatShaped inside
+// pref.Compile). Two data-dependent demotions happen at run time and are
+// not visible here: an inexact ±Inf collapse (pref.InfCollapse) takes a
+// chain product from the coordinate comparators to the flat kernel, and a
+// presence-masked leaf (a generic source whose tuples lack an attribute)
+// takes a flat term to the tree.
+func dominanceOf(p pref.Preference, alg Algorithm) Dominance {
+	_, chain := chainDims(p)
+	return dominanceFor(chain, pref.FlatShaped(p), alg)
+}
+
+// dominanceFor is dominanceOf over the two structural facts it needs, for
+// callers that already hold them.
+func dominanceFor(chain, flat bool, alg Algorithm) Dominance {
+	switch alg {
+	case DNC, ParallelDNC:
+		if chain {
+			return DominanceCoords
+		}
+	case SFS, ParallelSFS:
+		if chain && AVX2Enabled() {
+			return DominanceChainAVX2
+		}
+	}
+	if flat {
+		return DominanceFlat
+	}
+	return DominanceTree
+}
+
+// dominanceRuns counts algorithm passes per comparator that actually ran
+// (after the run-time demotions dominanceOf cannot see).
+var dominanceRuns [DominanceCoords + 1]atomic.Uint64
+
+// DominanceRuns returns the cumulative number of compiled algorithm
+// passes (one per window, filter, divide & conquer or stream-confirm run,
+// partition workers and merges included) that compared through d — the
+// "what ran" next to EXPLAIN's dominance= field.
+func DominanceRuns(d Dominance) uint64 { return dominanceRuns[d].Load() }

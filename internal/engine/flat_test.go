@@ -1,0 +1,344 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/pref"
+	"repro/internal/relation"
+	"repro/internal/workload"
+)
+
+// The kernel agreement battery: the flat record kernel against the
+// predicate tree and the interpreted preference, pair by pair, on data
+// where a score tie is not a projection tie.
+
+// kernelTestRelation extends the gathered-bind edge relation with signed
+// zeros and an integer twin of the float column (so x and y tie across
+// types), keeping its NULLs, NaNs, ±Inf values and small domains.
+func kernelTestRelation(rng *rand.Rand, n int) *relation.Relation {
+	r := gatheredTestRelation(rng, n)
+	out := relation.New("R", r.Schema())
+	for i := 0; i < r.Len(); i++ {
+		row := append(relation.Row(nil), r.Row(i)...)
+		switch rng.Intn(12) {
+		case 0:
+			row[1] = 0.0
+		case 1:
+			row[1] = math.Copysign(0, -1)
+		}
+		out.MustInsert(row)
+	}
+	return out
+}
+
+// kernelTestTerm draws terms on both sides of the fragment boundary:
+// gatheredTerm's Pareto / PRIOR TO nestings (its EXPLICIT leaf and its &
+// inside ⊗ are outside), overlapping attribute names, deeper chains, a
+// dual and an intersection.
+func kernelTestTerm(rng *rand.Rand) pref.Preference {
+	a, b, c := gatheredLeaf(rng), gatheredLeaf(rng), gatheredLeaf(rng)
+	switch rng.Intn(10) {
+	case 0:
+		return pref.Pareto(pref.AROUND("x", 3), pref.Pareto(pref.LOWEST("x"), pref.HIGHEST("y"))) // Example 3: shared attribute
+	case 1:
+		return pref.Prioritized(pref.Prioritized(a, pref.Pareto(b, c)), pref.MustBETWEEN("x", 2, 5))
+	case 2:
+		return pref.ParetoProduct(a, pref.Pareto(b, c), pref.MustBETWEEN("y", 3, 6))
+	case 3:
+		return pref.Pareto(pref.Dual(a), b)
+	case 4:
+		return pref.MustIntersection(pref.Prioritized(pref.LOWEST("x"), pref.HIGHEST("y")), pref.Prioritized(pref.HIGHEST("y"), pref.LOWEST("x")))
+	case 5:
+		return a
+	}
+	return gatheredTerm(rng)
+}
+
+// mirrorOrder is compare(j, i) given compare(i, j).
+var mirrorOrder = [...]order{ordEqual: ordEqual, ordLess: ordGreater, ordGreater: ordLess, ordIncomparable: ordIncomparable}
+
+// TestFlatKernelAgreesWithTreeAndInterpreted: over a relation-backed
+// bound form, exactly the terms of the flat fragment carry a shape, and
+// for every pair of rows the kernel's three-way outcome equals (Less(i,j),
+// Less(j,i)) of the predicate tree and of the interpreted preference, is
+// antisymmetric, and a row equals itself.
+func TestFlatKernelAgreesWithTreeAndInterpreted(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	flatTerms := 0
+	for trial := 0; trial < 120; trial++ {
+		rel := kernelTestRelation(rng, 60)
+		p := kernelTestTerm(rng)
+		c, ok := pref.Compile(p, rel)
+		if !ok {
+			t.Fatalf("%s must compile", p)
+		}
+		fs := c.Flat()
+		if (fs != nil) != pref.FlatShaped(p) {
+			t.Fatalf("%s: flat shape present=%v, in the fragment=%v", p, fs != nil, pref.FlatShaped(p))
+		}
+		if fs == nil {
+			continue // outside the fragment: compiled_test pins the tree
+		}
+		flatTerms++
+		all := allIndices(rel.Len())
+		k := gatherFlat(fs, all, nil)
+		outcome := make([][]order, len(all))
+		for i := range all {
+			outcome[i] = make([]order, len(all))
+			k.stage(i)
+			for j := range all {
+				outcome[i][j] = k.compare(j)
+			}
+		}
+		k.release()
+		for i := range all {
+			if outcome[i][i] != ordEqual {
+				t.Fatalf("%s: row %d against itself: %d", p, i, outcome[i][i])
+			}
+			for j := range all {
+				got := outcome[i][j]
+				less, greater := c.Less(i, j), c.Less(j, i)
+				if (got == ordLess) != less || (got == ordGreater) != greater {
+					t.Fatalf("trial %d %s: rows %v / %v: kernel %d, tree less=%v greater=%v", trial, p, rel.Row(i), rel.Row(j), got, less, greater)
+				}
+				if il, ig := p.Less(rel.Tuple(i), rel.Tuple(j)), p.Less(rel.Tuple(j), rel.Tuple(i)); il != less || ig != greater {
+					t.Fatalf("trial %d %s: rows %v / %v: tree (%v,%v), interpreted (%v,%v)", trial, p, rel.Row(i), rel.Row(j), less, greater, il, ig)
+				}
+				if outcome[j][i] != mirrorOrder[got] {
+					t.Fatalf("trial %d %s: rows %d,%d: %d one way, %d back", trial, p, i, j, got, outcome[j][i])
+				}
+				if got == ordEqual && i != j {
+					// Equal: every group but a single final leaf is
+					// projection-equal (NaN never is, so it cannot be here).
+					groups := fs.Ends
+					coded := fs.Dims[:groups[len(groups)-1]]
+					for d, dim := range coded {
+						if dim.Code != nil && dim.Code[i] != dim.Code[j] {
+							t.Fatalf("%s: rows %d,%d equal but dim %d codes differ", p, i, j, d)
+						}
+					}
+				}
+			}
+		}
+	}
+	if flatTerms < 40 {
+		t.Fatalf("only %d of 120 drawn terms were in the fragment", flatTerms)
+	}
+}
+
+// TestFlatKernelRoutes: BMO sets through every route that compares on
+// records — whole-relation and gathered binds under each algorithm, the
+// exhaustive reference, partition workers, the progressive stream — equal
+// the interpreted BNL oracle, and the flat kernel (or, for chain products,
+// a coordinate comparator) is what ran: never the tree for a fragment
+// term, never records for a term outside it. TestGatheredBindAgreement
+// covers the sharded, merged and paged routes the same way.
+func TestFlatKernelRoutes(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	runs := func() [4]uint64 {
+		return [4]uint64{DominanceRuns(DominanceTree), DominanceRuns(DominanceFlat), DominanceRuns(DominanceChainAVX2), DominanceRuns(DominanceCoords)}
+	}
+	for trial := 0; trial < 40; trial++ {
+		rel := kernelTestRelation(rng, 200+rng.Intn(400))
+		p := kernelTestTerm(rng)
+		want := BMOIndicesMode(p, rel, BNL, EvalInterpreted)
+		sub := allIndices(rel.Len())[:rel.Len()/5] // small enough to bind gathered
+		wantSub := oidsOf(rel.Pick(sub).Row, BMOIndicesMode(p, rel.Pick(sub), BNL, EvalInterpreted))
+		before := runs()
+		for _, alg := range []Algorithm{Naive, BNL, SFS, DNC, ParallelBNL, ParallelSFS, Auto} {
+			ResetCompileCache()
+			if got := BMOIndicesMode(p, rel, alg, EvalCompiled); !sameInts(got, want) {
+				t.Fatalf("trial %d %s alg %s:\n got %v\nwant %v", trial, p, alg, got, want)
+			}
+			ResetCompileCache()
+			if got := oidsOf(rel.Row, BMOIndicesOn(p, rel, alg, sub)); !sameInts(got, wantSub) {
+				t.Fatalf("trial %d %s alg %s gathered:\n got %v\nwant %v", trial, p, alg, got, wantSub)
+			}
+		}
+		if got := bnlParallelWorkers(p, rel, compileFor(p, rel, EvalAuto), allIndices(rel.Len()), 3, nil); !sameInts(got, want) {
+			t.Fatalf("trial %d %s: 3 partition workers: got %v want %v", trial, p, got, want)
+		}
+		for _, idx := range [][]int{nil, sub} {
+			got := EvalStreamOn(p, rel, Auto, idx).Collect()
+			slices.Sort(got)
+			ref := want
+			if idx != nil {
+				ref = BMOIndicesOn(p, rel, BNL, sub)
+			}
+			if !sameInts(got, ref) {
+				t.Fatalf("trial %d %s stream (subset=%v): got %v want %v", trial, p, idx != nil, got, ref)
+			}
+		}
+		after := runs()
+		switch {
+		case pref.FlatShaped(p):
+			if after[DominanceTree] != before[DominanceTree] {
+				t.Fatalf("trial %d %s: a fragment term compared through the tree (%d passes)", trial, p, after[DominanceTree]-before[DominanceTree])
+			}
+			if after[DominanceFlat] == before[DominanceFlat] {
+				t.Fatalf("trial %d %s: the flat kernel never ran", trial, p)
+			}
+		default:
+			if after[DominanceFlat] != before[DominanceFlat] {
+				t.Fatalf("trial %d %s: a term outside the fragment compared on records", trial, p)
+			}
+			if after[DominanceTree] == before[DominanceTree] {
+				t.Fatalf("trial %d %s: the tree never ran", trial, p)
+			}
+		}
+	}
+	ResetCompileCache()
+}
+
+// TestFlatKernelMaskedSourceFallsBack: a generic pref.Source whose tuples
+// may lack an attribute binds with a presence mask, carries no shape and
+// evaluates through the tree — with the same result.
+func TestFlatKernelMaskedSourceFallsBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	p := pref.Prioritized(pref.Pareto(pref.LOWEST("a"), pref.AROUND("b", 3)), pref.HIGHEST("c"))
+	tuples := make([]pref.Tuple, 80)
+	for i := range tuples {
+		m := pref.MapTuple{"a": float64(rng.Intn(6)), "c": float64(rng.Intn(6))}
+		if rng.Intn(6) > 0 {
+			m["b"] = float64(rng.Intn(6))
+		}
+		tuples[i] = m
+	}
+	var want []int
+	for i, x := range tuples {
+		maximal := true
+		for _, y := range tuples {
+			if p.Less(x, y) {
+				maximal = false
+				break
+			}
+		}
+		if maximal {
+			want = append(want, i)
+		}
+	}
+	flat0, tree0 := DominanceRuns(DominanceFlat), DominanceRuns(DominanceTree)
+	got := EvalStreamTuples(p, tuples).Collect()
+	slices.Sort(got)
+	if !sameInts(got, want) {
+		t.Fatalf("masked source: got %v want %v", got, want)
+	}
+	if DominanceRuns(DominanceFlat) != flat0 || DominanceRuns(DominanceTree) != tree0+1 {
+		t.Fatalf("masked source: flat passes %d→%d, tree passes %d→%d; want the tree alone",
+			flat0, DominanceRuns(DominanceFlat), tree0, DominanceRuns(DominanceTree))
+	}
+	// The same tuples with b everywhere present run on records.
+	for _, tu := range tuples {
+		if m := tu.(pref.MapTuple); m["b"] == nil {
+			m["b"] = 9.0
+		}
+	}
+	EvalStreamTuples(p, tuples).Collect()
+	if DominanceRuns(DominanceFlat) != flat0+1 {
+		t.Fatal("fully present tuples must run on the flat kernel")
+	}
+}
+
+// TestFlatKernelCancelAgreement: cancelled at a random moment — inside
+// the up-front record gather of the exhaustive pass, or while a window or
+// filter pass is staging and committing records — an evaluation yields
+// the context's error or the complete result, never a torn one.
+func TestFlatKernelCancelAgreement(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	rel := kernelTestRelation(rng, 6000)
+	p := pref.Prioritized(pref.Pareto(pref.AROUND("x", 5), pref.LOWEST("z")), pref.HIGHEST("y"))
+	if !pref.FlatShaped(p) {
+		t.Fatal("test premise: a fragment term")
+	}
+	idx := allIndices(rel.Len())
+	want := BMOIndicesMode(p, rel, BNL, EvalInterpreted)
+	cancelled := 0
+	for trial := 0; trial < 30; trial++ {
+		alg := []Algorithm{Naive, BNL, SFS}[trial%3]
+		ctx, cancel := ctxCancelledWithin(rng, 3*time.Millisecond)
+		got, err := EvalIndicesCtx(ctx, p, rel, alg, idx)
+		cancel()
+		if err != nil {
+			cancelled++
+			if !errors.Is(err, context.Canceled) || got != nil {
+				t.Fatalf("trial %d alg %s: got %v err %v, want nil + context.Canceled", trial, alg, got, err)
+			}
+			continue
+		}
+		if !sameInts(got, want) {
+			t.Fatalf("trial %d alg %s: torn result under cancellation", trial, alg)
+		}
+	}
+	if cancelled == 0 {
+		t.Log("no trial was cancelled mid-run on this machine")
+	}
+	// Deterministically inside the gather: a canceller that fires on its
+	// first poll aborts gatherFlat between columns.
+	dying := &dyingContext{Context: context.Background(), done: make(chan struct{})}
+	close(dying.done)
+	c := compileFor(p, rel, EvalAuto)
+	flat0 := DominanceRuns(DominanceFlat)
+	got, err := runCancellable(dying, func(cc *canceller) []int { return naiveCompiled(c, idx, cc) })
+	if !errors.Is(err, context.Canceled) || got != nil || DominanceRuns(DominanceFlat) != flat0+1 {
+		t.Fatalf("gather under a dying context: got %v err %v, want nil + context.Canceled from inside the flat pass", got, err)
+	}
+	ResetCompileCache()
+}
+
+// kernelBenchShapes are the statement shapes of the served cold_skyline
+// workload plus a four-dimensional chain product, over the anti-
+// correlated d=4 table that workload reads.
+var kernelBenchShapes = []struct {
+	name string
+	p    pref.Preference
+}{
+	{"pareto3", pref.ParetoAll(pref.AROUND("d1", 0.45), pref.AROUND("d2", 0.55), pref.LOWEST("d3"))},
+	{"pareto-prior-chain", pref.Prioritized(pref.Pareto(pref.AROUND("d1", 0.45), pref.LOWEST("d2")), pref.LOWEST("d3"))},
+	{"chain-prior-pareto", pref.Prioritized(pref.LOWEST("d3"), pref.Pareto(pref.AROUND("d1", 0.45), pref.LOWEST("d2")))},
+	{"chain4", pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"), pref.HIGHEST("d4"))},
+}
+
+// BenchmarkDominanceKernel prices one window pass (BNL) over the ≈600
+// candidates a cold_skyline statement's WHERE keeps, bound gathered like
+// the served path binds them, through the predicate tree and through the
+// flat record kernel (record gather included). The planner's
+// per-comparator pair costs (pairCost) are calibrated from these rows.
+func BenchmarkDominanceKernel(b *testing.B) {
+	rel := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
+	var cand []int
+	for i := 0; i < rel.Len(); i++ {
+		if v, _ := rel.Tuple(i).Get("d4"); v.(float64) <= 0.03 {
+			cand = append(cand, i)
+		}
+	}
+	slots := allIndices(len(cand))
+	for _, shape := range kernelBenchShapes {
+		c, ok := pref.Compile(shape.p, rel.Gather(cand))
+		if !ok || c.Flat() == nil {
+			b.Fatalf("%s must bind with a flat shape", shape.name)
+		}
+		maxima := len(bnlTree(c, slots, nil))
+		b.Run(shape.name+"/tree", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bnlTree(c, slots, nil)
+			}
+			b.ReportMetric(float64(len(cand)), "candidates")
+			b.ReportMetric(float64(maxima), "maxima")
+		})
+		b.Run(shape.name+"/flat", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bnlFlat(c.Flat(), slots, nil)
+			}
+			b.ReportMetric(float64(len(cand)), "candidates")
+			b.ReportMetric(float64(maxima), "maxima")
+		})
+	}
+}

@@ -200,9 +200,22 @@ func TestGatheredBindAgreement(t *testing.T) {
 					want := referenceOIDs(p, s, sets)
 					alg := algs[rng.Intn(len(algs))]
 					ResetCompileCache()
+					tree0, flat0 := DominanceRuns(DominanceTree), DominanceRuns(DominanceFlat)
 					got := BMOShardedOn(p, s, alg, sets)
 					if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
 						t.Fatalf("trial %d %s cut %d alg %s term %s:\n got %v\nwant %v", trial, name, cut, alg, p, oids, want)
+					}
+					// The comparator that ran is the one the term's shape
+					// calls for, on the per-shard passes and the merge alike:
+					// records (or a chain product's coordinates) for the flat
+					// fragment, the tree for everything else.
+					tree, flat := DominanceRuns(DominanceTree)-tree0, DominanceRuns(DominanceFlat)-flat0
+					if pref.FlatShaped(p) && tree != 0 || !pref.FlatShaped(p) && flat != 0 {
+						t.Fatalf("trial %d %s cut %d alg %s term %s (in fragment: %v): %d tree passes, %d flat passes",
+							trial, name, cut, alg, p, pref.FlatShaped(p), tree, flat)
+					}
+					if _, chain := chainDims(p); pref.FlatShaped(p) && !chain && sets.Total(s) > 0 && flat == 0 {
+						t.Fatalf("trial %d %s cut %d alg %s term %s: the flat kernel never ran", trial, name, cut, alg, p)
 					}
 					// Both sides of the subset rule ran: a small candidate set
 					// binds gathered (nothing cached), a large one binds the
@@ -226,6 +239,13 @@ func TestGatheredBindAgreement(t *testing.T) {
 						if gotFlat := oidsOf(sh.Row, BMOIndicesOn(p, sh, alg, sets[0])); !sameInts(gotFlat, wantFlat) {
 							t.Fatalf("trial %d %s cut %d alg %s term %s (flat):\n got %v\nwant %v", trial, name, cut, alg, p, gotFlat, wantFlat)
 						}
+					}
+					// The sharded stream reaches the same set (last: it binds
+					// whole shards through the cache).
+					streamed := EvalStreamShardedOn(p, s, alg, sets).Collect()
+					slices.Sort(streamed)
+					if oids := oidsOf(s.Row, streamed); !sameInts(oids, want) {
+						t.Fatalf("trial %d %s cut %d alg %s term %s (stream):\n got %v\nwant %v", trial, name, cut, alg, p, oids, want)
 					}
 				}
 			}

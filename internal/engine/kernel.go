@@ -7,14 +7,15 @@ import (
 
 // Runtime dispatch for the chain-filter dominance kernel. The build
 // decides what the binary carries (kernel_amd64.s behind `amd64 &&
-// !noasm`, portable fallback otherwise); this flag decides what runs.
-// Three ways to turn the kernel off, strongest first: build with `-tags
-// noasm` (the assembly is not in the binary), set PREFSQL_DISABLE_AVX2
-// in the environment (the process starts with the kernel off — the CI
-// matrix leg that proves the scalar fallback), or call
+// !noasm`, nothing otherwise); this flag decides what runs. With the
+// kernel off, chain products take the flat record kernel (flat.go) like
+// every other term of the flat fragment. Three ways to turn it off,
+// strongest first: build with `-tags noasm` (the assembly is not in the
+// binary), set PREFSQL_DISABLE_AVX2 in the environment (the process
+// starts with the kernel off — a CI matrix leg), or call
 // SetAVX2Enabled(false) at runtime (what the agreement tests toggle).
 
-// avx2Active is the runtime switch read by every new chainFilter.
+// avx2Active is the runtime switch newChainFilter reads.
 var avx2Active atomic.Bool
 
 func init() {
@@ -25,16 +26,16 @@ func init() {
 // dominance kernel at all, regardless of the runtime flag.
 func AVX2Available() bool { return avx2Supported }
 
-// AVX2Enabled reports whether newly constructed chain filters take the
-// assembly dominance kernel. Filters capture the flag at construction,
-// so toggling mid-stream does not change an in-flight evaluation.
+// AVX2Enabled reports whether sort-filter passes over exact chain
+// products build the AVX2 chain filter. The choice is made when a pass
+// starts, so toggling mid-stream does not change an in-flight evaluation.
 func AVX2Enabled() bool { return avx2Active.Load() }
 
 // SetAVX2Enabled force-enables or -disables the AVX2 dominance kernel at
 // runtime and returns the previous setting. Enabling is a no-op on
 // builds or CPUs without the kernel (the flag stays false); disabling
 // always sticks. Tests use it to run the same workload through the
-// assembly and portable passes in one process.
+// assembly and the flat record kernel in one process.
 func SetAVX2Enabled(on bool) bool {
 	prev := avx2Active.Load()
 	avx2Active.Store(on && avx2Supported)

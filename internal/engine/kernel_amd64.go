@@ -4,9 +4,10 @@ package engine
 
 // The assembly side of the chain-filter dominance kernel (see
 // kernel_amd64.s) plus the CPU feature detection that decides at init
-// whether the kernel is usable on this machine. The portable scalar and
-// masked passes in compiled.go remain the fallback — and the oracle the
-// agreement tests hold the kernel to.
+// whether the kernel is usable on this machine. Without it chain products
+// filter through the flat record kernel (flat.go); the portable masked
+// model in kernel_test.go is the oracle the agreement tests hold the
+// assembly to.
 
 // dominatedBlocksAVX2 reports (1/0) whether any confirmed maximum in the
 // blocked column-major store dominates the candidate coordinates; see

@@ -128,7 +128,11 @@ type Plan struct {
 	// Bind is the bind scope the plan was costed for (meaningful when
 	// Compiled): the cached whole-relation form, a cold whole-relation
 	// bind, or a gathered bind over the Input candidates only.
-	Bind       BindScope
+	Bind BindScope
+	// Dominance is the pairwise comparator the chosen algorithm runs
+	// (meaningful when Compiled); see dominanceOf for the two run-time
+	// demotions a plan cannot foresee.
+	Dominance  Dominance
 	Input      int // candidate-set cardinality the plan was costed for
 	EstResult  int // estimated BMO result size
 	Candidates []Candidate
@@ -190,6 +194,7 @@ func (pl *Plan) Explain() string {
 		case BindGathered:
 			eval = "compiled bind=gathered"
 		}
+		eval += " dominance=" + pl.Dominance.String()
 	}
 	fmt.Fprintf(&b, "plan: n=%d shape=%s eval=%s est.result≈%d → %s", pl.Input, pl.Shape, eval, pl.EstResult, pl.Algorithm)
 	if pl.Workers >= 2 {
@@ -226,10 +231,12 @@ func (pl *Plan) Explain() string {
 	return b.String()
 }
 
-// smallInput is the cardinality below which plan choice is immaterial
-// (every algorithm finishes in microseconds): the planner skips statistics
-// and uses the shape heuristic alone, which also keeps per-group planning
-// in groupby queries cheap.
+// smallInput is the cardinality below which plan choice is (nearly)
+// immaterial — every algorithm finishes in microseconds: the planner skips
+// statistics and uses the shape heuristic alone, which also keeps
+// per-group planning in groupby queries cheap. The one exception it makes
+// is for one-shot gathered forms of flat terms, whose SFS keys cost more
+// than the whole window pass (see planCore).
 const smallInput = 256
 
 // planCore plans evaluation of p over n candidate rows of r, bound under
@@ -239,16 +246,26 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	shape := shapeOf(p)
 	pl := &Plan{Shape: shape, Input: n, Workers: 1, Bind: scope,
 		Compiled: env.Mode != EvalInterpreted && pref.Compilable(p)}
+	chain, flat := shape == ShapeChainProduct, pref.FlatShaped(p)
 	if n < smallInput {
+		reason := "cost differences are noise, shape heuristic picks"
 		switch shape {
 		case ShapeChainProduct, ShapeKeyed:
 			pl.Algorithm = SFS
+			if pl.Compiled && flat && scope == BindGathered {
+				// The one difference that is not noise at this size: SFS
+				// sorts every score leaf to derive its keys, and a gathered
+				// form is dropped with the statement — keys nobody reuses —
+				// while a window pass on flat records needs none.
+				pl.Algorithm = BNL
+				reason = "a gathered form's sort keys would serve this statement alone, the flat window pass needs none:"
+			}
 		default:
 			pl.Algorithm = BNL
 		}
+		pl.Dominance = dominanceFor(chain, flat, pl.Algorithm)
 		pl.EstResult = estimateResult(p, n, nil)
-		pl.Reasons = append(pl.Reasons,
-			fmt.Sprintf("input below %d rows: cost differences are noise, shape heuristic picks %s", smallInput, pl.Algorithm))
+		pl.Reasons = append(pl.Reasons, fmt.Sprintf("input below %d rows: %s %s", smallInput, reason, pl.Algorithm))
 		return pl
 	}
 
@@ -271,14 +288,24 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	dims, _ := chainDims(p)
 	d := len(dims)
 
-	// Compiled columnar evaluation makes one comparison an order of
-	// magnitude cheaper than the interpreted interface path (no schema
-	// lookups, no boxing), at a one-off bind cost linear in the input.
-	// Costs stay in comparison units; the scale matters against the
-	// absolute parallel dispatch overhead below.
-	cmpScale := 1.0
+	// Costs are in units of one interpreted Preference.Less call; the
+	// scale matters against the absolute parallel dispatch overhead below.
+	// A window pass (BNL) settles a pair in both directions — two Less
+	// calls through the interface path or the predicate tree, one
+	// three-way compare on flat records — a sorted filter pass (SFS) asks
+	// one direction, and sorting compares key columns, not rows.
+	pairCost := func(alg Algorithm, window bool) float64 {
+		if pl.Compiled {
+			return compiledPairCost(dominanceFor(chain, flat, alg), window)
+		}
+		if window {
+			return 2
+		}
+		return 1
+	}
+	sortScale := 1.0
 	if pl.Compiled {
-		cmpScale = 1.0 / compiledSpeedup
+		sortScale = keyCmpCost
 	}
 
 	// SFS sorts by dense-rank keys, and deriving them sorts every score
@@ -298,14 +325,14 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 		}
 	}
 	leaves := float64(keyLeaves(p))
-	keyCost := leaves * keyRows * math.Log2(math.Max(keyRows, 2))
+	keyCost := leaves * keyRows * math.Log2(math.Max(keyRows, 2)) * sortScale
 
 	seqCost := func(alg Algorithm, n float64) (float64, bool, string) {
 		switch alg {
 		case Naive:
-			return n * n, true, "exhaustive pairwise"
+			return n * n * pairCost(Naive, false), true, "exhaustive pairwise"
 		case BNL:
-			return n * fs / 2, true, "window scan ∝ result size"
+			return n * fs / 2 * pairCost(BNL, true), true, "window scan ∝ result size"
 		case SFS:
 			if shape == ShapeGeneral {
 				return 0, false, "no compatible sort key"
@@ -316,12 +343,12 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 				sortCost = n
 				note = "input already sorted by the key: presort degenerates to a verify pass"
 			}
-			return sortCost + n*fs/4, true, note
+			return sortCost*sortScale + n*fs/4*pairCost(SFS, false), true, note
 		case DNC:
 			if shape != ShapeChainProduct {
 				return 0, false, "not a chain product"
 			}
-			return n * math.Log2(math.Max(n, 2)) * math.Max(1, float64(d-2)), true, "[KLP75] divide & conquer"
+			return n * math.Log2(math.Max(n, 2)) * math.Max(1, float64(d-2)) * pairCost(DNC, false), true, "[KLP75] divide & conquer"
 		}
 		return 0, false, ""
 	}
@@ -336,7 +363,7 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	}
 	addSeq := func(alg Algorithm) {
 		c, ok, note := seqCost(alg, fn)
-		cands = append(cands, Candidate{Algorithm: alg, Workers: 1, Cost: (c + keysOf(alg, ok)) * cmpScale, Applicable: ok, Note: note})
+		cands = append(cands, Candidate{Algorithm: alg, Workers: 1, Cost: c + keysOf(alg, ok), Applicable: ok, Note: note})
 	}
 	addPar := func(par, seq Algorithm) {
 		if workers < 2 {
@@ -347,7 +374,7 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 			return
 		}
 		merge, _, _ := seqCost(seq, float64(workers)*fs)
-		cost := (local+merge+keysOf(seq, true))*cmpScale + 1500*float64(workers)
+		cost := local + merge + keysOf(seq, true) + 1500*float64(workers)
 		cands = append(cands, Candidate{
 			Algorithm: par, Workers: workers, Cost: cost, Applicable: true,
 			Note: fmt.Sprintf("%d partitions of ≈%d rows, merge over ≈%d local maxima", workers, n/workers, workers*s),
@@ -373,12 +400,14 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	}
 	pl.Algorithm = cands[best].Algorithm
 	pl.Workers = cands[best].Workers
+	pl.Dominance = dominanceFor(chain, flat, pl.Algorithm)
 
 	pl.Reasons = append(pl.Reasons, fmt.Sprintf("shape %s over %d attrs, estimated result ≈ %d of %d rows", shape, len(p.Attrs()), s, n))
 	if pl.Compiled {
-		pl.Reasons = append(pl.Reasons, fmt.Sprintf("compiled columnar evaluation: comparisons costed ≈%d× cheaper than the interface path", compiledSpeedup))
+		pl.Reasons = append(pl.Reasons, fmt.Sprintf("compiled columnar evaluation, dominance=%s: a window pair costs ≈1/%.0f, a sorted-filter pair ≈1/%.0f of an interpreted comparison",
+			pl.Dominance, 1/pairCost(BNL, true), 1/pairCost(SFS, false)))
 		if shape != ShapeGeneral {
-			pl.Reasons = append(pl.Reasons, sfsKeyReason(scope, int(leaves), int(keyRows), keyCost*cmpScale))
+			pl.Reasons = append(pl.Reasons, sfsKeyReason(scope, int(leaves), int(keyRows), keyCost))
 		}
 	} else {
 		pl.Reasons = append(pl.Reasons, "term outside the compilable fragment: interpreted interface evaluation")
@@ -524,10 +553,40 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// compiledSpeedup is the cost model's estimate of how much cheaper one
-// pairwise comparison is over compiled columns than through the
-// interpreted interface path (measured ≈10–20× on the benchmark suite).
-const compiledSpeedup = 12
+// Per-comparator prices of the cost model, in units of one interpreted
+// Preference.Less call (≈250 ns on a three-leaf term on the reference
+// box), calibrated from BenchmarkDominanceKernel and
+// BenchmarkSFSChainFilter by dividing each pass by the pairs it settles.
+const (
+	// treeLessCost is one pref.Compiled.Less through the predicate tree
+	// (≈20 ns; 7–33 ns from a deciding PRIOR TO leaf to a four-leaf ⊗).
+	treeLessCost = 1.0 / 12
+	// flatPairCost is one flat-record test, three-way or one-directional
+	// (≈7–14 ns whatever the term's width).
+	flatPairCost = 1.0 / 25
+	// avx2PairCost is one lane of the blocked AVX2 chain filter (≈1.1 ns).
+	avx2PairCost = 1.0 / 200
+	// keyCmpCost is one comparison of a sort over key or score columns:
+	// the SFS presort (≈6.5 ns) and the dense-rank transforms behind the
+	// keys (≈12 ns).
+	keyCmpCost = 1.0 / 25
+)
+
+// compiledPairCost prices one pair test of a compiled pass on comparator
+// d: a window pass through the predicate tree asks Less in both
+// directions, every other combination settles the pair with one call.
+func compiledPairCost(d Dominance, window bool) float64 {
+	switch d {
+	case DominanceFlat:
+		return flatPairCost
+	case DominanceChainAVX2:
+		return avx2PairCost
+	}
+	if window {
+		return 2 * treeLessCost
+	}
+	return treeLessCost
+}
 
 // execute dispatches one (algorithm, workers) choice over a candidate
 // set, routing to the compiled twin when a compiled form is supplied.

@@ -24,6 +24,9 @@ type ShardPlan struct {
 	Input  int // total candidate count across shards
 	Fanout int // concurrent shard evaluations
 	Merge  string
+	// MergeDominance is the comparator of a compiled merge: the sort-filter
+	// pass compiledMergeSharded runs over the gathered local maxima.
+	MergeDominance Dominance
 	// PerShard is the plan of the representative (largest-candidate-set)
 	// shard; every shard follows the same decision procedure at its own
 	// cardinality.
@@ -65,6 +68,9 @@ func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env E
 		Fanout: fanout,
 		Merge:  ShardMergeMode(p),
 	}
+	if sp.Merge == "compiled" {
+		sp.MergeDominance = dominanceOf(p, SFS)
+	}
 	sp.PerShard = planCore(p, s.Shard(rep), repN, env, BindScopeOf(p, s.Shard(rep), repN))
 	perShardCost := chosenCost(sp.PerShard)
 	waves := (s.NumShards() + fanout - 1) / fanout
@@ -76,7 +82,7 @@ func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env E
 	if fanout >= 2 {
 		dispatch = 1500 * float64(fanout)
 	}
-	sp.ShardedCost = float64(waves)*perShardCost + mergeCost(sp.Merge, merged) + dispatch
+	sp.ShardedCost = float64(waves)*perShardCost + sp.mergeCost(merged) + dispatch
 
 	sp.Reasons = append(sp.Reasons,
 		fmt.Sprintf("%d shards × ≈%d candidates, fan-out %d, merge: %s over ≈%d local maxima",
@@ -102,15 +108,23 @@ func chosenCost(pl *Plan) float64 {
 // (about half of the already-reduced input survives, so the filter pass
 // compares each row against a quarter of it on average), a quadratic
 // interpreted BNL window pass otherwise.
-func mergeCost(mode string, m int) float64 {
+func (sp *ShardPlan) mergeCost(m int) float64 {
 	fm := float64(m)
 	if m < 2 {
 		return fm
 	}
-	if mode == "compiled" {
-		return (fm*math.Log2(fm) + fm*fm/8) / compiledSpeedup
+	if sp.Merge != "compiled" {
+		return fm * fm
 	}
-	return fm * fm / 2
+	return fm*math.Log2(fm)*keyCmpCost + fm*fm/8*compiledPairCost(sp.MergeDominance, false)
+}
+
+// mergeLabel renders the merge mode with a compiled merge's comparator.
+func (sp *ShardPlan) mergeLabel() string {
+	if sp.Merge != "compiled" {
+		return sp.Merge
+	}
+	return sp.Merge + " dominance=" + sp.MergeDominance.String()
 }
 
 // Explain renders the sharded plan: the shard fan-out line, the
@@ -118,7 +132,7 @@ func mergeCost(mode string, m int) float64 {
 func (sp *ShardPlan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sharded plan: shards=%d n=%d fanout=%d merge=%s\n",
-		sp.Shards, sp.Input, sp.Fanout, sp.Merge)
+		sp.Shards, sp.Input, sp.Fanout, sp.mergeLabel())
 	for _, line := range strings.Split(strings.TrimRight(sp.PerShard.Explain(), "\n"), "\n") {
 		fmt.Fprintf(&b, "  per-shard %s\n", line)
 	}

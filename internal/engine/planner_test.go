@@ -74,6 +74,33 @@ func TestPlannerSmallInputUsesShapeHeuristic(t *testing.T) {
 	}
 }
 
+// TestPlannerSmallGatheredFlatInputSkipsTheKeys: the one cost difference
+// the small-input heuristic does not call noise. A small candidate set of
+// a large relation binds gathered — a form no later statement reuses — so
+// SFS's per-leaf key sorts would serve this statement alone; a term of the
+// flat fragment takes the key-free window pass on records instead. Terms
+// that would compare through the tree, and forms whose keys are cached or
+// will be, keep SFS.
+func TestPlannerSmallGatheredFlatInputSkipsTheKeys(t *testing.T) {
+	ResetCompileCache()
+	defer ResetCompileCache()
+	rng := rand.New(rand.NewSource(4))
+	rel := antiCorrelated(rng, 4000)
+	flat := pref.Prioritized(pref.Pareto(pref.AROUND("d1", 0.4), pref.LOWEST("d2")), pref.LOWEST("d1"))
+	pl := PlanWithInput(flat, rel, 200, Env{})
+	if pl.Bind != BindGathered || pl.Algorithm != BNL || pl.Dominance != DominanceFlat {
+		t.Errorf("200 of 4000 candidates, flat term: bind=%s alg=%s dominance=%s; want gathered bnl flat", pl.Bind, pl.Algorithm, pl.Dominance)
+	}
+	rank := pref.Rank("F", pref.WeightedSum(1, 1), pref.HIGHEST("d1"), pref.HIGHEST("d2"))
+	if pl := PlanWithInput(rank, rel, 200, Env{}); pl.Bind != BindGathered || pl.Algorithm != SFS {
+		t.Errorf("200 of 4000 candidates, keyed term outside the fragment: bind=%s alg=%s; want gathered sfs", pl.Bind, pl.Algorithm)
+	}
+	BMOIndices(flat, rel, Auto) // binds and caches the whole-relation form
+	if pl := PlanWithInput(flat, rel, 200, Env{}); pl.Bind != BindCached || pl.Algorithm != SFS {
+		t.Errorf("with a cached form: bind=%s alg=%s; want cached sfs", pl.Bind, pl.Algorithm)
+	}
+}
+
 func TestPlannerGeneralShapeNeverPlansKeyedAlgorithms(t *testing.T) {
 	rel := relation.New("R", relation.MustSchema(relation.Column{Name: "c", Type: relation.String}))
 	for i := 0; i < 2000; i++ {

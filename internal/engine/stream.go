@@ -25,8 +25,9 @@ import (
 // preference compiles: relation-backed streams bind through the compile
 // cache (position-addressed, so any candidate subset shares the relation's
 // cached bound form), the visit order sorts precomputed key vectors, and
-// the domination filter compares flat columns — blocked, for chain
-// products — with no per-candidate allocation. Non-compilable preferences
+// the domination filter runs on the comparator sfsCompiled would pick —
+// AVX2 chain blocks, flat records or the predicate tree — with no
+// per-candidate allocation. Non-compilable preferences
 // keep the interface path, with the sort keys still materialized once up
 // front.
 //
@@ -41,8 +42,9 @@ type Stream struct {
 	keys    [][]float64         // per-dimension key columns in slot space; nil without a key
 	order   []int               // visit order (slots, best first)
 	pos     int
-	confirm []int        // confirmed maxima (slots); unused when chain is set
-	chain   *chainFilter // blocked filter for compiled chain products, or nil
+	confirm []int        // confirmed maxima (slots) of the predicate-tree filter
+	chain   *chainFilter // AVX2 blocked filter for exact chain products, or nil
+	flat    *flatKernel  // record kernel holding the confirmed maxima, or nil
 
 	progressive bool
 	started     bool
@@ -94,8 +96,9 @@ func EvalStreamTuples(p pref.Preference, tuples []pref.Tuple) *Stream {
 	return s
 }
 
-// bindCompiled wires the slot-space predicate, key vectors and chain
-// filter from a compiled form. With an identity candidate set the cached
+// bindCompiled wires the slot-space predicate, key vectors and the
+// confirm loop's comparator (chosen like sfsCompiled chooses its filter
+// pass) from a compiled form. With an identity candidate set the cached
 // key vectors are shared by reference; a proper subset gathers them into
 // slot space once so the visit-order sort scans contiguous columns.
 func (s *Stream) bindCompiled(c *pref.Compiled) {
@@ -110,7 +113,14 @@ func (s *Stream) bindCompiled(c *pref.Compiled) {
 		} else {
 			s.keys = gatherKeys(keys, s.cand)
 		}
-		s.chain = newChainFilter(c)
+		if s.chain = newChainFilter(c); s.chain != nil {
+			dominanceRuns[DominanceChainAVX2].Add(1)
+		} else if fs := c.Flat(); fs != nil {
+			s.flat = newFlatKernel(fs, 16)
+			dominanceRuns[DominanceFlat].Add(1)
+		} else {
+			dominanceRuns[DominanceTree].Add(1)
+		}
 	}
 	s.initOrder()
 }
@@ -236,9 +246,12 @@ func (s *Stream) Next() (row int, ok bool) {
 		// Key order guarantees no unvisited candidate dominates slot:
 		// x <P y implies key(x) <lex key(y), and slot's key is ≥ all
 		// remaining keys. slot is final.
-		if s.chain != nil {
+		switch {
+		case s.chain != nil:
 			s.chain.add(s.row(slot))
-		} else {
+		case s.flat != nil:
+			s.flat.commit() // the candidate slotDominated just staged
+		default:
 			s.confirm = append(s.confirm, slot)
 		}
 		return s.row(slot), true
@@ -247,12 +260,14 @@ func (s *Stream) Next() (row int, ok bool) {
 	return 0, false
 }
 
-// slotDominated filters one candidate slot against the confirmed maxima:
-// the blocked chain filter when the compiled form is a chain product, the
-// bound predicate otherwise.
+// slotDominated filters one candidate slot against the confirmed maxima
+// through the comparator bound at stream start.
 func (s *Stream) slotDominated(slot int) bool {
 	if s.chain != nil {
 		return s.chain.dominated(s.row(slot))
+	}
+	if s.flat != nil {
+		return s.flat.beaten(s.row(slot))
 	}
 	for _, c := range s.confirm {
 		if s.less(slot, c) {

@@ -96,7 +96,10 @@ func (s *Stream) Close() {
 	if s.cancel != nil {
 		s.cancel()
 	}
-	s.order, s.buffered, s.confirm, s.keys, s.chain, s.batch = nil, nil, nil, nil, nil, nil
+	if s.flat != nil {
+		s.flat.release()
+	}
+	s.order, s.buffered, s.confirm, s.keys, s.chain, s.flat, s.batch = nil, nil, nil, nil, nil, nil, nil
 }
 
 // EvalStreamShardedCtx starts progressive evaluation over per-shard

@@ -56,6 +56,9 @@ type Compiled struct {
 	n    int
 	root cnode
 	p    Preference
+	// flat is the dominance-kernel descriptor of a term in the flat
+	// fragment (see flat.go), nil otherwise.
+	flat *FlatShape
 
 	// scoreVecs maps every scorer-or-level sub-term to its materialized
 	// score vector ("higher is better"), keyed by term identity. The engine
@@ -97,6 +100,7 @@ func Compile(p Preference, src Source) (*Compiled, bool) {
 		n:         c.n,
 		root:      root,
 		p:         p,
+		flat:      c.flatShape(p),
 		scoreVecs: c.scoreVecs,
 		scoreInf:  c.scoreInf,
 		rankVecs:  make(map[Preference][]float64),

@@ -134,6 +134,9 @@ func ValueKey(v Value) string {
 		return "\x00nil"
 	}
 	if n, ok := numeric(v); ok {
+		if n == 0 {
+			n = 0 // −0 equals +0 under EqualValues: one key for both
+		}
 		return "n:" + strconv.FormatFloat(n, 'g', -1, 64)
 	}
 	switch t := v.(type) {

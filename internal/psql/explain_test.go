@@ -1,6 +1,7 @@
 package psql
 
 import (
+	"repro/internal/workload"
 	"strings"
 	"testing"
 
@@ -330,8 +331,8 @@ func TestExplainShardedDescribesWhatRuns(t *testing.T) {
 }
 
 // TestExplainBindScopeAgreesWithWhatRan: the compile line must name the
-// bind scope execution picks, before and after a plain Run, on both
-// layouts. A selective first-seen statement binds over its gathered
+// bind scope execution picks, and the plan line the dominance comparator
+// it compares through, before and after a plain Run, on both layouts. A selective first-seen statement binds over its gathered
 // candidates — nothing enters the compile cache, so the repeat reports
 // the same scope while the result cache turns to hit — and an unfiltered
 // statement binds the whole relation cold, then reports the cached form.
@@ -377,35 +378,128 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 				}
 			}
 		}
-		mustContain("cold selective", explain(selective), c.gathered, "eval=compiled bind=gathered",
+		// AROUND ⊗ HIGHEST is in the flat fragment and not a chain product:
+		// every pass of it — per shard and merge — compares on records.
+		passes := func() (flat, other uint64) {
+			return engine.DominanceRuns(engine.DominanceFlat),
+				engine.DominanceRuns(engine.DominanceTree) + engine.DominanceRuns(engine.DominanceChainAVX2) + engine.DominanceRuns(engine.DominanceCoords)
+		}
+		ranFlat := func(when string, flat0, other0 uint64) {
+			t.Helper()
+			if flat, other := passes(); flat == flat0 || other != other0 {
+				t.Errorf("%s: %s: flat passes %d→%d, other comparators %d→%d; EXPLAIN said dominance=flat", c.name, when, flat0, flat, other0, other)
+			}
+		}
+		mustContain("cold selective", explain(selective), c.gathered, "eval=compiled bind=gathered dominance=flat",
 			"SFS keys: gathered bind ranks 2 leaf vector(s) over the ", "result cache: cold")
 		hits0, misses0 := engine.CompileCacheStats()
 		g0 := engine.GatheredBinds()
+		flat0, other0 := passes()
 		if _, err := Run(selective, c.cat, Options{}); err != nil {
 			t.Fatal(err)
 		}
+		ranFlat("selective run", flat0, other0)
 		hits1, misses1 := engine.CompileCacheStats()
 		if hits1 != hits0 || misses1 != misses0 || engine.GatheredBinds() != g0+c.shards {
 			t.Errorf("%s: selective run: compile hits %d→%d misses %d→%d gathered %d→%d, want one gathered bind per shard and no cache traffic",
 				c.name, hits0, hits1, misses0, misses1, g0, engine.GatheredBinds())
 		}
-		mustContain("selective after run", explain(selective), c.gathered, "result cache: hit")
+		mustContain("selective after run", explain(selective), c.gathered, "bind=gathered dominance=flat", "result cache: hit")
 
-		mustContain("cold unfiltered", explain(unfiltered), c.cold, "eval=compiled cache=cold",
+		mustContain("cold unfiltered", explain(unfiltered), c.cold, "eval=compiled cache=cold dominance=flat",
 			"SFS keys: cold whole-relation bind ranks 2 leaf vector(s) over all ")
+		flat0, other0 = passes()
 		if _, err := Run(unfiltered, c.cat, Options{}); err != nil {
 			t.Fatal(err)
 		}
+		ranFlat("unfiltered run", flat0, other0)
 		if engine.GatheredBinds() != g0+c.shards {
 			t.Errorf("%s: an unfiltered statement must not bind gathered", c.name)
 		}
-		mustContain("unfiltered after run", explain(unfiltered), c.warm, "eval=compiled cache=hit", "SFS keys: cached with the bound form")
+		mustContain("unfiltered after run", explain(unfiltered), c.warm, "eval=compiled cache=hit dominance=flat", "SFS keys: cached with the bound form")
 		// A selective statement sharing a term that is already bound uses
 		// the cached form at any selectivity.
 		shared := "SELECT oid FROM car WHERE price <= 9000 PREFERRING mileage AROUND 70000 AND HIGHEST(horsepower)"
 		mustContain("selective over a cached term", explain(shared), c.warm)
 		if c.shards > 1 {
-			mustContain("sharded merge", explain(selective), "merge=compiled", "merge: compiled over ≈")
+			mustContain("sharded merge", explain(selective), "merge=compiled dominance=flat", "merge: compiled over ≈")
 		}
+	}
+}
+
+// TestExplainWorkloadStatementsAvoidTheTree: every statement shape the
+// served benchmark sends — the hot pool's AROUND ⊗ HIGHEST, the three
+// cold_skyline shapes over two range shards, durable_paged's selective
+// read over hash shards — is answered by the flat record kernel or the
+// AVX2 chain blocks: EXPLAIN says so on the plan line and on the merge
+// line, and running them leaves the predicate tree's pass counter where
+// it was. A term outside the fragment still reports (and takes) the tree.
+func TestExplainWorkloadStatementsAvoidTheTree(t *testing.T) {
+	engine.ResetCompileCache()
+	resultcache.Reset()
+	defer engine.ResetCompileCache()
+	defer resultcache.Reset()
+	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
+	ptsSharded, err := relation.ShardRelation(pts, 2, relation.ByRange("d1", relation.RangeBounds(pts, "d1", 2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cars := workload.Cars(20000, 7)
+	carsSharded, err := relation.ShardRelation(cars, 2, relation.ByHash("oid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cat  Catalog
+		stmt string
+	}{
+		{"hotset_read", Catalog{"car": cars}, "SELECT oid FROM car PREFERRING price AROUND 14500 AND HIGHEST(horsepower)"},
+		{"cold_skyline/pareto3", Catalog{"pts": ptsSharded}, "SELECT * FROM pts WHERE d4 <= 0.031 PREFERRING d1 AROUND 0.41 AND d2 AROUND 0.63 AND LOWEST(d3)"},
+		{"cold_skyline/pareto-prior-chain", Catalog{"pts": ptsSharded}, "SELECT * FROM pts WHERE d4 <= 0.031 PREFERRING (d1 AROUND 0.41 AND LOWEST(d2)) PRIOR TO LOWEST(d3)"},
+		{"cold_skyline/chain-prior-pareto", Catalog{"pts": ptsSharded}, "SELECT * FROM pts WHERE d4 <= 0.031 PREFERRING LOWEST(d3) PRIOR TO (d1 AROUND 0.41 AND LOWEST(d2))"},
+		{"durable_paged", Catalog{"car": carsSharded}, "SELECT * FROM car WHERE price <= 9000 PREFERRING mileage AROUND 60000 AND HIGHEST(horsepower)"},
+	} {
+		text, err := ExplainQuery(c.stmt, c.cat, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fields := 0
+		for _, line := range strings.Split(text, "\n") {
+			if !strings.Contains(line, "plan:") {
+				continue
+			}
+			switch {
+			case strings.Contains(line, "dominance=flat"), strings.Contains(line, "dominance=chain-avx2"):
+				fields++
+			default:
+				t.Errorf("%s: plan line without a record or chain comparator: %q", c.name, line)
+			}
+		}
+		if _, sharded := c.cat[strings.Fields(c.stmt[strings.Index(c.stmt, "FROM ")+5:])[0]].(*relation.Sharded); sharded && fields != 2 || !sharded && fields != 1 {
+			t.Errorf("%s: %d dominance= fields on the plan lines:\n%s", c.name, fields, text)
+		}
+		tree0 := engine.DominanceRuns(engine.DominanceTree)
+		if _, err := Run(c.stmt, c.cat, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if tree := engine.DominanceRuns(engine.DominanceTree); tree != tree0 {
+			t.Errorf("%s: %d passes walked the predicate tree", c.name, tree-tree0)
+		}
+	}
+	outside := "SELECT oid FROM car PREFERRING EXPLICIT(color, ('blue', 'red'), ('gray', 'blue')) AND LOWEST(price)"
+	text, err := ExplainQuery(outside, Catalog{"car": cars}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "dominance=tree") {
+		t.Errorf("an EXPLICIT ⊗ term must report the tree:\n%s", text)
+	}
+	tree0 := engine.DominanceRuns(engine.DominanceTree)
+	if _, err := Run(outside, Catalog{"car": cars}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if engine.DominanceRuns(engine.DominanceTree) == tree0 {
+		t.Error("an EXPLICIT ⊗ term must compare through the tree")
 	}
 }

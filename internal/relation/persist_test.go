@@ -620,3 +620,63 @@ func TestPersistBeyondPoolBudget(t *testing.T) {
 		t.Fatalf("pool over budget: %+v", ps)
 	}
 }
+
+// TestPersistCheckpointKeepsPoolWorkingSet: a checkpoint scans every row
+// page of the shard it rewrites, and the pool is store-wide — so the
+// scan must read past the pool, not through it. After table A's point
+// reads have warmed the pool, a checkpoint of table B (bigger than the
+// whole pool) evicts nothing, and A's next read is still a hit. Before
+// the fix every page of B was admitted and A's working set was gone
+// after each auto-checkpoint of a neighbouring table.
+func TestPersistCheckpointKeepsPoolWorkingSet(t *testing.T) {
+	const poolBudget = 32 << 10
+	st, err := OpenStore(t.TempDir(), StoreOptions{PoolBytes: poolBudget, PageBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	load := func(name string, n int) *Relation {
+		mem := New(name, persistSchema())
+		for i := 0; i < n; i++ {
+			mem.MustInsert(persistRow(i))
+		}
+		tb, err := st.ImportTable(mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb.(*Relation)
+	}
+	a, b := load("a", 300), load("b", 4000)
+	if seg := st.Stats().SegmentBytes(); seg < 4*poolBudget {
+		t.Fatalf("test premise: table b must dwarf the pool (%d segment bytes vs %d)", seg, poolBudget)
+	}
+	hot := []int{3, 57, 120, 233, 299}
+	for _, i := range hot {
+		a.Row(i)
+	}
+	// A tail for b, so its checkpoint has something to fold — and scans b.
+	for i := 0; i < 10; i++ {
+		if err := b.Insert(persistRow(5000 + i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := st.Pool().Stats()
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after := st.Pool().Stats()
+	if after.Evictions != before.Evictions || after.Resident != before.Resident {
+		t.Fatalf("checkpoint of b disturbed the pool: evictions %d→%d, resident pages %d→%d",
+			before.Evictions, after.Evictions, before.Resident, after.Resident)
+	}
+	for _, i := range hot {
+		a.Row(i)
+	}
+	if final := st.Pool().Stats(); final.Misses != after.Misses || final.Hits != after.Hits+uint64(len(hot)) {
+		t.Fatalf("a's pages were not resident after b's checkpoint: hits %d→%d misses %d→%d",
+			after.Hits, final.Hits, after.Misses, final.Misses)
+	}
+	if b.Len() != 4010 || !reflect.DeepEqual(encodeRows(t, []Row{b.Row(4005)}), encodeRows(t, []Row{reencode(t, persistRow(5005))})) {
+		t.Fatal("the checkpointed table lost rows")
+	}
+}

@@ -114,6 +114,27 @@ func (p *Pool) Get(key PageKey, load func() (rows [][]pref.Value, bytes int64, e
 	return rows, func() { p.unpin(f) }, nil
 }
 
+// Resident returns the rows of the page at key when the pool already
+// holds them, without touching the pool's state: no pin, no reference
+// bit, no counter, and above all no admission on a miss. Sequential
+// scans (a checkpoint rewriting a whole shard, an interpreted full scan)
+// read through it, so streaming every page of one table past the pool
+// cannot evict the point-read working set of another.
+func (p *Pool) Resident(key PageKey) ([][]pref.Value, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, ok := p.frames[key]
+	if !ok {
+		return nil, false
+	}
+	select {
+	case <-f.loading:
+		return f.rows, f.err == nil
+	default:
+		return nil, false // still loading for someone else: decode our own copy
+	}
+}
+
 // unpin releases one pin on a frame.
 func (p *Pool) unpin(f *frame) {
 	p.mu.Lock()

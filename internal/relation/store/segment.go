@@ -428,18 +428,20 @@ func (e *Epoch) Row(i int, pool *Pool) ([]pref.Value, error) {
 	return row, nil
 }
 
-// AppendAllRows appends every row of the epoch to dst in order,
-// decoding page by page through the pool.
+// AppendAllRows appends every row of the epoch to dst in order, page by
+// page: pages the pool already holds are served from it, the others are
+// decoded for this scan alone and never admitted — a full scan (every
+// checkpoint runs one) must not flush the store-wide pool.
 func (e *Epoch) AppendAllRows(dst [][]pref.Value, pool *Pool) ([][]pref.Value, error) {
 	for p := range e.pages {
-		rows, release, err := pool.Get(PageKey{Owner: e, Page: p}, func() ([][]pref.Value, int64, error) {
-			return e.loadPage(p)
-		})
-		if err != nil {
-			return nil, err
+		rows, ok := pool.Resident(PageKey{Owner: e, Page: p})
+		if !ok {
+			var err error
+			if rows, _, err = e.loadPage(p); err != nil {
+				return nil, err
+			}
 		}
 		dst = append(dst, rows...)
-		release()
 	}
 	return dst, nil
 }
