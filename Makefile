@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-noasm test-noavx2 test-faults test-serve test-resultcache test-persist test-bench bench bench-serve bench-json benchdiff lint lint-docs fmt
+.PHONY: build test test-noasm test-noavx2 test-ties test-faults test-serve test-resultcache test-persist test-bench bench bench-cold bench-serve bench-json benchdiff lint lint-docs fmt
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,18 @@ test-noasm:
 
 test-noavx2:
 	PREFSQL_DISABLE_AVX2=1 $(GO) test -race ./...
+
+# The one-shot path's exactness and bookkeeping batteries under the race
+# detector (CI runs them on every kernel leg): tie operands — float image
+# for INT/FLOAT attributes, equality codes for the rest — against the
+# predicate tree and the interpreted preference pair by pair under every
+# bind scope, numeric binds that must request no equality codes, the
+# one-pass selection against Pred.Eval, and the boundcache admission order
+# with its flat-in-capacity cost.
+test-ties:
+	$(GO) test -race \
+		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood' \
+		./internal/pref ./internal/engine ./internal/filter ./internal/boundcache
 
 # The fault-tolerance suite under the race detector: fault injection
 # (slow/hung/panicking/erroring shards) against both policies, the
@@ -76,6 +88,14 @@ test-bench:
 BENCHTIME ?= 1x
 bench:
 	$(GO) test -run 'xxx' -bench . -benchtime $(BENCHTIME) -benchmem ./...
+
+# The two micro-benchmarks of the one-shot statement path, with B/op: a
+# first-seen selective BMO statement end to end below the wire, and one
+# admission into a full boundcache at two capacities (which must cost the
+# same). CI tees their rows into the job summary.
+bench-cold:
+	$(GO) test -run 'xxx' -bench 'ColdSelectiveBMO' -benchmem .
+	$(GO) test -run 'xxx' -bench 'PutAtCapacity' -benchmem ./internal/boundcache
 
 # Machine-readable benchmark capture: runs the suite and writes the JSON
 # baseline tracked in-tree (ns/op, B/op, allocs/op per benchmark) — ONE

@@ -28,21 +28,66 @@ type Key struct {
 // Cache is a bounded map from Key to bound forms of type V. The zero
 // value is not usable; construct with New. All methods are safe for
 // concurrent use.
+//
+// Every entry sits on two intrusive lists besides the map, so admission
+// never walks the map: an eviction queue — cold holds the entries no Get
+// has served yet, warm the ones some Get has, each in arrival order — and
+// the list of its (source, version) group, reachable through groups. A
+// Put at capacity drops the other versions' groups of its own source
+// whole, then pops the cold queue before the warm one: amortised O(1),
+// whatever the capacity.
 type Cache[V any] struct {
 	cap int
 
-	mu sync.Mutex
-	m  map[Key]slot[V]
+	mu         sync.Mutex
+	m          map[Key]*entry[V]
+	cold, warm queue[V]
+	groups     map[any]map[uint64]*group[V] // source → version → the entries bound at it
 
 	hits, misses atomic.Uint64
 }
 
-// slot is one cached bound form plus whether any Get has served it: what
+// entry is one cached bound form plus whether any Get has served it: what
 // a workload reuses is what is worth keeping, and an entry no lookup ever
 // returned to is the first to go (see Put).
-type slot[V any] struct {
+type entry[V any] struct {
+	k      Key
 	v      V
 	reused bool
+
+	prev, next   *entry[V] // eviction queue (cold or warm)
+	grp          *group[V]
+	gprev, gnext *entry[V] // siblings in grp
+}
+
+// group lists the entries of one (source, version).
+type group[V any] struct{ head *entry[V] }
+
+// queue is an intrusive FIFO over the entries' prev/next links.
+type queue[V any] struct{ head, tail *entry[V] }
+
+func (q *queue[V]) push(e *entry[V]) {
+	e.prev, e.next = q.tail, nil
+	if q.tail != nil {
+		q.tail.next = e
+	} else {
+		q.head = e
+	}
+	q.tail = e
+}
+
+func (q *queue[V]) remove(e *entry[V]) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		q.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		q.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
 }
 
 // evictor is the type-erased view of a Cache the package-level eviction
@@ -63,11 +108,75 @@ var (
 // New returns an empty cache bounded to capacity entries and registers it
 // for package-level eviction sweeps (see EvictSource).
 func New[V any](capacity int) *Cache[V] {
-	c := &Cache[V]{cap: capacity, m: make(map[Key]slot[V])}
+	c := &Cache[V]{cap: capacity}
+	c.init()
 	registryMu.Lock()
 	registry = append(registry, c)
 	registryMu.Unlock()
 	return c
+}
+
+// init (re)creates the empty bookkeeping; the caller holds mu or owns c.
+func (c *Cache[V]) init() {
+	c.m = make(map[Key]*entry[V])
+	c.groups = make(map[any]map[uint64]*group[V])
+	c.cold, c.warm = queue[V]{}, queue[V]{}
+}
+
+// link files a new entry under its key, at the back of the cold queue and
+// at the head of its (source, version) group. The caller holds mu.
+func (c *Cache[V]) link(e *entry[V]) {
+	c.m[e.k] = e
+	c.cold.push(e)
+	vers := c.groups[e.k.Src]
+	if vers == nil {
+		vers = make(map[uint64]*group[V], 1)
+		c.groups[e.k.Src] = vers
+	}
+	g := vers[e.k.Version]
+	if g == nil {
+		g = &group[V]{}
+		vers[e.k.Version] = g
+	}
+	if e.grp, e.gnext = g, g.head; g.head != nil {
+		g.head.gprev = e
+	}
+	g.head = e
+}
+
+// unlink removes an entry from the map, its queue and its group; the
+// group's last entry takes the group with it. The caller holds mu.
+func (c *Cache[V]) unlink(e *entry[V]) {
+	delete(c.m, e.k)
+	if e.reused {
+		c.warm.remove(e)
+	} else {
+		c.cold.remove(e)
+	}
+	if e.gnext != nil {
+		e.gnext.gprev = e.gprev
+	}
+	if e.gprev != nil {
+		e.gprev.gnext = e.gnext
+	} else if e.grp.head = e.gnext; e.gnext == nil {
+		vers := c.groups[e.k.Src]
+		delete(vers, e.k.Version)
+		if len(vers) == 0 {
+			delete(c.groups, e.k.Src)
+		}
+	}
+	e.grp, e.gprev, e.gnext = nil, nil, nil
+}
+
+// dropGroup unlinks every entry of one (source, version) group and
+// returns how many there were. The caller holds mu.
+func (c *Cache[V]) dropGroup(g *group[V]) int {
+	n := 0
+	for g.head != nil {
+		c.unlink(g.head)
+		n++
+	}
+	return n
 }
 
 // EvictSrc removes every entry bound against the given source identity,
@@ -78,11 +187,8 @@ func (c *Cache[V]) EvictSrc(src any) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for k := range c.m {
-		if k.Src == src {
-			delete(c.m, k)
-			n++
-		}
+	for _, g := range c.groups[src] {
+		n += c.dropGroup(g)
 	}
 	return n
 }
@@ -107,10 +213,15 @@ func EvictSource(src any) int {
 // entries a stream of never-repeated statements leaves behind.
 func (c *Cache[V]) Get(k Key) (V, bool) {
 	c.mu.Lock()
-	s, ok := c.m[k]
-	if ok && !s.reused {
-		s.reused = true
-		c.m[k] = s
+	e, ok := c.m[k]
+	var v V
+	if ok {
+		v = e.v
+		if !e.reused {
+			c.cold.remove(e)
+			e.reused = true
+			c.warm.push(e)
+		}
 	}
 	c.mu.Unlock()
 	if ok {
@@ -118,7 +229,7 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 	} else {
 		c.misses.Add(1)
 	}
-	return s.v, ok
+	return v, ok
 }
 
 // Peek returns the cached bound form without touching the hit/miss
@@ -126,40 +237,45 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 func (c *Cache[V]) Peek(k Key) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.m[k]
-	return s.v, ok
+	if e, ok := c.m[k]; ok {
+		return e.v, true
+	}
+	var zero V
+	return zero, false
 }
 
 // Put stores a bound form. At capacity it evicts entries of the same
 // source with an outdated version first (they can never be read again),
 // then — one at a time until there is room — an entry no Get ever served
-// before any that one did: a flood of distinct one-shot statements evicts
-// its own leftovers, not the bound forms and results the workload keeps
-// coming back to. Overwriting an existing key never evicts: it cannot
-// grow the map (duplicate Puts are the normal outcome of two goroutines
-// racing the same miss).
+// before any that one did, oldest first within each class: a flood of
+// distinct one-shot statements evicts its own leftovers, not the bound
+// forms and results the workload keeps coming back to. Neither step walks
+// the map (see Cache), so admission costs the same at any capacity.
+// Overwriting an existing key never evicts: it cannot grow the map
+// (duplicate Puts are the normal outcome of two goroutines racing the
+// same miss).
 func (c *Cache[V]) Put(k Key, v V) {
 	c.mu.Lock()
-	old, exists := c.m[k]
-	if !exists && len(c.m) >= c.cap {
-		for o := range c.m {
-			if o.Src == k.Src && o.Version != k.Version {
-				delete(c.m, o)
+	defer c.mu.Unlock()
+	if e, exists := c.m[k]; exists {
+		e.v = v
+		return
+	}
+	if len(c.m) >= c.cap {
+		for ver, g := range c.groups[k.Src] {
+			if ver != k.Version {
+				c.dropGroup(g)
 			}
 		}
 		for len(c.m) >= c.cap {
-			var victim Key
-			for o, s := range c.m {
-				victim = o
-				if !s.reused {
-					break
-				}
+			victim := c.cold.head
+			if victim == nil {
+				victim = c.warm.head
 			}
-			delete(c.m, victim)
+			c.unlink(victim)
 		}
 	}
-	c.m[k] = slot[V]{v: v, reused: old.reused}
-	c.mu.Unlock()
+	c.link(&entry[V]{k: k, v: v})
 }
 
 // AtVersion returns a snapshot of every entry bound against the given
@@ -171,14 +287,13 @@ func (c *Cache[V]) Put(k Key, v V) {
 func (c *Cache[V]) AtVersion(src any, version uint64) map[string]V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out map[string]V
-	for k, s := range c.m {
-		if k.Src == src && k.Version == version {
-			if out == nil {
-				out = make(map[string]V)
-			}
-			out[k.Term] = s.v
-		}
+	g := c.groups[src][version]
+	if g == nil {
+		return nil
+	}
+	out := make(map[string]V)
+	for e := g.head; e != nil; e = e.gnext {
+		out[e.k.Term] = e.v
 	}
 	return out
 }
@@ -198,7 +313,7 @@ func (c *Cache[V]) Stats() (hits, misses uint64) {
 // Reset empties the cache and zeroes the counters.
 func (c *Cache[V]) Reset() {
 	c.mu.Lock()
-	c.m = make(map[Key]slot[V])
+	c.init()
 	c.mu.Unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)

@@ -319,6 +319,9 @@ func dnc(p pref.Preference, r *relation.Relation, idx []int, cc *canceller) []in
 // pref.InfCollapse gate the compiled paths use. Only infinite coordinates
 // cost a tuple lookup; finite-only data scans floats.
 func chainCoordsExact(dims []pref.Scorer, r *relation.Relation, idx []int, pts []dncPoint) bool {
+	if !chainImagesExact(dims, r) {
+		return false
+	}
 	for d, s := range dims {
 		attr := s.Attrs()[0]
 		ic := pref.InfCollapse{Exact: true}
@@ -341,6 +344,20 @@ func chainCoordsExact(dims []pref.Scorer, r *relation.Relation, idx []int, pts [
 			if !ic.Exact {
 				return false
 			}
+		}
+	}
+	return true
+}
+
+// chainImagesExact reports that no chain dimension reads a TIME column:
+// the score scale of an instant is whole seconds, so unequal instants tie
+// at a finite coordinate — the finite twin of the ±Inf collapse, decided
+// by the column type alone (the compiled paths carry the same fact in
+// pref.InfCollapse).
+func chainImagesExact(dims []pref.Scorer, r *relation.Relation) bool {
+	for _, s := range dims {
+		if ci, ok := r.Schema().Index(s.Attrs()[0]); ok && r.Schema().Col(ci).Type == relation.Time {
+			return false
 		}
 	}
 	return true

@@ -51,12 +51,14 @@ func (s BindScope) String() string {
 // of r would perform right now, without binding anything. EXPLAIN and
 // the planner's cost model use it; execution decides by the same rule.
 func BindScopeOf(p pref.Preference, r *relation.Relation, m int) BindScope {
-	switch {
-	case r == nil:
+	if r == nil {
 		return BindFull
-	case gathers(p, r, m):
+	}
+	kt := keyTerm(p)
+	switch {
+	case kt.gathers(r, m):
 		return BindGathered
-	case CompileCached(p, r):
+	case kt.compileCached(r):
 		return BindCached
 	}
 	return BindFull
@@ -66,8 +68,8 @@ func BindScopeOf(p pref.Preference, r *relation.Relation, m int) BindScope {
 // they are a small fraction of r and no whole-relation form is cached.
 // The cardinality test comes first so large candidate sets (the repeated
 // unfiltered statement) never pay the cache probe.
-func gathers(p pref.Preference, r *relation.Relation, m int) bool {
-	return relation.GatherWorthwhile(m, r.Len()) && !CompileCached(p, r)
+func (kt keyedTerm) gathers(r *relation.Relation, m int) bool {
+	return relation.GatherWorthwhile(m, r.Len()) && !kt.compileCached(r)
 }
 
 // gatheredBinds counts gathered binds: they bypass the compile cache by
@@ -90,8 +92,11 @@ type evaluated struct {
 }
 
 // evalOn is the shared evaluation core behind every BMO entry point:
-// choose the bind scope, bind, plan (under Auto) and run.
-func evalOn(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMode, idx []int, cc *canceller) evaluated {
+// choose the bind scope, bind, plan (under Auto) and run. The term
+// arrives with its cache key rendered (keyTerm) — once per call, however
+// many shards the caller evaluates it on.
+func evalOn(kt keyedTerm, r *relation.Relation, alg Algorithm, mode EvalMode, idx []int, cc *canceller) evaluated {
+	p := kt.p
 	if alg == Decomposition {
 		// The decomposition evaluator compiles per sub-term inside the
 		// recursion (see decompose.go); binding the root term up front
@@ -101,7 +106,7 @@ func evalOn(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMod
 	if mode == EvalInterpreted || r == nil || !pref.Compilable(p) {
 		return evaluated{maxima: planAndExecute(alg, p, r, nil, idx, BindFull, mode, cc)}
 	}
-	if gathers(p, r, len(idx)) {
+	if kt.gathers(r, len(idx)) {
 		cc.check()
 		// A gathered bind can only fail where the full bind fails too (an
 		// ordinal layer past its coding cap); the cached path below then
@@ -113,7 +118,7 @@ func evalOn(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMod
 			return liftSlots(c, slots, idx)
 		}
 	}
-	c, hit := cachedCompile(p, r)
+	c, hit := cachedCompile(kt, r)
 	scope := BindFull
 	if hit {
 		scope = BindCached

@@ -61,11 +61,11 @@ func TestBlockedChainFilterAgreesWithGeneric(t *testing.T) {
 		}
 		order := allIndices(rel.Len())
 		slices.SortFunc(order, func(a, b int) int { return cmpKeyColumns(keys, a, b) })
-		generic := sfsFilterTree(c, order, nil)
+		generic := sfsFilter(&maximaFilter{tree: c}, order, nil)
 		if c.Flat() == nil {
 			t.Fatal("chain product must carry a flat shape")
 		}
-		if flat := sfsFilterFlat(c.Flat(), order, nil); !sameIndices(generic, flat) {
+		if flat := sfsFilter(&maximaFilter{flat: newFlatKernel(c.Flat(), 16)}, order, nil); !sameIndices(generic, flat) {
 			t.Fatalf("trial %d: flat kernel %v, generic %v", trial, flat, generic)
 		}
 		SetAVX2Enabled(false)
@@ -99,7 +99,7 @@ func TestBlockedChainFilterAgreesWithGeneric(t *testing.T) {
 			if cf == nil {
 				t.Fatal("exact chain product must build a chain filter")
 			}
-			if asm := sfsFilterChain(cf, order, nil); !sameIndices(generic, asm) {
+			if asm := sfsFilter(&maximaFilter{chain: cf}, order, nil); !sameIndices(generic, asm) {
 				t.Fatalf("trial %d: avx2 chain filter %v, generic %v", trial, asm, generic)
 			}
 		}
@@ -171,13 +171,15 @@ func BenchmarkSFSChainFilter(b *testing.B) {
 		b.Run(shape.name+"/tree", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sfsFilterTree(c, order, nil)
+				sfsFilter(&maximaFilter{tree: c}, order, nil)
 			}
 		})
 		b.Run(shape.name+"/flat", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sfsFilterFlat(c.Flat(), order, nil)
+				f := &maximaFilter{flat: newFlatKernel(c.Flat(), 16)}
+				sfsFilter(f, order, nil)
+				f.release()
 			}
 		})
 		b.Run(shape.name+"/avx2", func(b *testing.B) {
@@ -188,7 +190,7 @@ func BenchmarkSFSChainFilter(b *testing.B) {
 			defer SetAVX2Enabled(prev)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sfsFilterChain(newChainFilter(c), order, nil)
+				sfsFilter(&maximaFilter{chain: newChainFilter(c)}, order, nil)
 			}
 		})
 	}

@@ -36,35 +36,48 @@ type compileEntry struct {
 
 var compileCache = boundcache.New[compileEntry](compileCacheCap)
 
-// compileKey returns the compile-cache key of p over r's current version.
-// Two classes of input have none and always bind fresh: terms without a
-// faithful cache key (pref.CacheKey reports ok=false), and ephemeral
-// relations (query intermediates built by Pick/Select — their identity is
-// new per query, so an entry could never hit again and would only pin the
-// materialized rows until eviction).
-func compileKey(p pref.Preference, r *relation.Relation) (boundcache.Key, bool) {
-	if r == nil || r.Ephemeral() {
-		return boundcache.Key{}, false
-	}
-	term, keyed := pref.CacheKey(p)
-	if !keyed {
-		return boundcache.Key{}, false
-	}
-	return boundcache.Key{Src: r, Version: r.Version(), Term: term}, true
+// keyedTerm is a preference with its canonical cache rendering
+// (pref.CacheKey), derived once per evaluation call and shared by every
+// probe that call makes — the subset rule's cache peek, the bind's lookup
+// and store, the result key — on every shard it fans out to. keyed=false
+// marks a term without a faithful key: it always binds fresh.
+type keyedTerm struct {
+	p     pref.Preference
+	term  string
+	keyed bool
 }
 
-// cachedCompile returns the whole-relation bound form of p over r through
-// the compile cache (nil when binding fails) and whether the cache served
-// it. Callers have already checked pref.Compilable. Gathered binds never
-// come through here: they bypass the cache by construction (bind.go).
-func cachedCompile(p pref.Preference, r *relation.Relation) (c *pref.Compiled, hit bool) {
-	key, keyed := compileKey(p, r)
+// keyTerm renders p's cache key.
+func keyTerm(p pref.Preference) keyedTerm {
+	term, keyed := pref.CacheKey(p)
+	return keyedTerm{p: p, term: term, keyed: keyed}
+}
+
+// compileKey returns the compile-cache key of the term over r's current
+// version. Two classes of input have none and always bind fresh: terms
+// without a faithful cache key, and ephemeral relations (query
+// intermediates built by Pick/Select — their identity is new per query,
+// so an entry could never hit again and would only pin the materialized
+// rows until eviction).
+func (kt keyedTerm) compileKey(r *relation.Relation) (boundcache.Key, bool) {
+	if !kt.keyed || r == nil || r.Ephemeral() {
+		return boundcache.Key{}, false
+	}
+	return boundcache.Key{Src: r, Version: r.Version(), Term: kt.term}, true
+}
+
+// cachedCompile returns the whole-relation bound form of the term over r
+// through the compile cache (nil when binding fails) and whether the cache
+// served it. Callers have already checked pref.Compilable. Gathered binds
+// never come through here: they bypass the cache by construction (bind.go).
+func cachedCompile(kt keyedTerm, r *relation.Relation) (c *pref.Compiled, hit bool) {
+	key, keyed := kt.compileKey(r)
 	if keyed {
 		if e, hit := compileCache.Get(key); hit {
 			return e.c, true
 		}
 	}
-	c, ok := pref.Compile(p, r)
+	c, ok := pref.Compile(kt.p, r)
 	if !ok {
 		c = nil
 	}
@@ -79,7 +92,12 @@ func cachedCompile(p pref.Preference, r *relation.Relation) (c *pref.Compiled, h
 // report compile-cache status. Cached negative outcomes (terms that failed
 // to bind) do not count: no bound form exists to reuse.
 func CompileCached(p pref.Preference, r *relation.Relation) bool {
-	key, keyed := compileKey(p, r)
+	return keyTerm(p).compileCached(r)
+}
+
+// compileCached is CompileCached over an already rendered key.
+func (kt keyedTerm) compileCached(r *relation.Relation) bool {
+	key, keyed := kt.compileKey(r)
 	if !keyed {
 		return false
 	}

@@ -58,7 +58,7 @@ func compileFor(p pref.Preference, r *relation.Relation, mode EvalMode) *pref.Co
 	if mode == EvalInterpreted || r == nil || !pref.Compilable(p) {
 		return nil
 	}
-	c, _ := cachedCompile(p, r)
+	c, _ := cachedCompile(keyTerm(p), r)
 	return c
 }
 
@@ -173,10 +173,8 @@ candidates:
 // sfsCompiled is sort-filter-skyline over compiled columns: the sort keys
 // are the precomputed per-dimension key vectors of the compiled form —
 // no key materialization, no per-candidate allocation — and the filter
-// pass runs on the cheapest comparator the form allows: the blocked AVX2
-// chain filter for exact chain products, the flat record kernel for the
-// flat fragment, the predicate tree for the rest. Falls back to
-// bnlCompiled when the term has no compatible key.
+// pass runs on the cheapest comparator the form allows (maximaFilter).
+// Falls back to bnlCompiled when the term has no compatible key.
 func sfsCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
 	keys, ok := c.SortKeys()
 	if !ok {
@@ -185,71 +183,93 @@ func sfsCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
 	cc.check()
 	order := append([]int(nil), idx...)
 	slices.SortFunc(order, func(a, b int) int { return cmpKeyColumns(keys, a, b) })
+	f := newMaximaFilter(c)
+	defer f.release()
+	return sfsFilter(f, order, cc)
+}
+
+// sfsFilter is the filter pass of sfsCompiled: rows visited in key order,
+// each kept unless a confirmed maximum dominates it.
+func sfsFilter(f *maximaFilter, order []int, cc *canceller) []int {
+	var result []int
+	for _, i := range order {
+		cc.tick()
+		if !f.dominated(i) {
+			f.confirm(i)
+			result = append(result, i)
+		}
+	}
+	slices.Sort(result)
+	return result
+}
+
+// maximaFilter is the candidate-vs-confirmed-maxima test of every pass
+// that visits rows in sort-key order — sfsCompiled's filter pass and the
+// progressive stream's confirm loop — over one of three comparators:
+// confirmed maxima live in the AVX2 chain filter's blocked coordinate
+// store, in the flat kernel's committed records (one contiguous block in
+// confirmation order), or as row positions the predicate tree is asked
+// about pair by pair. Exactly one of chain, flat and tree is set.
+type maximaFilter struct {
+	chain *chainFilter
+	flat  *flatKernel
+	tree  *pref.Compiled
+	rows  []int // confirmed maxima of the tree comparator
+}
+
+// newMaximaFilter picks the comparator the bound form allows — the one
+// place the run-time choice dominanceOf predicts is made: the blocked
+// AVX2 chain filter for exact chain products, the flat record kernel for
+// the flat fragment, the predicate tree for the rest — and counts the
+// pass under it.
+func newMaximaFilter(c *pref.Compiled) *maximaFilter {
 	if cf := newChainFilter(c); cf != nil {
-		return sfsFilterChain(cf, order, cc)
+		dominanceRuns[DominanceChainAVX2].Add(1)
+		return &maximaFilter{chain: cf}
 	}
 	if fs := c.Flat(); fs != nil {
-		return sfsFilterFlat(fs, order, cc)
+		dominanceRuns[DominanceFlat].Add(1)
+		return &maximaFilter{flat: newFlatKernel(fs, 16)}
 	}
-	return sfsFilterTree(c, order, cc)
-}
-
-// sfsFilterFlat is the filter pass of sfsCompiled over records: confirmed
-// maxima occupy slots 0..m-1 in confirmation order and each candidate
-// tests against that contiguous block.
-func sfsFilterFlat(fs *pref.FlatShape, order []int, cc *canceller) []int {
-	dominanceRuns[DominanceFlat].Add(1)
-	k := newFlatKernel(fs, 16)
-	defer k.release()
-	var result []int
-	for _, i := range order {
-		cc.tick()
-		if !k.beaten(i) {
-			k.commit()
-			result = append(result, i)
-		}
-	}
-	slices.Sort(result)
-	return result
-}
-
-// sfsFilterTree is the filter pass of sfsCompiled through the compiled
-// predicate tree: one c.Less call per (candidate, confirmed maximum) pair.
-func sfsFilterTree(c *pref.Compiled, order []int, cc *canceller) []int {
 	dominanceRuns[DominanceTree].Add(1)
-	var result []int
-	for _, i := range order {
-		cc.tick()
-		dominated := false
-		for _, w := range result {
-			if c.Less(i, w) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			result = append(result, i)
-		}
-	}
-	slices.Sort(result)
-	return result
+	return &maximaFilter{tree: c}
 }
 
-// sfsFilterChain is the blocked filter pass for chain products: each
-// candidate tests against filterBlock confirmed maxima per AVX2 iteration
-// over flat coordinate columns.
-func sfsFilterChain(cf *chainFilter, order []int, cc *canceller) []int {
-	dominanceRuns[DominanceChainAVX2].Add(1)
-	var result []int
-	for _, i := range order {
-		cc.tick()
-		if !cf.dominated(i) {
-			cf.add(i)
-			result = append(result, i)
+// dominated reports whether a confirmed maximum dominates row i.
+func (f *maximaFilter) dominated(i int) bool {
+	switch {
+	case f.chain != nil:
+		return f.chain.dominated(i)
+	case f.flat != nil:
+		return f.flat.beaten(i)
+	}
+	for _, w := range f.rows {
+		if f.tree.Less(i, w) {
+			return true
 		}
 	}
-	slices.Sort(result)
-	return result
+	return false
+}
+
+// confirm adds row i — the row dominated just refused — to the maxima.
+func (f *maximaFilter) confirm(i int) {
+	switch {
+	case f.chain != nil:
+		f.chain.add(i)
+	case f.flat != nil:
+		f.flat.commit() // the candidate dominated staged
+	default:
+		f.rows = append(f.rows, i)
+	}
+}
+
+// release returns the record store to its pool; the filter must not be
+// used again.
+func (f *maximaFilter) release() {
+	if f.flat != nil {
+		f.flat.release()
+		f.flat = nil
+	}
 }
 
 // filterBlock is the number of confirmed maxima one kernel iteration

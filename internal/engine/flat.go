@@ -22,11 +22,13 @@ import (
 // compare scores alone, so a score tie reads as "equal here" — wrong when
 // ±Inf absorbed two value classes (NULL next to an infinite value), which
 // is what the pref.InfCollapse gate rules out, and meaningless for AROUND,
-// where 4 and 6 tie around 5. The records carry the attribute's equality
-// code next to each score and a tie consults it: equal codes fall
-// through, unequal codes make the pair incomparable in that group. NaN
-// scores (never <, never >) take the same branch, and every NaN value is
-// its own code. No witness, no gate.
+// where 4 and 6 tie around 5. The records carry the attribute's tie key
+// (pref.Tie.Key: the value's equality class as one word — the float
+// image's bits for an INT/FLOAT column, a dictionary code for the rest)
+// next to each score and a tie consults it: equal keys fall through,
+// unequal keys make the pair incomparable in that group. NaN scores
+// (never <, never >) take the same branch, and every NaN value is its own
+// key. No witness, no gate. The </> path never reads a key.
 //
 // Records are per-evaluation state: built from the bound form's vectors
 // for the rows one algorithm run visits, dropped with it, never cached —
@@ -50,25 +52,25 @@ const (
 )
 
 // flatKernel holds the row-major records of one evaluation: slot s keeps
-// its w scores at scores[s*w:] and its w equality codes at codes[s*w:].
+// its w scores at scores[s*w:] and its w tie keys at ties[s*w:].
 // Slots 0..n-1 are committed — the window of a block-nested-loops pass,
 // the confirmed maxima of a sort-filter pass; every test is between the
 // one staged candidate, whose scores are assembled in the free slot
 // behind them, and a committed slot. The candidate's scores are copied
 // lazily, one group at a time as a test first reaches that group, and its
-// codes are read from their columns on the ties that ask for them: a
+// tie keys are derived from their columns on the ties that ask for them: a
 // candidate the leading group already decides against (the common fate
 // under PRIOR TO) costs one column read per leading dimension, and only
 // a candidate that is kept gets a whole record. The final single-leaf
-// group's absent code column (pref.FlatDim) reads as the constant 0, so
-// its ties fall through.
+// group's zero tie operand (pref.FlatDim) reads as the constant 0, so its
+// ties fall through.
 type flatKernel struct {
 	dims   []pref.FlatDim
 	ends   []int
 	w      int
 	n      int // committed slots
 	scores []float64
-	codes  []uint32
+	ties   []uint64
 	row    int // the staged candidate's row in the bound form
 	filled int // leading scores of the candidate copied so far
 }
@@ -85,7 +87,7 @@ func newFlatKernel(fs *pref.FlatShape, capacity int) *flatKernel {
 	k := flatPool.Get().(*flatKernel)
 	k.dims, k.ends, k.w, k.n = fs.Dims, fs.Ends, len(fs.Dims), 0
 	if need := capacity * k.w; len(k.scores) < need {
-		k.scores, k.codes = make([]float64, need), make([]uint32, need)
+		k.scores, k.ties = make([]float64, need), make([]uint64, need)
 	}
 	return k
 }
@@ -115,10 +117,10 @@ func gatherFlat(fs *pref.FlatShape, rows []int, cc *canceller) *flatKernel {
 // stage makes bound-form row i the candidate; nothing is copied yet.
 func (k *flatKernel) stage(i int) {
 	if used := k.n * k.w; used+k.w > len(k.scores) {
-		scores, codes := make([]float64, 2*used+k.w), make([]uint32, 2*used+k.w)
+		scores, ties := make([]float64, 2*used+k.w), make([]uint64, 2*used+k.w)
 		copy(scores, k.scores[:used])
-		copy(codes, k.codes[:used])
-		k.scores, k.codes = scores, codes
+		copy(ties, k.ties[:used])
+		k.scores, k.ties = scores, ties
 	}
 	k.row, k.filled = i, 0
 }
@@ -132,13 +134,8 @@ func (k *flatKernel) fill(end int) {
 	k.filled = end
 }
 
-// code returns the candidate's equality code on dimension d.
-func (k *flatKernel) code(d int) uint32 {
-	if c := k.dims[d].Code; c != nil {
-		return c[k.row]
-	}
-	return 0
-}
+// tie returns the candidate's tie key on dimension d.
+func (k *flatKernel) tie(d int) uint64 { return k.dims[d].Tie.Key(k.row) }
 
 // truncate drops the committed slots from keep on (a window pass calls
 // it after compacting the survivors of an eviction to the front); the
@@ -154,7 +151,7 @@ func (k *flatKernel) commit() {
 	k.fill(k.w)
 	at := k.n * k.w
 	for d := range k.dims {
-		k.codes[at+d] = k.code(d)
+		k.ties[at+d] = k.tie(d)
 	}
 	k.n++
 }
@@ -165,7 +162,7 @@ func (k *flatKernel) move(from, to int) {
 	from, to = from*w, to*w
 	for d := 0; d < w; d++ {
 		k.scores[to+d] = k.scores[from+d]
-		k.codes[to+d] = k.codes[from+d]
+		k.ties[to+d] = k.ties[from+d]
 	}
 }
 
@@ -173,7 +170,7 @@ func (k *flatKernel) move(from, to int) {
 // committed slot m: group by group in priority order, a strictly smaller
 // score marks the candidate "worse", a strictly greater one "better",
 // anything else (a tie, or a NaN on either side) must be backed by equal
-// codes or the pair is incomparable; a group that marked one direction
+// tie keys or the pair is incomparable; a group that marked one direction
 // decides, one that marked both is incomparable, one that marked neither
 // is equal and defers to the next.
 func (k *flatKernel) compare(m int) order {
@@ -207,7 +204,7 @@ func (k *flatKernel) compare(m int) order {
 					return ordIncomparable
 				}
 				gt = true
-			case k.code(d) != k.codes[b+d]:
+			case k.tie(d) != k.ties[b+d]:
 				return ordIncomparable
 			}
 		}
@@ -252,7 +249,7 @@ members:
 					lt = true
 				case x > y:
 					continue members
-				case k.code(d) != k.codes[b+d]:
+				case k.tie(d) != k.ties[b+d]:
 					continue members
 				}
 			}
@@ -299,9 +296,9 @@ func (d Dominance) String() string {
 
 // dominanceOf is the one structural rule for which comparator a compiled
 // run of alg over term p uses: the planner prices it, EXPLAIN reports it,
-// and execution applies the same predicates in the same order (the AVX2
-// flag and chainDims inside newChainFilter, pref.FlatShaped inside
-// pref.Compile). Two data-dependent demotions happen at run time and are
+// and execution applies the same predicates in the same order
+// (newMaximaFilter: the AVX2 flag and chainDims inside newChainFilter,
+// pref.FlatShaped inside pref.Compile). Two data-dependent demotions happen at run time and are
 // not visible here: an inexact ±Inf collapse (pref.InfCollapse) takes a
 // chain product from the coordinate comparators to the flat kernel, and a
 // presence-masked leaf (a generic source whose tuples lack an attribute)

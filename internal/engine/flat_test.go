@@ -60,14 +60,115 @@ func kernelTestTerm(rng *rand.Rand) pref.Preference {
 	return gatheredTerm(rng)
 }
 
+// hasTie reports whether the dimension carries a tie operand (all but the
+// single leaf of a final group do).
+func hasTie(dim pref.FlatDim) bool { return dim.Tie.Code != nil || dim.Tie.Val != nil }
+
 // mirrorOrder is compare(j, i) given compare(i, j).
 var mirrorOrder = [...]order{ordEqual: ordEqual, ordLess: ordGreater, ordGreater: ordLess, ordIncomparable: ordIncomparable}
 
-// TestFlatKernelAgreesWithTreeAndInterpreted: over a relation-backed
-// bound form, exactly the terms of the flat fragment carry a shape, and
-// for every pair of rows the kernel's three-way outcome equals (Less(i,j),
-// Less(j,i)) of the predicate tree and of the interpreted preference, is
-// antisymmetric, and a row equals itself.
+// flatLeavesOf is the test's own reading of a fragment term: the leaves
+// of each Pareto group, groups in priority order.
+func flatLeavesOf(p pref.Preference) [][]pref.Preference {
+	if q, ok := p.(*pref.PrioritizedPref); ok {
+		return append(flatLeavesOf(q.Left()), flatLeavesOf(q.Right())...)
+	}
+	var leaves func(p pref.Preference) []pref.Preference
+	leaves = func(p pref.Preference) []pref.Preference {
+		switch q := p.(type) {
+		case *pref.ParetoPref:
+			return append(leaves(q.Left()), leaves(q.Right())...)
+		case *pref.ProductPref:
+			var out []pref.Preference
+			for _, part := range q.Parts() {
+				out = append(out, leaves(part)...)
+			}
+			return out
+		}
+		return []pref.Preference{p}
+	}
+	return [][]pref.Preference{leaves(p)}
+}
+
+// interpretedOrder derives the three-way outcome from the interpreted
+// preference and projection equality alone — Less both ways, then EqualOn
+// on every leaf's attribute but a single final leaf's.
+func interpretedOrder(p pref.Preference, x, y pref.Tuple) order {
+	switch {
+	case p.Less(x, y):
+		return ordLess
+	case p.Less(y, x):
+		return ordGreater
+	}
+	groups := flatLeavesOf(p)
+	for g, leaves := range groups {
+		if g == len(groups)-1 && len(leaves) == 1 {
+			break
+		}
+		for _, leaf := range leaves {
+			if !pref.EqualOn(x, y, leaf.Attrs()) {
+				return ordIncomparable
+			}
+		}
+	}
+	return ordEqual
+}
+
+// checkKernelPairs binds a fragment term over src — a whole relation, a
+// gathered subset, a cross-shard merge source — and holds the flat
+// kernel's three-way outcome on every pair of rows to the predicate tree
+// (Less both ways) and to the interpreted preference plus projection
+// equality; the outcome is antisymmetric and a row equals itself.
+func checkKernelPairs(t *testing.T, what string, p pref.Preference, src pref.Source) {
+	t.Helper()
+	c, ok := pref.Compile(p, src)
+	if !ok {
+		t.Fatalf("%s: %s must compile", what, p)
+	}
+	fs := c.Flat()
+	if fs == nil {
+		t.Fatalf("%s: %s must carry a flat shape", what, p)
+	}
+	all := allIndices(src.Len())
+	k := gatherFlat(fs, all, nil)
+	defer k.release()
+	outcome := make([][]order, len(all))
+	for i := range all {
+		outcome[i] = make([]order, len(all))
+		k.stage(i)
+		for j := range all {
+			outcome[i][j] = k.compare(j)
+		}
+	}
+	for i := range all {
+		if outcome[i][i] != ordEqual {
+			t.Fatalf("%s %s: row %d against itself: %d", what, p, i, outcome[i][i])
+		}
+		x := src.Tuple(i)
+		for j := range all {
+			if i == j {
+				continue
+			}
+			y, got := src.Tuple(j), outcome[i][j]
+			if less, greater := c.Less(i, j), c.Less(j, i); (got == ordLess) != less || (got == ordGreater) != greater {
+				t.Fatalf("%s %s: rows %v / %v: kernel %d, tree less=%v greater=%v", what, p, x, y, got, less, greater)
+			}
+			if want := interpretedOrder(p, x, y); got != want {
+				t.Fatalf("%s %s: rows %v / %v: kernel %d, interpreted %d", what, p, x, y, got, want)
+			}
+			if outcome[j][i] != mirrorOrder[got] {
+				t.Fatalf("%s %s: rows %d,%d: %d one way, %d back", what, p, i, j, got, outcome[j][i])
+			}
+		}
+	}
+}
+
+// TestFlatKernelAgreesWithTreeAndInterpreted: exactly the terms of the
+// flat fragment carry a shape, and under every bind a statement can get —
+// the whole relation, a gathered subset, the cross-shard merge source
+// (rows of several shards under one form), each of them over a paged
+// store too — the kernel agrees pair by pair with the tree and with the
+// interpreted preference (checkKernelPairs).
 func TestFlatKernelAgreesWithTreeAndInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	flatTerms := 0
@@ -78,57 +179,119 @@ func TestFlatKernelAgreesWithTreeAndInterpreted(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s must compile", p)
 		}
-		fs := c.Flat()
-		if (fs != nil) != pref.FlatShaped(p) {
+		if fs := c.Flat(); (fs != nil) != pref.FlatShaped(p) {
 			t.Fatalf("%s: flat shape present=%v, in the fragment=%v", p, fs != nil, pref.FlatShaped(p))
 		}
-		if fs == nil {
+		if !pref.FlatShaped(p) {
 			continue // outside the fragment: compiled_test pins the tree
 		}
 		flatTerms++
-		all := allIndices(rel.Len())
-		k := gatherFlat(fs, all, nil)
-		outcome := make([][]order, len(all))
-		for i := range all {
-			outcome[i] = make([]order, len(all))
-			k.stage(i)
-			for j := range all {
-				outcome[i][j] = k.compare(j)
-			}
+		checkKernelPairs(t, "whole relation", p, rel)
+		sub := rng.Perm(rel.Len())[:rel.Len()/3] // unordered on purpose
+		checkKernelPairs(t, "gathered", p, rel.Gather(sub))
+		sharded, err := relation.ShardRelation(rel, 3, relation.ByHash("oid"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		k.release()
-		for i := range all {
-			if outcome[i][i] != ordEqual {
-				t.Fatalf("%s: row %d against itself: %d", p, i, outcome[i][i])
-			}
-			for j := range all {
-				got := outcome[i][j]
-				less, greater := c.Less(i, j), c.Less(j, i)
-				if (got == ordLess) != less || (got == ordGreater) != greater {
-					t.Fatalf("trial %d %s: rows %v / %v: kernel %d, tree less=%v greater=%v", trial, p, rel.Row(i), rel.Row(j), got, less, greater)
-				}
-				if il, ig := p.Less(rel.Tuple(i), rel.Tuple(j)), p.Less(rel.Tuple(j), rel.Tuple(i)); il != less || ig != greater {
-					t.Fatalf("trial %d %s: rows %v / %v: tree (%v,%v), interpreted (%v,%v)", trial, p, rel.Row(i), rel.Row(j), less, greater, il, ig)
-				}
-				if outcome[j][i] != mirrorOrder[got] {
-					t.Fatalf("trial %d %s: rows %d,%d: %d one way, %d back", trial, p, i, j, got, outcome[j][i])
-				}
-				if got == ordEqual && i != j {
-					// Equal: every group but a single final leaf is
-					// projection-equal (NaN never is, so it cannot be here).
-					groups := fs.Ends
-					coded := fs.Dims[:groups[len(groups)-1]]
-					for d, dim := range coded {
-						if dim.Code != nil && dim.Code[i] != dim.Code[j] {
-							t.Fatalf("%s: rows %d,%d equal but dim %d codes differ", p, i, j, d)
-						}
-					}
-				}
-			}
+		checkKernelPairs(t, "cross-shard merge", p, sharded.Gather(AllShardSets(sharded)))
+		if trial%8 != 0 {
+			continue
 		}
+		st, err := relation.OpenStore(t.TempDir(), relation.StoreOptions{PageBytes: 1 << 10, PoolBytes: 8 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := st.ImportTable(sharded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paged := tbl.(*relation.Sharded)
+		checkKernelPairs(t, "paged shard", p, paged.Shard(0))
+		checkKernelPairs(t, "paged gathered", p, paged.Shard(1).Gather(allIndices(paged.Shard(1).Len()/2)))
+		checkKernelPairs(t, "paged merge", p, paged.Gather(AllShardSets(paged)))
+		st.Close()
 	}
 	if flatTerms < 40 {
 		t.Fatalf("only %d of 120 drawn terms were in the fragment", flatTerms)
+	}
+}
+
+// countingSource forwards a columnar source's optional interfaces and
+// counts the equality-code requests.
+type countingSource struct {
+	pref.Source
+	eqAsked int
+}
+
+func (s *countingSource) FloatColumn(attr string) ([]float64, []bool, bool) {
+	return s.Source.(pref.FloatColumner).FloatColumn(attr)
+}
+
+func (s *countingSource) NumericColumn(attr string) ([]float64, []bool, bool) {
+	return s.Source.(pref.NumericColumner).NumericColumn(attr)
+}
+
+func (s *countingSource) EqColumn(attr string) ([]uint32, bool) {
+	s.eqAsked++
+	return s.Source.(pref.EqColumner).EqColumn(attr)
+}
+
+func (s *countingSource) Resolves(attr string) bool {
+	return s.Source.(pref.Resolver).Resolves(attr)
+}
+
+// TestNumericFlatTermBindsWithoutCodes: the served cold_skyline shapes —
+// numeric attributes only — bind over the whole relation, over a gathered
+// candidate set and over the cross-shard merge source without ever
+// asking the source for equality codes, on a table whose clamped columns
+// tie in bulk (workload.Numeric); the maxima over those binds still equal
+// the interpreted BNL oracle. A string leaf beside them asks for its own
+// codes only.
+func TestNumericFlatTermBindsWithoutCodes(t *testing.T) {
+	rel := workload.Numeric(4000, 4, workload.AntiCorrelated, 7)
+	var cand []int
+	for i := 0; i < rel.Len(); i++ {
+		if v, _ := rel.Tuple(i).Get("d4"); v.(float64) <= 0.05 {
+			cand = append(cand, i)
+		}
+	}
+	if len(cand) < 50 || !relation.GatherWorthwhile(len(cand), rel.Len()) {
+		t.Fatalf("test premise: %d of %d candidates", len(cand), rel.Len())
+	}
+	sharded, err := relation.ShardRelation(rel, 2, relation.ByRange("d1", relation.RangeBounds(rel, "d1", 2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range kernelBenchShapes {
+		// Row k of the picked copy is candidate k: slots on both sides.
+		want := BMOIndicesMode(shape.p, rel.Pick(cand), BNL, EvalInterpreted)
+		for name, src := range map[string]pref.Source{
+			"whole relation":    rel,
+			"gathered":          rel.Gather(cand),
+			"cross-shard merge": sharded.Gather(AllShardSets(sharded)),
+		} {
+			cs := &countingSource{Source: src}
+			c, ok := pref.Compile(shape.p, cs)
+			if !ok || c.Flat() == nil {
+				t.Fatalf("%s over %s must bind with a flat shape", shape.name, name)
+			}
+			if cs.eqAsked != 0 {
+				t.Fatalf("%s over %s: a numeric-only bind asked for equality codes %d time(s)", shape.name, name, cs.eqAsked)
+			}
+			if name != "gathered" {
+				continue
+			}
+			if got := bnlFlat(c.Flat(), allIndices(len(cand)), nil); !sameInts(got, want) {
+				t.Fatalf("%s gathered: got %v want %v", shape.name, got, want)
+			}
+		}
+	}
+	// Codes are still what a string attribute ties on.
+	r := gatheredTestRelation(rand.New(rand.NewSource(23)), 200)
+	cs := &countingSource{Source: r.Gather(allIndices(40))}
+	p := pref.Pareto(pref.Pareto(pref.AROUND("x", 4), pref.LOWEST("q")), pref.POS("color", "red"))
+	if c, ok := pref.Compile(p, cs); !ok || c.Flat() == nil || cs.eqAsked == 0 {
+		t.Fatalf("a string leaf must still bind through codes (ok=%v asked=%d)", ok, cs.eqAsked)
 	}
 }
 

@@ -24,8 +24,14 @@ import (
 // gatheredTestRelation builds rows whose columns carry everything that
 // can go wrong between a column image and a predicate: NULLs, NaN, ±Inf
 // domain values (which tie NULL rows at an infinite score), small
-// domains (many equal values), a discrete column, and a uniform selector
-// column w for drawing candidate sets of a chosen selectivity.
+// domains (many equal values), int twins inside the FLOAT column x, an
+// INT column big of values beyond 2^53 (neighbours share a float image,
+// and pref.EqualValues — so every tie — calls them equal), a TIME column
+// ts of instants half a second apart (tied on the score scale, not
+// equal: the one linear column type that must keep equality codes), a
+// FLOAT column q clamped at 0 like workload.Numeric clamps (most rows tie
+// there), a discrete column, and a uniform selector column w for drawing
+// candidate sets of a chosen selectivity.
 func gatheredTestRelation(rng *rand.Rand, n int) *relation.Relation {
 	r := relation.New("R", relation.MustSchema(
 		relation.Column{Name: "oid", Type: relation.Int},
@@ -34,10 +40,13 @@ func gatheredTestRelation(rng *rand.Rand, n int) *relation.Relation {
 		relation.Column{Name: "z", Type: relation.Float},
 		relation.Column{Name: "color", Type: relation.String},
 		relation.Column{Name: "w", Type: relation.Int},
+		relation.Column{Name: "big", Type: relation.Int},
+		relation.Column{Name: "ts", Type: relation.Time},
+		relation.Column{Name: "q", Type: relation.Float},
 	))
 	colors := []string{"red", "blue", "green", "gray"}
 	for i := 0; i < n; i++ {
-		var x, y, c pref.Value
+		var x, y, c, big, ts pref.Value
 		switch u := rng.Intn(30); {
 		case u == 0:
 			x = math.NaN()
@@ -47,6 +56,8 @@ func gatheredTestRelation(rng *rand.Rand, n int) *relation.Relation {
 			x = math.Inf(-1)
 		case u <= 4:
 			// NULL
+		case u <= 7:
+			x = int64(rng.Intn(12)) // the int twin of a float below
 		default:
 			x = float64(rng.Intn(12))
 		}
@@ -56,14 +67,21 @@ func gatheredTestRelation(rng *rand.Rand, n int) *relation.Relation {
 		if rng.Intn(8) > 0 {
 			c = colors[rng.Intn(len(colors))]
 		}
-		r.MustInsert(relation.Row{int64(i), x, y, rng.Float64(), c, int64(rng.Intn(1000))})
+		if rng.Intn(12) > 0 {
+			big = int64(1-2*rng.Intn(2)) * (1<<53 + int64(rng.Intn(6)))
+		}
+		if rng.Intn(12) > 0 {
+			ts = time.Unix(int64(1_000_000+rng.Intn(4)), int64(rng.Intn(2))*500_000_000).UTC()
+		}
+		q := math.Max(0, float64(rng.Intn(9)-5)/4)
+		r.MustInsert(relation.Row{int64(i), x, y, rng.Float64(), c, int64(rng.Intn(1000)), big, ts, q})
 	}
 	return r
 }
 
 // gatheredLeaf draws one base preference over the test columns.
 func gatheredLeaf(rng *rand.Rand) pref.Preference {
-	switch rng.Intn(8) {
+	switch rng.Intn(13) {
 	case 0:
 		return pref.AROUND("x", float64(rng.Intn(12)))
 	case 1:
@@ -78,6 +96,16 @@ func gatheredLeaf(rng *rand.Rand) pref.Preference {
 		return pref.POS("color", "red", "green")
 	case 6:
 		return pref.NEG("color", "blue")
+	case 7:
+		return pref.AROUND("big", float64(int64(1<<53+rng.Intn(6))))
+	case 8:
+		return pref.HIGHEST("big")
+	case 9:
+		return pref.LOWEST("ts")
+	case 10:
+		return pref.AROUND("q", float64(rng.Intn(3))/4)
+	case 11:
+		return pref.LOWEST("q")
 	}
 	p, err := pref.EXPLICIT("color", []pref.Edge{
 		{Worse: "blue", Better: "red"},
@@ -460,4 +488,83 @@ func TestGatheredCancelAgreement(t *testing.T) {
 		}
 	}
 	ResetCompileCache()
+}
+
+// TestExtendedRowsCachedCarriedAndRebound drives the keyed entry points —
+// result-cache misses, hits and carries across inserts — flat and sharded
+// over the extended edge rows, against the interpreted BNL oracle; and
+// holds the whole-relation forms bound before and after each insert to
+// one another on the rows both cover (the cache-soundness invariant: a
+// tie operand references its generation's column image, so a superseded
+// form must keep answering exactly like a fresh one over the old rows).
+func TestExtendedRowsCachedCarriedAndRebound(t *testing.T) {
+	freshResultCache(t)
+	ResetCompileCache()
+	defer ResetCompileCache()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 6; trial++ {
+		flat := gatheredTestRelation(rng, 120+rng.Intn(120))
+		extra := gatheredTestRelation(rng, 40)
+		sharded, err := relation.ShardRelation(flat, 2+trial%3, relation.ByHash("oid"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		terms := []pref.Preference{gatheredTerm(rng), gatheredTerm(rng), pref.Pareto(pref.LOWEST("x"), pref.HIGHEST("big"))}
+		for step := 0; step < 10; step++ {
+			p := terms[rng.Intn(len(terms))]
+			var where filter.Pred
+			var idx []int
+			var sets ShardSets
+			if rng.Intn(2) == 0 {
+				where = &filter.Cmp{Attr: "w", Op: "<", Value: float64(100 + 300*rng.Intn(3))}
+				idx = filter.CompileCached(where, flat).Indices()
+				sets = make(ShardSets, sharded.NumShards())
+				for i, sh := range sharded.Shards() {
+					sets[i] = filter.CompileCached(where, sh).Indices()
+				}
+			}
+			cand := flat
+			if idx != nil {
+				cand = flat.Pick(idx)
+			}
+			want := oidsOf(cand.Row, BMOIndicesMode(p, cand, BNL, EvalInterpreted))
+			got, err := EvalIndicesCtxKeyed(ctx, p, flat, Auto, slices.Clone(idx), where)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if oids := oidsOf(flat.Row, got); !sameInts(oids, want) {
+				t.Fatalf("trial %d step %d flat %s (where=%v):\n got %v\nwant %v", trial, step, p, where != nil, oids, want)
+			}
+			gotSets, _, err := BMOShardedOnCtxKeyed(ctx, p, sharded, Auto, cloneSets(sets), where, Robust{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if oids := oidsOf(sharded.Row, gotSets.GlobalIDs(sharded)); !sameInts(oids, want) {
+				t.Fatalf("trial %d step %d sharded %s (where=%v):\n got %v\nwant %v", trial, step, p, where != nil, oids, want)
+			}
+			before := compileFor(p, flat, EvalAuto)
+			n := flat.Len()
+			row := append(relation.Row(nil), extra.Row(step)...)
+			row[0] = int64(10_000 + 100*trial + step)
+			flat.MustInsert(row)
+			if err := sharded.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+			after := compileFor(p, flat, EvalAuto)
+			if before == nil || after == nil || before == after {
+				t.Fatalf("trial %d step %d: an insert must strand the cached form (before=%p after=%p)", trial, step, before, after)
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if before.Less(i, j) != after.Less(i, j) {
+						t.Fatalf("trial %d step %d %s: forms bound before and after the insert disagree on rows %v / %v", trial, step, p, flat.Row(i), flat.Row(j))
+					}
+				}
+			}
+		}
+	}
+	if h, _, carried := resultcache.Stats(); h == 0 || carried == 0 {
+		t.Fatalf("the run must exercise result-cache hits and carries: hits=%d carries=%d", h, carried)
+	}
 }

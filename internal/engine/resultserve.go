@@ -23,42 +23,61 @@ import (
 // evaluates, so benchmarks and agreement baselines keep measuring real
 // work.
 
-// resultKey derives the result-cache addressing of σ[P](where(R)):
-// the identity the entry files under, the generation version to read,
-// and the composed term. ok=false means the query must bypass the cache:
-// ephemeral relations (identity fresh per query), preferences without a
-// faithful canonical key, or WHERE trees containing foreign Pred nodes.
-func resultKey(p pref.Preference, r *relation.Relation, where filter.Pred) (src any, version uint64, term string, ok bool) {
-	if r == nil || r.Ephemeral() {
-		return nil, 0, "", false
-	}
-	prefTerm, keyed := pref.CacheKey(p)
-	if !keyed {
-		return nil, 0, "", false
+// stmtKeys are the canonical renderings one keyed evaluation call
+// addresses its caches with: the preference's compile-cache term and the
+// result-cache term composed from it and the candidate-set key. They are
+// functions of the statement alone, so a call renders them once and every
+// shard reuses them. resultOK=false means the query must bypass the result
+// cache: a preference without a faithful canonical key, or a WHERE tree
+// containing foreign Pred nodes.
+type stmtKeys struct {
+	keyedTerm
+	result   string
+	resultOK bool
+}
+
+// keysOf renders the keys of σ[P](where(R)).
+func keysOf(p pref.Preference, where filter.Pred) stmtKeys {
+	k := stmtKeys{keyedTerm: keyTerm(p)}
+	if !k.keyed {
+		return k
 	}
 	candTerm := "*"
 	if where != nil {
-		pk, wok := filter.PredKey(where)
-		if !wok {
-			return nil, 0, "", false
+		pk, ok := filter.PredKey(where)
+		if !ok {
+			return k
 		}
 		candTerm = "w:" + pk
 	}
-	return r.Origin(), r.Version(), resultcache.TermKey(prefTerm, candTerm), true
+	k.result, k.resultOK = resultcache.TermKey(k.term, candTerm), true
+	return k
+}
+
+// resultKey derives the result-cache addressing over one relation: the
+// identity the entry files under, the generation version to read, and the
+// composed term. ok=false for an unkeyable statement and for ephemeral
+// relations (identity fresh per query).
+func (k stmtKeys) resultKey(r *relation.Relation) (src any, version uint64, term string, ok bool) {
+	if !k.resultOK || r == nil || r.Ephemeral() {
+		return nil, 0, "", false
+	}
+	return r.Origin(), r.Version(), k.result, true
 }
 
 // buildResultEntry packages a finished evaluation for the cache,
 // attaching the chain-product coordinate fast path when the preference
-// flattens to chain dimensions and no maximum scores ±Inf on any of them
-// (±Inf coordinates can collapse distinct value classes — the
-// pref.InfCollapse hazard — so maintenance falls back to interpreted
-// dominance for them). The coordinates come out of the score vectors of
-// the bound form that just evaluated; only an interpreted evaluation
-// re-derives them through ScoreOf.
+// flattens to chain dimensions over numeric columns and no maximum scores
+// ±Inf on any of them (±Inf coordinates can collapse distinct value
+// classes — the pref.InfCollapse hazard — and a TIME dimension ties
+// unequal instants within a second, so maintenance falls back to
+// interpreted dominance for them). The coordinates come out of the score
+// vectors of the bound form that just evaluated; only an interpreted
+// evaluation re-derives them through ScoreOf.
 func buildResultEntry(p pref.Preference, where filter.Pred, r *relation.Relation, ev evaluated) *resultcache.Entry {
 	e := &resultcache.Entry{Pref: p, Where: where, Maxima: slices.Clone(ev.maxima)}
 	dims, ok := chainDims(p)
-	if !ok {
+	if !ok || !chainImagesExact(dims, r) {
 		return e
 	}
 	coords, bound := ev.chainCoords()
@@ -93,9 +112,11 @@ func buildResultEntry(p pref.Preference, where filter.Pred, r *relation.Relation
 // evaluation runs and, if no write raced it, the result is stored for
 // the generation it was computed against.
 func EvalIndicesCtxKeyed(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int, where filter.Pred) ([]int, error) {
-	src, ver, term, ok := resultKey(p, r, where)
+	keys := keysOf(p, where)
+	src, ver, term, ok := keys.resultKey(r)
 	if !ok {
-		return EvalIndicesCtx(ctx, p, r, alg, idx)
+		ev, err := evalIndicesCtx(ctx, keys.keyedTerm, r, alg, idx)
+		return ev.maxima, err
 	}
 	if e, hit := resultcache.Get(src, ver, term); hit {
 		if ctx != nil {
@@ -105,7 +126,7 @@ func EvalIndicesCtxKeyed(ctx context.Context, p pref.Preference, r *relation.Rel
 		}
 		return slices.Clone(e.Maxima), nil
 	}
-	ev, err := evalIndicesCtx(ctx, p, r, alg, idx)
+	ev, err := evalIndicesCtx(ctx, keys.keyedTerm, r, alg, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +144,7 @@ func ResultCacheState(p pref.Preference, r *relation.Relation, where filter.Pred
 	if !resultcache.Enabled() {
 		return "bypass"
 	}
-	src, ver, term, ok := resultKey(p, r, where)
+	src, ver, term, ok := keysOf(p, where).resultKey(r)
 	if !ok {
 		return "bypass"
 	}
@@ -141,8 +162,9 @@ func ResultCachedShards(p pref.Preference, s *relation.Sharded, where filter.Pre
 		return 0, false
 	}
 	n := 0
+	keys := keysOf(p, where)
 	for i := 0; i < s.NumShards(); i++ {
-		src, ver, term, ok := resultKey(p, s.Shard(i), where)
+		src, ver, term, ok := keys.resultKey(s.Shard(i))
 		if !ok {
 			return 0, false
 		}
@@ -165,8 +187,8 @@ type shardResultKey struct {
 
 // captureShardKey derives (and remembers) the addressing for one
 // shard's local maxima.
-func captureShardKey(p pref.Preference, shard *relation.Relation, where filter.Pred) shardResultKey {
-	src, ver, term, ok := resultKey(p, shard, where)
+func captureShardKey(keys stmtKeys, shard *relation.Relation) shardResultKey {
+	src, ver, term, ok := keys.resultKey(shard)
 	return shardResultKey{src: src, ver: ver, term: term, ok: ok}
 }
 

@@ -93,6 +93,12 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 	if sets == nil {
 		sets = AllShardSets(s)
 	}
+	// Rendered once, before the fan-out: every shard's bind-scope probe,
+	// compile-cache lookup and result key reuse them.
+	keys := stmtKeys{keyedTerm: keyTerm(p)}
+	if keyed {
+		keys = keysOf(p, where)
+	}
 	locals := make(ShardSets, s.NumShards())
 	var accepted ShardSets
 	if keep != nil {
@@ -114,12 +120,12 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 			hit bool
 		)
 		if canServe {
-			key = captureShardKey(p, shard, where)
+			key = captureShardKey(keys, shard)
 			out, hit = key.serve(ictx)
 		}
 		if !hit {
 			ev, err := runCancellable(ictx, func(cc *canceller) evaluated {
-				return evalOn(p, shard, alg, EvalAuto, cand, cc)
+				return evalOn(keys.keyedTerm, shard, alg, EvalAuto, cand, cc)
 			})
 			if err != nil {
 				return err

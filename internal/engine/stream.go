@@ -42,9 +42,8 @@ type Stream struct {
 	keys    [][]float64         // per-dimension key columns in slot space; nil without a key
 	order   []int               // visit order (slots, best first)
 	pos     int
-	confirm []int        // confirmed maxima (slots) of the predicate-tree filter
-	chain   *chainFilter // AVX2 blocked filter for exact chain products, or nil
-	flat    *flatKernel  // record kernel holding the confirmed maxima, or nil
+	confirm []int         // confirmed maxima (slots) of the interpreted filter
+	filter  *maximaFilter // confirmed maxima (row positions) of a compiled stream, or nil
 
 	progressive bool
 	started     bool
@@ -97,8 +96,8 @@ func EvalStreamTuples(p pref.Preference, tuples []pref.Tuple) *Stream {
 }
 
 // bindCompiled wires the slot-space predicate, key vectors and the
-// confirm loop's comparator (chosen like sfsCompiled chooses its filter
-// pass) from a compiled form. With an identity candidate set the cached
+// confirm loop's comparator (the maximaFilter sfsCompiled's filter pass
+// runs on) from a compiled form. With an identity candidate set the cached
 // key vectors are shared by reference; a proper subset gathers them into
 // slot space once so the visit-order sort scans contiguous columns.
 func (s *Stream) bindCompiled(c *pref.Compiled) {
@@ -113,14 +112,7 @@ func (s *Stream) bindCompiled(c *pref.Compiled) {
 		} else {
 			s.keys = gatherKeys(keys, s.cand)
 		}
-		if s.chain = newChainFilter(c); s.chain != nil {
-			dominanceRuns[DominanceChainAVX2].Add(1)
-		} else if fs := c.Flat(); fs != nil {
-			s.flat = newFlatKernel(fs, 16)
-			dominanceRuns[DominanceFlat].Add(1)
-		} else {
-			dominanceRuns[DominanceTree].Add(1)
-		}
+		s.filter = newMaximaFilter(c)
 	}
 	s.initOrder()
 }
@@ -246,12 +238,9 @@ func (s *Stream) Next() (row int, ok bool) {
 		// Key order guarantees no unvisited candidate dominates slot:
 		// x <P y implies key(x) <lex key(y), and slot's key is ≥ all
 		// remaining keys. slot is final.
-		switch {
-		case s.chain != nil:
-			s.chain.add(s.row(slot))
-		case s.flat != nil:
-			s.flat.commit() // the candidate slotDominated just staged
-		default:
+		if s.filter != nil {
+			s.filter.confirm(s.row(slot))
+		} else {
 			s.confirm = append(s.confirm, slot)
 		}
 		return s.row(slot), true
@@ -263,11 +252,8 @@ func (s *Stream) Next() (row int, ok bool) {
 // slotDominated filters one candidate slot against the confirmed maxima
 // through the comparator bound at stream start.
 func (s *Stream) slotDominated(slot int) bool {
-	if s.chain != nil {
-		return s.chain.dominated(s.row(slot))
-	}
-	if s.flat != nil {
-		return s.flat.beaten(s.row(slot))
+	if s.filter != nil {
+		return s.filter.dominated(s.row(slot))
 	}
 	for _, c := range s.confirm {
 		if s.less(slot, c) {

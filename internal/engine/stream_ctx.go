@@ -96,10 +96,10 @@ func (s *Stream) Close() {
 	if s.cancel != nil {
 		s.cancel()
 	}
-	if s.flat != nil {
-		s.flat.release()
+	if s.filter != nil {
+		s.filter.release()
 	}
-	s.order, s.buffered, s.confirm, s.keys, s.chain, s.flat, s.batch = nil, nil, nil, nil, nil, nil, nil
+	s.order, s.buffered, s.confirm, s.keys, s.filter, s.batch = nil, nil, nil, nil, nil, nil
 }
 
 // EvalStreamShardedCtx starts progressive evaluation over per-shard

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"time"
 )
 
 // This file implements the compiled columnar evaluation layer: Compile
@@ -36,16 +37,35 @@ type FloatColumner interface {
 	FloatColumn(attr string) (vals []float64, onScale []bool, ok bool)
 }
 
+// NumericColumner is optionally implemented by sources whose INT and FLOAT
+// columns are held as flat float64 images (see relation.NumericColumn):
+// FloatColumn restricted to the column types whose image DECIDES value
+// equality — EqualValues compares numerics by exactly this image — so
+// ok=false for TIME (its image is truncated to seconds), for non-numeric
+// columns and for unknown names. Compilation ties rows of such an
+// attribute on the image itself (see Tie) and never asks for its codes.
+type NumericColumner interface {
+	NumericColumn(attr string) (vals []float64, onScale []bool, ok bool)
+}
+
 // EqColumner is optionally implemented by sources that maintain equality
 // codes per column (see relation.EqColumn): rows carry equal codes exactly
 // when their values are equal in the EqualValues sense. Compilation then
 // skips the per-row canonical-key formatting of the generic path, and the
-// codes amortize across every compile against the same source.
+// codes amortize across every compile against the same source. Codes are
+// class ids: besides the ties of non-numeric attributes they serve the
+// leaves that evaluate once per value class (POS-family levels, SCORE).
 // Implementations must return codes only for attributes that resolve on
-// every row (schema-backed columns): compilation derives the attribute
-// presence mask from their existence.
+// every row (schema-backed columns).
 type EqColumner interface {
 	EqColumn(attr string) (codes []uint32, ok bool)
+}
+
+// Resolver is optionally implemented by schema-backed sources: Resolves
+// reports that every row carries the attribute, so compilation needs no
+// presence mask for it — without deriving any column to find out.
+type Resolver interface {
+	Resolves(attr string) bool
 }
 
 // Compiled is the bound form of a preference over one Source: flat score
@@ -137,11 +157,13 @@ func (cd *Compiled) ScoreVec(p Preference) []float64 { return cd.scoreVecs[p] }
 // treats such rows as incomparable on that dimension (score tie without
 // equality-class tie), while raw coordinate dominance reads the tie as
 // non-blocking — so coordinate algorithms over-kill exactly when an
-// infinity absorbed two classes. Exact reports that each infinity (per
-// sign) absorbed at most one class; NegClass/PosClass carry a canonical
-// witness of that class ("" when no row scores the infinity), letting
-// sharded callers check that the SAME class collapsed in every shard
-// before comparing coordinates across shards.
+// infinity absorbed two classes. The one finite exception is a TIME
+// attribute: its score scale is whole seconds, so unequal instants tie at
+// a finite score, and its record is never exact. Exact reports that each
+// infinity (per sign) absorbed at most one class; NegClass/PosClass carry
+// a canonical witness of that class ("" when no row scores the infinity),
+// letting sharded callers check that the SAME class collapsed in every
+// shard before comparing coordinates across shards.
 type InfCollapse struct {
 	Exact    bool
 	NegClass string
@@ -455,10 +477,10 @@ type orNode struct{ l, r cnode }
 func (n *orNode) less(i, j int) bool { return n.l.less(i, j) || n.r.less(i, j) }
 
 // prioNode is prioritized accumulation & (Definition 9); eq1 holds the
-// equality-code columns of P1's attribute set.
+// tie operands of P1's attribute set.
 type prioNode struct {
 	l, r cnode
-	eq1  [][]uint32
+	eq1  []Tie
 }
 
 func (n *prioNode) less(i, j int) bool {
@@ -469,10 +491,10 @@ func (n *prioNode) less(i, j int) bool {
 }
 
 // paretoNode is Pareto accumulation ⊗ (Definition 8); eqL/eqR hold the
-// equality-code columns of the left/right attribute sets.
+// tie operands of the left/right attribute sets.
 type paretoNode struct {
 	l, r     cnode
-	eqL, eqR [][]uint32
+	eqL, eqR []Tie
 }
 
 func (n *paretoNode) less(i, j int) bool {
@@ -493,7 +515,7 @@ func (n *paretoNode) less(i, j int) bool {
 // productNode is the n-ary coordinate-wise Pareto accumulation.
 type productNode struct {
 	parts []cnode
-	eqs   [][][]uint32
+	eqs   [][]Tie
 }
 
 func (n *productNode) less(i, j int) bool {
@@ -510,10 +532,11 @@ func (n *productNode) less(i, j int) bool {
 	return strict
 }
 
-// eqAll reports equality of rows i and j on every equality-code column.
-func eqAll(vecs [][]uint32, i, j int) bool {
-	for _, v := range vecs {
-		if v[i] != v[j] {
+// eqAll reports projection equality of rows i and j on every attribute of
+// the set.
+func eqAll(ties []Tie, i, j int) bool {
+	for _, t := range ties {
+		if !t.Equal(i, j) {
 			return false
 		}
 	}
@@ -550,14 +573,11 @@ func (c *compiler) presence(attr string) []bool {
 	if mask, ok := c.presVecs[attr]; ok {
 		return mask
 	}
-	if ec, ok := c.src.(EqColumner); ok {
-		if _, ok := ec.EqColumn(attr); ok {
-			// EqColumner contract: codes exist only for attributes every
-			// row resolves, so the mask is nil without boxing a single
-			// tuple view.
-			c.presVecs[attr] = nil
-			return nil
-		}
+	if rs, ok := c.src.(Resolver); ok && rs.Resolves(attr) {
+		// Every row resolves the attribute: the mask is nil without boxing
+		// a single tuple view or deriving a column.
+		c.presVecs[attr] = nil
+		return nil
 	}
 	tuples := c.ensureTuples()
 	all := true
@@ -577,7 +597,9 @@ func (c *compiler) presence(attr string) []bool {
 // eqVec returns the attribute's equality-code column: rows carry equal
 // codes exactly when EqualOn holds for the attribute (canonical ValueKey
 // identity, absent rows sharing the reserved code 0). Sources with typed
-// column storage supply cached codes directly.
+// column storage supply cached codes directly. Only what needs class ids
+// asks for it: the once-per-class leaves, and the ties of attributes whose
+// equality no float image decides (see tie).
 func (c *compiler) eqVec(attr string) []uint32 {
 	if v, ok := c.eqVecs[attr]; ok {
 		return v
@@ -619,11 +641,30 @@ func (c *compiler) eqVec(attr string) []uint32 {
 	return codes
 }
 
-// eqSet returns the equality-code columns of an attribute set.
-func (c *compiler) eqSet(attrs []string) [][]uint32 {
-	out := make([][]uint32, len(attrs))
+// numericColumn returns the attribute's float image when that image
+// decides value equality: an INT/FLOAT column of a NumericColumner source.
+func (c *compiler) numericColumn(attr string) (vals []float64, onScale []bool, ok bool) {
+	if nc, isNC := c.src.(NumericColumner); isNC {
+		return nc.NumericColumn(attr)
+	}
+	return nil, nil, false
+}
+
+// tie returns the attribute's projection-equality operand: the column's
+// float image where it decides value equality (no dictionary is built,
+// the image is shared by reference), equality codes otherwise.
+func (c *compiler) tie(attr string) Tie {
+	if vals, onScale, ok := c.numericColumn(attr); ok {
+		return Tie{Val: vals, On: onScale}
+	}
+	return Tie{Code: c.eqVec(attr)}
+}
+
+// eqSet returns the tie operands of an attribute set.
+func (c *compiler) eqSet(attrs []string) []Tie {
+	out := make([]Tie, len(attrs))
 	for k, a := range attrs {
-		out[k] = c.eqVec(a)
+		out[k] = c.tie(a)
 	}
 	return out
 }
@@ -641,7 +682,12 @@ func (c *compiler) scoreFromColumn(attr string, score func(float64) float64) (*s
 		return nil, InfCollapse{}, false
 	}
 	s := make([]float64, c.n)
-	ic := InfCollapse{Exact: true}
+	// Coordinate dominance reads a score tie as a value tie, which holds
+	// only where the scale image decides value equality: a TIME column's
+	// image is truncated to seconds, so instants within one second tie on
+	// it without being equal.
+	_, _, exact := c.numericColumn(attr)
+	ic := InfCollapse{Exact: exact}
 	for i := range s {
 		if onScale[i] {
 			s[i] = score(vals[i])
@@ -681,6 +727,9 @@ func (c *compiler) scoreFromValues(attr string, score func(Value) float64) (*sco
 			continue
 		}
 		s[i] = score(v)
+		if _, instant := v.(time.Time); instant {
+			ic.Exact = false // the seconds scale ties unequal instants
+		}
 		if math.IsInf(s[i], 0) {
 			key := offScaleClass
 			if v != nil {
@@ -932,7 +981,7 @@ func (c *compiler) compile(p Preference) (cnode, bool) {
 		return &orNode{l, r}, true
 	case *ProductPref:
 		parts := make([]cnode, len(q.Parts()))
-		eqs := make([][][]uint32, len(q.Parts()))
+		eqs := make([][]Tie, len(q.Parts()))
 		for k, part := range q.Parts() {
 			node, ok := c.compile(part)
 			if !ok {

@@ -4,11 +4,17 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // flatTestTuples draws tuples that carry every attribute (so no leaf is
 // presence-masked) with the values that separate a score tie from a
-// projection tie: NULL, NaN, ±Inf, ±0, int/float twins and duplicates.
+// projection tie: NULL, NaN, ±Inf, ±0, int/float twins and duplicates in
+// the float columns A, B, C; ints beyond 2^53 in I, where neighbours share
+// a float image and EqualValues — hence every tie operand — calls them
+// equal; instants half a second apart in T, which tie on the Unix-second
+// score scale but are not equal; a column Z clamped at 0 the way
+// workload.Numeric clamps, so most rows tie there; a string column S.
 func flatTestTuples(rng *rand.Rand, n int) mapSource {
 	num := func() Value {
 		switch rng.Intn(14) {
@@ -29,6 +35,20 @@ func flatTestTuples(rng *rand.Rand, n int) mapSource {
 		}
 		return float64(rng.Intn(5))
 	}
+	big := func() Value {
+		if rng.Intn(10) == 0 {
+			return nil
+		}
+		sign := int64(1 - 2*rng.Intn(2))
+		return sign * (1<<53 + int64(rng.Intn(6))) // 2^53+1 and 2^53 share an image
+	}
+	instant := func() Value {
+		if rng.Intn(10) == 0 {
+			return nil
+		}
+		return time.Unix(int64(1_000_000+rng.Intn(3)), int64(rng.Intn(2))*500_000_000).UTC()
+	}
+	clamped := func() Value { return math.Max(0, float64(rng.Intn(9)-5)/4) }
 	str := func() Value {
 		if rng.Intn(8) == 0 {
 			return nil
@@ -37,20 +57,87 @@ func flatTestTuples(rng *rand.Rand, n int) mapSource {
 	}
 	out := make(mapSource, n)
 	for i := range out {
-		out[i] = MapTuple{"A": num(), "B": num(), "C": num(), "S": str()}
+		out[i] = MapTuple{"A": num(), "B": num(), "C": num(), "I": big(), "T": instant(), "Z": clamped(), "S": str()}
 	}
 	return out
+}
+
+// colSource serves flatTestTuples the way a schema-backed relation does:
+// typed column images with on-scale masks (A, B, C, Z FLOAT, I INT, T
+// TIME), equality codes on request — counted per attribute, so a test
+// can pin who asks — and every attribute resolved on every row.
+type colSource struct {
+	mapSource
+	eqAsked map[string]int
+}
+
+func newColSource(rows mapSource) *colSource {
+	return &colSource{mapSource: rows, eqAsked: map[string]int{}}
+}
+
+func (s *colSource) FloatColumn(attr string) ([]float64, []bool, bool) {
+	if attr == "S" || !s.Resolves(attr) {
+		return nil, nil, false
+	}
+	vals, on := make([]float64, len(s.mapSource)), make([]bool, len(s.mapSource))
+	for i, t := range s.mapSource {
+		vals[i], on[i] = toScale(t[attr])
+	}
+	return vals, on, true
+}
+
+func (s *colSource) NumericColumn(attr string) ([]float64, []bool, bool) {
+	if attr == "T" {
+		return nil, nil, false
+	}
+	return s.FloatColumn(attr)
+}
+
+func (s *colSource) EqColumn(attr string) ([]uint32, bool) {
+	if !s.Resolves(attr) {
+		return nil, false
+	}
+	s.eqAsked[attr]++
+	codes := make([]uint32, len(s.mapSource))
+	dict := map[string]uint32{}
+	for i, t := range s.mapSource {
+		v := t[attr]
+		if f, ok := v.(float64); ok && f != f {
+			codes[i] = uint32(len(s.mapSource) + 1 + i) // every NaN its own class
+			continue
+		}
+		k := ValueKey(v)
+		if _, hit := dict[k]; !hit {
+			dict[k] = uint32(len(dict) + 1)
+		}
+		codes[i] = dict[k]
+	}
+	return codes, true
+}
+
+func (s *colSource) Resolves(attr string) bool {
+	_, ok := s.mapSource[0][attr]
+	return ok
 }
 
 // flatTestLeaf draws a leaf of the flat fragment; attributes repeat
 // across draws, so accumulations overlap like the paper's Example 3.
 func flatTestLeaf(rng *rand.Rand) Preference {
-	attr := []string{"A", "B", "C"}[rng.Intn(3)]
+	attr := []string{"A", "B", "C", "I", "T", "Z"}[rng.Intn(6)]
+	target := float64(rng.Intn(5))
+	switch attr {
+	case "I":
+		target = float64(int64(1<<53 + rng.Intn(6)))
+	case "T":
+		target = float64(1_000_000 + rng.Intn(3))
+	case "Z":
+		target = float64(rng.Intn(3)) / 4
+	}
 	switch rng.Intn(6) {
 	case 0:
-		return AROUND(attr, float64(rng.Intn(5)))
+		return AROUND(attr, target)
 	case 1:
-		return MustBETWEEN(attr, 1, float64(2+rng.Intn(2)))
+		return MustBETWEEN(attr, target, target+float64(1+rng.Intn(2)))
 	case 2:
 		return LOWEST(attr)
 	case 3:
@@ -111,6 +198,10 @@ func flatGroupsOf(p Preference) [][]Preference {
 	return [][]Preference{leaves(p)}
 }
 
+// hasTie reports whether the dimension carries a tie operand (all but the
+// single leaf of a final group do).
+func hasTie(dim FlatDim) bool { return dim.Tie.Code != nil || dim.Tie.Val != nil }
+
 // Outcomes of the reference three-way test.
 const (
 	refEqual = iota
@@ -133,7 +224,7 @@ func shapeCompare(fs *FlatShape, i, j int) int {
 				lt = true
 			case x > y:
 				gt = true
-			case dim.Code != nil && dim.Code[i] != dim.Code[j]:
+			case hasTie(dim) && !dim.Tie.Equal(i, j):
 				return refIncomparable
 			}
 		}
@@ -176,56 +267,113 @@ func oracleCompare(p Preference, groups [][]Preference, x, y Tuple) int {
 // over NULL/NaN/±Inf/±0/duplicate-heavy tuples, the flat shape's
 // three-way outcome on every pair equals what the predicate tree says
 // (Less both ways) and what the interpreted preference plus projection
-// equality says; it is antisymmetric and reflexive-equal.
+// equality says; it is antisymmetric and reflexive-equal. Each trial runs
+// twice: over the generic source (every tie on codes) and over the typed
+// columnar one, where the INT/FLOAT attributes tie on their float image
+// and T and S keep codes.
 func TestFlatShapeAgreesWithTreeAndInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 150; trial++ {
-		src := flatTestTuples(rng, 40)
+		rows := flatTestTuples(rng, 40)
 		p := flatTestTerm(rng)
 		if !FlatShaped(p) {
 			t.Fatalf("%s must be in the flat fragment", p)
 		}
-		c, ok := Compile(p, src)
-		if !ok {
+		checkFlatShape(t, trial, p, rows, rows)
+		checkFlatShape(t, trial, p, rows, newColSource(rows))
+	}
+}
+
+func checkFlatShape(t *testing.T, trial int, p Preference, rows mapSource, src Source) {
+	t.Helper()
+	_, typed := src.(NumericColumner)
+	c, ok := Compile(p, src)
+	if !ok {
+		t.Fatalf("%s must compile", p)
+	}
+	fs := c.Flat()
+	if fs == nil {
+		t.Fatalf("%s over fully present tuples must lower to a flat shape", p)
+	}
+	groups := flatGroupsOf(p)
+	if len(groups) != len(fs.Ends) || fs.Ends[len(fs.Ends)-1] != len(fs.Dims) {
+		t.Fatalf("%s: %d groups, shape ends %v over %d dims", p, len(groups), fs.Ends, len(fs.Dims))
+	}
+	var leaves []Preference
+	for _, g := range groups {
+		leaves = append(leaves, g...)
+	}
+	for d, dim := range fs.Dims {
+		loneFinal := d == len(fs.Dims)-1 && len(groups[len(groups)-1]) == 1
+		if hasTie(dim) == loneFinal {
+			t.Fatalf("%s: dim %d tie operand present=%v, single final leaf=%v", p, d, hasTie(dim), loneFinal)
+		}
+		attr := leaves[d].Attrs()[0]
+		if onImage := typed && attr != "T" && attr != "S"; hasTie(dim) && (dim.Tie.Val != nil) != onImage {
+			t.Fatalf("%s: dim %d over %s (typed source: %v) ties on the float image: %v", p, d, attr, typed, dim.Tie.Val != nil)
+		}
+	}
+	mirror := [...]int{refEqual, refGreater, refLess, refIncomparable}
+	for i := range rows {
+		for j := range rows {
+			if i == j {
+				// EqualOn calls a NaN unequal to itself; a tie operand gives
+				// every NaN occurrence its own class, equal to itself.
+				continue
+			}
+			got := shapeCompare(fs, i, j)
+			if want := oracleCompare(p, groups, rows[i], rows[j]); got != want {
+				t.Fatalf("trial %d %s (typed %v): rows %v vs %v: shape %d, interpreted %d", trial, p, typed, rows[i], rows[j], got, want)
+			}
+			if (got == refLess) != c.Less(i, j) || (got == refGreater) != c.Less(j, i) {
+				t.Fatalf("trial %d %s (typed %v): rows %d,%d: shape %d, tree less=%v greater=%v", trial, p, typed, i, j, got, c.Less(i, j), c.Less(j, i))
+			}
+			if back := shapeCompare(fs, j, i); back != mirror[got] {
+				t.Fatalf("trial %d %s: rows %d,%d: %d one way, %d back", trial, p, i, j, got, back)
+			}
+			for d, dim := range fs.Dims {
+				if hasTie(dim) && (dim.Tie.Key(i) == dim.Tie.Key(j)) != dim.Tie.Equal(i, j) {
+					t.Fatalf("trial %d %s: dim %d rows %v / %v: keys %x %x, Equal %v", trial, p, d, rows[i], rows[j], dim.Tie.Key(i), dim.Tie.Key(j), dim.Tie.Equal(i, j))
+				}
+			}
+		}
+		if got := shapeCompare(fs, i, i); got != refEqual {
+			t.Fatalf("trial %d %s: row %d against itself: %d", trial, p, i, got)
+		}
+	}
+}
+
+// TestNumericTermBindsWithoutCodes: binding a term whose attributes are
+// all INT/FLOAT — flat shape and predicate tree alike — never asks the
+// source for equality codes; a TIME or string attribute beside them asks
+// for exactly its own, and so does a once-per-class leaf (POS) over a
+// numeric attribute.
+func TestNumericTermBindsWithoutCodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	rows := flatTestTuples(rng, 60)
+	numeric := []Preference{
+		Pareto(Pareto(AROUND("A", 2), AROUND("B", 1)), LOWEST("C")),
+		Prioritized(Pareto(AROUND("A", 2), LOWEST("I")), LOWEST("Z")),
+		Prioritized(LOWEST("C"), Pareto(AROUND("A", 2), LOWEST("B"))),
+		Pareto(Dual(LOWEST("A")), HIGHEST("I")),                               // outside the fragment: tree only
+		Pareto(Prioritized(LOWEST("A"), LOWEST("B")), MustBETWEEN("Z", 0, 1)), // & inside ⊗
+	}
+	for _, p := range numeric {
+		src := newColSource(rows)
+		if _, ok := Compile(p, src); !ok {
 			t.Fatalf("%s must compile", p)
 		}
-		fs := c.Flat()
-		if fs == nil {
-			t.Fatalf("%s over fully present tuples must lower to a flat shape", p)
+		if len(src.eqAsked) != 0 {
+			t.Fatalf("%s: a numeric-only bind asked for equality codes of %v", p, src.eqAsked)
 		}
-		groups := flatGroupsOf(p)
-		if len(groups) != len(fs.Ends) || fs.Ends[len(fs.Ends)-1] != len(fs.Dims) {
-			t.Fatalf("%s: %d groups, shape ends %v over %d dims", p, len(groups), fs.Ends, len(fs.Dims))
-		}
-		for d, dim := range fs.Dims {
-			loneFinal := d == len(fs.Dims)-1 && len(groups[len(groups)-1]) == 1
-			if (dim.Code == nil) != loneFinal {
-				t.Fatalf("%s: dim %d code column present=%v, single final leaf=%v", p, d, dim.Code != nil, loneFinal)
-			}
-		}
-		mirror := [...]int{refEqual, refGreater, refLess, refIncomparable}
-		for i := range src {
-			for j := range src {
-				if i == j {
-					// EqualOn calls a NaN unequal to itself; the codes give
-					// every NaN occurrence its own class, equal to itself.
-					continue
-				}
-				got := shapeCompare(fs, i, j)
-				if want := oracleCompare(p, groups, src[i], src[j]); got != want {
-					t.Fatalf("trial %d %s: rows %v vs %v: shape %d, interpreted %d", trial, p, src[i], src[j], got, want)
-				}
-				if (got == refLess) != c.Less(i, j) || (got == refGreater) != c.Less(j, i) {
-					t.Fatalf("trial %d %s: rows %d,%d: shape %d, tree less=%v greater=%v", trial, p, i, j, got, c.Less(i, j), c.Less(j, i))
-				}
-				if back := shapeCompare(fs, j, i); back != mirror[got] {
-					t.Fatalf("trial %d %s: rows %d,%d: %d one way, %d back", trial, p, i, j, got, back)
-				}
-			}
-			if got := shapeCompare(fs, i, i); got != refEqual {
-				t.Fatalf("trial %d %s: row %d against itself: %d", trial, p, i, got)
-			}
-		}
+	}
+	src := newColSource(rows)
+	mixed := Pareto(Pareto(AROUND("A", 2), LOWEST("T")), Pareto(POS("S", "red"), POS("Z", 0.0)))
+	if _, ok := Compile(mixed, src); !ok {
+		t.Fatalf("%s must compile", mixed)
+	}
+	if len(src.eqAsked) != 3 || src.eqAsked["T"] != 1 || src.eqAsked["S"] != 1 || src.eqAsked["Z"] != 1 {
+		t.Fatalf("%s: codes asked for %v, want T, S and Z once each", mixed, src.eqAsked)
 	}
 }
 

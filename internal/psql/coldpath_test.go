@@ -90,7 +90,7 @@ func TestButOnlyGatheredAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		byAttr := collectBasePrefs(q)
+		byAttr := collectBasePrefs(buildTerms(q))
 		var want []int64
 		for i := 0; i < maxima.Len(); i++ {
 			if q.ButOnly.Eval(byAttr, maxima.Tuple(i)) {

@@ -125,17 +125,62 @@ func execPipeline(ctx context.Context, q *Query, cat Catalog, opts Options) (*Re
 	if !ok {
 		return nil, fmt.Errorf("psql: unknown relation %q", q.From)
 	}
-	if err := checkAttrs(q, tbl); err != nil {
+	tm := buildTerms(q)
+	if err := checkAttrs(q, tbl, tm); err != nil {
 		return nil, err
 	}
 	if sh, sharded := tbl.(*relation.Sharded); sharded {
-		return execSharded(ctx, q, sh, opts)
+		return execSharded(ctx, q, sh, tm, opts)
 	}
 	base, ok := tbl.(*relation.Relation)
 	if !ok {
 		return nil, fmt.Errorf("psql: relation %q has unsupported storage %T", q.From, tbl)
 	}
-	return execFlat(ctx, q, base, opts)
+	return execFlat(ctx, q, base, tm, opts)
+}
+
+// terms holds a statement's preference terms, each built from its clause
+// exactly once: the attribute check, the pipeline steps, the BUT ONLY
+// resolution, the streaming route and EXPLAIN all read these instead of
+// re-building the same term per consumer. A clause that fails to build
+// keeps its error for the step that would evaluate it, so errors surface
+// where (and only if) they always did.
+type terms struct {
+	preferring builtTerm   // zero without a PREFERRING clause
+	cascades   []builtTerm // aligned with Query.Cascades
+}
+
+// builtTerm is one clause's built preference, or why it did not build.
+type builtTerm struct {
+	p   pref.Preference
+	err error
+}
+
+// buildTerms builds every PREFERRING / CASCADE clause of q.
+func buildTerms(q *Query) terms {
+	var tm terms
+	if q.Preferring != nil {
+		tm.preferring.p, tm.preferring.err = q.Preferring.Build()
+	}
+	if len(q.Cascades) > 0 {
+		tm.cascades = make([]builtTerm, len(q.Cascades))
+		for i, c := range q.Cascades {
+			tm.cascades[i].p, tm.cascades[i].err = c.Build()
+		}
+	}
+	return tm
+}
+
+// each calls f on every term that built, PREFERRING first.
+func (tm terms) each(f func(p pref.Preference)) {
+	if tm.preferring.p != nil && tm.preferring.err == nil {
+		f(tm.preferring.p)
+	}
+	for _, c := range tm.cascades {
+		if c.err == nil {
+			f(c.p)
+		}
+	}
 }
 
 // execFlat runs the §5/§6.1 pipeline over a flat relation. Soft steps
@@ -143,7 +188,7 @@ func execPipeline(ctx context.Context, q *Query, cat Catalog, opts Options) (*Re
 // cancellation at the engine's stride, free under an uncancellable
 // context); the grouped step and the BUT ONLY scan are stage-level
 // cancellable — the context is checked at their boundaries.
-func execFlat(ctx context.Context, q *Query, base *relation.Relation, opts Options) (*Result, error) {
+func execFlat(ctx context.Context, q *Query, base *relation.Relation, tm terms, opts Options) (*Result, error) {
 	// idx == nil means "every row" throughout the soft-step chain (the
 	// engine and rank entry points all take it that way): deferring the
 	// materialization keeps a no-WHERE repeat statement free of any O(n)
@@ -154,7 +199,7 @@ func execFlat(ctx context.Context, q *Query, base *relation.Relation, opts Optio
 	}
 	var builtPref pref.Preference
 	if q.Preferring != nil {
-		built, err := q.Preferring.Build()
+		built, err := tm.preferring.p, tm.preferring.err
 		if err != nil {
 			return nil, err
 		}
@@ -199,8 +244,8 @@ func execFlat(ctx context.Context, q *Query, base *relation.Relation, opts Optio
 			}
 		}
 	}
-	for _, c := range q.Cascades {
-		built, err := c.Build()
+	for _, c := range tm.cascades {
+		built, err := c.p, c.err
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +263,7 @@ func execFlat(ctx context.Context, q *Query, base *relation.Relation, opts Optio
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		idx = butFilter(q.ButOnly, collectBasePrefs(q), base, idx, idx[:0])
+		idx = butFilter(q.ButOnly, collectBasePrefs(tm), base, idx, idx[:0])
 	}
 	if q.Skyline != nil {
 		p, err := q.Skyline.Preference()
@@ -280,7 +325,7 @@ func finishRows(q *Query, out *relation.Relation) (*relation.Relation, error) {
 // into Result.Partial. The grouped step is the strict exception: groups
 // span shards through the merge dictionary, so there is no per-shard
 // boundary to degrade along and any shard failure fails it.
-func execSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Options) (*Result, error) {
+func execSharded(ctx context.Context, q *Query, s *relation.Sharded, tm terms, opts Options) (*Result, error) {
 	var part *engine.Partial
 	// bmo is one sharded soft step. keyed marks the first one, whose
 	// per-shard candidate sets are exactly the WHERE-selected positions —
@@ -315,7 +360,7 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Option
 	butFused := false
 	var builtPref pref.Preference
 	if q.Preferring != nil {
-		built, err := q.Preferring.Build()
+		built, err := tm.preferring.p, tm.preferring.err
 		if err != nil {
 			return nil, err
 		}
@@ -346,15 +391,15 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Option
 		} else {
 			var keep engine.ShardFilter
 			if fuseButPreferring {
-				keep, butFused = butShardFilter(q, s), true
+				keep, butFused = butShardFilter(q, tm, s), true
 			}
 			if sets, err = bmo(p, sets, keep, true); err != nil {
 				return nil, err
 			}
 		}
 	}
-	for ci, c := range q.Cascades {
-		built, err := c.Build()
+	for ci, c := range tm.cascades {
+		built, err := c.p, c.err
 		if err != nil {
 			return nil, err
 		}
@@ -363,7 +408,7 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Option
 		}
 		var keep engine.ShardFilter
 		if fuseButCascade && ci == len(q.Cascades)-1 {
-			keep, butFused = butShardFilter(q, s), true
+			keep, butFused = butShardFilter(q, tm, s), true
 		}
 		if sets, err = bmo(algebra.Simplify(built), sets, keep, false); err != nil {
 			return nil, err
@@ -373,7 +418,7 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Option
 		if builtPref == nil {
 			return nil, fmt.Errorf("psql: BUT ONLY requires a PREFERRING clause")
 		}
-		keep := butShardFilter(q, s)
+		keep := butShardFilter(q, tm, s)
 		for i := 0; i < s.NumShards(); i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -410,7 +455,7 @@ func allIndices(n int) []int {
 // checkAttrs validates every attribute reference in the query against the
 // table's schema, so typos fail fast rather than silently matching
 // nothing.
-func checkAttrs(q *Query, rel relation.Table) error {
+func checkAttrs(q *Query, rel relation.Table, tm terms) error {
 	var missing []string
 	check := func(attr string) {
 		if _, ok := rel.Schema().Index(attr); !ok {
@@ -426,20 +471,11 @@ func checkAttrs(q *Query, rel relation.Table) error {
 	for _, o := range q.OrderBy {
 		check(o.Attr)
 	}
-	if q.Preferring != nil {
-		if p, err := q.Preferring.Build(); err == nil {
-			for _, a := range p.Attrs() {
-				check(a)
-			}
+	tm.each(func(p pref.Preference) {
+		for _, a := range p.Attrs() {
+			check(a)
 		}
-	}
-	for _, c := range q.Cascades {
-		if p, err := c.Build(); err == nil {
-			for _, a := range p.Attrs() {
-				check(a)
-			}
-		}
-	}
+	})
 	if q.Skyline != nil {
 		for _, d := range q.Skyline.Dims {
 			check(d.Attr)
@@ -498,8 +534,8 @@ func butFilter(e ButExpr, byAttr map[string]pref.Preference, r *relation.Relatio
 // The base-preference index is resolved once; per-shard binds go through
 // the mutex-guarded bound-form caches, so concurrent shard calls from
 // the fan-out are safe.
-func butShardFilter(q *Query, s *relation.Sharded) engine.ShardFilter {
-	byAttr := collectBasePrefs(q)
+func butShardFilter(q *Query, tm terms, s *relation.Sharded) engine.ShardFilter {
+	byAttr := collectBasePrefs(tm)
 	return func(i int, idx []int) []int {
 		return butFilter(q.ButOnly, byAttr, s.Shard(i), idx, idx[:0:0])
 	}
@@ -550,25 +586,15 @@ func compileBut(e ButExpr, byAttr map[string]pref.Preference, r pref.Source) (fu
 
 // collectBasePrefs indexes the base preferences of PREFERRING and CASCADE
 // clauses by attribute for BUT ONLY resolution.
-func collectBasePrefs(q *Query) map[string]pref.Preference {
+func collectBasePrefs(tm terms) map[string]pref.Preference {
 	out := make(map[string]pref.Preference)
-	add := func(e PrefExpr) {
-		p, err := e.Build()
-		if err != nil {
-			return
-		}
+	tm.each(func(p pref.Preference) {
 		for attr, bp := range quality.BasePrefsByAttr(p) {
 			if _, dup := out[attr]; !dup {
 				out[attr] = bp
 			}
 		}
-	}
-	if q.Preferring != nil {
-		add(q.Preferring)
-	}
-	for _, c := range q.Cascades {
-		add(c)
-	}
+	})
 	return out
 }
 

@@ -43,11 +43,12 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("psql: unknown relation %q", q.From)
 	}
-	if err := checkAttrs(q, tbl); err != nil {
+	tm := buildTerms(q)
+	if err := checkAttrs(q, tbl, tm); err != nil {
 		return "", err
 	}
 	if sh, sharded := tbl.(*relation.Sharded); sharded {
-		return explainSharded(q, sh, opts)
+		return explainSharded(q, sh, tm, opts)
 	}
 	rel, ok := tbl.(*relation.Relation)
 	if !ok {
@@ -76,7 +77,7 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 		n = sel.Count()
 	}
 	if q.Preferring != nil {
-		p, err := q.Preferring.Build()
+		p, err := tm.preferring.p, tm.preferring.err
 		if err != nil {
 			return "", err
 		}
@@ -145,8 +146,8 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			}
 		}
 	}
-	for _, c := range q.Cascades {
-		p, err := c.Build()
+	for _, c := range tm.cascades {
+		p, err := c.p, c.err
 		if err != nil {
 			return "", err
 		}
@@ -164,7 +165,7 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 		// the dispatch as adaptive.
 		mode := "interpreted"
 		if butCompilable(q.ButOnly) {
-			if butBound(q.ButOnly, collectBasePrefs(q), rel) {
+			if butBound(q.ButOnly, collectBasePrefs(tm), rel) {
 				mode = "compiled vector scan (vectors cached)"
 			} else {
 				mode = "compiled vector scan (adaptive)"
@@ -220,7 +221,7 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 // status. The WHERE clause binds per shard at explain time (the bitmaps
 // are exactly what execution reuses), preference terms do not bind, so
 // their compile-cache status counts shards with a live bound form.
-func explainSharded(q *Query, s *relation.Sharded, opts Options) (string, error) {
+func explainSharded(q *Query, s *relation.Sharded, tm terms, opts Options) (string, error) {
 	var b strings.Builder
 	step := 0
 	emit := func(format string, args ...any) {
@@ -317,7 +318,7 @@ func explainSharded(q *Query, s *relation.Sharded, opts Options) (string, error)
 		}
 	}
 	if q.Preferring != nil {
-		p, err := q.Preferring.Build()
+		p, err := tm.preferring.p, tm.preferring.err
 		if err != nil {
 			return "", err
 		}
@@ -368,8 +369,8 @@ func explainSharded(q *Query, s *relation.Sharded, opts Options) (string, error)
 			inlinePlan(simplified)
 		}
 	}
-	for _, c := range q.Cascades {
-		p, err := c.Build()
+	for _, c := range tm.cascades {
+		p, err := c.p, c.err
 		if err != nil {
 			return "", err
 		}
@@ -383,7 +384,7 @@ func explainSharded(q *Query, s *relation.Sharded, opts Options) (string, error)
 	if q.ButOnly != nil {
 		mode := "interpreted"
 		if butCompilable(q.ButOnly) {
-			byAttr := collectBasePrefs(q)
+			byAttr := collectBasePrefs(tm)
 			boundShards := 0
 			for _, sh := range s.Shards() {
 				if butBound(q.ButOnly, byAttr, sh) {

@@ -117,13 +117,14 @@ func replayExec(ctx context.Context, q *Query, cat Catalog, opts Options, yield 
 // streamed=false (with no rows emitted) sends the caller to the batch
 // fallback.
 func execStreamSharded(ctx context.Context, q *Query, s *relation.Sharded, opts Options, yield func(relation.Row) bool) (emitted int, part *engine.Partial, streamed bool, err error) {
-	if err := checkAttrs(q, s); err != nil {
+	tm := buildTerms(q)
+	if err := checkAttrs(q, s, tm); err != nil {
 		return 0, nil, false, err
 	}
 	if q.ExplainPlan || !streamShape(q) {
 		return 0, nil, false, nil
 	}
-	p, ranked, err := streamPref(q)
+	p, ranked, err := streamPref(q, tm)
 	if err != nil || ranked {
 		return 0, nil, false, err
 	}
@@ -155,9 +156,9 @@ func execStreamSharded(ctx context.Context, q *Query, s *relation.Sharded, opts 
 // streamPref builds and simplifies the single soft-clause preference of
 // a stream-shaped query; ranked=true flags the Scorer+TOP combination
 // that belongs to the ranked query model instead.
-func streamPref(q *Query) (p pref.Preference, ranked bool, err error) {
+func streamPref(q *Query, tm terms) (p pref.Preference, ranked bool, err error) {
 	if q.Preferring != nil {
-		built, err := q.Preferring.Build()
+		built, err := tm.preferring.p, tm.preferring.err
 		if err != nil {
 			return nil, false, err
 		}
@@ -201,7 +202,8 @@ func streamablePlan(q *Query, cat Catalog) (pref.Preference, *relation.Relation,
 	if !flat {
 		return nil, nil, nil, false, fmt.Errorf("psql: relation %q has unsupported storage %T", q.From, tbl)
 	}
-	if err := checkAttrs(q, rel); err != nil {
+	tm := buildTerms(q)
+	if err := checkAttrs(q, rel, tm); err != nil {
 		return nil, nil, nil, false, err
 	}
 	if q.ExplainPlan || !streamShape(q) {
@@ -211,7 +213,7 @@ func streamablePlan(q *Query, cat Catalog) (pref.Preference, *relation.Relation,
 	// the same statement share one compile-cache entry (and EXPLAIN's
 	// term matches what actually evaluates). The ranked query model
 	// (Scorer + TOP) is not a BMO stream.
-	p, ranked, err := streamPref(q)
+	p, ranked, err := streamPref(q, tm)
 	if err != nil || ranked {
 		return nil, nil, nil, false, err
 	}

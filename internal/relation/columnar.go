@@ -238,20 +238,27 @@ func buildEqColumn(rows []Row, ci int) []uint32 {
 
 // NumericColumn is FloatColumn restricted to the genuinely numeric column
 // types (INT, FLOAT): ok=false for TIME, whose float image is truncated to
-// seconds and would change sub-second comparison results. The compiled
-// hard-selection layer binds comparison predicates through it; it
-// implements filter.NumericColumner.
+// seconds and would change sub-second comparison results. The image of
+// such a column decides value equality (pref.EqualValues compares exactly
+// it), so the compiled hard-selection layer binds comparison predicates
+// through it and the preference bind ties rows on it without building a
+// dictionary; it implements pref.NumericColumner.
 func (r *Relation) NumericColumn(name string) (vals []float64, onScale []bool, ok bool) {
-	ci, ok := r.schema.Index(name)
-	if !ok {
-		return nil, nil, false
-	}
-	switch r.schema.Col(ci).Type {
-	case Int, Float:
-	default:
+	if ci, ok := r.schema.Index(name); !ok || !numericType(r.schema.Col(ci).Type) {
 		return nil, nil, false
 	}
 	return r.FloatColumn(name)
+}
+
+// numericType reports the column types whose float image decides value
+// equality.
+func numericType(t Type) bool { return t == Int || t == Float }
+
+// Resolves implements pref.Resolver: every row of a relation carries
+// every schema attribute.
+func (r *Relation) Resolves(name string) bool {
+	_, ok := r.schema.Index(name)
+	return ok
 }
 
 // Columnarize eagerly builds the typed arrays of every linearly ordered

@@ -10,9 +10,10 @@ import (
 // reused, and the wrong one for a statement that is seen once and whose
 // hard selection kept a few hundred rows of a large shard. Gather copies
 // exactly those rows' column images — float scale values with on-scale
-// masks, equality codes — into a small columnar Source; binding over it
-// costs O(|candidates|), and the bound form addresses rows by SLOT (the
-// candidate's position in the gathered list), not by relation position.
+// masks, equality codes where a bind asks for class ids — into a small
+// columnar Source; binding over it costs O(|candidates|), and the bound
+// form addresses rows by SLOT (the candidate's position in the gathered
+// list), not by relation position.
 //
 // The same type serves the cross-shard merge: Sharded.Gather concatenates
 // per-shard position lists into one source, so the shards' local maxima
@@ -37,13 +38,13 @@ func GatherWorthwhile(m, n int) bool {
 }
 
 // Gathered is a small columnar copy of selected rows: slot k holds the
-// k-th selected row. It implements pref.Source, pref.FloatColumner and
-// pref.EqColumner; columns are copied out lazily, on the first request
-// for an attribute, from the typed arrays the generation caches (mmap'd
-// segment images on a paged relation — no row page is decoded for a
-// numeric column). A Gathered is bind-time state for one goroutine: it
-// is not safe for concurrent use, and the forms bound over it keep only
-// the vectors they derived.
+// k-th selected row. It implements pref.Source, pref.FloatColumner,
+// pref.NumericColumner, pref.EqColumner and pref.Resolver; columns are
+// copied out lazily, on the first request for an attribute, from the
+// typed arrays the generation caches (mmap'd segment images on a paged
+// relation — no row page is decoded for a numeric column). A Gathered is
+// bind-time state for one goroutine: it is not safe for concurrent use,
+// and the forms bound over it keep only the vectors they derived.
 type Gathered struct {
 	schema *Schema
 	parts  []gatherPart
@@ -126,14 +127,31 @@ func (g *Gathered) FloatColumn(name string) (vals []float64, onScale []bool, ok 
 	return col.vals, col.onScale, true
 }
 
+// NumericColumn implements pref.NumericColumner: FloatColumn for INT and
+// FLOAT columns only — the types whose float image decides value equality,
+// so bind layers tie their rows on the gathered image and never ask for
+// codes.
+func (g *Gathered) NumericColumn(name string) (vals []float64, onScale []bool, ok bool) {
+	if ci, ok := g.schema.Index(name); !ok || !numericType(g.schema.Col(ci).Type) {
+		return nil, nil, false
+	}
+	return g.FloatColumn(name)
+}
+
+// Resolves implements pref.Resolver: every gathered row carries every
+// schema attribute.
+func (g *Gathered) Resolves(name string) bool {
+	_, ok := g.schema.Index(name)
+	return ok
+}
+
 // EqColumn implements pref.EqColumner over the gathered rows: dense
 // codes, equal exactly when the values are equal in the pref.EqualValues
-// sense. INT and FLOAT columns code straight from the gathered scale
-// values (their float image decides numeric equality, so no relation-wide
-// dictionary is ever built for them). Other types re-densify the source
-// relation's cached codes when the rows come from one relation; across
-// shards the per-shard dictionaries are unrelated, so the codes derive
-// from the raw row values.
+// sense — the class ids of the once-per-class leaves (POS-family levels,
+// SCORE) and the tie operands of non-numeric attributes. Rows of one
+// relation re-densify its cached codes; across shards the per-shard
+// dictionaries are unrelated, so the codes derive from the raw row
+// values.
 func (g *Gathered) EqColumn(name string) ([]uint32, bool) {
 	ci, ok := g.schema.Index(name)
 	if !ok {
@@ -141,15 +159,11 @@ func (g *Gathered) EqColumn(name string) ([]uint32, bool) {
 	}
 	codes, hit := g.eqs[ci]
 	if !hit {
-		switch t := g.schema.Col(ci).Type; {
-		case t == Int || t == Float:
-			vals, onScale, _ := g.FloatColumn(name)
-			codes = floatEqCodes(vals, onScale)
-		case len(g.parts) == 1:
+		if len(g.parts) == 1 {
 			part := g.parts[0]
 			src, _ := part.g.eqColumn(g.schema, name)
 			codes = densifyCodes(src, part.idx)
-		default:
+		} else {
 			rows := make([]Row, 0, g.n)
 			for _, part := range g.parts {
 				for _, i := range part.idx {
@@ -164,35 +178,6 @@ func (g *Gathered) EqColumn(name string) ([]uint32, bool) {
 		g.eqs[ci] = codes
 	}
 	return codes, true
-}
-
-// floatEqCodes dictionary-codes a numeric column image under the
-// buildEqColumn rules: off-scale rows (NULLs) share one class, every NaN
-// is its own, equal scale values share a code.
-func floatEqCodes(vals []float64, onScale []bool) []uint32 {
-	codes := make([]uint32, len(vals))
-	byVal := make(map[float64]uint32, len(vals))
-	next, nilCode := uint32(1), uint32(0)
-	for i, v := range vals {
-		if !onScale[i] {
-			if nilCode == 0 {
-				nilCode = next
-				next++
-			}
-			codes[i] = nilCode
-			continue
-		}
-		code, hit := byVal[v]
-		if !hit {
-			code = next
-			next++
-			if v == v { // a NaN key could never be found again
-				byVal[v] = code
-			}
-		}
-		codes[i] = code
-	}
-	return codes
 }
 
 // densifyCodes maps the selected rows' relation-wide equality codes onto
