@@ -26,12 +26,16 @@ test-noavx2:
 # for INT/FLOAT attributes, equality codes for the rest — against the
 # predicate tree and the interpreted preference pair by pair under every
 # bind scope, numeric binds that must request no equality codes, the
-# one-pass selection against Pred.Eval, and the boundcache admission order
-# with its flat-in-capacity cost.
+# one-pass selection against Pred.Eval, the boundcache admission order
+# with its flat-in-capacity cost, the cross-shard fold against the oracle
+# on each of its comparators (no intra-part pair, pairs ≤ Σ|W|·|Lᵢ|), and
+# the borrowed-slab lifetime checks — entries that outlive their slab,
+# abandoned workers, concurrent sessions — all with released slabs
+# poisoned (the engine and psql suites turn the guard on in TestMain).
 test-ties:
 	$(GO) test -race \
-		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood' \
-		./internal/pref ./internal/engine ./internal/filter ./internal/boundcache
+		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate' \
+		./internal/pref ./internal/engine ./internal/filter ./internal/boundcache ./internal/psql
 
 # The fault-tolerance suite under the race detector: fault injection
 # (slow/hung/panicking/erroring shards) against both policies, the
@@ -89,12 +93,15 @@ BENCHTIME ?= 1x
 bench:
 	$(GO) test -run 'xxx' -bench . -benchtime $(BENCHTIME) -benchmem ./...
 
-# The two micro-benchmarks of the one-shot statement path, with B/op: a
-# first-seen selective BMO statement end to end below the wire, and one
-# admission into a full boundcache at two capacities (which must cost the
-# same). CI tees their rows into the job summary.
+# The micro-benchmarks of the one-shot statement path, with B/op and
+# allocs/op: a first-seen selective BMO statement end to end below the
+# wire, the cross-shard fold alone (2–8 parts × 16–2048 local maxima, flat
+# and tree, with its pairs/op), and one admission into a full boundcache at
+# two capacities (which must cost the same). CI tees their rows into the
+# job summary.
 bench-cold:
 	$(GO) test -run 'xxx' -bench 'ColdSelectiveBMO' -benchmem .
+	$(GO) test -run 'xxx' -bench 'ShardMerge$$' -benchtime 0.3s -benchmem ./internal/engine
 	$(GO) test -run 'xxx' -bench 'PutAtCapacity' -benchmem ./internal/boundcache
 
 # Machine-readable benchmark capture: runs the suite and writes the JSON

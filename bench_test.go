@@ -787,13 +787,13 @@ func BenchmarkColdSelectiveBMO(b *testing.B) {
 	}
 }
 
-// BenchmarkShardMergeCompiled isolates the cross-shard merge: every
-// shard's local maxima are served from the result cache (warm), so an
-// iteration is the per-shard lookups plus max(P, ∪ maxᵢ) over the gathered
-// local maxima on the compiled evaluator — one bind over a few hundred
-// rows and a slot-space pass. The chain row is the shape the former
-// coordinate-only merge served; the around row is a shape that used to
-// merge interpreted.
+// BenchmarkShardMergeCompiled is the cross-shard merge as a served
+// statement meets it: every shard's local maxima come from the result
+// cache (warm), so an iteration is the per-shard lookups plus
+// max(P, ∪ maxᵢ) — one gathered bind over a few hundred rows and the fold
+// of the four antichains on flat records. The fold alone, at chosen part
+// and input sizes and with its pair count, is BenchmarkShardMerge in
+// internal/engine.
 func BenchmarkShardMergeCompiled(b *testing.B) {
 	flat := workload.Numeric(20000, 3, workload.AntiCorrelated, 29)
 	flat.Columnarize()

@@ -84,7 +84,9 @@ func GatheredBinds() uint64 { return gatheredBinds.Load() }
 // evaluated is what one BMO evaluation leaves behind besides the maxima:
 // the bound form that ran (nil when it ran interpreted) and, when that
 // form is slot-addressed, each maximum's slot — so the result cache can
-// read coordinates the evaluation already materialized.
+// read coordinates the evaluation already materialized. Only the maxima
+// outlive the evaluation: a gathered form's vectors are borrowed memory
+// (relation.Gathered), returned as soon as evalOn's keep hook has run.
 type evaluated struct {
 	maxima []int // ascending positions in the relation
 	c      *pref.Compiled
@@ -94,28 +96,33 @@ type evaluated struct {
 // evalOn is the shared evaluation core behind every BMO entry point:
 // choose the bind scope, bind, plan (under Auto) and run. The term
 // arrives with its cache key rendered (keyTerm) — once per call, however
-// many shards the caller evaluates it on.
-func evalOn(kt keyedTerm, r *relation.Relation, alg Algorithm, mode EvalMode, idx []int, cc *canceller) evaluated {
+// many shards the caller evaluates it on. keep, when non-nil, sees the
+// finished evaluation — bound form included — before anything borrowed
+// is returned: the result-cache store copies what it keeps there.
+func evalOn(kt keyedTerm, r *relation.Relation, alg Algorithm, mode EvalMode, idx []int, cc *canceller, keep func(evaluated)) []int {
 	p := kt.p
+	finish := func(ev evaluated) []int {
+		if keep != nil {
+			keep(ev)
+		}
+		return ev.maxima
+	}
 	if alg == Decomposition {
 		// The decomposition evaluator compiles per sub-term inside the
 		// recursion (see decompose.go); binding the root term up front
 		// would be pure overhead.
-		return evaluated{maxima: decomposedModeCC(p, r, idx, mode, cc)}
+		return finish(evaluated{maxima: decomposedModeCC(p, r, idx, mode, cc)})
 	}
 	if mode == EvalInterpreted || r == nil || !pref.Compilable(p) {
-		return evaluated{maxima: planAndExecute(alg, p, r, nil, idx, BindFull, mode, cc)}
+		return finish(evaluated{maxima: planAndExecute(alg, p, r, nil, idx, BindFull, mode, cc)})
 	}
 	if kt.gathers(r, len(idx)) {
 		cc.check()
 		// A gathered bind can only fail where the full bind fails too (an
 		// ordinal layer past its coding cap); the cached path below then
 		// records the negative outcome.
-		if c, ok := pref.Compile(p, r.Gather(idx)); ok {
-			gatheredBinds.Add(1)
-			cc.check()
-			slots := planAndExecute(alg, p, r, c, allIndices(len(idx)), BindGathered, mode, cc)
-			return liftSlots(c, slots, idx)
+		if maxima, ok := evalGathered(p, r, alg, mode, idx, cc, finish); ok {
+			return maxima
 		}
 	}
 	c, hit := cachedCompile(kt, r)
@@ -123,7 +130,26 @@ func evalOn(kt keyedTerm, r *relation.Relation, alg Algorithm, mode EvalMode, id
 	if hit {
 		scope = BindCached
 	}
-	return evaluated{maxima: planAndExecute(alg, p, r, c, idx, scope, mode, cc), c: c}
+	return finish(evaluated{maxima: planAndExecute(alg, p, r, c, idx, scope, mode, cc), c: c})
+}
+
+// evalGathered evaluates over a gathered bind of the candidates idx. The
+// source, the form bound over it and the slot list live in one borrowed
+// slab, released on this goroutine when the evaluation is over — after
+// finish has handed the form to whoever copies from it, and equally when
+// a cancelled run unwinds through here (an abandoned shard worker keeps
+// its slab until it gets that far). ok=false when the term fails to bind.
+func evalGathered(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMode, idx []int, cc *canceller, finish func(evaluated) []int) (maxima []int, ok bool) {
+	g := r.Gather(idx).Borrow()
+	defer g.Release()
+	c, ok := pref.Compile(p, g)
+	if !ok {
+		return nil, false
+	}
+	gatheredBinds.Add(1)
+	cc.check()
+	slots := planAndExecute(alg, p, r, c, g.Slots(), BindGathered, mode, cc)
+	return finish(liftSlots(c, slots, idx)), true
 }
 
 // planAndExecute resolves Auto through the planner — costed for the

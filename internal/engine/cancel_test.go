@@ -201,3 +201,53 @@ func TestCancelledBeforeStart(t *testing.T) {
 		t.Fatalf("stream err = %v", st.Err())
 	}
 }
+
+// TestAbandonedGatheredWorkersKeepTheirSlabs: when the query context dies
+// the fan-out stops waiting, and a shard worker still inside its gathered
+// evaluation runs on until its canceller notices. Its slab is its own
+// until then — released by the worker as it unwinds, never by the
+// coordinator — so the statements that follow immediately, gathered binds
+// themselves, borrow other memory and answer exactly (the poison hook and
+// the race detector see any slab that changed hands early).
+func TestAbandonedGatheredWorkersKeepTheirSlabs(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	flat := gatheredTestRelation(rng, 9000)
+	s, err := relation.ShardRelation(flat, 3, relation.ByHash("oid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := selectOn(s, 240)
+	for i, sh := range s.Shards() {
+		if !relation.GatherWorthwhile(len(sets[i]), sh.Len()) {
+			t.Fatalf("test premise: shard %d must bind gathered (%d of %d candidates)", i, len(sets[i]), sh.Len())
+		}
+	}
+	cancelled := 0
+	for trial := 0; trial < 30; trial++ {
+		p := gatheredTerm(rng)
+		ResetCompileCache()
+		want := referenceOIDs(p, s, sets)
+		ctx, cancel := ctxCancelledWithin(rng, time.Millisecond)
+		got, part, err := BMOShardedOnCtx(ctx, p, s, Auto, cloneSets(sets), Robust{})
+		// No pause: abandoned workers may still be evaluating.
+		again := BMOShardedOn(p, s, Auto, cloneSets(sets))
+		cancel()
+		if oids := oidsOf(s.Row, again.GlobalIDs(s)); !sameInts(oids, want) {
+			t.Fatalf("trial %d: statement after a cancelled one: got %v want %v", trial, oids, want)
+		}
+		if err != nil {
+			if !errors.Is(err, context.Canceled) || got != nil || part != nil {
+				t.Fatalf("trial %d: got %v part %v err %v, want a bare context.Canceled", trial, got, part, err)
+			}
+			cancelled++
+			continue
+		}
+		if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
+			t.Fatalf("trial %d: torn result under cancellation: got %v want %v", trial, oids, want)
+		}
+	}
+	if cancelled == 0 {
+		t.Log("no trial was cancelled mid-flight on this machine")
+	}
+	ResetCompileCache()
+}

@@ -159,17 +159,16 @@ func runCancellable[T any](ctx context.Context, f func(cc *canceller) T) (out T,
 // (EvalIndicesCtxKeyed in resultserve.go does), so agreement baselines
 // and benchmarks keep measuring real work.
 func EvalIndicesCtx(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) ([]int, error) {
-	ev, err := evalIndicesCtx(ctx, keyTerm(p), r, alg, idx)
-	return ev.maxima, err
+	return evalIndicesCtx(ctx, keyTerm(p), r, alg, idx, nil)
 }
 
-// evalIndicesCtx is EvalIndicesCtx keeping the evaluation's bound form
-// alongside the maxima, for the keyed entry point's result-cache store.
-func evalIndicesCtx(ctx context.Context, kt keyedTerm, r *relation.Relation, alg Algorithm, idx []int) (evaluated, error) {
+// evalIndicesCtx is EvalIndicesCtx with evalOn's keep hook, for the keyed
+// entry point's result-cache store.
+func evalIndicesCtx(ctx context.Context, kt keyedTerm, r *relation.Relation, alg Algorithm, idx []int, keep func(evaluated)) ([]int, error) {
 	if idx == nil {
 		idx = allIndices(r.Len())
 	}
-	return runCancellable(ctx, func(cc *canceller) evaluated {
-		return evalOn(kt, r, alg, EvalAuto, idx, cc)
+	return runCancellable(ctx, func(cc *canceller) []int {
+		return evalOn(kt, r, alg, EvalAuto, idx, cc, keep)
 	})
 }

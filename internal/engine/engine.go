@@ -122,7 +122,7 @@ func bmoOn(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMode
 // ctx entry points (ctx.go) reach it through runCancellable. evalOn
 // (bind.go) is the core: it picks the bind scope, plans and runs.
 func bmoOnCC(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMode, idx []int, cc *canceller) []int {
-	return evalOn(keyTerm(p), r, alg, mode, idx, cc).maxima
+	return evalOn(keyTerm(p), r, alg, mode, idx, cc, nil)
 }
 
 // GroupBy evaluates σ[P groupby A](R) = σ[A↔ & P](R) per Definition 16:

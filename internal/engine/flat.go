@@ -54,7 +54,8 @@ const (
 // flatKernel holds the row-major records of one evaluation: slot s keeps
 // its w scores at scores[s*w:] and its w tie keys at ties[s*w:].
 // Slots 0..n-1 are committed — the window of a block-nested-loops pass,
-// the confirmed maxima of a sort-filter pass; every test is between the
+// the confirmed maxima of a sort-filter pass, the standing members of the
+// cross-shard fold (antichainFold); every test is between the
 // one staged candidate, whose scores are assembled in the free slot
 // behind them, and a committed slot. The candidate's scores are copied
 // lazily, one group at a time as a test first reaches that group, and its

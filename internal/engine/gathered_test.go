@@ -23,7 +23,7 @@ import (
 
 // gatheredTestRelation builds rows whose columns carry everything that
 // can go wrong between a column image and a predicate: NULLs, NaN, ±Inf
-// domain values (which tie NULL rows at an infinite score), small
+// domain values (which tie NULL rows at an infinite score), −0, small
 // domains (many equal values), int twins inside the FLOAT column x, an
 // INT column big of values beyond 2^53 (neighbours share a float image,
 // and pref.EqualValues — so every tie — calls them equal), a TIME column
@@ -58,6 +58,8 @@ func gatheredTestRelation(rng *rand.Rand, n int) *relation.Relation {
 			// NULL
 		case u <= 7:
 			x = int64(rng.Intn(12)) // the int twin of a float below
+		case u == 8:
+			x = math.Copysign(0, -1) // −0 equals the 0 of either type
 		default:
 			x = float64(rng.Intn(12))
 		}
@@ -566,5 +568,158 @@ func TestExtendedRowsCachedCarriedAndRebound(t *testing.T) {
 	}
 	if h, _, carried := resultcache.Stats(); h == 0 || carried == 0 {
 		t.Fatalf("the run must exercise result-cache hits and carries: hits=%d carries=%d", h, carried)
+	}
+}
+
+// opaqueTerm hides a term's constructor from pref.Compilable: the same
+// order as a foreign preference, which only tuple views can evaluate.
+type opaqueTerm struct{ pref.Preference }
+
+// foldOracle returns what a merge of the given per-shard antichains must
+// return — interpreted BNL over their union, as oids — and the bound on
+// the pairs a fold may test: Σ|W|·|Lᵢ|, W being the maxima of the parts
+// before Lᵢ.
+func foldOracle(p pref.Preference, s *relation.Sharded, locals ShardSets) (oids []int, bound int) {
+	prefix := make(ShardSets, len(locals))
+	for i := range prefix {
+		prefix[i] = []int{}
+	}
+	w := 0
+	for i := range locals {
+		bound += w * len(locals[i])
+		prefix[i] = locals[i]
+		oids = referenceOIDs(p, s, prefix)
+		w = len(oids)
+	}
+	return oids, bound
+}
+
+// TestShardMergeFoldAgreement holds the cross-shard fold to the
+// interpreted oracle on each of its comparators — flat records, the
+// compiled tree (an EXPLICIT leaf), tuple views (an opaque term) — over 1
+// to 8 parts in memory and paged, with empty and single-row parts,
+// projection duplicates in different shards, string and TIME tie
+// attributes whose per-shard codes are unrelated, and the NaN / ±Inf / −0
+// / beyond-2^53 rows of the generator; and pins what makes it a fold of
+// antichains: no pair inside one part is ever tested, and the pairs stay
+// within Σ|W|·|Lᵢ|.
+func TestShardMergeFoldAgreement(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	trials := 6
+	if testing.Short() {
+		trials = 2
+	}
+	ran := map[string]int{}
+	for trial := 0; trial < trials; trial++ {
+		flat := gatheredTestRelation(rng, 200+rng.Intn(400))
+		for name, s := range gatheredLayouts(t, rng, flat) {
+			for round := 0; round < 4; round++ {
+				p := gatheredTerm(rng)
+				if round == 3 {
+					p = opaqueTerm{p}
+				}
+				for _, cut := range gatheredCuts {
+					// Each shard's local maxima, by the oracle's own evaluator.
+					locals := selectOn(s, cut)
+					for i, sh := range s.Shards() {
+						cand := sh.Pick(locals[i])
+						local := BMOIndicesMode(p, cand, BNL, EvalInterpreted)
+						for k, at := range local {
+							local[k] = locals[i][at]
+						}
+						locals[i] = local
+					}
+					want, bound := foldOracle(p, s, locals)
+					got, pairs := mergeShardMaxima(p, s, cloneSets(locals))
+					if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
+						t.Fatalf("trial %d %s cut %d term %s (%s):\n got %v\nwant %v", trial, name, cut, p, ShardMergeMode(p), oids, want)
+					}
+					if pairs > bound {
+						t.Fatalf("trial %d %s cut %d term %s (%s): %d pairs tested, Σ|W|·|Lᵢ| = %d", trial, name, cut, p, ShardMergeMode(p), pairs, bound)
+					}
+					for i := range got {
+						if !slices.IsSorted(got[i]) || got[i] == nil {
+							t.Fatalf("trial %d %s: shard %d result %v must be ascending and non-nil", trial, name, i, got[i])
+						}
+					}
+					ran[ShardMergeMode(p)]++
+
+					// The same fold on a recording comparator: every pair it
+					// asks about crosses a part boundary.
+					var tuples []pref.Tuple
+					var partOf []int
+					for i := range locals {
+						for _, local := range locals[i] {
+							tuples = append(tuples, s.Shard(i).Tuple(local))
+							partOf = append(partOf, i)
+						}
+					}
+					f := antichainFold{less: func(i, j int) bool {
+						if partOf[i] == partOf[j] {
+							t.Fatalf("trial %d %s cut %d term %s: the fold tested slots %d and %d of part %d against each other", trial, name, cut, p, i, j, partOf[i])
+						}
+						return p.Less(tuples[i], tuples[j])
+					}}
+					lo := 0
+					for i := range locals {
+						f.add(lo, lo+len(locals[i]))
+						lo += len(locals[i])
+					}
+					if f.pairs != pairs {
+						t.Fatalf("trial %d %s cut %d term %s: %d pairs on the recording comparator, %d on %s", trial, name, cut, p, f.pairs, pairs, ShardMergeMode(p))
+					}
+					if len(f.rows) != len(want) {
+						t.Fatalf("trial %d %s cut %d term %s: recording fold kept %d rows, want %d", trial, name, cut, p, len(f.rows), len(want))
+					}
+				}
+			}
+		}
+	}
+	for _, mode := range []string{"flat", "tree", "interpreted"} {
+		if ran[mode] == 0 {
+			t.Fatalf("the battery never folded on the %s comparator: %v", mode, ran)
+		}
+	}
+}
+
+// TestShardMergeKeepsCrossShardDuplicates: rows of equal projection are
+// equal, not dominated — a duplicate of a maximum sitting in another
+// shard is a maximum too, on every comparator, and a part beaten whole
+// leaves nothing behind.
+func TestShardMergeKeepsCrossShardDuplicates(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "oid", Type: relation.Int},
+		relation.Column{Name: "x", Type: relation.Float},
+		relation.Column{Name: "color", Type: relation.String},
+	)
+	s, err := relation.NewSharded("R", schema, 3, relation.ByRange("oid", 100, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.MustInsert(
+		relation.Row{int64(1), 1.0, "red"}, // shard 0
+		relation.Row{int64(2), 0.0, "blue"},
+		relation.Row{int64(101), 1.0, "red"}, // shard 1: the twin of oid 1, and of oid 2 up to −0
+		relation.Row{int64(102), math.Copysign(0, -1), "blue"},
+		relation.Row{int64(201), 2.0, "red"}, // shard 2: beaten whole
+		relation.Row{int64(202), 1.0, "blue"},
+	)
+	explicit, err := pref.EXPLICIT("color", []pref.Edge{{Worse: "blue", Better: "red"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []pref.Preference{
+		pref.Pareto(pref.LOWEST("x"), pref.POS("color", "red")),
+		pref.Pareto(pref.LOWEST("x"), explicit),
+		opaqueTerm{pref.Pareto(pref.LOWEST("x"), pref.POS("color", "red"))},
+	} {
+		locals := ShardSets{{0, 1}, {0, 1}, {0, 1}}
+		got, pairs := mergeShardMaxima(p, s, locals)
+		if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, []int{1, 2, 101, 102}) {
+			t.Fatalf("%s (%s): got %v, want both twins of both maxima", p, ShardMergeMode(p), oids)
+		}
+		if pairs == 0 || pairs > 2*2+4*2 {
+			t.Fatalf("%s (%s): %d pairs", p, ShardMergeMode(p), pairs)
+		}
 	}
 }

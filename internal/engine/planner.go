@@ -486,9 +486,25 @@ func presortedFor(p pref.Preference, stats *relation.Stats) bool {
 // dimensions over n rows of independent data the classic estimate is
 // (ln n)^(d-1)/(d-1)! [Buchta 1989]; measured correlation scales it —
 // anti-correlated data inflates skylines, correlated data deflates them.
+//
+// A prioritized accumulation is not a skyline over all its attributes:
+// Definition 9 is lexicographic, the head decides wherever it ranks and
+// the tail only chooses among rows the head finds equal. Its result is
+// the head's maxima, thinned by the tail inside each class of head ties —
+// and those classes are single rows unless statistics say the head's
+// attributes are low-cardinality.
 func estimateResult(p pref.Preference, n int, stats *relation.Stats) int {
 	if n <= 1 {
 		return n
+	}
+	if q, ok := p.(*pref.PrioritizedPref); ok {
+		head := estimateResult(q.Left(), n, stats)
+		ties := headTies(q.Left(), n, stats)
+		if ties <= 1 {
+			return head
+		}
+		classes := max(head/ties, 1)
+		return clampInt(classes*estimateResult(q.Right(), ties, stats), 1, n)
 	}
 	d := len(p.Attrs())
 	if dims, ok := chainDims(p); ok {
@@ -541,6 +557,24 @@ func estimateResult(p pref.Preference, n int, stats *relation.Stats) int {
 		est *= math.Exp(-2.5 * stats.Corr * float64(d-1))
 	}
 	return clampInt(int(est), 1, n)
+}
+
+// headTies estimates how many of n rows share one projection onto the
+// head's attributes: n over the product of their distinct counts, 1
+// without statistics (or for an attribute they do not cover).
+func headTies(head pref.Preference, n int, stats *relation.Stats) int {
+	if stats == nil {
+		return 1
+	}
+	ties := n
+	for _, attr := range head.Attrs() {
+		c, ok := stats.Col(attr)
+		if !ok || c.Distinct <= 0 {
+			return 1
+		}
+		ties /= c.Distinct
+	}
+	return max(ties, 1)
 }
 
 func clampInt(v, lo, hi int) int {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/pref"
@@ -11,10 +10,10 @@ import (
 
 // ShardPlan is the explainable physical plan of one BMO query over a
 // sharded table: the representative per-shard plan, the shard fan-out,
-// the cross-shard merge mode, and the cost estimate
+// the cross-shard merge's comparator, and the cost estimate
 //
-//	waves(shards/fanout) × per-shard cost + merge(shards × per-shard
-//	result) + dispatch overhead
+//	waves(shards/fanout) × per-shard cost + merge(Σ|W|·|Lᵢ| cross-shard
+//	pairs over the per-shard results) + dispatch overhead
 //
 // A sharded table always evaluates shard-at-a-time — fault isolation,
 // result caching and the cached per-shard bound forms all live along
@@ -23,10 +22,8 @@ type ShardPlan struct {
 	Shards int
 	Input  int // total candidate count across shards
 	Fanout int // concurrent shard evaluations
-	Merge  string
-	// MergeDominance is the comparator of a compiled merge: the sort-filter
-	// pass compiledMergeSharded runs over the gathered local maxima.
-	MergeDominance Dominance
+	// Merge is the comparator the cross-shard fold runs on (ShardMergeMode).
+	Merge string
 	// PerShard is the plan of the representative (largest-candidate-set)
 	// shard; every shard follows the same decision procedure at its own
 	// cardinality.
@@ -68,13 +65,11 @@ func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env E
 		Fanout: fanout,
 		Merge:  ShardMergeMode(p),
 	}
-	if sp.Merge == "compiled" {
-		sp.MergeDominance = dominanceOf(p, SFS)
-	}
 	sp.PerShard = planCore(p, s.Shard(rep), repN, env, BindScopeOf(p, s.Shard(rep), repN))
 	perShardCost := chosenCost(sp.PerShard)
 	waves := (s.NumShards() + fanout - 1) / fanout
 	merged := s.NumShards() * sp.PerShard.EstResult
+	pairs := foldPairs(s.NumShards(), sp.PerShard.EstResult)
 	// Goroutine dispatch is only paid when the fan-out actually spawns
 	// workers; a single-CPU sequential sweep costs one function call per
 	// shard.
@@ -82,11 +77,11 @@ func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env E
 	if fanout >= 2 {
 		dispatch = 1500 * float64(fanout)
 	}
-	sp.ShardedCost = float64(waves)*perShardCost + sp.mergeCost(merged) + dispatch
+	sp.ShardedCost = float64(waves)*perShardCost + sp.mergeCost(merged, pairs) + dispatch
 
 	sp.Reasons = append(sp.Reasons,
-		fmt.Sprintf("%d shards × ≈%d candidates, fan-out %d, merge: %s over ≈%d local maxima",
-			s.NumShards(), repN, fanout, sp.Merge, merged),
+		fmt.Sprintf("%d shards × ≈%d candidates, fan-out %d, merge: %s fold over ≈%d local maxima, ≈%d cross-shard pairs",
+			s.NumShards(), repN, fanout, sp.Merge, merged, pairs),
 		fmt.Sprintf("estimated cost ≈%.3g (%d wave(s) × per-shard + merge + dispatch)", sp.ShardedCost, waves))
 	return sp
 }
@@ -103,36 +98,35 @@ func chosenCost(pl *Plan) float64 {
 	return float64(pl.Input)
 }
 
-// mergeCost estimates the cross-shard merge over m local maxima: one
-// gathered bind plus a compiled sort-filter pass for compilable terms
-// (about half of the already-reduced input survives, so the filter pass
-// compares each row against a quarter of it on average), a quadratic
-// interpreted BNL window pass otherwise.
-func (sp *ShardPlan) mergeCost(m int) float64 {
-	fm := float64(m)
-	if m < 2 {
-		return fm
-	}
-	if sp.Merge != "compiled" {
-		return fm * fm
-	}
-	return fm*math.Log2(fm)*keyCmpCost + fm*fm/8*compiledPairCost(sp.MergeDominance, false)
+// foldPairs bounds the tests of the cross-shard fold over k parts of e
+// local maxima each: part i meets the at most i·e members standing when it
+// arrives — Σ|W|·|Lᵢ| = e²·k(k−1)/2 when every local maximum survives,
+// which after a shard-local pass most do. No intra-part pair, no sort.
+func foldPairs(k, e int) int {
+	return e * e * k * (k - 1) / 2
 }
 
-// mergeLabel renders the merge mode with a compiled merge's comparator.
-func (sp *ShardPlan) mergeLabel() string {
-	if sp.Merge != "compiled" {
-		return sp.Merge
+// mergeCost estimates the cross-shard fold: one gathered bind (or tuple
+// view) per local maximum, then the cross-shard pairs on the fold's
+// comparator, each settled in both directions — one three-way compare on
+// flat records, two Less through the predicate tree or the interface.
+func (sp *ShardPlan) mergeCost(m, pairs int) float64 {
+	pair := 2.0
+	switch sp.Merge {
+	case "flat":
+		pair = compiledPairCost(DominanceFlat, true)
+	case "tree":
+		pair = compiledPairCost(DominanceTree, true)
 	}
-	return sp.Merge + " dominance=" + sp.MergeDominance.String()
+	return float64(m) + float64(pairs)*pair
 }
 
 // Explain renders the sharded plan: the shard fan-out line, the
 // representative per-shard plan indented underneath, and the reasoning.
 func (sp *ShardPlan) Explain() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sharded plan: shards=%d n=%d fanout=%d merge=%s\n",
-		sp.Shards, sp.Input, sp.Fanout, sp.mergeLabel())
+	fmt.Fprintf(&b, "sharded plan: shards=%d n=%d fanout=%d merge=fold dominance=%s\n",
+		sp.Shards, sp.Input, sp.Fanout, sp.Merge)
 	for _, line := range strings.Split(strings.TrimRight(sp.PerShard.Explain(), "\n"), "\n") {
 		fmt.Fprintf(&b, "  per-shard %s\n", line)
 	}

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/filter"
 	"repro/internal/pref"
 	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 // antiCorrelated builds an n-row relation whose two float columns trade off
@@ -270,4 +273,76 @@ func TestEstimateIgnoresConstantChainDims(t *testing.T) {
 	if pl := PlanWith(p, allConst, Env{NumCPU: 1}); pl.EstResult != 500 {
 		t.Errorf("all-constant dims: est=%d, want 500", pl.EstResult)
 	}
+}
+
+// TestPrioritizedEstimateFollowsTheHead: Definition 9 is lexicographic, so
+// the result of a prioritized term is sized by its head — the tail only
+// splits head ties — not by a skyline over every attribute of the chain.
+// The three cold_skyline shapes over their two range shards, and a
+// low-cardinality head whose ties the tail does thin, must estimate
+// within 10× of what the shard returns, per shard and at the merge line;
+// and the algorithm the shapes were gated with (the flat window pass)
+// must not move with the estimate.
+func TestPrioritizedEstimateFollowsTheHead(t *testing.T) {
+	ResetCompileCache()
+	defer ResetCompileCache()
+	within10x := func(what string, est, actual int) {
+		t.Helper()
+		if actual < 1 {
+			actual = 1
+		}
+		if est > 10*actual || actual > 10*est {
+			t.Errorf("%s: estimated %d, actual %d", what, est, actual)
+		}
+	}
+	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
+	s, err := relation.ShardRelation(pts, 2, relation.ByRange("d1", relation.RangeBounds(pts, "d1", 2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		p    pref.Preference
+	}{
+		{"pareto3", pref.ParetoAll(pref.AROUND("d1", 0.41), pref.AROUND("d2", 0.63), pref.LOWEST("d3"))},
+		{"pareto-prior-chain", pref.Prioritized(pref.Pareto(pref.AROUND("d1", 0.41), pref.LOWEST("d2")), pref.LOWEST("d3"))},
+		{"chain-prior-pareto", pref.Prioritized(pref.LOWEST("d3"), pref.Pareto(pref.AROUND("d1", 0.41), pref.LOWEST("d2")))},
+	} {
+		for _, cut := range []float64{0.021, 0.045, 0.059} { // below and above the small-input threshold
+			where := &filter.Cmp{Attr: "d4", Op: "<=", Value: cut}
+			sets := make(ShardSets, s.NumShards())
+			for i, sh := range s.Shards() {
+				sets[i] = filter.CompileCached(where, sh).Indices()
+			}
+			sp := PlanShardedOn(c.p, s, sets, Env{NumCPU: 1})
+			if sp.PerShard.Algorithm != BNL || sp.PerShard.Dominance != DominanceFlat || sp.PerShard.Bind != BindGathered {
+				t.Errorf("%s cut %v: per-shard plan %s on %s, bind %s; want the gathered flat window pass",
+					c.name, cut, sp.PerShard.Algorithm, sp.PerShard.Dominance, sp.PerShard.Bind)
+			}
+			locals := 0
+			for i, sh := range s.Shards() {
+				local := len(BMOIndicesOn(c.p, sh, Auto, sets[i]))
+				locals += local
+				pl := PlanWithInput(c.p, sh, len(sets[i]), Env{NumCPU: 1})
+				within10x(fmt.Sprintf("%s cut %v shard %d", c.name, cut, i), pl.EstResult, local)
+			}
+			within10x(fmt.Sprintf("%s cut %v merge input", c.name, cut), s.NumShards()*sp.PerShard.EstResult, locals)
+		}
+	}
+
+	// A discrete head: five classes of 400 rows, the tail a skyline inside
+	// the best one.
+	rng := rand.New(rand.NewSource(12))
+	rel := relation.New("R", relation.MustSchema(
+		relation.Column{Name: "grade", Type: relation.Int},
+		relation.Column{Name: "a", Type: relation.Float},
+		relation.Column{Name: "b", Type: relation.Float},
+	))
+	for i := 0; i < 2000; i++ {
+		a := rng.Float64()
+		rel.MustInsert(relation.Row{int64(i % 5), a, 1 - a + rng.Float64()/5})
+	}
+	p := pref.Prioritized(pref.LOWEST("grade"), pref.Pareto(pref.LOWEST("a"), pref.LOWEST("b")))
+	within10x("discrete head", PlanWith(p, rel, Env{NumCPU: 1}).EstResult, len(BMOIndices(p, rel, Auto)))
+	within10x("discrete head alone", PlanWith(pref.Prioritized(pref.LOWEST("grade"), pref.LOWEST("a")), rel, Env{NumCPU: 1}).EstResult, 1)
 }

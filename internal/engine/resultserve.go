@@ -115,8 +115,7 @@ func EvalIndicesCtxKeyed(ctx context.Context, p pref.Preference, r *relation.Rel
 	keys := keysOf(p, where)
 	src, ver, term, ok := keys.resultKey(r)
 	if !ok {
-		ev, err := evalIndicesCtx(ctx, keys.keyedTerm, r, alg, idx)
-		return ev.maxima, err
+		return evalIndicesCtx(ctx, keys.keyedTerm, r, alg, idx, nil)
 	}
 	if e, hit := resultcache.Get(src, ver, term); hit {
 		if ctx != nil {
@@ -126,14 +125,11 @@ func EvalIndicesCtxKeyed(ctx context.Context, p pref.Preference, r *relation.Rel
 		}
 		return slices.Clone(e.Maxima), nil
 	}
-	ev, err := evalIndicesCtx(ctx, keys.keyedTerm, r, alg, idx)
-	if err != nil {
-		return nil, err
-	}
-	if r.Version() == ver {
-		resultcache.Put(src, ver, term, buildResultEntry(p, where, r, ev))
-	}
-	return ev.maxima, nil
+	return evalIndicesCtx(ctx, keys.keyedTerm, r, alg, idx, func(ev evaluated) {
+		if r.Version() == ver {
+			resultcache.Put(src, ver, term, buildResultEntry(p, where, r, ev))
+		}
+	})
 }
 
 // ResultCacheState reports the serving status EXPLAIN prints for a

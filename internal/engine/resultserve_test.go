@@ -254,6 +254,115 @@ func TestShardedResultCacheAgreement(t *testing.T) {
 	}
 }
 
+// TestGatheredEntryOutlivesItsSlab: a result-cache entry built from a
+// gathered evaluation holds copies, never views, of the borrowed bound
+// form — its maxima and chain coordinates still read true after the slab
+// is released (poisoned, under this package's TestMain) and recycled by
+// later statements, the entry serves, and it carries across an insert on
+// exactly those coordinates — flat and per shard.
+func TestGatheredEntryOutlivesItsSlab(t *testing.T) {
+	freshResultCache(t)
+	ResetCompileCache()
+	defer ResetCompileCache()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(31))
+	flat := relation.New("R", relation.MustSchema(
+		relation.Column{Name: "oid", Type: relation.Int},
+		relation.Column{Name: "a", Type: relation.Float},
+		relation.Column{Name: "b", Type: relation.Float},
+		relation.Column{Name: "w", Type: relation.Int},
+	))
+	for i := 0; i < 4000; i++ {
+		a := rng.Float64()
+		flat.MustInsert(relation.Row{int64(i), a, 1 - a + rng.Float64()/10, int64(rng.Intn(1000))})
+	}
+	sharded, err := relation.ShardRelation(flat, 2, relation.ByHash("oid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pref.Pareto(pref.LOWEST("a"), pref.LOWEST("b"))
+	dims, _ := chainDims(p)
+	where := &filter.Cmp{Attr: "w", Op: "<", Value: 100.0}
+	selected := func(r *relation.Relation) []int {
+		return slices.Clone(filter.CompileCached(where, r).Indices())
+	}
+	checkEntry := func(what string, r *relation.Relation) {
+		t.Helper()
+		src, ver, term, ok := keysOf(p, where).resultKey(r)
+		if !ok {
+			t.Fatalf("%s: statement must be keyable", what)
+		}
+		e, hit := resultcache.Peek(src, ver, term)
+		if !hit || len(e.Maxima) == 0 || len(e.Coords) != len(e.Maxima) {
+			t.Fatalf("%s: want a stored entry with chain coordinates, got hit=%v %+v", what, hit, e)
+		}
+		for k, i := range e.Maxima {
+			for d, s := range dims {
+				if want := s.ScoreOf(r.Tuple(i)); e.Coords[k][d] != want {
+					t.Fatalf("%s: maximum %d dim %d: stored coordinate %v, row scores %v", what, i, d, e.Coords[k][d], want)
+				}
+			}
+		}
+	}
+	oracle := func() []int {
+		cand := flat.Pick(selected(flat))
+		return oidsOf(cand.Row, BMOIndicesMode(p, cand, BNL, EvalInterpreted))
+	}
+	evalBoth := func(when string) {
+		t.Helper()
+		want := oracle()
+		got, err := EvalIndicesCtxKeyed(ctx, p, flat, Auto, selected(flat), where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oids := oidsOf(flat.Row, got); !sameInts(oids, want) {
+			t.Fatalf("%s flat: got %v want %v", when, oids, want)
+		}
+		sets := make(ShardSets, sharded.NumShards())
+		for i, sh := range sharded.Shards() {
+			sets[i] = selected(sh)
+		}
+		gotSets, _, err := BMOShardedOnCtxKeyed(ctx, p, sharded, Auto, sets, where, Robust{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oids := oidsOf(sharded.Row, gotSets.GlobalIDs(sharded)); !sameInts(oids, want) {
+			t.Fatalf("%s sharded: got %v want %v", when, oids, want)
+		}
+	}
+	g0 := GatheredBinds()
+	evalBoth("cold")
+	if got := GatheredBinds() - g0; got != 3 {
+		t.Fatalf("test premise: the flat run and both shards bind gathered, saw %d gathered binds", got)
+	}
+	// Other one-shot statements recycle the slabs the entries were built over.
+	for k := 0; k < 4; k++ {
+		other := pref.Pareto(pref.AROUND("a", float64(k)/4), pref.HIGHEST("b"))
+		BMOIndicesOn(other, flat, Auto, selected(flat))
+		BMOShardedOn(other, sharded, Auto, nil)
+	}
+	checkEntry("flat", flat)
+	for i, sh := range sharded.Shards() {
+		checkEntry(fmt.Sprintf("shard %d", i), sh)
+	}
+	hits0, _, carried0 := resultcache.Stats()
+	evalBoth("served")
+	// A newcomer that beats everything selected so far: the carry decides
+	// on the stored coordinates.
+	row := relation.Row{int64(10_000), -1.0, -1.0, int64(0)}
+	flat.MustInsert(row)
+	if err := sharded.Insert(row); err != nil {
+		t.Fatal(err)
+	}
+	evalBoth("carried")
+	if want := []int{10_000}; !sameInts(oracle(), want) {
+		t.Fatalf("test premise: the newcomer dominates, oracle says %v", oracle())
+	}
+	if hits, _, carried := resultcache.Stats(); hits == hits0 || carried == carried0 {
+		t.Fatalf("the run must serve and carry the gathered entries: hits %d→%d carries %d→%d", hits0, hits, carried0, carried)
+	}
+}
+
 // cloneSets deep-copies a ShardSets so both evaluation paths receive
 // private candidate slices.
 func cloneSets(sets ShardSets) ShardSets {

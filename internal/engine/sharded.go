@@ -17,10 +17,10 @@ import (
 // max(P, B)) for every strict partial order — holds just as well when the
 // partitions are storage shards: every query evaluates shard-local first
 // (each shard is a normal *Relation, so the compile caches serve its
-// bound forms independently) and the shard-local maxima merge with the
-// compiled evaluator: every compilable term binds once more over the
-// gathered union of the local maxima (mergeShardMaxima); terms outside the
-// fragment merge with a block-nested-loops pass over tuple views.
+// bound forms independently) and the shard-local maxima — antichains, one
+// per shard — merge in one fold that tests cross-shard pairs only
+// (mergeShardMaxima): on the bound form of the gathered union for every
+// compilable term, on tuple views for the rest.
 
 // ShardSets is a per-shard list of candidate row positions, aligned with
 // the sharded table's shard indices: the sharded counterpart of the flat
@@ -144,120 +144,191 @@ func intersectSorted(a, b []int) []int {
 }
 
 // mergeShardMaxima reduces per-shard local maxima to the global maxima:
-// the cross-shard half of the partition/merge identity, literally
-// max(P, ∪ maxᵢ). Every compilable term gathers the local maxima of all
-// shards into one small columnar source and runs the ordinary compiled
-// evaluator over it; only terms outside the compilable fragment merge
-// with an interpreted block-nested-loops pass over tuple views. Input and
-// output sets are per-shard ascending.
-func mergeShardMaxima(p pref.Preference, s *relation.Sharded, locals ShardSets) ShardSets {
-	nonEmpty := 0
+// the cross-shard half of the partition/merge identity, max(P, ∪ maxᵢ).
+// A preference is a strict partial order (Definition 1), so each shard's
+// local maxima are an antichain — every pair inside one shard is already
+// settled — and the merge is a fold over the parts that tests cross-shard
+// pairs only (antichainFold): no sort keys, no sort, never an intra-part
+// pair. The fold compares on what the union's bound form allows: a
+// compilable term binds once over the gathered union of the local maxima
+// (nothing shard-local crosses the merge — scores derive from the rows'
+// column values, ties from the values themselves, the per-shard code
+// dictionaries being unrelated) and compares flat records when the form
+// has a flat shape, through Compiled.Less otherwise; a term outside the
+// compilable fragment, or one that fails to bind, compares tuple views
+// with Preference.Less. The gathered form is borrowed memory, returned
+// when the fold is over. Input and output sets are per-shard ascending;
+// pairs is the number of tests the fold made.
+func mergeShardMaxima(p pref.Preference, s *relation.Sharded, locals ShardSets) (out ShardSets, pairs int) {
+	nonEmpty, total := 0, 0
 	for i := range locals {
 		if len(locals[i]) > 0 {
 			nonEmpty++
+			total += len(locals[i])
 		}
 	}
 	if nonEmpty <= 1 {
-		return ensureNonNil(locals)
+		return ensureNonNil(locals), 0
 	}
+	// Slots number the union shard-major in list order, whichever
+	// comparator reads them.
+	var f antichainFold
 	if pref.Compilable(p) {
-		if out, ok := compiledMergeSharded(p, s, locals); ok {
-			return out
+		g := s.Gather(locals).Borrow()
+		defer g.Release()
+		if c, ok := pref.Compile(p, g); ok {
+			if fs := c.Flat(); fs != nil {
+				f.flat = newFlatKernel(fs, g.Len()+1)
+				defer f.flat.release()
+			} else {
+				f.less = c.Less
+			}
 		}
 	}
-	return bnlMergeSharded(p, s, locals)
-}
-
-// compiledMergeSharded merges shard maxima on the compiled evaluator:
-// one bind over the gathered union of the local maxima, then one
-// sort-filter pass in slot space. Nothing shard-local crosses the merge —
-// the gathered source derives scores from the rows' column values and
-// equality codes from the raw values themselves (per-shard code
-// dictionaries are unrelated), and the bind computes the ±Inf collapse
-// record over exactly the merged rows, so the coordinate kernels gate on
-// cross-shard exactness by construction. The algorithm is fixed rather
-// than planned: the input is already reduced to maxima, so a large share
-// of it survives — the regime where the planner's independent-data
-// estimate is furthest off, window passes go quadratic, and SFS (confirmed
-// maxima are final; chain products filter through the blocked kernel)
-// does least work. Terms without a sort key fall back to the compiled
-// window pass inside sfsCompiled. ok=false when the term fails to bind.
-func compiledMergeSharded(p pref.Preference, s *relation.Sharded, locals ShardSets) (ShardSets, bool) {
-	c, ok := pref.Compile(p, s.Gather(locals))
-	if !ok {
-		return nil, false
+	switch {
+	case f.flat != nil:
+		dominanceRuns[DominanceFlat].Add(1)
+	case f.less != nil:
+		dominanceRuns[DominanceTree].Add(1)
+	default:
+		// The term's attribute positions resolve once for the whole fold,
+		// not once per Get of every comparison.
+		var tuples []pref.Tuple
+		views := s.Schema().TupleViews(p.Attrs())
+		for i := range locals {
+			sh := s.Shard(i)
+			for _, local := range locals[i] {
+				tuples = append(tuples, views.Of(sh.Row(local)))
+			}
+		}
+		f.less = func(i, j int) bool { return p.Less(tuples[i], tuples[j]) }
 	}
-	slots := sfsCompiled(c, allIndices(c.Len()), nil)
-	// Slots number the gathered rows shard-major in list order, and come
-	// back ascending: walk the shards alongside.
-	out := make(ShardSets, s.NumShards())
+	f.rows = make([]int, 0, total)
+	lo := 0
+	for i := range locals {
+		f.add(lo, lo+len(locals[i]))
+		lo += len(locals[i])
+	}
+	// The surviving slots ascend shard-major once sorted: walk the shards
+	// alongside.
+	slices.Sort(f.rows)
+	out = make(ShardSets, s.NumShards())
 	shard, off := 0, 0
-	for _, slot := range slots {
+	for _, slot := range f.rows {
 		for slot >= off+len(locals[shard]) {
 			off += len(locals[shard])
 			shard++
 		}
 		out[shard] = append(out[shard], locals[shard][slot-off])
 	}
-	return ensureNonNil(out), true
+	return ensureNonNil(out), f.pairs
 }
 
-// bnlMergeSharded merges shard maxima with one block-nested-loops pass
-// over tuple views — exact for every strict partial order, and cheap
-// because the input is already reduced to per-shard maxima. It is the
-// merge of the terms outside the compilable fragment. The term's
-// attribute positions resolve once for the whole pass, not once per Get
-// of every comparison.
-func bnlMergeSharded(p pref.Preference, s *relation.Sharded, locals ShardSets) ShardSets {
-	type item struct {
-		shard, local int
-		t            pref.Tuple
-	}
-	var all []item
-	views := s.Schema().TupleViews(p.Attrs())
-	for i := range locals {
-		sh := s.Shard(i)
-		for _, local := range locals[i] {
-			all = append(all, item{i, local, views.Of(sh.Row(local))})
-		}
-	}
-	window := make([]int, 0, 16)
-	for i := range all {
-		dominated := false
-		keep := window[:0]
-		for _, w := range window {
-			if p.Less(all[i].t, all[w].t) {
-				dominated = true
-				break
-			}
-			if !p.Less(all[w].t, all[i].t) {
-				keep = append(keep, w)
-			}
-		}
-		if dominated {
-			continue
-		}
-		window = append(keep, i)
-	}
-	out := make(ShardSets, s.NumShards())
-	for _, w := range window {
-		out[all[w].shard] = append(out[all[w].shard], all[w].local)
-	}
-	for i := range out {
-		slices.Sort(out[i])
-	}
-	return ensureNonNil(out)
+// antichainFold keeps W, the maxima of the union of the parts added so
+// far, and folds one more antichain L into it: every b ∈ L is tested
+// three-way against the members W had when L arrived — never against
+// another row of L — and
+//
+//	b beaten          → b is dropped. It evicted nobody on the way: W is
+//	                    an antichain, so a member above b and a member
+//	                    below b would be comparable (transitivity);
+//	a member beaten   → the member is evicted. It beat no row of L either,
+//	                    b being above it and L an antichain;
+//	equal, unranked   → both stay (two rows of equal projection are two
+//	                    maxima — a duplicate in another shard survives);
+//
+// then W := survivors(W) ∪ survivors(L), Σ|W|·|Lᵢ| tests at most. Order
+// inside W is immaterial, so an evicted member's place is taken by the
+// last member still standing and the holes close once per part.
+//
+// Exactly one comparator is set: flat holds W as row-major records
+// (member m in slot m), less answers the strict order on slots — the
+// compiled predicate tree, or Preference.Less over tuple views.
+type antichainFold struct {
+	flat  *flatKernel
+	less  func(i, j int) bool
+	rows  []int // rows[m] is the union slot of member m
+	pairs int   // tests made
 }
 
-// ShardMergeMode names the cross-shard merge a term will use: the
-// compiled evaluator over the gathered local maxima for every compilable
-// term, an interpreted BNL pass otherwise. Query explanation reports it
-// per phase.
+// compare tests union slot b — staged, on the flat comparator — against
+// member m.
+func (f *antichainFold) compare(b, m int) order {
+	if f.flat != nil {
+		return f.flat.compare(m)
+	}
+	switch w := f.rows[m]; {
+	case f.less(b, w):
+		return ordLess
+	case f.less(w, b):
+		return ordGreater
+	}
+	return ordIncomparable
+}
+
+// move puts member from in member to's place.
+func (f *antichainFold) move(from, to int) {
+	if from == to {
+		return
+	}
+	f.rows[to] = f.rows[from]
+	if f.flat != nil {
+		f.flat.move(from, to)
+	}
+}
+
+// add folds in the part of union slots lo..hi-1, an antichain.
+func (f *antichainFold) add(lo, hi int) {
+	before := len(f.rows) // members [live, before) are holes
+	live := before
+candidates:
+	for b := lo; b < hi; b++ {
+		if f.flat != nil {
+			f.flat.stage(b)
+		}
+		for m := 0; m < live; {
+			f.pairs++
+			switch f.compare(b, m) {
+			case ordLess:
+				continue candidates
+			case ordGreater:
+				live--
+				f.move(live, m)
+			default:
+				m++
+			}
+		}
+		f.rows = append(f.rows, b)
+		if f.flat != nil {
+			f.flat.commit()
+		}
+	}
+	// Close the holes with survivors from the tail.
+	holes, survivors := before-live, len(f.rows)-before
+	for t := 0; t < min(holes, survivors); t++ {
+		f.move(len(f.rows)-1-t, live+t)
+	}
+	n := live + survivors
+	f.rows = f.rows[:n]
+	if f.flat != nil {
+		f.flat.truncate(n)
+	}
+}
+
+// ShardMergeMode names the comparator the cross-shard fold of a term
+// runs on — "flat" records, the compiled predicate "tree", or
+// "interpreted" tuple views for terms outside the compilable fragment.
+// Query explanation reports it per phase. (A compilable term whose bind
+// fails at run time — an ordinal layer past its coding cap — folds
+// interpreted.)
 func ShardMergeMode(p pref.Preference) string {
-	if pref.Compilable(p) {
-		return "compiled"
+	switch {
+	case !pref.Compilable(p):
+		return "interpreted"
+	case pref.FlatShaped(p):
+		return "flat"
 	}
-	return "bnl"
+	return "tree"
 }
 
 // GroupByShardedOn is the sharded counterpart of GroupByIndicesOn: each
@@ -344,7 +415,8 @@ func GroupByShardedOn(ctx context.Context, p pref.Preference, groupAttrs []strin
 	}
 	out := make(ShardSets, s.NumShards())
 	for g := range groups {
-		for i, win := range mergeShardMaxima(p, s, locals[g]) {
+		merged, _ := mergeShardMaxima(p, s, locals[g])
+		for i, win := range merged {
 			out[i] = append(out[i], win...)
 		}
 	}

@@ -124,16 +124,17 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 			out, hit = key.serve(ictx)
 		}
 		if !hit {
-			ev, err := runCancellable(ictx, func(cc *canceller) evaluated {
-				return evalOn(keys.keyedTerm, shard, alg, EvalAuto, cand, cc)
+			var keep func(evaluated)
+			if canServe {
+				keep = func(ev evaluated) { key.store(p, shard, where, ev) }
+			}
+			var err error
+			out, err = runCancellable(ictx, func(cc *canceller) []int {
+				return evalOn(keys.keyedTerm, shard, alg, EvalAuto, cand, cc, keep)
 			})
 			if err != nil {
 				return err
 			}
-			if canServe {
-				key.store(p, shard, where, ev)
-			}
-			out = ev.maxima
 		}
 		locals[i] = out
 		if keep != nil {
@@ -161,7 +162,7 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 	// context: under PolicyPartial the context may already be dead (that
 	// is *why* shards are missing), yet the responsive shards' merge
 	// must still complete to produce the partial result.
-	out := mergeShardMaxima(p, s, responsive)
+	out, _ := mergeShardMaxima(p, s, responsive)
 	if keep != nil {
 		for i := range out {
 			if errs[i] == nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/pref"
 	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 // shardedTestRelation builds an n-row relation with an oid identity
@@ -420,8 +422,8 @@ func TestPlanSharded(t *testing.T) {
 	if sp.Shards != 4 || sp.Input != flat.Len() {
 		t.Fatalf("plan shards=%d input=%d", sp.Shards, sp.Input)
 	}
-	if sp.Merge != "compiled" {
-		t.Fatalf("a compilable term must merge on the compiled evaluator, got %s", sp.Merge)
+	if sp.Merge != "flat" {
+		t.Fatalf("a flat-fragment term must fold on flat records, got %s", sp.Merge)
 	}
 	if sp.PerShard == nil || sp.PerShard.Algorithm == Auto {
 		t.Fatalf("plan must resolve the per-shard algorithm, got %+v", sp.PerShard)
@@ -430,15 +432,68 @@ func TestPlanSharded(t *testing.T) {
 	if strings.Contains(text, "→ sharded") || strings.Contains(text, "→ flat") || strings.Contains(text, "flatten") {
 		t.Fatalf("ShardPlan.Explain must not carry a sharded-vs-flat route:\n%s", text)
 	}
-	for _, want := range []string{"shards=4", "merge=compiled", "merge: compiled over ≈", "per-shard plan:"} {
+	for _, want := range []string{"shards=4", "merge=fold dominance=flat", "merge: flat fold over ≈", "cross-shard pairs", "per-shard plan:"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("ShardPlan.Explain missing %q:\n%s", want, text)
 		}
 	}
-	if got := ShardMergeMode(pref.Dual(p)); got != "compiled" {
-		t.Fatalf("every compilable term merges compiled, got %s", got)
+	if got := ShardMergeMode(pref.Dual(p)); got != "tree" {
+		t.Fatalf("a compilable term outside the flat fragment folds on the predicate tree, got %s", got)
 	}
-	if got := ShardMergeMode(foreignEnginePref{}); got != "bnl" {
-		t.Fatalf("a term outside the compilable fragment must merge with bnl, got %s", got)
+	if got := ShardMergeMode(foreignEnginePref{}); got != "interpreted" {
+		t.Fatalf("a term outside the compilable fragment must fold interpreted, got %s", got)
+	}
+}
+
+// BenchmarkShardMerge prices the cross-shard fold alone: 2, 4 and 8 parts
+// holding 16, 256 and 2048 local maxima between them (antichains cut from
+// the shards' real local maxima over anti-correlated d=3, where most of
+// them survive the merge — the expensive regime), on flat records and on
+// the predicate tree (the same order through a dual, which leaves the flat
+// fragment). An iteration is one gathered bind of the union plus the
+// fold; pairs/op is the fold's own count of tests, Σ|W|·|Lᵢ| at most.
+func BenchmarkShardMerge(b *testing.B) {
+	defer relation.PoisonReleasedSlabs(relation.PoisonReleasedSlabs(false))
+	rel := workload.Numeric(64000, 3, workload.AntiCorrelated, 18)
+	terms := []struct {
+		name string
+		p    pref.Preference
+	}{
+		{"flat", pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))},
+		{"tree", pref.ParetoAll(pref.Dual(pref.HIGHEST("d1")), pref.LOWEST("d2"), pref.LOWEST("d3"))},
+	}
+	for _, parts := range []int{2, 4, 8} {
+		s, err := relation.ShardRelation(rel, parts, relation.ByHash("d1"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		locals := make(ShardSets, parts)
+		for i, sh := range s.Shards() {
+			locals[i] = BMOIndices(terms[0].p, sh, Auto)
+		}
+		for _, maxima := range []int{16, 256, 2048} {
+			cut := make(ShardSets, parts)
+			for i := range cut {
+				if len(locals[i]) < maxima/parts {
+					b.Fatalf("shard %d of %d has %d local maxima, the benchmark needs %d", i, parts, len(locals[i]), maxima/parts)
+				}
+				cut[i] = locals[i][:maxima/parts]
+			}
+			for _, term := range terms {
+				b.Run(fmt.Sprintf("parts-%d/maxima-%d/%s", parts, maxima, term.name), func(b *testing.B) {
+					if got := ShardMergeMode(term.p); got != term.name {
+						b.Fatalf("term folds on %s", got)
+					}
+					b.ReportAllocs()
+					var out ShardSets
+					var pairs int
+					for i := 0; i < b.N; i++ {
+						out, pairs = mergeShardMaxima(term.p, s, cut)
+					}
+					b.ReportMetric(float64(pairs), "pairs/op")
+					b.ReportMetric(float64(out.Total(s)), "maxima")
+				})
+			}
+		}
 	}
 }

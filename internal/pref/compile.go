@@ -68,6 +68,15 @@ type Resolver interface {
 	Resolves(attr string) bool
 }
 
+// FloatLender is optionally implemented by sources whose bound forms die
+// with them (see relation.Gathered): LendFloats returns a length-n vector
+// of unspecified content that lives exactly as long as the source, and
+// Compile materializes the form's score vectors in lent memory instead of
+// allocating them. A form bound over such a source must not outlive it.
+type FloatLender interface {
+	LendFloats(n int) []float64
+}
+
 // Compiled is the bound form of a preference over one Source: flat score
 // vectors, ordinal codes and equality codes, plus the less/dominates
 // predicates over row positions. A Compiled is immutable after Compile and
@@ -556,6 +565,16 @@ type compiler struct {
 	scoreInf  map[Preference]InfCollapse
 }
 
+// vector returns a fresh score vector of the source's length whose every
+// element the caller overwrites: lent by the source when it lends, an
+// allocation otherwise.
+func (c *compiler) vector() []float64 {
+	if l, ok := c.src.(FloatLender); ok {
+		return l.LendFloats(c.n)
+	}
+	return make([]float64, c.n)
+}
+
 func (c *compiler) ensureTuples() []Tuple {
 	if c.tuples == nil {
 		c.tuples = make([]Tuple, c.n)
@@ -681,7 +700,7 @@ func (c *compiler) scoreFromColumn(attr string, score func(float64) float64) (*s
 	if !ok {
 		return nil, InfCollapse{}, false
 	}
-	s := make([]float64, c.n)
+	s := c.vector()
 	// Coordinate dominance reads a score tie as a value tie, which holds
 	// only where the scale image decides value equality: a TIME column's
 	// image is truncated to seconds, so instants within one second tie on
@@ -717,7 +736,7 @@ const offScaleClass = "\x00off"
 func (c *compiler) scoreFromValues(attr string, score func(Value) float64) (*scoreNode, InfCollapse) {
 	tuples := c.ensureTuples()
 	pres := c.presence(attr)
-	s := make([]float64, c.n)
+	s := c.vector()
 	ic := InfCollapse{Exact: true}
 	for i, t := range tuples {
 		v, ok := t.Get(attr)
@@ -802,7 +821,7 @@ func (c *compiler) levelLeaf(p Preference, attr string, level func(Value) int) c
 func (c *compiler) classScoreLeaf(p Preference, attr string, score func(Value) float64) cnode {
 	pres := c.presence(attr)
 	codes := c.eqVec(attr)
-	s := make([]float64, c.n)
+	s := c.vector()
 	byCode := make([]float64, c.n+2) // codes are dense and bounded by n+1
 	seen := make([]bool, c.n+2)
 	for i := 0; i < c.n; i++ {
@@ -1012,7 +1031,7 @@ func (c *compiler) compileRank(q *RankPref) (cnode, bool) {
 		}
 		vecs[k] = vec
 	}
-	s := make([]float64, c.n)
+	s := c.vector()
 	scratch := make([]float64, len(parts))
 	for i := range s {
 		for k := range vecs {

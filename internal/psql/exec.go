@@ -495,7 +495,9 @@ func checkAttrs(q *Query, rel relation.Table, tm terms) error {
 // over a small candidate set (relation.GatherWorthwhile) gathers just
 // those rows — binding a measure vector otherwise costs one pass over
 // the WHOLE relation — and anything larger binds r itself through the
-// measure cache, where repeated queries reuse it. ok=false for trees
+// measure cache, where repeated queries reuse it. The gathered measure
+// vectors live on in the returned predicate, so the gather does not
+// Borrow: they are ordinary GC-owned memory. ok=false for trees
 // containing foreign ButExpr implementations, which keep per-tuple Eval.
 func butKeep(e ButExpr, byAttr map[string]pref.Preference, r *relation.Relation, idx []int) (func(ord int) bool, bool) {
 	if !butBound(e, byAttr, r) && relation.GatherWorthwhile(len(idx), r.Len()) {

@@ -217,8 +217,9 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 
 // explainSharded renders the plan of a query over a sharded table: the
 // same pipeline as the flat Explain with every phase carrying its shard
-// fan-out facts — "shards=N, merge=<mode>" — plus per-shard cache
-// status. The WHERE clause binds per shard at explain time (the bitmaps
+// fan-out facts — "shards=N, merge=fold dominance=<comparator>" — plus
+// per-shard cache status. The WHERE clause binds per shard at explain
+// time (the bitmaps
 // are exactly what execution reuses), preference terms do not bind, so
 // their compile-cache status counts shards with a live bound form.
 func explainSharded(q *Query, s *relation.Sharded, tm terms, opts Options) (string, error) {
@@ -268,7 +269,7 @@ func explainSharded(q *Query, s *relation.Sharded, tm terms, opts Options) (stri
 		n = count
 	}
 	shardFacts := func(p pref.Preference) string {
-		return fmt.Sprintf("shards=%d, merge=%s", nShards, engine.ShardMergeMode(p))
+		return fmt.Sprintf("shards=%d, merge=fold dominance=%s", nShards, engine.ShardMergeMode(p))
 	}
 	// cacheLine reports the per-shard bind scopes of a step over the
 	// WHERE-selected candidates (grouped steps share one whole-shard form

@@ -319,7 +319,7 @@ func TestExplainShardedDescribesWhatRuns(t *testing.T) {
 			planLine = line
 		}
 	}
-	if !strings.Contains(planLine, "shards=4") || !strings.Contains(planLine, "merge=compiled") {
+	if !strings.Contains(planLine, "shards=4") || !strings.Contains(planLine, "merge=fold dominance=") {
 		t.Fatalf("EXPLAIN missing the sharded plan line:\n%s", text)
 	}
 	if strings.Contains(planLine, "→") {
@@ -399,6 +399,15 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 			t.Fatal(err)
 		}
 		ranFlat("selective run", flat0, other0)
+		// One window pass per shard, and over several shards the one fold
+		// the merge line announced — on records, as it said.
+		wantPasses := uint64(c.shards)
+		if c.shards > 1 {
+			wantPasses++
+		}
+		if flat, _ := passes(); flat-flat0 != wantPasses {
+			t.Errorf("%s: selective run: %d flat passes, want %d (one per shard, plus the cross-shard fold)", c.name, flat-flat0, wantPasses)
+		}
 		hits1, misses1 := engine.CompileCacheStats()
 		if hits1 != hits0 || misses1 != misses0 || engine.GatheredBinds() != g0+c.shards {
 			t.Errorf("%s: selective run: compile hits %d→%d misses %d→%d gathered %d→%d, want one gathered bind per shard and no cache traffic",
@@ -422,7 +431,7 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 		shared := "SELECT oid FROM car WHERE price <= 9000 PREFERRING mileage AROUND 70000 AND HIGHEST(horsepower)"
 		mustContain("selective over a cached term", explain(shared), c.warm)
 		if c.shards > 1 {
-			mustContain("sharded merge", explain(selective), "merge=compiled dominance=flat", "merge: compiled over ≈")
+			mustContain("sharded merge", explain(selective), "merge=fold dominance=flat", "merge: flat fold over ≈", "cross-shard pairs")
 		}
 	}
 }

@@ -1,8 +1,12 @@
 package psql
 
 import (
+	"fmt"
+	"math/rand"
+	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -257,8 +261,8 @@ func TestExplainSharded(t *testing.T) {
 	}
 	for _, want := range []string{
 		"sharded: 4 shards by hash(oid)",
-		"shards=4, merge=compiled",
-		"merge: compiled over ≈",
+		"shards=4, merge=fold dominance=flat",
+		"merge: flat fold over ≈",
 		"shards=4, selection cache",
 		"compile cache: cold on 4/4 shards — binds at first execution; bind: full (cold) on 4/4 shards",
 		"sharded plan: shards=4",
@@ -317,5 +321,92 @@ func TestShardedRankPackageAgreement(t *testing.T) {
 		if got[i].Score != want[i].Score {
 			t.Fatalf("rank %d: score %v, want %v", i, got[i].Score, want[i].Score)
 		}
+	}
+}
+
+// TestMain runs the package's suites with the use-after-release guard on:
+// the slab of a gathered bind is scribbled over the moment it is released
+// (see relation.PoisonReleasedSlabs).
+func TestMain(m *testing.M) {
+	relation.PoisonReleasedSlabs(true)
+	os.Exit(m.Run())
+}
+
+// TestColdShapesConcurrentSessions: eight sessions fire first-seen
+// statements of the three cold_skyline shapes at one sharded table at
+// once — every one a gathered bind per shard and a cross-shard fold, all
+// borrowing from the same slab pool — and each answer must be the
+// interpreted oracle's. Under -race this is the check that no slab is
+// ever lent to two statements.
+func TestColdShapesConcurrentSessions(t *testing.T) {
+	pts := workload.Numeric(6000, 4, workload.AntiCorrelated, 5)
+	sharded, err := relation.ShardRelation(pts, 2, relation.ByRange("d1", relation.RangeBounds(pts, "d1", 2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := Catalog{"pts": sharded}
+	shapes := []string{
+		"SELECT * FROM pts WHERE d4 <= %.6f PREFERRING d1 AROUND %.6f AND d2 AROUND %.6f AND LOWEST(d3)",
+		"SELECT * FROM pts WHERE d4 <= %.6f PREFERRING (d1 AROUND %.6f AND LOWEST(d2)) PRIOR TO LOWEST(d3)",
+		"SELECT * FROM pts WHERE d4 <= %.6f PREFERRING LOWEST(d3) PRIOR TO (d1 AROUND %.6f AND LOWEST(d2))",
+	}
+	rendered := func(r *relation.Relation) string {
+		rows := make([]string, r.Len())
+		for i := range rows {
+			rows[i] = fmt.Sprint(r.Row(i))
+		}
+		sort.Strings(rows)
+		return strings.Join(rows, "\n")
+	}
+	const sessions, statements = 8, 12
+	type stmt struct{ text, want string }
+	work := make([][]stmt, sessions)
+	rng := rand.New(rand.NewSource(8))
+	for k := range work {
+		for n := 0; n < statements; n++ {
+			shape := shapes[rng.Intn(len(shapes))]
+			args := []any{0.02 + 0.1*rng.Float64(), 0.2 + 0.6*rng.Float64()}
+			if strings.Count(shape, "%") == 3 {
+				args = append(args, 0.2+0.6*rng.Float64())
+			}
+			text := fmt.Sprintf(shape, args...)
+			q, err := Parse(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := q.Preferring.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cand := pts.Pick(filter.CompileCached(q.Where, pts).Indices())
+			want := cand.Pick(engine.BMOIndicesMode(p, cand, engine.BNL, engine.EvalInterpreted))
+			work[k] = append(work[k], stmt{text, rendered(want)})
+		}
+	}
+	g0 := engine.GatheredBinds()
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for k := range work {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			<-start
+			for _, st := range work[k] {
+				got, err := Run(st.text, cat, Options{})
+				if err != nil {
+					t.Errorf("session %d: %s: %v", k, st.text, err)
+					return
+				}
+				if text := rendered(got); text != st.want {
+					t.Errorf("session %d: %s:\n got %s\nwant %s", k, st.text, text, st.want)
+					return
+				}
+			}
+		}(k)
+	}
+	close(start)
+	wg.Wait()
+	if got := engine.GatheredBinds() - g0; got < sessions*statements {
+		t.Fatalf("test premise: the statements must bind gathered, saw %d gathered binds", got)
 	}
 }

@@ -127,7 +127,8 @@ func cachedScoreVec(p pref.Scorer, r *relation.Relation) []float64 {
 // rows — an ordinal-addressed vector, dropped with the query — and
 // anything larger binds the whole relation through the score cache.
 // Only terms outside the compilable fragment score per row through
-// ScoreOf.
+// ScoreOf. The gathered vector outlives this call inside the returned
+// closure, so the gather does not Borrow: it is ordinary GC-owned memory.
 func scoreFn(p pref.Scorer, r *relation.Relation, idx []int) func(ord, row int) float64 {
 	if key, ok := scoreVecKey(p, r); ok {
 		if vec, hit := scoreCache.Peek(key); hit && vec != nil {

@@ -1,6 +1,10 @@
 package relation
 
 import (
+	"math"
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/pref"
 )
 
@@ -17,7 +21,13 @@ import (
 //
 // The same type serves the cross-shard merge: Sharded.Gather concatenates
 // per-shard position lists into one source, so the shards' local maxima
-// evaluate together under one ordinary compiled form.
+// compare under one ordinary compiled form.
+//
+// A statement seen once should leave no column garbage behind either: a
+// gathered source whose caller brackets it with Borrow and Release carves
+// every vector it hands out — float images, on-scale masks, the identity
+// slot list, and through pref.FloatLender the score vectors of the form
+// bound over it — from one slab taken from a pool and returned on Release.
 
 // gatherFraction is the subset rule shared by every bind layer (BMO,
 // ranked scoring, BUT ONLY): a cold bind gathers when the candidates are
@@ -45,12 +55,25 @@ func GatherWorthwhile(m, n int) bool {
 // relation — no row page is decoded for a numeric column). A Gathered is
 // bind-time state for one goroutine: it is not safe for concurrent use,
 // and the forms bound over it keep only the vectors they derived.
+//
+// Without Borrow those vectors are ordinary garbage-collected memory (the
+// ranked and BUT ONLY binds, whose vectors outlive the call in a closure,
+// stay that way). Between Borrow and Release they are slab memory: the
+// source, every vector it returned and every form bound over it are dead
+// at Release, and whoever keeps something past it copies it first.
 type Gathered struct {
 	schema *Schema
 	parts  []gatherPart
 	n      int
-	floats map[int]*floatColumn
+	floats []gatheredFloats // the float images derived so far, a handful at most
 	eqs    map[int][]uint32
+	slab   *slab // nil: vectors are GC-owned
+}
+
+// gatheredFloats is one column's gathered float image.
+type gatheredFloats struct {
+	ci int
+	floatColumn
 }
 
 // gatherPart is one relation's share of a gathered source: the pinned
@@ -86,6 +109,53 @@ func (s *Sharded) Gather(sets [][]int) *Gathered {
 	return g
 }
 
+// Borrow makes the source carve its vectors from a pooled slab until
+// Release, which must run on the same goroutine once nothing reads them
+// any more. It returns g.
+func (g *Gathered) Borrow() *Gathered {
+	if g.slab == nil {
+		g.slab = slabPool.Get().(*slab)
+	}
+	return g
+}
+
+// Release returns a borrowed slab to the pool; the source, its vectors
+// and the forms bound over it must not be touched again. Without a
+// preceding Borrow it does nothing.
+func (g *Gathered) Release() {
+	if g.slab == nil {
+		return
+	}
+	g.slab.reset()
+	slabPool.Put(g.slab)
+	g.slab, g.floats, g.eqs = nil, nil, nil
+}
+
+// LendFloats implements pref.FloatLender: a length-n vector of unspecified
+// content with the source's lifetime — the score vectors of an ephemeral
+// bound form.
+func (g *Gathered) LendFloats(n int) []float64 {
+	if g.slab == nil {
+		return make([]float64, n)
+	}
+	return g.slab.floats.carve(n)
+}
+
+// Slots returns the identity slot list 0..Len()-1, the candidate set of an
+// evaluation over every gathered row; it has the source's lifetime.
+func (g *Gathered) Slots() []int {
+	var slots []int
+	if g.slab == nil {
+		slots = make([]int, g.n)
+	} else {
+		slots = g.slab.ints.carve(g.n)
+	}
+	for i := range slots {
+		slots[i] = i
+	}
+	return slots
+}
+
 // Len returns the number of gathered rows.
 func (g *Gathered) Len() int { return g.n }
 
@@ -107,23 +177,32 @@ func (g *Gathered) FloatColumn(name string) (vals []float64, onScale []bool, ok 
 	if !ok {
 		return nil, nil, false
 	}
-	col, hit := g.floats[ci]
-	if !hit {
-		col = &floatColumn{vals: make([]float64, g.n), onScale: make([]bool, g.n)}
-		for _, part := range g.parts {
-			src, mask, ok := part.g.floatColumn(g.schema, name)
-			if !ok {
-				return nil, nil, false
-			}
-			for k, i := range part.idx {
-				col.vals[part.off+k], col.onScale[part.off+k] = src[i], mask[i]
-			}
+	for _, col := range g.floats {
+		if col.ci == ci {
+			return col.vals, col.onScale, true
 		}
-		if g.floats == nil {
-			g.floats = make(map[int]*floatColumn)
-		}
-		g.floats[ci] = col
 	}
+	switch g.schema.Col(ci).Type {
+	case Int, Float, Time:
+	default:
+		return nil, nil, false // no linear scale (generation.floatColumn's rule)
+	}
+	col := floatColumn{vals: g.LendFloats(g.n)}
+	if g.slab == nil {
+		col.onScale = make([]bool, g.n)
+	} else {
+		col.onScale = g.slab.bools.carve(g.n)
+	}
+	for _, part := range g.parts {
+		src, mask, _ := part.g.floatColumn(g.schema, name)
+		for k, i := range part.idx {
+			col.vals[part.off+k], col.onScale[part.off+k] = src[i], mask[i]
+		}
+	}
+	if g.floats == nil {
+		g.floats = make([]gatheredFloats, 0, g.schema.Len())
+	}
+	g.floats = append(g.floats, gatheredFloats{ci, col})
 	return col.vals, col.onScale, true
 }
 
@@ -195,3 +274,77 @@ func densifyCodes(src []uint32, idx []int) []uint32 {
 	}
 	return codes
 }
+
+// slab is the memory of one borrowed gathered bind: an arena per element
+// type its vectors come in. Slabs cycle through slabPool; a fresh one owns
+// nothing, and each arena grows to the demand of the statements it serves.
+type slab struct {
+	floats arena[float64]
+	bools  arena[bool]
+	ints   arena[int]
+}
+
+var slabPool = sync.Pool{New: func() any { return new(slab) }}
+
+// arena hands out consecutive pieces of one chunk. A request the chunk
+// cannot hold opens a chunk of at least twice the size — the pieces
+// already carved keep the old one alive until their statement ends — so a
+// recycled arena settles on one chunk that fits a whole statement.
+type arena[T any] struct {
+	chunk   []T
+	used    int
+	retired [][]T // outgrown chunks this statement still reads
+}
+
+// carve returns a length-n piece with unspecified content.
+func (a *arena[T]) carve(n int) []T {
+	if a.used+n > len(a.chunk) {
+		if a.used > 0 {
+			a.retired = append(a.retired, a.chunk[:a.used])
+		}
+		a.chunk, a.used = make([]T, max(2*len(a.chunk), n)), 0
+	}
+	piece := a.chunk[a.used : a.used+n : a.used+n]
+	a.used += n
+	return piece
+}
+
+// reset forgets every piece carved, keeping the current chunk; under
+// PoisonReleasedSlabs it first overwrites them with poison.
+func (a *arena[T]) reset(poison func([]T)) {
+	if poisonReleased.Load() {
+		poison(a.chunk[:a.used])
+		for _, c := range a.retired {
+			poison(c)
+		}
+	}
+	a.used, a.retired = 0, nil
+}
+
+func (s *slab) reset() {
+	s.floats.reset(func(v []float64) {
+		for i := range v {
+			v[i] = math.NaN()
+		}
+	})
+	s.bools.reset(func(v []bool) {
+		for i := range v {
+			v[i] = !v[i]
+		}
+	})
+	s.ints.reset(func(v []int) {
+		for i := range v {
+			v[i] = -1
+		}
+	})
+}
+
+// poisonReleased makes Release scribble over everything the slab handed
+// out, so a read after release surfaces as a wrong answer or an index
+// panic instead of passing by luck.
+var poisonReleased atomic.Bool
+
+// PoisonReleasedSlabs is the use-after-release guard of the test suites:
+// while on, a released slab's floats read NaN, its masks are flipped and
+// its slot lists hold -1. It returns the previous setting.
+func PoisonReleasedSlabs(on bool) (was bool) { return poisonReleased.Swap(on) }
