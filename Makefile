@@ -11,10 +11,11 @@ build:
 test:
 	$(GO) test -race ./...
 
-# The CI matrix legs without the AVX2 chain kernel — a build without the
+# The CI matrix legs without the AVX2 block kernel — a build without the
 # assembly at all, and the assembly build with the kernel force-disabled
-# at process start (see internal/engine/kernel.go): chain products then
-# compare on the flat record kernel like the rest of the flat fragment.
+# at process start (see internal/engine/kernel.go): the one-way passes of
+# the flat fragment (sorted pass, stream, cross-shard fold) then compare on
+# flat records.
 test-noasm:
 	$(GO) test -race -tags noasm ./...
 
@@ -28,13 +29,18 @@ test-noavx2:
 # bind scope, numeric binds that must request no equality codes, the
 # one-pass selection against Pred.Eval, the boundcache admission order
 # with its flat-in-capacity cost, the cross-shard fold against the oracle
-# on each of its comparators (no intra-part pair, pairs ≤ Σ|W|·|Lᵢ|), and
-# the borrowed-slab lifetime checks — entries that outlive their slab,
-# abandoned workers, concurrent sessions — all with released slabs
-# poisoned (the engine and psql suites turn the guard on in TestMain).
+# on each of its comparators (no intra-part pair, pairs ≤ Σ|W|·|Lᵢ|), the
+# sorted pass (score-sum order, blocked one-way filter) against the window
+# pass and the oracle on the edge rows with its named cases and re-check
+# counts, the block kernel's verdicts against the masked model, the routes
+# the planner gives the served statement shapes with EXPLAIN before == what
+# ran == EXPLAIN after, and the borrowed-slab lifetime checks — entries
+# that outlive their slab, abandoned workers, concurrent sessions — all
+# with released slabs poisoned (the engine and psql suites turn the guard
+# on in TestMain).
 test-ties:
 	$(GO) test -race \
-		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate' \
+		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutes|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements' \
 		./internal/pref ./internal/engine ./internal/filter ./internal/boundcache ./internal/psql
 
 # The fault-tolerance suite under the race detector: fault injection
@@ -95,12 +101,15 @@ bench:
 
 # The micro-benchmarks of the one-shot statement path, with B/op and
 # allocs/op: a first-seen selective BMO statement end to end below the
-# wire, the cross-shard fold alone (2–8 parts × 16–2048 local maxima, flat
-# and tree, with its pairs/op), and one admission into a full boundcache at
-# two capacities (which must cost the same). CI tees their rows into the
-# job summary.
+# wire, one pass over a statement's candidates per comparator (window pass
+# on tree and records, sorted pass on records and blocks, with pairs/op or
+# lanes/op), the cross-shard fold alone (2–8 parts × 16–2048 local maxima,
+# blocked sweeps, flat and tree, with its pairs/op), and one admission into
+# a full boundcache at two capacities (which must cost the same). CI tees
+# their rows into the job summary.
 bench-cold:
 	$(GO) test -run 'xxx' -bench 'ColdSelectiveBMO' -benchmem .
+	$(GO) test -run 'xxx' -bench 'DominanceKernel' -benchtime 0.3s -benchmem ./internal/engine
 	$(GO) test -run 'xxx' -bench 'ShardMerge$$' -benchtime 0.3s -benchmem ./internal/engine
 	$(GO) test -run 'xxx' -bench 'PutAtCapacity' -benchmem ./internal/boundcache
 

@@ -38,12 +38,32 @@ func chainProduct3() pref.Preference {
 	return pref.ParetoAll(pref.LOWEST("d1"), pref.HIGHEST("d2"), pref.LOWEST("d3"))
 }
 
+// legFilter returns a maxima filter over c on the given comparator,
+// whatever the AVX2 switch says; the caller releases it.
+func legFilter(c *pref.Compiled, leg Dominance) *maximaFilter {
+	prev := SetAVX2Enabled(leg == DominanceBlocksAVX2)
+	defer SetAVX2Enabled(prev)
+	if leg != DominanceTree {
+		return newMaximaFilter(c)
+	}
+	f := filterPool.Get().(*maximaFilter)
+	f.leg, f.tree, f.rows = DominanceTree, c, f.rows[:0]
+	return f
+}
+
+// filterOn runs the filter pass over order on the given comparator.
+func filterOn(c *pref.Compiled, leg Dominance, order []int) []int {
+	f := legFilter(c, leg)
+	defer f.release()
+	return sfsFilter(f, order, nil)
+}
+
 // TestBlockedChainFilterAgreesWithGeneric pins the chain-product filter
 // passes against the predicate-tree filter pass on NaN/NULL/tie-heavy
-// data: the flat record kernel, the portable masked model of the blocked
-// store and (where the machine has it and the ±Inf collapse is exact) the
-// AVX2 chain filter must confirm exactly the same maxima from the same
-// visit order.
+// data: the flat record kernel and, where the machine has it, the AVX2
+// blocked filter (final on every verdict where the ±Inf collapse is exact,
+// settled by the record compare on tied ones where it is not) must confirm
+// exactly the same maxima from the same visit order.
 func TestBlockedChainFilterAgreesWithGeneric(t *testing.T) {
 	prev := AVX2Enabled()
 	defer SetAVX2Enabled(prev)
@@ -61,46 +81,22 @@ func TestBlockedChainFilterAgreesWithGeneric(t *testing.T) {
 		}
 		order := allIndices(rel.Len())
 		slices.SortFunc(order, func(a, b int) int { return cmpKeyColumns(keys, a, b) })
-		generic := sfsFilter(&maximaFilter{tree: c}, order, nil)
+		generic := filterOn(c, DominanceTree, order)
 		if c.Flat() == nil {
 			t.Fatal("chain product must carry a flat shape")
 		}
-		if flat := sfsFilter(&maximaFilter{flat: newFlatKernel(c.Flat(), 16)}, order, nil); !sameIndices(generic, flat) {
+		if flat := filterOn(c, DominanceFlat, order); !sameIndices(generic, flat) {
 			t.Fatalf("trial %d: flat kernel %v, generic %v", trial, flat, generic)
 		}
 		SetAVX2Enabled(false)
-		if newChainFilter(c) != nil {
-			t.Fatal("no chain filter without the AVX2 kernel")
-		}
-		dims, _ := chainDims(c.Pref())
-		vecs := make([][]float64, len(dims))
-		exact := true
-		for d, s := range dims {
-			vecs[d] = c.ScoreVec(s)
-			exact = exact && c.ScoreVecExact(s)
-		}
-		if !exact {
-			continue // coordinate dominance is not the predicate here
-		}
-		mf := buildFilter(vecs, nil)
-		var masked []int
-		for _, i := range order {
-			if !mf.dominatedMasked(i) {
-				mf.add(i)
-				masked = append(masked, i)
-			}
-		}
-		slices.Sort(masked)
-		if !sameIndices(generic, masked) {
-			t.Fatalf("trial %d: masked filter %v, generic %v", trial, masked, generic)
+		if f := newMaximaFilter(c); f.leg != DominanceFlat {
+			t.Fatal("no blocked store without the AVX2 kernel")
+		} else {
+			f.release()
 		}
 		if SetAVX2Enabled(true); AVX2Enabled() {
-			cf := newChainFilter(c)
-			if cf == nil {
-				t.Fatal("exact chain product must build a chain filter")
-			}
-			if asm := sfsFilter(&maximaFilter{chain: cf}, order, nil); !sameIndices(generic, asm) {
-				t.Fatalf("trial %d: avx2 chain filter %v, generic %v", trial, asm, generic)
+			if asm := filterOn(c, DominanceBlocksAVX2, order); !sameIndices(generic, asm) {
+				t.Fatalf("trial %d: avx2 blocked filter %v, generic %v", trial, asm, generic)
 			}
 		}
 	}
@@ -171,15 +167,13 @@ func BenchmarkSFSChainFilter(b *testing.B) {
 		b.Run(shape.name+"/tree", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sfsFilter(&maximaFilter{tree: c}, order, nil)
+				filterOn(c, DominanceTree, order)
 			}
 		})
 		b.Run(shape.name+"/flat", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				f := &maximaFilter{flat: newFlatKernel(c.Flat(), 16)}
-				sfsFilter(f, order, nil)
-				f.release()
+				filterOn(c, DominanceFlat, order)
 			}
 		})
 		b.Run(shape.name+"/avx2", func(b *testing.B) {
@@ -190,7 +184,7 @@ func BenchmarkSFSChainFilter(b *testing.B) {
 			defer SetAVX2Enabled(prev)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sfsFilter(&maximaFilter{chain: newChainFilter(c)}, order, nil)
+				filterOn(c, DominanceBlocksAVX2, order)
 			}
 		})
 	}

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/pref"
 	"repro/internal/relation"
@@ -16,6 +20,16 @@ import (
 // start) and dispatches the compiled twins whenever compilation succeeds;
 // preferences outside the compilable fragment keep the interface path
 // unchanged.
+//
+// Two kinds of pass live here. A window pass (bnlCompiled) tests every
+// candidate against the current window in both directions and evicts; a
+// one-way pass (sfsCompiled, and through maximaFilter the stream's confirm
+// loop and the cross-shard sweeps) first puts the candidates in an order
+// no dominated row precedes its dominator in, then tests each against the
+// confirmed maxima only. For the flat fragment that order costs one pass
+// over the scores and one word sort (sumOrder), and the test runs eight
+// maxima at a time on the AVX2 score blocks, exact on ties; which pass a
+// statement gets is the planner's cost comparison (planCore).
 
 // EvalMode selects between compiled columnar and interpreted tuple-at-a-
 // time evaluation.
@@ -170,77 +184,245 @@ candidates:
 	return window
 }
 
-// sfsCompiled is sort-filter-skyline over compiled columns: the sort keys
-// are the precomputed per-dimension key vectors of the compiled form —
-// no key materialization, no per-candidate allocation — and the filter
-// pass runs on the cheapest comparator the form allows (maximaFilter).
-// Falls back to bnlCompiled when the term has no compatible key.
+// sfsCompiled is sort-filter-skyline over compiled columns: candidates are
+// visited best first in an order compatible with the preference, so each
+// needs testing one way only, against the maxima confirmed so far, and
+// nothing is ever evicted — on the cheapest comparator the form allows
+// (maximaFilter). A form with a flat shape derives its order in one pass
+// over the candidates' scores (sumOrder) and takes the window pass where a
+// NaN leaves that order undefined; any other keyed form sorts on the bound
+// form's dense-rank key vectors. Order, scratch and the maxima store are
+// the filter's pooled memory: the pass allocates its result and nothing
+// else. Falls back to the window pass when the term has no compatible key.
 func sfsCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
-	keys, ok := c.SortKeys()
-	if !ok {
-		return bnlCompiled(c, idx, cc)
-	}
 	cc.check()
-	order := append([]int(nil), idx...)
-	slices.SortFunc(order, func(a, b int) int { return cmpKeyColumns(keys, a, b) })
 	f := newMaximaFilter(c)
 	defer f.release()
-	return sfsFilter(f, order, cc)
+	if fs := c.Flat(); fs != nil {
+		if !f.sumOrder(fs, idx) {
+			return bnlFlat(fs, idx, cc)
+		}
+	} else {
+		keys, ok := c.SortKeys()
+		if !ok {
+			return bnlTree(c, idx, cc)
+		}
+		f.order = append(f.order[:0], idx...)
+		slices.SortFunc(f.order, func(a, b int) int { return cmpKeyColumns(keys, a, b) })
+	}
+	dominanceRuns[f.leg].Add(1)
+	return sfsFilter(f, f.order, cc)
+}
+
+// sumOrder leaves in f.order the candidates idx of a flat shape, best
+// first, in an order no row precedes a row that dominates it — derived
+// from one pass over their scores and one sort of machine words, no rank
+// transform. The primary key is the float sum of the head group's scores:
+// x <P y makes y at least as good on every head dimension (or equal on the
+// whole group, when a later group decides), and float addition is
+// monotone, so sum(y) ≥ sum(x). Monotone, not strictly: (1e16, 1) and
+// (1e16, 0) share a sum, and a sorted pass never evicts, so a dominated
+// row visited first would be returned. Ties therefore fall to the scores
+// themselves, compared lexicographically over all dimensions in shape
+// order — on its own a linear extension of the order (the first differing
+// dimension of a dominated row is one where it is worse), just a poor
+// visit order, which is why the sum leads. Infinite scores keep all of
+// that (the sum saturates, the tie-break decides); a NaN — a NaN score, or
+// +Inf and −Inf meeting in one group — compares with nothing, and the
+// pass reports false: the window pass is exact there.
+//
+// Each sort word is the head sum's order-preserving bit image, inverted so
+// the best sorts first, with its low bits giving way to the candidate's
+// position in idx; runs that agree on the bits kept are put right with the
+// lexicographic comparison.
+func (f *maximaFilter) sumOrder(fs *pref.FlatShape, idx []int) bool {
+	n := len(idx)
+	mask := uint64(1)<<bits.Len(uint(n)) - 1
+	f.words = slices.Grow(f.words[:0], n)[:n]
+	dims, words := fs.Dims, f.words
+	for k, i := range idx {
+		var head float64
+		d := 0
+		for g, end := range fs.Ends {
+			sum := 0.0 // +0: a sum of −0 scores must not sort apart from +0
+			for ; d < end; d++ {
+				sum += dims[d].Score[i]
+			}
+			if sum != sum {
+				return false
+			}
+			if g == 0 {
+				head = sum
+			}
+		}
+		b := math.Float64bits(head)
+		if b>>63 != 0 {
+			b = ^b
+		} else {
+			b |= 1 << 63
+		}
+		words[k] = ^b&^mask | uint64(k)
+	}
+	slices.Sort(words)
+	lex := func(a, b uint64) int {
+		i, j := idx[a&mask], idx[b&mask]
+		for d := range dims {
+			switch x, y := dims[d].Score[i], dims[d].Score[j]; {
+			case x > y: // descending: best first
+				return -1
+			case x < y:
+				return 1
+			}
+		}
+		return cmp.Compare(a, b)
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && words[hi]&^mask == words[lo]&^mask {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(words[lo:hi], lex)
+		}
+		lo = hi
+	}
+	f.order = slices.Grow(f.order[:0], n)[:n]
+	for k, w := range words {
+		f.order[k] = idx[w&mask]
+	}
+	return true
 }
 
 // sfsFilter is the filter pass of sfsCompiled: rows visited in key order,
 // each kept unless a confirmed maximum dominates it.
 func sfsFilter(f *maximaFilter, order []int, cc *canceller) []int {
-	var result []int
 	for _, i := range order {
 		cc.tick()
 		if !f.dominated(i) {
 			f.confirm(i)
-			result = append(result, i)
 		}
 	}
+	result := slices.Clone(f.rows)
 	slices.Sort(result)
 	return result
 }
 
-// maximaFilter is the candidate-vs-confirmed-maxima test of every pass
-// that visits rows in sort-key order — sfsCompiled's filter pass and the
-// progressive stream's confirm loop — over one of three comparators:
-// confirmed maxima live in the AVX2 chain filter's blocked coordinate
-// store, in the flat kernel's committed records (one contiguous block in
-// confirmation order), or as row positions the predicate tree is asked
-// about pair by pair. Exactly one of chain, flat and tree is set.
+// filterBlock is the number of stored maxima one kernel iteration tests a
+// candidate against.
+const filterBlock = 8
+
+// maximaFilter is the one-way candidate-vs-maxima test of every pass that
+// knows no later row can beat an earlier one — sfsCompiled's filter pass,
+// the progressive stream's confirm loop, the two sweeps of the cross-shard
+// fold — together with that pass's scratch, over one of three comparators
+// (leg):
+//
+// Blocks (DominanceBlocksAVX2): every flat shape while the AVX2 kernel is
+// on. The maxima's head-group scores sit in a blocked column-major store —
+// block b keeps dimension k of its lane j at blocks[(b*w+k)*filterBlock+j],
+// the tail lanes of the last block padded with NaN, which no ≥ admits, so
+// nothing special-cases the tail — and the assembly kernel
+// (kernel_amd64.s) tests a candidate against eight of them per iteration.
+// A row that beats the candidate is at least as good on every head
+// dimension and better on one (or, when further groups follow, possibly
+// equal on all of them), so a lane the kernel does not report cannot beat
+// it: "not dominated" is exact. A reported lane that is strictly better on
+// every dimension beats it whatever its values are. Only a reported lane
+// that tied on a dimension is undecided by scores — 4 and 6 tie AROUND 5,
+// NULL ties −Inf, two instants tie within a second, a later group may
+// decide — and that one pair is settled on the records' terms by
+// flatBeats. A chain product whose score ties are value ties (exact) needs
+// no second look at all. The one case scores cannot see: a row with a NaN
+// score is still equal, on that dimension, to a row of the same value, so
+// a candidate carrying a NaN in its head group is settled pair by pair
+// (no stored row with a NaN can beat a candidate without one — equal
+// values score alike).
+//
+// Flat (DominanceFlat): the flat kernel's committed records, for flat
+// shapes without the AVX2 kernel. Tree (DominanceTree): row positions the
+// predicate tree is asked about pair by pair, for everything else.
+//
+// rows lists the confirmed maxima in confirmation order on every leg (on
+// the blocks leg, lane order). A filter comes from filterPool and goes
+// back on release; only backing arrays survive the round trip.
 type maximaFilter struct {
-	chain *chainFilter
-	flat  *flatKernel
-	tree  *pref.Compiled
-	rows  []int // confirmed maxima of the tree comparator
+	leg  Dominance
+	flat *flatKernel    // the flat leg's records
+	tree *pref.Compiled // the tree leg's predicate
+	rows []int
+
+	// The blocks leg: the shape, its head group's width, what a report
+	// means, the store and the candidate's scratch.
+	fs      *pref.FlatShape
+	w       int
+	exact   bool  // score ties are value ties: every reported lane is final
+	strict0 int64 // the kernel's strict seed: −1 when further groups follow
+	blocks  []float64
+	cand    []float64
+	lanes   int // lanes offered to the kernel so far
+	checks  int // pairs sent to flatBeats so far
+
+	// Scratch of a sorted pass: sort words and the visit order.
+	words []uint64
+	order []int
 }
+
+// filterPool recycles maxima filters the way flatPool recycles record
+// stores: a statement's shard passes and its merge reuse the same blocks,
+// sort words and row lists.
+var filterPool = sync.Pool{New: func() any { return new(maximaFilter) }}
 
 // newMaximaFilter picks the comparator the bound form allows — the one
 // place the run-time choice dominanceOf predicts is made: the blocked
-// AVX2 chain filter for exact chain products, the flat record kernel for
-// the flat fragment, the predicate tree for the rest — and counts the
-// pass under it.
+// store for the flat fragment while the AVX2 kernel is on, flat records
+// for it otherwise, the predicate tree for the rest. The caller counts the
+// pass (dominanceRuns) once it knows the pass will run.
 func newMaximaFilter(c *pref.Compiled) *maximaFilter {
-	if cf := newChainFilter(c); cf != nil {
-		dominanceRuns[DominanceChainAVX2].Add(1)
-		return &maximaFilter{chain: cf}
+	fs := c.Flat()
+	if fs != nil && AVX2Enabled() {
+		return newBlockFilter(fs, chainExact(c))
 	}
-	if fs := c.Flat(); fs != nil {
-		dominanceRuns[DominanceFlat].Add(1)
-		return &maximaFilter{flat: newFlatKernel(fs, 16)}
+	f := filterPool.Get().(*maximaFilter)
+	f.rows = f.rows[:0]
+	if fs != nil {
+		f.leg, f.flat = DominanceFlat, newFlatKernel(fs, 16)
+	} else {
+		f.leg, f.tree = DominanceTree, c
 	}
-	dominanceRuns[DominanceTree].Add(1)
-	return &maximaFilter{tree: c}
+	return f
+}
+
+// newBlockFilter returns an empty filter on the blocks leg over the shape;
+// exact promises that a score tie on the (single) group is a value tie.
+func newBlockFilter(fs *pref.FlatShape, exact bool) *maximaFilter {
+	f := filterPool.Get().(*maximaFilter)
+	f.leg, f.fs, f.w = DominanceBlocksAVX2, fs, fs.Ends[0]
+	f.exact, f.strict0 = exact && len(fs.Ends) == 1, 0
+	if len(fs.Ends) > 1 {
+		f.strict0 = -1
+	}
+	f.rows, f.blocks, f.cand = f.rows[:0], f.blocks[:0], slices.Grow(f.cand[:0], f.w)[:f.w]
+	return f
+}
+
+// chainExact reports that the form is a chain product on whose every
+// dimension a score tie is a value tie (pref.InfCollapse: no infinity
+// absorbed two classes, no TIME scale): coordinate dominance is the
+// predicate.
+func chainExact(c *pref.Compiled) bool {
+	dims, ok := chainDims(c.Pref())
+	for _, s := range dims {
+		ok = ok && c.ScoreVecExact(s)
+	}
+	return ok
 }
 
 // dominated reports whether a confirmed maximum dominates row i.
 func (f *maximaFilter) dominated(i int) bool {
-	switch {
-	case f.chain != nil:
-		return f.chain.dominated(i)
-	case f.flat != nil:
+	switch f.leg {
+	case DominanceBlocksAVX2:
+		return f.blockDominated(i)
+	case DominanceFlat:
 		return f.flat.beaten(i)
 	}
 	for _, w := range f.rows {
@@ -251,114 +433,99 @@ func (f *maximaFilter) dominated(i int) bool {
 	return false
 }
 
-// confirm adds row i — the row dominated just refused — to the maxima.
-func (f *maximaFilter) confirm(i int) {
-	switch {
-	case f.chain != nil:
-		f.chain.add(i)
-	case f.flat != nil:
-		f.flat.commit() // the candidate dominated staged
-	default:
-		f.rows = append(f.rows, i)
+// blockDominated is dominated on the blocks leg (see maximaFilter for the
+// verdict rule).
+func (f *maximaFilter) blockDominated(i int) bool {
+	n := len(f.rows)
+	if n == 0 {
+		return false
 	}
+	dims := f.fs.Dims
+	nan := false
+	for k := range f.cand {
+		v := dims[k].Score[i]
+		f.cand[k] = v
+		nan = nan || v != v
+	}
+	if nan {
+		for _, m := range f.rows {
+			f.lanes++
+			f.checks++
+			if flatBeats(f.fs, m, i) {
+				return true
+			}
+		}
+		return false
+	}
+	stride := f.w * filterBlock
+	nblocks := (n + filterBlock - 1) / filterBlock
+	for b := 0; b < nblocks; {
+		v := dominatingBlockAVX2(&f.cand[0], f.w, &f.blocks[b*stride], nblocks-b, f.strict0)
+		if v < 0 {
+			f.lanes += n - b*filterBlock
+			return false
+		}
+		hit := b + int(v>>16)
+		f.lanes += min(n, (hit+1)*filterBlock) - b*filterBlock
+		dom, tied := uint8(v>>8), uint8(v)
+		if f.exact || dom&^tied != 0 {
+			return true
+		}
+		for ; tied != 0; tied &= tied - 1 {
+			f.checks++
+			if flatBeats(f.fs, f.rows[hit*filterBlock+bits.TrailingZeros8(tied)], i) {
+				return true
+			}
+		}
+		b = hit + 1
+	}
+	return false
 }
 
-// release returns the record store to its pool; the filter must not be
-// used again.
+// confirm adds row i — the row dominated just refused — to the maxima.
+func (f *maximaFilter) confirm(i int) {
+	switch f.leg {
+	case DominanceBlocksAVX2:
+		n := len(f.rows)
+		lane := n % filterBlock
+		if lane == 0 {
+			// A new block, NaN in every lane until a maximum moves in.
+			f.blocks = slices.Grow(f.blocks, f.w*filterBlock)[:len(f.blocks)+f.w*filterBlock]
+			for x := len(f.blocks) - f.w*filterBlock; x < len(f.blocks); x++ {
+				f.blocks[x] = math.NaN()
+			}
+		}
+		base := n / filterBlock * f.w * filterBlock
+		for k := 0; k < f.w; k++ {
+			f.blocks[base+k*filterBlock+lane] = f.fs.Dims[k].Score[i]
+		}
+	case DominanceFlat:
+		f.flat.commit() // the candidate dominated staged
+	}
+	f.rows = append(f.rows, i)
+}
+
+// reset empties the maxima of a filter on the blocks leg.
+func (f *maximaFilter) reset() { f.rows, f.blocks = f.rows[:0], f.blocks[:0] }
+
+// release returns the filter (and its record store) to the pools, its
+// re-check count to the process total; it must not be used again. Shape
+// and form are dropped so a pooled filter pins no bound form.
 func (f *maximaFilter) release() {
 	if f.flat != nil {
 		f.flat.release()
-		f.flat = nil
 	}
+	if f.checks > 0 {
+		blockRechecks.Add(uint64(f.checks))
+	}
+	f.flat, f.tree, f.fs = nil, nil, nil
+	f.lanes, f.checks = 0, 0
+	filterPool.Put(f)
 }
 
-// filterBlock is the number of confirmed maxima one kernel iteration
-// compares a candidate against.
-const filterBlock = 8
-
-// chainFilter is the AVX2 candidate-vs-maxima domination filter for
-// chain-product preferences: confirmed maxima coordinates are stored in
-// blocked column-major form and the assembly kernel (kernel_amd64.s)
-// tests a candidate against eight of them per iteration — VCMPPD ≥/>
-// masks with per-block early exit. On the chain fragment (distinct
-// LOWEST/HIGHEST attributes) coordinate-wise score dominance coincides
-// with the compiled Pareto predicate — the same equivalence dncCompiled
-// relies on, valid only while each dimension's ±Inf scores absorbed at
-// most one value class (newChainFilter gates on pref.InfCollapse) — with
-// NaN on either side blocking dominance, exactly like dominates.
-//
-// Layout: maxima are grouped into blocks of filterBlock(=8); block b
-// stores dimension k of its lane j at blocks[(b*d+k)*filterBlock + j],
-// tail lanes of the last block padded with NaN (a NaN pad can never
-// satisfy ≥, so padded lanes drop out on the first dimension — no tail
-// special-casing anywhere). The portable model of the kernel, the masked
-// pass the property tests hold the assembly to, lives in kernel_test.go.
-// Without the kernel — a noasm build, a CPU without AVX2, the runtime
-// flag off — there is no chain filter: chain products are in the flat
-// fragment and filter through the record kernel.
-type chainFilter struct {
-	d      int
-	vecs   [][]float64 // per-dimension score vectors, position-addressed
-	blocks []float64   // maxima coords, blocked column-major, NaN-padded
-	n      int         // confirmed maxima count
-	cand   []float64   // candidate coordinate scratch, len d
-}
-
-// newChainFilter returns a filter reading its coordinates from the
-// compiled form's chain-dimension score vectors, or nil when the AVX2
-// kernel is off (kernel.go), the term is not a chain product — or a
-// dimension's ±Inf scores absorbed more than one value class
-// (pref.InfCollapse), where coordinate dominance would over-kill rows the
-// Pareto predicate leaves incomparable. Callers fall back to the flat
-// record kernel, which is exact on all of those.
-func newChainFilter(c *pref.Compiled) *chainFilter {
-	if !AVX2Enabled() {
-		return nil
-	}
-	dims, ok := chainDims(c.Pref())
-	if !ok {
-		return nil
-	}
-	vecs := make([][]float64, len(dims))
-	for d, s := range dims {
-		if vecs[d] = c.ScoreVec(s); vecs[d] == nil || !c.ScoreVecExact(s) {
-			return nil
-		}
-	}
-	return &chainFilter{d: len(dims), vecs: vecs, cand: make([]float64, len(dims))}
-}
-
-// dominated reports whether any confirmed maximum dominates row i:
-// coordinate-wise ≥ on every dimension with > somewhere, NaN blocking
-// (mv >= cv is false when either side is NaN).
-func (f *chainFilter) dominated(i int) bool {
-	if f.n == 0 {
-		return false
-	}
-	for k := 0; k < f.d; k++ {
-		f.cand[k] = f.vecs[k][i]
-	}
-	nblocks := (f.n + filterBlock - 1) / filterBlock
-	return dominatedBlocksAVX2(&f.cand[0], f.d, &f.blocks[0], nblocks) != 0
-}
-
-// add confirms row i as a maximum, writing its coordinates into the
-// blocked store; opening a new block pads it with NaN first.
-func (f *chainFilter) add(i int) {
-	b, lane := f.n/filterBlock, f.n%filterBlock
-	if lane == 0 {
-		start := len(f.blocks)
-		f.blocks = append(f.blocks, make([]float64, f.d*filterBlock)...)
-		for x := start; x < len(f.blocks); x++ {
-			f.blocks[x] = math.NaN()
-		}
-	}
-	base := b * f.d * filterBlock
-	for k := 0; k < f.d; k++ {
-		f.blocks[base+k*filterBlock+lane] = f.vecs[k][i]
-	}
-	f.n++
-}
+// blockRechecks counts the pairs the blocks leg could not settle on
+// scores and sent to flatBeats.
+var blockRechecks atomic.Uint64
 
 // cmpKeyColumns compares two row positions by column-major key vectors,
 // best (lexicographically largest) first — the visit order of SFS and the
@@ -390,7 +557,7 @@ func dncCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
 	vecs := make([][]float64, len(dims))
 	for d, s := range dims {
 		// ScoreVecExact: an inexact ±Inf collapse breaks the coordinate-
-		// dominance equivalence (see newChainFilter) — fall back.
+		// dominance equivalence (see chainExact) — fall back.
 		if vecs[d] = c.ScoreVec(s); vecs[d] == nil || !c.ScoreVecExact(s) {
 			return bnlCompiled(c, idx, cc)
 		}

@@ -262,6 +262,31 @@ members:
 	return false
 }
 
+// flatBeats reports whether row m beats row c (c <P m) — beaten's test for
+// one pair, read straight from the shape's columns: what the blocked
+// filter asks about the few pairs scores alone leave open.
+func flatBeats(fs *pref.FlatShape, m, c int) bool {
+	d := 0
+	for _, end := range fs.Ends {
+		lt := false
+		for ; d < end; d++ {
+			dim := &fs.Dims[d]
+			switch x, y := dim.Score[c], dim.Score[m]; {
+			case x < y:
+				lt = true
+			case x > y:
+				return false
+			case dim.Tie.Key(c) != dim.Tie.Key(m):
+				return false
+			}
+		}
+		if lt {
+			return true
+		}
+	}
+	return false
+}
+
 // Dominance names the pairwise comparator a compiled BMO step runs.
 type Dominance int
 
@@ -273,10 +298,11 @@ const (
 	// DominanceFlat is the row-major three-way record kernel (flat.go):
 	// the flat fragment.
 	DominanceFlat
-	// DominanceChainAVX2 is the blocked AVX2 candidate-vs-maxima filter
-	// over chain-product coordinates (kernel_amd64.s): sort-filter passes
-	// over exact LOWEST/HIGHEST chain products when the kernel is enabled.
-	DominanceChainAVX2
+	// DominanceBlocksAVX2 is the blocked AVX2 candidate-vs-maxima filter
+	// over head-group scores (maximaFilter, kernel_amd64.s): the one-way
+	// passes — sort-filter, stream confirm, the cross-shard sweeps — over
+	// the flat fragment when the kernel is enabled.
+	DominanceBlocksAVX2
 	// DominanceCoords is the [KLP75] divide & conquer's own coordinate
 	// test over chain products.
 	DominanceCoords
@@ -287,8 +313,8 @@ func (d Dominance) String() string {
 	switch d {
 	case DominanceFlat:
 		return "flat"
-	case DominanceChainAVX2:
-		return "chain-avx2"
+	case DominanceBlocksAVX2:
+		return "blocks-avx2"
 	case DominanceCoords:
 		return "coords"
 	}
@@ -298,12 +324,13 @@ func (d Dominance) String() string {
 // dominanceOf is the one structural rule for which comparator a compiled
 // run of alg over term p uses: the planner prices it, EXPLAIN reports it,
 // and execution applies the same predicates in the same order
-// (newMaximaFilter: the AVX2 flag and chainDims inside newChainFilter,
-// pref.FlatShaped inside pref.Compile). Two data-dependent demotions happen at run time and are
-// not visible here: an inexact ±Inf collapse (pref.InfCollapse) takes a
-// chain product from the coordinate comparators to the flat kernel, and a
-// presence-masked leaf (a generic source whose tuples lack an attribute)
-// takes a flat term to the tree.
+// (newMaximaFilter: pref.FlatShaped inside pref.Compile, then the AVX2
+// flag). Three data-dependent demotions happen at run time and are not
+// visible here: an inexact ±Inf collapse (pref.InfCollapse) takes a chain
+// product from DNC's coordinates to the flat kernel, a NaN among the
+// candidates' scores takes a sorted pass to the window pass on flat
+// records (sumOrder), and a presence-masked leaf (a generic source whose
+// tuples lack an attribute) takes a flat term to the tree.
 func dominanceOf(p pref.Preference, alg Algorithm) Dominance {
 	_, chain := chainDims(p)
 	return dominanceFor(chain, pref.FlatShaped(p), alg)
@@ -318,8 +345,8 @@ func dominanceFor(chain, flat bool, alg Algorithm) Dominance {
 			return DominanceCoords
 		}
 	case SFS, ParallelSFS:
-		if chain && AVX2Enabled() {
-			return DominanceChainAVX2
+		if flat && AVX2Enabled() {
+			return DominanceBlocksAVX2
 		}
 	}
 	if flat {

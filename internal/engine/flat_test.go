@@ -284,6 +284,28 @@ func TestNumericFlatTermBindsWithoutCodes(t *testing.T) {
 			if got := bnlFlat(c.Flat(), allIndices(len(cand)), nil); !sameInts(got, want) {
 				t.Fatalf("%s gathered: got %v want %v", shape.name, got, want)
 			}
+			// The sorted pass agrees, and its blocks settle on scores every
+			// pair that does not tie on a dimension (the clamped columns
+			// make a few): only those can be sent to the record compare.
+			tied := uint64(0)
+			for i := range cand {
+				for j := 0; j < i; j++ {
+					for _, dim := range c.Flat().Dims {
+						if dim.Score[i] == dim.Score[j] {
+							tied++
+							break
+						}
+					}
+				}
+			}
+			checks := blockRechecks.Load()
+			if got := sfsCompiled(c, allIndices(len(cand)), nil); !sameInts(got, want) {
+				t.Fatalf("%s gathered, sorted pass: got %v want %v", shape.name, got, want)
+			}
+			if n := blockRechecks.Load() - checks; n > tied {
+				t.Fatalf("%s gathered: %d pairs re-checked on records, %d pairs tie on a dimension", shape.name, n, tied)
+			}
+			t.Logf("%s: %d candidates, %d pairs tied on a dimension, %d re-checked", shape.name, len(cand), tied, blockRechecks.Load()-checks)
 		}
 	}
 	// Codes are still what a string attribute ties on.
@@ -292,6 +314,216 @@ func TestNumericFlatTermBindsWithoutCodes(t *testing.T) {
 	p := pref.Pareto(pref.Pareto(pref.AROUND("x", 4), pref.LOWEST("q")), pref.POS("color", "red"))
 	if c, ok := pref.Compile(p, cs); !ok || c.Flat() == nil || cs.eqAsked == 0 {
 		t.Fatalf("a string leaf must still bind through codes (ok=%v asked=%d)", ok, cs.eqAsked)
+	}
+}
+
+// TestFlatKernelSortedPassOnEdgeRows: on rows where a score tie is not a
+// value tie — NULL, NaN, ±Inf, ±0, int twins, INTs beyond 2^53, TIME half
+// seconds, strings, bulk ties, duplicates — the sorted pass (score-sum
+// order, one-way filter) on score blocks and on flat records, the same
+// filter under the stream's rank-key order (which also visits the NaN rows
+// the sum order hands to the window pass), and the window pass all return
+// the interpreted BNL oracle's maxima: single-group and multi-group shapes,
+// whole-relation and gathered binds, in memory and paged.
+func TestFlatKernelSortedPassOnEdgeRows(t *testing.T) {
+	prev := AVX2Enabled()
+	defer SetAVX2Enabled(prev)
+	legs := []Dominance{DominanceFlat}
+	if AVX2Available() {
+		legs = append(legs, DominanceBlocksAVX2)
+	}
+	rng := rand.New(rand.NewSource(20))
+	groups := map[bool]int{} // by "more than one group": binds whose sum order stood
+	check := func(what string, p pref.Preference, src pref.Source, idx []int, want []int, oid func(i int) relation.Row) {
+		t.Helper()
+		c, ok := pref.Compile(p, src)
+		if !ok || c.Flat() == nil {
+			t.Fatalf("%s: %s must bind with a flat shape", what, p)
+		}
+		keys, _ := c.SortKeys()
+		order := slices.Clone(idx)
+		slices.SortFunc(order, func(a, b int) int { return cmpKeyColumns(keys, a, b) })
+		if got := oidsOf(oid, bnlFlat(c.Flat(), idx, nil)); !sameInts(got, want) {
+			t.Fatalf("%s %s, window pass:\n got %v\nwant %v", what, p, got, want)
+		}
+		for _, leg := range legs {
+			SetAVX2Enabled(leg == DominanceBlocksAVX2)
+			if got := oidsOf(oid, sfsCompiled(c, idx, nil)); !sameInts(got, want) {
+				t.Fatalf("%s %s, sorted pass on %s:\n got %v\nwant %v", what, p, leg, got, want)
+			}
+			if got := oidsOf(oid, filterOn(c, leg, order)); !sameInts(got, want) {
+				t.Fatalf("%s %s, rank-key order on %s:\n got %v\nwant %v", what, p, leg, got, want)
+			}
+		}
+		f := newMaximaFilter(c)
+		if f.sumOrder(c.Flat(), idx) {
+			groups[len(c.Flat().Ends) > 1]++
+		}
+		f.release()
+	}
+	for trial := 0; trial < 160; trial++ {
+		rel := kernelTestRelation(rng, 80+rng.Intn(240))
+		p := kernelTestTerm(rng)
+		if !pref.FlatShaped(p) {
+			continue
+		}
+		sub := rng.Perm(rel.Len())[:rel.Len()/2]
+		slices.Sort(sub)
+		pick := rel.Pick(sub)
+		want := oidsOf(pick.Row, BMOIndicesMode(p, pick, BNL, EvalInterpreted))
+		check("whole relation", p, rel, sub, want, rel.Row)
+		check("gathered", p, rel.Gather(sub), allIndices(len(sub)), want, pick.Row)
+		if trial%8 != 0 {
+			continue
+		}
+		st, err := relation.OpenStore(t.TempDir(), relation.StoreOptions{PageBytes: 1 << 10, PoolBytes: 8 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem, err := relation.ShardRelation(rel, 1, relation.ByHash("oid"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := st.ImportTable(mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paged := tbl.(*relation.Sharded).Shard(0)
+		check("paged", p, paged, sub, want, paged.Row)
+		check("paged gathered", p, paged.Gather(sub), allIndices(len(sub)), want, pick.Row)
+		st.Close()
+	}
+	if groups[false] < 10 || groups[true] < 10 {
+		t.Fatalf("the sum order stood on %d single-group and %d multi-group binds only", groups[false], groups[true])
+	}
+}
+
+// TestFlatKernelSortedPassNamedCases: the instances a naive sorted pass
+// gets wrong, each on both one-way comparators.
+func TestFlatKernelSortedPassNamedCases(t *testing.T) {
+	prev := AVX2Enabled()
+	defer SetAVX2Enabled(prev)
+	schema := relation.MustSchema(
+		relation.Column{Name: "a", Type: relation.Float},
+		relation.Column{Name: "b", Type: relation.Float},
+	)
+	inf := math.Inf(-1)
+	for _, c := range []struct {
+		name   string
+		p      pref.Preference
+		rows   []relation.Row
+		want   []int
+		checks uint64 // pairs the blocks must hand to the record compare
+	}{
+		// (1e16, 1) and (1e16, 0) share a float sum; the dominated row comes
+		// first in input order, and a sorted pass never evicts.
+		{"sum-rounding twin", pref.Pareto(pref.HIGHEST("a"), pref.HIGHEST("b")),
+			[]relation.Row{{1e16, 0.0}, {1e16, 1.0}}, []int{1}, 0},
+		{"sum-rounding twin, inexact ties", pref.Pareto(pref.AROUND("a", 3e16), pref.HIGHEST("b")),
+			[]relation.Row{{1e16, 0.0}, {1e16, 1.0}}, []int{1}, 1},
+		// 4 and 6 tie AROUND 5 without being equal: better on everything
+		// else is still not better.
+		{"AROUND straddle", pref.Pareto(pref.AROUND("a", 5), pref.LOWEST("b")),
+			[]relation.Row{{4.0, 1.0}, {6.0, 0.0}}, []int{0, 1}, 1},
+		// NULL and −Inf both score −Inf under HIGHEST, two value classes.
+		{"NULL beside -Inf", pref.Pareto(pref.HIGHEST("a"), pref.LOWEST("b")),
+			[]relation.Row{{nil, 1.0}, {inf, 0.0}, {inf, 2.0}}, []int{0, 1}, 2},
+		{"-Inf beside NULL", pref.Pareto(pref.HIGHEST("a"), pref.LOWEST("b")),
+			[]relation.Row{{inf, 1.0}, {nil, 0.0}, {nil, 2.0}}, []int{0, 1}, 2},
+		// A later group decides between rows equal on the whole head group,
+		// and only between those.
+		{"head group equal", pref.Prioritized(pref.Pareto(pref.AROUND("a", 5), pref.LOWEST("b")), pref.HIGHEST("a")),
+			[]relation.Row{{4.0, 0.0}, {6.0, 0.0}, {4.0, 0.0}, {6.0, 1.0}}, []int{0, 1, 2}, 4},
+	} {
+		rel := relation.New("R", schema)
+		rel.MustInsert(c.rows...)
+		if want := BMOIndicesMode(c.p, rel, BNL, EvalInterpreted); !sameInts(want, c.want) {
+			t.Fatalf("%s: test premise: the oracle returns %v", c.name, want)
+		}
+		cp, ok := pref.Compile(c.p, rel)
+		if !ok || cp.Flat() == nil {
+			t.Fatalf("%s must bind with a flat shape", c.name)
+		}
+		for _, avx2 := range []bool{false, AVX2Available()} {
+			SetAVX2Enabled(avx2)
+			f := newMaximaFilter(cp)
+			stood := f.sumOrder(cp.Flat(), allIndices(rel.Len()))
+			f.release()
+			if !stood {
+				t.Fatalf("%s: no NaN here, the sum order must stand", c.name)
+			}
+			checks := blockRechecks.Load()
+			if got := sfsCompiled(cp, allIndices(rel.Len()), nil); !sameInts(got, c.want) {
+				t.Fatalf("%s (avx2 %v): sorted pass returns %v, want %v", c.name, avx2, got, c.want)
+			}
+			if n := blockRechecks.Load() - checks; avx2 && n != c.checks {
+				t.Errorf("%s: %d pairs re-checked on records, want %d", c.name, n, c.checks)
+			}
+		}
+	}
+}
+
+// TestFlatKernelSortedPassNaNScores: a score can be NaN on a value that is
+// not — a SCORE function undefined on part of its domain, an AROUND anchor
+// that is NaN — and then two rows of that value are still equal on the
+// dimension: the one tie scores cannot see. The sum order must stand down
+// (lexicographic comparison is not an order across NaN), and a candidate
+// with a NaN head score must be settled pair by pair rather than through
+// the blocks, where every lane would die on it.
+func TestFlatKernelSortedPassNaNScores(t *testing.T) {
+	prev := AVX2Enabled()
+	defer SetAVX2Enabled(prev)
+	rng := rand.New(rand.NewSource(21))
+	undefined := pref.SCORE("a", "undefined on odd", func(v pref.Value) float64 {
+		if f, _ := pref.Numeric(v); int(f)%2 != 0 {
+			return math.NaN()
+		} else {
+			return f
+		}
+	})
+	schema := relation.MustSchema(
+		relation.Column{Name: "a", Type: relation.Float},
+		relation.Column{Name: "b", Type: relation.Float},
+		relation.Column{Name: "c", Type: relation.Float},
+	)
+	for trial := 0; trial < 40; trial++ {
+		rel := relation.New("R", schema)
+		for i, n := 0, 50+rng.Intn(400); i < n; i++ {
+			rel.MustInsert(relation.Row{float64(rng.Intn(8)), float64(rng.Intn(30)), float64(rng.Intn(30))})
+		}
+		for _, p := range []pref.Preference{
+			pref.ParetoAll(undefined, pref.LOWEST("b"), pref.HIGHEST("c")),
+			pref.Pareto(pref.AROUND("a", math.NaN()), pref.LOWEST("b")),
+			pref.Prioritized(pref.Pareto(undefined, pref.LOWEST("b")), pref.HIGHEST("c")),
+		} {
+			want := BMOIndicesMode(p, rel, BNL, EvalInterpreted)
+			c, ok := pref.Compile(p, rel)
+			if !ok || c.Flat() == nil {
+				t.Fatalf("%s must bind with a flat shape", p)
+			}
+			idx := allIndices(rel.Len())
+			f := newMaximaFilter(c)
+			stood := f.sumOrder(c.Flat(), idx)
+			f.release()
+			if stood {
+				t.Fatalf("%s: NaN scores among the candidates, the sum order must stand down", p)
+			}
+			keys, _ := c.SortKeys()
+			order := slices.Clone(idx)
+			slices.SortFunc(order, func(a, b int) int { return cmpKeyColumns(keys, a, b) })
+			for _, avx2 := range []bool{false, AVX2Available()} {
+				SetAVX2Enabled(avx2)
+				if got := sfsCompiled(c, idx, nil); !sameInts(got, want) {
+					t.Fatalf("trial %d %s (avx2 %v): sorted pass returns %v, want %v", trial, p, avx2, got, want)
+				}
+				f := newMaximaFilter(c)
+				got := sfsFilter(f, order, nil)
+				f.release()
+				if !sameInts(got, want) {
+					t.Fatalf("trial %d %s (avx2 %v): one-way filter under the rank-key order returns %v, want %v", trial, p, avx2, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -305,7 +537,7 @@ func TestNumericFlatTermBindsWithoutCodes(t *testing.T) {
 func TestFlatKernelRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	runs := func() [4]uint64 {
-		return [4]uint64{DominanceRuns(DominanceTree), DominanceRuns(DominanceFlat), DominanceRuns(DominanceChainAVX2), DominanceRuns(DominanceCoords)}
+		return [4]uint64{DominanceRuns(DominanceTree), DominanceRuns(DominanceFlat), DominanceRuns(DominanceBlocksAVX2), DominanceRuns(DominanceCoords)}
 	}
 	for trial := 0; trial < 40; trial++ {
 		rel := kernelTestRelation(rng, 200+rng.Intn(400))
@@ -386,15 +618,15 @@ func TestFlatKernelMaskedSourceFallsBack(t *testing.T) {
 			want = append(want, i)
 		}
 	}
-	flat0, tree0 := DominanceRuns(DominanceFlat), DominanceRuns(DominanceTree)
+	flat0, tree0 := fragmentRuns(), DominanceRuns(DominanceTree)
 	got := EvalStreamTuples(p, tuples).Collect()
 	slices.Sort(got)
 	if !sameInts(got, want) {
 		t.Fatalf("masked source: got %v want %v", got, want)
 	}
-	if DominanceRuns(DominanceFlat) != flat0 || DominanceRuns(DominanceTree) != tree0+1 {
+	if fragmentRuns() != flat0 || DominanceRuns(DominanceTree) != tree0+1 {
 		t.Fatalf("masked source: flat passes %d→%d, tree passes %d→%d; want the tree alone",
-			flat0, DominanceRuns(DominanceFlat), tree0, DominanceRuns(DominanceTree))
+			flat0, fragmentRuns(), tree0, DominanceRuns(DominanceTree))
 	}
 	// The same tuples with b everywhere present run on records.
 	for _, tu := range tuples {
@@ -403,9 +635,16 @@ func TestFlatKernelMaskedSourceFallsBack(t *testing.T) {
 		}
 	}
 	EvalStreamTuples(p, tuples).Collect()
-	if DominanceRuns(DominanceFlat) != flat0+1 {
-		t.Fatal("fully present tuples must run on the flat kernel")
+	if fragmentRuns() != flat0+1 {
+		t.Fatal("fully present tuples must run on the flat kernel or the score blocks")
 	}
+}
+
+// fragmentRuns counts the passes that compared on what a flat shape lowers
+// to: row-major records, or (one-way passes with the AVX2 kernel on) the
+// blocked head-group scores.
+func fragmentRuns() uint64 {
+	return DominanceRuns(DominanceFlat) + DominanceRuns(DominanceBlocksAVX2)
 }
 
 // TestFlatKernelCancelAgreement: cancelled at a random moment — inside
@@ -420,22 +659,28 @@ func TestFlatKernelCancelAgreement(t *testing.T) {
 		t.Fatal("test premise: a fragment term")
 	}
 	idx := allIndices(rel.Len())
-	want := BMOIndicesMode(p, rel, BNL, EvalInterpreted)
+	// A second term over columns without NaN: its sorted pass keeps the
+	// score-sum order instead of handing over to the window pass, so the
+	// key pass, the word sort and the one-way filter get cancelled too.
+	sorted := pref.ParetoAll(pref.AROUND("y", 5), pref.LOWEST("z"), pref.HIGHEST("big"))
 	cancelled := 0
-	for trial := 0; trial < 30; trial++ {
-		alg := []Algorithm{Naive, BNL, SFS}[trial%3]
-		ctx, cancel := ctxCancelledWithin(rng, 3*time.Millisecond)
-		got, err := EvalIndicesCtx(ctx, p, rel, alg, idx)
-		cancel()
-		if err != nil {
-			cancelled++
-			if !errors.Is(err, context.Canceled) || got != nil {
-				t.Fatalf("trial %d alg %s: got %v err %v, want nil + context.Canceled", trial, alg, got, err)
+	for _, term := range []pref.Preference{p, sorted} {
+		want := BMOIndicesMode(term, rel, BNL, EvalInterpreted)
+		for trial := 0; trial < 30; trial++ {
+			alg := []Algorithm{Naive, BNL, SFS}[trial%3]
+			ctx, cancel := ctxCancelledWithin(rng, 3*time.Millisecond)
+			got, err := EvalIndicesCtx(ctx, term, rel, alg, idx)
+			cancel()
+			if err != nil {
+				cancelled++
+				if !errors.Is(err, context.Canceled) || got != nil {
+					t.Fatalf("%s trial %d alg %s: got %v err %v, want nil + context.Canceled", term, trial, alg, got, err)
+				}
+				continue
 			}
-			continue
-		}
-		if !sameInts(got, want) {
-			t.Fatalf("trial %d alg %s: torn result under cancellation", trial, alg)
+			if !sameInts(got, want) {
+				t.Fatalf("%s trial %d alg %s: torn result under cancellation", term, trial, alg)
+			}
 		}
 	}
 	if cancelled == 0 {
@@ -467,11 +712,15 @@ var kernelBenchShapes = []struct {
 	{"chain4", pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"), pref.HIGHEST("d4"))},
 }
 
-// BenchmarkDominanceKernel prices one window pass (BNL) over the ≈600
-// candidates a cold_skyline statement's WHERE keeps, bound gathered like
-// the served path binds them, through the predicate tree and through the
-// flat record kernel (record gather included). The planner's
-// per-comparator pair costs (pairCost) are calibrated from these rows.
+// BenchmarkDominanceKernel prices one pass over the ≈600 candidates a
+// cold_skyline statement's WHERE keeps, bound gathered like the served
+// path binds them: the window pass (BNL) through the predicate tree and
+// through the flat record kernel (record gather included), and the sorted
+// pass (SFS: key pass, word sort, one-way filter) on flat records and on
+// the AVX2 score blocks. pairs/op is the pass's (candidate, member) tests
+// by the algorithm's definition, lanes/op what the blocks were offered.
+// The planner's per-comparator prices (compiledPairCost, keyCmpCost,
+// scoreSumCost) are calibrated from these rows.
 func BenchmarkDominanceKernel(b *testing.B) {
 	rel := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
 	var cand []int
@@ -487,21 +736,83 @@ func BenchmarkDominanceKernel(b *testing.B) {
 			b.Fatalf("%s must bind with a flat shape", shape.name)
 		}
 		maxima := len(bnlTree(c, slots, nil))
+		// The window pass's pair count, by its definition.
+		windowPairs := 0
+		var window []int
+		for _, i := range slots {
+			keep, beaten := window[:0], false
+			for _, w := range window {
+				windowPairs++
+				if beaten = c.Less(i, w); beaten {
+					break
+				}
+				if !c.Less(w, i) {
+					keep = append(keep, w)
+				}
+			}
+			if !beaten {
+				window = append(keep, i)
+			}
+		}
+		report := func(b *testing.B, unit string, n int) {
+			b.ReportMetric(float64(n), unit)
+			b.ReportMetric(float64(len(cand)), "candidates")
+			b.ReportMetric(float64(maxima), "maxima")
+		}
 		b.Run(shape.name+"/tree", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bnlTree(c, slots, nil)
 			}
-			b.ReportMetric(float64(len(cand)), "candidates")
-			b.ReportMetric(float64(maxima), "maxima")
+			report(b, "pairs/op", windowPairs)
 		})
-		b.Run(shape.name+"/flat", func(b *testing.B) {
+		b.Run(shape.name+"/window-flat", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bnlFlat(c.Flat(), slots, nil)
 			}
-			b.ReportMetric(float64(len(cand)), "candidates")
-			b.ReportMetric(float64(maxima), "maxima")
+			report(b, "pairs/op", windowPairs)
 		})
+		for _, leg := range []Dominance{DominanceFlat, DominanceBlocksAVX2} {
+			name := shape.name + "/sorted-flat"
+			if leg == DominanceBlocksAVX2 {
+				name = shape.name + "/sorted-blocks"
+			}
+			b.Run(name, func(b *testing.B) {
+				if leg == DominanceBlocksAVX2 && !AVX2Available() {
+					b.Skip("no AVX2 kernel in this build")
+				}
+				defer SetAVX2Enabled(SetAVX2Enabled(leg == DominanceBlocksAVX2))
+				// The one-way pass's count: the lanes the blocks were
+				// offered, or on records the pairs up to the first
+				// confirmed maximum that beats the candidate.
+				f := newMaximaFilter(c)
+				if !f.sumOrder(c.Flat(), slots) {
+					b.Fatal("the sum order must stand on this table")
+				}
+				unit, tests := "pairs/op", 0
+				for _, i := range f.order {
+					beaten := f.dominated(i)
+					for _, m := range f.rows {
+						if tests++; c.Less(i, m) {
+							break
+						}
+					}
+					if !beaten {
+						f.confirm(i)
+					}
+				}
+				if leg == DominanceBlocksAVX2 {
+					unit, tests = "lanes/op", f.lanes
+				}
+				f.release()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sfsCompiled(c, slots, nil)
+				}
+				report(b, unit, tests)
+			})
+		}
 	}
 }

@@ -230,16 +230,17 @@ func TestGatheredBindAgreement(t *testing.T) {
 					want := referenceOIDs(p, s, sets)
 					alg := algs[rng.Intn(len(algs))]
 					ResetCompileCache()
-					tree0, flat0 := DominanceRuns(DominanceTree), DominanceRuns(DominanceFlat)
+					tree0, flat0 := DominanceRuns(DominanceTree), fragmentRuns()
 					got := BMOShardedOn(p, s, alg, sets)
 					if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
 						t.Fatalf("trial %d %s cut %d alg %s term %s:\n got %v\nwant %v", trial, name, cut, alg, p, oids, want)
 					}
 					// The comparator that ran is the one the term's shape
 					// calls for, on the per-shard passes and the merge alike:
-					// records (or a chain product's coordinates) for the flat
-					// fragment, the tree for everything else.
-					tree, flat := DominanceRuns(DominanceTree)-tree0, DominanceRuns(DominanceFlat)-flat0
+					// records or score blocks (or a chain product's
+					// coordinates) for the flat fragment, the tree for
+					// everything else.
+					tree, flat := DominanceRuns(DominanceTree)-tree0, fragmentRuns()-flat0
 					if pref.FlatShaped(p) && tree != 0 || !pref.FlatShaped(p) && flat != 0 {
 						t.Fatalf("trial %d %s cut %d alg %s term %s (in fragment: %v): %d tree passes, %d flat passes",
 							trial, name, cut, alg, p, pref.FlatShaped(p), tree, flat)
@@ -595,14 +596,16 @@ func foldOracle(p pref.Preference, s *relation.Sharded, locals ShardSets) (oids 
 }
 
 // TestShardMergeFoldAgreement holds the cross-shard fold to the
-// interpreted oracle on each of its comparators — flat records, the
-// compiled tree (an EXPLICIT leaf), tuple views (an opaque term) — over 1
+// interpreted oracle on each of its comparators — the two blocked sweeps,
+// flat records, the compiled tree (an EXPLICIT leaf), tuple views (an
+// opaque term) — over 1
 // to 8 parts in memory and paged, with empty and single-row parts,
 // projection duplicates in different shards, string and TIME tie
 // attributes whose per-shard codes are unrelated, and the NaN / ±Inf / −0
 // / beyond-2^53 rows of the generator; and pins what makes it a fold of
-// antichains: no pair inside one part is ever tested, and the pairs stay
-// within Σ|W|·|Lᵢ|.
+// antichains: no pair inside one part is ever tested (the sweeps offer a
+// store of one side's rows nothing but the other side's), and the pairs
+// stay within Σ|W|·|Lᵢ|.
 func TestShardMergeFoldAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	trials := 6
@@ -630,19 +633,29 @@ func TestShardMergeFoldAgreement(t *testing.T) {
 						locals[i] = local
 					}
 					want, bound := foldOracle(p, s, locals)
-					got, pairs := mergeShardMaxima(p, s, cloneSets(locals))
-					if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
-						t.Fatalf("trial %d %s cut %d term %s (%s):\n got %v\nwant %v", trial, name, cut, p, ShardMergeMode(p), oids, want)
-					}
-					if pairs > bound {
-						t.Fatalf("trial %d %s cut %d term %s (%s): %d pairs tested, Σ|W|·|Lᵢ| = %d", trial, name, cut, p, ShardMergeMode(p), pairs, bound)
-					}
-					for i := range got {
-						if !slices.IsSorted(got[i]) || got[i] == nil {
-							t.Fatalf("trial %d %s: shard %d result %v must be ascending and non-nil", trial, name, i, got[i])
+					// Both kernel settings: a flat term folds in two blocked
+					// sweeps with the AVX2 kernel on, three-way on records
+					// without it.
+					pairs := 0
+					for _, avx2 := range []bool{AVX2Available(), false} {
+						prev := SetAVX2Enabled(avx2)
+						var got ShardSets
+						got, pairs = mergeShardMaxima(p, s, cloneSets(locals))
+						mode := ShardMergeMode(p)
+						SetAVX2Enabled(prev)
+						if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
+							t.Fatalf("trial %d %s cut %d term %s (%s):\n got %v\nwant %v", trial, name, cut, p, mode, oids, want)
 						}
+						if pairs > bound {
+							t.Fatalf("trial %d %s cut %d term %s (%s): %d pairs tested, Σ|W|·|Lᵢ| = %d", trial, name, cut, p, mode, pairs, bound)
+						}
+						for i := range got {
+							if !slices.IsSorted(got[i]) || got[i] == nil {
+								t.Fatalf("trial %d %s: shard %d result %v must be ascending and non-nil", trial, name, i, got[i])
+							}
+						}
+						ran[mode]++
 					}
-					ran[ShardMergeMode(p)]++
 
 					// The same fold on a recording comparator: every pair it
 					// asks about crosses a part boundary.
@@ -665,8 +678,9 @@ func TestShardMergeFoldAgreement(t *testing.T) {
 						f.add(lo, lo+len(locals[i]))
 						lo += len(locals[i])
 					}
+					// (pairs: the three-way fold's, from the kernel-off run above.)
 					if f.pairs != pairs {
-						t.Fatalf("trial %d %s cut %d term %s: %d pairs on the recording comparator, %d on %s", trial, name, cut, p, f.pairs, pairs, ShardMergeMode(p))
+						t.Fatalf("trial %d %s cut %d term %s: %d pairs on the recording comparator, %d on the three-way fold", trial, name, cut, p, f.pairs, pairs)
 					}
 					if len(f.rows) != len(want) {
 						t.Fatalf("trial %d %s cut %d term %s: recording fold kept %d rows, want %d", trial, name, cut, p, len(f.rows), len(want))
@@ -675,7 +689,11 @@ func TestShardMergeFoldAgreement(t *testing.T) {
 			}
 		}
 	}
-	for _, mode := range []string{"flat", "tree", "interpreted"} {
+	modes := []string{"flat", "tree", "interpreted"}
+	if AVX2Available() {
+		modes = append(modes, "blocks-avx2")
+	}
+	for _, mode := range modes {
 		if ran[mode] == 0 {
 			t.Fatalf("the battery never folded on the %s comparator: %v", mode, ran)
 		}
@@ -713,13 +731,20 @@ func TestShardMergeKeepsCrossShardDuplicates(t *testing.T) {
 		pref.Pareto(pref.LOWEST("x"), explicit),
 		opaqueTerm{pref.Pareto(pref.LOWEST("x"), pref.POS("color", "red"))},
 	} {
-		locals := ShardSets{{0, 1}, {0, 1}, {0, 1}}
-		got, pairs := mergeShardMaxima(p, s, locals)
-		if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, []int{1, 2, 101, 102}) {
-			t.Fatalf("%s (%s): got %v, want both twins of both maxima", p, ShardMergeMode(p), oids)
-		}
-		if pairs == 0 || pairs > 2*2+4*2 {
-			t.Fatalf("%s (%s): %d pairs", p, ShardMergeMode(p), pairs)
+		// The flat term folds in two blocked sweeps with the AVX2 kernel
+		// on, three-way on records without it.
+		for _, avx2 := range []bool{AVX2Available(), false} {
+			prev := SetAVX2Enabled(avx2)
+			locals := ShardSets{{0, 1}, {0, 1}, {0, 1}}
+			got, pairs := mergeShardMaxima(p, s, locals)
+			mode := ShardMergeMode(p)
+			SetAVX2Enabled(prev)
+			if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, []int{1, 2, 101, 102}) {
+				t.Fatalf("%s (%s): got %v, want both twins of both maxima", p, mode, oids)
+			}
+			if pairs == 0 || pairs > 2*2+4*2 {
+				t.Fatalf("%s (%s): %d pairs", p, mode, pairs)
+			}
 		}
 	}
 }

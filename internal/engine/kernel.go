@@ -5,17 +5,18 @@ import (
 	"sync/atomic"
 )
 
-// Runtime dispatch for the chain-filter dominance kernel. The build
-// decides what the binary carries (kernel_amd64.s behind `amd64 &&
-// !noasm`, nothing otherwise); this flag decides what runs. With the
-// kernel off, chain products take the flat record kernel (flat.go) like
-// every other term of the flat fragment. Three ways to turn it off,
+// Runtime dispatch for the blocked dominance kernel. The build decides
+// what the binary carries (kernel_amd64.s behind `amd64 && !noasm`,
+// nothing otherwise); this flag decides what runs. With the kernel off,
+// the one-way passes of the flat fragment — sorted filter, stream confirm
+// loop, cross-shard fold — compare on the flat record kernel (flat.go)
+// like its window passes always do. Three ways to turn it off,
 // strongest first: build with `-tags noasm` (the assembly is not in the
 // binary), set PREFSQL_DISABLE_AVX2 in the environment (the process
 // starts with the kernel off — a CI matrix leg), or call
 // SetAVX2Enabled(false) at runtime (what the agreement tests toggle).
 
-// avx2Active is the runtime switch newChainFilter reads.
+// avx2Active is the runtime switch newMaximaFilter reads.
 var avx2Active atomic.Bool
 
 func init() {
@@ -26,9 +27,9 @@ func init() {
 // dominance kernel at all, regardless of the runtime flag.
 func AVX2Available() bool { return avx2Supported }
 
-// AVX2Enabled reports whether sort-filter passes over exact chain
-// products build the AVX2 chain filter. The choice is made when a pass
-// starts, so toggling mid-stream does not change an in-flight evaluation.
+// AVX2Enabled reports whether one-way passes over the flat fragment filter
+// through the AVX2 score blocks. The choice is made when a pass starts, so
+// toggling mid-stream does not change an in-flight evaluation.
 func AVX2Enabled() bool { return avx2Active.Load() }
 
 // SetAVX2Enabled force-enables or -disables the AVX2 dominance kernel at

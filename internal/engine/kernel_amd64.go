@@ -2,19 +2,20 @@
 
 package engine
 
-// The assembly side of the chain-filter dominance kernel (see
-// kernel_amd64.s) plus the CPU feature detection that decides at init
-// whether the kernel is usable on this machine. Without it chain products
-// filter through the flat record kernel (flat.go); the portable masked
-// model in kernel_test.go is the oracle the agreement tests hold the
-// assembly to.
+// The assembly side of the blocked dominance kernel (see kernel_amd64.s)
+// plus the CPU feature detection that decides at init whether the kernel
+// is usable on this machine. Without it sorted passes filter through the
+// flat record kernel (flat.go); the portable masked model in
+// kernel_test.go is the oracle the agreement tests hold the assembly to.
 
-// dominatedBlocksAVX2 reports (1/0) whether any confirmed maximum in the
-// blocked column-major store dominates the candidate coordinates; see
-// kernel_amd64.s for the layout and NaN contract.
+// dominatingBlockAVX2 scans the blocked column-major store for the first
+// block with a lane whose scores are ≥ the candidate's on every dimension
+// and (strict0 = 0) > on one, and returns block<<16 | dom<<8 | tied — a
+// bit per such lane, and per such lane that tied on a dimension — or −1;
+// see kernel_amd64.s for the layout and NaN contract.
 //
 //go:noescape
-func dominatedBlocksAVX2(cand *float64, d int, blocks *float64, nblocks int) int32
+func dominatingBlockAVX2(cand *float64, d int, blocks *float64, nblocks int, strict0 int64) int64
 
 // cpuidex runs CPUID with the given leaf and subleaf.
 func cpuidex(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -2,18 +2,18 @@
 
 package engine
 
-// Portable build: no assembly kernel, so no chain filter is ever built
-// (newChainFilter) and chain products compare through the flat record
-// kernel like the rest of the flat fragment; avx2Supported pins the
-// runtime flag to false so SetAVX2Enabled(true) cannot enable a kernel
-// that is not in the binary. The `noasm` build tag forces this file on
-// amd64 too — the CI matrix runs the full suite under it.
+// Portable build: no assembly kernel, so no blocked store is ever built
+// (newMaximaFilter) and sorted passes filter through the flat record
+// kernel; avx2Supported pins the runtime flag to false so
+// SetAVX2Enabled(true) cannot enable a kernel that is not in the binary.
+// The `noasm` build tag forces this file on amd64 too — the CI matrix runs
+// the full suite under it.
 
 // avx2Supported is always false without the assembly kernel.
 const avx2Supported = false
 
-// dominatedBlocksAVX2 must never be reached on a portable build:
-// newChainFilter checks the (permanently false) runtime flag first.
-func dominatedBlocksAVX2(cand *float64, d int, blocks *float64, nblocks int) int32 {
+// dominatingBlockAVX2 must never be reached on a portable build:
+// newMaximaFilter checks the (permanently false) runtime flag first.
+func dominatingBlockAVX2(cand *float64, d int, blocks *float64, nblocks int, strict0 int64) int64 {
 	panic("engine: AVX2 kernel called on a build without assembly")
 }

@@ -42,32 +42,48 @@ func refDominated(maxima [][]float64, cand []float64) bool {
 	return false
 }
 
-// buildFilter assembles a chainFilter directly over synthetic coordinate
-// vectors (no compiled form needed — the passes only read vecs and the
-// blocked store) and confirms the given rows as maxima.
-func buildFilter(vecs [][]float64, maxima []int) *chainFilter {
-	f := &chainFilter{d: len(vecs), vecs: vecs, cand: make([]float64, len(vecs))}
+// buildFilter assembles a blocks-leg filter directly over synthetic score
+// vectors (no compiled form needed — the passes only read the shape's
+// columns and the blocked store): one group of len(vecs) dimensions, or
+// the first head of them followed by single-leaf groups, each dimension
+// tying on its own values, and the given rows confirmed as maxima.
+func buildFilter(vecs [][]float64, head int, exact bool, maxima []int) *maximaFilter {
+	fs := &pref.FlatShape{}
+	on := make([]bool, len(vecs[0]))
+	for i := range on {
+		on[i] = true
+	}
+	for k, v := range vecs {
+		fs.Dims = append(fs.Dims, pref.FlatDim{Score: v, Tie: pref.Tie{Val: v, On: on}})
+		if k+1 >= head {
+			fs.Ends = append(fs.Ends, k+1)
+		}
+	}
+	f := newBlockFilter(fs, exact)
 	for _, i := range maxima {
-		f.add(i)
+		f.confirm(i)
 	}
 	return f
 }
 
-// dominatedMasked is the portable model of the assembly kernel, its
-// oracle on every build: the blocked bitmask pass over the chain filter's
-// store, filterBlock maxima per iteration, one dimension at a time across
-// the block, with ≥ and > mask accumulation (NaN pad lanes die on their
-// first dimension, so full blocks need no tail handling).
-func (f *chainFilter) dominatedMasked(i int) bool {
-	nblocks := (f.n + filterBlock - 1) / filterBlock
-	for b := 0; b < nblocks; b++ {
-		base := b * f.d * filterBlock
+// blockVerdictMasked is the portable model of the assembly kernel, its
+// oracle on every build: the blocked bitmask pass over the filter's store
+// from block `from` on, filterBlock maxima per iteration, one dimension at
+// a time across the block, accumulating the ≥, > (seeded by strict0) and
+// == masks — NaN pad lanes die on their first dimension, so full blocks
+// need no tail handling — and the kernel's verdict encoding: the first
+// block with an alive-and-strict lane as block<<16 | dom<<8 | tied
+// (block counted from `from`), or −1.
+func (f *maximaFilter) blockVerdictMasked(i, from int) int64 {
+	nblocks := (len(f.rows) + filterBlock - 1) / filterBlock
+	for b := from; b < nblocks; b++ {
+		base := b * f.w * filterBlock
 		alive := uint32(1)<<filterBlock - 1
-		var strict uint32
-		for k := 0; k < f.d && alive != 0; k++ {
-			cv := f.vecs[k][i]
+		strict, tied := uint32(f.strict0)&alive, uint32(0)
+		for k := 0; k < f.w && alive != 0; k++ {
+			cv := f.fs.Dims[k].Score[i]
 			col := f.blocks[base+k*filterBlock : base+(k+1)*filterBlock]
-			var ge, gt uint32
+			var ge, gt, eq uint32
 			for lane, mv := range col {
 				if mv >= cv {
 					ge |= 1 << lane
@@ -75,22 +91,50 @@ func (f *chainFilter) dominatedMasked(i int) bool {
 				if mv > cv {
 					gt |= 1 << lane
 				}
+				if mv == cv {
+					eq |= 1 << lane
+				}
 			}
 			alive &= ge
 			strict |= gt
+			tied |= eq
 		}
-		if alive&strict != 0 {
-			return true
+		if dom := alive & strict; dom != 0 {
+			return int64(b-from)<<16 | int64(dom)<<8 | int64(dom&tied)
 		}
 	}
-	return false
+	return -1
+}
+
+// refVerdict is the verdict contract transcribed lane by lane: dom marks
+// the maxima of the block that are ≥ the candidate on every dimension and
+// (unless every ≥ lane is asked for) > on one, tied those of them equal to
+// it on a dimension; NaN on either side of a comparison fails it.
+func refVerdict(block [][]float64, cand []float64, all bool) (dom, tied uint8) {
+	for lane, m := range block {
+		ge, gt, eq := true, all, false
+		for k := range cand {
+			ge = ge && m[k] >= cand[k]
+			gt = gt || m[k] > cand[k]
+			eq = eq || m[k] == cand[k]
+		}
+		if ge && gt {
+			dom |= 1 << lane
+			if eq {
+				tied |= 1 << lane
+			}
+		}
+	}
+	return dom, tied
 }
 
 // TestKernelDominanceProperty holds the blocked passes — the portable
 // masked model, and the AVX2 kernel when this machine has it — to the
 // reference contract on NaN/±Inf/signed-zero-heavy inputs, across
-// dimensions 1..6 and maxima counts that straddle block boundaries (0,
-// partial, full, many blocks).
+// dimensions 1..6, both strict seeds, every resume point, and maxima
+// counts that straddle block boundaries (0, partial, full, many blocks):
+// which block answers, which lanes dominate, which of them tied; and the
+// filter's answer built on those verdicts to coordinate dominance.
 func TestKernelDominanceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 400; trial++ {
@@ -105,29 +149,49 @@ func TestKernelDominanceProperty(t *testing.T) {
 		}
 		nMax := rng.Intn(n + 1)
 		maxima := rng.Perm(n)[:nMax]
-		f := buildFilter(vecs, maxima)
+		head := d
+		if trial%2 == 1 {
+			head = 1 + rng.Intn(d) // further groups follow: every ≥ lane reports
+		}
+		f := buildFilter(vecs, head, head == d, maxima)
 		coords := make([][]float64, nMax)
 		for w, i := range maxima {
-			coords[w] = make([]float64, d)
-			for k := 0; k < d; k++ {
+			coords[w] = make([]float64, head)
+			for k := 0; k < head; k++ {
 				coords[w][k] = vecs[k][i]
 			}
 		}
-		cand := make([]float64, d)
+		nblocks := (nMax + filterBlock - 1) / filterBlock
+		cand := make([]float64, head)
 		for i := 0; i < n; i++ {
-			for k := 0; k < d; k++ {
+			for k := 0; k < head; k++ {
 				cand[k] = vecs[k][i]
 			}
-			want := refDominated(coords, cand)
-			if got := f.dominatedMasked(i); got != want {
-				t.Fatalf("trial %d row %d: masked %v, reference %v (cand %v, maxima %v)", trial, i, got, want, cand, coords)
+			for from := 0; from < nblocks; from++ {
+				want := int64(-1)
+				for b := from; b < nblocks && want < 0; b++ {
+					block := coords[b*filterBlock : min(nMax, (b+1)*filterBlock)]
+					if dom, tied := refVerdict(block, cand, head < d); dom != 0 {
+						want = int64(b-from)<<16 | int64(dom)<<8 | int64(tied)
+					}
+				}
+				if got := f.blockVerdictMasked(i, from); got != want {
+					t.Fatalf("trial %d row %d from block %d: masked %#x, reference %#x (cand %v, maxima %v)", trial, i, from, got, want, cand, coords)
+				}
+				if AVX2Available() {
+					copy(f.cand, cand)
+					if got := dominatingBlockAVX2(&f.cand[0], f.w, &f.blocks[from*f.w*filterBlock], nblocks-from, f.strict0); got != want {
+						t.Fatalf("trial %d row %d from block %d: avx2 %#x, reference %#x (cand %v, maxima %v)", trial, i, from, got, want, cand, coords)
+					}
+				}
 			}
-			if AVX2Available() {
-				if got := f.dominated(i); got != want {
-					t.Fatalf("trial %d row %d: avx2 %v, reference %v (cand %v, maxima %v)", trial, i, got, want, cand, coords)
+			if head == d && AVX2Available() {
+				if got, want := f.dominated(i), refDominated(coords, cand); got != want {
+					t.Fatalf("trial %d row %d: filter %v, reference %v (cand %v, maxima %v)", trial, i, got, want, cand, coords)
 				}
 			}
 		}
+		f.release()
 	}
 }
 

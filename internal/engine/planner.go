@@ -233,10 +233,14 @@ func (pl *Plan) Explain() string {
 
 // smallInput is the cardinality below which plan choice is (nearly)
 // immaterial — every algorithm finishes in microseconds: the planner skips
-// statistics and uses the shape heuristic alone, which also keeps
-// per-group planning in groupby queries cheap. The one exception it makes
-// is for one-shot gathered forms of flat terms, whose SFS keys cost more
-// than the whole window pass (see planCore).
+// statistics and takes the shape heuristic, which also keeps per-group
+// planning in groupby queries cheap. A compiled flat term still gets the
+// two-term comparison of its window and sorted passes (see planCore) — at
+// a few hundred candidates a Pareto window is most of the statement — and,
+// when they are candidates of a relation that is not itself small, reads
+// the relation's cached statistics for it: the comparison turns on the
+// result estimate, which without the measured correlation under-sizes an
+// anti-correlated window several times over.
 const smallInput = 256
 
 // planCore plans evaluation of p over n candidate rows of r, bound under
@@ -247,41 +251,25 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	pl := &Plan{Shape: shape, Input: n, Workers: 1, Bind: scope,
 		Compiled: env.Mode != EvalInterpreted && pref.Compilable(p)}
 	chain, flat := shape == ShapeChainProduct, pref.FlatShaped(p)
-	if n < smallInput {
-		reason := "cost differences are noise, shape heuristic picks"
-		switch shape {
-		case ShapeChainProduct, ShapeKeyed:
-			pl.Algorithm = SFS
-			if pl.Compiled && flat && scope == BindGathered {
-				// The one difference that is not noise at this size: SFS
-				// sorts every score leaf to derive its keys, and a gathered
-				// form is dropped with the statement — keys nobody reuses —
-				// while a window pass on flat records needs none.
-				pl.Algorithm = BNL
-				reason = "a gathered form's sort keys would serve this statement alone, the flat window pass needs none:"
-			}
-		default:
-			pl.Algorithm = BNL
-		}
-		pl.Dominance = dominanceFor(chain, flat, pl.Algorithm)
-		pl.EstResult = estimateResult(p, n, nil)
-		pl.Reasons = append(pl.Reasons, fmt.Sprintf("input below %d rows: %s %s", smallInput, reason, pl.Algorithm))
-		return pl
-	}
+	small := n < smallInput
+	// A compiled flat term sorts on a one-pass score sum, not on rank keys.
+	sumKey := pl.Compiled && flat
 
 	stats := env.Stats
-	if stats == nil && r != nil {
+	switch {
+	case small && !(sumKey && r != nil && r.Len() >= smallInput && !r.Ephemeral()):
+		// A small input plans without statistics — unless the comparison
+		// of its two passes needs them and they are the cached analysis of
+		// a relation large enough to have one: sampling a small or an
+		// ephemeral relation (never cached) would cost more than
+		// evaluating the input.
+		stats = nil
+	case stats == nil && r != nil:
 		stats = cachedStats(r, env.sampleLimit())
 	}
 	pl.Stats = stats
 	s := estimateResult(p, n, stats)
 	pl.EstResult = s
-
-	cpus := env.numCPU()
-	workers := cpus
-	if workers > n/parallelGrain {
-		workers = n / parallelGrain
-	}
 
 	fs := float64(s)
 	fn := float64(n)
@@ -308,13 +296,17 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 		sortScale = keyCmpCost
 	}
 
-	// SFS sorts by dense-rank keys, and deriving them sorts every score
-	// leaf over the rows the bound form spans — not over the candidates:
-	// a cold whole-relation bind ranks |R| rows per leaf however few of
-	// them are candidates, a gathered (or interpreted) evaluation ranks
-	// the n candidates, and a cached form's keys are already there.
+	// What SFS sorts by. A compiled flat term sums its candidates' scores
+	// in one pass, w columns over the n candidates, whatever the bind
+	// scope. Everything else sorts by dense-rank keys, and deriving them
+	// sorts every score leaf over the rows the bound form spans — not over
+	// the candidates: a cold whole-relation bind ranks |R| rows per leaf
+	// however few of them are candidates, a gathered (or interpreted)
+	// evaluation ranks the n candidates, and a cached form's keys are
+	// already there.
+	leaves := float64(keyLeaves(p))
 	keyRows := fn
-	if pl.Compiled {
+	if pl.Compiled && !sumKey {
 		switch scope {
 		case BindCached:
 			keyRows = 0
@@ -324,8 +316,10 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 			}
 		}
 	}
-	leaves := float64(keyLeaves(p))
 	keyCost := leaves * keyRows * math.Log2(math.Max(keyRows, 2)) * sortScale
+	if sumKey {
+		keyCost = leaves * fn * scoreSumCost
+	}
 
 	seqCost := func(alg Algorithm, n float64) (float64, bool, string) {
 		switch alg {
@@ -352,8 +346,6 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 		}
 		return 0, false, ""
 	}
-
-	var cands []Candidate
 	// The keys are derived once per evaluation, whatever the partitioning.
 	keysOf := func(alg Algorithm, ok bool) float64 {
 		if alg == SFS && ok {
@@ -361,6 +353,40 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 		}
 		return 0
 	}
+
+	if small {
+		reason := "cost differences are noise, shape heuristic picks"
+		switch shape {
+		case ShapeChainProduct, ShapeKeyed:
+			pl.Algorithm = SFS
+			if sumKey {
+				// The one difference that is not noise at this size, and
+				// priced from the input alone: a window of ≈ŝ records
+				// scanned three-way against a key pass, a word sort and a
+				// one-way filter.
+				window, _, _ := seqCost(BNL, fn)
+				sorted, _, _ := seqCost(SFS, fn)
+				if window <= sorted+keyCost {
+					pl.Algorithm = BNL
+				}
+				reason = fmt.Sprintf("window pass ≈%.3g against key + sort + filter ≈%.3g on %s over an estimated %d maxima:",
+					window, sorted+keyCost, dominanceFor(chain, flat, SFS), s)
+			}
+		default:
+			pl.Algorithm = BNL
+		}
+		pl.Dominance = dominanceFor(chain, flat, pl.Algorithm)
+		pl.Reasons = append(pl.Reasons, fmt.Sprintf("input below %d rows: %s %s", smallInput, reason, pl.Algorithm))
+		return pl
+	}
+
+	cpus := env.numCPU()
+	workers := cpus
+	if workers > n/parallelGrain {
+		workers = n / parallelGrain
+	}
+
+	var cands []Candidate
 	addSeq := func(alg Algorithm) {
 		c, ok, note := seqCost(alg, fn)
 		cands = append(cands, Candidate{Algorithm: alg, Workers: 1, Cost: c + keysOf(alg, ok), Applicable: ok, Note: note})
@@ -404,10 +430,10 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 
 	pl.Reasons = append(pl.Reasons, fmt.Sprintf("shape %s over %d attrs, estimated result ≈ %d of %d rows", shape, len(p.Attrs()), s, n))
 	if pl.Compiled {
-		pl.Reasons = append(pl.Reasons, fmt.Sprintf("compiled columnar evaluation, dominance=%s: a window pair costs ≈1/%.0f, a sorted-filter pair ≈1/%.0f of an interpreted comparison",
-			pl.Dominance, 1/pairCost(BNL, true), 1/pairCost(SFS, false)))
+		pl.Reasons = append(pl.Reasons, fmt.Sprintf("compiled columnar evaluation: a window pair on %s costs ≈1/%.0f, a sorted-filter pair on %s ≈1/%.0f of an interpreted comparison",
+			dominanceFor(chain, flat, BNL), 1/pairCost(BNL, true), dominanceFor(chain, flat, SFS), 1/pairCost(SFS, false)))
 		if shape != ShapeGeneral {
-			pl.Reasons = append(pl.Reasons, sfsKeyReason(scope, int(leaves), int(keyRows), keyCost))
+			pl.Reasons = append(pl.Reasons, sfsKeyReason(scope, sumKey, int(leaves), int(keyRows), keyCost))
 		}
 	} else {
 		pl.Reasons = append(pl.Reasons, "term outside the compilable fragment: interpreted interface evaluation")
@@ -450,12 +476,15 @@ func keyLeaves(p pref.Preference) int {
 }
 
 // sfsKeyReason words the SFS presort's key price for the plan's reason
-// lines: what the bind scope makes the dense-rank keys cost.
-func sfsKeyReason(scope BindScope, leaves, rows int, cost float64) string {
-	switch scope {
-	case BindCached:
+// lines: one pass of score sums for a compiled flat term, else what the
+// bind scope makes the dense-rank keys cost.
+func sfsKeyReason(scope BindScope, sumKey bool, leaves, rows int, cost float64) string {
+	switch {
+	case sumKey:
+		return fmt.Sprintf("SFS keys: one pass sums %d score column(s) over the %d candidates (n·w, cost≈%.3g), no rank transform", leaves, rows, cost)
+	case scope == BindCached:
 		return "SFS keys: cached with the bound form — presort pays only the candidate sort"
-	case BindGathered:
+	case scope == BindGathered:
 		return fmt.Sprintf("SFS keys: gathered bind ranks %d leaf vector(s) over the %d candidates only (m·log m, cost≈%.3g)", leaves, rows, cost)
 	}
 	return fmt.Sprintf("SFS keys: cold whole-relation bind ranks %d leaf vector(s) over all %d rows (|R|·log|R| per leaf, cost≈%.3g)", leaves, rows, cost)
@@ -604,6 +633,9 @@ const (
 	// the SFS presort (≈6.5 ns) and the dense-rank transforms behind the
 	// keys (≈12 ns).
 	keyCmpCost = 1.0 / 25
+	// scoreSumCost is one score read and add of a flat term's one-pass
+	// sort key (≈1 ns: a sequential column read, no compare).
+	scoreSumCost = 1.0 / 250
 )
 
 // compiledPairCost prices one pair test of a compiled pass on comparator
@@ -613,7 +645,7 @@ func compiledPairCost(d Dominance, window bool) float64 {
 	switch d {
 	case DominanceFlat:
 		return flatPairCost
-	case DominanceChainAVX2:
+	case DominanceBlocksAVX2:
 		return avx2PairCost
 	}
 	if window {

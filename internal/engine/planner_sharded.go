@@ -108,14 +108,17 @@ func foldPairs(k, e int) int {
 
 // mergeCost estimates the cross-shard fold: one gathered bind (or tuple
 // view) per local maximum, then the cross-shard pairs on the fold's
-// comparator, each settled in both directions — one three-way compare on
-// flat records, two Less through the predicate tree or the interface.
+// comparator, each settled in both directions — a lane in each sweep's
+// blocks, one three-way compare on flat records, two Less through the
+// predicate tree or the interface.
 func (sp *ShardPlan) mergeCost(m, pairs int) float64 {
 	pair := 2.0
 	switch sp.Merge {
-	case "flat":
+	case DominanceBlocksAVX2.String():
+		pair = 2 * compiledPairCost(DominanceBlocksAVX2, false)
+	case DominanceFlat.String():
 		pair = compiledPairCost(DominanceFlat, true)
-	case "tree":
+	case DominanceTree.String():
 		pair = compiledPairCost(DominanceTree, true)
 	}
 	return float64(m) + float64(pairs)*pair

@@ -65,7 +65,9 @@ func TestPlannerSequentialOnOneCPU(t *testing.T) {
 func TestPlannerSmallInputUsesShapeHeuristic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rel := antiCorrelated(rng, 50)
-	keyed := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
+	// (A keyed term outside the flat fragment: flat terms compare their two
+	// passes by cost instead, see the next test.)
+	keyed := pref.Rank("F", pref.WeightedSum(1, 1), pref.LOWEST("d1"), pref.LOWEST("d2"))
 	if pl := PlanWith(keyed, rel, Env{NumCPU: 64}); pl.Algorithm != SFS {
 		t.Errorf("small keyed input plans %s, want sfs", pl.Algorithm)
 	}
@@ -77,30 +79,124 @@ func TestPlannerSmallInputUsesShapeHeuristic(t *testing.T) {
 	}
 }
 
-// TestPlannerSmallGatheredFlatInputSkipsTheKeys: the one cost difference
-// the small-input heuristic does not call noise. A small candidate set of
-// a large relation binds gathered — a form no later statement reuses — so
-// SFS's per-leaf key sorts would serve this statement alone; a term of the
-// flat fragment takes the key-free window pass on records instead. Terms
-// that would compare through the tree, and forms whose keys are cached or
-// will be, keep SFS.
-func TestPlannerSmallGatheredFlatInputSkipsTheKeys(t *testing.T) {
+// TestPlannerSmallFlatInputComparesTheTwoPasses: the one cost difference
+// the small-input heuristic does not call noise. A compiled flat term's
+// window pass and sorted pass are both priced from the input alone — no
+// statistics, whatever the bind scope, its sort key being one pass over the
+// candidates' scores — and the cheaper one runs: a Pareto group, whose
+// window grows with the input, sorts; a prioritized chain with a deciding
+// head, whose window stays a handful of rows, does not. Keyed terms outside
+// the fragment keep the shape heuristic.
+func TestPlannerSmallFlatInputComparesTheTwoPasses(t *testing.T) {
 	ResetCompileCache()
 	defer ResetCompileCache()
 	rng := rand.New(rand.NewSource(4))
 	rel := antiCorrelated(rng, 4000)
-	flat := pref.Prioritized(pref.Pareto(pref.AROUND("d1", 0.4), pref.LOWEST("d2")), pref.LOWEST("d1"))
-	pl := PlanWithInput(flat, rel, 200, Env{})
+	prior := pref.Prioritized(pref.LOWEST("d1"), pref.Pareto(pref.AROUND("d1", 0.4), pref.LOWEST("d2")))
+	pl := PlanWithInput(prior, rel, 200, Env{})
 	if pl.Bind != BindGathered || pl.Algorithm != BNL || pl.Dominance != DominanceFlat {
-		t.Errorf("200 of 4000 candidates, flat term: bind=%s alg=%s dominance=%s; want gathered bnl flat", pl.Bind, pl.Algorithm, pl.Dominance)
+		t.Errorf("200 of 4000 candidates, prioritized flat term: bind=%s alg=%s dominance=%s; want gathered bnl flat", pl.Bind, pl.Algorithm, pl.Dominance)
+	}
+	group := pref.ParetoAll(pref.AROUND("d1", 0.4), pref.AROUND("d2", 0.6), pref.LOWEST("d1"))
+	if pl := PlanWithInput(group, rel, 200, Env{}); pl.Bind != BindGathered || pl.Algorithm != SFS || pl.Dominance != dominanceOf(group, SFS) {
+		t.Errorf("200 of 4000 candidates, one Pareto group: bind=%s alg=%s dominance=%s; want gathered sfs %s", pl.Bind, pl.Algorithm, pl.Dominance, dominanceOf(group, SFS))
 	}
 	rank := pref.Rank("F", pref.WeightedSum(1, 1), pref.HIGHEST("d1"), pref.HIGHEST("d2"))
 	if pl := PlanWithInput(rank, rel, 200, Env{}); pl.Bind != BindGathered || pl.Algorithm != SFS {
 		t.Errorf("200 of 4000 candidates, keyed term outside the fragment: bind=%s alg=%s; want gathered sfs", pl.Bind, pl.Algorithm)
 	}
-	BMOIndices(flat, rel, Auto) // binds and caches the whole-relation form
-	if pl := PlanWithInput(flat, rel, 200, Env{}); pl.Bind != BindCached || pl.Algorithm != SFS {
-		t.Errorf("with a cached form: bind=%s alg=%s; want cached sfs", pl.Bind, pl.Algorithm)
+	BMOIndices(prior, rel, Auto) // binds and caches the whole-relation form
+	if pl := PlanWithInput(prior, rel, 200, Env{}); pl.Bind != BindCached || pl.Algorithm != BNL {
+		t.Errorf("with a cached form: bind=%s alg=%s; the comparison does not depend on the bind, want cached bnl", pl.Bind, pl.Algorithm)
+	}
+}
+
+// TestPlannerRoutesColdShapes pins the route of every gated statement
+// shape of the served benchmark, per shard, by cost alone: cold_skyline's
+// Pareto group (a window of ≈90 of ≈300 candidates) plans the sorted pass
+// on the one-way comparator, its two PRIOR TO shapes (a window of 1–15),
+// durable_paged's statement (≈2 400 candidates, a handful of maxima) and
+// hotset_read's whole-relation pool statement keep the window pass — and
+// reports how often the result estimate, which the comparison rests on,
+// would have routed the Pareto group the other way.
+func TestPlannerRoutesColdShapes(t *testing.T) {
+	ResetCompileCache()
+	defer ResetCompileCache()
+	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
+	s, err := relation.ShardRelation(pts, 2, relation.ByRange("d1", relation.RangeBounds(pts, "d1", 2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(20))
+	anchor := func() float64 { return 0.2 + 0.6*rng.Float64() }
+	shapes := []struct {
+		name string
+		term func() pref.Preference
+		alg  Algorithm
+	}{
+		{"pareto3", func() pref.Preference {
+			return pref.ParetoAll(pref.AROUND("d1", anchor()), pref.AROUND("d2", anchor()), pref.LOWEST("d3"))
+		}, SFS},
+		{"pareto-prior-chain", func() pref.Preference {
+			return pref.Prioritized(pref.Pareto(pref.AROUND("d1", anchor()), pref.LOWEST("d2")), pref.LOWEST("d3"))
+		}, BNL},
+		{"chain-prior-pareto", func() pref.Preference {
+			return pref.Prioritized(pref.LOWEST("d3"), pref.Pareto(pref.AROUND("d1", anchor()), pref.LOWEST("d2")))
+		}, BNL},
+	}
+	plans, misroutes := 0, 0
+	for _, cut := range []float64{0.02, 0.03, 0.04, 0.06} {
+		where := &filter.Cmp{Attr: "d4", Op: "<=", Value: cut}
+		for _, shape := range shapes {
+			for draw := 0; draw < 20; draw++ {
+				p := shape.term()
+				for _, sh := range s.Shards() {
+					idx := filter.CompileCached(where, sh).Indices()
+					pl := PlanWithInput(p, sh, len(idx), Env{NumCPU: 1})
+					plans++
+					if pl.Bind != BindGathered || pl.Algorithm != shape.alg || pl.Dominance != dominanceOf(p, shape.alg) {
+						misroutes++
+						t.Errorf("%s cut %v, %d candidates: plan %s on %s, bind %s; want gathered %s on %s\n%s",
+							shape.name, cut, len(idx), pl.Algorithm, pl.Dominance, pl.Bind, shape.alg, dominanceOf(p, shape.alg), pl.Explain())
+					}
+					if shape.alg == SFS && draw < 3 {
+						actual := len(BMOIndicesOn(p, sh, BNL, idx))
+						t.Logf("%s cut %v: %d candidates, estimated %d maxima, actual %d", shape.name, cut, len(idx), pl.EstResult, actual)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("cold_skyline shapes: %d of %d per-shard plans off their route", misroutes, plans)
+
+	// durable_paged: two hash shards of 25 000 cars, price cuts of 6 000–12 000.
+	cars := workload.Cars(50000, 20020820)
+	cs, err := relation.ShardRelation(cars, 2, relation.ByHash("oid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for draw := 0; draw < 20; draw++ {
+		p := pref.Pareto(pref.AROUND("mileage", float64(rng.Intn(120000))), pref.HIGHEST("horsepower"))
+		where := &filter.Cmp{Attr: "price", Op: "<=", Value: float64(6000 + rng.Intn(6000))}
+		for _, sh := range cs.Shards() {
+			idx := filter.CompileCached(where, sh).Indices()
+			if pl := PlanWithInput(p, sh, len(idx), Env{NumCPU: 1}); pl.Algorithm != BNL || pl.Dominance != DominanceFlat {
+				t.Errorf("durable_paged statement, %d of %d candidates: plan %s on %s, want bnl on flat\n%s", len(idx), sh.Len(), pl.Algorithm, pl.Dominance, pl.Explain())
+			}
+		}
+	}
+	// hotset_read: the pool statement over all 20 000 cars, cold and cached.
+	hot := workload.Cars(20000, 20020820)
+	for i := 0; i < 64; i += 7 {
+		p := pref.Pareto(pref.AROUND("price", float64(12000+i*500)), pref.HIGHEST("horsepower"))
+		for _, warm := range []bool{false, true} {
+			if warm {
+				BMOIndices(p, hot, Auto)
+			}
+			if pl := PlanWith(p, hot, Env{NumCPU: 1}); pl.Algorithm != BNL || pl.Dominance != DominanceFlat {
+				t.Errorf("hotset_read pool statement %d (cached form: %v): plan %s on %s, want bnl on flat\n%s", i, warm, pl.Algorithm, pl.Dominance, pl.Explain())
+			}
+		}
 	}
 }
 
@@ -171,8 +267,9 @@ func TestPlannerSyntheticStatsOverride(t *testing.T) {
 
 func TestResolveAutoCompat(t *testing.T) {
 	chain := pref.Pareto(pref.LOWEST("a"), pref.LOWEST("b"))
-	if alg := ResolveAuto(chain, 10); alg != SFS {
-		t.Errorf("small chain product resolves %s, want sfs", alg)
+	// (Ten rows of a flat term: the window pass, by the two-pass comparison.)
+	if alg := ResolveAuto(chain, 10); alg != BNL {
+		t.Errorf("small chain product resolves %s, want bnl", alg)
 	}
 	general := pref.MustEXPLICIT("a", []pref.Edge{{Worse: int64(1), Better: int64(2)}})
 	if alg := ResolveAuto(general, 10); alg != BNL {
@@ -315,10 +412,6 @@ func TestPrioritizedEstimateFollowsTheHead(t *testing.T) {
 				sets[i] = filter.CompileCached(where, sh).Indices()
 			}
 			sp := PlanShardedOn(c.p, s, sets, Env{NumCPU: 1})
-			if sp.PerShard.Algorithm != BNL || sp.PerShard.Dominance != DominanceFlat || sp.PerShard.Bind != BindGathered {
-				t.Errorf("%s cut %v: per-shard plan %s on %s, bind %s; want the gathered flat window pass",
-					c.name, cut, sp.PerShard.Algorithm, sp.PerShard.Dominance, sp.PerShard.Bind)
-			}
 			locals := 0
 			for i, sh := range s.Shards() {
 				local := len(BMOIndicesOn(c.p, sh, Auto, sets[i]))

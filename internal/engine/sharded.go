@@ -20,7 +20,10 @@ import (
 // bound forms independently) and the shard-local maxima — antichains, one
 // per shard — merge in one fold that tests cross-shard pairs only
 // (mergeShardMaxima): on the bound form of the gathered union for every
-// compilable term, on tuple views for the rest.
+// compilable term — two one-way sweeps per part through the AVX2 score
+// blocks when the form has a flat shape and the kernel is on, three-way
+// tests on flat records or the predicate tree otherwise — and on tuple
+// views for the rest.
 
 // ShardSets is a per-shard list of candidate row positions, aligned with
 // the sharded table's shard indices: the sharded counterpart of the flat
@@ -153,12 +156,13 @@ func intersectSorted(a, b []int) []int {
 // compilable term binds once over the gathered union of the local maxima
 // (nothing shard-local crosses the merge — scores derive from the rows'
 // column values, ties from the values themselves, the per-shard code
-// dictionaries being unrelated) and compares flat records when the form
-// has a flat shape, through Compiled.Less otherwise; a term outside the
-// compilable fragment, or one that fails to bind, compares tuple views
-// with Preference.Less. The gathered form is borrowed memory, returned
-// when the fold is over. Input and output sets are per-shard ascending;
-// pairs is the number of tests the fold made.
+// dictionaries being unrelated) and, when the form has a flat shape,
+// sweeps each side's rows through the other's score blocks (flat records
+// three-way without the AVX2 kernel), asks Compiled.Less otherwise; a term
+// outside the compilable fragment, or one that fails to bind, compares
+// tuple views with Preference.Less. The gathered form is borrowed memory,
+// returned when the fold is over. Input and output sets are per-shard
+// ascending; pairs is the number of cross-shard pairs the fold tested.
 func mergeShardMaxima(p pref.Preference, s *relation.Sharded, locals ShardSets) (out ShardSets, pairs int) {
 	nonEmpty, total := 0, 0
 	for i := range locals {
@@ -177,15 +181,23 @@ func mergeShardMaxima(p pref.Preference, s *relation.Sharded, locals ShardSets) 
 		g := s.Gather(locals).Borrow()
 		defer g.Release()
 		if c, ok := pref.Compile(p, g); ok {
-			if fs := c.Flat(); fs != nil {
+			switch fs := c.Flat(); {
+			case fs == nil:
+				f.less = c.Less
+			case AVX2Enabled():
+				exact := chainExact(c)
+				f.members, f.part = newBlockFilter(fs, exact), newBlockFilter(fs, exact)
+				defer f.members.release()
+				defer f.part.release()
+			default:
 				f.flat = newFlatKernel(fs, g.Len()+1)
 				defer f.flat.release()
-			} else {
-				f.less = c.Less
 			}
 		}
 	}
 	switch {
+	case f.members != nil:
+		dominanceRuns[DominanceBlocksAVX2].Add(1)
 	case f.flat != nil:
 		dominanceRuns[DominanceFlat].Add(1)
 	case f.less != nil:
@@ -241,14 +253,21 @@ func mergeShardMaxima(p pref.Preference, s *relation.Sharded, locals ShardSets) 
 // inside W is immaterial, so an evicted member's place is taken by the
 // last member still standing and the holes close once per part.
 //
-// Exactly one comparator is set: flat holds W as row-major records
-// (member m in slot m), less answers the strict order on slots — the
-// compiled predicate tree, or Preference.Less over tuple views.
+// On a flat shape with the AVX2 kernel the same W′ comes out of two one-way
+// sweeps instead (sweep): survivors(L) are the rows of L no member beats,
+// survivors(W) the members no row of survivors(L) beats — a row of L that
+// some member beats cannot beat another member, W being an antichain.
+//
+// Exactly one comparator is set: members and part are the blocked stores
+// of the two sweeps, flat holds W as row-major records (member m in slot
+// m), less answers the strict order on slots — the compiled predicate
+// tree, or Preference.Less over tuple views.
 type antichainFold struct {
-	flat  *flatKernel
-	less  func(i, j int) bool
-	rows  []int // rows[m] is the union slot of member m
-	pairs int   // tests made
+	members, part *maximaFilter
+	flat          *flatKernel
+	less          func(i, j int) bool
+	rows          []int // rows[m] is the union slot of member m
+	pairs         int   // cross-shard pairs tested
 }
 
 // compare tests union slot b — staged, on the flat comparator — against
@@ -277,8 +296,48 @@ func (f *antichainFold) move(from, to int) {
 	}
 }
 
+// sweep is add on the blocked comparator: W is blocked once, the part's
+// rows go through those blocks, the survivors are blocked once, and W's
+// rows go through theirs — strict dominance only, so equal rows on either
+// side stay. Every pair the second sweep tests the first has tested the
+// other way round (a surviving row of the part was offered every member),
+// so pairs counts the first sweep's lanes: at most |W|·|L|, and at most
+// twice that many one-way lane tests in all.
+func (f *antichainFold) sweep(lo, hi int) {
+	if len(f.rows) == 0 {
+		for b := lo; b < hi; b++ {
+			f.rows = append(f.rows, b)
+		}
+		return
+	}
+	w, l := f.members, f.part
+	w.reset()
+	for _, m := range f.rows {
+		w.confirm(m)
+	}
+	l.reset()
+	for b := lo; b < hi; b++ {
+		if !w.dominated(b) {
+			l.confirm(b)
+		}
+	}
+	f.pairs = w.lanes
+	keep := 0
+	for _, m := range f.rows {
+		if !l.dominated(m) {
+			f.rows[keep] = m
+			keep++
+		}
+	}
+	f.rows = append(f.rows[:keep], l.rows...)
+}
+
 // add folds in the part of union slots lo..hi-1, an antichain.
 func (f *antichainFold) add(lo, hi int) {
+	if f.members != nil {
+		f.sweep(lo, hi)
+		return
+	}
 	before := len(f.rows) // members [live, before) are holes
 	live := before
 candidates:
@@ -316,19 +375,20 @@ candidates:
 }
 
 // ShardMergeMode names the comparator the cross-shard fold of a term
-// runs on — "flat" records, the compiled predicate "tree", or
-// "interpreted" tuple views for terms outside the compilable fragment.
-// Query explanation reports it per phase. (A compilable term whose bind
-// fails at run time — an ordinal layer past its coding cap — folds
-// interpreted.)
+// runs on — the blocked sweeps ("blocks-avx2") or three-way "flat" records
+// for the flat fragment, by the AVX2 kernel's switch; the compiled
+// predicate "tree"; or "interpreted" tuple views for terms outside the
+// compilable fragment. Query explanation reports it per phase. (A
+// compilable term whose bind fails at run time — an ordinal layer past its
+// coding cap — folds interpreted.)
 func ShardMergeMode(p pref.Preference) string {
 	switch {
 	case !pref.Compilable(p):
 		return "interpreted"
 	case pref.FlatShaped(p):
-		return "flat"
+		return dominanceFor(false, true, SFS).String()
 	}
-	return "tree"
+	return DominanceTree.String()
 }
 
 // GroupByShardedOn is the sharded counterpart of GroupByIndicesOn: each

@@ -422,8 +422,11 @@ func TestPlanSharded(t *testing.T) {
 	if sp.Shards != 4 || sp.Input != flat.Len() {
 		t.Fatalf("plan shards=%d input=%d", sp.Shards, sp.Input)
 	}
-	if sp.Merge != "flat" {
-		t.Fatalf("a flat-fragment term must fold on flat records, got %s", sp.Merge)
+	// One name for one comparator: the fold's two sweeps run on what a
+	// sorted pass over the term runs on.
+	merge := dominanceOf(p, SFS).String()
+	if sp.Merge != merge || (merge != "flat" && merge != "blocks-avx2") {
+		t.Fatalf("a flat-fragment term must fold on score blocks or flat records, got %s (sorted passes: %s)", sp.Merge, merge)
 	}
 	if sp.PerShard == nil || sp.PerShard.Algorithm == Auto {
 		t.Fatalf("plan must resolve the per-shard algorithm, got %+v", sp.PerShard)
@@ -432,7 +435,7 @@ func TestPlanSharded(t *testing.T) {
 	if strings.Contains(text, "→ sharded") || strings.Contains(text, "→ flat") || strings.Contains(text, "flatten") {
 		t.Fatalf("ShardPlan.Explain must not carry a sharded-vs-flat route:\n%s", text)
 	}
-	for _, want := range []string{"shards=4", "merge=fold dominance=flat", "merge: flat fold over ≈", "cross-shard pairs", "per-shard plan:"} {
+	for _, want := range []string{"shards=4", "merge=fold dominance=" + merge, "merge: " + merge + " fold over ≈", "cross-shard pairs", "per-shard plan:"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("ShardPlan.Explain missing %q:\n%s", want, text)
 		}
@@ -448,19 +451,24 @@ func TestPlanSharded(t *testing.T) {
 // BenchmarkShardMerge prices the cross-shard fold alone: 2, 4 and 8 parts
 // holding 16, 256 and 2048 local maxima between them (antichains cut from
 // the shards' real local maxima over anti-correlated d=3, where most of
-// them survive the merge — the expensive regime), on flat records and on
-// the predicate tree (the same order through a dual, which leaves the flat
-// fragment). An iteration is one gathered bind of the union plus the
-// fold; pairs/op is the fold's own count of tests, Σ|W|·|Lᵢ| at most.
+// them survive the merge — the expensive regime), in two blocked sweeps
+// per part (the flat fragment with the AVX2 kernel on), three-way on flat
+// records (the same term with it off) and on the predicate tree (the same
+// order through a dual, which leaves the flat fragment). An iteration is
+// one gathered bind of the union plus the fold; pairs/op is the fold's own
+// count of cross-shard pairs tested, Σ|W|·|Lᵢ| at most.
 func BenchmarkShardMerge(b *testing.B) {
 	defer relation.PoisonReleasedSlabs(relation.PoisonReleasedSlabs(false))
 	rel := workload.Numeric(64000, 3, workload.AntiCorrelated, 18)
+	chain := pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))
 	terms := []struct {
-		name string
+		name string // the comparator: ShardMergeMode under the row's kernel setting
+		avx2 bool
 		p    pref.Preference
 	}{
-		{"flat", pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))},
-		{"tree", pref.ParetoAll(pref.Dual(pref.HIGHEST("d1")), pref.LOWEST("d2"), pref.LOWEST("d3"))},
+		{"blocks-avx2", true, chain},
+		{"flat", false, chain},
+		{"tree", false, pref.ParetoAll(pref.Dual(pref.HIGHEST("d1")), pref.LOWEST("d2"), pref.LOWEST("d3"))},
 	}
 	for _, parts := range []int{2, 4, 8} {
 		s, err := relation.ShardRelation(rel, parts, relation.ByHash("d1"))
@@ -481,6 +489,10 @@ func BenchmarkShardMerge(b *testing.B) {
 			}
 			for _, term := range terms {
 				b.Run(fmt.Sprintf("parts-%d/maxima-%d/%s", parts, maxima, term.name), func(b *testing.B) {
+					if term.avx2 && !AVX2Available() {
+						b.Skip("no AVX2 kernel in this build")
+					}
+					defer SetAVX2Enabled(SetAVX2Enabled(term.avx2))
 					if got := ShardMergeMode(term.p); got != term.name {
 						b.Fatalf("term folds on %s", got)
 					}

@@ -26,7 +26,7 @@ import (
 // cache (position-addressed, so any candidate subset shares the relation's
 // cached bound form), the visit order sorts precomputed key vectors, and
 // the domination filter runs on the comparator sfsCompiled would pick —
-// AVX2 chain blocks, flat records or the predicate tree — with no
+// AVX2 score blocks, flat records or the predicate tree — with no
 // per-candidate allocation. Non-compilable preferences
 // keep the interface path, with the sort keys still materialized once up
 // front.
@@ -113,6 +113,7 @@ func (s *Stream) bindCompiled(c *pref.Compiled) {
 			s.keys = gatherKeys(keys, s.cand)
 		}
 		s.filter = newMaximaFilter(c)
+		dominanceRuns[s.filter.leg].Add(1)
 	}
 	s.initOrder()
 }

@@ -1,14 +1,15 @@
 package psql
 
 import (
-	"repro/internal/workload"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/engine/resultcache"
 	"repro/internal/filter"
+	"repro/internal/pref"
 	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 func TestExplainPipeline(t *testing.T) {
@@ -40,9 +41,9 @@ func TestExplainReportsAutoAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Five rows: auto resolves to SFS for a chain-product preference below
-	// the DNC threshold.
-	if !strings.Contains(plan, "[algorithm sfs, compiled evaluation]") {
+	// Five rows of a flat term: auto resolves to the window pass, by the
+	// planner's comparison of the two passes.
+	if !strings.Contains(plan, "[algorithm bnl, compiled evaluation]") {
 		t.Errorf("plan must state the resolved algorithm:\n%s", plan)
 	}
 	plan, err = ExplainQuery("SELECT * FROM car PREFERRING LOWEST(price)", testCatalog(), Options{Algorithm: engine.Naive})
@@ -378,36 +379,30 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 				}
 			}
 		}
-		// AROUND ⊗ HIGHEST is in the flat fragment and not a chain product:
-		// every pass of it — per shard and merge — compares on records.
-		passes := func() (flat, other uint64) {
-			return engine.DominanceRuns(engine.DominanceFlat),
-				engine.DominanceRuns(engine.DominanceTree) + engine.DominanceRuns(engine.DominanceChainAVX2) + engine.DominanceRuns(engine.DominanceCoords)
-		}
-		ranFlat := func(when string, flat0, other0 uint64) {
+		// AROUND ⊗ HIGHEST is in the flat fragment: every pass of it compares
+		// on records — the per-shard window passes — or, the cross-shard
+		// fold with the AVX2 kernel on, on score blocks.
+		merge := engine.ShardMergeMode(pref.Pareto(pref.AROUND("mileage", 60000), pref.HIGHEST("horsepower")))
+		ranAsSaid := func(when string, before [4]uint64) {
 			t.Helper()
-			if flat, other := passes(); flat == flat0 || other != other0 {
-				t.Errorf("%s: %s: flat passes %d→%d, other comparators %d→%d; EXPLAIN said dominance=flat", c.name, when, flat0, flat, other0, other)
+			want := [4]uint64{engine.DominanceFlat: c.shards}
+			if c.shards > 1 {
+				want[mergeComparator(merge)]++
+			}
+			if got := passesSince(before); got != want {
+				t.Errorf("%s: %s: passes per comparator (tree, flat, blocks, coords) %v, want %v: one window pass per shard on records, plus the fold on %s",
+					c.name, when, got, want, merge)
 			}
 		}
 		mustContain("cold selective", explain(selective), c.gathered, "eval=compiled bind=gathered dominance=flat",
-			"SFS keys: gathered bind ranks 2 leaf vector(s) over the ", "result cache: cold")
+			"SFS keys: one pass sums 2 score column(s) over the ", "result cache: cold")
 		hits0, misses0 := engine.CompileCacheStats()
 		g0 := engine.GatheredBinds()
-		flat0, other0 := passes()
+		before := passesSince([4]uint64{})
 		if _, err := Run(selective, c.cat, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		ranFlat("selective run", flat0, other0)
-		// One window pass per shard, and over several shards the one fold
-		// the merge line announced — on records, as it said.
-		wantPasses := uint64(c.shards)
-		if c.shards > 1 {
-			wantPasses++
-		}
-		if flat, _ := passes(); flat-flat0 != wantPasses {
-			t.Errorf("%s: selective run: %d flat passes, want %d (one per shard, plus the cross-shard fold)", c.name, flat-flat0, wantPasses)
-		}
+		ranAsSaid("selective run", before)
 		hits1, misses1 := engine.CompileCacheStats()
 		if hits1 != hits0 || misses1 != misses0 || engine.GatheredBinds() != g0+c.shards {
 			t.Errorf("%s: selective run: compile hits %d→%d misses %d→%d gathered %d→%d, want one gathered bind per shard and no cache traffic",
@@ -416,31 +411,92 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 		mustContain("selective after run", explain(selective), c.gathered, "bind=gathered dominance=flat", "result cache: hit")
 
 		mustContain("cold unfiltered", explain(unfiltered), c.cold, "eval=compiled cache=cold dominance=flat",
-			"SFS keys: cold whole-relation bind ranks 2 leaf vector(s) over all ")
-		flat0, other0 = passes()
+			"SFS keys: one pass sums 2 score column(s) over the ")
+		before = passesSince([4]uint64{})
 		if _, err := Run(unfiltered, c.cat, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		ranFlat("unfiltered run", flat0, other0)
+		ranAsSaid("unfiltered run", before)
 		if engine.GatheredBinds() != g0+c.shards {
 			t.Errorf("%s: an unfiltered statement must not bind gathered", c.name)
 		}
-		mustContain("unfiltered after run", explain(unfiltered), c.warm, "eval=compiled cache=hit dominance=flat", "SFS keys: cached with the bound form")
+		mustContain("unfiltered after run", explain(unfiltered), c.warm, "eval=compiled cache=hit dominance=flat", "SFS keys: one pass sums 2 score column(s) over the ")
 		// A selective statement sharing a term that is already bound uses
 		// the cached form at any selectivity.
 		shared := "SELECT oid FROM car WHERE price <= 9000 PREFERRING mileage AROUND 70000 AND HIGHEST(horsepower)"
 		mustContain("selective over a cached term", explain(shared), c.warm)
 		if c.shards > 1 {
-			mustContain("sharded merge", explain(selective), "merge=fold dominance=flat", "merge: flat fold over ≈", "cross-shard pairs")
+			mustContain("sharded merge", explain(selective), "merge=fold dominance="+merge, "merge: "+merge+" fold over ≈", "cross-shard pairs")
 		}
 	}
+
+	// The algorithm is part of what EXPLAIN promises: a Pareto group whose
+	// window is a large share of its candidates plans the sorted pass —
+	// and every pass of the run, per shard and fold, is a one-way pass on
+	// the comparator the plan line names, before and after.
+	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
+	ptsSharded, err := relation.ShardRelation(pts, 2, relation.ByRange("d1", relation.RangeBounds(pts, "d1", 2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pareto3 := "SELECT * FROM pts WHERE d4 <= 0.031 PREFERRING d1 AROUND 0.41 AND d2 AROUND 0.63 AND LOWEST(d3)"
+	sorted := engine.ShardMergeMode(pref.Pareto(pref.AROUND("d1", 0.41), pref.LOWEST("d3")))
+	for _, c := range []struct {
+		name   string
+		cat    Catalog
+		passes uint64
+	}{{"flat", Catalog{"pts": pts}, 1}, {"sharded", Catalog{"pts": ptsSharded}, 3}} {
+		for _, when := range []string{"before", "after"} {
+			text, err := ExplainQuery(pareto3, c.cat, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{"[algorithm sfs", "bind=gathered dominance=" + sorted, "→ sfs", "a sorted-filter pair on " + sorted} {
+				if !strings.Contains(text, want) {
+					t.Errorf("pareto3 %s, EXPLAIN %s the run, missing %q:\n%s", c.name, when, want, text)
+				}
+			}
+			if when == "after" {
+				break
+			}
+			before := passesSince([4]uint64{})
+			if _, err := Run(pareto3, c.cat, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			want := [4]uint64{}
+			want[mergeComparator(sorted)] = c.passes
+			if got := passesSince(before); got != want {
+				t.Errorf("pareto3 %s: passes per comparator (tree, flat, blocks, coords) %v, want %v: EXPLAIN said sfs on %s", c.name, got, want, sorted)
+			}
+		}
+	}
+}
+
+// passesSince returns the compiled passes that ran per comparator since
+// the given reading (the zero reading: since process start).
+func passesSince(before [4]uint64) [4]uint64 {
+	var out [4]uint64
+	for d := range out {
+		out[d] = engine.DominanceRuns(engine.Dominance(d)) - before[d]
+	}
+	return out
+}
+
+// mergeComparator maps a comparator's EXPLAIN label back to its counter.
+func mergeComparator(label string) engine.Dominance {
+	for d := engine.DominanceTree; d <= engine.DominanceCoords; d++ {
+		if d.String() == label {
+			return d
+		}
+	}
+	panic("no comparator is labelled " + label)
 }
 
 // TestExplainWorkloadStatementsAvoidTheTree: every statement shape the
 // served benchmark sends — the hot pool's AROUND ⊗ HIGHEST, the three
 // cold_skyline shapes over two range shards, durable_paged's selective
 // read over hash shards — is answered by the flat record kernel or the
-// AVX2 chain blocks: EXPLAIN says so on the plan line and on the merge
+// AVX2 score blocks: EXPLAIN says so on the plan line and on the merge
 // line, and running them leaves the predicate tree's pass counter where
 // it was. A term outside the fragment still reports (and takes) the tree.
 func TestExplainWorkloadStatementsAvoidTheTree(t *testing.T) {
@@ -479,10 +535,10 @@ func TestExplainWorkloadStatementsAvoidTheTree(t *testing.T) {
 				continue
 			}
 			switch {
-			case strings.Contains(line, "dominance=flat"), strings.Contains(line, "dominance=chain-avx2"):
+			case strings.Contains(line, "dominance=flat"), strings.Contains(line, "dominance=blocks-avx2"):
 				fields++
 			default:
-				t.Errorf("%s: plan line without a record or chain comparator: %q", c.name, line)
+				t.Errorf("%s: plan line without a record or block comparator: %q", c.name, line)
 			}
 		}
 		if _, sharded := c.cat[strings.Fields(c.stmt[strings.Index(c.stmt, "FROM ")+5:])[0]].(*relation.Sharded); sharded && fields != 2 || !sharded && fields != 1 {
