@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-noasm test-noavx2 test-ties test-faults test-serve test-resultcache test-persist test-bench bench bench-cold bench-serve bench-json benchdiff lint lint-docs fmt
+.PHONY: build test test-noasm test-noavx2 test-ties test-faults test-serve test-resultcache test-persist test-bench bench bench-cold bench-serve bench-json benchdiff lint lint-docs loc fmt
 
 build:
 	$(GO) build ./...
@@ -180,6 +180,18 @@ lint-docs:
 			END { exit bad }' $$f || fail=1; \
 	done; \
 	if [ $$fail -ne 0 ]; then echo "lint-docs: exported symbols need doc comments"; exit 1; fi
+
+# Non-test, non-blank, non-comment Go lines per package under internal/
+# and cmd/ (a package's subdirectories count with it), then the total: the
+# line count ROADMAP asks each PR to report beside its benchmark rows. CI
+# writes it to the job summary.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | sort | xargs awk '\
+		FNR == 1 { split(FILENAME, p, "/"); pkg = p[1] "/" p[2] } \
+		{ s = $$0; gsub(/^[ \t]+|[ \t]+$$/, "", s) } \
+		s == "" || s ~ /^\/\// { next } \
+		{ n[pkg]++; total++ } \
+		END { for (k in n) printf "%-26s %6d\n", k, n[k] | "sort"; close("sort"); printf "%-26s %6d\n", "total", total }'
 
 fmt:
 	gofmt -w .

@@ -34,14 +34,16 @@ type Key struct {
 // has served yet, warm the ones some Get has, each in arrival order — and
 // the list of its (source, version) group, reachable through groups. A
 // Put at capacity drops the other versions' groups of its own source
-// whole, then pops the cold queue before the warm one: amortised O(1),
-// whatever the capacity.
+// whole, then pops the cold queue before the warm one — unless the cold
+// queue holds less than its reserved share of the capacity: amortised
+// O(1), whatever the capacity.
 type Cache[V any] struct {
 	cap int
 
 	mu         sync.Mutex
 	m          map[Key]*entry[V]
 	cold, warm queue[V]
+	nCold      int                          // entries on the cold queue
 	groups     map[any]map[uint64]*group[V] // source → version → the entries bound at it
 
 	hits, misses atomic.Uint64
@@ -62,6 +64,14 @@ type entry[V any] struct {
 
 // group lists the entries of one (source, version).
 type group[V any] struct{ head *entry[V] }
+
+// coldShare is the share of a cache's capacity (1/coldShare) held open for
+// entries no Get has served yet. Without it a cache full of reused entries
+// would make each newcomer evict the previous one: two statements arriving
+// alternately would never see their own entry again. The share lets a
+// newcomer stay long enough to be asked for twice, and at 1/4 it leaves
+// three quarters of the capacity to what the workload keeps reusing.
+const coldShare = 4
 
 // queue is an intrusive FIFO over the entries' prev/next links.
 type queue[V any] struct{ head, tail *entry[V] }
@@ -120,7 +130,7 @@ func New[V any](capacity int) *Cache[V] {
 func (c *Cache[V]) init() {
 	c.m = make(map[Key]*entry[V])
 	c.groups = make(map[any]map[uint64]*group[V])
-	c.cold, c.warm = queue[V]{}, queue[V]{}
+	c.cold, c.warm, c.nCold = queue[V]{}, queue[V]{}, 0
 }
 
 // link files a new entry under its key, at the back of the cold queue and
@@ -128,6 +138,7 @@ func (c *Cache[V]) init() {
 func (c *Cache[V]) link(e *entry[V]) {
 	c.m[e.k] = e
 	c.cold.push(e)
+	c.nCold++
 	vers := c.groups[e.k.Src]
 	if vers == nil {
 		vers = make(map[uint64]*group[V], 1)
@@ -152,6 +163,7 @@ func (c *Cache[V]) unlink(e *entry[V]) {
 		c.warm.remove(e)
 	} else {
 		c.cold.remove(e)
+		c.nCold--
 	}
 	if e.gnext != nil {
 		e.gnext.gprev = e.gprev
@@ -219,6 +231,7 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 		v = e.v
 		if !e.reused {
 			c.cold.remove(e)
+			c.nCold--
 			e.reused = true
 			c.warm.push(e)
 		}
@@ -249,8 +262,11 @@ func (c *Cache[V]) Peek(k Key) (V, bool) {
 // then — one at a time until there is room — an entry no Get ever served
 // before any that one did, oldest first within each class: a flood of
 // distinct one-shot statements evicts its own leftovers, not the bound
-// forms and results the workload keeps coming back to. Neither step walks
-// the map (see Cache), so admission costs the same at any capacity.
+// forms and results the workload keeps coming back to. While fewer than
+// cap/coldShare entries are unserved, the oldest served entry goes
+// instead, so a newcomer always has room to be asked for again. Neither
+// step walks the map (see Cache), so admission costs the same at any
+// capacity.
 // Overwriting an existing key never evicts: it cannot grow the map
 // (duplicate Puts are the normal outcome of two goroutines racing the
 // same miss).
@@ -269,7 +285,7 @@ func (c *Cache[V]) Put(k Key, v V) {
 		}
 		for len(c.m) >= c.cap {
 			victim := c.cold.head
-			if victim == nil {
+			if victim == nil || c.nCold < max(1, c.cap/coldShare) && c.warm.head != nil {
 				victim = c.warm.head
 			}
 			c.unlink(victim)

@@ -80,6 +80,43 @@ func TestReusedEntrySurvivesOneShotFlood(t *testing.T) {
 	}
 }
 
+// TestAlternatingKeysInFullWarmCache: a cache full of entries that have
+// all been hit must still serve two keys that arrive alternately. With
+// never-reused-first admission alone each newcomer evicted the previous
+// one — 0 hits in 20 lookups — which is what a served process reaches when
+// a superseded snapshot's reused entries fill the compile cache (it keys
+// on the per-generation snapshot, so the same-source stale-version rule
+// never drops them).
+func TestAlternatingKeysInFullWarmCache(t *testing.T) {
+	c := New[int](8)
+	stale := &src{"superseded snapshot"}
+	for i := 0; i < 8; i++ {
+		k := Key{Src: stale, Version: 1, Term: "reused#" + strconv.Itoa(i)}
+		c.Put(k, i)
+		c.Get(k)
+	}
+	live := &src{"current snapshot"}
+	a, b := Key{Src: live, Version: 1, Term: "A"}, Key{Src: live, Version: 1, Term: "B"}
+	hits := 0
+	for i := 0; i < 20; i++ {
+		k := a
+		if i%2 == 1 {
+			k = b
+		}
+		if _, ok := c.Get(k); ok {
+			hits++
+		} else {
+			c.Put(k, i)
+		}
+		if c.Len() > 8 {
+			t.Fatalf("cache grew to %d entries past its cap", c.Len())
+		}
+	}
+	if hits != 18 {
+		t.Fatalf("alternating keys in a full warm cache: %d hits of 20 lookups, want 18 (each key misses once)", hits)
+	}
+}
+
 // TestAdmissionOrderUnderFlood pins the whole eviction order at once: a
 // full cache holding reused entries, never-read entries and stale
 // versions of the flooding source takes a flood of one-shot Puts. The

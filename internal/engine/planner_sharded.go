@@ -41,13 +41,10 @@ func PlanSharded(p pref.Preference, s *relation.Sharded, env Env) *ShardPlan {
 // PlanShardedOn plans evaluation over per-shard candidate subsets (nil
 // means every row); the psql EXPLAIN front-end inlines its rendering.
 func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env Env) *ShardPlan {
-	if sets == nil {
-		sets = AllShardSets(s)
-	}
 	n := sets.Total(s)
 	rep, repN := 0, -1
 	for i := 0; i < s.NumShards(); i++ {
-		ni := len(sets.Resolve(s, i))
+		ni := sets.count(s, i)
 		if ni > repN {
 			rep, repN = i, ni
 		}

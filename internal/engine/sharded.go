@@ -52,22 +52,33 @@ func AllShardSets(s *relation.Sharded) ShardSets {
 }
 
 // Total returns the total candidate count; table must be the sharded
-// table the sets index into (for resolving nil elements).
+// table the sets index into (for resolving a nil receiver or nil
+// elements).
 func (ss ShardSets) Total(table *relation.Sharded) int {
 	n := 0
-	for i := range ss {
-		if ss[i] == nil {
-			n += table.Shard(i).Len()
-		} else {
-			n += len(ss[i])
-		}
+	for i := 0; i < table.NumShards(); i++ {
+		n += ss.count(table, i)
 	}
 	return n
 }
 
+// count returns shard i's candidate count without resolving a nil
+// element (every row) to positions.
+func (ss ShardSets) count(table *relation.Sharded, i int) int {
+	if ss == nil || ss[i] == nil {
+		return table.Shard(i).Len()
+	}
+	return len(ss[i])
+}
+
 // GlobalIDs flattens the per-shard sets into global row ids in
-// shard-major order; table resolves nil elements.
+// shard-major order; table resolves nil elements. A lone non-nil set is
+// returned as is — on one shard the global ids are the positions
+// (GlobalID(0, i) == i) — so callers must not modify the result.
 func (ss ShardSets) GlobalIDs(table *relation.Sharded) []int {
+	if len(ss) == 1 && ss[0] != nil {
+		return ss[0]
+	}
 	out := make([]int, 0, ss.Total(table))
 	for i := range ss {
 		set := ss[i]

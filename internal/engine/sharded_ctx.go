@@ -95,9 +95,11 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 	}
 	// Rendered once, before the fan-out: every shard's bind-scope probe,
 	// compile-cache lookup and result key reuse them.
-	keys := stmtKeys{keyedTerm: keyTerm(p)}
+	var keys stmtKeys
 	if keyed {
 		keys = keysOf(p, where)
+	} else {
+		keys.keyedTerm = keyTerm(p)
 	}
 	locals := make(ShardSets, s.NumShards())
 	var accepted ShardSets
@@ -105,15 +107,14 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 		accepted = make(ShardSets, s.NumShards())
 	}
 	errs := relation.FanShardsCtx(ctx, s.NumShards(), rb.ShardTimeout, func(ictx context.Context, i int) error {
-		cand := sets.Resolve(s, i)
-		if len(cand) == 0 {
+		if sets.count(s, i) == 0 {
 			return nil // nothing to evaluate: the shard is not visited, so it cannot fail
 		}
 		if err := faultinject.Invoke(ictx, s, i); err != nil {
 			return err
 		}
-		shard := s.Shard(i)
-		canServe := keyed && (where != nil || sets[i] == nil)
+		shard, cand := s.Shard(i), sets[i]
+		canServe := keyed && (where != nil || cand == nil)
 		var (
 			key shardResultKey
 			out []int
@@ -124,6 +125,11 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 			out, hit = key.serve(ictx)
 		}
 		if !hit {
+			// "Every row" resolves to positions only here: a result-cache
+			// hit on a whole shard allocates nothing of the shard's size.
+			if cand == nil {
+				cand = allIndices(shard.Len())
+			}
 			var keep func(evaluated)
 			if canServe {
 				keep = func(ev evaluated) { key.store(p, shard, where, ev) }
@@ -146,15 +152,18 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 	if err != nil {
 		return nil, nil, err
 	}
-	// Copy the responsive shards into a fresh set before merging: an
-	// abandoned worker may still be running (it exits when its canceller
-	// observes the dead context) and would race with any touch of its
-	// locals slot. Slots with a nil error slot are ordered after their
-	// worker's completion send; only those are read.
-	responsive := make(ShardSets, len(locals))
-	for i := range locals {
-		if errs[i] == nil {
-			responsive[i] = locals[i]
+	// With shards missing, copy the responsive ones into a fresh set before
+	// merging: an abandoned worker may still be running (it exits when its
+	// canceller observes the dead context) and would race with any touch
+	// of its locals slot. Slots with a nil error slot are ordered after
+	// their worker's completion send; only those are read.
+	responsive := locals
+	if part != nil {
+		responsive = make(ShardSets, len(locals))
+		for i := range locals {
+			if errs[i] == nil {
+				responsive[i] = locals[i]
+			}
 		}
 	}
 	// The merge runs over already-reduced local maxima — cheap relative

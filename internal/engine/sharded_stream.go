@@ -34,6 +34,7 @@ import (
 type ShardedStream struct {
 	table      *relation.Sharded
 	candidates int
+	flat       *Stream // a one-shard table's stream (see EvalStreamShardedCtx); nil otherwise
 
 	progressive bool
 	vecs        [][][]float64 // per shard, per dimension raw score vectors
@@ -235,10 +236,20 @@ func StreamShardedKeyed(p pref.Preference) bool {
 
 // Progressive reports whether the stream confirms maxima incrementally
 // (true) or falls back to one batch sharded evaluation (false).
-func (st *ShardedStream) Progressive() bool { return st.progressive }
+func (st *ShardedStream) Progressive() bool {
+	if st.flat != nil {
+		return st.flat.Progressive()
+	}
+	return st.progressive
+}
 
 // Consumed returns the number of candidates examined so far.
-func (st *ShardedStream) Consumed() int { return st.consumed }
+func (st *ShardedStream) Consumed() int {
+	if st.flat != nil {
+		return st.flat.Consumed()
+	}
+	return st.consumed
+}
 
 // headLess orders two shard cursors by the merge relation: larger raw-lex
 // key first, key ties by ascending global id — the exact total order the
@@ -300,6 +311,9 @@ func (st *ShardedStream) advanceTop() {
 // ok=false when the result set is exhausted — or, on a ctx stream, when
 // the context died (Err reports the cause) or Close was called.
 func (st *ShardedStream) Next() (gid int, ok bool) {
+	if st.flat != nil {
+		return st.flat.Next()
+	}
 	if st.closed {
 		return 0, false
 	}

@@ -28,20 +28,25 @@ import (
 // (without modifying it); callers must not mutate the slice while the
 // stream is live. idx must not contain duplicates.
 func EvalStreamCtx(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) *Stream {
-	n := r.Len()
-	if idx != nil {
-		n = len(idx)
-	}
-	s := &Stream{n: n, cand: idx}
-	ctx, s.cc, s.cancel = streamContext(ctx)
-	s.batch = func(cand []int) ([]int, error) {
+	ctx, cc, cancel := streamContext(ctx)
+	return startStream(ctx, cc, cancel, p, r, idx, func(cand []int) ([]int, error) {
 		if cand == nil {
 			cand = allIndices(r.Len())
 		}
 		return runCancellable(ctx, func(cc *canceller) []int {
 			return bmoOnCC(p, r, alg, EvalAuto, cand, cc)
 		})
+	})
+}
+
+// startStream binds a stream over the candidates idx of r (nil: every
+// row) under its derived context, with batch as the keyless fallback.
+func startStream(ctx context.Context, cc *canceller, cancel func(), p pref.Preference, r *relation.Relation, idx []int, batch func(cand []int) ([]int, error)) *Stream {
+	n := r.Len()
+	if idx != nil {
+		n = len(idx)
 	}
+	s := &Stream{n: n, cand: idx, cc: cc, cancel: cancel, batch: batch}
 	if err := ctx.Err(); err != nil {
 		// A context dead on arrival yields zero rows, not a stride's worth.
 		s.fail(err)
@@ -115,11 +120,13 @@ func (s *Stream) Close() {
 // per-shard state is built synchronously at start, so there is no shard
 // to lose mid-stream — cancellation just stops the enumeration (Err
 // reports the cause).
+//
+// A one-shard table streams as its shard: the flat progressive Stream
+// over shard 0, whose positions are the global ids — so every keyed term
+// (PRIOR TO, POS/EXPLICIT), not only chain products, confirms
+// progressively — with the sharded batch above as its keyless fallback.
 func EvalStreamShardedCtx(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, rb Robust) *ShardedStream {
 	st := &ShardedStream{table: s, candidates: sets.Total(s)}
-	if sets == nil {
-		st.candidates = s.Len()
-	}
 	ctx, st.cc, st.cancel = streamContext(ctx)
 	st.batch = func() ([]int, error) {
 		out, part, err := BMOShardedOnCtx(ctx, p, s, alg, sets, rb)
@@ -128,6 +135,14 @@ func EvalStreamShardedCtx(ctx context.Context, p pref.Preference, s *relation.Sh
 		}
 		st.partial = part
 		return out.GlobalIDs(s), nil
+	}
+	if s.NumShards() == 1 {
+		var idx []int
+		if sets != nil {
+			idx = sets[0]
+		}
+		st.flat = startStream(ctx, st.cc, st.cancel, p, s.Shard(0), idx, func([]int) ([]int, error) { return st.batch() })
+		return st
 	}
 	if err := ctx.Err(); err != nil {
 		// A context dead on arrival yields zero rows, not a stride's worth.
@@ -146,7 +161,12 @@ func (st *ShardedStream) fail(err error) {
 
 // Err returns the error that terminated the stream early, or nil; see
 // Stream.Err.
-func (st *ShardedStream) Err() error { return st.err }
+func (st *ShardedStream) Err() error {
+	if st.flat != nil {
+		return st.flat.Err()
+	}
+	return st.err
+}
 
 // Partial reports the shards missing from the enumeration after a
 // batch-fallback evaluation under PolicyPartial, nil for a complete
@@ -161,6 +181,9 @@ func (st *ShardedStream) Close() {
 		return
 	}
 	st.closed = true
+	if st.flat != nil {
+		st.flat.Close()
+	}
 	if st.cancel != nil {
 		st.cancel()
 	}

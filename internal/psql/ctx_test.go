@@ -290,3 +290,29 @@ func TestExecStreamCtxCancelled(t *testing.T) {
 		}
 	}
 }
+
+// TestExecCtxFlatTableIsOneShard: a flat table runs as its one-shard view,
+// so the fault stack reaches it — a fault installed on the view fires and
+// the per-shard deadline cuts a hung evaluation off, in a batch statement
+// and in a stream's batch pass.
+func TestExecCtxFlatTableIsOneShard(t *testing.T) {
+	flatCat, _ := shardedCatalog(t, 200, 2, 5)
+	view := relation.OneShard(flatCat["car"].(*relation.Relation))
+	faultinject.Install(view, 0, faultinject.Fault{Mode: faultinject.Hang})
+	t.Cleanup(func() { faultinject.RemoveAll(view) })
+	opts := Options{Robust: engine.Robust{ShardTimeout: 30 * time.Millisecond}}
+	q, err := Parse("SELECT oid FROM car PREFERRING EXPLICIT(color, ('blue', 'red'))") // keyless: streams through the batch
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := ExecCtx(context.Background(), q, flatCat, opts); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("batch err = %v, want the shard deadline", err)
+	}
+	if _, _, err := ExecStreamCtx(context.Background(), q, flatCat, opts, func(relation.Row) bool { return true }); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stream err = %v, want the shard deadline", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("the shard deadline did not bound the flat table: %v", elapsed)
+	}
+}

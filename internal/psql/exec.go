@@ -16,9 +16,10 @@ import (
 )
 
 // Catalog resolves table names for query execution. A table is either a
-// flat *relation.Relation or a *relation.Sharded — execution dispatches
-// on the concrete storage layout, so registering a sharded table routes
-// every query through the shard-aware entry points.
+// flat *relation.Relation or a *relation.Sharded; a flat table runs as
+// one shard (relation.OneShard), so every statement — batch, stream or
+// EXPLAIN — takes the one sharded pipeline, and a flat relation and its
+// view share every cached bound form and result.
 type Catalog map[string]relation.Table
 
 // Drop removes a table from the catalog and evicts every bound form
@@ -47,12 +48,34 @@ func (c Catalog) Replace(name string, tbl relation.Table) {
 
 // evictTable sweeps a table's cached bound forms, whatever its layout.
 func evictTable(tbl relation.Table) {
-	switch t := tbl.(type) {
-	case *relation.Relation:
-		engine.EvictRelation(t)
-	case *relation.Sharded:
-		engine.EvictSharded(t)
+	if s, ok := sharded(tbl); ok {
+		engine.EvictSharded(s)
 	}
+}
+
+// sharded is the one place a catalog table's layout is read: a sharded
+// table is itself, a flat relation its one-shard view.
+func sharded(tbl relation.Table) (*relation.Sharded, bool) {
+	switch t := tbl.(type) {
+	case *relation.Sharded:
+		return t, true
+	case *relation.Relation:
+		return relation.OneShard(t), true
+	}
+	return nil, false
+}
+
+// lookup resolves a statement's FROM table to the table it runs on.
+func (c Catalog) lookup(name string) (*relation.Sharded, error) {
+	tbl, ok := c[name]
+	if !ok {
+		return nil, fmt.Errorf("psql: unknown relation %q", name)
+	}
+	s, ok := sharded(tbl)
+	if !ok {
+		return nil, fmt.Errorf("psql: relation %q has unsupported storage %T", name, tbl)
+	}
+	return s, nil
 }
 
 // Options configure execution.
@@ -64,11 +87,12 @@ type Options struct {
 	// pass context.Background()). Streams apply it to their batch
 	// fallback only — bound a stream through ExecStreamCtx's context.
 	Timeout time.Duration
-	// Robust configures the fault tolerance of sharded evaluation, batch
-	// or streamed: the partial-result policy plus an optional per-shard
-	// deadline. The zero value is strict and deadline-free. Fault
-	// isolation exists along shard boundaries, so Robust has no effect
-	// on flat tables (nor on the grouped step, which is always strict).
+	// Robust configures the fault tolerance of evaluation, batch or
+	// streamed: the partial-result policy plus an optional per-shard
+	// deadline. The zero value is strict and deadline-free. A flat table
+	// is one shard, so ShardTimeout bounds its evaluation too; its one
+	// shard failing fails the query under either policy. The grouped step
+	// is always strict.
 	Robust engine.Robust
 	// Admission, when non-nil, gates execution behind a bounded
 	// in-flight semaphore: the query acquires a slot before evaluating
@@ -93,15 +117,15 @@ func Run(query string, cat Catalog, opts Options) (*relation.Relation, error) {
 // finally projection. A TOP-k with a RANK preference switches to the
 // ranked (k-best) query model of §6.2 instead of BMO.
 //
-// The pipeline is index-chained over the base relation: the WHERE clause
-// compiles to a cached selection bitmap (filter.CompileCached), each soft
-// step evaluates via engine.BMOIndicesOn over the surviving row positions,
-// and rows materialize only at ORDER BY / projection time. Every compiled
-// form therefore binds to the base relation's column arrays and is reused
-// across repeated executions of the same query (or any query sharing a
-// clause) while the relation is unchanged; preference terms run through
-// algebra.Simplify first, so the evaluated term matches the one EXPLAIN
-// reports.
+// The pipeline is index-chained per shard (a flat table is one shard):
+// the WHERE clause compiles to a cached selection bitmap
+// (filter.CompileCached), each soft step evaluates over the surviving row
+// positions, and rows materialize only at ORDER BY / projection time.
+// Every compiled form therefore binds to the shard's column arrays and is
+// reused across repeated executions of the same query (or any query
+// sharing a clause) while the table is unchanged; preference terms run
+// through algebra.Simplify first, so the evaluated term matches the one
+// EXPLAIN reports.
 func Exec(q *Query, cat Catalog, opts Options) (*relation.Relation, error) {
 	res, err := ExecCtx(context.Background(), q, cat, opts)
 	if err != nil {
@@ -110,9 +134,8 @@ func Exec(q *Query, cat Catalog, opts Options) (*relation.Relation, error) {
 	return res.Rel, nil
 }
 
-// execPipeline dispatches a parsed query to the flat or sharded pipeline.
-// The context is live here: admission and the Options.Timeout deadline
-// were applied by ExecCtx before dispatch.
+// execPipeline runs a parsed query. The context is live here: admission
+// and the Options.Timeout deadline were applied by ExecCtx before.
 func execPipeline(ctx context.Context, q *Query, cat Catalog, opts Options) (*Result, error) {
 	if q.ExplainPlan {
 		text, err := Explain(q, cat, opts)
@@ -121,22 +144,15 @@ func execPipeline(ctx context.Context, q *Query, cat Catalog, opts Options) (*Re
 		}
 		return &Result{Rel: explainRelation(text)}, nil
 	}
-	tbl, ok := cat[q.From]
-	if !ok {
-		return nil, fmt.Errorf("psql: unknown relation %q", q.From)
-	}
-	tm := buildTerms(q)
-	if err := checkAttrs(q, tbl, tm); err != nil {
+	s, err := cat.lookup(q.From)
+	if err != nil {
 		return nil, err
 	}
-	if sh, sharded := tbl.(*relation.Sharded); sharded {
-		return execSharded(ctx, q, sh, tm, opts)
+	tm := buildTerms(q)
+	if err := checkAttrs(q, s, tm); err != nil {
+		return nil, err
 	}
-	base, ok := tbl.(*relation.Relation)
-	if !ok {
-		return nil, fmt.Errorf("psql: relation %q has unsupported storage %T", q.From, tbl)
-	}
-	return execFlat(ctx, q, base, tm, opts)
+	return execSharded(ctx, q, s, tm, opts)
 }
 
 // terms holds a statement's preference terms, each built from its clause
@@ -183,115 +199,16 @@ func (tm terms) each(f func(p pref.Preference)) {
 	}
 }
 
-// execFlat runs the §5/§6.1 pipeline over a flat relation. Soft steps
-// evaluate through the engine's ctx entry points (cooperative
-// cancellation at the engine's stride, free under an uncancellable
-// context); the grouped step and the BUT ONLY scan are stage-level
-// cancellable — the context is checked at their boundaries.
-func execFlat(ctx context.Context, q *Query, base *relation.Relation, tm terms, opts Options) (*Result, error) {
-	// idx == nil means "every row" throughout the soft-step chain (the
-	// engine and rank entry points all take it that way): deferring the
-	// materialization keeps a no-WHERE repeat statement free of any O(n)
-	// work when the result cache serves its maxima.
-	var idx []int
-	if q.Where != nil {
-		idx = filter.CompileCached(q.Where, base).Indices()
-	}
-	var builtPref pref.Preference
-	if q.Preferring != nil {
-		built, err := tm.preferring.p, tm.preferring.err
-		if err != nil {
-			return nil, err
-		}
-		builtPref = built
-		p := algebra.Simplify(built)
-		if s, ok := built.(pref.Scorer); ok && q.Top > 0 {
-			// Ranked query model: k best by combined score, bypassing BMO.
-			// Dispatch on the term as written (like Explain): simplification
-			// can collapse a non-Scorer accumulation to a Scorer leaf, which
-			// must stay a BMO query with TOP-k truncation. Scoring runs over
-			// the base relation's candidate positions (compiled vector when
-			// the term compiles) — nothing materializes before the k best
-			// rows are known.
-			results, err := rank.TopKOnCtx(ctx, s, base, q.Top, idx)
-			if err != nil {
-				return nil, err
-			}
-			ridx := make([]int, len(results))
-			for i, r := range results {
-				ridx[i] = r.Row
-			}
-			return wrapResult(project(q, base.Pick(ridx)))
-		}
-		if len(q.GroupingBy) > 0 {
-			// Grouped evaluation over the candidate index set: groups
-			// partition by the base relation's cached equality codes and
-			// each group evaluates as an index slice (GroupByIndicesOn), so
-			// even a WHERE-filtered grouped query stays on the catalog
-			// relation's cache-served bound form.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			idx = engine.GroupByIndicesOn(p, q.GroupingBy, base, opts.Algorithm, idx)
-		} else {
-			// First soft step over the WHERE-selected candidates: the one
-			// shape the result cache keys exactly — (relation generation,
-			// simplified term, WHERE tree) — so repeat statements serve the
-			// memoized maxima without evaluating.
-			var err error
-			if idx, err = engine.EvalIndicesCtxKeyed(ctx, p, base, opts.Algorithm, idx, q.Where); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, c := range tm.cascades {
-		built, err := c.p, c.err
-		if err != nil {
-			return nil, err
-		}
-		if builtPref == nil {
-			builtPref = built
-		}
-		if idx, err = engine.EvalIndicesCtx(ctx, algebra.Simplify(built), base, opts.Algorithm, idx); err != nil {
-			return nil, err
-		}
-	}
-	if q.ButOnly != nil {
-		if builtPref == nil {
-			return nil, fmt.Errorf("psql: BUT ONLY requires a PREFERRING clause")
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		idx = butFilter(q.ButOnly, collectBasePrefs(tm), base, idx, idx[:0])
-	}
-	if q.Skyline != nil {
-		p, err := q.Skyline.Preference()
-		if err != nil {
-			return nil, err
-		}
-		if idx, err = engine.EvalIndicesCtx(ctx, p, base, opts.Algorithm, idx); err != nil {
-			return nil, err
-		}
-	}
-	if idx == nil && q.Where == nil && q.Preferring == nil && len(q.Cascades) == 0 && q.Skyline == nil {
-		// No step narrowed the candidate set: the deferred "every row"
-		// materializes only here, for the plain-selection shape.
-		idx = allIndices(base.Len())
-	}
-	return wrapResult(finishRows(q, base.Pick(idx)))
-}
-
-// wrapResult lifts a legacy (relation, error) pair into a Result.
-func wrapResult(rel *relation.Relation, err error) (*Result, error) {
+// result packages the pipeline's rows with its partial-result report.
+func result(rel *relation.Relation, part *engine.Partial, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Rel: rel}, nil
+	return &Result{Rel: rel, Partial: part}, nil
 }
 
-// finishRows applies the materialized pipeline tail shared by the flat
-// and sharded paths: ORDER BY, TOP-k truncation and projection.
+// finishRows applies the materialized pipeline tail: ORDER BY, TOP-k
+// truncation and projection.
 func finishRows(q *Query, out *relation.Relation) (*relation.Relation, error) {
 	if len(q.OrderBy) > 0 {
 		// Pick built a fresh row slice, so the in-place sort cannot disturb
@@ -308,15 +225,16 @@ func finishRows(q *Query, out *relation.Relation) (*relation.Relation, error) {
 	return project(q, out)
 }
 
-// execSharded is the shard-aware twin of execFlat: the same §5/§6.1
-// pipeline index-chained per shard. The WHERE clause binds per shard
+// execSharded runs the §5/§6.1 pipeline index-chained per shard — a flat
+// table as its one shard. The WHERE clause binds per shard
 // through the selection cache (each shard keeps its own bitmap), every
 // soft step evaluates shard-local through the shards' cached bound forms
 // and merges cross-shard (engine.BMOShardedOnFilteredCtxKeyed /
 // GroupByShardedOn, rank.TopKShardedCtx for the ranked model), the BUT
 // ONLY quality filter threshold-scans each shard's cached measure
 // vectors, and rows materialize only at the tail — in shard-major global
-// id order, the sharded image of base relation order.
+// id order, the sharded image of base relation order (a flat table's
+// own row order: GlobalID(0, i) == i).
 //
 // Every caller runs the same steps whatever its context: per-shard panic
 // containment and deadlines, cooperative cancellation (free under an
@@ -368,7 +286,10 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, tm terms, o
 		p := algebra.Simplify(built)
 		if sc, ok := built.(pref.Scorer); ok && q.Top > 0 {
 			// Ranked query model: per-shard k-best off the cached score
-			// vectors, heap-merged to the global k.
+			// vectors, heap-merged to the global k. Dispatch on the term
+			// as written (like Explain): simplification can collapse a
+			// non-Scorer accumulation to a Scorer leaf, which must stay a
+			// BMO query with TOP-k truncation.
 			results, pt, err := rank.TopKShardedCtx(ctx, sc, s, q.Top, sets, opts.Robust)
 			if err != nil {
 				return nil, err
@@ -377,12 +298,8 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, tm terms, o
 			for i, r := range results {
 				gids[i] = r.Row
 			}
-			res, err := wrapResult(project(q, s.Pick(gids)))
-			if err != nil {
-				return nil, err
-			}
-			res.Partial = pt
-			return res, nil
+			rel, err := project(q, s.Pick(gids))
+			return result(rel, pt, err)
 		}
 		if len(q.GroupingBy) > 0 {
 			if sets, err = engine.GroupByShardedOn(ctx, p, q.GroupingBy, s, opts.Algorithm, sets); err != nil {
@@ -435,21 +352,8 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, tm terms, o
 			return nil, err
 		}
 	}
-	res, err := wrapResult(finishRows(q, s.Pick(sets.GlobalIDs(s))))
-	if err != nil {
-		return nil, err
-	}
-	res.Partial = part
-	return res, nil
-}
-
-// allIndices returns 0..n-1.
-func allIndices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
+	rel, err := finishRows(q, s.Pick(sets.GlobalIDs(s)))
+	return result(rel, part, err)
 }
 
 // checkAttrs validates every attribute reference in the query against the

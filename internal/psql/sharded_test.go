@@ -51,31 +51,34 @@ func sameOIDs(a, b []int64) bool {
 	return true
 }
 
-// TestExecShardedAgreesWithFlat: every statement shape of the pipeline —
-// WHERE, PREFERRING (chain, keyed, grouped), CASCADE, BUT ONLY, SKYLINE
-// OF, ranked TOP-k, ORDER BY — must return the same row set over a
-// sharded catalog table as over the flat relation.
+// agreementQueries are the statement shapes of the pipeline — WHERE,
+// PREFERRING (chain, keyed, grouped), CASCADE, BUT ONLY, SKYLINE OF,
+// ranked TOP-k, ORDER BY — that every layout must answer alike.
+var agreementQueries = []string{
+	"SELECT oid FROM car WHERE price <= 40000",
+	"SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(horsepower)",
+	"SELECT oid FROM car WHERE mileage <= 80000 PREFERRING LOWEST(price) AND HIGHEST(horsepower)",
+	"SELECT oid FROM car PREFERRING color IN ('red') PRIOR TO LOWEST(price)",
+	"SELECT oid FROM car PREFERRING LOWEST(price) GROUPING BY color",
+	"SELECT oid FROM car WHERE horsepower >= 80 PREFERRING LOWEST(price) GROUPING BY make, color",
+	"SELECT oid FROM car PREFERRING LOWEST(price) CASCADE HIGHEST(horsepower)",
+	"SELECT oid FROM car PREFERRING price AROUND 30000 BUT ONLY DISTANCE(price) <= 2000",
+	"SELECT oid FROM car PREFERRING price AROUND 30000 CASCADE HIGHEST(horsepower) BUT ONLY DISTANCE(price) <= 2000",
+	"SELECT oid FROM car PREFERRING price AROUND 30000 GROUPING BY color BUT ONLY DISTANCE(price) <= 2000",
+	"SELECT oid FROM car WHERE mileage <= 90000 PREFERRING price AROUND 30000 BUT ONLY DISTANCE(price) <= 1000",
+	"SELECT oid FROM car SKYLINE OF price MIN, horsepower MAX",
+	"SELECT oid FROM car WHERE price <= 45000 SKYLINE OF price MIN, mileage MIN",
+	"SELECT oid FROM car PREFERRING price AROUND 30000 TOP 7",
+	"SELECT oid, price FROM car PREFERRING LOWEST(price) AND LOWEST(mileage) ORDER BY price, oid",
+}
+
+// TestExecShardedAgreesWithFlat: every statement shape of the pipeline
+// (agreementQueries) must return the same row set over a sharded catalog
+// table as over the flat relation.
 func TestExecShardedAgreesWithFlat(t *testing.T) {
-	queries := []string{
-		"SELECT oid FROM car WHERE price <= 40000",
-		"SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(horsepower)",
-		"SELECT oid FROM car WHERE mileage <= 80000 PREFERRING LOWEST(price) AND HIGHEST(horsepower)",
-		"SELECT oid FROM car PREFERRING color IN ('red') PRIOR TO LOWEST(price)",
-		"SELECT oid FROM car PREFERRING LOWEST(price) GROUPING BY color",
-		"SELECT oid FROM car WHERE horsepower >= 80 PREFERRING LOWEST(price) GROUPING BY make, color",
-		"SELECT oid FROM car PREFERRING LOWEST(price) CASCADE HIGHEST(horsepower)",
-		"SELECT oid FROM car PREFERRING price AROUND 30000 BUT ONLY level(price) <= 2",
-		"SELECT oid FROM car PREFERRING price AROUND 30000 CASCADE HIGHEST(horsepower) BUT ONLY level(price) <= 2",
-		"SELECT oid FROM car PREFERRING price AROUND 30000 GROUPING BY color BUT ONLY level(price) <= 2",
-		"SELECT oid FROM car WHERE mileage <= 90000 PREFERRING price AROUND 30000 BUT ONLY level(price) <= 1",
-		"SELECT oid FROM car SKYLINE OF price MIN, horsepower MAX",
-		"SELECT oid FROM car WHERE price <= 45000 SKYLINE OF price MIN, mileage MIN",
-		"SELECT oid FROM car PREFERRING price AROUND 30000 TOP 7",
-		"SELECT oid, price FROM car PREFERRING LOWEST(price) AND LOWEST(mileage) ORDER BY price, oid",
-	}
 	for _, shards := range []int{1, 3, 6} {
 		flatCat, shardCat := shardedCatalog(t, 400, shards, 99)
-		for _, query := range queries {
+		for _, query := range agreementQueries {
 			want, err := Run(query, flatCat, Options{})
 			if err != nil {
 				t.Fatalf("flat %q: %v", query, err)
@@ -268,7 +271,7 @@ func TestExplainSharded(t *testing.T) {
 		"shards=4, merge=fold dominance=" + merge,
 		"merge: " + merge + " fold over ≈",
 		"shards=4, selection cache",
-		"compile cache: cold on 4/4 shards — binds at first execution; bind: full (cold) on 4/4 shards",
+		"compile cache: cold on 4/4 shards — binds at first execution; bind: full (cold) over 2500 rows on 4/4 shards",
 		"sharded plan: shards=4",
 	} {
 		if !strings.Contains(text, want) {

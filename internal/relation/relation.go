@@ -238,6 +238,8 @@ type Relation struct {
 	mu  sync.Mutex // serializes mutators (Insert, SortBy)
 	gen atomic.Pointer[generation]
 
+	view atomic.Pointer[Sharded] // memoized OneShard view
+
 	// persist, when non-nil, ties the relation to a shard directory of
 	// a Store: Insert write-ahead-logs before publishing, SortBy
 	// rewrites the epoch, and checkpoints fold the tail into a fresh

@@ -22,8 +22,8 @@ import (
 // ids address rows stably across the whole table.
 
 // Table is the catalog-facing view shared by flat and sharded relations:
-// psql.Catalog stores either, and query execution dispatches on the
-// concrete type.
+// psql.Catalog stores either, and query execution runs a flat relation as
+// its one-shard view (OneShard).
 type Table interface {
 	// Name returns the table name.
 	Name() string
@@ -31,6 +31,8 @@ type Table interface {
 	Schema() *Schema
 	// Len returns the total row count.
 	Len() int
+	// Insert appends a row (ErrFrozen on a Snapshot view).
+	Insert(row Row) error
 }
 
 // Compile-time checks that both storage layouts satisfy the catalog view.
@@ -148,6 +150,15 @@ func (p rangePart) ShardOf(row Row, schema *Schema, n int) int {
 
 // String implements Partitioner.
 func (p rangePart) String() string { return fmt.Sprintf("range(%s)", p.attr) }
+
+// onePart is the partitioner of a one-shard view: every row is shard 0's.
+type onePart struct{}
+
+// ShardOf implements Partitioner.
+func (onePart) ShardOf(Row, *Schema, int) int { return 0 }
+
+// String implements Partitioner.
+func (onePart) String() string { return "none" }
 
 // shardCountChecker is implemented by partitioners that can sanity-check
 // a shard count; NewSharded and Reshard consult it so a misconfigured
@@ -269,6 +280,24 @@ func ShardRelation(r *Relation, nShards int, part Partitioner) (*Sharded, error)
 	return s, nil
 }
 
+// OneShard returns r as a one-shard table: a *Sharded whose shard 0 is r
+// itself. No row is copied, GlobalID(0, i) == i, and every cache keyed by
+// a shard's identity and version keys on r's, so a flat relation and its
+// view share their bound forms and results. Inserts through the view land
+// in r; the view of a Snapshot is frozen, and a view cannot be resharded.
+// The view is memoized on r.
+func OneShard(r *Relation) *Sharded {
+	if v := r.view.Load(); v != nil {
+		return v
+	}
+	v := &Sharded{name: r.name, schema: r.schema, frozen: r.frozen}
+	v.state.Store(&shardState{part: onePart{}, shards: []*Relation{r}})
+	if !r.view.CompareAndSwap(nil, v) {
+		return r.view.Load()
+	}
+	return v
+}
+
 // Name returns the table name.
 func (s *Sharded) Name() string { return s.name }
 
@@ -336,10 +365,14 @@ func (s *Sharded) Insert(row Row) error {
 // history, never a row without its predecessors. The cut is memoized
 // until the next mutation, so concurrent sessions pinning the same epoch
 // share shard identities and their cached bound forms. Snapshot of a
-// frozen view returns the view itself.
+// frozen view returns the view itself; of a OneShard view, the view of
+// its relation's Snapshot (rows may reach that relation directly).
 func (s *Sharded) Snapshot() *Sharded {
 	if s.frozen {
 		return s
+	}
+	if st := s.state.Load(); st.part == (onePart{}) {
+		return OneShard(st.shards[0].Snapshot())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -356,20 +389,6 @@ func (s *Sharded) Snapshot() *Sharded {
 		s.snap, s.snapAt = snap, m
 		return snap
 	}
-}
-
-// PeekSnapshot returns the memoized current-cut Snapshot view, without
-// creating one; eviction sweeps use it (see engine.EvictSharded).
-func (s *Sharded) PeekSnapshot() (*Sharded, bool) {
-	if s.frozen {
-		return s, true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.snap != nil && s.snapAt == s.mutations.Load() {
-		return s.snap, true
-	}
-	return nil, false
 }
 
 // MustInsert is Insert that panics on error; for test fixtures.
@@ -430,12 +449,15 @@ func (s *Sharded) Flatten() *Relation {
 // the displaced list is still returned for them. Persistent tables
 // (opened through a Store) cannot be resharded in place: their shard
 // directories are the unit of recovery, so redistribution goes through
-// Store.ImportTable into a new table instead.
+// Store.ImportTable into a new table instead; nor can a OneShard view,
+// whose shard is its relation (shard the relation with ShardRelation).
 func (s *Sharded) Reshard(nShards int, part Partitioner) ([]*Relation, error) {
 	if s.frozen {
 		return nil, fmt.Errorf("relation %s: %w", s.name, ErrFrozen)
 	}
-	if sh := s.state.Load().shards; len(sh) > 0 && sh[0].persist != nil {
+	if st := s.state.Load(); st.part == (onePart{}) {
+		return nil, fmt.Errorf("relation %s: a one-shard view cannot be resharded", s.name)
+	} else if st.shards[0].persist != nil {
 		return nil, fmt.Errorf("relation %s: persistent tables cannot be resharded in place", s.name)
 	}
 	if nShards < 1 || nShards > maxShards {

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -279,4 +280,42 @@ func TestShardedStringRenders(t *testing.T) {
 		t.Fatal("String must render")
 	}
 	_ = fmt.Sprintf("%v", s)
+}
+
+// TestOneShardView: a flat relation's one-shard view is the relation
+// itself as shard 0 — same identity, ids equal to positions, inserts in
+// either direction visible through both, a snapshot that is the view of
+// the relation's snapshot, and no resharding.
+func TestOneShardView(t *testing.T) {
+	r := shardedTestRelation(20, 3)
+	v := OneShard(r)
+	if v != OneShard(r) {
+		t.Fatal("the view must be memoized on its relation")
+	}
+	if v.NumShards() != 1 || v.Shard(0) != r || v.Len() != r.Len() || v.Name() != r.Name() {
+		t.Fatalf("view: %d shards, shard 0 is r: %v, len %d", v.NumShards(), v.Shard(0) == r, v.Len())
+	}
+	for i := 0; i < r.Len(); i++ {
+		if gid := GlobalID(0, i); gid != i || &v.Row(gid)[0] != &r.Row(i)[0] {
+			t.Fatalf("row %d: global id %d does not address the relation's row", i, gid)
+		}
+	}
+	snap := v.Snapshot()
+	if !snap.Frozen() || snap.Shard(0) != r.Snapshot() || snap != OneShard(r.Snapshot()) {
+		t.Fatal("a view's snapshot must be the view of its relation's snapshot")
+	}
+	row := Row{int64(99), 1.5, "red"}
+	if err := v.Insert(row); err != nil || r.Len() != 21 {
+		t.Fatalf("insert through the view: %v, relation len %d", err, r.Len())
+	}
+	r.MustInsert(row)
+	if got := v.Snapshot(); got.Len() != 22 || snap.Len() != 20 {
+		t.Fatalf("a direct insert must reach the view's next snapshot (len %d) and not the pinned one (len %d)", got.Len(), snap.Len())
+	}
+	if err := snap.Insert(row); !errors.Is(err, ErrFrozen) {
+		t.Fatalf("insert into a frozen view: %v, want ErrFrozen", err)
+	}
+	if _, err := v.Reshard(2, ByHash("oid")); err == nil || r.Len() != 22 || v.Shard(0) != r {
+		t.Fatal("a one-shard view must refuse to reshard")
+	}
 }

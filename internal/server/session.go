@@ -544,15 +544,7 @@ func (ss *session) serveInsert(payload []byte) {
 		ss.sendError(wire.CodeInsert, fmt.Sprintf("unknown relation %q", table))
 		return
 	}
-	switch t := tbl.(type) {
-	case *relation.Relation:
-		err = t.Insert(row)
-	case *relation.Sharded:
-		err = t.Insert(row)
-	default:
-		err = fmt.Errorf("relation %q has unsupported storage %T", table, tbl)
-	}
-	if err != nil {
+	if err := tbl.Insert(row); err != nil {
 		ss.sendError(wire.CodeInsert, err.Error())
 		return
 	}
