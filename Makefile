@@ -104,14 +104,17 @@ bench:
 # wire, one pass over a statement's candidates per comparator (window pass
 # on tree and records, sorted pass on records and blocks, with pairs/op or
 # lanes/op), the cross-shard fold alone (2–8 parts × 16–2048 local maxima,
-# blocked sweeps, flat and tree, with its pairs/op), and one admission into
-# a full boundcache at two capacities (which must cost the same). CI tees
-# their rows into the job summary.
+# blocked sweeps, flat and tree, with its pairs/op), one admission into
+# a full boundcache at two capacities (which must cost the same), and the
+# paged row read a statement ends in (Pick of 1/37/300 rows from a store
+# whose pool holds 1/8 or all of the row pages). CI tees their rows into
+# the job summary.
 bench-cold:
 	$(GO) test -run 'xxx' -bench 'ColdSelectiveBMO' -benchmem .
 	$(GO) test -run 'xxx' -bench 'DominanceKernel' -benchtime 0.3s -benchmem ./internal/engine
 	$(GO) test -run 'xxx' -bench 'ShardMerge$$' -benchtime 0.3s -benchmem ./internal/engine
 	$(GO) test -run 'xxx' -bench 'PutAtCapacity' -benchmem ./internal/boundcache
+	$(GO) test -run 'xxx' -bench 'PagedPick' -benchtime 0.3s -benchmem ./internal/relation
 
 # Machine-readable benchmark capture: runs the suite and writes the JSON
 # baseline tracked in-tree (ns/op, B/op, allocs/op per benchmark) — ONE

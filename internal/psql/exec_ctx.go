@@ -46,8 +46,10 @@ func RunCtx(ctx context.Context, query string, cat Catalog, opts Options) (*Resu
 // cancellation (ctx.Err() comes back as the error; the result is never
 // torn). Over sharded tables Options.Robust selects the per-shard fault
 // policy; under PolicyPartial a degraded result reports its missing
-// shards in Result.Partial.
-func ExecCtx(ctx context.Context, q *Query, cat Catalog, opts Options) (*Result, error) {
+// shards in Result.Partial. A persistent table's row page that fails
+// to read or verify is the statement's error (a *store.PageError).
+func ExecCtx(ctx context.Context, q *Query, cat Catalog, opts Options) (res *Result, err error) {
+	defer relation.RecoverPageError(&err)
 	release, err := opts.Admission.Acquire(ctx)
 	if err != nil {
 		return nil, err

@@ -64,7 +64,10 @@ func ExecStream(q *Query, cat Catalog, opts Options, yield func(relation.Row) bo
 // batch route ran under PolicyPartial and shards were missing.
 // Options.Timeout and Options.Admission gate the ExecCtx fallback only:
 // a stream lives as long as its consumer pulls, so bound it through ctx.
-func ExecStreamCtx(ctx context.Context, q *Query, cat Catalog, opts Options, yield func(relation.Row) bool) (int, *engine.Partial, error) {
+// A persistent table's row page that fails to read or verify stops the
+// stream with its *store.PageError.
+func ExecStreamCtx(ctx context.Context, q *Query, cat Catalog, opts Options, yield func(relation.Row) bool) (emitted int, part *engine.Partial, err error) {
+	defer relation.RecoverPageError(&err)
 	s, err := cat.lookup(q.From)
 	if err != nil {
 		return 0, nil, err
@@ -101,7 +104,6 @@ func ExecStreamCtx(ctx context.Context, q *Query, cat Catalog, opts Options, yie
 	}
 	st := engine.EvalStreamShardedCtx(ctx, p, s, opts.Algorithm, sets, opts.Robust)
 	defer st.Close()
-	emitted := 0
 	st.Each(func(gid int) bool {
 		emitted++
 		if !yield(project(s.Row(gid))) {

@@ -32,8 +32,11 @@ import (
 // the same way.
 //
 // Runtime model: the current epoch's column segments are mmap'd and
-// served zero-copy into the compiled evaluator; row pages decode on
-// demand through one store-wide buffer pool. Superseded epochs stay
+// served zero-copy into the compiled evaluator; row pages are read on
+// demand into one store-wide buffer pool, which keeps them as verified
+// encoded bytes, and a row read decodes just its row out of the page.
+// A page that fails to read or verify fails the statement reading it
+// (RecoverPageError), not the process. Superseded epochs stay
 // mapped until Close so pinned snapshots (and cached bound forms that
 // alias segment memory) never dangle — an unlinked, clean, file-backed
 // mapping costs address space, not RAM, and the kernel reclaims its
@@ -41,7 +44,9 @@ import (
 
 // StoreOptions tunes a persistent catalog.
 type StoreOptions struct {
-	// PoolBytes is the buffer-pool budget for decoded row pages.
+	// PoolBytes is the buffer-pool budget for resident row pages,
+	// counted as the heap they hold: each page's encoded bytes plus its
+	// row-offset table (rows are decoded per read, outside the pool).
 	// Default 64 MiB. Column segments are mmap'd and do not count
 	// against it — the kernel page cache manages them.
 	PoolBytes int64
@@ -132,10 +137,29 @@ type pagedBase struct {
 
 func (b *pagedBase) n() int { return b.ep.N() }
 
+// RecoverPageError, deferred directly by a function that reads rows,
+// turns the panic of a failed paged row read — a *store.PageError,
+// naming the epoch and page — into that function's error in *err, so a
+// bad page fails the statement that touched it instead of the process.
+// Any other panic keeps unwinding.
+func RecoverPageError(err *error) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	pe, ok := v.(*store.PageError)
+	if !ok {
+		panic(v)
+	}
+	*err = pe
+}
+
+// row and appendAll panic with the store's error (a *store.PageError
+// for a page that fails to read or verify; see RecoverPageError).
 func (b *pagedBase) row(i int) Row {
 	r, err := b.ep.Row(i, b.pool)
 	if err != nil {
-		panic(fmt.Sprintf("relation: paged row read failed: %v", err))
+		panic(err)
 	}
 	return Row(r)
 }
@@ -143,7 +167,7 @@ func (b *pagedBase) row(i int) Row {
 func (b *pagedBase) appendAll(dst []Row) []Row {
 	raw, err := b.ep.AppendAllRows(nil, b.pool)
 	if err != nil {
-		panic(fmt.Sprintf("relation: paged scan failed: %v", err))
+		panic(err)
 	}
 	for _, r := range raw {
 		dst = append(dst, Row(r))
@@ -367,9 +391,11 @@ func (sp *shardPersist) maybeCheckpointLocked(r *Relation, g *generation) {
 // generation over the new base. The version is NOT bumped: the logical
 // contents are unchanged, so cached bound forms and memoized maxima
 // keyed by (relation, version) stay warm and correct — they alias the
-// superseded generation's arrays, which remain valid. Caller holds
+// superseded generation's arrays, which remain valid. A base page that
+// fails to read fails the checkpoint, not the writer. Caller holds
 // r.mu.
-func (sp *shardPersist) checkpointLocked(r *Relation, g *generation) error {
+func (sp *shardPersist) checkpointLocked(r *Relation, g *generation) (err error) {
+	defer RecoverPageError(&err)
 	ng, err := sp.rewriteLocked(g.all(), g.version)
 	if err != nil {
 		return err

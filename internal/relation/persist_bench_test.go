@@ -10,11 +10,14 @@ package relation_test
 // cases (mmap'd in the paged one).
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/pref"
 	"repro/internal/relation"
+	"repro/internal/relation/store"
 	"repro/internal/workload"
 )
 
@@ -119,6 +122,65 @@ func BenchmarkPersistCheckpoint(b *testing.B) {
 		}
 		b.StartTimer()
 		if err := st.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// pickSink keeps BenchmarkPagedPick's result live.
+var pickSink *relation.Relation
+
+// BenchmarkPagedPick is the row-store read a BMO statement ends in: Pick
+// of k result rows, every column, from a paged table of 20 000 cars in
+// 4 KiB pages, k ∈ {1, 37, 300}. pool=1/8 gives the buffer pool an
+// eighth of the row pages' bytes (the served durable workload's budget:
+// a statement's reads mostly miss), pool=all holds every page (each read
+// a hit, so the row decode alone). Each iteration picks one of 64 fixed
+// random index sets. B/op and allocs/op are what a statement's result
+// rows leave for the collector.
+func BenchmarkPagedPick(b *testing.B) {
+	const n = 20000
+	mem := workload.Cars(n, 11)
+	var rowBytes int64
+	for _, row := range mem.Rows() {
+		buf, err := store.AppendRow(nil, row)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rowBytes += int64(len(buf))
+	}
+	for _, pool := range []struct {
+		name  string
+		bytes int64
+	}{{"pool=1/8", rowBytes / 8}, {"pool=all", 2 * rowBytes}} {
+		st, err := relation.OpenStore(b.TempDir(), relation.StoreOptions{PoolBytes: pool.bytes, PageBytes: 4 << 10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbl, err := st.ImportTable(mem)
+		if err != nil {
+			st.Close()
+			b.Fatal(err)
+		}
+		paged := tbl.(*relation.Relation)
+		for _, k := range []int{1, 37, 300} {
+			rng := rand.New(rand.NewSource(int64(k)))
+			sets := make([][]int, 64)
+			for s := range sets {
+				sets[s] = rng.Perm(n)[:k]
+			}
+			b.Run(fmt.Sprintf("%s/k=%d", pool.name, k), func(b *testing.B) {
+				for _, idx := range sets {
+					paged.Pick(idx) // fill the pool
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pickSink = paged.Pick(sets[i%len(sets)])
+				}
+			})
+		}
+		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -680,3 +680,75 @@ func TestPersistCheckpointKeepsPoolWorkingSet(t *testing.T) {
 		t.Fatal("the checkpointed table lost rows")
 	}
 }
+
+// TestPersistPagedPickMatchesMemory: Pick over a reopened paged store
+// returns exactly what its in-memory twin returns, through a snapshot
+// pinned before inserts and a checkpoint retire its epochs, under a pool
+// a small fraction of the row pages that evicts all the while.
+func TestPersistPagedPickMatchesMemory(t *testing.T) {
+	mem := New("car", persistSchema())
+	for i := 0; i < 3000; i++ {
+		mem.MustInsert(persistRow(i))
+	}
+	twin, err := ShardRelation(mem, 3, ByHash("name"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := OpenStore(dir, StoreOptions{PageBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ImportTable(twin); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := OpenStore(dir, StoreOptions{PageBytes: 1024, PoolBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	paged := mustTable(t, st2, "car").(*Sharded)
+	snap := paged.Snapshot()
+	for i := 0; i < 30; i++ {
+		if err := paged.Insert(persistRow(5000 + i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epochs := func() []uint64 {
+		var out []uint64
+		for i := 0; i < paged.NumShards(); i++ {
+			out = append(out, paged.Shard(i).persist.epoch)
+		}
+		return out
+	}
+	before := epochs()
+	if err := st2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if after := epochs(); reflect.DeepEqual(after, before) {
+		t.Fatalf("checkpoint retired no epoch: %v", after)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 40; round++ {
+		gids := make([]int, 1+rng.Intn(300))
+		for j := range gids {
+			s := rng.Intn(twin.NumShards())
+			gids[j] = GlobalID(s, rng.Intn(twin.Shard(s).Len()))
+		}
+		want := encodeRows(t, twin.Pick(gids).Rows())
+		if got := encodeRows(t, snap.Pick(gids).Rows()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: pinned snapshot's Pick differs from the in-memory twin", round)
+		}
+		if got := encodeRows(t, paged.Pick(gids).Rows()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: checkpointed table's Pick differs from the in-memory twin", round)
+		}
+	}
+	if ps := st2.Pool().Stats(); ps.Evictions == 0 || ps.Hits == 0 {
+		t.Fatalf("pool should both hit and evict under this test: %+v", ps)
+	}
+}

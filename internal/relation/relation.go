@@ -186,12 +186,15 @@ func (g *generation) nrows() int {
 	return len(g.rows)
 }
 
-// row returns row i, decoding a base page through the buffer pool when
-// the generation has a persisted prefix. Base reads panic on I/O or
-// checksum failure — the row store is the authoritative copy, and a
-// read API without error returns cannot degrade more gracefully than
-// failing loudly (the serving layer's panic containment turns this
-// into a query error, not a crash).
+// row returns row i, decoding it out of its base page through the
+// buffer pool when the generation has a persisted prefix. A base read
+// that fails (I/O error, checksum or format mismatch) panics with the
+// *store.PageError — the row store is the authoritative copy, and the
+// row APIs have no error result. Nothing contains that panic by itself:
+// it reaches past shard-worker containment whenever rows materialize
+// outside a worker (Pick at the end of a statement), so every entry
+// point that reads rows defers RecoverPageError to turn it back into
+// the statement's error.
 func (g *generation) row(i int) Row {
 	if g.base != nil {
 		if bn := g.base.n(); i < bn {

@@ -79,47 +79,69 @@ func appendFloat(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }
 
-// ReadValue decodes one tagged value, returning it and the remaining
-// bytes.
-func ReadValue(buf []byte) (pref.Value, []byte, error) {
+// valueLen returns the encoded length of the tagged value at the head of
+// buf — tag, length prefix and body — after checking that the tag is
+// known and the whole body is present. It is the codec's one validation
+// rule: ReadValue decodes only what it accepted, and a row page is
+// indexed by it without decoding anything.
+func valueLen(buf []byte) (int, error) {
 	if len(buf) == 0 {
-		return nil, nil, fmt.Errorf("store: truncated value (no tag)")
+		return 0, fmt.Errorf("store: truncated value (no tag)")
 	}
-	tag, rest := buf[0], buf[1:]
-	switch tag {
+	rest := buf[1:]
+	switch buf[0] {
 	case tagNull:
-		return nil, rest, nil
+		return 1, nil
 	case tagStr:
 		n, k := binary.Uvarint(rest)
 		if k <= 0 || uint64(len(rest)-k) < n {
-			return nil, nil, fmt.Errorf("store: truncated string value")
+			return 0, fmt.Errorf("store: truncated string value")
 		}
-		rest = rest[k:]
-		return string(rest[:n]), rest[n:], nil
-	case tagInt:
-		n, k := binary.Varint(rest)
+		return 1 + k + int(n), nil
+	case tagInt, tagTime:
+		_, k := binary.Varint(rest)
 		if k <= 0 {
-			return nil, nil, fmt.Errorf("store: truncated int value")
+			return 0, fmt.Errorf("store: truncated varint value (tag %d)", buf[0])
 		}
-		return n, rest[k:], nil
+		return 1 + k, nil
 	case tagFloat:
 		if len(rest) < 8 {
-			return nil, nil, fmt.Errorf("store: truncated float value")
+			return 0, fmt.Errorf("store: truncated float value")
 		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(rest)), rest[8:], nil
+		return 9, nil
 	case tagBool:
 		if len(rest) < 1 {
-			return nil, nil, fmt.Errorf("store: truncated bool value")
+			return 0, fmt.Errorf("store: truncated bool value")
 		}
-		return rest[0] != 0, rest[1:], nil
-	case tagTime:
-		n, k := binary.Varint(rest)
-		if k <= 0 {
-			return nil, nil, fmt.Errorf("store: truncated time value")
-		}
-		return time.Unix(0, n).UTC(), rest[k:], nil
+		return 2, nil
 	}
-	return nil, nil, fmt.Errorf("store: unknown value tag %d", tag)
+	return 0, fmt.Errorf("store: unknown value tag %d", buf[0])
+}
+
+// ReadValue decodes one tagged value, returning it and the remaining
+// bytes.
+func ReadValue(buf []byte) (pref.Value, []byte, error) {
+	n, err := valueLen(buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	body, rest := buf[1:n], buf[n:]
+	switch buf[0] {
+	case tagStr:
+		_, k := binary.Uvarint(body)
+		return string(body[k:]), rest, nil
+	case tagInt:
+		v, _ := binary.Varint(body)
+		return v, rest, nil
+	case tagFloat:
+		return math.Float64frombits(binary.LittleEndian.Uint64(body)), rest, nil
+	case tagBool:
+		return body[0] != 0, rest, nil
+	case tagTime:
+		v, _ := binary.Varint(body)
+		return time.Unix(0, v).UTC(), rest, nil
+	}
+	return nil, rest, nil // tagNull
 }
 
 // AppendRow appends the encoding of one row (its values in schema

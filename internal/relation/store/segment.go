@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -17,7 +18,8 @@ import (
 // Segment epochs: one immutable on-disk image of a shard's contents.
 // An epoch directory holds the authoritative row store (rows.pag —
 // fixed-size pages of tag-encoded rows, each page CRC-framed in the
-// epoch metadata and decoded on demand through the buffer pool) plus
+// epoch metadata, verified and indexed when the buffer pool loads it and
+// decoded one row at a time by the readers that ask for rows) plus
 // derived columnar segment files per column: the float64 scale image
 // and its on-scale mask for the linearly ordered columns, and the
 // equality-code dictionary image for every column. Column segments are
@@ -57,6 +59,64 @@ type epochMeta struct {
 	// Floats and Eqs list the column indices with persisted segments.
 	Floats []int `json:"floats"`
 	Eqs    []int `json:"eqs"`
+}
+
+// PageError is a fault in an epoch's row store: a page that could not
+// be read, whose checksum does not verify or whose encoding does not
+// parse — or, found at open, a page directory that does not describe
+// rows.pag. Page is the page index, or -1 when the fault is not in one
+// page.
+type PageError struct {
+	Epoch string // the epoch directory
+	Page  int
+	Err   error
+}
+
+// Error names the epoch and the page.
+func (e *PageError) Error() string {
+	if e.Page < 0 {
+		return fmt.Sprintf("store: epoch %s: %v", e.Epoch, e.Err)
+	}
+	return fmt.Sprintf("store: epoch %s page %d: %v", e.Epoch, e.Page, e.Err)
+}
+
+// Unwrap returns the underlying fault.
+func (e *PageError) Unwrap() error { return e.Err }
+
+// checkPages validates the page directory against the size of rows.pag
+// before anything is read through it: the pages tile the file from
+// offset 0 without gaps or overlap and end inside it, each holds at
+// least one row and at least one byte per value (every value starts
+// with a tag byte), and their rows sum to N. A damaged or hand-edited
+// epoch.json therefore fails at open, as a *PageError, instead of
+// driving a read or an allocation from a bogus length later.
+func (m *epochMeta) checkPages(dir string, size int64) error {
+	bad := func(p int, format string, args ...any) error {
+		return &PageError{Epoch: dir, Page: p, Err: fmt.Errorf("page directory: "+format, args...)}
+	}
+	if m.N < 0 || m.Arity < 0 {
+		return bad(-1, "%d rows of %d columns", m.N, m.Arity)
+	}
+	var off int64
+	rows := 0
+	for p, pg := range m.Pages {
+		switch {
+		case pg.Len <= 0:
+			return bad(p, "length %d", pg.Len)
+		case pg.Off != off:
+			return bad(p, "offset %d, want %d (pages must be contiguous)", pg.Off, off)
+		case pg.Off+int64(pg.Len) > size:
+			return bad(p, "bytes [%d,%d) past the end of %s (%d bytes)", pg.Off, pg.Off+int64(pg.Len), epochRowsFile, size)
+		case pg.Rows < 1 || pg.Rows > int(pg.Len)/max(m.Arity, 1):
+			return bad(p, "%d rows of %d columns in %d bytes", pg.Rows, m.Arity, pg.Len)
+		}
+		off += int64(pg.Len)
+		rows += pg.Rows
+	}
+	if rows != m.N {
+		return bad(-1, "pages cover %d of %d rows", rows, m.N)
+	}
+	return nil
 }
 
 // WriteEpoch materializes one immutable epoch under dir (which must
@@ -211,7 +271,8 @@ type Epoch struct {
 // OpenEpoch opens the epoch at dir. With useMMap set (and on a
 // platform that supports it) the column segments are served as typed
 // views over shared read-only mappings; otherwise they are decoded
-// into the heap. Row pages are always decoded on demand.
+// into the heap. Row pages are read on demand, through the page
+// directory checkPages has validated against rows.pag here.
 func OpenEpoch(dir string, useMMap bool) (*Epoch, error) {
 	doc, err := os.ReadFile(filepath.Join(dir, epochMetaFile))
 	if err != nil {
@@ -226,19 +287,22 @@ func OpenEpoch(dir string, useMMap bool) (*Epoch, error) {
 		floats: make(map[int]FloatSeg, len(meta.Floats)),
 		eqs:    make(map[int][]uint32, len(meta.Eqs)),
 	}
-	e.rowStart = make([]int, len(meta.Pages)+1)
-	for p, pg := range meta.Pages {
-		e.rowStart[p+1] = e.rowStart[p] + pg.Rows
-	}
-	if e.rowStart[len(meta.Pages)] != meta.N {
-		return nil, fmt.Errorf("store: epoch %s: page directory covers %d of %d rows", dir, e.rowStart[len(meta.Pages)], meta.N)
-	}
 	e.rowsFile, err = os.Open(filepath.Join(dir, epochRowsFile))
 	if err != nil {
 		return nil, err
 	}
-	if fi, err := e.rowsFile.Stat(); err == nil {
-		e.segBytes += fi.Size()
+	fi, err := e.rowsFile.Stat()
+	if err == nil {
+		err = meta.checkPages(dir, fi.Size())
+	}
+	if err != nil {
+		e.Close()
+		return nil, err
+	}
+	e.segBytes += fi.Size()
+	e.rowStart = make([]int, len(meta.Pages)+1)
+	for p, pg := range meta.Pages {
+		e.rowStart[p+1] = e.rowStart[p] + pg.Rows
 	}
 	mm := useMMap && mmapSupported
 	for _, ci := range meta.Floats {
@@ -390,58 +454,68 @@ func (e *Epoch) Eq(ci int) ([]uint32, bool) {
 	return codes, ok
 }
 
-// loadPage reads, verifies and decodes one row page from rows.pag.
-func (e *Epoch) loadPage(p int) (rows [][]pref.Value, bytes int64, err error) {
+// loadPage reads one row page from rows.pag, verifies its checksum and
+// indexes its rows (indexPage); no value is decoded.
+func (e *Epoch) loadPage(p int) (Page, error) {
 	pg := e.pages[p]
 	buf := make([]byte, pg.Len)
 	if _, err := e.rowsFile.ReadAt(buf, pg.Off); err != nil {
-		return nil, 0, fmt.Errorf("store: epoch %s page %d: %w", e.dir, p, err)
+		return Page{}, &PageError{Epoch: e.dir, Page: p, Err: err}
 	}
 	if crc32.ChecksumIEEE(buf) != pg.CRC {
-		return nil, 0, fmt.Errorf("store: epoch %s page %d: checksum mismatch", e.dir, p)
+		return Page{}, &PageError{Epoch: e.dir, Page: p, Err: errors.New("checksum mismatch")}
 	}
-	rows = make([][]pref.Value, pg.Rows)
-	rest := buf
-	for i := range rows {
-		if rows[i], rest, err = ReadRow(rest, e.arity); err != nil {
-			return nil, 0, fmt.Errorf("store: epoch %s page %d row %d: %w", e.dir, p, i, err)
-		}
+	page, err := indexPage(buf, pg.Rows, e.arity)
+	if err != nil {
+		return Page{}, &PageError{Epoch: e.dir, Page: p, Err: err}
 	}
-	return rows, int64(pg.Len), nil
+	return page, nil
 }
 
-// Row returns row i, decoding its page through the pool. The returned
-// slice is immutable heap data, valid after the page is evicted.
+// Row returns row i, decoding just that row out of its page, which it
+// reads through the pool. The returned slice is fresh heap data that
+// shares nothing with the pool's frame.
 func (e *Epoch) Row(i int, pool *Pool) ([]pref.Value, error) {
 	if i < 0 || i >= e.n {
 		return nil, fmt.Errorf("store: epoch %s: row %d out of range [0,%d)", e.dir, i, e.n)
 	}
 	p := sort.SearchInts(e.rowStart[1:], i+1)
-	rows, release, err := pool.Get(PageKey{Owner: e, Page: p}, func() ([][]pref.Value, int64, error) {
+	page, release, err := pool.Get(PageKey{Owner: e, Page: p}, func() (Page, error) {
 		return e.loadPage(p)
 	})
 	if err != nil {
 		return nil, err
 	}
-	row := rows[i-e.rowStart[p]]
+	row, err := page.Row(i - e.rowStart[p])
 	release()
+	if err != nil {
+		return nil, &PageError{Epoch: e.dir, Page: p, Err: err}
+	}
 	return row, nil
 }
 
 // AppendAllRows appends every row of the epoch to dst in order, page by
-// page: pages the pool already holds are served from it, the others are
-// decoded for this scan alone and never admitted — a full scan (every
-// checkpoint runs one) must not flush the store-wide pool.
+// page: pages the pool already holds are decoded from their frames, the
+// others are read for this scan alone and never admitted — a full scan
+// (every checkpoint runs one) must not flush the store-wide pool.
 func (e *Epoch) AppendAllRows(dst [][]pref.Value, pool *Pool) ([][]pref.Value, error) {
 	for p := range e.pages {
-		rows, ok := pool.Resident(PageKey{Owner: e, Page: p})
+		page, ok := pool.Resident(PageKey{Owner: e, Page: p})
 		if !ok {
 			var err error
-			if rows, _, err = e.loadPage(p); err != nil {
+			if page, err = e.loadPage(p); err != nil {
 				return nil, err
 			}
 		}
-		dst = append(dst, rows...)
+		rest := page.buf
+		for r := 0; r < page.rows; r++ {
+			var row []pref.Value
+			var err error
+			if row, rest, err = ReadRow(rest, e.arity); err != nil {
+				return nil, &PageError{Epoch: e.dir, Page: p, Err: err}
+			}
+			dst = append(dst, row)
+		}
 	}
 	return dst, nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -210,6 +212,75 @@ func TestShardPanicContainedOnWire(t *testing.T) {
 	faultinject.RemoveAll(snap)
 	if _, err := c.Query(groupedQuery); err != nil {
 		t.Fatalf("server must keep serving after a contained panic: %v", err)
+	}
+}
+
+// TestPageFaultContainedOnWire: a persisted row page that fails its
+// checksum — read while the result rows materialize, outside any shard
+// worker — answers an EXEC error naming the epoch and the page, in a
+// batch turn and in a stream; the process and the session keep serving.
+func TestPageFaultContainedOnWire(t *testing.T) {
+	dir := t.TempDir()
+	st, err := relation.OpenStore(dir, relation.StoreOptions{PageBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := relation.ShardRelation(workload.Cars(600, 3), 2, relation.ByHash("oid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ImportTable(sh); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Flip every byte of the row pages. The column segments still answer
+	// WHERE and PREFERRING; no row can be read.
+	pages, err := filepath.Glob(filepath.Join(dir, "car", "s*", "ep*", "rows.pag"))
+	if err != nil || len(pages) != 2 {
+		t.Fatalf("row files %v (%v), want one per shard", pages, err)
+	}
+	for _, path := range pages {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			data[i] ^= 0xff
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st2, err := relation.OpenStore(dir, relation.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st2.Close() }) // after the server's shutdown
+	tbl, _ := st2.Table("car")
+	_, addr := startServer(t, psql.Catalog{"car": tbl}, Config{})
+	c := dialT(t, addr)
+
+	wantPageFault := func(what string, err error) {
+		t.Helper()
+		se := wireErrOf(t, err)
+		if se.Code != wire.CodeExec || !strings.Contains(se.Msg, "epoch") || !strings.Contains(se.Msg, " page ") || !strings.Contains(se.Msg, "checksum mismatch") {
+			t.Fatalf("%s over corrupt row pages: %v, want an EXEC error naming the epoch and page", what, err)
+		}
+	}
+	for _, query := range []string{"SELECT oid FROM car WHERE price <= 9000", slowQuery} {
+		_, err := c.Query(query)
+		wantPageFault(query, err)
+	}
+	_, _, err = c.Stream(slowQuery, func(relation.Row) bool { return true })
+	wantPageFault("stream", err)
+
+	for _, cl := range []*Client{c, dialT(t, addr)} {
+		rs, err := cl.Query("SELECT oid FROM car WHERE price < 0")
+		if err != nil || rs.Header.NRows != 0 {
+			t.Fatalf("server must keep serving after a page fault: %v", err)
+		}
 	}
 }
 

@@ -358,7 +358,8 @@ func (ss *session) serveQuery(q *psql.Query, handle *rank.Handle) {
 // weighted-sum term itself is keyless. Identical output to the pipeline
 // path (rank.TopKOn scores and tie-breaks exactly like the engine's
 // ranked model).
-func (ss *session) execRanked(ctx context.Context, snap *relation.Relation, h *rank.Handle, k int) (*relation.Relation, error) {
+func (ss *session) execRanked(ctx context.Context, snap *relation.Relation, h *rank.Handle, k int) (_ *relation.Relation, err error) {
+	defer relation.RecoverPageError(&err)
 	release, err := ss.srv.adm.Acquire(ctx)
 	if err != nil {
 		return nil, err
