@@ -40,7 +40,7 @@ test-noavx2:
 # on in TestMain).
 test-ties:
 	$(GO) test -race \
-		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutes|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements' \
+		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutes|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements' \
 		./internal/pref ./internal/engine ./internal/filter ./internal/boundcache ./internal/psql
 
 # The fault-tolerance suite under the race detector: fault injection
@@ -67,10 +67,13 @@ test-serve:
 # agreement under insert churn, snapshot pinning, sharded agreement at
 # 1..8 shards, dead-context refusal), and the psql end-to-end churn
 # battery across flat and sharded layouts, every algorithm, and catalog
-# insert/replace/drop mutations — plus the EXPLAIN annotations.
+# insert/replace/drop mutations — plus the EXPLAIN annotations and the
+# server's retained answers (byte-served repeats equal to fresh
+# executions across inserts, sessions, SET, Replace and Reshard; what is
+# never retained; the stats counters).
 test-resultcache:
 	$(GO) test -race ./internal/engine/resultcache
-	$(GO) test -race -run 'ResultCache|Maintenance|SnapshotPin|DeadContext|EvictRelation|ExplainReports|ParseCache|RowBatch|StreamUsesRowBatch' \
+	$(GO) test -race -run 'ResultCache|Maintenance|SnapshotPin|DeadContext|EvictRelation|ExplainReports|ParseCache|RowBatch|StreamUsesRowBatch|ResultBytes|StatsTurn' \
 		./internal/engine ./internal/psql ./internal/wire ./internal/server
 
 # The disk-tier suite under the race detector: the storage-format unit
@@ -107,14 +110,17 @@ bench:
 # blocked sweeps, flat and tree, with its pairs/op), one admission into
 # a full boundcache at two capacities (which must cost the same), and the
 # paged row read a statement ends in (Pick of 1/37/300 rows from a store
-# whose pool holds 1/8 or all of the row pages). CI tees their rows into
-# the job summary.
+# whose pool holds 1/8 or all of the row pages) — and, beside them, a
+# repeated served statement over loopback (hit: the retained answer's
+# bytes; miss: a first sighting through parse, pipeline and encode). CI
+# tees their rows into the job summary.
 bench-cold:
 	$(GO) test -run 'xxx' -bench 'ColdSelectiveBMO' -benchmem .
 	$(GO) test -run 'xxx' -bench 'DominanceKernel' -benchtime 0.3s -benchmem ./internal/engine
 	$(GO) test -run 'xxx' -bench 'ShardMerge$$' -benchtime 0.3s -benchmem ./internal/engine
 	$(GO) test -run 'xxx' -bench 'PutAtCapacity' -benchmem ./internal/boundcache
 	$(GO) test -run 'xxx' -bench 'PagedPick' -benchtime 0.3s -benchmem ./internal/relation
+	$(GO) test -run 'xxx' -bench 'ServeRepeatedStatement' -benchtime 0.3s -benchmem ./internal/server
 
 # Machine-readable benchmark capture: runs the suite and writes the JSON
 # baseline tracked in-tree (ns/op, B/op, allocs/op per benchmark) — ONE

@@ -30,8 +30,10 @@ import (
 // ts of instants half a second apart (tied on the score scale, not
 // equal: the one linear column type that must keep equality codes), a
 // FLOAT column q clamped at 0 like workload.Numeric clamps (most rows tie
-// there), a discrete column, and a uniform selector column w for drawing
-// candidate sets of a chosen selectivity.
+// there), a discrete column, a uniform selector column w for drawing
+// candidate sets of a chosen selectivity, and an INT column hp with no
+// NULL (its values do not consume the generator), whose HIGHEST leaf
+// binds to the column image itself.
 func gatheredTestRelation(rng *rand.Rand, n int) *relation.Relation {
 	r := relation.New("R", relation.MustSchema(
 		relation.Column{Name: "oid", Type: relation.Int},
@@ -43,6 +45,7 @@ func gatheredTestRelation(rng *rand.Rand, n int) *relation.Relation {
 		relation.Column{Name: "big", Type: relation.Int},
 		relation.Column{Name: "ts", Type: relation.Time},
 		relation.Column{Name: "q", Type: relation.Float},
+		relation.Column{Name: "hp", Type: relation.Int},
 	))
 	colors := []string{"red", "blue", "green", "gray"}
 	for i := 0; i < n; i++ {
@@ -76,14 +79,14 @@ func gatheredTestRelation(rng *rand.Rand, n int) *relation.Relation {
 			ts = time.Unix(int64(1_000_000+rng.Intn(4)), int64(rng.Intn(2))*500_000_000).UTC()
 		}
 		q := math.Max(0, float64(rng.Intn(9)-5)/4)
-		r.MustInsert(relation.Row{int64(i), x, y, rng.Float64(), c, int64(rng.Intn(1000)), big, ts, q})
+		r.MustInsert(relation.Row{int64(i), x, y, rng.Float64(), c, int64(rng.Intn(1000)), big, ts, q, int64(40 + i*37%160)})
 	}
 	return r
 }
 
 // gatheredLeaf draws one base preference over the test columns.
 func gatheredLeaf(rng *rand.Rand) pref.Preference {
-	switch rng.Intn(13) {
+	switch rng.Intn(14) {
 	case 0:
 		return pref.AROUND("x", float64(rng.Intn(12)))
 	case 1:
@@ -108,6 +111,8 @@ func gatheredLeaf(rng *rand.Rand) pref.Preference {
 		return pref.AROUND("q", float64(rng.Intn(3))/4)
 	case 11:
 		return pref.LOWEST("q")
+	case 12:
+		return pref.HIGHEST("hp")
 	}
 	p, err := pref.EXPLICIT("color", []pref.Edge{
 		{Worse: "blue", Better: "red"},
@@ -360,6 +365,72 @@ func TestGatheredBindNeverCaches(t *testing.T) {
 	ResetCompileCache()
 	if got := BMOIndicesOn(p, r, SFS, shuffled); !sameInts(got, want) {
 		t.Fatalf("shuffled candidates: got %v want %v", got, want)
+	}
+}
+
+// TestGatheredBindSharesHighestImage: a HIGHEST leaf over a column with
+// every row on scale (hp) binds to the column's float image itself — over
+// the whole relation and over a borrowed gathered candidate set — while
+// one over a NULL-bearing column (y) keeps a copy, −Inf at the NULL rows.
+// Terms over both agree with the interpreted oracle whole and gathered,
+// in this binary with released slabs poisoned (TestMain).
+func TestGatheredBindSharesHighestImage(t *testing.T) {
+	ResetCompileCache()
+	defer ResetCompileCache()
+	r := gatheredTestRelation(rand.New(rand.NewSource(31)), 2000)
+	hp, y := pref.HIGHEST("hp"), pref.HIGHEST("y")
+	var idx []int
+	for i := 0; i < r.Len(); i += 17 {
+		idx = append(idx, i)
+	}
+	g := r.Gather(idx).Borrow()
+	for name, src := range map[string]pref.Source{"whole": r, "gathered": g} {
+		fc := src.(pref.FloatColumner)
+		img, _, _ := fc.FloatColumn("hp")
+		if c, ok := pref.Compile(hp, src); !ok || &c.ScoreVec(hp)[0] != &img[0] {
+			t.Fatalf("%s: HIGHEST(hp) copied an image whose every row is on scale", name)
+		}
+		yimg, yon, _ := fc.FloatColumn("y")
+		c, ok := pref.Compile(y, src)
+		if !ok || &c.ScoreVec(y)[0] == &yimg[0] {
+			t.Fatalf("%s: HIGHEST(y) shared an image with NULL rows", name)
+		}
+		nulls := 0
+		for i, s := range c.ScoreVec(y) {
+			want := yimg[i]
+			if !yon[i] {
+				want, nulls = math.Inf(-1), nulls+1
+			}
+			if s != want {
+				t.Fatalf("%s: HIGHEST(y) row %d scores %v, want %v", name, i, s, want)
+			}
+		}
+		if nulls == 0 {
+			t.Fatalf("%s: test premise: y has no NULL row", name)
+		}
+	}
+	g.Release()
+
+	whole, err := relation.ShardRelation(r, 1, relation.ByHash("oid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []pref.Preference{
+		hp,
+		pref.Pareto(hp, pref.AROUND("x", 4)),
+		pref.Pareto(y, hp),
+		pref.Prioritized(hp, pref.LOWEST("z")),
+		pref.Prioritized(pref.POS("color", "red"), pref.Pareto(hp, pref.HIGHEST("big"))),
+	} {
+		for _, sets := range []ShardSets{{allIndices(r.Len())}, {idx}} {
+			want := referenceOIDs(p, whole, sets)
+			for _, alg := range []Algorithm{Auto, BNL, SFS} {
+				got := BMOShardedOn(p, whole, alg, sets)
+				if oids := oidsOf(whole.Row, got.GlobalIDs(whole)); !sameInts(oids, want) {
+					t.Fatalf("%s alg %s over %d candidates:\n got %v\nwant %v", p, alg, len(sets[0]), oids, want)
+				}
+			}
+		}
 	}
 }
 

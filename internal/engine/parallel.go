@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 
@@ -14,10 +13,11 @@ import (
 const parallelGrain = 512
 
 // defaultWorkers returns the worker count the engine uses for a candidate
-// set of size n when the caller does not force one: one per CPU, but never
-// so many that a partition falls under parallelGrain.
+// set of size n when the caller does not force one: one per P (see
+// relation.Procs), but never so many that a partition falls under
+// parallelGrain.
 func defaultWorkers(n int) int {
-	workers := runtime.NumCPU()
+	workers := relation.Procs()
 	if workers > n/parallelGrain {
 		workers = n / parallelGrain
 	}

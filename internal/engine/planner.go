@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 
 	"repro/internal/pref"
@@ -61,12 +60,12 @@ func shapeOf(p pref.Preference) Shape {
 }
 
 // Env configures planning. The zero value means "this machine, sampled
-// statistics": NumCPU defaults to runtime.NumCPU(), statistics are computed
+// statistics": NumCPU defaults to relation.Procs(), statistics are computed
 // from the relation with SampleLimit (default 2048) sampled rows.
 type Env struct {
-	// NumCPU caps the worker count of parallel plans. 0 means the actual
-	// CPU count; tests inject larger values to exercise parallel plans on
-	// small machines.
+	// NumCPU caps the worker count of parallel plans. 0 means the
+	// scheduler's parallel width (GOMAXPROCS, see relation.Procs); tests
+	// inject larger values to exercise parallel plans on small machines.
 	NumCPU int
 	// Stats overrides statistics collection (e.g. precomputed or synthetic
 	// stats). Nil computes them from the relation on demand.
@@ -84,7 +83,7 @@ func (e Env) numCPU() int {
 	if e.NumCPU > 0 {
 		return e.NumCPU
 	}
-	return runtime.NumCPU()
+	return relation.Procs()
 }
 
 func (e Env) sampleLimit() int {

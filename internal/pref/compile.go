@@ -690,7 +690,11 @@ func (c *compiler) eqSet(attrs []string) []Tie {
 
 // scoreFromColumn materializes a scorer leaf from a typed float column
 // when the source has one: a vector map with no boxing and no type
-// switches. score maps the on-scale value; off-scale rows score −Inf.
+// switches. score maps the on-scale value (nil: the value is its own
+// score); off-scale rows score −Inf. An identity score over a column
+// whose every row is on scale is the column's image itself, shared
+// instead of copied: the image is immutable for the source's lifetime
+// (per generation, or per gathered slab), as a lent vector is.
 func (c *compiler) scoreFromColumn(attr string, score func(float64) float64) (*scoreNode, InfCollapse, bool) {
 	fc, ok := c.src.(FloatColumner)
 	if !ok {
@@ -700,7 +704,11 @@ func (c *compiler) scoreFromColumn(attr string, score func(float64) float64) (*s
 	if !ok {
 		return nil, InfCollapse{}, false
 	}
-	s := c.vector()
+	shared := score == nil && !slices.Contains(onScale, false)
+	s := vals
+	if !shared {
+		s = c.vector()
+	}
 	// Coordinate dominance reads a score tie as a value tie, which holds
 	// only where the scale image decides value equality: a TIME column's
 	// image is truncated to seconds, so instants within one second tie on
@@ -708,10 +716,14 @@ func (c *compiler) scoreFromColumn(attr string, score func(float64) float64) (*s
 	_, _, exact := c.numericColumn(attr)
 	ic := InfCollapse{Exact: exact}
 	for i := range s {
-		if onScale[i] {
-			s[i] = score(vals[i])
-		} else {
+		switch {
+		case shared: // s is the image: read for the witnesses, never written
+		case !onScale[i]:
 			s[i] = math.Inf(-1)
+		case score == nil:
+			s[i] = vals[i]
+		default:
+			s[i] = score(vals[i])
 		}
 		if math.IsInf(s[i], 0) {
 			key := offScaleClass
@@ -761,17 +773,12 @@ func (c *compiler) scoreFromValues(attr string, score func(Value) float64) (*sco
 }
 
 // scorerLeaf compiles one built-in scorer, preferring the typed column
-// fast path, and registers the score vector — with its infinite-score
-// collapse record — under the term's identity.
+// fast path (fast scores an on-scale column value; nil when the value is
+// its own score), and registers the score vector — with its
+// infinite-score collapse record — under the term's identity.
 func (c *compiler) scorerLeaf(p Preference, attr string, fast func(float64) float64, slow func(Value) float64) cnode {
-	var node *scoreNode
-	var ic InfCollapse
-	if fast != nil {
-		if n, nic, ok := c.scoreFromColumn(attr, fast); ok {
-			node, ic = n, nic
-		}
-	}
-	if node == nil {
+	node, ic, ok := c.scoreFromColumn(attr, fast)
+	if !ok {
 		node, ic = c.scoreFromValues(attr, slow)
 	}
 	c.scoreVecs[p] = node.s
@@ -893,8 +900,7 @@ func (c *compiler) compile(p Preference) (cnode, bool) {
 				return -n
 			}), true
 	case *Highest:
-		return c.scorerLeaf(q, q.Attr(),
-			func(v float64) float64 { return v },
+		return c.scorerLeaf(q, q.Attr(), nil,
 			func(v Value) float64 {
 				n, ok := toScale(v)
 				if !ok {

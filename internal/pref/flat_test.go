@@ -3,6 +3,7 @@ package pref
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -374,6 +375,75 @@ func TestNumericTermBindsWithoutCodes(t *testing.T) {
 	}
 	if len(src.eqAsked) != 3 || src.eqAsked["T"] != 1 || src.eqAsked["S"] != 1 || src.eqAsked["Z"] != 1 {
 		t.Fatalf("%s: codes asked for %v, want T, S and Z once each", mixed, src.eqAsked)
+	}
+}
+
+// imageSource is colSource with each float image derived once and then
+// served by reference, the way a relation generation serves its typed
+// columns.
+type imageSource struct {
+	*colSource
+	vals map[string][]float64
+	on   map[string][]bool
+}
+
+func (s *imageSource) FloatColumn(attr string) ([]float64, []bool, bool) {
+	if v, ok := s.vals[attr]; ok {
+		return v, s.on[attr], true
+	}
+	v, on, ok := s.colSource.FloatColumn(attr)
+	if ok {
+		s.vals[attr], s.on[attr] = v, on
+	}
+	return v, on, ok
+}
+
+// TestHighestSharesOnScaleImage: a HIGHEST leaf over a column whose every
+// row is on scale (Z) binds to the source's image itself; over a column
+// with NULL/NaN/±Inf rows (A) it keeps a copy scoring −Inf off scale, and
+// a LOWEST over Z copies (its score is the negation). Either way the
+// compiled order agrees with the interpreted one on every pair, and the
+// image reads as it did before the bind.
+func TestHighestSharesOnScaleImage(t *testing.T) {
+	rows := flatTestTuples(rand.New(rand.NewSource(22)), 80)
+	src := &imageSource{colSource: newColSource(rows), vals: map[string][]float64{}, on: map[string][]bool{}}
+	for _, tc := range []struct {
+		p      Preference
+		attr   string
+		shared bool
+	}{
+		{HIGHEST("Z"), "Z", true},
+		{HIGHEST("A"), "A", false},
+		{LOWEST("Z"), "Z", false},
+	} {
+		img, on, _ := src.FloatColumn(tc.attr)
+		if allOn := !slices.Contains(on, false); allOn != (tc.attr == "Z") {
+			t.Fatalf("test premise: column %s all on scale = %v", tc.attr, allOn)
+		}
+		before := slices.Clone(img)
+		c, ok := Compile(tc.p, src)
+		if !ok {
+			t.Fatalf("%s must compile", tc.p)
+		}
+		s := c.ScoreVec(tc.p)
+		if shared := &s[0] == &img[0]; shared != tc.shared {
+			t.Fatalf("%s: score vector is the image = %v, want %v", tc.p, shared, tc.shared)
+		}
+		for i := range img {
+			if math.Float64bits(img[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("%s: bind wrote image row %d: %v, was %v", tc.p, i, img[i], before[i])
+			}
+			if !on[i] && s[i] != math.Inf(-1) {
+				t.Fatalf("%s: off-scale row %d scores %v, want −Inf", tc.p, i, s[i])
+			}
+		}
+		for i := range rows {
+			for j := range rows {
+				if got, want := c.Less(i, j), tc.p.Less(rows[i], rows[j]); got != want {
+					t.Fatalf("%s: rows %v vs %v: compiled %v, interpreted %v", tc.p, rows[i], rows[j], got, want)
+				}
+			}
+		}
 	}
 }
 

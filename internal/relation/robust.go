@@ -110,7 +110,13 @@ func (e *ShardError) Error() string {
 // *PanicError, ...).
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// FanShardsCtx runs f(ctx, 0..n-1) concurrently — at most NumCPU at a
+// Procs is the parallel width of every fan-out and parallel plan: the
+// number of Ps the scheduler runs goroutines on (GOMAXPROCS), not the
+// machine's CPU count — at one P a goroutine per shard cannot run beside
+// another and only costs its stack.
+func Procs() int { return runtime.GOMAXPROCS(0) }
+
+// FanShardsCtx runs f(ctx, 0..n-1) concurrently — at most Procs at a
 // time; below two workers the sweep degrades to a plain loop — and
 // returns one error slot per item (nil = success):
 //
@@ -139,7 +145,7 @@ func FanShardsCtx(ctx context.Context, n int, itemTimeout time.Duration, f func(
 		}
 		return errs
 	}
-	workers := runtime.NumCPU()
+	workers := Procs()
 	if workers > n {
 		workers = n
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,7 +91,7 @@ func TestFanShardsCtxDeadContext(t *testing.T) {
 }
 
 func TestFanShardsCtxAbandonsHungWorker(t *testing.T) {
-	if runtime.NumCPU() < 2 {
+	if Procs() < 2 {
 		// The serial fallback runs items inline and cannot abandon a
 		// worker that ignores its context.
 		t.Skip("needs the concurrent fan-out path")

@@ -224,7 +224,8 @@ type Sharded struct {
 	state atomic.Pointer[shardState]
 
 	// mutations counts row inserts and reshard swaps; the memoized
-	// snapshot is valid while it is unchanged.
+	// snapshot is valid while it is unchanged. A snapshot holds the
+	// count at its cut (see Generation).
 	mutations atomic.Uint64
 	snapAt    uint64
 	snap      *Sharded
@@ -386,9 +387,23 @@ func (s *Sharded) Snapshot() *Sharded {
 		}
 		snap := &Sharded{name: s.name, schema: s.schema, frozen: true}
 		snap.state.Store(&shardState{part: st.part, shards: shards})
+		snap.mutations.Store(m)
 		s.snap, s.snapAt = snap, m
 		return snap
 	}
+}
+
+// Generation numbers the table's cuts: the count of row inserts and
+// reshard swaps, read at the cut for a Snapshot. It strictly increases
+// with every mutation, so two cuts of one table hold the same rows in the
+// same shards exactly when their generations are equal — unlike the sum
+// of shard versions, which a Reshard resets. A one-shard view's
+// generation is its relation's Version.
+func (s *Sharded) Generation() uint64 {
+	if st := s.state.Load(); st.part == (onePart{}) {
+		return st.shards[0].Version()
+	}
+	return s.mutations.Load()
 }
 
 // MustInsert is Insert that panics on error; for test fixtures.

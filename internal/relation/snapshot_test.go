@@ -350,6 +350,56 @@ func TestShardedSnapshotMemoizedAndFrozen(t *testing.T) {
 	}
 }
 
+// TestShardedSnapshotGenerationIncreases: a sharded cut's generation is
+// the table's mutation count at the cut — strictly increasing across
+// inserts and a Reshard, whose fresh shards restart their versions (the
+// sum of shard versions falls there) — and a one-shard view's is its
+// relation's version.
+func TestShardedSnapshotGenerationIncreases(t *testing.T) {
+	s, err := NewSharded("snap", snapSchema(), 3, ByHash("oid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := s.Insert(snapRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	versionSum := func(s *Sharded) (sum uint64) {
+		for _, sh := range s.Shards() {
+			sum += sh.Version()
+		}
+		return sum
+	}
+	first := s.Snapshot()
+	if err := s.Insert(snapRow(6)); err != nil {
+		t.Fatal(err)
+	}
+	second := s.Snapshot()
+	if _, err := s.Reshard(5, nil); err != nil {
+		t.Fatal(err)
+	}
+	third := s.Snapshot()
+	if versionSum(third) >= versionSum(second) {
+		t.Fatalf("test premise: the shard version sum must fall across the reshard (%d → %d)", versionSum(second), versionSum(third))
+	}
+	gens := []uint64{first.Generation(), second.Generation(), third.Generation(), s.Generation()}
+	if gens[0] != 6 || gens[1] != 7 || gens[2] != 8 || gens[3] != 8 {
+		t.Fatalf("generations %v, want [6 7 8 8]", gens)
+	}
+	r := buildSnapRelation(t, 4)
+	view := OneShard(r)
+	if view.Generation() != r.Version() || view.Snapshot().Generation() != r.Version() {
+		t.Fatalf("one-shard view generation %d, relation version %d", view.Generation(), r.Version())
+	}
+	if err := r.Insert(snapRow(4)); err != nil {
+		t.Fatal(err)
+	}
+	if view.Generation() != r.Version() {
+		t.Fatalf("one-shard view generation %d after an insert, relation version %d", view.Generation(), r.Version())
+	}
+}
+
 func TestSnapshotVersionsAcrossSortBy(t *testing.T) {
 	r := buildSnapRelation(t, 5)
 	snap := r.Snapshot()

@@ -54,6 +54,11 @@ type Metrics struct {
 	Overloads uint64
 	// Inserts counts wire inserts applied.
 	Inserts uint64
+	// ResultBytesHits counts batch statements answered with the frames a
+	// session retained for a repeat at the same table generation.
+	ResultBytesHits uint64
+	// ResultBytesRetained is the size of the answers sessions hold now.
+	ResultBytesRetained uint64
 }
 
 // Server serves Preference SQL over a listener.
@@ -77,6 +82,9 @@ type Server struct {
 	nErrors    atomic.Uint64
 	nOverloads atomic.Uint64
 	nInserts   atomic.Uint64
+
+	nAnswerHits atomic.Uint64
+	answerBytes atomic.Int64 // retained answer bytes, all sessions
 
 	statusFn atomic.Pointer[func() []wire.Stat]
 }
@@ -279,6 +287,9 @@ func (s *Server) Metrics() Metrics {
 		Errors:    s.nErrors.Load(),
 		Overloads: s.nOverloads.Load(),
 		Inserts:   s.nInserts.Load(),
+
+		ResultBytesHits:     s.nAnswerHits.Load(),
+		ResultBytesRetained: uint64(s.answerBytes.Load()),
 	}
 }
 
@@ -293,28 +304,53 @@ func (s *Server) table(name string) (relation.Table, bool) {
 	return tbl, ok
 }
 
+// pin is one statement's view of a catalog table: the live table it was
+// resolved to, the frozen snapshot it evaluates, and that snapshot's
+// generation and row count for the result header.
+type pin struct {
+	live relation.Table
+	snap relation.Table
+	gen  uint64
+	len  uint64
+}
+
+// current reports whether a statement's retained answer still answers
+// it: its FROM name resolves to the same live table, at the same
+// generation.
+func (s *Server) current(e *statement) bool {
+	tbl, ok := s.table(e.q.From)
+	if !ok || tbl != e.table {
+		return false
+	}
+	switch t := tbl.(type) {
+	case *relation.Relation:
+		return t.Version() == e.gen
+	case *relation.Sharded:
+		return t.Generation() == e.gen
+	}
+	return false
+}
+
 // snapshotTable pins the named table's current storage generation: the
 // returned frozen table is what one query evaluates over, whatever
-// concurrent writers do, together with its (version, row-count) pin for
-// the result header. For a sharded table the version is the sum of the
-// pinned shards' generation versions — like the flat version it is
-// non-decreasing under the single-writer insert history.
-func (s *Server) snapshotTable(name string) (relation.Table, uint64, uint64, error) {
+// concurrent writers do, together with its (generation, row-count) pin
+// for the result header. The generation is the flat relation's Version
+// or the sharded table's count of mutations at the cut (see
+// relation.Sharded.Generation); both strictly increase with every
+// mutation, so (live table, generation) names the rows a statement
+// reads.
+func (s *Server) snapshotTable(name string) (pin, error) {
 	tbl, ok := s.table(name)
 	if !ok {
-		return nil, 0, 0, fmt.Errorf("unknown relation %q", name)
+		return pin{}, fmt.Errorf("unknown relation %q", name)
 	}
 	switch t := tbl.(type) {
 	case *relation.Relation:
 		snap := t.Snapshot()
-		return snap, snap.Version(), uint64(snap.Len()), nil
+		return pin{live: tbl, snap: snap, gen: snap.Version(), len: uint64(snap.Len())}, nil
 	case *relation.Sharded:
 		snap := t.Snapshot()
-		var version uint64
-		for _, sh := range snap.Shards() {
-			version += sh.Version()
-		}
-		return snap, version, uint64(snap.Len()), nil
+		return pin{live: tbl, snap: snap, gen: snap.Generation(), len: uint64(snap.Len())}, nil
 	}
-	return nil, 0, 0, fmt.Errorf("relation %q has unsupported storage %T", name, tbl)
+	return pin{}, fmt.Errorf("relation %q has unsupported storage %T", name, tbl)
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -39,7 +41,11 @@ type session struct {
 	// the bounded statement-text parse cache for repeated Q/T frames.
 	opts     psql.Options
 	prepared map[string]*prepared
-	parsed   map[string]*psql.Query
+	parsed   map[string]*statement
+
+	// buf is the encode buffer of batch answers, reused across turns
+	// while it stays within answerBytesMax.
+	buf []byte
 }
 
 // parseCacheCap bounds the per-session statement parse cache. A hot set
@@ -47,6 +53,30 @@ type session struct {
 // past the cap the cache resets wholesale — re-parsing a statement once
 // per cap-miss epoch is cheaper than tracking recency.
 const parseCacheCap = 128
+
+// Retained answers. Under BMO semantics a statement's answer is a
+// function of its text and the table generation it reads, so a session
+// keeps the encoded frames of a repeated statement's last answer and
+// serves the next repeat at the same generation by writing them. Only
+// what the workload reuses is kept: an answer is retained the second
+// time a text arrives (a parse-cache hit), when it is complete and at
+// most answerBytesMax bytes, and while the server's retained total stays
+// within answerBytesBudget — past it, statements simply execute.
+const (
+	answerBytesMax    = 64 << 10
+	answerBytesBudget = 32 << 20
+)
+
+// statement is one parse-cache entry: the parsed text and, once the text
+// has been seen twice, the frames of its last complete batch answer
+// (header, columns, ready) with the live table and generation they were
+// computed at.
+type statement struct {
+	q      *psql.Query
+	answer []byte
+	table  relation.Table
+	gen    uint64
+}
 
 // frame is one pumped client frame.
 type frame struct {
@@ -72,8 +102,24 @@ func newSession(s *Server, nc net.Conn) *session {
 		frames:   make(chan frame),
 		opts:     psql.Options{Timeout: s.cfg.DefaultTimeout},
 		prepared: make(map[string]*prepared),
-		parsed:   make(map[string]*psql.Query),
+		parsed:   make(map[string]*statement),
 	}
+}
+
+// forget releases an entry's retained answer.
+func (ss *session) forget(e *statement) {
+	if e.answer != nil {
+		ss.srv.answerBytes.Add(-int64(len(e.answer)))
+		e.answer, e.table = nil, nil
+	}
+}
+
+// clearParsed empties the parse cache, releasing every retained answer.
+func (ss *session) clearParsed() {
+	for _, e := range ss.parsed {
+		ss.forget(e)
+	}
+	clear(ss.parsed)
 }
 
 // sever force-closes the connection (Shutdown past its deadline).
@@ -129,15 +175,16 @@ func (ss *session) run() {
 		ss.nc.Close()
 		for range ss.frames { //nolint:revive // draining
 		}
+		ss.clearParsed()
 	}()
 	for f := range ss.frames {
 		switch f.typ {
 		case wire.FrameQuit:
 			return
 		case wire.FrameQuery:
-			ss.serveStatement(string(f.payload), false)
+			ss.serveStatement(f.payload, false)
 		case wire.FrameStream:
-			ss.serveStatement(string(f.payload), true)
+			ss.serveStatement(f.payload, true)
 		case wire.FrameInsert:
 			ss.serveInsert(f.payload)
 		case wire.FrameSet:
@@ -197,41 +244,57 @@ func (ss *session) beginQuery() (context.Context, func()) {
 	}
 }
 
-// serveStatement executes one statement text (query or stream turn).
-func (ss *session) serveStatement(stmt string, stream bool) {
+// serveStatement executes one statement text (query or stream turn). A
+// batch repeat whose retained answer is still current is answered with
+// those bytes: no snapshot, no admission slot, no evaluation.
+func (ss *session) serveStatement(text []byte, stream bool) {
 	ss.srv.nQueries.Add(1)
 	if ss.srv.Draining() {
 		ss.sendError(wire.CodeShutdown, "server draining")
 		return
 	}
-	if len(stmt) > ss.srv.cfg.MaxStatement {
-		ss.sendError(wire.CodeTooLarge, fmt.Sprintf("statement is %d bytes, limit %d", len(stmt), ss.srv.cfg.MaxStatement))
+	if len(text) > ss.srv.cfg.MaxStatement {
+		ss.sendError(wire.CodeTooLarge, fmt.Sprintf("statement is %d bytes, limit %d", len(text), ss.srv.cfg.MaxStatement))
 		return
 	}
+	// Session commands never enter the parse cache, so a cached text is a
+	// query.
+	e, seen := ss.parsed[string(text)]
+	switch {
+	case seen && stream:
+		ss.serveStream(e.q)
+		return
+	case seen:
+		if e.answer != nil && ss.srv.current(e) {
+			ss.srv.nAnswerHits.Add(1)
+			ss.wc.Write(e.answer)
+			ss.wc.Flush()
+			return
+		}
+		ss.serveQuery(e.q, nil, e)
+		return
+	}
+	stmt := string(text)
 	if done := ss.serveSessionCommand(stmt, stream); done {
 		return
 	}
-	q, ok := ss.parsed[stmt]
-	if !ok {
-		var err error
-		q, err = psql.Parse(stmt)
-		if err != nil {
-			ss.sendError(wire.CodeParse, err.Error())
-			return
-		}
-		// Queries are read-only through execution (the EXECUTE path has
-		// reused them across turns since it existed), so caching the
-		// parsed form by exact statement text is safe.
-		if len(ss.parsed) >= parseCacheCap {
-			clear(ss.parsed)
-		}
-		ss.parsed[stmt] = q
+	q, err := psql.Parse(stmt)
+	if err != nil {
+		ss.sendError(wire.CodeParse, err.Error())
+		return
 	}
+	// Queries are read-only through execution (the EXECUTE path has
+	// reused them across turns since it existed), so caching the parsed
+	// form by exact statement text is safe.
+	if len(ss.parsed) >= parseCacheCap {
+		ss.clearParsed()
+	}
+	ss.parsed[stmt] = &statement{q: q}
 	if stream {
 		ss.serveStream(q)
 		return
 	}
-	ss.serveQuery(q, nil)
+	ss.serveQuery(q, nil, nil)
 }
 
 // serveSessionCommand handles the statements the server resolves itself
@@ -278,7 +341,7 @@ func (ss *session) serveSessionCommand(stmt string, stream bool) bool {
 			ss.serveStream(p.q)
 			return true
 		}
-		ss.serveQuery(p.q, p.handle)
+		ss.serveQuery(p.q, p.handle, nil)
 		return true
 	case "DEALLOCATE":
 		name, trailing := word(rest)
@@ -316,9 +379,13 @@ func registerRanked(q *psql.Query) *rank.Handle {
 }
 
 // serveQuery runs one batch query turn: snapshot, execute, answer with
-// header + column frames + ready.
-func (ss *session) serveQuery(q *psql.Query, handle *rank.Handle) {
-	snap, version, snapLen, err := ss.srv.snapshotTable(q.From)
+// header + column frames + ready. With e (a repeated statement text) the
+// answer replaces e's retained one.
+func (ss *session) serveQuery(q *psql.Query, handle *rank.Handle, e *statement) {
+	if e != nil {
+		ss.forget(e)
+	}
+	p, err := ss.srv.snapshotTable(q.From)
 	if err != nil {
 		ss.sendError(wire.CodeExec, err.Error())
 		return
@@ -327,13 +394,13 @@ func (ss *session) serveQuery(q *psql.Query, handle *rank.Handle) {
 	defer finish()
 	var rel *relation.Relation
 	var partial string
-	if flat, ok := snap.(*relation.Relation); ok && handle != nil {
+	if flat, ok := p.snap.(*relation.Relation); ok && handle != nil {
 		rel, err = ss.execRanked(ctx, flat, handle, q.Top)
 	} else {
 		opts := ss.opts
 		opts.Admission = ss.srv.adm
 		var res *psql.Result
-		res, err = psql.ExecCtx(ctx, q, psql.Catalog{q.From: snap}, opts)
+		res, err = psql.ExecCtx(ctx, q, psql.Catalog{q.From: p.snap}, opts)
 		if err == nil {
 			rel = res.Rel
 			if res.Partial != nil {
@@ -345,10 +412,34 @@ func (ss *session) serveQuery(q *psql.Query, handle *rank.Handle) {
 		ss.sendError(errorCode(err), err.Error())
 		return
 	}
-	if err := ss.writeResult(rel, version, snapLen, partial); err != nil {
+	buf, err := appendResult(ss.buf[:0], rel, p.gen, p.len, partial)
+	if err != nil {
+		ss.sendError(wire.CodeExec, err.Error())
 		return
 	}
-	ss.sendReady(wire.Ready{Partial: partial})
+	if e != nil && partial == "" && !q.ExplainPlan {
+		ss.retain(e, buf, p)
+	}
+	ss.wc.Write(buf)
+	ss.wc.Flush()
+	if cap(buf) <= answerBytesMax {
+		ss.buf = buf
+	}
+}
+
+// retain keeps a complete answer's frames on its statement entry, keyed
+// by the table and generation it was computed at, within the per-entry
+// and server-wide bounds.
+func (ss *session) retain(e *statement, answer []byte, p pin) {
+	n := int64(len(answer))
+	if n > answerBytesMax {
+		return
+	}
+	if ss.srv.answerBytes.Add(n) > answerBytesBudget {
+		ss.srv.answerBytes.Add(-n)
+		return
+	}
+	e.answer, e.table, e.gen = bytes.Clone(answer), p.live, p.gen
 }
 
 // execRanked is the prepared ranked fast path: k best rows off the
@@ -384,32 +475,40 @@ func (ss *session) execRanked(ctx context.Context, snap *relation.Relation, h *r
 	return snap.Pick(ridx), nil
 }
 
-// writeResult encodes a finished relation as header + per-column frames.
-func (ss *session) writeResult(rel *relation.Relation, version, snapLen uint64, partial string) error {
+// appendResult appends a finished relation's answer to buf as frames:
+// the header, one column frame per column — values encoded straight from
+// the rows — and the closing ready frame. Fresh and retained answers
+// both come from here, so a retained answer is byte-identical to a fresh
+// one.
+func appendResult(buf []byte, rel *relation.Relation, gen, snapLen uint64, partial string) ([]byte, error) {
 	schema := rel.Schema()
 	cols := make([]wire.Col, schema.Len())
 	for i, c := range schema.Columns() {
 		cols[i] = wire.Col{Name: c.Name, Type: c.Type}
 	}
-	hdr := wire.Header{SnapVersion: version, SnapLen: snapLen, NRows: uint32(rel.Len()), Cols: cols}
-	if err := ss.wc.WriteFrame(wire.FrameHeader, wire.EncodeHeader(hdr)); err != nil {
-		return err
+	n := rel.Len()
+	start := len(buf)
+	buf = wire.BeginFrame(buf, wire.FrameHeader)
+	buf = wire.AppendHeader(buf, wire.Header{SnapVersion: gen, SnapLen: snapLen, NRows: uint32(n), Cols: cols})
+	if err := wire.EndFrame(buf, start); err != nil {
+		return nil, err
 	}
-	vals := make([]pref.Value, rel.Len())
+	var err error
 	for c := range cols {
-		for i := range vals {
-			vals[i] = rel.Row(i)[c]
+		start = len(buf)
+		buf = binary.BigEndian.AppendUint16(wire.BeginFrame(buf, wire.FrameColumn), uint16(c))
+		for i := 0; i < n; i++ {
+			if buf, err = wire.AppendValue(buf, rel.Row(i)[c]); err != nil {
+				return nil, err
+			}
 		}
-		payload, err := wire.EncodeColumn(c, vals)
-		if err != nil {
-			ss.sendError(wire.CodeExec, err.Error())
-			return err
-		}
-		if err := ss.wc.WriteFrame(wire.FrameColumn, payload); err != nil {
-			return err
+		if err := wire.EndFrame(buf, start); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	start = len(buf)
+	buf = wire.AppendReady(wire.BeginFrame(buf, wire.FrameReady), wire.Ready{Partial: partial})
+	return buf, wire.EndFrame(buf, start)
 }
 
 // streamBatchRows is the row-batch chunk size for progressive results:
@@ -426,7 +525,7 @@ const streamBatchRows = 64
 // the first row included — and the yield's own check stops the write
 // side between rows.
 func (ss *session) serveStream(q *psql.Query) {
-	snap, version, snapLen, err := ss.srv.snapshotTable(q.From)
+	p, err := ss.srv.snapshotTable(q.From)
 	if err != nil {
 		ss.sendError(wire.CodeExec, err.Error())
 		return
@@ -444,7 +543,7 @@ func (ss *session) serveStream(q *psql.Query) {
 		ctx, cancel = context.WithTimeout(ctx, ss.opts.Timeout)
 		defer cancel()
 	}
-	schema := snap.Schema()
+	schema := p.snap.Schema()
 	sel := q.Select
 	if len(sel) == 0 {
 		sel = schema.Names()
@@ -458,7 +557,7 @@ func (ss *session) serveStream(q *psql.Query) {
 		}
 		cols[i] = wire.Col{Name: name, Type: schema.Col(ci).Type}
 	}
-	hdr := wire.Header{SnapVersion: version, SnapLen: snapLen, NRows: wire.StreamRows, Cols: cols}
+	hdr := wire.Header{SnapVersion: p.gen, SnapLen: p.len, NRows: wire.StreamRows, Cols: cols}
 	if err := ss.wc.WriteFrame(wire.FrameHeader, wire.EncodeHeader(hdr)); err != nil {
 		return
 	}
@@ -477,7 +576,7 @@ func (ss *session) serveStream(q *psql.Query) {
 		return ss.wc.Flush()
 	}
 	first := true
-	_, part, err := psql.ExecStreamCtx(ctx, q, psql.Catalog{q.From: snap}, opts, func(row relation.Row) bool {
+	_, part, err := psql.ExecStreamCtx(ctx, q, psql.Catalog{q.From: p.snap}, opts, func(row relation.Row) bool {
 		if ctx.Err() != nil {
 			return false
 		}
@@ -575,6 +674,8 @@ func (ss *session) serveStats() {
 		{Key: "server.errors", Val: fmt.Sprintf("%d", m.Errors)},
 		{Key: "server.overloads", Val: fmt.Sprintf("%d", m.Overloads)},
 		{Key: "server.inserts", Val: fmt.Sprintf("%d", m.Inserts)},
+		{Key: "server.result_bytes_hits", Val: fmt.Sprintf("%d", m.ResultBytesHits)},
+		{Key: "server.result_bytes_retained", Val: fmt.Sprintf("%d", m.ResultBytesRetained)},
 	}
 	stats = append(stats, ss.srv.statusExtra()...)
 	if err := ss.wc.WriteFrame(wire.FrameStatus, wire.EncodeStatus(stats)); err != nil {

@@ -168,6 +168,33 @@ func (c *Conn) WriteFrame(t byte, payload []byte) error {
 	return err
 }
 
+// Write appends already-framed bytes — frames assembled with BeginFrame
+// and EndFrame — to the write buffer (no flush).
+func (c *Conn) Write(frames []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	_, err := c.w.Write(frames)
+	return err
+}
+
+// BeginFrame appends the header of a frame of type t to buf, its length
+// left for EndFrame to fill in; the payload is appended after it.
+func BeginFrame(buf []byte, t byte) []byte {
+	return append(buf, 0, 0, 0, 0, t)
+}
+
+// EndFrame completes the frame BeginFrame began at offset start of buf
+// (the buffer's length before the call), writing its length. It fails
+// when the payload exceeds MaxFrame, as WriteFrame does.
+func EndFrame(buf []byte, start int) error {
+	n := len(buf) - start - 4 // the type byte and the payload
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame payload %d exceeds %d", n-1, MaxFrame)
+	}
+	binary.BigEndian.PutUint32(buf[start:start+4], uint32(n))
+	return nil
+}
+
 // Flush pushes buffered frames to the peer.
 func (c *Conn) Flush() error {
 	c.wmu.Lock()
@@ -289,8 +316,10 @@ type Col struct {
 
 // Header is a decoded result-header frame.
 type Header struct {
-	// SnapVersion is the pinned snapshot's mutation version (flat tables:
-	// the relation version; sharded: the sum of shard versions).
+	// SnapVersion is the pinned snapshot's generation (flat tables: the
+	// relation version; sharded: the table's count of inserts and
+	// reshards at the cut). It strictly increases with every mutation of
+	// the table, so equal versions of one table mean the same rows.
 	SnapVersion uint64
 	// SnapLen is the pinned snapshot's total row count — with a single
 	// sequential writer it identifies the exact insert-history prefix the
@@ -305,7 +334,11 @@ type Header struct {
 
 // EncodeHeader encodes a result-header payload.
 func EncodeHeader(h Header) []byte {
-	buf := make([]byte, 0, 32+16*len(h.Cols))
+	return AppendHeader(make([]byte, 0, 32+16*len(h.Cols)), h)
+}
+
+// AppendHeader appends a result-header payload to buf.
+func AppendHeader(buf []byte, h Header) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, h.SnapVersion)
 	buf = binary.BigEndian.AppendUint64(buf, h.SnapLen)
 	buf = binary.BigEndian.AppendUint32(buf, h.NRows)
@@ -514,11 +547,14 @@ type Ready struct {
 }
 
 // EncodeReady encodes a ready frame payload.
-func EncodeReady(r Ready) []byte {
+func EncodeReady(r Ready) []byte { return AppendReady(nil, r) }
+
+// AppendReady appends a ready frame payload to buf.
+func AppendReady(buf []byte, r Ready) []byte {
 	if r.Partial == "" {
-		return []byte{0}
+		return append(buf, 0)
 	}
-	return AppendString([]byte{1}, r.Partial)
+	return AppendString(append(buf, 1), r.Partial)
 }
 
 // DecodeReady decodes a ready frame payload.

@@ -221,6 +221,41 @@ func TestConnFraming(t *testing.T) {
 	if typ != FrameQuit || len(payload) != 0 {
 		t.Fatalf("frame 2: %c %q", typ, payload)
 	}
+
+	// Frames assembled ahead of the write (BeginFrame … EndFrame, then
+	// Conn.Write) are the bytes WriteFrame writes.
+	h := Header{SnapVersion: 3, SnapLen: 9, NRows: 2, Cols: []Col{{Name: "oid", Type: relation.Int}}}
+	buf.Reset()
+	if err := c.WriteFrame(FrameHeader, EncodeHeader(h)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteFrame(FrameReady, EncodeReady(Ready{Partial: "shard 1 missing"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(buf.Bytes())
+	var frames []byte
+	frames = AppendHeader(BeginFrame(frames, FrameHeader), h)
+	if err := EndFrame(frames, 0); err != nil {
+		t.Fatal(err)
+	}
+	start := len(frames)
+	frames = AppendReady(BeginFrame(frames, FrameReady), Ready{Partial: "shard 1 missing"})
+	if err := EndFrame(frames, start); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := c.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frames, want) || !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("assembled frames % x, written % x, want % x", frames, buf.Bytes(), want)
+	}
 }
 
 func TestConnRejectsOversizedFrame(t *testing.T) {
