@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-noasm test-noavx2 test-ties test-faults test-serve test-resultcache test-persist test-bench bench bench-cold bench-serve bench-json benchdiff lint lint-docs loc fmt
+.PHONY: build test test-noasm test-noavx2 test-ties fuzz test-faults test-serve test-resultcache test-persist test-bench bench bench-cold bench-serve bench-json benchdiff lint lint-docs loc fmt
 
 build:
 	$(GO) build ./...
@@ -34,14 +34,23 @@ test-noavx2:
 # pass and the oracle on the edge rows with its named cases and re-check
 # counts, the block kernel's verdicts against the masked model, the routes
 # the planner gives the served statement shapes with EXPLAIN before == what
-# ran == EXPLAIN after, and the borrowed-slab lifetime checks — entries
+# ran == EXPLAIN after, the borrowed-slab lifetime checks — entries
 # that outlive their slab, abandoned workers, concurrent sessions — all
 # with released slabs poisoned (the engine and psql suites turn the guard
-# on in TestMain).
+# on in TestMain), and the ordered hard selection: value-order reads
+# against the scan and Cmp.Eval on edge values over every layout (the
+# battery and FuzzRangeCut's seed corpus), orders bounded under inserts,
+# and EXPLAIN's access path equal to the one the run took.
 test-ties:
 	$(GO) test -race \
-		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutes|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements' \
-		./internal/pref ./internal/engine ./internal/filter ./internal/boundcache ./internal/psql
+		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutes|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ExplainAccessPath' \
+		./internal/pref ./internal/engine ./internal/filter ./internal/boundcache ./internal/psql ./internal/relation
+
+# A short fuzzing run of the ordered hard selection (the seed corpus alone
+# runs in every `go test`); FUZZTIME=1m or longer to explore further.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run 'xxx' -fuzz 'FuzzRangeCut' -fuzztime $(FUZZTIME) ./internal/filter
 
 # The fault-tolerance suite under the race detector: fault injection
 # (slow/hung/panicking/erroring shards) against both policies, the
@@ -112,10 +121,12 @@ bench:
 # paged row read a statement ends in (Pick of 1/37/300 rows from a store
 # whose pool holds 1/8 or all of the row pages) — and, beside them, a
 # repeated served statement over loopback (hit: the retained answer's
-# bytes; miss: a first sighting through parse, pipeline and encode). CI
-# tees their rows into the job summary.
+# bytes; miss: a first sighting through parse, pipeline and encode), and
+# one cold range cut, scanned against read out of the column's value
+# order, at 0.1–100 % selectivity. CI tees their rows into the job summary.
 bench-cold:
 	$(GO) test -run 'xxx' -bench 'ColdSelectiveBMO' -benchmem .
+	$(GO) test -run 'xxx' -bench 'RangeCut' -benchtime 0.3s -benchmem ./internal/filter
 	$(GO) test -run 'xxx' -bench 'DominanceKernel' -benchtime 0.3s -benchmem ./internal/engine
 	$(GO) test -run 'xxx' -bench 'ShardMerge$$' -benchtime 0.3s -benchmem ./internal/engine
 	$(GO) test -run 'xxx' -bench 'PutAtCapacity' -benchmem ./internal/boundcache

@@ -100,8 +100,11 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 		// The WHERE clause binds (through the selection cache) at explain
 		// time: the bitmaps are exactly what execution will reuse, so EXPLAIN
 		// can report true selectivity, the binding mode and cache status.
+		// Each shard picks its own access path (an ordered read or a
+		// scan): shards that differ are named with their counts.
 		hits, count := 0, 0
-		mode := ""
+		var modes []string
+		perMode := map[string]int{}
 		sets = make(engine.ShardSets, nShards)
 		for i, sh := range s.Shards() {
 			if filter.CacheContains(q.Where, sh) {
@@ -110,9 +113,16 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			sel := filter.CompileCached(q.Where, sh)
 			sets[i] = sel.Indices()
 			count += sel.Count()
-			if i == 0 {
-				mode = sel.Mode()
+			if perMode[sel.Mode()]++; perMode[sel.Mode()] == 1 {
+				modes = append(modes, sel.Mode())
 			}
+		}
+		mode := modes[0]
+		if len(modes) > 1 {
+			for k, m := range modes {
+				modes[k] = m + onShards(perMode[m])
+			}
+			mode = strings.Join(modes, ", ")
 		}
 		status := "miss" + onShards(nShards-hits) + " — now bound and cached"
 		if hits == nShards {

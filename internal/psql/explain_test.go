@@ -1,6 +1,7 @@
 package psql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -593,5 +594,102 @@ func TestExplainWorkloadStatementsAvoidTheTree(t *testing.T) {
 	}
 	if engine.DominanceRuns(engine.DominanceTree) == tree0 {
 		t.Error("an EXPLICIT ⊗ term must compare through the tree")
+	}
+}
+
+// TestExplainAccessPathAgreesWithWhatRan: the hard-selection line names
+// the access path of the selection execution reads — the bound form the
+// selection cache hands the run — on the cold_skyline shape (two range
+// shards, an unclustered d4 cut) and the durable_paged one (hash shards in
+// a store, four inserts after every statement). A column's first request
+// scans; from the second on each shard reads the cut out of the column's
+// value order, across inserts too (the order is inherited with a short
+// tail). A statement EXPLAINed before it runs, one run without EXPLAIN,
+// and every EXPLAIN after agree with what ran, shard by shard.
+func TestExplainAccessPathAgreesWithWhatRan(t *testing.T) {
+	engine.ResetCompileCache()
+	filter.ResetCache()
+	resultcache.Reset()
+	defer engine.ResetCompileCache()
+	defer filter.ResetCache()
+	defer resultcache.Reset()
+	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
+	ptsSharded, err := relation.ShardRelation(pts, 2, relation.ByRange("d1", relation.RangeBounds(pts, "d1", 2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := relation.OpenStore(t.TempDir(), relation.StoreOptions{PoolBytes: 64 << 10, PageBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cars, err := relation.ShardRelation(workload.Cars(8000, 7), 2, relation.ByHash("oid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paged, err := st.ImportTable(cars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	more := workload.Cars(64, 8)
+	for _, c := range []struct {
+		name, stmt string
+		cat        Catalog
+		cuts       []string
+		writes     bool
+	}{
+		{"cold_skyline", "SELECT * FROM pts WHERE d4 <= %s PREFERRING d1 AROUND 0.41 AND d2 AROUND 0.63 AND LOWEST(d3)",
+			Catalog{"pts": ptsSharded}, []string{"0.031", "0.047", "0.022", "0.058"}, false},
+		{"durable_paged", "SELECT * FROM car WHERE price <= %s PREFERRING mileage AROUND 60000 AND HIGHEST(horsepower)",
+			Catalog{"car": paged}, []string{"9000", "11500", "8200", "10400"}, true},
+	} {
+		s, err := c.cat.lookup(strings.Fields(c.stmt[strings.Index(c.stmt, "FROM ")+5:])[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, cut := range c.cuts {
+			stmt := fmt.Sprintf(c.stmt, cut)
+			q, err := Parse(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := "vectorized"
+			if k > 0 {
+				want = "ordered (driver " + q.Where.String() + ")"
+			}
+			line := "hard selection: " + q.Where.String() + " [" + want + ", "
+			explain := func(when string) {
+				t.Helper()
+				text, err := ExplainQuery(stmt, c.cat, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(text, line) {
+					t.Errorf("%s cut %d, EXPLAIN %s the run: want %q in\n%s", c.name, k, when, line, text)
+				}
+			}
+			if k != 2 { // the third cut runs without being EXPLAINed first
+				explain("before")
+			}
+			if _, err := Run(stmt, c.cat, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			for i, sh := range s.Shards() {
+				if !filter.CacheContains(q.Where, sh) {
+					t.Fatalf("%s cut %d: shard %d's selection is not in the cache after the run", c.name, k, i)
+				}
+				if ran := filter.CompileCached(q.Where, sh).Mode(); ran != want {
+					t.Errorf("%s cut %d: shard %d ran %q, want %q", c.name, k, i, ran, want)
+				}
+			}
+			explain("after")
+			if c.writes {
+				for j := 0; j < 4; j++ {
+					if err := paged.Insert(more.Row(4*k + j)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
 	}
 }

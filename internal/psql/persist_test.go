@@ -96,7 +96,7 @@ func TestPersistentBeyondRAMAgreement(t *testing.T) {
 	}
 
 	plan, err := ExplainQuery(
-		"SELECT oid FROM car WHERE price < 40000 PREFERRING LOWEST(price) AND LOWEST(mileage)",
+		"SELECT oid FROM car WHERE price < 25000 PREFERRING LOWEST(price) AND LOWEST(mileage)",
 		pagedCat, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +104,11 @@ func TestPersistentBeyondRAMAgreement(t *testing.T) {
 	if !strings.Contains(plan, "compiled evaluation") {
 		t.Fatalf("paged table lost compiled evaluation:\n%s", plan)
 	}
-	if !strings.Contains(plan, "vectorized") {
-		t.Fatalf("paged table lost the vectorized hard-selection scan:\n%s", plan)
+	// The trials above requested price's order before, so the cut (about
+	// an eighth of the rows) reads it out of the order built from the
+	// mmap'd segment image.
+	if !strings.Contains(plan, "[ordered (driver price < 25000), ") {
+		t.Fatalf("paged table lost the ordered hard selection:\n%s", plan)
 	}
 
 	// The pool really was the constraint: the working set rotated

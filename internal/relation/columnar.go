@@ -1,9 +1,13 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/pref"
 )
 
@@ -14,7 +18,9 @@ import (
 // interface, so materializing a score dimension is a flat vector copy
 // instead of a per-row schema lookup, interface unboxing and type switch.
 // The arrays are derived data owned by their generation: a row mutation
-// (Insert, SortBy) publishes a fresh generation with empty caches, while
+// (Insert, SortBy) publishes a fresh generation with empty caches (an
+// Insert generation keeps only its predecessor's value orders, see
+// ValueOrder), while
 // the superseded generation — and every array built from it — stays
 // valid for pinned Snapshot readers until the garbage collector retires
 // the epoch. FromColumns ingests column-major data and builds both
@@ -253,6 +259,104 @@ func (r *Relation) NumericColumn(name string) (vals []float64, onScale []bool, o
 // numericType reports the column types whose float image decides value
 // equality.
 func numericType(t Type) bool { return t == Int || t == Float }
+
+// ValueOrder is NumericColumn plus the column's value order on the current
+// generation (see filter.ValueOrder), all from that one generation. The
+// order is kept for what is reused: the first request for a column marks
+// it and returns no order, the second builds it — 4 bytes per row — and
+// later ones share it. A generation published by Insert (or a checkpoint)
+// inherits its predecessor's orders, which cover its unchanged row prefix,
+// and leaves the appended rows as their tail; the first request that finds
+// the tail longer than 1/orderTailFraction of the covered rows extends the
+// order over it. SortBy, Reshard, Replace and reopening start without
+// orders. Columns beyond 2^31 rows get none. It implements
+// filter.ValueOrderer.
+func (r *Relation) ValueOrder(name string) (vals []float64, onScale []bool, ord *filter.ValueOrder, ok bool) {
+	ci, ok := r.schema.Index(name)
+	if !ok || !numericType(r.schema.Col(ci).Type) {
+		return nil, nil, nil, false
+	}
+	g := r.cur()
+	vals, onScale, _ = g.floatColumn(r.schema, name)
+	return vals, onScale, g.valueOrder(ci, vals, onScale), true
+}
+
+// orderTailFraction bounds an inherited order's unindexed tail: past
+// covered/orderTailFraction appended rows, a request extends the order.
+const orderTailFraction = 8
+
+// orderSet maps a column to its value order; a column present with a nil
+// order has been requested once. A published set is never modified.
+type orderSet map[int]*filter.ValueOrder
+
+// servable reports whether o may answer a request over n rows.
+func servable(o *filter.ValueOrder, n int) bool {
+	return o != nil && n-o.Covers <= o.Covers/orderTailFraction
+}
+
+// valueOrder serves, marks or builds column ci's order over the
+// generation's float image.
+func (g *generation) valueOrder(ci int, vals []float64, onScale []bool) *filter.ValueOrder {
+	if len(vals) > math.MaxInt32 {
+		return nil
+	}
+	if set := g.orders.Load(); set != nil && servable((*set)[ci], len(vals)) {
+		return (*set)[ci]
+	}
+	g.orderMu.Lock()
+	defer g.orderMu.Unlock()
+	var cur orderSet
+	if set := g.orders.Load(); set != nil {
+		cur = *set
+	}
+	o, seen := cur[ci]
+	switch {
+	case servable(o, len(vals)):
+		return o
+	case seen:
+		o = extendOrder(o, vals, onScale)
+	}
+	next := make(orderSet, len(cur)+1)
+	for k, v := range cur {
+		next[k] = v
+	}
+	next[ci] = o
+	g.orders.Store(&next)
+	return o
+}
+
+// extendOrder returns an order over every row of vals: prev's sorted part
+// merged with the sorted rows past prev.Covers, then prev's NaN rows and
+// the new ones. A nil prev builds from scratch.
+func extendOrder(prev *filter.ValueOrder, vals []float64, onScale []bool) *filter.ValueOrder {
+	if prev == nil {
+		prev = &filter.ValueOrder{}
+	}
+	var fresh, nan []int32
+	for i := prev.Covers; i < len(vals); i++ {
+		switch {
+		case !onScale[i]:
+		case math.IsNaN(vals[i]):
+			nan = append(nan, int32(i))
+		default:
+			fresh = append(fresh, int32(i))
+		}
+	}
+	slices.SortFunc(fresh, func(a, b int32) int { return cmp.Compare(vals[a], vals[b]) })
+	old := prev.Pos[:prev.Ordered]
+	pos := make([]int32, 0, len(prev.Pos)+len(fresh)+len(nan))
+	for len(old) > 0 && len(fresh) > 0 {
+		if vals[fresh[0]] < vals[old[0]] {
+			pos, fresh = append(pos, fresh[0]), fresh[1:]
+		} else {
+			pos, old = append(pos, old[0]), old[1:]
+		}
+	}
+	pos = append(append(pos, old...), fresh...)
+	ordered := len(pos)
+	pos = append(append(pos, prev.Pos[prev.Ordered:]...), nan...)
+	return &filter.ValueOrder{Pos: pos, Ordered: ordered, Covers: len(vals)}
+}
 
 // Resolves implements pref.Resolver: every row of a relation carries
 // every schema attribute.

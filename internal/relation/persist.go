@@ -400,6 +400,7 @@ func (sp *shardPersist) checkpointLocked(r *Relation, g *generation) (err error)
 	if err != nil {
 		return err
 	}
+	ng.orders.Store(g.orders.Load()) // same rows at the same positions
 	r.gen.Store(ng)
 	return nil
 }

@@ -171,6 +171,12 @@ type generation struct {
 	groupCols map[string][]uint32
 	mat       []Row // memoized base+tail materialization (base != nil only)
 
+	// Value orders of numeric columns (see valueOrder): a copy-on-write
+	// set, so a successor generation that keeps this one's row prefix
+	// inherits it with one pointer copy. orderMu serializes its updates.
+	orderMu sync.Mutex
+	orders  atomic.Pointer[orderSet]
+
 	// snap memoizes the frozen Snapshot view of this generation, so every
 	// session pinning the same version shares one *Relation identity and
 	// the bound-form caches (keyed by source pointer) hit across sessions.
@@ -470,6 +476,7 @@ func (r *Relation) Insert(row Row) error {
 		rows:    append(g.rows, stored),
 		version: g.version + 1,
 	}
+	ng.orders.Store(g.orders.Load()) // the rows before the append are unchanged
 	r.gen.Store(ng)
 	runInsertHooks(r, g.version, g.nrows())
 	if r.persist != nil {
