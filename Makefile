@@ -34,7 +34,9 @@ test-noavx2:
 # pass and the oracle on the edge rows with its named cases and re-check
 # counts, the block kernel's verdicts against the masked model, the routes
 # the planner gives the served statement shapes with EXPLAIN before == what
-# ran == EXPLAIN after, the borrowed-slab lifetime checks — entries
+# ran == EXPLAIN after, and the SKYLINE OF chain products' routes at one
+# and two Ps against the BNL oracle with EXPLAIN's algorithm, workers and
+# comparator == what ran, the borrowed-slab lifetime checks — entries
 # that outlive their slab, abandoned workers, concurrent sessions — all
 # with released slabs poisoned (the engine and psql suites turn the guard
 # on in TestMain), and the ordered hard selection: value-order reads
@@ -43,7 +45,7 @@ test-noavx2:
 # and EXPLAIN's access path equal to the one the run took.
 test-ties:
 	$(GO) test -race \
-		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutes|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ExplainAccessPath' \
+		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutesColdShapes|PlannerRoutesChainProducts|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ExplainAccessPath' \
 		./internal/pref ./internal/engine ./internal/filter ./internal/boundcache ./internal/psql ./internal/relation
 
 # A short fuzzing run of the ordered hard selection (the seed corpus alone

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -20,7 +22,7 @@ import (
 )
 
 // One benchmark per reproduced experiment, plus the ablation and
-// evaluation-layer benches (parallel variants, planner, streaming). Run with
+// evaluation-layer benches (partitioned passes, planner, streaming). Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -158,7 +160,7 @@ func BenchmarkF3Algorithms(b *testing.B) {
 	p := pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))
 	for _, n := range []int{1000, 4000} {
 		rel := workload.Numeric(n, 3, workload.AntiCorrelated, 23)
-		for _, alg := range []engine.Algorithm{engine.Naive, engine.BNL, engine.SFS, engine.DNC, engine.Decomposition} {
+		for _, alg := range []engine.Algorithm{engine.Naive, engine.BNL, engine.SFS, engine.Decomposition} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, alg), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -178,7 +180,7 @@ func BenchmarkCompiledColumnar(b *testing.B) {
 	p := pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))
 	rel := workload.Numeric(10000, 3, workload.AntiCorrelated, 23)
 	rel.Columnarize()
-	for _, alg := range []engine.Algorithm{engine.BNL, engine.SFS, engine.DNC} {
+	for _, alg := range []engine.Algorithm{engine.BNL, engine.SFS} {
 		for _, mode := range []engine.EvalMode{engine.EvalInterpreted, engine.EvalCompiled} {
 			b.Run(fmt.Sprintf("%s/%s", alg, mode), func(b *testing.B) {
 				b.ReportAllocs()
@@ -349,26 +351,26 @@ func BenchmarkExperimentExamples(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelVsSequential measures the partitioned variants against
-// their sequential counterparts on a multi-core-friendly workload: large
-// anti-correlated chain product, where local maxima sets stay small
-// relative to the partitions. On a multi-core machine the parallel rows
-// should beat their sequential siblings; on one core they degrade to the
-// sequential path plus negligible dispatch overhead.
+// BenchmarkParallelVsSequential measures both passes at one worker against
+// the same pass partitioned over GOMAXPROCS workers on a multi-core-friendly
+// workload: large anti-correlated chain product, where local maxima sets
+// stay small relative to the partitions. On a multi-core machine the
+// partitioned rows should beat their one-worker siblings; at GOMAXPROCS 1
+// only the one-worker rows run.
 func BenchmarkParallelVsSequential(b *testing.B) {
 	rel := workload.Numeric(20000, 3, workload.AntiCorrelated, 37)
 	p := pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))
-	for _, alg := range []engine.Algorithm{
-		engine.BNL, engine.ParallelBNL,
-		engine.SFS, engine.ParallelSFS,
-		engine.DNC, engine.ParallelDNC,
-	} {
-		b.Run(alg.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				engine.BMOIndices(p, rel, alg)
-			}
-		})
+	for _, alg := range []engine.Algorithm{engine.BNL, engine.SFS} {
+		for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+			pl := engine.PlanFor(p, rel)
+			pl.Algorithm, pl.Workers = alg, workers
+			b.Run(fmt.Sprintf("%s/workers=%d", alg, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					pl.Indices()
+				}
+			})
+		}
 	}
 }
 

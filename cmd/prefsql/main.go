@@ -29,7 +29,7 @@ func main() {
 		dataDir = flag.String("data", "", "directory of *.csv tables")
 		expr    = flag.String("e", "", "query to execute (omit for a REPL)")
 		demo    = flag.Bool("demo", false, "load built-in synthetic car and trips tables")
-		algName = flag.String("alg", "auto", "BMO algorithm: auto, naive, bnl, sfs, dnc, decomposition, parallel-bnl, parallel-sfs, parallel-dnc")
+		algName = flag.String("alg", "auto", "BMO algorithm: "+algNames())
 		seed    = flag.Int64("seed", 42, "seed for -demo data")
 		rows    = flag.Int("rows", 5000, "row count for -demo data")
 	)
@@ -102,28 +102,25 @@ func runQuery(query string, cat psql.Catalog, opts psql.Options) error {
 	return nil
 }
 
-func parseAlg(name string) (engine.Algorithm, error) {
-	switch strings.ToLower(name) {
-	case "auto":
-		return engine.Auto, nil
-	case "naive":
-		return engine.Naive, nil
-	case "bnl":
-		return engine.BNL, nil
-	case "sfs":
-		return engine.SFS, nil
-	case "dnc":
-		return engine.DNC, nil
-	case "decomposition":
-		return engine.Decomposition, nil
-	case "parallel-bnl":
-		return engine.ParallelBNL, nil
-	case "parallel-sfs":
-		return engine.ParallelSFS, nil
-	case "parallel-dnc":
-		return engine.ParallelDNC, nil
+// algorithms lists the BMO algorithms -alg accepts, by their names.
+var algorithms = []engine.Algorithm{engine.Auto, engine.Naive, engine.BNL, engine.SFS, engine.Decomposition}
+
+// algNames joins the algorithm names for -alg's help and its errors.
+func algNames() string {
+	names := make([]string, len(algorithms))
+	for i, a := range algorithms {
+		names[i] = a.String()
 	}
-	return 0, fmt.Errorf("prefsql: unknown algorithm %q", name)
+	return strings.Join(names, ", ")
+}
+
+func parseAlg(name string) (engine.Algorithm, error) {
+	for _, a := range algorithms {
+		if strings.EqualFold(name, a.String()) {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("prefsql: unknown algorithm %q (valid: %s)", name, algNames())
 }
 
 func fatal(err error) {

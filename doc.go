@@ -44,7 +44,7 @@
 // pointers), internal/core (the façade API) and README.md (package tour,
 // how to run the examples, benchmarks and CI). bench_test.go in this
 // directory holds one benchmark per reproduced experiment plus the
-// evaluation-layer benches (parallel variants, planner, streaming,
+// evaluation-layer benches (partitioned passes, planner, streaming,
 // compiled vs interpreted, selection and compile-cache studies, sharded
 // evaluation at n=100k over 1/2/4/8 shards); BENCH_BASELINE.json is the
 // one committed micro baseline.

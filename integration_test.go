@@ -198,7 +198,8 @@ func TestSQLAndXPathAgree(t *testing.T) {
 }
 
 // TestAllEnginesOnRealisticWorkload pins cross-algorithm agreement on the
-// car market at realistic scale, including the parallel evaluator.
+// car market at realistic scale, including both passes partitioned over
+// four workers.
 func TestAllEnginesOnRealisticWorkload(t *testing.T) {
 	cars := workload.Cars(3000, 31)
 	wish := pref.Prioritized(
@@ -206,16 +207,24 @@ func TestAllEnginesOnRealisticWorkload(t *testing.T) {
 		pref.ParetoAll(pref.LOWEST("price"), pref.LOWEST("mileage"), pref.HIGHEST("year")),
 	)
 	want := engine.BMOIndices(wish, cars, engine.Naive)
-	for _, alg := range []engine.Algorithm{engine.BNL, engine.SFS, engine.DNC, engine.Decomposition, engine.ParallelBNL, engine.Auto} {
-		got := engine.BMOIndices(wish, cars, alg)
+	check := func(name string, got []int) {
+		t.Helper()
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d rows, naive found %d", alg, len(got), len(want))
+			t.Fatalf("%s: %d rows, naive found %d", name, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s: row mismatch at %d", alg, i)
+				t.Fatalf("%s: row mismatch at %d", name, i)
 			}
 		}
+	}
+	for _, alg := range []engine.Algorithm{engine.BNL, engine.SFS, engine.Decomposition, engine.Auto} {
+		check(alg.String(), engine.BMOIndices(wish, cars, alg))
+	}
+	for _, alg := range []engine.Algorithm{engine.BNL, engine.SFS} {
+		pl := engine.PlanFor(wish, cars)
+		pl.Algorithm, pl.Workers = alg, 4
+		check(alg.String()+"×4", pl.Indices())
 	}
 }
 

@@ -111,8 +111,6 @@ const (
 	BNL = engine.BNL
 	// SFS is sort-filter-skyline.
 	SFS = engine.SFS
-	// DNC is divide & conquer for chain-product (skyline) preferences.
-	DNC = engine.DNC
 	// Decomposition evaluates via the paper's Propositions 8–12.
 	Decomposition = engine.Decomposition
 )

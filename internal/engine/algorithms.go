@@ -224,8 +224,9 @@ func sfs(p pref.Preference, r *relation.Relation, idx []int, cc *canceller) []in
 // chainDims flattens a Pareto tree into its chain dimensions (LOWEST or
 // HIGHEST leaves on distinct attributes). This is exactly the fragment the
 // SKYLINE OF clause of [BKS01] covers; on it, the paper's equality-based
-// Pareto semantics coincides with coordinate-wise score dominance, so the
-// [KLP75] divide & conquer maxima algorithm applies.
+// Pareto semantics coincides with coordinate-wise score dominance, which
+// the blocked filter's exact verdicts (chainExact), the result cache's
+// coordinate carry and the cross-shard stream rely on.
 func chainDims(p pref.Preference) ([]pref.Scorer, bool) {
 	switch q := p.(type) {
 	case *pref.Lowest:
@@ -252,12 +253,6 @@ func chainDims(p pref.Preference) ([]pref.Scorer, bool) {
 	return nil, false
 }
 
-// dncPoint carries a row index with its maximize-all score vector.
-type dncPoint struct {
-	row   int
-	coord []float64
-}
-
 // dominates reports coordinate-wise dominance: a ≥ b everywhere and a > b
 // somewhere (all dimensions maximize). A NaN score on either side makes
 // the dimension unranked AND unequal (NaN values compare unequal under
@@ -279,76 +274,6 @@ func dominates(a, b []float64) bool {
 	return strict
 }
 
-// dnc computes the maxima via divide & conquer [KLP75] for chain-product
-// preferences: split on the median of the first dimension, recurse, then
-// filter the low half's maxima against the high half's maxima. Falls back
-// to BNL for non-chain-product preferences.
-func dnc(p pref.Preference, r *relation.Relation, idx []int, cc *canceller) []int {
-	dims, ok := chainDims(p)
-	if !ok {
-		return bnl(p, r, idx, cc)
-	}
-	pts := make([]dncPoint, len(idx))
-	for k, i := range idx {
-		cc.tick()
-		coord := make([]float64, len(dims))
-		t := r.Tuple(i)
-		for d, s := range dims {
-			coord[d] = s.ScoreOf(t)
-		}
-		pts[k] = dncPoint{i, coord}
-	}
-	if !chainCoordsExact(dims, r, idx, pts) {
-		return bnl(p, r, idx, cc)
-	}
-	maxima := dncMaxima(pts, cc)
-	out := make([]int, len(maxima))
-	for k, pt := range maxima {
-		out[k] = pt.row
-	}
-	slices.Sort(out)
-	return out
-}
-
-// chainCoordsExact reports whether coordinate-wise dominance over the raw
-// chain scores coincides with the preference on this candidate set: per
-// dimension and infinity sign, every row scoring ±Inf must come from one
-// value class. Distinct classes tied at an infinity (NULLs next to
-// infinite domain values) are Pareto-incomparable but look coordinate-
-// dominated, so dnc falls back to BNL — the interpreted twin of the
-// pref.InfCollapse gate the compiled paths use. Only infinite coordinates
-// cost a tuple lookup; finite-only data scans floats.
-func chainCoordsExact(dims []pref.Scorer, r *relation.Relation, idx []int, pts []dncPoint) bool {
-	if !chainImagesExact(dims, r) {
-		return false
-	}
-	for d, s := range dims {
-		attr := s.Attrs()[0]
-		ic := pref.InfCollapse{Exact: true}
-		for k, i := range idx {
-			coord := pts[k].coord[d]
-			if !math.IsInf(coord, 0) {
-				continue
-			}
-			key := "\x00off"
-			if v, ok := r.Tuple(i).Get(attr); ok && v != nil {
-				key = pref.ValueKey(v)
-			}
-			one := pref.InfCollapse{Exact: true}
-			if coord > 0 {
-				one.PosClass = key
-			} else {
-				one.NegClass = key
-			}
-			ic = pref.MergeInfCollapse(ic, one)
-			if !ic.Exact {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // chainImagesExact reports that no chain dimension reads a TIME column:
 // the score scale of an instant is whole seconds, so unequal instants tie
 // at a finite coordinate — the finite twin of the ±Inf collapse, decided
@@ -363,69 +288,9 @@ func chainImagesExact(dims []pref.Scorer, r *relation.Relation) bool {
 	return true
 }
 
-// dncMaxima returns the non-dominated points. It owns pts and reorders it
-// freely; a single scratch buffer is reused across every recursion level
-// for the median selection.
-func dncMaxima(pts []dncPoint, cc *canceller) []dncPoint {
-	var scratch []float64
-	return dncMaximaRec(pts, &scratch, cc)
-}
-
-func dncMaximaRec(pts []dncPoint, scratch *[]float64, cc *canceller) []dncPoint {
-	// One tick per recursive call: each call does at least a linear pass
-	// over its partition, so the stride bounds latency without touching
-	// the partition scans themselves.
-	cc.tick()
-	if len(pts) <= 8 {
-		return bruteMaxima(pts)
-	}
-	// Split at the median of dimension 0: high half can dominate low half
-	// but not vice versa (after in-half maxima are taken). Quickselect on
-	// the reused scratch buffer finds it in O(n) without the full sort and
-	// fresh allocation the previous implementation paid per level.
-	keys := (*scratch)[:0]
-	for _, p := range pts {
-		keys = append(keys, p.coord[0])
-	}
-	*scratch = keys
-	median := quickselect(keys, len(keys)/2)
-	// Partition in place: points at or above the median to the front.
-	lo := 0
-	for i := range pts {
-		if pts[i].coord[0] >= median {
-			pts[lo], pts[i] = pts[i], pts[lo]
-			lo++
-		}
-	}
-	high, low := pts[:lo], pts[lo:]
-	if len(low) == 0 || len(high) == 0 {
-		// Degenerate split (many ties on dim 0): fall back to brute force
-		// on this partition to guarantee termination.
-		return bruteMaxima(pts)
-	}
-	mHigh := dncMaximaRec(high, scratch, cc)
-	mLow := dncMaximaRec(low, scratch, cc)
-	// Filter the low maxima against the high maxima. Both maxima slices
-	// are freshly built by the recursion, so appending to mHigh is safe.
-	out := mHigh
-	for _, lp := range mLow {
-		dominated := false
-		for _, hp := range mHigh {
-			if dominates(hp.coord, lp.coord) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, lp)
-		}
-	}
-	return out
-}
-
 // fltLess totally orders float64 with NaN first: the raw `<` is not a
 // total order in the presence of NaN (every comparison reports false),
-// which would run the Hoare scans below past the slice ends.
+// which a sort comparator must be.
 func fltLess(a, b float64) bool {
 	if math.IsNaN(a) {
 		return !math.IsNaN(b)
@@ -434,71 +299,4 @@ func fltLess(a, b float64) bool {
 		return false
 	}
 	return a < b
-}
-
-// quickselect returns the k-th smallest element (0-based, NaN-first total
-// order) of keys, partially reordering keys in place: expected O(n) with
-// a median-of-three pivot, against the O(n log n) of sorting just to read
-// one rank.
-func quickselect(keys []float64, k int) float64 {
-	lo, hi := 0, len(keys)-1
-	for lo < hi {
-		// Median-of-three pivot: keys[lo] ≤ keys[mid] ≤ keys[hi] in the
-		// total order, so both scans stop inside [lo, hi].
-		mid := lo + (hi-lo)/2
-		if fltLess(keys[mid], keys[lo]) {
-			keys[mid], keys[lo] = keys[lo], keys[mid]
-		}
-		if fltLess(keys[hi], keys[lo]) {
-			keys[hi], keys[lo] = keys[lo], keys[hi]
-		}
-		if fltLess(keys[hi], keys[mid]) {
-			keys[hi], keys[mid] = keys[mid], keys[hi]
-		}
-		pivot := keys[mid]
-		// Hoare partition.
-		i, j := lo-1, hi+1
-		for {
-			for {
-				i++
-				if !fltLess(keys[i], pivot) {
-					break
-				}
-			}
-			for {
-				j--
-				if !fltLess(pivot, keys[j]) {
-					break
-				}
-			}
-			if i >= j {
-				break
-			}
-			keys[i], keys[j] = keys[j], keys[i]
-		}
-		if k <= j {
-			hi = j
-		} else {
-			lo = j + 1
-		}
-	}
-	return keys[k]
-}
-
-// bruteMaxima is the quadratic base case of the divide & conquer.
-func bruteMaxima(pts []dncPoint) []dncPoint {
-	var out []dncPoint
-	for i, a := range pts {
-		maximal := true
-		for j, b := range pts {
-			if i != j && dominates(b.coord, a.coord) {
-				maximal = false
-				break
-			}
-		}
-		if maximal {
-			out = append(out, a)
-		}
-	}
-	return out
 }

@@ -156,7 +156,7 @@ func evalGathered(p pref.Preference, r *relation.Relation, alg Algorithm, mode E
 // bind scope that actually ran — and dispatches the algorithm. idx
 // addresses c: relation positions, or slots of a gathered form.
 func planAndExecute(alg Algorithm, p pref.Preference, r *relation.Relation, c *pref.Compiled, idx []int, scope BindScope, mode EvalMode, cc *canceller) []int {
-	workers := 0
+	workers := 1
 	if alg == Auto {
 		pl := planCore(p, r, len(idx), Env{Mode: mode}, scope)
 		alg, workers = pl.Algorithm, pl.Workers

@@ -76,7 +76,7 @@ func TestStaleCacheNeverChangesBMO(t *testing.T) {
 		pref.Prioritized(pref.POS("cat", "a"), pref.LOWEST("d1")),
 		pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.NEG("cat", "b")),
 	}
-	algs := []Algorithm{Naive, BNL, SFS, DNC, Decomposition, Auto}
+	algs := []Algorithm{Naive, BNL, SFS, Decomposition, Auto}
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rel := cacheTestRelation(rng, 20+rng.Intn(60))
@@ -283,7 +283,8 @@ func TestEphemeralRelationsBypassCache(t *testing.T) {
 // pointer identity, so a cache-served bound form must be interrogated
 // through its OWN term (Compiled.Pref) — the caller's structurally
 // identical re-built tree has different pointers and would miss, silently
-// degrading the D&C fast path to BNL on exactly the repeated queries the
+// dropping the blocked filter's exact chain verdicts (chainExact) and the
+// result cache's coordinate carry on exactly the repeated queries the
 // cache accelerates.
 func TestCacheHitKeepsChainProductVectors(t *testing.T) {
 	ResetCompileCache()

@@ -541,42 +541,3 @@ func cmpKeyColumns(keys [][]float64, a, b int) int {
 	}
 	return 0
 }
-
-// dncCompiled runs the [KLP75] divide & conquer with coordinates read
-// straight from the compiled score columns (one flat backing array, no
-// per-row ScoreOf calls). Falls back to bnlCompiled for non-chain-product
-// terms. The chain dimensions are resolved from the compiled form's own
-// term: ScoreVec is keyed by sub-term pointer identity, and a cache-served
-// form may stem from a different (structurally identical) tree than the
-// caller's.
-func dncCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
-	dims, ok := chainDims(c.Pref())
-	if !ok {
-		return bnlCompiled(c, idx, cc)
-	}
-	vecs := make([][]float64, len(dims))
-	for d, s := range dims {
-		// ScoreVecExact: an inexact ±Inf collapse breaks the coordinate-
-		// dominance equivalence (see chainExact) — fall back.
-		if vecs[d] = c.ScoreVec(s); vecs[d] == nil || !c.ScoreVecExact(s) {
-			return bnlCompiled(c, idx, cc)
-		}
-	}
-	dominanceRuns[DominanceCoords].Add(1)
-	pts := make([]dncPoint, len(idx))
-	backing := make([]float64, len(idx)*len(dims))
-	for k, i := range idx {
-		coord := backing[k*len(dims) : (k+1)*len(dims) : (k+1)*len(dims)]
-		for d := range dims {
-			coord[d] = vecs[d][i]
-		}
-		pts[k] = dncPoint{i, coord}
-	}
-	maxima := dncMaxima(pts, cc)
-	out := make([]int, len(maxima))
-	for k, pt := range maxima {
-		out[k] = pt.row
-	}
-	slices.Sort(out)
-	return out
-}

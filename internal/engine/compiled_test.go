@@ -70,17 +70,23 @@ func compiledTerm(rng *rand.Rand) pref.Preference {
 // evaluation returns exactly the BMO set of the interpreted interface
 // path. The reference is interpreted BNL (window algorithms are sound for
 // every strict partial order). Run under -race by `make test` and CI, it
-// also exercises the parallel compiled variants for data races.
+// also exercises the partitioned compiled passes for data races.
 func TestCompiledAndInterpretedBMOAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
 	for trial := 0; trial < 40; trial++ {
 		rel := mixedRelation(rng, 30+rng.Intn(700))
 		p := compiledTerm(rng)
 		want := BMOIndicesMode(p, rel, BNL, EvalInterpreted)
-		for _, alg := range []Algorithm{Naive, BNL, SFS, DNC, ParallelBNL, ParallelSFS, ParallelDNC, Auto} {
+		for _, alg := range []Algorithm{Naive, BNL, SFS, Auto} {
 			if got := BMOIndicesMode(p, rel, alg, EvalCompiled); !sameIndices(got, want) {
 				t.Fatalf("trial %d: compiled %s diverged on %s over %d rows: %d vs %d rows",
 					trial, alg, p, rel.Len(), len(got), len(want))
+			}
+		}
+		c := compileFor(p, rel, EvalCompiled)
+		for _, alg := range []Algorithm{BNL, SFS} {
+			if got := execute(alg, 3, p, rel, c, allIndices(rel.Len()), nil); !sameIndices(got, want) {
+				t.Fatalf("trial %d: compiled %s over 3 workers diverged on %s: %d vs %d rows", trial, alg, p, len(got), len(want))
 			}
 		}
 	}
@@ -94,7 +100,7 @@ func TestInterpretedModeBypassesCompilation(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		rel := randomRelation(rng, 100+rng.Intn(400), 2+rng.Intn(5))
 		p := randomTerm(rng, 5)
-		for _, alg := range []Algorithm{Naive, BNL, SFS, DNC} {
+		for _, alg := range []Algorithm{Naive, BNL, SFS} {
 			a := BMOIndicesMode(p, rel, alg, EvalInterpreted)
 			b := BMOIndicesMode(p, rel, alg, EvalCompiled)
 			if !sameIndices(a, b) {
@@ -115,7 +121,7 @@ func TestCompiledFallbackForForeignPreference(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("non-empty input must have maxima")
 	}
-	for _, alg := range []Algorithm{Naive, BNL, SFS, DNC, ParallelBNL, Auto} {
+	for _, alg := range []Algorithm{Naive, BNL, SFS, Auto} {
 		if got := BMOIndices(p, rel, alg); !sameIndices(got, want) {
 			t.Fatalf("foreign preference: %s diverged (%d vs %d rows)", alg, len(got), len(want))
 		}
@@ -156,10 +162,11 @@ func TestCompiledStreamAgreesAndStaysProgressive(t *testing.T) {
 	}
 }
 
-// TestDNCWithNaNCoordinates is a regression test for the quickselect
-// median: NaN score coordinates (a NaN in a FLOAT column) must not panic
-// the Hoare scans, and DNC must agree with BNL under both modes.
-func TestDNCWithNaNCoordinates(t *testing.T) {
+// TestSortedPassWithNaNCoordinates: NaN score coordinates (a NaN in a
+// FLOAT column of a chain product) leave the sorted pass's score order
+// undefined; SFS, Auto and the partitioned sorted pass must agree with
+// interpreted BNL under both modes.
+func TestSortedPassWithNaNCoordinates(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	r := relation.New("N", relation.MustSchema(
 		relation.Column{Name: "a", Type: relation.Float},
@@ -176,10 +183,13 @@ func TestDNCWithNaNCoordinates(t *testing.T) {
 	p := pref.Pareto(pref.LOWEST("a"), pref.LOWEST("b"))
 	want := BMOIndicesMode(p, r, BNL, EvalInterpreted)
 	for _, mode := range []EvalMode{EvalInterpreted, EvalCompiled} {
-		for _, alg := range []Algorithm{DNC, ParallelDNC, SFS} {
+		for _, alg := range []Algorithm{SFS, Auto} {
 			if got := BMOIndicesMode(p, r, alg, mode); !sameIndices(got, want) {
 				t.Fatalf("%s/%s diverged on NaN coordinates (%d vs %d rows)", alg, mode, len(got), len(want))
 			}
+		}
+		if got := execute(SFS, 3, p, r, compileFor(p, r, mode), allIndices(r.Len()), nil); !sameIndices(got, want) {
+			t.Fatalf("sfs×3/%s diverged on NaN coordinates (%d vs %d rows)", mode, len(got), len(want))
 		}
 	}
 }

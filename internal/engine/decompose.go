@@ -249,21 +249,16 @@ func GroupByIndicesOn(p pref.Preference, groupAttrs []string, r *relation.Relati
 	}
 	eval := func(p pref.Preference, r *relation.Relation, idx []int) []int {
 		switch alg {
-		case Naive, SFS, DNC, ParallelBNL, ParallelSFS, ParallelDNC:
-			return execute(alg, 0, p, r, c, idx, nil)
 		case Decomposition:
 			return decomposed(p, r, idx)
 		case Auto:
 			if len(idx) >= smallInput && stats == nil {
-				stats = cachedStats(r, Env{}.sampleLimit())
+				stats = cachedStats(r, statsSample)
 			}
 			pl := planCore(p, r, len(idx), Env{Stats: stats}, BindCached) // one bound form serves every group
 			return execute(pl.Algorithm, pl.Workers, p, r, c, idx, nil)
 		}
-		if c != nil {
-			return bnlCompiled(c, idx, nil)
-		}
-		return bnl(p, r, idx, nil)
+		return execute(alg, 1, p, r, c, idx, nil)
 	}
 	var out []int
 	for _, group := range r.GroupsOn(groupAttrs, idx) {

@@ -1,11 +1,11 @@
 // Package engine evaluates preference queries σ[P](R) under the BMO
 // ("Best Matches Only") query model of §5: retrieve exactly the tuples
 // whose projection is maximal in the database preference PR (Definition
-// 15). It provides the naive O(n²) evaluator, block-nested-loops (BNL),
-// sort-filter-skyline (SFS), the divide & conquer algorithm of [KLP75] for
-// chain-product (skyline-style) preferences, and the paper's own
-// decomposition evaluator built from Propositions 8–12, including the YY
-// term and groupby evaluation.
+// 15). It provides the naive O(n²) evaluator, the two passes the planner
+// chooses between — block-nested-loops (BNL) and sort-filter-skyline (SFS),
+// each at one worker or partitioned over several (parallel.go) — and the
+// paper's own decomposition evaluator built from Propositions 8–12,
+// including the YY term and groupby evaluation.
 package engine
 
 import (
@@ -21,8 +21,9 @@ type Algorithm int
 
 // Evaluation algorithms.
 const (
-	// Auto picks D&C for chain-product preferences on large inputs, SFS
-	// when a compatible sort key exists, and BNL otherwise.
+	// Auto plans the pass: BNL or, when a compatible sort key exists, SFS,
+	// at one worker or partitioned over several — whichever the cost model
+	// prices lowest for the term and the input (planCore).
 	Auto Algorithm = iota
 	// Naive performs exhaustive pairwise better-than tests, O(n²); the
 	// reference implementation (§5.1).
@@ -34,25 +35,10 @@ const (
 	// with P, then a single filtering pass. Requires a Scorer-composed
 	// preference; falls back to BNL otherwise.
 	SFS
-	// DNC is the divide & conquer maxima algorithm of [KLP75], applicable
-	// to Pareto accumulations of LOWEST/HIGHEST chains (the SKYLINE OF
-	// fragment of [BKS01]); falls back to BNL otherwise.
-	DNC
 	// Decomposition evaluates via the paper's decomposition theorems:
 	// Prop 8 (+), Prop 9 (♦ with YY), Prop 10/11 (&), Prop 12 (⊗);
 	// non-decomposable terms evaluate with BNL.
 	Decomposition
-	// ParallelBNL partitions the input across CPUs, computes per-partition
-	// maxima concurrently and merges them with a final BNL pass; exact for
-	// every strict partial order.
-	ParallelBNL
-	// ParallelSFS is the partitioned variant of SFS on the same
-	// partition/merge framework; falls back to partitioned BNL when no
-	// compatible sort key exists.
-	ParallelSFS
-	// ParallelDNC is the partitioned variant of the [KLP75] divide &
-	// conquer; falls back to partitioned BNL for non-chain-product terms.
-	ParallelDNC
 )
 
 // String renders the algorithm name.
@@ -66,16 +52,8 @@ func (a Algorithm) String() string {
 		return "bnl"
 	case SFS:
 		return "sfs"
-	case DNC:
-		return "dnc"
 	case Decomposition:
 		return "decomposition"
-	case ParallelBNL:
-		return "parallel-bnl"
-	case ParallelSFS:
-		return "parallel-sfs"
-	case ParallelDNC:
-		return "parallel-dnc"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -222,10 +200,12 @@ func allIndices(n int) []int {
 	return idx
 }
 
-// ResolveAuto reports the algorithm Auto selects for a preference over an
-// input of n rows, without relation statistics (shape and cardinality
-// only). Query explanation (EXPLAIN in Preference SQL) surfaces this
-// choice; PlanWith gives the fully statistics-informed decision.
-func ResolveAuto(p pref.Preference, n int) Algorithm {
-	return planCore(p, nil, n, Env{}, BindCached).Algorithm
+// ResolveAuto plans Auto for a preference over an input of n rows without
+// a relation: shape and cardinality only, no statistics. Query explanation
+// uses it where a step's input is itself an estimate (a CASCADE step's is
+// the preceding step's estimated result); PlanWithInput gives the
+// statistics-informed decision over known candidates. The plan explains;
+// it holds no relation to run on.
+func ResolveAuto(p pref.Preference, n int) *Plan {
+	return planCore(p, nil, n, Env{}, BindCached)
 }

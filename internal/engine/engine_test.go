@@ -65,7 +65,7 @@ func TestAlgorithmsAgreePropertyBased(t *testing.T) {
 		rel := randomRelation(rng, 3+rng.Intn(40), 2+rng.Intn(5))
 		p := randomTerm(rng, 5)
 		want := BMOIndices(p, rel, Naive)
-		for _, alg := range []Algorithm{BNL, SFS, DNC, Decomposition, Auto} {
+		for _, alg := range []Algorithm{BNL, SFS, Decomposition, Auto} {
 			if got := BMOIndices(p, rel, alg); !sameIndices(got, want) {
 				t.Logf("seed %d: %s disagrees on %s: got %v want %v", seed, alg, p, got, want)
 				return false
@@ -120,7 +120,7 @@ func TestBMONeverEmptyOnNonEmptyInput(t *testing.T) {
 
 func TestBMOEmptyRelation(t *testing.T) {
 	rel := relation.New("R", relation.MustSchema(relation.Column{Name: "A1", Type: relation.Int}))
-	for _, alg := range []Algorithm{Naive, BNL, SFS, DNC, Decomposition, Auto} {
+	for _, alg := range []Algorithm{Naive, BNL, SFS, Decomposition, Auto} {
 		if got := BMOIndices(pref.LOWEST("A1"), rel, alg); len(got) != 0 {
 			t.Errorf("%s: non-empty result on empty relation", alg)
 		}
@@ -264,7 +264,7 @@ func TestIsPerfectComposites(t *testing.T) {
 
 func TestAlgorithmString(t *testing.T) {
 	for alg, want := range map[Algorithm]string{
-		Auto: "auto", Naive: "naive", BNL: "bnl", SFS: "sfs", DNC: "dnc", Decomposition: "decomposition",
+		Auto: "auto", Naive: "naive", BNL: "bnl", SFS: "sfs", Decomposition: "decomposition",
 	} {
 		if alg.String() != want {
 			t.Errorf("%d renders as %q", alg, alg.String())
@@ -272,19 +272,6 @@ func TestAlgorithmString(t *testing.T) {
 	}
 	if s := Algorithm(42).String(); s != fmt.Sprintf("Algorithm(%d)", 42) {
 		t.Errorf("unknown algorithm rendering %q", s)
-	}
-}
-
-func TestDNCFallsBackForNonChainPreferences(t *testing.T) {
-	// AROUND is not a LOWEST/HIGHEST chain: DNC must fall back to BNL and
-	// still be correct (equidistant values would break score dominance).
-	rel := relation.New("R", relation.MustSchema(relation.Column{Name: "A1", Type: relation.Int}))
-	rel.MustInsert(relation.Row{int64(-1)}, relation.Row{int64(1)}, relation.Row{int64(5)})
-	p := pref.AROUND("A1", 0)
-	got := BMOIndices(p, rel, DNC)
-	// Both −1 and 1 are at distance 1: both maximal.
-	if len(got) != 2 {
-		t.Errorf("DNC fallback broken: got rows %v", got)
 	}
 }
 
@@ -296,7 +283,7 @@ func TestChainDimsDetection(t *testing.T) {
 		t.Error("AROUND leaf must not count as a chain dim")
 	}
 	if _, ok := chainDims(pref.Pareto(pref.LOWEST("a"), pref.HIGHEST("a"))); ok {
-		t.Error("duplicate attribute dims are out of scope for DNC")
+		t.Error("duplicate attribute dims are out of scope for coordinate dominance")
 	}
 	if _, ok := chainDims(pref.Prioritized(pref.LOWEST("a"), pref.LOWEST("b"))); ok {
 		t.Error("prioritized roots are not chain products")

@@ -303,9 +303,6 @@ const (
 	// passes — sort-filter, stream confirm, the cross-shard sweeps — over
 	// the flat fragment when the kernel is enabled.
 	DominanceBlocksAVX2
-	// DominanceCoords is the [KLP75] divide & conquer's own coordinate
-	// test over chain products.
-	DominanceCoords
 )
 
 // String renders the comparator the way EXPLAIN prints it.
@@ -315,8 +312,6 @@ func (d Dominance) String() string {
 		return "flat"
 	case DominanceBlocksAVX2:
 		return "blocks-avx2"
-	case DominanceCoords:
-		return "coords"
 	}
 	return "tree"
 }
@@ -325,31 +320,22 @@ func (d Dominance) String() string {
 // run of alg over term p uses: the planner prices it, EXPLAIN reports it,
 // and execution applies the same predicates in the same order
 // (newMaximaFilter: pref.FlatShaped inside pref.Compile, then the AVX2
-// flag). Three data-dependent demotions happen at run time and are not
-// visible here: an inexact ±Inf collapse (pref.InfCollapse) takes a chain
-// product from DNC's coordinates to the flat kernel, a NaN among the
-// candidates' scores takes a sorted pass to the window pass on flat
-// records (sumOrder), and a presence-masked leaf (a generic source whose
-// tuples lack an attribute) takes a flat term to the tree.
+// flag). Two data-dependent demotions happen at run time and are not
+// visible here: a NaN among the candidates' scores takes a sorted pass to
+// the window pass on flat records (sumOrder), and a presence-masked leaf (a
+// generic source whose tuples lack an attribute) takes a flat term to the
+// tree.
 func dominanceOf(p pref.Preference, alg Algorithm) Dominance {
-	_, chain := chainDims(p)
-	return dominanceFor(chain, pref.FlatShaped(p), alg)
+	return dominanceFor(pref.FlatShaped(p), alg)
 }
 
-// dominanceFor is dominanceOf over the two structural facts it needs, for
-// callers that already hold them.
-func dominanceFor(chain, flat bool, alg Algorithm) Dominance {
-	switch alg {
-	case DNC, ParallelDNC:
-		if chain {
-			return DominanceCoords
-		}
-	case SFS, ParallelSFS:
-		if flat && AVX2Enabled() {
-			return DominanceBlocksAVX2
-		}
-	}
-	if flat {
+// dominanceFor is dominanceOf over the structural fact it needs, for
+// callers that already hold it.
+func dominanceFor(flat bool, alg Algorithm) Dominance {
+	switch {
+	case flat && alg == SFS && AVX2Enabled():
+		return DominanceBlocksAVX2
+	case flat:
 		return DominanceFlat
 	}
 	return DominanceTree
@@ -357,10 +343,10 @@ func dominanceFor(chain, flat bool, alg Algorithm) Dominance {
 
 // dominanceRuns counts algorithm passes per comparator that actually ran
 // (after the run-time demotions dominanceOf cannot see).
-var dominanceRuns [DominanceCoords + 1]atomic.Uint64
+var dominanceRuns [DominanceBlocksAVX2 + 1]atomic.Uint64
 
 // DominanceRuns returns the cumulative number of compiled algorithm
-// passes (one per window, filter, divide & conquer or stream-confirm run,
-// partition workers and merges included) that compared through d — the
-// "what ran" next to EXPLAIN's dominance= field.
+// passes (one per window, filter or stream-confirm run, partition workers
+// and merges included) that compared through d — the "what ran" next to
+// EXPLAIN's dominance= field.
 func DominanceRuns(d Dominance) uint64 { return dominanceRuns[d].Load() }

@@ -530,14 +530,14 @@ func TestFlatKernelSortedPassNaNScores(t *testing.T) {
 // TestFlatKernelRoutes: BMO sets through every route that compares on
 // records — whole-relation and gathered binds under each algorithm, the
 // exhaustive reference, partition workers, the progressive stream — equal
-// the interpreted BNL oracle, and the flat kernel (or, for chain products,
-// a coordinate comparator) is what ran: never the tree for a fragment
-// term, never records for a term outside it. TestGatheredBindAgreement
-// covers the sharded, merged and paged routes the same way.
+// the interpreted BNL oracle, and the flat kernel is what ran: never the
+// tree for a fragment term, never records for a term outside it.
+// TestGatheredBindAgreement covers the sharded, merged and paged routes
+// the same way.
 func TestFlatKernelRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	runs := func() [4]uint64 {
-		return [4]uint64{DominanceRuns(DominanceTree), DominanceRuns(DominanceFlat), DominanceRuns(DominanceBlocksAVX2), DominanceRuns(DominanceCoords)}
+	runs := func() [3]uint64 {
+		return [3]uint64{DominanceRuns(DominanceTree), DominanceRuns(DominanceFlat), DominanceRuns(DominanceBlocksAVX2)}
 	}
 	for trial := 0; trial < 40; trial++ {
 		rel := kernelTestRelation(rng, 200+rng.Intn(400))
@@ -546,7 +546,7 @@ func TestFlatKernelRoutes(t *testing.T) {
 		sub := allIndices(rel.Len())[:rel.Len()/5] // small enough to bind gathered
 		wantSub := oidsOf(rel.Pick(sub).Row, BMOIndicesMode(p, rel.Pick(sub), BNL, EvalInterpreted))
 		before := runs()
-		for _, alg := range []Algorithm{Naive, BNL, SFS, DNC, ParallelBNL, ParallelSFS, Auto} {
+		for _, alg := range []Algorithm{Naive, BNL, SFS, Auto} {
 			ResetCompileCache()
 			if got := BMOIndicesMode(p, rel, alg, EvalCompiled); !sameInts(got, want) {
 				t.Fatalf("trial %d %s alg %s:\n got %v\nwant %v", trial, p, alg, got, want)
@@ -556,8 +556,10 @@ func TestFlatKernelRoutes(t *testing.T) {
 				t.Fatalf("trial %d %s alg %s gathered:\n got %v\nwant %v", trial, p, alg, got, wantSub)
 			}
 		}
-		if got := bnlParallelWorkers(p, rel, compileFor(p, rel, EvalAuto), allIndices(rel.Len()), 3, nil); !sameInts(got, want) {
-			t.Fatalf("trial %d %s: 3 partition workers: got %v want %v", trial, p, got, want)
+		for _, alg := range []Algorithm{BNL, SFS} {
+			if got := execute(alg, 3, p, rel, compileFor(p, rel, EvalAuto), allIndices(rel.Len()), nil); !sameInts(got, want) {
+				t.Fatalf("trial %d %s: %s over 3 partition workers: got %v want %v", trial, p, alg, got, want)
+			}
 		}
 		for _, idx := range [][]int{nil, sub} {
 			got := EvalStreamOn(p, rel, Auto, idx).Collect()

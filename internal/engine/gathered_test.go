@@ -224,7 +224,7 @@ func TestGatheredBindAgreement(t *testing.T) {
 	if testing.Short() {
 		trials = 3
 	}
-	algs := []Algorithm{Auto, BNL, SFS, DNC}
+	algs := []Algorithm{Auto, BNL, SFS}
 	for trial := 0; trial < trials; trial++ {
 		flat := gatheredTestRelation(rng, 300+rng.Intn(500))
 		for name, s := range gatheredLayouts(t, rng, flat) {
@@ -242,15 +242,14 @@ func TestGatheredBindAgreement(t *testing.T) {
 					}
 					// The comparator that ran is the one the term's shape
 					// calls for, on the per-shard passes and the merge alike:
-					// records or score blocks (or a chain product's
-					// coordinates) for the flat fragment, the tree for
-					// everything else.
+					// records or score blocks for the flat fragment, the tree
+					// for everything else.
 					tree, flat := DominanceRuns(DominanceTree)-tree0, fragmentRuns()-flat0
 					if pref.FlatShaped(p) && tree != 0 || !pref.FlatShaped(p) && flat != 0 {
 						t.Fatalf("trial %d %s cut %d alg %s term %s (in fragment: %v): %d tree passes, %d flat passes",
 							trial, name, cut, alg, p, pref.FlatShaped(p), tree, flat)
 					}
-					if _, chain := chainDims(p); pref.FlatShaped(p) && !chain && sets.Total(s) > 0 && flat == 0 {
+					if pref.FlatShaped(p) && sets.Total(s) > 0 && flat == 0 {
 						t.Fatalf("trial %d %s cut %d alg %s term %s: the flat kernel never ran", trial, name, cut, alg, p)
 					}
 					// Both sides of the subset rule ran: a small candidate set
@@ -318,7 +317,7 @@ func TestGatheredMergeInfTies(t *testing.T) {
 		all[i] = allIndices(s.Shard(i).Len())
 	}
 	want := referenceOIDs(p, s, all)
-	for _, alg := range []Algorithm{Auto, SFS, DNC, BNL} {
+	for _, alg := range []Algorithm{Auto, SFS, BNL} {
 		got := BMOShardedOn(p, s, alg, nil)
 		if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
 			t.Fatalf("alg %s: got %v want %v", alg, oids, want)

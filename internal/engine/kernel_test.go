@@ -284,7 +284,7 @@ func TestKernelShardedAgreesOnInfData(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := oidSetFlat(flat, BMOIndicesMode(p, flat, Naive, EvalInterpreted))
-		for _, alg := range []Algorithm{Auto, SFS, DNC} {
+		for _, alg := range []Algorithm{Auto, SFS, BNL} {
 			got := oidSetSharded(s, BMOShardedOn(p, s, alg, nil))
 			if !sameInts(got, want) {
 				t.Fatalf("trial %d: sharded %s over %d shards: got %v want %v", trial, alg, shards, got, want)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/relation"
@@ -17,4 +18,12 @@ import (
 func TestMain(m *testing.M) {
 	relation.PoisonReleasedSlabs(true)
 	os.Exit(m.Run())
+}
+
+// atProcs runs the rest of the test at n Ps: the planner sizes partitioned
+// plans by relation.Procs(), the scheduler's GOMAXPROCS.
+func atProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

@@ -17,9 +17,10 @@ func TestParallelBNLAgreesWithSequential(t *testing.T) {
 		rel := randomRelation(rng, 600+rng.Intn(2000), 2+rng.Intn(8))
 		p := randomTerm(rng, 8)
 		want := BMOIndices(p, rel, BNL)
-		got := BMOIndices(p, rel, ParallelBNL)
+		workers := 2 + rng.Intn(7)
+		got := execute(BNL, workers, p, rel, compileFor(p, rel, EvalAuto), allIndices(rel.Len()), nil)
 		if !sameIndices(got, want) {
-			t.Logf("seed %d: parallel BNL diverged on %s: %d vs %d rows", seed, p, len(got), len(want))
+			t.Logf("seed %d: BNL ×%d diverged on %s: %d vs %d rows", seed, workers, p, len(got), len(want))
 			return false
 		}
 		return true
@@ -30,69 +31,72 @@ func TestParallelBNLAgreesWithSequential(t *testing.T) {
 }
 
 func TestParallelBNLSmallInputFallsThrough(t *testing.T) {
-	// Inputs below the partition threshold run sequentially — same result.
+	// A small input plans one worker on any number of Ps — same result as
+	// sequential BNL.
+	atProcs(t, 8)
 	rng := rand.New(rand.NewSource(3))
 	rel := randomRelation(rng, 50, 3)
 	p := pref.Pareto(pref.LOWEST("A1"), pref.LOWEST("A2"))
-	if !sameIndices(BMOIndices(p, rel, ParallelBNL), BMOIndices(p, rel, BNL)) {
-		t.Error("small-input parallel evaluation must equal sequential")
+	if pl := PlanFor(p, rel); pl.Workers != 1 {
+		t.Errorf("50 rows at 8 Ps plan %d workers, want 1\n%s", pl.Workers, pl.Explain())
+	}
+	if !sameIndices(BMOIndices(p, rel, Auto), BMOIndices(p, rel, BNL)) {
+		t.Error("small-input evaluation must equal sequential")
 	}
 }
 
 func TestParallelBNLEmptyAndSingleton(t *testing.T) {
 	rel := relation.New("R", relation.MustSchema(relation.Column{Name: "A1", Type: relation.Int}))
 	p := pref.LOWEST("A1")
-	if got := BMOIndices(p, rel, ParallelBNL); len(got) != 0 {
+	if got := execute(BNL, 2, p, rel, nil, nil, nil); len(got) != 0 {
 		t.Error("empty input")
 	}
 	rel.MustInsert(relation.Row{int64(1)})
-	if got := BMOIndices(p, rel, ParallelBNL); len(got) != 1 {
+	if got := execute(BNL, 2, p, rel, nil, allIndices(1), nil); len(got) != 1 {
 		t.Error("singleton input")
 	}
 }
 
 func TestParallelBNLInGrouping(t *testing.T) {
+	// Groups large enough to partition at 4 Ps: Auto plans each group on
+	// its own and must match sequential BNL.
+	atProcs(t, 4)
 	rng := rand.New(rand.NewSource(11))
-	rel := randomRelation(rng, 1500, 3)
+	rel := randomRelation(rng, 6000, 2)
 	p := pref.AROUND("A2", 1)
 	a := GroupBy(p, []string{"A1"}, rel, BNL)
-	b := GroupBy(p, []string{"A1"}, rel, ParallelBNL)
+	b := GroupBy(p, []string{"A1"}, rel, Auto)
 	if a.Len() != b.Len() {
-		t.Errorf("grouping with parallel BNL diverged: %d vs %d", a.Len(), b.Len())
+		t.Errorf("grouping with partitioned plans diverged: %d vs %d", a.Len(), b.Len())
 	}
 }
 
-// --- partition/merge edge cases (the framework behind every parallel variant) ---
+// --- partition/merge edge cases (the framework behind every partitioned plan) ---
 
 func TestParallelWorkersEmptyIndexSet(t *testing.T) {
 	rel := relation.New("R", relation.MustSchema(relation.Column{Name: "A1", Type: relation.Int}))
 	rel.MustInsert(relation.Row{int64(1)})
 	p := pref.LOWEST("A1")
 	for _, workers := range []int{2, 3, 8} {
-		if got := bnlParallelWorkers(p, rel, nil, nil, workers, nil); len(got) != 0 {
+		if got := execute(BNL, workers, p, rel, nil, nil, nil); len(got) != 0 {
 			t.Errorf("workers=%d: empty candidate set must stay empty, got %v", workers, got)
 		}
 	}
 }
 
 func TestParallelWorkersBelowGrainStaySequential(t *testing.T) {
-	// Fewer than parallelGrain candidates: defaultWorkers yields < 2 and the
-	// parallel entry points must produce the sequential result.
+	// Fewer than two partitions' worth of candidates: planWorkers yields
+	// < 2 at any number of Ps, and Auto produces the sequential result.
+	atProcs(t, 8)
 	rng := rand.New(rand.NewSource(21))
-	rel := randomRelation(rng, parallelGrain-1, 4)
+	rel := randomRelation(rng, 2*parallelGrain-1, 4)
 	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
-	if defaultWorkers(rel.Len()) >= 2 {
-		t.Fatalf("defaultWorkers(%d) = %d", rel.Len(), defaultWorkers(rel.Len()))
+	if pl := PlanFor(p, rel); pl.Workers != 1 || len(pl.Candidates) != 2 {
+		t.Fatalf("%d rows at 8 Ps: plan %s×%d over %d candidates, want one worker and no partitioned candidate\n%s",
+			rel.Len(), pl.Algorithm, pl.Workers, len(pl.Candidates), pl.Explain())
 	}
-	want := BMOIndices(p, rel, BNL)
-	for alg, got := range map[string][]int{
-		"parallel-bnl": bnlParallel(p, rel, allIndices(rel.Len())),
-		"parallel-sfs": sfsParallel(p, rel, allIndices(rel.Len())),
-		"parallel-dnc": dncParallel(p, rel, allIndices(rel.Len())),
-	} {
-		if !sameIndices(got, want) {
-			t.Errorf("%s below grain diverged", alg)
-		}
+	if !sameIndices(BMOIndices(p, rel, Auto), BMOIndices(p, rel, BNL)) {
+		t.Error("below grain: Auto diverged from sequential BNL")
 	}
 }
 
@@ -107,16 +111,16 @@ func TestParallelWorkersIndivisiblePartitioning(t *testing.T) {
 		for _, workers := range []int{2, 3, 5, 7, 16, n + 3} {
 			// Interpreted path explicitly: compiled coverage rides on the
 			// randomized agreement test below.
-			if got := bnlParallelWorkers(p, rel, nil, allIndices(n), workers, nil); !sameIndices(got, want) {
+			if got := execute(BNL, workers, p, rel, nil, allIndices(n), nil); !sameIndices(got, want) {
 				t.Errorf("n=%d workers=%d: partition/merge diverged (%d vs %d rows)", n, workers, len(got), len(want))
 			}
 		}
 	}
 }
 
-// TestParallelVariantsRandomizedAgreement runs all three partitioned
-// variants against sequential BNL on random terms with forced worker
-// counts; run under -race it also exercises the merge path for data races.
+// TestParallelVariantsRandomizedAgreement runs both passes partitioned
+// against sequential BNL on random terms with forced worker counts; run
+// under -race it also exercises the merge path for data races.
 func TestParallelVariantsRandomizedAgreement(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -128,13 +132,9 @@ func TestParallelVariantsRandomizedAgreement(t *testing.T) {
 		// Workers share one compiled form; under -race this also checks the
 		// compiled columns are read-only across the partition fan-out.
 		c := compileFor(p, rel, EvalAuto)
-		for name, got := range map[string][]int{
-			"bnl": bnlParallelWorkers(p, rel, c, idx, workers, nil),
-			"sfs": sfsParallelWorkers(p, rel, c, idx, workers, nil),
-			"dnc": dncParallelWorkers(p, rel, c, idx, workers, nil),
-		} {
-			if !sameIndices(got, want) {
-				t.Logf("seed %d: parallel %s ×%d diverged on %s: %d vs %d rows", seed, name, workers, p, len(got), len(want))
+		for _, alg := range []Algorithm{BNL, SFS} {
+			if got := execute(alg, workers, p, rel, c, idx, nil); !sameIndices(got, want) {
+				t.Logf("seed %d: %s ×%d diverged on %s: %d vs %d rows", seed, alg, workers, p, len(got), len(want))
 				return false
 			}
 		}
@@ -146,14 +146,16 @@ func TestParallelVariantsRandomizedAgreement(t *testing.T) {
 }
 
 func TestGroupByDispatchesParallelVariants(t *testing.T) {
-	// Explicitly requested parallel algorithms must reach the per-group
-	// dispatch (a fall-through to BNL would still agree on results, so
-	// agreement plus the Auto path is checked per variant).
+	// Every algorithm a caller can name reaches the per-group dispatch, and
+	// Auto at several Ps plans each group at its own worker count (a
+	// fall-through to BNL would still agree on results, so agreement is
+	// checked per algorithm).
+	atProcs(t, 4)
 	rng := rand.New(rand.NewSource(33))
-	rel := randomRelation(rng, 1200, 3)
+	rel := randomRelation(rng, 3000, 2)
 	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
 	want := GroupBy(p, []string{"A1"}, rel, BNL)
-	for _, alg := range []Algorithm{ParallelSFS, ParallelDNC, ParallelBNL, Auto} {
+	for _, alg := range []Algorithm{Naive, SFS, Decomposition, Auto} {
 		if got := GroupBy(p, []string{"A1"}, rel, alg); got.Len() != want.Len() {
 			t.Errorf("%s grouping diverged: %d vs %d rows", alg, got.Len(), want.Len())
 		}

@@ -15,23 +15,18 @@ type Shape int
 
 // Preference shapes, from most to least exploitable.
 const (
-	// ShapeChainProduct is a Pareto accumulation of LOWEST/HIGHEST chains
-	// on distinct attributes (the SKYLINE OF fragment): coordinate-wise
-	// dominance holds and [KLP75] divide & conquer applies.
-	ShapeChainProduct Shape = iota
 	// ShapeKeyed has a sort key compatible with P (Scorer leaves under
-	// Pareto/prioritized accumulation): SFS applies.
-	ShapeKeyed
-	// ShapeGeneral is an arbitrary strict partial order: only window-based
-	// algorithms (BNL and its partitioned variant) apply.
+	// Pareto/prioritized accumulation, the SKYLINE OF chain products among
+	// them): SFS applies.
+	ShapeKeyed Shape = iota
+	// ShapeGeneral is an arbitrary strict partial order: only the window
+	// pass (BNL) applies.
 	ShapeGeneral
 )
 
 // String renders the shape name.
 func (s Shape) String() string {
 	switch s {
-	case ShapeChainProduct:
-		return "chain-product"
 	case ShapeKeyed:
 		return "keyed"
 	case ShapeGeneral:
@@ -47,9 +42,6 @@ func (s Shape) String() string {
 // (the interpreted sfs then simply falls back to BNL, which stays
 // correct).
 func shapeOf(p pref.Preference) Shape {
-	if _, ok := chainDims(p); ok {
-		return ShapeChainProduct
-	}
 	if _, ok := keyColumns(p); ok {
 		return ShapeKeyed
 	}
@@ -60,38 +52,22 @@ func shapeOf(p pref.Preference) Shape {
 }
 
 // Env configures planning. The zero value means "this machine, sampled
-// statistics": NumCPU defaults to relation.Procs(), statistics are computed
-// from the relation with SampleLimit (default 2048) sampled rows.
+// statistics": a partitioned plan runs at most relation.Procs() workers,
+// and statistics are computed from the relation over statsSample sampled
+// rows.
 type Env struct {
-	// NumCPU caps the worker count of parallel plans. 0 means the
-	// scheduler's parallel width (GOMAXPROCS, see relation.Procs); tests
-	// inject larger values to exercise parallel plans on small machines.
-	NumCPU int
 	// Stats overrides statistics collection (e.g. precomputed or synthetic
 	// stats). Nil computes them from the relation on demand.
 	Stats *relation.Stats
-	// SampleLimit bounds the rows sampled for distinct/correlation
-	// statistics when Stats is nil. 0 means 2048.
-	SampleLimit int
 	// Mode restricts the evaluation paths the plan may assume; the zero
 	// value (EvalAuto) costs compiled evaluation whenever the term is
 	// compilable.
 	Mode EvalMode
 }
 
-func (e Env) numCPU() int {
-	if e.NumCPU > 0 {
-		return e.NumCPU
-	}
-	return relation.Procs()
-}
-
-func (e Env) sampleLimit() int {
-	if e.SampleLimit > 0 {
-		return e.SampleLimit
-	}
-	return 2048
-}
+// statsSample bounds the rows sampled for distinct/correlation statistics
+// when the environment supplies none.
+const statsSample = 2048
 
 // Candidate is one (algorithm, workers) pair the planner costed. Cost is in
 // abstract comparison units; only relative magnitudes matter.
@@ -99,10 +75,7 @@ type Candidate struct {
 	Algorithm Algorithm
 	Workers   int
 	Cost      float64
-	// Applicable is false when the algorithm cannot run this shape and was
-	// listed for explanation only.
-	Applicable bool
-	Note       string
+	Note      string
 }
 
 // Plan is an explainable physical evaluation plan for one BMO query: the
@@ -111,7 +84,7 @@ type Candidate struct {
 // renders the whole decision; Indices()/Run() execute it.
 type Plan struct {
 	Algorithm Algorithm
-	Workers   int // ≥ 2 only for parallel algorithms
+	Workers   int // ≥ 2 when the pass runs partitioned (partitionMaxima)
 	Shape     Shape
 	// Compiled reports the evaluation path the plan was costed for:
 	// compiled columns when the term is structurally compilable and the
@@ -129,7 +102,7 @@ type Plan struct {
 	// bind, or a gathered bind over the Input candidates only.
 	Bind BindScope
 	// Dominance is the pairwise comparator the chosen algorithm runs
-	// (meaningful when Compiled); see dominanceOf for the two run-time
+	// (meaningful when Compiled); see dominanceOf for the run-time
 	// demotions a plan cannot foresee.
 	Dominance  Dominance
 	Input      int // candidate-set cardinality the plan was costed for
@@ -206,18 +179,12 @@ func (pl *Plan) Explain() string {
 	if len(pl.Candidates) > 0 {
 		b.WriteString("candidates:\n")
 		for _, c := range pl.Candidates {
-			name := c.Algorithm.String()
-			if c.Workers >= 2 {
-				name = fmt.Sprintf("%s×%d", name, c.Workers)
-			}
+			name := passName(c.Algorithm, c.Workers)
 			mark := " "
 			if c.Algorithm == pl.Algorithm && c.Workers == pl.Workers {
 				mark = "*"
 			}
 			fmt.Fprintf(&b, "  %s %-16s cost≈%.3g", mark, name, c.Cost)
-			if !c.Applicable {
-				b.WriteString(" (not applicable)")
-			}
 			if c.Note != "" {
 				fmt.Fprintf(&b, " — %s", c.Note)
 			}
@@ -228,6 +195,18 @@ func (pl *Plan) Explain() string {
 		fmt.Fprintf(&b, "because: %s\n", r)
 	}
 	return b.String()
+}
+
+// Pass renders the chosen pass the way EXPLAIN's step lines print it.
+func (pl *Plan) Pass() string { return passName(pl.Algorithm, pl.Workers) }
+
+// passName renders an (algorithm, workers) pair: the algorithm's name,
+// with "×w" when w ≥ 2 workers partition the pass.
+func passName(alg Algorithm, workers int) string {
+	if workers >= 2 {
+		return fmt.Sprintf("%s×%d", alg, workers)
+	}
+	return alg.String()
 }
 
 // smallInput is the cardinality below which plan choice is (nearly)
@@ -249,7 +228,7 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	shape := shapeOf(p)
 	pl := &Plan{Shape: shape, Input: n, Workers: 1, Bind: scope,
 		Compiled: env.Mode != EvalInterpreted && pref.Compilable(p)}
-	chain, flat := shape == ShapeChainProduct, pref.FlatShaped(p)
+	flat := pref.FlatShaped(p)
 	small := n < smallInput
 	// A compiled flat term sorts on a one-pass score sum, not on rank keys.
 	sumKey := pl.Compiled && flat
@@ -264,7 +243,7 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 		// evaluating the input.
 		stats = nil
 	case stats == nil && r != nil:
-		stats = cachedStats(r, env.sampleLimit())
+		stats = cachedStats(r, statsSample)
 	}
 	pl.Stats = stats
 	s := estimateResult(p, n, stats)
@@ -272,8 +251,6 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 
 	fs := float64(s)
 	fn := float64(n)
-	dims, _ := chainDims(p)
-	d := len(dims)
 
 	// Costs are in units of one interpreted Preference.Less call; the
 	// scale matters against the absolute parallel dispatch overhead below.
@@ -283,7 +260,7 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	// one direction, and sorting compares key columns, not rows.
 	pairCost := func(alg Algorithm, window bool) float64 {
 		if pl.Compiled {
-			return compiledPairCost(dominanceFor(chain, flat, alg), window)
+			return compiledPairCost(dominanceFor(flat, alg), window)
 		}
 		if window {
 			return 2
@@ -320,34 +297,22 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 		keyCost = leaves * fn * scoreSumCost
 	}
 
-	seqCost := func(alg Algorithm, n float64) (float64, bool, string) {
-		switch alg {
-		case Naive:
-			return n * n * pairCost(Naive, false), true, "exhaustive pairwise"
-		case BNL:
-			return n * fs / 2 * pairCost(BNL, true), true, "window scan ∝ result size"
-		case SFS:
-			if shape == ShapeGeneral {
-				return 0, false, "no compatible sort key"
-			}
-			sortCost := n * math.Log2(math.Max(n, 2))
-			note := "presort + filter pass"
-			if presortedFor(p, stats) {
-				sortCost = n
-				note = "input already sorted by the key: presort degenerates to a verify pass"
-			}
-			return sortCost*sortScale + n*fs/4*pairCost(SFS, false), true, note
-		case DNC:
-			if shape != ShapeChainProduct {
-				return 0, false, "not a chain product"
-			}
-			return n * math.Log2(math.Max(n, 2)) * math.Max(1, float64(d-2)) * pairCost(DNC, false), true, "[KLP75] divide & conquer"
+	// passCost prices one pass over n candidates, the keys aside: SFS's
+	// are derived once per evaluation, whatever the partitioning.
+	passCost := func(alg Algorithm, n float64) (float64, string) {
+		if alg == BNL {
+			return n * fs / 2 * pairCost(BNL, true), "window scan ∝ result size"
 		}
-		return 0, false, ""
+		sortCost := n * math.Log2(math.Max(n, 2))
+		note := "presort + filter pass"
+		if presortedFor(p, stats) {
+			sortCost = n
+			note = "input already sorted by the key: presort degenerates to a verify pass"
+		}
+		return sortCost*sortScale + n*fs/4*pairCost(SFS, false), note
 	}
-	// The keys are derived once per evaluation, whatever the partitioning.
-	keysOf := func(alg Algorithm, ok bool) float64 {
-		if alg == SFS && ok {
+	keysOf := func(alg Algorithm) float64 {
+		if alg == SFS {
 			return keyCost
 		}
 		return 0
@@ -355,82 +320,72 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 
 	if small {
 		reason := "cost differences are noise, shape heuristic picks"
-		switch shape {
-		case ShapeChainProduct, ShapeKeyed:
+		pl.Algorithm = BNL
+		if shape == ShapeKeyed {
 			pl.Algorithm = SFS
 			if sumKey {
 				// The one difference that is not noise at this size, and
 				// priced from the input alone: a window of ≈ŝ records
 				// scanned three-way against a key pass, a word sort and a
 				// one-way filter.
-				window, _, _ := seqCost(BNL, fn)
-				sorted, _, _ := seqCost(SFS, fn)
+				window, _ := passCost(BNL, fn)
+				sorted, _ := passCost(SFS, fn)
 				if window <= sorted+keyCost {
 					pl.Algorithm = BNL
 				}
 				reason = fmt.Sprintf("window pass ≈%.3g against key + sort + filter ≈%.3g on %s over an estimated %d maxima:",
-					window, sorted+keyCost, dominanceFor(chain, flat, SFS), s)
+					window, sorted+keyCost, dominanceFor(flat, SFS), s)
 			}
-		default:
-			pl.Algorithm = BNL
 		}
-		pl.Dominance = dominanceFor(chain, flat, pl.Algorithm)
+		pl.Dominance = dominanceFor(flat, pl.Algorithm)
 		pl.Reasons = append(pl.Reasons, fmt.Sprintf("input below %d rows: %s %s", smallInput, reason, pl.Algorithm))
 		return pl
 	}
 
-	cpus := env.numCPU()
-	workers := cpus
-	if workers > n/parallelGrain {
-		workers = n / parallelGrain
+	// The candidates: each pass that applies to the shape, at one worker
+	// and — when the input fills two partitions of the grain — partitioned.
+	algs := []Algorithm{BNL}
+	if shape == ShapeKeyed {
+		algs = append(algs, SFS)
 	}
-
 	var cands []Candidate
-	addSeq := func(alg Algorithm) {
-		c, ok, note := seqCost(alg, fn)
-		cands = append(cands, Candidate{Algorithm: alg, Workers: 1, Cost: c + keysOf(alg, ok), Applicable: ok, Note: note})
+	for _, alg := range algs {
+		c, note := passCost(alg, fn)
+		cands = append(cands, Candidate{Algorithm: alg, Workers: 1, Cost: c + keysOf(alg), Note: note})
 	}
-	addPar := func(par, seq Algorithm) {
-		if workers < 2 {
-			return
+	workers := planWorkers(n)
+	if workers >= 2 {
+		for _, alg := range algs {
+			local, _ := passCost(alg, fn/float64(workers))
+			merge, _ := passCost(alg, float64(workers)*fs)
+			cands = append(cands, Candidate{
+				Algorithm: alg, Workers: workers, Cost: local + merge + keysOf(alg) + 1500*float64(workers),
+				Note: fmt.Sprintf("%d partitions of ≈%d rows, merge over ≈%d local maxima", workers, n/workers, workers*s),
+			})
 		}
-		local, ok, _ := seqCost(seq, fn/float64(workers))
-		if !ok {
-			return
-		}
-		merge, _, _ := seqCost(seq, float64(workers)*fs)
-		cost := local + merge + keysOf(seq, true) + 1500*float64(workers)
-		cands = append(cands, Candidate{
-			Algorithm: par, Workers: workers, Cost: cost, Applicable: true,
-			Note: fmt.Sprintf("%d partitions of ≈%d rows, merge over ≈%d local maxima", workers, n/workers, workers*s),
-		})
 	}
-	addSeq(Naive)
-	addSeq(BNL)
-	addSeq(SFS)
-	addSeq(DNC)
-	addPar(ParallelBNL, BNL)
-	addPar(ParallelSFS, SFS)
-	addPar(ParallelDNC, DNC)
 	pl.Candidates = cands
 
-	best := -1
+	best := 0
+	one, split := math.Inf(1), math.Inf(1) // the cheapest at one worker, partitioned
 	for i, c := range cands {
-		if c.Algorithm == Naive || !c.Applicable {
-			continue
-		}
-		if best < 0 || c.Cost < cands[best].Cost {
+		if c.Cost < cands[best].Cost {
 			best = i
+		}
+		if c.Workers == 1 {
+			one = min(one, c.Cost)
+		} else {
+			split = min(split, c.Cost)
 		}
 	}
 	pl.Algorithm = cands[best].Algorithm
 	pl.Workers = cands[best].Workers
-	pl.Dominance = dominanceFor(chain, flat, pl.Algorithm)
+	pl.Dominance = dominanceFor(flat, pl.Algorithm)
 
 	pl.Reasons = append(pl.Reasons, fmt.Sprintf("shape %s over %d attrs, estimated result ≈ %d of %d rows", shape, len(p.Attrs()), s, n))
 	if pl.Compiled {
 		pl.Reasons = append(pl.Reasons, fmt.Sprintf("compiled columnar evaluation: a window pair on %s costs ≈1/%.0f, a sorted-filter pair on %s ≈1/%.0f of an interpreted comparison",
-			dominanceFor(chain, flat, BNL), 1/pairCost(BNL, true), dominanceFor(chain, flat, SFS), 1/pairCost(SFS, false)))
+			dominanceFor(flat, BNL), 1/pairCost(BNL, true), dominanceFor(flat, SFS), 1/pairCost(SFS, false)))
 		if shape != ShapeGeneral {
 			pl.Reasons = append(pl.Reasons, sfsKeyReason(scope, sumKey, int(leaves), int(keyRows), keyCost))
 		}
@@ -445,10 +400,15 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 			pl.Reasons = append(pl.Reasons, fmt.Sprintf("correlated input (corr=%+.2f) shrinks the result estimate", stats.Corr))
 		}
 	}
-	if pl.Workers >= 2 {
-		pl.Reasons = append(pl.Reasons, fmt.Sprintf("%d CPUs available and %d candidates/worker ≥ grain %d", cpus, n/pl.Workers, parallelGrain))
-	} else if cpus >= 2 {
-		pl.Reasons = append(pl.Reasons, fmt.Sprintf("input too small to amortize parallelism at grain %d", parallelGrain))
+	switch procs := relation.Procs(); {
+	case pl.Workers >= 2:
+		pl.Reasons = append(pl.Reasons, fmt.Sprintf("%d workers cost≈%.3g against %.3g for one (%d Ps, %d candidates/worker ≥ grain %d)",
+			pl.Workers, split, one, procs, n/pl.Workers, parallelGrain))
+	case workers >= 2:
+		pl.Reasons = append(pl.Reasons, fmt.Sprintf("one worker cost≈%.3g against %.3g for %d partitions with their merge and dispatch",
+			one, split, workers))
+	case procs >= 2:
+		pl.Reasons = append(pl.Reasons, fmt.Sprintf("%d candidates fill fewer than two partitions of grain %d", n, parallelGrain))
 	}
 	return pl
 }
@@ -653,45 +613,39 @@ func compiledPairCost(d Dominance, window bool) float64 {
 	return treeLessCost
 }
 
-// execute dispatches one (algorithm, workers) choice over a candidate
-// set, routing to the compiled twin when a compiled form is supplied.
-// workers ≤ 0 lets the parallel variants pick their default. The
-// decomposition evaluator always takes the interface path: it recurses
-// over sub-terms, which keep the old route.
+// execute runs one (algorithm, workers) choice over a candidate set: two
+// or more workers partition the candidates (partitionMaxima), fewer run
+// one pass. alg is resolved — Auto never reaches here.
 func execute(alg Algorithm, workers int, p pref.Preference, r *relation.Relation, c *pref.Compiled, idx []int, cc *canceller) []int {
-	if workers <= 0 {
-		workers = defaultWorkers(len(idx))
+	if workers < 2 {
+		return runPass(alg, p, r, c, idx, cc)
 	}
+	return partitionMaxima(idx, workers, cc, func(part []int, cc *canceller) []int {
+		return runPass(alg, p, r, c, part, cc)
+	})
+}
+
+// runPass runs one pass of alg over a candidate set, through the compiled
+// twin when a compiled form is supplied. The decomposition evaluator
+// always takes the interface path: it recurses over sub-terms, which keep
+// the old route.
+func runPass(alg Algorithm, p pref.Preference, r *relation.Relation, c *pref.Compiled, idx []int, cc *canceller) []int {
 	switch alg {
 	case Naive:
 		if c != nil {
 			return naiveCompiled(c, idx, cc)
 		}
 		return naive(p, r, idx, cc)
-	case BNL:
-		if c != nil {
-			return bnlCompiled(c, idx, cc)
-		}
-		return bnl(p, r, idx, cc)
 	case SFS:
 		if c != nil {
 			return sfsCompiled(c, idx, cc)
 		}
 		return sfs(p, r, idx, cc)
-	case DNC:
-		if c != nil {
-			return dncCompiled(c, idx, cc)
-		}
-		return dnc(p, r, idx, cc)
 	case Decomposition:
 		return decomposedCC(p, r, idx, cc)
-	case ParallelBNL:
-		return bnlParallelWorkers(p, r, c, idx, workers, cc)
-	case ParallelSFS:
-		return sfsParallelWorkers(p, r, c, idx, workers, cc)
-	case ParallelDNC:
-		return dncParallelWorkers(p, r, c, idx, workers, cc)
 	}
-	pl := planCore(p, r, len(idx), Env{}, BindCached)
-	return execute(pl.Algorithm, pl.Workers, p, r, c, idx, cc)
+	if c != nil {
+		return bnlCompiled(c, idx, cc)
+	}
+	return bnl(p, r, idx, cc)
 }

@@ -49,13 +49,7 @@ func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env E
 			rep, repN = i, ni
 		}
 	}
-	fanout := env.numCPU()
-	if fanout > s.NumShards() {
-		fanout = s.NumShards()
-	}
-	if fanout < 1 {
-		fanout = 1
-	}
+	fanout := max(1, min(relation.Procs(), s.NumShards()))
 	sp := &ShardPlan{
 		Shards: s.NumShards(),
 		Input:  n,

@@ -27,20 +27,16 @@ func antiCorrelated(rng *rand.Rand, n int) *relation.Relation {
 }
 
 func TestPlannerSelectsParallelForLargeChainProduct(t *testing.T) {
+	atProcs(t, 8)
 	rng := rand.New(rand.NewSource(1))
 	rel := antiCorrelated(rng, 20000)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	pl := PlanWith(p, rel, Env{NumCPU: 8})
-	if pl.Shape != ShapeChainProduct {
+	pl := PlanFor(p, rel)
+	if pl.Shape != ShapeKeyed {
 		t.Fatalf("shape = %s", pl.Shape)
 	}
-	switch pl.Algorithm {
-	case ParallelBNL, ParallelSFS, ParallelDNC:
-	default:
-		t.Fatalf("large chain-product workload must plan parallel, got %s\n%s", pl.Algorithm, pl.Explain())
-	}
 	if pl.Workers < 2 {
-		t.Errorf("parallel plan with %d workers", pl.Workers)
+		t.Fatalf("large chain-product workload at 8 Ps must plan partitioned, got %s×%d\n%s", pl.Algorithm, pl.Workers, pl.Explain())
 	}
 	// The plan must execute to the exact BMO set.
 	if !sameIndices(pl.Indices(), BMOIndices(p, rel, BNL)) {
@@ -49,16 +45,18 @@ func TestPlannerSelectsParallelForLargeChainProduct(t *testing.T) {
 }
 
 func TestPlannerSequentialOnOneCPU(t *testing.T) {
+	atProcs(t, 1)
 	rng := rand.New(rand.NewSource(2))
 	rel := antiCorrelated(rng, 5000)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	pl := PlanWith(p, rel, Env{NumCPU: 1})
-	switch pl.Algorithm {
-	case ParallelBNL, ParallelSFS, ParallelDNC:
-		t.Fatalf("single CPU must not plan parallel, got %s", pl.Algorithm)
-	}
+	pl := PlanFor(p, rel)
 	if pl.Workers != 1 {
-		t.Errorf("workers = %d", pl.Workers)
+		t.Errorf("one P must not plan partitioned, got %s×%d", pl.Algorithm, pl.Workers)
+	}
+	for _, c := range pl.Candidates {
+		if c.Workers != 1 {
+			t.Errorf("one P costed a %d-worker candidate\n%s", c.Workers, pl.Explain())
+		}
 	}
 }
 
@@ -68,13 +66,13 @@ func TestPlannerSmallInputUsesShapeHeuristic(t *testing.T) {
 	// (A keyed term outside the flat fragment: flat terms compare their two
 	// passes by cost instead, see the next test.)
 	keyed := pref.Rank("F", pref.WeightedSum(1, 1), pref.LOWEST("d1"), pref.LOWEST("d2"))
-	if pl := PlanWith(keyed, rel, Env{NumCPU: 64}); pl.Algorithm != SFS {
+	if pl := PlanFor(keyed, rel); pl.Algorithm != SFS {
 		t.Errorf("small keyed input plans %s, want sfs", pl.Algorithm)
 	}
 	// POS compiles to a keyed weak order nowadays; an EXPLICIT graph stays a
 	// genuinely general partial order with no compatible sort key.
 	general := pref.MustEXPLICIT("d1", []pref.Edge{{Worse: 0.25, Better: 0.75}})
-	if pl := PlanWith(general, rel, Env{NumCPU: 64}); pl.Algorithm != BNL {
+	if pl := PlanFor(general, rel); pl.Algorithm != BNL {
 		t.Errorf("small general input plans %s, want bnl", pl.Algorithm)
 	}
 }
@@ -120,6 +118,7 @@ func TestPlannerSmallFlatInputComparesTheTwoPasses(t *testing.T) {
 // reports how often the result estimate, which the comparison rests on,
 // would have routed the Pareto group the other way.
 func TestPlannerRoutesColdShapes(t *testing.T) {
+	atProcs(t, 1)
 	ResetCompileCache()
 	defer ResetCompileCache()
 	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
@@ -152,7 +151,7 @@ func TestPlannerRoutesColdShapes(t *testing.T) {
 				p := shape.term()
 				for _, sh := range s.Shards() {
 					idx := filter.CompileCached(where, sh).Indices()
-					pl := PlanWithInput(p, sh, len(idx), Env{NumCPU: 1})
+					pl := PlanWithInput(p, sh, len(idx), Env{})
 					plans++
 					if pl.Bind != BindGathered || pl.Algorithm != shape.alg || pl.Dominance != dominanceOf(p, shape.alg) {
 						misroutes++
@@ -180,7 +179,7 @@ func TestPlannerRoutesColdShapes(t *testing.T) {
 		where := &filter.Cmp{Attr: "price", Op: "<=", Value: float64(6000 + rng.Intn(6000))}
 		for _, sh := range cs.Shards() {
 			idx := filter.CompileCached(where, sh).Indices()
-			if pl := PlanWithInput(p, sh, len(idx), Env{NumCPU: 1}); pl.Algorithm != BNL || pl.Dominance != DominanceFlat {
+			if pl := PlanWithInput(p, sh, len(idx), Env{}); pl.Algorithm != BNL || pl.Dominance != DominanceFlat {
 				t.Errorf("durable_paged statement, %d of %d candidates: plan %s on %s, want bnl on flat\n%s", len(idx), sh.Len(), pl.Algorithm, pl.Dominance, pl.Explain())
 			}
 		}
@@ -193,7 +192,7 @@ func TestPlannerRoutesColdShapes(t *testing.T) {
 			if warm {
 				BMOIndices(p, hot, Auto)
 			}
-			if pl := PlanWith(p, hot, Env{NumCPU: 1}); pl.Algorithm != BNL || pl.Dominance != DominanceFlat {
+			if pl := PlanWith(p, hot, Env{}); pl.Algorithm != BNL || pl.Dominance != DominanceFlat {
 				t.Errorf("hotset_read pool statement %d (cached form: %v): plan %s on %s, want bnl on flat\n%s", i, warm, pl.Algorithm, pl.Dominance, pl.Explain())
 			}
 		}
@@ -205,14 +204,16 @@ func TestPlannerGeneralShapeNeverPlansKeyedAlgorithms(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rel.MustInsert(relation.Row{[]string{"red", "blue", "green"}[i%3]})
 	}
+	atProcs(t, 8)
 	p := pref.MustEXPLICIT("c", []pref.Edge{{Worse: "blue", Better: "red"}})
-	pl := PlanWith(p, rel, Env{NumCPU: 8})
+	pl := PlanFor(p, rel)
 	if pl.Shape != ShapeGeneral {
 		t.Fatalf("shape = %s", pl.Shape)
 	}
-	switch pl.Algorithm {
-	case SFS, DNC, ParallelSFS, ParallelDNC:
-		t.Fatalf("general shape planned %s", pl.Algorithm)
+	for _, c := range pl.Candidates {
+		if c.Algorithm != BNL {
+			t.Fatalf("general shape costed %s×%d\n%s", c.Algorithm, c.Workers, pl.Explain())
+		}
 	}
 	if !sameIndices(pl.Indices(), BMOIndices(p, rel, Naive)) {
 		t.Error("plan execution diverged from naive")
@@ -234,8 +235,8 @@ func TestPlannerCorrelationMovesEstimate(t *testing.T) {
 		corr.MustInsert(relation.Row{v + 0.05*rng.Float64(), v + 0.05*rng.Float64()})
 	}
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	ea := PlanWith(p, anti, Env{NumCPU: 1}).EstResult
-	ec := PlanWith(p, corr, Env{NumCPU: 1}).EstResult
+	ea := PlanWith(p, anti, Env{}).EstResult
+	ec := PlanWith(p, corr, Env{}).EstResult
 	if ea <= ec {
 		t.Errorf("anti-correlated estimate %d must exceed correlated %d", ea, ec)
 	}
@@ -245,8 +246,9 @@ func TestPlanExplainRendersDecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	rel := antiCorrelated(rng, 3000)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	text := PlanWith(p, rel, Env{NumCPU: 4}).Explain()
-	for _, want := range []string{"plan:", "shape=chain-product", "candidates:", "because:", "stats:"} {
+	atProcs(t, 4)
+	text := PlanFor(p, rel).Explain()
+	for _, want := range []string{"plan:", "shape=keyed", "candidates:", "because:", "stats:"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Explain missing %q:\n%s", want, text)
 		}
@@ -259,7 +261,7 @@ func TestPlannerSyntheticStatsOverride(t *testing.T) {
 	rel := antiCorrelated(rng, 2000)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
 	stats := relation.Analyze(rel)
-	pl := PlanWith(p, rel, Env{NumCPU: 2, Stats: stats})
+	pl := PlanWith(p, rel, Env{Stats: stats})
 	if pl.Stats != stats {
 		t.Error("planner must use the injected stats")
 	}
@@ -268,36 +270,42 @@ func TestPlannerSyntheticStatsOverride(t *testing.T) {
 func TestResolveAutoCompat(t *testing.T) {
 	chain := pref.Pareto(pref.LOWEST("a"), pref.LOWEST("b"))
 	// (Ten rows of a flat term: the window pass, by the two-pass comparison.)
-	if alg := ResolveAuto(chain, 10); alg != BNL {
+	if alg := ResolveAuto(chain, 10).Algorithm; alg != BNL {
 		t.Errorf("small chain product resolves %s, want bnl", alg)
 	}
 	general := pref.MustEXPLICIT("a", []pref.Edge{{Worse: int64(1), Better: int64(2)}})
-	if alg := ResolveAuto(general, 10); alg != BNL {
+	if alg := ResolveAuto(general, 10).Algorithm; alg != BNL {
 		t.Errorf("small general resolves %s, want bnl", alg)
 	}
 	// Large inputs go through the cost model; the winner must at least be
 	// applicable to the shape.
-	switch alg := ResolveAuto(chain, 100000); alg {
+	switch alg := ResolveAuto(chain, 100000).Algorithm; alg {
 	case Naive, Decomposition:
 		t.Errorf("cost model picked %s", alg)
 	}
 }
 
 // TestAutoAndParallelVariantsAgree extends the pairwise-agreement guarantee
-// to every new algorithm and the planner's own dispatch.
+// to both passes at every worker count and to the planner's own dispatch
+// at several Ps.
 func TestAutoAndParallelVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 8; trial++ {
 		rel := randomRelation(rng, 500+rng.Intn(800), 2+rng.Intn(6))
 		p := randomTerm(rng, 6)
 		want := BMOIndices(p, rel, BNL)
-		for _, alg := range []Algorithm{Auto, ParallelBNL, ParallelSFS, ParallelDNC} {
-			if got := BMOIndices(p, rel, alg); !sameIndices(got, want) {
-				t.Fatalf("trial %d: %s disagrees on %s: %d vs %d rows", trial, alg, p, len(got), len(want))
-			}
+		if got := BMOIndices(p, rel, Auto); !sameIndices(got, want) {
+			t.Fatalf("trial %d: auto disagrees on %s: %d vs %d rows", trial, p, len(got), len(want))
 		}
-		for _, cpus := range []int{2, 3, 8} {
-			pl := PlanWith(p, rel, Env{NumCPU: cpus})
+		c := compileFor(p, rel, EvalAuto)
+		for _, workers := range []int{2, 3, 8} {
+			for _, alg := range []Algorithm{BNL, SFS} {
+				if got := execute(alg, workers, p, rel, c, allIndices(rel.Len()), nil); !sameIndices(got, want) {
+					t.Fatalf("trial %d: %s×%d disagrees on %s: %d vs %d rows", trial, alg, workers, p, len(got), len(want))
+				}
+			}
+			atProcs(t, workers)
+			pl := PlanFor(p, rel)
 			if got := pl.Indices(); !sameIndices(got, want) {
 				t.Fatalf("trial %d: plan %s×%d disagrees on %s", trial, pl.Algorithm, pl.Workers, p)
 			}
@@ -306,9 +314,7 @@ func TestAutoAndParallelVariantsAgree(t *testing.T) {
 }
 
 func TestShapeAndAlgorithmStrings(t *testing.T) {
-	for s, want := range map[Shape]string{
-		ShapeChainProduct: "chain-product", ShapeKeyed: "keyed", ShapeGeneral: "general",
-	} {
+	for s, want := range map[Shape]string{ShapeKeyed: "keyed", ShapeGeneral: "general"} {
 		if s.String() != want {
 			t.Errorf("%d renders %q", s, s.String())
 		}
@@ -316,11 +322,10 @@ func TestShapeAndAlgorithmStrings(t *testing.T) {
 	if Shape(9).String() == "" {
 		t.Error("unknown shape must render")
 	}
-	for alg, want := range map[Algorithm]string{
-		ParallelBNL: "parallel-bnl", ParallelSFS: "parallel-sfs", ParallelDNC: "parallel-dnc",
-	} {
-		if alg.String() != want {
-			t.Errorf("%d renders %q", alg, alg.String())
+	// The algorithms a caller names are the dense range Auto…Decomposition.
+	for alg := Auto; alg <= Decomposition; alg++ {
+		if strings.HasPrefix(alg.String(), "Algorithm(") {
+			t.Errorf("%d has no name", alg)
 		}
 	}
 }
@@ -332,10 +337,10 @@ func TestPresortedInputDiscountsSFSSort(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rel.MustInsert(relation.Row{float64(i)})
 	}
-	pl := PlanWith(pref.LOWEST("v"), rel, Env{NumCPU: 1})
+	pl := PlanWith(pref.LOWEST("v"), rel, Env{})
 	var note string
 	for _, c := range pl.Candidates {
-		if c.Algorithm == SFS {
+		if c.Algorithm == SFS && c.Workers == 1 {
 			note = c.Note
 		}
 	}
@@ -355,7 +360,7 @@ func TestEstimateIgnoresConstantChainDims(t *testing.T) {
 		rel.MustInsert(relation.Row{1.0, float64(i)})
 	}
 	p := pref.Pareto(pref.LOWEST("a"), pref.LOWEST("b"))
-	pl := PlanWith(p, rel, Env{NumCPU: 1})
+	pl := PlanWith(p, rel, Env{})
 	if pl.EstResult > 10 {
 		t.Errorf("constant dim must not inflate estimate: est=%d", pl.EstResult)
 	}
@@ -367,7 +372,7 @@ func TestEstimateIgnoresConstantChainDims(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		allConst.MustInsert(relation.Row{1.0, 2.0})
 	}
-	if pl := PlanWith(p, allConst, Env{NumCPU: 1}); pl.EstResult != 500 {
+	if pl := PlanWith(p, allConst, Env{}); pl.EstResult != 500 {
 		t.Errorf("all-constant dims: est=%d, want 500", pl.EstResult)
 	}
 }
@@ -411,12 +416,12 @@ func TestPrioritizedEstimateFollowsTheHead(t *testing.T) {
 			for i, sh := range s.Shards() {
 				sets[i] = filter.CompileCached(where, sh).Indices()
 			}
-			sp := PlanShardedOn(c.p, s, sets, Env{NumCPU: 1})
+			sp := PlanShardedOn(c.p, s, sets, Env{})
 			locals := 0
 			for i, sh := range s.Shards() {
 				local := len(BMOIndicesOn(c.p, sh, Auto, sets[i]))
 				locals += local
-				pl := PlanWithInput(c.p, sh, len(sets[i]), Env{NumCPU: 1})
+				pl := PlanWithInput(c.p, sh, len(sets[i]), Env{})
 				within10x(fmt.Sprintf("%s cut %v shard %d", c.name, cut, i), pl.EstResult, local)
 			}
 			within10x(fmt.Sprintf("%s cut %v merge input", c.name, cut), s.NumShards()*sp.PerShard.EstResult, locals)
@@ -436,6 +441,6 @@ func TestPrioritizedEstimateFollowsTheHead(t *testing.T) {
 		rel.MustInsert(relation.Row{int64(i % 5), a, 1 - a + rng.Float64()/5})
 	}
 	p := pref.Prioritized(pref.LOWEST("grade"), pref.Pareto(pref.LOWEST("a"), pref.LOWEST("b")))
-	within10x("discrete head", PlanWith(p, rel, Env{NumCPU: 1}).EstResult, len(BMOIndices(p, rel, Auto)))
-	within10x("discrete head alone", PlanWith(pref.Prioritized(pref.LOWEST("grade"), pref.LOWEST("a")), rel, Env{NumCPU: 1}).EstResult, 1)
+	within10x("discrete head", PlanWith(p, rel, Env{}).EstResult, len(BMOIndices(p, rel, Auto)))
+	within10x("discrete head alone", PlanWith(pref.Prioritized(pref.LOWEST("grade"), pref.LOWEST("a")), rel, Env{}).EstResult, 1)
 }

@@ -53,9 +53,9 @@ type Entry struct {
 	// Dims and Coords are the optional chain-product fast path: when the
 	// preference flattens to chain dimensions and no stored coordinate is
 	// ±Inf, Coords[k] holds Maxima[k]'s maximize-all score vector and the
-	// maintenance dominance checks run on raw floats through the same
-	// coordinate semantics as the D&C kernel. Nil when unavailable; the
-	// interpreted Pref.Less path is always correct without them.
+	// maintenance dominance checks run on raw floats, a NaN coordinate
+	// blocking dominance. Nil when unavailable; the interpreted Pref.Less
+	// path is always correct without them.
 	Dims   []pref.Scorer
 	Coords [][]float64
 }

@@ -105,7 +105,7 @@ func newcomerCoords(dims []pref.Scorer, t pref.Tuple) ([]float64, bool) {
 }
 
 // carryCoords is the chain-product fast path: raw coordinate dominance
-// (the same NaN-blocking semantics as the D&C and block kernels)
+// (dominates: a NaN coordinate blocks dominance, as in the block kernel)
 // against the stored maxima coordinates.
 func carryCoords(e *resultcache.Entry, c []float64, newIdx int) *resultcache.Entry {
 	for _, mc := range e.Coords {

@@ -12,8 +12,8 @@ import (
 	"repro/internal/relation"
 )
 
-// Shard-aware BMO evaluation. The partition/merge identity behind the
-// parallel algorithms — max(P over A ∪ B) = max(P over max(P, A) ∪
+// Shard-aware BMO evaluation. The partition/merge identity behind a
+// partitioned plan — max(P over A ∪ B) = max(P over max(P, A) ∪
 // max(P, B)) for every strict partial order — holds just as well when the
 // partitions are storage shards: every query evaluates shard-local first
 // (each shard is a normal *Relation, so the compile caches serve its
@@ -397,7 +397,7 @@ func ShardMergeMode(p pref.Preference) string {
 	case !pref.Compilable(p):
 		return "interpreted"
 	case pref.FlatShaped(p):
-		return dominanceFor(false, true, SFS).String()
+		return dominanceFor(true, SFS).String()
 	}
 	return DominanceTree.String()
 }

@@ -152,7 +152,7 @@ func candSubset(flat *relation.Relation, s *relation.Sharded, cutoff int64) ([]i
 // discrete, duals, rank) and WHERE selectivities from empty to full.
 func TestShardedBMOAgreesWithFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	algs := []Algorithm{Auto, Naive, BNL, SFS, DNC, Decomposition, ParallelBNL, ParallelSFS, ParallelDNC}
+	algs := []Algorithm{Auto, Naive, BNL, SFS, Decomposition}
 	for trial := 0; trial < 120; trial++ {
 		domain := 2 + rng.Intn(6)
 		flat := shardedTestRelation(rng, 5+rng.Intn(120), domain)
@@ -376,7 +376,7 @@ func TestShardedConcurrentInsertThenQuery(t *testing.T) {
 			if !sameInts(got, want) {
 				t.Errorf("concurrent sharded query (alg %s) disagrees: got %v want %v", alg, got, want)
 			}
-		}([]Algorithm{Auto, BNL, SFS, DNC}[q%4])
+		}([]Algorithm{Auto, BNL, SFS, Naive}[q%4])
 	}
 	wg.Wait()
 }

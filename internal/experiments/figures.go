@@ -134,7 +134,7 @@ func F2() *Report {
 func F3() *Report {
 	r := &Report{ID: "F3", Title: "Algorithm crossover", Pass: true}
 	p := pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))
-	algs := []engine.Algorithm{engine.Naive, engine.BNL, engine.SFS, engine.DNC, engine.Decomposition}
+	algs := []engine.Algorithm{engine.Naive, engine.BNL, engine.SFS, engine.Decomposition}
 	header := fmt.Sprintf("%8s %10s", "n", "|skyline|")
 	for _, a := range algs {
 		header += fmt.Sprintf(" %14s", a)

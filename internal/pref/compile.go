@@ -240,8 +240,8 @@ func (cd *Compiled) ScoreVecExact(p Preference) bool { return cd.scoreInf[p].Exa
 // because Inf absorbs the finite component; ranks are always finite, so
 // the Pareto sum stays strictly monotone.
 func (cd *Compiled) SortKeys() ([][]float64, bool) {
-	// Lazy: algorithms that never sort (BNL, D&C coordinates) skip the
-	// rank transforms entirely. sync.Once keeps concurrent partition
+	// Lazy: passes that never rank (BNL, a flat term's sorted pass) skip
+	// the rank transforms entirely. sync.Once keeps concurrent partition
 	// workers safe.
 	cd.keysOnce.Do(func() {
 		cd.keys, cd.keysOK = cd.keyVecs(cd.p)

@@ -198,7 +198,7 @@ func TestExecUnknownRelationAndColumns(t *testing.T) {
 func TestExecAllAlgorithmsAgree(t *testing.T) {
 	query := "SELECT oid FROM car PREFERRING LOWEST(price) AND LOWEST(mileage) ORDER BY oid"
 	var want []int64
-	for i, alg := range []engine.Algorithm{engine.Naive, engine.BNL, engine.SFS, engine.DNC, engine.Decomposition} {
+	for i, alg := range []engine.Algorithm{engine.Naive, engine.BNL, engine.SFS, engine.Decomposition} {
 		res, err := Run(query, testCatalog(), Options{Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)

@@ -132,6 +132,10 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			q.Where, mode, count, s.Len(), selFan, status)
 		n = count
 	}
+	// est is the estimated per-shard input of the next soft step: the
+	// WHERE-selected candidates, then what a planned step is estimated to
+	// keep.
+	est := n / nShards
 	// cacheLine reports the per-shard bind scopes of a step over the
 	// WHERE-selected candidates (grouped steps share one whole-shard form
 	// across their groups, so they never gather).
@@ -190,13 +194,16 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			return "", err
 		}
 		simplified := algebra.Simplify(p)
-		resolved := opts.Algorithm
+		resolved, pass := opts.Algorithm, opts.Algorithm.String()
 		var plan *engine.ShardPlan
 		if resolved == engine.Auto {
 			// Planned at the post-WHERE cardinality, matching the decision
 			// execution makes per shard.
 			plan = engine.PlanShardedOn(simplified, s, sets, engine.Env{})
-			resolved = plan.PerShard.Algorithm
+			resolved, pass = plan.PerShard.Algorithm, plan.PerShard.Pass()
+			if len(q.GroupingBy) == 0 {
+				est = plan.PerShard.EstResult
+			}
 		}
 		if _, isScorer := p.(pref.Scorer); isScorer && q.Top > 0 {
 			scoring := "interpreted"
@@ -217,10 +224,10 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 				dict = " via shard-merge dictionary"
 			}
 			emit("BMO σ[P groupby {%s}], P = %s [algorithm %s per group%s, %s evaluation%s%s]",
-				strings.Join(q.GroupingBy, ", "), simplified, resolved, perShard, evalModeOf(simplified, resolved), facts(simplified), dict)
+				strings.Join(q.GroupingBy, ", "), simplified, pass, perShard, evalModeOf(simplified, resolved), facts(simplified), dict)
 		} else {
 			emit("BMO σ[P], P = %s [algorithm %s%s, %s evaluation%s]",
-				simplified, resolved, perShard, evalModeOf(simplified, resolved), facts(simplified))
+				simplified, pass, perShard, evalModeOf(simplified, resolved), facts(simplified))
 		}
 		if simplified.String() != p.String() {
 			fmt.Fprintf(&b, "    (simplified from %s by the preference algebra)\n", p)
@@ -257,11 +264,13 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			return "", err
 		}
 		simplified := algebra.Simplify(p)
-		resolved := opts.Algorithm
-		if resolved == engine.Auto {
-			resolved = engine.ResolveAuto(simplified, n/nShards)
+		pass := opts.Algorithm.String()
+		if opts.Algorithm == engine.Auto {
+			// Each cascade step runs over what the step before it kept.
+			pl := engine.ResolveAuto(simplified, est)
+			pass, est = pl.Pass(), pl.EstResult
 		}
-		emit("cascade BMO σ[P], P = %s [algorithm %s%s%s]", simplified, resolved, perShard, facts(simplified))
+		emit("cascade BMO σ[P], P = %s [algorithm %s%s%s]", simplified, pass, perShard, facts(simplified))
 	}
 	if q.ButOnly != nil {
 		// Built-in trees run vectorized when the surviving candidate set
@@ -295,7 +304,7 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		resolved := opts.Algorithm
+		resolved, pass := opts.Algorithm, opts.Algorithm.String()
 		var plan *engine.ShardPlan
 		if resolved == engine.Auto {
 			// Planned at the post-WHERE cardinality; downstream of a
@@ -303,10 +312,10 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			// explain time (the plan is only inlined when the skyline is
 			// the sole soft step).
 			plan = engine.PlanShardedOn(p, s, sets, engine.Env{})
-			resolved = plan.PerShard.Algorithm
+			resolved, pass = plan.PerShard.Algorithm, plan.PerShard.Pass()
 		}
 		emit("%s ⇒ BMO σ[P], P = %s [algorithm %s%s, %s evaluation%s]",
-			q.Skyline, p, resolved, perShard, evalModeOf(p, resolved), facts(p))
+			q.Skyline, p, pass, perShard, evalModeOf(p, resolved), facts(p))
 		if plan != nil && q.Preferring == nil {
 			inlinePlan(plan)
 		}

@@ -2,6 +2,11 @@ package psql
 
 import (
 	"fmt"
+	"maps"
+	"regexp"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -141,7 +146,7 @@ func TestExplainSurfacesCostBasedPlan(t *testing.T) {
 	}
 	// Auto resolution now goes through the cost-based planner, whose
 	// decision is inlined under the BMO step.
-	for _, want := range []string{"plan: n=5", "shape=chain-product", "because:"} {
+	for _, want := range []string{"plan: n=5", "shape=keyed", "because:"} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("plan detail missing %q:\n%s", want, plan)
 		}
@@ -286,6 +291,34 @@ func TestExplainPlansAtFilteredCardinality(t *testing.T) {
 	}
 }
 
+// TestExplainPlansCascadeAtItsInput: a CASCADE step runs over what the
+// step before it kept, not over the table. After a one-attribute AROUND
+// step over 20 000 distinct values (an estimated single maximum), the
+// cascaded three-way chain product reports the small-input choice — the
+// window pass at one worker — at two Ps, where the same term over the
+// whole table would plan otherwise. The inlined plan's worker reason names
+// the comparison it made.
+func TestExplainPlansCascadeAtItsInput(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
+	stmt := "SELECT * FROM pts PREFERRING d4 AROUND 0.5 CASCADE LOWEST(d1) AND LOWEST(d2) AND LOWEST(d3)"
+	text, err := ExplainQuery(stmt, Catalog{"pts": pts}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))
+	small := engine.ResolveAuto(chain, 1).Pass()
+	if whole := engine.ResolveAuto(chain, pts.Len()).Pass(); whole == small {
+		t.Fatalf("test premise: over the whole table the chain plans %s, as over one row", whole)
+	}
+	if want := "cascade BMO σ[P], P = " + chain.String() + " [algorithm " + small + "]"; !strings.Contains(text, want) {
+		t.Errorf("missing %q:\n%s", want, text)
+	}
+	if !strings.Contains(text, "one worker cost≈") && !strings.Contains(text, "workers cost≈") {
+		t.Errorf("the worker reason must name the comparison it made:\n%s", text)
+	}
+}
+
 // TestExplainShardedDescribesWhatRuns: over a sharded table EXPLAIN must
 // describe the one pipeline every caller runs. The inlined sharded plan
 // carries no sharded-vs-flat route, and after a plain Run — no context,
@@ -394,14 +427,14 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 		// on records — the per-shard window passes — or, the cross-shard
 		// fold with the AVX2 kernel on, on score blocks.
 		merge := engine.ShardMergeMode(pref.Pareto(pref.AROUND("mileage", 60000), pref.HIGHEST("horsepower")))
-		ranAsSaid := func(when string, before [4]uint64) {
+		ranAsSaid := func(when string, before [3]uint64) {
 			t.Helper()
-			want := [4]uint64{engine.DominanceFlat: c.shards}
+			want := [3]uint64{engine.DominanceFlat: c.shards}
 			if c.shards > 1 {
 				want[mergeComparator(merge)]++
 			}
 			if got := passesSince(before); got != want {
-				t.Errorf("%s: %s: passes per comparator (tree, flat, blocks, coords) %v, want %v: one window pass per shard on records, plus the fold on %s",
+				t.Errorf("%s: %s: passes per comparator (tree, flat, blocks) %v, want %v: one window pass per shard on records, plus the fold on %s",
 					c.name, when, got, want, merge)
 			}
 		}
@@ -409,7 +442,7 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 			"SFS keys: one pass sums 2 score column(s) over the ", "result cache: cold")
 		hits0, misses0 := engine.CompileCacheStats()
 		g0 := engine.GatheredBinds()
-		before := passesSince([4]uint64{})
+		before := passesSince([3]uint64{})
 		if _, err := Run(selective, c.cat, Options{}); err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +456,7 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 
 		mustContain("cold unfiltered", explain(unfiltered), c.cold, "eval=compiled cache=cold dominance=flat",
 			"SFS keys: one pass sums 2 score column(s) over the ")
-		before = passesSince([4]uint64{})
+		before = passesSince([3]uint64{})
 		if _, err := Run(unfiltered, c.cat, Options{}); err != nil {
 			t.Fatal(err)
 		}
@@ -474,23 +507,132 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 			if when == "after" {
 				break
 			}
-			before := passesSince([4]uint64{})
+			before := passesSince([3]uint64{})
 			if _, err := Run(pareto3, c.cat, Options{}); err != nil {
 				t.Fatal(err)
 			}
-			want := [4]uint64{}
+			want := [3]uint64{}
 			want[mergeComparator(sorted)] = c.passes
 			if got := passesSince(before); got != want {
-				t.Errorf("pareto3 %s: passes per comparator (tree, flat, blocks, coords) %v, want %v: EXPLAIN said sfs on %s", c.name, got, want, sorted)
+				t.Errorf("pareto3 %s: passes per comparator (tree, flat, blocks) %v, want %v: EXPLAIN said sfs on %s", c.name, got, want, sorted)
 			}
 		}
 	}
 }
 
+// TestPlannerRoutesChainProducts: the SKYLINE OF fragment — Pareto
+// products of LOWEST/HIGHEST chains, written as SKYLINE OF … MIN and as an
+// alternating LOWEST/HIGHEST PREFERRING — over anti-correlated,
+// independent and correlated points, d = 2–5, n = 300, 5 000 and 20 000,
+// at one and two Ps. Auto returns what the BNL oracle returns, and the
+// EXPLAIN plan line names what ran: its algorithm at its worker count on
+// its dominance= comparator, DominanceRuns counting one pass per partition
+// plus the merge, on that comparator alone.
+//
+// The oracle is the window pass over flat records, confirmed by the
+// interpreted window pass wherever that one stays affordable: it asks the
+// interface path about every pair its window holds, n·|maxima| of them —
+// minutes on the anti-correlated all-MIN skylines of 1 900–16 900 rows.
+// Above interpretedPairs the flat pass stands alone; TestFlatKernelRoutes
+// and the agreement batteries hold it to the interpreted one.
+func TestPlannerRoutesChainProducts(t *testing.T) {
+	const interpretedPairs = 4_000_000
+	engine.ResetCompileCache()
+	resultcache.Reset()
+	defer engine.ResetCompileCache()
+	defer resultcache.Reset()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	planLine := regexp.MustCompile(`plan: .* dominance=(\S+) .*→ (\w+)(?: \((\d+) workers\))?`)
+	routes, interpreted := map[string]int{}, 0
+	for _, dist := range []workload.Distribution{workload.AntiCorrelated, workload.Independent, workload.Correlated} {
+		for d := 2; d <= 5; d++ {
+			var mins, alternating []string
+			var minTerm, altTerm []pref.Preference
+			for k := 1; k <= d; k++ {
+				attr := fmt.Sprintf("d%d", k)
+				mins = append(mins, attr+" MIN")
+				minTerm = append(minTerm, pref.LOWEST(attr))
+				if k%2 == 0 {
+					alternating = append(alternating, "HIGHEST("+attr+")")
+					altTerm = append(altTerm, pref.HIGHEST(attr))
+				} else {
+					alternating = append(alternating, "LOWEST("+attr+")")
+					altTerm = append(altTerm, pref.LOWEST(attr))
+				}
+			}
+			for _, n := range []int{300, 5000, 20000} {
+				pts := workload.Numeric(n, d, dist, int64(100*n+d))
+				cat := Catalog{"pts": pts}
+				for _, c := range []struct {
+					stmt string
+					p    pref.Preference
+				}{
+					{"SELECT * FROM pts SKYLINE OF " + strings.Join(mins, ", "), pref.ParetoAll(minTerm...)},
+					{"SELECT * FROM pts PREFERRING " + strings.Join(alternating, " AND "), pref.ParetoAll(altTerm...)},
+				} {
+					maxima := engine.BMOIndicesMode(c.p, pts, engine.BNL, engine.EvalCompiled)
+					if n*len(maxima) <= interpretedPairs {
+						interpreted++
+						if slow := engine.BMOIndicesMode(c.p, pts, engine.BNL, engine.EvalInterpreted); !slices.Equal(slow, maxima) {
+							t.Fatalf("%s n=%d: %s: the flat window pass keeps %d rows, the interpreted one %d", dist, n, c.stmt, len(maxima), len(slow))
+						}
+					}
+					want := rowSet(pts.Pick(maxima))
+					for _, procs := range []int{1, 2} {
+						runtime.GOMAXPROCS(procs)
+						resultcache.Reset() // every run evaluates
+						what := fmt.Sprintf("%s n=%d at %d Ps: %s", dist, n, procs, c.stmt)
+						text, err := ExplainQuery(c.stmt, cat, Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						m := planLine.FindStringSubmatch(text)
+						if m == nil {
+							t.Fatalf("%s: no plan line:\n%s", what, text)
+						}
+						workers := 1
+						if m[3] != "" {
+							workers, _ = strconv.Atoi(m[3])
+						}
+						runs := uint64(1) // one pass, or one per partition plus the merge
+						if workers >= 2 {
+							runs = uint64(workers) + 1
+						}
+						passes := [3]uint64{}
+						passes[mergeComparator(m[1])] = runs
+						before := passesSince([3]uint64{})
+						got, err := Run(c.stmt, cat, Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ran := passesSince(before); ran != passes {
+							t.Errorf("%s: passes per comparator (tree, flat, blocks) %v, want %v for %s×%d on %s", what, ran, passes, m[2], workers, m[1])
+						}
+						if !maps.Equal(rowSet(got), want) {
+							t.Errorf("%s: %d rows, not the BNL oracle's %d", what, got.Len(), len(maxima))
+						}
+						routes[fmt.Sprintf("%s×%d on %s", m[2], workers, m[1])]++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("routes: %v; interpreted oracle on %d of 72 statements", routes, interpreted)
+}
+
+// rowSet counts a relation's rows by their rendering.
+func rowSet(r *relation.Relation) map[string]int {
+	out := make(map[string]int, r.Len())
+	for i := 0; i < r.Len(); i++ {
+		out[fmt.Sprint(r.Row(i))]++
+	}
+	return out
+}
+
 // passesSince returns the compiled passes that ran per comparator since
 // the given reading (the zero reading: since process start).
-func passesSince(before [4]uint64) [4]uint64 {
-	var out [4]uint64
+func passesSince(before [3]uint64) [3]uint64 {
+	var out [3]uint64
 	for d := range out {
 		out[d] = engine.DominanceRuns(engine.Dominance(d)) - before[d]
 	}
@@ -499,7 +641,7 @@ func passesSince(before [4]uint64) [4]uint64 {
 
 // mergeComparator maps a comparator's EXPLAIN label back to its counter.
 func mergeComparator(label string) engine.Dominance {
-	for d := engine.DominanceTree; d <= engine.DominanceCoords; d++ {
+	for d := engine.DominanceTree; d <= engine.DominanceBlocksAVX2; d++ {
 		if d.String() == label {
 			return d
 		}

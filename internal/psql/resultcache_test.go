@@ -68,7 +68,7 @@ func renderRel(r *relation.Relation) string {
 // hit assertion keeps the agreement non-vacuous.
 func TestResultCacheChurnAgreement(t *testing.T) {
 	algs := []engine.Algorithm{
-		engine.Naive, engine.BNL, engine.SFS, engine.DNC, engine.Decomposition, engine.Auto,
+		engine.Naive, engine.BNL, engine.SFS, engine.Decomposition, engine.Auto,
 	}
 	for _, shards := range []int{0, 1, 2, 3, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -110,7 +110,7 @@ func (e *ShardError) Error() string {
 // *PanicError, ...).
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// Procs is the parallel width of every fan-out and parallel plan: the
+// Procs is the parallel width of every fan-out and partitioned plan: the
 // number of Ps the scheduler runs goroutines on (GOMAXPROCS), not the
 // machine's CPU count — at one P a goroutine per shard cannot run beside
 // another and only costs its stack.

@@ -58,7 +58,7 @@ func TestComputeMatchesEngine(t *testing.T) {
 		rel.MustInsert(relation.Row{rng.Float64(), rng.Float64()})
 	}
 	c, _ := Parse("a MIN, b MIN")
-	got, err := Compute(c, rel, engine.DNC)
+	got, err := Compute(c, rel, engine.SFS)
 	if err != nil {
 		t.Fatal(err)
 	}
