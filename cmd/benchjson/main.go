@@ -8,15 +8,34 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-
-	"repro/internal/benchfmt"
+	"strconv"
+	"strings"
 )
 
+// result is one benchmark measurement.
+type result struct {
+	Name        string  `json:"name"`
+	Iterations  int64   `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
+	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+}
+
+// baseline is the committed file layout.
+type baseline struct {
+	GOOS    string   `json:"goos,omitempty"`
+	GOARCH  string   `json:"goarch,omitempty"`
+	CPU     string   `json:"cpu,omitempty"`
+	Results []result `json:"results"`
+}
+
 func main() {
-	b, err := benchfmt.Parse(os.Stdin)
+	b, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -27,4 +46,56 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// parse reads `go test -bench` text output into a baseline.
+func parse(r io.Reader) (baseline, error) {
+	var b baseline
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			b.GOOS = strings.TrimPrefix(line, "goos: ")
+		case strings.HasPrefix(line, "goarch: "):
+			b.GOARCH = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "cpu: "):
+			b.CPU = strings.TrimPrefix(line, "cpu: ")
+		case strings.HasPrefix(line, "Benchmark"):
+			if r, ok := parseLine(line); ok {
+				b.Results = append(b.Results, r)
+			}
+		}
+	}
+	return b, sc.Err()
+}
+
+// parseLine parses one benchmark result line, e.g.
+//
+//	BenchmarkX/sub-8   	     100	  11216 ns/op	  1024 B/op	  12 allocs/op
+func parseLine(line string) (result, bool) {
+	fields := strings.Fields(line)
+	if len(fields) < 4 || fields[3] != "ns/op" {
+		return result{}, false
+	}
+	iters, err1 := strconv.ParseInt(fields[1], 10, 64)
+	ns, err2 := strconv.ParseFloat(fields[2], 64)
+	if err1 != nil || err2 != nil {
+		return result{}, false
+	}
+	r := result{Name: fields[0], Iterations: iters, NsPerOp: ns}
+	for i := 4; i+1 < len(fields); i += 2 {
+		v, err := strconv.ParseInt(fields[i], 10, 64)
+		if err != nil {
+			continue
+		}
+		switch fields[i+1] {
+		case "B/op":
+			r.BytesPerOp = v
+		case "allocs/op":
+			r.AllocsPerOp = v
+		}
+	}
+	return r, true
 }

@@ -36,7 +36,7 @@
 // candidates — and merge candidate maxima cross-shard (the compiled
 // evaluator over the gathered local maxima, interpreted BNL for terms
 // outside the compilable fragment) along one fault-contained fan-out
-// whatever the caller's context, engine.PlanSharded describes that route, and psql routes
+// whatever the caller's context, engine.PlanShardedOn describes that route, and psql routes
 // sharded catalog tables through all of it with EXPLAIN reporting
 // shards=N and the merge mode per phase.
 //

@@ -32,14 +32,9 @@ type ShardPlan struct {
 	Reasons     []string
 }
 
-// PlanSharded plans σ[P](S) over every row of a sharded table for this
-// machine.
-func PlanSharded(p pref.Preference, s *relation.Sharded, env Env) *ShardPlan {
-	return PlanShardedOn(p, s, nil, env)
-}
-
-// PlanShardedOn plans evaluation over per-shard candidate subsets (nil
-// means every row); the psql EXPLAIN front-end inlines its rendering.
+// PlanShardedOn plans σ[P](S) over per-shard candidate subsets (nil
+// means every row) for this machine; the psql EXPLAIN front-end inlines
+// its rendering.
 func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env Env) *ShardPlan {
 	n := sets.Total(s)
 	rep, repN := 0, -1

@@ -418,7 +418,7 @@ func TestPlanSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
-	sp := PlanSharded(p, s, Env{})
+	sp := PlanShardedOn(p, s, nil, Env{})
 	if sp.Shards != 4 || sp.Input != flat.Len() {
 		t.Fatalf("plan shards=%d input=%d", sp.Shards, sp.Input)
 	}

@@ -5,7 +5,7 @@
 // a panic, or fail it with an error — without touching the evaluation
 // code under test. The registry is test-only by convention: production
 // paths pay a single atomic load while it is empty, and nothing outside
-// _test files and the prefbench demo flags should install hooks.
+// _test files should install hooks.
 package faultinject
 
 import (
@@ -50,21 +50,6 @@ func (m Mode) String() string {
 		return "error"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
-// ParseMode resolves the -faults flag spelling of a mode.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "slow", "delay":
-		return Delay, nil
-	case "hang":
-		return Hang, nil
-	case "panic":
-		return Panic, nil
-	case "error":
-		return Error, nil
-	}
-	return 0, fmt.Errorf("faultinject: unknown mode %q (want slow|hang|panic|error)", s)
 }
 
 // Fault is one installed per-shard fault.

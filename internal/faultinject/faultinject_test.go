@@ -69,15 +69,3 @@ func TestPanicMode(t *testing.T) {
 	}()
 	Invoke(context.Background(), s, 1)
 }
-
-func TestParseMode(t *testing.T) {
-	for spelling, want := range map[string]Mode{"slow": Delay, "delay": Delay, "hang": Hang, "panic": Panic, "error": Error} {
-		got, err := ParseMode(spelling)
-		if err != nil || got != want {
-			t.Fatalf("ParseMode(%q) = %v, %v", spelling, got, err)
-		}
-	}
-	if _, err := ParseMode("nope"); err == nil {
-		t.Fatal("unknown mode parsed")
-	}
-}
