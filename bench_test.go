@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -22,7 +20,7 @@ import (
 )
 
 // One benchmark per reproduced experiment, plus the ablation and
-// evaluation-layer benches (partitioned passes, planner, streaming). Run with
+// evaluation-layer benches (planner, streaming, shards). Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -351,29 +349,6 @@ func BenchmarkExperimentExamples(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelVsSequential measures both passes at one worker against
-// the same pass partitioned over GOMAXPROCS workers on a multi-core-friendly
-// workload: large anti-correlated chain product, where local maxima sets
-// stay small relative to the partitions. On a multi-core machine the
-// partitioned rows should beat their one-worker siblings; at GOMAXPROCS 1
-// only the one-worker rows run.
-func BenchmarkParallelVsSequential(b *testing.B) {
-	rel := workload.Numeric(20000, 3, workload.AntiCorrelated, 37)
-	p := pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))
-	for _, alg := range []engine.Algorithm{engine.BNL, engine.SFS} {
-		for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
-			pl := engine.PlanFor(p, rel)
-			pl.Algorithm, pl.Workers = alg, workers
-			b.Run(fmt.Sprintf("%s/workers=%d", alg, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					pl.Indices()
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkPlanner isolates the cost of a plan decision (statistics
 // sampling plus cost model) so planning overhead stays visibly tiny next
 // to the evaluation it steers.
@@ -383,7 +358,7 @@ func BenchmarkPlanner(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.PlanFor(p, rel)
+		engine.PlanWithInput(p, rel, rel.Len(), engine.Env{})
 	}
 }
 
@@ -396,7 +371,7 @@ func BenchmarkEvalStreamFirstMaximum(b *testing.B) {
 	b.Run("stream-first", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			st := engine.EvalStream(p, rel)
+			st := engine.EvalStreamCtx(context.Background(), p, rel, engine.Auto, nil)
 			if _, ok := st.Next(); !ok {
 				b.Fatal("no first maximum")
 			}
@@ -644,13 +619,15 @@ func BenchmarkThresholdTopKStringDim(b *testing.B) {
 // BenchmarkShardedBMO measures shard-aware BMO evaluation at n=100k
 // against the flat compiled path, both steady-state (warm compile
 // caches): per-shard evaluation off each shard's cached bound form with
-// the cross-shard chain-filter merge, fan-out across GOMAXPROCS. The
-// shards-1 row isolates the sharding overhead; 2/4/8 show the scale-out.
+// the cross-shard chain-filter merge, fan-out across GOMAXPROCS — the
+// unkeyed soft step, so every iteration evaluates. The shards-1 row
+// isolates the sharding overhead; 2/4/8 show the scale-out.
 func BenchmarkShardedBMO(b *testing.B) {
 	const n = 100000
 	flat := workload.Numeric(n, 2, workload.AntiCorrelated, 7)
 	flat.Columnarize()
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
+	ctx := context.Background()
 	b.Run("flat-compiled", func(b *testing.B) {
 		engine.BMOIndices(p, flat, engine.SFS) // warm the cache
 		b.ReportAllocs()
@@ -665,11 +642,11 @@ func BenchmarkShardedBMO(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			engine.BMOShardedIndices(p, s, engine.SFS) // warm every shard
+			engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, engine.SFS, nil, nil, false, nil, engine.Robust{}) // warm every shard
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				engine.BMOShardedIndices(p, s, engine.SFS)
+				engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, engine.SFS, nil, nil, false, nil, engine.Robust{})
 			}
 		})
 	}
@@ -697,47 +674,34 @@ func BenchmarkShardedTopK(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			rank.TopKSharded(p, s, 10) // warm every shard
+			ctx := context.Background()
+			rank.TopKShardedCtx(ctx, p, s, 10, nil, relation.Robust{}) // warm every shard
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rank.TopKSharded(p, s, 10)
+				rank.TopKShardedCtx(ctx, p, s, 10, nil, relation.Robust{})
 			}
 		})
 	}
 }
 
-// BenchmarkShardedThresholdTopK measures the round-robin sharded
-// threshold algorithm with cached sorted-access permutations (sort-free
-// repeats) against the flat threshold scan.
+// BenchmarkShardedThresholdTopK measures the threshold algorithm with
+// cached sorted-access permutations (sort-free repeats) at n=100k — its
+// flat leg, the only one: a sharded table ranks through the per-shard heap
+// scan (BenchmarkShardedTopK).
 func BenchmarkShardedThresholdTopK(b *testing.B) {
 	const n = 100000
 	flat := workload.Numeric(n, 2, workload.Independent, 13)
 	flat.Columnarize()
 	p := pref.Rank("F", pref.WeightedSum(1, 2), pref.HIGHEST("d1"), pref.HIGHEST("d2"))
-	h := rank.Register(p)
 	b.Run("flat", func(b *testing.B) {
-		h.ThresholdTopK(flat, 10) // warm vectors + permutations
+		rank.ThresholdTopK(p, flat, 10) // warm vectors + permutations
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			h.ThresholdTopK(flat, 10)
+			rank.ThresholdTopK(p, flat, 10)
 		}
 	})
-	for _, shards := range []int{1, 4} {
-		s, err := relation.ShardRelation(flat, shards, relation.ByHash("d2"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			rank.ThresholdTopKSharded(p, s, 10) // warm every shard
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rank.ThresholdTopKSharded(p, s, 10)
-			}
-		})
-	}
 }
 
 // BenchmarkColdSelectiveBMO is the first-seen selective statement: every
@@ -872,6 +836,7 @@ func BenchmarkCompileCache(b *testing.B) {
 // for scale.
 func BenchmarkShardedStreamFirstResult(b *testing.B) {
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
+	ctx := context.Background()
 	for _, n := range []int{10000, 100000} {
 		flat := workload.Numeric(n, 2, workload.AntiCorrelated, 51)
 		flat.Columnarize()
@@ -880,22 +845,22 @@ func BenchmarkShardedStreamFirstResult(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("stream-first/n=%d", n), func(b *testing.B) {
-			engine.EvalStreamSharded(p, s, engine.Auto).Collect() // warm order + score caches
+			engine.EvalStreamShardedCtx(ctx, p, s, engine.Auto, nil, engine.Robust{}).Collect() // warm order + score caches
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st := engine.EvalStreamSharded(p, s, engine.Auto)
+				st := engine.EvalStreamShardedCtx(ctx, p, s, engine.Auto, nil, engine.Robust{})
 				if _, ok := st.Next(); !ok {
 					b.Fatal("no first maximum")
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("batch-full/n=%d", n), func(b *testing.B) {
-			engine.BMOShardedIndices(p, s, engine.Auto) // warm every shard
+			engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, engine.Auto, nil, nil, false, nil, engine.Robust{}) // warm every shard
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				engine.BMOShardedIndices(p, s, engine.Auto)
+				engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, engine.Auto, nil, nil, false, nil, engine.Robust{})
 			}
 		})
 	}
@@ -922,18 +887,22 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 	b.Run("ctx", func(b *testing.B) {
 		// A live cancellable context: Done() is non-nil, so the stride
 		// polling actually runs — context.Background() would degenerate
-		// to the legacy path and measure nothing.
+		// to the legacy path and measure nothing. The relation runs as its
+		// one shard through the unkeyed soft step, so every iteration
+		// evaluates.
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		if _, err := engine.EvalIndicesCtx(ctx, p, flat, engine.SFS, nil); err != nil {
-			b.Fatal(err)
+		one := relation.OneShard(flat)
+		eval := func() {
+			if _, _, err := engine.BMOShardedOnFilteredCtxKeyed(ctx, p, one, engine.SFS, nil, nil, false, nil, engine.Robust{}); err != nil {
+				b.Fatal(err)
+			}
 		}
+		eval()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.EvalIndicesCtx(ctx, p, flat, engine.SFS, nil); err != nil {
-				b.Fatal(err)
-			}
+			eval()
 		}
 	})
 }

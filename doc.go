@@ -17,34 +17,37 @@
 // relation skip binding entirely (dropping a catalog relation evicts its
 // entries, see engine.EvictRelation). Grouping partitions by cached
 // equality codes, ranked TOP-k queries score row positions through the
-// compiled vectors (internal/rank, with session handles — rank.Register
-// — giving opaque rank(F) terms faithful cache keys, and sorted-access
-// permutations cached alongside the score vectors), and streaming
-// delivery runs index-chained over the WHERE index list
-// (engine.EvalStreamOn). The interpreted tuple-at-a-time interface path
-// remains as the transparent fallback for foreign Preference/Pred
-// implementations (and as the measured baseline, see engine.EvalMode).
+// compiled vectors (internal/rank; a weighted-sum rank(F), Preference
+// SQL's RANK, keys by its exact weights and parts, and the threshold
+// algorithm's sorted-access permutations are cached alongside the score
+// vectors), and streaming delivery runs index-chained over the WHERE
+// index list (engine.EvalStreamCtx). The interpreted tuple-at-a-time
+// interface path remains as the transparent fallback for foreign
+// Preference/Pred implementations (and as the measured baseline, see
+// engine.EvalMode).
 // Plan.Explain and Preference SQL EXPLAIN report which path a query
 // takes and whether the caches hit.
 //
 // The catalog scales out horizontally: relation.Sharded partitions a
 // table into N shards (hash or range over an attribute, stable global
-// row ids), engine.BMOSharded / GroupByShardedOn / EvalStreamSharded and
-// rank.TopKSharded / ThresholdTopKSharded evaluate shard-local off each
-// shard's independently cached bound forms — or, for a first-seen
+// row ids), engine.BMOShardedOnFilteredCtxKeyed / GroupByShardedOn /
+// EvalStreamShardedCtx and rank.TopKShardedCtx evaluate shard-local off
+// each shard's independently cached bound forms — or, for a first-seen
 // selective statement, off a bind over just the shard's gathered
 // candidates — and merge candidate maxima cross-shard (the compiled
 // evaluator over the gathered local maxima, interpreted BNL for terms
 // outside the compilable fragment) along one fault-contained fan-out
-// whatever the caller's context, engine.PlanShardedOn describes that route, and psql routes
-// sharded catalog tables through all of it with EXPLAIN reporting
+// whatever the caller's context, engine.PlanShardedOn describes that
+// route, and psql routes every catalog table through all of it — a flat
+// one as its one shard (relation.OneShard), as the engine's flat keyed,
+// streaming and grouping entry points do too — with EXPLAIN reporting
 // shards=N and the merge mode per phase.
 //
 // Start with ARCHITECTURE.md (the end-to-end dataflow tour with file
 // pointers), internal/core (the façade API) and README.md (package tour,
 // how to run the examples, benchmarks and CI). bench_test.go in this
 // directory holds one benchmark per reproduced experiment plus the
-// evaluation-layer benches (partitioned passes, planner, streaming,
+// evaluation-layer benches (planner, streaming,
 // compiled vs interpreted, selection and compile-cache studies, sharded
 // evaluation at n=100k over 1/2/4/8 shards); BENCH_BASELINE.json is the
 // one committed micro baseline.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -143,11 +144,11 @@ func TestPlanReportsCacheStatus(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rel := cacheTestRelation(rng, 600)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	if pl := PlanFor(p, rel); pl.CacheHit {
+	if pl := PlanWithInput(p, rel, rel.Len(), Env{}); pl.CacheHit {
 		t.Fatal("cold plan must not report a cache hit")
 	}
 	BMOIndices(p, rel, Auto)
-	pl := PlanFor(p, rel)
+	pl := PlanWithInput(p, rel, rel.Len(), Env{})
 	if !pl.CacheHit {
 		t.Fatal("plan after execution must report the cache hit")
 	}
@@ -252,6 +253,51 @@ func TestSetRenderingCollisionDoesNotShareBoundForms(t *testing.T) {
 	}
 	if !sameIndices(got2, []int{0, 1}) {
 		t.Fatalf("POS(c, {red, blue}) after identical-rendering query = %v, want [0 1] (stale bound form reused?)", got2)
+	}
+
+	// A weighted-sum rank(F) keys by its exact weights — not their
+	// rendering, which rounds — and its parts' keys; an opaque F or a
+	// SCORE part leaves it keyless.
+	rankW := func(ws []float64, parts ...pref.Scorer) pref.Preference {
+		r, err := pref.RankWeighted(ws, parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	wsum := func(ws ...float64) pref.Preference { return rankW(ws, pref.LOWEST("a"), pref.HIGHEST("b")) }
+	tenth := 0.1 // a variable: float64 arithmetic rounds, constant arithmetic does not
+	key := func(p pref.Preference) string {
+		k, ok := pref.CacheKey(p)
+		if !ok {
+			t.Fatalf("%s must have a faithful key", p)
+		}
+		return k
+	}
+	for _, c := range []struct {
+		name string
+		a, b pref.Preference
+	}{
+		{"0.1+0.2 vs 0.3", wsum(tenth+2*tenth, 1), wsum(0.3, 1)},
+		{"-0 vs 0", wsum(math.Copysign(0, -1), 1), wsum(0, 1)},
+		{"weights swapped", wsum(1, 2), wsum(2, 1)},
+		{"parts differ", wsum(1, 1), rankW([]float64{1, 1}, pref.LOWEST("a"), pref.LOWEST("b"))},
+	} {
+		if key(c.a) == key(c.b) {
+			t.Errorf("%s: distinct weighted sums share the key %q", c.name, key(c.a))
+		}
+	}
+	if key(wsum(0.5, 2)) != key(wsum(0.5, 2)) {
+		t.Error("equal weights and parts must give equal keys")
+	}
+	score := pref.SCORE("a", "f", func(v pref.Value) float64 { n, _ := pref.Numeric(v); return n })
+	for name, p := range map[string]pref.Preference{
+		"SCORE part": rankW([]float64{1, 1}, score, pref.HIGHEST("b")),
+		"opaque F":   pref.Rank("F", pref.WeightedSum(1, 1), pref.LOWEST("a"), pref.HIGHEST("b")),
+	} {
+		if pref.Cacheable(p) {
+			t.Errorf("%s: rank(F) must stay keyless", name)
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ func TestCancellationAgreementFlat(t *testing.T) {
 		p := shardedRandomTerm(rng, domain)
 		want := BMOIndicesOn(p, r, Auto, allIndices(r.Len()))
 		ctx, cancel := ctxCancelledWithin(rng, time.Millisecond)
-		got, err := EvalIndicesCtx(ctx, p, r, Auto, nil)
+		got, err := oneShardBMO(ctx, p, r, Auto, nil)
 		cancel()
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {
@@ -76,9 +76,9 @@ func TestCancellationAgreementSharded(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := shardedRandomTerm(rng, domain)
-		want := oidSetSharded(s, BMOShardedOn(p, s, Auto, nil))
+		want := oidSetSharded(s, shardedBMO(p, s, Auto, nil))
 		ctx, cancel := ctxCancelledWithin(rng, time.Millisecond)
-		sets, part, err := BMOShardedOnCtx(ctx, p, s, Auto, nil, Robust{})
+		sets, part, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, nil, nil, false, nil, Robust{})
 		cancel()
 		if err != nil {
 			// Strict failure: the context error, possibly wrapped per shard.
@@ -147,7 +147,7 @@ func TestCancellationAgreementRanked(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := 1 + rng.Intn(10)
-		want := rank.TopKOn(sc, r, k, nil)
+		want := rank.TopK(sc, r, k)
 		ctx, cancel := ctxCancelledWithin(rng, time.Millisecond)
 		got, err := rank.TopKOnCtx(ctx, sc, r, k, nil)
 		cancel()
@@ -180,11 +180,11 @@ func TestCancelledBeforeStart(t *testing.T) {
 	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EvalIndicesCtx(ctx, p, flat, Auto, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EvalIndicesCtx: %v", err)
+	if _, err := oneShardBMO(ctx, p, flat, Auto, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("one-shard soft step: %v", err)
 	}
-	if _, _, err := BMOShardedOnCtx(ctx, p, s, Auto, nil, Robust{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BMOShardedOnCtx: %v", err)
+	if _, _, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, nil, nil, false, nil, Robust{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sharded soft step: %v", err)
 	}
 	sc, err := pref.BETWEEN("A1", 1, 2)
 	if err != nil {
@@ -228,9 +228,9 @@ func TestAbandonedGatheredWorkersKeepTheirSlabs(t *testing.T) {
 		ResetCompileCache()
 		want := referenceOIDs(p, s, sets)
 		ctx, cancel := ctxCancelledWithin(rng, time.Millisecond)
-		got, part, err := BMOShardedOnCtx(ctx, p, s, Auto, cloneSets(sets), Robust{})
+		got, part, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, cloneSets(sets), nil, false, nil, Robust{})
 		// No pause: abandoned workers may still be evaluating.
-		again := BMOShardedOn(p, s, Auto, cloneSets(sets))
+		again := shardedBMO(p, s, Auto, cloneSets(sets))
 		cancel()
 		if oids := oidsOf(s.Row, again.GlobalIDs(s)); !sameInts(oids, want) {
 			t.Fatalf("trial %d: statement after a cancelled one: got %v want %v", trial, oids, want)

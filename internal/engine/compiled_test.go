@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -142,7 +143,7 @@ func TestCompiledStreamAgreesAndStaysProgressive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rel := mixedRelation(rng, 800)
 	p := pref.Prioritized(pref.NEG("A3", "blue"), pref.LOWEST("A2"))
-	st := EvalStream(p, rel)
+	st := EvalStreamCtx(context.Background(), p, rel, Auto, nil)
 	if !st.Progressive() {
 		t.Fatal("level-keyed term must stream progressively under compilation")
 	}

@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"context"
-
-	"repro/internal/pref"
-	"repro/internal/relation"
-)
+import "context"
 
 // Cooperative cancellation. The evaluation algorithms are long tight
 // loops over flat columns; returning an error from every inner loop
@@ -148,27 +143,4 @@ func runCancellable[T any](ctx context.Context, f func(cc *canceller) T) (out T,
 		}
 	}()
 	return f(newCanceller(ctx)), nil
-}
-
-// EvalIndicesCtx is BMOIndicesOn under a context: the preference query
-// over the candidate row positions of R (idx == nil means every row).
-// The evaluation observes ctx cancellation and deadlines cooperatively
-// (every long loop polls at a coarse stride) and returns the context's
-// error instead of a result; a result is always complete — cancellation
-// never yields a torn BMO set. It never serves the result cache
-// (EvalIndicesCtxKeyed in resultserve.go does), so agreement baselines
-// and benchmarks keep measuring real work.
-func EvalIndicesCtx(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) ([]int, error) {
-	return evalIndicesCtx(ctx, keyTerm(p), r, alg, idx, nil)
-}
-
-// evalIndicesCtx is EvalIndicesCtx with evalOn's keep hook, for the keyed
-// entry point's result-cache store.
-func evalIndicesCtx(ctx context.Context, kt keyedTerm, r *relation.Relation, alg Algorithm, idx []int, keep func(evaluated)) ([]int, error) {
-	if idx == nil {
-		idx = allIndices(r.Len())
-	}
-	return runCancellable(ctx, func(cc *canceller) []int {
-		return evalOn(kt, r, alg, EvalAuto, idx, cc, keep)
-	})
 }

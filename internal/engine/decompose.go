@@ -24,25 +24,16 @@ import (
 // level and every group shares the bound form through the compile cache)
 // instead of falling back to the interface path throughout, which also
 // means repeated decomposition queries over an unchanged relation reuse
-// the bound sub-terms outright.
-func decomposedMode(p pref.Preference, r *relation.Relation, idx []int, mode EvalMode) []int {
-	return decomposedModeCC(p, r, idx, mode, nil)
-}
-
-// decomposedModeCC is decomposedMode threading a canceller through the
-// recursion: the leaf BNL passes, the YY common-dominator scans and the
-// group loops all tick on it.
+// the bound sub-terms outright. A canceller threads through the recursion:
+// the leaf BNL passes, the YY common-dominator scans and the group loops
+// all tick on it.
 func decomposedModeCC(p pref.Preference, r *relation.Relation, idx []int, mode EvalMode, cc *canceller) []int {
 	d := &decomposer{r: r, mode: mode, cc: cc}
 	return d.eval(p, idx)
 }
 
-// decomposed is decomposedMode under the default evaluation mode.
-func decomposed(p pref.Preference, r *relation.Relation, idx []int) []int {
-	return decomposedMode(p, r, idx, EvalAuto)
-}
-
-// decomposedCC is decomposed with a canceller; execute routes here.
+// decomposedCC is decomposedModeCC under the default evaluation mode;
+// execute routes here.
 func decomposedCC(p pref.Preference, r *relation.Relation, idx []int, cc *canceller) []int {
 	return decomposedModeCC(p, r, idx, EvalAuto, cc)
 }
@@ -219,50 +210,6 @@ func (d *decomposer) groupOn(p pref.Preference, groupAttrs []string, idx []int) 
 	for _, group := range d.r.GroupsOn(groupAttrs, idx) {
 		d.cc.check()
 		out = append(out, d.eval(p, group)...)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// groupByIndices evaluates σ[P groupby A](R) over the whole relation.
-func groupByIndices(p pref.Preference, groupAttrs []string, r *relation.Relation, alg Algorithm) []int {
-	return GroupByIndicesOn(p, groupAttrs, r, alg, nil)
-}
-
-// GroupByIndicesOn evaluates σ[P groupby A] over the candidate row
-// positions of R (idx == nil means every row) and returns the qualifying
-// positions in ascending order. The candidate set partitions into groups
-// by the relation's cached equality codes and each group evaluates as an
-// index slice over the base relation — the grouped counterpart of
-// BMOIndicesOn — so a WHERE-filtered grouped query stays on the base
-// relation's cached bound forms instead of materializing a per-query
-// subset.
-func GroupByIndicesOn(p pref.Preference, groupAttrs []string, r *relation.Relation, alg Algorithm, idx []int) []int {
-	// The preference compiles once against the whole relation — its column
-	// vectors are position-addressed, so every group reuses them — and
-	// statistics are sampled once, not once per group: the Auto planner
-	// reuses them across every group's plan.
-	var stats *relation.Stats
-	var c *pref.Compiled
-	if alg != Decomposition {
-		c = compileFor(p, r, EvalAuto)
-	}
-	eval := func(p pref.Preference, r *relation.Relation, idx []int) []int {
-		switch alg {
-		case Decomposition:
-			return decomposed(p, r, idx)
-		case Auto:
-			if len(idx) >= smallInput && stats == nil {
-				stats = cachedStats(r, statsSample)
-			}
-			pl := planCore(p, r, len(idx), Env{Stats: stats}, BindCached) // one bound form serves every group
-			return execute(pl.Algorithm, pl.Workers, p, r, c, idx, nil)
-		}
-		return execute(alg, 1, p, r, c, idx, nil)
-	}
-	var out []int
-	for _, group := range r.GroupsOn(groupAttrs, idx) {
-		out = append(out, eval(p, r, group)...)
 	}
 	slices.Sort(out)
 	return out

@@ -77,7 +77,7 @@ func TestProposition10Grouping(t *testing.T) {
 		direct := BMOIndices(pref.Prioritized(p1, p2), rel, Naive)
 		want := intersect(
 			BMOIndices(p1, rel, Naive),
-			groupByIndices(p2, []string{"A1"}, rel, Naive),
+			oneShardGroupBy(p2, []string{"A1"}, rel, Naive, nil),
 		)
 		return sameIndices(direct, want)
 	}
@@ -116,8 +116,8 @@ func TestProposition12Pareto(t *testing.T) {
 		pareto := pref.Pareto(p1, p2)
 		direct := BMOIndices(pareto, rel, Naive)
 		idx := allIndices(rel.Len())
-		term1 := intersect(BMOIndices(p1, rel, Naive), groupByIndices(p2, []string{"A1"}, rel, Naive))
-		term2 := intersect(BMOIndices(p2, rel, Naive), groupByIndices(p1, []string{"A2"}, rel, Naive))
+		term1 := intersect(BMOIndices(p1, rel, Naive), oneShardGroupBy(p2, []string{"A1"}, rel, Naive, nil))
+		term2 := intersect(BMOIndices(p2, rel, Naive), oneShardGroupBy(p1, []string{"A2"}, rel, Naive, nil))
 		term3 := yy(pref.Prioritized(p1, p2), pref.Prioritized(p2, p1), rel, idx)
 		want := union(term1, term2, term3)
 		return sameIndices(direct, want)

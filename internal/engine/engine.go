@@ -9,6 +9,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/pref"
@@ -75,7 +76,7 @@ func BMOIndices(p pref.Preference, r *relation.Relation, alg Algorithm) []int {
 // EvalInterpreted forces the tuple-at-a-time interface path that compiled
 // evaluation replaces, the baseline for benchmarks and agreement tests.
 func BMOIndicesMode(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMode) []int {
-	return bmoOn(p, r, alg, mode, allIndices(r.Len()))
+	return evalOn(keyTerm(p), r, alg, mode, allIndices(r.Len()), nil, nil)
 }
 
 // BMOIndicesOn evaluates the preference query over the subset of R at the
@@ -87,27 +88,19 @@ func BMOIndicesMode(p pref.Preference, r *relation.Relation, alg Algorithm, mode
 // candidate set that is a small fraction of R binds over a gathered copy
 // of just those rows (see BindScope). idx must not contain duplicates.
 func BMOIndicesOn(p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) []int {
-	return bmoOn(p, r, alg, EvalAuto, idx)
-}
-
-// bmoOn is the shared core of BMOIndicesMode and BMOIndicesOn: the
-// uncancellable spelling of bmoOnCC every legacy entry point uses.
-func bmoOn(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMode, idx []int) []int {
-	return bmoOnCC(p, r, alg, mode, idx, nil)
-}
-
-// bmoOnCC is bmoOn with a canceller threaded into the algorithm layer; the
-// ctx entry points (ctx.go) reach it through runCancellable. evalOn
-// (bind.go) is the core: it picks the bind scope, plans and runs.
-func bmoOnCC(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMode, idx []int, cc *canceller) []int {
-	return evalOn(keyTerm(p), r, alg, mode, idx, cc, nil)
+	return evalOn(keyTerm(p), r, alg, EvalAuto, idx, nil, nil)
 }
 
 // GroupBy evaluates σ[P groupby A](R) = σ[A↔ & P](R) per Definition 16:
 // R is grouped by equal A-values and the preference query is evaluated
-// within each group.
+// within each group — GroupByShardedOn over R as its one shard.
 func GroupBy(p pref.Preference, groupAttrs []string, r *relation.Relation, alg Algorithm) *relation.Relation {
-	return r.Pick(groupByIndices(p, groupAttrs, r, alg))
+	s := relation.OneShard(r)
+	out, err := GroupByShardedOn(context.Background(), p, groupAttrs, s, alg, nil)
+	if err != nil {
+		panic(err) // a contained worker panic: nothing else fails without a context
+	}
+	return r.Pick(out.GlobalIDs(s))
 }
 
 // Cascade evaluates a cascade of preference queries σ[Pn](…σ[P1](R)…),

@@ -29,8 +29,9 @@ func faultFixture(t *testing.T, n, shards int) (*relation.Relation, *relation.Sh
 }
 
 // responsiveSets empties the faulted shards' candidate slots, so the
-// legacy evaluator computes the exact expected partial result: the
-// partial merge is the maxima of the union of responsive shards' rows.
+// strict, uncancellable evaluator computes the exact expected partial
+// result: the partial merge is the maxima of the union of responsive
+// shards' rows.
 func responsiveSets(s *relation.Sharded, faulted ...int) ShardSets {
 	sets := AllShardSets(s)
 	for _, i := range faulted {
@@ -49,7 +50,7 @@ func TestPartialSlowShard(t *testing.T) {
 	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
 	rb := Robust{Policy: PolicyPartial, ShardTimeout: 50 * time.Millisecond}
 	start := time.Now()
-	sets, part, err := BMOShardedOnCtx(context.Background(), p, s, Auto, nil, rb)
+	sets, part, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, nil, false, nil, rb)
 	if err != nil {
 		t.Fatalf("partial policy failed the query: %v", err)
 	}
@@ -62,7 +63,7 @@ func TestPartialSlowShard(t *testing.T) {
 	if !errors.Is(part.Errs[0], context.DeadlineExceeded) {
 		t.Fatalf("cause = %v, want deadline exceeded", part.Errs[0])
 	}
-	want := oidSetSharded(s, BMOShardedOn(p, s, Auto, responsiveSets(s, 2)))
+	want := oidSetSharded(s, shardedBMO(p, s, Auto, responsiveSets(s, 2)))
 	if got := oidSetSharded(s, sets); !sameInts(got, want) {
 		t.Fatalf("partial maxima %v, want responsive-shard maxima %v", got, want)
 	}
@@ -75,7 +76,7 @@ func TestStrictPanicShard(t *testing.T) {
 	_, s := faultFixture(t, 200, 3)
 	faultinject.Install(s, 1, faultinject.Fault{Mode: faultinject.Panic})
 	p := pref.Pareto(pref.LOWEST("A1"), pref.LOWEST("A2"))
-	sets, part, err := BMOShardedOnCtx(context.Background(), p, s, Auto, nil, Robust{})
+	sets, part, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, nil, false, nil, Robust{})
 	if err == nil {
 		t.Fatal("strict policy returned no error for a panicking shard")
 	}
@@ -98,7 +99,7 @@ func TestPartialPanicShard(t *testing.T) {
 	_, s := faultFixture(t, 200, 3)
 	faultinject.Install(s, 0, faultinject.Fault{Mode: faultinject.Panic})
 	p := pref.Pareto(pref.LOWEST("A1"), pref.LOWEST("A2"))
-	sets, part, err := BMOShardedOnCtx(context.Background(), p, s, Auto, nil, Robust{Policy: PolicyPartial})
+	sets, part, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, nil, false, nil, Robust{Policy: PolicyPartial})
 	if err != nil {
 		t.Fatalf("partial policy failed the query: %v", err)
 	}
@@ -109,7 +110,7 @@ func TestPartialPanicShard(t *testing.T) {
 	if !errors.As(part.Errs[0], &pe) {
 		t.Fatalf("cause = %v, want contained panic", part.Errs[0])
 	}
-	want := oidSetSharded(s, BMOShardedOn(p, s, Auto, responsiveSets(s, 0)))
+	want := oidSetSharded(s, shardedBMO(p, s, Auto, responsiveSets(s, 0)))
 	if got := oidSetSharded(s, sets); !sameInts(got, want) {
 		t.Fatalf("partial maxima %v, want responsive-shard maxima %v", got, want)
 	}
@@ -122,7 +123,7 @@ func TestStrictErrorShard(t *testing.T) {
 	cause := errors.New("disk on fire")
 	faultinject.Install(s, 2, faultinject.Fault{Mode: faultinject.Error, Err: cause})
 	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
-	_, _, err := BMOShardedOnCtx(context.Background(), p, s, Auto, nil, Robust{})
+	_, _, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, nil, false, nil, Robust{})
 	if !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want chain containing the injected cause", err)
 	}
@@ -137,7 +138,7 @@ func TestAllShardsMissingIsError(t *testing.T) {
 		faultinject.Install(s, i, faultinject.Fault{Mode: faultinject.Error})
 	}
 	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
-	sets, part, err := BMOShardedOnCtx(context.Background(), p, s, Auto, nil, Robust{Policy: PolicyPartial})
+	sets, part, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, nil, false, nil, Robust{Policy: PolicyPartial})
 	if err == nil {
 		t.Fatalf("all-shards-missing returned a result: sets=%v part=%v", sets, part)
 	}
@@ -154,7 +155,7 @@ func TestHangShardUnblockedByQueryDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	sets, part, err := BMOShardedOnCtx(ctx, p, s, Auto, nil, Robust{Policy: PolicyPartial})
+	sets, part, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, nil, nil, false, nil, Robust{Policy: PolicyPartial})
 	if err != nil {
 		t.Fatalf("partial policy failed the query: %v", err)
 	}
@@ -164,7 +165,7 @@ func TestHangShardUnblockedByQueryDeadline(t *testing.T) {
 	if part == nil || len(part.Missing) == 0 {
 		t.Fatal("hanging shard not reported missing")
 	}
-	want := oidSetSharded(s, BMOShardedOn(p, s, Auto, responsiveSets(s, part.Missing...)))
+	want := oidSetSharded(s, shardedBMO(p, s, Auto, responsiveSets(s, part.Missing...)))
 	if got := oidSetSharded(s, sets); !sameInts(got, want) {
 		t.Fatalf("partial maxima %v, want responsive-shard maxima %v", got, want)
 	}
@@ -370,10 +371,15 @@ func rankTopKShardedCtx(t *testing.T, s *relation.Sharded, sc pref.Scorer, rb Ro
 	return rankRows(results), part, nil
 }
 
-// rankTopKShardedLegacy runs the legacy ranked query over explicit
-// candidate sets and returns the sorted global row ids.
+// rankTopKShardedLegacy runs the ranked query over explicit candidate
+// sets under an uncancellable context and returns the sorted global row
+// ids.
 func rankTopKShardedLegacy(s *relation.Sharded, sc pref.Scorer, sets ShardSets) []int {
-	return rankRows(rank.TopKShardedOn(sc, s, 5, sets))
+	results, _, err := rank.TopKShardedCtx(context.Background(), sc, s, 5, sets, Robust{})
+	if err != nil {
+		panic(err)
+	}
+	return rankRows(results)
 }
 
 // rankRows projects ranked results onto their sorted row ids.

@@ -562,7 +562,7 @@ func TestFlatKernelRoutes(t *testing.T) {
 			}
 		}
 		for _, idx := range [][]int{nil, sub} {
-			got := EvalStreamOn(p, rel, Auto, idx).Collect()
+			got := EvalStreamCtx(context.Background(), p, rel, Auto, idx).Collect()
 			slices.Sort(got)
 			ref := want
 			if idx != nil {
@@ -671,7 +671,7 @@ func TestFlatKernelCancelAgreement(t *testing.T) {
 		for trial := 0; trial < 30; trial++ {
 			alg := []Algorithm{Naive, BNL, SFS}[trial%3]
 			ctx, cancel := ctxCancelledWithin(rng, 3*time.Millisecond)
-			got, err := EvalIndicesCtx(ctx, term, rel, alg, idx)
+			got, err := oneShardBMO(ctx, term, rel, alg, idx)
 			cancel()
 			if err != nil {
 				cancelled++

@@ -236,7 +236,7 @@ func TestGatheredBindAgreement(t *testing.T) {
 					alg := algs[rng.Intn(len(algs))]
 					ResetCompileCache()
 					tree0, flat0 := DominanceRuns(DominanceTree), fragmentRuns()
-					got := BMOShardedOn(p, s, alg, sets)
+					got := shardedBMO(p, s, alg, sets)
 					if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
 						t.Fatalf("trial %d %s cut %d alg %s term %s:\n got %v\nwant %v", trial, name, cut, alg, p, oids, want)
 					}
@@ -277,7 +277,7 @@ func TestGatheredBindAgreement(t *testing.T) {
 					}
 					// The sharded stream reaches the same set (last: it binds
 					// whole shards through the cache).
-					streamed := EvalStreamShardedOn(p, s, alg, sets).Collect()
+					streamed := EvalStreamShardedCtx(context.Background(), p, s, alg, sets, Robust{}).Collect()
 					slices.Sort(streamed)
 					if oids := oidsOf(s.Row, streamed); !sameInts(oids, want) {
 						t.Fatalf("trial %d %s cut %d alg %s term %s (stream):\n got %v\nwant %v", trial, name, cut, alg, p, oids, want)
@@ -318,7 +318,7 @@ func TestGatheredMergeInfTies(t *testing.T) {
 	}
 	want := referenceOIDs(p, s, all)
 	for _, alg := range []Algorithm{Auto, SFS, BNL} {
-		got := BMOShardedOn(p, s, alg, nil)
+		got := shardedBMO(p, s, alg, nil)
 		if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
 			t.Fatalf("alg %s: got %v want %v", alg, oids, want)
 		}
@@ -424,7 +424,7 @@ func TestGatheredBindSharesHighestImage(t *testing.T) {
 		for _, sets := range []ShardSets{{allIndices(r.Len())}, {idx}} {
 			want := referenceOIDs(p, whole, sets)
 			for _, alg := range []Algorithm{Auto, BNL, SFS} {
-				got := BMOShardedOn(p, whole, alg, sets)
+				got := shardedBMO(p, whole, alg, sets)
 				if oids := oidsOf(whole.Row, got.GlobalIDs(whole)); !sameInts(oids, want) {
 					t.Fatalf("%s alg %s over %d candidates:\n got %v\nwant %v", p, alg, len(sets[0]), oids, want)
 				}
@@ -461,7 +461,7 @@ func TestCacheHygieneOneShotStatements(t *testing.T) {
 	}
 	want := runHot() // binds and stores
 	runHot()         // served: the entries are now known to be reused
-	if !CompileCachedAllShards(hot, s) {
+	if !compileCachedAllShards(hot, s) {
 		t.Fatal("test premise: the hot term must hold a cached form per shard")
 	}
 	for i := 0; i < 1000; i++ {
@@ -478,7 +478,7 @@ func TestCacheHygieneOneShotStatements(t *testing.T) {
 	if g := GatheredBinds(); g < 1000 {
 		t.Fatalf("the selective statements must bind gathered: %d gathered binds", g)
 	}
-	if !CompileCachedAllShards(hot, s) {
+	if !compileCachedAllShards(hot, s) {
 		t.Fatal("one-shot statements evicted the hot term's bound forms")
 	}
 	if n, ok := ResultCachedShards(hot, s, nil); !ok || n != s.NumShards() {
@@ -506,7 +506,7 @@ func TestGatheredCancelDeadContext(t *testing.T) {
 	idx := filter.CompileCached(&filter.Cmp{Attr: "w", Op: "<", Value: 200.0}, r).Indices()
 	ctx := &dyingContext{Context: context.Background(), done: make(chan struct{})}
 	close(ctx.done)
-	got, err := EvalIndicesCtx(ctx, p, r, Auto, idx)
+	got, err := oneShardBMO(ctx, p, r, Auto, idx)
 	if !errors.Is(err, context.Canceled) || got != nil {
 		t.Fatalf("dead context: got %v, err %v; want nil, context.Canceled", got, err)
 	}
@@ -548,7 +548,7 @@ func TestGatheredCancelAgreement(t *testing.T) {
 		want := BMOIndicesOn(p, r, alg, idx)
 		ResetCompileCache()
 		ctx, cancel := ctxCancelledWithin(rng, 2*time.Millisecond)
-		got, err := EvalIndicesCtx(ctx, p, r, alg, idx)
+		got, err := oneShardBMO(ctx, p, r, alg, idx)
 		cancel()
 		if err != nil {
 			if !errors.Is(err, context.Canceled) || got != nil {

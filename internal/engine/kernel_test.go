@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -285,13 +286,13 @@ func TestKernelShardedAgreesOnInfData(t *testing.T) {
 		}
 		want := oidSetFlat(flat, BMOIndicesMode(p, flat, Naive, EvalInterpreted))
 		for _, alg := range []Algorithm{Auto, SFS, BNL} {
-			got := oidSetSharded(s, BMOShardedOn(p, s, alg, nil))
+			got := oidSetSharded(s, shardedBMO(p, s, alg, nil))
 			if !sameInts(got, want) {
 				t.Fatalf("trial %d: sharded %s over %d shards: got %v want %v", trial, alg, shards, got, want)
 			}
 		}
 		var got []int
-		for _, gid := range EvalStreamSharded(p, s, Auto).Collect() {
+		for _, gid := range EvalStreamShardedCtx(context.Background(), p, s, Auto, nil, Robust{}).Collect() {
 			got = append(got, s.Row(gid)[0].(int))
 		}
 		sort.Ints(got)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestKWayEmptyAndSingleShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, s := range map[string]*relation.Sharded{"empty-shards": empties, "single-shard": single} {
-		st := EvalStreamSharded(kwayTerm(), s, Auto)
+		st := EvalStreamShardedCtx(context.Background(), kwayTerm(), s, Auto, nil, Robust{})
 		if !st.Progressive() {
 			t.Fatalf("%s: chain product must stream progressively", name)
 		}
@@ -77,7 +78,7 @@ func TestKWayEmptyCandidateSets(t *testing.T) {
 	for i := range none {
 		none[i] = []int{}
 	}
-	if got := EvalStreamShardedOn(kwayTerm(), s, Auto, none).Collect(); len(got) != 0 {
+	if got := EvalStreamShardedCtx(context.Background(), kwayTerm(), s, Auto, none, Robust{}).Collect(); len(got) != 0 {
 		t.Fatalf("empty candidate sets emitted %v", got)
 	}
 	// One shard masked out entirely: result must equal the flat BMO over
@@ -109,7 +110,7 @@ func TestKWayEmptyCandidateSets(t *testing.T) {
 		}
 	}
 	want := oidSetFlat(flat, BMOIndicesOn(kwayTerm(), flat, SFS, flatIdx))
-	got := kwayCollectOids(s, EvalStreamShardedOn(kwayTerm(), s, Auto, half))
+	got := kwayCollectOids(s, EvalStreamShardedCtx(context.Background(), kwayTerm(), s, Auto, half, Robust{}))
 	sort.Ints(got)
 	if !sameInts(got, want) {
 		t.Fatalf("masked shard: stream %v, want %v", got, want)
@@ -131,7 +132,7 @@ func TestKWayDuplicateCoordsAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := EvalStreamSharded(kwayTerm(), s, Auto)
+	st := EvalStreamShardedCtx(context.Background(), kwayTerm(), s, Auto, nil, Robust{})
 	var gids []int
 	st.Each(func(gid int) bool { gids = append(gids, gid); return true })
 	var dupGids []int
@@ -173,7 +174,7 @@ func TestKWayExhaustedHeadsMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := oidSetFlat(flat, BMOIndices(kwayTerm(), flat, SFS))
-	got := kwayCollectOids(s, EvalStreamSharded(kwayTerm(), s, Auto))
+	got := kwayCollectOids(s, EvalStreamShardedCtx(context.Background(), kwayTerm(), s, Auto, nil, Robust{}))
 	sort.Ints(got)
 	if !sameInts(got, want) {
 		t.Fatalf("stream %v, flat %v", got, want)
@@ -196,7 +197,7 @@ func TestKWayWarmCacheFirstResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	ResetStreamOrderCache()
-	cold := EvalStreamSharded(kwayTerm(), s, Auto)
+	cold := EvalStreamShardedCtx(context.Background(), kwayTerm(), s, Auto, nil, Robust{})
 	if _, ok := cold.Next(); !ok {
 		t.Fatal("cold stream emitted nothing")
 	}
@@ -204,7 +205,7 @@ func TestKWayWarmCacheFirstResult(t *testing.T) {
 	if coldMisses == 0 {
 		t.Fatal("cold start should have populated the order cache")
 	}
-	warm := EvalStreamSharded(kwayTerm(), s, Auto)
+	warm := EvalStreamShardedCtx(context.Background(), kwayTerm(), s, Auto, nil, Robust{})
 	hits, misses := StreamOrderCacheStats()
 	if misses != coldMisses {
 		t.Fatalf("warm start re-sorted: misses %d -> %d", coldMisses, misses)

@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/pref"
 	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 // TestParallelBNLAgreesWithSequential: the partition-and-merge evaluation
@@ -37,7 +41,7 @@ func TestParallelBNLSmallInputFallsThrough(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rel := randomRelation(rng, 50, 3)
 	p := pref.Pareto(pref.LOWEST("A1"), pref.LOWEST("A2"))
-	if pl := PlanFor(p, rel); pl.Workers != 1 {
+	if pl := PlanWithInput(p, rel, rel.Len(), Env{}); pl.Workers != 1 {
 		t.Errorf("50 rows at 8 Ps plan %d workers, want 1\n%s", pl.Workers, pl.Explain())
 	}
 	if !sameIndices(BMOIndices(p, rel, Auto), BMOIndices(p, rel, BNL)) {
@@ -91,7 +95,7 @@ func TestParallelWorkersBelowGrainStaySequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	rel := randomRelation(rng, 2*parallelGrain-1, 4)
 	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
-	if pl := PlanFor(p, rel); pl.Workers != 1 || len(pl.Candidates) != 2 {
+	if pl := PlanWithInput(p, rel, rel.Len(), Env{}); pl.Workers != 1 || len(pl.Candidates) != 2 {
 		t.Fatalf("%d rows at 8 Ps: plan %s×%d over %d candidates, want one worker and no partitioned candidate\n%s",
 			rel.Len(), pl.Algorithm, pl.Workers, len(pl.Candidates), pl.Explain())
 	}
@@ -158,6 +162,48 @@ func TestGroupByDispatchesParallelVariants(t *testing.T) {
 	for _, alg := range []Algorithm{Naive, SFS, Decomposition, Auto} {
 		if got := GroupBy(p, []string{"A1"}, rel, alg); got.Len() != want.Len() {
 			t.Errorf("%s grouping diverged: %d vs %d rows", alg, got.Len(), want.Len())
+		}
+	}
+}
+
+// TestPartitionedPassesOnCarMarket pins both passes partitioned over four
+// workers against the naive evaluator on the car market at realistic
+// scale, a discrete head over a three-way Pareto chain.
+func TestPartitionedPassesOnCarMarket(t *testing.T) {
+	cars := workload.Cars(3000, 31)
+	wish := pref.Prioritized(
+		pref.NEG("color", "gray"),
+		pref.ParetoAll(pref.LOWEST("price"), pref.LOWEST("mileage"), pref.HIGHEST("year")),
+	)
+	want := BMOIndices(wish, cars, Naive)
+	for _, alg := range []Algorithm{BNL, SFS} {
+		pl := PlanWithInput(wish, cars, cars.Len(), Env{})
+		pl.Algorithm, pl.Workers = alg, 4
+		if got := runPlan(pl, wish, cars); !sameIndices(got, want) {
+			t.Fatalf("%s×4: %d rows, naive found %d", alg, len(got), len(want))
+		}
+	}
+}
+
+// BenchmarkParallelVsSequential measures both passes at one worker against
+// the same pass partitioned over GOMAXPROCS workers on a multi-core-friendly
+// workload: large anti-correlated chain product, where local maxima sets
+// stay small relative to the partitions. On a multi-core machine the
+// partitioned rows should beat their one-worker siblings; at GOMAXPROCS 1
+// only the one-worker rows run.
+func BenchmarkParallelVsSequential(b *testing.B) {
+	rel := workload.Numeric(20000, 3, workload.AntiCorrelated, 37)
+	p := pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))
+	for _, alg := range []Algorithm{BNL, SFS} {
+		for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+			pl := PlanWithInput(p, rel, rel.Len(), Env{})
+			pl.Algorithm, pl.Workers = alg, workers
+			b.Run(fmt.Sprintf("%s/workers=%d", alg, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					runPlan(pl, p, rel)
+				}
+			})
 		}
 	}
 }

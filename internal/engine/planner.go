@@ -81,7 +81,8 @@ type Candidate struct {
 // Plan is an explainable physical evaluation plan for one BMO query: the
 // chosen algorithm with its degree of parallelism, the statistics and cost
 // estimates that led to the choice, and the rejected candidates. Explain()
-// renders the whole decision; Indices()/Run() execute it.
+// renders the whole decision; evaluation plans the same way (Auto) and
+// runs what it planned.
 type Plan struct {
 	Algorithm Algorithm
 	Workers   int // ≥ 2 when the pass runs partitioned (partitionMaxima)
@@ -110,48 +111,22 @@ type Plan struct {
 	Candidates []Candidate
 	Reasons    []string
 	Stats      *relation.Stats // nil when planning skipped stats (small inputs)
-
-	p    pref.Preference
-	r    *relation.Relation
-	mode EvalMode
-}
-
-// PlanFor plans σ[P](R) for this machine.
-func PlanFor(p pref.Preference, r *relation.Relation) *Plan {
-	return PlanWith(p, r, Env{})
-}
-
-// PlanWith plans σ[P](R) under an explicit environment.
-func PlanWith(p pref.Preference, r *relation.Relation, env Env) *Plan {
-	return PlanWithInput(p, r, r.Len(), env)
 }
 
 // PlanWithInput plans σ[P](R′) for a candidate subset of R with the given
-// cardinality — e.g. downstream of a hard selection whose selectivity is
-// already known (EXPLAIN uses it so the inlined plan matches what
-// BMOIndicesOn will actually decide for the filtered input). Statistics
-// still sample R itself; Indices()/Run() evaluate over the whole
-// relation, as in PlanWith.
+// cardinality (n = R.Len() plans the whole relation) — e.g. downstream of
+// a hard selection whose selectivity is already known (EXPLAIN uses it so
+// the inlined plan matches what BMOIndicesOn will actually decide for the
+// filtered input). Statistics still sample R itself.
 func PlanWithInput(p pref.Preference, r *relation.Relation, n int, env Env) *Plan {
-	// The bind-scope probe runs only on these EXPLAIN-facing entry points:
+	// The bind-scope probe runs only on this EXPLAIN-facing entry point:
 	// execution plans with the scope it actually bound under (evalOn), so
 	// it neither pays a second key render + lock nor misreads its own
 	// just-populated entry as a pre-existing hit.
 	pl := planCore(p, r, n, env, BindScopeOf(p, r, n))
-	pl.p, pl.r, pl.mode = p, r, env.Mode
 	pl.CacheHit = pl.Compiled && pl.Bind == BindCached
 	return pl
 }
-
-// Indices executes the plan and returns the qualifying row indices.
-func (pl *Plan) Indices() []int {
-	c := compileFor(pl.p, pl.r, pl.mode)
-	return execute(pl.Algorithm, pl.Workers, pl.p, pl.r, c, allIndices(pl.r.Len()), nil)
-}
-
-// Run executes the plan and returns the qualifying rows as a new relation
-// preserving R's row order.
-func (pl *Plan) Run() *relation.Relation { return pl.r.Pick(pl.Indices()) }
 
 // Explain renders the plan decision for debugging, tests and the EXPLAIN
 // front-ends.
@@ -222,8 +197,8 @@ func passName(alg Algorithm, workers int) string {
 const smallInput = 256
 
 // planCore plans evaluation of p over n candidate rows of r, bound under
-// the given scope. It is the single decision point behind Auto, PlanFor
-// and the EXPLAIN front-ends.
+// the given scope. It is the single decision point behind Auto and the
+// EXPLAIN front-ends.
 func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope BindScope) *Plan {
 	shape := shapeOf(p)
 	pl := &Plan{Shape: shape, Input: n, Workers: 1, Bind: scope,

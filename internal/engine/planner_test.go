@@ -31,7 +31,7 @@ func TestPlannerSelectsParallelForLargeChainProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rel := antiCorrelated(rng, 20000)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	pl := PlanFor(p, rel)
+	pl := PlanWithInput(p, rel, rel.Len(), Env{})
 	if pl.Shape != ShapeKeyed {
 		t.Fatalf("shape = %s", pl.Shape)
 	}
@@ -39,7 +39,7 @@ func TestPlannerSelectsParallelForLargeChainProduct(t *testing.T) {
 		t.Fatalf("large chain-product workload at 8 Ps must plan partitioned, got %s×%d\n%s", pl.Algorithm, pl.Workers, pl.Explain())
 	}
 	// The plan must execute to the exact BMO set.
-	if !sameIndices(pl.Indices(), BMOIndices(p, rel, BNL)) {
+	if !sameIndices(runPlan(pl, p, rel), BMOIndices(p, rel, BNL)) {
 		t.Error("plan execution diverged from sequential BNL")
 	}
 }
@@ -49,7 +49,7 @@ func TestPlannerSequentialOnOneCPU(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rel := antiCorrelated(rng, 5000)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	pl := PlanFor(p, rel)
+	pl := PlanWithInput(p, rel, rel.Len(), Env{})
 	if pl.Workers != 1 {
 		t.Errorf("one P must not plan partitioned, got %s×%d", pl.Algorithm, pl.Workers)
 	}
@@ -66,13 +66,13 @@ func TestPlannerSmallInputUsesShapeHeuristic(t *testing.T) {
 	// (A keyed term outside the flat fragment: flat terms compare their two
 	// passes by cost instead, see the next test.)
 	keyed := pref.Rank("F", pref.WeightedSum(1, 1), pref.LOWEST("d1"), pref.LOWEST("d2"))
-	if pl := PlanFor(keyed, rel); pl.Algorithm != SFS {
+	if pl := PlanWithInput(keyed, rel, rel.Len(), Env{}); pl.Algorithm != SFS {
 		t.Errorf("small keyed input plans %s, want sfs", pl.Algorithm)
 	}
 	// POS compiles to a keyed weak order nowadays; an EXPLICIT graph stays a
 	// genuinely general partial order with no compatible sort key.
 	general := pref.MustEXPLICIT("d1", []pref.Edge{{Worse: 0.25, Better: 0.75}})
-	if pl := PlanFor(general, rel); pl.Algorithm != BNL {
+	if pl := PlanWithInput(general, rel, rel.Len(), Env{}); pl.Algorithm != BNL {
 		t.Errorf("small general input plans %s, want bnl", pl.Algorithm)
 	}
 }
@@ -192,7 +192,7 @@ func TestPlannerRoutesColdShapes(t *testing.T) {
 			if warm {
 				BMOIndices(p, hot, Auto)
 			}
-			if pl := PlanWith(p, hot, Env{}); pl.Algorithm != BNL || pl.Dominance != DominanceFlat {
+			if pl := PlanWithInput(p, hot, hot.Len(), Env{}); pl.Algorithm != BNL || pl.Dominance != DominanceFlat {
 				t.Errorf("hotset_read pool statement %d (cached form: %v): plan %s on %s, want bnl on flat\n%s", i, warm, pl.Algorithm, pl.Dominance, pl.Explain())
 			}
 		}
@@ -206,7 +206,7 @@ func TestPlannerGeneralShapeNeverPlansKeyedAlgorithms(t *testing.T) {
 	}
 	atProcs(t, 8)
 	p := pref.MustEXPLICIT("c", []pref.Edge{{Worse: "blue", Better: "red"}})
-	pl := PlanFor(p, rel)
+	pl := PlanWithInput(p, rel, rel.Len(), Env{})
 	if pl.Shape != ShapeGeneral {
 		t.Fatalf("shape = %s", pl.Shape)
 	}
@@ -215,7 +215,7 @@ func TestPlannerGeneralShapeNeverPlansKeyedAlgorithms(t *testing.T) {
 			t.Fatalf("general shape costed %s×%d\n%s", c.Algorithm, c.Workers, pl.Explain())
 		}
 	}
-	if !sameIndices(pl.Indices(), BMOIndices(p, rel, Naive)) {
+	if !sameIndices(runPlan(pl, p, rel), BMOIndices(p, rel, Naive)) {
 		t.Error("plan execution diverged from naive")
 	}
 }
@@ -235,8 +235,8 @@ func TestPlannerCorrelationMovesEstimate(t *testing.T) {
 		corr.MustInsert(relation.Row{v + 0.05*rng.Float64(), v + 0.05*rng.Float64()})
 	}
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	ea := PlanWith(p, anti, Env{}).EstResult
-	ec := PlanWith(p, corr, Env{}).EstResult
+	ea := PlanWithInput(p, anti, anti.Len(), Env{}).EstResult
+	ec := PlanWithInput(p, corr, corr.Len(), Env{}).EstResult
 	if ea <= ec {
 		t.Errorf("anti-correlated estimate %d must exceed correlated %d", ea, ec)
 	}
@@ -247,7 +247,7 @@ func TestPlanExplainRendersDecision(t *testing.T) {
 	rel := antiCorrelated(rng, 3000)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
 	atProcs(t, 4)
-	text := PlanFor(p, rel).Explain()
+	text := PlanWithInput(p, rel, rel.Len(), Env{}).Explain()
 	for _, want := range []string{"plan:", "shape=keyed", "candidates:", "because:", "stats:"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Explain missing %q:\n%s", want, text)
@@ -261,7 +261,7 @@ func TestPlannerSyntheticStatsOverride(t *testing.T) {
 	rel := antiCorrelated(rng, 2000)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
 	stats := relation.Analyze(rel)
-	pl := PlanWith(p, rel, Env{Stats: stats})
+	pl := PlanWithInput(p, rel, rel.Len(), Env{Stats: stats})
 	if pl.Stats != stats {
 		t.Error("planner must use the injected stats")
 	}
@@ -305,8 +305,8 @@ func TestAutoAndParallelVariantsAgree(t *testing.T) {
 				}
 			}
 			atProcs(t, workers)
-			pl := PlanFor(p, rel)
-			if got := pl.Indices(); !sameIndices(got, want) {
+			pl := PlanWithInput(p, rel, rel.Len(), Env{})
+			if got := runPlan(pl, p, rel); !sameIndices(got, want) {
 				t.Fatalf("trial %d: plan %s×%d disagrees on %s", trial, pl.Algorithm, pl.Workers, p)
 			}
 		}
@@ -337,7 +337,7 @@ func TestPresortedInputDiscountsSFSSort(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rel.MustInsert(relation.Row{float64(i)})
 	}
-	pl := PlanWith(pref.LOWEST("v"), rel, Env{})
+	pl := PlanWithInput(pref.LOWEST("v"), rel, rel.Len(), Env{})
 	var note string
 	for _, c := range pl.Candidates {
 		if c.Algorithm == SFS && c.Workers == 1 {
@@ -360,7 +360,7 @@ func TestEstimateIgnoresConstantChainDims(t *testing.T) {
 		rel.MustInsert(relation.Row{1.0, float64(i)})
 	}
 	p := pref.Pareto(pref.LOWEST("a"), pref.LOWEST("b"))
-	pl := PlanWith(p, rel, Env{})
+	pl := PlanWithInput(p, rel, rel.Len(), Env{})
 	if pl.EstResult > 10 {
 		t.Errorf("constant dim must not inflate estimate: est=%d", pl.EstResult)
 	}
@@ -372,7 +372,7 @@ func TestEstimateIgnoresConstantChainDims(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		allConst.MustInsert(relation.Row{1.0, 2.0})
 	}
-	if pl := PlanWith(p, allConst, Env{}); pl.EstResult != 500 {
+	if pl := PlanWithInput(p, allConst, allConst.Len(), Env{}); pl.EstResult != 500 {
 		t.Errorf("all-constant dims: est=%d, want 500", pl.EstResult)
 	}
 }
@@ -441,6 +441,6 @@ func TestPrioritizedEstimateFollowsTheHead(t *testing.T) {
 		rel.MustInsert(relation.Row{int64(i % 5), a, 1 - a + rng.Float64()/5})
 	}
 	p := pref.Prioritized(pref.LOWEST("grade"), pref.Pareto(pref.LOWEST("a"), pref.LOWEST("b")))
-	within10x("discrete head", PlanWith(p, rel, Env{}).EstResult, len(BMOIndices(p, rel, Auto)))
-	within10x("discrete head alone", PlanWith(pref.Prioritized(pref.LOWEST("grade"), pref.LOWEST("a")), rel, Env{}).EstResult, 1)
+	within10x("discrete head", PlanWithInput(p, rel, rel.Len(), Env{}).EstResult, len(BMOIndices(p, rel, Auto)))
+	within10x("discrete head alone", PlanWithInput(pref.Prioritized(pref.LOWEST("grade"), pref.LOWEST("a")), rel, rel.Len(), Env{}).EstResult, 1)
 }

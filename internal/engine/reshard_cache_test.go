@@ -46,7 +46,7 @@ func TestReshardSweepsDisplacedShardCaches(t *testing.T) {
 	if _, _, err := BMOShardedOnCtxKeyed(ctx, p, s, Auto, sets, where, Robust{}); err != nil {
 		t.Fatal(err)
 	}
-	EvalStreamSharded(p, s, Auto).Collect()
+	EvalStreamShardedCtx(context.Background(), p, s, Auto, nil, Robust{}).Collect()
 
 	displaced := s.Shards()
 	for i, sh := range displaced {
@@ -85,7 +85,7 @@ func TestReshardSweepsDisplacedShardCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := BMOShardedOnCtx(ctx, p, s, Auto, nil, Robust{})
+	want, _, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, nil, nil, false, nil, Robust{})
 	if err != nil {
 		t.Fatal(err)
 	}

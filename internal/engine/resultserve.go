@@ -16,12 +16,12 @@ import (
 // identity (Origin — so lookups through a pinned Snapshot view and
 // through the live relation land on one key), the generation version,
 // the preference's canonical term key and the candidate-set key ("*" for
-// every row, "w:"+filter.PredKey for a WHERE-scoped set). Only the keyed
-// entry points (EvalIndicesCtxKeyed below, BMOShardedOnCtxKeyed and
-// BMOShardedOnFilteredCtxKeyed) serve it — everything else (BMOIndices,
-// bmoOn, EvalIndicesCtx, BMOShardedOn, BMOShardedOnCtx) always
-// evaluates, so benchmarks and agreement baselines keep measuring real
-// work.
+// every row, "w:"+filter.PredKey for a WHERE-scoped set). Only a keyed
+// bmoSharded call serves it (EvalIndicesCtxKeyed below,
+// BMOShardedOnCtxKeyed, and BMOShardedOnFilteredCtxKeyed with keyed set)
+// — everything else (BMOIndices*, an unkeyed BMOShardedOnFilteredCtxKeyed)
+// always evaluates, so benchmarks and agreement baselines keep measuring
+// real work.
 
 // stmtKeys are the canonical renderings one keyed evaluation call
 // addresses its caches with: the preference's compile-cache term and the
@@ -102,49 +102,30 @@ func buildResultEntry(p pref.Preference, where filter.Pred, r *relation.Relation
 	return e
 }
 
-// EvalIndicesCtxKeyed is EvalIndicesCtx through the result cache. The
-// caller contract: idx is exactly the candidate set selected by where
-// over r's current generation (idx == nil && where == nil means every
-// row) — the pair is what the key encodes, so a mismatched pair would
-// poison the cache. On a hit the stored maxima are cloned and returned
-// without evaluating (after a context liveness check: a cancelled query
-// errors even when the answer is a lookup away); on a miss the
-// evaluation runs and, if no write raced it, the result is stored for
-// the generation it was computed against.
+// EvalIndicesCtxKeyed is the keyed soft step over the candidate row
+// positions idx of r (nil means every row) under a context: bmoSharded
+// over r as its one shard, under the BMOShardedOnCtxKeyed contract and the
+// strict policy. idx and where are what the result key encodes; a
+// candidate subset under a nil where evaluates without the cache.
 func EvalIndicesCtxKeyed(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int, where filter.Pred) ([]int, error) {
-	keys := keysOf(p, where)
-	src, ver, term, ok := keys.resultKey(r)
-	if !ok {
-		return evalIndicesCtx(ctx, keys.keyedTerm, r, alg, idx, nil)
+	s := relation.OneShard(r)
+	out, _, err := bmoSharded(ctx, p, s, alg, ShardSets{idx}, where, true, nil, Robust{})
+	if err != nil {
+		return nil, err
 	}
-	if e, hit := resultcache.Get(src, ver, term); hit {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		return slices.Clone(e.Maxima), nil
-	}
-	return evalIndicesCtx(ctx, keys.keyedTerm, r, alg, idx, func(ev evaluated) {
-		if r.Version() == ver {
-			resultcache.Put(src, ver, term, buildResultEntry(p, where, r, ev))
-		}
-	})
+	return out.GlobalIDs(s), nil
 }
 
 // ResultCacheState reports the serving status EXPLAIN prints for a
 // flat BMO step: "hit" (a maxima set for the current generation is
 // cached), "cold" (keyable but absent) or "bypass" (the query cannot be
-// keyed, or the cache is disabled).
+// keyed, or the cache is disabled) — ResultCachedShards over r as its
+// one shard.
 func ResultCacheState(p pref.Preference, r *relation.Relation, where filter.Pred) string {
-	if !resultcache.Enabled() {
+	switch n, ok := ResultCachedShards(p, relation.OneShard(r), where); {
+	case !ok:
 		return "bypass"
-	}
-	src, ver, term, ok := keysOf(p, where).resultKey(r)
-	if !ok {
-		return "bypass"
-	}
-	if _, hit := resultcache.Peek(src, ver, term); hit {
+	case n == 1:
 		return "hit"
 	}
 	return "cold"

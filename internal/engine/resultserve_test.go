@@ -23,7 +23,7 @@ func freshResultCache(t testing.TB) {
 // TestResultCacheServesRepeatQuery pins the serving lifecycle: the first
 // keyed evaluation is a miss that stores, the repeat (including a
 // re-built structurally identical term) is a hit returning the same
-// maxima, and the legacy uncached entry point never touches the cache.
+// maxima, and the unkeyed soft step never touches the cache.
 func TestResultCacheServesRepeatQuery(t *testing.T) {
 	freshResultCache(t)
 	ctx := context.Background()
@@ -31,7 +31,7 @@ func TestResultCacheServesRepeatQuery(t *testing.T) {
 	rel := cacheTestRelation(rng, 300)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.HIGHEST("d2"))
 
-	want, err := EvalIndicesCtx(ctx, p, rel, Auto, nil)
+	want, err := oneShardBMO(ctx, p, rel, Auto, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,50 @@ func TestResultCacheServesRepeatQuery(t *testing.T) {
 	if h, _, _ := resultcache.Stats(); h != 2 {
 		t.Fatalf("rebuilt term must hit, hits=%d", h)
 	}
-	// The legacy path stays honest: no hit, no store.
-	if _, err := EvalIndicesCtx(ctx, p, rel, Auto, nil); err != nil {
+	// The unkeyed step stays honest: no hit, no store.
+	if _, err := oneShardBMO(ctx, p, rel, Auto, nil); err != nil {
 		t.Fatal(err)
 	}
 	if h, m, _ := resultcache.Stats(); h != 2 || m != 1 {
-		t.Fatalf("EvalIndicesCtx must bypass the cache: hits=%d misses=%d", h, m)
+		t.Fatalf("the unkeyed step must bypass the cache: hits=%d misses=%d", h, m)
+	}
+}
+
+// TestSubsetWithoutWhereNeverPoisonsWholeKey: a keyed call over a
+// candidate subset without a WHERE has no result key of its own — "*"
+// means every row — so it evaluates uncached, and a later whole-relation
+// keyed call is answered with the whole relation's maxima, not the
+// subset's.
+func TestSubsetWithoutWhereNeverPoisonsWholeKey(t *testing.T) {
+	freshResultCache(t)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(22))
+	rel := cacheTestRelation(rng, 300)
+	p := pref.Pareto(pref.LOWEST("d1"), pref.HIGHEST("d2"))
+	want := BMOIndices(p, rel, Auto)
+	// Every row but one whole-relation maximum: the subset's maxima differ.
+	var subset []int
+	for i := 0; i < rel.Len(); i++ {
+		if i != want[0] {
+			subset = append(subset, i)
+		}
+	}
+	gotSub, err := EvalIndicesCtxKeyed(ctx, p, rel, Auto, subset, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantSub := BMOIndicesOn(p, rel, Auto, subset); !sameIndices(gotSub, wantSub) {
+		t.Fatalf("subset keyed eval = %v, want %v", gotSub, wantSub)
+	}
+	if n := resultcache.Len(); n != 0 {
+		t.Fatalf("a subset without WHERE stored %d entries", n)
+	}
+	got, err := EvalIndicesCtxKeyed(ctx, p, rel, Auto, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameIndices(got, want) {
+		t.Fatalf("whole-relation keyed eval after a subset call = %v, want %v", got, want)
 	}
 }
 
@@ -106,7 +144,7 @@ func TestResultCacheMaintenanceAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := EvalIndicesCtx(ctx, p, rel, Auto, slices.Clone(idx))
+			want, err := oneShardBMO(ctx, p, rel, Auto, slices.Clone(idx))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +194,7 @@ func TestSnapshotPinNeverObservesMaintainedResults(t *testing.T) {
 	if !sameIndices(snapGot, before) {
 		t.Fatalf("pinned snapshot = %v, want pre-insert answer %v", snapGot, before)
 	}
-	snapFresh, err := EvalIndicesCtx(ctx, p, snap, Auto, nil)
+	snapFresh, err := oneShardBMO(ctx, p, snap, Auto, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +266,7 @@ func TestShardedResultCacheAgreement(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, _, err := BMOShardedOnCtx(ctx, p, sh, Auto, cloneSets(sets), Robust{})
+				want, _, err := BMOShardedOnFilteredCtxKeyed(ctx, p, sh, Auto, cloneSets(sets), nil, false, nil, Robust{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -339,7 +377,7 @@ func TestGatheredEntryOutlivesItsSlab(t *testing.T) {
 	for k := 0; k < 4; k++ {
 		other := pref.Pareto(pref.AROUND("a", float64(k)/4), pref.HIGHEST("b"))
 		BMOIndicesOn(other, flat, Auto, selected(flat))
-		BMOShardedOn(other, sharded, Auto, nil)
+		shardedBMO(other, sharded, Auto, nil)
 	}
 	checkEntry("flat", flat)
 	for i, sh := range sharded.Shards() {
@@ -403,7 +441,7 @@ func TestResultCacheDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rel := cacheTestRelation(rng, 100)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	want, err := EvalIndicesCtx(ctx, p, rel, Auto, nil)
+	want, err := oneShardBMO(ctx, p, rel, Auto, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/boundcache"
 	"repro/internal/faultinject"
@@ -103,32 +104,6 @@ func (ss ShardSets) Resolve(table *relation.Sharded, i int) []int {
 		return allIndices(table.Shard(i).Len())
 	}
 	return ss[i]
-}
-
-// BMOSharded evaluates σ[P](S) over a sharded table and returns the
-// qualifying rows as a new flat relation in shard-major order.
-func BMOSharded(p pref.Preference, s *relation.Sharded, alg Algorithm) *relation.Relation {
-	return s.Pick(BMOShardedIndices(p, s, alg).GlobalIDs(s))
-}
-
-// BMOShardedIndices is BMOSharded returning per-shard row positions.
-func BMOShardedIndices(p pref.Preference, s *relation.Sharded, alg Algorithm) ShardSets {
-	return BMOShardedOn(p, s, alg, nil)
-}
-
-// BMOShardedOn evaluates the preference query over per-shard candidate
-// subsets (sets == nil, or a nil element, means every row) and returns
-// the qualifying positions per shard in ascending order: bmoSharded
-// under an uncancellable context and the strict policy, never through
-// the result cache. The only error that combination can produce is a
-// contained shard-worker failure (a panic, or an injected fault); it
-// re-panics on the calling goroutine.
-func BMOShardedOn(p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets) ShardSets {
-	out, _, err := bmoSharded(context.Background(), p, s, alg, sets, nil, false, nil, Robust{})
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // ShardFilter is a per-shard acceptance filter over local row positions:
@@ -402,7 +377,10 @@ func ShardMergeMode(p pref.Preference) string {
 	return DominanceTree.String()
 }
 
-// GroupByShardedOn is the sharded counterpart of GroupByIndicesOn: each
+// GroupByShardedOn evaluates σ[P groupby A] over per-shard candidate
+// subsets (sets == nil, or a nil element, means every row) and returns the
+// qualifying positions per shard in ascending order; the GroupBy facade
+// runs it over a flat relation as one shard. Each
 // shard partitions its candidate set by its own cached equality codes,
 // the per-shard groups unify cross-shard through a shard-merge
 // dictionary over canonical value keys (NaN groups stay singletons, per
@@ -460,21 +438,26 @@ func GroupByShardedOn(ctx context.Context, p pref.Preference, groupAttrs []strin
 			}
 		}
 	}
+	// One whole-shard bound form serves every group of the shard — bound
+	// once by whichever of its jobs runs first, even over an ephemeral
+	// shard the compile cache skips (and, cached, on every repeat); a
+	// per-group gathered bind would re-bind on every execution.
+	binds := make([]func() *pref.Compiled, s.NumShards())
+	for i := range binds {
+		binds[i] = sync.OnceValue(func() *pref.Compiled {
+			if alg == Decomposition {
+				return nil
+			}
+			return compileFor(p, s.Shard(i), EvalAuto)
+		})
+	}
 	errs := relation.FanShardsCtx(ctx, len(jobs), 0, func(ictx context.Context, j int) error {
 		g, i := jobs[j].group, jobs[j].shard
 		if err := faultinject.Invoke(ictx, s, i); err != nil {
 			return err
 		}
 		out, err := runCancellable(ictx, func(cc *canceller) []int {
-			// One whole-shard bound form serves every group of the shard
-			// (and, cached, every repeat) — like GroupByIndicesOn; a
-			// per-group gathered bind would re-bind on every execution.
-			shard := s.Shard(i)
-			var c *pref.Compiled
-			if alg != Decomposition {
-				c = compileFor(p, shard, EvalAuto)
-			}
-			return planAndExecute(alg, p, shard, c, groups[g].perShard[i], BindCached, EvalAuto, cc)
+			return planAndExecute(alg, p, s.Shard(i), binds[i](), groups[g].perShard[i], BindCached, EvalAuto, cc)
 		})
 		locals[g][i] = out
 		return err
@@ -534,17 +517,4 @@ func EvictSharded(s *relation.Sharded) int {
 		n += EvictRelation(sh)
 	}
 	return n
-}
-
-// CompileCachedAllShards reports whether every shard of the table holds
-// a cached bound form of p at its current version — the "fully
-// cache-served" state repeated sharded queries reach after their first
-// execution. EXPLAIN and the acceptance tests use it.
-func CompileCachedAllShards(p pref.Preference, s *relation.Sharded) bool {
-	for _, sh := range s.Shards() {
-		if !CompileCached(p, sh) {
-			return false
-		}
-	}
-	return true
 }

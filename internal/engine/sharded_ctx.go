@@ -9,9 +9,10 @@ import (
 	"repro/internal/relation"
 )
 
-// The sharded BMO soft step. Every sharded evaluation — the
-// context.Background() wrappers in sharded.go, the ctx entry points
-// below, the stream batch fallbacks, psql's pipeline — runs bmoSharded:
+// The sharded BMO soft step. Every sharded evaluation — the ctx entry
+// points below, the flat keyed entry point (resultserve.go) over a
+// relation as its one shard, the stream batch fallbacks, psql's
+// pipeline — runs bmoSharded:
 // shards evaluate under relation.FanShardsCtx (panic containment,
 // per-shard deadlines, early abandon on a dead query context) and
 // per-shard failures resolve under a relation.Robust policy: strict
@@ -40,25 +41,11 @@ type Robust = relation.Robust
 // Partial re-exports the missing-shard report of a partial result.
 type Partial = relation.Partial
 
-// BMOShardedOnCtx evaluates the preference query over per-shard
-// candidate subsets (sets == nil, or a nil element, means every row)
-// under a context and a fault-tolerance policy, returning the qualifying
-// positions per shard in ascending order. It never touches the result
-// cache, so benchmarks and agreement baselines keep measuring real work.
-//
-// On success the Partial is nil (complete result) or lists the shards
-// missing from the merge (PolicyPartial). On error the ShardSets are
-// nil: a cancelled or strictly-failed query never returns a torn
-// result.
-func BMOShardedOnCtx(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, rb Robust) (ShardSets, *Partial, error) {
-	return bmoSharded(ctx, p, s, alg, sets, nil, false, nil, rb)
-}
-
-// BMOShardedOnCtxKeyed is BMOShardedOnCtx through the result cache:
-// each shard's local pre-merge maxima are served from (and stored to)
-// the cache, keyed by the shard's own identity and generation version;
-// the cheap cross-shard merge always recomputes. The caller contract
-// mirrors EvalIndicesCtxKeyed: with a non-nil where, every non-nil
+// BMOShardedOnCtxKeyed is BMOShardedOnFilteredCtxKeyed through the result
+// cache without an acceptance filter: each shard's local pre-merge maxima
+// are served from (and stored to) the cache, keyed by the shard's own
+// identity and generation version; the cheap cross-shard merge always
+// recomputes. The caller contract: with a non-nil where, every non-nil
 // per-shard set must be exactly the rows where selects on that shard.
 // Shards whose candidate slot is an arbitrary non-nil set under a nil
 // where bypass the cache (a nil slot always means every row and serves
@@ -68,9 +55,16 @@ func BMOShardedOnCtxKeyed(ctx context.Context, p pref.Preference, s *relation.Sh
 }
 
 // BMOShardedOnFilteredCtxKeyed is the general form of the sharded soft
-// step, the one psql's pipeline calls: keyed selects result-cache
-// serving under the BMOShardedOnCtxKeyed contract (false never touches
-// the cache, and where is then ignored), and a non-nil keep fuses a
+// step, the one psql's pipeline calls: it evaluates the preference query
+// over per-shard candidate subsets (sets == nil, or a nil element, means
+// every row) under a context and a fault-tolerance policy, returning the
+// qualifying positions per shard in ascending order. On success the
+// Partial is nil (complete result) or lists the shards missing from the
+// merge (PolicyPartial); on error the ShardSets are nil — a cancelled or
+// strictly-failed query never returns a torn result. keyed selects
+// result-cache serving under the BMOShardedOnCtxKeyed contract (false
+// never touches the cache, and where is then ignored, so benchmarks and
+// agreement baselines measure real work), and a non-nil keep fuses a
 // post-BMO acceptance filter into the fan-out. The filter runs right
 // after each shard's local BMO pass — while the shard's columns are
 // cache-hot and in parallel across shards — on every call (it is query

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"slices"
 
 	"repro/internal/boundcache"
@@ -169,18 +168,6 @@ func shardChainVecs(p pref.Preference, s *relation.Sharded) ([][][]float64, bool
 		}
 	}
 	return vecs, true
-}
-
-// EvalStreamSharded starts progressive evaluation of σ[P](S) over every
-// row of the sharded table.
-func EvalStreamSharded(p pref.Preference, s *relation.Sharded, alg Algorithm) *ShardedStream {
-	return EvalStreamShardedOn(p, s, alg, nil)
-}
-
-// EvalStreamShardedOn is EvalStreamShardedCtx under an uncancellable
-// context and the strict policy.
-func EvalStreamShardedOn(p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets) *ShardedStream {
-	return EvalStreamShardedCtx(context.Background(), p, s, alg, sets, Robust{})
 }
 
 // bindChain sets up the progressive k-way merge when the term is a

@@ -169,7 +169,7 @@ func TestShardedBMOAgreesWithFlat(t *testing.T) {
 		idx, sets := candSubset(flat, s, cutoff)
 		alg := algs[rng.Intn(len(algs))]
 		want := oidSetFlat(flat, BMOIndicesOn(p, flat, alg, idx))
-		got := oidSetSharded(s, BMOShardedOn(p, s, alg, sets))
+		got := oidSetSharded(s, shardedBMO(p, s, alg, sets))
 		if !sameInts(got, want) {
 			t.Fatalf("trial %d: %s over %d shards (%s, alg %s, cutoff %d): got %v want %v",
 				trial, p, shards, s.Part(), alg, cutoff, got, want)
@@ -199,7 +199,7 @@ func TestShardedGroupByAgreesWithFlat(t *testing.T) {
 			cutoff = int64(rng.Intn(domain + 1))
 		}
 		idx, sets := candSubset(flat, s, cutoff)
-		want := oidSetFlat(flat, GroupByIndicesOn(p, attrs, flat, Auto, idx))
+		want := oidSetFlat(flat, oneShardGroupBy(p, attrs, flat, Auto, idx))
 		grouped, err := GroupByShardedOn(context.Background(), p, attrs, s, Auto, sets)
 		if err != nil {
 			t.Fatal(err)
@@ -233,7 +233,7 @@ func TestShardedStreamAgreement(t *testing.T) {
 		} else {
 			p = pref.Dual(pref.Pareto(pref.LOWEST("A1"), pref.LOWEST("A2")))
 		}
-		st := EvalStreamSharded(p, s, Auto)
+		st := EvalStreamShardedCtx(context.Background(), p, s, Auto, nil, Robust{})
 		if st.Progressive() != progressive {
 			t.Fatalf("trial %d: Progressive()=%v, want %v for %s", trial, st.Progressive(), progressive, p)
 		}
@@ -243,7 +243,7 @@ func TestShardedStreamAgreement(t *testing.T) {
 			got = append(got, s.Row(gid)[0].(int))
 		}
 		sort.Ints(got)
-		want := oidSetSharded(s, BMOShardedIndices(p, s, Auto))
+		want := oidSetSharded(s, shardedBMO(p, s, Auto, nil))
 		if !sameInts(got, want) {
 			t.Fatalf("trial %d: stream over %d shards for %s: got %v want %v", trial, shards, p, got, want)
 		}
@@ -272,7 +272,7 @@ func TestShardedStreamFirstResultEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	st := EvalStreamSharded(p, s, Auto)
+	st := EvalStreamShardedCtx(context.Background(), p, s, Auto, nil, Robust{})
 	if !st.Progressive() {
 		t.Fatal("chain product over compiled shards must stream progressively")
 	}
@@ -297,12 +297,12 @@ func TestShardedCompileCacheServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
-	BMOShardedIndices(p, s, SFS)
-	if !CompileCachedAllShards(p, s) {
+	shardedBMO(p, s, SFS, nil)
+	if !compileCachedAllShards(p, s) {
 		t.Fatal("first execution must leave a cached bound form on every shard")
 	}
 	hits0, misses0 := CompileCacheStats()
-	BMOShardedIndices(p, s, SFS)
+	shardedBMO(p, s, SFS, nil)
 	hits1, misses1 := CompileCacheStats()
 	if misses1 != misses0 {
 		t.Fatalf("repeat sharded query must not re-bind: misses %d → %d", misses0, misses1)
@@ -315,7 +315,7 @@ func TestShardedCompileCacheServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, missesBefore := CompileCacheStats()
-	BMOShardedIndices(p, s, SFS)
+	shardedBMO(p, s, SFS, nil)
 	_, missesAfter := CompileCacheStats()
 	if missesAfter != missesBefore+1 {
 		t.Fatalf("mutating one shard must re-bind exactly one shard: misses %d → %d", missesBefore, missesAfter)
@@ -372,7 +372,7 @@ func TestShardedConcurrentInsertThenQuery(t *testing.T) {
 		wg.Add(1)
 		go func(alg Algorithm) {
 			defer wg.Done()
-			got := oidSetSharded(s, BMOShardedIndices(p, s, alg))
+			got := oidSetSharded(s, shardedBMO(p, s, alg, nil))
 			if !sameInts(got, want) {
 				t.Errorf("concurrent sharded query (alg %s) disagrees: got %v want %v", alg, got, want)
 			}
@@ -393,8 +393,8 @@ func TestEvictSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pref.Pareto(pref.LOWEST("A1"), pref.LOWEST("A2"))
-	BMOShardedIndices(p, s, SFS)
-	if !CompileCachedAllShards(p, s) {
+	shardedBMO(p, s, SFS, nil)
+	if !compileCachedAllShards(p, s) {
 		t.Fatal("execution must cache a bound form per shard")
 	}
 	if n := EvictSharded(s); n < s.NumShards() {

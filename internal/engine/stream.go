@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"slices"
 
 	"repro/internal/pref"
@@ -47,8 +46,8 @@ type Stream struct {
 
 	progressive bool
 	started     bool
-	buffered    []int                           // fallback mode: precomputed result (row positions)
-	batch       func(cand []int) ([]int, error) // fallback evaluator over row positions
+	buffered    []int                 // fallback mode: precomputed result (row positions)
+	batch       func() ([]int, error) // fallback evaluator over the candidates; nil for tuple streams
 	consumed    int
 
 	// Cancellation state (see EvalStreamCtx); cc and cancel stay nil
@@ -65,18 +64,6 @@ func (s *Stream) row(slot int) int {
 		return slot
 	}
 	return s.cand[slot]
-}
-
-// EvalStream starts progressive evaluation of σ[P](R); emitted values are
-// row indices in R.
-func EvalStream(p pref.Preference, r *relation.Relation) *Stream {
-	return EvalStreamOn(p, r, Auto, nil)
-}
-
-// EvalStreamOn is EvalStreamCtx under an uncancellable context: the
-// stream runs tick-free and only ends by exhaustion or Close.
-func EvalStreamOn(p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) *Stream {
-	return EvalStreamCtx(context.Background(), p, r, alg, idx)
 }
 
 // EvalStreamTuples starts progressive evaluation over a plain tuple slice
@@ -120,7 +107,7 @@ func (s *Stream) bindCompiled(c *pref.Compiled) {
 
 // StreamKeyed reports whether progressive streaming is available for the
 // preference: a compiled form with sort keys (the CompiledKeyed fragment)
-// or an interpreted compatible key. EvalStream degrades to one batch
+// or an interpreted compatible key. A flat stream degrades to one batch
 // computation otherwise; query explanation surfaces the distinction.
 func StreamKeyed(p pref.Preference) bool {
 	if pref.CompiledKeyed(p) {
@@ -294,7 +281,7 @@ func (s *Stream) Collect() []int {
 // (tuple streams, where slots and positions coincide).
 func (s *Stream) runBatch() ([]int, error) {
 	if s.batch != nil {
-		return s.batch(s.cand)
+		return s.batch()
 	}
 	window := make([]int, 0, 16)
 	for i := 0; i < s.n; i++ {

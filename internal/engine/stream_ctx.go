@@ -19,29 +19,21 @@ import (
 // EvalStreamCtx starts progressive evaluation of the preference query
 // under a context over the subset of R at the given candidate row
 // positions (idx == nil means every row); emitted values are row indices
-// in R. Compiled forms bind to R's full column arrays through the
-// compile cache, so an index-chained streaming pipeline — WHERE bitmap
-// feeding a progressive PREFERRING scan — reuses the base relation's
-// cached bound form across queries without materializing a single
-// tuple. alg selects the batch algorithm the stream falls back to when
-// the preference has no compatible sort key. The stream borrows idx
-// (without modifying it); callers must not mutate the slice while the
-// stream is live. idx must not contain duplicates.
-func EvalStreamCtx(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) *Stream {
-	ctx, cc, cancel := streamContext(ctx)
-	return startStream(ctx, cc, cancel, p, r, idx, func(cand []int) ([]int, error) {
-		if cand == nil {
-			cand = allIndices(r.Len())
-		}
-		return runCancellable(ctx, func(cc *canceller) []int {
-			return bmoOnCC(p, r, alg, EvalAuto, cand, cc)
-		})
-	})
+// in R. It is EvalStreamShardedCtx over R as its one shard under the
+// strict policy: the flat progressive Stream, whose compiled forms bind to
+// R's full column arrays through the compile cache — an index-chained
+// streaming pipeline reuses the base relation's cached bound form across
+// queries without materializing a single tuple — with the sharded batch
+// as the keyless fallback under alg. The stream borrows idx (without
+// modifying it); callers must not mutate the slice while the stream is
+// live. idx must not contain duplicates.
+func EvalStreamCtx(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) *ShardedStream {
+	return EvalStreamShardedCtx(ctx, p, relation.OneShard(r), alg, ShardSets{idx}, Robust{})
 }
 
 // startStream binds a stream over the candidates idx of r (nil: every
 // row) under its derived context, with batch as the keyless fallback.
-func startStream(ctx context.Context, cc *canceller, cancel func(), p pref.Preference, r *relation.Relation, idx []int, batch func(cand []int) ([]int, error)) *Stream {
+func startStream(ctx context.Context, cc *canceller, cancel func(), p pref.Preference, r *relation.Relation, idx []int, batch func() ([]int, error)) *Stream {
 	n := r.Len()
 	if idx != nil {
 		n = len(idx)
@@ -113,7 +105,7 @@ func (s *Stream) Close() {
 // policy; emitted values are global row ids. The stream borrows the
 // sets without modifying them. Chain products stream through the k-way
 // merge with a strided context poll per pull. Other shapes fall back to
-// one batch sharded evaluation (BMOShardedOnCtx, under alg and rb) —
+// one batch sharded evaluation (bmoSharded, unkeyed, under alg and rb) —
 // after it, Partial reports any shards missing from the enumeration
 // under PolicyPartial, and a strict shard failure ends the stream with
 // Err set. The progressive path itself always covers every shard: its
@@ -129,7 +121,7 @@ func EvalStreamShardedCtx(ctx context.Context, p pref.Preference, s *relation.Sh
 	st := &ShardedStream{table: s, candidates: sets.Total(s)}
 	ctx, st.cc, st.cancel = streamContext(ctx)
 	st.batch = func() ([]int, error) {
-		out, part, err := BMOShardedOnCtx(ctx, p, s, alg, sets, rb)
+		out, part, err := bmoSharded(ctx, p, s, alg, sets, nil, false, nil, rb)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +133,7 @@ func EvalStreamShardedCtx(ctx context.Context, p pref.Preference, s *relation.Sh
 		if sets != nil {
 			idx = sets[0]
 		}
-		st.flat = startStream(ctx, st.cc, st.cancel, p, s.Shard(0), idx, func([]int) ([]int, error) { return st.batch() })
+		st.flat = startStream(ctx, st.cc, st.cancel, p, s.Shard(0), idx, st.batch)
 		return st
 	}
 	if err := ctx.Err(); err != nil {

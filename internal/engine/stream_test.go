@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,7 +14,7 @@ func TestEvalStreamFirstResultBeforeFullConsumption(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rel := antiCorrelated(rng, 5000)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	st := EvalStream(p, rel)
+	st := EvalStreamCtx(context.Background(), p, rel, Auto, nil)
 	if !st.Progressive() {
 		t.Fatal("chain product must stream progressively")
 	}
@@ -30,7 +31,7 @@ func TestEvalStreamMatchesBatch(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rel := randomRelation(rng, 50+rng.Intn(400), 2+rng.Intn(6))
 		p := randomTerm(rng, 6)
-		st := EvalStream(p, rel)
+		st := EvalStreamCtx(context.Background(), p, rel, Auto, nil)
 		got := st.Collect()
 		sort.Ints(got)
 		want := BMOIndices(p, rel, Naive)
@@ -51,7 +52,7 @@ func TestEvalStreamEveryEmissionIsFinal(t *testing.T) {
 	for _, i := range BMOIndices(p, rel, BNL) {
 		inResult[i] = true
 	}
-	st := EvalStream(p, rel)
+	st := EvalStreamCtx(context.Background(), p, rel, Auto, nil)
 	st.Each(func(row int) bool {
 		if !inResult[row] {
 			t.Fatalf("stream emitted non-maximal row %d", row)
@@ -70,7 +71,7 @@ func TestEvalStreamFallbackForGeneralPreferences(t *testing.T) {
 		{Worse: int64(0), Better: int64(1)},
 		{Worse: int64(0), Better: int64(2)},
 	})
-	st := EvalStream(p, rel)
+	st := EvalStreamCtx(context.Background(), p, rel, Auto, nil)
 	if st.Progressive() {
 		t.Fatal("EXPLICIT has no key: stream must report batch fallback")
 	}
@@ -88,7 +89,7 @@ func TestEvalStreamEarlyStopAndExhaustion(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rel := antiCorrelated(rng, 2000)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	st := EvalStream(p, rel)
+	st := EvalStreamCtx(context.Background(), p, rel, Auto, nil)
 	var first3 []int
 	n := st.Each(func(row int) bool {
 		first3 = append(first3, row)
@@ -111,12 +112,12 @@ func TestEvalStreamEarlyStopAndExhaustion(t *testing.T) {
 
 func TestEvalStreamEmptyAndSingleton(t *testing.T) {
 	rel := relation.New("R", relation.MustSchema(relation.Column{Name: "d1", Type: relation.Float}))
-	st := EvalStream(pref.LOWEST("d1"), rel)
+	st := EvalStreamCtx(context.Background(), pref.LOWEST("d1"), rel, Auto, nil)
 	if _, ok := st.Next(); ok {
 		t.Error("empty input must yield nothing")
 	}
 	rel.MustInsert(relation.Row{1.5})
-	st = EvalStream(pref.LOWEST("d1"), rel)
+	st = EvalStreamCtx(context.Background(), pref.LOWEST("d1"), rel, Auto, nil)
 	if row, ok := st.Next(); !ok || row != 0 {
 		t.Errorf("singleton: row=%d ok=%v", row, ok)
 	}
@@ -139,7 +140,7 @@ func TestEvalStreamOnMatchesBMOIndicesOn(t *testing.T) {
 				idx = append(idx, i)
 			}
 		}
-		st := EvalStreamOn(p, rel, Auto, idx)
+		st := EvalStreamCtx(context.Background(), p, rel, Auto, idx)
 		got := st.Collect()
 		sort.Ints(got)
 		want := BMOIndicesOn(p, rel, Naive, idx)
@@ -159,13 +160,13 @@ func TestEvalStreamOnReusesCompileCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rel := antiCorrelated(rng, 2000)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	st := EvalStreamOn(p, rel, Auto, []int{0, 5, 9, 40, 77})
+	st := EvalStreamCtx(context.Background(), p, rel, Auto, []int{0, 5, 9, 40, 77})
 	st.Collect()
 	if h, m := CompileCacheStats(); h != 0 || m == 0 {
 		t.Fatalf("cold stream: hits=%d misses=%d", h, m)
 	}
 	hBefore, mBefore := CompileCacheStats()
-	st = EvalStreamOn(p, rel, Auto, allIndices(rel.Len())[:500])
+	st = EvalStreamCtx(context.Background(), p, rel, Auto, allIndices(rel.Len())[:500])
 	if _, ok := st.Next(); !ok {
 		t.Fatal("stream must yield")
 	}

@@ -11,8 +11,9 @@ import (
 // semantics, for keying compile caches (see the engine's compile cache).
 // It reports ok=false for terms that have no faithful key and must always
 // bind fresh: SCORE and rank(F) carry opaque Go functions (their String
-// renders only a label), and foreign Preference implementations have
-// unknown renderings.
+// renders only a label) — except a weighted-sum rank(F) built through
+// RankWeighted over keyed parts, which keys by its exact weights — and
+// foreign Preference implementations have unknown renderings.
 //
 // String() is NOT a faithful key — it renders for humans: string set
 // values are unescaped (POS(c, {"red, blue"}) and POS(c, {"red","blue"})
@@ -37,8 +38,27 @@ func Cacheable(p Preference) bool {
 // outside the keyable fragment.
 func writeCacheKey(b *strings.Builder, p Preference) bool {
 	switch q := p.(type) {
-	case *Score, *RankPref:
+	case *Score:
 		return false
+	case *RankPref:
+		// A weighted sum is determined by its exact weights and parts; any
+		// other F is an opaque function.
+		if q.weights == nil {
+			return false
+		}
+		b.WriteString("wsum(")
+		for _, w := range q.weights {
+			b.WriteString(strconv.FormatFloat(w, 'g', -1, 64))
+			b.WriteByte(' ')
+		}
+		for _, part := range q.parts {
+			if !writeCacheKey(b, part) {
+				return false
+			}
+			b.WriteByte(' ')
+		}
+		b.WriteByte(')')
+		return true
 	case *Pos:
 		b.WriteString("pos(")
 		boundcache.WriteKeyStr(b, q.attr)

@@ -249,17 +249,20 @@ func (e *BasePrefExpr) String() string {
 	return "?" + e.Kind
 }
 
-// RankExpr is RANK(attr1 AROUND z, HIGHEST(attr2), …; w1, w2, …):
-// numerical accumulation with a weighted-sum combining function.
+// RankExpr is RANK(attr1 AROUND z, HIGHEST(attr2), …): numerical
+// accumulation with the unit-weight sum as combining function, the only
+// RANK form the language has.
 type RankExpr struct {
-	Parts   []PrefExpr
-	Weights []float64
+	Parts []PrefExpr
 }
 
 // Build implements PrefExpr. Every part must lower to a Scorer
 // (constructor substitutability admits AROUND, BETWEEN, LOWEST, HIGHEST).
+// The term is built through pref.RankWeighted, so its weights stay
+// introspectable and a RANK over keyed parts has a faithful cache key.
 func (e *RankExpr) Build() (pref.Preference, error) {
 	scorers := make([]pref.Scorer, len(e.Parts))
+	weights := make([]float64, len(e.Parts))
 	for i, part := range e.Parts {
 		p, err := part.Build()
 		if err != nil {
@@ -269,9 +272,9 @@ func (e *RankExpr) Build() (pref.Preference, error) {
 		if !ok {
 			return nil, fmt.Errorf("psql: RANK requires SCORE-substitutable preferences, got %s", p)
 		}
-		scorers[i] = s
+		scorers[i], weights[i] = s, 1
 	}
-	return pref.Rank("weighted-sum", pref.WeightedSum(e.Weights...), scorers...), nil
+	return pref.RankWeighted(weights, scorers...)
 }
 
 func (e *RankExpr) String() string {
@@ -279,15 +282,7 @@ func (e *RankExpr) String() string {
 	for i, p := range e.Parts {
 		parts[i] = p.String()
 	}
-	s := "RANK(" + strings.Join(parts, ", ")
-	if len(e.Weights) > 0 {
-		ws := make([]string, len(e.Weights))
-		for i, w := range e.Weights {
-			ws[i] = pref.FormatValue(w)
-		}
-		s += "; " + strings.Join(ws, ", ")
-	}
-	return s + ")"
+	return "RANK(" + strings.Join(parts, ", ") + ")"
 }
 
 func litList(vs []pref.Value) string {

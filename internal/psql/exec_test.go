@@ -313,7 +313,7 @@ func TestTopKDispatchUsesUnsimplifiedTerm(t *testing.T) {
 }
 
 // TestGroupedQueryReusesCompileCache: grouped queries evaluate as index
-// slices over the base catalog relation (GroupByIndicesOn), so their
+// slices over the base catalog relation (GroupByShardedOn), so their
 // bound form is cache-served across repeated executions — with and
 // without a WHERE clause, which used to force a per-query materialized
 // subset and re-bind.

@@ -474,10 +474,9 @@ func (p *parser) parseExplicit() (PrefExpr, error) {
 	return &BasePrefExpr{Kind: "explicit", Attr: attr, Edges: edges}, nil
 }
 
-// parseRank parses RANK(part, part, …[; w1, w2, …]); a comma-separated
-// weight list follows an optional semicolon-free form using a second
-// parenthesized list is not supported — weights ride behind the keyword
-// WITH? Keep it simple: RANK(part, …) uses unit weights.
+// parseRank parses RANK(part, part, …): one or more comma-separated
+// preference units, combined under unit weights. The language has no
+// weight syntax.
 func (p *parser) parseRank() (PrefExpr, error) {
 	p.next() // RANK
 	if _, err := p.expect(TokLParen, "("); err != nil {

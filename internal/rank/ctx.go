@@ -9,14 +9,17 @@ import (
 	"repro/internal/relation"
 )
 
-// Ctx-aware ranked evaluation. The heap scan polls its context at a
-// coarse stride (the engine's cancellation discipline: one masked
-// counter increment per row, one channel poll per stride), and the
-// sharded fan-out runs on relation.FanShardsCtx with per-shard fault
-// handling under a relation.Robust policy. The k-best model degrades
-// under PolicyPartial exactly like BMO: the k best of the responsive
-// shards' union are exact over what they cover — a missing shard can
-// only mean absent answers, never wrong ones.
+// Ctx-aware ranked evaluation (§6.2 over a partitioned catalog; a flat
+// table is its one shard, relation.OneShard). The k-best model
+// distributes like BMO: the k best of a union are among the union of the
+// per-shard k best. The heap scan polls its context at a coarse stride
+// (the engine's cancellation discipline: one masked counter increment
+// per row, one channel poll per stride), and the sharded fan-out runs on
+// relation.FanShardsCtx with per-shard fault handling under a
+// relation.Robust policy. The k-best model degrades under PolicyPartial
+// exactly like BMO: the k best of the responsive shards' union are exact
+// over what they cover — a missing shard can only mean absent answers,
+// never wrong ones.
 
 // cancelStride matches the engine's poll stride (power of two).
 const cancelStride = 1024

@@ -11,10 +11,8 @@ package rank
 import (
 	"container/heap"
 	"context"
-	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/boundcache"
 	"repro/internal/pref"
@@ -30,16 +28,10 @@ type Result struct {
 
 // TopK returns the k best rows of R under the Scorer p (highest combined
 // score first; ties broken by ascending row index for determinism). It
-// performs one scan maintaining a size-k min-heap: O(n log k).
+// performs one scan maintaining a size-k min-heap: O(n log k). It is
+// TopKOnCtx under an uncancellable context, which cannot fail.
 func TopK(p pref.Scorer, r *relation.Relation, k int) []Result {
-	return TopKOn(p, r, k, nil)
-}
-
-// TopKOn is TopK over the candidate row positions of R (idx == nil means
-// every row): TopKOnCtx under an uncancellable context, which cannot
-// fail.
-func TopKOn(p pref.Scorer, r *relation.Relation, k int, idx []int) []Result {
-	out, _ := TopKOnCtx(context.Background(), p, r, k, idx)
+	out, _ := TopKOnCtx(context.Background(), p, r, k, nil)
 	return out
 }
 
@@ -50,21 +42,11 @@ const scoreCacheCap = 64
 // (relation, version, term) — the ranked layer's instance of the shared
 // bound-form cache, so repeated TOP-k queries over an unchanged catalog
 // relation are bind-free and engine.EvictRelation releases the vectors
-// of a dropped relation. rank(F) terms carry opaque combining functions
-// and have no faithful cache key; they bypass the cache and bind per
-// call (one columnar pass, not a tuple walk per feature) — unless the
-// caller gives them a session identity through Register.
+// of a dropped relation. A weighted-sum rank(F) keys by its weights and
+// parts (pref.CacheKey); SCORE leaves and rank(F) terms with an opaque
+// combining function have no faithful cache key, so they bypass the cache
+// and bind per call (one columnar pass, not a tuple walk per feature).
 var scoreCache = boundcache.New[[]float64](scoreCacheCap)
-
-// termKeyOf returns the faithful cache key of a Scorer term: the
-// canonical pref.CacheKey encoding, or — for terms carrying opaque Go
-// functions — the session token of a registered Handle (see Register).
-func termKeyOf(p pref.Scorer) (string, bool) {
-	if h, ok := p.(*Handle); ok {
-		return h.token, true
-	}
-	return pref.CacheKey(p)
-}
 
 // rankKey builds the bound-form cache key of one derived artifact kind
 // ("rank" score vectors, "rankperm" sorted-access permutations) of a
@@ -75,7 +57,7 @@ func rankKey(p pref.Scorer, r *relation.Relation, kind string) (boundcache.Key, 
 	if r.Ephemeral() {
 		return boundcache.Key{}, false
 	}
-	term, keyed := termKeyOf(p)
+	term, keyed := pref.CacheKey(p)
 	if !keyed {
 		return boundcache.Key{}, false
 	}
@@ -89,10 +71,8 @@ func scoreVecKey(p pref.Scorer, r *relation.Relation) (boundcache.Key, bool) {
 
 // compiledScoreVec materializes the term's score vector over a source —
 // the whole relation, or a gathered candidate subset — or nil when the
-// term is outside the compilable fragment. Registered handles compile
-// their wrapped term.
+// term is outside the compilable fragment.
 func compiledScoreVec(p pref.Scorer, src pref.Source) []float64 {
-	p = unwrap(p)
 	if !pref.Compilable(p) {
 		return nil
 	}
@@ -127,20 +107,25 @@ func cachedScoreVec(p pref.Scorer, r *relation.Relation) []float64 {
 // rows — an ordinal-addressed vector, dropped with the query — and
 // anything larger binds the whole relation through the score cache.
 // Only terms outside the compilable fragment score per row through
-// ScoreOf. The gathered vector outlives this call inside the returned
-// closure, so the gather does not Borrow: it is ordinary GC-owned memory.
+// ScoreOf. A small candidate set only peeks at the cache (its gathered
+// bind is neither a hit nor a miss); the whole-relation lookup counts.
+// The gathered vector outlives this call inside the returned closure, so
+// the gather does not Borrow: it is ordinary GC-owned memory.
 func scoreFn(p pref.Scorer, r *relation.Relation, idx []int) func(ord, row int) float64 {
-	if key, ok := scoreVecKey(p, r); ok {
-		if vec, hit := scoreCache.Peek(key); hit && vec != nil {
-			return func(_, row int) float64 { return vec[row] }
-		}
+	whole := func(vec []float64) func(ord, row int) float64 {
+		return func(_, row int) float64 { return vec[row] }
 	}
 	if idx != nil && relation.GatherWorthwhile(len(idx), r.Len()) {
+		if key, ok := scoreVecKey(p, r); ok {
+			if vec, hit := scoreCache.Peek(key); hit && vec != nil {
+				return whole(vec)
+			}
+		}
 		if vec := compiledScoreVec(p, r.Gather(idx)); vec != nil {
 			return func(ord, _ int) float64 { return vec[ord] }
 		}
 	} else if vec := cachedScoreVec(p, r); vec != nil {
-		return func(_, row int) float64 { return vec[row] }
+		return whole(vec)
 	}
 	return func(_, row int) float64 { return p.ScoreOf(r.Tuple(row)) }
 }
@@ -220,79 +205,6 @@ func ResetPermCache() {
 	permCache.Reset()
 }
 
-// Handle gives a Scorer term a session-scoped identity the bound-form
-// caches can key by. rank(F) terms (and raw SCORE leaves) carry opaque
-// Go functions, so they have no canonical cache key and would re-bind
-// their score vectors and sorted lists on every execution; registering
-// the term once hands back a token-carrying wrapper that scores exactly
-// like the original but hits the caches on every repeat. The token is
-// valid for the process lifetime; registering the same term twice
-// yields two independent identities.
-type Handle struct {
-	pref.Scorer
-	token string
-}
-
-// handleSeq numbers session handles.
-var handleSeq atomic.Uint64
-
-// Register wraps a Scorer term in a session-scoped Handle. The caller
-// must not mutate the term's behaviour afterwards (the token asserts
-// that repeated evaluations are semantically identical — that is what
-// makes it a faithful cache key).
-func Register(p pref.Scorer) *Handle {
-	return &Handle{Scorer: p, token: fmt.Sprintf("handle#%d", handleSeq.Add(1))}
-}
-
-// Token returns the session token; diagnostics only.
-func (h *Handle) Token() string { return h.token }
-
-// unwrap returns the underlying term of a registered handle (handles do
-// not nest: Register always wraps the term it is given).
-func unwrap(p pref.Scorer) pref.Scorer {
-	if h, ok := p.(*Handle); ok {
-		return h.Scorer
-	}
-	return p
-}
-
-// TopK returns the k best rows under the registered term, serving the
-// combined score vector from the cache on every repeat.
-func (h *Handle) TopK(r *relation.Relation, k int) []Result {
-	return TopKOn(h, r, k, nil)
-}
-
-// TopKOn is TopK over a candidate subset (idx == nil means every row).
-func (h *Handle) TopKOn(r *relation.Relation, k int, idx []int) []Result {
-	return TopKOn(h, r, k, idx)
-}
-
-// ThresholdTopK runs the threshold algorithm under the registered term
-// when it wraps a rank(F) accumulation: every feature's score vector and
-// sorted-access permutation is cached under the handle's token (features
-// with their own canonical key keep it), so repeat queries are bind- and
-// sort-free. A handle wrapping a plain Scorer has no per-feature lists
-// and degrades to one cached heap scan with trivial access statistics.
-func (h *Handle) ThresholdTopK(r *relation.Relation, k int) ([]Result, Stats) {
-	rp, ok := unwrap(h).(*pref.RankPref)
-	if !ok {
-		out := h.TopK(r, k)
-		return out, Stats{SortedAccesses: r.Len(), Scanned: r.Len()}
-	}
-	parts := rp.Parts()
-	feats := make([]pref.Scorer, len(parts))
-	for f, part := range parts {
-		if _, keyed := pref.CacheKey(part); keyed {
-			feats[f] = part
-		} else {
-			// Derive a per-feature identity from the handle token, so
-			// opaque features amortize under it.
-			feats[f] = &Handle{Scorer: part, token: fmt.Sprintf("%s/f%d", h.token, f)}
-		}
-	}
-	return thresholdTopK(feats, rp.Combine, r, k)
-}
-
 // worse reports a ranks strictly below b (lower score, or equal score and
 // higher row index).
 func worse(a, b Result) bool {
@@ -334,16 +246,7 @@ type Stats struct {
 // F(next scores at the list heads), no unseen row can qualify and the scan
 // stops. Returns the same ranking as TopK plus access statistics.
 func ThresholdTopK(p *pref.RankPref, r *relation.Relation, k int) ([]Result, Stats) {
-	parts := p.Parts()
-	feats := make([]pref.Scorer, len(parts))
-	copy(feats, parts)
-	return thresholdTopK(feats, p.Combine, r, k)
-}
-
-// thresholdTopK is the threshold-algorithm core shared by ThresholdTopK
-// and registered handles: per-feature scorers plus the monotone
-// combining function.
-func thresholdTopK(parts []pref.Scorer, combine func([]float64) float64, r *relation.Relation, k int) ([]Result, Stats) {
+	parts, combine := p.Parts(), p.Combine
 	var stats Stats
 	if k <= 0 || r.Len() == 0 {
 		return nil, stats

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -126,6 +127,12 @@ func TestThresholdWithStringScoreDimension(t *testing.T) {
 	}
 }
 
+// topKOn is TopKOnCtx under an uncancellable context, which cannot fail.
+func topKOn(p pref.Scorer, r *relation.Relation, k int, idx []int) []Result {
+	out, _ := TopKOnCtx(context.Background(), p, r, k, idx)
+	return out
+}
+
 // TestTopKOnSubset: the index-chained entry point must rank exactly the
 // candidate subset, returning base-relation row positions.
 func TestTopKOnSubset(t *testing.T) {
@@ -138,7 +145,7 @@ func TestTopKOnSubset(t *testing.T) {
 			idx = append(idx, i)
 		}
 	}
-	got := TopKOn(p, r, 7, idx)
+	got := topKOn(p, r, 7, idx)
 	// Reference: materialize the subset and rank it, then map back.
 	sub := r.Pick(idx)
 	want := TopK(p, sub, 7)
@@ -155,7 +162,7 @@ func TestTopKOnSubset(t *testing.T) {
 	// agree with the compiled whole-relation ranking restricted to the
 	// same rows.
 	tiny := idx[:4]
-	got = TopKOn(p, r, 2, tiny)
+	got = topKOn(p, r, 2, tiny)
 	wantTiny := TopK(p, r.Pick(tiny), 2)
 	for i := range wantTiny {
 		if got[i].Row != tiny[wantTiny[i].Row] || got[i].Score != wantTiny[i].Score {
@@ -169,12 +176,12 @@ func TestTopKOnSubset(t *testing.T) {
 	ResetScoreCache()
 	defer ResetScoreCache()
 	keyed := pref.HIGHEST("a")
-	first := TopKOn(keyed, r, 2, tiny)
+	first := topKOn(keyed, r, 2, tiny)
 	if h, m := ScoreCacheStats(); h != 0 || m != 0 {
 		t.Fatalf("gathered scoring touched the score cache: hits %d misses %d", h, m)
 	}
 	TopK(keyed, r, 2) // binds and caches the whole-relation vector
-	again := TopKOn(keyed, r, 2, tiny)
+	again := topKOn(keyed, r, 2, tiny)
 	for i := range first {
 		if first[i] != again[i] {
 			t.Fatalf("gathered and cached scoring disagree at rank %d: %v vs %v", i, first[i], again[i])

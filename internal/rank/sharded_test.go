@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,6 +26,16 @@ func shardedScoreRel(rng *rand.Rand, n, shards int) (*relation.Relation, *relati
 	return r, s
 }
 
+// topKSharded is TopKShardedCtx under an uncancellable context and the
+// strict policy, which cannot fail here.
+func topKSharded(p pref.Scorer, s *relation.Sharded, k int, sets [][]int) []Result {
+	out, _, err := TopKShardedCtx(context.Background(), p, s, k, sets, relation.Robust{})
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // TestTopKShardedAgreement: the sharded top-k must return the same score
 // ranking as the flat scan for every shard count, down to the row
 // identity when scores are distinct (continuous random scores make ties
@@ -35,7 +46,7 @@ func TestTopKShardedAgreement(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 5, 8} {
 		flat, s := shardedScoreRel(rng, 400, shards)
 		want := TopK(p, flat, 10)
-		got := TopKSharded(p, s, 10)
+		got := topKSharded(p, s, 10, nil)
 		if len(got) != len(want) {
 			t.Fatalf("%d shards: %d results, want %d", shards, len(got), len(want))
 		}
@@ -73,8 +84,8 @@ func TestTopKShardedOnSubset(t *testing.T) {
 			}
 		}
 	}
-	want := TopKOn(p, flat, 7, idx)
-	got := TopKShardedOn(p, s, 7, sets)
+	want := topKOn(p, flat, 7, idx)
+	got := topKSharded(p, s, 7, sets)
 	if len(got) != len(want) {
 		t.Fatalf("%d results, want %d", len(got), len(want))
 	}
@@ -82,36 +93,6 @@ func TestTopKShardedOnSubset(t *testing.T) {
 		if got[i].Score != want[i].Score || s.Row(got[i].Row)[0] != flat.Row(want[i].Row)[0] {
 			t.Fatalf("rank %d: got %v (oid %v), want %v (oid %v)",
 				i, got[i], s.Row(got[i].Row)[0], want[i], flat.Row(want[i].Row)[0])
-		}
-	}
-}
-
-// TestThresholdTopKShardedAgreement: the round-robin sharded threshold
-// scan returns the flat threshold ranking with sane aggregate access
-// statistics, and stops early on large inputs.
-func TestThresholdTopKShardedAgreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	p := testRank()
-	for _, shards := range []int{1, 2, 4, 8} {
-		flat, s := shardedScoreRel(rng, 2000, shards)
-		want, _ := ThresholdTopK(p, flat, 5)
-		got, stats := ThresholdTopKSharded(p, s, 5)
-		if len(got) != len(want) {
-			t.Fatalf("%d shards: %d results, want %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Score != want[i].Score {
-				t.Fatalf("%d shards: rank %d score %v, want %v", shards, i, got[i].Score, want[i].Score)
-			}
-			if s.Row(got[i].Row)[0] != flat.Row(want[i].Row)[0] {
-				t.Fatalf("%d shards: rank %d row mismatch", shards, i)
-			}
-		}
-		if stats.Scanned == 0 || stats.Scanned > flat.Len() {
-			t.Fatalf("%d shards: scanned %d of %d", shards, stats.Scanned, flat.Len())
-		}
-		if stats.Scanned == flat.Len() {
-			t.Fatalf("%d shards: threshold scan examined every row — no early stop", shards)
 		}
 	}
 }
@@ -155,86 +136,5 @@ func TestSortedPermCacheReuseAndInvalidation(t *testing.T) {
 	_, m2 := PermCacheStats()
 	if m2 == m1 {
 		t.Fatal("mutation must miss the permutation cache")
-	}
-}
-
-// TestRegisterHandleReuse is the session-handle satellite: a rank(F)
-// term has no faithful cache key, but a registered handle gives it one —
-// repeated TOP-k and threshold queries reuse the cached score vectors
-// and sorted lists, and a mutation still invalidates.
-func TestRegisterHandleReuse(t *testing.T) {
-	ResetScoreCache()
-	ResetPermCache()
-	defer ResetScoreCache()
-	defer ResetPermCache()
-	rng := rand.New(rand.NewSource(37))
-	r := scoreRel(rng, 400)
-	// Opaque parts: SCORE carries a Go function, so neither the term nor
-	// its features have canonical keys.
-	opaque := pref.Rank("F", pref.WeightedSum(2, 1),
-		pref.SCORE("a", "id", func(v pref.Value) float64 { f, _ := pref.Numeric(v); return f }),
-		pref.SCORE("b", "neg", func(v pref.Value) float64 { f, _ := pref.Numeric(v); return -f }),
-	)
-	want := TopK(opaque, r, 5)
-	h := Register(opaque)
-	got := h.TopK(r, 5)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("handle TopK diverged: %v vs %v", got, want)
-		}
-	}
-	_, mCold := ScoreCacheStats()
-	if mCold == 0 {
-		t.Fatal("handle must key the combined score vector into the cache")
-	}
-	_, misses0 := ScoreCacheStats()
-	if again := h.TopK(r, 5); again[0] != want[0] {
-		t.Fatalf("repeat handle TopK diverged: %v", again)
-	}
-	if _, misses1 := ScoreCacheStats(); misses1 != misses0 {
-		t.Fatalf("repeat handle TopK must not re-bind: misses %d→%d", misses0, misses1)
-	}
-	// Threshold under the handle: per-feature vectors and permutations
-	// key under derived per-feature tokens.
-	wantT, _ := ThresholdTopK(opaque, r, 5)
-	gotT, _ := h.ThresholdTopK(r, 5)
-	for i := range wantT {
-		if gotT[i].Score != wantT[i].Score {
-			t.Fatalf("handle threshold diverged: %v vs %v", gotT, wantT)
-		}
-	}
-	hp0, mp0 := PermCacheStats()
-	h.ThresholdTopK(r, 5)
-	hp1, mp1 := PermCacheStats()
-	if mp1 != mp0 || hp1 == hp0 {
-		t.Fatalf("repeat handle threshold must be sort-free: perm hits %d→%d misses %d→%d", hp0, hp1, mp0, mp1)
-	}
-	// Two handles over one term are independent identities.
-	h2 := Register(opaque)
-	if h.Token() == h2.Token() {
-		t.Fatal("independent registrations must carry distinct tokens")
-	}
-	// Mutation invalidates the handle's cached artifacts like any other.
-	r.MustInsert(relation.Row{1000.0, 1000.0})
-	if best := h.TopK(r, 1); len(best) != 1 || best[0].Row != r.Len()-1 {
-		t.Fatalf("stale handle vector: inserted best row must win, got %v", best)
-	}
-}
-
-// TestHandleOnPlainScorer: a handle wrapping a non-rank Scorer still
-// ranks correctly and degrades ThresholdTopK to a heap scan.
-func TestHandleOnPlainScorer(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	r := scoreRel(rng, 100)
-	h := Register(pref.HIGHEST("a"))
-	want := TopK(pref.HIGHEST("a"), r, 3)
-	got, stats := h.ThresholdTopK(r, 3)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("plain-scorer handle diverged: %v vs %v", got, want)
-		}
-	}
-	if stats.Scanned != r.Len() {
-		t.Fatalf("degraded scan must report a full pass, got %+v", stats)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/pref"
 	"repro/internal/psql"
+	"repro/internal/rank"
 	"repro/internal/relation"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -204,63 +206,108 @@ func TestWireStreamEarlyStop(t *testing.T) {
 	}
 }
 
-// TestPreparedStatements covers the session-command round: PREPARE,
-// repeated EXECUTE (second run rides the session caches — for the
-// minimal ranked shape, the rank.Register handle's score vector),
-// DEALLOCATE, and agreement with direct execution.
+// TestPreparedStatements covers the session-command round on a flat and
+// a 3-shard table: PREPARE, repeated EXECUTE agreeing with direct
+// execution, DEALLOCATE, and fresh snapshots per EXECUTE. A prepared
+// statement runs the pipeline like any other, so a RANK term — keyed by
+// its weights and parts — scores off its cached vectors from the second
+// EXECUTE on: no score-cache miss after the first.
 func TestPreparedStatements(t *testing.T) {
-	car := workload.Cars(400, 99)
-	cat := psql.Catalog{"car": relation.Table(car)}
-	_, addr := startServer(t, cat, Config{})
-	c := dialT(t, addr)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			car := workload.Cars(400, 99)
+			tbl := relation.Table(car)
+			if shards > 1 {
+				s, err := relation.ShardRelation(car, shards, relation.ByHash("oid"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tbl = s
+			}
+			cat := psql.Catalog{"car": tbl}
+			_, addr := startServer(t, cat, Config{})
+			c := dialT(t, addr)
 
-	for name, query := range map[string]string{
-		"bmo":    "SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(horsepower)",
-		"ranked": "SELECT * FROM car PREFERRING RANK(price AROUND 30000, HIGHEST(horsepower)) TOP 10",
-	} {
-		if _, err := c.Query("PREPARE " + name + " AS " + query); err != nil {
-			t.Fatalf("prepare %s: %v", name, err)
-		}
-		direct, err := psql.Run(query, cat, psql.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := renderRel(direct)
-		for round := 0; round < 3; round++ {
-			rs, err := c.Query("EXECUTE " + name)
+			for _, stmt := range []struct{ name, query string }{
+				{"bmo", "SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(horsepower)"},
+				{"ranked", "SELECT * FROM car PREFERRING RANK(price AROUND 30000, HIGHEST(horsepower)) TOP 10"},
+			} {
+				if _, err := c.Query("PREPARE " + stmt.name + " AS " + stmt.query); err != nil {
+					t.Fatalf("prepare %s: %v", stmt.name, err)
+				}
+				direct, err := psql.Run(stmt.query, cat, psql.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := renderRel(direct)
+				var hits, misses uint64
+				for round := 0; round < 3; round++ {
+					rs, err := c.Query("EXECUTE " + stmt.name)
+					if err != nil {
+						t.Fatalf("execute %s round %d: %v", stmt.name, round, err)
+					}
+					if got := renderRows(rs.Rows()); got != want {
+						t.Errorf("execute %s round %d:\nwire:   %sdirect: %s", stmt.name, round, got, want)
+					}
+					h, m := rank.ScoreCacheStats()
+					if round > 0 && stmt.name == "ranked" && (m != misses || h == hits) {
+						t.Errorf("execute %s round %d must score off its cached vectors: hits %d → %d, misses %d → %d",
+							stmt.name, round, hits, h, misses, m)
+					}
+					hits, misses = h, m
+				}
+			}
+			if _, err := c.Query("DEALLOCATE ranked"); err != nil {
+				t.Fatal(err)
+			}
+			_, err := c.Query("EXECUTE ranked")
+			if se := wireErrOf(t, err); se.Code != wire.CodeExec {
+				t.Fatalf("execute after deallocate: %v", err)
+			}
+			// The prepared statement keeps answering over fresh snapshots: an
+			// insert must show up in the next EXECUTE of a full-table scan.
+			if _, err := c.Query("PREPARE all AS SELECT oid FROM car WHERE price <= 1000000"); err != nil {
+				t.Fatal(err)
+			}
+			before, err := c.Query("EXECUTE all")
 			if err != nil {
-				t.Fatalf("execute %s round %d: %v", name, round, err)
+				t.Fatal(err)
 			}
-			if got := renderRows(rs.Rows()); got != want {
-				t.Errorf("execute %s round %d:\nwire:   %sdirect: %s", name, round, got, want)
+			if _, err := c.Insert("car", carRow(car, 999999)); err != nil {
+				t.Fatal(err)
 			}
-		}
+			after, err := c.Query("EXECUTE all")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Len() != before.Len()+1 {
+				t.Fatalf("prepared statement pinned a stale snapshot: %d then %d rows", before.Len(), after.Len())
+			}
+		})
 	}
-	if _, err := c.Query("DEALLOCATE ranked"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := c.Query("EXECUTE ranked")
-	if se := wireErrOf(t, err); se.Code != wire.CodeExec {
-		t.Fatalf("execute after deallocate: %v", err)
-	}
-	// The prepared statement keeps answering over fresh snapshots: an
-	// insert must show up in the next EXECUTE of a full-table scan.
-	if _, err := c.Query("PREPARE all AS SELECT oid FROM car WHERE price <= 1000000"); err != nil {
-		t.Fatal(err)
-	}
-	before, err := c.Query("EXECUTE all")
+}
+
+// TestRankTextsShareScoreVector: two ad-hoc RANK statements that differ
+// only in whitespace are two parse-cache texts but one term, so the
+// second scores off the vector the first bound.
+func TestRankTextsShareScoreVector(t *testing.T) {
+	car := workload.Cars(400, 98)
+	_, addr := startServer(t, psql.Catalog{"car": car}, Config{})
+	c := dialT(t, addr)
+	first, err := c.Query("SELECT oid FROM car PREFERRING RANK(price AROUND 25000, HIGHEST(horsepower)) TOP 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Insert("car", carRow(car, 999999)); err != nil {
-		t.Fatal(err)
-	}
-	after, err := c.Query("EXECUTE all")
+	h0, m0 := rank.ScoreCacheStats()
+	second, err := c.Query("SELECT oid FROM car  PREFERRING RANK( price AROUND 25000 ,\n\tHIGHEST(horsepower) ) TOP 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Len() != before.Len()+1 {
-		t.Fatalf("prepared statement pinned a stale snapshot: %d then %d rows", before.Len(), after.Len())
+	if h1, m1 := rank.ScoreCacheStats(); m1 != m0 || h1 == h0 {
+		t.Fatalf("a whitespace variant must score off the first one's vector: hits %d → %d, misses %d → %d", h0, h1, m0, m1)
+	}
+	if got, want := renderRows(second.Rows()), renderRows(first.Rows()); got != want {
+		t.Fatalf("whitespace variant answered differently:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/pref"
 	"repro/internal/psql"
-	"repro/internal/rank"
 	"repro/internal/relation"
 	"repro/internal/wire"
 )
@@ -37,10 +35,10 @@ type session struct {
 	inflight context.CancelFunc
 
 	// Session state: execution defaults (SET), prepared statements
-	// (PREPARE/EXECUTE) and their registered ranked-query handles, and
-	// the bounded statement-text parse cache for repeated Q/T frames.
+	// (PREPARE/EXECUTE), and the bounded statement-text parse cache for
+	// repeated Q/T frames.
 	opts     psql.Options
-	prepared map[string]*prepared
+	prepared map[string]*psql.Query
 	parsed   map[string]*statement
 
 	// buf is the encode buffer of batch answers, reused across turns
@@ -84,16 +82,6 @@ type frame struct {
 	payload []byte
 }
 
-// prepared is one session-cached statement. Ranked queries of the
-// minimal shape additionally carry a rank.Register handle: the handle's
-// session token gives the opaque weighted-sum term a cache identity, so
-// repeated EXECUTEs over an unchanged table reuse the materialized
-// score vector (see internal/rank).
-type prepared struct {
-	q      *psql.Query
-	handle *rank.Handle
-}
-
 func newSession(s *Server, nc net.Conn) *session {
 	return &session{
 		srv:      s,
@@ -101,7 +89,7 @@ func newSession(s *Server, nc net.Conn) *session {
 		wc:       wire.NewConn(nc),
 		frames:   make(chan frame),
 		opts:     psql.Options{Timeout: s.cfg.DefaultTimeout},
-		prepared: make(map[string]*prepared),
+		prepared: make(map[string]*psql.Query),
 		parsed:   make(map[string]*statement),
 	}
 }
@@ -271,7 +259,7 @@ func (ss *session) serveStatement(text []byte, stream bool) {
 			ss.wc.Flush()
 			return
 		}
-		ss.serveQuery(e.q, nil, e)
+		ss.serveQuery(e.q, e)
 		return
 	}
 	stmt := string(text)
@@ -294,7 +282,7 @@ func (ss *session) serveStatement(text []byte, stream bool) {
 		ss.serveStream(q)
 		return
 	}
-	ss.serveQuery(q, nil, nil)
+	ss.serveQuery(q, nil)
 }
 
 // serveSessionCommand handles the statements the server resolves itself
@@ -323,7 +311,7 @@ func (ss *session) serveSessionCommand(stmt string, stream bool) bool {
 			ss.sendError(wire.CodeParse, err.Error())
 			return true
 		}
-		ss.prepared[name] = &prepared{q: q, handle: registerRanked(q)}
+		ss.prepared[name] = q
 		ss.sendReady(wire.Ready{})
 		return true
 	case "EXECUTE":
@@ -332,16 +320,16 @@ func (ss *session) serveSessionCommand(stmt string, stream bool) bool {
 			ss.sendError(wire.CodeParse, "want EXECUTE <name>")
 			return true
 		}
-		p, ok := ss.prepared[name]
+		q, ok := ss.prepared[name]
 		if !ok {
 			ss.sendError(wire.CodeExec, fmt.Sprintf("no prepared statement %q", name))
 			return true
 		}
 		if stream {
-			ss.serveStream(p.q)
+			ss.serveStream(q)
 			return true
 		}
-		ss.serveQuery(p.q, p.handle, nil)
+		ss.serveQuery(q, nil)
 		return true
 	case "DEALLOCATE":
 		name, trailing := word(rest)
@@ -356,32 +344,10 @@ func (ss *session) serveSessionCommand(stmt string, stream bool) bool {
 	return false
 }
 
-// registerRanked gives a prepared ranked query of the minimal shape —
-// TOP-k over a bare RANK preference, nothing else — a session-scoped
-// rank handle; nil for every other shape (they execute through the
-// ordinary pipeline, whose bound-form caches key on the term text).
-func registerRanked(q *psql.Query) *rank.Handle {
-	if q.Top <= 0 || q.Preferring == nil || q.ExplainPlan ||
-		q.Where != nil || len(q.Cascades) > 0 || len(q.GroupingBy) > 0 ||
-		q.ButOnly != nil || q.Skyline != nil || len(q.OrderBy) > 0 ||
-		len(q.Select) > 0 || q.Distinct {
-		return nil
-	}
-	built, err := q.Preferring.Build()
-	if err != nil {
-		return nil
-	}
-	s, ok := built.(pref.Scorer)
-	if !ok {
-		return nil
-	}
-	return rank.Register(s)
-}
-
 // serveQuery runs one batch query turn: snapshot, execute, answer with
 // header + column frames + ready. With e (a repeated statement text) the
 // answer replaces e's retained one.
-func (ss *session) serveQuery(q *psql.Query, handle *rank.Handle, e *statement) {
+func (ss *session) serveQuery(q *psql.Query, e *statement) {
 	if e != nil {
 		ss.forget(e)
 	}
@@ -392,27 +358,18 @@ func (ss *session) serveQuery(q *psql.Query, handle *rank.Handle, e *statement) 
 	}
 	ctx, finish := ss.beginQuery()
 	defer finish()
-	var rel *relation.Relation
-	var partial string
-	if flat, ok := p.snap.(*relation.Relation); ok && handle != nil {
-		rel, err = ss.execRanked(ctx, flat, handle, q.Top)
-	} else {
-		opts := ss.opts
-		opts.Admission = ss.srv.adm
-		var res *psql.Result
-		res, err = psql.ExecCtx(ctx, q, psql.Catalog{q.From: p.snap}, opts)
-		if err == nil {
-			rel = res.Rel
-			if res.Partial != nil {
-				partial = res.Partial.Error()
-			}
-		}
-	}
+	opts := ss.opts
+	opts.Admission = ss.srv.adm
+	res, err := psql.ExecCtx(ctx, q, psql.Catalog{q.From: p.snap}, opts)
 	if err != nil {
 		ss.sendError(errorCode(err), err.Error())
 		return
 	}
-	buf, err := appendResult(ss.buf[:0], rel, p.gen, p.len, partial)
+	var partial string
+	if res.Partial != nil {
+		partial = res.Partial.Error()
+	}
+	buf, err := appendResult(ss.buf[:0], res.Rel, p.gen, p.len, partial)
 	if err != nil {
 		ss.sendError(wire.CodeExec, err.Error())
 		return
@@ -440,39 +397,6 @@ func (ss *session) retain(e *statement, answer []byte, p pin) {
 		return
 	}
 	e.answer, e.table, e.gen = bytes.Clone(answer), p.live, p.gen
-}
-
-// execRanked is the prepared ranked fast path: k best rows off the
-// pinned snapshot through the session's registered handle, whose score
-// vector caches under (snapshot, version, handle token) — repeated
-// EXECUTEs over an unchanged table are bind-free even though the
-// weighted-sum term itself is keyless. Identical output to the pipeline
-// path (rank.TopKOn scores and tie-breaks exactly like the engine's
-// ranked model).
-func (ss *session) execRanked(ctx context.Context, snap *relation.Relation, h *rank.Handle, k int) (_ *relation.Relation, err error) {
-	defer relation.RecoverPageError(&err)
-	release, err := ss.srv.adm.Acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if ss.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, ss.opts.Timeout)
-		defer cancel()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	results := h.TopKOn(snap, k, nil)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ridx := make([]int, len(results))
-	for i, r := range results {
-		ridx[i] = r.Row
-	}
-	return snap.Pick(ridx), nil
 }
 
 // appendResult appends a finished relation's answer to buf as frames:

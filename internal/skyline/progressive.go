@@ -1,6 +1,8 @@
 package skyline
 
 import (
+	"context"
+
 	"repro/internal/engine"
 	"repro/internal/relation"
 )
@@ -28,12 +30,12 @@ func Progressive(c Clause, r *relation.Relation, yield func(row int) bool) (int,
 
 // Stream starts progressive skyline evaluation and returns the row stream;
 // the front-ends use it to serve first results before the scan completes.
-func Stream(c Clause, r *relation.Relation) (*engine.Stream, error) {
+func Stream(c Clause, r *relation.Relation) (*engine.ShardedStream, error) {
 	p, err := c.Preference()
 	if err != nil {
 		return nil, err
 	}
-	return engine.EvalStream(p, r), nil
+	return engine.EvalStreamCtx(context.Background(), p, r, engine.Auto, nil), nil
 }
 
 // FirstK returns the first k skyline rows in progressive emission order,
