@@ -42,17 +42,22 @@ test-noavx2:
 # on in TestMain), and the ordered hard selection: value-order reads
 # against the scan and Cmp.Eval on edge values over every layout (the
 # battery and FuzzRangeCut's seed corpus), orders bounded under inserts,
-# and EXPLAIN's access path equal to the one the run took.
+# and EXPLAIN's access path equal to the one the run took; the fused flat
+# bind against a fresh pref.Compile and the oracle over every layout (the
+# battery and FuzzFlatBind's seed corpus), the planner's allocations and
+# the cold statement's allocation bound.
 test-ties:
 	$(GO) test -race \
-		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutesColdShapes|PlannerRoutesChainProducts|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ExplainAccessPath' \
+		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutesColdShapes|PlannerRoutesChainProducts|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ExplainAccessPath|FlatBind|PlanCoreAllocs|ColdSelectiveStatementAllocBound' \
 		./internal/pref ./internal/engine ./internal/filter ./internal/boundcache ./internal/psql ./internal/relation
 
-# A short fuzzing run of the ordered hard selection (the seed corpus alone
-# runs in every `go test`); FUZZTIME=1m or longer to explore further.
+# A short fuzzing run of the ordered hard selection and of the fused flat
+# bind (the seed corpora alone run in every `go test`); FUZZTIME=1m or
+# longer to explore further.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run 'xxx' -fuzz 'FuzzRangeCut' -fuzztime $(FUZZTIME) ./internal/filter
+	$(GO) test -run 'xxx' -fuzz 'FuzzFlatBind' -fuzztime $(FUZZTIME) ./internal/engine
 
 # The fault-tolerance suite under the race detector: fault injection
 # (slow/hung/panicking/erroring shards) against both policies, the

@@ -708,9 +708,10 @@ func BenchmarkShardedThresholdTopK(b *testing.B) {
 // iteration runs a statement no cache has met (seed-drawn anchors and
 // WHERE cuts at ≈3 % selectivity) over anti-correlated d=4 n=20000, flat
 // and in 2 range shards, in the three shapes of the served cold_skyline
-// workload. The bind is candidate-proportional — a gathered copy of the
-// ≈300 candidates per shard, never the 10 000-row shard — and so is the
-// cross-shard merge; bytes/op is the per-statement garbage.
+// workload. The bind is candidate-proportional — one pass over the ≈300
+// candidates' positions per shard writing their scores and tie keys,
+// never the 10 000-row shard — and the cross-shard merge folds the
+// records the shards carried out; bytes/op is the per-statement garbage.
 func BenchmarkColdSelectiveBMO(b *testing.B) {
 	flat := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
 	flat.Columnarize()
@@ -756,8 +757,8 @@ func BenchmarkColdSelectiveBMO(b *testing.B) {
 // BenchmarkShardMergeCompiled is the cross-shard merge as a served
 // statement meets it: every shard's local maxima come from the result
 // cache (warm), so an iteration is the per-shard lookups plus
-// max(P, ∪ maxᵢ) — one gathered bind over a few hundred rows and the fold
-// of the four antichains on flat records. The fold alone, at chosen part
+// max(P, ∪ maxᵢ) — a flat bind of each shard's served maxima (no shard
+// evaluated, so none carried records) and the fold of the four antichains. The fold alone, at chosen part
 // and input sizes and with its pair count, is BenchmarkShardMerge in
 // internal/engine.
 func BenchmarkShardMergeCompiled(b *testing.B) {

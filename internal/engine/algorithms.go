@@ -228,29 +228,37 @@ func sfs(p pref.Preference, r *relation.Relation, idx []int, cc *canceller) []in
 // the blocked filter's exact verdicts (chainExact), the result cache's
 // coordinate carry and the cross-shard stream rely on.
 func chainDims(p pref.Preference) ([]pref.Scorer, bool) {
+	var dims []pref.Scorer
+	if !chainProduct(p, func(s pref.Scorer) { dims = append(dims, s) }) {
+		return nil, false
+	}
+	return dims, true
+}
+
+// chainProduct reports whether p is a chain product (see chainDims),
+// handing its dimensions to leaf in term order — all of them only when it
+// is one.
+func chainProduct(p pref.Preference, leaf func(pref.Scorer)) bool {
+	n := 0
+	// The leaves' attributes are distinct iff there are as many leaves as
+	// attributes in the term's (deduplicated) set.
+	return chainLeaves(p, func(s pref.Scorer) { n++; leaf(s) }) && n == len(p.Attrs())
+}
+
+// chainLeaves hands the LOWEST/HIGHEST leaves of a Pareto tree to leaf;
+// false when p is no such tree.
+func chainLeaves(p pref.Preference, leaf func(pref.Scorer)) bool {
 	switch q := p.(type) {
 	case *pref.Lowest:
-		return []pref.Scorer{q}, true
+		leaf(q)
+		return true
 	case *pref.Highest:
-		return []pref.Scorer{q}, true
+		leaf(q)
+		return true
 	case *pref.ParetoPref:
-		d1, ok1 := chainDims(q.Left())
-		d2, ok2 := chainDims(q.Right())
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		dims := append(d1, d2...)
-		seen := make(map[string]struct{}, len(dims))
-		for _, d := range dims {
-			a := d.Attrs()[0]
-			if _, dup := seen[a]; dup {
-				return nil, false
-			}
-			seen[a] = struct{}{}
-		}
-		return dims, true
+		return chainLeaves(q.Left(), leaf) && chainLeaves(q.Right(), leaf)
 	}
-	return nil, false
+	return false
 }
 
 // dominates reports coordinate-wise dominance: a ≥ b everywhere and a > b

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"cmp"
+	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/pref"
@@ -19,6 +21,11 @@ import (
 // gathered copy of just those rows — ephemeral, never cached, addressed
 // by slot — and anything larger binds the whole relation through the
 // cache as before, where the next statement sharing the term reuses it.
+//
+// A gathered bind of a term in the flat fragment copies no column: it
+// reads each leaf's column image at the candidates' positions and writes
+// the scores and tie keys the dominance kernel compares straight into the
+// slab (pref.BindFlat). Every other term compiles over the gathered copy.
 
 // BindScope names the bind a BMO step performs.
 type BindScope int
@@ -83,14 +90,23 @@ func GatheredBinds() uint64 { return gatheredBinds.Load() }
 
 // evaluated is what one BMO evaluation leaves behind besides the maxima:
 // the bound form that ran (nil when it ran interpreted) and, when that
-// form is slot-addressed, each maximum's slot — so the result cache can
-// read coordinates the evaluation already materialized. Only the maxima
-// outlive the evaluation: a gathered form's vectors are borrowed memory
-// (relation.Gathered), returned as soon as evalOn's keep hook has run.
+// form is slot-addressed, each maximum's slot — so the result cache and
+// the cross-shard fold can read what the evaluation already materialized.
+// Only the maxima outlive the evaluation: a gathered form's vectors are
+// borrowed memory (relation.Gathered), returned as soon as evalOn's keep
+// hook has run.
 type evaluated struct {
 	maxima []int // ascending positions in the relation
 	c      *pref.Compiled
 	slots  []int // slots[k] addresses maxima[k] in c; nil: c is position-addressed
+}
+
+// at returns the rows of c that hold the maxima, in the maxima's order.
+func (ev evaluated) at() []int {
+	if ev.slots != nil {
+		return ev.slots
+	}
+	return ev.maxima
 }
 
 // evalOn is the shared evaluation core behind every BMO entry point:
@@ -142,14 +158,55 @@ func evalOn(kt keyedTerm, r *relation.Relation, alg Algorithm, mode EvalMode, id
 func evalGathered(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMode, idx []int, cc *canceller, finish func(evaluated) []int) (maxima []int, ok bool) {
 	g := r.Gather(idx).Borrow()
 	defer g.Release()
-	c, ok := pref.Compile(p, g)
-	if !ok {
+	c, fused := bindGathered(p, g)
+	if c == nil {
 		return nil, false
+	}
+	if fused {
+		defer releaseForm(c)
 	}
 	gatheredBinds.Add(1)
 	cc.check()
 	slots := planAndExecute(alg, p, r, c, g.Slots(), BindGathered, mode, cc)
 	return finish(liftSlots(c, slots, idx)), true
+}
+
+// bindGathered binds p over the gathered candidates g: a term of the flat
+// fragment straight into the kernel's vectors (bindFlat; fused reports
+// the pooled form, which the caller hands back with releaseForm once
+// nothing reads it), anything else — or a flat term with a leaf no column
+// image serves — through pref.Compile; nil when the term fails to bind.
+func bindGathered(p pref.Preference, g *relation.Gathered) (c *pref.Compiled, fused bool) {
+	if c := bindFlat(p, g); c != nil {
+		return c, true
+	}
+	c, _ = pref.Compile(p, g)
+	return c, false
+}
+
+// formPool recycles the forms flat binds write (their shape storage), the
+// way flatPool recycles record stores.
+var formPool = sync.Pool{New: func() any { return new(pref.Compiled) }}
+
+// bindFlat binds a term of the flat fragment over g on a pooled form
+// (pref.BindFlat), or returns nil when the term does not bind flat.
+func bindFlat(p pref.Preference, g *relation.Gathered) *pref.Compiled {
+	if !pref.FlatShaped(p) {
+		return nil
+	}
+	c := formPool.Get().(*pref.Compiled)
+	if !pref.BindFlat(c, p, g) {
+		formPool.Put(c)
+		return nil
+	}
+	return c
+}
+
+// releaseForm returns a flat bind's form to the pool, dropping its views
+// of the slab it was bound over.
+func releaseForm(c *pref.Compiled) {
+	clear(c.Flat().Dims)
+	formPool.Put(c)
 }
 
 // planAndExecute resolves Auto through the planner — costed for the
@@ -183,35 +240,68 @@ func liftSlots(c *pref.Compiled, slots, idx []int) evaluated {
 }
 
 // chainCoords reads the maxima's chain-dimension coordinates from the
-// bound form that evaluated them: ok=false when the evaluation ran
-// interpreted or the form lacks a dimension's vector.
+// flat shape of the form that evaluated them (a chain product's leaves,
+// in term order): ok=false when the evaluation ran interpreted or the
+// term is no chain product.
 func (ev evaluated) chainCoords() (coords [][]float64, ok bool) {
-	if ev.c == nil {
+	if ev.c == nil || ev.c.Flat() == nil {
 		return nil, false
 	}
-	// ScoreVec is keyed by sub-term identity of the form's own tree (a
-	// cache-served form may stem from a structurally identical one).
-	dims, ok := chainDims(ev.c.Pref())
-	if !ok {
+	fs := ev.c.Flat()
+	if dims, ok := chainDims(ev.c.Pref()); !ok || len(dims) != len(fs.Dims) {
 		return nil, false
 	}
-	vecs := make([][]float64, len(dims))
-	for d, s := range dims {
-		if vecs[d] = ev.c.ScoreVec(s); vecs[d] == nil {
-			return nil, false
-		}
-	}
-	at := ev.slots
-	if at == nil {
-		at = ev.maxima
-	}
+	at, w := ev.at(), len(fs.Dims)
 	coords = make([][]float64, len(at))
-	backing := make([]float64, len(at)*len(dims))
+	backing := make([]float64, len(at)*w)
 	for k, i := range at {
-		coords[k] = backing[k*len(dims) : (k+1)*len(dims) : (k+1)*len(dims)]
-		for d := range dims {
-			coords[k][d] = vecs[d][i]
+		coords[k] = backing[k*w : (k+1)*w : (k+1)*w]
+		for d := range fs.Dims {
+			coords[k][d] = fs.Dims[d].Score[i]
 		}
 	}
 	return coords, true
+}
+
+// records copies the maxima's records out of the flat form that evaluated
+// them — what the cross-shard fold compares, still readable once the
+// form's slab is released; nil when the evaluation had no flat form (or
+// no maximum).
+func (ev evaluated) records() *pref.FlatShape {
+	if ev.c == nil || ev.c.Flat() == nil || len(ev.maxima) == 0 {
+		return nil
+	}
+	rec := newRecords()
+	rec.AppendRows(ev.c.Flat(), ev.at())
+	return rec
+}
+
+// recordsPool recycles records (pref.FlatShape.AppendRows targets): a
+// statement's carried local maxima and the fold's union reuse their
+// arrays.
+var recordsPool = sync.Pool{New: func() any { return new(pref.FlatShape) }}
+
+// newRecords returns an empty pooled record set; releaseRecords hands it
+// back.
+func newRecords() *pref.FlatShape {
+	rec := recordsPool.Get().(*pref.FlatShape)
+	rec.Dims = rec.Dims[:0]
+	return rec
+}
+
+// Under relation.PoisonReleasedSlabs released records read NaN scores and
+// no two equal keys, like a released slab.
+func releaseRecords(rec *pref.FlatShape) {
+	if relation.PoisonsReleased() {
+		for d := range rec.Dims {
+			dim := &rec.Dims[d]
+			for i := range dim.Score {
+				dim.Score[i] = math.NaN()
+			}
+			for i := range dim.Tie.Keys {
+				dim.Tie.Keys[i] = uint64(i)
+			}
+		}
+	}
+	recordsPool.Put(rec)
 }

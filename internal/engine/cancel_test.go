@@ -204,11 +204,15 @@ func TestCancelledBeforeStart(t *testing.T) {
 
 // TestAbandonedGatheredWorkersKeepTheirSlabs: when the query context dies
 // the fan-out stops waiting, and a shard worker still inside its gathered
-// evaluation runs on until its canceller notices. Its slab is its own
-// until then — released by the worker as it unwinds, never by the
-// coordinator — so the statements that follow immediately, gathered binds
-// themselves, borrow other memory and answer exactly (the poison hook and
-// the race detector see any slab that changed hands early).
+// evaluation runs on until its canceller notices. Its slab — the fused
+// scores and tie keys of a flat term included — is its own until then,
+// released by the worker as it unwinds, never by the coordinator, and so
+// are the records it carries out for the fold: the coordinator releases
+// only the responsive shards' records, after the merge. The statements
+// that follow immediately, gathered binds themselves, borrow other memory
+// and answer exactly (the poison hook, which also scribbles over released
+// records, and the race detector see any memory that changed hands
+// early), and no fold of theirs binds a part again.
 func TestAbandonedGatheredWorkersKeepTheirSlabs(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	flat := gatheredTestRelation(rng, 9000)
@@ -222,9 +226,13 @@ func TestAbandonedGatheredWorkersKeepTheirSlabs(t *testing.T) {
 			t.Fatalf("test premise: shard %d must bind gathered (%d of %d candidates)", i, len(sets[i]), sh.Len())
 		}
 	}
-	cancelled := 0
+	cancelled, flatTerms := 0, 0
+	folds0 := foldBinds.Load()
 	for trial := 0; trial < 30; trial++ {
 		p := gatheredTerm(rng)
+		if pref.FlatShaped(p) {
+			flatTerms++
+		}
 		ResetCompileCache()
 		want := referenceOIDs(p, s, sets)
 		ctx, cancel := ctxCancelledWithin(rng, time.Millisecond)
@@ -248,6 +256,12 @@ func TestAbandonedGatheredWorkersKeepTheirSlabs(t *testing.T) {
 	}
 	if cancelled == 0 {
 		t.Log("no trial was cancelled mid-flight on this machine")
+	}
+	if flatTerms == 0 {
+		t.Fatal("test premise: some trial must draw a term of the flat fragment")
+	}
+	if n := foldBinds.Load() - folds0; n != 0 {
+		t.Fatalf("the folds bound %d parts again instead of reading the carried records", n)
 	}
 	ResetCompileCache()
 }

@@ -380,7 +380,7 @@ var filterPool = sync.Pool{New: func() any { return new(maximaFilter) }}
 func newMaximaFilter(c *pref.Compiled) *maximaFilter {
 	fs := c.Flat()
 	if fs != nil && AVX2Enabled() {
-		return newBlockFilter(fs, chainExact(c))
+		return newBlockFilter(fs, chainExact(c.Pref(), fs))
 	}
 	f := filterPool.Get().(*maximaFilter)
 	f.rows = f.rows[:0]
@@ -405,16 +405,12 @@ func newBlockFilter(fs *pref.FlatShape, exact bool) *maximaFilter {
 	return f
 }
 
-// chainExact reports that the form is a chain product on whose every
-// dimension a score tie is a value tie (pref.InfCollapse: no infinity
-// absorbed two classes, no TIME scale): coordinate dominance is the
-// predicate.
-func chainExact(c *pref.Compiled) bool {
-	dims, ok := chainDims(c.Pref())
-	for _, s := range dims {
-		ok = ok && c.ScoreVecExact(s)
-	}
-	return ok
+// chainExact reports that p is a chain product on whose every dimension a
+// score tie is a value tie over the rows of its flat shape fs
+// (pref.FlatShape.TiesExact: no infinity absorbed two classes, no TIME
+// scale): coordinate dominance is the predicate.
+func chainExact(p pref.Preference, fs *pref.FlatShape) bool {
+	return chainProduct(p, func(pref.Scorer) {}) && fs.TiesExact()
 }
 
 // dominated reports whether a confirmed maximum dominates row i.

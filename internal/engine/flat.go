@@ -30,9 +30,13 @@ import (
 // (never <, never >) take the same branch, and every NaN value is its own
 // key. No witness, no gate. The </> path never reads a key.
 //
-// Records are per-evaluation state: built from the bound form's vectors
-// for the rows one algorithm run visits, dropped with it, never cached —
-// a cached pref.Compiled grows by nothing.
+// Records are per-evaluation state: built from the shape's columns for
+// the rows one algorithm run visits, dropped with it, never cached — a
+// cached pref.Compiled grows by nothing. Whose columns those are does not
+// matter here: a cached or full bind's vectors, or on the gathered route
+// the scores and precomputed tie keys a flat bind wrote for the
+// candidates into their slab (pref.BindFlat), and in the cross-shard fold
+// the records the shards carried out of theirs (pref.FlatShape.AppendRows).
 
 // order is the outcome of one dominance test between two records.
 type order uint8

@@ -710,7 +710,7 @@ func TestShardMergeFoldAgreement(t *testing.T) {
 					for _, avx2 := range []bool{AVX2Available(), false} {
 						prev := SetAVX2Enabled(avx2)
 						var got ShardSets
-						got, pairs = mergeShardMaxima(p, s, cloneSets(locals))
+						got, pairs = mergeShardMaxima(p, s, cloneSets(locals), nil)
 						mode := ShardMergeMode(p)
 						SetAVX2Enabled(prev)
 						if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
@@ -806,7 +806,7 @@ func TestShardMergeKeepsCrossShardDuplicates(t *testing.T) {
 		for _, avx2 := range []bool{AVX2Available(), false} {
 			prev := SetAVX2Enabled(avx2)
 			locals := ShardSets{{0, 1}, {0, 1}, {0, 1}}
-			got, pairs := mergeShardMaxima(p, s, locals)
+			got, pairs := mergeShardMaxima(p, s, locals, nil)
 			mode := ShardMergeMode(p)
 			SetAVX2Enabled(prev)
 			if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, []int{1, 2, 101, 102}) {

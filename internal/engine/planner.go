@@ -42,10 +42,10 @@ func (s Shape) String() string {
 // (the interpreted sfs then simply falls back to BNL, which stays
 // correct).
 func shapeOf(p pref.Preference) Shape {
-	if _, ok := keyColumns(p); ok {
+	if pref.CompiledKeyed(p) {
 		return ShapeKeyed
 	}
-	if pref.CompiledKeyed(p) {
+	if _, ok := keyColumns(p); ok {
 		return ShapeKeyed
 	}
 	return ShapeGeneral
@@ -70,7 +70,8 @@ type Env struct {
 const statsSample = 2048
 
 // Candidate is one (algorithm, workers) pair the planner costed. Cost is in
-// abstract comparison units; only relative magnitudes matter.
+// abstract comparison units; only relative magnitudes matter. A
+// partitioned candidate's note is rendered by Plan.Explain.
 type Candidate struct {
 	Algorithm Algorithm
 	Workers   int
@@ -109,8 +110,21 @@ type Plan struct {
 	Input      int // candidate-set cardinality the plan was costed for
 	EstResult  int // estimated BMO result size
 	Candidates []Candidate
-	Reasons    []string
 	Stats      *relation.Stats // nil when planning skipped stats (small inputs)
+
+	// The figures the decision turned on, which Explain words as its
+	// "because:" lines — only when something explains the plan.
+	attrs       int       // the term's attributes
+	flat        bool      // the term is in the flat fragment
+	sorted      Dominance // the comparator of a sorted pass
+	window      float64   // small flat input: the window pass's price …
+	keyed       float64   // … against key + sort + filter
+	leaves      int       // SFS key: score leaves,
+	keyRows     int       // the rows their keys span,
+	keyCost     float64   // and what deriving them costs
+	partWorkers int       // workers a partitioned candidate runs (≥ 2 when costed)
+	one, split  float64   // the cheapest candidate at one worker, partitioned
+	procs       int       // relation.Procs() at plan time
 }
 
 // PlanWithInput plans σ[P](R′) for a candidate subset of R with the given
@@ -160,16 +174,61 @@ func (pl *Plan) Explain() string {
 				mark = "*"
 			}
 			fmt.Fprintf(&b, "  %s %-16s cost≈%.3g", mark, name, c.Cost)
-			if c.Note != "" {
+			switch {
+			case c.Note != "":
 				fmt.Fprintf(&b, " — %s", c.Note)
+			case c.Workers >= 2:
+				fmt.Fprintf(&b, " — %d partitions of ≈%d rows, merge over ≈%d local maxima", c.Workers, pl.Input/c.Workers, c.Workers*pl.EstResult)
 			}
 			b.WriteByte('\n')
 		}
 	}
-	for _, r := range pl.Reasons {
+	for _, r := range pl.reasons() {
 		fmt.Fprintf(&b, "because: %s\n", r)
 	}
 	return b.String()
+}
+
+// reasons words the figures behind the decision, one "because:" line each.
+func (pl *Plan) reasons() []string {
+	if pl.Input < smallInput {
+		reason := "cost differences are noise, shape heuristic picks"
+		if pl.Shape == ShapeKeyed && pl.Compiled && pl.flat {
+			reason = fmt.Sprintf("window pass ≈%.3g against key + sort + filter ≈%.3g on %s over an estimated %d maxima:",
+				pl.window, pl.keyed, pl.sorted, pl.EstResult)
+		}
+		return []string{fmt.Sprintf("input below %d rows: %s %s", smallInput, reason, pl.Algorithm)}
+	}
+	out := []string{fmt.Sprintf("shape %s over %d attrs, estimated result ≈ %d of %d rows", pl.Shape, pl.attrs, pl.EstResult, pl.Input)}
+	if pl.Compiled {
+		window := dominanceFor(pl.flat, BNL)
+		out = append(out, fmt.Sprintf("compiled columnar evaluation: a window pair on %s costs ≈1/%.0f, a sorted-filter pair on %s ≈1/%.0f of an interpreted comparison",
+			window, 1/compiledPairCost(window, true), pl.sorted, 1/compiledPairCost(pl.sorted, false)))
+		if pl.Shape != ShapeGeneral {
+			out = append(out, sfsKeyReason(pl.Bind, pl.flat, pl.leaves, pl.keyRows, pl.keyCost))
+		}
+	} else {
+		out = append(out, "term outside the compilable fragment: interpreted interface evaluation")
+	}
+	if st := pl.Stats; st != nil && st.HasCorr {
+		switch {
+		case st.Corr < -0.1:
+			out = append(out, fmt.Sprintf("anti-correlated input (corr=%+.2f) inflates the result estimate", st.Corr))
+		case st.Corr > 0.1:
+			out = append(out, fmt.Sprintf("correlated input (corr=%+.2f) shrinks the result estimate", st.Corr))
+		}
+	}
+	switch {
+	case pl.Workers >= 2:
+		out = append(out, fmt.Sprintf("%d workers cost≈%.3g against %.3g for one (%d Ps, %d candidates/worker ≥ grain %d)",
+			pl.Workers, pl.split, pl.one, pl.procs, pl.Input/pl.Workers, parallelGrain))
+	case pl.partWorkers >= 2:
+		out = append(out, fmt.Sprintf("one worker cost≈%.3g against %.3g for %d partitions with their merge and dispatch",
+			pl.one, pl.split, pl.partWorkers))
+	case pl.procs >= 2:
+		out = append(out, fmt.Sprintf("%d candidates fill fewer than two partitions of grain %d", pl.Input, parallelGrain))
+	}
+	return out
 }
 
 // Pass renders the chosen pass the way EXPLAIN's step lines print it.
@@ -201,9 +260,10 @@ const smallInput = 256
 // EXPLAIN front-ends.
 func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope BindScope) *Plan {
 	shape := shapeOf(p)
-	pl := &Plan{Shape: shape, Input: n, Workers: 1, Bind: scope,
-		Compiled: env.Mode != EvalInterpreted && pref.Compilable(p)}
 	flat := pref.FlatShaped(p)
+	pl := &Plan{Shape: shape, Input: n, Workers: 1, Bind: scope,
+		Compiled: env.Mode != EvalInterpreted && pref.Compilable(p),
+		attrs:    len(p.Attrs()), flat: flat, sorted: dominanceFor(flat, SFS), procs: relation.Procs()}
 	small := n < smallInput
 	// A compiled flat term sorts on a one-pass score sum, not on rank keys.
 	sumKey := pl.Compiled && flat
@@ -218,7 +278,7 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 		// evaluating the input.
 		stats = nil
 	case stats == nil && r != nil:
-		stats = cachedStats(r, statsSample)
+		stats = cachedStats(r)
 	}
 	pl.Stats = stats
 	s := estimateResult(p, n, stats)
@@ -271,6 +331,7 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	if sumKey {
 		keyCost = leaves * fn * scoreSumCost
 	}
+	pl.leaves, pl.keyRows, pl.keyCost = int(leaves), int(keyRows), keyCost
 
 	// passCost prices one pass over n candidates, the keys aside: SFS's
 	// are derived once per evaluation, whatever the partitioning.
@@ -294,7 +355,6 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	}
 
 	if small {
-		reason := "cost differences are noise, shape heuristic picks"
 		pl.Algorithm = BNL
 		if shape == ShapeKeyed {
 			pl.Algorithm = SFS
@@ -305,86 +365,55 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 				// one-way filter.
 				window, _ := passCost(BNL, fn)
 				sorted, _ := passCost(SFS, fn)
+				pl.window, pl.keyed = window, sorted+keyCost
 				if window <= sorted+keyCost {
 					pl.Algorithm = BNL
 				}
-				reason = fmt.Sprintf("window pass ≈%.3g against key + sort + filter ≈%.3g on %s over an estimated %d maxima:",
-					window, sorted+keyCost, dominanceFor(flat, SFS), s)
 			}
 		}
 		pl.Dominance = dominanceFor(flat, pl.Algorithm)
-		pl.Reasons = append(pl.Reasons, fmt.Sprintf("input below %d rows: %s %s", smallInput, reason, pl.Algorithm))
 		return pl
 	}
 
 	// The candidates: each pass that applies to the shape, at one worker
 	// and — when the input fills two partitions of the grain — partitioned.
-	algs := []Algorithm{BNL}
-	if shape == ShapeKeyed {
-		algs = append(algs, SFS)
+	algs := []Algorithm{BNL, SFS}
+	if shape != ShapeKeyed {
+		algs = algs[:1]
 	}
-	var cands []Candidate
+	workers := planWorkers(n)
+	cands := make([]Candidate, 0, 2*len(algs))
 	for _, alg := range algs {
 		c, note := passCost(alg, fn)
 		cands = append(cands, Candidate{Algorithm: alg, Workers: 1, Cost: c + keysOf(alg), Note: note})
 	}
-	workers := planWorkers(n)
 	if workers >= 2 {
+		pl.partWorkers = workers
 		for _, alg := range algs {
 			local, _ := passCost(alg, fn/float64(workers))
 			merge, _ := passCost(alg, float64(workers)*fs)
 			cands = append(cands, Candidate{
 				Algorithm: alg, Workers: workers, Cost: local + merge + keysOf(alg) + 1500*float64(workers),
-				Note: fmt.Sprintf("%d partitions of ≈%d rows, merge over ≈%d local maxima", workers, n/workers, workers*s),
 			})
 		}
 	}
 	pl.Candidates = cands
 
 	best := 0
-	one, split := math.Inf(1), math.Inf(1) // the cheapest at one worker, partitioned
+	pl.one, pl.split = math.Inf(1), math.Inf(1)
 	for i, c := range cands {
 		if c.Cost < cands[best].Cost {
 			best = i
 		}
 		if c.Workers == 1 {
-			one = min(one, c.Cost)
+			pl.one = min(pl.one, c.Cost)
 		} else {
-			split = min(split, c.Cost)
+			pl.split = min(pl.split, c.Cost)
 		}
 	}
 	pl.Algorithm = cands[best].Algorithm
 	pl.Workers = cands[best].Workers
 	pl.Dominance = dominanceFor(flat, pl.Algorithm)
-
-	pl.Reasons = append(pl.Reasons, fmt.Sprintf("shape %s over %d attrs, estimated result ≈ %d of %d rows", shape, len(p.Attrs()), s, n))
-	if pl.Compiled {
-		pl.Reasons = append(pl.Reasons, fmt.Sprintf("compiled columnar evaluation: a window pair on %s costs ≈1/%.0f, a sorted-filter pair on %s ≈1/%.0f of an interpreted comparison",
-			dominanceFor(flat, BNL), 1/pairCost(BNL, true), dominanceFor(flat, SFS), 1/pairCost(SFS, false)))
-		if shape != ShapeGeneral {
-			pl.Reasons = append(pl.Reasons, sfsKeyReason(scope, sumKey, int(leaves), int(keyRows), keyCost))
-		}
-	} else {
-		pl.Reasons = append(pl.Reasons, "term outside the compilable fragment: interpreted interface evaluation")
-	}
-	if stats != nil && stats.HasCorr {
-		switch {
-		case stats.Corr < -0.1:
-			pl.Reasons = append(pl.Reasons, fmt.Sprintf("anti-correlated input (corr=%+.2f) inflates the result estimate", stats.Corr))
-		case stats.Corr > 0.1:
-			pl.Reasons = append(pl.Reasons, fmt.Sprintf("correlated input (corr=%+.2f) shrinks the result estimate", stats.Corr))
-		}
-	}
-	switch procs := relation.Procs(); {
-	case pl.Workers >= 2:
-		pl.Reasons = append(pl.Reasons, fmt.Sprintf("%d workers cost≈%.3g against %.3g for one (%d Ps, %d candidates/worker ≥ grain %d)",
-			pl.Workers, split, one, procs, n/pl.Workers, parallelGrain))
-	case workers >= 2:
-		pl.Reasons = append(pl.Reasons, fmt.Sprintf("one worker cost≈%.3g against %.3g for %d partitions with their merge and dispatch",
-			one, split, workers))
-	case procs >= 2:
-		pl.Reasons = append(pl.Reasons, fmt.Sprintf("%d candidates fill fewer than two partitions of grain %d", n, parallelGrain))
-	}
 	return pl
 }
 
@@ -470,34 +499,33 @@ func estimateResult(p pref.Preference, n int, stats *relation.Stats) int {
 		return clampInt(classes*estimateResult(q.Right(), ties, stats), 1, n)
 	}
 	d := len(p.Attrs())
-	if dims, ok := chainDims(p); ok {
-		// Constant columns contribute no trade-off; only the effective
-		// (varying) dimensions shape the skyline.
-		var effective []string
-		for _, dim := range dims {
-			attr := dim.Attrs()[0]
-			if stats != nil {
-				if c, ok := stats.Col(attr); ok && c.Distinct <= 1 {
-					continue
-				}
+	// Constant columns contribute no trade-off; only the effective
+	// (varying) dimensions of a chain product shape the skyline.
+	effective, attr := 0, ""
+	if chainProduct(p, func(dim pref.Scorer) {
+		a := dim.Attrs()[0]
+		if stats != nil {
+			if c, ok := stats.Col(a); ok && c.Distinct <= 1 {
+				return
 			}
-			effective = append(effective, attr)
 		}
-		if len(effective) == 0 {
+		effective, attr = effective+1, a
+	}) {
+		if effective == 0 {
 			// Every dimension constant: all tuples mutually indifferent,
 			// everything is maximal.
 			return n
 		}
-		if len(effective) == 1 {
+		if effective == 1 {
 			// A single chain: one maximal value, duplicates of it survive.
 			if stats != nil {
-				if c, ok := stats.Col(effective[0]); ok && c.Distinct > 0 {
+				if c, ok := stats.Col(attr); ok && c.Distinct > 0 {
 					return clampInt(n/c.Distinct, 1, n)
 				}
 			}
 			return 1
 		}
-		d = len(effective)
+		d = effective
 	}
 	if d <= 1 {
 		// Non-chain single-attribute preference: assume one maximal class.

@@ -29,7 +29,11 @@ type ShardPlan struct {
 	// cardinality.
 	PerShard    *Plan
 	ShardedCost float64
-	Reasons     []string
+
+	// What Explain words as the "because:" lines: the representative
+	// shard's candidates, the local maxima the merge folds, its
+	// cross-shard pairs and the waves of the fan-out.
+	repN, merged, pairs, waves int
 }
 
 // PlanShardedOn plans σ[P](S) over per-shard candidate subsets (nil
@@ -64,11 +68,7 @@ func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env E
 		dispatch = 1500 * float64(fanout)
 	}
 	sp.ShardedCost = float64(waves)*perShardCost + sp.mergeCost(merged, pairs) + dispatch
-
-	sp.Reasons = append(sp.Reasons,
-		fmt.Sprintf("%d shards × ≈%d candidates, fan-out %d, merge: %s fold over ≈%d local maxima, ≈%d cross-shard pairs",
-			s.NumShards(), repN, fanout, sp.Merge, merged, pairs),
-		fmt.Sprintf("estimated cost ≈%.3g (%d wave(s) × per-shard + merge + dispatch)", sp.ShardedCost, waves))
+	sp.repN, sp.merged, sp.pairs, sp.waves = repN, merged, pairs, waves
 	return sp
 }
 
@@ -92,7 +92,7 @@ func foldPairs(k, e int) int {
 	return e * e * k * (k - 1) / 2
 }
 
-// mergeCost estimates the cross-shard fold: one gathered bind (or tuple
+// mergeCost estimates the cross-shard fold: one carried record (or tuple
 // view) per local maximum, then the cross-shard pairs on the fold's
 // comparator, each settled in both directions — a lane in each sweep's
 // blocks, one three-way compare on flat records, two Less through the
@@ -119,8 +119,8 @@ func (sp *ShardPlan) Explain() string {
 	for _, line := range strings.Split(strings.TrimRight(sp.PerShard.Explain(), "\n"), "\n") {
 		fmt.Fprintf(&b, "  per-shard %s\n", line)
 	}
-	for _, r := range sp.Reasons {
-		fmt.Fprintf(&b, "because: %s\n", r)
-	}
+	fmt.Fprintf(&b, "because: %d shards × ≈%d candidates, fan-out %d, merge: %s fold over ≈%d local maxima, ≈%d cross-shard pairs\n",
+		sp.Shards, sp.repN, sp.Fanout, sp.Merge, sp.merged, sp.pairs)
+	fmt.Fprintf(&b, "because: estimated cost ≈%.3g (%d wave(s) × per-shard + merge + dispatch)\n", sp.ShardedCost, sp.waves)
 	return b.String()
 }

@@ -444,3 +444,31 @@ func TestPrioritizedEstimateFollowsTheHead(t *testing.T) {
 	within10x("discrete head", PlanWithInput(p, rel, rel.Len(), Env{}).EstResult, len(BMOIndices(p, rel, Auto)))
 	within10x("discrete head alone", PlanWithInput(pref.Prioritized(pref.LOWEST("grade"), pref.LOWEST("a")), rel, rel.Len(), Env{}).EstResult, 1)
 }
+
+// TestPlanCoreAllocs pins what planning a gathered flat shape allocates:
+// the Plan and its candidate list. The "because:" lines are words for
+// EXPLAIN only and are rendered by Explain, not by the planner on every
+// statement.
+func TestPlanCoreAllocs(t *testing.T) {
+	atProcs(t, 1)
+	rel := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
+	for _, p := range []pref.Preference{
+		pref.ParetoAll(pref.AROUND("d1", 0.4), pref.AROUND("d2", 0.6), pref.LOWEST("d3")),
+		pref.Prioritized(pref.Pareto(pref.AROUND("d1", 0.4), pref.LOWEST("d2")), pref.LOWEST("d3")),
+		pref.Prioritized(pref.LOWEST("d3"), pref.Pareto(pref.AROUND("d1", 0.4), pref.LOWEST("d2"))),
+	} {
+		for _, n := range []int{100, 300} { // below and above smallInput
+			pl := planCore(p, rel, n, Env{}, BindGathered) // the statistics build once
+			want := 1.0
+			if len(pl.Candidates) > 0 {
+				want = 2
+			}
+			if allocs := testing.AllocsPerRun(50, func() { planCore(p, rel, n, Env{}, BindGathered) }); allocs > want {
+				t.Errorf("%s over %d candidates: planCore makes %.0f allocations, want %.0f (the plan and its candidates)", p, n, allocs, want)
+			}
+			if !strings.Contains(pl.Explain(), "because: ") {
+				t.Errorf("%s over %d candidates: Explain lost its reasons:\n%s", p, n, pl.Explain())
+			}
+		}
+	}
+}

@@ -294,10 +294,14 @@ func TestShardedResultCacheAgreement(t *testing.T) {
 
 // TestGatheredEntryOutlivesItsSlab: a result-cache entry built from a
 // gathered evaluation holds copies, never views, of the borrowed bound
-// form — its maxima and chain coordinates still read true after the slab
-// is released (poisoned, under this package's TestMain) and recycled by
-// later statements, the entry serves, and it carries across an insert on
-// exactly those coordinates — flat and per shard.
+// form — the fused scores of a flat bind — and its maxima and chain
+// coordinates still read true after the slab is released (poisoned, under
+// this package's TestMain) and recycled by later statements, the entry
+// serves, and it carries across an insert on exactly those coordinates —
+// flat and per shard. The cold sharded statement folds on the records its
+// shards carried (no part is bound again, and those records are released
+// and poisoned before the next statement reuses them); the served one,
+// whose shards evaluated nothing, binds each part's maxima for the fold.
 func TestGatheredEntryOutlivesItsSlab(t *testing.T) {
 	freshResultCache(t)
 	ResetCompileCache()
@@ -368,10 +372,13 @@ func TestGatheredEntryOutlivesItsSlab(t *testing.T) {
 			t.Fatalf("%s sharded: got %v want %v", when, oids, want)
 		}
 	}
-	g0 := GatheredBinds()
+	g0, f0 := GatheredBinds(), foldBinds.Load()
 	evalBoth("cold")
 	if got := GatheredBinds() - g0; got != 3 {
 		t.Fatalf("test premise: the flat run and both shards bind gathered, saw %d gathered binds", got)
+	}
+	if got := foldBinds.Load() - f0; got != 0 {
+		t.Fatalf("the cold fold bound %d parts again instead of reading the carried records", got)
 	}
 	// Other one-shot statements recycle the slabs the entries were built over.
 	for k := 0; k < 4; k++ {
@@ -384,7 +391,11 @@ func TestGatheredEntryOutlivesItsSlab(t *testing.T) {
 		checkEntry(fmt.Sprintf("shard %d", i), sh)
 	}
 	hits0, _, carried0 := resultcache.Stats()
+	f0 = foldBinds.Load()
 	evalBoth("served")
+	if got := foldBinds.Load() - f0; got != uint64(sharded.NumShards()) {
+		t.Fatalf("the served fold bound %d parts, want one per shard (%d): nothing was carried", got, sharded.NumShards())
+	}
 	// A newcomer that beats everything selected so far: the carry decides
 	// on the stored coordinates.
 	row := relation.Row{int64(10_000), -1.0, -1.0, int64(0)}

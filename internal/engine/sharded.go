@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/boundcache"
 	"repro/internal/faultinject"
@@ -20,11 +21,11 @@ import (
 // (each shard is a normal *Relation, so the compile caches serve its
 // bound forms independently) and the shard-local maxima — antichains, one
 // per shard — merge in one fold that tests cross-shard pairs only
-// (mergeShardMaxima): on the bound form of the gathered union for every
-// compilable term — two one-way sweeps per part through the AVX2 score
-// blocks when the form has a flat shape and the kernel is on, three-way
-// tests on flat records or the predicate tree otherwise — and on tuple
-// views for the rest.
+// (mergeShardMaxima): on the records the shards' evaluations carried out
+// for a term of the flat fragment — two one-way sweeps per part through
+// the AVX2 score blocks when the kernel is on, three-way tests on flat
+// records otherwise — on the predicate tree bound over the gathered union
+// for the rest of the compilable fragment, and on tuple views beyond it.
 
 // ShardSets is a per-shard list of candidate row positions, aligned with
 // the sharded table's shard indices: the sharded counterpart of the flat
@@ -138,18 +139,22 @@ func intersectSorted(a, b []int) []int {
 // local maxima are an antichain — every pair inside one shard is already
 // settled — and the merge is a fold over the parts that tests cross-shard
 // pairs only (antichainFold): no sort keys, no sort, never an intra-part
-// pair. The fold compares on what the union's bound form allows: a
+// pair. A term of the flat fragment folds on the records of the union
+// (unionRecords): each part's scores and tie keys as its shard's
+// evaluation carried them out (carried, aligned with the shards; nil
+// entries, or a nil carried, are bound flat from the part's rows), with
+// the slots and keys that meant something only inside one shard re-keyed
+// over the union — sweeping each side's rows through the other's score
+// blocks, or three-way on flat records without the AVX2 kernel. Any other
 // compilable term binds once over the gathered union of the local maxima
-// (nothing shard-local crosses the merge — scores derive from the rows'
-// column values, ties from the values themselves, the per-shard code
-// dictionaries being unrelated) and, when the form has a flat shape,
-// sweeps each side's rows through the other's score blocks (flat records
-// three-way without the AVX2 kernel), asks Compiled.Less otherwise; a term
-// outside the compilable fragment, or one that fails to bind, compares
-// tuple views with Preference.Less. The gathered form is borrowed memory,
-// returned when the fold is over. Input and output sets are per-shard
-// ascending; pairs is the number of cross-shard pairs the fold tested.
-func mergeShardMaxima(p pref.Preference, s *relation.Sharded, locals ShardSets) (out ShardSets, pairs int) {
+// (nothing shard-local crosses the merge: scores derive from the rows'
+// column values, ties from the values themselves) and asks
+// Compiled.Less; a term outside the compilable fragment, or one that
+// fails to bind, compares tuple views with Preference.Less. Borrowed
+// memory is returned when the fold is over; the carried records stay the
+// caller's. Input and output sets are per-shard ascending; pairs is the
+// number of cross-shard pairs the fold tested.
+func mergeShardMaxima(p pref.Preference, s *relation.Sharded, locals ShardSets, carried []*pref.FlatShape) (out ShardSets, pairs int) {
 	nonEmpty, total := 0, 0
 	for i := range locals {
 		if len(locals[i]) > 0 {
@@ -163,23 +168,31 @@ func mergeShardMaxima(p pref.Preference, s *relation.Sharded, locals ShardSets) 
 	// Slots number the union shard-major in list order, whichever
 	// comparator reads them.
 	var f antichainFold
-	if pref.Compilable(p) {
+	var fs *pref.FlatShape
+	if pref.FlatShaped(p) {
+		if fs = unionRecords(p, s, locals, carried); fs != nil {
+			defer releaseRecords(fs)
+		}
+	}
+	if fs == nil && pref.Compilable(p) {
 		g := s.Gather(locals).Borrow()
 		defer g.Release()
 		if c, ok := pref.Compile(p, g); ok {
-			switch fs := c.Flat(); {
-			case fs == nil:
+			if fs = c.Flat(); fs == nil {
 				f.less = c.Less
-			case AVX2Enabled():
-				exact := chainExact(c)
-				f.members, f.part = newBlockFilter(fs, exact), newBlockFilter(fs, exact)
-				defer f.members.release()
-				defer f.part.release()
-			default:
-				f.flat = newFlatKernel(fs, g.Len()+1)
-				defer f.flat.release()
 			}
 		}
+	}
+	switch {
+	case fs == nil:
+	case AVX2Enabled():
+		exact := chainExact(p, fs)
+		f.members, f.part = newBlockFilter(fs, exact), newBlockFilter(fs, exact)
+		defer f.members.release()
+		defer f.part.release()
+	default:
+		f.flat = newFlatKernel(fs, total+1)
+		defer f.flat.release()
 	}
 	switch {
 	case f.members != nil:
@@ -208,19 +221,71 @@ func mergeShardMaxima(p pref.Preference, s *relation.Sharded, locals ShardSets) 
 		lo += len(locals[i])
 	}
 	// The surviving slots ascend shard-major once sorted: walk the shards
-	// alongside.
+	// alongside, turning each slot into its shard's position in place, and
+	// hand every shard its run (capped: no append reaches the next one).
 	slices.Sort(f.rows)
 	out = make(ShardSets, s.NumShards())
-	shard, off := 0, 0
-	for _, slot := range f.rows {
+	shard, off, start := 0, 0, 0
+	for k, slot := range f.rows {
 		for slot >= off+len(locals[shard]) {
-			off += len(locals[shard])
+			out[shard] = f.rows[start:k:k]
+			start, off = k, off+len(locals[shard])
 			shard++
 		}
-		out[shard] = append(out[shard], locals[shard][slot-off])
+		f.rows[k] = locals[shard][slot-off]
 	}
+	out[shard] = f.rows[start:len(f.rows):len(f.rows)]
 	return ensureNonNil(out), f.pairs
 }
+
+// unionRecords assembles the records of the union of the local maxima of
+// a term in the flat fragment, slots numbered shard-major as the fold reads
+// them: a part's carried records where its shard's evaluation left them,
+// else a flat bind of the part's rows now (a result-cache hit, a group of
+// GroupByShardedOn). A NaN row's key already names its union slot
+// (AppendRows); a coded dimension is re-keyed over the union's values —
+// the per-shard dictionaries are unrelated — as Gathered.EqColumn keys
+// rows across shards. nil when some part's rows do not bind flat.
+func unionRecords(p pref.Preference, s *relation.Sharded, locals ShardSets, carried []*pref.FlatShape) *pref.FlatShape {
+	u := newRecords()
+	for i, local := range locals {
+		switch {
+		case len(local) == 0:
+		case carried != nil && carried[i] != nil:
+			u.AppendRows(carried[i], nil)
+		default:
+			foldBinds.Add(1)
+			g := s.Shard(i).Gather(local).Borrow()
+			c := bindFlat(p, g)
+			if c != nil {
+				u.AppendRows(c.Flat(), nil)
+				releaseForm(c)
+			}
+			g.Release()
+			if c == nil {
+				releaseRecords(u)
+				return nil
+			}
+		}
+	}
+	var union *relation.Gathered
+	for d := range u.Dims {
+		if dim := &u.Dims[d]; dim.Coded {
+			if union == nil {
+				union = s.Gather(locals)
+			}
+			codes, _ := union.EqColumn(dim.Attr)
+			for k, code := range codes {
+				dim.Tie.Keys[k] = uint64(code)
+			}
+		}
+	}
+	return u
+}
+
+// foldBinds counts the parts unionRecords had to bind because no records
+// were carried for them: none for a statement whose shards all evaluated.
+var foldBinds atomic.Uint64
 
 // antichainFold keeps W, the maxima of the union of the parts added so
 // far, and folds one more antichain L into it: every b ∈ L is tested
@@ -469,7 +534,7 @@ func GroupByShardedOn(ctx context.Context, p pref.Preference, groupAttrs []strin
 	}
 	out := make(ShardSets, s.NumShards())
 	for g := range groups {
-		merged, _ := mergeShardMaxima(p, s, locals[g])
+		merged, _ := mergeShardMaxima(p, s, locals[g], nil)
 		for i, win := range merged {
 			out[i] = append(out[i], win...)
 		}

@@ -100,6 +100,13 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 	if keep != nil {
 		accepted = make(ShardSets, s.NumShards())
 	}
+	// A term of the flat fragment carries each shard's local maxima into
+	// the fold as records, copied out of the form that evaluated them
+	// before its slab goes back: the fold binds nothing again.
+	var carried []*pref.FlatShape
+	if s.NumShards() > 1 && pref.FlatShaped(p) {
+		carried = make([]*pref.FlatShape, s.NumShards())
+	}
 	errs := relation.FanShardsCtx(ctx, s.NumShards(), rb.ShardTimeout, func(ictx context.Context, i int) error {
 		if sets.count(s, i) == 0 {
 			return nil // nothing to evaluate: the shard is not visited, so it cannot fail
@@ -124,13 +131,20 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 			if cand == nil {
 				cand = allIndices(shard.Len())
 			}
-			var keep func(evaluated)
-			if canServe {
-				keep = func(ev evaluated) { key.store(p, shard, where, ev) }
+			var done func(evaluated)
+			if canServe || carried != nil {
+				done = func(ev evaluated) {
+					if canServe {
+						key.store(p, shard, where, ev)
+					}
+					if carried != nil {
+						carried[i] = ev.records()
+					}
+				}
 			}
 			var err error
 			out, err = runCancellable(ictx, func(cc *canceller) []int {
-				return evalOn(keys.keyedTerm, shard, alg, EvalAuto, cand, cc, keep)
+				return evalOn(keys.keyedTerm, shard, alg, EvalAuto, cand, cc, done)
 			})
 			if err != nil {
 				return err
@@ -151,21 +165,35 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 	// canceller observes the dead context) and would race with any touch
 	// of its locals slot. Slots with a nil error slot are ordered after
 	// their worker's completion send; only those are read.
-	responsive := locals
+	responsive, records := locals, carried
 	if part != nil {
 		responsive = make(ShardSets, len(locals))
+		records = nil
+		if carried != nil {
+			records = make([]*pref.FlatShape, len(carried))
+		}
 		for i := range locals {
 			if errs[i] == nil {
 				responsive[i] = locals[i]
+				if records != nil {
+					records[i] = carried[i]
+				}
 			}
 		}
 	}
+	defer func() {
+		for _, rec := range records {
+			if rec != nil {
+				releaseRecords(rec)
+			}
+		}
+	}()
 	// The merge runs over already-reduced local maxima — cheap relative
 	// to the per-shard scans — and deliberately without the query
 	// context: under PolicyPartial the context may already be dead (that
 	// is *why* shards are missing), yet the responsive shards' merge
 	// must still complete to produce the partial result.
-	out, _ := mergeShardMaxima(p, s, responsive)
+	out, _ := mergeShardMaxima(p, s, responsive, records)
 	if keep != nil {
 		for i := range out {
 			if errs[i] == nil {

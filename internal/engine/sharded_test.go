@@ -500,7 +500,7 @@ func BenchmarkShardMerge(b *testing.B) {
 					var out ShardSets
 					var pairs int
 					for i := 0; i < b.N; i++ {
-						out, pairs = mergeShardMaxima(term.p, s, cut)
+						out, pairs = mergeShardMaxima(term.p, s, cut, nil)
 					}
 					b.ReportMetric(float64(pairs), "pairs/op")
 					b.ReportMetric(float64(out.Total(s)), "maxima")

@@ -15,7 +15,7 @@ type Pos struct {
 
 // POS constructs POS(A, POS-set{v1, …, vm}).
 func POS(attr string, posSet ...Value) *Pos {
-	return &Pos{singleAttr{attr}, NewValueSet(posSet...)}
+	return &Pos{oneAttr(attr), NewValueSet(posSet...)}
 }
 
 // PosSet returns the preference's set of favorite values.
@@ -46,7 +46,7 @@ type Neg struct {
 
 // NEG constructs NEG(A, NEG-set{v1, …, vm}).
 func NEG(attr string, negSet ...Value) *Neg {
-	return &Neg{singleAttr{attr}, NewValueSet(negSet...)}
+	return &Neg{oneAttr(attr), NewValueSet(negSet...)}
 }
 
 // NegSet returns the preference's set of disliked values.
@@ -83,7 +83,7 @@ func POSNEG(attr string, posSet, negSet []Value) (*PosNeg, error) {
 	if !ps.Disjoint(ns) {
 		return nil, fmt.Errorf("pref: POS/NEG(%s): POS-set %s and NEG-set %s are not disjoint", attr, ps, ns)
 	}
-	return &PosNeg{singleAttr{attr}, ps, ns}, nil
+	return &PosNeg{oneAttr(attr), ps, ns}, nil
 }
 
 // MustPOSNEG is POSNEG that panics on overlapping sets; for statically
@@ -138,7 +138,7 @@ func POSPOS(attr string, pos1, pos2 []Value) (*PosPos, error) {
 	if !s1.Disjoint(s2) {
 		return nil, fmt.Errorf("pref: POS/POS(%s): POS1-set %s and POS2-set %s are not disjoint", attr, s1, s2)
 	}
-	return &PosPos{singleAttr{attr}, s1, s2}, nil
+	return &PosPos{oneAttr(attr), s1, s2}, nil
 }
 
 // MustPOSPOS is POSPOS that panics on overlapping sets.
@@ -240,7 +240,7 @@ func EXPLICIT(attr string, edges []Edge) (*Explicit, error) {
 			return nil, fmt.Errorf("pref: EXPLICIT(%s): better-than graph contains a cycle through %s", attr, k)
 		}
 	}
-	return &Explicit{singleAttr{attr}, edges, closure, rng}, nil
+	return &Explicit{oneAttr(attr), edges, closure, rng}, nil
 }
 
 // MustEXPLICIT is EXPLICIT that panics on a cyclic graph.

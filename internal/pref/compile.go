@@ -81,13 +81,17 @@ type FloatLender interface {
 // vectors, ordinal codes and equality codes, plus the less/dominates
 // predicates over row positions. A Compiled is immutable after Compile and
 // safe for concurrent readers; it does not observe later source mutations.
+// A form a flat bind wrote (BindFlat) holds its flat shape and nothing
+// else — no predicate tree, no score-vector registry — and is its
+// caller's to bind again.
 type Compiled struct {
 	n    int
 	root cnode
 	p    Preference
 	// flat is the dominance-kernel descriptor of a term in the flat
-	// fragment (see flat.go), nil otherwise.
-	flat *FlatShape
+	// fragment (see flat.go) — shape, held in place — nil otherwise.
+	flat  *FlatShape
+	shape FlatShape
 
 	// scoreVecs maps every scorer-or-level sub-term to its materialized
 	// score vector ("higher is better"), keyed by term identity. The engine
@@ -129,10 +133,12 @@ func Compile(p Preference, src Source) (*Compiled, bool) {
 		n:         c.n,
 		root:      root,
 		p:         p,
-		flat:      c.flatShape(p),
 		scoreVecs: c.scoreVecs,
 		scoreInf:  c.scoreInf,
 		rankVecs:  make(map[Preference][]float64),
+	}
+	if c.flatShape(p, &cd.shape) {
+		cd.flat = &cd.shape
 	}
 	return cd, true
 }
@@ -146,7 +152,8 @@ func (cd *Compiled) Len() int { return cd.n }
 // — structurally identical — tree than the one the caller holds.
 func (cd *Compiled) Pref() Preference { return cd.p }
 
-// Less reports src.Tuple(i) <P src.Tuple(j) over the compiled columns.
+// Less reports src.Tuple(i) <P src.Tuple(j) over the compiled columns. A
+// form from BindFlat has no predicate tree: its callers compare on Flat().
 func (cd *Compiled) Less(i, j int) bool { return cd.root.less(i, j) }
 
 // Dominates reports that row i beats row j, i.e. j <P i.
@@ -690,12 +697,12 @@ func (c *compiler) eqSet(attrs []string) []Tie {
 
 // scoreFromColumn materializes a scorer leaf from a typed float column
 // when the source has one: a vector map with no boxing and no type
-// switches. score maps the on-scale value (nil: the value is its own
-// score); off-scale rows score −Inf. An identity score over a column
-// whose every row is on scale is the column's image itself, shared
-// instead of copied: the image is immutable for the source's lifetime
-// (per generation, or per gathered slab), as a lent vector is.
-func (c *compiler) scoreFromColumn(attr string, score func(float64) float64) (*scoreNode, InfCollapse, bool) {
+// switches. score maps the on-scale value; off-scale rows score −Inf. An
+// identity score (HIGHEST) over a column whose every row is on scale is
+// the column's image itself, shared instead of copied: the image is
+// immutable for the source's lifetime (per generation, or per gathered
+// slab), as a lent vector is.
+func (c *compiler) scoreFromColumn(attr string, score scaleScore) (*scoreNode, InfCollapse, bool) {
 	fc, ok := c.src.(FloatColumner)
 	if !ok {
 		return nil, InfCollapse{}, false
@@ -704,7 +711,7 @@ func (c *compiler) scoreFromColumn(attr string, score func(float64) float64) (*s
 	if !ok {
 		return nil, InfCollapse{}, false
 	}
-	shared := score == nil && !slices.Contains(onScale, false)
+	shared := score.kind == scaleValue && !slices.Contains(onScale, false)
 	s := vals
 	if !shared {
 		s = c.vector()
@@ -720,10 +727,8 @@ func (c *compiler) scoreFromColumn(attr string, score func(float64) float64) (*s
 		case shared: // s is the image: read for the witnesses, never written
 		case !onScale[i]:
 			s[i] = math.Inf(-1)
-		case score == nil:
-			s[i] = vals[i]
 		default:
-			s[i] = score(vals[i])
+			s[i] = score.of(vals[i])
 		}
 		if math.IsInf(s[i], 0) {
 			key := offScaleClass
@@ -773,13 +778,13 @@ func (c *compiler) scoreFromValues(attr string, score func(Value) float64) (*sco
 }
 
 // scorerLeaf compiles one built-in scorer, preferring the typed column
-// fast path (fast scores an on-scale column value; nil when the value is
-// its own score), and registers the score vector — with its
-// infinite-score collapse record — under the term's identity.
-func (c *compiler) scorerLeaf(p Preference, attr string, fast func(float64) float64, slow func(Value) float64) cnode {
-	node, ic, ok := c.scoreFromColumn(attr, fast)
+// path (score scores an on-scale column value) over the boxed values, and
+// registers the score vector — with its infinite-score collapse record —
+// under the term's identity.
+func (c *compiler) scorerLeaf(p Preference, attr string, score scaleScore) cnode {
+	node, ic, ok := c.scoreFromColumn(attr, score)
 	if !ok {
-		node, ic = c.scoreFromValues(attr, slow)
+		node, ic = c.scoreFromValues(attr, valueScore(p))
 	}
 	c.scoreVecs[p] = node.s
 	c.scoreInf[p] = ic
@@ -813,18 +818,10 @@ func (c *compiler) codedScorerLeaf(p Preference, attr string, score func(Value) 
 	return c.classScoreLeaf(p, attr, score)
 }
 
-// levelLeaf compiles a POS-family layer to its negated level vector: the
-// Definition 6 orders are weak orders by level, so i <P j iff
-// level(i) > level(j) iff −level(i) < −level(j). The level function runs
-// once per distinct value (via the equality codes), not once per row.
-func (c *compiler) levelLeaf(p Preference, attr string, level func(Value) int) cnode {
-	return c.classScoreLeaf(p, attr, func(v Value) float64 { return -float64(level(v)) })
-}
-
 // classScoreLeaf is the shared once-per-equality-class materialization
-// kernel of levelLeaf and codedScorerLeaf: score runs once per distinct
-// value class of the attribute's equality codes, with one tuple view per
-// class (not per row) and −Inf for rows lacking the attribute.
+// kernel of the POS-family layers and codedScorerLeaf: score runs once per
+// distinct value class of the attribute's equality codes, with one tuple
+// view per class (not per row) and −Inf for rows lacking the attribute.
 func (c *compiler) classScoreLeaf(p Preference, attr string, score func(Value) float64) cnode {
 	pres := c.presence(attr)
 	codes := c.eqVec(attr)
@@ -886,65 +883,113 @@ func (c *compiler) matrixLeaf(p Preference, attr string) (cnode, bool) {
 	return &matrixNode{pres: pres, code: codes, m: m, mat: mat}, true
 }
 
-// compile lowers one term of the compilable fragment.
-func (c *compiler) compile(p Preference) (cnode, bool) {
+// scaleScore is a built-in scorer's score of an on-scale column value,
+// held as data — the bind loops call nothing per row.
+type scaleScore struct {
+	kind   scaleKind
+	lo, up float64 // AROUND: the target in lo; BETWEEN: the interval
+}
+
+// scaleKind names the score function of a scaleScore.
+type scaleKind uint8
+
+// The built-in scorers' scale scores.
+const (
+	scaleValue   scaleKind = iota // HIGHEST: the value itself
+	scaleNegated                  // LOWEST: −v
+	scaleAround                   // AROUND z: −|v − z|
+	scaleBetween                  // BETWEEN [lo, up]: minus the distance to the interval
+)
+
+// of scores the on-scale value v.
+func (f scaleScore) of(v float64) float64 {
+	switch f.kind {
+	case scaleNegated:
+		return -v
+	case scaleAround:
+		return -math.Abs(v - f.lo)
+	case scaleBetween:
+		switch {
+		case v < f.lo:
+			return v - f.lo
+		case v > f.up:
+			return f.up - v
+		}
+		return 0
+	}
+	return v
+}
+
+// scorerOf returns a built-in scorer leaf's attribute with its score of an
+// on-scale column value; ok=false for every other term.
+func scorerOf(p Preference) (attr string, score scaleScore, ok bool) {
 	switch q := p.(type) {
 	case *Lowest:
-		return c.scorerLeaf(q, q.Attr(),
-			func(v float64) float64 { return -v },
-			func(v Value) float64 {
-				n, ok := toScale(v)
-				if !ok {
-					return math.Inf(-1)
-				}
-				return -n
-			}), true
+		return q.Attr(), scaleScore{kind: scaleNegated}, true
 	case *Highest:
-		return c.scorerLeaf(q, q.Attr(), nil,
-			func(v Value) float64 {
-				n, ok := toScale(v)
-				if !ok {
-					return math.Inf(-1)
-				}
-				return n
-			}), true
+		return q.Attr(), scaleScore{kind: scaleValue}, true
 	case *Around:
-		return c.scorerLeaf(q, q.Attr(),
-			func(v float64) float64 { return -math.Abs(v - q.z) },
-			func(v Value) float64 { return -q.Distance(v) }), true
+		return q.Attr(), scaleScore{kind: scaleAround, lo: q.z}, true
 	case *Between:
-		return c.scorerLeaf(q, q.Attr(),
-			func(v float64) float64 {
-				switch {
-				case v < q.low:
-					return v - q.low
-				case v > q.up:
-					return q.up - v
-				}
-				return 0
-			},
-			func(v Value) float64 { return -q.Distance(v) }), true
+		return q.Attr(), scaleScore{kind: scaleBetween, lo: q.low, up: q.up}, true
+	}
+	return "", scaleScore{}, false
+}
+
+// valueScore is a scorer leaf's score of a boxed value: the path of
+// sources without a float image of the attribute.
+func valueScore(p Preference) func(Value) float64 {
+	switch q := p.(type) {
+	case *Lowest:
+		return func(v Value) float64 {
+			n, ok := toScale(v)
+			if !ok {
+				return math.Inf(-1)
+			}
+			return -n
+		}
+	case *Highest:
+		return func(v Value) float64 {
+			n, ok := toScale(v)
+			if !ok {
+				return math.Inf(-1)
+			}
+			return n
+		}
+	case *Around:
+		return func(v Value) float64 { return -q.Distance(v) }
+	case *Between:
+		return func(v Value) float64 { return -q.Distance(v) }
+	}
+	return nil // scorerOf's leaves only
+}
+
+// classOf returns a leaf's attribute with its score of a domain value, for
+// the leaves scored once per value class: SCORE, and the POS-family layers
+// as their negated level — the Definition 6 orders are weak orders by
+// level, so i <P j iff level(i) > level(j) iff −level(i) < −level(j).
+// ok=false for every other term.
+func classOf(p Preference) (attr string, score func(Value) float64, ok bool) {
+	var level func(Value) int
+	switch q := p.(type) {
 	case *Score:
-		return c.codedScorerLeaf(q, q.Attr(),
-			func(v Value) float64 { return q.f(v) }), true
-	case *RankPref:
-		return c.compileRank(q)
+		return q.Attr(), func(v Value) float64 { return q.f(v) }, true
 	case *Pos:
-		return c.levelLeaf(q, q.Attr(), func(v Value) int {
+		level = func(v Value) int {
 			if q.posSet.Contains(v) {
 				return 0
 			}
 			return 1
-		}), true
+		}
 	case *Neg:
-		return c.levelLeaf(q, q.Attr(), func(v Value) int {
+		level = func(v Value) int {
 			if q.negSet.Contains(v) {
 				return 1
 			}
 			return 0
-		}), true
+		}
 	case *PosNeg:
-		return c.levelLeaf(q, q.Attr(), func(v Value) int {
+		level = func(v Value) int {
 			switch {
 			case q.posSet.Contains(v):
 				return 0
@@ -952,9 +997,9 @@ func (c *compiler) compile(p Preference) (cnode, bool) {
 				return 2
 			}
 			return 1
-		}), true
+		}
 	case *PosPos:
-		return c.levelLeaf(q, q.Attr(), func(v Value) int {
+		level = func(v Value) int {
 			switch {
 			case q.pos1.Contains(v):
 				return 0
@@ -962,7 +1007,29 @@ func (c *compiler) compile(p Preference) (cnode, bool) {
 				return 1
 			}
 			return 2
-		}), true
+		}
+	default:
+		return "", nil, false
+	}
+	return p.Attrs()[0], func(v Value) float64 { return -float64(level(v)) }, true
+}
+
+// compile lowers one term of the compilable fragment.
+func (c *compiler) compile(p Preference) (cnode, bool) {
+	if attr, score, ok := scorerOf(p); ok {
+		return c.scorerLeaf(p, attr, score), true
+	}
+	if attr, score, ok := classOf(p); ok {
+		if _, coded := p.(*Score); coded {
+			return c.codedScorerLeaf(p, attr, score), true
+		}
+		// The level function runs once per distinct value (via the
+		// equality codes), not once per row.
+		return c.classScoreLeaf(p, attr, score), true
+	}
+	switch q := p.(type) {
+	case *RankPref:
+		return c.compileRank(q)
 	case *Explicit:
 		return c.matrixLeaf(q, q.Attr())
 	case *LinearSumPref:

@@ -30,12 +30,12 @@ type Around struct {
 
 // AROUND constructs AROUND(A, z).
 func AROUND(attr string, z float64) *Around {
-	return &Around{singleAttr{attr}, z}
+	return &Around{oneAttr(attr), z}
 }
 
 // AROUNDTime constructs AROUND over a date/time target.
 func AROUNDTime(attr string, z time.Time) *Around {
-	return &Around{singleAttr{attr}, float64(z.Unix())}
+	return &Around{oneAttr(attr), float64(z.Unix())}
 }
 
 // Target returns z.
@@ -93,7 +93,7 @@ func BETWEEN(attr string, low, up float64) (*Between, error) {
 	if low > up {
 		return nil, fmt.Errorf("pref: BETWEEN(%s): low %v > up %v", attr, low, up)
 	}
-	return &Between{singleAttr{attr}, low, up}, nil
+	return &Between{oneAttr(attr), low, up}, nil
 }
 
 // MustBETWEEN is BETWEEN that panics on an inverted interval.
@@ -156,7 +156,7 @@ type Lowest struct {
 }
 
 // LOWEST constructs LOWEST(A).
-func LOWEST(attr string) *Lowest { return &Lowest{singleAttr{attr}} }
+func LOWEST(attr string) *Lowest { return &Lowest{oneAttr(attr)} }
 
 // ScoreOf implements Scorer via LOWEST ≼ SCORE with f(x) = −x.
 func (p *Lowest) ScoreOf(t Tuple) float64 {
@@ -194,7 +194,7 @@ type Highest struct {
 }
 
 // HIGHEST constructs HIGHEST(A).
-func HIGHEST(attr string) *Highest { return &Highest{singleAttr{attr}} }
+func HIGHEST(attr string) *Highest { return &Highest{oneAttr(attr)} }
 
 // ScoreOf implements Scorer via HIGHEST ≼ SCORE with f(x) = x.
 func (p *Highest) ScoreOf(t Tuple) float64 {
@@ -235,7 +235,7 @@ type Score struct {
 
 // SCORE constructs SCORE(A, f). The name labels f in rendered terms.
 func SCORE(attr, name string, f func(Value) float64) *Score {
-	return &Score{singleAttr{attr}, name, f}
+	return &Score{oneAttr(attr), name, f}
 }
 
 // Fn returns the scoring function.

@@ -48,12 +48,18 @@ func Indifferent(p Preference, x, y Tuple) bool {
 	return !p.Less(x, y) && !p.Less(y, x)
 }
 
-// singleAttr is embedded by all base preferences over one attribute.
+// singleAttr is embedded by all base preferences over one attribute. Its
+// attribute set is built once, with the term: binds and plans ask for it
+// per statement.
 type singleAttr struct {
-	attr string
+	attr  string
+	attrs []string
 }
 
-func (s singleAttr) Attrs() []string { return []string{s.attr} }
+// oneAttr returns the singleAttr of attr.
+func oneAttr(attr string) singleAttr { return singleAttr{attr, []string{attr}} }
+
+func (s singleAttr) Attrs() []string { return s.attrs }
 
 // Attr returns the single attribute a base preference is formulated on.
 func (s singleAttr) Attr() string { return s.attr }

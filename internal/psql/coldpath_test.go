@@ -18,14 +18,20 @@ import (
 // allocate 1.9 MB — six full-shard rank transforms plus a full-shard
 // bound form per shard, pinned by the compile cache afterwards. With the
 // gathered bind everything a statement allocates is proportional to its
-// ≈300 candidates per shard plus the WHERE bitmaps: ≈0.2 MB measured.
-// The bounds leave 2–3× headroom (the race detector inflates neither
-// figure by that much) and sit far below where a full-shard bind lands.
+// ≈300 candidates per shard plus the WHERE bitmaps, and with the fused
+// flat bind (scores and tie keys written into pooled memory, the fold
+// reading the records the shards carried, plan reasons left to EXPLAIN)
+// ≈23 KB and ≈142 allocations measured (≈78 KB and ≈210 under the race
+// detector, whose sync.Pool drops a share of what is put back). The
+// bounds sit 10–15 % above those figures (1.5× for the race detector's
+// bytes, which vary with what its pools drop): binding the merged maxima
+// again instead of folding the carried records costs ≈25 more
+// allocations and fails here.
 func TestColdSelectiveStatementAllocBound(t *testing.T) {
-	const (
-		maxBytesPerStatement  = 640 << 10
-		maxAllocsPerStatement = 1500
-	)
+	maxBytesPerStatement, maxAllocsPerStatement := uint64(26<<10), 157.0
+	if raceEnabled {
+		maxBytesPerStatement, maxAllocsPerStatement = 120<<10, 232
+	}
 	flat := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
 	sharded, err := relation.ShardRelation(flat, 2, relation.ByRange("d1", relation.RangeBounds(flat, "d1", 2)...))
 	if err != nil {
@@ -65,7 +71,7 @@ func TestColdSelectiveStatementAllocBound(t *testing.T) {
 		t.Errorf("cold selective statement allocates %d B, bound %d B", bytes, maxBytesPerStatement)
 	}
 	if allocs > maxAllocsPerStatement {
-		t.Errorf("cold selective statement makes %.0f allocations, bound %d", allocs, maxAllocsPerStatement)
+		t.Errorf("cold selective statement makes %.0f allocations, bound %.0f", allocs, maxAllocsPerStatement)
 	}
 }
 

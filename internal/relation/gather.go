@@ -19,15 +19,19 @@ import (
 // form addresses rows by SLOT (the candidate's position in the gathered
 // list), not by relation position.
 //
-// The same type serves the cross-shard merge: Sharded.Gather concatenates
-// per-shard position lists into one source, so the shards' local maxima
-// compare under one ordinary compiled form.
-//
+// A term of the flat fragment (pref.FlatShaped) asks for no such copy:
+// pref.BindFlat reads each part's own column image at the gathered
+// positions (Parts, FloatPart, EqPart) and writes only the scores and tie
+// keys the dominance kernel compares. The copies above serve the terms
+// outside that fragment — and the cross-shard merge of those, through
+// Sharded.Gather, which concatenates per-shard position lists into one
+// source so the shards' local maxima compare under one compiled form.
+
 // A statement seen once should leave no column garbage behind either: a
 // gathered source whose caller brackets it with Borrow and Release carves
 // every vector it hands out — float images, on-scale masks, the identity
-// slot list, and through pref.FloatLender the score vectors of the form
-// bound over it — from one slab taken from a pool and returned on Release.
+// slot list, and through pref.FloatLender and LendKeys the score vectors
+// and tie keys of the form bound over it — from one slab taken from a pool and returned on Release.
 
 // gatherFraction is the subset rule shared by every bind layer (BMO,
 // ranked scoring, BUT ONLY): a cold bind gathers when the candidates are
@@ -64,6 +68,7 @@ func GatherWorthwhile(m, n int) bool {
 type Gathered struct {
 	schema *Schema
 	parts  []gatherPart
+	one    [1]gatherPart // the parts of a source gathered from one relation
 	n      int
 	floats []gatheredFloats // the float images derived so far, a handful at most
 	eqs    map[int][]uint32
@@ -87,12 +92,15 @@ type gatherPart struct {
 // Gather returns the gathered source of the rows at the given positions
 // (no duplicates; the slice is borrowed for the source's lifetime).
 func (r *Relation) Gather(idx []int) *Gathered {
-	return &Gathered{
-		schema: r.schema,
-		parts:  []gatherPart{{g: r.cur(), idx: idx}},
-		n:      len(idx),
-	}
+	g := gatheredPool.Get().(*Gathered)
+	g.schema, g.one, g.n = r.schema, [1]gatherPart{{g: r.cur(), idx: idx}}, len(idx)
+	g.parts = g.one[:]
+	return g
 }
+
+// gatheredPool recycles the sources a Release hands back: a statement's
+// per-shard gathered binds reuse them the way they reuse slabs.
+var gatheredPool = sync.Pool{New: func() any { return new(Gathered) }}
 
 // Gather returns the gathered source of per-shard position lists, slots
 // numbered shard-major in list order (sets is aligned with the shard
@@ -119,16 +127,60 @@ func (g *Gathered) Borrow() *Gathered {
 	return g
 }
 
-// Release returns a borrowed slab to the pool; the source, its vectors
-// and the forms bound over it must not be touched again. Without a
-// preceding Borrow it does nothing.
+// Release returns a borrowed slab, and the source itself, to their pools;
+// the source, its vectors and the forms bound over it must not be touched
+// again. Without a preceding Borrow it does nothing.
 func (g *Gathered) Release() {
 	if g.slab == nil {
 		return
 	}
 	g.slab.reset()
 	slabPool.Put(g.slab)
-	g.slab, g.floats, g.eqs = nil, nil, nil
+	*g = Gathered{}
+	gatheredPool.Put(g)
+}
+
+// LendKeys implements pref.PositionSource: a length-n key vector of
+// unspecified content with the source's lifetime — the tie keys of a flat
+// bind.
+func (g *Gathered) LendKeys(n int) []uint64 {
+	if g.slab == nil {
+		return make([]uint64, n)
+	}
+	return g.slab.words.carve(n)
+}
+
+// Parts implements pref.PositionSource: one part per relation gathered
+// from.
+func (g *Gathered) Parts() int { return len(g.parts) }
+
+// FloatPart implements pref.PositionSource: part k's positions over its
+// pinned generation's float image and on-scale mask — the images
+// themselves, nothing copied; numeric for INT and FLOAT columns.
+func (g *Gathered) FloatPart(k int, name string) (part pref.ColumnPart, numeric, ok bool) {
+	p := g.parts[k]
+	vals, onScale, ok := p.g.floatColumn(g.schema, name)
+	if !ok {
+		return pref.ColumnPart{}, false, false
+	}
+	ci, _ := g.schema.Index(name)
+	return pref.ColumnPart{Off: p.off, At: p.idx, Vals: vals, OnScale: onScale}, numericType(g.schema.Col(ci).Type), true
+}
+
+// EqPart implements pref.PositionSource: the positions over the
+// generation's equality codes. Codes compare only within one generation,
+// so a source gathered across relations has none (ok=false; EqColumn
+// re-keys over raw values instead).
+func (g *Gathered) EqPart(k int, name string) (pref.ColumnPart, bool) {
+	if len(g.parts) != 1 {
+		return pref.ColumnPart{}, false
+	}
+	p := g.parts[k]
+	codes, ok := p.g.eqColumn(g.schema, name)
+	if !ok {
+		return pref.ColumnPart{}, false
+	}
+	return pref.ColumnPart{Off: p.off, At: p.idx, Codes: codes}, true
 }
 
 // LendFloats implements pref.FloatLender: a length-n vector of unspecified
@@ -282,6 +334,7 @@ type slab struct {
 	floats arena[float64]
 	bools  arena[bool]
 	ints   arena[int]
+	words  arena[uint64]
 }
 
 var slabPool = sync.Pool{New: func() any { return new(slab) }}
@@ -337,6 +390,11 @@ func (s *slab) reset() {
 			v[i] = -1
 		}
 	})
+	s.words.reset(func(v []uint64) {
+		for i := range v {
+			v[i] = uint64(i) // no two keys alike: every poisoned tie is unequal
+		}
+	})
 }
 
 // poisonReleased makes Release scribble over everything the slab handed
@@ -345,6 +403,10 @@ func (s *slab) reset() {
 var poisonReleased atomic.Bool
 
 // PoisonReleasedSlabs is the use-after-release guard of the test suites:
-// while on, a released slab's floats read NaN, its masks are flipped and
-// its slot lists hold -1. It returns the previous setting.
+// while on, a released slab's floats read NaN, its masks are flipped, its
+// slot lists hold -1 and its key vectors hold no two equal keys. It returns the previous setting.
 func PoisonReleasedSlabs(on bool) (was bool) { return poisonReleased.Swap(on) }
+
+// PoisonsReleased reports whether the use-after-release guard is on, for
+// pools outside this package that hand back statement memory the same way.
+func PoisonsReleased() bool { return poisonReleased.Load() }
