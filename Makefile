@@ -30,9 +30,10 @@ test-noavx2:
 # one-pass selection against Pred.Eval, the boundcache admission order
 # with its flat-in-capacity cost, the cross-shard fold against the oracle
 # on each of its comparators (no intra-part pair, pairs ≤ Σ|W|·|Lᵢ|), the
-# sorted pass (score-sum order, blocked one-way filter) against the window
-# pass and the oracle on the edge rows with its named cases and re-check
-# counts, the block kernel's verdicts against the masked model, the routes
+# sorted pass (score-sum order, blocked one-way filter) and the window
+# pass on records and on blocks against the oracle on the edge rows with
+# their named cases and re-check counts, the block kernel's verdicts on
+# its store and its negated mirror against the masked model, the routes
 # the planner gives the served statement shapes with EXPLAIN before == what
 # ran == EXPLAIN after, and the SKYLINE OF chain products' routes at one
 # and two Ps against the BNL oracle with EXPLAIN's algorithm, workers and
@@ -121,8 +122,8 @@ bench:
 # The micro-benchmarks of the one-shot statement path, with B/op and
 # allocs/op: a first-seen selective BMO statement end to end below the
 # wire, one pass over a statement's candidates per comparator (window pass
-# on tree and records, sorted pass on records and blocks, with pairs/op or
-# lanes/op), the cross-shard fold alone (2–8 parts × 16–2048 local maxima,
+# on tree, records and blocks, sorted pass on records and blocks, with
+# pairs/op or lanes/op, on the cold_skyline and durable_paged shapes), the cross-shard fold alone (2–8 parts × 16–2048 local maxima,
 # blocked sweeps, flat and tree, with its pairs/op), one admission into
 # a full boundcache at two capacities (which must cost the same), and the
 # paged row read a statement ends in (Pick of 1/37/300 rows from a store

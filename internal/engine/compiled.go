@@ -27,9 +27,12 @@ import (
 // loop and the cross-shard sweeps) first puts the candidates in an order
 // no dominated row precedes its dominator in, then tests each against the
 // confirmed maxima only. For the flat fragment that order costs one pass
-// over the scores and one word sort (sumOrder), and the test runs eight
-// maxima at a time on the AVX2 score blocks, exact on ties; which pass a
-// statement gets is the planner's cost comparison (planCore).
+// over the scores and one word sort (sumOrder). Both kinds test eight rows
+// at a time on the AVX2 score blocks, exact on ties — the window pass on
+// the blocks and their negated mirror, one kernel answering both
+// directions (maximaFilter.window), unless its head group is a single
+// leaf; which pass a statement gets is the planner's cost comparison
+// (planCore).
 
 // EvalMode selects between compiled columnar and interpreted tuple-at-a-
 // time evaluation.
@@ -110,15 +113,23 @@ func naiveCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
 }
 
 // bnlCompiled is block-nested-loops over compiled columns: the window
-// invariant of bnl with zero allocation per candidate. A form with a flat
-// shape keeps the window as row-major records and settles each
-// (candidate, window member) pair with one three-way compare; any other
-// form asks the predicate tree in both directions.
+// invariant of bnl with zero allocation per candidate, on the comparator
+// dominanceFor names. A form with a flat shape keeps the window in the
+// AVX2 score blocks when its head group has two or more leaves and the
+// kernel is on (maximaFilter.window), as row-major records settling each
+// (candidate, window member) pair with one three-way compare otherwise;
+// any other form asks the predicate tree in both directions.
 func bnlCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
-	if fs := c.Flat(); fs != nil {
-		return bnlFlat(fs, idx, cc)
+	fs := c.Flat()
+	switch {
+	case fs == nil:
+		return bnlTree(c, idx, cc)
+	case dominanceFor(fs.Ends[0], BNL) == DominanceBlocksAVX2:
+		f := newBlockFilter(fs, chainExact(c.Pref(), fs))
+		defer f.release()
+		return f.window(idx, cc)
 	}
-	return bnlTree(c, idx, cc)
+	return bnlFlat(fs, idx, cc)
 }
 
 // bnlTree is the window pass through the compiled predicate tree.
@@ -189,17 +200,21 @@ candidates:
 // needs testing one way only, against the maxima confirmed so far, and
 // nothing is ever evicted — on the cheapest comparator the form allows
 // (maximaFilter). A form with a flat shape derives its order in one pass
-// over the candidates' scores (sumOrder) and takes the window pass where a
-// NaN leaves that order undefined; any other keyed form sorts on the bound
-// form's dense-rank key vectors. Order, scratch and the maxima store are
-// the filter's pooled memory: the pass allocates its result and nothing
-// else. Falls back to the window pass when the term has no compatible key.
+// over the candidates' scores (sumOrder) and takes the window pass on the
+// same comparator where a NaN leaves that order undefined; any other keyed
+// form sorts on the bound form's dense-rank key vectors. Order, scratch
+// and the maxima store are the filter's pooled memory: the pass allocates
+// its result and nothing else. Falls back to the window pass when the
+// term has no compatible key.
 func sfsCompiled(c *pref.Compiled, idx []int, cc *canceller) []int {
 	cc.check()
 	f := newMaximaFilter(c)
 	defer f.release()
 	if fs := c.Flat(); fs != nil {
 		if !f.sumOrder(fs, idx) {
+			if f.leg == DominanceBlocksAVX2 {
+				return f.window(idx, cc)
+			}
 			return bnlFlat(fs, idx, cc)
 		}
 	} else {
@@ -315,7 +330,7 @@ const filterBlock = 8
 // knows no later row can beat an earlier one — sfsCompiled's filter pass,
 // the progressive stream's confirm loop, the two sweeps of the cross-shard
 // fold — together with that pass's scratch, over one of three comparators
-// (leg):
+// (leg); on the blocks leg it is also the window pass's store (window).
 //
 // Blocks (DominanceBlocksAVX2): every flat shape while the AVX2 kernel is
 // on. The maxima's head-group scores sit in a blocked column-major store —
@@ -338,13 +353,20 @@ const filterBlock = 8
 // (no stored row with a NaN can beat a candidate without one — equal
 // values score alike).
 //
+// A window pass asks the other direction too: which stored rows the
+// candidate beats. Its mirror store holds the same lanes negated, where
+// −m ≥ −c is m ≤ c, so the same kernel answers it with the same verdict
+// rule, the candidate's negated scores as its operand (negation keeps NaN
+// NaN and turns +0 into −0, which EQ_OQ still ties with +0).
+//
 // Flat (DominanceFlat): the flat kernel's committed records, for flat
 // shapes without the AVX2 kernel. Tree (DominanceTree): row positions the
 // predicate tree is asked about pair by pair, for everything else.
 //
 // rows lists the confirmed maxima in confirmation order on every leg (on
-// the blocks leg, lane order). A filter comes from filterPool and goes
-// back on release; only backing arrays survive the round trip.
+// the blocks leg, lane order; a window pass keeps its window there). A
+// filter comes from filterPool and goes back on release; only backing
+// arrays survive the round trip.
 type maximaFilter struct {
 	leg  Dominance
 	flat *flatKernel    // the flat leg's records
@@ -361,6 +383,12 @@ type maximaFilter struct {
 	cand    []float64
 	lanes   int // lanes offered to the kernel so far
 	checks  int // pairs sent to flatBeats so far
+
+	// A window pass's mirror: the store negated, the candidate's scores
+	// negated, and the lanes the candidate beats.
+	mirror []float64
+	neg    []float64
+	beaten []int
 
 	// Scratch of a sorted pass: sort words and the visit order.
 	words []uint64
@@ -401,7 +429,8 @@ func newBlockFilter(fs *pref.FlatShape, exact bool) *maximaFilter {
 	if len(fs.Ends) > 1 {
 		f.strict0 = -1
 	}
-	f.rows, f.blocks, f.cand = f.rows[:0], f.blocks[:0], slices.Grow(f.cand[:0], f.w)[:f.w]
+	f.rows, f.blocks, f.mirror = f.rows[:0], f.blocks[:0], f.mirror[:0]
+	f.cand, f.neg = slices.Grow(f.cand[:0], f.w)[:f.w], slices.Grow(f.neg[:0], f.w)[:f.w]
 	return f
 }
 
@@ -482,23 +511,146 @@ func (f *maximaFilter) blockDominated(i int) bool {
 func (f *maximaFilter) confirm(i int) {
 	switch f.leg {
 	case DominanceBlocksAVX2:
-		n := len(f.rows)
-		lane := n % filterBlock
-		if lane == 0 {
-			// A new block, NaN in every lane until a maximum moves in.
-			f.blocks = slices.Grow(f.blocks, f.w*filterBlock)[:len(f.blocks)+f.w*filterBlock]
-			for x := len(f.blocks) - f.w*filterBlock; x < len(f.blocks); x++ {
-				f.blocks[x] = math.NaN()
-			}
-		}
-		base := n / filterBlock * f.w * filterBlock
-		for k := 0; k < f.w; k++ {
-			f.blocks[base+k*filterBlock+lane] = f.fs.Dims[k].Score[i]
-		}
+		f.blocks = f.putLane(f.blocks, len(f.rows), i, 1)
 	case DominanceFlat:
 		f.flat.commit() // the candidate dominated staged
 	}
 	f.rows = append(f.rows, i)
+}
+
+// putLane writes row i's head-group scores times sign (1, or −1 for the
+// mirror) into lane n of a blocked store, opening a block — NaN in every
+// lane until a row moves in — when lane n starts one.
+func (f *maximaFilter) putLane(store []float64, n, i int, sign float64) []float64 {
+	if n%filterBlock == 0 {
+		stride := f.w * filterBlock
+		store = slices.Grow(store, stride)[:len(store)+stride]
+		for x := len(store) - stride; x < len(store); x++ {
+			store[x] = math.NaN()
+		}
+	}
+	at := f.laneAt(n)
+	for k := 0; k < f.w; k++ {
+		store[at+k*filterBlock] = sign * f.fs.Dims[k].Score[i]
+	}
+	return store
+}
+
+// laneAt is the offset of lane n's first dimension in a blocked store.
+func (f *maximaFilter) laneAt(n int) int {
+	return n/filterBlock*f.w*filterBlock + n%filterBlock
+}
+
+// window is the window pass on the blocks leg — bnlCompiled's for a flat
+// shape with a wide head group, and sfsCompiled's where a NaN leaves the
+// sum order undefined: each candidate is tested against the window on the
+// store, and one that no window row beats evicts the rows it beats, found
+// on the mirror, before it joins. The stores and the row list are the
+// filter's pooled memory; the pass allocates its result.
+func (f *maximaFilter) window(idx []int, cc *canceller) []int {
+	dominanceRuns[DominanceBlocksAVX2].Add(1)
+	for _, i := range idx {
+		cc.tick()
+		if f.blockDominated(i) {
+			// Beaten: by transitivity the candidate beats no window row.
+			continue
+		}
+		f.evict(i)
+		f.mirror = f.putLane(f.mirror, len(f.rows), i, -1)
+		f.confirm(i)
+	}
+	result := slices.Clone(f.rows)
+	slices.Sort(result)
+	return result
+}
+
+// evict drops the window rows candidate i beats, by the verdict rule of
+// blockDominated with the roles swapped: the kernel runs on the mirror
+// with i's negated scores, a NaN among them settles every pair on the
+// records, and a reported lane that tied goes to flatBeats(i, m). f.cand
+// holds i's scores: blockDominated loaded them.
+func (f *maximaFilter) evict(i int) {
+	n := len(f.rows)
+	if n == 0 {
+		return
+	}
+	nan := false
+	for k, v := range f.cand {
+		f.neg[k] = -v
+		nan = nan || v != v
+	}
+	beaten := f.beaten[:0]
+	if nan {
+		for lane, m := range f.rows {
+			f.lanes++
+			f.checks++
+			if flatBeats(f.fs, i, m) {
+				beaten = append(beaten, lane)
+			}
+		}
+	} else {
+		f.lanes += n // the sweep always runs to the last block
+		stride := f.w * filterBlock
+		nblocks := (n + filterBlock - 1) / filterBlock
+		for b := 0; b < nblocks; {
+			v := dominatingBlockAVX2(&f.neg[0], f.w, &f.mirror[b*stride], nblocks-b, f.strict0)
+			if v < 0 {
+				break
+			}
+			hit := b + int(v>>16)
+			dom, tied := uint8(v>>8), uint8(v)
+			if f.exact {
+				tied = 0
+			}
+			for ; dom != 0; dom &= dom - 1 {
+				lane := bits.TrailingZeros8(dom)
+				at := hit*filterBlock + lane
+				if tied&(1<<lane) != 0 {
+					f.checks++
+					if !flatBeats(f.fs, i, f.rows[at]) {
+						continue
+					}
+				}
+				beaten = append(beaten, at)
+			}
+			b = hit + 1
+		}
+	}
+	if len(beaten) > 0 {
+		f.compact(beaten)
+	}
+	f.beaten = beaten
+}
+
+// compact removes the window rows in lanes gone (ascending) from both
+// stores and from rows in place, sliding the rows behind each gap forward
+// — window order is immaterial to the result, and kept it is age order,
+// as on records: the long-standing rows, which beat the most candidates,
+// stay in the first blocks the kernel scans — then pads the freed lanes
+// of the last block with NaN and drops the blocks left empty.
+func (f *maximaFilter) compact(gone []int) {
+	n, keep := len(f.rows), gone[0]
+	for l, g := keep, 0; l < n; l++ {
+		if g < len(gone) && gone[g] == l {
+			g++
+			continue
+		}
+		from, to := f.laneAt(l), f.laneAt(keep)
+		for k := 0; k < f.w*filterBlock; k += filterBlock {
+			f.blocks[to+k], f.mirror[to+k] = f.blocks[from+k], f.mirror[from+k]
+		}
+		f.rows[keep] = f.rows[l]
+		keep++
+	}
+	f.rows = f.rows[:keep]
+	size := (keep + filterBlock - 1) / filterBlock * f.w * filterBlock
+	f.blocks, f.mirror = f.blocks[:size], f.mirror[:size]
+	for l := keep; l%filterBlock != 0; l++ {
+		at := f.laneAt(l)
+		for k := 0; k < f.w*filterBlock; k += filterBlock {
+			f.blocks[at+k], f.mirror[at+k] = math.NaN(), math.NaN()
+		}
+	}
 }
 
 // reset empties the maxima of a filter on the blocks leg.

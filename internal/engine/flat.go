@@ -300,12 +300,15 @@ const (
 	// every term outside the flat fragment.
 	DominanceTree Dominance = iota
 	// DominanceFlat is the row-major three-way record kernel (flat.go):
-	// the flat fragment.
+	// the flat fragment wherever the blocks do not run — the kernel off, a
+	// window pass under a single-leaf head group, the exhaustive reference.
 	DominanceFlat
-	// DominanceBlocksAVX2 is the blocked AVX2 candidate-vs-maxima filter
-	// over head-group scores (maximaFilter, kernel_amd64.s): the one-way
+	// DominanceBlocksAVX2 is the blocked AVX2 kernel over head-group
+	// scores (maximaFilter, kernel_amd64.s) when it is enabled: the one-way
 	// passes — sort-filter, stream confirm, the cross-shard sweeps — over
-	// the flat fragment when the kernel is enabled.
+	// the flat fragment, and its window passes whose head group has two or
+	// more leaves, which ask the kernel both directions (a store and its
+	// negated mirror).
 	DominanceBlocksAVX2
 )
 
@@ -323,30 +326,49 @@ func (d Dominance) String() string {
 // dominanceOf is the one structural rule for which comparator a compiled
 // run of alg over term p uses: the planner prices it, EXPLAIN reports it,
 // and execution applies the same predicates in the same order
-// (newMaximaFilter: pref.FlatShaped inside pref.Compile, then the AVX2
-// flag). Two data-dependent demotions happen at run time and are not
-// visible here: a NaN among the candidates' scores takes a sorted pass to
-// the window pass on flat records (sumOrder), and a presence-masked leaf (a
-// generic source whose tuples lack an attribute) takes a flat term to the
-// tree.
+// (newMaximaFilter and bnlCompiled: pref.FlatShaped inside pref.Compile,
+// the head group's width, then the AVX2 flag). One data-dependent
+// demotion happens at run time and is not visible here: a presence-masked
+// leaf (a generic source whose tuples lack an attribute) takes a flat
+// term to the tree.
 func dominanceOf(p pref.Preference, alg Algorithm) Dominance {
-	return dominanceFor(pref.FlatShaped(p), alg)
+	return dominanceFor(flatHead(p), alg)
 }
 
 // dominanceFor is dominanceOf over the structural fact it needs, for
-// callers that already hold it.
-func dominanceFor(flat bool, alg Algorithm) Dominance {
+// callers that already hold it: head is the width of the term's head
+// group, 0 outside the flat fragment. A window pass whose head group is a
+// single leaf stays on records: its window is the few rows sharing the
+// best head score, and the record compare settles a pair with one column
+// read, where the blocks would pay a kernel call per candidate.
+func dominanceFor(head int, alg Algorithm) Dominance {
 	switch {
-	case flat && alg == SFS && AVX2Enabled():
+	case head == 0:
+		return DominanceTree
+	case AVX2Enabled() && (alg == SFS || alg == BNL && head > 1):
 		return DominanceBlocksAVX2
-	case flat:
-		return DominanceFlat
 	}
-	return DominanceTree
+	return DominanceFlat
+}
+
+// flatHead is the width of a term's head group — the leaves of the first
+// operand of its prioritized chain — or 0 when the term is outside the
+// flat fragment.
+func flatHead(p pref.Preference) int {
+	if !pref.FlatShaped(p) {
+		return 0
+	}
+	for {
+		q, ok := p.(*pref.PrioritizedPref)
+		if !ok {
+			return keyLeaves(p)
+		}
+		p = q.Left()
+	}
 }
 
 // dominanceRuns counts algorithm passes per comparator that actually ran
-// (after the run-time demotions dominanceOf cannot see).
+// (after the run-time demotion dominanceOf cannot see).
 var dominanceRuns [DominanceBlocksAVX2 + 1]atomic.Uint64
 
 // DominanceRuns returns the cumulative number of compiled algorithm

@@ -118,7 +118,9 @@ func interpretedOrder(p pref.Preference, x, y pref.Tuple) order {
 // gathered subset, a cross-shard merge source — and holds the flat
 // kernel's three-way outcome on every pair of rows to the predicate tree
 // (Less both ways) and to the interpreted preference plus projection
-// equality; the outcome is antisymmetric and a row equals itself.
+// equality; the outcome is antisymmetric and a row equals itself; and the
+// window pass, on records and on the score blocks, keeps the rows the
+// tree finds unbeaten.
 func checkKernelPairs(t *testing.T, what string, p pref.Preference, src pref.Source) {
 	t.Helper()
 	c, ok := pref.Compile(p, src)
@@ -159,6 +161,19 @@ func checkKernelPairs(t *testing.T, what string, p pref.Preference, src pref.Sou
 			if outcome[j][i] != mirrorOrder[got] {
 				t.Fatalf("%s %s: rows %d,%d: %d one way, %d back", what, p, i, j, got, outcome[j][i])
 			}
+		}
+	}
+	// The window pass keeps exactly the rows the tree finds unbeaten, on
+	// records and on the score blocks.
+	var want []int
+	for i := range all {
+		if !slices.ContainsFunc(all, func(j int) bool { return c.Less(i, j) }) {
+			want = append(want, i)
+		}
+	}
+	for _, blocks := range []bool{false, AVX2Available()} {
+		if got := windowOn(c, blocks, all); !sameInts(got, want) {
+			t.Fatalf("%s %s: window pass (blocks %v) keeps %v, the tree %v", what, p, blocks, got, want)
 		}
 	}
 }
@@ -322,7 +337,8 @@ func TestNumericFlatTermBindsWithoutCodes(t *testing.T) {
 // seconds, strings, bulk ties, duplicates — the sorted pass (score-sum
 // order, one-way filter) on score blocks and on flat records, the same
 // filter under the stream's rank-key order (which also visits the NaN rows
-// the sum order hands to the window pass), and the window pass all return
+// the sum order hands to the window pass), and the window pass on records
+// and on score blocks all return
 // the interpreted BNL oracle's maxima: single-group and multi-group shapes,
 // whole-relation and gathered binds, in memory and paged.
 func TestFlatKernelSortedPassOnEdgeRows(t *testing.T) {
@@ -343,8 +359,10 @@ func TestFlatKernelSortedPassOnEdgeRows(t *testing.T) {
 		keys, _ := c.SortKeys()
 		order := slices.Clone(idx)
 		slices.SortFunc(order, func(a, b int) int { return cmpKeyColumns(keys, a, b) })
-		if got := oidsOf(oid, bnlFlat(c.Flat(), idx, nil)); !sameInts(got, want) {
-			t.Fatalf("%s %s, window pass:\n got %v\nwant %v", what, p, got, want)
+		for _, blocks := range []bool{false, AVX2Available()} {
+			if got := oidsOf(oid, windowOn(c, blocks, idx)); !sameInts(got, want) {
+				t.Fatalf("%s %s, window pass (blocks %v):\n got %v\nwant %v", what, p, blocks, got, want)
+			}
 		}
 		for _, leg := range legs {
 			SetAVX2Enabled(leg == DominanceBlocksAVX2)
@@ -399,7 +417,11 @@ func TestFlatKernelSortedPassOnEdgeRows(t *testing.T) {
 }
 
 // TestFlatKernelSortedPassNamedCases: the instances a naive sorted pass
-// gets wrong, each on both one-way comparators.
+// gets wrong, each on both one-way comparators, and the window pass on
+// records and on the score blocks over the same rows — with the window
+// shapes the blocks must get right: an eviction that empties the first
+// or the last block, one that empties the whole window, a window past 8,
+// 16 and 24 lanes.
 func TestFlatKernelSortedPassNamedCases(t *testing.T) {
 	prev := AVX2Enabled()
 	defer SetAVX2Enabled(prev)
@@ -408,6 +430,14 @@ func TestFlatKernelSortedPassNamedCases(t *testing.T) {
 		relation.Column{Name: "b", Type: relation.Float},
 	)
 	inf := math.Inf(-1)
+	trade := pref.Pareto(pref.HIGHEST("a"), pref.HIGHEST("b"))
+	antichain := func(k int) []relation.Row {
+		rows := make([]relation.Row, k)
+		for i := range rows {
+			rows[i] = relation.Row{float64(i), float64(k - 1 - i)}
+		}
+		return rows
+	}
 	for _, c := range []struct {
 		name   string
 		p      pref.Preference
@@ -434,6 +464,14 @@ func TestFlatKernelSortedPassNamedCases(t *testing.T) {
 		// and only between those.
 		{"head group equal", pref.Prioritized(pref.Pareto(pref.AROUND("a", 5), pref.LOWEST("b")), pref.HIGHEST("a")),
 			[]relation.Row{{4.0, 0.0}, {6.0, 0.0}, {4.0, 0.0}, {6.0, 1.0}}, []int{0, 1, 2}, 4},
+		// Window shapes: an antichain of k rows (a + b = k − 1) fills k
+		// lanes; a row after it beats the ones it is ≥ on.
+		{"window past 8, 16 and 24 lanes", trade, antichain(30), allIndices(30), 0},
+		{"eviction empties the first block", trade, append(antichain(16), relation.Row{7.0, 15.0}),
+			allIndices(17)[8:], 0},
+		{"eviction empties the last block", trade, append(antichain(16), relation.Row{15.0, 7.0}),
+			append(allIndices(8), 16), 0},
+		{"eviction empties the window", trade, append(antichain(30), relation.Row{30.0, 30.0}), []int{30}, 0},
 	} {
 		rel := relation.New("R", schema)
 		rel.MustInsert(c.rows...)
@@ -459,17 +497,33 @@ func TestFlatKernelSortedPassNamedCases(t *testing.T) {
 			if n := blockRechecks.Load() - checks; avx2 && n != c.checks {
 				t.Errorf("%s: %d pairs re-checked on records, want %d", c.name, n, c.checks)
 			}
+			if got := windowOn(cp, avx2, allIndices(rel.Len())); !sameInts(got, c.want) {
+				t.Fatalf("%s (avx2 %v): window pass returns %v, want %v", c.name, avx2, got, c.want)
+			}
 		}
 	}
+}
+
+// windowOn runs the window pass over idx on the score blocks (blocks) or
+// on records, whatever the head group's width.
+func windowOn(c *pref.Compiled, blocks bool, idx []int) []int {
+	if !blocks {
+		return bnlFlat(c.Flat(), idx, nil)
+	}
+	f := newBlockFilter(c.Flat(), chainExact(c.Pref(), c.Flat()))
+	defer f.release()
+	return f.window(idx, nil)
 }
 
 // TestFlatKernelSortedPassNaNScores: a score can be NaN on a value that is
 // not — a SCORE function undefined on part of its domain, an AROUND anchor
 // that is NaN — and then two rows of that value are still equal on the
 // dimension: the one tie scores cannot see. The sum order must stand down
-// (lexicographic comparison is not an order across NaN), and a candidate
-// with a NaN head score must be settled pair by pair rather than through
-// the blocks, where every lane would die on it.
+// (lexicographic comparison is not an order across NaN), the pass hands
+// over to the window pass on the comparator the plan names — what
+// DominanceRuns counts is what EXPLAIN said — and a candidate with a NaN
+// head score must be settled pair by pair rather than through the blocks,
+// where every lane would die on it.
 func TestFlatKernelSortedPassNaNScores(t *testing.T) {
 	prev := AVX2Enabled()
 	defer SetAVX2Enabled(prev)
@@ -513,8 +567,14 @@ func TestFlatKernelSortedPassNaNScores(t *testing.T) {
 			slices.SortFunc(order, func(a, b int) int { return cmpKeyColumns(keys, a, b) })
 			for _, avx2 := range []bool{false, AVX2Available()} {
 				SetAVX2Enabled(avx2)
+				before := dominancePasses()
 				if got := sfsCompiled(c, idx, nil); !sameInts(got, want) {
 					t.Fatalf("trial %d %s (avx2 %v): sorted pass returns %v, want %v", trial, p, avx2, got, want)
+				}
+				var counted [3]uint64
+				counted[dominanceOf(p, SFS)] = 1
+				if ran := dominancePasses().since(before); ran != counted {
+					t.Fatalf("trial %d %s (avx2 %v): passes per comparator (tree, flat, blocks) %v, want %v: the hand-over runs on the comparator the plan names", trial, p, avx2, ran, counted)
 				}
 				f := newMaximaFilter(c)
 				got := sfsFilter(f, order, nil)
@@ -530,22 +590,20 @@ func TestFlatKernelSortedPassNaNScores(t *testing.T) {
 // TestFlatKernelRoutes: BMO sets through every route that compares on
 // records — whole-relation and gathered binds under each algorithm, the
 // exhaustive reference, partition workers, the progressive stream — equal
-// the interpreted BNL oracle, and the flat kernel is what ran: never the
-// tree for a fragment term, never records for a term outside it.
+// the interpreted BNL oracle, and records or score blocks are what ran:
+// never the tree for a fragment term, neither of them for a term outside
+// it.
 // TestGatheredBindAgreement covers the sharded, merged and paged routes
 // the same way.
 func TestFlatKernelRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	runs := func() [3]uint64 {
-		return [3]uint64{DominanceRuns(DominanceTree), DominanceRuns(DominanceFlat), DominanceRuns(DominanceBlocksAVX2)}
-	}
 	for trial := 0; trial < 40; trial++ {
 		rel := kernelTestRelation(rng, 200+rng.Intn(400))
 		p := kernelTestTerm(rng)
 		want := BMOIndicesMode(p, rel, BNL, EvalInterpreted)
 		sub := allIndices(rel.Len())[:rel.Len()/5] // small enough to bind gathered
 		wantSub := oidsOf(rel.Pick(sub).Row, BMOIndicesMode(p, rel.Pick(sub), BNL, EvalInterpreted))
-		before := runs()
+		before := dominancePasses()
 		for _, alg := range []Algorithm{Naive, BNL, SFS, Auto} {
 			ResetCompileCache()
 			if got := BMOIndicesMode(p, rel, alg, EvalCompiled); !sameInts(got, want) {
@@ -572,20 +630,20 @@ func TestFlatKernelRoutes(t *testing.T) {
 				t.Fatalf("trial %d %s stream (subset=%v): got %v want %v", trial, p, idx != nil, got, ref)
 			}
 		}
-		after := runs()
+		ran := dominancePasses().since(before)
 		switch {
 		case pref.FlatShaped(p):
-			if after[DominanceTree] != before[DominanceTree] {
-				t.Fatalf("trial %d %s: a fragment term compared through the tree (%d passes)", trial, p, after[DominanceTree]-before[DominanceTree])
+			if ran[DominanceTree] != 0 {
+				t.Fatalf("trial %d %s: a fragment term compared through the tree (%d passes)", trial, p, ran[DominanceTree])
 			}
-			if after[DominanceFlat] == before[DominanceFlat] {
-				t.Fatalf("trial %d %s: the flat kernel never ran", trial, p)
+			if ran[DominanceFlat]+ran[DominanceBlocksAVX2] == 0 {
+				t.Fatalf("trial %d %s: neither records nor blocks ran", trial, p)
 			}
 		default:
-			if after[DominanceFlat] != before[DominanceFlat] {
-				t.Fatalf("trial %d %s: a term outside the fragment compared on records", trial, p)
+			if ran[DominanceFlat]+ran[DominanceBlocksAVX2] != 0 {
+				t.Fatalf("trial %d %s: a term outside the fragment compared on records or blocks %v", trial, p, ran)
 			}
-			if after[DominanceTree] == before[DominanceTree] {
+			if ran[DominanceTree] == 0 {
 				t.Fatalf("trial %d %s: the tree never ran", trial, p)
 			}
 		}
@@ -642,9 +700,25 @@ func TestFlatKernelMaskedSourceFallsBack(t *testing.T) {
 	}
 }
 
+// passCounts is a reading of DominanceRuns, indexed by Dominance.
+type passCounts [3]uint64
+
+// dominancePasses reads DominanceRuns for every comparator.
+func dominancePasses() passCounts {
+	return passCounts{DominanceRuns(DominanceTree), DominanceRuns(DominanceFlat), DominanceRuns(DominanceBlocksAVX2)}
+}
+
+// since is the passes that ran after the reading before.
+func (c passCounts) since(before passCounts) (out [3]uint64) {
+	for d := range c {
+		out[d] = c[d] - before[d]
+	}
+	return out
+}
+
 // fragmentRuns counts the passes that compared on what a flat shape lowers
-// to: row-major records, or (one-way passes with the AVX2 kernel on) the
-// blocked head-group scores.
+// to: row-major records, or (with the AVX2 kernel on) the blocked
+// head-group scores.
 func fragmentRuns() uint64 {
 	return DominanceRuns(DominanceFlat) + DominanceRuns(DominanceBlocksAVX2)
 }
@@ -714,29 +788,54 @@ var kernelBenchShapes = []struct {
 	{"chain4", pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"), pref.HIGHEST("d4"))},
 }
 
-// BenchmarkDominanceKernel prices one pass over the ≈600 candidates a
-// cold_skyline statement's WHERE keeps, bound gathered like the served
-// path binds them: the window pass (BNL) through the predicate tree and
-// through the flat record kernel (record gather included), and the sorted
-// pass (SFS: key pass, word sort, one-way filter) on flat records and on
-// the AVX2 score blocks. pairs/op is the pass's (candidate, member) tests
-// by the algorithm's definition, lanes/op what the blocks were offered.
-// The planner's per-comparator prices (compiledPairCost, keyCmpCost,
+// BenchmarkDominanceKernel prices one pass over a statement's candidates,
+// bound gathered like the served path binds them: the ≈600 a cold_skyline
+// statement's WHERE keeps for each of kernelBenchShapes, and the ≈2 350 of
+// one shard a durable_paged reader's price cut keeps (Cars, two hash
+// shards of 50 000, mileage AROUND m AND HIGHEST(horsepower)). Legs: the
+// window pass (BNL) through the predicate tree, on flat records (record
+// gather included) and on the AVX2 score blocks and their mirror, and the
+// sorted pass (SFS: key pass, word sort, one-way filter) on flat records
+// and on the blocks. pairs/op is the pass's (candidate, member) tests by
+// the algorithm's definition, lanes/op what the blocks were offered. The
+// planner's per-comparator prices (compiledPairCost, keyCmpCost,
 // scoreSumCost) are calibrated from these rows.
 func BenchmarkDominanceKernel(b *testing.B) {
-	rel := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
-	var cand []int
-	for i := 0; i < rel.Len(); i++ {
-		if v, _ := rel.Tuple(i).Get("d4"); v.(float64) <= 0.03 {
-			cand = append(cand, i)
+	type bench struct {
+		name string
+		p    pref.Preference
+		rel  *relation.Relation
+		cand []int
+	}
+	var benches []bench
+	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
+	var cut []int
+	for i := 0; i < pts.Len(); i++ {
+		if v, _ := pts.Tuple(i).Get("d4"); v.(float64) <= 0.03 {
+			cut = append(cut, i)
 		}
 	}
-	slots := allIndices(len(cand))
 	for _, shape := range kernelBenchShapes {
-		c, ok := pref.Compile(shape.p, rel.Gather(cand))
+		benches = append(benches, bench{shape.name, shape.p, pts, cut})
+	}
+	cars, err := relation.ShardRelation(workload.Cars(50000, 20020820), 2, relation.ByHash("oid"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	shard := cars.Shard(0)
+	cut = nil
+	for i := 0; i < shard.Len(); i++ {
+		if v, _ := shard.Tuple(i).Get("price"); v.(int64) <= 9000 {
+			cut = append(cut, i)
+		}
+	}
+	benches = append(benches, bench{"durable-reader", pref.Pareto(pref.AROUND("mileage", 60000), pref.HIGHEST("horsepower")), shard, cut})
+	for _, shape := range benches {
+		c, ok := pref.Compile(shape.p, shape.rel.Gather(shape.cand))
 		if !ok || c.Flat() == nil {
 			b.Fatalf("%s must bind with a flat shape", shape.name)
 		}
+		slots := allIndices(len(shape.cand))
 		maxima := len(bnlTree(c, slots, nil))
 		// The window pass's pair count, by its definition.
 		windowPairs := 0
@@ -758,7 +857,7 @@ func BenchmarkDominanceKernel(b *testing.B) {
 		}
 		report := func(b *testing.B, unit string, n int) {
 			b.ReportMetric(float64(n), unit)
-			b.ReportMetric(float64(len(cand)), "candidates")
+			b.ReportMetric(float64(len(shape.cand)), "candidates")
 			b.ReportMetric(float64(maxima), "maxima")
 		}
 		b.Run(shape.name+"/tree", func(b *testing.B) {
@@ -772,6 +871,21 @@ func BenchmarkDominanceKernel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bnlFlat(c.Flat(), slots, nil)
+			}
+			report(b, "pairs/op", windowPairs)
+		})
+		b.Run(shape.name+"/window-blocks", func(b *testing.B) {
+			if !AVX2Available() {
+				b.Skip("no AVX2 kernel in this build")
+			}
+			// Whatever the head group's width: the single-leaf head's row
+			// prices what dominanceFor keeps it off the blocks for.
+			exact := chainExact(c.Pref(), c.Flat())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f := newBlockFilter(c.Flat(), exact)
+				f.window(slots, nil)
+				f.release()
 			}
 			report(b, "pairs/op", windowPairs)
 		})

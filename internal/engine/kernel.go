@@ -8,9 +8,11 @@ import (
 // Runtime dispatch for the blocked dominance kernel. The build decides
 // what the binary carries (kernel_amd64.s behind `amd64 && !noasm`,
 // nothing otherwise); this flag decides what runs. With the kernel off,
-// the one-way passes of the flat fragment — sorted filter, stream confirm
-// loop, cross-shard fold — compare on the flat record kernel (flat.go)
-// like its window passes always do. Three ways to turn it off,
+// every pass of the flat fragment — sorted filter, stream confirm loop,
+// cross-shard fold, and the window passes that ran on the blocks and
+// their mirror — compares on the flat record kernel (flat.go), where a
+// window pass under a single-leaf head group compares whatever the flag
+// says. Three ways to turn it off,
 // strongest first: build with `-tags noasm` (the assembly is not in the
 // binary), set PREFSQL_DISABLE_AVX2 in the environment (the process
 // starts with the kernel off — a CI matrix leg), or call
@@ -27,8 +29,8 @@ func init() {
 // dominance kernel at all, regardless of the runtime flag.
 func AVX2Available() bool { return avx2Supported }
 
-// AVX2Enabled reports whether one-way passes over the flat fragment filter
-// through the AVX2 score blocks. The choice is made when a pass starts, so
+// AVX2Enabled reports whether passes over the flat fragment compare on
+// the AVX2 score blocks (see dominanceFor for which ones). The choice is made when a pass starts, so
 // toggling mid-stream does not change an in-flight evaluation.
 func AVX2Enabled() bool { return avx2Active.Load() }
 

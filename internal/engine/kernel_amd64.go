@@ -4,8 +4,8 @@ package engine
 
 // The assembly side of the blocked dominance kernel (see kernel_amd64.s)
 // plus the CPU feature detection that decides at init whether the kernel
-// is usable on this machine. Without it sorted passes filter through the
-// flat record kernel (flat.go); the portable masked model in
+// is usable on this machine. Without it the passes that use it compare on
+// the flat record kernel (flat.go); the portable masked model in
 // kernel_test.go is the oracle the agreement tests hold the assembly to.
 
 // dominatingBlockAVX2 scans the blocked column-major store for the first

@@ -4,9 +4,9 @@
 
 // func dominatingBlockAVX2(cand *float64, d int, blocks *float64, nblocks int, strict0 int64) int64
 //
-// The AVX2 dominance kernel of the blocked one-way filter: tests one
-// candidate's head-group scores (cand[0..d-1]) against nblocks blocks of
-// stored maxima in the blocked column-major layout — block b holds
+// The AVX2 dominance kernel of the blocked filter: tests one candidate's
+// head-group scores (cand[0..d-1]) against nblocks blocks of stored
+// maxima in the blocked column-major layout — block b holds
 // filterBlock(=8) maxima, dimension k of lane j at blocks[(b*d+k)*8 + j],
 // tail lanes padded with NaN. For each block the kernel keeps, per
 // 4-lane half, a ≥-mask (alive), a >-mask (strict, seeded with strict0
@@ -23,7 +23,9 @@
 // first such block's verdict, block<<16 | dom<<8 | tied: dom has a bit
 // per alive-and-strict lane, tied the subset of them that tied on a
 // dimension. The caller decides which of those lanes settle the
-// candidate and resumes behind the block when none does.
+// candidate and resumes behind the block when none does. A window pass
+// also calls it on its mirror store, with every score negated, to find
+// the stored rows the candidate beats.
 TEXT ·dominatingBlockAVX2(SB), NOSPLIT, $0-48
 	MOVQ cand+0(FP), SI
 	MOVQ d+8(FP), CX

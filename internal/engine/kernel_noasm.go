@@ -3,8 +3,8 @@
 package engine
 
 // Portable build: no assembly kernel, so no blocked store is ever built
-// (newMaximaFilter) and sorted passes filter through the flat record
-// kernel; avx2Supported pins the runtime flag to false so
+// (newMaximaFilter, bnlCompiled) and every pass of the flat fragment
+// compares on the flat record kernel; avx2Supported pins the runtime flag to false so
 // SetAVX2Enabled(true) cannot enable a kernel that is not in the binary.
 // The `noasm` build tag forces this file on amd64 too — the CI matrix runs
 // the full suite under it.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -45,9 +46,10 @@ func refDominated(maxima [][]float64, cand []float64) bool {
 
 // buildFilter assembles a blocks-leg filter directly over synthetic score
 // vectors (no compiled form needed — the passes only read the shape's
-// columns and the blocked store): one group of len(vecs) dimensions, or
+// columns and the blocked stores): one group of len(vecs) dimensions, or
 // the first head of them followed by single-leaf groups, each dimension
-// tying on its own values, and the given rows confirmed as maxima.
+// tying on its own values, and the given rows confirmed as maxima — in the
+// store and, negated, in the window pass's mirror.
 func buildFilter(vecs [][]float64, head int, exact bool, maxima []int) *maximaFilter {
 	fs := &pref.FlatShape{}
 	on := make([]bool, len(vecs[0]))
@@ -62,28 +64,30 @@ func buildFilter(vecs [][]float64, head int, exact bool, maxima []int) *maximaFi
 	}
 	f := newBlockFilter(fs, exact)
 	for _, i := range maxima {
+		f.mirror = f.putLane(f.mirror, len(f.rows), i, -1)
 		f.confirm(i)
 	}
 	return f
 }
 
 // blockVerdictMasked is the portable model of the assembly kernel, its
-// oracle on every build: the blocked bitmask pass over the filter's store
-// from block `from` on, filterBlock maxima per iteration, one dimension at
-// a time across the block, accumulating the ≥, > (seeded by strict0) and
-// == masks — NaN pad lanes die on their first dimension, so full blocks
-// need no tail handling — and the kernel's verdict encoding: the first
-// block with an alive-and-strict lane as block<<16 | dom<<8 | tied
+// oracle on every build: the blocked bitmask pass over one of the filter's
+// stores (the maxima, or the window pass's negated mirror) from block
+// `from` on, testing cand, filterBlock lanes per iteration, one dimension
+// at a time across the block, accumulating the ≥, > (seeded by strict0)
+// and == masks — NaN pad lanes die on their first dimension, so full
+// blocks need no tail handling — and the kernel's verdict encoding: the
+// first block with an alive-and-strict lane as block<<16 | dom<<8 | tied
 // (block counted from `from`), or −1.
-func (f *maximaFilter) blockVerdictMasked(i, from int) int64 {
+func (f *maximaFilter) blockVerdictMasked(store, cand []float64, from int) int64 {
 	nblocks := (len(f.rows) + filterBlock - 1) / filterBlock
 	for b := from; b < nblocks; b++ {
 		base := b * f.w * filterBlock
 		alive := uint32(1)<<filterBlock - 1
 		strict, tied := uint32(f.strict0)&alive, uint32(0)
 		for k := 0; k < f.w && alive != 0; k++ {
-			cv := f.fs.Dims[k].Score[i]
-			col := f.blocks[base+k*filterBlock : base+(k+1)*filterBlock]
+			cv := cand[k]
+			col := store[base+k*filterBlock : base+(k+1)*filterBlock]
 			var ge, gt, eq uint32
 			for lane, mv := range col {
 				if mv >= cv {
@@ -129,13 +133,38 @@ func refVerdict(block [][]float64, cand []float64, all bool) (dom, tied uint8) {
 	return dom, tied
 }
 
+// refBeaten is refVerdict with the roles swapped, the contract of the
+// window pass's mirror sweep: dom marks the lanes of the block the
+// candidate is ≥ on every dimension and (unless every ≥ lane is asked for)
+// > on one, tied those of them equal to it on a dimension — on the scores
+// as they are, so the mirror's negation (±0, ±Inf, NaN) is what is tested.
+func refBeaten(block [][]float64, cand []float64, all bool) (dom, tied uint8) {
+	for lane, m := range block {
+		ge, gt, eq := true, all, false
+		for k := range cand {
+			ge = ge && cand[k] >= m[k]
+			gt = gt || cand[k] > m[k]
+			eq = eq || cand[k] == m[k]
+		}
+		if ge && gt {
+			dom |= 1 << lane
+			if eq {
+				tied |= 1 << lane
+			}
+		}
+	}
+	return dom, tied
+}
+
 // TestKernelDominanceProperty holds the blocked passes — the portable
 // masked model, and the AVX2 kernel when this machine has it — to the
 // reference contract on NaN/±Inf/signed-zero-heavy inputs, across
 // dimensions 1..6, both strict seeds, every resume point, and maxima
 // counts that straddle block boundaries (0, partial, full, many blocks):
-// which block answers, which lanes dominate, which of them tied; and the
-// filter's answer built on those verdicts to coordinate dominance.
+// which block answers, which lanes dominate, which of them tied — on the
+// store, and on the window pass's negated mirror with the roles swapped
+// (which lanes the candidate beats); and the filter's answers built on
+// those verdicts to coordinate dominance, both ways.
 func TestKernelDominanceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 400; trial++ {
@@ -163,26 +192,31 @@ func TestKernelDominanceProperty(t *testing.T) {
 			}
 		}
 		nblocks := (nMax + filterBlock - 1) / filterBlock
-		cand := make([]float64, head)
+		cand, neg := make([]float64, head), make([]float64, head)
 		for i := 0; i < n; i++ {
 			for k := 0; k < head; k++ {
-				cand[k] = vecs[k][i]
+				cand[k], neg[k] = vecs[k][i], -vecs[k][i]
 			}
 			for from := 0; from < nblocks; from++ {
-				want := int64(-1)
-				for b := from; b < nblocks && want < 0; b++ {
-					block := coords[b*filterBlock : min(nMax, (b+1)*filterBlock)]
-					if dom, tied := refVerdict(block, cand, head < d); dom != 0 {
-						want = int64(b-from)<<16 | int64(dom)<<8 | int64(tied)
+				for _, dir := range []struct {
+					name        string
+					store, cand []float64
+					ref         func(block [][]float64, cand []float64, all bool) (dom, tied uint8)
+				}{{"store", f.blocks, cand, refVerdict}, {"mirror", f.mirror, neg, refBeaten}} {
+					want := int64(-1)
+					for b := from; b < nblocks && want < 0; b++ {
+						block := coords[b*filterBlock : min(nMax, (b+1)*filterBlock)]
+						if dom, tied := dir.ref(block, cand, head < d); dom != 0 {
+							want = int64(b-from)<<16 | int64(dom)<<8 | int64(tied)
+						}
 					}
-				}
-				if got := f.blockVerdictMasked(i, from); got != want {
-					t.Fatalf("trial %d row %d from block %d: masked %#x, reference %#x (cand %v, maxima %v)", trial, i, from, got, want, cand, coords)
-				}
-				if AVX2Available() {
-					copy(f.cand, cand)
-					if got := dominatingBlockAVX2(&f.cand[0], f.w, &f.blocks[from*f.w*filterBlock], nblocks-from, f.strict0); got != want {
-						t.Fatalf("trial %d row %d from block %d: avx2 %#x, reference %#x (cand %v, maxima %v)", trial, i, from, got, want, cand, coords)
+					if got := f.blockVerdictMasked(dir.store, dir.cand, from); got != want {
+						t.Fatalf("trial %d row %d from block %d, %s: masked %#x, reference %#x (cand %v, maxima %v)", trial, i, from, dir.name, got, want, cand, coords)
+					}
+					if AVX2Available() {
+						if got := dominatingBlockAVX2(&dir.cand[0], f.w, &dir.store[from*f.w*filterBlock], nblocks-from, f.strict0); got != want {
+							t.Fatalf("trial %d row %d from block %d, %s: avx2 %#x, reference %#x (cand %v, maxima %v)", trial, i, from, dir.name, got, want, cand, coords)
+						}
 					}
 				}
 			}
@@ -190,6 +224,21 @@ func TestKernelDominanceProperty(t *testing.T) {
 				if got, want := f.dominated(i), refDominated(coords, cand); got != want {
 					t.Fatalf("trial %d row %d: filter %v, reference %v (cand %v, maxima %v)", trial, i, got, want, cand, coords)
 				}
+				// The eviction sweep leaves exactly the maxima the candidate
+				// does not dominate (a fresh filter: it compacts the window).
+				var want []int
+				for w, m := range maxima {
+					if !refDominated([][]float64{cand}, coords[w]) {
+						want = append(want, m)
+					}
+				}
+				g := buildFilter(vecs, head, true, maxima)
+				g.blockDominated(i) // loads the candidate's scores
+				g.evict(i)
+				if got := slices.Sorted(slices.Values(g.rows)); !slices.Equal(got, slices.Sorted(slices.Values(want))) {
+					t.Fatalf("trial %d row %d: eviction keeps %v, reference %v (cand %v, maxima %v)", trial, i, got, want, cand, coords)
+				}
+				g.release()
 			}
 		}
 		f.release()

@@ -115,7 +115,7 @@ type Plan struct {
 	// The figures the decision turned on, which Explain words as its
 	// "because:" lines — only when something explains the plan.
 	attrs       int       // the term's attributes
-	flat        bool      // the term is in the flat fragment
+	head        int       // its head group's width in the flat fragment, 0 outside
 	sorted      Dominance // the comparator of a sorted pass
 	window      float64   // small flat input: the window pass's price …
 	keyed       float64   // … against key + sort + filter
@@ -193,7 +193,7 @@ func (pl *Plan) Explain() string {
 func (pl *Plan) reasons() []string {
 	if pl.Input < smallInput {
 		reason := "cost differences are noise, shape heuristic picks"
-		if pl.Shape == ShapeKeyed && pl.Compiled && pl.flat {
+		if pl.Shape == ShapeKeyed && pl.Compiled && pl.head > 0 {
 			reason = fmt.Sprintf("window pass ≈%.3g against key + sort + filter ≈%.3g on %s over an estimated %d maxima:",
 				pl.window, pl.keyed, pl.sorted, pl.EstResult)
 		}
@@ -201,11 +201,11 @@ func (pl *Plan) reasons() []string {
 	}
 	out := []string{fmt.Sprintf("shape %s over %d attrs, estimated result ≈ %d of %d rows", pl.Shape, pl.attrs, pl.EstResult, pl.Input)}
 	if pl.Compiled {
-		window := dominanceFor(pl.flat, BNL)
+		window := dominanceFor(pl.head, BNL)
 		out = append(out, fmt.Sprintf("compiled columnar evaluation: a window pair on %s costs ≈1/%.0f, a sorted-filter pair on %s ≈1/%.0f of an interpreted comparison",
 			window, 1/compiledPairCost(window, true), pl.sorted, 1/compiledPairCost(pl.sorted, false)))
 		if pl.Shape != ShapeGeneral {
-			out = append(out, sfsKeyReason(pl.Bind, pl.flat, pl.leaves, pl.keyRows, pl.keyCost))
+			out = append(out, sfsKeyReason(pl.Bind, pl.head > 0, pl.leaves, pl.keyRows, pl.keyCost))
 		}
 	} else {
 		out = append(out, "term outside the compilable fragment: interpreted interface evaluation")
@@ -260,10 +260,11 @@ const smallInput = 256
 // EXPLAIN front-ends.
 func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope BindScope) *Plan {
 	shape := shapeOf(p)
-	flat := pref.FlatShaped(p)
+	head := flatHead(p)
+	flat := head > 0
 	pl := &Plan{Shape: shape, Input: n, Workers: 1, Bind: scope,
 		Compiled: env.Mode != EvalInterpreted && pref.Compilable(p),
-		attrs:    len(p.Attrs()), flat: flat, sorted: dominanceFor(flat, SFS), procs: relation.Procs()}
+		attrs:    len(p.Attrs()), head: head, sorted: dominanceFor(head, SFS), procs: relation.Procs()}
 	small := n < smallInput
 	// A compiled flat term sorts on a one-pass score sum, not on rank keys.
 	sumKey := pl.Compiled && flat
@@ -295,7 +296,7 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	// one direction, and sorting compares key columns, not rows.
 	pairCost := func(alg Algorithm, window bool) float64 {
 		if pl.Compiled {
-			return compiledPairCost(dominanceFor(flat, alg), window)
+			return compiledPairCost(dominanceFor(head, alg), window)
 		}
 		if window {
 			return 2
@@ -371,7 +372,7 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 				}
 			}
 		}
-		pl.Dominance = dominanceFor(flat, pl.Algorithm)
+		pl.Dominance = dominanceFor(head, pl.Algorithm)
 		return pl
 	}
 
@@ -413,7 +414,7 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	}
 	pl.Algorithm = cands[best].Algorithm
 	pl.Workers = cands[best].Workers
-	pl.Dominance = dominanceFor(flat, pl.Algorithm)
+	pl.Dominance = dominanceFor(head, pl.Algorithm)
 	return pl
 }
 
@@ -591,6 +592,12 @@ const (
 	flatPairCost = 1.0 / 25
 	// avx2PairCost is one lane of the blocked AVX2 chain filter (≈1.1 ns).
 	avx2PairCost = 1.0 / 200
+	// avx2WindowPairCost is one pair of a window pass on the score blocks
+	// and their mirror (≈5.4 ns: the window-blocks rows' ns/op summed over
+	// their pairs/op, 4.4 ns a pair on pareto3 and chain4, whose windows
+	// fill many blocks, to 9–12 ns on the PRIOR TO and durable shapes,
+	// whose few rows cost a kernel call each).
+	avx2WindowPairCost = 1.0 / 46
 	// keyCmpCost is one comparison of a sort over key or score columns:
 	// the SFS presort (≈6.5 ns) and the dense-rank transforms behind the
 	// keys (≈12 ns).
@@ -602,12 +609,16 @@ const (
 
 // compiledPairCost prices one pair test of a compiled pass on comparator
 // d: a window pass through the predicate tree asks Less in both
-// directions, every other combination settles the pair with one call.
+// directions, a window pass on the blocks pays a kernel call per
+// candidate and a second sweep per survivor, every other combination
+// settles the pair with one call.
 func compiledPairCost(d Dominance, window bool) float64 {
-	switch d {
-	case DominanceFlat:
+	switch {
+	case d == DominanceFlat:
 		return flatPairCost
-	case DominanceBlocksAVX2:
+	case d == DominanceBlocksAVX2 && window:
+		return avx2WindowPairCost
+	case d == DominanceBlocksAVX2:
 		return avx2PairCost
 	}
 	if window {

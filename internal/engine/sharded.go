@@ -433,13 +433,10 @@ candidates:
 // compilable term whose bind fails at run time — an ordinal layer past its
 // coding cap — folds interpreted.)
 func ShardMergeMode(p pref.Preference) string {
-	switch {
-	case !pref.Compilable(p):
+	if !pref.Compilable(p) {
 		return "interpreted"
-	case pref.FlatShaped(p):
-		return dominanceFor(true, SFS).String()
 	}
-	return DominanceTree.String()
+	return dominanceOf(p, SFS).String()
 }
 
 // GroupByShardedOn evaluates σ[P groupby A] over per-shard candidate

@@ -423,22 +423,29 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 				}
 			}
 		}
-		// AROUND ⊗ HIGHEST is in the flat fragment: every pass of it compares
-		// on records — the per-shard window passes — or, the cross-shard
-		// fold with the AVX2 kernel on, on score blocks.
+		// AROUND ⊗ HIGHEST is in the flat fragment with a two-leaf head
+		// group: with the AVX2 kernel on every pass of it compares on score
+		// blocks — the per-shard window passes on the blocks and their
+		// mirror, the cross-shard fold in two sweeps — and on records
+		// otherwise.
+		window := engine.DominanceFlat
+		if engine.AVX2Enabled() {
+			window = engine.DominanceBlocksAVX2
+		}
 		merge := engine.ShardMergeMode(pref.Pareto(pref.AROUND("mileage", 60000), pref.HIGHEST("horsepower")))
 		ranAsSaid := func(when string, before [3]uint64) {
 			t.Helper()
-			want := [3]uint64{engine.DominanceFlat: c.shards}
+			var want [3]uint64
+			want[window] = c.shards
 			if c.shards > 1 {
 				want[mergeComparator(merge)]++
 			}
 			if got := passesSince(before); got != want {
-				t.Errorf("%s: %s: passes per comparator (tree, flat, blocks) %v, want %v: one window pass per shard on records, plus the fold on %s",
-					c.name, when, got, want, merge)
+				t.Errorf("%s: %s: passes per comparator (tree, flat, blocks) %v, want %v: one window pass per shard on %s, plus the fold on %s",
+					c.name, when, got, want, window, merge)
 			}
 		}
-		mustContain("cold selective", explain(selective), c.gathered, "eval=compiled bind=gathered dominance=flat",
+		mustContain("cold selective", explain(selective), c.gathered, "eval=compiled bind=gathered dominance="+window.String(),
 			"SFS keys: one pass sums 2 score column(s) over the ", "result cache: cold")
 		hits0, misses0 := engine.CompileCacheStats()
 		g0 := engine.GatheredBinds()
@@ -452,9 +459,9 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 			t.Errorf("%s: selective run: compile hits %d→%d misses %d→%d gathered %d→%d, want one gathered bind per shard and no cache traffic",
 				c.name, hits0, hits1, misses0, misses1, g0, engine.GatheredBinds())
 		}
-		mustContain("selective after run", explain(selective), c.gathered, "bind=gathered dominance=flat", "result cache: hit")
+		mustContain("selective after run", explain(selective), c.gathered, "bind=gathered dominance="+window.String(), "result cache: hit")
 
-		mustContain("cold unfiltered", explain(unfiltered), c.cold, "eval=compiled cache=cold dominance=flat",
+		mustContain("cold unfiltered", explain(unfiltered), c.cold, "eval=compiled cache=cold dominance="+window.String(),
 			"SFS keys: one pass sums 2 score column(s) over the ")
 		before = passesSince([3]uint64{})
 		if _, err := Run(unfiltered, c.cat, Options{}); err != nil {
@@ -464,7 +471,7 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 		if engine.GatheredBinds() != g0+c.shards {
 			t.Errorf("%s: an unfiltered statement must not bind gathered", c.name)
 		}
-		mustContain("unfiltered after run", explain(unfiltered), c.warm, "eval=compiled cache=hit dominance=flat", "SFS keys: one pass sums 2 score column(s) over the ")
+		mustContain("unfiltered after run", explain(unfiltered), c.warm, "eval=compiled cache=hit dominance="+window.String(), "SFS keys: one pass sums 2 score column(s) over the ")
 		// A selective statement sharing a term that is already bound uses
 		// the cached form at any selectivity.
 		shared := "SELECT oid FROM car WHERE price <= 9000 PREFERRING mileage AROUND 70000 AND HIGHEST(horsepower)"
