@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-noasm test-noavx2 test-ties fuzz test-faults test-serve test-resultcache test-persist test-bench bench bench-cold bench-json lint lint-docs loc fmt
+.PHONY: build test test-noasm test-noavx2 test-ties fuzz test-faults test-serve test-resultcache test-persist check-run-patterns test-bench bench bench-cold bench-json lint lint-docs loc fmt
 
 build:
 	$(GO) build ./...
@@ -45,12 +45,13 @@ test-noavx2:
 # battery and FuzzRangeCut's seed corpus), orders bounded under inserts,
 # and EXPLAIN's access path equal to the one the run took; the fused flat
 # bind against a fresh pref.Compile and the oracle over every layout (the
-# battery and FuzzFlatBind's seed corpus), the planner's allocations and
-# the cold statement's allocation bound.
+# battery and FuzzFlatBind's seed corpus), the planner's allocations, the
+# cold statement's allocation bound, and a finished statement pinning no
+# bound form.
+TIES_RUN := FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutesColdShapes|PlannerRoutesChainProducts|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ExplainAccessPath|FlatBind|PlanCoreAllocs|ColdSelectiveStatementAllocBound|FinishedStatement
+TIES_PKGS := ./internal/pref ./internal/engine ./internal/filter ./internal/boundcache ./internal/psql ./internal/relation
 test-ties:
-	$(GO) test -race \
-		-run 'FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutesColdShapes|PlannerRoutesChainProducts|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ExplainAccessPath|FlatBind|PlanCoreAllocs|ColdSelectiveStatementAllocBound' \
-		./internal/pref ./internal/engine ./internal/filter ./internal/boundcache ./internal/psql ./internal/relation
+	$(GO) test -race -run '$(TIES_RUN)' $(TIES_PKGS)
 
 # A short fuzzing run of the ordered hard selection and of the fused flat
 # bind (the seed corpora alone run in every `go test`); FUZZTIME=1m or
@@ -65,33 +66,39 @@ fuzz:
 # randomized cancellation agreement property (clean context error XOR the
 # exactly-correct result, never torn), admission control, and the
 # goroutine-leak checks around abandoned streams.
+FAULTS_RUN := Fault|Cancel|Partial|Admission|FanShards|Abandoned
+FAULTS_PKGS := ./internal/faultinject ./internal/relation ./internal/engine ./internal/psql
 test-faults:
-	$(GO) test -race -run 'Fault|Cancel|Partial|Admission|FanShards|Abandoned|Robust' \
-		./internal/faultinject ./internal/relation ./internal/engine ./internal/psql
+	$(GO) test -race -run '$(FAULTS_RUN)' $(FAULTS_PKGS)
 
 # The serving-layer suite under the race detector: the wire-protocol
 # round trips, the server e2e battery (agreement over real connections,
 # streams, prepared statements, admission/timeout/disconnect faults,
 # drain) and the snapshot-isolation torture tests at every level —
 # storage (relation), catalog (psql) and server.
+SERVE_RUN := Snapshot|Torture
+SERVE_PKGS := ./internal/relation ./internal/psql
 test-serve:
 	$(GO) test -race ./internal/wire ./internal/server
-	$(GO) test -race -run 'Snapshot|Torture' ./internal/relation ./internal/psql
+	$(GO) test -race -run '$(SERVE_RUN)' $(SERVE_PKGS)
 
 # The result-cache suite under the race detector: the cache's own unit
-# battery (key composition, counters, capacity, the kill switch), the
+# battery (key composition, counters, capacity), the
 # engine serve/maintenance properties (randomized cached-vs-recompute
 # agreement under insert churn, snapshot pinning, sharded agreement at
 # 1..8 shards, dead-context refusal), and the psql end-to-end churn
 # battery across flat and sharded layouts, every algorithm, and catalog
-# insert/replace/drop mutations — plus the EXPLAIN annotations and the
+# insert/replace/drop mutations against the interpreted BNL oracle over
+# the flattened table — plus eviction releasing only result and
+# statistics entries, the EXPLAIN annotations and the
 # server's retained answers (byte-served repeats equal to fresh
 # executions across inserts, sessions, SET, Replace and Reshard; what is
 # never retained; the stats counters).
+RESULTCACHE_RUN := ResultCache|Maintenance|SnapshotPin|DeadContext|EvictRelation|EvictReleases|ExplainReports|ParseCache|RowBatch|StreamUsesRowBatch|ResultBytes|StatsTurn
+RESULTCACHE_PKGS := ./internal/engine ./internal/psql ./internal/wire ./internal/server
 test-resultcache:
 	$(GO) test -race ./internal/engine/resultcache
-	$(GO) test -race -run 'ResultCache|Maintenance|SnapshotPin|DeadContext|EvictRelation|ExplainReports|ParseCache|RowBatch|StreamUsesRowBatch|ResultBytes|StatsTurn' \
-		./internal/engine ./internal/psql ./internal/wire ./internal/server
+	$(GO) test -race -run '$(RESULTCACHE_RUN)' $(RESULTCACHE_PKGS)
 
 # The disk-tier suite under the race detector: the storage-format unit
 # battery (page codec, segments, WAL framing, buffer pool), the
@@ -100,10 +107,32 @@ test-resultcache:
 # under paged churn, beyond-pool-budget reads), the displaced-shard
 # cache-sweep lifecycle, the psql beyond-RAM agreement acceptance and
 # the server stats frame.
+PERSIST_RUN := Persist|ReshardSweeps|ReplaceSweeps|StatsTurn
+PERSIST_PKGS := ./internal/relation ./internal/engine ./internal/psql ./internal/server
 test-persist:
 	$(GO) test -race ./internal/relation/store
-	$(GO) test -race -run 'Persist|ReshardSweeps|ReplaceSweeps|StatsTurn' \
-		./internal/relation ./internal/engine ./internal/psql ./internal/server
+	$(GO) test -race -run '$(PERSIST_RUN)' $(PERSIST_PKGS)
+
+# Every alternative of the -run patterns above must select at least one
+# test, fuzz target or example in its battery's packages (go test -list):
+# otherwise a deleted or renamed test silently drops out of a battery.
+check-run-patterns:
+	@fail=0; \
+	check() { \
+		names=$$($(GO) test -list '.*' $$3) || exit 1; \
+		names=$$(echo "$$names" | grep -E '^(Test|Fuzz|Example)'); \
+		for alt in $$(echo "$$2" | tr '|' ' '); do \
+			if ! echo "$$names" | grep -q -- "$$alt"; then \
+				echo "$$1: -run alternative '$$alt' matches no test in $$3"; fail=1; \
+			fi; \
+		done; \
+	}; \
+	check test-ties '$(TIES_RUN)' '$(TIES_PKGS)'; \
+	check test-faults '$(FAULTS_RUN)' '$(FAULTS_PKGS)'; \
+	check test-serve '$(SERVE_RUN)' '$(SERVE_PKGS)'; \
+	check test-resultcache '$(RESULTCACHE_RUN)' '$(RESULTCACHE_PKGS)'; \
+	check test-persist '$(PERSIST_RUN)' '$(PERSIST_PKGS)'; \
+	exit $$fail
 
 # The served-statement benchmark harness is its own module (bench/go.mod,
 # `replace repro => ../`), so `go build ./...` and `go test ./...` never

@@ -295,10 +295,7 @@ func BenchmarkAblationBinaryVsNaryPareto(b *testing.B) {
 // ([TEO01]'s motivation).
 func BenchmarkProgressiveFirstResult(b *testing.B) {
 	rel := workload.Numeric(20000, 2, workload.AntiCorrelated, 31)
-	clause, err := skyline.Parse("d1 MIN, d2 MIN")
-	if err != nil {
-		b.Fatal(err)
-	}
+	clause := skyline.Clause{Dims: []skyline.Dim{{Attr: "d1", Dir: skyline.Min}, {Attr: "d2", Dir: skyline.Min}}}
 	b.Run("progressive-first", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -405,8 +402,8 @@ func BenchmarkPlannerDistributions(b *testing.B) {
 
 // BenchmarkHardSelection is the acceptance study of the compiled
 // hard-selection layer: one numeric + one discrete WHERE condition over
-// n=20000 cars, interpreted func(Tuple) bool evaluation versus a cold
-// columnar bind versus the cached bitmap a repeated query reuses.
+// n=20000 cars, interpreted func(Tuple) bool evaluation versus a
+// columnar bind.
 func BenchmarkHardSelection(b *testing.B) {
 	cars := workload.Cars(20000, 7)
 	cars.Columnarize()
@@ -420,18 +417,10 @@ func BenchmarkHardSelection(b *testing.B) {
 			cars.Select(pred.Eval)
 		}
 	})
-	b.Run("compiled-cold", func(b *testing.B) {
+	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			filter.Compile(pred, cars).Indices()
-		}
-	})
-	b.Run("compiled-cached", func(b *testing.B) {
-		filter.ResetCache()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			filter.CompileCached(pred, cars).Indices()
 		}
 	})
 }
@@ -439,10 +428,8 @@ func BenchmarkHardSelection(b *testing.B) {
 // BenchmarkWherePreferring is the full query path of the acceptance
 // criterion: SELECT … WHERE … PREFERRING … over n=10000 cars. The
 // interpreted row measures the historical pipeline (boxed selection, then
-// interpreted BMO); the compiled row runs the index-chained pipeline with
-// cold caches per iteration; the cached row is the steady state a repeated
-// Preference SQL query reaches, reusing both the selection bitmap and the
-// preference's bound form.
+// interpreted BMO); the compiled row runs the index-chained pipeline,
+// which binds the selection and the preference per statement.
 func BenchmarkWherePreferring(b *testing.B) {
 	cars := workload.Cars(10000, 42)
 	cars.Columnarize()
@@ -458,22 +445,10 @@ func BenchmarkWherePreferring(b *testing.B) {
 			engine.BMOIndicesMode(p, out, engine.Auto, engine.EvalInterpreted)
 		}
 	})
-	b.Run("compiled-cold", func(b *testing.B) {
+	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			filter.ResetCache()
-			engine.ResetCompileCache()
-			idx := filter.CompileCached(pred, cars).Indices()
-			engine.BMOIndicesOn(p, cars, engine.Auto, idx)
-		}
-	})
-	b.Run("compiled-cached", func(b *testing.B) {
-		filter.ResetCache()
-		engine.ResetCompileCache()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			idx := filter.CompileCached(pred, cars).Indices()
+			idx := filter.Compile(pred, cars).Indices()
 			engine.BMOIndicesOn(p, cars, engine.Auto, idx)
 		}
 	})
@@ -481,11 +456,10 @@ func BenchmarkWherePreferring(b *testing.B) {
 
 // BenchmarkStreamFirstResultWherePreferring measures time-to-first-result
 // of the index-chained streaming path on the full Preference SQL surface:
-// WHERE resolves to the cached index list, the preference binds through
-// the compile cache, and the stream confirms its first maximum after a
+// WHERE resolves to its index list, the preference binds over the
+// relation's columns, and the stream confirms its first maximum after a
 // handful of candidates — against the batch execution that computes the
-// complete result first. Steady state: caches warm, as a repeated query
-// sees them.
+// complete result first.
 func BenchmarkStreamFirstResultWherePreferring(b *testing.B) {
 	cars := workload.Cars(20000, 51)
 	cars.Columnarize()
@@ -511,10 +485,9 @@ func BenchmarkStreamFirstResultWherePreferring(b *testing.B) {
 
 // BenchmarkGroupedQuery measures a WHERE + GROUPING BY query. The
 // index-chained row is the shipped pipeline: equality-code grouping of
-// the candidate index set, every group an index slice over the base
-// relation's cache-served bound form. The materialized-rebind row
-// replays the PR 3 shape: Pick the WHERE subset into an ephemeral
-// relation and group-evaluate there, re-binding per query.
+// the candidate index set, every group an index slice over one bound
+// form of the base relation. The materialized-rebind row Picks the WHERE
+// subset into an ephemeral relation and group-evaluates there.
 func BenchmarkGroupedQuery(b *testing.B) {
 	cars := workload.Cars(20000, 53)
 	cars.Columnarize()
@@ -541,8 +514,7 @@ func BenchmarkGroupedQuery(b *testing.B) {
 
 // BenchmarkQualityFilter measures one BUT ONLY condition over n=20000
 // rows: the interpreted per-tuple Eval against the compiled vector
-// threshold scan, cold (vector built this query) and cached (the steady
-// state of a repeated query).
+// threshold scan, which builds the measure vector per statement.
 func BenchmarkQualityFilter(b *testing.B) {
 	cars := workload.Cars(20000, 57)
 	cars.Columnarize()
@@ -559,23 +531,8 @@ func BenchmarkQualityFilter(b *testing.B) {
 			}
 		}
 	})
-	b.Run("compiled-cold", func(b *testing.B) {
+	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			quality.ResetMeasureCache()
-			keep := cond.Bind(byAttr, cars)
-			kept := 0
-			for j := 0; j < cars.Len(); j++ {
-				if keep(j) {
-					kept++
-				}
-			}
-		}
-	})
-	b.Run("compiled-cached", func(b *testing.B) {
-		quality.ResetMeasureCache()
-		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			keep := cond.Bind(byAttr, cars)
 			kept := 0
@@ -617,9 +574,8 @@ func BenchmarkThresholdTopKStringDim(b *testing.B) {
 }
 
 // BenchmarkShardedBMO measures shard-aware BMO evaluation at n=100k
-// against the flat compiled path, both steady-state (warm compile
-// caches): per-shard evaluation off each shard's cached bound form with
-// the cross-shard chain-filter merge, fan-out across GOMAXPROCS — the
+// against the flat compiled path: per-shard evaluation, each shard
+// binding its own form, with the cross-shard merge, fan-out across GOMAXPROCS — the
 // unkeyed soft step, so every iteration evaluates. The shards-1 row
 // isolates the sharding overhead; 2/4/8 show the scale-out.
 func BenchmarkShardedBMO(b *testing.B) {
@@ -629,7 +585,6 @@ func BenchmarkShardedBMO(b *testing.B) {
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
 	ctx := context.Background()
 	b.Run("flat-compiled", func(b *testing.B) {
-		engine.BMOIndices(p, flat, engine.SFS) // warm the cache
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -642,9 +597,7 @@ func BenchmarkShardedBMO(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, engine.SFS, nil, nil, false, nil, engine.Robust{}) // warm every shard
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, engine.SFS, nil, nil, false, nil, engine.Robust{})
 			}
@@ -685,9 +638,9 @@ func BenchmarkShardedTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedThresholdTopK measures the threshold algorithm with
-// cached sorted-access permutations (sort-free repeats) at n=100k — its
-// flat leg, the only one: a sharded table ranks through the per-shard heap
+// BenchmarkShardedThresholdTopK measures the threshold algorithm, score
+// vectors cached and access lists sorted per call, at n=100k — its flat
+// leg, the only one: a sharded table ranks through the per-shard heap
 // scan (BenchmarkShardedTopK).
 func BenchmarkShardedThresholdTopK(b *testing.B) {
 	const n = 100000
@@ -695,7 +648,7 @@ func BenchmarkShardedThresholdTopK(b *testing.B) {
 	flat.Columnarize()
 	p := pref.Rank("F", pref.WeightedSum(1, 2), pref.HIGHEST("d1"), pref.HIGHEST("d2"))
 	b.Run("flat", func(b *testing.B) {
-		rank.ThresholdTopK(p, flat, 10) // warm vectors + permutations
+		rank.ThresholdTopK(p, flat, 10) // warm the score vectors
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -800,41 +753,11 @@ func BenchmarkShardMergeCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileCache isolates the compile cache on a repeated BMO
-// query: the miss row rebinds the term each iteration, the hit row reuses
-// the cached bound form — the amortization repeated workloads over a
-// stable relation see.
-func BenchmarkCompileCache(b *testing.B) {
-	// Correlated data keeps the BMO result tiny, so the bind cost the
-	// cache amortizes dominates the measurement instead of the filter pass.
-	rel := workload.Numeric(10000, 3, workload.Correlated, 23)
-	rel.Columnarize()
-	p := pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))
-	b.Run("miss", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			engine.ResetCompileCache()
-			engine.BMOIndices(p, rel, engine.SFS)
-		}
-	})
-	b.Run("hit", func(b *testing.B) {
-		engine.ResetCompileCache()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			engine.BMOIndices(p, rel, engine.SFS)
-		}
-	})
-}
-
 // BenchmarkShardedStreamFirstResult measures progressive
-// time-to-first-result through the k-way merged sharded stream with warm
-// per-shard order caches, at n=10k and n=100k. The point of the k-way
-// merge is that first-yield work is bounded by the shard count, not the
-// table size, so the two sizes should land within noise of each other —
-// unlike the up-front global sort it replaced, whose first Next paid an
-// O(n log n) sort. The full batch evaluation at each size is included
-// for scale.
+// time-to-first-result through the k-way merged sharded stream at n=10k
+// and n=100k: each shard binds and sorts its own visit order, then the
+// first Next merges the shards' heads. The full batch evaluation at each
+// size is included for scale.
 func BenchmarkShardedStreamFirstResult(b *testing.B) {
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
 	ctx := context.Background()
@@ -846,9 +769,7 @@ func BenchmarkShardedStreamFirstResult(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("stream-first/n=%d", n), func(b *testing.B) {
-			engine.EvalStreamShardedCtx(ctx, p, s, engine.Auto, nil, engine.Robust{}).Collect() // warm order + score caches
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st := engine.EvalStreamShardedCtx(ctx, p, s, engine.Auto, nil, engine.Robust{})
 				if _, ok := st.Next(); !ok {
@@ -857,9 +778,7 @@ func BenchmarkShardedStreamFirstResult(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("batch-full/n=%d", n), func(b *testing.B) {
-			engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, engine.Auto, nil, nil, false, nil, engine.Robust{}) // warm every shard
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, engine.Auto, nil, nil, false, nil, engine.Robust{})
 			}
@@ -878,7 +797,7 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 	flat.Columnarize()
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
 	b.Run("legacy", func(b *testing.B) {
-		engine.BMOIndices(p, flat, engine.SFS) // warm order + score caches
+		engine.BMOIndices(p, flat, engine.SFS) // warm the column images
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

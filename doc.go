@@ -11,30 +11,29 @@
 // specialized less(i, j) predicate), filter.Compile does the same for
 // hard WHERE selections (vector scans, per-distinct-value dictionary
 // evaluation, a Keep(i) bitmap), quality.LevelVec/DistanceVec materialize
-// the BUT ONLY quality measures as threshold-scannable vectors, and every
-// layer caches its bound forms keyed by relation identity + mutation
-// version + canonical term key, so repeated queries over an unchanged
-// relation skip binding entirely (dropping a catalog relation evicts its
-// entries, see engine.EvictRelation). Grouping partitions by cached
-// equality codes, ranked TOP-k queries score row positions through the
-// compiled vectors (internal/rank; a weighted-sum rank(F), Preference
-// SQL's RANK, keys by its exact weights and parts, and the threshold
-// algorithm's sorted-access permutations are cached alongside the score
-// vectors), and streaming delivery runs index-chained over the WHERE
+// the BUT ONLY quality measures as threshold-scannable vectors. These
+// bound forms are per-statement state, dropped when the statement ends;
+// what repeated statements reuse is cached keyed by relation identity +
+// mutation version + canonical term key — BMO maxima (the result cache),
+// planner statistics and rank score vectors — and dropping a catalog
+// relation evicts its entries (engine.EvictRelation). Grouping partitions
+// by cached equality codes, ranked TOP-k queries score row positions
+// through the compiled vectors (internal/rank; a weighted-sum rank(F),
+// Preference SQL's RANK, keys its score vectors by its exact weights and
+// parts), and streaming delivery runs index-chained over the WHERE
 // index list (engine.EvalStreamCtx). The interpreted tuple-at-a-time
 // interface path remains as the transparent fallback for foreign
 // Preference/Pred implementations (and as the measured baseline, see
 // engine.EvalMode).
 // Plan.Explain and Preference SQL EXPLAIN report which path a query
-// takes and whether the caches hit.
+// takes, which rows it binds and whether the result cache hits.
 //
 // The catalog scales out horizontally: relation.Sharded partitions a
 // table into N shards (hash or range over an attribute, stable global
 // row ids), engine.BMOShardedOnFilteredCtxKeyed / GroupByShardedOn /
 // EvalStreamShardedCtx and rank.TopKShardedCtx evaluate shard-local off
-// each shard's independently cached bound forms — or, for a first-seen
-// selective statement, off a bind over just the shard's gathered
-// candidates — and merge candidate maxima cross-shard (the compiled
+// a bind over each shard's columns — or, for a selective statement, over
+// just the shard's gathered candidates — and merge candidate maxima cross-shard (the compiled
 // evaluator over the gathered local maxima, interpreted BNL for terms
 // outside the compilable fragment) along one fault-contained fan-out
 // whatever the caller's context, engine.PlanShardedOn describes that
@@ -48,7 +47,7 @@
 // how to run the examples, benchmarks and CI). bench_test.go in this
 // directory holds one benchmark per reproduced experiment plus the
 // evaluation-layer benches (planner, streaming,
-// compiled vs interpreted, selection and compile-cache studies, sharded
+// compiled vs interpreted, cold and selective binds, sharded
 // evaluation at n=100k over 1/2/4/8 shards); BENCH_BASELINE.json is the
 // one committed micro baseline.
 package repro

@@ -1,10 +1,11 @@
 // Package boundcache is the bounded, version-keyed cache shared by the
-// compile layers: the engine's preference compile cache and the filter
-// layer's selection cache both map (source identity, source mutation
-// version, canonical term key) to an immutable bound form. The policy —
-// what is safe to key and what to store — stays with the callers; this
-// package owns the mechanics: bounded size, stale-version-first then
-// never-reused-first eviction, hit/miss accounting, thread safety.
+// layers that keep state across statements: the engine's result and
+// statistics caches and rank's score-vector cache all map (source
+// identity, source mutation version, canonical term key) to an immutable
+// value. The policy — what is safe to key and what to store — stays with
+// the callers; this package owns the mechanics: bounded size,
+// stale-version-first then never-reused-first eviction, hit/miss
+// accounting, thread safety.
 package boundcache
 
 import (
@@ -206,8 +207,8 @@ func (c *Cache[V]) EvictSrc(src any) int {
 }
 
 // EvictSource sweeps the entries of one source identity out of every cache
-// created by New — the compile, selection and quality caches all key their
-// bound forms by source, so one call releases everything a dropped catalog
+// created by New — the result, statistics and score caches all key their
+// entries by source, so one call releases everything a dropped catalog
 // relation pinned. It returns the total number of entries dropped.
 func EvictSource(src any) int {
 	registryMu.Lock()

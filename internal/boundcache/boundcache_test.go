@@ -84,9 +84,9 @@ func TestReusedEntrySurvivesOneShotFlood(t *testing.T) {
 // all been hit must still serve two keys that arrive alternately. With
 // never-reused-first admission alone each newcomer evicted the previous
 // one — 0 hits in 20 lookups — which is what a served process reaches when
-// a superseded snapshot's reused entries fill the compile cache (it keys
-// on the per-generation snapshot, so the same-source stale-version rule
-// never drops them).
+// a superseded snapshot's reused entries fill a cache keyed on the
+// per-generation snapshot (the same-source stale-version rule never drops
+// them).
 func TestAlternatingKeysInFullWarmCache(t *testing.T) {
 	c := New[int](8)
 	stale := &src{"superseded snapshot"}

@@ -13,14 +13,13 @@ import (
 
 // Bind scope: which rows a BMO step binds its term over. The paper's
 // query model with hard constraints is σ[P](σ_H(R)) — the soft step is
-// defined over the hard-selected candidates — so a statement seen for
-// the first time should cost O(|candidates|), not O(|R|). The rule is
-// internal and reads only the input: a bound form already in the compile
-// cache is free and always used; otherwise a candidate set that is a
-// small fraction of the relation (relation.GatherWorthwhile) binds over a
-// gathered copy of just those rows — ephemeral, never cached, addressed
-// by slot — and anything larger binds the whole relation through the
-// cache as before, where the next statement sharing the term reuses it.
+// defined over the hard-selected candidates — so a statement's bound
+// form is per-statement state, and a statement should cost
+// O(|candidates|), not O(|R|). The rule is internal and reads only the
+// input: a candidate set that is a small fraction of the relation
+// (relation.GatherWorthwhile) binds over a gathered copy of just those
+// rows, addressed by slot; anything larger binds the whole relation.
+// Either form is dropped when the statement ends.
 //
 // A gathered bind of a term in the flat fragment copies no column: it
 // reads each leaf's column image at the candidates' positions and writes
@@ -32,60 +31,35 @@ type BindScope int
 
 // Bind scopes.
 const (
-	// BindFull is a cold bind over the whole relation; the bound form
-	// enters the compile cache.
+	// BindFull binds the whole relation.
 	BindFull BindScope = iota
-	// BindCached reuses the whole-relation bound form the compile cache
-	// holds for the relation's current version.
-	BindCached
-	// BindGathered binds over a gathered copy of the candidate rows only;
-	// the form is dropped with the statement.
+	// BindGathered binds over a gathered copy of the candidate rows only.
 	BindGathered
 )
 
 // String renders the scope the way EXPLAIN prints it.
 func (s BindScope) String() string {
-	switch s {
-	case BindCached:
-		return "cached"
-	case BindGathered:
+	if s == BindGathered {
 		return "gathered"
 	}
-	return "full (cold)"
+	return "full"
 }
 
 // BindScopeOf reports the bind a compiled BMO step over m candidate rows
-// of r would perform right now, without binding anything. EXPLAIN and
-// the planner's cost model use it; execution decides by the same rule.
-func BindScopeOf(p pref.Preference, r *relation.Relation, m int) BindScope {
-	if r == nil {
-		return BindFull
-	}
-	kt := keyTerm(p)
-	switch {
-	case kt.gathers(r, m):
+// of r performs, without binding anything. EXPLAIN and the planner's
+// cost model use it; execution decides by the same rule.
+func BindScopeOf(r *relation.Relation, m int) BindScope {
+	if r != nil && relation.GatherWorthwhile(m, r.Len()) {
 		return BindGathered
-	case kt.compileCached(r):
-		return BindCached
 	}
 	return BindFull
 }
 
-// gathers is the subset rule: m candidate rows of r bind gathered when
-// they are a small fraction of r and no whole-relation form is cached.
-// The cardinality test comes first so large candidate sets (the repeated
-// unfiltered statement) never pay the cache probe.
-func (kt keyedTerm) gathers(r *relation.Relation, m int) bool {
-	return relation.GatherWorthwhile(m, r.Len()) && !kt.compileCached(r)
-}
-
-// gatheredBinds counts gathered binds: they bypass the compile cache by
-// construction, so they are neither its hits nor its misses.
+// gatheredBinds counts gathered binds.
 var gatheredBinds atomic.Uint64
 
-// GatheredBinds returns the cumulative number of gathered (ephemeral,
-// candidate-proportional) binds — the third bind outcome next to the
-// compile cache's hits and misses (CompileCacheStats).
+// GatheredBinds returns the cumulative number of gathered
+// (candidate-proportional) binds.
 func GatheredBinds() uint64 { return gatheredBinds.Load() }
 
 // evaluated is what one BMO evaluation leaves behind besides the maxima:
@@ -110,13 +84,11 @@ func (ev evaluated) at() []int {
 }
 
 // evalOn is the shared evaluation core behind every BMO entry point:
-// choose the bind scope, bind, plan (under Auto) and run. The term
-// arrives with its cache key rendered (keyTerm) — once per call, however
-// many shards the caller evaluates it on. keep, when non-nil, sees the
-// finished evaluation — bound form included — before anything borrowed
-// is returned: the result-cache store copies what it keeps there.
-func evalOn(kt keyedTerm, r *relation.Relation, alg Algorithm, mode EvalMode, idx []int, cc *canceller, keep func(evaluated)) []int {
-	p := kt.p
+// choose the bind scope, bind, plan (under Auto) and run. keep, when
+// non-nil, sees the finished evaluation — bound form included — before
+// anything borrowed is returned: the result-cache store copies what it
+// keeps there.
+func evalOn(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMode, idx []int, cc *canceller, keep func(evaluated)) []int {
 	finish := func(ev evaluated) []int {
 		if keep != nil {
 			keep(ev)
@@ -132,21 +104,17 @@ func evalOn(kt keyedTerm, r *relation.Relation, alg Algorithm, mode EvalMode, id
 	if mode == EvalInterpreted || r == nil || !pref.Compilable(p) {
 		return finish(evaluated{maxima: planAndExecute(alg, p, r, nil, idx, BindFull, mode, cc)})
 	}
-	if kt.gathers(r, len(idx)) {
+	if BindScopeOf(r, len(idx)) == BindGathered {
 		cc.check()
 		// A gathered bind can only fail where the full bind fails too (an
-		// ordinal layer past its coding cap); the cached path below then
-		// records the negative outcome.
+		// ordinal layer past its coding cap); the full bind below then
+		// fails again and the step runs interpreted.
 		if maxima, ok := evalGathered(p, r, alg, mode, idx, cc, finish); ok {
 			return maxima
 		}
 	}
-	c, hit := cachedCompile(kt, r)
-	scope := BindFull
-	if hit {
-		scope = BindCached
-	}
-	return finish(evaluated{maxima: planAndExecute(alg, p, r, c, idx, scope, mode, cc), c: c})
+	c, _ := pref.Compile(p, r)
+	return finish(evaluated{maxima: planAndExecute(alg, p, r, c, idx, BindFull, mode, cc), c: c})
 }
 
 // evalGathered evaluates over a gathered bind of the candidates idx. The

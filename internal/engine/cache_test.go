@@ -1,11 +1,13 @@
 package engine
 
 import (
-	"fmt"
+	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"repro/internal/pref"
 	"repro/internal/relation"
@@ -26,52 +28,11 @@ func cacheTestRelation(rng *rand.Rand, n int) *relation.Relation {
 	return rel
 }
 
-// TestCompileCacheHitAndInvalidation pins the cache lifecycle: a repeated
-// query hits, an Insert or SortBy strands the entry, and a re-parsed term
-// (different pointer, same rendering) still hits.
-func TestCompileCacheHitAndInvalidation(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
-	rng := rand.New(rand.NewSource(3))
-	rel := cacheTestRelation(rng, 400)
-	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-
-	BMOIndices(p, rel, BNL)
-	if h, m := CompileCacheStats(); h != 0 || m != 1 {
-		t.Fatalf("cold query: hits=%d misses=%d", h, m)
-	}
-	if !CompileCached(p, rel) {
-		t.Fatal("bound form must be cached after the first query")
-	}
-	BMOIndices(p, rel, BNL)
-	if h, _ := CompileCacheStats(); h != 1 {
-		t.Fatalf("repeat query must hit, hits=%d", h)
-	}
-	// Same term rebuilt fresh (a re-parsed query): pointer differs, the
-	// canonical rendering does not.
-	q := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	BMOIndices(q, rel, BNL)
-	if h, _ := CompileCacheStats(); h != 2 {
-		t.Fatalf("re-parsed term must hit, hits=%d", h)
-	}
-
-	rel.MustInsert(relation.Row{0.0, 0.0, "z"})
-	if CompileCached(p, rel) {
-		t.Fatal("Insert must strand the cached bound form")
-	}
-	BMOIndices(p, rel, BNL)
-	if _, m := CompileCacheStats(); m != 2 {
-		t.Fatalf("post-mutation query must miss, misses=%d", m)
-	}
-}
-
 // TestStaleCacheNeverChangesBMO is the cache-soundness property: across a
 // random chain of queries and mutations (Insert, SortBy), the cached
 // compiled path must always return the same BMO set as a forced fresh
 // interpreted evaluation — i.e. stale-cache reuse can never surface.
 func TestStaleCacheNeverChangesBMO(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
 	terms := []pref.Preference{
 		pref.Pareto(pref.LOWEST("d1"), pref.HIGHEST("d2")),
 		pref.Prioritized(pref.POS("cat", "a"), pref.LOWEST("d1")),
@@ -110,83 +71,28 @@ func TestStaleCacheNeverChangesBMO(t *testing.T) {
 	}
 }
 
-// TestCachedFormMatchesFreshCompile cross-checks a cache-served bound form
-// against an independently compiled one, pair for pair.
-func TestCachedFormMatchesFreshCompile(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
-	rng := rand.New(rand.NewSource(9))
-	rel := cacheTestRelation(rng, 120)
-	p := pref.Prioritized(pref.NEG("cat", "c"), pref.Pareto(pref.LOWEST("d1"), pref.HIGHEST("d2")))
-
-	cached := compileFor(p, rel, EvalAuto)
-	again := compileFor(p, rel, EvalAuto)
-	if cached == nil || cached != again {
-		t.Fatal("second compileFor must serve the cached pointer")
-	}
-	fresh, ok := pref.Compile(p, rel)
-	if !ok {
-		t.Fatal("term must compile")
-	}
-	for i := 0; i < rel.Len(); i++ {
-		for j := 0; j < rel.Len(); j++ {
-			if cached.Less(i, j) != fresh.Less(i, j) {
-				t.Fatalf("cached and fresh bound forms disagree on (%d, %d)", i, j)
-			}
-		}
-	}
-}
-
-// TestPlanReportsCacheStatus pins Plan.CacheHit and its Explain rendering.
-func TestPlanReportsCacheStatus(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
+// TestPlanReportsBindScope pins Plan.Bind and its Explain rendering: an
+// unfiltered input binds the whole relation, a small candidate set
+// gathers.
+func TestPlanReportsBindScope(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rel := cacheTestRelation(rng, 600)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	if pl := PlanWithInput(p, rel, rel.Len(), Env{}); pl.CacheHit {
-		t.Fatal("cold plan must not report a cache hit")
-	}
-	BMOIndices(p, rel, Auto)
-	pl := PlanWithInput(p, rel, rel.Len(), Env{})
-	if !pl.CacheHit {
-		t.Fatal("plan after execution must report the cache hit")
-	}
-	if want := "cache=hit"; !strings.Contains(pl.Explain(), want) {
-		t.Fatalf("Explain must render %q:\n%s", want, pl.Explain())
-	}
-}
-
-// TestNegativeCacheEntryIsNotAHit pins the probe semantics for terms that
-// are structurally compilable but fail to bind (a discrete layer past the
-// ordinal-coding cap): the failure is cached — the next query skips the
-// doomed bind attempt — but CompileCached must not claim a bound form
-// exists, since execution runs interpreted.
-func TestNegativeCacheEntryIsNotAHit(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
-	rel := relation.New("N", relation.MustSchema(relation.Column{Name: "s", Type: relation.String}))
-	for i := 0; i < 600; i++ { // beyond the 512-value ordinal cap
-		rel.MustInsert(relation.Row{fmt.Sprintf("v%d", i)})
-	}
-	p, err := pref.EXPLICIT("s", []pref.Edge{{Worse: "v1", Better: "v2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pref.Compilable(p) {
-		t.Fatal("EXPLICIT must be structurally compilable")
-	}
-	if c := compileFor(p, rel, EvalAuto); c != nil {
-		t.Fatal("bind must fail beyond the ordinal-coding cap")
-	}
-	if CompileCached(p, rel) {
-		t.Fatal("a cached bind failure must not report as a reusable bound form")
-	}
-	if compileFor(p, rel, EvalAuto) != nil {
-		t.Fatal("second compile must also fail")
-	}
-	if h, m := CompileCacheStats(); h != 1 || m != 1 {
-		t.Fatalf("negative outcome must still be cache-served: hits=%d misses=%d", h, m)
+	for _, c := range []struct {
+		n    int
+		want BindScope
+		line string
+	}{
+		{rel.Len(), BindFull, "eval=compiled bind=full"},
+		{rel.Len() / 8, BindGathered, "eval=compiled bind=gathered"},
+	} {
+		pl := PlanWithInput(p, rel, c.n, Env{})
+		if pl.Bind != c.want {
+			t.Fatalf("n=%d: plan binds %s, want %s", c.n, pl.Bind, c.want)
+		}
+		if !strings.Contains(pl.Explain(), c.line) {
+			t.Fatalf("n=%d: Explain must render %q:\n%s", c.n, c.line, pl.Explain())
+		}
 	}
 }
 
@@ -196,8 +102,6 @@ func TestNegativeCacheEntryIsNotAHit(t *testing.T) {
 // fresh — a cached reuse would evaluate the second query with the first
 // query's score vectors.
 func TestScoreTermsBypassCache(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
 	rel := relation.New("S", relation.MustSchema(relation.Column{Name: "d", Type: relation.Float}))
 	for i := 0; i < 8; i++ {
 		rel.MustInsert(relation.Row{float64(i)})
@@ -232,8 +136,6 @@ func TestScoreTermsBypassCache(t *testing.T) {
 // semantics differ — the cache must key them apart (pref.CacheKey uses
 // length-prefixed ValueKey encodings, not the human rendering).
 func TestSetRenderingCollisionDoesNotShareBoundForms(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
 	rel := relation.New("P", relation.MustSchema(relation.Column{Name: "c", Type: relation.String}))
 	rel.MustInsert(relation.Row{"red"}, relation.Row{"blue"}, relation.Row{"red, blue"})
 	p1 := pref.POS("c", "red, blue")
@@ -302,11 +204,10 @@ func TestSetRenderingCollisionDoesNotShareBoundForms(t *testing.T) {
 }
 
 // TestEphemeralRelationsBypassCache: query intermediates (Pick results)
-// have per-query identity; caching against them could never hit and would
-// pin their rows, so the cache skips them entirely.
+// have per-query identity; caching a result against them could never hit
+// and would pin their rows, so a keyed evaluation over one bypasses the
+// result cache.
 func TestEphemeralRelationsBypassCache(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
 	rng := rand.New(rand.NewSource(13))
 	rel := cacheTestRelation(rng, 50)
 	sub := rel.Pick([]int{0, 1, 2, 3, 4})
@@ -314,44 +215,40 @@ func TestEphemeralRelationsBypassCache(t *testing.T) {
 		t.Fatal("Pick results are ephemeral, base relations are not")
 	}
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	if compileFor(p, sub, EvalAuto) == nil {
-		t.Fatal("ephemeral relations still compile — just uncached")
+	got, err := EvalIndicesCtxKeyed(context.Background(), p, sub, Auto, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if CompileCached(p, sub) {
-		t.Fatal("ephemeral relations must not populate the cache")
+	if want := BMOIndicesMode(p, sub, BNL, EvalInterpreted); !sameIndices(got, want) {
+		t.Fatalf("ephemeral evaluation = %v, oracle %v", got, want)
 	}
-	if h, m := CompileCacheStats(); h != 0 || m != 0 {
-		t.Fatalf("ephemeral compile must not touch the counters: hits=%d misses=%d", h, m)
+	if s := ResultCacheState(p, sub, nil); s != "bypass" {
+		t.Fatalf("ephemeral relation's result cache state = %q, want bypass", s)
 	}
 }
 
-// TestCacheHitKeepsChainProductVectors: ScoreVec resolves sub-terms by
-// pointer identity, so a cache-served bound form must be interrogated
-// through its OWN term (Compiled.Pref) — the caller's structurally
-// identical re-built tree has different pointers and would miss, silently
-// dropping the blocked filter's exact chain verdicts (chainExact) and the
-// result cache's coordinate carry on exactly the repeated queries the
-// cache accelerates.
-func TestCacheHitKeepsChainProductVectors(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
-	rng := rand.New(rand.NewSource(17))
-	rel := cacheTestRelation(rng, 50)
-	first := pref.Pareto(pref.LOWEST("d1"), pref.HIGHEST("d2"))
-	compileFor(first, rel, EvalAuto)
-
-	rebuilt := pref.Pareto(pref.LOWEST("d1"), pref.HIGHEST("d2"))
-	c := compileFor(rebuilt, rel, EvalAuto)
-	if h, _ := CompileCacheStats(); h != 1 {
-		t.Fatal("rebuilt term must be cache-served")
-	}
-	dims, ok := chainDims(c.Pref())
-	if !ok {
-		t.Fatal("chain product must be detected on the compiled form's term")
-	}
-	for _, dim := range dims {
-		if c.ScoreVec(dim) == nil {
-			t.Fatalf("score vector missing for %s on a cache-hit form", dim)
+// TestFinishedStatementPinsNoBoundForm: a statement's bound form is
+// per-statement state — once an unfiltered compiled evaluation returns,
+// nothing the engine keeps across statements holds it.
+func TestFinishedStatementPinsNoBoundForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	rel := cacheTestRelation(rng, 400)
+	p := pref.Pareto(pref.LOWEST("d1"), pref.HIGHEST("d2"))
+	var form weak.Pointer[pref.Compiled]
+	got := evalOn(p, rel, Auto, EvalAuto, allIndices(rel.Len()), nil, func(ev evaluated) {
+		if ev.c == nil {
+			t.Fatal("an unfiltered compilable statement must bind")
 		}
+		form = weak.Make(ev.c)
+	})
+	if want := BMOIndicesMode(p, rel, BNL, EvalInterpreted); !sameIndices(got, want) {
+		t.Fatalf("evaluation = %v, oracle %v", got, want)
 	}
+	for range 3 {
+		runtime.GC()
+	}
+	if form.Value() != nil {
+		t.Fatal("a finished statement's bound form is still reachable")
+	}
+	runtime.KeepAlive(rel)
 }

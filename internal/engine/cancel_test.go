@@ -233,7 +233,6 @@ func TestAbandonedGatheredWorkersKeepTheirSlabs(t *testing.T) {
 		if pref.FlatShaped(p) {
 			flatTerms++
 		}
-		ResetCompileCache()
 		want := referenceOIDs(p, s, sets)
 		ctx, cancel := ctxCancelledWithin(rng, time.Millisecond)
 		got, part, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, cloneSets(sets), nil, false, nil, Robust{})
@@ -263,5 +262,4 @@ func TestAbandonedGatheredWorkersKeepTheirSlabs(t *testing.T) {
 	if n := foldBinds.Load() - folds0; n != 0 {
 		t.Fatalf("the folds bound %d parts again instead of reading the carried records", n)
 	}
-	ResetCompileCache()
 }

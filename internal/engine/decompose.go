@@ -20,11 +20,10 @@ import (
 //
 // Leaves and non-decomposable terms evaluate with BNL — over the compiled
 // columnar form of the sub-term whenever one binds. Each sub-term compiles
-// once against the whole relation (position-addressed, so every recursion
-// level and every group shares the bound form through the compile cache)
-// instead of falling back to the interface path throughout, which also
-// means repeated decomposition queries over an unchanged relation reuse
-// the bound sub-terms outright. A canceller threads through the recursion:
+// once per query against the whole relation (position-addressed, so every
+// recursion level and every group shares the bound form through the
+// decomposer's memo) instead of falling back to the interface path
+// throughout. A canceller threads through the recursion:
 // the leaf BNL passes, the YY common-dominator scans and the group loops
 // all tick on it.
 func decomposedModeCC(p pref.Preference, r *relation.Relation, idx []int, mode EvalMode, cc *canceller) []int {
@@ -43,9 +42,8 @@ func decomposedCC(p pref.Preference, r *relation.Relation, idx []int, cc *cancel
 // (EvalInterpreted keeps the historical interface path end-to-end, the
 // agreement-test baseline), and a per-query memo of bound forms. The memo
 // is keyed by sub-term pointer identity — sub-terms are shared across the
-// recursion — and matters precisely where the global compile cache cannot
-// help: uncacheable terms (SCORE/rank) and ephemeral relations would
-// otherwise re-bind on every group of a Prop 10/12 grouping.
+// recursion — so a sub-term binds once per query, not once per group of a
+// Prop 10/12 grouping.
 type decomposer struct {
 	r     *relation.Relation
 	mode  EvalMode
@@ -59,7 +57,10 @@ func (d *decomposer) compiled(p pref.Preference) *pref.Compiled {
 	if c, hit := d.bound[p]; hit {
 		return c
 	}
-	c := compileFor(p, d.r, d.mode)
+	var c *pref.Compiled
+	if d.mode != EvalInterpreted {
+		c, _ = pref.Compile(p, d.r)
+	}
 	if d.bound == nil {
 		d.bound = make(map[pref.Preference]*pref.Compiled)
 	}
@@ -90,8 +91,8 @@ func (d *decomposer) eval(p pref.Preference, idx []int) []int {
 }
 
 // leaf evaluates a non-decomposable term with BNL over its compiled form
-// when the term binds (fetched through the compile cache, so the same
-// sub-term never binds twice per query), and over the interface path
+// when the term binds (fetched through the memo, so the same sub-term
+// never binds twice per query), and over the interface path
 // otherwise.
 func (d *decomposer) leaf(p pref.Preference, idx []int) []int {
 	if c := d.compiled(p); c != nil {
@@ -156,7 +157,7 @@ func (d *decomposer) pareto(q *pref.ParetoPref, idx []int) []int {
 // rows whose projection is non-maximal in both P1R and P2R yet has no
 // common dominator, i.e. P1↑t[A] ∩ P2↑t[A] ∩ R[A] = ∅. The common-
 // dominator scan runs over the compiled forms of both terms when they
-// bind; these are cache-shared with the max(P1)/max(P2) leaf passes.
+// bind; these are shared with the max(P1)/max(P2) leaf passes.
 func (d *decomposer) yy(p1, p2 pref.Preference, idx []int) []int {
 	max1 := toSet(d.leaf(p1, idx))
 	max2 := toSet(d.leaf(p2, idx))
@@ -204,7 +205,7 @@ func yy(p1, p2 pref.Preference, r *relation.Relation, idx []int) []int {
 // used inside the decomposition recursion. Groups partition by the
 // relation's equality codes (relation.GroupsOn — no per-row key strings),
 // and every group's recursion shares the sub-term bound forms through the
-// compile cache.
+// memo.
 func (d *decomposer) groupOn(p pref.Preference, groupAttrs []string, idx []int) []int {
 	var out []int
 	for _, group := range d.r.GroupsOn(groupAttrs, idx) {

@@ -76,19 +76,16 @@ func BMOIndices(p pref.Preference, r *relation.Relation, alg Algorithm) []int {
 // EvalInterpreted forces the tuple-at-a-time interface path that compiled
 // evaluation replaces, the baseline for benchmarks and agreement tests.
 func BMOIndicesMode(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMode) []int {
-	return evalOn(keyTerm(p), r, alg, mode, allIndices(r.Len()), nil, nil)
+	return evalOn(p, r, alg, mode, allIndices(r.Len()), nil, nil)
 }
 
 // BMOIndicesOn evaluates the preference query over the subset of R at the
 // given candidate row positions and returns the qualifying positions in
-// ascending order. A cached bound form of the term is position-addressed
-// over R's full column arrays, so an index-chained pipeline — hard
-// selection, PREFERRING, CASCADE steps all over one base relation —
-// reuses it no matter how the candidate set changes; without one, a
-// candidate set that is a small fraction of R binds over a gathered copy
-// of just those rows (see BindScope). idx must not contain duplicates.
+// ascending order. A candidate set that is a small fraction of R binds
+// over a gathered copy of just those rows, anything larger over R's full
+// column arrays (see BindScope). idx must not contain duplicates.
 func BMOIndicesOn(p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) []int {
-	return evalOn(keyTerm(p), r, alg, EvalAuto, idx, nil, nil)
+	return evalOn(p, r, alg, EvalAuto, idx, nil, nil)
 }
 
 // GroupBy evaluates σ[P groupby A](R) = σ[A↔ & P](R) per Definition 16:
@@ -200,5 +197,5 @@ func allIndices(n int) []int {
 // statistics-informed decision over known candidates. The plan explains;
 // it holds no relation to run on.
 func ResolveAuto(p pref.Preference, n int) *Plan {
-	return planCore(p, nil, n, Env{}, BindCached)
+	return planCore(p, nil, n, Env{}, BindFull)
 }

@@ -605,11 +605,9 @@ func TestFlatKernelRoutes(t *testing.T) {
 		wantSub := oidsOf(rel.Pick(sub).Row, BMOIndicesMode(p, rel.Pick(sub), BNL, EvalInterpreted))
 		before := dominancePasses()
 		for _, alg := range []Algorithm{Naive, BNL, SFS, Auto} {
-			ResetCompileCache()
 			if got := BMOIndicesMode(p, rel, alg, EvalCompiled); !sameInts(got, want) {
 				t.Fatalf("trial %d %s alg %s:\n got %v\nwant %v", trial, p, alg, got, want)
 			}
-			ResetCompileCache()
 			if got := oidsOf(rel.Row, BMOIndicesOn(p, rel, alg, sub)); !sameInts(got, wantSub) {
 				t.Fatalf("trial %d %s alg %s gathered:\n got %v\nwant %v", trial, p, alg, got, wantSub)
 			}
@@ -648,7 +646,6 @@ func TestFlatKernelRoutes(t *testing.T) {
 			}
 		}
 	}
-	ResetCompileCache()
 }
 
 // TestFlatKernelMaskedSourceFallsBack: a generic pref.Source whose tuples
@@ -772,7 +769,6 @@ func TestFlatKernelCancelAgreement(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || got != nil || DominanceRuns(DominanceFlat) != flat0+1 {
 		t.Fatalf("gather under a dying context: got %v err %v, want nil + context.Canceled from inside the flat pass", got, err)
 	}
-	ResetCompileCache()
 }
 
 // kernelBenchShapes are the statement shapes of the served cold_skyline

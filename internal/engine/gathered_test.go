@@ -156,7 +156,7 @@ func selectOn(s *relation.Sharded, cut int) ShardSets {
 	sets := make(ShardSets, s.NumShards())
 	kept := false
 	for i, sh := range s.Shards() {
-		sets[i] = slices.Clone(filter.CompileCached(pred, sh).Indices())
+		sets[i] = filter.Compile(pred, sh).Indices()
 		if cut == 0 {
 			// w < 0 selects nothing: keep exactly one row of the table.
 			if !kept && sh.Len() > 0 {
@@ -237,6 +237,7 @@ func TestGatheredBindAgreement(t *testing.T) {
 					ResetCompileCache()
 					tree0, flat0 := DominanceRuns(DominanceTree), fragmentRuns()
 					got := shardedBMO(p, s, alg, sets)
+					gathered := GatheredBinds()
 					if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
 						t.Fatalf("trial %d %s cut %d alg %s term %s:\n got %v\nwant %v", trial, name, cut, alg, p, oids, want)
 					}
@@ -253,17 +254,15 @@ func TestGatheredBindAgreement(t *testing.T) {
 						t.Fatalf("trial %d %s cut %d alg %s term %s: the flat kernel never ran", trial, name, cut, alg, p)
 					}
 					// Both sides of the subset rule ran: a small candidate set
-					// binds gathered (nothing cached), a large one binds the
-					// whole shard through the cache.
+					// binds gathered, a large one binds the whole shard.
+					var small uint64
 					for i, sh := range s.Shards() {
-						if len(sets[i]) == 0 {
-							continue
+						if len(sets[i]) > 0 && relation.GatherWorthwhile(len(sets[i]), sh.Len()) {
+							small++
 						}
-						small := relation.GatherWorthwhile(len(sets[i]), sh.Len())
-						if cached := CompileCached(p, sh); cached == small {
-							t.Fatalf("trial %d %s cut %d: shard %d candidates %d of %d: cached=%v, want %v",
-								trial, name, cut, i, len(sets[i]), sh.Len(), cached, !small)
-						}
+					}
+					if gathered != small {
+						t.Fatalf("trial %d %s cut %d: %d gathered binds, want one per small shard (%d)", trial, name, cut, gathered, small)
 					}
 					// The flat entry point over one shard's candidates takes
 					// the same two routes.
@@ -275,8 +274,7 @@ func TestGatheredBindAgreement(t *testing.T) {
 							t.Fatalf("trial %d %s cut %d alg %s term %s (flat):\n got %v\nwant %v", trial, name, cut, alg, p, gotFlat, wantFlat)
 						}
 					}
-					// The sharded stream reaches the same set (last: it binds
-					// whole shards through the cache).
+					// The sharded stream reaches the same set.
 					streamed := EvalStreamShardedCtx(context.Background(), p, s, alg, sets, Robust{}).Collect()
 					slices.Sort(streamed)
 					if oids := oidsOf(s.Row, streamed); !sameInts(oids, want) {
@@ -325,43 +323,40 @@ func TestGatheredMergeInfTies(t *testing.T) {
 	}
 }
 
-// TestGatheredBindNeverCaches: a gathered bind is its own outcome —
-// neither a compile-cache hit nor a miss — and leaves nothing behind; a
-// cached whole-relation form is used at any selectivity.
+// TestGatheredBindNeverCaches: a gathered bind is its own outcome and
+// leaves nothing behind — a repeat of the selective statement gathers
+// again, whatever whole-relation evaluation ran in between.
 func TestGatheredBindNeverCaches(t *testing.T) {
 	ResetCompileCache()
 	defer ResetCompileCache()
 	rng := rand.New(rand.NewSource(5))
 	r := gatheredTestRelation(rng, 2000)
 	p := pref.Pareto(pref.AROUND("x", 4), pref.LOWEST("z"))
-	idx := filter.CompileCached(&filter.Cmp{Attr: "w", Op: "<", Value: 30.0}, r).Indices()
+	idx := filter.Compile(&filter.Cmp{Attr: "w", Op: "<", Value: 30.0}, r).Indices()
 	if !relation.GatherWorthwhile(len(idx), r.Len()) {
 		t.Fatalf("test premise: %d of %d candidates must be a small subset", len(idx), r.Len())
 	}
-	if got := BindScopeOf(p, r, len(idx)); got != BindGathered {
-		t.Fatalf("scope before any bind = %s, want gathered", got)
+	if got := BindScopeOf(r, len(idx)); got != BindGathered {
+		t.Fatalf("scope of a small subset = %s, want gathered", got)
+	}
+	if got := BindScopeOf(r, r.Len()); got != BindFull {
+		t.Fatalf("scope of every row = %s, want full", got)
 	}
 	want := BMOIndicesOn(p, r, Auto, idx)
-	if h, m := CompileCacheStats(); h != 0 || m != 0 || GatheredBinds() != 1 || CompileCached(p, r) {
-		t.Fatalf("gathered bind: hits=%d misses=%d gathered=%d cached=%v, want 0/0/1/false", h, m, GatheredBinds(), CompileCached(p, r))
+	if g := GatheredBinds(); g != 1 {
+		t.Fatalf("gathered binds = %d, want 1", g)
 	}
-	// A whole-relation evaluation binds and caches the full form …
 	BMOIndices(p, r, Auto)
-	if got := BindScopeOf(p, r, len(idx)); got != BindCached {
-		t.Fatalf("scope with a cached form = %s, want cached", got)
-	}
-	// … which the selective statement then reuses instead of gathering.
 	got := BMOIndicesOn(p, r, Auto, idx)
-	if h, _ := CompileCacheStats(); h != 1 || GatheredBinds() != 1 {
-		t.Fatalf("cached form not reused: hits=%d gathered=%d", h, GatheredBinds())
+	if g := GatheredBinds(); g != 2 {
+		t.Fatalf("repeat gathered binds = %d, want 2", g)
 	}
 	if !sameInts(got, want) {
-		t.Fatalf("cached and gathered evaluations disagree: %v vs %v", got, want)
+		t.Fatalf("repeat evaluation disagrees: %v vs %v", got, want)
 	}
 	// Candidates in arbitrary order still come back ascending.
 	shuffled := slices.Clone(idx)
 	rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-	ResetCompileCache()
 	if got := BMOIndicesOn(p, r, SFS, shuffled); !sameInts(got, want) {
 		t.Fatalf("shuffled candidates: got %v want %v", got, want)
 	}
@@ -374,8 +369,6 @@ func TestGatheredBindNeverCaches(t *testing.T) {
 // Terms over both agree with the interpreted oracle whole and gathered,
 // in this binary with released slabs poisoned (TestMain).
 func TestGatheredBindSharesHighestImage(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
 	r := gatheredTestRelation(rand.New(rand.NewSource(31)), 2000)
 	hp, y := pref.HIGHEST("hp"), pref.HIGHEST("y")
 	var idx []int
@@ -433,17 +426,14 @@ func TestGatheredBindSharesHighestImage(t *testing.T) {
 	}
 }
 
-// TestCacheHygieneOneShotStatements: a hot statement's whole-shard bound
-// forms and its result-cache entries must survive a thousand distinct
-// selective statements over the same table. Before the gathered bind, 128
-// unique statements evicted every hot bound form.
+// TestCacheHygieneOneShotStatements: a hot statement's result-cache
+// entries must survive a thousand distinct selective statements over the
+// same table, which bind gathered and leave nothing behind.
 func TestCacheHygieneOneShotStatements(t *testing.T) {
 	ResetCompileCache()
 	resultcache.Reset()
-	filter.ResetCache()
 	defer ResetCompileCache()
 	defer resultcache.Reset()
-	defer filter.ResetCache()
 	rng := rand.New(rand.NewSource(9))
 	flat := gatheredTestRelation(rng, 1500)
 	s, err := relation.ShardRelation(flat, 2, relation.ByHash("oid"))
@@ -461,14 +451,11 @@ func TestCacheHygieneOneShotStatements(t *testing.T) {
 	}
 	want := runHot() // binds and stores
 	runHot()         // served: the entries are now known to be reused
-	if !compileCachedAllShards(hot, s) {
-		t.Fatal("test premise: the hot term must hold a cached form per shard")
-	}
 	for i := 0; i < 1000; i++ {
 		where := &filter.Cmp{Attr: "w", Op: "<", Value: float64(20 + i%60)}
 		sets := make(ShardSets, s.NumShards())
 		for k, sh := range s.Shards() {
-			sets[k] = filter.CompileCached(where, sh).Indices()
+			sets[k] = filter.Compile(where, sh).Indices()
 		}
 		p := pref.Pareto(pref.AROUND("x", float64(i)/100), pref.LOWEST("z"))
 		if _, _, err := BMOShardedOnCtxKeyed(ctx, p, s, Auto, sets, where, Robust{}); err != nil {
@@ -478,18 +465,10 @@ func TestCacheHygieneOneShotStatements(t *testing.T) {
 	if g := GatheredBinds(); g < 1000 {
 		t.Fatalf("the selective statements must bind gathered: %d gathered binds", g)
 	}
-	if !compileCachedAllShards(hot, s) {
-		t.Fatal("one-shot statements evicted the hot term's bound forms")
-	}
 	if n, ok := ResultCachedShards(hot, s, nil); !ok || n != s.NumShards() {
 		t.Fatalf("one-shot statements evicted the hot term's result entries: %d/%d shards cached", n, s.NumShards())
 	}
-	_, m0 := CompileCacheStats()
-	got := runHot()
-	if _, m1 := CompileCacheStats(); m1 != m0 {
-		t.Fatalf("hot statement re-bound after the flood: misses %d→%d", m0, m1)
-	}
-	if !sameInts(got.GlobalIDs(s), want.GlobalIDs(s)) {
+	if got := runHot(); !sameInts(got.GlobalIDs(s), want.GlobalIDs(s)) {
 		t.Fatal("hot statement's result changed")
 	}
 }
@@ -503,7 +482,7 @@ func TestGatheredCancelDeadContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := gatheredTestRelation(rng, 4000)
 	p := pref.Pareto(pref.AROUND("x", 4), pref.LOWEST("z"))
-	idx := filter.CompileCached(&filter.Cmp{Attr: "w", Op: "<", Value: 200.0}, r).Indices()
+	idx := filter.Compile(&filter.Cmp{Attr: "w", Op: "<", Value: 200.0}, r).Indices()
 	ctx := &dyingContext{Context: context.Background(), done: make(chan struct{})}
 	close(ctx.done)
 	got, err := oneShardBMO(ctx, p, r, Auto, idx)
@@ -537,16 +516,14 @@ func (c *dyingContext) Err() error {
 func TestGatheredCancelAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	r := gatheredTestRelation(rng, 16000)
-	idx := filter.CompileCached(&filter.Cmp{Attr: "w", Op: "<", Value: 240.0}, r).Indices()
+	idx := filter.Compile(&filter.Cmp{Attr: "w", Op: "<", Value: 240.0}, r).Indices()
 	if !relation.GatherWorthwhile(len(idx), r.Len()) {
 		t.Fatal("test premise: the subset must bind gathered")
 	}
 	for trial := 0; trial < 24; trial++ {
 		p := gatheredTerm(rng)
 		alg := []Algorithm{Auto, SFS, BNL}[rng.Intn(3)]
-		ResetCompileCache()
 		want := BMOIndicesOn(p, r, alg, idx)
-		ResetCompileCache()
 		ctx, cancel := ctxCancelledWithin(rng, 2*time.Millisecond)
 		got, err := oneShardBMO(ctx, p, r, alg, idx)
 		cancel()
@@ -560,7 +537,6 @@ func TestGatheredCancelAgreement(t *testing.T) {
 			t.Fatalf("trial %d: torn result under cancellation", trial)
 		}
 	}
-	ResetCompileCache()
 }
 
 // TestExtendedRowsCachedCarriedAndRebound drives the keyed entry points —
@@ -572,8 +548,6 @@ func TestGatheredCancelAgreement(t *testing.T) {
 // form must keep answering exactly like a fresh one over the old rows).
 func TestExtendedRowsCachedCarriedAndRebound(t *testing.T) {
 	freshResultCache(t)
-	ResetCompileCache()
-	defer ResetCompileCache()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 6; trial++ {
@@ -591,10 +565,10 @@ func TestExtendedRowsCachedCarriedAndRebound(t *testing.T) {
 			var sets ShardSets
 			if rng.Intn(2) == 0 {
 				where = &filter.Cmp{Attr: "w", Op: "<", Value: float64(100 + 300*rng.Intn(3))}
-				idx = filter.CompileCached(where, flat).Indices()
+				idx = filter.Compile(where, flat).Indices()
 				sets = make(ShardSets, sharded.NumShards())
 				for i, sh := range sharded.Shards() {
-					sets[i] = filter.CompileCached(where, sh).Indices()
+					sets[i] = filter.Compile(where, sh).Indices()
 				}
 			}
 			cand := flat

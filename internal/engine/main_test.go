@@ -61,15 +61,14 @@ func oneShardGroupBy(p pref.Preference, attrs []string, r *relation.Relation, al
 	return out[0]
 }
 
-// compileCachedAllShards reports whether every shard of s holds a cached
-// bound form of p at its current version.
-func compileCachedAllShards(p pref.Preference, s *relation.Sharded) bool {
-	for _, sh := range s.Shards() {
-		if !CompileCached(p, sh) {
-			return false
-		}
+// compileFor binds p to r's whole column arrays, or returns nil when the
+// mode forbids it or the term does not bind.
+func compileFor(p pref.Preference, r *relation.Relation, mode EvalMode) *pref.Compiled {
+	if mode == EvalInterpreted {
+		return nil
 	}
-	return true
+	c, _ := pref.Compile(p, r)
+	return c
 }
 
 // runPlan executes a plan — its algorithm at its worker count, which a

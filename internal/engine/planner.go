@@ -95,13 +95,9 @@ type Plan struct {
 	// discrete layer past the ordinal-coding cap) it runs interpreted
 	// despite the plan's assumption.
 	Compiled bool
-	// CacheHit reports whether a bound form of the term over the
-	// relation's current version was already in the compile cache at plan
-	// time — execution will reuse it instead of binding afresh.
-	CacheHit bool
 	// Bind is the bind scope the plan was costed for (meaningful when
-	// Compiled): the cached whole-relation form, a cold whole-relation
-	// bind, or a gathered bind over the Input candidates only.
+	// Compiled): a whole-relation bind, or a gathered bind over the Input
+	// candidates only.
 	Bind BindScope
 	// Dominance is the pairwise comparator the chosen algorithm runs
 	// (meaningful when Compiled); see dominanceOf for the run-time
@@ -133,13 +129,7 @@ type Plan struct {
 // the inlined plan matches what BMOIndicesOn will actually decide for the
 // filtered input). Statistics still sample R itself.
 func PlanWithInput(p pref.Preference, r *relation.Relation, n int, env Env) *Plan {
-	// The bind-scope probe runs only on this EXPLAIN-facing entry point:
-	// execution plans with the scope it actually bound under (evalOn), so
-	// it neither pays a second key render + lock nor misreads its own
-	// just-populated entry as a pre-existing hit.
-	pl := planCore(p, r, n, env, BindScopeOf(p, r, n))
-	pl.CacheHit = pl.Compiled && pl.Bind == BindCached
-	return pl
+	return planCore(p, r, n, env, BindScopeOf(r, n))
 }
 
 // Explain renders the plan decision for debugging, tests and the EXPLAIN
@@ -148,14 +138,7 @@ func (pl *Plan) Explain() string {
 	var b strings.Builder
 	eval := "interpreted"
 	if pl.Compiled {
-		eval = "compiled cache=cold"
-		switch pl.Bind {
-		case BindCached:
-			eval = "compiled cache=hit"
-		case BindGathered:
-			eval = "compiled bind=gathered"
-		}
-		eval += " dominance=" + pl.Dominance.String()
+		eval = "compiled bind=" + pl.Bind.String() + " dominance=" + pl.Dominance.String()
 	}
 	fmt.Fprintf(&b, "plan: n=%d shape=%s eval=%s est.result≈%d → %s", pl.Input, pl.Shape, eval, pl.EstResult, pl.Algorithm)
 	if pl.Workers >= 2 {
@@ -312,21 +295,13 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	// in one pass, w columns over the n candidates, whatever the bind
 	// scope. Everything else sorts by dense-rank keys, and deriving them
 	// sorts every score leaf over the rows the bound form spans — not over
-	// the candidates: a cold whole-relation bind ranks |R| rows per leaf
+	// the candidates: a whole-relation bind ranks |R| rows per leaf
 	// however few of them are candidates, a gathered (or interpreted)
-	// evaluation ranks the n candidates, and a cached form's keys are
-	// already there.
+	// evaluation ranks the n candidates.
 	leaves := float64(keyLeaves(p))
 	keyRows := fn
-	if pl.Compiled && !sumKey {
-		switch scope {
-		case BindCached:
-			keyRows = 0
-		case BindFull:
-			if r != nil {
-				keyRows = math.Max(fn, float64(r.Len()))
-			}
-		}
+	if pl.Compiled && !sumKey && scope == BindFull && r != nil {
+		keyRows = math.Max(fn, float64(r.Len()))
 	}
 	keyCost := leaves * keyRows * math.Log2(math.Max(keyRows, 2)) * sortScale
 	if sumKey {
@@ -446,12 +421,10 @@ func sfsKeyReason(scope BindScope, sumKey bool, leaves, rows int, cost float64) 
 	switch {
 	case sumKey:
 		return fmt.Sprintf("SFS keys: one pass sums %d score column(s) over the %d candidates (n·w, cost≈%.3g), no rank transform", leaves, rows, cost)
-	case scope == BindCached:
-		return "SFS keys: cached with the bound form — presort pays only the candidate sort"
 	case scope == BindGathered:
 		return fmt.Sprintf("SFS keys: gathered bind ranks %d leaf vector(s) over the %d candidates only (m·log m, cost≈%.3g)", leaves, rows, cost)
 	}
-	return fmt.Sprintf("SFS keys: cold whole-relation bind ranks %d leaf vector(s) over all %d rows (|R|·log|R| per leaf, cost≈%.3g)", leaves, rows, cost)
+	return fmt.Sprintf("SFS keys: whole-relation bind ranks %d leaf vector(s) over all %d rows (|R|·log|R| per leaf, cost≈%.3g)", leaves, rows, cost)
 }
 
 // presortedFor reports whether the relation is already physically ordered

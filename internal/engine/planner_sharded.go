@@ -55,7 +55,7 @@ func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env E
 		Fanout: fanout,
 		Merge:  ShardMergeMode(p),
 	}
-	sp.PerShard = planCore(p, s.Shard(rep), repN, env, BindScopeOf(p, s.Shard(rep), repN))
+	sp.PerShard = planCore(p, s.Shard(rep), repN, env, BindScopeOf(s.Shard(rep), repN))
 	perShardCost := chosenCost(sp.PerShard)
 	waves := (s.NumShards() + fanout - 1) / fanout
 	merged := s.NumShards() * sp.PerShard.EstResult

@@ -86,8 +86,6 @@ func TestPlannerSmallInputUsesShapeHeuristic(t *testing.T) {
 // head, whose window stays a handful of rows, does not. Keyed terms outside
 // the fragment keep the shape heuristic.
 func TestPlannerSmallFlatInputComparesTheTwoPasses(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
 	rng := rand.New(rand.NewSource(4))
 	rel := antiCorrelated(rng, 4000)
 	prior := pref.Prioritized(pref.LOWEST("d1"), pref.Pareto(pref.AROUND("d1", 0.4), pref.LOWEST("d2")))
@@ -103,9 +101,9 @@ func TestPlannerSmallFlatInputComparesTheTwoPasses(t *testing.T) {
 	if pl := PlanWithInput(rank, rel, 200, Env{}); pl.Bind != BindGathered || pl.Algorithm != SFS {
 		t.Errorf("200 of 4000 candidates, keyed term outside the fragment: bind=%s alg=%s; want gathered sfs", pl.Bind, pl.Algorithm)
 	}
-	BMOIndices(prior, rel, Auto) // binds and caches the whole-relation form
-	if pl := PlanWithInput(prior, rel, 200, Env{}); pl.Bind != BindCached || pl.Algorithm != BNL {
-		t.Errorf("with a cached form: bind=%s alg=%s; the comparison does not depend on the bind, want cached bnl", pl.Bind, pl.Algorithm)
+	small := antiCorrelated(rng, 200)
+	if pl := PlanWithInput(prior, small, small.Len(), Env{}); pl.Bind != BindFull || pl.Algorithm != BNL {
+		t.Errorf("a 200-row relation: bind=%s alg=%s; the comparison does not depend on the bind, want full bnl", pl.Bind, pl.Algorithm)
 	}
 }
 
@@ -121,8 +119,6 @@ func TestPlannerSmallFlatInputComparesTheTwoPasses(t *testing.T) {
 // routed the Pareto group the other way.
 func TestPlannerRoutesColdShapes(t *testing.T) {
 	atProcs(t, 1)
-	ResetCompileCache()
-	defer ResetCompileCache()
 	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
 	s, err := relation.ShardRelation(pts, 2, relation.ByRange("d1", relation.RangeBounds(pts, "d1", 2)...))
 	if err != nil {
@@ -161,7 +157,7 @@ func TestPlannerRoutesColdShapes(t *testing.T) {
 			for draw := 0; draw < 20; draw++ {
 				p := shape.term()
 				for _, sh := range s.Shards() {
-					idx := filter.CompileCached(where, sh).Indices()
+					idx := filter.Compile(where, sh).Indices()
 					pl := PlanWithInput(p, sh, len(idx), Env{})
 					plans++
 					if pl.Bind != BindGathered || pl.Algorithm != shape.alg || pl.Dominance != shape.dom {
@@ -191,7 +187,7 @@ func TestPlannerRoutesColdShapes(t *testing.T) {
 		p := pref.Pareto(pref.AROUND("mileage", float64(rng.Intn(120000))), pref.HIGHEST("horsepower"))
 		where := &filter.Cmp{Attr: "price", Op: "<=", Value: float64(6000 + rng.Intn(6000))}
 		for _, sh := range cs.Shards() {
-			idx := filter.CompileCached(where, sh).Indices()
+			idx := filter.Compile(where, sh).Indices()
 			if pl := PlanWithInput(p, sh, len(idx), Env{}); pl.Algorithm != BNL || pl.Dominance != window {
 				t.Errorf("durable_paged statement, %d of %d candidates: plan %s on %s, want bnl on %s\n%s", len(idx), sh.Len(), pl.Algorithm, pl.Dominance, window, pl.Explain())
 			}
@@ -399,8 +395,6 @@ func TestEstimateIgnoresConstantChainDims(t *testing.T) {
 // and the algorithm the shapes were gated with (the flat window pass)
 // must not move with the estimate.
 func TestPrioritizedEstimateFollowsTheHead(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
 	within10x := func(what string, est, actual int) {
 		t.Helper()
 		if actual < 1 {
@@ -427,7 +421,7 @@ func TestPrioritizedEstimateFollowsTheHead(t *testing.T) {
 			where := &filter.Cmp{Attr: "d4", Op: "<=", Value: cut}
 			sets := make(ShardSets, s.NumShards())
 			for i, sh := range s.Shards() {
-				sets[i] = filter.CompileCached(where, sh).Indices()
+				sets[i] = filter.Compile(where, sh).Indices()
 			}
 			sp := PlanShardedOn(c.p, s, sets, Env{})
 			locals := 0

@@ -13,16 +13,14 @@ import (
 )
 
 // TestReshardSweepsDisplacedShardCaches is the displaced-shard cache
-// lifecycle: queries populate the compile cache, rank/selection vectors
-// and the result cache against each shard's identity; Reshard then
+// lifecycle: queries populate the statistics, rank score and result
+// caches against each shard's identity; Reshard then
 // re-addresses every row into fresh shards. The displaced shards must
 // leave no cache entries behind — in particular no stale per-shard BMO
 // maxima — and the sweep must run inside Reshard itself, not depend on
 // the caller processing the returned displaced list.
 func TestReshardSweepsDisplacedShardCaches(t *testing.T) {
 	freshResultCache(t)
-	ResetCompileCache()
-	defer ResetCompileCache()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(11))
 	rel := cacheTestRelation(rng, 240)
@@ -41,7 +39,7 @@ func TestReshardSweepsDisplacedShardCaches(t *testing.T) {
 	}
 	sets := make(ShardSets, s.NumShards())
 	for i := range sets {
-		sets[i] = filter.CompileCached(where, s.Shard(i)).Indices()
+		sets[i] = filter.Compile(where, s.Shard(i)).Indices()
 	}
 	if _, _, err := BMOShardedOnCtxKeyed(ctx, p, s, Auto, sets, where, Robust{}); err != nil {
 		t.Fatal(err)
@@ -70,9 +68,8 @@ func TestReshardSweepsDisplacedShardCaches(t *testing.T) {
 		if e := resultcache.AtVersion(sh, versions[i]); len(e) != 0 {
 			t.Fatalf("displaced shard %d still holds %d cached maxima after Reshard", i, len(e))
 		}
-		// The boundcache registry sweep (compile cache, selection
-		// bitmaps, rank vectors) must have run too: a second eviction
-		// finds nothing left to release.
+		// The boundcache registry sweep (statistics, rank vectors) must
+		// have run too: a second eviction finds nothing left to release.
 		if n := EvictRelation(sh); n != 0 {
 			t.Fatalf("displaced shard %d: %d bound-cache entries survived Reshard", i, n)
 		}

@@ -1,9 +1,9 @@
 // Package resultcache is the materialized BMO result cache: finished
 // maxima index sets keyed by (relation identity, generation version,
 // preference term, candidate-set term), built on the bounded mechanics
-// of internal/boundcache. Where the compile caches amortize *binding* —
-// score vectors, ordinal codes, selection bitmaps — this cache amortizes
-// the *result*: BMO semantics make the answer a pure function of
+// of internal/boundcache. Binding — score vectors, ordinal codes,
+// selection bitmaps — is per-statement work; this cache amortizes the
+// *result*: BMO semantics make the answer a pure function of
 // (generation, term), so a repeat query over an unchanged generation is
 // a map lookup instead of an O(n·|maxima|) scan.
 //
@@ -62,25 +62,13 @@ type Entry struct {
 
 // cacheCap bounds the number of cached result sets. Results are small
 // (maxima positions, not rows), so the cap is generous relative to the
-// compile caches.
+// statistics and score caches.
 const cacheCap = 256
 
 var cache = boundcache.New[*Entry](cacheCap)
 
-// disabled gates the whole cache (default enabled). Benchmarks that must
-// measure raw evaluation flip it; the zero value means enabled so init
-// order cannot race a hook registration.
-var disabled atomic.Bool
-
 // carries counts generation carry-forwards performed by maintenance.
 var carries atomic.Uint64
-
-// Enabled reports whether the cache is serving and maintaining.
-func Enabled() bool { return !disabled.Load() }
-
-// SetEnabled turns serving and maintenance on or off; disabling does not
-// drop existing entries (use Reset for that).
-func SetEnabled(on bool) { disabled.Store(!on) }
 
 // TermKey composes the cache term from the preference's canonical key
 // and the candidate-set key, length-prefixed so neither component can
@@ -94,30 +82,20 @@ func TermKey(prefTerm, candTerm string) string {
 }
 
 // Get returns the cached entry for the source at the given generation
-// version, counting a hit or miss. A disabled cache always misses
-// (without counting).
+// version, counting a hit or miss.
 func Get(src any, version uint64, term string) (*Entry, bool) {
-	if disabled.Load() {
-		return nil, false
-	}
 	e, ok := cache.Get(boundcache.Key{Src: src, Version: version, Term: term})
 	return e, ok
 }
 
-// Put stores an entry; a no-op while the cache is disabled.
+// Put stores an entry.
 func Put(src any, version uint64, term string, e *Entry) {
-	if disabled.Load() {
-		return
-	}
 	cache.Put(boundcache.Key{Src: src, Version: version, Term: term}, e)
 }
 
 // Peek returns the cached entry without touching the hit/miss counters;
 // EXPLAIN's status probe uses it.
 func Peek(src any, version uint64, term string) (*Entry, bool) {
-	if disabled.Load() {
-		return nil, false
-	}
 	return cache.Peek(boundcache.Key{Src: src, Version: version, Term: term})
 }
 
@@ -125,9 +103,6 @@ func Peek(src any, version uint64, term string) (*Entry, bool) {
 // version, keyed by term; the maintenance hook iterates it to carry a
 // superseded generation's results forward.
 func AtVersion(src any, version uint64) map[string]*Entry {
-	if disabled.Load() {
-		return nil
-	}
 	return cache.AtVersion(src, version)
 }
 

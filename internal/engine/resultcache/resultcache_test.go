@@ -8,7 +8,6 @@ import (
 // fresh isolates a test from prior entries and counters.
 func fresh(t *testing.T) {
 	Reset()
-	SetEnabled(true)
 	t.Cleanup(Reset)
 }
 
@@ -72,34 +71,6 @@ func TestAtVersion(t *testing.T) {
 	}
 	if len(AtVersion(a, 3)) != 0 {
 		t.Fatal("an absent version must return no entries")
-	}
-}
-
-// TestDisabledGate pins the kill switch: no serving, no storing, no
-// counting, no maintenance iteration — and re-enabling restores the
-// entries that were already stored.
-func TestDisabledGate(t *testing.T) {
-	fresh(t)
-	src := new(int)
-	Put(src, 1, "t", &Entry{Maxima: []int{0}})
-	SetEnabled(false)
-	defer SetEnabled(true)
-	if Enabled() {
-		t.Fatal("Enabled must report the gate")
-	}
-	if _, ok := Get(src, 1, "t"); ok {
-		t.Fatal("a disabled cache must not serve")
-	}
-	Put(src, 1, "t2", &Entry{Maxima: []int{1}})
-	if len(AtVersion(src, 1)) != 0 {
-		t.Fatal("a disabled cache must not expose entries to maintenance")
-	}
-	SetEnabled(true)
-	if _, ok := Get(src, 1, "t"); !ok {
-		t.Fatal("disabling must not drop stored entries")
-	}
-	if _, ok := Get(src, 1, "t2"); ok {
-		t.Fatal("a Put under the gate must have been a no-op")
 	}
 }
 

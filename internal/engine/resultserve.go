@@ -23,35 +23,32 @@ import (
 // always evaluates, so benchmarks and agreement baselines keep measuring
 // real work.
 
-// stmtKeys are the canonical renderings one keyed evaluation call
-// addresses its caches with: the preference's compile-cache term and the
-// result-cache term composed from it and the candidate-set key. They are
-// functions of the statement alone, so a call renders them once and every
-// shard reuses them. resultOK=false means the query must bypass the result
-// cache: a preference without a faithful canonical key, or a WHERE tree
-// containing foreign Pred nodes.
+// stmtKeys is the result-cache term one keyed evaluation call addresses
+// the cache with, composed from the preference's canonical term key and
+// the candidate-set key. It is a function of the statement alone, so a
+// call renders it once and every shard reuses it. resultOK=false means
+// the query must bypass the result cache: a preference without a
+// faithful canonical key, or a WHERE tree containing foreign Pred nodes.
 type stmtKeys struct {
-	keyedTerm
 	result   string
 	resultOK bool
 }
 
 // keysOf renders the keys of σ[P](where(R)).
 func keysOf(p pref.Preference, where filter.Pred) stmtKeys {
-	k := stmtKeys{keyedTerm: keyTerm(p)}
-	if !k.keyed {
-		return k
+	term, keyed := pref.CacheKey(p)
+	if !keyed {
+		return stmtKeys{}
 	}
 	candTerm := "*"
 	if where != nil {
 		pk, ok := filter.PredKey(where)
 		if !ok {
-			return k
+			return stmtKeys{}
 		}
 		candTerm = "w:" + pk
 	}
-	k.result, k.resultOK = resultcache.TermKey(k.term, candTerm), true
-	return k
+	return stmtKeys{result: resultcache.TermKey(term, candTerm), resultOK: true}
 }
 
 // resultKey derives the result-cache addressing over one relation: the
@@ -119,8 +116,7 @@ func EvalIndicesCtxKeyed(ctx context.Context, p pref.Preference, r *relation.Rel
 // ResultCacheState reports the serving status EXPLAIN prints for a
 // flat BMO step: "hit" (a maxima set for the current generation is
 // cached), "cold" (keyable but absent) or "bypass" (the query cannot be
-// keyed, or the cache is disabled) — ResultCachedShards over r as its
-// one shard.
+// keyed) — ResultCachedShards over r as its one shard.
 func ResultCacheState(p pref.Preference, r *relation.Relation, where filter.Pred) string {
 	switch n, ok := ResultCachedShards(p, relation.OneShard(r), where); {
 	case !ok:
@@ -135,9 +131,6 @@ func ResultCacheState(p pref.Preference, r *relation.Relation, where filter.Pred
 // (p, where) are cached at their current versions, for EXPLAIN's
 // sharded status line. ok=false when the query cannot be keyed at all.
 func ResultCachedShards(p pref.Preference, s *relation.Sharded, where filter.Pred) (int, bool) {
-	if !resultcache.Enabled() {
-		return 0, false
-	}
 	n := 0
 	keys := keysOf(p, where)
 	for i := 0; i < s.NumShards(); i++ {

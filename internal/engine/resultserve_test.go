@@ -16,7 +16,6 @@ import (
 // freshResultCache isolates a test from entries other tests left behind.
 func freshResultCache(t testing.TB) {
 	resultcache.Reset()
-	resultcache.SetEnabled(true)
 	t.Cleanup(resultcache.Reset)
 }
 
@@ -138,7 +137,7 @@ func TestResultCacheMaintenanceAgreement(t *testing.T) {
 			var idx []int
 			if rng.Intn(2) == 0 {
 				w = where
-				idx = filter.CompileCached(w, rel).Indices()
+				idx = filter.Compile(w, rel).Indices()
 			}
 			got, err := EvalIndicesCtxKeyed(ctx, p, rel, Auto, slices.Clone(idx), w)
 			if err != nil {
@@ -259,7 +258,7 @@ func TestShardedResultCacheAgreement(t *testing.T) {
 					w = where
 					sets = make(ShardSets, sh.NumShards())
 					for i := range sets {
-						sets[i] = filter.CompileCached(w, sh.Shard(i)).Indices()
+						sets[i] = filter.Compile(w, sh.Shard(i)).Indices()
 					}
 				}
 				got, _, err := BMOShardedOnCtxKeyed(ctx, p, sh, Auto, cloneSets(sets), w, Robust{})
@@ -326,7 +325,7 @@ func TestGatheredEntryOutlivesItsSlab(t *testing.T) {
 	dims, _ := chainDims(p)
 	where := &filter.Cmp{Attr: "w", Op: "<", Value: 100.0}
 	selected := func(r *relation.Relation) []int {
-		return slices.Clone(filter.CompileCached(where, r).Indices())
+		return filter.Compile(where, r).Indices()
 	}
 	checkEntry := func(what string, r *relation.Relation) {
 		t.Helper()
@@ -439,37 +438,6 @@ func TestDeadContextRefusesResultHit(t *testing.T) {
 	cancel()
 	if _, err := EvalIndicesCtxKeyed(ctx, p, rel, Auto, nil, nil); err == nil {
 		t.Fatal("cancelled context must refuse the cached answer")
-	}
-}
-
-// TestResultCacheDisabled: the kill switch bypasses serving, storing and
-// the EXPLAIN probe without dropping correctness.
-func TestResultCacheDisabled(t *testing.T) {
-	freshResultCache(t)
-	resultcache.SetEnabled(false)
-	t.Cleanup(func() { resultcache.SetEnabled(true) })
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(4))
-	rel := cacheTestRelation(rng, 100)
-	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	want, err := oneShardBMO(ctx, p, rel, Auto, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		got, err := EvalIndicesCtxKeyed(ctx, p, rel, Auto, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIndices(got, want) {
-			t.Fatalf("disabled-cache eval = %v, want %v", got, want)
-		}
-	}
-	if s := ResultCacheState(p, rel, nil); s != "bypass" {
-		t.Fatalf("disabled state = %q, want bypass", s)
-	}
-	if h, m, _ := resultcache.Stats(); h != 0 || m != 0 {
-		t.Fatalf("disabled cache must not count: hits=%d misses=%d", h, m)
 	}
 }
 

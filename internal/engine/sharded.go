@@ -18,9 +18,9 @@ import (
 // partitioned plan — max(P over A ∪ B) = max(P over max(P, A) ∪
 // max(P, B)) for every strict partial order — holds just as well when the
 // partitions are storage shards: every query evaluates shard-local first
-// (each shard is a normal *Relation, so the compile caches serve its
-// bound forms independently) and the shard-local maxima — antichains, one
-// per shard — merge in one fold that tests cross-shard pairs only
+// (each shard is a normal *Relation and binds its own forms) and the
+// shard-local maxima — antichains, one per shard — merge in one fold that
+// tests cross-shard pairs only
 // (mergeShardMaxima): on the records the shards' evaluations carried out
 // for a term of the flat fragment — two one-way sweeps per part through
 // the AVX2 score blocks when the kernel is on, three-way tests on flat
@@ -501,16 +501,16 @@ func GroupByShardedOn(ctx context.Context, p pref.Preference, groupAttrs []strin
 		}
 	}
 	// One whole-shard bound form serves every group of the shard — bound
-	// once by whichever of its jobs runs first, even over an ephemeral
-	// shard the compile cache skips (and, cached, on every repeat); a
-	// per-group gathered bind would re-bind on every execution.
+	// once by whichever of its jobs runs first; a per-group gathered bind
+	// would re-bind for every group.
 	binds := make([]func() *pref.Compiled, s.NumShards())
 	for i := range binds {
 		binds[i] = sync.OnceValue(func() *pref.Compiled {
 			if alg == Decomposition {
 				return nil
 			}
-			return compileFor(p, s.Shard(i), EvalAuto)
+			c, _ := pref.Compile(p, s.Shard(i))
+			return c
 		})
 	}
 	errs := relation.FanShardsCtx(ctx, len(jobs), 0, func(ictx context.Context, j int) error {
@@ -519,7 +519,7 @@ func GroupByShardedOn(ctx context.Context, p pref.Preference, groupAttrs []strin
 			return err
 		}
 		out, err := runCancellable(ictx, func(cc *canceller) []int {
-			return planAndExecute(alg, p, s.Shard(i), binds[i](), groups[g].perShard[i], BindCached, EvalAuto, cc)
+			return planAndExecute(alg, p, s.Shard(i), binds[i](), groups[g].perShard[i], BindFull, EvalAuto, cc)
 		})
 		locals[g][i] = out
 		return err
@@ -566,7 +566,7 @@ func shardGroupKey(t pref.Tuple, attrs []string) (string, bool) {
 	return b.String(), true
 }
 
-// EvictSharded releases every bound form cached against any shard of the
+// EvictSharded releases every entry cached against any shard of the
 // table — the sharded counterpart of EvictRelation; psql.Catalog's Drop
 // and Replace route sharded tables through it. It returns the number of
 // entries released.

@@ -87,13 +87,11 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 	if sets == nil {
 		sets = AllShardSets(s)
 	}
-	// Rendered once, before the fan-out: every shard's bind-scope probe,
-	// compile-cache lookup and result key reuse them.
+	// Rendered once, before the fan-out: every shard's result key reuses
+	// them.
 	var keys stmtKeys
 	if keyed {
 		keys = keysOf(p, where)
-	} else {
-		keys.keyedTerm = keyTerm(p)
 	}
 	locals := make(ShardSets, s.NumShards())
 	var accepted ShardSets
@@ -144,7 +142,7 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 			}
 			var err error
 			out, err = runCancellable(ictx, func(cc *canceller) []int {
-				return evalOn(keys.keyedTerm, shard, alg, EvalAuto, cand, cc, done)
+				return evalOn(p, shard, alg, EvalAuto, cand, cc, done)
 			})
 			if err != nil {
 				return err

@@ -3,7 +3,6 @@ package engine
 import (
 	"slices"
 
-	"repro/internal/boundcache"
 	"repro/internal/pref"
 	"repro/internal/relation"
 )
@@ -18,16 +17,12 @@ import (
 // a dominator always has a strictly greater key, hence is visited first,
 // and every undominated candidate is final on sight.
 //
-// The union is never sorted as one list. Each shard keeps its own visit
-// order — locals by descending raw-lex key, cache-served per (shard,
-// version, term) like the rank permutations — and Next runs a k-way heap
+// The union is never sorted as one list. Each shard sorts its own visit
+// order — locals by descending raw-lex key — and Next runs a k-way heap
 // merge over the per-shard heads. The merged sequence is identical to
 // sorting the union (per-shard orders break key ties by ascending local,
-// the heap breaks cross-shard ties by ascending global id), but the work
-// before the first emission is O(shards) heap setup on a warm cache —
-// independent of the table size — instead of an O(n log n) sort. Each
-// shard's coordinates are read from its own cached compiled form, so
-// repeated streams are bind- and sort-free per shard. Other shapes
+// the heap breaks cross-shard ties by ascending global id). Each shard's
+// coordinates are read from its own compiled form. Other shapes
 // degrade to one batch sharded evaluation replayed through Next, exactly
 // like the flat Stream's fallback.
 type ShardedStream struct {
@@ -66,44 +61,9 @@ type shardHead struct {
 	at    int
 }
 
-// streamOrderCacheCap bounds the number of cached per-shard visit orders.
-const streamOrderCacheCap = 64
-
-// streamOrderCache holds the per-shard chain visit orders (locals by
-// descending raw-lex coordinate key) the sharded stream merges, cached
-// per (shard, version, term) alongside the shard's bound form: once the
-// coordinates come from the compile cache, the sort is the dominant
-// start-up cost, and a repeated stream over an unchanged table starts in
-// O(shards). Keys share the bound-form registry, so EvictSharded's sweep
-// releases orders too, and any row mutation strands them via the version.
-var streamOrderCache = boundcache.New[[]int](streamOrderCacheCap)
-
-// StreamOrderCacheStats returns the hit/miss counters of the per-shard
-// stream-order cache.
-func StreamOrderCacheStats() (hits, misses uint64) {
-	return streamOrderCache.Stats()
-}
-
-// ResetStreamOrderCache empties the stream-order cache and zeroes its
-// counters.
-func ResetStreamOrderCache() {
-	streamOrderCache.Reset()
-}
-
 // shardStreamOrder returns the shard's full visit order — every local row
-// position, descending raw-lex chain key, key ties by ascending local —
-// cache-served for keyed terms over cacheable shards, sorted fresh
-// otherwise.
-func shardStreamOrder(p pref.Preference, sh *relation.Relation, vecs [][]float64) []int {
-	term, keyed := pref.CacheKey(p)
-	cacheable := keyed && !sh.Ephemeral()
-	var key boundcache.Key
-	if cacheable {
-		key = boundcache.Key{Src: sh, Version: sh.Version(), Term: "streamorder:" + term}
-		if ord, hit := streamOrderCache.Get(key); hit && ord != nil {
-			return ord
-		}
-	}
+// position, descending raw-lex chain key, key ties by ascending local.
+func shardStreamOrder(vecs [][]float64) []int {
 	ord := make([]int, len(vecs[0]))
 	for i := range ord {
 		ord[i] = i
@@ -117,14 +77,11 @@ func shardStreamOrder(p pref.Preference, sh *relation.Relation, vecs [][]float64
 		// Equal keys are mutually unranked; order by id for determinism.
 		return a - b
 	})
-	if cacheable {
-		streamOrderCache.Put(key, ord)
-	}
 	return ord
 }
 
 // shardChainVecs resolves the raw per-dimension score vectors of every
-// shard's cached compiled form, ok=false when the term is not a chain
+// shard's compiled form, ok=false when the term is not a chain
 // product or any shard failed to compile. Dimension order is structural
 // (chainDims flattens deterministically), so dimension d lines up across
 // shards; the vectors hold raw ScoreOf images — not per-relation rank
@@ -142,8 +99,8 @@ func shardChainVecs(p pref.Preference, s *relation.Sharded) ([][][]float64, bool
 	// and require the merged record to stay exact.
 	var collapse []pref.InfCollapse
 	for i := 0; i < s.NumShards(); i++ {
-		c := compileFor(p, s.Shard(i), EvalAuto)
-		if c == nil {
+		c, ok := pref.Compile(p, s.Shard(i))
+		if !ok {
 			return nil, false
 		}
 		dims, ok := chainDims(c.Pref())
@@ -185,7 +142,7 @@ func (st *ShardedStream) bindChain(p pref.Preference, sets ShardSets) {
 	st.scratch = make([]float64, st.dims)
 	st.orders = make([][]int, s.NumShards())
 	for i := range st.orders {
-		st.orders[i] = shardStreamOrder(p, s.Shard(i), vecs[i])
+		st.orders[i] = shardStreamOrder(vecs[i])
 	}
 	if sets != nil {
 		st.member = make([][]bool, s.NumShards())

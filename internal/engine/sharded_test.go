@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine/resultcache"
 	"repro/internal/pref"
 	"repro/internal/relation"
 	"repro/internal/workload"
@@ -284,44 +285,6 @@ func TestShardedStreamFirstResultEarly(t *testing.T) {
 	}
 }
 
-// TestShardedCompileCacheServed is the acceptance property: a repeated
-// sharded query must be fully compile-cache served — every shard hits,
-// no shard re-binds.
-func TestShardedCompileCacheServed(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
-	rng := rand.New(rand.NewSource(5))
-	flat := shardedTestRelation(rng, 600, 12)
-	s, err := relation.ShardRelation(flat, 4, relation.ByHash("oid"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
-	shardedBMO(p, s, SFS, nil)
-	if !compileCachedAllShards(p, s) {
-		t.Fatal("first execution must leave a cached bound form on every shard")
-	}
-	hits0, misses0 := CompileCacheStats()
-	shardedBMO(p, s, SFS, nil)
-	hits1, misses1 := CompileCacheStats()
-	if misses1 != misses0 {
-		t.Fatalf("repeat sharded query must not re-bind: misses %d → %d", misses0, misses1)
-	}
-	if hits1 < hits0+uint64(s.NumShards()) {
-		t.Fatalf("repeat sharded query must hit per shard: hits %d → %d over %d shards", hits0, hits1, s.NumShards())
-	}
-	// Mutating ONE shard re-binds only that shard.
-	if err := s.Shard(2).Insert(relation.Row{100001, int64(1), int64(1), "red", 1.0}); err != nil {
-		t.Fatal(err)
-	}
-	_, missesBefore := CompileCacheStats()
-	shardedBMO(p, s, SFS, nil)
-	_, missesAfter := CompileCacheStats()
-	if missesAfter != missesBefore+1 {
-		t.Fatalf("mutating one shard must re-bind exactly one shard: misses %d → %d", missesBefore, missesAfter)
-	}
-}
-
 // TestShardedConcurrentInsertThenQuery: per-shard loaders insert
 // concurrently (shards are independent storage, so loaders never
 // contend), then concurrent readers evaluate sharded queries against
@@ -381,11 +344,11 @@ func TestShardedConcurrentInsertThenQuery(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEvictSharded: dropping a sharded table must release the bound
-// forms of every shard.
+// TestEvictSharded: dropping a sharded table must release the cache
+// entries of every shard.
 func TestEvictSharded(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
+	resultcache.Reset()
+	t.Cleanup(resultcache.Reset)
 	rng := rand.New(rand.NewSource(9))
 	flat := shardedTestRelation(rng, 300, 8)
 	s, err := relation.ShardRelation(flat, 3, relation.ByHash("oid"))
@@ -393,17 +356,17 @@ func TestEvictSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pref.Pareto(pref.LOWEST("A1"), pref.LOWEST("A2"))
-	shardedBMO(p, s, SFS, nil)
-	if !compileCachedAllShards(p, s) {
-		t.Fatal("execution must cache a bound form per shard")
+	if _, _, err := BMOShardedOnCtxKeyed(context.Background(), p, s, SFS, nil, nil, Robust{}); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := ResultCachedShards(p, s, nil); !ok || n != s.NumShards() {
+		t.Fatalf("execution must store a result entry per shard: %d/%d", n, s.NumShards())
 	}
 	if n := EvictSharded(s); n < s.NumShards() {
 		t.Fatalf("EvictSharded released %d entries, want ≥ %d", n, s.NumShards())
 	}
-	for i, sh := range s.Shards() {
-		if CompileCached(p, sh) {
-			t.Fatalf("shard %d still holds a cached bound form after EvictSharded", i)
-		}
+	if n, _ := ResultCachedShards(p, s, nil); n != 0 {
+		t.Fatalf("%d shards still hold a result entry after EvictSharded", n)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // The statistics cache: relation.Stats keyed by relation identity and
 // mutation version (shared mechanics in internal/boundcache, alongside
-// the compile and selection caches). The Auto planner samples statistics
+// the result and score caches). The Auto planner samples statistics
 // per plan; on an unchanged relation that analysis is identical every
 // time, and on a disk-backed relation it is the single most expensive
 // part of a warm query — the row-path columns decode pages through the

@@ -21,9 +21,9 @@ import (
 // mode is active).
 //
 // The stream evaluates over the compiled columnar form whenever the
-// preference compiles: relation-backed streams bind through the compile
-// cache (position-addressed, so any candidate subset shares the relation's
-// cached bound form), the visit order sorts precomputed key vectors, and
+// preference compiles: relation-backed streams bind the relation's column
+// arrays (position-addressed, so any candidate subset shares one bound
+// form), the visit order sorts precomputed key vectors, and
 // the domination filter runs on the comparator sfsCompiled would pick —
 // AVX2 score blocks, flat records or the predicate tree — with no
 // per-candidate allocation. Non-compilable preferences

@@ -20,11 +20,10 @@ import (
 // under a context over the subset of R at the given candidate row
 // positions (idx == nil means every row); emitted values are row indices
 // in R. It is EvalStreamShardedCtx over R as its one shard under the
-// strict policy: the flat progressive Stream, whose compiled forms bind to
-// R's full column arrays through the compile cache — an index-chained
-// streaming pipeline reuses the base relation's cached bound form across
-// queries without materializing a single tuple — with the sharded batch
-// as the keyless fallback under alg. The stream borrows idx (without
+// strict policy: the flat progressive Stream, whose compiled form binds to
+// R's full column arrays — an index-chained streaming pipeline
+// materializes no tuple — with the sharded batch as the keyless fallback
+// under alg. The stream borrows idx (without
 // modifying it); callers must not mutate the slice while the stream is
 // live. idx must not contain duplicates.
 func EvalStreamCtx(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) *ShardedStream {
@@ -44,11 +43,9 @@ func startStream(ctx context.Context, cc *canceller, cancel func(), p pref.Prefe
 		s.fail(err)
 		return s
 	}
-	if pref.Compilable(p) {
-		if c := compileFor(p, r, EvalAuto); c != nil {
-			s.bindCompiled(c)
-			return s
-		}
+	if c, ok := pref.Compile(p, r); ok {
+		s.bindCompiled(c)
+		return s
 	}
 	s.bindInterpreted(p, relationSource{r})
 	return s

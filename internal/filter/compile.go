@@ -21,10 +21,6 @@ import (
 // leaves). Row-at-a-time evaluation remains as the transparent fallback
 // for foreign Pred implementations.
 //
-// The bound form is the position list and nothing else: what a statement
-// leaves in the selection cache is sized by its candidates, not by the
-// relation.
-//
 // A range cut over a source that keeps value orders (ValueOrderer) reads
 // its candidates instead of its column: one or two binary searches over
 // the column's positions in value order bound the selected run, whose
@@ -92,7 +88,7 @@ func Compile(p Pred, src pref.Source) *Compiled {
 	root := c.lower(p)
 	// The count is not known before the pass (there is no counting pass):
 	// the scan emits into a pooled scratch list and the bound form keeps an
-	// exact-size copy, so a cached selection holds its candidates and no
+	// exact-size copy, so the selection holds its candidates and no
 	// slack.
 	scratch := emitPool.Get().(*[]int)
 	emitted := c.scan(root, (*scratch)[:0])
@@ -114,8 +110,8 @@ func (cd *Compiled) Len() int { return cd.n }
 func (cd *Compiled) Count() int { return len(cd.idx) }
 
 // Indices returns the selected row positions in ascending order — empty,
-// never nil, when nothing is selected. The slice is shared with every
-// reader of a cache-served bound form; callers must not modify it.
+// never nil, when nothing is selected. The slice belongs to the bound
+// form; callers that keep the form must not modify it.
 func (cd *Compiled) Indices() []int { return cd.idx }
 
 // Vectorized reports whether every leaf bound to typed column vectors or

@@ -268,83 +268,16 @@ func TestLikeMatch(t *testing.T) {
 	}
 }
 
-// versionedSource adds a mutation counter to memSource so the cache tests
-// run without importing relation (which would cycle).
-type versionedSource struct {
-	memSource
-	version uint64
-}
-
-func (s *versionedSource) Version() uint64 { return s.version }
-
-func TestSelectionCacheHitMissAndInvalidation(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-	src := &versionedSource{memSource: memSource{
-		mapTuple{"num": 1.0}, mapTuple{"num": 3.0}, mapTuple{"num": 2.0},
-	}}
-	p := &Cmp{Attr: "num", Op: "<=", Value: 2.0}
-
-	first := CompileCached(p, src)
-	if h, m := CacheStats(); h != 0 || m != 1 {
-		t.Fatalf("cold compile: hits=%d misses=%d", h, m)
-	}
-	second := CompileCached(p, src)
-	if second != first {
-		t.Fatal("unchanged source must reuse the bound form")
-	}
-	if h, _ := CacheStats(); h != 1 {
-		t.Fatalf("repeat must hit, hits=%d", h)
-	}
-	// A structurally identical predicate (different pointer) still hits:
-	// keys are canonical renderings, not pointers.
-	if CompileCached(&Cmp{Attr: "num", Op: "<=", Value: 2.0}, src) != first {
-		t.Fatal("equal predicate text must hit the cache")
-	}
-
-	// Mutation: version bump must strand the entry.
-	src.memSource = append(src.memSource, mapTuple{"num": 0.5})
-	src.version++
-	if CacheContains(p, src) {
-		t.Fatal("bumped version must miss")
-	}
-	third := CompileCached(p, src)
-	if third == first {
-		t.Fatal("stale bound form reused after mutation")
-	}
-	if got := third.Count(); got != 3 {
-		t.Fatalf("recompiled selection count = %d, want 3", got)
-	}
-}
-
-// TestSelectionCacheBounded floods the cache past its capacity and checks
-// it stays bounded (eviction, not growth).
-func TestSelectionCacheBounded(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-	src := &versionedSource{memSource: memSource{mapTuple{"num": 1.0}}}
-	for i := 0; i < 3*cacheCap; i++ {
-		CompileCached(&Cmp{Attr: "num", Op: "=", Value: float64(i)}, src)
-	}
-	if size := selCache.Len(); size > cacheCap {
-		t.Fatalf("cache grew to %d entries, cap %d", size, cacheCap)
-	}
-}
-
-// TestCompileConcurrent hammers CompileCached from many goroutines under
-// the race detector (make test runs -race).
+// TestCompileConcurrent hammers Compile over one source from many
+// goroutines under the race detector (make test runs -race).
 func TestCompileConcurrent(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-	src := &versionedSource{memSource: memSource{
-		mapTuple{"num": 1.0}, mapTuple{"num": 2.0},
-	}}
+	src := memSource{mapTuple{"num": 1.0}, mapTuple{"num": 2.0}}
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			for i := 0; i < 50; i++ {
 				p := &Cmp{Attr: "num", Op: ">", Value: float64(g % 3)}
-				cd := CompileCached(p, src)
+				cd := Compile(p, src)
 				var want []int
 				for r := 0; r < src.Len(); r++ {
 					if p.Eval(src.Tuple(r)) {
@@ -367,7 +300,7 @@ func TestCompileConcurrent(t *testing.T) {
 }
 
 // foreignPred is a Pred implementation outside the built-in AST; its
-// String does not capture its state, so it must never be cached.
+// String does not capture its state, so it must never be keyed.
 type foreignPred struct{ threshold float64 }
 
 func (f *foreignPred) Eval(t pref.Tuple) bool {
@@ -381,20 +314,17 @@ func (f *foreignPred) Eval(t pref.Tuple) bool {
 func (f *foreignPred) String() string { return "foreign()" }
 
 // TestForeignPredsBypassCache: two foreign predicates with identical
-// renderings but different semantics must not serve each other's bitmaps.
+// renderings but different semantics select their own rows, and a tree
+// holding one has no key, so no cache can serve one for the other.
 func TestForeignPredsBypassCache(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-	src := &versionedSource{memSource: memSource{
-		mapTuple{"num": 1.0}, mapTuple{"num": 2.0}, mapTuple{"num": 3.0},
-	}}
-	a := CompileCached(&foreignPred{threshold: 2}, src)
-	b := CompileCached(&foreignPred{threshold: 3}, src)
+	src := memSource{mapTuple{"num": 1.0}, mapTuple{"num": 2.0}, mapTuple{"num": 3.0}}
+	a := Compile(&foreignPred{threshold: 2}, src)
+	b := Compile(&foreignPred{threshold: 3}, src)
 	if a.Count() != 2 || b.Count() != 1 {
-		t.Fatalf("foreign predicates served stale bitmaps: counts %d, %d", a.Count(), b.Count())
+		t.Fatalf("foreign predicates selected wrong rows: counts %d, %d", a.Count(), b.Count())
 	}
-	if h, m := CacheStats(); h != 0 || m != 0 {
-		t.Fatalf("foreign predicates must bypass the cache entirely: hits=%d misses=%d", h, m)
+	if _, ok := PredKey(&And{L: &Cmp{Attr: "num", Op: ">", Value: 1.0}, R: &foreignPred{threshold: 2}}); ok {
+		t.Fatal("a tree holding a foreign predicate must have no key")
 	}
 }
 
@@ -402,8 +332,8 @@ func TestForeignPredsBypassCache(t *testing.T) {
 // cache key uses ValueKey (nanosecond precision) — two comparisons
 // against different instants of the same day must not collide.
 func TestTimeLiteralCacheKeys(t *testing.T) {
-	k1, ok1 := predKey(&Cmp{Attr: "ts", Op: ">", Value: time.Unix(100, 0)})
-	k2, ok2 := predKey(&Cmp{Attr: "ts", Op: ">", Value: time.Unix(101, 0)})
+	k1, ok1 := PredKey(&Cmp{Attr: "ts", Op: ">", Value: time.Unix(100, 0)})
+	k2, ok2 := PredKey(&Cmp{Attr: "ts", Op: ">", Value: time.Unix(101, 0)})
 	if !ok1 || !ok2 {
 		t.Fatal("built-in comparisons must be cacheable")
 	}

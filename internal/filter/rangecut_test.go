@@ -29,8 +29,7 @@ func (s scanSource) EqColumn(name string) ([]uint32, bool) { return s.r.EqColumn
 // the cold_skyline table (uniform d4 on [0, 1]) at several selectivities:
 // the vectorized column scan against the binary search plus ascending
 // emit over the column's value order (built before the timer starts),
-// which a cut above half the rows declines. Both compile without the
-// selection cache, as a first-seen statement does.
+// which a cut above half the rows declines.
 func BenchmarkRangeCut(b *testing.B) {
 	pts := workload.Numeric(10000, 4, workload.Independent, 502)
 	for _, p := range []struct {

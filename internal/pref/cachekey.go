@@ -8,7 +8,8 @@ import (
 )
 
 // CacheKey returns a canonical key that fully determines the term's
-// semantics, for keying compile caches (see the engine's compile cache).
+// semantics, for keying caches (the engine's result cache, rank's score
+// vectors).
 // It reports ok=false for terms that have no faithful key and must always
 // bind fresh: SCORE and rank(F) carry opaque Go functions (their String
 // renders only a label) — except a weighted-sum rank(F) built through

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/quality"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -16,7 +15,7 @@ import (
 // selective statement. Over the served cold_skyline table (anti-correlated
 // d=4, n=20000, 2 range shards, WHERE keeping ≈3 %) a statement used to
 // allocate 1.9 MB — six full-shard rank transforms plus a full-shard
-// bound form per shard, pinned by the compile cache afterwards. With the
+// bound form per shard, pinned by a compile cache afterwards. With the
 // gathered bind everything a statement allocates is proportional to its
 // ≈300 candidates per shard plus the WHERE bitmaps, and with the fused
 // flat bind (scores and tie keys written into pooled memory, the fold
@@ -81,8 +80,6 @@ func TestColdSelectiveStatementAllocBound(t *testing.T) {
 // exactly the rows the interpreted per-tuple Eval keeps, flat and
 // sharded (where the scan fuses into the per-shard pass).
 func TestButOnlyGatheredAgreement(t *testing.T) {
-	quality.ResetMeasureCache()
-	defer quality.ResetMeasureCache()
 	flatCat, shardCat := shardedCatalog(t, 3000, 3, 47)
 	soft := "SELECT oid FROM car PREFERRING color = 'red' AND price AROUND 20000 AND HIGHEST(horsepower)"
 	but := " BUT ONLY LEVEL(color) <= 1 AND DISTANCE(price) <= 2500"
@@ -107,16 +104,12 @@ func TestButOnlyGatheredAgreement(t *testing.T) {
 			t.Fatalf("%s: test premise: the filter must keep some of the %d maxima, kept %d", name, maxima.Len(), len(want))
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		h0, m0 := quality.MeasureCacheStats()
 		got, err := Run(soft+but, cat, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameOIDs(sortedOIDs(t, got), want) {
 			t.Fatalf("%s: BUT ONLY over gathered survivors kept %v, interpreted Eval keeps %v", name, sortedOIDs(t, got), want)
-		}
-		if h1, m1 := quality.MeasureCacheStats(); h1 != h0 || m1 != m0 {
-			t.Errorf("%s: a gathered quality bind must not touch the measure cache: hits %d→%d misses %d→%d", name, h0, h1, m0, m1)
 		}
 	}
 }

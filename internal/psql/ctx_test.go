@@ -10,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/engine/resultcache"
 	"repro/internal/faultinject"
-	"repro/internal/filter"
 	"repro/internal/rank"
 	"repro/internal/relation"
 )
@@ -168,17 +167,13 @@ func TestExplainFaultPolicy(t *testing.T) {
 	}
 }
 
-// cacheCounters snapshots the counters of the three caches a sharded
-// statement touches: compile lookups, selection (hits, misses) and
-// result (hits, misses, carries). Compile hits and misses are summed:
-// the grouped step runs several jobs per shard concurrently, and two of
-// them can both miss on the shard's first bind — how many do is
-// scheduling, not path.
+// cacheCounters snapshots the counters a sharded statement moves:
+// gathered binds, rank's score cache (hits, misses) and the result cache
+// (hits, misses, carries).
 func cacheCounters() [6]uint64 {
 	var c [6]uint64
-	ch, cm := engine.CompileCacheStats()
-	c[0] = ch + cm
-	c[1], c[2] = filter.CacheStats()
+	c[0] = engine.GatheredBinds()
+	c[1], c[2] = rank.ScoreCacheStats()
 	c[3], c[4], c[5] = resultcache.Stats()
 	return c
 }
@@ -200,7 +195,6 @@ func TestShardedSamePathAnyContext(t *testing.T) {
 	}
 	resetCaches := func() {
 		engine.ResetCompileCache()
-		filter.ResetCache()
 		resultcache.Reset()
 		rank.ResetScoreCache()
 	}
@@ -250,7 +244,7 @@ func TestShardedSamePathAnyContext(t *testing.T) {
 				t.Fatalf("%s (%s): Exec and ExecCtx row sets differ: %v vs %v", query, temp, background[k].rows, cancellable[k].rows)
 			}
 			if background[k].deltas != cancellable[k].deltas {
-				t.Fatalf("%s (%s): cache-counter deltas differ (compile lookups, selection h/m, result h/m/carry):\n  Exec    %v\n  ExecCtx %v",
+				t.Fatalf("%s (%s): cache-counter deltas differ (gathered binds, score h/m, result h/m/carry):\n  Exec    %v\n  ExecCtx %v",
 					query, temp, background[k].deltas, cancellable[k].deltas)
 			}
 		}

@@ -19,14 +19,14 @@ import (
 // flat *relation.Relation or a *relation.Sharded; a flat table runs as
 // one shard (relation.OneShard), so every statement — batch, stream or
 // EXPLAIN — takes the one sharded pipeline, and a flat relation and its
-// view share every cached bound form and result.
+// view share every cached result.
 type Catalog map[string]relation.Table
 
-// Drop removes a table from the catalog and evicts every bound form
-// cached against it — compile cache, selection bitmaps, quality and rank
-// vectors; for a sharded table the sweep covers every shard — so the
-// dropped rows stop being pinned until ordinary capacity eviction. It
-// reports whether the table existed.
+// Drop removes a table from the catalog and evicts every entry cached
+// against it — result maxima, statistics and rank score vectors; for a
+// sharded table the sweep covers every shard — so the dropped rows stop
+// being pinned until ordinary capacity eviction. It reports whether the
+// table existed.
 func (c Catalog) Drop(name string) bool {
 	tbl, ok := c[name]
 	if !ok {
@@ -37,8 +37,8 @@ func (c Catalog) Drop(name string) bool {
 	return true
 }
 
-// Replace installs a table under the name, evicting the cached bound
-// forms of any table it displaces (see Drop).
+// Replace installs a table under the name, evicting the cache entries of
+// any table it displaces (see Drop).
 func (c Catalog) Replace(name string, tbl relation.Table) {
 	if old, ok := c[name]; ok && old != tbl {
 		evictTable(old)
@@ -46,7 +46,7 @@ func (c Catalog) Replace(name string, tbl relation.Table) {
 	c[name] = tbl
 }
 
-// evictTable sweeps a table's cached bound forms, whatever its layout.
+// evictTable sweeps a table's cache entries, whatever its layout.
 func evictTable(tbl relation.Table) {
 	if s, ok := sharded(tbl); ok {
 		engine.EvictSharded(s)
@@ -118,14 +118,13 @@ func Run(query string, cat Catalog, opts Options) (*relation.Relation, error) {
 // ranked (k-best) query model of §6.2 instead of BMO.
 //
 // The pipeline is index-chained per shard (a flat table is one shard):
-// the WHERE clause compiles to a cached selection bitmap
-// (filter.CompileCached), each soft step evaluates over the surviving row
-// positions, and rows materialize only at ORDER BY / projection time.
-// Every compiled form therefore binds to the shard's column arrays and is
-// reused across repeated executions of the same query (or any query
-// sharing a clause) while the table is unchanged; preference terms run
-// through algebra.Simplify first, so the evaluated term matches the one
-// EXPLAIN reports.
+// the WHERE clause compiles to a selection (filter.Compile), each soft
+// step evaluates over the surviving row positions, and rows materialize
+// only at ORDER BY / projection time. Every compiled form binds to the
+// shard's column arrays (or a gathered copy of the candidates) and is
+// dropped when the statement ends; preference terms run through
+// algebra.Simplify first, so the evaluated term matches the one EXPLAIN
+// reports.
 func Exec(q *Query, cat Catalog, opts Options) (*relation.Relation, error) {
 	res, err := ExecCtx(context.Background(), q, cat, opts)
 	if err != nil {
@@ -226,13 +225,11 @@ func finishRows(q *Query, out *relation.Relation) (*relation.Relation, error) {
 }
 
 // execSharded runs the §5/§6.1 pipeline index-chained per shard — a flat
-// table as its one shard. The WHERE clause binds per shard
-// through the selection cache (each shard keeps its own bitmap), every
-// soft step evaluates shard-local through the shards' cached bound forms
-// and merges cross-shard (engine.BMOShardedOnFilteredCtxKeyed /
-// GroupByShardedOn, rank.TopKShardedCtx for the ranked model), the BUT
-// ONLY quality filter threshold-scans each shard's cached measure
-// vectors, and rows materialize only at the tail — in shard-major global
+// table as its one shard. The WHERE clause binds per shard, every soft
+// step evaluates shard-local and merges cross-shard
+// (engine.BMOShardedOnFilteredCtxKeyed / GroupByShardedOn,
+// rank.TopKShardedCtx for the ranked model), the BUT ONLY quality filter
+// threshold-scans each shard's measure vectors, and rows materialize only at the tail — in shard-major global
 // id order, the sharded image of base relation order (a flat table's
 // own row order: GlobalID(0, i) == i).
 //
@@ -263,7 +260,7 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, tm terms, o
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			sets[i] = filter.CompileCached(q.Where, s.Shard(i)).Indices()
+			sets[i] = filter.Compile(q.Where, s.Shard(i)).Indices()
 		}
 	}
 	// The BUT ONLY threshold fuses into the last soft pass before it —
@@ -285,8 +282,7 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, tm terms, o
 		builtPref = built
 		p := algebra.Simplify(built)
 		if sc, ok := built.(pref.Scorer); ok && q.Top > 0 {
-			// Ranked query model: per-shard k-best off the cached score
-			// vectors, heap-merged to the global k. Dispatch on the term
+			// Ranked query model: per-shard k-best off the score vectors, heap-merged to the global k. Dispatch on the term
 			// as written (like Explain): simplification can collapse a
 			// non-Scorer accumulation to a Scorer leaf, which must stay a
 			// BMO query with TOP-k truncation.
@@ -394,17 +390,15 @@ func checkAttrs(q *Query, rel relation.Table, tm terms) error {
 
 // butKeep lowers the BUT ONLY tree to a compiled predicate over the
 // candidates idx of r, addressed by the candidate's ordinal in idx. The
-// measure vectors bind under the subset rule every bind layer shares:
-// vectors already cached over r serve at any selectivity; a cold bind
-// over a small candidate set (relation.GatherWorthwhile) gathers just
-// those rows — binding a measure vector otherwise costs one pass over
-// the WHOLE relation — and anything larger binds r itself through the
-// measure cache, where repeated queries reuse it. The gathered measure
-// vectors live on in the returned predicate, so the gather does not
-// Borrow: they are ordinary GC-owned memory. ok=false for trees
+// measure vectors bind under the subset rule every bind layer shares
+// (relation.GatherWorthwhile): a small candidate set gathers just those
+// rows — binding a measure vector otherwise costs one pass over the
+// WHOLE relation — and anything larger binds r itself. The gathered
+// measure vectors live on in the returned predicate, so the gather does
+// not Borrow: they are ordinary GC-owned memory. ok=false for trees
 // containing foreign ButExpr implementations, which keep per-tuple Eval.
 func butKeep(e ButExpr, byAttr map[string]pref.Preference, r *relation.Relation, idx []int) (func(ord int) bool, bool) {
-	if !butBound(e, byAttr, r) && relation.GatherWorthwhile(len(idx), r.Len()) {
+	if relation.GatherWorthwhile(len(idx), r.Len()) {
 		return compileBut(e, byAttr, r.Gather(idx))
 	}
 	byRow, ok := compileBut(e, byAttr, r)
@@ -437,9 +431,8 @@ func butFilter(e ButExpr, byAttr map[string]pref.Preference, r *relation.Relatio
 // butShardFilter lowers the query's BUT ONLY tree to the per-shard
 // acceptance filter the sharded BMO pass fuses in (butFilter per shard,
 // into a fresh slice: the maxima it is handed still enter the merge).
-// The base-preference index is resolved once; per-shard binds go through
-// the mutex-guarded bound-form caches, so concurrent shard calls from
-// the fan-out are safe.
+// The base-preference index is resolved once; per-shard binds share no
+// state, so concurrent shard calls from the fan-out are safe.
 func butShardFilter(q *Query, tm terms, s *relation.Sharded) engine.ShardFilter {
 	byAttr := collectBasePrefs(tm)
 	return func(i int, idx []int) []int {
@@ -447,26 +440,10 @@ func butShardFilter(q *Query, tm terms, s *relation.Sharded) engine.ShardFilter 
 	}
 }
 
-// butBound reports whether every LEVEL/DISTANCE leaf of the tree already
-// has its quality vector cached over the base relation's current
-// version; foreign ButExpr nodes report false.
-func butBound(e ButExpr, byAttr map[string]pref.Preference, r *relation.Relation) bool {
-	switch n := e.(type) {
-	case *ButAnd:
-		return butBound(n.L, byAttr, r) && butBound(n.R, byAttr, r)
-	case *ButOr:
-		return butBound(n.L, byAttr, r) && butBound(n.R, byAttr, r)
-	case *ButCond:
-		return n.C.Bound(byAttr, r)
-	}
-	return false
-}
-
 // compileBut lowers a BUT ONLY condition tree to a compiled predicate
 // over the rows of a source — the base relation, or a gathered candidate
-// subset: each LEVEL/DISTANCE leaf binds its quality vector (through the
-// bound-form cache when the source is cacheable, quality.Condition.Bind)
-// and the connectives combine closures. ok=false for trees containing
+// subset: each LEVEL/DISTANCE leaf binds its quality vector
+// (quality.Condition.Bind) and the connectives combine closures. ok=false for trees containing
 // foreign ButExpr implementations, which keep the interpreted Eval path.
 func compileBut(e ButExpr, byAttr map[string]pref.Preference, r pref.Source) (func(int) bool, bool) {
 	switch n := e.(type) {

@@ -1,11 +1,12 @@
 package psql
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/filter"
+	"repro/internal/engine/resultcache"
 	"repro/internal/pref"
 	"repro/internal/relation"
 )
@@ -244,25 +245,18 @@ func TestExecInAndLikeAndNull(t *testing.T) {
 }
 
 // TestCatalogDropEvictsCaches: dropping (or replacing) a catalog relation
-// must release every bound form cached against it — compile cache and
-// selection bitmaps alike — so the dropped rows stop being pinned.
+// must release every entry cached against it, so the dropped rows stop
+// being pinned.
 func TestCatalogDropEvictsCaches(t *testing.T) {
-	engine.ResetCompileCache()
-	filter.ResetCache()
-	defer engine.ResetCompileCache()
-	defer filter.ResetCache()
 	cat := testCatalog()
 	rel := cat["car"].(*relation.Relation)
 	query := "SELECT oid FROM car WHERE price <= 45000 PREFERRING LOWEST(price)"
 	if _, err := Run(query, cat, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	where := &CmpExpr{Attr: "price", Op: "<=", Value: 45000.0}
-	if !filter.CacheContains(where, rel) {
-		t.Fatal("execution must have cached the selection bitmap")
-	}
-	if !engine.CompileCached(pref.LOWEST("price"), rel) {
-		t.Fatal("execution must have cached the bound preference form")
+	where := &CmpExpr{Attr: "price", Op: "<=", Value: int64(45000)}
+	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, where); s != "hit" {
+		t.Fatalf("execution must have stored its maxima: result cache %s", s)
 	}
 	if !cat.Drop("car") {
 		t.Fatal("Drop must report the relation existed")
@@ -270,11 +264,8 @@ func TestCatalogDropEvictsCaches(t *testing.T) {
 	if _, ok := cat["car"]; ok {
 		t.Fatal("Drop must remove the catalog entry")
 	}
-	if filter.CacheContains(where, rel) {
-		t.Fatal("Drop must evict the selection bitmap")
-	}
-	if engine.CompileCached(pref.LOWEST("price"), rel) {
-		t.Fatal("Drop must evict the compiled preference form")
+	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, where); s != "cold" {
+		t.Fatalf("Drop must evict the stored maxima: result cache %s", s)
 	}
 	if cat.Drop("car") {
 		t.Fatal("double Drop must report a missing relation")
@@ -287,8 +278,42 @@ func TestCatalogDropEvictsCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat.Replace("car", testCatalog()["car"])
-	if engine.CompileCached(pref.LOWEST("price"), rel) {
-		t.Fatal("Replace must evict the displaced relation's bound forms")
+	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, where); s != "cold" {
+		t.Fatalf("Replace must evict the displaced relation's entries: result cache %s", s)
+	}
+}
+
+// TestEvictReleasesOnlyResultsAndStatistics: a statement's bound forms —
+// preference scores, the WHERE selection, BUT ONLY's quality vectors —
+// are dropped when it ends, so what EvictRelation finds against a
+// relation after an unfiltered, a WHERE and a BUT ONLY statement is
+// their stored maxima and the planner's statistics (one entry per
+// relation identity: the relation and its snapshot view) and nothing
+// else.
+func TestEvictReleasesOnlyResultsAndStatistics(t *testing.T) {
+	resultcache.Reset()
+	t.Cleanup(resultcache.Reset)
+	cat := testCatalog()
+	rel := cat["car"].(*relation.Relation)
+	for _, q := range []string{
+		"SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(power)",
+		"SELECT oid FROM car WHERE price <= 45000 PREFERRING LOWEST(mileage)",
+		"SELECT oid FROM car PREFERRING color IN ('red', 'blue', 'gray') BUT ONLY LEVEL(color) <= 1",
+	} {
+		if _, err := Run(q, cat, Options{}); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	results := resultcache.Len()
+	if results != 3 {
+		t.Fatalf("the three statements stored %d result entries, want 3", results)
+	}
+	n := engine.EvictRelation(rel)
+	if resultcache.Len() != 0 {
+		t.Fatalf("%d result entries survived the eviction", resultcache.Len())
+	}
+	if stats := n - results; stats < 0 || stats > 2 {
+		t.Fatalf("EvictRelation released %d entries: %d results and %d others, want at most 2 statistics entries", n, results, stats)
 	}
 }
 
@@ -312,46 +337,33 @@ func TestTopKDispatchUsesUnsimplifiedTerm(t *testing.T) {
 	}
 }
 
-// TestGroupedQueryReusesCompileCache: grouped queries evaluate as index
-// slices over the base catalog relation (GroupByShardedOn), so their
-// bound form is cache-served across repeated executions — with and
-// without a WHERE clause, which used to force a per-query materialized
-// subset and re-bind.
-func TestGroupedQueryReusesCompileCache(t *testing.T) {
-	engine.ResetCompileCache()
-	defer engine.ResetCompileCache()
+// TestGroupedQueryBindsWholeShard: grouped queries evaluate as index
+// slices over the base catalog relation (GroupByShardedOn), whose groups
+// share one whole-shard bound form — with and without a WHERE clause, so
+// EXPLAIN reports a full bind either way — and repeat identically.
+func TestGroupedQueryBindsWholeShard(t *testing.T) {
 	cat := testCatalog()
-	query := "SELECT oid FROM car PREFERRING price AROUND 40000 GROUPING BY make"
-	for i := 0; i < 2; i++ {
-		if _, err := Run(query, cat, Options{}); err != nil {
+	for _, query := range []string{
+		"SELECT oid FROM car PREFERRING price AROUND 40000 GROUPING BY make ORDER BY oid",
+		"SELECT oid FROM car WHERE price <= 45000 PREFERRING price AROUND 40000 GROUPING BY make ORDER BY oid",
+	} {
+		runCat := func() []int64 {
+			res, err := Run(query, cat, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return oids(t, res)
+		}
+		first := runCat()
+		if again := runCat(); !slices.Equal(first, again) {
+			t.Fatalf("%s: repeat returned %v, first %v", query, again, first)
+		}
+		plan, err := ExplainQuery(query, cat, Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if h, _ := engine.CompileCacheStats(); h < 1 {
-		t.Fatal("repeated grouped full-scan query must reuse the cached bound form")
-	}
-	plan, err := ExplainQuery(query, cat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "compile cache: hit") {
-		t.Fatalf("EXPLAIN after grouped executions must report the hit:\n%s", plan)
-	}
-	// The WHERE-filtered grouped query shares the very same bound form:
-	// the candidate subset changes, the cache entry does not.
-	filtered := "SELECT oid FROM car WHERE price <= 45000 PREFERRING price AROUND 40000 GROUPING BY make"
-	plan, err = ExplainQuery(filtered, cat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "compile cache: hit") {
-		t.Fatalf("filtered grouped EXPLAIN must report the shared cached form:\n%s", plan)
-	}
-	hBefore, _ := engine.CompileCacheStats()
-	if _, err := Run(filtered, cat, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if hAfter, _ := engine.CompileCacheStats(); hAfter <= hBefore {
-		t.Fatal("filtered grouped execution must hit the compile cache")
+		if !strings.Contains(plan, "(bind: full over 5 rows)") {
+			t.Fatalf("grouped EXPLAIN must report the whole-shard bind:\n%s", plan)
+		}
 	}
 }

@@ -20,30 +20,24 @@ import (
 // A flat table is explained as what it runs as — one shard — and a step
 // over one shard has no fan-out to report: its merge returns the part.
 // Over several shards every phase carries its fan-out facts ("shards=N,
-// merge=fold dominance=<comparator>") and each cache status counts the
-// shards it holds for. Each step reports its evaluation path and cache
-// status:
+// merge=fold dominance=<comparator>") and each bind and cache status
+// counts the shards it holds for. Each step reports its evaluation path:
 //
-//   - the hard selection line shows the binding mode
-//     ("vectorized" — every WHERE leaf bound to column vectors or
-//     equality codes — or "row-fallback"), the exact selectivity, and
-//     the selection-cache status. The WHERE clause binds at explain time:
-//     the resulting bitmap is cached and reused by the next execution,
-//     so a first EXPLAIN reports "miss — now bound and cached" and any
-//     repeat reports "hit";
+//   - the hard selection line shows the access path (an ordered read of
+//     a value order, "vectorized" — every WHERE leaf bound to column
+//     vectors or equality codes — or "row-fallback") and the exact
+//     selectivity. The WHERE clause binds at explain time to report both;
 //   - BMO steps show "compiled evaluation" when the (simplified) term is
 //     inside the compilable constructor fragment, "interpreted" when it
-//     will take the tuple-at-a-time interface path, and a compile line
+//     will take the tuple-at-a-time interface path, and a bind line
 //     naming the bind scope execution will pick (engine.BindScopeOf):
-//     "bind: cached" (compile cache hit), "bind: full (cold)" (binds the
-//     whole relation at first execution, then cached) or "bind: gathered
-//     m of n rows" (a one-shot bind over the candidates only, which
-//     bypasses the cache — a repeat reports the same). Preference terms
-//     do not bind at explain time;
+//     "bind: gathered m of n rows" (over the candidates only) or "bind:
+//     full over n rows" (the whole relation). Preference terms do not
+//     bind at explain time;
 //   - with engine.Auto, the cost-based plan is inlined underneath
 //     (engine.ShardPlan.Explain, or its per-shard Plan on one shard),
 //     carrying the same facts as "eval=compiled|interpreted" and
-//     "cache=hit|cold".
+//     "bind=full|gathered".
 func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 	s, err := cat.lookup(q.From)
 	if err != nil {
@@ -62,10 +56,10 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 	nShards := s.NumShards()
 	fanned := nShards > 1
 	// The fan-out wording, empty on one shard.
-	var perShard, allShards, plural, selFan, butFan string
+	var perShard, allShards, fan string
 	if fanned {
-		perShard, allShards, plural = " per shard", " on all shards", "s"
-		selFan, butFan = fmt.Sprintf("shards=%d, ", nShards), fmt.Sprintf("; shards=%d", nShards)
+		perShard, allShards = " per shard", " on all shards"
+		fan = fmt.Sprintf("; shards=%d", nShards)
 		emit("scan %s (sharded: %d shards by %s, %d rows)", q.From, nShards, s.Part(), s.Len())
 	} else {
 		emit("scan %s (%d rows)", q.From, s.Len())
@@ -97,20 +91,16 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 	n := s.Len()
 	var sets engine.ShardSets
 	if q.Where != nil {
-		// The WHERE clause binds (through the selection cache) at explain
-		// time: the bitmaps are exactly what execution will reuse, so EXPLAIN
-		// can report true selectivity, the binding mode and cache status.
-		// Each shard picks its own access path (an ordered read or a
-		// scan): shards that differ are named with their counts.
-		hits, count := 0, 0
+		// The WHERE clause binds at explain time, so EXPLAIN can report
+		// true selectivity and the access path. Each shard picks its own
+		// (an ordered read or a scan): shards that differ are named with
+		// their counts.
+		count := 0
 		var modes []string
 		perMode := map[string]int{}
 		sets = make(engine.ShardSets, nShards)
 		for i, sh := range s.Shards() {
-			if filter.CacheContains(q.Where, sh) {
-				hits++
-			}
-			sel := filter.CompileCached(q.Where, sh)
+			sel := filter.Compile(q.Where, sh)
 			sets[i] = sel.Indices()
 			count += sel.Count()
 			if perMode[sel.Mode()]++; perMode[sel.Mode()] == 1 {
@@ -124,59 +114,40 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			}
 			mode = strings.Join(modes, ", ")
 		}
-		status := "miss" + onShards(nShards-hits) + " — now bound and cached"
-		if hits == nShards {
-			status = "hit" + allShards
-		}
-		emit("hard selection: %s [%s, %d of %d rows; %sselection cache %s]",
-			q.Where, mode, count, s.Len(), selFan, status)
+		emit("hard selection: %s [%s, %d of %d rows%s]", q.Where, mode, count, s.Len(), fan)
 		n = count
 	}
 	// est is the estimated per-shard input of the next soft step: the
 	// WHERE-selected candidates, then what a planned step is estimated to
 	// keep.
 	est := n / nShards
-	// cacheLine reports the per-shard bind scopes of a step over the
+	// bindLine reports the per-shard bind scopes of a step over the
 	// WHERE-selected candidates (grouped steps share one whole-shard form
 	// across their groups, so they never gather).
-	cacheLine := func(p pref.Preference, grouped bool) {
-		var cached, gathered, full, gm, gn, fn int
+	bindLine := func(grouped bool) {
+		var gathered, full, gm, gn, fn int
 		for i, sh := range s.Shards() {
 			m := sh.Len()
 			if sets != nil && !grouped {
 				m = len(sets[i])
 			}
-			switch engine.BindScopeOf(p, sh, m) {
-			case engine.BindCached:
-				cached++
-			case engine.BindGathered:
+			if engine.BindScopeOf(sh, m) == engine.BindGathered {
 				gathered++
 				gm += m
 				gn += sh.Len()
-			default:
+			} else {
 				full++
 				fn += sh.Len()
 			}
-		}
-		if cached == nShards {
-			fmt.Fprintf(&b, "    (compile cache: hit%s — bound form%s reused; bind: cached)\n", allShards, plural)
-			return
-		}
-		status := fmt.Sprintf("cold%s — binds at first execution", onShards(full))
-		if full == 0 {
-			status = fmt.Sprintf("bypass%s — one-shot bind%s, nothing cached", onShards(gathered), plural)
 		}
 		var binds []string
 		if gathered > 0 {
 			binds = append(binds, fmt.Sprintf("gathered %d of %d rows%s", gm, gn, onShards(gathered)))
 		}
 		if full > 0 {
-			binds = append(binds, fmt.Sprintf("full (cold) over %d rows%s", fn, onShards(full)))
+			binds = append(binds, fmt.Sprintf("full over %d rows%s", fn, onShards(full)))
 		}
-		if cached > 0 {
-			binds = append(binds, "cached"+onShards(cached))
-		}
-		fmt.Fprintf(&b, "    (compile cache: %s; bind: %s)\n", status, strings.Join(binds, ", "))
+		fmt.Fprintf(&b, "    (bind: %s)\n", strings.Join(binds, ", "))
 	}
 	// inlinePlan renders the cost-based decision indented under its step.
 	inlinePlan := func(sp *engine.ShardPlan) {
@@ -233,7 +204,7 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			fmt.Fprintf(&b, "    (simplified from %s by the preference algebra)\n", p)
 		}
 		if evalModeOf(simplified, resolved) == "compiled" {
-			cacheLine(simplified, len(q.GroupingBy) > 0)
+			bindLine(len(q.GroupingBy) > 0)
 		}
 		if len(q.GroupingBy) == 0 {
 			// The first soft step is the one shape the result cache serves
@@ -273,23 +244,12 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 		emit("cascade BMO σ[P], P = %s [algorithm %s%s%s]", simplified, pass, perShard, facts(simplified))
 	}
 	if q.ButOnly != nil {
-		// Built-in trees run vectorized when the surviving candidate set
-		// warrants a bind or the vectors are already cached; the surviving
-		// count is a runtime quantity (post-BMO), so a cold plan reports
-		// the dispatch as adaptive.
+		// Built-in trees run vectorized, gathered or over the whole
+		// relation by the surviving candidate count — a runtime quantity
+		// (post-BMO), so the plan reports the dispatch as adaptive.
 		mode := "interpreted"
 		if butCompilable(q.ButOnly) {
-			byAttr := collectBasePrefs(tm)
-			bound := 0
-			for _, sh := range s.Shards() {
-				if butBound(q.ButOnly, byAttr, sh) {
-					bound++
-				}
-			}
 			mode = "compiled vector scan (adaptive)"
-			if bound == nShards {
-				mode = "compiled vector scan (vectors cached" + allShards + ")"
-			}
 		}
 		// Mirror execSharded's fusion rule: the threshold scan rides the
 		// fan-out of the last soft pass when one precedes it.
@@ -297,7 +257,7 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 		if len(q.Cascades) > 0 || (q.Preferring != nil && len(q.GroupingBy) == 0) {
 			placement = "fused into the BMO pass"
 		}
-		emit("quality filter BUT ONLY %s [%s%s; %s%s]", q.ButOnly, mode, perShard, placement, butFan)
+		emit("quality filter BUT ONLY %s [%s%s; %s%s]", q.ButOnly, mode, perShard, placement, fan)
 	}
 	if q.Skyline != nil {
 		p, err := q.Skyline.Preference()
@@ -344,9 +304,9 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 // under the resolved algorithm: compiled columnar for the library's
 // constructor fragment, interpreted tuple-at-a-time otherwise. The
 // decomposition evaluator compiles per sub-term inside its recursion
-// (each Prop 8–12 leaf binds and caches independently), so it reports
-// "compiled (sub-terms)" — and the whole-term compile-cache probe does
-// not apply to it. (A structurally compilable term can still fall back at
+// (each Prop 8–12 leaf binds independently), so it reports "compiled
+// (sub-terms)" — and the whole-term bind line does not apply to it. (A
+// structurally compilable term can still fall back at
 // bind time when a discrete layer exceeds the ordinal-coding cap; that
 // rare case is not visible at explain time.)
 func evalModeOf(p pref.Preference, alg engine.Algorithm) string {

@@ -173,45 +173,38 @@ func TestExplainSkylineSurfacesPlan(t *testing.T) {
 	}
 }
 
-// TestExplainReportsCacheStatus pins the cache fields of EXPLAIN: the
-// WHERE clause binds at explain time (selection cache miss, then hit),
-// while the PREFERRING compile cache stays cold until the query actually
-// runs and reports a hit on the repeat.
+// TestExplainReportsCacheStatus pins the cache and bind fields of
+// EXPLAIN: the WHERE clause binds at explain time to report its access
+// path and selectivity, the PREFERRING step reports the rows it binds —
+// the same before and after a run, since nothing keeps a bound form — and
+// the result cache turns from cold to hit once the query has run.
 func TestExplainReportsCacheStatus(t *testing.T) {
-	engine.ResetCompileCache()
-	filter.ResetCache()
-	defer engine.ResetCompileCache()
-	defer filter.ResetCache()
+	resultcache.Reset()
+	defer resultcache.Reset()
 	cat := testCatalog() // one catalog: cache keys are relation identities
 	query := `SELECT oid FROM car WHERE price <= 45000
 		PREFERRING LOWEST(price) AND LOWEST(mileage)`
-
-	plan, err := ExplainQuery(query, cat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"hard selection: price <= 45000 [vectorized, 4 of 5 rows; selection cache miss — now bound and cached]",
-		"(compile cache: cold — binds at first execution; bind: full (cold) over 5 rows)",
-	} {
-		if !strings.Contains(plan, want) {
-			t.Errorf("cold EXPLAIN missing %q:\n%s", want, plan)
+	for _, when := range []string{"cold", "after a run"} {
+		plan, err := ExplainQuery(query, cat, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	if _, err := Run(query, cat, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	plan, err = ExplainQuery(query, cat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"selection cache hit",
-		"(compile cache: hit — bound form reused; bind: cached)",
-	} {
-		if !strings.Contains(plan, want) {
-			t.Errorf("repeated-query EXPLAIN missing %q:\n%s", want, plan)
+		result := "(result cache: cold — maxima stored at first execution)"
+		if when != "cold" {
+			result = "(result cache: hit — memoized maxima served, no evaluation)"
+		}
+		for _, want := range []string{
+			"hard selection: price <= 45000 [vectorized, 4 of 5 rows]\n",
+			"(bind: full over 5 rows)",
+			"eval=compiled bind=full dominance=",
+			result,
+		} {
+			if !strings.Contains(plan, want) {
+				t.Errorf("%s EXPLAIN missing %q:\n%s", when, want, plan)
+			}
+		}
+		if _, err := Run(query, cat, Options{}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -322,14 +315,10 @@ func TestExplainPlansCascadeAtItsInput(t *testing.T) {
 // TestExplainShardedDescribesWhatRuns: over a sharded table EXPLAIN must
 // describe the one pipeline every caller runs. The inlined sharded plan
 // carries no sharded-vs-flat route, and after a plain Run — no context,
-// default options — the compile-cache and result-cache lines report the
-// state that execution left behind.
+// default options — the result-cache line reports the state that
+// execution left behind.
 func TestExplainShardedDescribesWhatRuns(t *testing.T) {
-	engine.ResetCompileCache()
-	filter.ResetCache()
 	resultcache.Reset()
-	defer engine.ResetCompileCache()
-	defer filter.ResetCache()
 	defer resultcache.Reset()
 	_, shardCat := shardedCatalog(t, 2500, 4, 41)
 	query := "SELECT oid FROM car WHERE price <= 60000 PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
@@ -341,7 +330,7 @@ func TestExplainShardedDescribesWhatRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"compile cache: hit on all shards",
+		"(bind: ",
 		"result cache: hit on all shards",
 	} {
 		if !strings.Contains(text, want) {
@@ -365,20 +354,17 @@ func TestExplainShardedDescribesWhatRuns(t *testing.T) {
 	}
 }
 
-// TestExplainBindScopeAgreesWithWhatRan: the compile line must name the
+// TestExplainBindScopeAgreesWithWhatRan: the bind line must name the
 // bind scope execution picks, and the plan line the dominance comparator
 // it compares through, before and after a plain Run, on every layout — a
 // flat table, which runs as one shard, reads exactly like a table sharded
-// into one. A selective first-seen statement binds over its gathered
-// candidates — nothing enters the compile cache, so the repeat reports
-// the same scope while the result cache turns to hit — and an unfiltered
-// statement binds the whole relation cold, then reports the cached form.
+// into one. A selective statement binds over its gathered candidates, so
+// the repeat reports the same scope while the result cache turns to hit;
+// an unfiltered statement binds the whole relation, before and after.
 func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 	engine.ResetCompileCache()
-	filter.ResetCache()
 	resultcache.Reset()
 	defer engine.ResetCompileCache()
-	defer filter.ResetCache()
 	defer resultcache.Reset()
 	flatCat, shardCat := shardedCatalog(t, 12000, 2, 43)
 	oneShard, err := relation.ShardRelation(flatCat["car"].(*relation.Relation), 1, relation.ByHash("oid"))
@@ -391,22 +377,13 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 		name   string
 		cat    Catalog
 		shards uint64
-		// what EXPLAIN must say for the selective statement (cold and
-		// after the run alike), and for the unfiltered one cold / warm
-		gathered, cold, warm string
+		// what EXPLAIN must say for the selective statement and for the
+		// unfiltered one, before and after the run alike
+		gathered, full string
 	}{
-		{"flat", flatCat, 1,
-			"compile cache: bypass — one-shot bind, nothing cached; bind: gathered ",
-			"compile cache: cold — binds at first execution; bind: full (cold) over 12000 rows",
-			"compile cache: hit — bound form reused; bind: cached"},
-		{"one shard", Catalog{"car": oneShard}, 1,
-			"compile cache: bypass — one-shot bind, nothing cached; bind: gathered ",
-			"compile cache: cold — binds at first execution; bind: full (cold) over 12000 rows",
-			"compile cache: hit — bound form reused; bind: cached"},
-		{"sharded", shardCat, 2,
-			"compile cache: bypass on 2/2 shards — one-shot binds, nothing cached; bind: gathered ",
-			"compile cache: cold on 2/2 shards — binds at first execution; bind: full (cold) over 12000 rows on 2/2 shards",
-			"compile cache: hit on all shards — bound forms reused; bind: cached"},
+		{"flat", flatCat, 1, "(bind: gathered ", "(bind: full over 12000 rows)"},
+		{"one shard", Catalog{"car": oneShard}, 1, "(bind: gathered ", "(bind: full over 12000 rows)"},
+		{"sharded", shardCat, 2, "(bind: gathered ", "(bind: full over 12000 rows on 2/2 shards)"},
 	} {
 		explain := func(query string) string {
 			text, err := ExplainQuery(query, c.cat, Options{})
@@ -447,21 +424,19 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 		}
 		mustContain("cold selective", explain(selective), c.gathered, "eval=compiled bind=gathered dominance="+window.String(),
 			"SFS keys: one pass sums 2 score column(s) over the ", "result cache: cold")
-		hits0, misses0 := engine.CompileCacheStats()
 		g0 := engine.GatheredBinds()
 		before := passesSince([3]uint64{})
 		if _, err := Run(selective, c.cat, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		ranAsSaid("selective run", before)
-		hits1, misses1 := engine.CompileCacheStats()
-		if hits1 != hits0 || misses1 != misses0 || engine.GatheredBinds() != g0+c.shards {
-			t.Errorf("%s: selective run: compile hits %d→%d misses %d→%d gathered %d→%d, want one gathered bind per shard and no cache traffic",
-				c.name, hits0, hits1, misses0, misses1, g0, engine.GatheredBinds())
+		if engine.GatheredBinds() != g0+c.shards {
+			t.Errorf("%s: selective run: gathered %d→%d, want one gathered bind per shard",
+				c.name, g0, engine.GatheredBinds())
 		}
 		mustContain("selective after run", explain(selective), c.gathered, "bind=gathered dominance="+window.String(), "result cache: hit")
 
-		mustContain("cold unfiltered", explain(unfiltered), c.cold, "eval=compiled cache=cold dominance="+window.String(),
+		mustContain("cold unfiltered", explain(unfiltered), c.full, "eval=compiled bind=full dominance="+window.String(),
 			"SFS keys: one pass sums 2 score column(s) over the ")
 		before = passesSince([3]uint64{})
 		if _, err := Run(unfiltered, c.cat, Options{}); err != nil {
@@ -471,11 +446,11 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 		if engine.GatheredBinds() != g0+c.shards {
 			t.Errorf("%s: an unfiltered statement must not bind gathered", c.name)
 		}
-		mustContain("unfiltered after run", explain(unfiltered), c.warm, "eval=compiled cache=hit dominance="+window.String(), "SFS keys: one pass sums 2 score column(s) over the ")
-		// A selective statement sharing a term that is already bound uses
-		// the cached form at any selectivity.
+		mustContain("unfiltered after run", explain(unfiltered), c.full, "eval=compiled bind=full dominance="+window.String(), "SFS keys: one pass sums 2 score column(s) over the ")
+		// A selective statement sharing a term an earlier statement bound
+		// gathers its own candidates all the same.
 		shared := "SELECT oid FROM car WHERE price <= 9000 PREFERRING mileage AROUND 70000 AND HIGHEST(horsepower)"
-		mustContain("selective over a cached term", explain(shared), c.warm)
+		mustContain("selective over a term bound before", explain(shared), c.gathered)
 		if c.shards > 1 {
 			mustContain("sharded merge", explain(selective), "merge=fold dominance="+merge, "merge: "+merge+" fold over ≈", "cross-shard pairs")
 		}
@@ -747,20 +722,18 @@ func TestExplainWorkloadStatementsAvoidTheTree(t *testing.T) {
 }
 
 // TestExplainAccessPathAgreesWithWhatRan: the hard-selection line names
-// the access path of the selection execution reads — the bound form the
-// selection cache hands the run — on the cold_skyline shape (two range
-// shards, an unclustered d4 cut) and the durable_paged one (hash shards in
-// a store, four inserts after every statement). A column's first request
-// scans; from the second on each shard reads the cut out of the column's
-// value order, across inserts too (the order is inherited with a short
-// tail). A statement EXPLAINed before it runs, one run without EXPLAIN,
-// and every EXPLAIN after agree with what ran, shard by shard.
+// the access path of the selection execution reads on the cold_skyline
+// shape (two range shards, an unclustered d4 cut) and the durable_paged
+// one (hash shards in a store, four inserts after every statement). A
+// column's first request scans; from the second on each shard reads the
+// cut out of the column's value order, across inserts too (the order is
+// inherited with a short tail). EXPLAIN's own bind is a request: the
+// first EXPLAIN of a fresh column names the scan it took, and the run
+// after it — the column's second request — reads the order. From then on
+// a statement EXPLAINed before it runs, one run without EXPLAIN, and
+// every EXPLAIN after agree with what ran, shard by shard.
 func TestExplainAccessPathAgreesWithWhatRan(t *testing.T) {
-	engine.ResetCompileCache()
-	filter.ResetCache()
 	resultcache.Reset()
-	defer engine.ResetCompileCache()
-	defer filter.ResetCache()
 	defer resultcache.Reset()
 	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
 	ptsSharded, err := relation.ShardRelation(pts, 2, relation.ByRange("d1", relation.RangeBounds(pts, "d1", 2)...))
@@ -802,36 +775,33 @@ func TestExplainAccessPathAgreesWithWhatRan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := "vectorized"
-			if k > 0 {
-				want = "ordered (driver " + q.Where.String() + ")"
-			}
-			line := "hard selection: " + q.Where.String() + " [" + want + ", "
-			explain := func(when string) {
+			ordered := "ordered (driver " + q.Where.String() + ")"
+			line := func(mode string) string { return "hard selection: " + q.Where.String() + " [" + mode + ", " }
+			explain := func(when, mode string) {
 				t.Helper()
 				text, err := ExplainQuery(stmt, c.cat, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !strings.Contains(text, line) {
-					t.Errorf("%s cut %d, EXPLAIN %s the run: want %q in\n%s", c.name, k, when, line, text)
+				if !strings.Contains(text, line(mode)) {
+					t.Errorf("%s cut %d, EXPLAIN %s the run: want %q in\n%s", c.name, k, when, line(mode), text)
 				}
 			}
-			if k != 2 { // the third cut runs without being EXPLAINed first
-				explain("before")
-			}
+			switch k {
+			case 0:
+				explain("before", "vectorized") // the column's first request
+			case 1, 3:
+				explain("before", ordered)
+			} // the third cut runs without being EXPLAINed first
 			if _, err := Run(stmt, c.cat, Options{}); err != nil {
 				t.Fatal(err)
 			}
 			for i, sh := range s.Shards() {
-				if !filter.CacheContains(q.Where, sh) {
-					t.Fatalf("%s cut %d: shard %d's selection is not in the cache after the run", c.name, k, i)
-				}
-				if ran := filter.CompileCached(q.Where, sh).Mode(); ran != want {
-					t.Errorf("%s cut %d: shard %d ran %q, want %q", c.name, k, i, ran, want)
+				if ran := filter.Compile(q.Where, sh).Mode(); ran != ordered {
+					t.Errorf("%s cut %d: shard %d ran %q, want %q", c.name, k, i, ran, ordered)
 				}
 			}
-			explain("after")
+			explain("after", ordered)
 			if c.writes {
 				for j := 0; j < 4; j++ {
 					if err := paged.Insert(more.Row(4*k + j)); err != nil {

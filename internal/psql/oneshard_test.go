@@ -24,7 +24,6 @@ import (
 func TestFlatIsOneShard(t *testing.T) {
 	resetCaches := func() {
 		engine.ResetCompileCache()
-		filter.ResetCache()
 		resultcache.Reset()
 		rank.ResetScoreCache()
 	}
@@ -155,7 +154,7 @@ func startEngineStream(t *testing.T, q *Query, cat Catalog) *engine.ShardedStrea
 	if q.Where != nil {
 		sets = make(engine.ShardSets, s.NumShards())
 		for i := range sets {
-			sets[i] = filter.CompileCached(q.Where, s.Shard(i)).Indices()
+			sets[i] = filter.Compile(q.Where, s.Shard(i)).Indices()
 		}
 	}
 	return engine.EvalStreamShardedCtx(context.Background(), algebra.Simplify(p), s, engine.Auto, sets, engine.Robust{})

@@ -240,6 +240,10 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM t; garbage",
 		"SELECT * FROM t PREFERRING PRIOR TO LOWEST(a)",
 		"SELECT * FROM t SKYLINE OF",
+		"SELECT * FROM t SKYLINE OF ,",
+		"SELECT * FROM t SKYLINE OF price MIN,",
+		"SELECT * FROM t SKYLINE OF price WRONG",
+		"SELECT * FROM t SKYLINE OF price MIN MAX",
 	}
 	for _, b := range bad {
 		if _, err := Parse(b); err == nil {

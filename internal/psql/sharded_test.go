@@ -165,17 +165,10 @@ func TestExecStreamShardedTopStopsEarly(t *testing.T) {
 }
 
 // TestExecShardedCacheReuse is the acceptance criterion at the psql
-// layer: a repeated sharded statement must be fully cache-served — the
-// per-shard selection bitmaps hit, every shard's local maxima come out of
-// the result cache, and no shard binds again (neither a compile-cache
-// miss nor a gathered bind; the cross-shard merge binds only the
-// gathered maxima and never touches the compile cache).
+// layer: a repeated sharded statement must be served by the result cache
+// — every shard's local maxima come out of it and no shard binds again.
 func TestExecShardedCacheReuse(t *testing.T) {
-	engine.ResetCompileCache()
-	filter.ResetCache()
 	resultcache.Reset()
-	defer engine.ResetCompileCache()
-	defer filter.ResetCache()
 	defer resultcache.Reset()
 	_, shardCat := shardedCatalog(t, 600, 4, 23)
 	query := "SELECT oid FROM car WHERE price <= 60000 PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
@@ -183,40 +176,30 @@ func TestExecShardedCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cm0 := engine.CompileCacheStats()
 	g0 := engine.GatheredBinds()
-	fh0, fm0 := filter.CacheStats()
 	rh0, _, _ := resultcache.Stats()
 	repeat, err := Run(query, shardCat, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cm1 := engine.CompileCacheStats()
-	fh1, fm1 := filter.CacheStats()
 	rh1, _, _ := resultcache.Stats()
 	s := shardCat["car"].(*relation.Sharded)
-	if cm1 != cm0 || fm1 != fm0 || engine.GatheredBinds() != g0 {
-		t.Fatalf("repeat sharded query re-bound: compile misses %d→%d, selection misses %d→%d, gathered binds %d→%d",
-			cm0, cm1, fm0, fm1, g0, engine.GatheredBinds())
+	if engine.GatheredBinds() != g0 {
+		t.Fatalf("repeat sharded query re-bound: gathered binds %d→%d", g0, engine.GatheredBinds())
 	}
 	if rh1 < rh0+uint64(s.NumShards()) {
 		t.Fatalf("repeat must serve every shard's local maxima from the result cache: hits %d→%d", rh0, rh1)
-	}
-	if fh1 < fh0+uint64(s.NumShards()) {
-		t.Fatalf("repeat must hit the selection cache per shard: hits %d→%d", fh0, fh1)
 	}
 	if !sameOIDs(sortedOIDs(t, repeat), sortedOIDs(t, first)) {
 		t.Fatal("cache-served repeat diverged")
 	}
 }
 
-// TestCatalogDropSharded: dropping a sharded table must evict the bound
-// forms of every shard; Replace sweeps the displaced table the same way.
+// TestCatalogDropSharded: dropping a sharded table must evict the cache
+// entries of every shard; Replace sweeps the displaced table the same way.
 func TestCatalogDropSharded(t *testing.T) {
-	engine.ResetCompileCache()
-	filter.ResetCache()
-	defer engine.ResetCompileCache()
-	defer filter.ResetCache()
+	resultcache.Reset()
+	defer resultcache.Reset()
 	_, shardCat := shardedCatalog(t, 300, 3, 29)
 	s := shardCat["car"].(*relation.Sharded)
 	query := "SELECT oid FROM car WHERE price <= 60000 PREFERRING LOWEST(price)"
@@ -224,18 +207,15 @@ func TestCatalogDropSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pref.LOWEST("price")
-	for i, sh := range s.Shards() {
-		if !engine.CompileCached(p, sh) {
-			t.Fatalf("execution must cache a bound form on every shard; shard %d has none", i)
-		}
+	where := &CmpExpr{Attr: "price", Op: "<=", Value: int64(60000)}
+	if n, ok := engine.ResultCachedShards(p, s, where); !ok || n != s.NumShards() {
+		t.Fatalf("execution must store local maxima on every shard: %d/%d", n, s.NumShards())
 	}
 	if !shardCat.Drop("car") {
 		t.Fatal("Drop must report the table existed")
 	}
-	for i, sh := range s.Shards() {
-		if engine.CompileCached(p, sh) {
-			t.Fatalf("shard %d still cached after Drop", i)
-		}
+	if n, _ := engine.ResultCachedShards(p, s, where); n != 0 {
+		t.Fatalf("%d shards still cached after Drop", n)
 	}
 	// Replace: installing a new table evicts the displaced shards.
 	flatCat, shardCat2 := shardedCatalog(t, 300, 3, 31)
@@ -244,21 +224,17 @@ func TestCatalogDropSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	shardCat2.Replace("car", flatCat["car"])
-	for i, sh := range s2.Shards() {
-		if engine.CompileCached(p, sh) {
-			t.Fatalf("shard %d still cached after Replace", i)
-		}
+	if n, _ := engine.ResultCachedShards(p, s2, where); n != 0 {
+		t.Fatalf("%d shards still cached after Replace", n)
 	}
 }
 
 // TestExplainSharded: EXPLAIN over a sharded table must report the shard
-// fan-out per phase — shards=N and the merge mode — the per-shard cache
-// status, and the inlined sharded plan.
+// fan-out per phase — shards=N and the merge mode — the per-shard bind
+// and cache status, and the inlined sharded plan.
 func TestExplainSharded(t *testing.T) {
-	engine.ResetCompileCache()
-	filter.ResetCache()
-	defer engine.ResetCompileCache()
-	defer filter.ResetCache()
+	resultcache.Reset()
+	defer resultcache.Reset()
 	_, shardCat := shardedCatalog(t, 2500, 4, 37)
 	query := "SELECT oid FROM car WHERE price <= 60000 PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
 	text, err := ExplainQuery(query, shardCat, Options{})
@@ -273,15 +249,17 @@ func TestExplainSharded(t *testing.T) {
 		"sharded: 4 shards by hash(oid)",
 		"shards=4, merge=fold dominance=" + merge,
 		"merge: " + merge + " fold over ≈",
-		"shards=4, selection cache",
-		"compile cache: cold on 4/4 shards — binds at first execution; bind: full (cold) over 2500 rows on 4/4 shards",
+		"of 2500 rows; shards=4]",
+		"(bind: full over 2500 rows on 4/4 shards)",
+		"result cache: cold on 4/4 shards",
 		"sharded plan: shards=4",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("EXPLAIN missing %q:\n%s", want, text)
 		}
 	}
-	// Execute, then re-explain: the per-shard caches report hits.
+	// Execute, then re-explain: the per-shard result entries report hits
+	// and every shard binds as before.
 	if _, err := Run(query, shardCat, Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +268,8 @@ func TestExplainSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"selection cache hit on all shards",
-		"compile cache: hit on all shards — bound forms reused; bind: cached",
+		"(bind: full over 2500 rows on 4/4 shards)",
+		"result cache: hit on all shards",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("warm EXPLAIN missing %q:\n%s", want, text)
@@ -391,7 +369,7 @@ func TestColdShapesConcurrentSessions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cand := pts.Pick(filter.CompileCached(q.Where, pts).Indices())
+			cand := pts.Pick(filter.Compile(q.Where, pts).Indices())
 			want := cand.Pick(engine.BMOIndicesMode(p, cand, engine.BNL, engine.EvalInterpreted))
 			work[k] = append(work[k], stmt{text, rendered(want)})
 		}

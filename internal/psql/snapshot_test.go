@@ -10,7 +10,7 @@ import (
 
 // TestDropRacingPinnedSnapshot is the deferred-reclamation regression
 // test at the catalog level: Catalog.Drop / Catalog.Replace sweep the
-// dropped table's cached bound forms (including its snapshot view's),
+// dropped table's cache entries (including its snapshot view's),
 // but a query already pinned to a snapshot must keep evaluating its
 // epoch untouched — the column arrays retire with the last reader, not
 // with the eviction.

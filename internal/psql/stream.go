@@ -47,9 +47,9 @@ func ExecStream(q *Query, cat Catalog, opts Options, yield func(relation.Row) bo
 // ExecStreamCtx streams a parsed query under a context. Streamable
 // queries run index-chained over the catalog table through
 // engine.EvalStreamShardedCtx — a flat table as its one shard: the WHERE
-// clause resolves to the cached per-shard selection index lists, the
-// preference binds through the shared compile cache (position-addressed,
-// so the candidate subset is irrelevant to the bound form), and not a
+// clause resolves to per-shard selection index lists, the preference
+// binds over each shard's column arrays (position-addressed, so the
+// candidate subset is irrelevant to the bound form), and not a
 // single tuple materializes before the first yield — rows are projected
 // straight off the table as they are confirmed. A one-shard table
 // confirms every keyed term progressively, a sharded one the chain
@@ -80,8 +80,8 @@ func ExecStreamCtx(ctx context.Context, q *Query, cat Catalog, opts Options, yie
 		return replayExec(ctx, q, cat, opts, yield)
 	}
 	// Built simplified like Exec, so a stream and a batch execution of the
-	// same statement share one compile-cache entry (and EXPLAIN's term
-	// matches what actually evaluates). The ranked query model (Scorer +
+	// same statement evaluate one term (and EXPLAIN's term matches what
+	// actually evaluates). The ranked query model (Scorer +
 	// TOP) is not a BMO stream.
 	p, ranked, err := streamPref(q, tm)
 	if err != nil {
@@ -94,8 +94,7 @@ func ExecStreamCtx(ctx context.Context, q *Query, cat Catalog, opts Options, yie
 	if q.Where != nil {
 		sets = make(engine.ShardSets, s.NumShards())
 		for i := range sets {
-			// Borrowed uncloned: the stream never mutates its candidate sets.
-			sets[i] = filter.CompileCached(q.Where, s.Shard(i)).Indices()
+			sets[i] = filter.Compile(q.Where, s.Shard(i)).Indices()
 		}
 	}
 	project, err := rowProjector(q, s)

@@ -3,26 +3,17 @@ package quality
 import (
 	"math"
 
-	"repro/internal/boundcache"
-	"repro/internal/filter"
 	"repro/internal/pref"
 )
 
 // Compiled quality evaluation: LevelVec and DistanceVec materialize the
-// per-row quality measures of §6.1 as flat float64 vectors — once per
-// (source, version, term) through the shared bound-form cache — and
+// per-row quality measures of §6.1 as flat float64 vectors, and
 // Condition.Bind lowers one BUT ONLY constraint to a threshold scan over
 // such a vector. A quality cascade over an index-chained query then
-// filters row positions with no boxed tuple in sight, and repeated
-// queries against an unchanged catalog relation reuse the finished
-// vectors outright. The compiled predicates agree with the interpreted
-// Condition.Eval on every row; the cross-evaluation tests assert exactly
-// that.
-
-// measureCacheCap bounds the number of cached quality vectors.
-const measureCacheCap = 64
-
-var measureCache = boundcache.New[[]float64](measureCacheCap)
+// filters row positions with no boxed tuple in sight. The vectors are
+// per-statement state: they live as long as the predicate Bind returns.
+// The compiled predicates agree with the interpreted Condition.Eval on
+// every row; the cross-evaluation tests assert exactly that.
 
 // LevelVec materializes the discrete quality levels of Definition 6 for a
 // base preference over a source: vec[i] = Level(p, src.Tuple(i)), with
@@ -191,82 +182,9 @@ func distancesOf(src pref.Source, attr string, fast func(float64) float64, slow 
 	return vec
 }
 
-// cacheableSrc reports whether the source carries a mutation counter and
-// is not a per-query intermediate — the same policy the selection and
-// compile caches apply.
-func cacheableSrc(src pref.Source) (filter.Versioned, bool) {
-	v, ok := src.(filter.Versioned)
-	if !ok {
-		return nil, false
-	}
-	if e, ok := src.(filter.Ephemeraler); ok && e.Ephemeral() {
-		return nil, false
-	}
-	return v, true
-}
-
-// measureKey derives the cache key of (kind, p) over src; ok=false for
-// uncacheable sources or keyless terms.
-func measureKey(kind string, p pref.Preference, src pref.Source) (boundcache.Key, bool) {
-	v, okSrc := cacheableSrc(src)
-	if !okSrc {
-		return boundcache.Key{}, false
-	}
-	term, keyed := pref.CacheKey(p)
-	if !keyed {
-		return boundcache.Key{}, false
-	}
-	return boundcache.Key{Src: v, Version: v.Version(), Term: kind + ":" + term}, true
-}
-
-// measureVec returns the cached quality vector of (kind, p) over src,
-// building and caching it on a miss. Sources without a mutation counter,
-// ephemeral intermediates and terms without a faithful cache key build
-// fresh. Negative outcomes (no such measure for p) cache as nil.
-func measureVec(kind string, p pref.Preference, src pref.Source) ([]float64, bool) {
-	build := LevelVec
-	if kind == "distance" {
-		build = DistanceVec
-	}
-	key, cacheable := measureKey(kind, p, src)
-	if !cacheable {
-		return build(p, src)
-	}
-	if vec, hit := measureCache.Get(key); hit {
-		return vec, vec != nil
-	}
-	vec, ok := build(p, src)
-	if !ok {
-		vec = nil
-	}
-	measureCache.Put(key, vec)
-	return vec, ok
-}
-
-// Bound reports whether the condition's quality vector over the source's
-// current version is already cached. A cached vector is free to use at
-// any selectivity, so callers gate cold whole-relation binds on
-// candidate-set size but serve cached vectors unconditionally (see the
-// BUT ONLY dispatch in psql).
-func (c Condition) Bound(byAttr map[string]pref.Preference, src pref.Source) bool {
-	p, ok := byAttr[c.Attr]
-	if !ok {
-		return false
-	}
-	if c.Kind != "level" && c.Kind != "distance" {
-		return false
-	}
-	key, cacheable := measureKey(c.Kind, p, src)
-	if !cacheable {
-		return false
-	}
-	vec, hit := measureCache.Peek(key)
-	return hit && vec != nil
-}
-
 // Bind compiles the condition against a source: the quality measure of
-// the attribute's base preference materializes as a flat vector through
-// the bound-form cache and the threshold comparison runs per row position
+// the attribute's base preference materializes as a flat vector and the
+// threshold comparison runs per row position
 // with no tuple access — the vector-scan twin of Eval, agreeing with it
 // on every row. Conditions that can never hold (unknown attribute or
 // kind, preference without the measure) compile to a constant-false
@@ -286,10 +204,10 @@ func (c Condition) Bind(byAttr map[string]pref.Preference, src pref.Source) func
 		// Distance vectors carry no such sentinel: a genuine NaN measure
 		// flows through the comparison with Go's float semantics, as in
 		// Eval.
-		vec, ok = measureVec("level", p, src)
+		vec, ok = LevelVec(p, src)
 		guardNaN = true
 	case "distance":
-		vec, ok = measureVec("distance", p, src)
+		vec, ok = DistanceVec(p, src)
 	default:
 		return never
 	}
@@ -321,14 +239,10 @@ func (c Condition) Bind(byAttr map[string]pref.Preference, src pref.Source) func
 	return func(i int) bool { return cmp(vec[i]) }
 }
 
-// MeasureCacheStats returns the cumulative quality-vector cache hit and
-// miss counts.
-func MeasureCacheStats() (hits, misses uint64) {
-	return measureCache.Stats()
-}
+// MeasureCacheStats reports 0, 0: there is no quality-vector cache. The
+// benchmark harness still calls it.
+func MeasureCacheStats() (hits, misses uint64) { return 0, 0 }
 
-// ResetMeasureCache empties the quality-vector cache and zeroes its
-// counters; tests and benchmarks use it to measure cold binds.
-func ResetMeasureCache() {
-	measureCache.Reset()
-}
+// ResetMeasureCache does nothing: there is no quality-vector cache. The
+// benchmark harness still calls it.
+func ResetMeasureCache() {}

@@ -153,28 +153,3 @@ func TestConditionBindAgreesWithEval(t *testing.T) {
 		}
 	}
 }
-
-// TestMeasureCacheReuseAndInvalidation: repeated binds over an unchanged
-// relation hit the quality-vector cache; a row mutation strands the entry
-// and the rebound vector covers the new row.
-func TestMeasureCacheReuseAndInvalidation(t *testing.T) {
-	ResetMeasureCache()
-	defer ResetMeasureCache()
-	rng := rand.New(rand.NewSource(34))
-	rel := qualityRel(rng, 50)
-	byAttr := map[string]pref.Preference{"color": pref.POS("color", "red")}
-	c := Condition{Kind: "level", Attr: "color", Op: "<=", Threshold: 1}
-	c.Bind(byAttr, rel)
-	if h, m := MeasureCacheStats(); h != 0 || m == 0 {
-		t.Fatalf("cold bind: hits=%d misses=%d", h, m)
-	}
-	c.Bind(byAttr, rel)
-	if h, _ := MeasureCacheStats(); h == 0 {
-		t.Fatal("repeated bind must hit the cache")
-	}
-	rel.MustInsert(relation.Row{"red", 1.0, int64(1)})
-	keep := c.Bind(byAttr, rel)
-	if !keep(rel.Len() - 1) {
-		t.Fatal("stale vector: the inserted red row must pass LEVEL(color) <= 1")
-	}
-}

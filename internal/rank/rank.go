@@ -39,8 +39,7 @@ func TopK(p pref.Scorer, r *relation.Relation, k int) []Result {
 const scoreCacheCap = 64
 
 // scoreCache holds materialized score vectors of keyed Scorer terms per
-// (relation, version, term) — the ranked layer's instance of the shared
-// bound-form cache, so repeated TOP-k queries over an unchanged catalog
+// (relation, version, term) through internal/boundcache, so repeated TOP-k queries over an unchanged catalog
 // relation are bind-free and engine.EvictRelation releases the vectors
 // of a dropped relation. A weighted-sum rank(F) keys by its weights and
 // parts (pref.CacheKey); SCORE leaves and rank(F) terms with an opaque
@@ -48,12 +47,9 @@ const scoreCacheCap = 64
 // and bind per call (one columnar pass, not a tuple walk per feature).
 var scoreCache = boundcache.New[[]float64](scoreCacheCap)
 
-// rankKey builds the bound-form cache key of one derived artifact kind
-// ("rank" score vectors, "rankperm" sorted-access permutations) of a
-// Scorer over r; ok=false when the term is keyless or the source
-// uncacheable (ephemeral intermediates, like every other bound-form
-// cache).
-func rankKey(p pref.Scorer, r *relation.Relation, kind string) (boundcache.Key, bool) {
+// scoreVecKey returns the cache key of a Scorer's vector over r; ok=false
+// when the term is keyless or the source an ephemeral intermediate.
+func scoreVecKey(p pref.Scorer, r *relation.Relation) (boundcache.Key, bool) {
 	if r.Ephemeral() {
 		return boundcache.Key{}, false
 	}
@@ -61,12 +57,7 @@ func rankKey(p pref.Scorer, r *relation.Relation, kind string) (boundcache.Key, 
 	if !keyed {
 		return boundcache.Key{}, false
 	}
-	return boundcache.Key{Src: r, Version: r.Version(), Term: kind + ":" + term}, true
-}
-
-// scoreVecKey returns the cache key of a Scorer's vector over r.
-func scoreVecKey(p pref.Scorer, r *relation.Relation) (boundcache.Key, bool) {
-	return rankKey(p, r, "rank")
+	return boundcache.Key{Src: r, Version: r.Version(), Term: "rank:" + term}, true
 }
 
 // compiledScoreVec materializes the term's score vector over a source —
@@ -142,37 +133,6 @@ func ResetScoreCache() {
 	scoreCache.Reset()
 }
 
-// permCacheCap bounds the number of cached sorted-access permutations.
-const permCacheCap = 64
-
-// permCache holds the descending-score visit permutations the threshold
-// algorithm sorts its per-feature access lists by, cached alongside each
-// score vector per (relation, version, term): the sort is the dominant
-// per-query cost once the vectors themselves come from the cache, so a
-// repeated ThresholdTopK over an unchanged relation is sort-free. Keys
-// share the score cache's term encoding with a distinct kind prefix, so
-// engine.EvictRelation's registry sweep releases permutations too, and
-// any row mutation strands them via the version.
-var permCache = boundcache.New[[]int](permCacheCap)
-
-// cachedSortedPerm returns the sorted-access permutation of a feature's
-// score vector: row positions ordered by descending score, ties by
-// ascending position. Served from permCache for keyed terms over
-// cacheable relations; sorted fresh otherwise.
-func cachedSortedPerm(p pref.Scorer, r *relation.Relation, scores []float64) []int {
-	key, ok := rankKey(p, r, "rankperm")
-	if ok {
-		if perm, hit := permCache.Get(key); hit && perm != nil {
-			return perm
-		}
-	}
-	perm := sortScorePerm(scores)
-	if ok {
-		permCache.Put(key, perm)
-	}
-	return perm
-}
-
 // sortScorePerm builds the descending-score permutation; the stable sort
 // pins ascending-position tie order, the determinism ThresholdTopK's
 // access statistics rely on.
@@ -193,17 +153,9 @@ func sortScorePerm(scores []float64) []int {
 	return perm
 }
 
-// PermCacheStats returns the cumulative sorted-permutation cache hit and
-// miss counts.
-func PermCacheStats() (hits, misses uint64) {
-	return permCache.Stats()
-}
-
-// ResetPermCache empties the sorted-permutation cache and zeroes its
-// counters.
-func ResetPermCache() {
-	permCache.Reset()
-}
+// ResetPermCache does nothing: ThresholdTopK sorts its access lists per
+// call. The benchmark harness still calls it.
+func ResetPermCache() {}
 
 // worse reports a ranks strictly below b (lower score, or equal score and
 // higher row index).
@@ -257,9 +209,8 @@ func ThresholdTopK(p *pref.RankPref, r *relation.Relation, k int) ([]Result, Sta
 	// feature's vector is a flat column served from the score cache when
 	// the part has a faithful key (SCORE dimensions ordinal-coded: the
 	// scoring function runs once per distinct value, the win for string
-	// features), and the sorted access lists come from the permutation
-	// cache — repeated threshold queries over an unchanged relation are
-	// sort-free — with a per-row ScoreOf walk as the cold fallback.
+	// features), with a per-row ScoreOf walk as the cold fallback; each
+	// call sorts its access lists.
 	scores := make([][]float64, m)
 	lists := make([][]int, m)
 	for f := 0; f < m; f++ {
@@ -272,7 +223,7 @@ func ThresholdTopK(p *pref.RankPref, r *relation.Relation, k int) ([]Result, Sta
 			}
 			scores[f] = fs
 		}
-		lists[f] = cachedSortedPerm(parts[f], r, scores[f])
+		lists[f] = sortScorePerm(scores[f])
 	}
 	seen := make(map[int]struct{}, 2*k)
 	h := &resultHeap{}

@@ -34,18 +34,17 @@ import (
 // and tie keys of the form bound over it — from one slab taken from a pool and returned on Release.
 
 // gatherFraction is the subset rule shared by every bind layer (BMO,
-// ranked scoring, BUT ONLY): a cold bind gathers when the candidates are
-// at most 1/gatherFraction of the relation, and binds the whole relation
-// — entering the bound-form cache, where later statements reuse it —
+// ranked scoring, BUT ONLY): a bind gathers when the candidates are at
+// most 1/gatherFraction of the relation, and binds the whole relation
 // otherwise. At a quarter the gathered bind does at most a quarter of
-// the full bind's work and pins nothing; above it the saving shrinks
-// while the chance that the cached full form pays for itself does not.
+// the full bind's work; above it the gather's copy costs more than the
+// rows it saves.
 const gatherFraction = 4
 
 // GatherWorthwhile reports whether a cold bind over m candidate rows of
 // an n-row relation should gather the candidates instead of binding the
-// whole relation. It is a pure function of the two cardinalities; callers
-// consult their bound-form cache first — a cached form is free at any
+// whole relation. It is a pure function of the two cardinalities; rank's
+// score cache is consulted first — a cached vector is free at any
 // selectivity.
 func GatherWorthwhile(m, n int) bool {
 	return m*gatherFraction <= n

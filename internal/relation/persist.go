@@ -37,7 +37,7 @@ import (
 // encoded bytes, and a row read decodes just its row out of the page.
 // A page that fails to read or verify fails the statement reading it
 // (RecoverPageError), not the process. Superseded epochs stay
-// mapped until Close so pinned snapshots (and cached bound forms that
+// mapped until Close so pinned snapshots (and cached score vectors that
 // alias segment memory) never dangle — an unlinked, clean, file-backed
 // mapping costs address space, not RAM, and the kernel reclaims its
 // pages under pressure.
@@ -389,7 +389,7 @@ func (sp *shardPersist) maybeCheckpointLocked(r *Relation, g *generation) {
 // checkpointLocked writes the generation's full contents as epoch E+1,
 // swaps the shard metadata, rotates the WAL and publishes a successor
 // generation over the new base. The version is NOT bumped: the logical
-// contents are unchanged, so cached bound forms and memoized maxima
+// contents are unchanged, so cached score vectors and memoized maxima
 // keyed by (relation, version) stay warm and correct — they alias the
 // superseded generation's arrays, which remain valid. A base page that
 // fails to read fails the checkpoint, not the writer. Caller holds

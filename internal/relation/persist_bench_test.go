@@ -40,7 +40,7 @@ func pagedTwin(b *testing.B, rel *relation.Relation, pool int64) (*relation.Stor
 // BenchmarkPagedBMO is the headline mem-vs-paged pair: a compiled
 // Pareto skyline (price LOWEST x horsepower HIGHEST x mileage LOWEST)
 // over the synthetic car workload, warm (first run outside the timer
-// faults the pages in and fills the compile cache). The pool is sized
+// faults the pages in). The pool is sized
 // above the table, so the paged leg measures the steady state a hot
 // working set sees, not eviction churn.
 func BenchmarkPagedBMO(b *testing.B) {

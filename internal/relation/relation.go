@@ -179,7 +179,8 @@ type generation struct {
 
 	// snap memoizes the frozen Snapshot view of this generation, so every
 	// session pinning the same version shares one *Relation identity and
-	// the bound-form caches (keyed by source pointer) hit across sessions.
+	// the result and statistics caches (keyed by source pointer) hit
+	// across sessions.
 	snapMu sync.Mutex
 	snap   *Relation
 }
@@ -294,9 +295,9 @@ func (r *Relation) Schema() *Schema { return r.schema }
 func (r *Relation) Len() int { return r.cur().nrows() }
 
 // Version returns the relation's mutation counter: it increases on every
-// row mutation (Insert, SortBy) and never otherwise. Compile caches key
-// bound forms by (relation, version, term), so a bumped counter strands
-// every stale entry. It implements filter.Versioned.
+// row mutation (Insert, SortBy) and never otherwise. The result and
+// statistics caches key entries by (relation, version, term), so a bumped
+// counter strands every stale entry.
 func (r *Relation) Version() uint64 { return r.cur().version }
 
 // Frozen reports whether the relation is an immutable Snapshot view;
@@ -309,9 +310,9 @@ func (r *Relation) Frozen() bool { return r.frozen }
 // successor generations and never disturb a pinned one, so a query
 // evaluated against the snapshot can never observe a torn mutation. The
 // view is memoized per generation: every caller pinning the same version
-// gets the same *Relation identity, so the bound-form caches (keyed by
-// source pointer and version) amortize across sessions reading the same
-// epoch. Snapshot of a frozen view returns the view itself.
+// gets the same *Relation identity, so the result and statistics caches
+// (keyed by source pointer and version) amortize across sessions reading
+// the same epoch. Snapshot of a frozen view returns the view itself.
 func (r *Relation) Snapshot() *Relation {
 	g := r.cur()
 	g.snapMu.Lock()
@@ -355,10 +356,10 @@ func (r *Relation) PeekSnapshot() (*Relation, bool) {
 }
 
 // Ephemeral reports whether the relation is a derived query intermediate
-// (built by Pick, Select, Where or a projection). Compile caches skip
-// ephemeral relations: their identity is fresh per query, so a cached
-// bound form could never be reused and would only pin the materialized
-// rows until eviction. It implements filter.Ephemeraler.
+// (built by Pick, Select, Where or a projection). The result and
+// statistics caches skip ephemeral relations: their identity is fresh per
+// query, so an entry could never be reused and would only pin the
+// materialized rows until eviction.
 func (r *Relation) Ephemeral() bool { return r.derived }
 
 // Row returns row i; callers must not modify it.
@@ -598,21 +599,18 @@ func (r *Relation) Select(pred func(pref.Tuple) bool) *Relation {
 }
 
 // Where returns the rows satisfying the predicate tree, as a new relation.
-// The tree is compiled against the relation's cached column arrays through
-// the selection cache (see filter.CompileCached), so repeated selections
-// over an unchanged relation reuse the finished bitmap; WhereIndices
-// returns the row positions instead of materializing.
+// The tree is compiled against the relation's cached column arrays (see
+// filter.Compile); WhereIndices returns the row positions instead of
+// materializing.
 func (r *Relation) Where(pred filter.Pred) *Relation {
 	return r.Pick(r.WhereIndices(pred))
 }
 
 // WhereIndices returns the positions of the rows satisfying the predicate
 // tree, in ascending order, through the compiled selection path. The
-// slice is the caller's to own: the cached bound form's memoized index
-// list is copied at this API boundary so mutations cannot corrupt later
-// queries.
+// slice is the caller's to own.
 func (r *Relation) WhereIndices(pred filter.Pred) []int {
-	return slices.Clone(filter.CompileCached(pred, r).Indices())
+	return filter.Compile(pred, r).Indices()
 }
 
 // Pick returns a new relation containing the rows at the given indices.

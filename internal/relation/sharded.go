@@ -16,8 +16,9 @@ import (
 // equality-code caches. The BMO model is algebraically partitionable —
 // max(P over A ∪ B) = max(P over max(P, A) ∪ max(P, B)) for every strict
 // partial order — so every preference query evaluates shard-local first
-// and merges candidate maxima, and the compile caches (keyed per shard
-// relation and version) amortize independently per shard. Rows route to
+// and merges candidate maxima, and the result and statistics caches
+// (keyed per shard relation and version) amortize independently per
+// shard. Rows route to
 // shards by a Partitioner (hash or range over one attribute); global row
 // ids address rows stably across the whole table.
 
@@ -365,7 +366,7 @@ func (s *Sharded) Insert(row Row) error {
 // snapshots — a pinned cut reflects a prefix of the table's insert
 // history, never a row without its predecessors. The cut is memoized
 // until the next mutation, so concurrent sessions pinning the same epoch
-// share shard identities and their cached bound forms. Snapshot of a
+// share shard identities and their cached results. Snapshot of a
 // frozen view returns the view itself; of a OneShard view, the view of
 // its relation's Snapshot (rows may reach that relation directly).
 func (s *Sharded) Snapshot() *Sharded {

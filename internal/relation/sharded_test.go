@@ -245,7 +245,7 @@ func TestRangeBounds(t *testing.T) {
 }
 
 // TestShardVersionsIndependent: mutating one shard must not disturb the
-// versions (and therefore the cached bound forms) of its siblings.
+// versions (and therefore the cache entries) of its siblings.
 func TestShardVersionsIndependent(t *testing.T) {
 	flat := shardedTestRelation(100, 5)
 	s, err := ShardRelation(flat, 4, ByHash("oid"))

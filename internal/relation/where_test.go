@@ -144,11 +144,8 @@ func TestVersionCounter(t *testing.T) {
 }
 
 // TestEphemeralSelectionBypassesCache: Where against a Pick result (a
-// per-query intermediate) compiles fresh without populating the selection
-// cache.
+// per-query intermediate) selects what Select selects.
 func TestEphemeralSelectionBypassesCache(t *testing.T) {
-	filter.ResetCache()
-	defer filter.ResetCache()
 	rng := rand.New(rand.NewSource(2))
 	rel := randWhereRelation(rng, 20)
 	sub := rel.Pick([]int{0, 1, 2, 3, 4, 5})
@@ -158,19 +155,11 @@ func TestEphemeralSelectionBypassesCache(t *testing.T) {
 	if got.Len() != want.Len() {
 		t.Fatalf("ephemeral Where = %d rows, Select = %d", got.Len(), want.Len())
 	}
-	if h, m := filter.CacheStats(); h != 0 || m != 0 {
-		t.Fatalf("ephemeral selection must bypass the cache: hits=%d misses=%d", h, m)
-	}
-	if filter.CacheContains(pred, sub) {
-		t.Fatal("ephemeral source must not populate the selection cache")
-	}
 }
 
 // TestWhereIndicesIsCallerOwned: mutating the returned slice must not
-// corrupt the cached bound form a later identical query reuses.
+// corrupt a later identical query.
 func TestWhereIndicesIsCallerOwned(t *testing.T) {
-	filter.ResetCache()
-	defer filter.ResetCache()
 	rel := New("O", MustSchema(Column{Name: "num", Type: Float})).MustInsert(
 		Row{0.0}, Row{1.0}, Row{2.0}, Row{3.0},
 	)
@@ -179,6 +168,6 @@ func TestWhereIndicesIsCallerOwned(t *testing.T) {
 	first[0] = 0 // caller abuse
 	second := rel.WhereIndices(pred)
 	if len(second) != 2 || second[0] != 2 || second[1] != 3 {
-		t.Fatalf("cached selection corrupted by caller mutation: %v", second)
+		t.Fatalf("selection corrupted by caller mutation: %v", second)
 	}
 }

@@ -225,24 +225,6 @@ func (c *Client) Stream(stmt string, yield func(relation.Row) bool) (wire.Header
 				return hdr, n, err
 			}
 			seenHeader = true
-		case wire.FrameRow:
-			if !seenHeader {
-				return hdr, n, fmt.Errorf("client: row frame before header")
-			}
-			row, err := wire.DecodeRow(payload, len(hdr.Cols))
-			if err != nil {
-				return hdr, n, err
-			}
-			if stopped {
-				continue // draining rows already in flight
-			}
-			n++
-			if !yield(row) {
-				stopped = true
-				if err := c.Cancel(); err != nil {
-					return hdr, n, err
-				}
-			}
 		case wire.FrameRowBatch:
 			if !seenHeader {
 				return hdr, n, fmt.Errorf("client: row-batch frame before header")

@@ -442,8 +442,8 @@ func appendResult(buf []byte, rel *relation.Relation, gen, snapLen uint64, parti
 const streamBatchRows = 64
 
 // serveStream runs one progressive query turn: header (row count
-// unknown), the first confirmed row as a row frame, subsequent rows as
-// row-batch frames, ready. The session holds its own admission slot for
+// unknown), the first confirmed row as a one-row batch frame, subsequent
+// rows as row-batch frames of up to streamBatchRows, ready. The session holds its own admission slot for
 // the duration. The evaluation runs under the turn's context — a client
 // cancel frame, a disconnect or the timeout stops it mid-scan, before
 // the first row included — and the yield's own check stops the write
@@ -504,30 +504,14 @@ func (ss *session) serveStream(q *psql.Query) {
 		if ctx.Err() != nil {
 			return false
 		}
-		if first {
-			// The first row flushes alone so the client sees the stream
-			// open (and can stop it) before the first chunk fills.
-			first = false
-			payload, err := wire.EncodeRow(row)
-			if err != nil {
-				encodeErr = err
-				return false
-			}
-			if err := ss.wc.WriteFrame(wire.FrameRow, payload); err != nil {
-				encodeErr = err
-				return false
-			}
-			if err := ss.wc.Flush(); err != nil {
-				encodeErr = err
-				return false
-			}
-			return true
-		}
 		if err := batch.Append(row); err != nil {
 			encodeErr = err
 			return false
 		}
-		if batch.Len() >= streamBatchRows {
+		// The first row flushes alone so the client sees the stream open
+		// (and can stop it) before the first chunk fills.
+		if first || batch.Len() >= streamBatchRows {
+			first = false
 			if err := flushBatch(); err != nil {
 				encodeErr = err
 				return false

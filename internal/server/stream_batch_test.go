@@ -12,9 +12,9 @@ import (
 
 // TestStreamUsesRowBatchFrames drives a raw stream turn and pins the
 // frame shape of a large progressive result: a header, the first row as
-// an individual row frame (immediate time-to-first-row), the rest
-// chunked into row-batch frames, then ready — with every row decodable
-// and the total matching the batch query's count.
+// a one-row batch frame (immediate time-to-first-row), the rest chunked
+// into row-batch frames, then ready — with every row decodable and the
+// total matching the batch query's count.
 func TestStreamUsesRowBatchFrames(t *testing.T) {
 	car := workload.Cars(400, 7)
 	cat := psql.Catalog{"car": relation.Table(car)}
@@ -35,7 +35,7 @@ func TestStreamUsesRowBatchFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hdr wire.Header
-	var singles, batches, rows int
+	var batches, rows int
 	for done := false; !done; {
 		typ, payload, err := c.ReadRaw()
 		if err != nil {
@@ -46,12 +46,6 @@ func TestStreamUsesRowBatchFrames(t *testing.T) {
 			if hdr, err = wire.DecodeHeader(payload); err != nil {
 				t.Fatal(err)
 			}
-		case wire.FrameRow:
-			if _, err := wire.DecodeRow(payload, len(hdr.Cols)); err != nil {
-				t.Fatal(err)
-			}
-			singles++
-			rows++
 		case wire.FrameRowBatch:
 			decoded, err := wire.DecodeRowBatch(payload, len(hdr.Cols))
 			if err != nil {
@@ -59,6 +53,9 @@ func TestStreamUsesRowBatchFrames(t *testing.T) {
 			}
 			if len(decoded) == 0 || len(decoded) > 64 {
 				t.Fatalf("batch of %d rows outside (0, 64]", len(decoded))
+			}
+			if batches == 0 && len(decoded) != 1 {
+				t.Fatalf("first batch holds %d rows, want the first row alone", len(decoded))
 			}
 			batches++
 			rows += len(decoded)
@@ -71,11 +68,8 @@ func TestStreamUsesRowBatchFrames(t *testing.T) {
 			t.Fatalf("unexpected frame %q in stream", typ)
 		}
 	}
-	if singles != 1 {
-		t.Fatalf("%d individual row frames, want exactly 1 (the first row)", singles)
-	}
-	if batches < 2 {
-		t.Fatalf("%d row-batch frames, want >= 2", batches)
+	if batches < 3 {
+		t.Fatalf("%d row-batch frames, want >= 3 (the first row, then chunks)", batches)
 	}
 	if rows != want {
 		t.Fatalf("streamed %d rows, batch query returned %d", rows, want)

@@ -24,7 +24,7 @@ func randRel(seed int64, n int) *relation.Relation {
 func TestProgressiveMatchesBatch(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rel := randRel(seed, 200)
-		c, _ := Parse("a MIN, b MAX")
+		c := Clause{Dims: []Dim{{"a", Min}, {"b", Max}}}
 		var got []int
 		n, err := Progressive(c, rel, func(row int) bool {
 			got = append(got, row)
@@ -66,7 +66,7 @@ func TestProgressiveEveryPrefixIsValid(t *testing.T) {
 	// The defining property of progressive computation: each emitted row
 	// is already final (a true skyline member) at emission time.
 	rel := randRel(42, 500)
-	c, _ := Parse("a MIN, b MIN")
+	c := Clause{Dims: []Dim{{"a", Min}, {"b", Min}}}
 	want, _ := Compute(c, rel, engine.Naive)
 	inSkyline := map[int]bool{}
 	for i := 0; i < rel.Len(); i++ {
@@ -98,7 +98,7 @@ func TestProgressiveEveryPrefixIsValid(t *testing.T) {
 
 func TestProgressiveEarlyStop(t *testing.T) {
 	rel := randRel(7, 1000)
-	c, _ := Parse("a MIN, b MIN")
+	c := Clause{Dims: []Dim{{"a", Min}, {"b", Min}}}
 	calls := 0
 	n, err := Progressive(c, rel, func(row int) bool {
 		calls++
@@ -114,7 +114,7 @@ func TestProgressiveEarlyStop(t *testing.T) {
 
 func TestFirstK(t *testing.T) {
 	rel := randRel(9, 500)
-	c, _ := Parse("a MIN, b MIN")
+	c := Clause{Dims: []Dim{{"a", Min}, {"b", Min}}}
 	rows, err := FirstK(c, rel, 2)
 	if err != nil {
 		t.Fatal(err)

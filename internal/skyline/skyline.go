@@ -80,33 +80,3 @@ func Compute(c Clause, r *relation.Relation, alg engine.Algorithm) (*relation.Re
 	}
 	return engine.BMO(p, r, alg), nil
 }
-
-// Parse parses the dimension list of a SKYLINE OF clause, e.g.
-// "price MIN, horsepower MAX". A missing direction defaults to MIN, as in
-// [BKS01].
-func Parse(dims string) (Clause, error) {
-	var c Clause
-	for _, part := range strings.Split(dims, ",") {
-		fields := strings.Fields(strings.TrimSpace(part))
-		switch len(fields) {
-		case 0:
-			return Clause{}, fmt.Errorf("skyline: empty dimension in %q", dims)
-		case 1:
-			c.Dims = append(c.Dims, Dim{Attr: fields[0], Dir: Min})
-		case 2:
-			var dir Direction
-			switch strings.ToUpper(fields[1]) {
-			case "MIN":
-				dir = Min
-			case "MAX":
-				dir = Max
-			default:
-				return Clause{}, fmt.Errorf("skyline: unknown direction %q (want MIN or MAX)", fields[1])
-			}
-			c.Dims = append(c.Dims, Dim{Attr: fields[0], Dir: dir})
-		default:
-			return Clause{}, fmt.Errorf("skyline: malformed dimension %q", part)
-		}
-	}
-	return c, nil
-}

@@ -10,32 +10,11 @@ import (
 	"repro/internal/relation"
 )
 
-func TestParse(t *testing.T) {
-	c, err := Parse("price MIN, power MAX, age")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Dims) != 3 {
-		t.Fatalf("dims = %d", len(c.Dims))
-	}
-	if c.Dims[0].Dir != Min || c.Dims[1].Dir != Max || c.Dims[2].Dir != Min {
-		t.Errorf("directions = %v", c.Dims)
-	}
-	if c.String() != "SKYLINE OF price MIN, power MAX, age MIN" {
+func TestPreferenceConversion(t *testing.T) {
+	c := Clause{Dims: []Dim{{"a", Min}, {"b", Max}}}
+	if c.String() != "SKYLINE OF a MIN, b MAX" {
 		t.Errorf("rendering %q", c.String())
 	}
-}
-
-func TestParseErrors(t *testing.T) {
-	for _, bad := range []string{"", "price WRONG", "price MIN MAX extra", ","} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%q) must fail", bad)
-		}
-	}
-}
-
-func TestPreferenceConversion(t *testing.T) {
-	c, _ := Parse("a MIN, b MAX")
 	p, err := c.Preference()
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +36,7 @@ func TestComputeMatchesEngine(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		rel.MustInsert(relation.Row{rng.Float64(), rng.Float64()})
 	}
-	c, _ := Parse("a MIN, b MIN")
+	c := Clause{Dims: []Dim{{"a", Min}, {"b", Min}}}
 	got, err := Compute(c, rel, engine.SFS)
 	if err != nil {
 		t.Fatal(err)

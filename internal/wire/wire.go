@@ -51,12 +51,11 @@ const (
 	FrameHeader = byte('H')
 	// FrameColumn carries one whole result column.
 	FrameColumn = byte('D')
-	// FrameRow carries one streamed result row.
-	FrameRow = byte('d')
-	// FrameRowBatch carries a chunk of streamed result rows in one frame
-	// (uvarint row count, then the rows' tagged values back to back) —
-	// large results amortize the per-frame header and the per-flush
-	// syscall across a whole chunk instead of paying them per row.
+	// FrameRowBatch carries streamed result rows (uvarint row count, then
+	// the rows' tagged values back to back) — large results amortize the
+	// per-frame header and the per-flush syscall across a whole chunk
+	// instead of paying them per row. The first streamed row goes out as
+	// a one-row batch, flushed alone.
 	FrameRowBatch = byte('b')
 	// FrameInsertOK acknowledges an insert with the table's new row count.
 	FrameInsertOK = byte('K')
@@ -407,33 +406,6 @@ func DecodeColumn(payload []byte, nrows int) (int, []pref.Value, error) {
 		return 0, nil, fmt.Errorf("wire: %d trailing bytes in column frame", len(payload))
 	}
 	return col, vals, nil
-}
-
-// EncodeRow encodes one streamed row frame.
-func EncodeRow(row relation.Row) ([]byte, error) {
-	buf := make([]byte, 0, 9*len(row))
-	var err error
-	for _, v := range row {
-		if buf, err = AppendValue(buf, v); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// DecodeRow decodes a streamed row frame of ncols values.
-func DecodeRow(payload []byte, ncols int) (relation.Row, error) {
-	row := make(relation.Row, ncols)
-	var err error
-	for i := range row {
-		if row[i], payload, err = ReadValue(payload); err != nil {
-			return nil, err
-		}
-	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes in row frame", len(payload))
-	}
-	return row, nil
 }
 
 // RowBatch accumulates streamed rows into one row-batch frame payload.

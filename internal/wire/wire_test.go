@@ -137,17 +137,18 @@ func TestColumnRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRowRoundTrip: a stream's first row travels as a one-row batch.
 func TestRowRoundTrip(t *testing.T) {
 	row := relation.Row{"BMW", int64(45000), 170.0}
-	payload, err := EncodeRow(row)
+	var b RowBatch
+	if err := b.Append(row); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRowBatch(b.Payload(), len(row))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRow(payload, len(row))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, row) {
+	if len(got) != 1 || !reflect.DeepEqual(got[0], row) {
 		t.Fatalf("row round trip: %v", got)
 	}
 }
