@@ -35,7 +35,8 @@ test-noavx2:
 # their named cases and re-check counts, the block kernel's verdicts on
 # its store and its negated mirror against the masked model, the routes
 # the planner gives the served statement shapes with EXPLAIN before == what
-# ran == EXPLAIN after, and the SKYLINE OF chain products' routes at one
+# ran == EXPLAIN after, the grouped route (a shard's groups share its
+# form's key cost), and the SKYLINE OF chain products' routes at one
 # and two Ps against the BNL oracle with EXPLAIN's algorithm, workers and
 # comparator == what ran, the borrowed-slab lifetime checks — entries
 # that outlive their slab, abandoned workers, concurrent sessions — all
@@ -43,12 +44,13 @@ test-noavx2:
 # on in TestMain), and the ordered hard selection: value-order reads
 # against the scan and Cmp.Eval on edge values over every layout (the
 # battery and FuzzRangeCut's seed corpus), orders bounded under inserts,
-# and EXPLAIN's access path equal to the one the run took; the fused flat
+# EXPLAIN's probe (which marks and keeps no order) and its access path
+# equal to the one the run took; the fused flat
 # bind against a fresh pref.Compile and the oracle over every layout (the
 # battery and FuzzFlatBind's seed corpus), the planner's allocations, the
 # cold statement's allocation bound, and a finished statement pinning no
 # bound form.
-TIES_RUN := FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutesColdShapes|PlannerRoutesChainProducts|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ExplainAccessPath|FlatBind|PlanCoreAllocs|ColdSelectiveStatementAllocBound|FinishedStatement
+TIES_RUN := FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutesColdShapes|PlannerRoutesChainProducts|PlannerGroupsShare|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ProbeValueOrder|ExplainAccessPath|FlatBind|PlanCoreAllocs|ColdSelectiveStatementAllocBound|FinishedStatement
 TIES_PKGS := ./internal/pref ./internal/engine ./internal/filter ./internal/boundcache ./internal/psql ./internal/relation
 test-ties:
 	$(GO) test -race -run '$(TIES_RUN)' $(TIES_PKGS)

@@ -575,8 +575,8 @@ func BenchmarkThresholdTopKStringDim(b *testing.B) {
 
 // BenchmarkShardedBMO measures shard-aware BMO evaluation at n=100k
 // against the flat compiled path: per-shard evaluation, each shard
-// binding its own form, with the cross-shard merge, fan-out across GOMAXPROCS — the
-// unkeyed soft step, so every iteration evaluates. The shards-1 row
+// binding its own form, with the cross-shard merge, fan-out across
+// GOMAXPROCS — the unkeyed soft step, so every iteration evaluates. The shards-1 row
 // isolates the sharding overhead; 2/4/8 show the scale-out.
 func BenchmarkShardedBMO(b *testing.B) {
 	const n = 100000

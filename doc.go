@@ -33,14 +33,15 @@
 // row ids), engine.BMOShardedOnFilteredCtxKeyed / GroupByShardedOn /
 // EvalStreamShardedCtx and rank.TopKShardedCtx evaluate shard-local off
 // a bind over each shard's columns — or, for a selective statement, over
-// just the shard's gathered candidates — and merge candidate maxima cross-shard (the compiled
-// evaluator over the gathered local maxima, interpreted BNL for terms
-// outside the compilable fragment) along one fault-contained fan-out
-// whatever the caller's context, engine.PlanShardedOn describes that
-// route, and psql routes every catalog table through all of it — a flat
-// one as its one shard (relation.OneShard), as the engine's flat keyed,
-// streaming and grouping entry points do too — with EXPLAIN reporting
-// shards=N and the merge mode per phase.
+// just the shard's gathered candidates — and merge candidate maxima
+// cross-shard (the compiled evaluator over the gathered local maxima,
+// interpreted BNL for terms outside the compilable fragment) along one
+// fault-contained fan-out whatever the caller's context,
+// engine.PlanShardedOn describes that route, and psql routes every
+// catalog table through all of it — a flat one as its one shard
+// (relation.OneShard), as the engine's flat keyed, streaming and grouping
+// entry points do too — with EXPLAIN reporting shards=N and the merge
+// mode per phase.
 //
 // Start with ARCHITECTURE.md (the end-to-end dataflow tour with file
 // pointers), internal/core (the façade API) and README.md (package tour,

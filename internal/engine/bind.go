@@ -102,7 +102,7 @@ func evalOn(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMod
 		return finish(evaluated{maxima: decomposedModeCC(p, r, idx, mode, cc)})
 	}
 	if mode == EvalInterpreted || r == nil || !pref.Compilable(p) {
-		return finish(evaluated{maxima: planAndExecute(alg, p, r, nil, idx, BindFull, mode, cc)})
+		return finish(evaluated{maxima: planAndExecute(alg, p, r, nil, idx, BindFull, Env{Mode: mode}, cc)})
 	}
 	if BindScopeOf(r, len(idx)) == BindGathered {
 		cc.check()
@@ -114,7 +114,7 @@ func evalOn(p pref.Preference, r *relation.Relation, alg Algorithm, mode EvalMod
 		}
 	}
 	c, _ := pref.Compile(p, r)
-	return finish(evaluated{maxima: planAndExecute(alg, p, r, c, idx, BindFull, mode, cc), c: c})
+	return finish(evaluated{maxima: planAndExecute(alg, p, r, c, idx, BindFull, Env{Mode: mode}, cc), c: c})
 }
 
 // evalGathered evaluates over a gathered bind of the candidates idx. The
@@ -135,7 +135,7 @@ func evalGathered(p pref.Preference, r *relation.Relation, alg Algorithm, mode E
 	}
 	gatheredBinds.Add(1)
 	cc.check()
-	slots := planAndExecute(alg, p, r, c, g.Slots(), BindGathered, mode, cc)
+	slots := planAndExecute(alg, p, r, c, g.Slots(), BindGathered, Env{Mode: mode}, cc)
 	return finish(liftSlots(c, slots, idx)), true
 }
 
@@ -180,10 +180,10 @@ func releaseForm(c *pref.Compiled) {
 // planAndExecute resolves Auto through the planner — costed for the
 // bind scope that actually ran — and dispatches the algorithm. idx
 // addresses c: relation positions, or slots of a gathered form.
-func planAndExecute(alg Algorithm, p pref.Preference, r *relation.Relation, c *pref.Compiled, idx []int, scope BindScope, mode EvalMode, cc *canceller) []int {
+func planAndExecute(alg Algorithm, p pref.Preference, r *relation.Relation, c *pref.Compiled, idx []int, scope BindScope, env Env, cc *canceller) []int {
 	workers := 1
 	if alg == Auto {
-		pl := planCore(p, r, len(idx), Env{Mode: mode}, scope)
+		pl := planCore(p, r, len(idx), env, scope)
 		alg, workers = pl.Algorithm, pl.Workers
 	}
 	return execute(alg, workers, p, r, c, idx, cc)

@@ -28,10 +28,12 @@ func cacheTestRelation(rng *rand.Rand, n int) *relation.Relation {
 	return rel
 }
 
-// TestStaleCacheNeverChangesBMO is the cache-soundness property: across a
-// random chain of queries and mutations (Insert, SortBy), the cached
-// compiled path must always return the same BMO set as a forced fresh
-// interpreted evaluation — i.e. stale-cache reuse can never surface.
+// TestStaleCacheNeverChangesBMO is the cache-soundness property of what a
+// compiled statement reads across statements — the relation's cached
+// column images, equality codes and the planner's statistics: across a
+// random chain of queries and mutations (Insert, SortBy), the compiled
+// path must always return the same BMO set as a forced fresh interpreted
+// evaluation, so stale reuse can never surface.
 func TestStaleCacheNeverChangesBMO(t *testing.T) {
 	terms := []pref.Preference{
 		pref.Pareto(pref.LOWEST("d1"), pref.HIGHEST("d2")),
@@ -98,9 +100,10 @@ func TestPlanReportsBindScope(t *testing.T) {
 
 // TestScoreTermsBypassCache guards against rendering-identity collisions:
 // SCORE terms render only a function label, so two distinct scoring
-// functions can share a String(). They must bypass the cache and bind
-// fresh — a cached reuse would evaluate the second query with the first
-// query's score vectors.
+// functions can share a String(). They must bypass the caches keyed on
+// pref.CacheKey (the result cache, rank's score vectors) and bind fresh —
+// a keyed reuse would answer the second query with the first query's
+// scores.
 func TestScoreTermsBypassCache(t *testing.T) {
 	rel := relation.New("S", relation.MustSchema(relation.Column{Name: "d", Type: relation.Float}))
 	for i := 0; i < 8; i++ {
@@ -133,8 +136,9 @@ func TestScoreTermsBypassCache(t *testing.T) {
 // TestSetRenderingCollisionDoesNotShareBoundForms guards the cache key
 // derivation: POS(c, {"red, blue"}) and POS(c, {"red", "blue"}) render
 // identically through String() (set values are unescaped), but their
-// semantics differ — the cache must key them apart (pref.CacheKey uses
-// length-prefixed ValueKey encodings, not the human rendering).
+// semantics differ — the caches keyed on pref.CacheKey (the result cache,
+// rank's score vectors) must key them apart (it uses length-prefixed
+// ValueKey encodings, not the human rendering).
 func TestSetRenderingCollisionDoesNotShareBoundForms(t *testing.T) {
 	rel := relation.New("P", relation.MustSchema(relation.Column{Name: "c", Type: relation.String}))
 	rel.MustInsert(relation.Row{"red"}, relation.Row{"blue"}, relation.Row{"red, blue"})

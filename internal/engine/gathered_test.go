@@ -234,10 +234,9 @@ func TestGatheredBindAgreement(t *testing.T) {
 					sets := selectOn(s, cut)
 					want := referenceOIDs(p, s, sets)
 					alg := algs[rng.Intn(len(algs))]
-					ResetCompileCache()
-					tree0, flat0 := DominanceRuns(DominanceTree), fragmentRuns()
+					tree0, flat0, gathered0 := DominanceRuns(DominanceTree), fragmentRuns(), GatheredBinds()
 					got := shardedBMO(p, s, alg, sets)
-					gathered := GatheredBinds()
+					gathered := GatheredBinds() - gathered0
 					if oids := oidsOf(s.Row, got.GlobalIDs(s)); !sameInts(oids, want) {
 						t.Fatalf("trial %d %s cut %d alg %s term %s:\n got %v\nwant %v", trial, name, cut, alg, p, oids, want)
 					}
@@ -327,8 +326,6 @@ func TestGatheredMergeInfTies(t *testing.T) {
 // leaves nothing behind — a repeat of the selective statement gathers
 // again, whatever whole-relation evaluation ran in between.
 func TestGatheredBindNeverCaches(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
 	rng := rand.New(rand.NewSource(5))
 	r := gatheredTestRelation(rng, 2000)
 	p := pref.Pareto(pref.AROUND("x", 4), pref.LOWEST("z"))
@@ -342,13 +339,14 @@ func TestGatheredBindNeverCaches(t *testing.T) {
 	if got := BindScopeOf(r, r.Len()); got != BindFull {
 		t.Fatalf("scope of every row = %s, want full", got)
 	}
+	g0 := GatheredBinds()
 	want := BMOIndicesOn(p, r, Auto, idx)
-	if g := GatheredBinds(); g != 1 {
+	if g := GatheredBinds() - g0; g != 1 {
 		t.Fatalf("gathered binds = %d, want 1", g)
 	}
 	BMOIndices(p, r, Auto)
 	got := BMOIndicesOn(p, r, Auto, idx)
-	if g := GatheredBinds(); g != 2 {
+	if g := GatheredBinds() - g0; g != 2 {
 		t.Fatalf("repeat gathered binds = %d, want 2", g)
 	}
 	if !sameInts(got, want) {
@@ -430,10 +428,9 @@ func TestGatheredBindSharesHighestImage(t *testing.T) {
 // entries must survive a thousand distinct selective statements over the
 // same table, which bind gathered and leave nothing behind.
 func TestCacheHygieneOneShotStatements(t *testing.T) {
-	ResetCompileCache()
 	resultcache.Reset()
-	defer ResetCompileCache()
 	defer resultcache.Reset()
+	g0 := GatheredBinds()
 	rng := rand.New(rand.NewSource(9))
 	flat := gatheredTestRelation(rng, 1500)
 	s, err := relation.ShardRelation(flat, 2, relation.ByHash("oid"))
@@ -462,7 +459,7 @@ func TestCacheHygieneOneShotStatements(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g := GatheredBinds(); g < 1000 {
+	if g := GatheredBinds() - g0; g < 1000 {
 		t.Fatalf("the selective statements must bind gathered: %d gathered binds", g)
 	}
 	if n, ok := ResultCachedShards(hot, s, nil); !ok || n != s.NumShards() {
@@ -477,19 +474,18 @@ func TestCacheHygieneOneShotStatements(t *testing.T) {
 // entry check must abort at the gather boundary — before any bind — with
 // the context's error and no result.
 func TestGatheredCancelDeadContext(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
 	rng := rand.New(rand.NewSource(3))
 	r := gatheredTestRelation(rng, 4000)
 	p := pref.Pareto(pref.AROUND("x", 4), pref.LOWEST("z"))
 	idx := filter.Compile(&filter.Cmp{Attr: "w", Op: "<", Value: 200.0}, r).Indices()
 	ctx := &dyingContext{Context: context.Background(), done: make(chan struct{})}
 	close(ctx.done)
+	g0 := GatheredBinds()
 	got, err := oneShardBMO(ctx, p, r, Auto, idx)
 	if !errors.Is(err, context.Canceled) || got != nil {
 		t.Fatalf("dead context: got %v, err %v; want nil, context.Canceled", got, err)
 	}
-	if g := GatheredBinds(); g != 0 {
+	if g := GatheredBinds() - g0; g != 0 {
 		t.Fatalf("a dead context must abort before the bind, saw %d gathered binds", g)
 	}
 }
@@ -543,9 +539,9 @@ func TestGatheredCancelAgreement(t *testing.T) {
 // result-cache misses, hits and carries across inserts — flat and sharded
 // over the extended edge rows, against the interpreted BNL oracle; and
 // holds the whole-relation forms bound before and after each insert to
-// one another on the rows both cover (the cache-soundness invariant: a
-// tie operand references its generation's column image, so a superseded
-// form must keep answering exactly like a fresh one over the old rows).
+// one another on the rows both cover (a tie operand references its
+// generation's column image, so a form bound before an insert must keep
+// answering exactly like one bound after it over the old rows).
 func TestExtendedRowsCachedCarriedAndRebound(t *testing.T) {
 	freshResultCache(t)
 	ctx := context.Background()
@@ -599,8 +595,8 @@ func TestExtendedRowsCachedCarriedAndRebound(t *testing.T) {
 				t.Fatal(err)
 			}
 			after := compileFor(p, flat, EvalAuto)
-			if before == nil || after == nil || before == after {
-				t.Fatalf("trial %d step %d: an insert must strand the cached form (before=%p after=%p)", trial, step, before, after)
+			if before == nil || after == nil {
+				t.Fatalf("trial %d step %d: %s must bind before and after the insert", trial, step, p)
 			}
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {

@@ -63,6 +63,12 @@ type Env struct {
 	// value (EvalAuto) costs compiled evaluation whenever the term is
 	// compilable.
 	Mode EvalMode
+
+	// keyShare is the number of evaluations that share one whole-relation
+	// form's rank keys — the groups of a shard in a grouped statement,
+	// which derive them once — so each is charged its share of deriving
+	// them. 0 or 1: the evaluation derives them alone.
+	keyShare int
 }
 
 // statsSample bounds the rows sampled for distinct/correlation statistics
@@ -117,7 +123,8 @@ type Plan struct {
 	keyed       float64   // … against key + sort + filter
 	leaves      int       // SFS key: score leaves,
 	keyRows     int       // the rows their keys span,
-	keyCost     float64   // and what deriving them costs
+	keyShare    int       // the evaluations sharing them,
+	keyCost     float64   // and this one's share of deriving them
 	partWorkers int       // workers a partitioned candidate runs (≥ 2 when costed)
 	one, split  float64   // the cheapest candidate at one worker, partitioned
 	procs       int       // relation.Procs() at plan time
@@ -188,7 +195,7 @@ func (pl *Plan) reasons() []string {
 		out = append(out, fmt.Sprintf("compiled columnar evaluation: a window pair on %s costs ≈1/%.0f, a sorted-filter pair on %s ≈1/%.0f of an interpreted comparison",
 			window, 1/compiledPairCost(window, true), pl.sorted, 1/compiledPairCost(pl.sorted, false)))
 		if pl.Shape != ShapeGeneral {
-			out = append(out, sfsKeyReason(pl.Bind, pl.head > 0, pl.leaves, pl.keyRows, pl.keyCost))
+			out = append(out, sfsKeyReason(pl.Bind, pl.head > 0, pl.leaves, pl.keyRows, pl.keyShare, pl.keyCost))
 		}
 	} else {
 		out = append(out, "term outside the compilable fragment: interpreted interface evaluation")
@@ -296,18 +303,19 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	// scope. Everything else sorts by dense-rank keys, and deriving them
 	// sorts every score leaf over the rows the bound form spans — not over
 	// the candidates: a whole-relation bind ranks |R| rows per leaf
-	// however few of them are candidates, a gathered (or interpreted)
-	// evaluation ranks the n candidates.
+	// however few of them are candidates (the evaluations sharing one form
+	// split that), a gathered (or interpreted) evaluation ranks the n
+	// candidates.
 	leaves := float64(keyLeaves(p))
-	keyRows := fn
+	keyRows, share := fn, 1
 	if pl.Compiled && !sumKey && scope == BindFull && r != nil {
-		keyRows = math.Max(fn, float64(r.Len()))
+		keyRows, share = math.Max(fn, float64(r.Len())), max(env.keyShare, 1)
 	}
-	keyCost := leaves * keyRows * math.Log2(math.Max(keyRows, 2)) * sortScale
+	keyCost := leaves * keyRows * math.Log2(math.Max(keyRows, 2)) * sortScale / float64(share)
 	if sumKey {
 		keyCost = leaves * fn * scoreSumCost
 	}
-	pl.leaves, pl.keyRows, pl.keyCost = int(leaves), int(keyRows), keyCost
+	pl.leaves, pl.keyRows, pl.keyShare, pl.keyCost = int(leaves), int(keyRows), share, keyCost
 
 	// passCost prices one pass over n candidates, the keys aside: SFS's
 	// are derived once per evaluation, whatever the partitioning.
@@ -417,12 +425,14 @@ func keyLeaves(p pref.Preference) int {
 // sfsKeyReason words the SFS presort's key price for the plan's reason
 // lines: one pass of score sums for a compiled flat term, else what the
 // bind scope makes the dense-rank keys cost.
-func sfsKeyReason(scope BindScope, sumKey bool, leaves, rows int, cost float64) string {
+func sfsKeyReason(scope BindScope, sumKey bool, leaves, rows, share int, cost float64) string {
 	switch {
 	case sumKey:
 		return fmt.Sprintf("SFS keys: one pass sums %d score column(s) over the %d candidates (n·w, cost≈%.3g), no rank transform", leaves, rows, cost)
 	case scope == BindGathered:
 		return fmt.Sprintf("SFS keys: gathered bind ranks %d leaf vector(s) over the %d candidates only (m·log m, cost≈%.3g)", leaves, rows, cost)
+	case share > 1:
+		return fmt.Sprintf("SFS keys: one whole-relation form ranks %d leaf vector(s) over all %d rows for %d groups (|R|·log|R| per leaf, this group's share cost≈%.3g)", leaves, rows, share, cost)
 	}
 	return fmt.Sprintf("SFS keys: whole-relation bind ranks %d leaf vector(s) over all %d rows (|R|·log|R| per leaf, cost≈%.3g)", leaves, rows, cost)
 }

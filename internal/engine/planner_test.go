@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -193,7 +194,8 @@ func TestPlannerRoutesColdShapes(t *testing.T) {
 			}
 		}
 	}
-	// hotset_read: the pool statement over all 20 000 cars, cold and cached.
+	// hotset_read: the pool statement over all 20 000 cars, cold and after
+	// a run has analysed the relation.
 	hot := workload.Cars(20000, 20020820)
 	for i := 0; i < 64; i += 7 {
 		p := pref.Pareto(pref.AROUND("price", float64(12000+i*500)), pref.HIGHEST("horsepower"))
@@ -202,9 +204,37 @@ func TestPlannerRoutesColdShapes(t *testing.T) {
 				BMOIndices(p, hot, Auto)
 			}
 			if pl := PlanWithInput(p, hot, hot.Len(), Env{}); pl.Algorithm != BNL || pl.Dominance != window {
-				t.Errorf("hotset_read pool statement %d (cached form: %v): plan %s on %s, want bnl on %s\n%s", i, warm, pl.Algorithm, pl.Dominance, window, pl.Explain())
+				t.Errorf("hotset_read pool statement %d (after a run: %v): plan %s on %s, want bnl on %s\n%s", i, warm, pl.Algorithm, pl.Dominance, window, pl.Explain())
 			}
 		}
+	}
+}
+
+// TestPlannerGroupsShareTheirFormsKeys pins the grouped route: the groups
+// of one shard share a whole-shard form and derive its rank keys once, so
+// each group's plan is charged its share of them, not the whole
+// derivation. A keyed term outside the flat fragment (its SFS key is rank
+// keys, not a score sum) over 22 groups of ≈909 rows sorts under the
+// shared charge and would stay on the window under the whole one.
+func TestPlannerGroupsShareTheirFormsKeys(t *testing.T) {
+	rel := workload.Numeric(20000, 4, workload.Independent, 5)
+	rk, err := pref.RankWeighted([]float64{1, 1}, pref.LOWEST("d1"), pref.LOWEST("d2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pref.ParetoAll(rk, pref.LOWEST("d3"), pref.LOWEST("d4"))
+	const groups = 22
+	n := rel.Len() / groups
+	alone := planCore(p, rel, n, Env{}, BindFull)
+	shared := planCore(p, rel, n, Env{keyShare: groups}, BindFull)
+	if alone.keyCost == 0 || math.Abs(shared.keyCost*groups-alone.keyCost) > 1e-9*alone.keyCost {
+		t.Fatalf("a group's key charge %.6g, want 1/%d of %.6g", shared.keyCost, groups, alone.keyCost)
+	}
+	if want := fmt.Sprintf("over all %d rows for %d groups", rel.Len(), groups); !strings.Contains(shared.Explain(), want) {
+		t.Errorf("the grouped plan must say %q:\n%s", want, shared.Explain())
+	}
+	if alone.Algorithm != BNL || shared.Algorithm != SFS {
+		t.Errorf("routes: alone %s, shared by %d groups %s; want bnl and sfs", alone.Algorithm, groups, shared.Algorithm)
 	}
 }
 

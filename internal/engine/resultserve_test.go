@@ -303,8 +303,6 @@ func TestShardedResultCacheAgreement(t *testing.T) {
 // whose shards evaluated nothing, binds each part's maxima for the fold.
 func TestGatheredEntryOutlivesItsSlab(t *testing.T) {
 	freshResultCache(t)
-	ResetCompileCache()
-	defer ResetCompileCache()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(31))
 	flat := relation.New("R", relation.MustSchema(

@@ -492,17 +492,21 @@ func GroupByShardedOn(ctx context.Context, p pref.Preference, groupAttrs []strin
 	type job struct{ group, shard int }
 	var jobs []job
 	locals := make([]ShardSets, len(groups))
+	// groupsOn counts each shard's jobs: they share its form's rank keys.
+	groupsOn := make([]int, s.NumShards())
 	for g := range groups {
 		locals[g] = make(ShardSets, s.NumShards())
 		for i := range groups[g].perShard {
 			if len(groups[g].perShard[i]) > 0 {
 				jobs = append(jobs, job{g, i})
+				groupsOn[i]++
 			}
 		}
 	}
 	// One whole-shard bound form serves every group of the shard — bound
 	// once by whichever of its jobs runs first; a per-group gathered bind
-	// would re-bind for every group.
+	// would re-bind for every group. Its rank keys are derived once too, so
+	// each group's plan is charged its share of them.
 	binds := make([]func() *pref.Compiled, s.NumShards())
 	for i := range binds {
 		binds[i] = sync.OnceValue(func() *pref.Compiled {
@@ -519,7 +523,7 @@ func GroupByShardedOn(ctx context.Context, p pref.Preference, groupAttrs []strin
 			return err
 		}
 		out, err := runCancellable(ictx, func(cc *canceller) []int {
-			return planAndExecute(alg, p, s.Shard(i), binds[i](), groups[g].perShard[i], BindFull, EvalAuto, cc)
+			return planAndExecute(alg, p, s.Shard(i), binds[i](), groups[g].perShard[i], BindFull, Env{keyShare: groupsOn[i]}, cc)
 		})
 		locals[g][i] = out
 		return err

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/pref"
 )
@@ -57,10 +58,13 @@ type ValueOrder struct {
 // NumericColumn returns together with the column's order, all read from
 // one storage generation; ord is nil while the source keeps none (a
 // source builds an order on the second request for a column, not the
-// first). Compile requests an order only for a comparison an order can
+// first). ProbeValueOrder returns what the next ValueOrder call would,
+// without counting as a request or keeping an order it builds. Compile
+// requests an order (Probe probes one) only for a comparison an order can
 // answer: not <>, not a NaN literal.
 type ValueOrderer interface {
 	ValueOrder(name string) (vals []float64, onScale []bool, ord *ValueOrder, ok bool)
+	ProbeValueOrder(name string) (vals []float64, onScale []bool, ord *ValueOrder, ok bool)
 }
 
 // Compiled is the bound form of a predicate over one source: the selected
@@ -84,7 +88,29 @@ type Compiled struct {
 // Eval, once, at bind time. The list holds exactly the rows i with
 // p.Eval(src.Tuple(i)) — the cross-evaluation property tests assert that.
 func Compile(p Pred, src pref.Source) *Compiled {
-	c := &compiler{src: src, n: src.Len()}
+	cd := compile(p, src, false)
+	if cd.driver != nil {
+		orderedReads.Add(1)
+	}
+	return cd
+}
+
+// Probe is Compile as the next Compile over src would run it, with no
+// effect on src: its value-order requests are probes (see ValueOrderer),
+// so the access path Mode reports is the one the next Compile takes, and
+// probing leaves that path as it was. EXPLAIN binds with Probe.
+func Probe(p Pred, src pref.Source) *Compiled { return compile(p, src, true) }
+
+// orderedReads counts the selections Compile read out of value orders.
+var orderedReads atomic.Uint64
+
+// OrderedReads returns how many selections Compile has read out of value
+// orders (Probe's are not counted), so a test can observe the access path
+// a statement took.
+func OrderedReads() uint64 { return orderedReads.Load() }
+
+func compile(p Pred, src pref.Source, probe bool) *Compiled {
+	c := &compiler{src: src, n: src.Len(), probe: probe}
 	root := c.lower(p)
 	// The count is not known before the pass (there is no counting pass):
 	// the scan emits into a pooled scratch list and the bound form keeps an
@@ -149,8 +175,9 @@ func (cd *Compiled) Mode() string {
 
 // compiler carries the per-source bind state.
 type compiler struct {
-	src pref.Source
-	n   int
+	src   pref.Source
+	n     int
+	probe bool // request value orders through ProbeValueOrder
 
 	vector, dict, row int
 	driver            [][]*Cmp
@@ -362,7 +389,11 @@ func (c *compiler) cmpVector(q *Cmp) (*cmpNode, bool) {
 		if k < 0 {
 			col := orderedColumn{attr: q.Attr}
 			var ok bool
-			col.vals, col.onScale, col.ord, ok = vo.ValueOrder(q.Attr)
+			if c.probe {
+				col.vals, col.onScale, col.ord, ok = vo.ProbeValueOrder(q.Attr)
+			} else {
+				col.vals, col.onScale, col.ord, ok = vo.ValueOrder(q.Attr)
+			}
 			if !ok {
 				return nil, false
 			}

@@ -117,6 +117,11 @@ type Compiled struct {
 // with p.Less(src.Tuple(i), src.Tuple(j)) on every pair of positions — the
 // cross-evaluation property tests assert exactly that.
 func Compile(p Preference, src Source) (*Compiled, bool) {
+	if !Compilable(p) {
+		// Checked up front: binding the compilable parts of a term that
+		// then fails would be wasted work.
+		return nil, false
+	}
 	c := &compiler{
 		src:       src,
 		n:         src.Len(),
@@ -146,10 +151,10 @@ func Compile(p Preference, src Source) (*Compiled, bool) {
 // Len returns the bound row count.
 func (cd *Compiled) Len() int { return cd.n }
 
-// Pref returns the preference term this form was compiled from. Callers
-// that resolve sub-term data by pointer identity (ScoreVec) must walk
-// THIS term: a cache-served Compiled may have been built from a different
-// — structurally identical — tree than the one the caller holds.
+// Pref returns the preference term this form was compiled from, for
+// callers that hold the form but not the term (the dominance kernels, the
+// fold's chain coordinates). Sub-term data keyed by pointer identity
+// (ScoreVec) resolves against this tree.
 func (cd *Compiled) Pref() Preference { return cd.p }
 
 // Less reports src.Tuple(i) <P src.Tuple(j) over the compiled columns. A

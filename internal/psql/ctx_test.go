@@ -194,7 +194,6 @@ func TestShardedSamePathAnyContext(t *testing.T) {
 		"SELECT oid FROM car PREFERRING RANK(LOWEST(price), HIGHEST(horsepower)) TOP 7",
 	}
 	resetCaches := func() {
-		engine.ResetCompileCache()
 		resultcache.Reset()
 		rank.ResetScoreCache()
 	}

@@ -229,9 +229,9 @@ func finishRows(q *Query, out *relation.Relation) (*relation.Relation, error) {
 // step evaluates shard-local and merges cross-shard
 // (engine.BMOShardedOnFilteredCtxKeyed / GroupByShardedOn,
 // rank.TopKShardedCtx for the ranked model), the BUT ONLY quality filter
-// threshold-scans each shard's measure vectors, and rows materialize only at the tail — in shard-major global
-// id order, the sharded image of base relation order (a flat table's
-// own row order: GlobalID(0, i) == i).
+// threshold-scans each shard's measure vectors, and rows materialize only
+// at the tail — in shard-major global id order, the sharded image of base
+// relation order (a flat table's own row order: GlobalID(0, i) == i).
 //
 // Every caller runs the same steps whatever its context: per-shard panic
 // containment and deadlines, cooperative cancellation (free under an
@@ -282,10 +282,11 @@ func execSharded(ctx context.Context, q *Query, s *relation.Sharded, tm terms, o
 		builtPref = built
 		p := algebra.Simplify(built)
 		if sc, ok := built.(pref.Scorer); ok && q.Top > 0 {
-			// Ranked query model: per-shard k-best off the score vectors, heap-merged to the global k. Dispatch on the term
-			// as written (like Explain): simplification can collapse a
-			// non-Scorer accumulation to a Scorer leaf, which must stay a
-			// BMO query with TOP-k truncation.
+			// Ranked query model: per-shard k-best off the score vectors,
+			// heap-merged to the global k. Dispatch on the term as written
+			// (like Explain): simplification can collapse a non-Scorer
+			// accumulation to a Scorer leaf, which must stay a BMO query
+			// with TOP-k truncation.
 			results, pt, err := rank.TopKShardedCtx(ctx, sc, s, q.Top, sets, opts.Robust)
 			if err != nil {
 				return nil, err
@@ -443,8 +444,9 @@ func butShardFilter(q *Query, tm terms, s *relation.Sharded) engine.ShardFilter 
 // compileBut lowers a BUT ONLY condition tree to a compiled predicate
 // over the rows of a source — the base relation, or a gathered candidate
 // subset: each LEVEL/DISTANCE leaf binds its quality vector
-// (quality.Condition.Bind) and the connectives combine closures. ok=false for trees containing
-// foreign ButExpr implementations, which keep the interpreted Eval path.
+// (quality.Condition.Bind) and the connectives combine closures.
+// ok=false for trees containing foreign ButExpr implementations, which
+// keep the interpreted Eval path.
 func compileBut(e ButExpr, byAttr map[string]pref.Preference, r pref.Source) (func(int) bool, bool) {
 	switch n := e.(type) {
 	case *ButAnd:

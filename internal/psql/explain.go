@@ -92,15 +92,17 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 	var sets engine.ShardSets
 	if q.Where != nil {
 		// The WHERE clause binds at explain time, so EXPLAIN can report
-		// true selectivity and the access path. Each shard picks its own
-		// (an ordered read or a scan): shards that differ are named with
-		// their counts.
+		// true selectivity and the access path. The bind is a probe: it
+		// reports the path the statement's run will take and leaves the
+		// shards' value orders as they were. Each shard picks its own (an
+		// ordered read or a scan): shards that differ are named with their
+		// counts.
 		count := 0
 		var modes []string
 		perMode := map[string]int{}
 		sets = make(engine.ShardSets, nShards)
 		for i, sh := range s.Shards() {
-			sel := filter.Compile(q.Where, sh)
+			sel := filter.Probe(q.Where, sh)
 			sets[i] = sel.Indices()
 			count += sel.Count()
 			if perMode[sel.Mode()]++; perMode[sel.Mode()] == 1 {

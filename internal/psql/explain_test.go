@@ -362,9 +362,7 @@ func TestExplainShardedDescribesWhatRuns(t *testing.T) {
 // the repeat reports the same scope while the result cache turns to hit;
 // an unfiltered statement binds the whole relation, before and after.
 func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
-	engine.ResetCompileCache()
 	resultcache.Reset()
-	defer engine.ResetCompileCache()
 	defer resultcache.Reset()
 	flatCat, shardCat := shardedCatalog(t, 12000, 2, 43)
 	oneShard, err := relation.ShardRelation(flatCat["car"].(*relation.Relation), 1, relation.ByHash("oid"))
@@ -519,9 +517,7 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 // and the agreement batteries hold it to the interpreted one.
 func TestPlannerRoutesChainProducts(t *testing.T) {
 	const interpretedPairs = 4_000_000
-	engine.ResetCompileCache()
 	resultcache.Reset()
-	defer engine.ResetCompileCache()
 	defer resultcache.Reset()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	planLine := regexp.MustCompile(`plan: .* dominance=(\S+) .*→ (\w+)(?: \((\d+) workers\))?`)
@@ -641,9 +637,7 @@ func mergeComparator(label string) engine.Dominance {
 // takes, as a table of one shard does. A term outside the fragment still
 // reports (and takes) the tree.
 func TestExplainWorkloadStatementsAvoidTheTree(t *testing.T) {
-	engine.ResetCompileCache()
 	resultcache.Reset()
-	defer engine.ResetCompileCache()
 	defer resultcache.Reset()
 	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
 	ptsSharded, err := relation.ShardRelation(pts, 2, relation.ByRange("d1", relation.RangeBounds(pts, "d1", 2)...))
@@ -725,13 +719,14 @@ func TestExplainWorkloadStatementsAvoidTheTree(t *testing.T) {
 // the access path of the selection execution reads on the cold_skyline
 // shape (two range shards, an unclustered d4 cut) and the durable_paged
 // one (hash shards in a store, four inserts after every statement). A
-// column's first request scans; from the second on each shard reads the
-// cut out of the column's value order, across inserts too (the order is
-// inherited with a short tail). EXPLAIN's own bind is a request: the
-// first EXPLAIN of a fresh column names the scan it took, and the run
-// after it — the column's second request — reads the order. From then on
-// a statement EXPLAINed before it runs, one run without EXPLAIN, and
-// every EXPLAIN after agree with what ran, shard by shard.
+// column's first request scans and marks the column; from the second on
+// each shard reads the cut out of the column's value order, across
+// inserts too (the order is inherited with a short tail). EXPLAIN's bind
+// is a probe, so it names the path the next run takes and changes
+// nothing: EXPLAIN before a run names the path that run reads, and
+// EXPLAIN after it names the path a re-run reads — at the column's first
+// cut that is the order, because the run marked the column. What a run
+// read is observed through filter.OrderedReads, shard by shard.
 func TestExplainAccessPathAgreesWithWhatRan(t *testing.T) {
 	resultcache.Reset()
 	defer resultcache.Reset()
@@ -787,21 +782,33 @@ func TestExplainAccessPathAgreesWithWhatRan(t *testing.T) {
 					t.Errorf("%s cut %d, EXPLAIN %s the run: want %q in\n%s", c.name, k, when, line(mode), text)
 				}
 			}
-			switch k {
-			case 0:
-				explain("before", "vectorized") // the column's first request
-			case 1, 3:
-				explain("before", ordered)
-			} // the third cut runs without being EXPLAINed first
-			if _, err := Run(stmt, c.cat, Options{}); err != nil {
-				t.Fatal(err)
-			}
-			for i, sh := range s.Shards() {
-				if ran := filter.Compile(q.Where, sh).Mode(); ran != ordered {
-					t.Errorf("%s cut %d: shard %d ran %q, want %q", c.name, k, i, ran, ordered)
+			// run executes the statement (never from the result cache)
+			// and checks that every shard read its selection by mode.
+			run := func(when, mode string) {
+				t.Helper()
+				resultcache.Reset()
+				reads := filter.OrderedReads()
+				if _, err := Run(stmt, c.cat, Options{}); err != nil {
+					t.Fatal(err)
+				}
+				want := uint64(0)
+				if mode == ordered {
+					want = uint64(s.NumShards())
+				}
+				if got := filter.OrderedReads() - reads; got != want {
+					t.Errorf("%s cut %d, %s: %d of %d shards read the order, want %d (%s)", c.name, k, when, got, s.NumShards(), want, mode)
 				}
 			}
+			before := ordered
+			if k == 0 {
+				before = "vectorized" // the column's first request
+			}
+			if k != 2 { // the third cut runs without being EXPLAINed first
+				explain("before", before)
+			}
+			run("the run", before)
 			explain("after", ordered)
+			run("a re-run", ordered)
 			if c.writes {
 				for j := 0; j < 4; j++ {
 					if err := paged.Insert(more.Row(4*k + j)); err != nil {

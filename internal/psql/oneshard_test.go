@@ -23,7 +23,6 @@ import (
 // Consumed) and the same cache traffic, cold and warm.
 func TestFlatIsOneShard(t *testing.T) {
 	resetCaches := func() {
-		engine.ResetCompileCache()
 		resultcache.Reset()
 		rank.ResetScoreCache()
 	}

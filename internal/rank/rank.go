@@ -39,9 +39,9 @@ func TopK(p pref.Scorer, r *relation.Relation, k int) []Result {
 const scoreCacheCap = 64
 
 // scoreCache holds materialized score vectors of keyed Scorer terms per
-// (relation, version, term) through internal/boundcache, so repeated TOP-k queries over an unchanged catalog
-// relation are bind-free and engine.EvictRelation releases the vectors
-// of a dropped relation. A weighted-sum rank(F) keys by its weights and
+// (relation, version, term) through internal/boundcache, so repeated
+// TOP-k queries over an unchanged catalog relation are bind-free and
+// engine.EvictRelation releases the vectors of a dropped relation. A weighted-sum rank(F) keys by its weights and
 // parts (pref.CacheKey); SCORE leaves and rank(F) terms with an opaque
 // combining function have no faithful cache key, so they bypass the cache
 // and bind per call (one columnar pass, not a tuple walk per feature).
@@ -64,9 +64,6 @@ func scoreVecKey(p pref.Scorer, r *relation.Relation) (boundcache.Key, bool) {
 // the whole relation, or a gathered candidate subset — or nil when the
 // term is outside the compilable fragment.
 func compiledScoreVec(p pref.Scorer, src pref.Source) []float64 {
-	if !pref.Compilable(p) {
-		return nil
-	}
 	c, ok := pref.Compile(p, src)
 	if !ok {
 		return nil

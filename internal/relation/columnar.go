@@ -272,13 +272,26 @@ func numericType(t Type) bool { return t == Int || t == Float }
 // orders. Columns beyond 2^31 rows get none. It implements
 // filter.ValueOrderer.
 func (r *Relation) ValueOrder(name string) (vals []float64, onScale []bool, ord *filter.ValueOrder, ok bool) {
+	return r.valueOrder(name, false)
+}
+
+// ProbeValueOrder returns what the next ValueOrder call for the column
+// would: the kept order, an order built (or extended) for this call alone
+// where the next request would build it, or none where it would only mark
+// the column. It marks and keeps nothing. It implements
+// filter.ValueOrderer.
+func (r *Relation) ProbeValueOrder(name string) (vals []float64, onScale []bool, ord *filter.ValueOrder, ok bool) {
+	return r.valueOrder(name, true)
+}
+
+func (r *Relation) valueOrder(name string, probe bool) (vals []float64, onScale []bool, ord *filter.ValueOrder, ok bool) {
 	ci, ok := r.schema.Index(name)
 	if !ok || !numericType(r.schema.Col(ci).Type) {
 		return nil, nil, nil, false
 	}
 	g := r.cur()
 	vals, onScale, _ = g.floatColumn(r.schema, name)
-	return vals, onScale, g.valueOrder(ci, vals, onScale), true
+	return vals, onScale, g.valueOrder(ci, vals, onScale, probe), true
 }
 
 // orderTailFraction bounds an inherited order's unindexed tail: past
@@ -295,13 +308,24 @@ func servable(o *filter.ValueOrder, n int) bool {
 }
 
 // valueOrder serves, marks or builds column ci's order over the
-// generation's float image.
-func (g *generation) valueOrder(ci int, vals []float64, onScale []bool) *filter.ValueOrder {
+// generation's float image; a probe answers the same without marking or
+// keeping anything.
+func (g *generation) valueOrder(ci int, vals []float64, onScale []bool, probe bool) *filter.ValueOrder {
 	if len(vals) > math.MaxInt32 {
 		return nil
 	}
-	if set := g.orders.Load(); set != nil && servable((*set)[ci], len(vals)) {
+	set := g.orders.Load()
+	if set != nil && servable((*set)[ci], len(vals)) {
 		return (*set)[ci]
+	}
+	if probe {
+		if set == nil {
+			return nil
+		}
+		if o, seen := (*set)[ci]; seen {
+			return extendOrder(o, vals, onScale)
+		}
+		return nil
 	}
 	g.orderMu.Lock()
 	defer g.orderMu.Unlock()

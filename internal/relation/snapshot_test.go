@@ -130,10 +130,10 @@ func TestSnapshotColumnsStayOnEpoch(t *testing.T) {
 }
 
 // TestSnapshotSurvivesEviction is the deferred-reclamation regression
-// test: dropping/replacing a catalog table sweeps its cached bound
-// forms (engine.EvictRelation), but a pinned snapshot must keep its
-// epoch's rows and column arrays intact until the last reader retires —
-// eviction is a cache release, never a reclamation.
+// test: dropping/replacing a catalog table sweeps its cached results,
+// statistics and score vectors (engine.EvictRelation), but a pinned
+// snapshot must keep its epoch's rows and column arrays intact until the
+// last reader retires — eviction is a cache release, never a reclamation.
 func TestSnapshotSurvivesEviction(t *testing.T) {
 	r := buildSnapRelation(t, 16)
 	snap := r.Snapshot()

@@ -161,3 +161,79 @@ func TestValueOrderBoundedUnderWrites(t *testing.T) {
 		})
 	}
 }
+
+// TestProbeValueOrderKeepsNothing: filter.Probe answers with the access
+// path and the selection the next filter.Compile would — a scan on a
+// fresh column, the order once the column has been requested, an order
+// extended over a long tail — and leaves the column's orders as it found
+// them: a probe neither marks the column nor keeps an order it built, and
+// filter.OrderedReads counts only Compile.
+func TestProbeValueOrderKeepsNothing(t *testing.T) {
+	schema := MustSchema(Column{Name: "x", Type: Float})
+	ci, _ := schema.Index("x")
+	rng := rand.New(rand.NewSource(31))
+	r := New("P", schema)
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
+			var x pref.Value = rng.Float64()
+			switch rng.Intn(30) {
+			case 0:
+				x = nil
+			case 1:
+				x = math.NaN()
+			}
+			r.MustInsert(Row{x})
+		}
+	}
+	insert(1000)
+	cut := &filter.Cmp{Attr: "x", Op: "<=", Value: 0.2}
+	ordered := "ordered (driver " + cut.String() + ")"
+	probe := func(step, want string) {
+		t.Helper()
+		set, reads := r.cur().orders.Load(), filter.OrderedReads()
+		cd := filter.Probe(cut, r)
+		if cd.Mode() != want {
+			t.Errorf("%s: probe says %q, want %q", step, cd.Mode(), want)
+		}
+		if !slices.Equal(cd.Indices(), scanSelect(r, cut)) {
+			t.Errorf("%s: the probe's selection differs from the scan", step)
+		}
+		if r.cur().orders.Load() != set {
+			t.Errorf("%s: the probe changed the column's orders", step)
+		}
+		if filter.OrderedReads() != reads {
+			t.Errorf("%s: the probe counted as an ordered read", step)
+		}
+	}
+	compile := func(step, want string) {
+		t.Helper()
+		if mode := filter.Compile(cut, r).Mode(); mode != want {
+			t.Errorf("%s: compile read %q, want %q", step, mode, want)
+		}
+	}
+	probe("fresh column", "vectorized")
+	probe("fresh column, again", "vectorized")
+	compile("first request", "vectorized")
+	probe("after the first request", ordered)
+	if peekOrder(r, ci) != nil {
+		t.Fatal("a probe kept the order it built")
+	}
+	reads := filter.OrderedReads()
+	compile("second request", ordered)
+	if filter.OrderedReads() != reads+1 {
+		t.Error("an ordered Compile was not counted")
+	}
+	built := peekOrder(r, ci)
+	if built == nil || built.Covers != 1000 {
+		t.Fatal("the second request kept no order over the column")
+	}
+	insert(1000/orderTailFraction + 1)
+	probe("past the tail bound", ordered)
+	if peekOrder(r, ci) != built {
+		t.Fatal("a probe extended the kept order")
+	}
+	compile("past the tail bound", ordered)
+	if o := peekOrder(r, ci); o == nil || o.Covers != r.Len() {
+		t.Fatal("the request past the tail bound did not extend the order")
+	}
+}

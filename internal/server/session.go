@@ -443,8 +443,8 @@ const streamBatchRows = 64
 
 // serveStream runs one progressive query turn: header (row count
 // unknown), the first confirmed row as a one-row batch frame, subsequent
-// rows as row-batch frames of up to streamBatchRows, ready. The session holds its own admission slot for
-// the duration. The evaluation runs under the turn's context — a client
+// rows as row-batch frames of up to streamBatchRows, ready. The session
+// holds its own admission slot for the duration. The evaluation runs under the turn's context — a client
 // cancel frame, a disconnect or the timeout stops it mid-scan, before
 // the first row included — and the yield's own check stops the write
 // side between rows.
