@@ -55,13 +55,14 @@ TIES_PKGS := ./internal/pref ./internal/engine ./internal/filter ./internal/boun
 test-ties:
 	$(GO) test -race -run '$(TIES_RUN)' $(TIES_PKGS)
 
-# A short fuzzing run of the ordered hard selection and of the fused flat
-# bind (the seed corpora alone run in every `go test`); FUZZTIME=1m or
-# longer to explore further.
+# A short fuzzing run of the ordered hard selection, of the fused flat
+# bind and of the wire frame decoders (the seed corpora alone run in
+# every `go test`); FUZZTIME=1m or longer to explore further.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run 'xxx' -fuzz 'FuzzRangeCut' -fuzztime $(FUZZTIME) ./internal/filter
 	$(GO) test -run 'xxx' -fuzz 'FuzzFlatBind' -fuzztime $(FUZZTIME) ./internal/engine
+	$(GO) test -run 'xxx' -fuzz 'FuzzDecodeFrames' -fuzztime $(FUZZTIME) ./internal/wire
 
 # The fault-tolerance suite under the race detector: fault injection
 # (slow/hung/panicking/erroring shards) against both policies, the
@@ -74,10 +75,11 @@ test-faults:
 	$(GO) test -race -run '$(FAULTS_RUN)' $(FAULTS_PKGS)
 
 # The serving-layer suite under the race detector: the wire-protocol
-# round trips, the server e2e battery (agreement over real connections,
-# streams, prepared statements, admission/timeout/disconnect faults,
-# drain) and the snapshot-isolation torture tests at every level —
-# storage (relation), catalog (psql) and server.
+# round trips and FuzzDecodeFrames' seed corpus, the server e2e battery
+# (agreement over real connections, streams, prepared statements,
+# admission/timeout/disconnect faults, drain) and the snapshot-isolation
+# torture tests at every level — storage (relation), catalog (psql) and
+# server.
 SERVE_RUN := Snapshot|Torture
 SERVE_PKGS := ./internal/relation ./internal/psql
 test-serve:

@@ -294,9 +294,13 @@ func litList(vs []pref.Value) string {
 }
 
 // ButExpr is a BUT ONLY condition tree over LEVEL/DISTANCE measures.
+// It is sealed: ButAnd, ButOr and ButCond — the nodes the parser builds —
+// are its only implementations, so every tree compiles to a threshold
+// scan (compile, in exec.go). Eval is the per-tuple reference semantics.
 type ButExpr interface {
 	Eval(byAttr map[string]pref.Preference, t pref.Tuple) bool
 	String() string
+	compile(byAttr map[string]pref.Preference, r pref.Source) func(int) bool
 }
 
 // ButAnd conjoins BUT ONLY conditions.

@@ -389,31 +389,17 @@ func checkAttrs(q *Query, rel relation.Table, tm terms) error {
 	return nil
 }
 
-// butKeep lowers the BUT ONLY tree to a compiled predicate over the
-// candidates idx of r, addressed by the candidate's ordinal in idx. The
-// measure vectors bind under the subset rule every bind layer shares
+// butFilter appends to dst the candidates idx of r the BUT ONLY tree
+// accepts, in one threshold scan through the compiled tree. The measure
+// vectors bind under the subset rule every bind layer shares
 // (relation.GatherWorthwhile): a small candidate set gathers just those
 // rows — binding a measure vector otherwise costs one pass over the
 // WHOLE relation — and anything larger binds r itself. The gathered
-// measure vectors live on in the returned predicate, so the gather does
-// not Borrow: they are ordinary GC-owned memory. ok=false for trees
-// containing foreign ButExpr implementations, which keep per-tuple Eval.
-func butKeep(e ButExpr, byAttr map[string]pref.Preference, r *relation.Relation, idx []int) (func(ord int) bool, bool) {
-	if relation.GatherWorthwhile(len(idx), r.Len()) {
-		return compileBut(e, byAttr, r.Gather(idx))
-	}
-	byRow, ok := compileBut(e, byAttr, r)
-	if !ok {
-		return nil, false
-	}
-	return func(ord int) bool { return byRow(idx[ord]) }, true
-}
-
-// butFilter appends to dst the candidates idx of r the BUT ONLY tree
-// accepts: a threshold scan through the compiled predicate (butKeep),
-// per-tuple interpreted Eval for foreign trees.
+// measure vectors are ordinary GC-owned memory (the gather does not
+// Borrow): the compiled tree holds them.
 func butFilter(e ButExpr, byAttr map[string]pref.Preference, r *relation.Relation, idx, dst []int) []int {
-	if keep, ok := butKeep(e, byAttr, r, idx); ok {
+	if relation.GatherWorthwhile(len(idx), r.Len()) {
+		keep := e.compile(byAttr, r.Gather(idx))
 		for ord, i := range idx {
 			if keep(ord) {
 				dst = append(dst, i)
@@ -421,8 +407,9 @@ func butFilter(e ButExpr, byAttr map[string]pref.Preference, r *relation.Relatio
 		}
 		return dst
 	}
+	keep := e.compile(byAttr, r)
 	for _, i := range idx {
-		if e.Eval(byAttr, r.Tuple(i)) {
+		if keep(i) {
 			dst = append(dst, i)
 		}
 	}
@@ -441,32 +428,22 @@ func butShardFilter(q *Query, tm terms, s *relation.Sharded) engine.ShardFilter 
 	}
 }
 
-// compileBut lowers a BUT ONLY condition tree to a compiled predicate
-// over the rows of a source — the base relation, or a gathered candidate
+// compile lowers a BUT ONLY condition tree to a compiled predicate over
+// the rows of a source — the base relation, or a gathered candidate
 // subset: each LEVEL/DISTANCE leaf binds its quality vector
 // (quality.Condition.Bind) and the connectives combine closures.
-// ok=false for trees containing foreign ButExpr implementations, which
-// keep the interpreted Eval path.
-func compileBut(e ButExpr, byAttr map[string]pref.Preference, r pref.Source) (func(int) bool, bool) {
-	switch n := e.(type) {
-	case *ButAnd:
-		l, ok1 := compileBut(n.L, byAttr, r)
-		rr, ok2 := compileBut(n.R, byAttr, r)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		return func(i int) bool { return l(i) && rr(i) }, true
-	case *ButOr:
-		l, ok1 := compileBut(n.L, byAttr, r)
-		rr, ok2 := compileBut(n.R, byAttr, r)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		return func(i int) bool { return l(i) || rr(i) }, true
-	case *ButCond:
-		return n.C.Bind(byAttr, r), true
-	}
-	return nil, false
+func (e *ButAnd) compile(byAttr map[string]pref.Preference, r pref.Source) func(int) bool {
+	l, rr := e.L.compile(byAttr, r), e.R.compile(byAttr, r)
+	return func(i int) bool { return l(i) && rr(i) }
+}
+
+func (e *ButOr) compile(byAttr map[string]pref.Preference, r pref.Source) func(int) bool {
+	l, rr := e.L.compile(byAttr, r), e.R.compile(byAttr, r)
+	return func(i int) bool { return l(i) || rr(i) }
+}
+
+func (e *ButCond) compile(byAttr map[string]pref.Preference, r pref.Source) func(int) bool {
+	return e.C.Bind(byAttr, r)
 }
 
 // collectBasePrefs indexes the base preferences of PREFERRING and CASCADE

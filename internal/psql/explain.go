@@ -246,20 +246,16 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 		emit("cascade BMO σ[P], P = %s [algorithm %s%s%s]", simplified, pass, perShard, facts(simplified))
 	}
 	if q.ButOnly != nil {
-		// Built-in trees run vectorized, gathered or over the whole
-		// relation by the surviving candidate count — a runtime quantity
+		// The tree runs vectorized, gathered or over the whole relation
+		// by the surviving candidate count — a runtime quantity
 		// (post-BMO), so the plan reports the dispatch as adaptive.
-		mode := "interpreted"
-		if butCompilable(q.ButOnly) {
-			mode = "compiled vector scan (adaptive)"
-		}
 		// Mirror execSharded's fusion rule: the threshold scan rides the
 		// fan-out of the last soft pass when one precedes it.
 		placement := "separate scan"
 		if len(q.Cascades) > 0 || (q.Preferring != nil && len(q.GroupingBy) == 0) {
 			placement = "fused into the BMO pass"
 		}
-		emit("quality filter BUT ONLY %s [%s%s; %s%s]", q.ButOnly, mode, perShard, placement, fan)
+		emit("quality filter BUT ONLY %s [compiled vector scan (adaptive)%s; %s%s]", q.ButOnly, perShard, placement, fan)
 	}
 	if q.Skyline != nil {
 		p, err := q.Skyline.Preference()
@@ -346,21 +342,6 @@ func streamModeOf(p pref.Preference, hasWhere bool, shards int) string {
 		return "progressive — compiled keys over the WHERE index list"
 	}
 	return "progressive — compiled keys"
-}
-
-// butCompilable reports whether a BUT ONLY tree consists solely of
-// built-in nodes, i.e. executes as a compiled vector threshold scan; a
-// foreign ButExpr implementation keeps the per-tuple Eval path.
-func butCompilable(e ButExpr) bool {
-	switch n := e.(type) {
-	case *ButAnd:
-		return butCompilable(n.L) && butCompilable(n.R)
-	case *ButOr:
-		return butCompilable(n.L) && butCompilable(n.R)
-	case *ButCond:
-		return true
-	}
-	return false
 }
 
 // emitProjection appends the projection/distinct steps.

@@ -10,12 +10,13 @@ import (
 )
 
 // Tagged value codec: one byte of type tag, then a fixed- or
-// varint-encoded body. The same framing backs WAL records and row
-// pages, so recovery and page decode share one code path. Integers of
-// every width widen to int64 on the way back (like the wire protocol);
-// unsigned and exotic numeric values round-trip through their float64
-// image, which is exactly the equality/scoring semantics the engine
-// already applies (pref.Numeric feeds both EqColumn and FloatColumn).
+// varint-encoded body. The same framing backs WAL records, row pages
+// and wire frames, so recovery, page decode and a client's decode share
+// one code path. Integers of every width widen to int64 on the way
+// back; unsigned and exotic numeric values round-trip through their
+// float64 image, which is exactly the equality/scoring semantics the
+// engine already applies (pref.Numeric feeds both EqColumn and
+// FloatColumn).
 // Times round-trip as UTC UnixNano instants.
 
 // Value type tags.

@@ -1,13 +1,13 @@
 // Package store is the disk mechanics under relation's persistent
-// catalog: a tagged row codec shared by the write-ahead log and the row
-// pages, a CRC-framed WAL with torn-tail recovery, fixed-size columnar
-// segment files served zero-copy through mmap (with a portable heap
-// fallback), and a small buffer pool (page table, pin/unpin, clock
-// eviction, configurable byte capacity) caching row pages as their
-// CRC-verified encoded bytes plus a row-offset table. A point read
-// decodes the one row it asks for out of a resident page, so the pool
-// holds no boxed values: its frames are pointer-free for the collector
-// and its byte budget is the heap it really holds.
+// catalog: a tagged row codec shared by the write-ahead log, the row
+// pages and the wire protocol's frames, a CRC-framed WAL with torn-tail
+// recovery, fixed-size columnar segment files served zero-copy through
+// mmap (with a portable heap fallback), and a small buffer pool (page
+// table, pin/unpin, clock eviction, configurable byte capacity) caching
+// row pages as their CRC-verified encoded bytes plus a row-offset table.
+// A point read decodes the one row it asks for out of a resident page,
+// so the pool holds no boxed values: its frames are pointer-free for the
+// collector and its byte budget is the heap it really holds.
 //
 // The package is deliberately below relation in the import graph — it
 // knows pref.Value and nothing else — so relation can orchestrate

@@ -32,6 +32,7 @@ func TestValueRoundTrip(t *testing.T) {
 		{3.25, 3.25},
 		{float32(1.5), 1.5},
 		{math.Inf(1), math.Inf(1)},
+		{math.Inf(-1), math.Inf(-1)},
 		{true, true},
 		{false, false},
 		{now, now},
@@ -58,6 +59,10 @@ func TestValueRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, c.want) {
 			t.Fatalf("round trip %v (%T): got %v (%T) want %v (%T)", c.in, c.in, got, got, c.want, c.want)
 		}
+	}
+	// A value neither of the six tags nor numeric is refused.
+	if _, err := AppendValue(nil, struct{}{}); err == nil {
+		t.Fatal("struct value encoded")
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -278,11 +279,7 @@ func (c *Client) Insert(table string, row relation.Row) (int, error) {
 		if len(payload) != 8 {
 			return 0, fmt.Errorf("client: insert ack of %d bytes", len(payload))
 		}
-		n := 0
-		for _, b := range payload {
-			n = n<<8 | int(b)
-		}
-		return n, nil
+		return int(binary.BigEndian.Uint64(payload)), nil
 	}
 	return 0, fmt.Errorf("client: unexpected frame %q after insert", typ)
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/psql"
 	"repro/internal/relation"
+	"repro/internal/relation/store"
 	"repro/internal/wire"
 )
 
@@ -422,7 +423,7 @@ func appendResult(buf []byte, rel *relation.Relation, gen, snapLen uint64, parti
 		start = len(buf)
 		buf = binary.BigEndian.AppendUint16(wire.BeginFrame(buf, wire.FrameColumn), uint16(c))
 		for i := 0; i < n; i++ {
-			if buf, err = wire.AppendValue(buf, rel.Row(i)[c]); err != nil {
+			if buf, err = store.AppendValue(buf, rel.Row(i)[c]); err != nil {
 				return nil, err
 			}
 		}
@@ -557,17 +558,8 @@ func (ss *session) serveInsert(payload []byte) {
 		return
 	}
 	ss.srv.nInserts.Add(1)
-	var ack [8]byte
-	putUint64(ack[:], uint64(tbl.Len()))
-	ss.wc.WriteFrame(wire.FrameInsertOK, ack[:])
+	ss.wc.WriteFrame(wire.FrameInsertOK, binary.BigEndian.AppendUint64(nil, uint64(tbl.Len())))
 	ss.wc.Flush()
-}
-
-// putUint64 is binary.BigEndian.PutUint64 without the import noise.
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0], b[1], b[2], b[3] = byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32)
-	b[4], b[5], b[6], b[7] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
 }
 
 // serveStats answers a stats frame: the server's cumulative counters

@@ -11,11 +11,7 @@ import (
 // the one-shot encoder produce the same payload, and decoding recovers
 // every row and value.
 func TestRowBatchRoundTrip(t *testing.T) {
-	rows := []relation.Row{
-		{int64(1), "a", 1.5, true, nil},
-		{int64(2), "bb", -2.25, false, time.Unix(0, 12345).UTC()},
-		{int64(3), "", 0.0, true, "mixed"},
-	}
+	rows := testRows
 	oneShot, err := EncodeRowBatch(rows)
 	if err != nil {
 		t.Fatal(err)

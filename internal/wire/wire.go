@@ -3,7 +3,10 @@
 // A frame is a 4-byte big-endian length followed by a 1-byte type and the
 // payload; results travel as one header frame (column names, types, the
 // pinned snapshot version) plus one data frame per column, so a client
-// can decode straight into column arrays. Errors are typed by a short
+// can decode straight into column arrays. Values travel in the store's
+// tagged codec (store.AppendValue/ReadValue): the bytes of a value in a
+// frame are its bytes in a WAL record or a row page, and wire has no
+// value encoding of its own. Errors are typed by a short
 // machine-readable code (overload, timeout, cancellation, parse …) so
 // clients can distinguish "try again later" from "fix the statement"
 // without string matching. The package owns only the encoding; session
@@ -15,12 +18,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sync"
-	"time"
 
 	"repro/internal/pref"
 	"repro/internal/relation"
+	"repro/internal/relation/store"
 )
 
 // Frame types, client to server.
@@ -29,7 +31,7 @@ const (
 	// with a columnar result (header + column frames) and a ready frame.
 	FrameQuery = byte('Q')
 	// FrameStream carries a statement to execute progressively: rows come
-	// back one row frame at a time as they are confirmed.
+	// back in row-batch frames as they are confirmed.
 	FrameStream = byte('T')
 	// FrameInsert carries a row to append to a named table.
 	FrameInsert = byte('I')
@@ -52,10 +54,10 @@ const (
 	// FrameColumn carries one whole result column.
 	FrameColumn = byte('D')
 	// FrameRowBatch carries streamed result rows (uvarint row count, then
-	// the rows' tagged values back to back) — large results amortize the
-	// per-frame header and the per-flush syscall across a whole chunk
-	// instead of paying them per row. The first streamed row goes out as
-	// a one-row batch, flushed alone.
+	// the rows back to back, each as store.AppendRow encodes it) — large
+	// results amortize the per-frame header and the per-flush syscall
+	// across a whole chunk instead of paying them per row. The first
+	// streamed row goes out as a one-row batch, flushed alone.
 	FrameRowBatch = byte('b')
 	// FrameInsertOK acknowledges an insert with the table's new row count.
 	FrameInsertOK = byte('K')
@@ -201,91 +203,6 @@ func (c *Conn) Flush() error {
 	return c.w.Flush()
 }
 
-// Value tags. The wire carries the store's value vocabulary: NULL,
-// string, int64 (all integer widths widen), float64, bool and time
-// (nanosecond instant).
-const (
-	tagNull   = byte(0)
-	tagString = byte(1)
-	tagInt    = byte(2)
-	tagFloat  = byte(3)
-	tagBool   = byte(4)
-	tagTime   = byte(5)
-)
-
-// AppendValue appends one tagged value to buf.
-func AppendValue(buf []byte, v pref.Value) ([]byte, error) {
-	switch t := v.(type) {
-	case nil:
-		return append(buf, tagNull), nil
-	case string:
-		buf = append(buf, tagString)
-		buf = binary.AppendUvarint(buf, uint64(len(t)))
-		return append(buf, t...), nil
-	case bool:
-		if t {
-			return append(buf, tagBool, 1), nil
-		}
-		return append(buf, tagBool, 0), nil
-	case float32:
-		return binary.BigEndian.AppendUint64(append(buf, tagFloat), math.Float64bits(float64(t))), nil
-	case float64:
-		return binary.BigEndian.AppendUint64(append(buf, tagFloat), math.Float64bits(t)), nil
-	case time.Time:
-		return binary.BigEndian.AppendUint64(append(buf, tagTime), uint64(t.UnixNano())), nil
-	case int:
-		return binary.BigEndian.AppendUint64(append(buf, tagInt), uint64(int64(t))), nil
-	case int8:
-		return binary.BigEndian.AppendUint64(append(buf, tagInt), uint64(int64(t))), nil
-	case int16:
-		return binary.BigEndian.AppendUint64(append(buf, tagInt), uint64(int64(t))), nil
-	case int32:
-		return binary.BigEndian.AppendUint64(append(buf, tagInt), uint64(int64(t))), nil
-	case int64:
-		return binary.BigEndian.AppendUint64(append(buf, tagInt), uint64(t)), nil
-	}
-	return nil, fmt.Errorf("wire: value %v (%T) not encodable", v, v)
-}
-
-// ReadValue decodes one tagged value from buf, returning the rest.
-func ReadValue(buf []byte) (pref.Value, []byte, error) {
-	if len(buf) < 1 {
-		return nil, nil, fmt.Errorf("wire: truncated value")
-	}
-	tag, buf := buf[0], buf[1:]
-	switch tag {
-	case tagNull:
-		return nil, buf, nil
-	case tagString:
-		n, k := binary.Uvarint(buf)
-		if k <= 0 || uint64(len(buf)-k) < n {
-			return nil, nil, fmt.Errorf("wire: truncated string value")
-		}
-		return string(buf[k : k+int(n)]), buf[k+int(n):], nil
-	case tagBool:
-		if len(buf) < 1 {
-			return nil, nil, fmt.Errorf("wire: truncated bool value")
-		}
-		return buf[0] != 0, buf[1:], nil
-	case tagInt:
-		if len(buf) < 8 {
-			return nil, nil, fmt.Errorf("wire: truncated int value")
-		}
-		return int64(binary.BigEndian.Uint64(buf[:8])), buf[8:], nil
-	case tagFloat:
-		if len(buf) < 8 {
-			return nil, nil, fmt.Errorf("wire: truncated float value")
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(buf[:8])), buf[8:], nil
-	case tagTime:
-		if len(buf) < 8 {
-			return nil, nil, fmt.Errorf("wire: truncated time value")
-		}
-		return time.Unix(0, int64(binary.BigEndian.Uint64(buf[:8]))).UTC(), buf[8:], nil
-	}
-	return nil, nil, fmt.Errorf("wire: unknown value tag %d", tag)
-}
-
 // AppendString appends a uvarint-length-prefixed string.
 func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -302,7 +219,7 @@ func ReadString(buf []byte) (string, []byte, error) {
 }
 
 // StreamRows marks a header frame whose row count is unknown: rows
-// follow as individual row frames until the ready frame.
+// follow in row-batch frames until the ready frame.
 const StreamRows = ^uint32(0)
 
 // Col is one result column's name and declared type.
@@ -325,7 +242,7 @@ type Header struct {
 	// query evaluated over, which is what the torture tests check.
 	SnapLen uint64
 	// NRows is the result row count, or StreamRows for a progressive
-	// result delivered as row frames.
+	// result delivered in row-batch frames.
 	NRows uint32
 	// Cols is the result column layout.
 	Cols []Col
@@ -360,6 +277,11 @@ func DecodeHeader(payload []byte) (Header, error) {
 	h.NRows = binary.BigEndian.Uint32(payload[16:20])
 	ncols := int(binary.BigEndian.Uint16(payload[20:22]))
 	payload = payload[22:]
+	// Every column is at least a name length and a type byte; reject a
+	// count the bytes cannot hold before allocating.
+	if 2*ncols > len(payload) {
+		return h, fmt.Errorf("wire: header of %d columns exceeds its %d-byte payload", ncols, len(payload))
+	}
 	h.Cols = make([]Col, ncols)
 	for i := range h.Cols {
 		name, rest, err := ReadString(payload)
@@ -378,14 +300,7 @@ func DecodeHeader(payload []byte) (Header, error) {
 // EncodeColumn encodes one result column (its index plus nrows values).
 func EncodeColumn(col int, vals []pref.Value) ([]byte, error) {
 	buf := make([]byte, 0, 16+9*len(vals))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(col))
-	var err error
-	for _, v := range vals {
-		if buf, err = AppendValue(buf, v); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return store.AppendRow(binary.BigEndian.AppendUint16(buf, uint16(col)), vals)
 }
 
 // DecodeColumn decodes a column frame into its index and nrows values.
@@ -395,12 +310,14 @@ func DecodeColumn(payload []byte, nrows int) (int, []pref.Value, error) {
 	}
 	col := int(binary.BigEndian.Uint16(payload[:2]))
 	payload = payload[2:]
-	vals := make([]pref.Value, nrows)
-	var err error
-	for i := range vals {
-		if vals[i], payload, err = ReadValue(payload); err != nil {
-			return 0, nil, err
-		}
+	// Every value is at least its tag byte: a row count the bytes cannot
+	// hold is rejected before allocating.
+	if nrows < 0 || nrows > len(payload) {
+		return 0, nil, fmt.Errorf("wire: column of %d rows exceeds its %d-byte payload", nrows, len(payload))
+	}
+	vals, payload, err := store.ReadRow(payload, nrows)
+	if err != nil {
+		return 0, nil, err
 	}
 	if len(payload) != 0 {
 		return 0, nil, fmt.Errorf("wire: %d trailing bytes in column frame", len(payload))
@@ -420,12 +337,9 @@ type RowBatch struct {
 
 // Append encodes one row into the batch.
 func (b *RowBatch) Append(row relation.Row) error {
-	buf := b.buf
-	var err error
-	for _, v := range row {
-		if buf, err = AppendValue(buf, v); err != nil {
-			return err
-		}
+	buf, err := store.AppendRow(b.buf, row)
+	if err != nil {
+		return err
 	}
 	b.buf = buf
 	b.n++
@@ -468,23 +382,20 @@ func DecodeRowBatch(payload []byte, ncols int) ([]relation.Row, error) {
 	}
 	payload = payload[k:]
 	// Every encoded value is at least one tag byte, so a well-formed
-	// count never exceeds the remaining bytes; reject before allocating.
+	// batch never holds more values than the remaining bytes; reject
+	// before allocating.
 	if ncols <= 0 && n > 0 {
 		return nil, fmt.Errorf("wire: row-batch of %d zero-column rows", n)
 	}
-	if n > uint64(len(payload)) {
+	if n > 0 && n > uint64(len(payload)/ncols) {
 		return nil, fmt.Errorf("wire: row-batch count %d exceeds payload", n)
 	}
 	rows := make([]relation.Row, n)
 	var err error
 	for i := range rows {
-		row := make(relation.Row, ncols)
-		for c := range row {
-			if row[c], payload, err = ReadValue(payload); err != nil {
-				return nil, err
-			}
+		if rows[i], payload, err = store.ReadRow(payload, ncols); err != nil {
+			return nil, err
 		}
-		rows[i] = row
 	}
 	if len(payload) != 0 {
 		return nil, fmt.Errorf("wire: %d trailing bytes in row-batch frame", len(payload))
@@ -595,13 +506,7 @@ func DecodeStatus(payload []byte) ([]Stat, error) {
 func EncodeInsert(table string, row relation.Row) ([]byte, error) {
 	buf := AppendString(nil, table)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(row)))
-	var err error
-	for _, v := range row {
-		if buf, err = AppendValue(buf, v); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return store.AppendRow(buf, row)
 }
 
 // DecodeInsert decodes an insert frame payload.
@@ -615,11 +520,13 @@ func DecodeInsert(payload []byte) (string, relation.Row, error) {
 	}
 	ncols := int(binary.BigEndian.Uint16(rest[:2]))
 	rest = rest[2:]
-	row := make(relation.Row, ncols)
-	for i := range row {
-		if row[i], rest, err = ReadValue(rest); err != nil {
-			return "", nil, err
-		}
+	// Every value is at least its tag byte; reject before allocating.
+	if ncols > len(rest) {
+		return "", nil, fmt.Errorf("wire: insert of %d values exceeds its %d-byte payload", ncols, len(rest))
+	}
+	row, rest, err := store.ReadRow(rest, ncols)
+	if err != nil {
+		return "", nil, err
 	}
 	if len(rest) != 0 {
 		return "", nil, fmt.Errorf("wire: %d trailing bytes in insert frame", len(rest))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,6 +12,54 @@ import (
 	"repro/internal/relation"
 )
 
+// rejectsBeforeAllocating fails t unless decode returns an error having
+// allocated less than 64 KiB (the runtime.MemStats TotalAlloc delta): a
+// count the payload cannot hold must be refused before the decoder
+// sizes anything by it.
+func rejectsBeforeAllocating(t *testing.T, what string, decode func() error) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decode()
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("%s: allocated %d bytes before failing", what, n)
+	}
+	if err == nil {
+		t.Fatalf("%s: decoded", what)
+	}
+}
+
+// The round-trip tests' frame contents; FuzzDecodeFrames seeds its
+// corpus with their encodings.
+var (
+	testHeader = Header{
+		SnapVersion: 17,
+		SnapLen:     409,
+		NRows:       12,
+		Cols: []Col{
+			{Name: "make", Type: relation.String},
+			{Name: "price", Type: relation.Int},
+			{Name: "power", Type: relation.Float},
+		},
+	}
+	testColumn = []pref.Value{int64(1), nil, int64(3)}
+	testRows   = []relation.Row{
+		{int64(1), "a", 1.5, true, nil},
+		{int64(2), "bb", -2.25, false, time.Unix(0, 12345).UTC()},
+		{int64(3), "", 0.0, true, "mixed"},
+	}
+	testInsertRow = relation.Row{"Audi", int64(2)}
+	testStats     = []Stat{
+		{Key: "pool.hits", Val: "812"},
+		{Key: "pool.hit_rate", Val: "97.3%"},
+		{Key: "shard.car/s0.segment_bytes", Val: "1048576"},
+	}
+	testPartial = "shard 2/3 failed: disk"
+)
+
+// TestValueRoundTrip: every value the store holds crosses a column frame
+// unchanged.
 func TestValueRoundTrip(t *testing.T) {
 	vals := []pref.Value{
 		nil,
@@ -23,81 +72,72 @@ func TestValueRoundTrip(t *testing.T) {
 		math.Inf(-1),
 		time.Date(2002, 8, 20, 10, 30, 0, 123456789, time.UTC),
 	}
-	var buf []byte
-	var err error
-	for _, v := range vals {
-		if buf, err = AppendValue(buf, v); err != nil {
-			t.Fatalf("AppendValue(%v): %v", v, err)
-		}
+	payload, err := EncodeColumn(0, vals)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range vals {
-		var got pref.Value
-		if got, buf, err = ReadValue(buf); err != nil {
-			t.Fatalf("ReadValue: %v", err)
-		}
-		if !pref.EqualValues(got, want) {
-			t.Fatalf("round trip: got %v (%T), want %v (%T)", got, got, want, want)
-		}
+	_, got, err := DecodeColumn(payload, len(vals))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(buf) != 0 {
-		t.Fatalf("%d trailing bytes", len(buf))
+	for i, want := range vals {
+		if !pref.EqualValues(got[i], want) {
+			t.Fatalf("round trip: got %v (%T), want %v (%T)", got[i], got[i], want, want)
+		}
 	}
 }
 
+// TestValueWidening: in a frame, all integer widths widen to int64 and
+// float32 to float64.
 func TestValueWidening(t *testing.T) {
-	// All integer widths widen to int64 on the wire; float32 to float64.
-	buf, err := AppendValue(nil, int(7))
+	payload, err := EncodeColumn(0, []pref.Value{int(7), float32(1.5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := ReadValue(buf)
+	_, got, err := DecodeColumn(payload, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != int64(7) {
-		t.Fatalf("int widening: got %v (%T)", v, v)
+	if got[0] != int64(7) {
+		t.Fatalf("int widening: got %v (%T)", got[0], got[0])
 	}
-	buf, err = AppendValue(nil, float32(1.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _, err = ReadValue(buf); err != nil {
-		t.Fatal(err)
-	}
-	if v != float64(1.5) {
-		t.Fatalf("float widening: got %v (%T)", v, v)
+	if got[1] != float64(1.5) {
+		t.Fatalf("float widening: got %v (%T)", got[1], got[1])
 	}
 }
 
+// TestValueRejectsUnencodable: every frame that carries values refuses
+// one outside the store's vocabulary.
 func TestValueRejectsUnencodable(t *testing.T) {
-	if _, err := AppendValue(nil, struct{}{}); err == nil {
-		t.Fatal("struct value encoded")
+	bad := struct{}{}
+	if _, err := EncodeColumn(0, []pref.Value{bad}); err == nil {
+		t.Fatal("struct value encoded in a column frame")
+	}
+	var b RowBatch
+	if err := b.Append(relation.Row{bad}); err == nil {
+		t.Fatal("struct value encoded in a row batch")
+	}
+	if _, err := EncodeInsert("car", relation.Row{bad}); err == nil {
+		t.Fatal("struct value encoded in an insert frame")
 	}
 }
 
+// TestValueTruncation: a column frame cut anywhere inside its value is
+// refused.
 func TestValueTruncation(t *testing.T) {
-	full, err := AppendValue(nil, "preference")
+	full, err := EncodeColumn(0, []pref.Value{"preference"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := ReadValue(full[:cut]); err == nil && cut < len(full) {
+	for cut := 2; cut < len(full); cut++ {
+		if _, _, err := DecodeColumn(full[:cut], 1); err == nil {
 			t.Fatalf("truncated value at %d/%d decoded", cut, len(full))
 		}
 	}
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
-	h := Header{
-		SnapVersion: 17,
-		SnapLen:     409,
-		NRows:       12,
-		Cols: []Col{
-			{Name: "make", Type: relation.String},
-			{Name: "price", Type: relation.Int},
-			{Name: "power", Type: relation.Float},
-		},
-	}
+	h := testHeader
 	got, err := DecodeHeader(EncodeHeader(h))
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +145,13 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, h) {
 		t.Fatalf("header round trip: got %+v, want %+v", got, h)
 	}
+	// A column count of 65535 over a payload holding none of them.
+	payload := EncodeHeader(Header{NRows: 1 << 24})
+	payload[20], payload[21] = 0xFF, 0xFF
+	rejectsBeforeAllocating(t, "header of 65535 absent columns", func() error {
+		_, err := DecodeHeader(payload)
+		return err
+	})
 }
 
 func TestHeaderStreamSentinel(t *testing.T) {
@@ -119,7 +166,7 @@ func TestHeaderStreamSentinel(t *testing.T) {
 }
 
 func TestColumnRoundTrip(t *testing.T) {
-	vals := []pref.Value{int64(1), nil, int64(3)}
+	vals := testColumn
 	payload, err := EncodeColumn(2, vals)
 	if err != nil {
 		t.Fatal(err)
@@ -135,6 +182,11 @@ func TestColumnRoundTrip(t *testing.T) {
 	if _, _, err := DecodeColumn(append(payload, 0), len(vals)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+	// A header announcing 1<<24 rows, then a 3-byte column frame.
+	rejectsBeforeAllocating(t, "column of 1<<24 rows in 3 bytes", func() error {
+		_, _, err := DecodeColumn([]byte{0, 0, 0}, 1<<24)
+		return err
+	})
 }
 
 // TestRowRoundTrip: a stream's first row travels as a one-row batch.
@@ -167,7 +219,7 @@ func TestErrorRoundTrip(t *testing.T) {
 }
 
 func TestReadyRoundTrip(t *testing.T) {
-	for _, partial := range []string{"", "shard 2/3 failed: disk"} {
+	for _, partial := range []string{"", testPartial} {
 		r, err := DecodeReady(EncodeReady(Ready{Partial: partial}))
 		if err != nil {
 			t.Fatal(err)
@@ -179,13 +231,19 @@ func TestReadyRoundTrip(t *testing.T) {
 }
 
 func TestInsertRoundTrip(t *testing.T) {
-	table, row, err := DecodeInsert(mustEncodeInsert(t, "car", relation.Row{"Audi", int64(2)}))
+	table, row, err := DecodeInsert(mustEncodeInsert(t, "car", testInsertRow))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table != "car" || !reflect.DeepEqual(row, relation.Row{"Audi", int64(2)}) {
+	if table != "car" || !reflect.DeepEqual(row, testInsertRow) {
 		t.Fatalf("insert round trip: %s %v", table, row)
 	}
+	// A column count of 65535 followed by one value.
+	payload := append(AppendString(nil, "car"), 0xFF, 0xFF, 0)
+	rejectsBeforeAllocating(t, "insert of 65535 values in 1 byte", func() error {
+		_, _, err := DecodeInsert(payload)
+		return err
+	})
 }
 
 func mustEncodeInsert(t *testing.T, table string, row relation.Row) []byte {
@@ -275,11 +333,7 @@ func TestConnRejectsOversizedFrame(t *testing.T) {
 }
 
 func TestStatusRoundTrip(t *testing.T) {
-	in := []Stat{
-		{Key: "pool.hits", Val: "812"},
-		{Key: "pool.hit_rate", Val: "97.3%"},
-		{Key: "shard.car/s0.segment_bytes", Val: "1048576"},
-	}
+	in := testStats
 	out, err := DecodeStatus(EncodeStatus(in))
 	if err != nil {
 		t.Fatal(err)
