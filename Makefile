@@ -38,10 +38,11 @@ test-noavx2:
 # ran == EXPLAIN after, the grouped route (a shard's groups share its
 # form's key cost), and the SKYLINE OF chain products' routes at one
 # and two Ps against the BNL oracle with EXPLAIN's algorithm, workers and
-# comparator == what ran, the borrowed-slab lifetime checks — entries
-# that outlive their slab, abandoned workers, concurrent sessions — all
-# with released slabs poisoned (the engine and psql suites turn the guard
-# on in TestMain), and the ordered hard selection: value-order reads
+# comparator == what ran, the borrowed-slab lifetime checks — fold
+# records carried past their slab while a gathered evaluation stores no
+# result entry, abandoned workers, concurrent sessions — all with released
+# slabs poisoned (the engine and psql suites turn the guard on in
+# TestMain), and the ordered hard selection: value-order reads
 # against the scan and Cmp.Eval on edge values over every layout (the
 # battery and FuzzRangeCut's seed corpus), orders bounded under inserts,
 # EXPLAIN's probe (which marks and keeps no order) and its access path
@@ -87,18 +88,20 @@ test-serve:
 	$(GO) test -race -run '$(SERVE_RUN)' $(SERVE_PKGS)
 
 # The result-cache suite under the race detector: the cache's own unit
-# battery (key composition, counters, capacity), the
+# battery (counters, capacity), the
 # engine serve/maintenance properties (randomized cached-vs-recompute
 # agreement under insert churn, snapshot pinning, sharded agreement at
 # 1..8 shards, dead-context refusal), and the psql end-to-end churn
 # battery across flat and sharded layouts, every algorithm, and catalog
 # insert/replace/drop mutations against the interpreted BNL oracle over
-# the flattened table — plus eviction releasing only result and
-# statistics entries, the EXPLAIN annotations and the
-# server's retained answers (byte-served repeats equal to fresh
+# the flattened table — plus WHERE-scoped statements never reaching the
+# cache (the cold_skyline shapes, flat and sharded), eviction releasing
+# exactly the result entries (and a RANK statement's score vector,
+# shared by a snapshot and the live relation), the EXPLAIN annotations
+# and the server's retained answers (byte-served repeats equal to fresh
 # executions across inserts, sessions, SET, Replace and Reshard; what is
 # never retained; the stats counters).
-RESULTCACHE_RUN := ResultCache|Maintenance|SnapshotPin|DeadContext|EvictRelation|EvictReleases|ExplainReports|ParseCache|RowBatch|StreamUsesRowBatch|ResultBytes|StatsTurn
+RESULTCACHE_RUN := ResultCache|Maintenance|SnapshotPin|DeadContext|EvictRelation|EvictReleases|CatalogDrop|ExplainReports|ParseCache|RowBatch|StreamUsesRowBatch|ResultBytes|StatsTurn
 RESULTCACHE_PKGS := ./internal/engine ./internal/psql ./internal/wire ./internal/server
 test-resultcache:
 	$(GO) test -race ./internal/engine/resultcache

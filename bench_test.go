@@ -599,7 +599,7 @@ func BenchmarkShardedBMO(b *testing.B) {
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, engine.SFS, nil, nil, false, nil, engine.Robust{})
+				engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, engine.SFS, nil, false, nil, engine.Robust{})
 			}
 		})
 	}
@@ -664,7 +664,8 @@ func BenchmarkShardedThresholdTopK(b *testing.B) {
 // workload. The bind is candidate-proportional — one pass over the ≈300
 // candidates' positions per shard writing their scores and tie keys,
 // never the 10 000-row shard — and the cross-shard merge folds the
-// records the shards carried out; bytes/op is the per-statement garbage.
+// records the shards carried out. A WHERE-scoped statement stores nothing
+// in the result cache, so bytes/op is the per-statement garbage alone.
 func BenchmarkColdSelectiveBMO(b *testing.B) {
 	flat := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
 	flat.Columnarize()
@@ -780,7 +781,7 @@ func BenchmarkShardedStreamFirstResult(b *testing.B) {
 		b.Run(fmt.Sprintf("batch-full/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, engine.Auto, nil, nil, false, nil, engine.Robust{})
+				engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, engine.Auto, nil, false, nil, engine.Robust{})
 			}
 		})
 	}
@@ -814,7 +815,7 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 		defer cancel()
 		one := relation.OneShard(flat)
 		eval := func() {
-			if _, _, err := engine.BMOShardedOnFilteredCtxKeyed(ctx, p, one, engine.SFS, nil, nil, false, nil, engine.Robust{}); err != nil {
+			if _, _, err := engine.BMOShardedOnFilteredCtxKeyed(ctx, p, one, engine.SFS, nil, false, nil, engine.Robust{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -14,9 +14,11 @@
 // the BUT ONLY quality measures as threshold-scannable vectors. These
 // bound forms are per-statement state, dropped when the statement ends;
 // what repeated statements reuse is cached keyed by relation identity +
-// mutation version + canonical term key — BMO maxima (the result cache),
-// planner statistics and rank score vectors — and dropping a catalog
-// relation evicts its entries (engine.EvictRelation). Grouping partitions
+// mutation version + canonical term key — the BMO maxima of whole shards
+// (the result cache; a WHERE-scoped statement stores nothing) and rank
+// score vectors — and dropping a catalog relation evicts its entries
+// (engine.EvictRelation). Planner statistics live on the relation's
+// generation (relation.Relation.Stats). Grouping partitions
 // by cached equality codes, ranked TOP-k queries score row positions
 // through the compiled vectors (internal/rank; a weighted-sum rank(F),
 // Preference SQL's RANK, keys its score vectors by its exact weights and

@@ -58,10 +58,11 @@ func main() {
 		pref.Indifferent(tradeoff, t1, t2))
 
 	// 7. The same wish in Preference SQL, with EXPLAIN. The whole query
-	//    path runs compiled: the WHERE clause binds to column vectors as a
-	//    cached bitmap, the PREFERRING term to flat score vectors. Running
-	//    the query once and explaining it again shows both caches hitting —
-	//    a repeated query over an unchanged relation never re-binds.
+	//    path runs compiled: the WHERE clause binds to column vectors, the
+	//    PREFERRING term to flat score vectors. Both bound forms are the
+	//    statement's own, and a WHERE-scoped answer is not cached, so
+	//    explaining the query after a run shows the same binds and the
+	//    result cache's bypass.
 	cat := psql.Catalog{"car": cars}
 	query := `SELECT id, color, price, mileage FROM car
 		WHERE price <= 38000
@@ -76,6 +77,6 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("EXPLAIN after one execution (both caches warm):")
+	fmt.Println("EXPLAIN after one execution:")
 	fmt.Print(plan)
 }

@@ -1,8 +1,7 @@
 // Package boundcache is the bounded, version-keyed cache shared by the
-// layers that keep state across statements: the engine's result and
-// statistics caches and rank's score-vector cache all map (source
-// identity, source mutation version, canonical term key) to an immutable
-// value. The policy — what is safe to key and what to store — stays with
+// layers that keep state across statements: the engine's result cache
+// and rank's score-vector cache both map (source identity, source
+// mutation version, canonical term key) to an immutable value. The policy — what is safe to key and what to store — stays with
 // the callers; this package owns the mechanics: bounded size,
 // stale-version-first then never-reused-first eviction, hit/miss
 // accounting, thread safety.
@@ -207,8 +206,8 @@ func (c *Cache[V]) EvictSrc(src any) int {
 }
 
 // EvictSource sweeps the entries of one source identity out of every cache
-// created by New — the result, statistics and score caches all key their
-// entries by source, so one call releases everything a dropped catalog
+// created by New — the result and score caches both key their entries by
+// source, so one call releases everything a dropped catalog
 // relation pinned. It returns the total number of entries dropped.
 func EvictSource(src any) int {
 	registryMu.Lock()

@@ -7,35 +7,31 @@ import (
 )
 
 // What the engine keeps across statements: the result cache
-// (internal/engine/resultcache) and the planner's statistics
-// (statscache.go), both keyed by relation identity and version through
-// internal/boundcache, next to rank's score vectors. A statement's bound
-// forms — preference score vectors, selection bitmaps, quality vectors,
-// visit orders — are per-statement state: the statement binds what it
-// needs (bind.go) and drops it when it ends.
+// (internal/engine/resultcache) of whole-shard maxima, next to rank's
+// score vectors, both keyed by live relation identity (Origin) and
+// generation version through internal/boundcache. The planner's
+// statistics are no cache: they live on the generation they describe
+// (relation.Stats) and retire with it. A statement's bound forms —
+// preference score vectors, selection bitmaps, quality vectors, visit
+// orders — are per-statement state: the statement binds what it needs
+// (bind.go) and drops it when it ends.
 
 // EvictRelation releases every entry cached against the relation — result
-// maxima, statistics and rank score vectors alike (the sweep runs through
-// the shared boundcache registry). Callers drop or replace catalog
-// relations through it so the stale entries stop pinning the relation's
-// rows until ordinary capacity eviction; see psql.Catalog.Drop. The sweep
-// also covers the current generation's memoized Snapshot view, whose
-// entries are keyed by the view's own identity; superseded generations'
-// views are unreachable by then and their entries fall to capacity
-// eviction. The eviction is strictly a cache release, never a
-// reclamation: a pinned snapshot still references its generation's rows
-// and column arrays directly, so in-flight queries keep evaluating their
-// epoch untorn and the arrays retire with the last reader. It returns the
-// number of entries released.
+// maxima and rank score vectors alike (the sweep runs through the shared
+// boundcache registry). Callers drop or replace catalog relations through
+// it so the stale entries stop pinning the relation's rows until ordinary
+// capacity eviction; see psql.Catalog.Drop. Both caches key by the live
+// identity, so one sweep also covers every entry recorded through a
+// Snapshot view of the relation. The eviction is strictly a cache
+// release, never a reclamation: a pinned snapshot still references its
+// generation's rows and column arrays directly, so in-flight queries keep
+// evaluating their epoch untorn and the arrays retire with the last
+// reader. It returns the number of entries released.
 func EvictRelation(r *relation.Relation) int {
 	if r == nil {
 		return 0
 	}
-	n := boundcache.EvictSource(r)
-	if sv, ok := r.PeekSnapshot(); ok && sv != r {
-		n += boundcache.EvictSource(sv)
-	}
-	return n
+	return boundcache.EvictSource(r)
 }
 
 // CompileCached reports false: no bound form outlives its statement. The

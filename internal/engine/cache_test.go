@@ -120,7 +120,7 @@ func TestScoreTermsBypassCache(t *testing.T) {
 	if up.String() != down.String() {
 		t.Fatal("test premise: both terms must render identically")
 	}
-	if pref.Cacheable(up) {
+	if _, ok := pref.CacheKey(up); ok {
 		t.Fatal("SCORE must not be cacheable")
 	}
 	best := BMOIndices(up, rel, BNL)
@@ -201,7 +201,7 @@ func TestSetRenderingCollisionDoesNotShareBoundForms(t *testing.T) {
 		"SCORE part": rankW([]float64{1, 1}, score, pref.HIGHEST("b")),
 		"opaque F":   pref.Rank("F", pref.WeightedSum(1, 1), pref.LOWEST("a"), pref.HIGHEST("b")),
 	} {
-		if pref.Cacheable(p) {
+		if _, ok := pref.CacheKey(p); ok {
 			t.Errorf("%s: rank(F) must stay keyless", name)
 		}
 	}

@@ -78,7 +78,7 @@ func TestCancellationAgreementSharded(t *testing.T) {
 		p := shardedRandomTerm(rng, domain)
 		want := oidSetSharded(s, shardedBMO(p, s, Auto, nil))
 		ctx, cancel := ctxCancelledWithin(rng, time.Millisecond)
-		sets, part, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, nil, nil, false, nil, Robust{})
+		sets, part, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, nil, false, nil, Robust{})
 		cancel()
 		if err != nil {
 			// Strict failure: the context error, possibly wrapped per shard.
@@ -183,7 +183,7 @@ func TestCancelledBeforeStart(t *testing.T) {
 	if _, err := oneShardBMO(ctx, p, flat, Auto, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("one-shard soft step: %v", err)
 	}
-	if _, _, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, nil, nil, false, nil, Robust{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, nil, false, nil, Robust{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sharded soft step: %v", err)
 	}
 	sc, err := pref.BETWEEN("A1", 1, 2)
@@ -235,7 +235,7 @@ func TestAbandonedGatheredWorkersKeepTheirSlabs(t *testing.T) {
 		}
 		want := referenceOIDs(p, s, sets)
 		ctx, cancel := ctxCancelledWithin(rng, time.Millisecond)
-		got, part, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, cloneSets(sets), nil, false, nil, Robust{})
+		got, part, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, cloneSets(sets), false, nil, Robust{})
 		// No pause: abandoned workers may still be evaluating.
 		again := shardedBMO(p, s, Auto, cloneSets(sets))
 		cancel()

@@ -50,7 +50,7 @@ func TestPartialSlowShard(t *testing.T) {
 	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
 	rb := Robust{Policy: PolicyPartial, ShardTimeout: 50 * time.Millisecond}
 	start := time.Now()
-	sets, part, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, nil, false, nil, rb)
+	sets, part, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, false, nil, rb)
 	if err != nil {
 		t.Fatalf("partial policy failed the query: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestStrictPanicShard(t *testing.T) {
 	_, s := faultFixture(t, 200, 3)
 	faultinject.Install(s, 1, faultinject.Fault{Mode: faultinject.Panic})
 	p := pref.Pareto(pref.LOWEST("A1"), pref.LOWEST("A2"))
-	sets, part, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, nil, false, nil, Robust{})
+	sets, part, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, false, nil, Robust{})
 	if err == nil {
 		t.Fatal("strict policy returned no error for a panicking shard")
 	}
@@ -99,7 +99,7 @@ func TestPartialPanicShard(t *testing.T) {
 	_, s := faultFixture(t, 200, 3)
 	faultinject.Install(s, 0, faultinject.Fault{Mode: faultinject.Panic})
 	p := pref.Pareto(pref.LOWEST("A1"), pref.LOWEST("A2"))
-	sets, part, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, nil, false, nil, Robust{Policy: PolicyPartial})
+	sets, part, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, false, nil, Robust{Policy: PolicyPartial})
 	if err != nil {
 		t.Fatalf("partial policy failed the query: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestStrictErrorShard(t *testing.T) {
 	cause := errors.New("disk on fire")
 	faultinject.Install(s, 2, faultinject.Fault{Mode: faultinject.Error, Err: cause})
 	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
-	_, _, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, nil, false, nil, Robust{})
+	_, _, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, false, nil, Robust{})
 	if !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want chain containing the injected cause", err)
 	}
@@ -138,7 +138,7 @@ func TestAllShardsMissingIsError(t *testing.T) {
 		faultinject.Install(s, i, faultinject.Fault{Mode: faultinject.Error})
 	}
 	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
-	sets, part, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, nil, false, nil, Robust{Policy: PolicyPartial})
+	sets, part, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, Auto, nil, false, nil, Robust{Policy: PolicyPartial})
 	if err == nil {
 		t.Fatalf("all-shards-missing returned a result: sets=%v part=%v", sets, part)
 	}
@@ -155,7 +155,7 @@ func TestHangShardUnblockedByQueryDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	sets, part, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, nil, nil, false, nil, Robust{Policy: PolicyPartial})
+	sets, part, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, nil, false, nil, Robust{Policy: PolicyPartial})
 	if err != nil {
 		t.Fatalf("partial policy failed the query: %v", err)
 	}

@@ -34,7 +34,7 @@ func atProcs(t *testing.T, n int) {
 // context and the strict policy; the only error that can produce — a
 // contained shard-worker failure — re-panics.
 func shardedBMO(p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets) ShardSets {
-	out, _, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, alg, sets, nil, false, nil, Robust{})
+	out, _, err := BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, alg, sets, false, nil, Robust{})
 	if err != nil {
 		panic(err)
 	}
@@ -44,7 +44,7 @@ func shardedBMO(p pref.Preference, s *relation.Sharded, alg Algorithm, sets Shar
 // oneShardBMO is the unkeyed soft step over the candidates idx of r (nil:
 // every row) as its one shard, under ctx and the strict policy.
 func oneShardBMO(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int) ([]int, error) {
-	out, _, err := BMOShardedOnFilteredCtxKeyed(ctx, p, relation.OneShard(r), alg, ShardSets{idx}, nil, false, nil, Robust{})
+	out, _, err := BMOShardedOnFilteredCtxKeyed(ctx, p, relation.OneShard(r), alg, ShardSets{idx}, false, nil, Robust{})
 	if err != nil {
 		return nil, err
 	}

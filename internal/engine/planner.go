@@ -53,12 +53,8 @@ func shapeOf(p pref.Preference) Shape {
 
 // Env configures planning. The zero value means "this machine, sampled
 // statistics": a partitioned plan runs at most relation.Procs() workers,
-// and statistics are computed from the relation over statsSample sampled
-// rows.
+// and statistics are the relation's generation's own (relation.Stats).
 type Env struct {
-	// Stats overrides statistics collection (e.g. precomputed or synthetic
-	// stats). Nil computes them from the relation on demand.
-	Stats *relation.Stats
 	// Mode restricts the evaluation paths the plan may assume; the zero
 	// value (EvalAuto) costs compiled evaluation whenever the term is
 	// compilable.
@@ -70,10 +66,6 @@ type Env struct {
 	// them. 0 or 1: the evaluation derives them alone.
 	keyShare int
 }
-
-// statsSample bounds the rows sampled for distinct/correlation statistics
-// when the environment supplies none.
-const statsSample = 2048
 
 // Candidate is one (algorithm, workers) pair the planner costed. Cost is in
 // abstract comparison units; only relative magnitudes matter. A
@@ -240,7 +232,7 @@ func passName(alg Algorithm, workers int) string {
 // two-term comparison of its window and sorted passes (see planCore) — at
 // a few hundred candidates a Pareto window is most of the statement — and,
 // when they are candidates of a relation that is not itself small, reads
-// the relation's cached statistics for it: the comparison turns on the
+// the relation's memoized statistics for it: the comparison turns on the
 // result estimate, which without the measured correlation under-sizes an
 // anti-correlated window several times over.
 const smallInput = 256
@@ -259,17 +251,16 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	// A compiled flat term sorts on a one-pass score sum, not on rank keys.
 	sumKey := pl.Compiled && flat
 
-	stats := env.Stats
+	var stats *relation.Stats
 	switch {
 	case small && !(sumKey && r != nil && r.Len() >= smallInput && !r.Ephemeral()):
 		// A small input plans without statistics — unless the comparison
-		// of its two passes needs them and they are the cached analysis of
-		// a relation large enough to have one: sampling a small or an
-		// ephemeral relation (never cached) would cost more than
-		// evaluating the input.
-		stats = nil
-	case stats == nil && r != nil:
-		stats = cachedStats(r)
+		// of its two passes needs them and they are the memoized analysis
+		// of a relation large enough to have one: sampling a small or an
+		// ephemeral relation (whose analysis no later statement reuses)
+		// would cost more than evaluating the input.
+	case r != nil:
+		stats = r.Stats()
 	}
 	pl.Stats = stats
 	s := estimateResult(p, n, stats)

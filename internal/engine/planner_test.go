@@ -294,18 +294,6 @@ func TestPlanExplainRendersDecision(t *testing.T) {
 	}
 }
 
-func TestPlannerSyntheticStatsOverride(t *testing.T) {
-	// Injected stats must drive the decision without touching the relation.
-	rng := rand.New(rand.NewSource(7))
-	rel := antiCorrelated(rng, 2000)
-	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	stats := relation.Analyze(rel)
-	pl := PlanWithInput(p, rel, rel.Len(), Env{Stats: stats})
-	if pl.Stats != stats {
-		t.Error("planner must use the injected stats")
-	}
-}
-
 func TestResolveAutoCompat(t *testing.T) {
 	chain := pref.Pareto(pref.LOWEST("a"), pref.LOWEST("b"))
 	// (Ten rows of a flat term: the window pass, by the two-pass comparison.)

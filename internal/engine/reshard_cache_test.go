@@ -82,7 +82,7 @@ func TestReshardSweepsDisplacedShardCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, nil, nil, false, nil, Robust{})
+	want, _, err := BMOShardedOnFilteredCtxKeyed(ctx, p, s, Auto, nil, false, nil, Robust{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,14 @@
 // Package resultcache is the materialized BMO result cache: finished
-// maxima index sets keyed by (relation identity, generation version,
-// preference term, candidate-set term), built on the bounded mechanics
+// maxima index sets of whole shards, keyed by (live relation identity,
+// generation version, preference term), built on the bounded mechanics
 // of internal/boundcache. Binding — score vectors, ordinal codes,
 // selection bitmaps — is per-statement work; this cache amortizes the
-// *result*: BMO semantics make the answer a pure function of
-// (generation, term), so a repeat query over an unchanged generation is
-// a map lookup instead of an O(n·|maxima|) scan.
+// *result*: BMO semantics make the maxima of every row a pure function
+// of (generation, term), so a repeat query over an unchanged generation
+// is a map lookup instead of an O(n·|maxima|) scan. Only a shard's whole
+// row set is keyed: a WHERE-scoped candidate set is one-shot in the
+// measured traffic, so such a statement evaluates and stores nothing,
+// and every stored entry comes from a bind over the whole shard.
 //
 // Entries survive writes by incremental maintenance, not invalidation:
 // the engine registers a relation.InsertHook that carries every entry of
@@ -21,11 +24,9 @@
 package resultcache
 
 import (
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/boundcache"
-	"repro/internal/filter"
 	"repro/internal/pref"
 )
 
@@ -37,11 +38,7 @@ type Entry struct {
 	// Pref is the preference term the maxima were computed under; the
 	// maintenance hook re-evaluates newcomers against it.
 	Pref pref.Preference
-	// Where is the hard-selection tree scoping the candidate set (nil =
-	// every row). A newcomer failing it is outside the candidate set and
-	// carries the entry forward unchanged.
-	Where filter.Pred
-	// Maxima holds the qualifying row positions, ascending.
+	// Maxima holds the positions of the maxima among every row, ascending.
 	Maxima []int
 	// Dominated counts the candidate rows known dominated by the cached
 	// maxima — rows checked by maintenance plus maxima evicted by later
@@ -62,24 +59,13 @@ type Entry struct {
 
 // cacheCap bounds the number of cached result sets. Results are small
 // (maxima positions, not rows), so the cap is generous relative to the
-// statistics and score caches.
+// score cache.
 const cacheCap = 256
 
 var cache = boundcache.New[*Entry](cacheCap)
 
 // carries counts generation carry-forwards performed by maintenance.
 var carries atomic.Uint64
-
-// TermKey composes the cache term from the preference's canonical key
-// and the candidate-set key, length-prefixed so neither component can
-// forge the other.
-func TermKey(prefTerm, candTerm string) string {
-	var b strings.Builder
-	b.WriteString("bmo:")
-	boundcache.WriteKeyStr(&b, prefTerm)
-	boundcache.WriteKeyStr(&b, candTerm)
-	return b.String()
-}
 
 // Get returns the cached entry for the source at the given generation
 // version, counting a hit or miss.

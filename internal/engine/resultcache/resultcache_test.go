@@ -11,27 +11,12 @@ func fresh(t *testing.T) {
 	t.Cleanup(Reset)
 }
 
-// TestTermKeyComposition pins that the preference and candidate
-// components cannot forge each other: swapping content across the
-// boundary yields distinct keys.
-func TestTermKeyComposition(t *testing.T) {
-	if TermKey("ab", "c") == TermKey("a", "bc") {
-		t.Fatal("length-prefixing must keep the components apart")
-	}
-	if TermKey("p", "*") == TermKey("p", "w:x") {
-		t.Fatal("candidate keys must distinguish full-set from WHERE-scoped")
-	}
-	if TermKey("p", "*") != TermKey("p", "*") {
-		t.Fatal("identical components must compose identically")
-	}
-}
-
 // TestGetPutPeekCounters pins the counter semantics: Get counts hits and
 // misses, Peek counts nothing.
 func TestGetPutPeekCounters(t *testing.T) {
 	fresh(t)
 	src := new(int)
-	term := TermKey("p", "*")
+	term := "p"
 	if _, ok := Get(src, 1, term); ok {
 		t.Fatal("empty cache must miss")
 	}

@@ -76,11 +76,6 @@ func maintainResultCache(r *relation.Relation, oldVersion uint64, newIdx int) {
 // carryEntry produces the successor generation's entry for one cached
 // result given the appended tuple t at position newIdx.
 func carryEntry(e *resultcache.Entry, r *relation.Relation, t pref.Tuple, newIdx int) *resultcache.Entry {
-	if e.Where != nil && !e.Where.Eval(t) {
-		// Outside the candidate set: the result is untouched, and the
-		// entry is immutable, so the successor can share it outright.
-		return e
-	}
 	if e.Coords != nil {
 		if c, ok := newcomerCoords(e.Dims, t); ok {
 			return carryCoords(e, c, newIdx)
@@ -115,7 +110,7 @@ func carryCoords(e *resultcache.Entry, c []float64, newIdx int) *resultcache.Ent
 			return &ne
 		}
 	}
-	ne := &resultcache.Entry{Pref: e.Pref, Where: e.Where, Dominated: e.Dominated, Dims: e.Dims}
+	ne := &resultcache.Entry{Pref: e.Pref, Dominated: e.Dominated, Dims: e.Dims}
 	ne.Maxima = make([]int, 0, len(e.Maxima)+1)
 	ne.Coords = make([][]float64, 0, len(e.Coords)+1)
 	for k, m := range e.Maxima {
@@ -148,7 +143,7 @@ func carryInterpreted(e *resultcache.Entry, r *relation.Relation, t pref.Tuple, 
 			return &ne
 		}
 	}
-	ne := &resultcache.Entry{Pref: p, Where: e.Where, Dominated: e.Dominated}
+	ne := &resultcache.Entry{Pref: p, Dominated: e.Dominated}
 	ne.Maxima = make([]int, 0, len(e.Maxima)+1)
 	for _, m := range e.Maxima {
 		if p.Less(r.Tuple(m), t) {

@@ -12,54 +12,42 @@ import (
 )
 
 // Result-cache serving: the read side of internal/engine/resultcache.
-// The cache memoizes finished BMO maxima sets keyed by the live relation
-// identity (Origin — so lookups through a pinned Snapshot view and
-// through the live relation land on one key), the generation version,
-// the preference's canonical term key and the candidate-set key ("*" for
-// every row, "w:"+filter.PredKey for a WHERE-scoped set). Only a keyed
+// The cache memoizes the finished BMO maxima of whole shards keyed by the
+// live relation identity (Origin — so lookups through a pinned Snapshot
+// view and through the live relation land on one key), the generation
+// version and the preference's canonical term key. Only a keyed
 // bmoSharded call serves it (EvalIndicesCtxKeyed below,
-// BMOShardedOnCtxKeyed, and BMOShardedOnFilteredCtxKeyed with keyed set)
-// — everything else (BMOIndices*, an unkeyed BMOShardedOnFilteredCtxKeyed)
-// always evaluates, so benchmarks and agreement baselines keep measuring
-// real work.
+// BMOShardedOnCtxKeyed, and BMOShardedOnFilteredCtxKeyed with keyed set),
+// and only for a shard whose candidate slot is nil — every row of the
+// shard. Everything else (a candidate subset, BMOIndices*, an unkeyed
+// BMOShardedOnFilteredCtxKeyed) always evaluates, so one-shot WHERE
+// statements store nothing and benchmarks and agreement baselines keep
+// measuring real work.
 
-// stmtKeys is the result-cache term one keyed evaluation call addresses
-// the cache with, composed from the preference's canonical term key and
-// the candidate-set key. It is a function of the statement alone, so a
-// call renders it once and every shard reuses it. resultOK=false means
-// the query must bypass the result cache: a preference without a
-// faithful canonical key, or a WHERE tree containing foreign Pred nodes.
-type stmtKeys struct {
-	result   string
-	resultOK bool
+// resultTerm is the result-cache term of a keyed evaluation call: the
+// preference's canonical key, rendered once per call and reused by every
+// shard. ok=false means the query must bypass the result cache: the
+// preference has no faithful canonical key.
+type resultTerm struct {
+	term string
+	ok   bool
 }
 
-// keysOf renders the keys of σ[P](where(R)).
-func keysOf(p pref.Preference, where filter.Pred) stmtKeys {
-	term, keyed := pref.CacheKey(p)
-	if !keyed {
-		return stmtKeys{}
-	}
-	candTerm := "*"
-	if where != nil {
-		pk, ok := filter.PredKey(where)
-		if !ok {
-			return stmtKeys{}
-		}
-		candTerm = "w:" + pk
-	}
-	return stmtKeys{result: resultcache.TermKey(term, candTerm), resultOK: true}
+// termOf renders the result-cache term of σ[P](R).
+func termOf(p pref.Preference) resultTerm {
+	term, ok := pref.CacheKey(p)
+	return resultTerm{term: term, ok: ok}
 }
 
 // resultKey derives the result-cache addressing over one relation: the
 // identity the entry files under, the generation version to read, and the
-// composed term. ok=false for an unkeyable statement and for ephemeral
-// relations (identity fresh per query).
-func (k stmtKeys) resultKey(r *relation.Relation) (src any, version uint64, term string, ok bool) {
-	if !k.resultOK || r == nil || r.Ephemeral() {
+// term. ok=false for an unkeyable statement and for ephemeral relations
+// (identity fresh per query).
+func (k resultTerm) resultKey(r *relation.Relation) (src any, version uint64, term string, ok bool) {
+	if !k.ok || r == nil || r.Ephemeral() {
 		return nil, 0, "", false
 	}
-	return r.Origin(), r.Version(), k.result, true
+	return r.Origin(), r.Version(), k.term, true
 }
 
 // buildResultEntry packages a finished evaluation for the cache,
@@ -69,10 +57,10 @@ func (k stmtKeys) resultKey(r *relation.Relation) (src any, version uint64, term
 // classes — the pref.InfCollapse hazard — and a TIME dimension ties
 // unequal instants within a second, so maintenance falls back to
 // interpreted dominance for them). The coordinates come out of the score
-// vectors of the bound form that just evaluated; only an interpreted
-// evaluation re-derives them through ScoreOf.
-func buildResultEntry(p pref.Preference, where filter.Pred, r *relation.Relation, ev evaluated) *resultcache.Entry {
-	e := &resultcache.Entry{Pref: p, Where: where, Maxima: slices.Clone(ev.maxima)}
+// vectors of the whole-shard bound form that just evaluated; only an
+// interpreted evaluation re-derives them through ScoreOf.
+func buildResultEntry(p pref.Preference, r *relation.Relation, ev evaluated) *resultcache.Entry {
+	e := &resultcache.Entry{Pref: p, Maxima: slices.Clone(ev.maxima)}
 	dims, ok := chainDims(p)
 	if !ok || !chainImagesExact(dims, r) {
 		return e
@@ -102,11 +90,11 @@ func buildResultEntry(p pref.Preference, where filter.Pred, r *relation.Relation
 // EvalIndicesCtxKeyed is the keyed soft step over the candidate row
 // positions idx of r (nil means every row) under a context: bmoSharded
 // over r as its one shard, under the BMOShardedOnCtxKeyed contract and the
-// strict policy. idx and where are what the result key encodes; a
-// candidate subset under a nil where evaluates without the cache.
+// strict policy. Only a nil idx reaches the result cache; where is
+// ignored (a WHERE-scoped candidate set always evaluates).
 func EvalIndicesCtxKeyed(ctx context.Context, p pref.Preference, r *relation.Relation, alg Algorithm, idx []int, where filter.Pred) ([]int, error) {
 	s := relation.OneShard(r)
-	out, _, err := bmoSharded(ctx, p, s, alg, ShardSets{idx}, where, true, nil, Robust{})
+	out, _, err := bmoSharded(ctx, p, s, alg, ShardSets{idx}, true, nil, Robust{})
 	if err != nil {
 		return nil, err
 	}
@@ -115,8 +103,9 @@ func EvalIndicesCtxKeyed(ctx context.Context, p pref.Preference, r *relation.Rel
 
 // ResultCacheState reports the serving status EXPLAIN prints for a
 // flat BMO step: "hit" (a maxima set for the current generation is
-// cached), "cold" (keyable but absent) or "bypass" (the query cannot be
-// keyed) — ResultCachedShards over r as its one shard.
+// cached), "cold" (keyable but absent) or "bypass" (a WHERE-scoped step,
+// or a term that cannot be keyed) — ResultCachedShards over r as its one
+// shard.
 func ResultCacheState(p pref.Preference, r *relation.Relation, where filter.Pred) string {
 	switch n, ok := ResultCachedShards(p, relation.OneShard(r), where); {
 	case !ok:
@@ -127,12 +116,16 @@ func ResultCacheState(p pref.Preference, r *relation.Relation, where filter.Pred
 	return "cold"
 }
 
-// ResultCachedShards counts the shards of s whose local maxima for
-// (p, where) are cached at their current versions, for EXPLAIN's
-// sharded status line. ok=false when the query cannot be keyed at all.
+// ResultCachedShards counts the shards of s whose local maxima for p
+// are cached at their current versions, for EXPLAIN's sharded status
+// line. ok=false when the step bypasses the cache: a non-nil where (its
+// candidate sets are no whole shards) or a term that cannot be keyed.
 func ResultCachedShards(p pref.Preference, s *relation.Sharded, where filter.Pred) (int, bool) {
+	if where != nil {
+		return 0, false
+	}
 	n := 0
-	keys := keysOf(p, where)
+	keys := termOf(p)
 	for i := 0; i < s.NumShards(); i++ {
 		src, ver, term, ok := keys.resultKey(s.Shard(i))
 		if !ok {
@@ -157,7 +150,7 @@ type shardResultKey struct {
 
 // captureShardKey derives (and remembers) the addressing for one
 // shard's local maxima.
-func captureShardKey(keys stmtKeys, shard *relation.Relation) shardResultKey {
+func captureShardKey(keys resultTerm, shard *relation.Relation) shardResultKey {
 	src, ver, term, ok := keys.resultKey(shard)
 	return shardResultKey{src: src, ver: ver, term: term, ok: ok}
 }
@@ -182,9 +175,9 @@ func (k shardResultKey) serve(ctx context.Context) ([]int, bool) {
 
 // store files freshly computed local maxima under the captured key,
 // unless the shard moved past the keyed generation during evaluation.
-func (k shardResultKey) store(p pref.Preference, shard *relation.Relation, where filter.Pred, ev evaluated) {
+func (k shardResultKey) store(p pref.Preference, shard *relation.Relation, ev evaluated) {
 	if !k.ok || shard.Version() != k.ver {
 		return
 	}
-	resultcache.Put(k.src, k.ver, k.term, buildResultEntry(p, where, shard, ev))
+	resultcache.Put(k.src, k.ver, k.term, buildResultEntry(p, shard, ev))
 }

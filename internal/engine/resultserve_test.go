@@ -265,7 +265,7 @@ func TestShardedResultCacheAgreement(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, _, err := BMOShardedOnFilteredCtxKeyed(ctx, p, sh, Auto, cloneSets(sets), nil, false, nil, Robust{})
+				want, _, err := BMOShardedOnFilteredCtxKeyed(ctx, p, sh, Auto, cloneSets(sets), false, nil, Robust{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -291,16 +291,16 @@ func TestShardedResultCacheAgreement(t *testing.T) {
 	}
 }
 
-// TestGatheredEntryOutlivesItsSlab: a result-cache entry built from a
-// gathered evaluation holds copies, never views, of the borrowed bound
-// form — the fused scores of a flat bind — and its maxima and chain
-// coordinates still read true after the slab is released (poisoned, under
-// this package's TestMain) and recycled by later statements, the entry
-// serves, and it carries across an insert on exactly those coordinates —
-// flat and per shard. The cold sharded statement folds on the records its
-// shards carried (no part is bound again, and those records are released
-// and poisoned before the next statement reuses them); the served one,
-// whose shards evaluated nothing, binds each part's maxima for the fold.
+// TestGatheredEntryOutlivesItsSlab: a gathered evaluation — a selective
+// WHERE statement, flat and per shard — stores no result-cache entry and
+// counts neither a hit nor a miss, so no entry is ever built over a
+// borrowed slab. The cold sharded statement folds on the records its
+// shards carried (no part is bound again); those records are copies, not
+// views, of the slab, which is released (poisoned, under this package's
+// TestMain) and recycled by later statements without a later answer going
+// wrong, also across an insert. The same term without WHERE stores an
+// entry per whole shard, and its served repeat, whose shards evaluated
+// nothing, binds each part's maxima for the fold.
 func TestGatheredEntryOutlivesItsSlab(t *testing.T) {
 	freshResultCache(t)
 	ctx := context.Background()
@@ -320,28 +320,9 @@ func TestGatheredEntryOutlivesItsSlab(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pref.Pareto(pref.LOWEST("a"), pref.LOWEST("b"))
-	dims, _ := chainDims(p)
 	where := &filter.Cmp{Attr: "w", Op: "<", Value: 100.0}
 	selected := func(r *relation.Relation) []int {
 		return filter.Compile(where, r).Indices()
-	}
-	checkEntry := func(what string, r *relation.Relation) {
-		t.Helper()
-		src, ver, term, ok := keysOf(p, where).resultKey(r)
-		if !ok {
-			t.Fatalf("%s: statement must be keyable", what)
-		}
-		e, hit := resultcache.Peek(src, ver, term)
-		if !hit || len(e.Maxima) == 0 || len(e.Coords) != len(e.Maxima) {
-			t.Fatalf("%s: want a stored entry with chain coordinates, got hit=%v %+v", what, hit, e)
-		}
-		for k, i := range e.Maxima {
-			for d, s := range dims {
-				if want := s.ScoreOf(r.Tuple(i)); e.Coords[k][d] != want {
-					t.Fatalf("%s: maximum %d dim %d: stored coordinate %v, row scores %v", what, i, d, e.Coords[k][d], want)
-				}
-			}
-		}
 	}
 	oracle := func() []int {
 		cand := flat.Pick(selected(flat))
@@ -369,43 +350,63 @@ func TestGatheredEntryOutlivesItsSlab(t *testing.T) {
 			t.Fatalf("%s sharded: got %v want %v", when, oids, want)
 		}
 	}
-	g0, f0 := GatheredBinds(), foldBinds.Load()
-	evalBoth("cold")
-	if got := GatheredBinds() - g0; got != 3 {
-		t.Fatalf("test premise: the flat run and both shards bind gathered, saw %d gathered binds", got)
+	storesNothing := func(when string) {
+		t.Helper()
+		if h, m, c := resultcache.Stats(); h != 0 || m != 0 || c != 0 || resultcache.Len() != 0 {
+			t.Fatalf("%s: a gathered evaluation reached the result cache: hits %d misses %d carries %d, %d entries", when, h, m, c, resultcache.Len())
+		}
 	}
-	if got := foldBinds.Load() - f0; got != 0 {
-		t.Fatalf("the cold fold bound %d parts again instead of reading the carried records", got)
+	for _, when := range []string{"cold", "again"} {
+		g0, f0 := GatheredBinds(), foldBinds.Load()
+		evalBoth(when)
+		if got := GatheredBinds() - g0; got != 3 {
+			t.Fatalf("test premise: the flat run and both shards bind gathered, saw %d gathered binds", got)
+		}
+		if got := foldBinds.Load() - f0; got != 0 {
+			t.Fatalf("the %s fold bound %d parts again instead of reading the carried records", when, got)
+		}
+		storesNothing(when)
+		// Other one-shot statements recycle the slabs the records were
+		// copied out of.
+		for k := 0; k < 4; k++ {
+			other := pref.Pareto(pref.AROUND("a", float64(k)/4), pref.HIGHEST("b"))
+			BMOIndicesOn(other, flat, Auto, selected(flat))
+			shardedBMO(other, sharded, Auto, nil)
+		}
 	}
-	// Other one-shot statements recycle the slabs the entries were built over.
-	for k := 0; k < 4; k++ {
-		other := pref.Pareto(pref.AROUND("a", float64(k)/4), pref.HIGHEST("b"))
-		BMOIndicesOn(other, flat, Auto, selected(flat))
-		shardedBMO(other, sharded, Auto, nil)
-	}
-	checkEntry("flat", flat)
-	for i, sh := range sharded.Shards() {
-		checkEntry(fmt.Sprintf("shard %d", i), sh)
-	}
-	hits0, _, carried0 := resultcache.Stats()
-	f0 = foldBinds.Load()
-	evalBoth("served")
-	if got := foldBinds.Load() - f0; got != uint64(sharded.NumShards()) {
-		t.Fatalf("the served fold bound %d parts, want one per shard (%d): nothing was carried", got, sharded.NumShards())
-	}
-	// A newcomer that beats everything selected so far: the carry decides
-	// on the stored coordinates.
+	// A newcomer that beats everything selected so far.
 	row := relation.Row{int64(10_000), -1.0, -1.0, int64(0)}
 	flat.MustInsert(row)
 	if err := sharded.Insert(row); err != nil {
 		t.Fatal(err)
 	}
-	evalBoth("carried")
+	evalBoth("after insert")
 	if want := []int{10_000}; !sameInts(oracle(), want) {
 		t.Fatalf("test premise: the newcomer dominates, oracle says %v", oracle())
 	}
-	if hits, _, carried := resultcache.Stats(); hits == hits0 || carried == carried0 {
-		t.Fatalf("the run must serve and carry the gathered entries: hits %d→%d carries %d→%d", hits0, hits, carried0, carried)
+	storesNothing("after insert")
+	// Without WHERE every shard stores, and the served repeat binds each
+	// part for the fold: nothing carried records for it.
+	for _, when := range []string{"cold", "served"} {
+		f0 := foldBinds.Load()
+		got, _, err := BMOShardedOnCtxKeyed(ctx, p, sharded, Auto, nil, nil, Robust{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oidsOf(flat.Row, BMOIndicesMode(p, flat, BNL, EvalInterpreted))
+		if oids := oidsOf(sharded.Row, got.GlobalIDs(sharded)); !sameInts(oids, want) {
+			t.Fatalf("whole %s: got %v want %v", when, oids, want)
+		}
+		wantBinds := uint64(0)
+		if when == "served" {
+			wantBinds = uint64(sharded.NumShards())
+		}
+		if got := foldBinds.Load() - f0; got != wantBinds {
+			t.Fatalf("the whole %s fold bound %d parts, want %d", when, got, wantBinds)
+		}
+	}
+	if h, _, _ := resultcache.Stats(); h != uint64(sharded.NumShards()) || resultcache.Len() != sharded.NumShards() {
+		t.Fatalf("the WHERE-less term must store and serve one entry per shard: hits %d, %d entries", h, resultcache.Len())
 	}
 }
 

@@ -42,16 +42,15 @@ type Robust = relation.Robust
 type Partial = relation.Partial
 
 // BMOShardedOnCtxKeyed is BMOShardedOnFilteredCtxKeyed through the result
-// cache without an acceptance filter: each shard's local pre-merge maxima
-// are served from (and stored to) the cache, keyed by the shard's own
-// identity and generation version; the cheap cross-shard merge always
-// recomputes. The caller contract: with a non-nil where, every non-nil
-// per-shard set must be exactly the rows where selects on that shard.
-// Shards whose candidate slot is an arbitrary non-nil set under a nil
-// where bypass the cache (a nil slot always means every row and serves
-// under the "*" candidate key).
+// cache without an acceptance filter: the local pre-merge maxima of each
+// shard whose candidate slot is nil — every row of the shard — are served
+// from (and stored to) the cache, keyed by the shard's live identity and
+// generation version; the cheap cross-shard merge always recomputes. A
+// shard whose slot is a non-nil candidate set evaluates without the
+// cache, whatever where says: where is ignored, and a WHERE-scoped step
+// (whose every slot is its selected rows) never reads or stores an entry.
 func BMOShardedOnCtxKeyed(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, where filter.Pred, rb Robust) (ShardSets, *Partial, error) {
-	return bmoSharded(ctx, p, s, alg, sets, where, true, nil, rb)
+	return bmoSharded(ctx, p, s, alg, sets, true, nil, rb)
 }
 
 // BMOShardedOnFilteredCtxKeyed is the general form of the sharded soft
@@ -63,8 +62,8 @@ func BMOShardedOnCtxKeyed(ctx context.Context, p pref.Preference, s *relation.Sh
 // merge (PolicyPartial); on error the ShardSets are nil — a cancelled or
 // strictly-failed query never returns a torn result. keyed selects
 // result-cache serving under the BMOShardedOnCtxKeyed contract (false
-// never touches the cache, and where is then ignored, so benchmarks and
-// agreement baselines measure real work), and a non-nil keep fuses a
+// never touches the cache, so benchmarks and agreement baselines measure
+// real work), and a non-nil keep fuses a
 // post-BMO acceptance filter into the fan-out. The filter runs right
 // after each shard's local BMO pass — while the shard's columns are
 // cache-hot and in parallel across shards — on every call (it is query
@@ -75,23 +74,24 @@ func BMOShardedOnCtxKeyed(ctx context.Context, p pref.Preference, s *relation.Sh
 // result rather than the candidate set); only the merge survivors are
 // intersected with the accepted subsets. A shard missing under
 // PolicyPartial contributes neither maxima nor acceptances.
-func BMOShardedOnFilteredCtxKeyed(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, where filter.Pred, keyed bool, keep ShardFilter, rb Robust) (ShardSets, *Partial, error) {
-	return bmoSharded(ctx, p, s, alg, sets, where, keyed, keep, rb)
+func BMOShardedOnFilteredCtxKeyed(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, keyed bool, keep ShardFilter, rb Robust) (ShardSets, *Partial, error) {
+	return bmoSharded(ctx, p, s, alg, sets, keyed, keep, rb)
 }
 
 // bmoSharded is the one sharded BMO evaluator: fan out, evaluate (or
-// cache-serve, when keyed) each shard's local maxima, optionally run the
-// acceptance filter, collect under the policy, merge cross-shard, and
-// intersect the survivors with the accepted subsets.
-func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, where filter.Pred, keyed bool, keep ShardFilter, rb Robust) (ShardSets, *Partial, error) {
+// cache-serve, when keyed and the shard's slot is nil) each shard's local
+// maxima, optionally run the acceptance filter, collect under the policy,
+// merge cross-shard, and intersect the survivors with the accepted
+// subsets.
+func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg Algorithm, sets ShardSets, keyed bool, keep ShardFilter, rb Robust) (ShardSets, *Partial, error) {
 	if sets == nil {
 		sets = AllShardSets(s)
 	}
 	// Rendered once, before the fan-out: every shard's result key reuses
-	// them.
-	var keys stmtKeys
+	// it.
+	var keys resultTerm
 	if keyed {
-		keys = keysOf(p, where)
+		keys = termOf(p)
 	}
 	locals := make(ShardSets, s.NumShards())
 	var accepted ShardSets
@@ -113,7 +113,7 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 			return err
 		}
 		shard, cand := s.Shard(i), sets[i]
-		canServe := keyed && (where != nil || cand == nil)
+		canServe := keyed && cand == nil
 		var (
 			key shardResultKey
 			out []int
@@ -133,7 +133,7 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 			if canServe || carried != nil {
 				done = func(ev evaluated) {
 					if canServe {
-						key.store(p, shard, where, ev)
+						key.store(p, shard, ev)
 					}
 					if carried != nil {
 						carried[i] = ev.records()

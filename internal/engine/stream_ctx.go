@@ -118,7 +118,7 @@ func EvalStreamShardedCtx(ctx context.Context, p pref.Preference, s *relation.Sh
 	st := &ShardedStream{table: s, candidates: sets.Total(s)}
 	ctx, st.cc, st.cancel = streamContext(ctx)
 	st.batch = func() ([]int, error) {
-		out, part, err := bmoSharded(ctx, p, s, alg, sets, nil, false, nil, rb)
+		out, part, err := bmoSharded(ctx, p, s, alg, sets, false, nil, rb)
 		if err != nil {
 			return nil, err
 		}

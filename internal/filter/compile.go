@@ -693,3 +693,15 @@ func (c *compiler) perRow(p Pred) node {
 	c.row++
 	return &rowNode{src: c.src, p: p}
 }
+
+// CompileCached is Compile: a selection's bitmap is per-statement state.
+// The benchmark harness still calls it.
+func CompileCached(p Pred, src pref.Source) *Compiled { return Compile(p, src) }
+
+// CacheStats reports 0, 0: there is no selection cache. The benchmark
+// harness still calls it.
+func CacheStats() (hits, misses uint64) { return 0, 0 }
+
+// ResetCache does nothing: there is no selection cache. The benchmark
+// harness still calls it.
+func ResetCache() {}

@@ -313,31 +313,13 @@ func (f *foreignPred) Eval(t pref.Tuple) bool {
 }
 func (f *foreignPred) String() string { return "foreign()" }
 
-// TestForeignPredsBypassCache: two foreign predicates with identical
-// renderings but different semantics select their own rows, and a tree
-// holding one has no key, so no cache can serve one for the other.
-func TestForeignPredsBypassCache(t *testing.T) {
+// TestForeignPredsSelectOwnRows: two foreign predicates with identical
+// renderings but different semantics select their own rows.
+func TestForeignPredsSelectOwnRows(t *testing.T) {
 	src := memSource{mapTuple{"num": 1.0}, mapTuple{"num": 2.0}, mapTuple{"num": 3.0}}
 	a := Compile(&foreignPred{threshold: 2}, src)
 	b := Compile(&foreignPred{threshold: 3}, src)
 	if a.Count() != 2 || b.Count() != 1 {
 		t.Fatalf("foreign predicates selected wrong rows: counts %d, %d", a.Count(), b.Count())
-	}
-	if _, ok := PredKey(&And{L: &Cmp{Attr: "num", Op: ">", Value: 1.0}, R: &foreignPred{threshold: 2}}); ok {
-		t.Fatal("a tree holding a foreign predicate must have no key")
-	}
-}
-
-// TestTimeLiteralCacheKeys: Cmp renders times at day precision, but the
-// cache key uses ValueKey (nanosecond precision) — two comparisons
-// against different instants of the same day must not collide.
-func TestTimeLiteralCacheKeys(t *testing.T) {
-	k1, ok1 := PredKey(&Cmp{Attr: "ts", Op: ">", Value: time.Unix(100, 0)})
-	k2, ok2 := PredKey(&Cmp{Attr: "ts", Op: ">", Value: time.Unix(101, 0)})
-	if !ok1 || !ok2 {
-		t.Fatal("built-in comparisons must be cacheable")
-	}
-	if k1 == k2 {
-		t.Fatal("distinct instants of the same day must key distinctly")
 	}
 }

@@ -29,12 +29,6 @@ func CacheKey(p Preference) (string, bool) {
 	return b.String(), true
 }
 
-// Cacheable reports whether the term has a faithful cache key.
-func Cacheable(p Preference) bool {
-	_, ok := CacheKey(p)
-	return ok
-}
-
 // writeCacheKey appends p's canonical encoding, reporting false for terms
 // outside the keyable fragment.
 func writeCacheKey(b *strings.Builder, p Preference) bool {

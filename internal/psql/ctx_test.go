@@ -188,6 +188,7 @@ func cacheCounters() [6]uint64 {
 func TestShardedSamePathAnyContext(t *testing.T) {
 	const shards = 4
 	queries := []string{
+		"SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(horsepower)",
 		"SELECT oid FROM car WHERE price <= 60000 PREFERRING LOWEST(price) AND HIGHEST(horsepower)",
 		"SELECT oid FROM car PREFERRING price AROUND 30000 CASCADE HIGHEST(horsepower) BUT ONLY DISTANCE(price) <= 1000",
 		"SELECT oid FROM car WHERE horsepower >= 80 PREFERRING LOWEST(price) GROUPING BY make, color",
@@ -252,9 +253,15 @@ func TestShardedSamePathAnyContext(t *testing.T) {
 		}
 	}
 	// Non-vacuous: the first shape's warm run is result-cache served on
-	// every shard, from either entry point.
+	// every shard, from either entry point; its WHERE-scoped form never
+	// reaches the cache.
 	if warm := exec(queries[0], false)[1].deltas; warm[3] < shards || warm[4] != 0 {
 		t.Fatalf("warm Exec must hit the result cache on all %d shards: hits %d misses %d", shards, warm[3], warm[4])
+	}
+	for _, r := range exec(queries[1], false) {
+		if d := r.deltas; d[3] != 0 || d[4] != 0 || d[5] != 0 {
+			t.Fatalf("a WHERE-scoped statement reached the result cache: hits %d misses %d carries %d", d[3], d[4], d[5])
+		}
 	}
 }
 

@@ -23,10 +23,12 @@ import (
 type Catalog map[string]relation.Table
 
 // Drop removes a table from the catalog and evicts every entry cached
-// against it — result maxima, statistics and rank score vectors; for a
-// sharded table the sweep covers every shard — so the dropped rows stop
-// being pinned until ordinary capacity eviction. It reports whether the
-// table existed.
+// against it — result maxima and rank score vectors, whether recorded
+// through the table or a snapshot of it; for a sharded table the sweep
+// covers every shard — so the dropped rows stop being pinned until
+// ordinary capacity eviction. The planner's statistics need no sweep:
+// they live on the table's generations and retire with them. It reports
+// whether the table existed.
 func (c Catalog) Drop(name string) bool {
 	tbl, ok := c[name]
 	if !ok {
@@ -242,12 +244,13 @@ func finishRows(q *Query, out *relation.Relation) (*relation.Relation, error) {
 // boundary to degrade along and any shard failure fails it.
 func execSharded(ctx context.Context, q *Query, s *relation.Sharded, tm terms, opts Options) (*Result, error) {
 	var part *engine.Partial
-	// bmo is one sharded soft step. keyed marks the first one, whose
-	// per-shard candidate sets are exactly the WHERE-selected positions —
-	// the shape the result cache keys; later steps run over reduced sets
-	// and always evaluate. A non-nil keep fuses the BUT ONLY threshold in.
+	// bmo is one sharded soft step. keyed marks the first one: without a
+	// WHERE clause its per-shard candidate sets are whole shards — the
+	// shape the result cache keys; a WHERE-scoped first step and later
+	// steps (over reduced sets) always evaluate. A non-nil keep fuses the
+	// BUT ONLY threshold in.
 	bmo := func(p pref.Preference, sets engine.ShardSets, keep engine.ShardFilter, keyed bool) (engine.ShardSets, error) {
-		out, pt, err := engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, opts.Algorithm, sets, q.Where, keyed, keep, opts.Robust)
+		out, pt, err := engine.BMOShardedOnFilteredCtxKeyed(ctx, p, s, opts.Algorithm, sets, keyed, keep, opts.Robust)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/engine/resultcache"
 	"repro/internal/pref"
+	"repro/internal/rank"
 	"repro/internal/relation"
 )
 
@@ -246,17 +247,44 @@ func TestExecInAndLikeAndNull(t *testing.T) {
 
 // TestCatalogDropEvictsCaches: dropping (or replacing) a catalog relation
 // must release every entry cached against it, so the dropped rows stop
-// being pinned.
+// being pinned — a RANK statement's score vector too, which a snapshot
+// view and the live relation share. A WHERE-scoped statement stores
+// nothing to release.
 func TestCatalogDropEvictsCaches(t *testing.T) {
+	resultcache.Reset()
+	rank.ResetScoreCache()
+	t.Cleanup(func() {
+		resultcache.Reset()
+		rank.ResetScoreCache()
+	})
 	cat := testCatalog()
 	rel := cat["car"].(*relation.Relation)
-	query := "SELECT oid FROM car WHERE price <= 45000 PREFERRING LOWEST(price)"
+	query := "SELECT oid FROM car PREFERRING LOWEST(price)"
 	if _, err := Run(query, cat, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	where := &CmpExpr{Attr: "price", Op: "<=", Value: int64(45000)}
-	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, where); s != "hit" {
+	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, nil); s != "hit" {
 		t.Fatalf("execution must have stored its maxima: result cache %s", s)
+	}
+	if _, err := Run("SELECT oid FROM car WHERE price <= 45000 PREFERRING LOWEST(price)", cat, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	where := &CmpExpr{Attr: "price", Op: "<=", Value: int64(45000)}
+	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, where); s != "bypass" || resultcache.Len() != 1 {
+		t.Fatalf("a WHERE-scoped statement must bypass the result cache: %s, %d entries", s, resultcache.Len())
+	}
+	// A RANK statement through a snapshot view, then through the live
+	// relation: one score vector, stored by the first and hit by the
+	// second.
+	ranked := "SELECT oid FROM car PREFERRING RANK(LOWEST(price), HIGHEST(power)) TOP 3"
+	snapCat := Catalog{"car": rel.Snapshot()}
+	for _, c := range []Catalog{snapCat, cat} {
+		if _, err := Run(ranked, c, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, m := rank.ScoreCacheStats(); h != 1 || m != 1 {
+		t.Fatalf("the snapshot and the live relation must share one score vector: hits %d misses %d", h, m)
 	}
 	if !cat.Drop("car") {
 		t.Fatal("Drop must report the relation existed")
@@ -264,8 +292,16 @@ func TestCatalogDropEvictsCaches(t *testing.T) {
 	if _, ok := cat["car"]; ok {
 		t.Fatal("Drop must remove the catalog entry")
 	}
-	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, where); s != "cold" {
+	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, nil); s != "cold" {
 		t.Fatalf("Drop must evict the stored maxima: result cache %s", s)
+	}
+	// The snapshot still reads the dropped generation; its score vector
+	// is gone, so the statement binds again.
+	if _, err := Run(ranked, snapCat, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := rank.ScoreCacheStats(); h != 1 || m != 2 {
+		t.Fatalf("Drop must release the score vector: hits %d misses %d", h, m)
 	}
 	if cat.Drop("car") {
 		t.Fatal("double Drop must report a missing relation")
@@ -278,25 +314,25 @@ func TestCatalogDropEvictsCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat.Replace("car", testCatalog()["car"])
-	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, where); s != "cold" {
+	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, nil); s != "cold" {
 		t.Fatalf("Replace must evict the displaced relation's entries: result cache %s", s)
 	}
 }
 
-// TestEvictReleasesOnlyResultsAndStatistics: a statement's bound forms —
-// preference scores, the WHERE selection, BUT ONLY's quality vectors —
-// are dropped when it ends, so what EvictRelation finds against a
-// relation after an unfiltered, a WHERE and a BUT ONLY statement is
-// their stored maxima and the planner's statistics (one entry per
-// relation identity: the relation and its snapshot view) and nothing
-// else.
-func TestEvictReleasesOnlyResultsAndStatistics(t *testing.T) {
+// TestEvictReleasesOnlyResults: a statement's bound forms — preference
+// scores, the WHERE selection, BUT ONLY's quality vectors — are dropped
+// when it ends, and the planner's statistics live on the generation, so
+// what EvictRelation finds against a relation after an unfiltered and a
+// BUT ONLY statement is exactly their stored maxima. A WHERE-scoped
+// statement stores none.
+func TestEvictReleasesOnlyResults(t *testing.T) {
 	resultcache.Reset()
 	t.Cleanup(resultcache.Reset)
 	cat := testCatalog()
 	rel := cat["car"].(*relation.Relation)
 	for _, q := range []string{
 		"SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(power)",
+		"SELECT oid FROM car PREFERRING LOWEST(mileage)",
 		"SELECT oid FROM car WHERE price <= 45000 PREFERRING LOWEST(mileage)",
 		"SELECT oid FROM car PREFERRING color IN ('red', 'blue', 'gray') BUT ONLY LEVEL(color) <= 1",
 	} {
@@ -306,14 +342,13 @@ func TestEvictReleasesOnlyResultsAndStatistics(t *testing.T) {
 	}
 	results := resultcache.Len()
 	if results != 3 {
-		t.Fatalf("the three statements stored %d result entries, want 3", results)
+		t.Fatalf("the statements stored %d result entries, want 3 (none for the WHERE-scoped one)", results)
 	}
-	n := engine.EvictRelation(rel)
+	if n := engine.EvictRelation(rel); n != results {
+		t.Fatalf("EvictRelation released %d entries, want exactly the %d results", n, results)
+	}
 	if resultcache.Len() != 0 {
 		t.Fatalf("%d result entries survived the eviction", resultcache.Len())
-	}
-	if stats := n - results; stats < 0 || stats > 2 {
-		t.Fatalf("EvictRelation released %d entries: %d results and %d others, want at most 2 statistics entries", n, results, stats)
 	}
 }
 

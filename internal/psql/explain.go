@@ -209,11 +209,16 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			bindLine(len(q.GroupingBy) > 0)
 		}
 		if len(q.GroupingBy) == 0 {
-			// The first soft step is the one shape the result cache serves
-			// (per shard; the cross-shard merge recomputes on every
-			// execution); grouped and ranked steps always evaluate.
+			// The first soft step over whole shards is the one shape the
+			// result cache serves (per shard; the cross-shard merge
+			// recomputes on every execution); WHERE-scoped, grouped and
+			// ranked steps always evaluate.
 			if cached, ok := engine.ResultCachedShards(simplified, s, q.Where); !ok {
-				fmt.Fprintf(&b, "    (result cache: bypass — term or WHERE not keyable)\n")
+				why := "term not keyable"
+				if q.Where != nil {
+					why = "WHERE-scoped, never cached"
+				}
+				fmt.Fprintf(&b, "    (result cache: bypass — %s)\n", why)
 			} else if cached == nShards {
 				served := "no evaluation"
 				if fanned {

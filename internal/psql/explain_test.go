@@ -177,34 +177,41 @@ func TestExplainSkylineSurfacesPlan(t *testing.T) {
 // EXPLAIN: the WHERE clause binds at explain time to report its access
 // path and selectivity, the PREFERRING step reports the rows it binds —
 // the same before and after a run, since nothing keeps a bound form — and
-// the result cache turns from cold to hit once the query has run.
+// the result cache bypasses the WHERE-scoped statement, while its
+// WHERE-less form turns from cold to hit once it has run.
 func TestExplainReportsCacheStatus(t *testing.T) {
 	resultcache.Reset()
 	defer resultcache.Reset()
 	cat := testCatalog() // one catalog: cache keys are relation identities
-	query := `SELECT oid FROM car WHERE price <= 45000
+	scoped := `SELECT oid FROM car WHERE price <= 45000
 		PREFERRING LOWEST(price) AND LOWEST(mileage)`
+	whole := "SELECT oid FROM car PREFERRING LOWEST(price) AND LOWEST(mileage)"
 	for _, when := range []string{"cold", "after a run"} {
-		plan, err := ExplainQuery(query, cat, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		result := "(result cache: cold — maxima stored at first execution)"
 		if when != "cold" {
 			result = "(result cache: hit — memoized maxima served, no evaluation)"
 		}
-		for _, want := range []string{
-			"hard selection: price <= 45000 [vectorized, 4 of 5 rows]\n",
-			"(bind: full over 5 rows)",
-			"eval=compiled bind=full dominance=",
-			result,
+		for query, wants := range map[string][]string{
+			scoped: {
+				"hard selection: price <= 45000 [vectorized, 4 of 5 rows]\n",
+				"(bind: full over 5 rows)",
+				"eval=compiled bind=full dominance=",
+				"(result cache: bypass — WHERE-scoped, never cached)",
+			},
+			whole: {"(bind: full over 5 rows)", "eval=compiled bind=full dominance=", result},
 		} {
-			if !strings.Contains(plan, want) {
-				t.Errorf("%s EXPLAIN missing %q:\n%s", when, want, plan)
+			plan, err := ExplainQuery(query, cat, Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if _, err := Run(query, cat, Options{}); err != nil {
-			t.Fatal(err)
+			for _, want := range wants {
+				if !strings.Contains(plan, want) {
+					t.Errorf("%s EXPLAIN missing %q:\n%s", when, want, plan)
+				}
+			}
+			if _, err := Run(query, cat, Options{}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -316,25 +323,30 @@ func TestExplainPlansCascadeAtItsInput(t *testing.T) {
 // describe the one pipeline every caller runs. The inlined sharded plan
 // carries no sharded-vs-flat route, and after a plain Run — no context,
 // default options — the result-cache line reports the state that
-// execution left behind.
+// execution left behind: hit on all shards for a WHERE-less statement,
+// bypass for its WHERE-scoped form.
 func TestExplainShardedDescribesWhatRuns(t *testing.T) {
 	resultcache.Reset()
 	defer resultcache.Reset()
 	_, shardCat := shardedCatalog(t, 2500, 4, 41)
 	query := "SELECT oid FROM car WHERE price <= 60000 PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
-	if _, err := Run(query, shardCat, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	text, err := ExplainQuery(query, shardCat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"(bind: ",
-		"result cache: hit on all shards",
+	whole := "SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
+	var text string
+	for _, c := range []struct{ query, result string }{
+		{whole, "result cache: hit on all shards"},
+		{query, "result cache: bypass — WHERE-scoped, never cached"},
 	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("EXPLAIN after a plain Run missing %q:\n%s", want, text)
+		if _, err := Run(c.query, shardCat, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if text, err = ExplainQuery(c.query, shardCat, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"(bind: ", c.result} {
+			if !strings.Contains(text, want) {
+				t.Errorf("EXPLAIN after a plain Run missing %q:\n%s", want, text)
+			}
 		}
 	}
 	planLine := ""
@@ -358,9 +370,10 @@ func TestExplainShardedDescribesWhatRuns(t *testing.T) {
 // bind scope execution picks, and the plan line the dominance comparator
 // it compares through, before and after a plain Run, on every layout — a
 // flat table, which runs as one shard, reads exactly like a table sharded
-// into one. A selective statement binds over its gathered candidates, so
-// the repeat reports the same scope while the result cache turns to hit;
-// an unfiltered statement binds the whole relation, before and after.
+// into one. A selective statement binds over its gathered candidates and
+// bypasses the result cache, so the repeat reports the same scope and the
+// same bypass; an unfiltered statement binds the whole relation, before
+// and after, while the result cache turns from cold to hit.
 func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 	resultcache.Reset()
 	defer resultcache.Reset()
@@ -421,7 +434,7 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 			}
 		}
 		mustContain("cold selective", explain(selective), c.gathered, "eval=compiled bind=gathered dominance="+window.String(),
-			"SFS keys: one pass sums 2 score column(s) over the ", "result cache: cold")
+			"SFS keys: one pass sums 2 score column(s) over the ", "result cache: bypass")
 		g0 := engine.GatheredBinds()
 		before := passesSince([3]uint64{})
 		if _, err := Run(selective, c.cat, Options{}); err != nil {
@@ -432,10 +445,10 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 			t.Errorf("%s: selective run: gathered %d→%d, want one gathered bind per shard",
 				c.name, g0, engine.GatheredBinds())
 		}
-		mustContain("selective after run", explain(selective), c.gathered, "bind=gathered dominance="+window.String(), "result cache: hit")
+		mustContain("selective after run", explain(selective), c.gathered, "bind=gathered dominance="+window.String(), "result cache: bypass")
 
 		mustContain("cold unfiltered", explain(unfiltered), c.full, "eval=compiled bind=full dominance="+window.String(),
-			"SFS keys: one pass sums 2 score column(s) over the ")
+			"SFS keys: one pass sums 2 score column(s) over the ", "result cache: cold")
 		before = passesSince([3]uint64{})
 		if _, err := Run(unfiltered, c.cat, Options{}); err != nil {
 			t.Fatal(err)
@@ -444,7 +457,8 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 		if engine.GatheredBinds() != g0+c.shards {
 			t.Errorf("%s: an unfiltered statement must not bind gathered", c.name)
 		}
-		mustContain("unfiltered after run", explain(unfiltered), c.full, "eval=compiled bind=full dominance="+window.String(), "SFS keys: one pass sums 2 score column(s) over the ")
+		mustContain("unfiltered after run", explain(unfiltered), c.full, "eval=compiled bind=full dominance="+window.String(),
+			"SFS keys: one pass sums 2 score column(s) over the ", "result cache: hit")
 		// A selective statement sharing a term an earlier statement bound
 		// gathers its own candidates all the same.
 		shared := "SELECT oid FROM car WHERE price <= 9000 PREFERRING mileage AROUND 70000 AND HIGHEST(horsepower)"

@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine/resultcache"
 	"repro/internal/pref"
 	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 // churnRow builds one random car row with the given oid.
@@ -288,4 +289,118 @@ func TestExplainReportsResultCache(t *testing.T) {
 	if !strings.Contains(plan, "result cache: hit on all shards") {
 		t.Fatalf("post-execution sharded plan must report hit on all shards:\n%s", plan)
 	}
+}
+
+// TestResultCacheBypassesWhereScoped: the three cold_skyline shapes, each
+// WHERE-scoped, over a flat table and over two range shards never reach
+// the result cache — its counters and its entry count do not move, and
+// EXPLAIN prints the bypass line before and after each run, also after
+// an Insert. The same terms without WHERE store, hit, and carry across
+// the Insert. Every answer equals the interpreted BNL oracle.
+func TestResultCacheBypassesWhereScoped(t *testing.T) {
+	terms := []string{
+		"d1 AROUND 0.41 AND d2 AROUND 0.63 AND LOWEST(d3)",
+		"(d1 AROUND 0.41 AND LOWEST(d2)) PRIOR TO LOWEST(d3)",
+		"LOWEST(d3) PRIOR TO (d1 AROUND 0.41 AND LOWEST(d2))",
+	}
+	const bypass = "(result cache: bypass — WHERE-scoped, never cached)"
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			resultcache.Reset()
+			t.Cleanup(resultcache.Reset)
+			pts := workload.Numeric(2000, 4, workload.AntiCorrelated, 61)
+			var tbl relation.Table = pts
+			if shards > 1 {
+				s, err := relation.ShardRelation(pts, shards, relation.ByRange("d1", relation.RangeBounds(pts, "d1", shards)...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tbl = s
+			}
+			cat := Catalog{"pts": tbl}
+			// run executes the statement and holds it to the oracle over
+			// the flattened table: both rendered as sorted row lines.
+			run := func(stmt string) {
+				t.Helper()
+				q, err := Parse(stmt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Run(stmt, cat, Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", stmt, err)
+				}
+				flat := relation.OneShard(pts).Flatten()
+				if s, ok := tbl.(*relation.Sharded); ok {
+					flat = s.Flatten()
+				}
+				if q.Where != nil {
+					flat = flat.Select(q.Where.Eval)
+				}
+				want := flat.Pick(engine.BMOIndicesMode(buildTerms(q).preferring.p, flat, engine.BNL, engine.EvalInterpreted))
+				got, exp := sortedLines(renderRel(res)), sortedLines(renderRel(want))
+				if got != exp || want.Len() == 0 {
+					t.Fatalf("%s: got\n%swant\n%s", stmt, got, exp)
+				}
+			}
+			scoped := func() {
+				t.Helper()
+				h0, m0, c0 := resultcache.Stats()
+				n0 := resultcache.Len()
+				for _, term := range terms {
+					stmt := "SELECT * FROM pts WHERE d4 <= 0.031 PREFERRING " + term
+					for _, when := range []string{"before", "after"} {
+						text, err := ExplainQuery(stmt, cat, Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !strings.Contains(text, bypass) {
+							t.Errorf("%s: EXPLAIN %s the run missing %q:\n%s", stmt, when, bypass, text)
+						}
+						run(stmt)
+					}
+				}
+				if h, m, c := resultcache.Stats(); h != h0 || m != m0 || c != c0 || resultcache.Len() != n0 {
+					t.Fatalf("WHERE-scoped statements reached the result cache: hits %d→%d misses %d→%d carries %d→%d entries %d→%d",
+						h0, h, m0, m, c0, c, n0, resultcache.Len())
+				}
+			}
+			whole := func() {
+				t.Helper()
+				for _, term := range terms {
+					run("SELECT * FROM pts PREFERRING " + term)
+				}
+			}
+			scoped()
+			whole() // cold: one miss and one stored entry per term and shard
+			whole() // warm: one hit per term and shard
+			per := uint64(len(terms) * shards)
+			if h, m, _ := resultcache.Stats(); h != per || m != per || resultcache.Len() != int(per) {
+				t.Fatalf("WHERE-less terms: hits %d misses %d entries %d, want %d each", h, m, resultcache.Len(), per)
+			}
+			row := relation.Row{0.41, 0.63, 0.0, 0.0} // beats every answer so far
+			if s, ok := tbl.(*relation.Sharded); ok {
+				if err := s.Insert(row); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				pts.MustInsert(row)
+			}
+			if _, _, c := resultcache.Stats(); c != uint64(len(terms)) {
+				t.Fatalf("the Insert carried %d entries, want one per term (%d) on the shard it went to", c, len(terms))
+			}
+			scoped()
+			whole() // served by the carried entries and the untouched shards
+			if h, m, _ := resultcache.Stats(); h != 2*per || m != per {
+				t.Fatalf("after the Insert: hits %d misses %d, want %d and %d", h, m, 2*per, per)
+			}
+		})
+	}
+}
+
+// sortedLines sorts a rendering's lines, for order-free comparison.
+func sortedLines(s string) string {
+	lines := strings.SplitAfter(s, "\n")
+	slices.Sort(lines)
+	return strings.Join(lines, "")
 }

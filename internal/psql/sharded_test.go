@@ -167,23 +167,24 @@ func TestExecStreamShardedTopStopsEarly(t *testing.T) {
 // TestExecShardedCacheReuse is the acceptance criterion at the psql
 // layer: a repeated sharded statement must be served by the result cache
 // — every shard's local maxima come out of it and no shard binds again.
+// Its WHERE-scoped form never reaches the cache and evaluates each time.
 func TestExecShardedCacheReuse(t *testing.T) {
 	resultcache.Reset()
 	defer resultcache.Reset()
 	_, shardCat := shardedCatalog(t, 600, 4, 23)
-	query := "SELECT oid FROM car WHERE price <= 60000 PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
-	first, err := Run(query, shardCat, Options{})
+	s := shardCat["car"].(*relation.Sharded)
+	whole := "SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
+	first, err := Run(whole, shardCat, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g0 := engine.GatheredBinds()
 	rh0, _, _ := resultcache.Stats()
-	repeat, err := Run(query, shardCat, Options{})
+	repeat, err := Run(whole, shardCat, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rh1, _, _ := resultcache.Stats()
-	s := shardCat["car"].(*relation.Sharded)
 	if engine.GatheredBinds() != g0 {
 		t.Fatalf("repeat sharded query re-bound: gathered binds %d→%d", g0, engine.GatheredBinds())
 	}
@@ -192,6 +193,23 @@ func TestExecShardedCacheReuse(t *testing.T) {
 	}
 	if !sameOIDs(sortedOIDs(t, repeat), sortedOIDs(t, first)) {
 		t.Fatal("cache-served repeat diverged")
+	}
+	scoped := "SELECT oid FROM car WHERE price <= 60000 PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
+	h0, m0, _ := resultcache.Stats()
+	n0 := resultcache.Len()
+	var answers [2][]int64
+	for k := range answers {
+		res, err := Run(scoped, shardCat, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers[k] = sortedOIDs(t, res)
+	}
+	if h, m, _ := resultcache.Stats(); h != h0 || m != m0 || resultcache.Len() != n0 {
+		t.Fatalf("a WHERE-scoped statement reached the result cache: hits %d→%d misses %d→%d entries %d→%d", h0, h, m0, m, n0, resultcache.Len())
+	}
+	if !sameOIDs(answers[0], answers[1]) || len(answers[0]) == 0 {
+		t.Fatalf("WHERE-scoped repeat diverged: %v vs %v", answers[0], answers[1])
 	}
 }
 
@@ -202,19 +220,22 @@ func TestCatalogDropSharded(t *testing.T) {
 	defer resultcache.Reset()
 	_, shardCat := shardedCatalog(t, 300, 3, 29)
 	s := shardCat["car"].(*relation.Sharded)
-	query := "SELECT oid FROM car WHERE price <= 60000 PREFERRING LOWEST(price)"
+	query := "SELECT oid FROM car PREFERRING LOWEST(price)"
 	if _, err := Run(query, shardCat, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	p := pref.LOWEST("price")
-	where := &CmpExpr{Attr: "price", Op: "<=", Value: int64(60000)}
-	if n, ok := engine.ResultCachedShards(p, s, where); !ok || n != s.NumShards() {
+	if n, ok := engine.ResultCachedShards(p, s, nil); !ok || n != s.NumShards() {
 		t.Fatalf("execution must store local maxima on every shard: %d/%d", n, s.NumShards())
+	}
+	where := &CmpExpr{Attr: "price", Op: "<=", Value: int64(60000)}
+	if _, ok := engine.ResultCachedShards(p, s, where); ok {
+		t.Fatal("a WHERE-scoped step must report bypass")
 	}
 	if !shardCat.Drop("car") {
 		t.Fatal("Drop must report the table existed")
 	}
-	if n, _ := engine.ResultCachedShards(p, s, where); n != 0 {
+	if n, _ := engine.ResultCachedShards(p, s, nil); n != 0 {
 		t.Fatalf("%d shards still cached after Drop", n)
 	}
 	// Replace: installing a new table evicts the displaced shards.
@@ -224,7 +245,7 @@ func TestCatalogDropSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	shardCat2.Replace("car", flatCat["car"])
-	if n, _ := engine.ResultCachedShards(p, s2, where); n != 0 {
+	if n, _ := engine.ResultCachedShards(p, s2, nil); n != 0 {
 		t.Fatalf("%d shards still cached after Replace", n)
 	}
 }
@@ -251,28 +272,37 @@ func TestExplainSharded(t *testing.T) {
 		"merge: " + merge + " fold over ≈",
 		"of 2500 rows; shards=4]",
 		"(bind: full over 2500 rows on 4/4 shards)",
-		"result cache: cold on 4/4 shards",
+		"result cache: bypass — WHERE-scoped, never cached",
 		"sharded plan: shards=4",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("EXPLAIN missing %q:\n%s", want, text)
 		}
 	}
-	// Execute, then re-explain: the per-shard result entries report hits
-	// and every shard binds as before.
-	if _, err := Run(query, shardCat, Options{}); err != nil {
+	// The WHERE-less form is cold on every shard; executed, the per-shard
+	// result entries report hits and every shard binds as before. The
+	// WHERE-scoped statement still bypasses after its run.
+	whole := "SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
+	if text, err = ExplainQuery(whole, shardCat, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	text, err = ExplainQuery(query, shardCat, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if want := "result cache: cold on 4/4 shards"; !strings.Contains(text, want) {
+		t.Errorf("EXPLAIN missing %q:\n%s", want, text)
 	}
-	for _, want := range []string{
-		"(bind: full over 2500 rows on 4/4 shards)",
-		"result cache: hit on all shards",
+	for _, c := range []struct{ query, result string }{
+		{whole, "result cache: hit on all shards"},
+		{query, "result cache: bypass — WHERE-scoped, never cached"},
 	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("warm EXPLAIN missing %q:\n%s", want, text)
+		if _, err := Run(c.query, shardCat, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if text, err = ExplainQuery(c.query, shardCat, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"(bind: full over 2500 rows on 4/4 shards)", c.result} {
+			if !strings.Contains(text, want) {
+				t.Errorf("warm EXPLAIN missing %q:\n%s", want, text)
+			}
 		}
 	}
 	// The ranked model and grouped phases carry shard facts too.

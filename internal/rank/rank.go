@@ -39,12 +39,14 @@ func TopK(p pref.Scorer, r *relation.Relation, k int) []Result {
 const scoreCacheCap = 64
 
 // scoreCache holds materialized score vectors of keyed Scorer terms per
-// (relation, version, term) through internal/boundcache, so repeated
-// TOP-k queries over an unchanged catalog relation are bind-free and
-// engine.EvictRelation releases the vectors of a dropped relation. A weighted-sum rank(F) keys by its weights and
-// parts (pref.CacheKey); SCORE leaves and rank(F) terms with an opaque
-// combining function have no faithful cache key, so they bypass the cache
-// and bind per call (one columnar pass, not a tuple walk per feature).
+// (live relation, version, term) through internal/boundcache, so repeated
+// TOP-k queries over an unchanged catalog relation are bind-free — through
+// a Snapshot view or the live relation alike — and engine.EvictRelation
+// releases the vectors of a dropped relation. A weighted-sum rank(F) keys
+// by its weights and parts (pref.CacheKey); SCORE leaves and rank(F) terms
+// with an opaque combining function have no faithful cache key, so they
+// bypass the cache and bind per call (one columnar pass, not a tuple walk
+// per feature).
 var scoreCache = boundcache.New[[]float64](scoreCacheCap)
 
 // scoreVecKey returns the cache key of a Scorer's vector over r; ok=false
@@ -57,7 +59,7 @@ func scoreVecKey(p pref.Scorer, r *relation.Relation) (boundcache.Key, bool) {
 	if !keyed {
 		return boundcache.Key{}, false
 	}
-	return boundcache.Key{Src: r, Version: r.Version(), Term: "rank:" + term}, true
+	return boundcache.Key{Src: r.Origin(), Version: r.Version(), Term: "rank:" + term}, true
 }
 
 // compiledScoreVec materializes the term's score vector over a source —

@@ -144,7 +144,8 @@ type Row []pref.Value
 // generation — they build a successor and swap the relation's pointer —
 // so any reader (or pinned Snapshot) that loaded a generation keeps a
 // torn-free view for as long as it holds the pointer: rows, float
-// columns, equality codes and group codes all agree on one version.
+// columns, equality codes, group codes and statistics all agree on one
+// version.
 // Reclamation is epoch-based by construction: a superseded generation's
 // arrays live until the last pinned reader drops it, then the garbage
 // collector retires the epoch — there is no eager free to race against.
@@ -178,11 +179,16 @@ type generation struct {
 	orders  atomic.Pointer[orderSet]
 
 	// snap memoizes the frozen Snapshot view of this generation, so every
-	// session pinning the same version shares one *Relation identity and
-	// the result and statistics caches (keyed by source pointer) hit
-	// across sessions.
+	// session pinning the same version shares one *Relation identity.
 	snapMu sync.Mutex
 	snap   *Relation
+
+	// stats memoizes the planner's statistics of exactly these rows
+	// (Stats), analyzed once over the snap view; a successor generation
+	// analyzes afresh, and a superseded one's statistics retire with it.
+	// statsMu is held across the analysis, whose column reads take colMu.
+	statsMu sync.Mutex
+	stats   *Stats
 }
 
 // nrows returns the generation's total row count (base plus tail).
@@ -295,9 +301,9 @@ func (r *Relation) Schema() *Schema { return r.schema }
 func (r *Relation) Len() int { return r.cur().nrows() }
 
 // Version returns the relation's mutation counter: it increases on every
-// row mutation (Insert, SortBy) and never otherwise. The result and
-// statistics caches key entries by (relation, version, term), so a bumped
-// counter strands every stale entry.
+// row mutation (Insert, SortBy) and never otherwise. The result and score
+// caches key entries by (relation, version, term), so a bumped counter
+// strands every stale entry.
 func (r *Relation) Version() uint64 { return r.cur().version }
 
 // Frozen reports whether the relation is an immutable Snapshot view;
@@ -310,11 +316,13 @@ func (r *Relation) Frozen() bool { return r.frozen }
 // successor generations and never disturb a pinned one, so a query
 // evaluated against the snapshot can never observe a torn mutation. The
 // view is memoized per generation: every caller pinning the same version
-// gets the same *Relation identity, so the result and statistics caches
-// (keyed by source pointer and version) amortize across sessions reading
-// the same epoch. Snapshot of a frozen view returns the view itself.
-func (r *Relation) Snapshot() *Relation {
-	g := r.cur()
+// gets the same *Relation identity. Snapshot of a frozen view returns the
+// view itself.
+func (r *Relation) Snapshot() *Relation { return r.snapshotOf(r.cur()) }
+
+// snapshotOf returns the memoized frozen view of generation g, which must
+// be r's own.
+func (r *Relation) snapshotOf(g *generation) *Relation {
 	g.snapMu.Lock()
 	defer g.snapMu.Unlock()
 	if g.snap == nil {
@@ -331,10 +339,10 @@ func (r *Relation) Snapshot() *Relation {
 
 // Origin returns the live relation behind this one: a frozen Snapshot
 // view answers with the relation it was pinned from, everything else
-// with itself. Caches that must stay coherent across generations (the
-// result cache keys entries by the live identity plus the generation
-// version) use it so a hit recorded through a snapshot view and a hit
-// recorded through the live relation land on the same key.
+// with itself. The caches that outlive a statement (the result and score
+// caches key entries by the live identity plus the generation version) use
+// it so a hit recorded through a snapshot view and a hit recorded through
+// the live relation land on the same key.
 func (r *Relation) Origin() *Relation {
 	if r.origin != nil {
 		return r.origin
@@ -342,24 +350,28 @@ func (r *Relation) Origin() *Relation {
 	return r
 }
 
-// PeekSnapshot returns the memoized Snapshot view of the CURRENT
-// generation, without creating one. Eviction sweeps use it: dropping a
-// catalog relation must also release bound forms cached against its
-// snapshot identity (see engine.EvictRelation). Superseded generations'
-// views are unreachable from here by design — they retire with their
-// last reader and their cache entries fall to capacity eviction.
-func (r *Relation) PeekSnapshot() (*Relation, bool) {
+// Stats returns the planner's statistics of the current generation,
+// sampled over statsSample rows. They are analyzed once per generation,
+// from its frozen Snapshot view so the analysis never straddles a
+// concurrent Insert, and memoized on it: a snapshot view and the live
+// relation at one version share one analysis, an Insert's successor
+// analyzes afresh, and a superseded generation's statistics are freed
+// with it. A *Stats is never mutated once returned.
+func (r *Relation) Stats() *Stats {
 	g := r.cur()
-	g.snapMu.Lock()
-	defer g.snapMu.Unlock()
-	return g.snap, g.snap != nil
+	g.statsMu.Lock()
+	defer g.statsMu.Unlock()
+	if g.stats == nil {
+		g.stats = AnalyzeSample(r.snapshotOf(g), statsSample)
+	}
+	return g.stats
 }
 
 // Ephemeral reports whether the relation is a derived query intermediate
-// (built by Pick, Select, Where or a projection). The result and
-// statistics caches skip ephemeral relations: their identity is fresh per
-// query, so an entry could never be reused and would only pin the
-// materialized rows until eviction.
+// (built by Pick, Select, Where or a projection). The result and score
+// caches skip ephemeral relations: their identity is fresh per query, so
+// an entry could never be reused and would only pin the materialized rows
+// until eviction.
 func (r *Relation) Ephemeral() bool { return r.derived }
 
 // Row returns row i; callers must not modify it.

@@ -16,9 +16,9 @@ import (
 // equality-code caches. The BMO model is algebraically partitionable —
 // max(P over A ∪ B) = max(P over max(P, A) ∪ max(P, B)) for every strict
 // partial order — so every preference query evaluates shard-local first
-// and merges candidate maxima, and the result and statistics caches
-// (keyed per shard relation and version) amortize independently per
-// shard. Rows route to
+// and merges candidate maxima, and the result cache (keyed per shard
+// relation and version) and each shard generation's statistics amortize
+// independently per shard. Rows route to
 // shards by a Partitioner (hash or range over one attribute); global row
 // ids address rows stably across the whole table.
 

@@ -78,6 +78,10 @@ func (s *Stats) String() string {
 	return b.String()
 }
 
+// statsSample bounds the rows Stats samples for distinct and correlation
+// statistics.
+const statsSample = 2048
+
 // Analyze computes full-scan statistics for R.
 func Analyze(r *Relation) *Stats { return AnalyzeSample(r, r.Len()) }
 

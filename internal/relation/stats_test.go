@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 )
 
 func statsFixture() *Relation {
@@ -102,4 +104,47 @@ func TestAnalyzeEmptyAndSingle(t *testing.T) {
 	if s.String() == "" {
 		t.Error("summary must render")
 	}
+}
+
+// TestStatisticsLiveOnTheGeneration: Stats is memoized on the generation
+// it describes. The live relation and its snapshot share one analysis at
+// one version; an Insert's successor analyzes afresh; the superseded
+// analysis stays reachable while a snapshot pins its generation and is
+// collected once the pin is dropped.
+func TestStatisticsLiveOnTheGeneration(t *testing.T) {
+	r := statsFixture()
+	snap := r.Snapshot()
+	old := r.Stats()
+	if snap.Stats() != old || r.Stats() != old {
+		t.Fatal("the live relation and its snapshot at one version must share one analysis")
+	}
+	if old.Card != r.Len() {
+		t.Fatalf("card=%d over %d rows", old.Card, r.Len())
+	}
+	r.MustInsert(Row{int64(5), 0.5, "red"})
+	fresh := r.Stats()
+	if fresh == old || fresh.Card != old.Card+1 {
+		t.Fatalf("after an Insert: card %d (same analysis: %v), want a new analysis of card %d", fresh.Card, fresh == old, old.Card+1)
+	}
+	if snap.Stats() != old {
+		t.Fatal("the snapshot must keep its generation's analysis")
+	}
+	superseded := weak.Make(old)
+	old = nil
+	collect := func() {
+		for range 3 {
+			runtime.GC()
+		}
+	}
+	collect()
+	if superseded.Value() == nil {
+		t.Fatal("the superseded analysis was collected while a snapshot pins its generation")
+	}
+	runtime.KeepAlive(snap)
+	snap = nil
+	collect()
+	if superseded.Value() != nil {
+		t.Error("the superseded analysis outlived the last snapshot of its generation")
+	}
+	runtime.KeepAlive(fresh)
 }
