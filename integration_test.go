@@ -198,8 +198,8 @@ func TestSQLAndXPathAgree(t *testing.T) {
 }
 
 // TestAllEnginesOnRealisticWorkload pins cross-algorithm agreement on the
-// car market at realistic scale (both passes partitioned over four
-// workers are pinned on the same workload inside internal/engine).
+// car market at realistic scale (both passes run straight over a compiled
+// form are pinned on the same workload inside internal/engine).
 func TestAllEnginesOnRealisticWorkload(t *testing.T) {
 	cars := workload.Cars(3000, 31)
 	wish := pref.Prioritized(

@@ -181,12 +181,10 @@ func releaseForm(c *pref.Compiled) {
 // bind scope that actually ran — and dispatches the algorithm. idx
 // addresses c: relation positions, or slots of a gathered form.
 func planAndExecute(alg Algorithm, p pref.Preference, r *relation.Relation, c *pref.Compiled, idx []int, scope BindScope, env Env, cc *canceller) []int {
-	workers := 1
 	if alg == Auto {
-		pl := planCore(p, r, len(idx), env, scope)
-		alg, workers = pl.Algorithm, pl.Workers
+		alg = planCore(p, r, len(idx), env, scope).Algorithm
 	}
-	return execute(alg, workers, p, r, c, idx, cc)
+	return runPass(alg, p, r, c, idx, cc)
 }
 
 // liftSlots maps the maximal slots of a gathered evaluation back to

@@ -70,8 +70,8 @@ func compiledTerm(rng *rand.Rand) pref.Preference {
 // every preference constructor and every algorithm, compiled columnar
 // evaluation returns exactly the BMO set of the interpreted interface
 // path. The reference is interpreted BNL (window algorithms are sound for
-// every strict partial order). Run under -race by `make test` and CI, it
-// also exercises the partitioned compiled passes for data races.
+// every strict partial order). Each pass also runs directly over the
+// compiled form, outside the planner and the shard path.
 func TestCompiledAndInterpretedBMOAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
 	for trial := 0; trial < 40; trial++ {
@@ -86,8 +86,8 @@ func TestCompiledAndInterpretedBMOAgree(t *testing.T) {
 		}
 		c := compileFor(p, rel, EvalCompiled)
 		for _, alg := range []Algorithm{BNL, SFS} {
-			if got := execute(alg, 3, p, rel, c, allIndices(rel.Len()), nil); !sameIndices(got, want) {
-				t.Fatalf("trial %d: compiled %s over 3 workers diverged on %s: %d vs %d rows", trial, alg, p, len(got), len(want))
+			if got := runPass(alg, p, rel, c, allIndices(rel.Len()), nil); !sameIndices(got, want) {
+				t.Fatalf("trial %d: compiled %s pass diverged on %s: %d vs %d rows", trial, alg, p, len(got), len(want))
 			}
 		}
 	}
@@ -165,8 +165,8 @@ func TestCompiledStreamAgreesAndStaysProgressive(t *testing.T) {
 
 // TestSortedPassWithNaNCoordinates: NaN score coordinates (a NaN in a
 // FLOAT column of a chain product) leave the sorted pass's score order
-// undefined; SFS, Auto and the partitioned sorted pass must agree with
-// interpreted BNL under both modes.
+// undefined; SFS, Auto and the sorted pass run straight over the form
+// must agree with interpreted BNL under both modes.
 func TestSortedPassWithNaNCoordinates(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	r := relation.New("N", relation.MustSchema(
@@ -189,8 +189,8 @@ func TestSortedPassWithNaNCoordinates(t *testing.T) {
 				t.Fatalf("%s/%s diverged on NaN coordinates (%d vs %d rows)", alg, mode, len(got), len(want))
 			}
 		}
-		if got := execute(SFS, 3, p, r, compileFor(p, r, mode), allIndices(r.Len()), nil); !sameIndices(got, want) {
-			t.Fatalf("sfs×3/%s diverged on NaN coordinates (%d vs %d rows)", mode, len(got), len(want))
+		if got := runPass(SFS, p, r, compileFor(p, r, mode), allIndices(r.Len()), nil); !sameIndices(got, want) {
+			t.Fatalf("sfs pass/%s diverged on NaN coordinates (%d vs %d rows)", mode, len(got), len(want))
 		}
 	}
 }

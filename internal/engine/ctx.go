@@ -13,9 +13,9 @@ import "context"
 // evaluation with one cancelPanic that the ctx entry point recovers
 // into a plain error. The panic protocol is strictly internal: it
 // never crosses a package boundary (runCancellable is the only
-// recovery point and every ctx entry point goes through it), and
-// worker goroutines re-panic on the spawning side (partitionMaxima) so
-// the unwind always reaches runCancellable on the calling goroutine.
+// recovery point and every ctx entry point goes through it), and a shard
+// the fan-out evaluates on its own goroutine runs its own runCancellable
+// there, so the unwind never leaves the goroutine that started it.
 //
 // An uncancellable context (the context.Background() wrappers) lowers
 // to a nil canceller, so those calls run the same loops with one
@@ -33,8 +33,7 @@ type cancelPanic struct{ err error }
 // canceller is the per-evaluation cancellation state. A nil *canceller
 // is the "not cancellable" instance an uncancellable context gets; all
 // methods are nil-safe. A canceller is single-goroutine state (the
-// counter is unsynchronized); concurrent workers each get their own
-// via child().
+// counter is unsynchronized).
 type canceller struct {
 	done <-chan struct{}
 	ctx  context.Context
@@ -83,15 +82,6 @@ func (c *canceller) check() {
 		panic(cancelPanic{c.ctx.Err()})
 	default:
 	}
-}
-
-// child derives an independent canceller for a worker goroutine
-// sharing the same context; the tick counter is per-goroutine state.
-func (c *canceller) child() *canceller {
-	if c == nil {
-		return nil
-	}
-	return &canceller{done: c.done, ctx: c.ctx}
 }
 
 // tickErr is the strided poll in error-returning form: the streams'

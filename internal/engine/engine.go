@@ -3,9 +3,11 @@
 // whose projection is maximal in the database preference PR (Definition
 // 15). It provides the naive O(n²) evaluator, the two passes the planner
 // chooses between — block-nested-loops (BNL) and sort-filter-skyline (SFS),
-// each at one worker or partitioned over several (parallel.go) — and the
-// paper's own decomposition evaluator built from Propositions 8–12,
-// including the YY term and groupby evaluation.
+// each run as one pass over the candidates — and the paper's own
+// decomposition evaluator built from Propositions 8–12, including the YY
+// term and groupby evaluation. A statement runs on more than one core only
+// through the shard fan-out (sharded.go): one pass per shard, then the
+// cross-shard fold.
 package engine
 
 import (
@@ -22,9 +24,9 @@ type Algorithm int
 
 // Evaluation algorithms.
 const (
-	// Auto plans the pass: BNL or, when a compatible sort key exists, SFS,
-	// at one worker or partitioned over several — whichever the cost model
-	// prices lowest for the term and the input (planCore).
+	// Auto plans the pass: BNL or, when a compatible sort key exists, SFS
+	// — whichever the cost model prices lowest for the term and the input
+	// (planCore).
 	Auto Algorithm = iota
 	// Naive performs exhaustive pairwise better-than tests, O(n²); the
 	// reference implementation (§5.1).

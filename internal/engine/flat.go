@@ -372,7 +372,7 @@ func flatHead(p pref.Preference) int {
 var dominanceRuns [DominanceBlocksAVX2 + 1]atomic.Uint64
 
 // DominanceRuns returns the cumulative number of compiled algorithm
-// passes (one per window, filter or stream-confirm run, partition workers
-// and merges included) that compared through d — the "what ran" next to
+// passes (one per window, filter or stream-confirm run) that compared
+// through d — the "what ran" next to
 // EXPLAIN's dominance= field.
 func DominanceRuns(d Dominance) uint64 { return dominanceRuns[d].Load() }

@@ -589,10 +589,10 @@ func TestFlatKernelSortedPassNaNScores(t *testing.T) {
 
 // TestFlatKernelRoutes: BMO sets through every route that compares on
 // records — whole-relation and gathered binds under each algorithm, the
-// exhaustive reference, partition workers, the progressive stream — equal
-// the interpreted BNL oracle, and records or score blocks are what ran:
-// never the tree for a fragment term, neither of them for a term outside
-// it.
+// exhaustive reference, one pass straight over the form, the progressive
+// stream — equal the interpreted BNL oracle, and records or score blocks
+// are what ran: never the tree for a fragment term, neither of them for a
+// term outside it.
 // TestGatheredBindAgreement covers the sharded, merged and paged routes
 // the same way.
 func TestFlatKernelRoutes(t *testing.T) {
@@ -613,8 +613,8 @@ func TestFlatKernelRoutes(t *testing.T) {
 			}
 		}
 		for _, alg := range []Algorithm{BNL, SFS} {
-			if got := execute(alg, 3, p, rel, compileFor(p, rel, EvalAuto), allIndices(rel.Len()), nil); !sameInts(got, want) {
-				t.Fatalf("trial %d %s: %s over 3 partition workers: got %v want %v", trial, p, alg, got, want)
+			if got := runPass(alg, p, rel, compileFor(p, rel, EvalAuto), allIndices(rel.Len()), nil); !sameInts(got, want) {
+				t.Fatalf("trial %d %s: %s pass: got %v want %v", trial, p, alg, got, want)
 			}
 		}
 		for _, idx := range [][]int{nil, sub} {

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/pref"
@@ -20,14 +19,6 @@ import (
 func TestMain(m *testing.M) {
 	relation.PoisonReleasedSlabs(true)
 	os.Exit(m.Run())
-}
-
-// atProcs runs the rest of the test at n Ps: the planner sizes partitioned
-// plans by relation.Procs(), the scheduler's GOMAXPROCS.
-func atProcs(t *testing.T, n int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // shardedBMO is the unkeyed sharded soft step under an uncancellable
@@ -71,8 +62,8 @@ func compileFor(p pref.Preference, r *relation.Relation, mode EvalMode) *pref.Co
 	return c
 }
 
-// runPlan executes a plan — its algorithm at its worker count, which a
-// test may have forced — over every row of r.
+// runPlan executes a plan — its algorithm, which a test may have forced —
+// over every row of r.
 func runPlan(pl *Plan, p pref.Preference, r *relation.Relation) []int {
-	return execute(pl.Algorithm, pl.Workers, p, r, compileFor(p, r, EvalAuto), allIndices(r.Len()), nil)
+	return runPass(pl.Algorithm, p, r, compileFor(p, r, EvalAuto), allIndices(r.Len()), nil)
 }

@@ -51,9 +51,11 @@ func shapeOf(p pref.Preference) Shape {
 	return ShapeGeneral
 }
 
-// Env configures planning. The zero value means "this machine, sampled
-// statistics": a partitioned plan runs at most relation.Procs() workers,
-// and statistics are the relation's generation's own (relation.Stats).
+// Env configures planning. The zero value means "compiled where the term
+// allows, sampled statistics": statistics are the relation's generation's
+// own (relation.Stats). Nothing in it, or in the plan, depends on the
+// machine: a plan is one pass, and a statement uses more than one core
+// only through the shard fan-out (PlanShardedOn).
 type Env struct {
 	// Mode restricts the evaluation paths the plan may assume; the zero
 	// value (EvalAuto) costs compiled evaluation whenever the term is
@@ -67,24 +69,21 @@ type Env struct {
 	keyShare int
 }
 
-// Candidate is one (algorithm, workers) pair the planner costed. Cost is in
-// abstract comparison units; only relative magnitudes matter. A
-// partitioned candidate's note is rendered by Plan.Explain.
+// Candidate is one algorithm the planner costed. Cost is in abstract
+// comparison units; only relative magnitudes matter.
 type Candidate struct {
 	Algorithm Algorithm
-	Workers   int
 	Cost      float64
 	Note      string
 }
 
 // Plan is an explainable physical evaluation plan for one BMO query: the
-// chosen algorithm with its degree of parallelism, the statistics and cost
-// estimates that led to the choice, and the rejected candidates. Explain()
-// renders the whole decision; evaluation plans the same way (Auto) and
-// runs what it planned.
+// chosen algorithm, run as one pass over the candidates, the statistics
+// and cost estimates that led to the choice, and the rejected candidates.
+// Explain() renders the whole decision; evaluation plans the same way
+// (Auto) and runs what it planned.
 type Plan struct {
 	Algorithm Algorithm
-	Workers   int // ≥ 2 when the pass runs partitioned (partitionMaxima)
 	Shape     Shape
 	// Compiled reports the evaluation path the plan was costed for:
 	// compiled columns when the term is structurally compilable and the
@@ -108,18 +107,15 @@ type Plan struct {
 
 	// The figures the decision turned on, which Explain words as its
 	// "because:" lines — only when something explains the plan.
-	attrs       int       // the term's attributes
-	head        int       // its head group's width in the flat fragment, 0 outside
-	sorted      Dominance // the comparator of a sorted pass
-	window      float64   // small flat input: the window pass's price …
-	keyed       float64   // … against key + sort + filter
-	leaves      int       // SFS key: score leaves,
-	keyRows     int       // the rows their keys span,
-	keyShare    int       // the evaluations sharing them,
-	keyCost     float64   // and this one's share of deriving them
-	partWorkers int       // workers a partitioned candidate runs (≥ 2 when costed)
-	one, split  float64   // the cheapest candidate at one worker, partitioned
-	procs       int       // relation.Procs() at plan time
+	attrs    int       // the term's attributes
+	head     int       // its head group's width in the flat fragment, 0 outside
+	sorted   Dominance // the comparator of a sorted pass
+	window   float64   // small flat input: the window pass's price …
+	keyed    float64   // … against key + sort + filter
+	leaves   int       // SFS key: score leaves,
+	keyRows  int       // the rows their keys span,
+	keyShare int       // the evaluations sharing them,
+	keyCost  float64   // and this one's share of deriving them
 }
 
 // PlanWithInput plans σ[P](R′) for a candidate subset of R with the given
@@ -139,30 +135,18 @@ func (pl *Plan) Explain() string {
 	if pl.Compiled {
 		eval = "compiled bind=" + pl.Bind.String() + " dominance=" + pl.Dominance.String()
 	}
-	fmt.Fprintf(&b, "plan: n=%d shape=%s eval=%s est.result≈%d → %s", pl.Input, pl.Shape, eval, pl.EstResult, pl.Algorithm)
-	if pl.Workers >= 2 {
-		fmt.Fprintf(&b, " (%d workers)", pl.Workers)
-	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "plan: n=%d shape=%s eval=%s est.result≈%d → %s\n", pl.Input, pl.Shape, eval, pl.EstResult, pl.Algorithm)
 	if pl.Stats != nil {
 		fmt.Fprintf(&b, "stats: %s\n", pl.Stats)
 	}
 	if len(pl.Candidates) > 0 {
 		b.WriteString("candidates:\n")
 		for _, c := range pl.Candidates {
-			name := passName(c.Algorithm, c.Workers)
 			mark := " "
-			if c.Algorithm == pl.Algorithm && c.Workers == pl.Workers {
+			if c.Algorithm == pl.Algorithm {
 				mark = "*"
 			}
-			fmt.Fprintf(&b, "  %s %-16s cost≈%.3g", mark, name, c.Cost)
-			switch {
-			case c.Note != "":
-				fmt.Fprintf(&b, " — %s", c.Note)
-			case c.Workers >= 2:
-				fmt.Fprintf(&b, " — %d partitions of ≈%d rows, merge over ≈%d local maxima", c.Workers, pl.Input/c.Workers, c.Workers*pl.EstResult)
-			}
-			b.WriteByte('\n')
+			fmt.Fprintf(&b, "  %s %-16s cost≈%.3g — %s\n", mark, c.Algorithm, c.Cost, c.Note)
 		}
 	}
 	for _, r := range pl.reasons() {
@@ -200,29 +184,7 @@ func (pl *Plan) reasons() []string {
 			out = append(out, fmt.Sprintf("correlated input (corr=%+.2f) shrinks the result estimate", st.Corr))
 		}
 	}
-	switch {
-	case pl.Workers >= 2:
-		out = append(out, fmt.Sprintf("%d workers cost≈%.3g against %.3g for one (%d Ps, %d candidates/worker ≥ grain %d)",
-			pl.Workers, pl.split, pl.one, pl.procs, pl.Input/pl.Workers, parallelGrain))
-	case pl.partWorkers >= 2:
-		out = append(out, fmt.Sprintf("one worker cost≈%.3g against %.3g for %d partitions with their merge and dispatch",
-			pl.one, pl.split, pl.partWorkers))
-	case pl.procs >= 2:
-		out = append(out, fmt.Sprintf("%d candidates fill fewer than two partitions of grain %d", pl.Input, parallelGrain))
-	}
 	return out
-}
-
-// Pass renders the chosen pass the way EXPLAIN's step lines print it.
-func (pl *Plan) Pass() string { return passName(pl.Algorithm, pl.Workers) }
-
-// passName renders an (algorithm, workers) pair: the algorithm's name,
-// with "×w" when w ≥ 2 workers partition the pass.
-func passName(alg Algorithm, workers int) string {
-	if workers >= 2 {
-		return fmt.Sprintf("%s×%d", alg, workers)
-	}
-	return alg.String()
 }
 
 // smallInput is the cardinality below which plan choice is (nearly)
@@ -244,9 +206,9 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	shape := shapeOf(p)
 	head := flatHead(p)
 	flat := head > 0
-	pl := &Plan{Shape: shape, Input: n, Workers: 1, Bind: scope,
+	pl := &Plan{Shape: shape, Input: n, Bind: scope,
 		Compiled: env.Mode != EvalInterpreted && pref.Compilable(p),
-		attrs:    len(p.Attrs()), head: head, sorted: dominanceFor(head, SFS), procs: relation.Procs()}
+		attrs:    len(p.Attrs()), head: head, sorted: dominanceFor(head, SFS)}
 	small := n < smallInput
 	// A compiled flat term sorts on a one-pass score sum, not on rank keys.
 	sumKey := pl.Compiled && flat
@@ -270,11 +232,12 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	fn := float64(n)
 
 	// Costs are in units of one interpreted Preference.Less call; the
-	// scale matters against the absolute parallel dispatch overhead below.
-	// A window pass (BNL) settles a pair in both directions — two Less
-	// calls through the interface path or the predicate tree, one
-	// three-way compare on flat records — a sorted filter pass (SFS) asks
-	// one direction, and sorting compares key columns, not rows.
+	// scale matters against the shard fan-out's absolute dispatch overhead
+	// (PlanShardedOn). A window pass (BNL) settles a pair in both
+	// directions — two Less calls through the interface path or the
+	// predicate tree, one three-way compare on flat records — a sorted
+	// filter pass (SFS) asks one direction, and sorting compares key
+	// columns, not rows.
 	pairCost := func(alg Algorithm, window bool) float64 {
 		if pl.Compiled {
 			return compiledPairCost(dominanceFor(head, alg), window)
@@ -308,8 +271,7 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 	}
 	pl.leaves, pl.keyRows, pl.keyShare, pl.keyCost = int(leaves), int(keyRows), share, keyCost
 
-	// passCost prices one pass over n candidates, the keys aside: SFS's
-	// are derived once per evaluation, whatever the partitioning.
+	// passCost prices one pass over n candidates, the keys aside.
 	passCost := func(alg Algorithm, n float64) (float64, string) {
 		if alg == BNL {
 			return n * fs / 2 * pairCost(BNL, true), "window scan ∝ result size"
@@ -350,44 +312,25 @@ func planCore(p pref.Preference, r *relation.Relation, n int, env Env, scope Bin
 		return pl
 	}
 
-	// The candidates: each pass that applies to the shape, at one worker
-	// and — when the input fills two partitions of the grain — partitioned.
+	// The candidates: each pass that applies to the shape.
 	algs := []Algorithm{BNL, SFS}
 	if shape != ShapeKeyed {
 		algs = algs[:1]
 	}
-	workers := planWorkers(n)
-	cands := make([]Candidate, 0, 2*len(algs))
+	cands := make([]Candidate, 0, len(algs))
 	for _, alg := range algs {
 		c, note := passCost(alg, fn)
-		cands = append(cands, Candidate{Algorithm: alg, Workers: 1, Cost: c + keysOf(alg), Note: note})
-	}
-	if workers >= 2 {
-		pl.partWorkers = workers
-		for _, alg := range algs {
-			local, _ := passCost(alg, fn/float64(workers))
-			merge, _ := passCost(alg, float64(workers)*fs)
-			cands = append(cands, Candidate{
-				Algorithm: alg, Workers: workers, Cost: local + merge + keysOf(alg) + 1500*float64(workers),
-			})
-		}
+		cands = append(cands, Candidate{Algorithm: alg, Cost: c + keysOf(alg), Note: note})
 	}
 	pl.Candidates = cands
 
 	best := 0
-	pl.one, pl.split = math.Inf(1), math.Inf(1)
 	for i, c := range cands {
 		if c.Cost < cands[best].Cost {
 			best = i
 		}
-		if c.Workers == 1 {
-			pl.one = min(pl.one, c.Cost)
-		} else {
-			pl.split = min(pl.split, c.Cost)
-		}
 	}
 	pl.Algorithm = cands[best].Algorithm
-	pl.Workers = cands[best].Workers
 	pl.Dominance = dominanceFor(head, pl.Algorithm)
 	return pl
 }
@@ -601,22 +544,10 @@ func compiledPairCost(d Dominance, window bool) float64 {
 	return treeLessCost
 }
 
-// execute runs one (algorithm, workers) choice over a candidate set: two
-// or more workers partition the candidates (partitionMaxima), fewer run
-// one pass. alg is resolved — Auto never reaches here.
-func execute(alg Algorithm, workers int, p pref.Preference, r *relation.Relation, c *pref.Compiled, idx []int, cc *canceller) []int {
-	if workers < 2 {
-		return runPass(alg, p, r, c, idx, cc)
-	}
-	return partitionMaxima(idx, workers, cc, func(part []int, cc *canceller) []int {
-		return runPass(alg, p, r, c, part, cc)
-	})
-}
-
 // runPass runs one pass of alg over a candidate set, through the compiled
-// twin when a compiled form is supplied. The decomposition evaluator
-// always takes the interface path: it recurses over sub-terms, which keep
-// the old route.
+// twin when a compiled form is supplied. alg is resolved — Auto never
+// reaches here. The decomposition evaluator always takes the interface
+// path: it recurses over sub-terms, which keep the old route.
 func runPass(alg Algorithm, p pref.Preference, r *relation.Relation, c *pref.Compiled, idx []int, cc *canceller) []int {
 	switch alg {
 	case Naive:

@@ -77,7 +77,7 @@ func PlanShardedOn(p pref.Preference, s *relation.Sharded, sets ShardSets, env E
 // comparison meaningful at that scale.
 func chosenCost(pl *Plan) float64 {
 	for _, c := range pl.Candidates {
-		if c.Algorithm == pl.Algorithm && c.Workers == pl.Workers {
+		if c.Algorithm == pl.Algorithm {
 			return c.Cost
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/filter"
 	"repro/internal/pref"
@@ -25,40 +26,6 @@ func antiCorrelated(rng *rand.Rand, n int) *relation.Relation {
 		r.MustInsert(relation.Row{v + 0.1*rng.Float64(), 1 - v + 0.1*rng.Float64()})
 	}
 	return r
-}
-
-func TestPlannerSelectsParallelForLargeChainProduct(t *testing.T) {
-	atProcs(t, 8)
-	rng := rand.New(rand.NewSource(1))
-	rel := antiCorrelated(rng, 20000)
-	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	pl := PlanWithInput(p, rel, rel.Len(), Env{})
-	if pl.Shape != ShapeKeyed {
-		t.Fatalf("shape = %s", pl.Shape)
-	}
-	if pl.Workers < 2 {
-		t.Fatalf("large chain-product workload at 8 Ps must plan partitioned, got %s×%d\n%s", pl.Algorithm, pl.Workers, pl.Explain())
-	}
-	// The plan must execute to the exact BMO set.
-	if !sameIndices(runPlan(pl, p, rel), BMOIndices(p, rel, BNL)) {
-		t.Error("plan execution diverged from sequential BNL")
-	}
-}
-
-func TestPlannerSequentialOnOneCPU(t *testing.T) {
-	atProcs(t, 1)
-	rng := rand.New(rand.NewSource(2))
-	rel := antiCorrelated(rng, 5000)
-	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	pl := PlanWithInput(p, rel, rel.Len(), Env{})
-	if pl.Workers != 1 {
-		t.Errorf("one P must not plan partitioned, got %s×%d", pl.Algorithm, pl.Workers)
-	}
-	for _, c := range pl.Candidates {
-		if c.Workers != 1 {
-			t.Errorf("one P costed a %d-worker candidate\n%s", c.Workers, pl.Explain())
-		}
-	}
 }
 
 func TestPlannerSmallInputUsesShapeHeuristic(t *testing.T) {
@@ -119,7 +86,6 @@ func TestPlannerSmallFlatInputComparesTheTwoPasses(t *testing.T) {
 // often the result estimate, which the comparison rests on, would have
 // routed the Pareto group the other way.
 func TestPlannerRoutesColdShapes(t *testing.T) {
-	atProcs(t, 1)
 	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
 	s, err := relation.ShardRelation(pts, 2, relation.ByRange("d1", relation.RangeBounds(pts, "d1", 2)...))
 	if err != nil {
@@ -243,7 +209,6 @@ func TestPlannerGeneralShapeNeverPlansKeyedAlgorithms(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rel.MustInsert(relation.Row{[]string{"red", "blue", "green"}[i%3]})
 	}
-	atProcs(t, 8)
 	p := pref.MustEXPLICIT("c", []pref.Edge{{Worse: "blue", Better: "red"}})
 	pl := PlanWithInput(p, rel, rel.Len(), Env{})
 	if pl.Shape != ShapeGeneral {
@@ -251,7 +216,7 @@ func TestPlannerGeneralShapeNeverPlansKeyedAlgorithms(t *testing.T) {
 	}
 	for _, c := range pl.Candidates {
 		if c.Algorithm != BNL {
-			t.Fatalf("general shape costed %s×%d\n%s", c.Algorithm, c.Workers, pl.Explain())
+			t.Fatalf("general shape costed %s\n%s", c.Algorithm, pl.Explain())
 		}
 	}
 	if !sameIndices(runPlan(pl, p, rel), BMOIndices(p, rel, Naive)) {
@@ -285,7 +250,6 @@ func TestPlanExplainRendersDecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	rel := antiCorrelated(rng, 3000)
 	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	atProcs(t, 4)
 	text := PlanWithInput(p, rel, rel.Len(), Env{}).Explain()
 	for _, want := range []string{"plan:", "shape=keyed", "candidates:", "because:", "stats:"} {
 		if !strings.Contains(text, want) {
@@ -313,8 +277,8 @@ func TestResolveAutoCompat(t *testing.T) {
 }
 
 // TestAutoAndParallelVariantsAgree extends the pairwise-agreement guarantee
-// to both passes at every worker count and to the planner's own dispatch
-// at several Ps.
+// to Auto, to each pass run once over a compiled form, and to the
+// planner's own choice run as planned.
 func TestAutoAndParallelVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 8; trial++ {
@@ -325,17 +289,14 @@ func TestAutoAndParallelVariantsAgree(t *testing.T) {
 			t.Fatalf("trial %d: auto disagrees on %s: %d vs %d rows", trial, p, len(got), len(want))
 		}
 		c := compileFor(p, rel, EvalAuto)
-		for _, workers := range []int{2, 3, 8} {
-			for _, alg := range []Algorithm{BNL, SFS} {
-				if got := execute(alg, workers, p, rel, c, allIndices(rel.Len()), nil); !sameIndices(got, want) {
-					t.Fatalf("trial %d: %s×%d disagrees on %s: %d vs %d rows", trial, alg, workers, p, len(got), len(want))
-				}
+		for _, alg := range []Algorithm{BNL, SFS} {
+			if got := runPass(alg, p, rel, c, allIndices(rel.Len()), nil); !sameIndices(got, want) {
+				t.Fatalf("trial %d: %s disagrees on %s: %d vs %d rows", trial, alg, p, len(got), len(want))
 			}
-			atProcs(t, workers)
-			pl := PlanWithInput(p, rel, rel.Len(), Env{})
-			if got := runPlan(pl, p, rel); !sameIndices(got, want) {
-				t.Fatalf("trial %d: plan %s×%d disagrees on %s", trial, pl.Algorithm, pl.Workers, p)
-			}
+		}
+		pl := PlanWithInput(p, rel, rel.Len(), Env{})
+		if got := runPlan(pl, p, rel); !sameIndices(got, want) {
+			t.Fatalf("trial %d: plan %s disagrees on %s", trial, pl.Algorithm, p)
 		}
 	}
 }
@@ -367,7 +328,7 @@ func TestPresortedInputDiscountsSFSSort(t *testing.T) {
 	pl := PlanWithInput(pref.LOWEST("v"), rel, rel.Len(), Env{})
 	var note string
 	for _, c := range pl.Candidates {
-		if c.Algorithm == SFS && c.Workers == 1 {
+		if c.Algorithm == SFS {
 			note = c.Note
 		}
 	}
@@ -475,7 +436,6 @@ func TestPrioritizedEstimateFollowsTheHead(t *testing.T) {
 // EXPLAIN only and are rendered by Explain, not by the planner on every
 // statement.
 func TestPlanCoreAllocs(t *testing.T) {
-	atProcs(t, 1)
 	rel := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
 	for _, p := range []pref.Preference{
 		pref.ParetoAll(pref.AROUND("d1", 0.4), pref.AROUND("d2", 0.6), pref.LOWEST("d3")),
@@ -494,6 +454,107 @@ func TestPlanCoreAllocs(t *testing.T) {
 			if !strings.Contains(pl.Explain(), "because: ") {
 				t.Errorf("%s over %d candidates: Explain lost its reasons:\n%s", p, n, pl.Explain())
 			}
+		}
+	}
+}
+
+func TestParallelBNLEmptyAndSingleton(t *testing.T) {
+	rel := relation.New("R", relation.MustSchema(relation.Column{Name: "A1", Type: relation.Int}))
+	p := pref.LOWEST("A1")
+	for _, alg := range []Algorithm{BNL, SFS} {
+		if got := runPass(alg, p, rel, nil, nil, nil); len(got) != 0 {
+			t.Errorf("%s: empty input", alg)
+		}
+	}
+	rel.MustInsert(relation.Row{int64(1)})
+	for _, alg := range []Algorithm{BNL, SFS} {
+		if got := runPass(alg, p, rel, nil, allIndices(1), nil); len(got) != 1 {
+			t.Errorf("%s: singleton input", alg)
+		}
+	}
+}
+
+// TestParallelWorkersEmptyIndexSet: an empty candidate set over a
+// non-empty relation stays empty on both paths.
+func TestParallelWorkersEmptyIndexSet(t *testing.T) {
+	rel := relation.New("R", relation.MustSchema(relation.Column{Name: "A1", Type: relation.Int}))
+	rel.MustInsert(relation.Row{int64(1)})
+	p := pref.LOWEST("A1")
+	for _, c := range []*pref.Compiled{nil, compileFor(p, rel, EvalCompiled)} {
+		for _, alg := range []Algorithm{BNL, SFS} {
+			if got := runPass(alg, p, rel, c, []int{}, nil); len(got) != 0 {
+				t.Errorf("%s (compiled %t): empty candidate set must stay empty, got %v", alg, c != nil, got)
+			}
+		}
+	}
+}
+
+func TestParallelBNLInGrouping(t *testing.T) {
+	// Groups large enough for cost-based planning: Auto plans each group
+	// on its own and must match BNL.
+	rng := rand.New(rand.NewSource(11))
+	rel := randomRelation(rng, 6000, 2)
+	p := pref.AROUND("A2", 1)
+	a := GroupBy(p, []string{"A1"}, rel, BNL)
+	b := GroupBy(p, []string{"A1"}, rel, Auto)
+	if a.Len() != b.Len() {
+		t.Errorf("grouping with planned passes diverged: %d vs %d", a.Len(), b.Len())
+	}
+}
+
+// TestParallelVariantsRandomizedAgreement runs both passes over one shared
+// compiled form against interpreted BNL on random terms.
+func TestParallelVariantsRandomizedAgreement(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rel := randomRelation(rng, 400+rng.Intn(800), 2+rng.Intn(8))
+		p := randomTerm(rng, 8)
+		idx := allIndices(rel.Len())
+		want := bnl(p, rel, idx, nil)
+		c := compileFor(p, rel, EvalAuto)
+		for _, alg := range []Algorithm{BNL, SFS} {
+			if got := runPass(alg, p, rel, c, idx, nil); !sameIndices(got, want) {
+				t.Logf("seed %d: %s diverged on %s: %d vs %d rows", seed, alg, p, len(got), len(want))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 10}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestGroupByDispatchesParallelVariants(t *testing.T) {
+	// Every algorithm a caller can name reaches the per-group dispatch (a
+	// fall-through to BNL would still agree on results, so agreement is
+	// checked per algorithm).
+	rng := rand.New(rand.NewSource(33))
+	rel := randomRelation(rng, 3000, 2)
+	p := pref.Pareto(pref.LOWEST("A1"), pref.HIGHEST("A2"))
+	want := GroupBy(p, []string{"A1"}, rel, BNL)
+	for _, alg := range []Algorithm{Naive, SFS, Decomposition, Auto} {
+		if got := GroupBy(p, []string{"A1"}, rel, alg); got.Len() != want.Len() {
+			t.Errorf("%s grouping diverged: %d vs %d rows", alg, got.Len(), want.Len())
+		}
+	}
+}
+
+// TestPartitionedPassesOnCarMarket pins both passes against the naive
+// evaluator on the car market at realistic scale, a discrete head over a
+// three-way Pareto chain.
+func TestPartitionedPassesOnCarMarket(t *testing.T) {
+	cars := workload.Cars(3000, 31)
+	wish := pref.Prioritized(
+		pref.NEG("color", "gray"),
+		pref.ParetoAll(pref.LOWEST("price"), pref.LOWEST("mileage"), pref.HIGHEST("year")),
+	)
+	want := BMOIndices(wish, cars, Naive)
+	for _, alg := range []Algorithm{BNL, SFS} {
+		pl := PlanWithInput(wish, cars, cars.Len(), Env{})
+		pl.Algorithm = alg
+		if got := runPlan(pl, wish, cars); !sameIndices(got, want) {
+			t.Fatalf("%s: %d rows, naive found %d", alg, len(got), len(want))
 		}
 	}
 }

@@ -14,18 +14,17 @@ import (
 	"repro/internal/relation"
 )
 
-// Shard-aware BMO evaluation. The partition/merge identity behind a
-// partitioned plan — max(P over A ∪ B) = max(P over max(P, A) ∪
-// max(P, B)) for every strict partial order — holds just as well when the
-// partitions are storage shards: every query evaluates shard-local first
-// (each shard is a normal *Relation and binds its own forms) and the
-// shard-local maxima — antichains, one per shard — merge in one fold that
-// tests cross-shard pairs only
-// (mergeShardMaxima): on the records the shards' evaluations carried out
-// for a term of the flat fragment — two one-way sweeps per part through
-// the AVX2 score blocks when the kernel is on, three-way tests on flat
-// records otherwise — on the predicate tree bound over the gathered union
-// for the rest of the compilable fragment, and on tuple views beyond it.
+// Shard-aware BMO evaluation. The partition/merge identity
+// max(P over A ∪ B) = max(P over max(P, A) ∪ max(P, B)), which holds for
+// every strict partial order, lets a query over storage shards evaluate
+// shard-local first (each shard is a normal *Relation and binds its own
+// forms); the shard-local maxima — antichains, one per shard — merge in
+// one fold that tests cross-shard pairs only (mergeShardMaxima): on the
+// records the shards' evaluations carried out for a term of the flat
+// fragment — two one-way sweeps per part through the AVX2 score blocks
+// when the kernel is on, three-way tests on flat records otherwise — on
+// the predicate tree bound over the gathered union for the rest of the
+// compilable fragment, and on tuple views beyond it.
 
 // ShardSets is a per-shard list of candidate row positions, aligned with
 // the sharded table's shard indices: the sharded counterpart of the flat

@@ -173,7 +173,7 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			// Planned at the post-WHERE cardinality, matching the decision
 			// execution makes per shard.
 			plan = engine.PlanShardedOn(simplified, s, sets, engine.Env{})
-			resolved, pass = plan.PerShard.Algorithm, plan.PerShard.Pass()
+			resolved, pass = plan.PerShard.Algorithm, plan.PerShard.Algorithm.String()
 			if len(q.GroupingBy) == 0 {
 				est = plan.PerShard.EstResult
 			}
@@ -246,7 +246,7 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 		if opts.Algorithm == engine.Auto {
 			// Each cascade step runs over what the step before it kept.
 			pl := engine.ResolveAuto(simplified, est)
-			pass, est = pl.Pass(), pl.EstResult
+			pass, est = pl.Algorithm.String(), pl.EstResult
 		}
 		emit("cascade BMO σ[P], P = %s [algorithm %s%s%s]", simplified, pass, perShard, facts(simplified))
 	}
@@ -275,7 +275,7 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			// explain time (the plan is only inlined when the skyline is
 			// the sole soft step).
 			plan = engine.PlanShardedOn(p, s, sets, engine.Env{})
-			resolved, pass = plan.PerShard.Algorithm, plan.PerShard.Pass()
+			resolved, pass = plan.PerShard.Algorithm, plan.PerShard.Algorithm.String()
 		}
 		emit("%s ⇒ BMO σ[P], P = %s [algorithm %s%s, %s evaluation%s]",
 			q.Skyline, p, pass, perShard, evalModeOf(p, resolved), facts(p))

@@ -3,10 +3,11 @@ package psql
 import (
 	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -293,29 +294,29 @@ func TestExplainPlansAtFilteredCardinality(t *testing.T) {
 
 // TestExplainPlansCascadeAtItsInput: a CASCADE step runs over what the
 // step before it kept, not over the table. After a one-attribute AROUND
-// step over 20 000 distinct values (an estimated single maximum), the
-// cascaded three-way chain product reports the small-input choice — the
-// window pass at one worker — at two Ps, where the same term over the
-// whole table would plan otherwise. The inlined plan's worker reason names
-// the comparison it made.
+// step over 20 000 rows (an estimated handful of maxima), the cascaded
+// RANK term — keyed, outside the flat fragment — reports the small-input
+// choice, the sorted pass by the shape heuristic, where the same term over
+// the whole table is costed and keeps the window pass.
 func TestExplainPlansCascadeAtItsInput(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
-	stmt := "SELECT * FROM pts PREFERRING d4 AROUND 0.5 CASCADE LOWEST(d1) AND LOWEST(d2) AND LOWEST(d3)"
+	stmt := "SELECT * FROM pts PREFERRING d4 AROUND 0.5 CASCADE RANK(LOWEST(d1), LOWEST(d2))"
 	text, err := ExplainQuery(stmt, Catalog{"pts": pts}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := pref.ParetoAll(pref.LOWEST("d1"), pref.LOWEST("d2"), pref.LOWEST("d3"))
-	small := engine.ResolveAuto(chain, 1).Pass()
-	if whole := engine.ResolveAuto(chain, pts.Len()).Pass(); whole == small {
-		t.Fatalf("test premise: over the whole table the chain plans %s, as over one row", whole)
+	ranked, err := pref.RankWeighted([]float64{1, 1}, pref.LOWEST("d1"), pref.LOWEST("d2"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := "cascade BMO σ[P], P = " + chain.String() + " [algorithm " + small + "]"; !strings.Contains(text, want) {
+	small, whole := engine.ResolveAuto(ranked, 10), engine.ResolveAuto(ranked, pts.Len())
+	if !strings.Contains(small.Explain(), "input below 256 rows") || strings.Contains(whole.Explain(), "input below 256 rows") ||
+		small.Algorithm == whole.Algorithm {
+		t.Fatalf("test premise: the term plans %s below 256 rows and %s over the whole table\n%s%s",
+			small.Algorithm, whole.Algorithm, small.Explain(), whole.Explain())
+	}
+	if want := "cascade BMO σ[P], P = " + ranked.String() + " [algorithm " + small.Algorithm.String() + "]"; !strings.Contains(text, want) {
 		t.Errorf("missing %q:\n%s", want, text)
-	}
-	if !strings.Contains(text, "one worker cost≈") && !strings.Contains(text, "workers cost≈") {
-		t.Errorf("the worker reason must name the comparison it made:\n%s", text)
 	}
 }
 
@@ -517,11 +518,10 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 // TestPlannerRoutesChainProducts: the SKYLINE OF fragment — Pareto
 // products of LOWEST/HIGHEST chains, written as SKYLINE OF … MIN and as an
 // alternating LOWEST/HIGHEST PREFERRING — over anti-correlated,
-// independent and correlated points, d = 2–5, n = 300, 5 000 and 20 000,
-// at one and two Ps. Auto returns what the BNL oracle returns, and the
-// EXPLAIN plan line names what ran: its algorithm at its worker count on
-// its dominance= comparator, DominanceRuns counting one pass per partition
-// plus the merge, on that comparator alone.
+// independent and correlated points, d = 2–5, n = 300, 5 000 and 20 000.
+// Auto returns what the BNL oracle returns, and the EXPLAIN plan line
+// names what ran: its algorithm on its dominance= comparator,
+// DominanceRuns counting exactly one pass, on that comparator alone.
 //
 // The oracle is the window pass over flat records, confirmed by the
 // interpreted window pass wherever that one stays affordable: it asks the
@@ -533,8 +533,7 @@ func TestPlannerRoutesChainProducts(t *testing.T) {
 	const interpretedPairs = 4_000_000
 	resultcache.Reset()
 	defer resultcache.Reset()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	planLine := regexp.MustCompile(`plan: .* dominance=(\S+) .*→ (\w+)(?: \((\d+) workers\))?`)
+	planLine := regexp.MustCompile(`(?m)plan: .* dominance=(\S+) .*→ (\w+)$`)
 	routes, interpreted := map[string]int{}, 0
 	for _, dist := range []workload.Distribution{workload.AntiCorrelated, workload.Independent, workload.Correlated} {
 		for d := 2; d <= 5; d++ {
@@ -570,41 +569,30 @@ func TestPlannerRoutesChainProducts(t *testing.T) {
 						}
 					}
 					want := rowSet(pts.Pick(maxima))
-					for _, procs := range []int{1, 2} {
-						runtime.GOMAXPROCS(procs)
-						resultcache.Reset() // every run evaluates
-						what := fmt.Sprintf("%s n=%d at %d Ps: %s", dist, n, procs, c.stmt)
-						text, err := ExplainQuery(c.stmt, cat, Options{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						m := planLine.FindStringSubmatch(text)
-						if m == nil {
-							t.Fatalf("%s: no plan line:\n%s", what, text)
-						}
-						workers := 1
-						if m[3] != "" {
-							workers, _ = strconv.Atoi(m[3])
-						}
-						runs := uint64(1) // one pass, or one per partition plus the merge
-						if workers >= 2 {
-							runs = uint64(workers) + 1
-						}
-						passes := [3]uint64{}
-						passes[mergeComparator(m[1])] = runs
-						before := passesSince([3]uint64{})
-						got, err := Run(c.stmt, cat, Options{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if ran := passesSince(before); ran != passes {
-							t.Errorf("%s: passes per comparator (tree, flat, blocks) %v, want %v for %s×%d on %s", what, ran, passes, m[2], workers, m[1])
-						}
-						if !maps.Equal(rowSet(got), want) {
-							t.Errorf("%s: %d rows, not the BNL oracle's %d", what, got.Len(), len(maxima))
-						}
-						routes[fmt.Sprintf("%s×%d on %s", m[2], workers, m[1])]++
+					resultcache.Reset() // every run evaluates
+					what := fmt.Sprintf("%s n=%d: %s", dist, n, c.stmt)
+					text, err := ExplainQuery(c.stmt, cat, Options{})
+					if err != nil {
+						t.Fatal(err)
 					}
+					m := planLine.FindStringSubmatch(text)
+					if m == nil {
+						t.Fatalf("%s: no plan line:\n%s", what, text)
+					}
+					passes := [3]uint64{}
+					passes[mergeComparator(m[1])] = 1
+					before := passesSince([3]uint64{})
+					got, err := Run(c.stmt, cat, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ran := passesSince(before); ran != passes {
+						t.Errorf("%s: passes per comparator (tree, flat, blocks) %v, want %v for %s on %s", what, ran, passes, m[2], m[1])
+					}
+					if !maps.Equal(rowSet(got), want) {
+						t.Errorf("%s: %d rows, not the BNL oracle's %d", what, got.Len(), len(maxima))
+					}
+					routes[fmt.Sprintf("%s on %s", m[2], m[1])]++
 				}
 			}
 		}
@@ -649,7 +637,9 @@ func mergeComparator(label string) engine.Dominance {
 // line, and running them leaves the predicate tree's pass counter where
 // it was — the hot pool's flat table through the one route every table
 // takes, as a table of one shard does. A term outside the fragment still
-// reports (and takes) the tree.
+// reports (and takes) the tree. One shape per workload is pinned whole:
+// its EXPLAIN text equals testdata/explain/<shape>.<comparator>.txt, the
+// text of one P, on every machine but for the fan-out's figures.
 func TestExplainWorkloadStatementsAvoidTheTree(t *testing.T) {
 	resultcache.Reset()
 	defer resultcache.Reset()
@@ -682,6 +672,20 @@ func TestExplainWorkloadStatementsAvoidTheTree(t *testing.T) {
 		text, err := ExplainQuery(c.stmt, c.cat, Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		switch c.name {
+		case "hotset_read", "cold_skyline/pareto3", "durable_paged":
+			leg := engine.DominanceFlat.String()
+			if engine.AVX2Enabled() {
+				leg = engine.DominanceBlocksAVX2.String()
+			}
+			golden, err := os.ReadFile(filepath.Join("testdata", "explain", strings.ReplaceAll(c.name, "/", "_")+"."+leg+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if maskFanout(text) != maskFanout(string(golden)) {
+				t.Errorf("%s: EXPLAIN is not the pinned text on %s:\n got:\n%s\nwant:\n%s", c.name, leg, text, golden)
+			}
 		}
 		fields := 0
 		for _, line := range strings.Split(text, "\n") {
@@ -830,6 +834,82 @@ func TestExplainAccessPathAgreesWithWhatRan(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// fanoutFigures matches what EXPLAIN words from the width of the shard
+// fan-out, relation.Procs(): the sharded header's fanout=, and the fan-out
+// and the waves' estimated cost on its because: lines.
+var fanoutFigures = regexp.MustCompile(`fanout=\d+|fan-out \d+|estimated cost ≈\S+ \(\d+ wave\(s\)`)
+
+// maskFanout blanks the fan-out's figures out of an EXPLAIN text.
+func maskFanout(text string) string { return fanoutFigures.ReplaceAllString(text, "‹fan-out›") }
+
+// TestPlanIgnoresProcs: a plan is a function of the statement and its
+// data, not of the machine. The served statement shapes — the three
+// cold_skyline shapes over two range shards, the hotset_read and
+// durable_paged readers over the car market — and a 20 000-row
+// anti-correlated chain product (the shape a core-count-dependent planner
+// would split) plan byte-identically at one and at four Ps: the engine's
+// plan text, and psql EXPLAIN's step and per-shard lines. Only the shard
+// fan-out's figures follow the Ps.
+func TestPlanIgnoresProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	pts := workload.Numeric(20000, 4, workload.AntiCorrelated, 20020820)
+	ptsSharded, err := relation.ShardRelation(pts, 2, relation.ByRange("d1", relation.RangeBounds(pts, "d1", 2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cars := workload.Cars(20000, 20020820)
+	carsSharded, err := relation.ShardRelation(cars, 2, relation.ByHash("oid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := workload.Numeric(20000, 2, workload.AntiCorrelated, 7)
+	plans := []struct {
+		rel *relation.Relation
+		p   pref.Preference
+	}{
+		{pts, pref.ParetoAll(pref.AROUND("d1", 0.41), pref.AROUND("d2", 0.63), pref.LOWEST("d3"))},
+		{pts, pref.Prioritized(pref.Pareto(pref.AROUND("d1", 0.41), pref.LOWEST("d2")), pref.LOWEST("d3"))},
+		{pts, pref.Prioritized(pref.LOWEST("d3"), pref.Pareto(pref.AROUND("d1", 0.41), pref.LOWEST("d2")))},
+		{cars, pref.Pareto(pref.AROUND("price", 14500), pref.HIGHEST("horsepower"))},
+		{cars, pref.Pareto(pref.AROUND("mileage", 60000), pref.HIGHEST("horsepower"))},
+		{chain, pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))},
+	}
+	statements := []struct {
+		cat  Catalog
+		stmt string
+	}{
+		{Catalog{"pts": ptsSharded}, "SELECT * FROM pts WHERE d4 <= 0.031 PREFERRING d1 AROUND 0.41 AND d2 AROUND 0.63 AND LOWEST(d3)"},
+		{Catalog{"pts": ptsSharded}, "SELECT * FROM pts WHERE d4 <= 0.031 PREFERRING (d1 AROUND 0.41 AND LOWEST(d2)) PRIOR TO LOWEST(d3)"},
+		{Catalog{"pts": ptsSharded}, "SELECT * FROM pts WHERE d4 <= 0.031 PREFERRING LOWEST(d3) PRIOR TO (d1 AROUND 0.41 AND LOWEST(d2))"},
+		{Catalog{"car": cars}, "SELECT oid FROM car PREFERRING price AROUND 14500 AND HIGHEST(horsepower)"},
+		{Catalog{"car": carsSharded}, "SELECT * FROM car WHERE price <= 9000 PREFERRING mileage AROUND 60000 AND HIGHEST(horsepower)"},
+		{Catalog{"pts": chain}, "SELECT * FROM pts SKYLINE OF d1 MIN, d2 MIN"},
+	}
+	texts := func(procs int) []string {
+		runtime.GOMAXPROCS(procs)
+		var out []string
+		for _, c := range plans {
+			for _, n := range []int{200, c.rel.Len()} { // below and above the small-input cut
+				out = append(out, engine.PlanWithInput(c.p, c.rel, n, engine.Env{}).Explain())
+			}
+		}
+		for _, c := range statements {
+			text, err := ExplainQuery(c.stmt, c.cat, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, maskFanout(text))
+		}
+		return out
+	}
+	one, four := texts(1), texts(4)
+	for i := range one {
+		if one[i] != four[i] {
+			t.Errorf("plan %d differs between one and four Ps:\nat 1:\n%s\nat 4:\n%s", i, one[i], four[i])
 		}
 	}
 }

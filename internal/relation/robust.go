@@ -110,8 +110,8 @@ func (e *ShardError) Error() string {
 // *PanicError, ...).
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// Procs is the parallel width of every fan-out and partitioned plan: the
-// number of Ps the scheduler runs goroutines on (GOMAXPROCS), not the
+// Procs is the parallel width of the shard fan-out, the one way a
+// statement runs on more than one core: the number of Ps the scheduler runs goroutines on (GOMAXPROCS), not the
 // machine's CPU count — at one P a goroutine per shard cannot run beside
 // another and only costs its stack.
 func Procs() int { return runtime.GOMAXPROCS(0) }

@@ -28,7 +28,7 @@ import (
 // Config tunes a server.
 type Config struct {
 	// MaxInFlight bounds concurrently evaluating queries (admission
-	// slots); 0 means 2×GOMAXPROCS-ish default of 16.
+	// slots); 0 means 16.
 	MaxInFlight int
 	// QueueTimeout is how long an arriving query may wait for an
 	// admission slot before shedding with an overload error (0 = shed

@@ -287,6 +287,59 @@ func TestPreparedStatements(t *testing.T) {
 	}
 }
 
+// TestPreparedStatementsBounded: one session holds at most parseCacheCap
+// prepared names. A PREPARE of a new name past the bound fails typed and
+// leaves the session answering; re-PREPARE of a held name replaces it,
+// and DEALLOCATE frees a slot.
+func TestPreparedStatementsBounded(t *testing.T) {
+	car := workload.Cars(400, 97)
+	cat := psql.Catalog{"car": car}
+	_, addr := startServer(t, cat, Config{})
+	c := dialT(t, addr)
+	const stmt = "SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
+	for i := 0; i < parseCacheCap; i++ {
+		if _, err := c.Query(fmt.Sprintf("PREPARE p%d AS %s", i, stmt)); err != nil {
+			t.Fatalf("prepare p%d: %v", i, err)
+		}
+	}
+	_, err := c.Query("PREPARE p128 AS " + stmt)
+	if se := wireErrOf(t, err); se.Code != wire.CodeExec || !strings.Contains(se.Msg, "too many prepared statements") {
+		t.Fatalf("prepare past the bound: %v", err)
+	}
+	direct, err := psql.Run(stmt, cat, psql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderRel(direct)
+	if rs, err := c.Query(stmt); err != nil || renderRows(rs.Rows()) != want {
+		t.Fatalf("session after a refused PREPARE: %v", err)
+	}
+	const replacement = "SELECT oid FROM car WHERE price <= 5000"
+	if _, err := c.Query("PREPARE p7 AS " + replacement); err != nil {
+		t.Fatalf("re-PREPARE of a held name at the bound: %v", err)
+	}
+	replaced, err := psql.Run(replacement, cat, psql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := c.Query("EXECUTE p7"); err != nil || renderRows(rs.Rows()) != renderRel(replaced) {
+		t.Fatalf("EXECUTE p7 after its re-PREPARE must answer the replacement: %v", err)
+	}
+	if _, err := c.Query("DEALLOCATE p0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query("PREPARE p128 AS " + stmt); err != nil {
+		t.Fatalf("prepare after DEALLOCATE: %v", err)
+	}
+	rs, err := c.Query("EXECUTE p128")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderRows(rs.Rows()); got != want {
+		t.Errorf("EXECUTE p128:\nwire:   %sdirect: %s", got, want)
+	}
+}
+
 // TestRankTextsShareScoreVector: two ad-hoc RANK statements that differ
 // only in whitespace are two parse-cache texts but one term, so the
 // second scores off the vector the first bound.

@@ -36,8 +36,8 @@ type session struct {
 	inflight context.CancelFunc
 
 	// Session state: execution defaults (SET), prepared statements
-	// (PREPARE/EXECUTE), and the bounded statement-text parse cache for
-	// repeated Q/T frames.
+	// (PREPARE/EXECUTE, at most parseCacheCap names), and the bounded
+	// statement-text parse cache for repeated Q/T frames.
 	opts     psql.Options
 	prepared map[string]*psql.Query
 	parsed   map[string]*statement
@@ -50,7 +50,9 @@ type session struct {
 // parseCacheCap bounds the per-session statement parse cache. A hot set
 // of repeated statements (dashboards, load generators) stays parsed;
 // past the cap the cache resets wholesale — re-parsing a statement once
-// per cap-miss epoch is cheaper than tracking recency.
+// per cap-miss epoch is cheaper than tracking recency. It also bounds the
+// names a session may hold PREPAREd: past it a PREPARE of a new name
+// fails until a DEALLOCATE frees one.
 const parseCacheCap = 128
 
 // Retained answers. Under BMO semantics a statement's answer is a
@@ -305,6 +307,10 @@ func (ss *session) serveSessionCommand(stmt string, stream bool) bool {
 		as, body := word(rest)
 		if name == "" || !strings.EqualFold(as, "AS") || body == "" {
 			ss.sendError(wire.CodeParse, "want PREPARE <name> AS <statement>")
+			return true
+		}
+		if _, held := ss.prepared[name]; !held && len(ss.prepared) >= parseCacheCap {
+			ss.sendError(wire.CodeExec, fmt.Sprintf("too many prepared statements (%d): DEALLOCATE one first", parseCacheCap))
 			return true
 		}
 		q, err := psql.Parse(body)
