@@ -47,27 +47,34 @@ test-noavx2:
 # against the scan and Cmp.Eval on edge values over every layout (the
 # battery and FuzzRangeCut's seed corpus), orders bounded under inserts,
 # EXPLAIN's probe (which marks and keeps no order) and its access path
-# equal to the one the run took; the fused flat
-# bind against a fresh pref.Compile and the oracle over every layout (the
+# equal to the one the run took; the sorted walk of a whole-shard step
+# (each walk against the sort of the compiled score vector, no walk on a
+# non-finite target, the served hot pool walked against the oracle with a
+# gathered bind per walked shard, concurrent statements walking one
+# table, EXPLAIN's walk equal to the one that ran); the fused flat
+# bind against a fresh pref.Compile and the oracle over every layout and
+# on the walked whole-shard route (the
 # battery and FuzzFlatBind's seed corpus), the planner's allocations, the
 # cold statement's allocation bound, and a finished statement pinning no
 # bound form. CI runs this battery and test-faults a second time at
 # GOMAXPROCS=1, the served benchmark's one P, where the shard fan-out is
 # an inline loop (with GOFLAGS=-count=1: the test cache does not key on
 # GOMAXPROCS).
-TIES_RUN := FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutesColdShapes|PlannerRoutesChainProducts|PlannerGroupsShare|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ProbeValueOrder|ExplainAccessPath|FlatBind|PlanCoreAllocs|PlanIgnoresProcs|ColdSelectiveStatementAllocBound|FinishedStatement
+TIES_RUN := FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutesColdShapes|PlannerRoutesChainProducts|PlannerGroupsShare|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ProbeValueOrder|ExplainAccessPath|FlatBind|PlanCoreAllocs|PlanIgnoresProcs|ColdSelectiveStatementAllocBound|FinishedStatement|SortedWalk
 TIES_PKGS := ./internal/pref ./internal/engine ./internal/filter ./internal/boundcache ./internal/psql ./internal/relation
 test-ties:
 	$(GO) test -race -run '$(TIES_RUN)' $(TIES_PKGS)
 
 # A short fuzzing run of the ordered hard selection, of the fused flat
-# bind and of the wire frame decoders (the seed corpora alone run in
-# every `go test`); FUZZTIME=1m or longer to explore further.
+# bind (and the sorted walk's route), of the wire frame decoders and of
+# the statement parser (the seed corpora alone run in every `go test`);
+# FUZZTIME=1m or longer to explore further.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run 'xxx' -fuzz 'FuzzRangeCut' -fuzztime $(FUZZTIME) ./internal/filter
 	$(GO) test -run 'xxx' -fuzz 'FuzzFlatBind' -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run 'xxx' -fuzz 'FuzzDecodeFrames' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run 'xxx' -fuzz 'FuzzParse' -fuzztime $(FUZZTIME) ./internal/psql
 
 # The fault-tolerance suite under the race detector: fault injection
 # (slow/hung/panicking/erroring shards) against both policies, the
@@ -161,7 +168,8 @@ bench:
 
 # The micro-benchmarks of the one-shot statement path, with B/op and
 # allocs/op: a first-seen selective BMO statement end to end below the
-# wire, one pass over a statement's candidates per comparator (window pass
+# wire, a cold whole-table one with and without kept value orders (the
+# sorted walk against the whole bind), one pass over a statement's candidates per comparator (window pass
 # on tree, records and blocks, sorted pass on records and blocks, with
 # pairs/op or lanes/op, on the cold_skyline and durable_paged shapes), the cross-shard fold alone (2–8 parts × 16–2048 local maxima,
 # blocked sweeps, flat and tree, with its pairs/op), one admission into
@@ -173,7 +181,7 @@ bench:
 # one cold range cut, scanned against read out of the column's value
 # order, at 0.1–100 % selectivity. CI tees their rows into the job summary.
 bench-cold:
-	$(GO) test -run 'xxx' -bench 'ColdSelectiveBMO' -benchmem .
+	$(GO) test -run 'xxx' -bench 'Cold(Selective|WholeTable)BMO' -benchmem .
 	$(GO) test -run 'xxx' -bench 'RangeCut' -benchtime 0.3s -benchmem ./internal/filter
 	$(GO) test -run 'xxx' -bench 'DominanceKernel' -benchtime 0.3s -benchmem ./internal/engine
 	$(GO) test -run 'xxx' -bench 'ShardMerge$$' -benchtime 0.3s -benchmem ./internal/engine

@@ -708,6 +708,52 @@ func BenchmarkColdSelectiveBMO(b *testing.B) {
 	}
 }
 
+// BenchmarkColdWholeTableBMO is the served hot pool's statement — price
+// AROUND a ⊗ HIGHEST(horsepower) over Cars(20000), no WHERE, the anchor
+// cycling through the pool's 64 — evaluated cold (unkeyed: the result
+// cache is neither read nor written). With price's and horsepower's value
+// orders kept, the statement's sorted walk binds only the rows it reaches
+// (or the whole table, where it gives up past a quarter); with none kept
+// yet — a fresh copy of the table per iteration, its columns and the
+// planner's statistics derived — the statement binds every row, as every cold whole-table statement did
+// before the walk.
+func BenchmarkColdWholeTableBMO(b *testing.B) {
+	anchors := make([]pref.Preference, 64)
+	for i := range anchors {
+		anchors[i] = pref.Pareto(pref.AROUND("price", float64(12000+i*500)), pref.HIGHEST("horsepower"))
+	}
+	base := workload.Cars(20000, 7)
+	base.Columnarize()
+	run := func(b *testing.B, p pref.Preference, s *relation.Sharded) {
+		if _, _, err := engine.BMOShardedOnFilteredCtxKeyed(context.Background(), p, s, engine.Auto, nil, false, nil, engine.Robust{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("orders-kept", func(b *testing.B) {
+		for _, attr := range []string{"price", "horsepower"} {
+			base.ValueOrder(attr)
+			base.ValueOrder(attr)
+		}
+		s := relation.OneShard(base)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run(b, anchors[i%len(anchors)], s)
+		}
+	})
+	b.Run("no-orders", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh := base.Clone()
+			fresh.Columnarize()
+			fresh.Stats() // the planner's statistics, kept per generation
+			b.StartTimer()
+			run(b, anchors[i%len(anchors)], relation.OneShard(fresh))
+		}
+	})
+}
+
 // BenchmarkShardMergeCompiled is the cross-shard merge as a served
 // statement meets it: every shard's local maxima come from the result
 // cache (warm), so an iteration is the per-shard lookups plus

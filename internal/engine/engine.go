@@ -7,7 +7,10 @@
 // decomposition evaluator built from Propositions 8–12, including the YY
 // term and groupby evaluation. A statement runs on more than one core only
 // through the shard fan-out (sharded.go): one pass per shard, then the
-// cross-shard fold.
+// cross-shard fold. A pass binds over its candidates — a WHERE clause's
+// selection, or, for a step over whole shards, the rows a sorted walk of
+// the columns' value orders reaches (walk.go) — and over the whole shard
+// when they are more than a quarter of it.
 package engine
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,7 +23,10 @@ import (
 // candidates are decoded from bytes, the values drawn from the edges
 // FuzzRangeCut's generator draws — NULL, NaN, ±Inf, ±0, INT beyond 2^53,
 // int/float twins — plus TIME instants within one second, which tie on
-// the score scale without being equal.
+// the score scale without being equal. On the whole-shard route the
+// shards keep value orders of the term's columns (built before a tail is
+// appended) and the candidates are what the sorted walk reaches with its
+// limit lifted: their maxima must equal the oracle's over every row.
 
 var (
 	bindSchema = relation.MustSchema(
@@ -39,9 +43,10 @@ var (
 	bindStrs  = []pref.Value{nil, "a", "b", "c"}
 	bindLits  = []float64{0, 3, -3, 2.5, 1, float64(1 << 53), 1_000_000, 1_000_001}
 	// flatBindLayouts: a flat table (as its one shard), 1–4 range shards
-	// on the row key, and a paged store of two shards with and without an
-	// in-memory tail.
-	flatBindLayouts = []string{"flat", "shards-1", "shards-2", "shards-3", "shards-4", "paged", "paged-tail"}
+	// on the row key, a paged store of two shards with and without an
+	// in-memory tail, and a snapshot of a flat table pinned before its
+	// tail was appended.
+	flatBindLayouts = []string{"flat", "shards-1", "shards-2", "shards-3", "shards-4", "paged", "paged-tail", "snapshot"}
 )
 
 // bindBytes hands out the bytes of a fuzz input, then zeros.
@@ -128,15 +133,29 @@ func decodeBindTerm(b *bindBytes) pref.Preference {
 }
 
 // newFlatBindLayout stores rows in the named layout; a paged tail is
-// appended after the base rows reach the segment files.
-func newFlatBindLayout(t testing.TB, layout string, rows, tail []relation.Row) *relation.Sharded {
+// appended after the base rows reach the segment files, a snapshot's after
+// it was pinned. prepare, when non-nil, sees the table before any tail
+// goes in.
+func newFlatBindLayout(t testing.TB, layout string, rows, tail []relation.Row, prepare func(*relation.Sharded)) *relation.Sharded {
+	if prepare == nil {
+		prepare = func(*relation.Sharded) {}
+	}
 	flat := relation.New("t", bindSchema)
 	for _, row := range rows {
 		flat.MustInsert(row)
 	}
 	switch layout {
 	case "flat":
-		return relation.OneShard(flat)
+		s := relation.OneShard(flat)
+		prepare(s)
+		return s
+	case "snapshot":
+		prepare(relation.OneShard(flat))
+		snap := flat.Snapshot()
+		for _, row := range tail {
+			flat.MustInsert(row)
+		}
+		return relation.OneShard(snap)
 	case "paged", "paged-tail":
 		st, err := relation.OpenStore(t.TempDir(), relation.StoreOptions{PageBytes: 1 << 10, PoolBytes: 4 << 10})
 		if err != nil {
@@ -152,6 +171,7 @@ func newFlatBindLayout(t testing.TB, layout string, rows, tail []relation.Row) *
 			t.Fatal(err)
 		}
 		s := tbl.(*relation.Sharded)
+		prepare(s)
 		if layout == "paged-tail" {
 			for _, row := range tail {
 				if err := s.Insert(row); err != nil {
@@ -166,11 +186,25 @@ func newFlatBindLayout(t testing.TB, layout string, rows, tail []relation.Row) *
 	if err != nil {
 		t.Fatal(err)
 	}
+	prepare(s)
 	return s
 }
 
+// keepOrders makes every shard of s keep a value order of each INT or
+// FLOAT column of p: two requests each.
+func keepOrders(p pref.Preference) func(*relation.Sharded) {
+	return func(s *relation.Sharded) {
+		for _, sh := range s.Shards() {
+			for _, attr := range p.Attrs() {
+				sh.ValueOrder(attr)
+				sh.ValueOrder(attr)
+			}
+		}
+	}
+}
+
 // flatBindStats counts what a battery exercised.
-type flatBindStats struct{ checks, folds, coded, nan int }
+type flatBindStats struct{ checks, folds, coded, nan, walks int }
 
 // checkFlatBind decodes one case from data and runs the differential.
 func checkFlatBind(t testing.TB, data []byte, st *flatBindStats) {
@@ -187,10 +221,19 @@ func checkFlatBind(t testing.TB, data []byte, st *flatBindStats) {
 	p := decodeBindTerm(&b)
 	alg := bindPick(&b, []Algorithm{Auto, BNL, SFS, Naive})
 	cut, seed := 1+b.next()%5, b.next()
-	s := newFlatBindLayout(t, layout, rows, tail)
-	what := fmt.Sprintf("%s alg %s term %s", layout, alg, p)
+	// The whole-shard route: orders kept, the candidates the walk reaches.
+	walk := b.next()%2 == 1
+	var prepare func(*relation.Sharded)
+	if walk {
+		prepare = keepOrders(p)
+	}
+	s := newFlatBindLayout(t, layout, rows, tail, prepare)
+	what := fmt.Sprintf("%s alg %s term %s walk %v", layout, alg, p, walk)
 
 	sets := make(ShardSets, s.NumShards())
+	// scope holds the rows the answer is over: the candidates, or every
+	// row of a walked shard.
+	scope := make(ShardSets, s.NumShards())
 	locals := make(ShardSets, s.NumShards())
 	carried := make([]*pref.FlatShape, s.NumShards())
 	defer func() {
@@ -203,8 +246,15 @@ func checkFlatBind(t testing.TB, data []byte, st *flatBindStats) {
 	for i, sh := range s.Shards() {
 		sets[i] = []int{}
 		for j := 0; j < sh.Len(); j++ {
-			if (j*31+seed)%5 < cut {
+			if walk || (j*31+seed)%5 < cut {
 				sets[i] = append(sets[i], j)
+			}
+		}
+		scope[i] = sets[i]
+		if walk {
+			if cand, w := walkShard(p, sh, sh.Len(), false); w.Outcome == WalkPruned {
+				sets[i] = cand
+				st.walks++
 			}
 		}
 		locals[i] = []int{}
@@ -230,14 +280,14 @@ func checkFlatBind(t testing.TB, data []byte, st *flatBindStats) {
 		if !ok {
 			t.Fatalf("%s shard %d: the gathered evaluation failed to bind", what, i)
 		}
-		cand := sh.Pick(sets[i])
+		cand := sh.Pick(scope[i])
 		if got, want := oidsOf(sh.Row, maxima), oidsOf(cand.Row, BMOIndicesMode(p, cand, BNL, EvalInterpreted)); !sameInts(got, want) {
 			t.Fatalf("%s shard %d: local maxima %v, oracle %v", what, i, got, want)
 		}
 		locals[i] = maxima
 		st.checks++
 	}
-	want := referenceOIDs(p, s, sets)
+	want := referenceOIDs(p, s, scope)
 	for _, avx2 := range []bool{AVX2Available(), false} {
 		prev := SetAVX2Enabled(avx2)
 		for _, recs := range [][]*pref.FlatShape{carried, nil} {
@@ -300,33 +350,54 @@ func sameFlatShape(t testing.TB, what string, p pref.Preference, fused, compiled
 }
 
 // flatBindSeed encodes a case the way checkFlatBind decodes it: layout,
-// rows as (i, f, t, s) value indices, the term's bytes, the algorithm and
-// the candidate cut (5: every row).
-func flatBindSeed(layout int, rows [][4]byte, term []byte, alg byte) []byte {
+// rows and tail rows as (i, f, t, s) value indices, the term's bytes, the
+// algorithm, the candidate cut (5: every row) and the route.
+func flatBindSeed(layout int, rows, tail [][4]byte, term []byte, alg byte, walk bool) []byte {
 	data := []byte{byte(layout), byte(len(rows) - 4)}
 	for _, r := range rows {
 		data = append(data, r[:]...)
 	}
-	data = append(data, 0) // no tail
+	data = append(data, byte(len(tail)))
+	for _, r := range tail {
+		data = append(data, r[:]...)
+	}
 	data = append(data, term...)
-	return append(data, alg, 4, 0)
+	data = append(data, alg, 4, 0)
+	if walk {
+		data = append(data, 1)
+	}
+	return data
 }
 
 // flatBindSeeds are the named cases: NaN rows in both of two shards under
 // a Pareto group (every NaN its own class — two shards' NaN rows must not
 // share a key in the fold), and TIME instants within one second in
 // different shards (tied scores, unequal codes from unrelated per-shard
-// dictionaries), plus random draws.
+// dictionaries); on the walked route a PRIOR TO chain over two shards and
+// three leaves on one column over a paged table with a tail; plus random
+// draws.
 func flatBindSeeds() map[string][]byte {
 	// f index 1 is NaN, 6 is 3.0; t index 1 and 2 are 0.4 s apart.
 	nanRows := [][4]byte{{1, 1, 1, 1}, {2, 6, 4, 2}, {3, 6, 1, 3}, {1, 1, 2, 1}, {2, 1, 3, 2}, {3, 6, 4, 3}, {1, 1, 1, 1}, {2, 6, 2, 2}}
+	// i: NULL, 0, 3, −3, 2^53, 2^53+1, −(2^53+1), 1, 2; f: NULL, NaN, +Inf,
+	// −Inf, 0, −0, 3, 2.5, 2^53, int 3, int 2, 1.
+	walkRows := [][4]byte{{1, 6, 1, 1}, {2, 7, 1, 2}, {3, 1, 1, 3}, {4, 2, 1, 1}, {5, 3, 1, 2}, {6, 4, 1, 3},
+		{7, 5, 1, 1}, {8, 9, 1, 2}, {0, 10, 1, 3}, {2, 0, 1, 1}, {2, 11, 1, 2}, {8, 8, 1, 3},
+		{7, 7, 1, 1}, {1, 4, 1, 2}, {3, 6, 1, 3}, {4, 11, 1, 1}, {2, 7, 1, 2}, {5, 9, 1, 3}}
 	timeRows := [][4]byte{{1, 6, 1, 1}, {2, 6, 4, 2}, {3, 6, 4, 3}, {1, 6, 4, 1}, {2, 6, 2, 2}, {3, 6, 4, 3}, {1, 6, 4, 1}, {2, 6, 4, 2}}
 	seeds := map[string][]byte{
 		// shards-2; one group: LOWEST(f) ⊗ HIGHEST(i), under SFS.
-		"NaN rows in two shards": flatBindSeed(2, nanRows, []byte{0, 1, 2, 1, 3, 0, 1}, 2),
+		"NaN rows in two shards": flatBindSeed(2, nanRows, nil, []byte{0, 1, 2, 1, 3, 0, 1}, 2, false),
 		// shards-2; LOWEST(t) ⊗ LOWEST(f) PRIOR TO HIGHEST(i), under BNL.
-		"TIME tie across shards": flatBindSeed(2, timeRows, []byte{1, 1, 2, 2, 2, 1, 1, 0, 3, 0}, 1),
-		"empty":                  {},
+		"TIME tie across shards": flatBindSeed(2, timeRows, nil, []byte{1, 1, 2, 2, 2, 1, 1, 0, 3, 0}, 1, false),
+		// shards-2, walked; AROUND(f, 2.5) ⊗ HIGHEST(i) PRIOR TO LOWEST(f),
+		// under Auto.
+		"walked PRIOR TO chain": flatBindSeed(2, walkRows, nil, []byte{1, 1, 0, 1, 3, 3, 0, 1, 0, 2, 1}, 0, true),
+		// paged-tail, walked; LOWEST(i) ⊗ HIGHEST(i) ⊗ AROUND(i, 3), under
+		// SFS: three walks over one order, two rows appended after the
+		// orders were built.
+		"walked leaves on one column": flatBindSeed(6, walkRows, walkRows[:2], []byte{0, 2, 2, 0, 3, 0, 0, 0, 1, 0}, 2, true),
+		"empty":                       {},
 	}
 	rng := rand.New(rand.NewSource(29))
 	for k := 0; k < 6; k++ {
@@ -342,7 +413,13 @@ func flatBindSeeds() map[string][]byte {
 func TestFlatBindDifferential(t *testing.T) {
 	var st flatBindStats
 	for name, data := range flatBindSeeds() {
-		t.Run(name, func(t *testing.T) { checkFlatBind(t, data, &st) })
+		t.Run(name, func(t *testing.T) {
+			walks := st.walks
+			checkFlatBind(t, data, &st)
+			if strings.HasPrefix(name, "walked") && st.walks == walks {
+				t.Fatal("no shard walked")
+			}
+		})
 	}
 	rng := rand.New(rand.NewSource(33))
 	trials := 300
@@ -354,8 +431,8 @@ func TestFlatBindDifferential(t *testing.T) {
 		rng.Read(data)
 		checkFlatBind(t, data, &st)
 	}
-	t.Logf("%d shard binds, %d folds, %d coded tie dims, %d NaN scores", st.checks, st.folds, st.coded, st.nan)
-	if st.coded == 0 || st.nan == 0 || st.folds == 0 {
+	t.Logf("%d shard binds, %d folds, %d coded tie dims, %d NaN scores, %d walked shards", st.checks, st.folds, st.coded, st.nan, st.walks)
+	if st.coded == 0 || st.nan == 0 || st.folds == 0 || st.walks == 0 {
 		t.Fatalf("the battery missed an edge: %+v", st)
 	}
 }

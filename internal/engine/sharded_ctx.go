@@ -125,9 +125,10 @@ func bmoSharded(ctx context.Context, p pref.Preference, s *relation.Sharded, alg
 		}
 		if !hit {
 			// "Every row" resolves to positions only here: a result-cache
-			// hit on a whole shard allocates nothing of the shard's size.
+			// hit on a whole shard allocates nothing of the shard's size,
+			// and a cold one binds over what its sorted walk reaches.
 			if cand == nil {
-				cand = allIndices(shard.Len())
+				cand = wholeShard(p, shard)
 			}
 			var done func(evaluated)
 			if canServe || carried != nil {

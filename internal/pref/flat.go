@@ -267,6 +267,32 @@ func FlatShaped(p Preference) bool {
 	return flatGroupShaped(p)
 }
 
+// ScaleLeaf is one LOWEST, HIGHEST, AROUND or BETWEEN leaf of a flat term:
+// its attribute and the score Compile and BindFlat give an on-scale value
+// of the attribute's float image.
+type ScaleLeaf struct {
+	Leaf  Preference
+	Attr  string
+	Score func(float64) float64
+}
+
+// ScaleLeaves returns the leaves of a term of the flat fragment in term
+// order when every one is a LOWEST, HIGHEST, AROUND or BETWEEN leaf;
+// ok=false otherwise.
+func ScaleLeaves(p Preference) (leaves []ScaleLeaf, ok bool) {
+	if !FlatShaped(p) {
+		return nil, false
+	}
+	ok = flatChain(p, true, func(g Preference, _ bool) bool {
+		return flatLeaves(g, func(leaf Preference) bool {
+			attr, score, ok := scorerOf(leaf)
+			leaves = append(leaves, ScaleLeaf{Leaf: leaf, Attr: attr, Score: score.of})
+			return ok
+		})
+	})
+	return leaves, ok
+}
+
 // flatGroupShaped reports whether p is a Pareto accumulation of flat
 // leaves.
 func flatGroupShaped(p Preference) bool {

@@ -240,11 +240,12 @@ func (e *BasePrefExpr) String() string {
 	case "highest":
 		return fmt.Sprintf("HIGHEST(%s)", e.Attr)
 	case "explicit":
-		parts := make([]string, len(e.Edges))
-		for i, ed := range e.Edges {
-			parts[i] = fmt.Sprintf("(%s, %s)", litString(ed.Worse), litString(ed.Better))
+		var b strings.Builder
+		b.WriteString("EXPLICIT(" + e.Attr)
+		for _, ed := range e.Edges {
+			fmt.Fprintf(&b, ", (%s, %s)", litString(ed.Worse), litString(ed.Better))
 		}
-		return fmt.Sprintf("EXPLICIT(%s, %s)", e.Attr, strings.Join(parts, ", "))
+		return b.String() + ")"
 	}
 	return "?" + e.Kind
 }

@@ -123,14 +123,18 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 	// WHERE-selected candidates, then what a planned step is estimated to
 	// keep.
 	est := n / nShards
-	// bindLine reports the per-shard bind scopes of a step over the
-	// WHERE-selected candidates (grouped steps share one whole-shard form
-	// across their groups, so they never gather).
-	bindLine := func(grouped bool) {
+	// bindLine reports the per-shard bind scopes of a step over its
+	// candidates — the WHERE-selected rows, or what each shard's sorted
+	// walk reaches (walks; nil when the step does not walk) — grouped
+	// steps share one whole-shard form across their groups, so they never
+	// gather. A scope the walk decided names the walk.
+	bindLine := func(sets engine.ShardSets, walks []engine.Walk, grouped bool) {
 		var gathered, full, gm, gn, fn int
+		var walked, gaveUp, limits, unordered int
+		var attrs, missing []string
 		for i, sh := range s.Shards() {
 			m := sh.Len()
-			if sets != nil && !grouped {
+			if sets != nil && sets[i] != nil && !grouped {
 				m = len(sets[i])
 			}
 			if engine.BindScopeOf(sh, m) == engine.BindGathered {
@@ -141,13 +145,37 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 				full++
 				fn += sh.Len()
 			}
+			if walks == nil {
+				continue
+			}
+			switch w := walks[i]; {
+			case w.Outcome == engine.WalkPruned:
+				walked, attrs = walked+1, w.Attrs
+			case w.Outcome == engine.WalkGaveUp:
+				gaveUp, limits, attrs = gaveUp+1, limits+w.Limit, w.Attrs
+			case w.Outcome == engine.WalkNoOrder && len(w.Unordered) < len(w.Attrs):
+				// Some of the columns are cut or walked already; a fresh
+				// table's bind line stays the plain one.
+				unordered, missing = unordered+1, w.Unordered
+			}
 		}
 		var binds []string
 		if gathered > 0 {
-			binds = append(binds, fmt.Sprintf("gathered %d of %d rows%s", gm, gn, onShards(gathered)))
+			note := ""
+			if walked > 0 {
+				note = " — sorted walk over " + strings.Join(attrs, ", ")
+			}
+			binds = append(binds, fmt.Sprintf("gathered %d of %d rows%s%s", gm, gn, onShards(gathered), note))
 		}
 		if full > 0 {
-			binds = append(binds, fmt.Sprintf("full over %d rows%s", fn, onShards(full)))
+			note := ""
+			switch {
+			case gaveUp > 0:
+				note = fmt.Sprintf(" — sorted walk over %s gave up past %d rows%s", strings.Join(attrs, ", "), limits, onShards(gaveUp))
+			case unordered > 0:
+				note = fmt.Sprintf(" — no value order kept yet for %s%s", strings.Join(missing, ", "), onShards(unordered))
+			}
+			binds = append(binds, fmt.Sprintf("full over %d rows%s%s", fn, onShards(full), note))
 		}
 		fmt.Fprintf(&b, "    (bind: %s)\n", strings.Join(binds, ", "))
 	}
@@ -168,11 +196,16 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 		}
 		simplified := algebra.Simplify(p)
 		resolved, pass := opts.Algorithm, opts.Algorithm.String()
+		stepSets, walks := sets, []engine.Walk(nil)
+		if q.Where == nil && len(q.GroupingBy) == 0 {
+			stepSets, walks = walkSets(simplified, s)
+		}
 		var plan *engine.ShardPlan
 		if resolved == engine.Auto {
-			// Planned at the post-WHERE cardinality, matching the decision
-			// execution makes per shard.
-			plan = engine.PlanShardedOn(simplified, s, sets, engine.Env{})
+			// Planned at the post-WHERE cardinality (or over what the
+			// sorted walk reaches), matching the decision execution makes
+			// per shard.
+			plan = engine.PlanShardedOn(simplified, s, stepSets, engine.Env{})
 			resolved, pass = plan.PerShard.Algorithm, plan.PerShard.Algorithm.String()
 			if len(q.GroupingBy) == 0 {
 				est = plan.PerShard.EstResult
@@ -206,7 +239,7 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			fmt.Fprintf(&b, "    (simplified from %s by the preference algebra)\n", p)
 		}
 		if evalModeOf(simplified, resolved) == "compiled" {
-			bindLine(len(q.GroupingBy) > 0)
+			bindLine(stepSets, walks, len(q.GroupingBy) > 0)
 		}
 		if len(q.GroupingBy) == 0 {
 			// The first soft step over whole shards is the one shape the
@@ -268,13 +301,17 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 			return "", err
 		}
 		resolved, pass := opts.Algorithm, opts.Algorithm.String()
+		stepSets := sets
+		if q.Where == nil && q.Preferring == nil && len(q.Cascades) == 0 {
+			stepSets, _ = walkSets(p, s)
+		}
 		var plan *engine.ShardPlan
 		if resolved == engine.Auto {
-			// Planned at the post-WHERE cardinality; downstream of a
-			// PREFERRING step the true input cardinality is unknown at
-			// explain time (the plan is only inlined when the skyline is
-			// the sole soft step).
-			plan = engine.PlanShardedOn(p, s, sets, engine.Env{})
+			// Planned at the post-WHERE cardinality (or over what the
+			// sorted walk reaches); downstream of a PREFERRING step the
+			// true input cardinality is unknown at explain time (the plan
+			// is only inlined when the skyline is the sole soft step).
+			plan = engine.PlanShardedOn(p, s, stepSets, engine.Env{})
 			resolved, pass = plan.PerShard.Algorithm, plan.PerShard.Algorithm.String()
 		}
 		emit("%s ⇒ BMO σ[P], P = %s [algorithm %s%s, %s evaluation%s]",
@@ -301,6 +338,18 @@ func Explain(q *Query, cat Catalog, opts Options) (string, error) {
 	}
 	emitProjection(&b, &step, q)
 	return b.String(), nil
+}
+
+// walkSets probes the sorted walk of a first soft step over whole shards
+// (engine.ProbeWalk): per shard the candidates the walk reaches — nil
+// where the shard binds whole — and what the walk did.
+func walkSets(p pref.Preference, s *relation.Sharded) (engine.ShardSets, []engine.Walk) {
+	sets := make(engine.ShardSets, s.NumShards())
+	walks := make([]engine.Walk, s.NumShards())
+	for i, sh := range s.Shards() {
+		sets[i], walks[i] = engine.ProbeWalk(p, sh)
+	}
+	return sets, walks
 }
 
 // evalModeOf names the evaluation path the engine will take for the term

@@ -179,7 +179,11 @@ func TestExplainSkylineSurfacesPlan(t *testing.T) {
 // path and selectivity, the PREFERRING step reports the rows it binds —
 // the same before and after a run, since nothing keeps a bound form — and
 // the result cache bypasses the WHERE-scoped statement, while its
-// WHERE-less form turns from cold to hit once it has run.
+// WHERE-less form turns from cold to hit once it has run. Without a WHERE
+// the bind line also names the sorted walk over the columns' value
+// orders: the scoped run's cut marks price, so the first WHERE-less
+// EXPLAIN waits for mileage's order; once both are kept the walk over
+// five rows gives up past its limit of one.
 func TestExplainReportsCacheStatus(t *testing.T) {
 	resultcache.Reset()
 	defer resultcache.Reset()
@@ -189,18 +193,24 @@ func TestExplainReportsCacheStatus(t *testing.T) {
 	whole := "SELECT oid FROM car PREFERRING LOWEST(price) AND LOWEST(mileage)"
 	for _, when := range []string{"cold", "after a run"} {
 		result := "(result cache: cold — maxima stored at first execution)"
+		bind := "(bind: full over 5 rows — no value order kept yet for mileage)"
 		if when != "cold" {
 			result = "(result cache: hit — memoized maxima served, no evaluation)"
+			bind = "(bind: full over 5 rows — sorted walk over price, mileage gave up past 1 rows)"
 		}
-		for query, wants := range map[string][]string{
-			scoped: {
+		for _, c := range []struct {
+			query string
+			wants []string
+		}{
+			{scoped, []string{
 				"hard selection: price <= 45000 [vectorized, 4 of 5 rows]\n",
 				"(bind: full over 5 rows)",
 				"eval=compiled bind=full dominance=",
 				"(result cache: bypass — WHERE-scoped, never cached)",
-			},
-			whole: {"(bind: full over 5 rows)", "eval=compiled bind=full dominance=", result},
+			}},
+			{whole, []string{bind, "eval=compiled bind=full dominance=", result}},
 		} {
+			query, wants := c.query, c.wants
 			plan, err := ExplainQuery(query, cat, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -373,8 +383,10 @@ func TestExplainShardedDescribesWhatRuns(t *testing.T) {
 // flat table, which runs as one shard, reads exactly like a table sharded
 // into one. A selective statement binds over its gathered candidates and
 // bypasses the result cache, so the repeat reports the same scope and the
-// same bypass; an unfiltered statement binds the whole relation, before
-// and after, while the result cache turns from cold to hit.
+// same bypass; an unfiltered statement binds the whole relation, while
+// the result cache turns from cold to hit — and its run marks mileage and
+// horsepower for value orders, so EXPLAIN after it names the sorted walk
+// the statement's next cold run takes over the orders that run builds.
 func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 	resultcache.Reset()
 	defer resultcache.Reset()
@@ -458,8 +470,8 @@ func TestExplainBindScopeAgreesWithWhatRan(t *testing.T) {
 		if engine.GatheredBinds() != g0+c.shards {
 			t.Errorf("%s: an unfiltered statement must not bind gathered", c.name)
 		}
-		mustContain("unfiltered after run", explain(unfiltered), c.full, "eval=compiled bind=full dominance="+window.String(),
-			"SFS keys: one pass sums 2 score column(s) over the ", "result cache: hit")
+		mustContain("unfiltered after run", explain(unfiltered), "(bind: gathered ", " — sorted walk over mileage, horsepower)",
+			"eval=compiled bind=gathered dominance="+window.String(), "result cache: hit")
 		// A selective statement sharing a term an earlier statement bound
 		// gathers its own candidates all the same.
 		shared := "SELECT oid FROM car WHERE price <= 9000 PREFERRING mileage AROUND 70000 AND HIGHEST(horsepower)"
@@ -910,6 +922,82 @@ func TestPlanIgnoresProcs(t *testing.T) {
 	for i := range one {
 		if one[i] != four[i] {
 			t.Errorf("plan %d differs between one and four Ps:\nat 1:\n%s\nat 4:\n%s", i, one[i], four[i])
+		}
+	}
+}
+
+// TestExplainSortedWalkAgreesWithWhatRan: the served hot pool over
+// Cars(20000), flat and on two hash shards. On a fresh table EXPLAIN binds
+// full; the pool's first statement marks price and horsepower and its
+// second builds their value orders. From then on EXPLAIN names, per
+// statement, the sorted walk the run takes — gathered over the rows the
+// walk reaches, with their count, or full where the walk gives up past a
+// quarter of the shard — the run makes exactly one gathered bind per
+// walked shard, and EXPLAIN after the run reads the same but for the
+// result cache line.
+func TestExplainSortedWalkAgreesWithWhatRan(t *testing.T) {
+	resultcache.Reset()
+	defer resultcache.Reset()
+	sharded, err := relation.ShardRelation(workload.Cars(20000, 7), 2, relation.ByHash("oid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gathered := regexp.MustCompile(`\(bind: gathered (\d+) of (?:20000 rows|10000 rows on (1)/2 shards|20000 rows on (2)/2 shards) — sorted walk over price, horsepower[,)]`)
+	gaveUp := regexp.MustCompile(`full over (?:20000 rows|10000 rows on 1/2 shards|20000 rows on 2/2 shards) — sorted walk over price, horsepower gave up past (?:5000 rows\)|2500 rows on 1/2 shards\)|5000 rows on 2/2 shards\))`)
+	cacheLine := regexp.MustCompile(`(?m)^ *\(result cache: .*\n`)
+	for _, c := range []struct {
+		name  string
+		cat   Catalog
+		fresh string
+	}{
+		{"flat", Catalog{"car": workload.Cars(20000, 7)}, "(bind: full over 20000 rows)\n"},
+		{"two hash shards", Catalog{"car": sharded}, "(bind: full over 20000 rows on 2/2 shards)\n"},
+	} {
+		explain := func(stmt string) string {
+			text, err := ExplainQuery(stmt, c.cat, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return text
+		}
+		var walked, gaveUps int
+		for k := 0; k < 64; k++ {
+			stmt := fmt.Sprintf("SELECT oid FROM car PREFERRING price AROUND %d AND HIGHEST(horsepower)", 12000+k*500)
+			before := explain(stmt)
+			if k == 0 && !strings.Contains(before, c.fresh) {
+				t.Fatalf("%s: a fresh table's EXPLAIN must bind full:\n%s", c.name, before)
+			}
+			shards := 0 // the shards EXPLAIN says walk
+			m := gathered.FindStringSubmatch(before)
+			if m != nil {
+				shards = 1
+				if m[3] == "2" {
+					shards = 2
+				}
+				if rows := m[1]; rows == "0" || len(rows) > 4 {
+					t.Fatalf("%s: %s: the walk reaches %s rows", c.name, stmt, rows)
+				}
+				walked++
+			}
+			if gaveUp.MatchString(before) {
+				gaveUps++
+			} else if m == nil && k >= 2 {
+				t.Fatalf("%s: %s: EXPLAIN names no walk once the orders are kept:\n%s", c.name, stmt, before)
+			}
+			g0 := engine.GatheredBinds()
+			if _, err := Run(stmt, c.cat, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if d := int(engine.GatheredBinds() - g0); d != shards {
+				t.Fatalf("%s: %s: %d gathered binds ran, EXPLAIN said %d walked shards:\n%s", c.name, stmt, d, shards, before)
+			}
+			if after := explain(stmt); k >= 2 && cacheLine.ReplaceAllString(after, "") != cacheLine.ReplaceAllString(before, "") {
+				t.Fatalf("%s: %s: EXPLAIN changed over the run:\nbefore:\n%s\nafter:\n%s", c.name, stmt, before, after)
+			}
+		}
+		t.Logf("%s: %d statements walked, %d gave up", c.name, walked, gaveUps)
+		if walked == 0 || gaveUps == 0 {
+			t.Fatalf("%s: the pool must both walk and give up: %d walked, %d gave up", c.name, walked, gaveUps)
 		}
 	}
 }

@@ -26,9 +26,20 @@ func Parse(input string) (*Query, error) {
 	return q, nil
 }
 
+// MaxNesting bounds how deep a statement nests: the parser's recursion —
+// one level per open parenthesis, NOT and RANK — and the height of each
+// clause's tree, where every NOT, RANK and binary operator (AND, OR,
+// PRIOR TO) is a node above its operands. Past it the statement fails to
+// parse, so neither the parser nor a later pass over the tree (each
+// recursive) can run out of stack on it.
+const MaxNesting = 1000
+
 type parser struct {
 	toks []Token
 	pos  int
+	// depth counts the constructs open around the current token; height is
+	// the height of the subtree the last parse function returned.
+	depth, height int
 }
 
 func (p *parser) peek() Token { return p.toks[p.pos] }
@@ -42,6 +53,27 @@ func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 
 func (p *parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("psql: at offset %d: %s", p.peek().Pos, fmt.Sprintf(format, args...))
+}
+
+// enter opens a nested construct, failing past MaxNesting; leave closes
+// it.
+func (p *parser) enter() error {
+	if p.depth++; p.depth > MaxNesting {
+		return p.errorf("statement nests deeper than %d levels", MaxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
+
+// node accounts a tree node above subtrees of heights l and r, failing
+// when the tree would grow past MaxNesting.
+func (p *parser) node(l, r int) (int, error) {
+	h := max(l, r) + 1
+	if h > MaxNesting {
+		return 0, p.errorf("statement nests deeper than %d levels", MaxNesting)
+	}
+	return h, nil
 }
 
 // accept consumes the next token when it matches kind and text.
@@ -267,13 +299,18 @@ func (p *parser) parseBoolOr() (BoolExpr, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.acceptKeyword("OR") {
 		r, err := p.parseBoolAnd()
 		if err != nil {
 			return nil, err
 		}
+		if h, err = p.node(h, p.height); err != nil {
+			return nil, err
+		}
 		l = &OrExpr{L: l, R: r}
 	}
+	p.height = h
 	return l, nil
 }
 
@@ -282,25 +319,42 @@ func (p *parser) parseBoolAnd() (BoolExpr, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.acceptKeyword("AND") {
 		r, err := p.parseBoolUnary()
 		if err != nil {
 			return nil, err
 		}
+		if h, err = p.node(h, p.height); err != nil {
+			return nil, err
+		}
 		l = &AndExpr{L: l, R: r}
 	}
+	p.height = h
 	return l, nil
 }
 
 func (p *parser) parseBoolUnary() (BoolExpr, error) {
+	p.height = 0
 	if p.acceptKeyword("NOT") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		e, err := p.parseBoolUnary()
 		if err != nil {
+			return nil, err
+		}
+		if p.height, err = p.node(p.height, 0); err != nil {
 			return nil, err
 		}
 		return &NotExpr{E: e}, nil
 	}
 	if p.accept(TokLParen, "(") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		e, err := p.parseBoolOr()
 		if err != nil {
 			return nil, err
@@ -361,6 +415,7 @@ func (p *parser) parsePrefExpr() (PrefExpr, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.peek().Kind == TokKeyword && p.peek().Text == "PRIOR" {
 		p.next()
 		if _, err := p.expect(TokKeyword, "TO"); err != nil {
@@ -370,8 +425,12 @@ func (p *parser) parsePrefExpr() (PrefExpr, error) {
 		if err != nil {
 			return nil, err
 		}
+		if h, err = p.node(h, p.height); err != nil {
+			return nil, err
+		}
 		l = &PriorExpr{l, r}
 	}
+	p.height = h
 	return l, nil
 }
 
@@ -382,14 +441,20 @@ func (p *parser) parsePrefPareto() (PrefExpr, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The parts accumulate pairwise (pref.ParetoAll): each AND is a node.
+	h := p.height
 	parts := []PrefExpr{first}
 	for p.acceptKeyword("AND") {
 		u, err := p.parsePrefUnit()
 		if err != nil {
 			return nil, err
 		}
+		if h, err = p.node(h, p.height); err != nil {
+			return nil, err
+		}
 		parts = append(parts, u)
 	}
+	p.height = h
 	if len(parts) == 1 {
 		return parts[0], nil
 	}
@@ -399,9 +464,14 @@ func (p *parser) parsePrefPareto() (PrefExpr, error) {
 // parsePrefUnit parses one base preference, a parenthesized sub-term, or a
 // RANK(…) numerical accumulation.
 func (p *parser) parsePrefUnit() (PrefExpr, error) {
+	p.height = 0
 	switch t := p.peek(); {
 	case t.Kind == TokLParen:
 		p.next()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		e, err := p.parsePrefExpr()
 		if err != nil {
 			return nil, err
@@ -482,18 +552,28 @@ func (p *parser) parseRank() (PrefExpr, error) {
 	if _, err := p.expect(TokLParen, "("); err != nil {
 		return nil, err
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	var parts []PrefExpr
+	h := 0
 	for {
 		u, err := p.parsePrefUnit()
 		if err != nil {
 			return nil, err
 		}
+		h = max(h, p.height)
 		parts = append(parts, u)
 		if !p.accept(TokComma, ",") {
 			break
 		}
 	}
 	if _, err := p.expect(TokRParen, ")"); err != nil {
+		return nil, err
+	}
+	var err error
+	if p.height, err = p.node(h, 0); err != nil {
 		return nil, err
 	}
 	return &RankExpr{Parts: parts}, nil
@@ -626,13 +706,18 @@ func (p *parser) parseButOr() (ButExpr, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.acceptKeyword("OR") {
 		r, err := p.parseButAnd()
 		if err != nil {
 			return nil, err
 		}
+		if h, err = p.node(h, p.height); err != nil {
+			return nil, err
+		}
 		l = &ButOr{l, r}
 	}
+	p.height = h
 	return l, nil
 }
 
@@ -641,18 +726,28 @@ func (p *parser) parseButAnd() (ButExpr, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for p.acceptKeyword("AND") {
 		r, err := p.parseButPrim()
 		if err != nil {
 			return nil, err
 		}
+		if h, err = p.node(h, p.height); err != nil {
+			return nil, err
+		}
 		l = &ButAnd{l, r}
 	}
+	p.height = h
 	return l, nil
 }
 
 func (p *parser) parseButPrim() (ButExpr, error) {
+	p.height = 0
 	if p.accept(TokLParen, "(") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		e, err := p.parseButOr()
 		if err != nil {
 			return nil, err

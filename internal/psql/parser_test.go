@@ -1,6 +1,7 @@
 package psql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -296,4 +297,111 @@ func TestLikeMatch(t *testing.T) {
 			t.Errorf("LikeMatch(%q, %q) = %v, want %v", c.pattern, c.s, got, c.want)
 		}
 	}
+}
+
+// TestParseNestingBound: every construct that nests — parentheses in each
+// clause, NOT, RANK, and the binary operators AND, OR and PRIOR TO, each a
+// node above its operands — parses at MaxNesting levels and fails one
+// level past it with a parse error, never by exhausting the stack. Each
+// statement is a few kilobytes.
+func TestParseNestingBound(t *testing.T) {
+	chain := func(n int, unit, op string) string {
+		return strings.TrimSuffix(strings.Repeat(unit+op, n+1), op)
+	}
+	for _, c := range []struct {
+		name  string
+		stmt  func(n int) string
+		calls string // what the deepest form must build
+	}{
+		{"PREFERRING parentheses", func(n int) string {
+			return "SELECT * FROM t PREFERRING " + strings.Repeat("(", n) + "LOWEST(a)" + strings.Repeat(")", n)
+		}, "LOWEST(a)"},
+		{"WHERE parentheses", func(n int) string {
+			return "SELECT * FROM t WHERE " + strings.Repeat("(", n) + "a = 1" + strings.Repeat(")", n)
+		}, "a = 1"},
+		{"BUT ONLY parentheses", func(n int) string {
+			return "SELECT * FROM t PREFERRING LOWEST(a) BUT ONLY " + strings.Repeat("(", n) + "LEVEL(a) <= 1" + strings.Repeat(")", n)
+		}, "LEVEL"},
+		{"NOT", func(n int) string { return "SELECT * FROM t WHERE " + strings.Repeat("NOT ", n) + "a = 1" }, "NOT"},
+		{"RANK", func(n int) string {
+			return "SELECT * FROM t PREFERRING " + strings.Repeat("RANK(", n) + "LOWEST(a)" + strings.Repeat(")", n)
+		}, "RANK("},
+		{"WHERE AND", func(n int) string { return "SELECT * FROM t WHERE " + chain(n, "a = 1", " AND ") }, "AND"},
+		{"WHERE OR", func(n int) string { return "SELECT * FROM t WHERE " + chain(n, "a = 1", " OR ") }, "OR"},
+		{"Pareto AND", func(n int) string { return "SELECT * FROM t PREFERRING " + chain(n, "LOWEST(a)", " AND ") }, "AND"},
+		{"PRIOR TO", func(n int) string { return "SELECT * FROM t PREFERRING " + chain(n, "LOWEST(a)", " PRIOR TO ") }, "PRIOR TO"},
+		{"BUT ONLY AND", func(n int) string {
+			return "SELECT * FROM t PREFERRING LOWEST(a) BUT ONLY " + chain(n, "LEVEL(a) <= 1", " AND ")
+		}, "AND"},
+		{"PRIOR TO over Pareto groups", func(n int) string {
+			return "SELECT * FROM t PREFERRING (" + chain(n-n/2, "LOWEST(a)", " AND ") + ")" + strings.Repeat(" PRIOR TO LOWEST(a)", n/2)
+		}, "PRIOR TO"},
+	} {
+		q, err := Parse(c.stmt(MaxNesting))
+		if err != nil {
+			t.Fatalf("%s at the bound: %v", c.name, err)
+		}
+		if !strings.Contains(q.String(), c.calls) {
+			t.Fatalf("%s at the bound renders %.80q…", c.name, q.String())
+		}
+		if _, err := Parse(q.String()); err != nil {
+			t.Fatalf("%s at the bound: the rendering does not parse: %v", c.name, err)
+		}
+		_, err = Parse(c.stmt(MaxNesting + 1))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("nests deeper than %d levels", MaxNesting)) {
+			t.Fatalf("%s one level past the bound: %v", c.name, err)
+		}
+	}
+}
+
+// parseSeeds are FuzzParse's seed corpus: the statement shapes the served
+// benchmark sends — the hot pool's, the three cold_skyline shapes, the
+// durable reader's, mixed_rw's selection, RANK and stream classes — the
+// paper's queries, and one nesting past MaxNesting.
+func parseSeeds() []string {
+	n := MaxNesting + 1
+	return []string{
+		"SELECT oid FROM car PREFERRING price AROUND 14500 AND HIGHEST(horsepower)",
+		"SELECT * FROM pts WHERE d4 <= 0.031 PREFERRING d1 AROUND 0.41 AND d2 AROUND 0.63 AND LOWEST(d3)",
+		"SELECT * FROM pts WHERE d4 <= 0.031 PREFERRING (d1 AROUND 0.41 AND LOWEST(d2)) PRIOR TO LOWEST(d3)",
+		"SELECT * FROM pts WHERE d4 <= 0.031 PREFERRING LOWEST(d3) PRIOR TO (d1 AROUND 0.41 AND LOWEST(d2))",
+		"SELECT * FROM car WHERE price <= 9000 PREFERRING mileage AROUND 60000 AND HIGHEST(horsepower)",
+		"SELECT oid FROM car WHERE price <= 12000",
+		"SELECT oid FROM car PREFERRING RANK(price AROUND 30000, HIGHEST(horsepower)) TOP 10",
+		"SELECT oid FROM car PREFERRING HIGHEST(horsepower) TOP 20",
+		"SELECT * FROM car WHERE make = 'Opel' PREFERRING (category = 'roadster' ELSE category <> 'passenger' AND price AROUND 40000 AND HIGHEST(power)) PRIOR TO color = 'red' PRIOR TO LOWEST(mileage)",
+		"SELECT * FROM trips PREFERRING start_day AROUND 'Jul/3/2002' AND duration AROUND 14 BUT ONLY DISTANCE(start_day) <= 2 AND DISTANCE(duration) <= 2",
+		"SELECT DISTINCT make, price FROM car WHERE NOT (price > 1000 OR color IN ('red', 'blue')) AND mileage IS NOT NULL PREFERRING color <> 'gray' CASCADE HIGHEST(power) GROUPING BY make ORDER BY price DESC LIMIT 3",
+		"EXPLAIN SELECT oid FROM car SKYLINE OF price MIN, horsepower MAX;",
+		"SELECT * FROM t PREFERRING EXPLICIT(color, ('blue', 'red'), ('gray', 'blue')) AND price BETWEEN 1, 2e3",
+		"SELECT * FROM t PREFERRING " + strings.Repeat("(", n) + "LOWEST(a)" + strings.Repeat(")", n),
+		// Found by fuzzing: an EXPLICIT with no edges rendered as "EXPLICIT(A, )".
+		"SELECT*FROM A PREFERRING EXPLICIT(A)",
+		// Found by fuzzing: 1e15 rendered as 1e+15, which did not lex.
+		"SELECT*FROM A PREFERRING A AROUND 1000000000000000",
+	}
+}
+
+// FuzzParse: Parse never panics, and every statement it accepts renders
+// (Query.String) to text that parses again to the same rendering. `go
+// test -run xxx -fuzz FuzzParse ./internal/psql` explores beyond the seed
+// corpus.
+func FuzzParse(f *testing.F) {
+	for _, stmt := range parseSeeds() {
+		f.Add(stmt)
+	}
+	f.Fuzz(func(t *testing.T, stmt string) {
+		q, err := Parse(stmt)
+		if err != nil {
+			return
+		}
+		rendered := q.String()
+		again, err := Parse(rendered)
+		if err != nil {
+			t.Fatalf("%q renders to %q, which does not parse: %v", stmt, rendered, err)
+		}
+		if again.String() != rendered {
+			t.Fatalf("%q renders to %q, which renders to %q", stmt, rendered, again.String())
+		}
+	})
 }

@@ -280,7 +280,9 @@ func TestExplainSharded(t *testing.T) {
 		}
 	}
 	// The WHERE-less form is cold on every shard; executed, the per-shard
-	// result entries report hits and every shard binds as before. The
+	// result entries report hits and every shard binds as before — its
+	// sorted walk over the anti-correlated LOWEST(price) ⊗
+	// HIGHEST(horsepower) gives up past a quarter of each shard. The
 	// WHERE-scoped statement still bypasses after its run.
 	whole := "SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
 	if text, err = ExplainQuery(whole, shardCat, Options{}); err != nil {
@@ -289,9 +291,9 @@ func TestExplainSharded(t *testing.T) {
 	if want := "result cache: cold on 4/4 shards"; !strings.Contains(text, want) {
 		t.Errorf("EXPLAIN missing %q:\n%s", want, text)
 	}
-	for _, c := range []struct{ query, result string }{
-		{whole, "result cache: hit on all shards"},
-		{query, "result cache: bypass — WHERE-scoped, never cached"},
+	for _, c := range []struct{ query, bind, result string }{
+		{whole, "(bind: full over 2500 rows on 4/4 shards — sorted walk over price, horsepower gave up past 624 rows on 4/4 shards)", "result cache: hit on all shards"},
+		{query, "(bind: full over 2500 rows on 4/4 shards)", "result cache: bypass — WHERE-scoped, never cached"},
 	} {
 		if _, err := Run(c.query, shardCat, Options{}); err != nil {
 			t.Fatal(err)
@@ -299,7 +301,7 @@ func TestExplainSharded(t *testing.T) {
 		if text, err = ExplainQuery(c.query, shardCat, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		for _, want := range []string{"(bind: full over 2500 rows on 4/4 shards)", c.result} {
+		for _, want := range []string{c.bind, c.result} {
 			if !strings.Contains(text, want) {
 				t.Errorf("warm EXPLAIN missing %q:\n%s", want, text)
 			}

@@ -144,26 +144,12 @@ func Lex(input string) ([]Token, error) {
 				return nil, fmt.Errorf("psql: unexpected '!' at offset %d", i+1)
 			}
 		case c >= '0' && c <= '9' || c == '.' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9':
-			j := i
-			seenDot := false
-			for j < n && (input[j] >= '0' && input[j] <= '9' || input[j] == '.' && !seenDot) {
-				if input[j] == '.' {
-					seenDot = true
-				}
-				j++
-			}
+			j := scanNumber(input, i)
 			toks = append(toks, Token{TokNumber, input[i:j], i + 1})
 			i = j
 		case c == '-' && len(toks) > 0 && (toks[len(toks)-1].Kind == TokOp || toks[len(toks)-1].Kind == TokLParen || toks[len(toks)-1].Kind == TokComma || toks[len(toks)-1].Kind == TokKeyword):
 			// Unary minus on a numeric literal.
-			j := i + 1
-			seenDot := false
-			for j < n && (input[j] >= '0' && input[j] <= '9' || input[j] == '.' && !seenDot) {
-				if input[j] == '.' {
-					seenDot = true
-				}
-				j++
-			}
+			j := scanNumber(input, i+1)
 			if j == i+1 {
 				return nil, fmt.Errorf("psql: stray '-' at offset %d", i+1)
 			}
@@ -188,6 +174,32 @@ func Lex(input string) ([]Token, error) {
 	}
 	toks = append(toks, Token{TokEOF, "", n + 1})
 	return toks, nil
+}
+
+// scanNumber returns the end of the numeric literal at input[i:]: digits
+// with at most one dot, then an optional exponent (e or E, an optional
+// sign, digits), the form pref.FormatValue gives large and small
+// numbers.
+func scanNumber(input string, i int) int {
+	digit := func(j int) bool { return j < len(input) && input[j] >= '0' && input[j] <= '9' }
+	j := i
+	for seenDot := false; digit(j) || j < len(input) && input[j] == '.' && !seenDot; j++ {
+		seenDot = seenDot || input[j] == '.'
+	}
+	if j == i || j >= len(input) || input[j] != 'e' && input[j] != 'E' {
+		return j
+	}
+	k := j + 1
+	if k < len(input) && (input[k] == '+' || input[k] == '-') {
+		k++
+	}
+	if !digit(k) {
+		return j
+	}
+	for digit(k) {
+		k++
+	}
+	return k
 }
 
 func isIdentStart(r rune) bool {

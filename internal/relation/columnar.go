@@ -261,10 +261,12 @@ func (r *Relation) NumericColumn(name string) (vals []float64, onScale []bool, o
 func numericType(t Type) bool { return t == Int || t == Float }
 
 // ValueOrder is NumericColumn plus the column's value order on the current
-// generation (see filter.ValueOrder), all from that one generation. The
-// order is kept for what is reused: the first request for a column marks
-// it and returns no order, the second builds it — 4 bytes per row — and
-// later ones share it. A generation published by Insert (or a checkpoint)
+// generation (see filter.ValueOrder), all from that one generation. Two
+// readers request it: a range cut (filter.Compile reads its candidates out
+// of the order) and a whole-shard BMO step (the engine's sorted walk reads
+// each leaf's rows in score order). The order is kept for what is reused:
+// the first request for a column marks it and returns no order, the
+// second builds it — 4 bytes per row — and later ones share it. A generation published by Insert (or a checkpoint)
 // inherits its predecessor's orders, which cover its unchanged row prefix,
 // and leaves the appended rows as their tail; the first request that finds
 // the tail longer than 1/orderTailFraction of the covered rows extends the

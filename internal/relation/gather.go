@@ -47,8 +47,12 @@ const gatherFraction = 4
 // score cache is consulted first — a cached vector is free at any
 // selectivity.
 func GatherWorthwhile(m, n int) bool {
-	return m*gatherFraction <= n
+	return m <= GatherLimit(n)
 }
+
+// GatherLimit is the largest candidate count over n rows that
+// GatherWorthwhile accepts: n/gatherFraction.
+func GatherLimit(n int) int { return n / gatherFraction }
 
 // Gathered is a small columnar copy of selected rows: slot k holds the
 // k-th selected row. It implements pref.Source, pref.FloatColumner,

@@ -287,6 +287,36 @@ func TestPreparedStatements(t *testing.T) {
 	}
 }
 
+// TestNestedStatementRefused: a statement nested one level past
+// psql.MaxNesting — parentheses in the PREFERRING clause, or a chain of
+// NOT in the WHERE clause — is refused with a typed parse error, and the
+// session goes on answering; before the bound one such frame exhausted
+// the parser's stack and killed the server.
+func TestNestedStatementRefused(t *testing.T) {
+	car := workload.Cars(400, 97)
+	cat := psql.Catalog{"car": car}
+	_, addr := startServer(t, cat, Config{})
+	c := dialT(t, addr)
+	const stmt = "SELECT oid FROM car PREFERRING LOWEST(price) AND HIGHEST(horsepower)"
+	direct, err := psql.Run(stmt, cat, psql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := psql.MaxNesting + 1
+	for _, deep := range []string{
+		"SELECT oid FROM car PREFERRING " + strings.Repeat("(", n) + "LOWEST(price)" + strings.Repeat(")", n),
+		"SELECT oid FROM car WHERE " + strings.Repeat("NOT ", n) + "price <= 5000",
+	} {
+		_, err := c.Query(deep)
+		if se := wireErrOf(t, err); se.Code != wire.CodeParse || !strings.Contains(se.Msg, "nests deeper") {
+			t.Fatalf("a statement past the nesting bound: %v", err)
+		}
+		if rs, err := c.Query(stmt); err != nil || renderRows(rs.Rows()) != renderRel(direct) {
+			t.Fatalf("session after a refused statement: %v", err)
+		}
+	}
+}
+
 // TestPreparedStatementsBounded: one session holds at most parseCacheCap
 // prepared names. A PREPARE of a new name past the bound fails typed and
 // leaves the session answering; re-PREPARE of a held name replaces it,
