@@ -66,8 +66,10 @@ test-ties:
 	$(GO) test -race -run '$(TIES_RUN)' $(TIES_PKGS)
 
 # A short fuzzing run of the ordered hard selection, of the fused flat
-# bind (and the sorted walk's route), of the wire frame decoders and of
-# the statement parser (the seed corpora alone run in every `go test`);
+# bind (and the sorted walk's route), of the wire frame decoders, of the
+# statement parser and of an epoch's files (epoch.json and rows.pag read
+# by every row path: decode, reload over the kept row-offset table, full
+# scan, copy) — the seed corpora alone run in every `go test`;
 # FUZZTIME=1m or longer to explore further.
 FUZZTIME ?= 10s
 fuzz:
@@ -75,6 +77,7 @@ fuzz:
 	$(GO) test -run 'xxx' -fuzz 'FuzzFlatBind' -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run 'xxx' -fuzz 'FuzzDecodeFrames' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run 'xxx' -fuzz 'FuzzParse' -fuzztime $(FUZZTIME) ./internal/psql
+	$(GO) test -run 'xxx' -fuzz 'FuzzEpoch' -fuzztime $(FUZZTIME) ./internal/relation/store
 
 # The fault-tolerance suite under the race detector: fault injection
 # (slow/hung/panicking/erroring shards) against both policies, the
@@ -119,12 +122,17 @@ test-resultcache:
 	$(GO) test -race -run '$(RESULTCACHE_RUN)' $(RESULTCACHE_PKGS)
 
 # The disk-tier suite under the race detector: the storage-format unit
-# battery (page codec, segments, WAL framing, buffer pool), the
-# relation-level persistence battery (round trips, WAL recovery, the
-# mid-append crash torture, checkpointing, sharded stores, snapshot pins
-# under paged churn, beyond-pool-budget reads), the displaced-shard
-# cache-sweep lifecycle, the psql beyond-RAM agreement acceptance and
-# the server stats frame.
+# battery (page codec, segments, WAL framing, buffer pool, a page
+# validated once per epoch — reloads that stop at a rewritten page's
+# checksum, failed validations that keep no table, retired epochs that
+# keep none — rows copied out of pages for every tag, FuzzEpoch's seed
+# corpus), the relation-level persistence battery (round trips, WAL
+# recovery, the mid-append crash torture, checkpointing, sharded stores,
+# snapshot pins under paged churn, beyond-pool-budget reads, encoded
+# answers against boxed ones, their allocations, row-offset tables
+# bounded across checkpoints), the displaced-shard cache-sweep
+# lifecycle, the psql beyond-RAM agreement acceptance, encoded answers'
+# frames byte-identical to the boxed path's and the server stats frame.
 PERSIST_RUN := Persist|ReshardSweeps|ReplaceSweeps|StatsTurn
 PERSIST_PKGS := ./internal/relation ./internal/engine ./internal/psql ./internal/server
 test-persist:

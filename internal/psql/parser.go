@@ -8,20 +8,25 @@ import (
 	"repro/internal/skyline"
 )
 
-// Parse parses one Preference SQL statement.
+// Parse parses one Preference SQL statement. The parser pulls tokens
+// from the lexer as it goes, holding two of lookahead, so its memory is
+// bounded by the nesting bound and the tree, not by the input's length.
+// A lexical error anywhere in the input is reported before any syntax
+// error.
 func Parse(input string) (*Query, error) {
-	toks, err := Lex(input)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lex: lexer{input: input}}
 	q, err := p.parseQuery()
+	if err == nil {
+		p.accept(TokSemi, ";")
+		if p.peek().Kind != TokEOF {
+			err = p.errorf("unexpected %s after end of query", p.peek())
+		}
+	}
+	if lexErr := p.lexError(); lexErr != nil {
+		return nil, lexErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	p.accept(TokSemi, ";")
-	if p.peek().Kind != TokEOF {
-		return nil, p.errorf("unexpected %s after end of query", p.peek())
 	}
 	return q, nil
 }
@@ -35,21 +40,51 @@ func Parse(input string) (*Query, error) {
 const MaxNesting = 1000
 
 type parser struct {
-	toks []Token
-	pos  int
+	lex    lexer
+	la     [2]Token // lookahead: la[0] is the current token
+	nla    int      // tokens held in la
+	lexErr error    // the lexer's error, once the parser has met it
 	// depth counts the constructs open around the current token; height is
 	// the height of the subtree the last parse function returned.
 	depth, height int
 }
 
-func (p *parser) peek() Token { return p.toks[p.pos] }
-func (p *parser) peek2() Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// fill pulls tokens until the lookahead holds k of them. A lexical
+// error reads as the end of the query (and stays where it is, so every
+// later pull meets it again).
+func (p *parser) fill(k int) {
+	for ; p.nla < k; p.nla++ {
+		t, err := p.lex.next()
+		if err != nil {
+			p.lexErr = err
+			t = Token{Kind: TokEOF, Pos: len(p.lex.input) + 1}
+		}
+		p.la[p.nla] = t
 	}
-	return p.toks[len(p.toks)-1]
 }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+
+func (p *parser) peek() Token  { p.fill(1); return p.la[0] }
+func (p *parser) peek2() Token { p.fill(2); return p.la[1] }
+func (p *parser) next() Token {
+	t := p.peek()
+	p.la[0] = p.la[1]
+	p.nla--
+	return t
+}
+
+// lexError returns the input's first lexical error: the one the parser
+// ran into, else one in the input it did not reach.
+func (p *parser) lexError() error {
+	for p.lexErr == nil {
+		t, err := p.lex.next()
+		if err != nil {
+			p.lexErr = err
+		} else if t.Kind == TokEOF {
+			return nil
+		}
+	}
+	return p.lexErr
+}
 
 func (p *parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("psql: at offset %d: %s", p.peek().Pos, fmt.Sprintf(format, args...))
@@ -79,7 +114,7 @@ func (p *parser) node(l, r int) (int, error) {
 // accept consumes the next token when it matches kind and text.
 func (p *parser) accept(kind TokenKind, text string) bool {
 	if p.peek().Kind == kind && (text == "" || p.peek().Text == text) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false

@@ -2,6 +2,7 @@ package psql
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -351,6 +352,25 @@ func TestParseNestingBound(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("nests deeper than %d levels", MaxNesting)) {
 			t.Fatalf("%s one level past the bound: %v", c.name, err)
 		}
+	}
+}
+
+// TestParseMemoryBoundedByNesting: the parser pulls its tokens from the
+// lexer, so a statement far past the nesting bound costs memory in
+// proportion to the bound, not to its length — a token list of 2 MB of
+// parentheses alone would take 64 MB — and still fails with the nesting
+// error.
+func TestParseMemoryBoundedByNesting(t *testing.T) {
+	stmt := "SELECT * FROM t WHERE " + strings.Repeat("(", 2<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Parse(stmt)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("nests deeper than %d levels", MaxNesting)) {
+		t.Fatalf("2 MB of parentheses: %v, want the nesting error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8*uint64(len(stmt)) {
+		t.Fatalf("parsing %d bytes allocated %d bytes, want under 8× the input", len(stmt), got)
 	}
 }
 

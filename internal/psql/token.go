@@ -68,29 +68,63 @@ var keywords = map[string]bool{
 
 // Lex tokenizes a Preference SQL query.
 func Lex(input string) ([]Token, error) {
+	l := lexer{input: input}
 	var toks []Token
-	i := 0
-	n := len(input)
-	for i < n {
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks, nil
+		}
+	}
+}
+
+// lexer hands out the tokens of a statement one at a time, so a parser
+// holds only its lookahead, never the whole token list. After the last
+// token it returns TokEOF on every call.
+type lexer struct {
+	input string
+	i     int
+	prev  TokenKind // kind of the last token returned; TokEOF before the first
+}
+
+// next returns the next token, or the error of the first character that
+// starts none.
+func (l *lexer) next() (Token, error) {
+	t, err := l.scan()
+	if err == nil {
+		l.prev = t.Kind
+	}
+	return t, err
+}
+
+// scan reads one token at l.i.
+func (l *lexer) scan() (Token, error) {
+	input, n := l.input, len(l.input)
+	for l.i < n {
+		i := l.i
 		c := input[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
+			l.i++
 		case c == '(':
-			toks = append(toks, Token{TokLParen, "(", i + 1})
-			i++
+			l.i++
+			return Token{TokLParen, "(", i + 1}, nil
 		case c == ')':
-			toks = append(toks, Token{TokRParen, ")", i + 1})
-			i++
+			l.i++
+			return Token{TokRParen, ")", i + 1}, nil
 		case c == ',':
-			toks = append(toks, Token{TokComma, ",", i + 1})
-			i++
+			l.i++
+			return Token{TokComma, ",", i + 1}, nil
 		case c == ';':
-			toks = append(toks, Token{TokSemi, ";", i + 1})
-			i++
+			l.i++
+			return Token{TokSemi, ";", i + 1}, nil
 		case c == '*':
-			toks = append(toks, Token{TokStar, "*", i + 1})
-			i++
+			l.i++
+			return Token{TokStar, "*", i + 1}, nil
 		case c == '\'':
 			j := i + 1
 			var sb strings.Builder
@@ -109,71 +143,64 @@ func Lex(input string) ([]Token, error) {
 				j++
 			}
 			if !closed {
-				return nil, fmt.Errorf("psql: unterminated string literal at offset %d", i+1)
+				return Token{}, fmt.Errorf("psql: unterminated string literal at offset %d", i+1)
 			}
-			toks = append(toks, Token{TokString, sb.String(), i + 1})
-			i = j + 1
+			l.i = j + 1
+			return Token{TokString, sb.String(), i + 1}, nil
 		case c == '=':
-			toks = append(toks, Token{TokOp, "=", i + 1})
-			i++
+			l.i++
+			return Token{TokOp, "=", i + 1}, nil
 		case c == '<':
 			switch {
 			case i+1 < n && input[i+1] == '>':
-				toks = append(toks, Token{TokOp, "<>", i + 1})
-				i += 2
+				l.i += 2
+				return Token{TokOp, "<>", i + 1}, nil
 			case i+1 < n && input[i+1] == '=':
-				toks = append(toks, Token{TokOp, "<=", i + 1})
-				i += 2
-			default:
-				toks = append(toks, Token{TokOp, "<", i + 1})
-				i++
+				l.i += 2
+				return Token{TokOp, "<=", i + 1}, nil
 			}
+			l.i++
+			return Token{TokOp, "<", i + 1}, nil
 		case c == '>':
 			if i+1 < n && input[i+1] == '=' {
-				toks = append(toks, Token{TokOp, ">=", i + 1})
-				i += 2
-			} else {
-				toks = append(toks, Token{TokOp, ">", i + 1})
-				i++
+				l.i += 2
+				return Token{TokOp, ">=", i + 1}, nil
 			}
+			l.i++
+			return Token{TokOp, ">", i + 1}, nil
 		case c == '!':
 			if i+1 < n && input[i+1] == '=' {
-				toks = append(toks, Token{TokOp, "<>", i + 1})
-				i += 2
-			} else {
-				return nil, fmt.Errorf("psql: unexpected '!' at offset %d", i+1)
+				l.i += 2
+				return Token{TokOp, "<>", i + 1}, nil
 			}
+			return Token{}, fmt.Errorf("psql: unexpected '!' at offset %d", i+1)
 		case c >= '0' && c <= '9' || c == '.' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9':
-			j := scanNumber(input, i)
-			toks = append(toks, Token{TokNumber, input[i:j], i + 1})
-			i = j
-		case c == '-' && len(toks) > 0 && (toks[len(toks)-1].Kind == TokOp || toks[len(toks)-1].Kind == TokLParen || toks[len(toks)-1].Kind == TokComma || toks[len(toks)-1].Kind == TokKeyword):
+			l.i = scanNumber(input, i)
+			return Token{TokNumber, input[i:l.i], i + 1}, nil
+		case c == '-' && (l.prev == TokOp || l.prev == TokLParen || l.prev == TokComma || l.prev == TokKeyword):
 			// Unary minus on a numeric literal.
 			j := scanNumber(input, i+1)
 			if j == i+1 {
-				return nil, fmt.Errorf("psql: stray '-' at offset %d", i+1)
+				return Token{}, fmt.Errorf("psql: stray '-' at offset %d", i+1)
 			}
-			toks = append(toks, Token{TokNumber, input[i:j], i + 1})
-			i = j
+			l.i = j
+			return Token{TokNumber, input[i:j], i + 1}, nil
 		case isIdentStart(rune(c)):
 			j := i
 			for j < n && isIdentPart(rune(input[j])) {
 				j++
 			}
+			l.i = j
 			word := input[i:j]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, Token{TokKeyword, upper, i + 1})
-			} else {
-				toks = append(toks, Token{TokIdent, word, i + 1})
+			if upper := strings.ToUpper(word); keywords[upper] {
+				return Token{TokKeyword, upper, i + 1}, nil
 			}
-			i = j
+			return Token{TokIdent, word, i + 1}, nil
 		default:
-			return nil, fmt.Errorf("psql: unexpected character %q at offset %d", c, i+1)
+			return Token{}, fmt.Errorf("psql: unexpected character %q at offset %d", c, i+1)
 		}
 	}
-	toks = append(toks, Token{TokEOF, "", n + 1})
-	return toks, nil
+	return Token{TokEOF, "", n + 1}, nil
 }
 
 // scanNumber returns the end of the numeric literal at input[i:]: digits

@@ -34,21 +34,28 @@ import (
 // Runtime model: the current epoch's column segments are mmap'd and
 // served zero-copy into the compiled evaluator; row pages are read on
 // demand into one store-wide buffer pool, which keeps them as verified
-// encoded bytes, and a row read decodes just its row out of the page.
-// A page that fails to read or verify fails the statement reading it
-// (RecoverPageError), not the process. Superseded epochs stay
-// mapped until Close so pinned snapshots (and cached score vectors that
-// alias segment memory) never dangle — an unlinked, clean, file-backed
-// mapping costs address space, not RAM, and the kernel reclaims its
-// pages under pressure.
+// encoded bytes. A page's first load validates every value and leaves
+// the page's row-offset table on the epoch; a reload checks the CRC and
+// reuses the table. A row read decodes just its row out of the page, and
+// Pick copies a row's bytes out of it whole, so a durable answer reaches
+// the wire as the bytes the page stored (encoded.go). A page that fails
+// to read or verify fails the statement reading it (RecoverPageError),
+// not the process. Superseded epochs stay mapped until Close so pinned
+// snapshots (and cached score vectors that alias segment memory) never
+// dangle — an unlinked, clean, file-backed mapping costs address space,
+// not RAM, and the kernel reclaims its pages under pressure; a
+// checkpoint retires the epoch it supersedes, dropping its row-offset
+// tables.
 
 // StoreOptions tunes a persistent catalog.
 type StoreOptions struct {
 	// PoolBytes is the buffer-pool budget for resident row pages,
-	// counted as the heap they hold: each page's encoded bytes plus its
-	// row-offset table (rows are decoded per read, outside the pool).
-	// Default 64 MiB. Column segments are mmap'd and do not count
-	// against it — the kernel page cache manages them.
+	// counted as the heap their frames hold: each page's encoded bytes.
+	// The pages' row-offset tables (4 bytes per row of a page that has
+	// been read) live on their epoch, outside the budget, and rows are
+	// decoded or copied per read, outside the pool. Default 64 MiB.
+	// Column segments are mmap'd and do not count against it — the
+	// kernel page cache manages them.
 	PoolBytes int64
 	// PageBytes is the target encoded size of one row page. Default 64 KiB.
 	PageBytes int
@@ -124,6 +131,7 @@ type shardPersist struct {
 	dir   string
 	label string // "table/s0", for stats
 	epoch uint64
+	ep    *store.Epoch // the opened current epoch; nil before the first checkpoint
 	wal   *store.WAL
 }
 
@@ -304,7 +312,7 @@ func (st *Store) openShard(name, dir, label string, schema *Schema) (*Relation, 
 	}
 	sp := &shardPersist{st: st, dir: dir, label: label, epoch: meta.Epoch}
 
-	var base *pagedBase
+	var base rowBase
 	if meta.Epoch > 0 {
 		ep, err := store.OpenEpoch(filepath.Join(dir, fmt.Sprintf("ep%d", meta.Epoch)), !st.opts.NoMMap)
 		if err != nil {
@@ -315,6 +323,7 @@ func (st *Store) openShard(name, dir, label string, schema *Schema) (*Relation, 
 			return nil, fmt.Errorf("shard %s: epoch arity %d does not match schema arity %d", dir, ep.Arity(), schema.Len())
 		}
 		st.trackEpoch(ep)
+		sp.ep = ep
 		base = &pagedBase{ep: ep, pool: st.pool}
 	}
 
@@ -471,9 +480,12 @@ func (sp *shardPersist) rewriteLocked(rows []Row, version uint64) (*generation, 
 	// Point of no return: the swap published epoch E+1. Retire the old
 	// WAL and epoch directory (pinned snapshots keep reading the old
 	// epoch through its open mapping; the files' space frees when the
-	// store closes).
+	// store closes) and the old epoch's row-offset tables.
 	oldWAL, oldEpoch := sp.wal, sp.epoch
-	sp.wal, sp.epoch = newWAL, next
+	if sp.ep != nil {
+		sp.ep.Retire()
+	}
+	sp.wal, sp.epoch, sp.ep = newWAL, next, ep
 	oldWAL.Close()
 	os.Remove(sp.walPath(oldEpoch))
 	if oldEpoch > 0 {
@@ -804,8 +816,15 @@ type ShardStat struct {
 
 // StoreStats is a point-in-time view of a store's paging behavior.
 type StoreStats struct {
-	Pool   store.PoolStats
-	Shards []ShardStat
+	Pool store.PoolStats
+	// Validations counts the page loads that ran the full tag-and-length
+	// check — a page's first load in its epoch, where Pool.Misses counts
+	// every load.
+	Validations uint64
+	// EpochsOpen counts the epochs the store keeps open until Close: each
+	// shard's current one plus every one a checkpoint superseded.
+	EpochsOpen int
+	Shards     []ShardStat
 }
 
 // WALBytes sums the live WAL sizes across shards.
@@ -830,6 +849,12 @@ func (s StoreStats) SegmentBytes() int64 {
 // sizes — the numbers prefctl's \stats renders.
 func (st *Store) Stats() StoreStats {
 	out := StoreStats{Pool: st.pool.Stats()}
+	st.epochMu.Lock()
+	out.EpochsOpen = len(st.epochs)
+	for _, ep := range st.epochs {
+		out.Validations += ep.Validations()
+	}
+	st.epochMu.Unlock()
 	for _, r := range st.persistentRelations() {
 		r.mu.Lock()
 		sp := r.persist
@@ -837,7 +862,7 @@ func (st *Store) Stats() StoreStats {
 		if sp.wal != nil {
 			stat.WALBytes = sp.wal.Size()
 		}
-		if base := r.cur().base; base != nil {
+		if base, ok := r.cur().base.(*pagedBase); ok {
 			stat.SegmentBytes = base.ep.SegmentBytes()
 		}
 		r.mu.Unlock()

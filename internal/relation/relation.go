@@ -157,10 +157,12 @@ type Row []pref.Value
 // the last checkpoint — the rows the WAL would replay after a crash.
 // Snapshot pinning extends naturally: a pinned generation keeps its
 // base (and therefore its epoch's mappings) reachable until the last
-// reader drops it, and the store only unmaps epochs at Close.
+// reader drops it, and the store only unmaps epochs at Close. A derived
+// answer picked out of a paged relation carries the picked rows'
+// encoded bytes as its base instead (encodedRows, see encoded.go).
 type generation struct {
-	base    *pagedBase // persisted immutable prefix; nil = fully in-memory
-	rows    []Row      // all rows when base == nil, the tail beyond it otherwise
+	base    rowBase // encoded immutable prefix; nil = fully in-memory
+	rows    []Row   // all rows when base == nil, the tail beyond it otherwise
 	version uint64
 
 	// Derived caches, built lazily from rows under colMu. The rows are
@@ -179,9 +181,10 @@ type generation struct {
 	orders  atomic.Pointer[orderSet]
 
 	// snap memoizes the frozen Snapshot view of this generation, so every
-	// session pinning the same version shares one *Relation identity.
-	snapMu sync.Mutex
-	snap   *Relation
+	// session pinning the same version shares one *Relation identity. It
+	// is set once, by compare-and-swap: a mutex here would take the
+	// generation, which every Insert allocates, past its size class.
+	snap atomic.Pointer[Relation]
 
 	// stats memoizes the planner's statistics of exactly these rows
 	// (Stats), analyzed once over the snap view; a successor generation
@@ -199,8 +202,8 @@ func (g *generation) nrows() int {
 	return len(g.rows)
 }
 
-// row returns row i, decoding it out of its base page through the
-// buffer pool when the generation has a persisted prefix. A base read
+// row returns row i, decoding it out of its base — a page read through
+// the buffer pool when the generation has a persisted prefix. A base read
 // that fails (I/O error, checksum or format mismatch) panics with the
 // *store.PageError — the row store is the authoritative copy, and the
 // row APIs have no error result. Nothing contains that panic by itself:
@@ -219,8 +222,8 @@ func (g *generation) row(i int) Row {
 }
 
 // all returns the generation's full row slice. For in-memory
-// generations it is the row slice itself; for paged generations the
-// base is materialized through the pool once and memoized, so the
+// generations it is the row slice itself; with a base (paged or
+// encoded) the base is decoded once and memoized, so the
 // interpreted full-scan paths (Select, Project, Clone, CSV export)
 // keep working against persistent relations at one decode per
 // generation. Callers must not modify the result.
@@ -323,18 +326,18 @@ func (r *Relation) Snapshot() *Relation { return r.snapshotOf(r.cur()) }
 // snapshotOf returns the memoized frozen view of generation g, which must
 // be r's own.
 func (r *Relation) snapshotOf(g *generation) *Relation {
-	g.snapMu.Lock()
-	defer g.snapMu.Unlock()
-	if g.snap == nil {
-		if r.frozen {
-			g.snap = r
-		} else {
-			s := &Relation{name: r.name, schema: r.schema, derived: r.derived, frozen: true, origin: r}
-			s.gen.Store(g)
-			g.snap = s
-		}
+	if s := g.snap.Load(); s != nil {
+		return s
 	}
-	return g.snap
+	s := r
+	if !r.frozen {
+		s = &Relation{name: r.name, schema: r.schema, derived: r.derived, frozen: true, origin: r}
+		s.gen.Store(g)
+	}
+	if g.snap.CompareAndSwap(nil, s) {
+		return s
+	}
+	return g.snap.Load()
 }
 
 // Origin returns the live relation behind this one: a frozen Snapshot
@@ -626,8 +629,18 @@ func (r *Relation) WhereIndices(pred filter.Pred) []int {
 }
 
 // Pick returns a new relation containing the rows at the given indices.
+// Out of a relation with a base (paged or encoded) the answer holds the
+// rows' encoded bytes: each base row is one copy out of its page, each
+// tail row is encoded once, and nothing is decoded until it is read.
 func (r *Relation) Pick(indices []int) *Relation {
 	g := r.cur()
+	if g.base != nil {
+		enc := newEncodedRows(r.schema.Len(), len(indices))
+		for _, i := range indices {
+			enc.add(g, i)
+		}
+		return newEncoded(r.name, r.schema, enc.done())
+	}
 	rows := make([]Row, 0, len(indices))
 	for _, i := range indices {
 		rows = append(rows, g.row(i))

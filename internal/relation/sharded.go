@@ -430,9 +430,21 @@ func (s *Sharded) Tuple(gid int) pref.Tuple {
 }
 
 // Pick materializes the rows at the given global ids as a new flat
-// (derived) relation, in id order.
+// (derived) relation, in id order. When a shard has a paged base the
+// answer holds the rows' encoded bytes, as Relation.Pick's does.
 func (s *Sharded) Pick(gids []int) *Relation {
 	st := s.state.Load()
+	for _, sh := range st.shards {
+		if sh.cur().base == nil {
+			continue
+		}
+		enc := newEncodedRows(s.schema.Len(), len(gids))
+		for _, gid := range gids {
+			shard, local := SplitGlobalID(gid)
+			enc.add(st.shards[shard].cur(), local)
+		}
+		return newEncoded(s.name, s.schema, enc.done())
+	}
 	rows := make([]Row, 0, len(gids))
 	for _, gid := range gids {
 		shard, local := SplitGlobalID(gid)

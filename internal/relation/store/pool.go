@@ -13,12 +13,13 @@ import (
 // misses on one page coalesce into a single load, and a clock hand
 // sweeps unpinned frames for eviction once the budget is exceeded.
 //
-// A frame holds a Page — the page's CRC-checked encoded bytes and a
-// row-offset table into them — not decoded rows. Both arrays are
-// pointer-free, so resident pages add nothing to the collector's mark
-// work, and their length is the heap a frame really holds, which is
-// what the byte budget counts. A reader decodes only the row it asked
-// for, copying it out of the frame. Frames are never modified or
+// A frame holds a Page — the page's CRC-checked encoded bytes — not
+// decoded rows. The page's row-offset table is not the frame's: the
+// epoch keeps it, built by the page's first validated load and reused
+// by every reload (see Epoch.loadPage), so the budget counts the frame
+// bytes alone. Page bytes and tables are pointer-free, so resident pages
+// add nothing to the collector's mark work. A reader decodes or copies only
+// the row it asked for, out of the frame. Frames are never modified or
 // reused, so eviction only forgets the cache's reference: bytes and
 // rows already handed to readers stay valid, which is what lets pinned
 // snapshots outlive any eviction.
@@ -41,67 +42,89 @@ type PoolStats struct {
 }
 
 // Page is one row page as the pool holds it: the page's encoded bytes
-// and its row-offset table. Pages are built by indexPage, which has
-// checked every value's tag and length, and are immutable afterwards.
+// plus the row-offset table its epoch validated them against. Pages are
+// immutable once built.
 type Page struct {
 	buf   []byte
-	offs  []uint32 // offs[k]: where row k·rowStride starts in buf
-	rows  int
+	offs  []uint32 // offs[r]: where row r starts in buf; offs[rows] == len(buf)
 	arity int
 }
 
-// rowStride is the spacing of a page's row-offset table. A read starts
-// at the recorded offset at or before its row and skips the rows in
-// between by their value lengths, without decoding them. At 8 the table
-// costs half a byte per row, about 1 % of a page of the served Cars rows
-// (≈50 bytes each), where an offset per row would take 8 % of the
-// pool's budget away from the pages themselves.
-const rowStride = 8
-
 // indexPage builds the row-offset table of an encoded page holding rows
-// rows of the given arity, in one pass that validates every value's tag
-// and length (valueLen) and allocates nothing but the table. A page
-// that ends early, holds an unknown tag or carries bytes past its last
-// row is an error, so a malformed page fails when it is loaded, not
-// when some later read reaches the bad row.
-func indexPage(buf []byte, rows, arity int) (Page, error) {
-	offs := make([]uint32, (rows+rowStride-1)/rowStride)
+// rows of the given arity — one offset per row, then the page's length
+// — while checkPage validates it. One offset per row (4 bytes, ≈8 % of
+// a served Cars row) lets a read find its row's extent without walking
+// the rows before it; the table lives on the epoch, outside the pool's
+// budget.
+func indexPage(buf []byte, rows, arity int) ([]uint32, error) {
+	offs := make([]uint32, rows+1)
+	if err := checkPage(buf, rows, arity, offs); err != nil {
+		return nil, err
+	}
+	return offs, nil
+}
+
+// checkPage validates an encoded page holding rows rows of the given
+// arity in one pass over every value's tag and length (valueLen),
+// recording where each row starts (and, last, the page's length) in offs
+// unless it is nil. A page that ends early, holds an unknown tag or
+// carries bytes past its last row is an error, so a malformed page fails
+// when it is read, not when some later read reaches the bad row.
+func checkPage(buf []byte, rows, arity int, offs []uint32) error {
 	off := 0
 	for r := 0; r < rows; r++ {
-		if r%rowStride == 0 {
-			offs[r/rowStride] = uint32(off)
+		if offs != nil {
+			offs[r] = uint32(off)
 		}
 		for c := 0; c < arity; c++ {
 			n, err := valueLen(buf[off:])
 			if err != nil {
-				return Page{}, fmt.Errorf("row %d column %d: %w", r, c, err)
+				return fmt.Errorf("row %d column %d: %w", r, c, err)
 			}
 			off += n
 		}
 	}
 	if off != len(buf) {
-		return Page{}, fmt.Errorf("%d bytes past the last of %d rows", len(buf)-off, rows)
+		return fmt.Errorf("%d bytes past the last of %d rows", len(buf)-off, rows)
 	}
-	return Page{buf: buf, offs: offs, rows: rows, arity: arity}, nil
+	if offs != nil {
+		offs[rows] = uint32(off)
+	}
+	return nil
 }
 
-// Bytes returns the heap the page holds: its encoded bytes plus its
-// offset table. The pool's budget counts exactly this.
-func (pg Page) Bytes() int64 { return int64(cap(pg.buf)) + 4*int64(cap(pg.offs)) }
+// Bytes returns the heap the frame holds: the page's encoded bytes. The
+// pool's budget counts exactly this.
+func (pg Page) Bytes() int64 { return int64(cap(pg.buf)) }
 
-// Row decodes row r (0 ≤ r < the page's row count) into freshly
-// allocated values; nothing in the result aliases the page.
+// Row decodes row r of the page into freshly allocated values;
+// nothing in the result aliases the page.
 func (pg Page) Row(r int) ([]pref.Value, error) {
-	off := int(pg.offs[r/rowStride])
-	for skip := r % rowStride * pg.arity; skip > 0; skip-- {
-		n, err := valueLen(pg.buf[off:])
+	row, _, err := ReadRow(pg.buf[pg.offs[r]:pg.offs[r+1]], pg.arity)
+	return row, err
+}
+
+// appendRow copies row r's encoded bytes to dst — one copy, its extent
+// read off the offset table — and appends to starts where each of its
+// values begins in dst. Every value is split off by valueLen first, so
+// what it appends is exactly arity accepted values; on an error dst and
+// starts come back as they were.
+func (pg Page) appendRow(dst []byte, starts []int, r int) ([]byte, []int, error) {
+	row := pg.buf[pg.offs[r]:pg.offs[r+1]]
+	base, mark := len(dst), len(starts)
+	off := 0
+	for c := 0; c < pg.arity; c++ {
+		starts = append(starts, base+off)
+		n, err := valueLen(row[off:])
 		if err != nil {
-			return nil, err
+			return dst, starts[:mark], fmt.Errorf("column %d: %w", c, err)
 		}
 		off += n
 	}
-	row, _, err := ReadRow(pg.buf[off:], pg.arity)
-	return row, err
+	if off != len(row) {
+		return dst, starts[:mark], fmt.Errorf("%d bytes past the row's last value", len(row)-off)
+	}
+	return append(dst, row...), starts, nil
 }
 
 // frame is one resident page.

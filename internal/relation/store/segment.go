@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/pref"
@@ -18,8 +20,9 @@ import (
 // Segment epochs: one immutable on-disk image of a shard's contents.
 // An epoch directory holds the authoritative row store (rows.pag —
 // fixed-size pages of tag-encoded rows, each page CRC-framed in the
-// epoch metadata, verified and indexed when the buffer pool loads it and
-// decoded one row at a time by the readers that ask for rows) plus
+// epoch metadata, validated and indexed by its first load through the
+// buffer pool and CRC-checked on every later one, and decoded or copied
+// one row at a time by the readers that ask for rows) plus
 // derived columnar segment files per column: the float64 scale image
 // and its on-scale mask for the linearly ordered columns, and the
 // equality-code dictionary image for every column. Column segments are
@@ -255,6 +258,14 @@ func syncDir(dir string) error {
 // Epoch is one opened on-disk shard image: the row-page file (read on
 // demand through a Pool) plus the typed views of the columnar
 // segments.
+//
+// An epoch also keeps, per page, the row-offset table the page's first
+// point load built while validating it (indexPage). A table is a memo of
+// a check on immutable bytes: a later load of the page verifies its CRC
+// and reuses the table instead of walking every value again. Tables are
+// pointer-free and share nothing with page bytes, so keeping one pins no
+// frame. Retire drops them once a checkpoint supersedes the epoch; a
+// pinned reader of a retired epoch validates each load again.
 type Epoch struct {
 	dir      string
 	n        int
@@ -266,6 +277,10 @@ type Epoch struct {
 	eqs      map[int][]uint32
 	maps     [][]byte // live mmap regions, released by Close
 	segBytes int64
+
+	tabMu       sync.Mutex
+	tables      [][]uint32    // per page: its validated row offsets, nil until its first load; nil once retired
+	validations atomic.Uint64 // pages run through indexPage
 }
 
 // OpenEpoch opens the epoch at dir. With useMMap set (and on a
@@ -300,6 +315,7 @@ func OpenEpoch(dir string, useMMap bool) (*Epoch, error) {
 		return nil, err
 	}
 	e.segBytes += fi.Size()
+	e.tables = make([][]uint32, len(meta.Pages))
 	e.rowStart = make([]int, len(meta.Pages)+1)
 	for p, pg := range meta.Pages {
 		e.rowStart[p+1] = e.rowStart[p] + pg.Rows
@@ -454,39 +470,98 @@ func (e *Epoch) Eq(ci int) ([]uint32, bool) {
 	return codes, ok
 }
 
-// loadPage reads one row page from rows.pag, verifies its checksum and
-// indexes its rows (indexPage); no value is decoded.
-func (e *Epoch) loadPage(p int) (Page, error) {
+// readPage reads page p's bytes from rows.pag and verifies their
+// length and checksum against the page directory.
+func (e *Epoch) readPage(p int) ([]byte, error) {
 	pg := e.pages[p]
 	buf := make([]byte, pg.Len)
 	if _, err := e.rowsFile.ReadAt(buf, pg.Off); err != nil {
-		return Page{}, &PageError{Epoch: e.dir, Page: p, Err: err}
+		return nil, &PageError{Epoch: e.dir, Page: p, Err: err}
 	}
 	if crc32.ChecksumIEEE(buf) != pg.CRC {
-		return Page{}, &PageError{Epoch: e.dir, Page: p, Err: errors.New("checksum mismatch")}
+		return nil, &PageError{Epoch: e.dir, Page: p, Err: errors.New("checksum mismatch")}
 	}
-	page, err := indexPage(buf, pg.Rows, e.arity)
+	return buf, nil
+}
+
+// loadPage is the pool's load of page p: one read and one checksum. The
+// page's first load also runs indexPage over every value and keeps the
+// row-offset table it builds; every later load of the page in this
+// epoch reuses that table. A page that fails validation keeps nothing,
+// so its next load validates again.
+func (e *Epoch) loadPage(p int) (Page, error) {
+	buf, err := e.readPage(p)
 	if err != nil {
-		return Page{}, &PageError{Epoch: e.dir, Page: p, Err: err}
+		return Page{}, err
 	}
-	return page, nil
+	e.tabMu.Lock()
+	var offs []uint32
+	if e.tables != nil {
+		offs = e.tables[p]
+	}
+	e.tabMu.Unlock()
+	if offs == nil {
+		e.validations.Add(1)
+		if offs, err = indexPage(buf, e.pages[p].Rows, e.arity); err != nil {
+			return Page{}, &PageError{Epoch: e.dir, Page: p, Err: err}
+		}
+		e.tabMu.Lock()
+		if e.tables != nil {
+			e.tables[p] = offs
+		}
+		e.tabMu.Unlock()
+	}
+	return Page{buf: buf, offs: offs, arity: e.arity}, nil
+}
+
+// Retire drops the epoch's row-offset tables and keeps none from now
+// on; the store calls it when a checkpoint supersedes the epoch, which
+// stays open (for pinned snapshots) until the store closes.
+func (e *Epoch) Retire() {
+	e.tabMu.Lock()
+	e.tables = nil
+	e.tabMu.Unlock()
+}
+
+// TableBytes returns the bytes of the row-offset tables the epoch keeps.
+func (e *Epoch) TableBytes() int64 {
+	e.tabMu.Lock()
+	defer e.tabMu.Unlock()
+	var n int64
+	for _, offs := range e.tables {
+		n += 4 * int64(cap(offs))
+	}
+	return n
+}
+
+// Validations returns how many page loads ran the full tag-and-length
+// check (indexPage): once per page of a live epoch, unless a load
+// failed it.
+func (e *Epoch) Validations() uint64 { return e.validations.Load() }
+
+// page returns the page holding row i (checked against the epoch's row
+// count) pinned in the pool, and i's row within it; the caller releases
+// the page.
+func (e *Epoch) page(i int, pool *Pool) (page Page, p, r int, release func(), err error) {
+	if i < 0 || i >= e.n {
+		return Page{}, 0, 0, nil, fmt.Errorf("store: epoch %s: row %d out of range [0,%d)", e.dir, i, e.n)
+	}
+	p = sort.SearchInts(e.rowStart[1:], i+1)
+	page, release, err = pool.Get(PageKey{Owner: e, Page: p}, func() (Page, error) {
+		return e.loadPage(p)
+	})
+	return page, p, i - e.rowStart[p], release, err
 }
 
 // Row returns row i, decoding just that row out of its page, which it
 // reads through the pool. The returned slice is fresh heap data that
 // shares nothing with the pool's frame.
 func (e *Epoch) Row(i int, pool *Pool) ([]pref.Value, error) {
-	if i < 0 || i >= e.n {
-		return nil, fmt.Errorf("store: epoch %s: row %d out of range [0,%d)", e.dir, i, e.n)
-	}
-	p := sort.SearchInts(e.rowStart[1:], i+1)
-	page, release, err := pool.Get(PageKey{Owner: e, Page: p}, func() (Page, error) {
-		return e.loadPage(p)
-	})
+	page, p, r, release, err := e.page(i, pool)
 	if err != nil {
 		return nil, err
 	}
-	row, err := page.Row(i - e.rowStart[p])
+	row, err := page.Row(r)
 	release()
 	if err != nil {
 		return nil, &PageError{Epoch: e.dir, Page: p, Err: err}
@@ -494,21 +569,46 @@ func (e *Epoch) Row(i int, pool *Pool) ([]pref.Value, error) {
 	return row, nil
 }
 
+// AppendRow copies row i's encoded bytes to dst and appends where each
+// of its values begins in dst to starts (see Page.appendRow): a pool
+// hit costs one byte copy, a miss one read and one checksum, and no
+// value is decoded. A row that does not split into arity values is a
+// *PageError naming the page, and dst and starts come back unchanged.
+func (e *Epoch) AppendRow(dst []byte, starts []int, i int, pool *Pool) ([]byte, []int, error) {
+	page, p, r, release, err := e.page(i, pool)
+	if err != nil {
+		return dst, starts, err
+	}
+	dst, starts, err = page.appendRow(dst, starts, r)
+	release()
+	if err != nil {
+		return dst, starts, &PageError{Epoch: e.dir, Page: p, Err: fmt.Errorf("row %d: %w", r, err)}
+	}
+	return dst, starts, nil
+}
+
 // AppendAllRows appends every row of the epoch to dst in order, page by
 // page: pages the pool already holds are decoded from their frames, the
-// others are read for this scan alone and never admitted — a full scan
-// (every checkpoint runs one) must not flush the store-wide pool.
+// others are read and fully validated for this scan alone — never
+// admitted, and keeping no row-offset table: a full scan (every
+// checkpoint runs one) must not flush the store-wide pool, and an epoch
+// that only checkpoints read keeps nothing.
 func (e *Epoch) AppendAllRows(dst [][]pref.Value, pool *Pool) ([][]pref.Value, error) {
-	for p := range e.pages {
-		page, ok := pool.Resident(PageKey{Owner: e, Page: p})
-		if !ok {
-			var err error
-			if page, err = e.loadPage(p); err != nil {
+	for p, pg := range e.pages {
+		var rest []byte
+		if page, ok := pool.Resident(PageKey{Owner: e, Page: p}); ok {
+			rest = page.buf
+		} else {
+			buf, err := e.readPage(p)
+			if err != nil {
 				return nil, err
 			}
+			if err := checkPage(buf, pg.Rows, e.arity, nil); err != nil {
+				return nil, &PageError{Epoch: e.dir, Page: p, Err: err}
+			}
+			rest = buf
 		}
-		rest := page.buf
-		for r := 0; r < page.rows; r++ {
+		for r := 0; r < pg.Rows; r++ {
 			var row []pref.Value
 			var err error
 			if row, rest, err = ReadRow(rest, e.arity); err != nil {

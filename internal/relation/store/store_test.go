@@ -229,11 +229,11 @@ func onePage(t *testing.T, v pref.Value) Page {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := indexPage(buf, 1, 1)
+	offs, err := indexPage(buf, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pg
+	return Page{buf: buf, offs: offs, arity: 1}
 }
 
 // pageValue decodes the one value of a onePage page.
@@ -443,7 +443,7 @@ func testRows(n, arity int) [][]pref.Value {
 	return rows
 }
 
-func writeTestEpoch(t *testing.T, dir string, rows [][]pref.Value, arity int) {
+func writeTestEpoch(t testing.TB, dir string, rows [][]pref.Value, arity int) {
 	t.Helper()
 	n := len(rows)
 	floats := map[int]FloatSeg{}
@@ -601,7 +601,7 @@ func edgeRows(n, arity int) [][]pref.Value {
 
 // rowBytes is a row's encoding — the exact comparison: NaN, −0 and the
 // int/float distinction survive it, where reflect.DeepEqual fails on NaN.
-func rowBytes(t *testing.T, row []pref.Value) []byte {
+func rowBytes(t testing.TB, row []pref.Value) []byte {
 	t.Helper()
 	b, err := AppendRow(nil, row)
 	if err != nil {
@@ -671,14 +671,13 @@ func TestEpochRowsEveryTagTinyPool(t *testing.T) {
 	}
 }
 
-// TestEpochBadTagElsewhereFailsAtLoad: a page whose checksum verifies
-// but which holds an unknown tag in row 5 fails when it is loaded —
-// reading row 0 of that page already reports it — not when a later read
-// happens to reach row 5.
-func TestEpochBadTagElsewhereFailsAtLoad(t *testing.T) {
+// writeBadTagEpoch writes testRows(60, 3) as an epoch under dir whose
+// page 0 holds an unknown tag (127) in row 5 under a checksum that
+// verifies.
+func writeBadTagEpoch(t testing.TB, dir string) {
+	t.Helper()
 	const n, arity = 60, 3
 	rows := testRows(n, arity)
-	dir := filepath.Join(t.TempDir(), "ep1")
 	writeTestEpoch(t, dir, rows, arity)
 
 	off := 0
@@ -714,7 +713,15 @@ func TestEpochBadTagElsewhereFailsAtLoad(t *testing.T) {
 	if err := os.WriteFile(metaPath, doc, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
+// TestEpochBadTagElsewhereFailsAtLoad: a page whose checksum verifies
+// but which holds an unknown tag in row 5 fails when it is loaded —
+// reading row 0 of that page already reports it — not when a later read
+// happens to reach row 5.
+func TestEpochBadTagElsewhereFailsAtLoad(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ep1")
+	writeBadTagEpoch(t, dir)
 	e, err := OpenEpoch(dir, false)
 	if err != nil {
 		t.Fatal(err)

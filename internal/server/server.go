@@ -111,8 +111,11 @@ func (s *Server) statusExtra() []wire.Stat {
 }
 
 // StoreStatus adapts a persistent store's statistics to the status
-// report: buffer-pool counters and hit rate, aggregate WAL size, then
-// per-shard segment/WAL/tail figures. prefserve installs it via
+// report: buffer-pool counters and hit rate, the page loads that ran the
+// full validation (pool.validations, beside pool.misses: once per page
+// of an epoch), aggregate WAL and segment sizes, the epochs kept open
+// until Close (store.epochs_open), then per-shard segment/WAL/tail
+// figures. prefserve installs it via
 // SetStatus when it serves from a -data directory.
 func StoreStatus(st *relation.Store) func() []wire.Stat {
 	return func() []wire.Stat {
@@ -125,6 +128,7 @@ func StoreStatus(st *relation.Store) func() []wire.Stat {
 		out := []wire.Stat{
 			{Key: "pool.hits", Val: fmt.Sprintf("%d", p.Hits)},
 			{Key: "pool.misses", Val: fmt.Sprintf("%d", p.Misses)},
+			{Key: "pool.validations", Val: fmt.Sprintf("%d", stats.Validations)},
 			{Key: "pool.hit_rate", Val: rate},
 			{Key: "pool.evictions", Val: fmt.Sprintf("%d", p.Evictions)},
 			{Key: "pool.resident_pages", Val: fmt.Sprintf("%d", p.Resident)},
@@ -132,6 +136,7 @@ func StoreStatus(st *relation.Store) func() []wire.Stat {
 			{Key: "pool.cap_bytes", Val: fmt.Sprintf("%d", p.CapBytes)},
 			{Key: "wal.bytes", Val: fmt.Sprintf("%d", stats.WALBytes())},
 			{Key: "segments.bytes", Val: fmt.Sprintf("%d", stats.SegmentBytes())},
+			{Key: "store.epochs_open", Val: fmt.Sprintf("%d", stats.EpochsOpen)},
 		}
 		for _, sh := range stats.Shards {
 			out = append(out,

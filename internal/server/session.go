@@ -14,7 +14,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/psql"
 	"repro/internal/relation"
-	"repro/internal/relation/store"
 	"repro/internal/wire"
 )
 
@@ -407,10 +406,12 @@ func (ss *session) retain(e *statement, answer []byte, p pin) {
 }
 
 // appendResult appends a finished relation's answer to buf as frames:
-// the header, one column frame per column — values encoded straight from
-// the rows — and the closing ready frame. Fresh and retained answers
-// both come from here, so a retained answer is byte-identical to a fresh
-// one.
+// the header, one column frame per column — the column's values in the
+// store's tagged encoding, copied as stored out of an answer picked from
+// a paged table and encoded from boxed rows otherwise
+// (relation.AppendColumn) — and the closing ready frame. Fresh and
+// retained answers both come from here, so a retained answer is
+// byte-identical to a fresh one.
 func appendResult(buf []byte, rel *relation.Relation, gen, snapLen uint64, partial string) ([]byte, error) {
 	schema := rel.Schema()
 	cols := make([]wire.Col, schema.Len())
@@ -428,10 +429,8 @@ func appendResult(buf []byte, rel *relation.Relation, gen, snapLen uint64, parti
 	for c := range cols {
 		start = len(buf)
 		buf = binary.BigEndian.AppendUint16(wire.BeginFrame(buf, wire.FrameColumn), uint16(c))
-		for i := 0; i < n; i++ {
-			if buf, err = store.AppendValue(buf, rel.Row(i)[c]); err != nil {
-				return nil, err
-			}
+		if buf, err = rel.AppendColumn(buf, c); err != nil {
+			return nil, err
 		}
 		if err := wire.EndFrame(buf, start); err != nil {
 			return nil, err

@@ -11,8 +11,9 @@ import (
 
 // TestStatsTurn pins the stats frame turn: the client's Stats() returns
 // the server counters, and with a persistent store installed via
-// SetStatus the report carries buffer-pool, WAL and per-shard segment
-// figures that move with the workload; the retained-answer counters
+// SetStatus the report carries buffer-pool (validations beside misses),
+// WAL, open-epoch and per-shard segment figures that move with the
+// workload; the retained-answer counters
 // count a byte-served repeat and fall to 0 when its session closes.
 func TestStatsTurn(t *testing.T) {
 	st, err := relation.OpenStore(t.TempDir(), relation.StoreOptions{PoolBytes: 1 << 20})
@@ -37,8 +38,8 @@ func TestStatsTurn(t *testing.T) {
 		t.Fatalf("server.queries = %q, want 1 (report: %v)", byKey["server.queries"], byKey)
 	}
 	for _, key := range []string{
-		"pool.hits", "pool.misses", "pool.hit_rate", "pool.resident_pages",
-		"pool.cap_bytes", "wal.bytes", "segments.bytes",
+		"pool.hits", "pool.misses", "pool.validations", "pool.hit_rate", "pool.resident_pages",
+		"pool.cap_bytes", "wal.bytes", "segments.bytes", "store.epochs_open",
 		"shard.car/s0.segment_bytes", "shard.car/s0.wal_bytes", "shard.car/s0.tail_rows",
 	} {
 		if _, ok := byKey[key]; !ok {
@@ -58,6 +59,25 @@ func TestStatsTurn(t *testing.T) {
 	misses, _ := strconv.ParseInt(byKey["pool.misses"], 10, 64)
 	if hits+misses == 0 {
 		t.Fatalf("pool never touched: %v", byKey)
+	}
+	// A page is validated by its first load only: never more validations
+	// than misses, and at least one.
+	if v, _ := strconv.ParseInt(byKey["pool.validations"], 10, 64); v < 1 || v > misses {
+		t.Fatalf("pool.validations = %q with %d misses", byKey["pool.validations"], misses)
+	}
+	// One flat table, one epoch; a checkpoint supersedes it, which stays
+	// open until the store closes.
+	if byKey["store.epochs_open"] != "1" {
+		t.Fatalf("store.epochs_open = %q, want 1", byKey["store.epochs_open"])
+	}
+	if err := tbl.(*relation.Relation).Insert(mem.Row(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := statsOf(t, c)["store.epochs_open"]; got != "2" {
+		t.Fatalf("store.epochs_open after a checkpoint = %q, want 2", got)
 	}
 
 	// A hot statement sent three times by a second session: the third is
