@@ -27,8 +27,8 @@ test-noavx2:
 # for INT/FLOAT attributes, equality codes for the rest — against the
 # predicate tree and the interpreted preference pair by pair under every
 # bind scope, numeric binds that must request no equality codes, the
-# one-pass selection against Pred.Eval, the boundcache admission order
-# with its flat-in-capacity cost, the cross-shard fold against the oracle
+# one-pass selection against Pred.Eval, a generation memo's admission
+# order with its flat-in-capacity cost, the cross-shard fold against the oracle
 # on each of its comparators (no intra-part pair, pairs ≤ Σ|W|·|Lᵢ|), the
 # sorted pass (score-sum order, blocked one-way filter) and the window
 # pass on records and on blocks against the oracle on the edge rows with
@@ -60,8 +60,8 @@ test-noavx2:
 # GOMAXPROCS=1, the served benchmark's one P, where the shard fan-out is
 # an inline loop (with GOFLAGS=-count=1: the test cache does not key on
 # GOMAXPROCS).
-TIES_RUN := FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|GroupBookkeeping|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutesColdShapes|PlannerRoutesChainProducts|PlannerGroupsShare|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ProbeValueOrder|ExplainAccessPath|FlatBind|PlanCoreAllocs|PlanIgnoresProcs|ColdSelectiveStatementAllocBound|FinishedStatement|SortedWalk
-TIES_PKGS := ./internal/pref ./internal/engine ./internal/filter ./internal/boundcache ./internal/psql ./internal/relation
+TIES_RUN := FlatShape|FlatKernel|NumericTerm|NumericFlat|GatheredBind|HighestShares|ExtendedRows|OnePassSelection|AdmissionOrder|AlternatingKeys|PutAtCapacity|OneShotFlood|ShardMerge|GatheredEntry|AbandonedGathered|ColdShapesConcurrent|PrioritizedEstimate|KernelDominance|BlockedChainFilter|PlannerRoutesColdShapes|PlannerRoutesChainProducts|PlannerGroupsShare|PlannerSmallFlat|ExplainBindScope|ExplainWorkloadStatements|RangeCut|ValueOrderBounded|ProbeValueOrder|ExplainAccessPath|FlatBind|PlanCoreAllocs|PlanIgnoresProcs|ColdSelectiveStatementAllocBound|FinishedStatement|SortedWalk
+TIES_PKGS := ./internal/pref ./internal/engine ./internal/filter ./internal/psql ./internal/relation
 test-ties:
 	$(GO) test -race -run '$(TIES_RUN)' $(TIES_PKGS)
 
@@ -109,13 +109,14 @@ test-serve:
 # battery across flat and sharded layouts, every algorithm, and catalog
 # insert/replace/drop mutations against the interpreted BNL oracle over
 # the flattened table — plus WHERE-scoped statements never reaching the
-# cache (the cold_skyline shapes, flat and sharded), eviction releasing
-# exactly the result entries (and a RANK statement's score vector,
-# shared by a snapshot and the live relation), the EXPLAIN annotations
+# cache (the cold_skyline shapes, flat and sharded), a generation's memo
+# keeping exactly the result entries, a superseded generation and a
+# dropped or replaced table freeing them (and a RANK statement's score
+# vector, shared by a snapshot and the live relation), the EXPLAIN annotations
 # and the server's retained answers (byte-served repeats equal to fresh
 # executions across inserts, sessions, SET, Replace and Reshard; what is
 # never retained; the stats counters).
-RESULTCACHE_RUN := ResultCache|Maintenance|SnapshotPin|DeadContext|EvictRelation|EvictReleases|CatalogDrop|ExplainReports|ParseCache|RowBatch|StreamUsesRowBatch|ResultBytes|StatsTurn
+RESULTCACHE_RUN := ResultCache|Maintenance|SnapshotPin|DeadContext|SupersededGeneration|KeepsOnlyResults|CatalogDrop|ExplainReports|ParseCache|RowBatch|StreamUsesRowBatch|ResultBytes|StatsTurn
 RESULTCACHE_PKGS := ./internal/engine ./internal/psql ./internal/wire ./internal/server
 test-resultcache:
 	$(GO) test -race ./internal/engine/resultcache
@@ -130,10 +131,11 @@ test-resultcache:
 # recovery, the mid-append crash torture, checkpointing, sharded stores,
 # snapshot pins under paged churn, beyond-pool-budget reads, encoded
 # answers against boxed ones, their allocations, row-offset tables
-# bounded across checkpoints), the displaced-shard cache-sweep
-# lifecycle, the psql beyond-RAM agreement acceptance, encoded answers'
+# bounded across checkpoints, a memo kept across a checkpoint), the
+# displaced and replaced shards freeing their cached entries, a cached
+# result surviving an auto-checkpoint, the psql beyond-RAM agreement acceptance, encoded answers'
 # frames byte-identical to the boxed path's and the server stats frame.
-PERSIST_RUN := Persist|ReshardSweeps|ReplaceSweeps|StatsTurn
+PERSIST_RUN := Persist|ReshardFrees|ReplaceFrees|StatsTurn
 PERSIST_PKGS := ./internal/relation ./internal/engine ./internal/psql ./internal/server
 test-persist:
 	$(GO) test -race ./internal/relation/store
@@ -180,8 +182,7 @@ bench:
 # sorted walk against the whole bind), one pass over a statement's candidates per comparator (window pass
 # on tree, records and blocks, sorted pass on records and blocks, with
 # pairs/op or lanes/op, on the cold_skyline and durable_paged shapes), the cross-shard fold alone (2–8 parts × 16–2048 local maxima,
-# blocked sweeps, flat and tree, with its pairs/op), one admission into
-# a full boundcache at two capacities (which must cost the same), and the
+# blocked sweeps, flat and tree, with its pairs/op), and the
 # paged row read a statement ends in (Pick of 1/37/300 rows from a store
 # whose pool holds 1/8 or all of the row pages) — and, beside them, a
 # repeated served statement over loopback (hit: the retained answer's
@@ -193,7 +194,6 @@ bench-cold:
 	$(GO) test -run 'xxx' -bench 'RangeCut' -benchtime 0.3s -benchmem ./internal/filter
 	$(GO) test -run 'xxx' -bench 'DominanceKernel' -benchtime 0.3s -benchmem ./internal/engine
 	$(GO) test -run 'xxx' -bench 'ShardMerge$$' -benchtime 0.3s -benchmem ./internal/engine
-	$(GO) test -run 'xxx' -bench 'PutAtCapacity' -benchmem ./internal/boundcache
 	$(GO) test -run 'xxx' -bench 'PagedPick' -benchtime 0.3s -benchmem ./internal/relation
 	$(GO) test -run 'xxx' -bench 'ServeRepeatedStatement' -benchtime 0.3s -benchmem ./internal/server
 
@@ -225,7 +225,7 @@ lint:
 # packages must carry a doc comment (the line above its declaration must
 # be a comment). Grouped const/var blocks are exempt by construction —
 # their members are indented.
-DOC_PKGS = internal/pref internal/engine internal/engine/resultcache internal/relation internal/relation/store internal/filter internal/boundcache internal/quality internal/rank internal/faultinject internal/wire internal/server
+DOC_PKGS = internal/pref internal/engine internal/engine/resultcache internal/relation internal/relation/store internal/filter internal/quality internal/rank internal/faultinject internal/wire internal/server
 lint-docs:
 	@fail=0; \
 	for f in $$(find $(DOC_PKGS) -name '*.go' ! -name '*_test.go'); do \

@@ -13,12 +13,12 @@
 // evaluation, a Keep(i) bitmap), quality.LevelVec/DistanceVec materialize
 // the BUT ONLY quality measures as threshold-scannable vectors. These
 // bound forms are per-statement state, dropped when the statement ends;
-// what repeated statements reuse is cached keyed by relation identity +
-// mutation version + canonical term key — the BMO maxima of whole shards
-// (the result cache; a WHERE-scoped statement stores nothing) and rank
-// score vectors — and dropping a catalog relation evicts its entries
-// (engine.EvictRelation). Planner statistics live on the relation's
-// generation (relation.Relation.Stats). Grouping partitions
+// what repeated statements reuse lives in the memo of the relation's
+// generation under a canonical term key — the BMO maxima of whole shards
+// (the result cache; a WHERE-scoped statement stores nothing), rank score
+// vectors and the planner's statistics (relation.Relation.Memo, Stats) —
+// and retires with the generation: a dropped catalog relation frees its
+// entries with its rows. Grouping partitions
 // by cached equality codes, ranked TOP-k queries score row positions
 // through the compiled vectors (internal/rank; a weighted-sum rank(F),
 // Preference SQL's RANK, keys its score vectors by its exact weights and

@@ -10,9 +10,10 @@ import (
 
 // Incremental maintenance: the write side of the result cache. Instead
 // of invalidating on Insert, every cached BMO answer of the superseded
-// generation is carried forward to the successor by checking only the
-// newcomer against the cached maxima — O(|maxima|) dominance tests per
-// write versus the O(n·|maxima|) full recompute a cold query pays.
+// generation is carried into the successor's memo (resultEntry
+// implements relation.Carrier) by checking only the newcomer against the
+// cached maxima — O(|maxima|) dominance tests per write versus the
+// O(n·|maxima|) full recompute a cold query pays.
 //
 // Soundness, for any strict partial order <P (so for every preference
 // constructor, not just chain products): let M be the maxima of
@@ -29,59 +30,27 @@ import (
 //
 // Checking against M alone is therefore exact. Row positions are stable
 // under append (Insert never reorders), so carried indices stay valid;
-// SortBy and bulk reloads publish whole generations without firing the
-// hook, so their version bump strands cached entries naturally.
+// SortBy and bulk reloads publish generations with empty memos.
 //
-// The carry *copies* entries to version+1 rather than moving them: the
-// superseded generation's entries stay readable for sessions pinned to a
-// pre-insert Snapshot — the snapshot-isolation contract — and retire via
-// the boundcache layer's stale-version-first capacity eviction.
+// The carry builds a successor entry rather than editing the cached one:
+// the superseded generation's memo stays as it was for sessions pinned to
+// a pre-insert Snapshot — the snapshot-isolation contract — and retires
+// with that generation.
 
-func init() {
-	relation.RegisterInsertHook(maintainResultCache)
-	relation.RegisterDisplacedHook(evictDisplacedShards)
-}
-
-// evictDisplacedShards sweeps every cache keyed by a shard identity a
-// Reshard displaced: compiled preference and filter bound forms, rank
-// score/perm vectors and memoized BMO maxima all key by (shard
-// relation, version), and the displaced shards are unreachable from
-// the table afterwards — without the sweep their entries (including
-// stale maxima) survive until capacity eviction. Registered as a
-// relation.DisplacedHook so the sweep runs inside Reshard itself,
-// for every caller, not just the ones that remember to use the
-// returned displaced list.
-func evictDisplacedShards(shards []*relation.Relation) {
-	for _, sh := range shards {
-		EvictRelation(sh)
-	}
-}
-
-// maintainResultCache carries every cached result of r's superseded
-// generation to the successor. It runs inside Insert's writer critical
-// section, so carries on one relation are serialized and each observes a
-// consecutive version transition.
-func maintainResultCache(r *relation.Relation, oldVersion uint64, newIdx int) {
-	entries := resultcache.AtVersion(r, oldVersion)
-	if len(entries) == 0 {
-		return
-	}
-	t := r.Tuple(newIdx)
-	for term, e := range entries {
-		resultcache.Put(r, oldVersion+1, term, carryEntry(e, r, t, newIdx))
-		resultcache.NoteCarry()
-	}
-}
-
-// carryEntry produces the successor generation's entry for one cached
-// result given the appended tuple t at position newIdx.
-func carryEntry(e *resultcache.Entry, r *relation.Relation, t pref.Tuple, newIdx int) *resultcache.Entry {
-	if e.Coords != nil {
-		if c, ok := newcomerCoords(e.Dims, t); ok {
-			return carryCoords(e, c, newIdx)
+// Carry produces the successor generation's entry given the appended
+// tuple t at position newIdx; r still reads the predecessor.
+func (e *resultEntry) Carry(r *relation.Relation, t pref.Tuple, newIdx int) (any, int) {
+	resultcache.NoteCarry()
+	var ne *resultEntry
+	if e.coords != nil {
+		if c, ok := newcomerCoords(e.dims, t); ok {
+			ne = e.carryCoords(c, newIdx)
 		}
 	}
-	return carryInterpreted(e, r, t, newIdx)
+	if ne == nil {
+		ne = e.carryInterpreted(r, t, newIdx)
+	}
+	return ne, ne.bytes()
 }
 
 // newcomerCoords scores the appended tuple on the entry's chain
@@ -101,30 +70,27 @@ func newcomerCoords(dims []pref.Scorer, t pref.Tuple) ([]float64, bool) {
 
 // carryCoords is the chain-product fast path: raw coordinate dominance
 // (dominates: a NaN coordinate blocks dominance, as in the block kernel)
-// against the stored maxima coordinates.
-func carryCoords(e *resultcache.Entry, c []float64, newIdx int) *resultcache.Entry {
-	for _, mc := range e.Coords {
+// against the stored maxima coordinates. A dominated newcomer leaves the
+// maxima as they are, so the successor shares e.
+func (e *resultEntry) carryCoords(c []float64, newIdx int) *resultEntry {
+	for _, mc := range e.coords {
 		if dominates(mc, c) {
-			ne := *e
-			ne.Dominated++
-			return &ne
+			return e
 		}
 	}
-	ne := &resultcache.Entry{Pref: e.Pref, Dominated: e.Dominated, Dims: e.Dims}
-	ne.Maxima = make([]int, 0, len(e.Maxima)+1)
-	ne.Coords = make([][]float64, 0, len(e.Coords)+1)
-	for k, m := range e.Maxima {
-		if dominates(c, e.Coords[k]) {
-			ne.Dominated++
-			continue
+	ne := &resultEntry{pref: e.pref, dims: e.dims}
+	ne.maxima = make([]int, 0, len(e.maxima)+1)
+	ne.coords = make([][]float64, 0, len(e.coords)+1)
+	for k, m := range e.maxima {
+		if !dominates(c, e.coords[k]) {
+			ne.maxima = append(ne.maxima, m)
+			ne.coords = append(ne.coords, e.coords[k])
 		}
-		ne.Maxima = append(ne.Maxima, m)
-		ne.Coords = append(ne.Coords, e.Coords[k])
 	}
 	// newIdx is the largest position in the generation, so appending
 	// preserves ascending order.
-	ne.Maxima = append(ne.Maxima, newIdx)
-	ne.Coords = append(ne.Coords, c)
+	ne.maxima = append(ne.maxima, newIdx)
+	ne.coords = append(ne.coords, c)
 	return ne
 }
 
@@ -134,24 +100,20 @@ func carryCoords(e *resultcache.Entry, c []float64, newIdx int) *resultcache.Ent
 // drops the coordinate fast path (the newcomer's coordinates were not
 // provably collapse-free); maintenance stays correct, just interpreted,
 // for subsequent writes.
-func carryInterpreted(e *resultcache.Entry, r *relation.Relation, t pref.Tuple, newIdx int) *resultcache.Entry {
-	p := e.Pref
-	for _, m := range e.Maxima {
+func (e *resultEntry) carryInterpreted(r *relation.Relation, t pref.Tuple, newIdx int) *resultEntry {
+	p := e.pref
+	for _, m := range e.maxima {
 		if p.Less(t, r.Tuple(m)) {
-			ne := *e
-			ne.Dominated++
-			return &ne
+			return e
 		}
 	}
-	ne := &resultcache.Entry{Pref: p, Dominated: e.Dominated}
-	ne.Maxima = make([]int, 0, len(e.Maxima)+1)
-	for _, m := range e.Maxima {
-		if p.Less(r.Tuple(m), t) {
-			ne.Dominated++
-			continue
+	ne := &resultEntry{pref: p}
+	ne.maxima = make([]int, 0, len(e.maxima)+1)
+	for _, m := range e.maxima {
+		if !p.Less(r.Tuple(m), t) {
+			ne.maxima = append(ne.maxima, m)
 		}
-		ne.Maxima = append(ne.Maxima, m)
 	}
-	ne.Maxima = append(ne.Maxima, newIdx)
+	ne.maxima = append(ne.maxima, newIdx)
 	return ne
 }

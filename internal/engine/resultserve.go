@@ -11,20 +11,20 @@ import (
 	"repro/internal/relation"
 )
 
-// Result-cache serving: the read side of internal/engine/resultcache.
-// The cache memoizes the finished BMO maxima of whole shards keyed by the
-// live relation identity (Origin — so lookups through a pinned Snapshot
-// view and through the live relation land on one key), the generation
-// version and the preference's canonical term key. Only a keyed
-// bmoSharded call serves it (EvalIndicesCtxKeyed below,
+// Result-cache serving: the finished BMO maxima of whole shards live in
+// the memo of the generation they describe (relation.Memo), under the
+// preference's canonical term key, so a pinned Snapshot view and the live
+// relation at one version share them and they retire with the generation.
+// Only a keyed bmoSharded call serves them (EvalIndicesCtxKeyed below,
 // BMOShardedOnCtxKeyed, and BMOShardedOnFilteredCtxKeyed with keyed set),
 // and only for a shard whose candidate slot is nil — every row of the
 // shard. Everything else (a candidate subset, BMOIndices*, an unkeyed
 // BMOShardedOnFilteredCtxKeyed) always evaluates, so one-shot WHERE
 // statements store nothing and benchmarks and agreement baselines keep
-// measuring real work.
+// measuring real work. internal/engine/resultcache counts hits, misses
+// and carries.
 
-// resultTerm is the result-cache term of a keyed evaluation call: the
+// resultTerm is the memo key of a keyed evaluation call's maxima: the
 // preference's canonical key, rendered once per call and reused by every
 // shard. ok=false means the query must bypass the result cache: the
 // preference has no faithful canonical key.
@@ -39,15 +39,40 @@ func termOf(p pref.Preference) resultTerm {
 	return resultTerm{term: term, ok: ok}
 }
 
-// resultKey derives the result-cache addressing over one relation: the
-// identity the entry files under, the generation version to read, and the
-// term. ok=false for an unkeyable statement and for ephemeral relations
-// (identity fresh per query).
-func (k resultTerm) resultKey(r *relation.Relation) (src any, version uint64, term string, ok bool) {
-	if !k.ok || r == nil || r.Ephemeral() {
-		return nil, 0, "", false
+// keyable reports whether r's maxima under the term can be cached: not
+// for an unkeyable term, nor for an ephemeral relation (identity fresh
+// per query).
+func (k resultTerm) keyable(r *relation.Relation) bool {
+	return k.ok && r != nil && !r.Ephemeral()
+}
+
+// resultEntry is one cached BMO answer, immutable once stored: an Insert
+// never edits it in place, it carries a successor entry into the
+// successor generation's memo (Carry, resultmaint.go). maxima is shared
+// across readers, which clone it before handing positions on.
+type resultEntry struct {
+	// pref is the preference term the maxima were computed under; Carry
+	// checks newcomers against it.
+	pref pref.Preference
+	// maxima holds the positions of the maxima among every row, ascending.
+	maxima []int
+	// dims and coords are the optional chain-product fast path: when the
+	// preference flattens to chain dimensions and no stored coordinate is
+	// ±Inf, coords[k] holds maxima[k]'s maximize-all score vector and
+	// Carry's dominance checks run on raw floats, a NaN coordinate
+	// blocking dominance. Nil when unavailable; the interpreted pref.Less
+	// path is always correct without them.
+	dims   []pref.Scorer
+	coords [][]float64
+}
+
+// bytes is the entry's size in its generation's memo.
+func (e *resultEntry) bytes() int {
+	n := 64 + 8*len(e.maxima)
+	for _, c := range e.coords {
+		n += 24 + 8*len(c)
 	}
-	return r.Origin(), r.Version(), k.term, true
+	return n
 }
 
 // buildResultEntry packages a finished evaluation for the cache,
@@ -59,8 +84,8 @@ func (k resultTerm) resultKey(r *relation.Relation) (src any, version uint64, te
 // interpreted dominance for them). The coordinates come out of the score
 // vectors of the whole-shard bound form that just evaluated; only an
 // interpreted evaluation re-derives them through ScoreOf.
-func buildResultEntry(p pref.Preference, r *relation.Relation, ev evaluated) *resultcache.Entry {
-	e := &resultcache.Entry{Pref: p, Maxima: slices.Clone(ev.maxima)}
+func buildResultEntry(p pref.Preference, r *relation.Relation, ev evaluated) *resultEntry {
+	e := &resultEntry{pref: p, maxima: slices.Clone(ev.maxima)}
 	dims, ok := chainDims(p)
 	if !ok || !chainImagesExact(dims, r) {
 		return e
@@ -83,7 +108,7 @@ func buildResultEntry(p pref.Preference, r *relation.Relation, ev evaluated) *re
 			}
 		}
 	}
-	e.Dims, e.Coords = dims, coords
+	e.dims, e.coords = dims, coords
 	return e
 }
 
@@ -127,23 +152,22 @@ func ResultCachedShards(p pref.Preference, s *relation.Sharded, where filter.Pre
 	n := 0
 	keys := termOf(p)
 	for i := 0; i < s.NumShards(); i++ {
-		src, ver, term, ok := keys.resultKey(s.Shard(i))
-		if !ok {
+		shard := s.Shard(i)
+		if !keys.keyable(shard) {
 			return 0, false
 		}
-		if _, hit := resultcache.Peek(src, ver, term); hit {
+		if _, hit := shard.Memo().Peek(keys.term); hit {
 			n++
 		}
 	}
 	return n, true
 }
 
-// shardResultKey captures one shard's result-cache addressing before
-// the evaluation runs, so the post-evaluation store can tell whether a
-// write raced past the keyed version.
+// shardResultKey captures one shard's result-cache addressing — the
+// memo of the generation the evaluation is about to read — so the
+// post-evaluation store can tell whether a write raced past it.
 type shardResultKey struct {
-	src  any
-	ver  uint64
+	memo relation.Memo
 	term string
 	ok   bool
 }
@@ -151,8 +175,10 @@ type shardResultKey struct {
 // captureShardKey derives (and remembers) the addressing for one
 // shard's local maxima.
 func captureShardKey(keys resultTerm, shard *relation.Relation) shardResultKey {
-	src, ver, term, ok := keys.resultKey(shard)
-	return shardResultKey{src: src, ver: ver, term: term, ok: ok}
+	if !keys.keyable(shard) {
+		return shardResultKey{}
+	}
+	return shardResultKey{memo: shard.Memo(), term: keys.term, ok: true}
 }
 
 // serve reads the cached local maxima; a dead worker context refuses
@@ -163,21 +189,24 @@ func (k shardResultKey) serve(ctx context.Context) ([]int, bool) {
 	if !k.ok {
 		return nil, false
 	}
-	e, hit := resultcache.Get(k.src, k.ver, k.term)
+	v, hit := k.memo.Get(k.term)
 	if !hit {
+		resultcache.NoteMiss()
 		return nil, false
 	}
+	resultcache.NoteHit()
 	if ctx != nil && ctx.Err() != nil {
 		return nil, false
 	}
-	return slices.Clone(e.Maxima), true
+	return slices.Clone(v.(*resultEntry).maxima), true
 }
 
-// store files freshly computed local maxima under the captured key,
-// unless the shard moved past the keyed generation during evaluation.
+// store files freshly computed local maxima in the captured memo,
+// unless the shard moved past its generation during evaluation.
 func (k shardResultKey) store(p pref.Preference, shard *relation.Relation, ev evaluated) {
-	if !k.ok || shard.Version() != k.ver {
+	if !k.ok || shard.Memo() != k.memo {
 		return
 	}
-	resultcache.Put(k.src, k.ver, k.term, buildResultEntry(p, shard, ev))
+	e := buildResultEntry(p, shard, ev)
+	k.memo.Put(k.term, e, e.bytes())
 }

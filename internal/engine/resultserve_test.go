@@ -13,7 +13,8 @@ import (
 	"repro/internal/relation"
 )
 
-// freshResultCache isolates a test from entries other tests left behind.
+// freshResultCache zeroes the result cache's counters for a test; its
+// entries live on the relations it builds.
 func freshResultCache(t testing.TB) {
 	resultcache.Reset()
 	t.Cleanup(resultcache.Reset)
@@ -100,8 +101,8 @@ func TestSubsetWithoutWhereNeverPoisonsWholeKey(t *testing.T) {
 	if wantSub := BMOIndicesOn(p, rel, Auto, subset); !sameIndices(gotSub, wantSub) {
 		t.Fatalf("subset keyed eval = %v, want %v", gotSub, wantSub)
 	}
-	if n := resultcache.Len(); n != 0 {
-		t.Fatalf("a subset without WHERE stored %d entries", n)
+	if st := ResultCacheState(p, rel, nil); st != "cold" {
+		t.Fatalf("a subset without WHERE stored an entry: result cache %s", st)
 	}
 	got, err := EvalIndicesCtxKeyed(ctx, p, rel, Auto, nil, nil)
 	if err != nil {
@@ -210,27 +211,6 @@ func TestSnapshotPinNeverObservesMaintainedResults(t *testing.T) {
 	// The live answer must have been a maintained hit, not a recompute.
 	if h, _, carried := resultcache.Stats(); h < 2 || carried == 0 {
 		t.Fatalf("live answer must serve the carried entry: hits=%d carries=%d", h, carried)
-	}
-}
-
-// TestEvictRelationSweepsResultCache pins the lifecycle satellite: the
-// relation-drop sweep covers the result cache through the shared
-// eviction registry.
-func TestEvictRelationSweepsResultCache(t *testing.T) {
-	freshResultCache(t)
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(7))
-	rel := cacheTestRelation(rng, 100)
-	p := pref.Pareto(pref.LOWEST("d1"), pref.LOWEST("d2"))
-	if _, err := EvalIndicesCtxKeyed(ctx, p, rel, Auto, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if s := ResultCacheState(p, rel, nil); s != "hit" {
-		t.Fatalf("state before eviction = %q, want hit", s)
-	}
-	EvictRelation(rel)
-	if s := ResultCacheState(p, rel, nil); s != "cold" {
-		t.Fatalf("state after EvictRelation = %q, want cold", s)
 	}
 }
 
@@ -352,8 +332,9 @@ func TestGatheredEntryOutlivesItsSlab(t *testing.T) {
 	}
 	storesNothing := func(when string) {
 		t.Helper()
-		if h, m, c := resultcache.Stats(); h != 0 || m != 0 || c != 0 || resultcache.Len() != 0 {
-			t.Fatalf("%s: a gathered evaluation reached the result cache: hits %d misses %d carries %d, %d entries", when, h, m, c, resultcache.Len())
+		n, _ := ResultCachedShards(p, sharded, nil)
+		if h, m, c := resultcache.Stats(); h != 0 || m != 0 || c != 0 || n != 0 || ResultCacheState(p, flat, nil) != "cold" {
+			t.Fatalf("%s: a gathered evaluation reached the result cache: hits %d misses %d carries %d, %d shard entries", when, h, m, c, n)
 		}
 	}
 	for _, when := range []string{"cold", "again"} {
@@ -405,8 +386,9 @@ func TestGatheredEntryOutlivesItsSlab(t *testing.T) {
 			t.Fatalf("the whole %s fold bound %d parts, want %d", when, got, wantBinds)
 		}
 	}
-	if h, _, _ := resultcache.Stats(); h != uint64(sharded.NumShards()) || resultcache.Len() != sharded.NumShards() {
-		t.Fatalf("the WHERE-less term must store and serve one entry per shard: hits %d, %d entries", h, resultcache.Len())
+	n, _ := ResultCachedShards(p, sharded, nil)
+	if h, _, _ := resultcache.Stats(); h != uint64(sharded.NumShards()) || n != sharded.NumShards() {
+		t.Fatalf("the WHERE-less term must store and serve one entry per shard: hits %d, %d shard entries", h, n)
 	}
 }
 
@@ -448,8 +430,6 @@ func TestDeadContextRefusesResultHit(t *testing.T) {
 func BenchmarkIncrementalInsert(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			resultcache.Reset()
-			defer resultcache.Reset()
 			rng := rand.New(rand.NewSource(42))
 			rel := relation.New("B", relation.MustSchema(
 				relation.Column{Name: "d1", Type: relation.Float},

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/boundcache"
 	"repro/internal/faultinject"
 	"repro/internal/pref"
 	"repro/internal/relation"
@@ -564,22 +563,11 @@ func shardGroupKey(t pref.Tuple, attrs []string) (string, bool) {
 		if f, isNum := pref.Numeric(v); isNum && math.IsNaN(f) {
 			return "", false
 		}
-		boundcache.WriteKeyStr(&b, pref.ValueKey(v))
+		pref.WriteKeyStr(&b, pref.ValueKey(v))
 	}
 	return b.String(), true
 }
 
-// EvictSharded releases every entry cached against any shard of the
-// table — the sharded counterpart of EvictRelation; psql.Catalog's Drop
-// and Replace route sharded tables through it. It returns the number of
-// entries released.
-func EvictSharded(s *relation.Sharded) int {
-	if s == nil {
-		return 0
-	}
-	n := 0
-	for _, sh := range s.Shards() {
-		n += EvictRelation(sh)
-	}
-	return n
-}
+// EvictSharded reports 0, like EvictRelation. The benchmark harness
+// still calls it.
+func EvictSharded(*relation.Sharded) int { return 0 }

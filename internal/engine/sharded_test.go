@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/engine/resultcache"
 	"repro/internal/pref"
+	"repro/internal/rank"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -345,7 +346,9 @@ func TestShardedConcurrentInsertThenQuery(t *testing.T) {
 }
 
 // TestEvictSharded: dropping a sharded table must release the cache
-// entries of every shard.
+// entries of every shard — result maxima and score vectors — with no
+// sweep: EvictSharded is a no-op, and the entries go with the shards'
+// generations.
 func TestEvictSharded(t *testing.T) {
 	resultcache.Reset()
 	t.Cleanup(resultcache.Reset)
@@ -362,11 +365,25 @@ func TestEvictSharded(t *testing.T) {
 	if n, ok := ResultCachedShards(p, s, nil); !ok || n != s.NumShards() {
 		t.Fatalf("execution must store a result entry per shard: %d/%d", n, s.NumShards())
 	}
-	if n := EvictSharded(s); n < s.NumShards() {
-		t.Fatalf("EvictSharded released %d entries, want ≥ %d", n, s.NumShards())
+	sc, err := pref.RankWeighted([]float64{1, 1}, pref.LOWEST("A1"), pref.LOWEST("A2"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n, _ := ResultCachedShards(p, s, nil); n != 0 {
-		t.Fatalf("%d shards still hold a result entry after EvictSharded", n)
+	if _, _, err := rank.TopKShardedCtx(context.Background(), sc, s, 3, nil, Robust{}); err != nil {
+		t.Fatal(err)
+	}
+	var entries []derived
+	for _, sh := range s.Shards() {
+		entries = append(entries, weakDerived(t, sh, p, sc))
+	}
+	if n := EvictSharded(s); n != 0 {
+		t.Fatalf("EvictSharded released %d entries; nothing sweeps", n)
+	}
+	flat, s = nil, nil
+	for i, d := range entries {
+		if d.live() {
+			t.Fatalf("shard %d's cached entries outlived the dropped table", i)
+		}
 	}
 }
 

@@ -3,8 +3,6 @@ package pref
 import (
 	"strconv"
 	"strings"
-
-	"repro/internal/boundcache"
 )
 
 // CacheKey returns a canonical key that fully determines the term's
@@ -56,33 +54,33 @@ func writeCacheKey(b *strings.Builder, p Preference) bool {
 		return true
 	case *Pos:
 		b.WriteString("pos(")
-		boundcache.WriteKeyStr(b, q.attr)
+		WriteKeyStr(b, q.attr)
 		writeKeySet(b, q.posSet)
 		b.WriteByte(')')
 		return true
 	case *Neg:
 		b.WriteString("neg(")
-		boundcache.WriteKeyStr(b, q.attr)
+		WriteKeyStr(b, q.attr)
 		writeKeySet(b, q.negSet)
 		b.WriteByte(')')
 		return true
 	case *PosNeg:
 		b.WriteString("posneg(")
-		boundcache.WriteKeyStr(b, q.attr)
+		WriteKeyStr(b, q.attr)
 		writeKeySet(b, q.posSet)
 		writeKeySet(b, q.negSet)
 		b.WriteByte(')')
 		return true
 	case *PosPos:
 		b.WriteString("pospos(")
-		boundcache.WriteKeyStr(b, q.attr)
+		WriteKeyStr(b, q.attr)
 		writeKeySet(b, q.pos1)
 		writeKeySet(b, q.pos2)
 		b.WriteByte(')')
 		return true
 	case *Explicit:
 		b.WriteString("explicit(")
-		boundcache.WriteKeyStr(b, q.attr)
+		WriteKeyStr(b, q.attr)
 		for _, e := range q.edges {
 			writeKeyValue(b, e.Worse)
 			writeKeyValue(b, e.Better)
@@ -91,31 +89,31 @@ func writeCacheKey(b *strings.Builder, p Preference) bool {
 		return true
 	case *Around:
 		b.WriteString("around(")
-		boundcache.WriteKeyStr(b, q.attr)
+		WriteKeyStr(b, q.attr)
 		writeKeyFloat(b, q.z)
 		b.WriteByte(')')
 		return true
 	case *Between:
 		b.WriteString("between(")
-		boundcache.WriteKeyStr(b, q.attr)
+		WriteKeyStr(b, q.attr)
 		writeKeyFloat(b, q.low)
 		writeKeyFloat(b, q.up)
 		b.WriteByte(')')
 		return true
 	case *Lowest:
 		b.WriteString("lowest(")
-		boundcache.WriteKeyStr(b, q.attr)
+		WriteKeyStr(b, q.attr)
 		b.WriteByte(')')
 		return true
 	case *Highest:
 		b.WriteString("highest(")
-		boundcache.WriteKeyStr(b, q.attr)
+		WriteKeyStr(b, q.attr)
 		b.WriteByte(')')
 		return true
 	case *AntiChainPref:
 		b.WriteString("antichain(")
 		for _, a := range q.attrs {
-			boundcache.WriteKeyStr(b, a)
+			WriteKeyStr(b, a)
 		}
 		b.WriteByte(')')
 		return true
@@ -131,7 +129,7 @@ func writeCacheKey(b *strings.Builder, p Preference) bool {
 		return writeKeyNode(b, "union", q.Left(), q.Right())
 	case *LinearSumPref:
 		b.WriteString("linsum(")
-		boundcache.WriteKeyStr(b, q.attr)
+		WriteKeyStr(b, q.attr)
 		if !writeCacheKey(b, q.p1) || !writeCacheKey(b, q.p2) {
 			return false
 		}
@@ -161,7 +159,7 @@ func writeKeyNode(b *strings.Builder, tag string, parts ...Preference) bool {
 
 // writeKeyValue appends a length-prefixed ValueKey encoding.
 func writeKeyValue(b *strings.Builder, v Value) {
-	boundcache.WriteKeyStr(b, ValueKey(v))
+	WriteKeyStr(b, ValueKey(v))
 }
 
 // writeKeySet appends a value set in its (deduplicated) insertion order.
@@ -181,4 +179,13 @@ func writeKeySet(b *strings.Builder, s *ValueSet) {
 func writeKeyFloat(b *strings.Builder, f float64) {
 	b.WriteString(strconv.FormatFloat(f, 'x', -1, 64))
 	b.WriteByte(' ')
+}
+
+// WriteKeyStr appends a length-prefixed string to b: the canonical
+// encoding cache keys are built from — components containing delimiter
+// bytes cannot forge another key.
+func WriteKeyStr(b *strings.Builder, s string) {
+	b.WriteString(strconv.Itoa(len(s)))
+	b.WriteByte(':')
+	b.WriteString(s)
 }

@@ -22,37 +22,23 @@ import (
 // view share every cached result.
 type Catalog map[string]relation.Table
 
-// Drop removes a table from the catalog and evicts every entry cached
-// against it — result maxima and rank score vectors, whether recorded
-// through the table or a snapshot of it; for a sharded table the sweep
-// covers every shard — so the dropped rows stop being pinned until
-// ordinary capacity eviction. The planner's statistics need no sweep:
-// they live on the table's generations and retire with them. It reports
-// whether the table existed.
+// Drop removes a table from the catalog and reports whether it existed.
+// It sweeps nothing: what is cached about the table — result maxima,
+// rank score vectors, planner statistics — lives on its generations
+// (relation.Memo) and is freed with them once no pinned snapshot reads
+// them.
 func (c Catalog) Drop(name string) bool {
-	tbl, ok := c[name]
-	if !ok {
+	if _, ok := c[name]; !ok {
 		return false
 	}
-	evictTable(tbl)
 	delete(c, name)
 	return true
 }
 
-// Replace installs a table under the name, evicting the cache entries of
-// any table it displaces (see Drop).
+// Replace installs a table under the name; a table it displaces frees its
+// cached state as a dropped one does (see Drop).
 func (c Catalog) Replace(name string, tbl relation.Table) {
-	if old, ok := c[name]; ok && old != tbl {
-		evictTable(old)
-	}
 	c[name] = tbl
-}
-
-// evictTable sweeps a table's cache entries, whatever its layout.
-func evictTable(tbl relation.Table) {
-	if s, ok := sharded(tbl); ok {
-		engine.EvictSharded(s)
-	}
 }
 
 // sharded is the one place a catalog table's layout is read: a sharded

@@ -1,12 +1,13 @@
 package psql
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"weak"
 
 	"repro/internal/engine"
-	"repro/internal/engine/resultcache"
 	"repro/internal/pref"
 	"repro/internal/rank"
 	"repro/internal/relation"
@@ -245,18 +246,14 @@ func TestExecInAndLikeAndNull(t *testing.T) {
 	}
 }
 
-// TestCatalogDropEvictsCaches: dropping (or replacing) a catalog relation
-// must release every entry cached against it, so the dropped rows stop
-// being pinned — a RANK statement's score vector too, which a snapshot
-// view and the live relation share. A WHERE-scoped statement stores
-// nothing to release.
+// TestCatalogDropEvictsCaches: what is cached about a catalog relation —
+// result maxima, and a RANK statement's score vector, which a snapshot
+// view and the live relation share — lives on its generation, so
+// dropping or replacing the relation frees it with no sweep once the last
+// snapshot of it is gone. A WHERE-scoped statement stores nothing.
 func TestCatalogDropEvictsCaches(t *testing.T) {
-	resultcache.Reset()
 	rank.ResetScoreCache()
-	t.Cleanup(func() {
-		resultcache.Reset()
-		rank.ResetScoreCache()
-	})
+	t.Cleanup(rank.ResetScoreCache)
 	cat := testCatalog()
 	rel := cat["car"].(*relation.Relation)
 	query := "SELECT oid FROM car PREFERRING LOWEST(price)"
@@ -266,12 +263,15 @@ func TestCatalogDropEvictsCaches(t *testing.T) {
 	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, nil); s != "hit" {
 		t.Fatalf("execution must have stored its maxima: result cache %s", s)
 	}
-	if _, err := Run("SELECT oid FROM car WHERE price <= 45000 PREFERRING LOWEST(price)", cat, Options{}); err != nil {
+	if _, err := Run("SELECT oid FROM car WHERE price <= 45000 PREFERRING LOWEST(mileage)", cat, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	where := &CmpExpr{Attr: "price", Op: "<=", Value: int64(45000)}
-	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, where); s != "bypass" || resultcache.Len() != 1 {
-		t.Fatalf("a WHERE-scoped statement must bypass the result cache: %s, %d entries", s, resultcache.Len())
+	if s := engine.ResultCacheState(pref.LOWEST("mileage"), rel, where); s != "bypass" {
+		t.Fatalf("a WHERE-scoped statement must bypass the result cache: %s", s)
+	}
+	if s := engine.ResultCacheState(pref.LOWEST("mileage"), rel, nil); s != "cold" {
+		t.Fatalf("a WHERE-scoped statement stored its maxima: result cache %s", s)
 	}
 	// A RANK statement through a snapshot view, then through the live
 	// relation: one score vector, stored by the first and hit by the
@@ -286,48 +286,67 @@ func TestCatalogDropEvictsCaches(t *testing.T) {
 	if h, m := rank.ScoreCacheStats(); h != 1 || m != 1 {
 		t.Fatalf("the snapshot and the live relation must share one score vector: hits %d misses %d", h, m)
 	}
+	scorer, err := pref.RankWeighted([]float64{1, 1}, pref.LOWEST("price"), pref.HIGHEST("power"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _ := pref.CacheKey(scorer)
+	v, ok := rel.Memo().Peek("rank:" + key)
+	if !ok {
+		t.Fatal("test premise: the score vector is not where the statement keeps it")
+	}
+	vec := weak.Make(&v.([]float64)[0])
+	table := weak.Make(rel)
+	v, rel = nil, nil
 	if !cat.Drop("car") {
 		t.Fatal("Drop must report the relation existed")
 	}
 	if _, ok := cat["car"]; ok {
 		t.Fatal("Drop must remove the catalog entry")
 	}
-	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, nil); s != "cold" {
-		t.Fatalf("Drop must evict the stored maxima: result cache %s", s)
-	}
-	// The snapshot still reads the dropped generation; its score vector
-	// is gone, so the statement binds again.
-	if _, err := Run(ranked, snapCat, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if h, m := rank.ScoreCacheStats(); h != 1 || m != 2 {
-		t.Fatalf("Drop must release the score vector: hits %d misses %d", h, m)
-	}
 	if cat.Drop("car") {
 		t.Fatal("double Drop must report a missing relation")
 	}
+	// The snapshot still reads the dropped generation, and its score
+	// vector with it: the statement hits.
+	if _, err := Run(ranked, snapCat, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := rank.ScoreCacheStats(); h != 2 || m != 1 {
+		t.Fatalf("a snapshot of the dropped relation must keep its score vector: hits %d misses %d", h, m)
+	}
+	snapCat = nil
+	collect()
+	if vec.Value() != nil || table.Value() != nil {
+		t.Fatal("the dropped relation or its score vector outlived its last snapshot")
+	}
 
-	// Replace evicts the displaced relation's entries the same way.
+	// Replace frees the displaced relation the same way.
 	cat = testCatalog()
-	rel = cat["car"].(*relation.Relation)
 	if _, err := Run(query, cat, Options{}); err != nil {
 		t.Fatal(err)
 	}
+	table = weak.Make(cat["car"].(*relation.Relation))
 	cat.Replace("car", testCatalog()["car"])
-	if s := engine.ResultCacheState(pref.LOWEST("price"), rel, nil); s != "cold" {
-		t.Fatalf("Replace must evict the displaced relation's entries: result cache %s", s)
+	collect()
+	if table.Value() != nil {
+		t.Fatal("the replaced relation outlived its catalog entry")
 	}
 }
 
-// TestEvictReleasesOnlyResults: a statement's bound forms — preference
+// collect runs enough collections for weak pointers to clear.
+func collect() {
+	for range 3 {
+		runtime.GC()
+	}
+}
+
+// TestMemoKeepsOnlyResults: a statement's bound forms — preference
 // scores, the WHERE selection, BUT ONLY's quality vectors — are dropped
-// when it ends, and the planner's statistics live on the generation, so
-// what EvictRelation finds against a relation after an unfiltered and a
-// BUT ONLY statement is exactly their stored maxima. A WHERE-scoped
-// statement stores none.
-func TestEvictReleasesOnlyResults(t *testing.T) {
-	resultcache.Reset()
-	t.Cleanup(resultcache.Reset)
+// when it ends, so what the relation's generation keeps after an
+// unfiltered and a BUT ONLY statement is exactly their stored maxima. A
+// WHERE-scoped statement stores none.
+func TestMemoKeepsOnlyResults(t *testing.T) {
 	cat := testCatalog()
 	rel := cat["car"].(*relation.Relation)
 	for _, q := range []string{
@@ -340,15 +359,8 @@ func TestEvictReleasesOnlyResults(t *testing.T) {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
-	results := resultcache.Len()
-	if results != 3 {
-		t.Fatalf("the statements stored %d result entries, want 3 (none for the WHERE-scoped one)", results)
-	}
-	if n := engine.EvictRelation(rel); n != results {
-		t.Fatalf("EvictRelation released %d entries, want exactly the %d results", n, results)
-	}
-	if resultcache.Len() != 0 {
-		t.Fatalf("%d result entries survived the eviction", resultcache.Len())
+	if n := rel.Memo().Len(); n != 3 {
+		t.Fatalf("the statements left %d memo entries, want their 3 results (none for the WHERE-scoped one)", n)
 	}
 }
 

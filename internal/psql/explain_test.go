@@ -581,7 +581,6 @@ func TestPlannerRoutesChainProducts(t *testing.T) {
 						}
 					}
 					want := rowSet(pts.Pick(maxima))
-					resultcache.Reset() // every run evaluates
 					what := fmt.Sprintf("%s n=%d: %s", dist, n, c.stmt)
 					text, err := ExplainQuery(c.stmt, cat, Options{})
 					if err != nil {
@@ -812,11 +811,11 @@ func TestExplainAccessPathAgreesWithWhatRan(t *testing.T) {
 					t.Errorf("%s cut %d, EXPLAIN %s the run: want %q in\n%s", c.name, k, when, line(mode), text)
 				}
 			}
-			// run executes the statement (never from the result cache)
-			// and checks that every shard read its selection by mode.
+			// run executes the statement (WHERE-scoped, never from the
+			// result cache) and checks that every shard read its
+			// selection by mode.
 			run := func(when, mode string) {
 				t.Helper()
-				resultcache.Reset()
 				reads := filter.OrderedReads()
 				if _, err := Run(stmt, c.cat, Options{}); err != nil {
 					t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/engine"
 	"repro/internal/engine/resultcache"
@@ -213,11 +214,11 @@ func TestExecShardedCacheReuse(t *testing.T) {
 	}
 }
 
-// TestCatalogDropSharded: dropping a sharded table must evict the cache
-// entries of every shard; Replace sweeps the displaced table the same way.
+// TestCatalogDropSharded: dropping a sharded table frees the cache
+// entries of every shard with its shards; Replace frees the displaced
+// table the same way. Nothing sweeps: a caller still holding the table
+// keeps its entries.
 func TestCatalogDropSharded(t *testing.T) {
-	resultcache.Reset()
-	defer resultcache.Reset()
 	_, shardCat := shardedCatalog(t, 300, 3, 29)
 	s := shardCat["car"].(*relation.Sharded)
 	query := "SELECT oid FROM car PREFERRING LOWEST(price)"
@@ -232,22 +233,43 @@ func TestCatalogDropSharded(t *testing.T) {
 	if _, ok := engine.ResultCachedShards(p, s, where); ok {
 		t.Fatal("a WHERE-scoped step must report bypass")
 	}
+	shards := weakShards(s)
 	if !shardCat.Drop("car") {
 		t.Fatal("Drop must report the table existed")
 	}
-	if n, _ := engine.ResultCachedShards(p, s, nil); n != 0 {
-		t.Fatalf("%d shards still cached after Drop", n)
+	if n, _ := engine.ResultCachedShards(p, s, nil); n != s.NumShards() {
+		t.Fatalf("a caller holding the dropped table lost %d shards' entries", s.NumShards()-n)
 	}
-	// Replace: installing a new table evicts the displaced shards.
+	s = nil
+	collect()
+	for i, sh := range shards {
+		if sh.Value() != nil {
+			t.Fatalf("shard %d and its cached entries outlived Drop", i)
+		}
+	}
+	// Replace: installing a new table frees the displaced shards.
 	flatCat, shardCat2 := shardedCatalog(t, 300, 3, 31)
-	s2 := shardCat2["car"].(*relation.Sharded)
 	if _, err := Run(query, shardCat2, Options{}); err != nil {
 		t.Fatal(err)
 	}
+	shards = weakShards(shardCat2["car"].(*relation.Sharded))
 	shardCat2.Replace("car", flatCat["car"])
-	if n, _ := engine.ResultCachedShards(p, s2, nil); n != 0 {
-		t.Fatalf("%d shards still cached after Replace", n)
+	collect()
+	for i, sh := range shards {
+		if sh.Value() != nil {
+			t.Fatalf("shard %d and its cached entries outlived Replace", i)
+		}
 	}
+}
+
+// weakShards returns weak pointers to a table's shards, whose
+// generations hold what is cached about them.
+func weakShards(s *relation.Sharded) []weak.Pointer[relation.Relation] {
+	var out []weak.Pointer[relation.Relation]
+	for _, sh := range s.Shards() {
+		out = append(out, weak.Make(sh))
+	}
+	return out
 }
 
 // TestExplainSharded: EXPLAIN over a sharded table must report the shard

@@ -13,8 +13,8 @@ import (
 	"context"
 	"math"
 	"slices"
+	"sync/atomic"
 
-	"repro/internal/boundcache"
 	"repro/internal/pref"
 	"repro/internal/relation"
 )
@@ -35,31 +35,30 @@ func TopK(p pref.Scorer, r *relation.Relation, k int) []Result {
 	return out
 }
 
-// scoreCacheCap bounds the number of cached score vectors.
-const scoreCacheCap = 64
+// The score cache: a keyed Scorer term's score vector over a whole
+// relation is kept in the memo of the generation it scored
+// (relation.Memo), under "rank:" plus the term's pref.CacheKey, so
+// repeated TOP-k queries over an unchanged catalog relation are
+// bind-free — through a Snapshot view or the live relation alike — and
+// the vectors retire with their generation: an Insert's successor, a
+// dropped table or a displaced shard frees them with no sweep. A
+// weighted-sum rank(F) keys by its weights and parts; SCORE leaves and
+// rank(F) terms with an opaque combining function have no faithful cache
+// key, so they bypass the cache and bind per call (one columnar pass, not
+// a tuple walk per feature).
+var scoreHits, scoreMisses atomic.Uint64
 
-// scoreCache holds materialized score vectors of keyed Scorer terms per
-// (live relation, version, term) through internal/boundcache, so repeated
-// TOP-k queries over an unchanged catalog relation are bind-free — through
-// a Snapshot view or the live relation alike — and engine.EvictRelation
-// releases the vectors of a dropped relation. A weighted-sum rank(F) keys
-// by its weights and parts (pref.CacheKey); SCORE leaves and rank(F) terms
-// with an opaque combining function have no faithful cache key, so they
-// bypass the cache and bind per call (one columnar pass, not a tuple walk
-// per feature).
-var scoreCache = boundcache.New[[]float64](scoreCacheCap)
-
-// scoreVecKey returns the cache key of a Scorer's vector over r; ok=false
+// scoreVecKey returns the memo key of a Scorer's vector over r; ok=false
 // when the term is keyless or the source an ephemeral intermediate.
-func scoreVecKey(p pref.Scorer, r *relation.Relation) (boundcache.Key, bool) {
+func scoreVecKey(p pref.Scorer, r *relation.Relation) (string, bool) {
 	if r.Ephemeral() {
-		return boundcache.Key{}, false
+		return "", false
 	}
 	term, keyed := pref.CacheKey(p)
 	if !keyed {
-		return boundcache.Key{}, false
+		return "", false
 	}
-	return boundcache.Key{Src: r.Origin(), Version: r.Version(), Term: "rank:" + term}, true
+	return "rank:" + term, true
 }
 
 // compiledScoreVec materializes the term's score vector over a source —
@@ -73,19 +72,21 @@ func compiledScoreVec(p pref.Scorer, src pref.Source) []float64 {
 	return c.ScoreVec(p)
 }
 
-// cachedScoreVec is compiledScoreVec through scoreCache; negative
+// cachedScoreVec is compiledScoreVec through the score cache; negative
 // outcomes cache as nil.
 func cachedScoreVec(p pref.Scorer, r *relation.Relation) []float64 {
 	key, ok := scoreVecKey(p, r)
 	if !ok {
 		return compiledScoreVec(p, r)
 	}
-	if vec, hit := scoreCache.Get(key); hit {
-		return vec
+	m := r.Memo()
+	if vec, hit := m.Get(key); hit {
+		scoreHits.Add(1)
+		return vec.([]float64)
 	}
+	scoreMisses.Add(1)
 	vec := compiledScoreVec(p, r)
-	scoreCache.Put(key, vec)
-	return vec
+	return m.Put(key, vec, 24+8*len(vec)).([]float64)
 }
 
 // scoreFn returns the scorer of a k-best scan over the candidates idx of
@@ -107,8 +108,8 @@ func scoreFn(p pref.Scorer, r *relation.Relation, idx []int) func(ord, row int) 
 	}
 	if idx != nil && relation.GatherWorthwhile(len(idx), r.Len()) {
 		if key, ok := scoreVecKey(p, r); ok {
-			if vec, hit := scoreCache.Peek(key); hit && vec != nil {
-				return whole(vec)
+			if v, hit := r.Memo().Peek(key); hit && v.([]float64) != nil {
+				return whole(v.([]float64))
 			}
 		}
 		if vec := compiledScoreVec(p, r.Gather(idx)); vec != nil {
@@ -123,13 +124,15 @@ func scoreFn(p pref.Scorer, r *relation.Relation, idx []int) func(ord, row int) 
 // ScoreCacheStats returns the cumulative score-vector cache hit and miss
 // counts.
 func ScoreCacheStats() (hits, misses uint64) {
-	return scoreCache.Stats()
+	return scoreHits.Load(), scoreMisses.Load()
 }
 
-// ResetScoreCache empties the score-vector cache and zeroes its counters;
-// tests and benchmarks use it to measure cold binds.
+// ResetScoreCache zeroes the score-vector cache's counters; the vectors
+// live on their generations, so a test that needs a cold bind builds a
+// fresh relation. The benchmark harness still calls it.
 func ResetScoreCache() {
-	scoreCache.Reset()
+	scoreHits.Store(0)
+	scoreMisses.Store(0)
 }
 
 // sortScorePerm builds the descending-score permutation; the stable sort

@@ -398,11 +398,10 @@ func (sp *shardPersist) maybeCheckpointLocked(r *Relation, g *generation) {
 // checkpointLocked writes the generation's full contents as epoch E+1,
 // swaps the shard metadata, rotates the WAL and publishes a successor
 // generation over the new base. The version is NOT bumped: the logical
-// contents are unchanged, so cached score vectors and memoized maxima
-// keyed by (relation, version) stay warm and correct — they alias the
-// superseded generation's arrays, which remain valid. A base page that
-// fails to read fails the checkpoint, not the writer. Caller holds
-// r.mu.
+// contents are unchanged, so the successor takes the superseded
+// generation's memo as it is (statistics, BMO maxima, score vectors) and
+// its value orders. A base page that fails to read fails the checkpoint,
+// not the writer. Caller holds r.mu.
 func (sp *shardPersist) checkpointLocked(r *Relation, g *generation) (err error) {
 	defer RecoverPageError(&err)
 	ng, err := sp.rewriteLocked(g.all(), g.version)
@@ -410,6 +409,7 @@ func (sp *shardPersist) checkpointLocked(r *Relation, g *generation) (err error)
 		return err
 	}
 	ng.orders.Store(g.orders.Load()) // same rows at the same positions
+	ng.memo.Store(g.memo.Load())
 	r.gen.Store(ng)
 	return nil
 }

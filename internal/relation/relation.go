@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/boundcache"
 	"repro/internal/filter"
 	"repro/internal/pref"
 )
@@ -186,12 +185,10 @@ type generation struct {
 	// generation, which every Insert allocates, past its size class.
 	snap atomic.Pointer[Relation]
 
-	// stats memoizes the planner's statistics of exactly these rows
-	// (Stats), analyzed once over the snap view; a successor generation
-	// analyzes afresh, and a superseded one's statistics retire with it.
-	// statsMu is held across the analysis, whose column reads take colMu.
-	statsMu sync.Mutex
-	stats   *Stats
+	// memo holds what is derived from exactly these rows and outlives a
+	// statement (see memo.go); nil until the first entry. It takes one
+	// pointer, keeping the generation inside its 144-byte size class.
+	memo atomic.Pointer[memo]
 }
 
 // nrows returns the generation's total row count (base plus tail).
@@ -252,7 +249,6 @@ type Relation struct {
 	schema  *Schema
 	derived bool
 	frozen  bool
-	origin  *Relation // live relation a frozen Snapshot view was pinned from
 
 	mu  sync.Mutex // serializes mutators (Insert, SortBy)
 	gen atomic.Pointer[generation]
@@ -304,9 +300,9 @@ func (r *Relation) Schema() *Schema { return r.schema }
 func (r *Relation) Len() int { return r.cur().nrows() }
 
 // Version returns the relation's mutation counter: it increases on every
-// row mutation (Insert, SortBy) and never otherwise. The result and score
-// caches key entries by (relation, version, term), so a bumped counter
-// strands every stale entry.
+// row mutation (Insert, SortBy) and never otherwise; a checkpoint keeps
+// it. Each version's derived state lives in its generation's memo
+// (Memo).
 func (r *Relation) Version() uint64 { return r.cur().version }
 
 // Frozen reports whether the relation is an immutable Snapshot view;
@@ -331,7 +327,7 @@ func (r *Relation) snapshotOf(g *generation) *Relation {
 	}
 	s := r
 	if !r.frozen {
-		s = &Relation{name: r.name, schema: r.schema, derived: r.derived, frozen: true, origin: r}
+		s = &Relation{name: r.name, schema: r.schema, derived: r.derived, frozen: true}
 		s.gen.Store(g)
 	}
 	if g.snap.CompareAndSwap(nil, s) {
@@ -340,41 +336,27 @@ func (r *Relation) snapshotOf(g *generation) *Relation {
 	return g.snap.Load()
 }
 
-// Origin returns the live relation behind this one: a frozen Snapshot
-// view answers with the relation it was pinned from, everything else
-// with itself. The caches that outlive a statement (the result and score
-// caches key entries by the live identity plus the generation version) use
-// it so a hit recorded through a snapshot view and a hit recorded through
-// the live relation land on the same key.
-func (r *Relation) Origin() *Relation {
-	if r.origin != nil {
-		return r.origin
-	}
-	return r
-}
-
 // Stats returns the planner's statistics of the current generation,
-// sampled over statsSample rows. They are analyzed once per generation,
-// from its frozen Snapshot view so the analysis never straddles a
-// concurrent Insert, and memoized on it: a snapshot view and the live
-// relation at one version share one analysis, an Insert's successor
-// analyzes afresh, and a superseded generation's statistics are freed
-// with it. A *Stats is never mutated once returned.
+// sampled over statsSample rows. They are analyzed from its frozen
+// Snapshot view, so the analysis never straddles a concurrent Insert, and
+// kept in its memo: a snapshot view and the live relation at one version
+// share one analysis, an Insert's successor analyzes afresh, and a
+// superseded generation's statistics are freed with it. A *Stats is never
+// mutated once returned.
 func (r *Relation) Stats() *Stats {
 	g := r.cur()
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	if g.stats == nil {
-		g.stats = AnalyzeSample(r.snapshotOf(g), statsSample)
+	m := Memo{g}
+	if s, ok := m.Get(statsKey); ok {
+		return s.(*Stats)
 	}
-	return g.stats
+	s := AnalyzeSample(r.snapshotOf(g), statsSample)
+	return m.Put(statsKey, s, s.bytes()).(*Stats)
 }
 
 // Ephemeral reports whether the relation is a derived query intermediate
 // (built by Pick, Select, Where or a projection). The result and score
 // caches skip ephemeral relations: their identity is fresh per query, so
-// an entry could never be reused and would only pin the materialized rows
-// until eviction.
+// an entry could never be reused.
 func (r *Relation) Ephemeral() bool { return r.derived }
 
 // Row returns row i; callers must not modify it.
@@ -387,75 +369,6 @@ func (r *Relation) Rows() []Row { return r.cur().all() }
 
 // ErrFrozen is returned by mutators invoked on a Snapshot view.
 var ErrFrozen = fmt.Errorf("relation: snapshot views are read-only")
-
-// InsertHook observes one append: r is the live relation, oldVersion the
-// generation version the append superseded, and newIdx the position of
-// the appended row in the successor generation (always the last row).
-// Hooks run inside Insert's writer critical section — after the successor
-// generation is published, before the lock is released — so invocations
-// on one relation are serialized and see consecutive (oldVersion,
-// oldVersion+1) transitions with no gaps. They must be fast and must not
-// mutate the relation. The result cache registers one to carry cached
-// maxima forward across generations (see engine/resultmaint).
-type InsertHook func(r *Relation, oldVersion uint64, newIdx int)
-
-var (
-	hookMu      sync.RWMutex
-	insertHooks []InsertHook
-)
-
-// RegisterInsertHook installs a hook invoked on every successful Insert
-// into a non-derived relation. Registration is append-only (package init
-// time, typically); there is no unregister.
-func RegisterInsertHook(h InsertHook) {
-	hookMu.Lock()
-	insertHooks = append(insertHooks, h)
-	hookMu.Unlock()
-}
-
-// runInsertHooks fires the registered hooks; the caller holds r.mu.
-func runInsertHooks(r *Relation, oldVersion uint64, newIdx int) {
-	if r.derived {
-		return // ephemeral intermediates are never cached
-	}
-	hookMu.RLock()
-	hooks := insertHooks
-	hookMu.RUnlock()
-	for _, h := range hooks {
-		h(r, oldVersion, newIdx)
-	}
-}
-
-// DisplacedHook observes shard relations displaced by a Reshard: the
-// old shard list whose rows were redistributed into fresh shards. The
-// displaced relations are unreachable from the table afterwards (only
-// pinned snapshots still address them), so every cache keyed by their
-// identity — compiled bound forms, rank score/perm vectors, memoized
-// BMO maxima — must be swept or it holds stale entries until capacity
-// eviction. The engine registers one that runs its full per-relation
-// eviction sweep (see engine.EvictRelation).
-type DisplacedHook func(shards []*Relation)
-
-var displacedHooks []DisplacedHook // guarded by hookMu
-
-// RegisterDisplacedHook installs a hook invoked with the displaced
-// shard list of every Reshard. Registration is append-only, like
-// RegisterInsertHook.
-func RegisterDisplacedHook(h DisplacedHook) {
-	hookMu.Lock()
-	displacedHooks = append(displacedHooks, h)
-	hookMu.Unlock()
-}
-
-// runDisplacedHooks fires the registered displaced-shard hooks.
-func runDisplacedHooks(shards []*Relation) {
-	hookMu.RLock()
-	hooks := displacedHooks
-	hookMu.RUnlock()
-	for _, h := range hooks {
-		h(shards)
-	}
-}
 
 // Insert appends a row after type-checking every value against the
 // schema, publishing a successor generation. Concurrent Inserts are safe
@@ -493,8 +406,13 @@ func (r *Relation) Insert(row Row) error {
 		version: g.version + 1,
 	}
 	ng.orders.Store(g.orders.Load()) // the rows before the append are unchanged
+	if m := g.memo.Load(); m != nil {
+		// r still reads g: the carriers see the predecessor's rows.
+		if next := m.carry(r, rowTuple{schema: r.schema, row: stored}, g.nrows()); next != nil {
+			ng.memo.Store(next)
+		}
+	}
 	r.gen.Store(ng)
-	runInsertHooks(r, g.version, g.nrows())
 	if r.persist != nil {
 		r.persist.maybeCheckpointLocked(r, ng)
 	}
@@ -787,7 +705,7 @@ func (g *generation) groupKeys(schema *Schema, attrs []string) []uint32 {
 	}
 	var key strings.Builder
 	for _, a := range attrs {
-		boundcache.WriteKeyStr(&key, a)
+		pref.WriteKeyStr(&key, a)
 	}
 	g.colMu.Lock()
 	if codes, hit := g.groupCols[key.String()]; hit {

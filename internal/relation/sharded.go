@@ -469,12 +469,10 @@ func (s *Sharded) Flatten() *Relation {
 // partitioner and returns the displaced shard relations; the sharded
 // table keeps its identity. Global row ids are NOT stable across a
 // Reshard — it is the one operation that re-addresses rows. Pinned
-// Snapshots keep addressing the displaced shards. Every registered
-// DisplacedHook fires with the displaced shard list before Reshard
-// returns, so caches keyed by the old shard identities (bound forms,
-// rank score/perm vectors, memoized BMO maxima) are swept eagerly —
-// callers no longer need to remember the eviction themselves, though
-// the displaced list is still returned for them. Persistent tables
+// Snapshots keep addressing the displaced shards. The fresh shards start
+// with empty memos, and a displaced shard's memo (BMO maxima, score
+// vectors, statistics) is freed with its rows once no snapshot pins it.
+// Persistent tables
 // (opened through a Store) cannot be resharded in place: their shard
 // directories are the unit of recovery, so redistribution goes through
 // Store.ImportTable into a new table instead; nor can a OneShard view,
@@ -518,7 +516,6 @@ func (s *Sharded) Reshard(nShards int, part Partitioner) ([]*Relation, error) {
 	}
 	s.state.Store(&shardState{part: part, shards: next})
 	s.mutations.Add(1)
-	runDisplacedHooks(st.shards)
 	return st.shards, nil
 }
 

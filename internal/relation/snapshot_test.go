@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/pref"
 )
@@ -127,10 +129,9 @@ func TestSnapshotColumnsStayOnEpoch(t *testing.T) {
 }
 
 // TestSnapshotSurvivesEviction is the deferred-reclamation regression
-// test: dropping/replacing a catalog table sweeps its cached results,
-// statistics and score vectors (engine.EvictRelation), but a pinned
-// snapshot must keep its epoch's rows and column arrays intact until the
-// last reader retires — eviction is a cache release, never a reclamation.
+// test: dropping/replacing a catalog table drops the catalog's reference,
+// but a pinned snapshot must keep its epoch's rows and column arrays
+// intact until the last reader retires — there is no eager free.
 func TestSnapshotSurvivesEviction(t *testing.T) {
 	r := buildSnapRelation(t, 16)
 	snap := r.Snapshot()
@@ -448,5 +449,24 @@ func TestFromColumnsStillColumnar(t *testing.T) {
 	vals, _, ok := r.FloatColumn("price")
 	if !ok || fmt.Sprint(vals) != "[10 20]" {
 		t.Fatalf("FromColumns float column: %v %v", vals, ok)
+	}
+}
+
+// TestSnapshotDoesNotPinLiveRelation: a snapshot holds its generation,
+// not the relation it was taken from, so a pinned reader of a dropped
+// table keeps its rows and memo without keeping the table itself.
+func TestSnapshotDoesNotPinLiveRelation(t *testing.T) {
+	r := buildSnapRelation(t, 8)
+	snap := r.Snapshot()
+	live := weak.Make(r)
+	r = nil
+	for range 3 {
+		runtime.GC()
+	}
+	if live.Value() != nil {
+		t.Fatal("a snapshot keeps its live relation reachable")
+	}
+	if snap.Len() != 8 {
+		t.Fatalf("the snapshot reads %d rows, want 8", snap.Len())
 	}
 }

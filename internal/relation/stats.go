@@ -44,6 +44,12 @@ type Stats struct {
 	byName map[string]int
 }
 
+// statsKey is the memo key of a generation's statistics (Relation.Stats).
+const statsKey = "stats"
+
+// bytes estimates the analysis's size for its generation's memo.
+func (s *Stats) bytes() int { return 128 + 96*len(s.Cols) }
+
 // Col returns the statistics of the named column.
 func (s *Stats) Col(name string) (ColStats, bool) {
 	i, ok := s.byName[name]
